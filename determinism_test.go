@@ -39,7 +39,12 @@ func fingerprint(rep orca.Report, rt *orca.Runtime) string {
 	for _, c := range rep.Crashes {
 		s += fmt.Sprintf(" crash=%d@%d/%d", c.Node, int64(c.At), c.ProcsKilled)
 	}
-	if br, ok := rt.System().(*rts.BroadcastRTS); ok {
+	// The counter block depends on which domains the run built: one
+	// sequencer group alone, a group plus the point-to-point domain, or
+	// neither block (pure point-to-point and sharded runs).
+	sys := rt.System()
+	if sys.Groups() == 1 && sys.P2P() == nil {
+		br := sys.Group(0)
 		lr, bw, gw := br.Stats()
 		s += fmt.Sprintf(" reads=%d writes=%d guardwaits=%d", lr, bw, gw)
 		if c := br.Counters(); c.BatchedOps > 0 {
@@ -48,8 +53,8 @@ func fingerprint(rep orca.Report, rt *orca.Runtime) string {
 			s += fmt.Sprintf(" batched=%d bframes=%d", c.BatchedOps, c.Frames)
 		}
 	}
-	if mx, ok := rt.System().(*rts.MixedRTS); ok {
-		c := mx.Counters()
+	if sys.Groups() > 0 && sys.P2P() != nil {
+		c := sys.Counters()
 		s += fmt.Sprintf(" reads=%d bwrites=%d guardwaits=%d rreads=%d pwrites=%d updates=%d",
 			c.LocalReads, c.BcastWrites, c.GuardWaits, c.RemoteReads, c.P2PWrites, c.Updates)
 	}

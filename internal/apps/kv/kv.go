@@ -164,9 +164,8 @@ type Params struct {
 	// order across that many independent sequencer groups (it sets
 	// Config.Shards) and stripes store shard s onto group s mod
 	// SequencerShards, so writes to different store shards sequence
-	// concurrently. Requires PolicyReplicated on a pure broadcast
-	// Config (not Mixed): sequencer sharding is a broadcast-runtime
-	// structure.
+	// concurrently. Replicated and adaptive shards are striped;
+	// primary-copy shards have no sequencer group.
 	SequencerShards int
 	// Adapt parameterizes the placement controller under
 	// PolicyAdaptive; the zero value selects the defaults.
@@ -258,15 +257,15 @@ func shardOpts(pl Policy, s, seqShards int, adapt rts.AdaptConfig) []orca.Option
 			pl = PolicyPrimary
 		}
 	}
-	if pl == PolicyAdaptive {
-		return orca.Opts(orca.With(orca.Adaptive(adapt)))
-	}
 	if pl == PolicyPrimary {
 		return orca.Opts(orca.With(orca.PrimaryCopy{
 			Protocol: orca.Update, Placement: orca.SingleCopy,
 		}))
 	}
 	opts := orca.Opts(orca.With(orca.Replicated))
+	if pl == PolicyAdaptive {
+		opts = orca.Opts(orca.With(orca.Adaptive(adapt)))
+	}
 	if seqShards > 1 {
 		opts = append(opts, orca.Sharded(s))
 	}
@@ -295,18 +294,17 @@ func Run(cfg orca.Config, params Params) Result {
 		panic("kv: Params.Workload.Keys must be positive")
 	}
 	if params.SequencerShards > 0 {
-		if params.Policy != PolicyReplicated {
-			panic("kv: SequencerShards requires PolicyReplicated (sequencer sharding is a broadcast-runtime structure)")
-		}
-		if cfg.RTS != orca.Broadcast || cfg.Mixed {
-			panic("kv: SequencerShards requires a pure broadcast Config (RTS: Broadcast, not Mixed)")
-		}
 		cfg.Shards = params.SequencerShards
 	}
-	if params.Policy == PolicyAdaptive && !cfg.Mixed {
-		panic("kv: PolicyAdaptive requires Config.Mixed (the controller migrates shards between subsystems)")
-	}
+	// New validates the configuration; a policy it cannot host (primary
+	// copies or adaptive shards without the point-to-point domain) is
+	// rejected here rather than at the first shard creation.
 	rt := orca.New(cfg, Register)
+	for s := 0; s < 2; s++ { // PolicyMixed alternates by parity
+		if err := rt.CheckPlacement(shardOpts(params.Policy, s, params.SequencerShards, params.Adapt)...); err != nil {
+			panic(fmt.Sprintf("kv: %v shards: %v", params.Policy, err))
+		}
+	}
 	res := Result{}
 	rep := rt.Run(func(p *orca.Proc) {
 		P := cfg.Processors

@@ -216,16 +216,20 @@ func TestSequencerShards(t *testing.T) {
 	}
 }
 
-// TestSequencerShardsRejectsMisuse: sequencer sharding is a
-// broadcast-runtime structure; other placements must fail fast.
-func TestSequencerShardsRejectsMisuse(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("SequencerShards with PolicyPrimary did not panic")
-		}
-	}()
-	Run(orca.Config{Processors: 2, RTS: orca.Broadcast, Seed: 1},
-		Params{Policy: PolicyPrimary, SequencerShards: 2, Workload: testWorkload(1)})
+// TestPolicyNeedsItsDomain: a policy whose domain the configuration
+// does not build fails fast, before the first process is forked.
+func TestPolicyNeedsItsDomain(t *testing.T) {
+	for _, pl := range []Policy{PolicyPrimary, PolicyMixed, PolicyAdaptive} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%v on a broadcast configuration without Mixed did not panic", pl)
+				}
+			}()
+			Run(orca.Config{Processors: 2, RTS: orca.Broadcast, Seed: 1},
+				Params{Policy: pl, SequencerShards: 2, Workload: testWorkload(1)})
+		}()
+	}
 }
 
 // affineShiftWorkload is the adaptive-placement input: every machine's
@@ -265,6 +269,38 @@ func TestAdaptivePolicyMigratesAndKeepsWrites(t *testing.T) {
 	r2 := Run(cfg, params)
 	if fingerprint(r) != fingerprint(r2) || r.Report.RTS.Migrations != r2.Report.RTS.Migrations {
 		t.Errorf("adaptive double run differs:\n  %s (mig %d)\n  %s (mig %d)",
+			fingerprint(r), r.Report.RTS.Migrations, fingerprint(r2), r2.Report.RTS.Migrations)
+	}
+}
+
+// TestAdaptivePolicyOverSequencerShards: adaptive shards striped over
+// four sequencer groups — each shard migrates between its own home
+// group and the point-to-point domain, no acknowledged write is lost,
+// and the run stays bit-identical.
+func TestAdaptivePolicyOverSequencerShards(t *testing.T) {
+	cfg := orca.Config{Processors: 4, RTS: orca.Broadcast, Mixed: true, Seed: 1}
+	params := Params{
+		Policy: PolicyAdaptive, Shards: 8, SequencerShards: 4, AffineKeys: true,
+		Adapt:    rts.AdaptConfig{SampleEvery: 32, MinDwell: 10 * sim.Millisecond},
+		Workload: affineShiftWorkload(7),
+	}
+	r := Run(cfg, params)
+	if r.Report.TimedOut {
+		t.Fatalf("timed out (blocked: %v)", r.Report.Blocked)
+	}
+	if r.LostAcked != 0 {
+		t.Fatalf("lost %d acknowledged writes across migrations", r.LostAcked)
+	}
+	if r.Report.RTS.Migrations == 0 {
+		t.Fatal("no migrations on a write-heavy affinity trace")
+	}
+	if len(r.Report.Shards) != 4 || len(r.Report.Placements) != params.Shards {
+		t.Fatalf("report holds %d sequencer groups and %d placements, want 4 and %d",
+			len(r.Report.Shards), len(r.Report.Placements), params.Shards)
+	}
+	r2 := Run(cfg, params)
+	if fingerprint(r) != fingerprint(r2) || r.Report.RTS.Migrations != r2.Report.RTS.Migrations {
+		t.Errorf("double run differs:\n  %s (mig %d)\n  %s (mig %d)",
 			fingerprint(r), r.Report.RTS.Migrations, fingerprint(r2), r2.Report.RTS.Migrations)
 	}
 }

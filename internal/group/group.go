@@ -143,7 +143,7 @@ type Config struct {
 	Port string
 	// Shard and ShardCount label this group's position among N
 	// co-hosted sequencer groups (sharded total order; see
-	// internal/rts ShardedRTS). The zero values mean a solitary group.
+	// rts.Router in internal/rts). The zero values mean a solitary group.
 	Shard      int
 	ShardCount int
 }

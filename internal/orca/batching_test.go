@@ -1,7 +1,7 @@
 package orca_test
 
 // The batching configuration surface: Config.Batching wiring through
-// Runtime (and MixedRTS), the RTSStats amortization counters, and the
+// Runtime (with and without Mixed), the RTSStats amortization counters, and the
 // guard rails.
 
 import (

@@ -3,7 +3,6 @@ package orca
 import (
 	"sort"
 
-	"repro/internal/rts"
 	"repro/internal/sim"
 )
 
@@ -73,9 +72,7 @@ func (rt *Runtime) crashNode(node int) {
 			rt.liveProcs--
 		}
 	}
-	if ca, ok := rt.sys.(rts.CrashAware); ok {
-		ca.NodeCrashed(node)
-	}
+	rt.sys.NodeCrashed(node)
 	rt.crashes = append(rt.crashes, rec)
 	rt.env.Tracef("orca: node %d crashed (%d procs, %d forks reaped)", node, rec.ProcsKilled, rec.ForksReaped)
 	if rt.liveProcs == 0 {

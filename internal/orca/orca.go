@@ -1,6 +1,7 @@
 package orca
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/amoeba"
@@ -83,9 +84,6 @@ func (b *Batching) batchConfig() group.BatchConfig {
 	if bc.Linger == 0 {
 		bc.Linger = d.Linger
 	}
-	if bc.MaxOps < 2 {
-		panic("orca: Batching.MaxOps must be at least 2")
-	}
 	return bc
 }
 
@@ -124,7 +122,7 @@ type Config struct {
 	// batching pipeline (frame packing in the group layer plus
 	// per-worker write combining in the RTS). Off by default: the
 	// unbatched code paths are untouched and bit-identical. Under
-	// Mixed, batching applies to the broadcast subsystem only.
+	// Mixed, batching applies to the sequencer groups only.
 	Batching *Batching
 	// Sequencer picks the initial group sequencer for the broadcast
 	// runtime (default: processor 0). Fault experiments use it to put
@@ -138,9 +136,9 @@ type Config struct {
 	// its own sequencer; objects are assigned to a shard at creation
 	// (hash of the object id, or explicitly via OnShard / Sharded
 	// creation options) and unrelated objects sequence concurrently.
-	// 0 or 1 keeps the single group — every existing code path and
-	// golden untouched. Shards > 1 requires the pure broadcast runtime
-	// (RTS: Broadcast, not Mixed).
+	// 0 or 1 keeps the single group. Requires broadcast hardware (RTS:
+	// Broadcast, or Mixed); composes with Mixed, so a sharded program
+	// may also place primary-copy and adaptive objects.
 	Shards int
 	// ShardSpan is each sequencer group's replication domain size: the
 	// machines are cut into Processors/ShardSpan contiguous blocks and
@@ -148,9 +146,8 @@ type Config struct {
 	// write costs receive-and-apply on ShardSpan machines instead of
 	// all of them (machines outside a domain reach its objects through
 	// the forwarder RPC). 0 means every shard spans all machines.
-	// Requires Shards > 1, Processors divisible by ShardSpan, and
-	// Shards divisible by the block count (so every machine hosts a
-	// shard).
+	// Requires Processors divisible by ShardSpan and Shards divisible
+	// by the block count (so every machine hosts a shard).
 	ShardSpan int
 	// Faults, when non-nil, is the failure schedule for the run:
 	// machine crashes executed by the runtime (kernel, threads,
@@ -171,10 +168,8 @@ type Runtime struct {
 	env      *sim.Env
 	net      *netsim.Network
 	machines []*amoeba.Machine
-	members  []*group.Member
-	sys      rts.System
-	shardRT  *rts.ShardedRTS // non-nil when cfg.Shards > 1
-	fastRead rts.LocalReader // non-nil when sys serves typed local reads
+	members  []*group.Member // every sequencer group's endpoints, in group order
+	sys      *rts.Router
 	reg      *rts.Registry
 
 	liveProcs int
@@ -206,10 +201,44 @@ type forkEntry struct {
 	fn     func(p *Proc)
 }
 
+// Validate reports the first reason the configuration cannot be built,
+// or nil. It is the one place configurations are checked: New panics
+// with its error before building a single machine. What a valid
+// configuration can host is decided per object at creation (see
+// NewWith), by the runtime's placement router.
+func (cfg Config) Validate() error {
+	hw := cfg.RTS == Broadcast || cfg.Mixed // broadcast hardware, hence sequencer groups
+	switch {
+	case cfg.Processors <= 0:
+		return errors.New("orca: need at least one processor")
+	case cfg.RTS != Broadcast && cfg.RTS != P2PUpdate && cfg.RTS != P2PInvalidate:
+		return fmt.Errorf("orca: unknown RTS kind %d", int(cfg.RTS))
+	case cfg.Shards < 0:
+		return fmt.Errorf("orca: negative shard count %d", cfg.Shards)
+	case !hw && (cfg.Batching != nil || cfg.Protocol != group.ElectedSequencer || cfg.Shards > 1 || cfg.ShardSpan != 0):
+		return errors.New("orca: Batching, Protocol, Shards and ShardSpan configure sequencer groups, which need broadcast hardware (RTS: Broadcast, or Mixed)")
+	case cfg.Batching != nil && cfg.Batching.batchConfig().MaxOps < 2:
+		return errors.New("orca: Batching.MaxOps must be at least 2")
+	}
+	if span := cfg.ShardSpan; span != 0 {
+		switch {
+		case span < 0 || span > cfg.Processors || cfg.Processors%span != 0:
+			return fmt.Errorf("orca: ShardSpan %d must divide Processors %d", span, cfg.Processors)
+		case max(cfg.Shards, 1)%(cfg.Processors/span) != 0:
+			return fmt.Errorf("orca: Shards %d must be a multiple of the %d domains (every machine must host a shard)", cfg.Shards, cfg.Processors/span)
+		}
+	}
+	return nil
+}
+
 // New builds a runtime. setup registers the program's object types.
+// Every configuration builds the same thing — a placement router over
+// the domains the configuration calls for: max(Shards, 1) sequencer
+// groups when there is broadcast hardware (RTS: Broadcast, or Mixed),
+// and the point-to-point domain when RTS is point-to-point or Mixed.
 func New(cfg Config, setup func(reg *rts.Registry)) *Runtime {
-	if cfg.Processors <= 0 {
-		panic("orca: need at least one processor")
+	if err := cfg.Validate(); err != nil {
+		panic(err.Error())
 	}
 	if cfg.MaxTime == 0 {
 		cfg.MaxTime = 3600 * sim.Second
@@ -235,110 +264,14 @@ func New(cfg Config, setup func(reg *rts.Registry)) *Runtime {
 	if cfg.RTSCosts != nil {
 		rc = *cfg.RTSCosts
 	}
-	// buildBroadcast joins every machine to the broadcast group and
-	// starts the broadcast runtime, with forks ordered in the same
-	// total order as object writes.
-	buildBroadcast := func() *rts.BroadcastRTS {
-		ids := make([]int, cfg.Processors)
-		for i := range ids {
-			ids[i] = i
-		}
-		gcfg := group.DefaultConfig(ids)
-		gcfg.Method = cfg.GroupMethod
-		gcfg.Protocol = cfg.Protocol
-		gcfg.Sequencer = cfg.Sequencer
-		if cfg.Batching != nil {
-			gcfg.Batch = cfg.Batching.batchConfig()
-			// Batched runs move MaxOps times the work per frame, so
-			// delivery-progress reports can be MaxOps times sparser
-			// for the same history-trimming lag — and every member
-			// reports, so the interval also scales with P to keep the
-			// aggregate status traffic flat (statuses contribute
-			// (P-1)/StatusEvery frames per delivered op). The trim
-			// lag stays a small fraction of HistoryMax.
-			pScale := cfg.Processors / 32
-			if pScale < 1 {
-				pScale = 1
-			}
-			gcfg.StatusEvery *= gcfg.Batch.MaxOps * pScale
-		}
-		for _, m := range rt.machines {
-			rt.members = append(rt.members, group.Join(m, gcfg))
-		}
-		br := rts.NewBroadcastRTS(rt.reg, rc, rt.machines, rt.members)
-		if cfg.Batching != nil {
-			br.EnableBatching(gcfg.Batch)
-		}
-		br.SetExtraHandler(func(node int, body any) {
-			if fm, ok := body.(forkMsg); ok && node == fm.Target {
-				rt.startFork(fm.FID)
-			}
-		})
-		return br
+	var groups []rts.GroupDef
+	if np.BroadcastCapable {
+		groups = rt.joinGroups()
 	}
-	// buildSharded cuts the machines into replication domains, joins
-	// one sequencer group per shard (distinct port, rotated sequencer),
-	// and composes the shard runtimes into a ShardedRTS. Forks travel
-	// as barrier fences through every group spanning both machines; the
-	// kernel-port fallback below covers forks across disjoint domains.
-	buildSharded := func() *rts.ShardedRTS {
-		span := cfg.ShardSpan
-		if span <= 0 {
-			span = cfg.Processors
-		}
-		switch {
-		case span > cfg.Processors || cfg.Processors%span != 0:
-			panic(fmt.Sprintf("orca: ShardSpan %d must divide Processors %d", span, cfg.Processors))
-		case cfg.Shards%(cfg.Processors/span) != 0:
-			panic(fmt.Sprintf("orca: Shards %d must be a multiple of the %d domains (every machine must host a shard)", cfg.Shards, cfg.Processors/span))
-		}
-		blocks := cfg.Processors / span
-		defs := make([]rts.ShardDef, cfg.Shards)
-		for k := 0; k < cfg.Shards; k++ {
-			ids := make([]int, span)
-			base := (k % blocks) * span
-			for i := range ids {
-				ids[i] = base + i
-			}
-			gcfg := group.DefaultConfig(ids)
-			gcfg.Method = cfg.GroupMethod
-			gcfg.Protocol = cfg.Protocol
-			gcfg.Sequencer = ids[((k+cfg.Sequencer)%span+span)%span]
-			gcfg.Shard = k
-			gcfg.ShardCount = cfg.Shards
-			if cfg.Batching != nil {
-				gcfg.Batch = cfg.Batching.batchConfig()
-				pScale := span / 32
-				if pScale < 1 {
-					pScale = 1
-				}
-				gcfg.StatusEvery *= gcfg.Batch.MaxOps * pScale
-			}
-			members := make([]*group.Member, span)
-			for i, id := range ids {
-				members[i] = group.Join(rt.machines[id], gcfg)
-			}
-			defs[k] = rts.ShardDef{Members: members, Span: ids}
-		}
-		sh := rts.NewShardedRTS(rt.reg, rc, rt.machines, defs)
-		if cfg.Batching != nil {
-			sh.EnableBatching(cfg.Batching.batchConfig())
-		}
-		sh.SetExtraHandler(func(node int, body any) {
-			if fm, ok := body.(forkMsg); ok && node == fm.Target {
-				rt.startFork(fm.FID)
-			}
-		})
-		for _, m := range rt.machines {
-			m.Bind("orca-fork", func(p *sim.Proc, from int, pkt amoeba.Packet) {
-				rt.startFork(pkt.Body.(forkMsg).FID)
-			})
-		}
-		return sh
-	}
-	// p2pConfig resolves the point-to-point configuration, with the
-	// protocol forced by the RTS kind when that kind is point-to-point.
-	p2pConfig := func() rts.P2PConfig {
+	// The point-to-point domain, with the protocol forced by the RTS
+	// kind when that kind is point-to-point.
+	var p2p *rts.P2PConfig
+	if cfg.RTS != Broadcast || cfg.Mixed {
 		pc := rts.DefaultP2PConfig()
 		if cfg.P2P != nil {
 			pc = *cfg.P2P
@@ -349,46 +282,75 @@ func New(cfg Config, setup func(reg *rts.Registry)) *Runtime {
 		case P2PInvalidate:
 			pc.Protocol = rts.Invalidation
 		}
-		return pc
+		p2p = &pc
 	}
-	switch {
-	case cfg.RTS != Broadcast && cfg.RTS != P2PUpdate && cfg.RTS != P2PInvalidate:
-		panic("orca: unknown RTS kind")
-	case cfg.Batching != nil && cfg.RTS != Broadcast && !cfg.Mixed:
-		panic("orca: Batching requires the broadcast runtime (or Mixed)")
-	case cfg.Protocol != group.ElectedSequencer && cfg.RTS != Broadcast && !cfg.Mixed:
-		panic("orca: Protocol selection requires the broadcast runtime (or Mixed)")
-	case cfg.Shards < 0:
-		panic(fmt.Sprintf("orca: negative shard count %d", cfg.Shards))
-	case cfg.Shards > 1 && (cfg.RTS != Broadcast || cfg.Mixed):
-		panic("orca: Shards requires the pure broadcast runtime (RTS: Broadcast, not Mixed)")
-	case cfg.ShardSpan != 0 && cfg.Shards <= 1:
-		panic("orca: ShardSpan requires Shards > 1")
-	case cfg.Shards > 1:
-		rt.shardRT = buildSharded()
-		rt.sys = rt.shardRT
-	case cfg.Mixed:
-		// Both managers share the machines and the group members; the
-		// RTS kind only picks where Default-policy objects live. Forks
-		// always travel the broadcast total order.
-		br := buildBroadcast()
-		p2p := rts.NewP2PRTS(rt.reg, rc, p2pConfig(), rt.machines)
-		rt.sys = rts.NewMixedRTS(br, p2p, cfg.RTS == Broadcast)
-	case cfg.RTS == Broadcast:
-		rt.sys = buildBroadcast()
-	default:
-		rt.sys = rts.NewP2PRTS(rt.reg, rc, p2pConfig(), rt.machines)
-		for _, m := range rt.machines {
-			m.Bind("orca-fork", func(p *sim.Proc, from int, pkt amoeba.Packet) {
-				rt.startFork(pkt.Body.(forkMsg).FID)
-			})
+	rt.sys = rts.NewRouter(rt.reg, rc, rt.machines, groups, p2p, cfg.RTS != Broadcast)
+	if cfg.Batching != nil {
+		rt.sys.EnableBatching(cfg.Batching.batchConfig())
+	}
+	// Forks are ordered with object writes: they reach the target's
+	// extra handler through the sequencer groups (see Fork), or the
+	// kernel port below when no group spans both machines.
+	rt.sys.SetExtraHandler(func(node int, body any) {
+		if fm, ok := body.(forkMsg); ok && node == fm.Target {
+			rt.startFork(fm.FID)
 		}
+	})
+	for _, m := range rt.machines {
+		m.Bind("orca-fork", func(p *sim.Proc, from int, pkt amoeba.Packet) {
+			rt.startFork(pkt.Body.(forkMsg).FID)
+		})
 	}
-	rt.fastRead, _ = rt.sys.(rts.LocalReader)
 	// Arm the fault plan last: link faults filter at the wire, and
 	// each crash entry fires rt.crashNode at its instant.
 	rt.net.InstallFaults(cfg.Faults, rt.crashNode)
 	return rt
+}
+
+// joinGroups cuts the machines into replication domains of ShardSpan
+// machines (default: one domain of all of them) and joins one sequencer
+// group per shard — group k on domain k mod domains, on its own kernel
+// port, its sequencer rotated by k so consecutive groups sequence on
+// distinct machines.
+func (rt *Runtime) joinGroups() []rts.GroupDef {
+	cfg := rt.cfg
+	span := cfg.ShardSpan
+	if span == 0 {
+		span = cfg.Processors
+	}
+	blocks := cfg.Processors / span
+	defs := make([]rts.GroupDef, max(cfg.Shards, 1))
+	for k := range defs {
+		ids := make([]int, span)
+		base := (k % blocks) * span
+		for i := range ids {
+			ids[i] = base + i
+		}
+		gcfg := group.DefaultConfig(ids)
+		gcfg.Method = cfg.GroupMethod
+		gcfg.Protocol = cfg.Protocol
+		gcfg.Sequencer = ids[((k+cfg.Sequencer)%span+span)%span]
+		gcfg.Shard = k
+		gcfg.ShardCount = len(defs)
+		if cfg.Batching != nil {
+			gcfg.Batch = cfg.Batching.batchConfig()
+			// Batched runs move MaxOps times the work per frame, so
+			// delivery-progress reports can be MaxOps times sparser
+			// for the same history-trimming lag — and every member
+			// reports, so the interval also scales with the span to keep
+			// the aggregate status traffic flat (statuses contribute
+			// (span-1)/StatusEvery frames per delivered op). The trim
+			// lag stays a small fraction of HistoryMax.
+			gcfg.StatusEvery *= gcfg.Batch.MaxOps * max(span/32, 1)
+		}
+		members := make([]*group.Member, span)
+		for i, id := range ids {
+			members[i] = group.Join(rt.machines[id], gcfg)
+		}
+		rt.members = append(rt.members, members...)
+		defs[k] = rts.GroupDef{Members: members, Span: ids}
+	}
+	return defs
 }
 
 // startFork launches a previously registered fork on its target
@@ -403,8 +365,9 @@ func (rt *Runtime) startFork(fid int64) {
 	rt.spawnProc(fe.cpu, fe.name, fe.fn)
 }
 
-// System exposes the runtime system (for harness statistics).
-func (rt *Runtime) System() rts.System { return rt.sys }
+// System exposes the runtime system — the placement router over the
+// configured domains (for harness statistics).
+func (rt *Runtime) System() *rts.Router { return rt.sys }
 
 // Net exposes the simulated network (for harness statistics).
 func (rt *Runtime) Net() *netsim.Network { return rt.net }
@@ -412,18 +375,13 @@ func (rt *Runtime) Net() *netsim.Network { return rt.net }
 // Machines exposes the simulated kernels.
 func (rt *Runtime) Machines() []*amoeba.Machine { return rt.machines }
 
-// Stats returns the unified runtime-system counter snapshot: a pure
-// broadcast runtime fills the broadcast fields, a pure point-to-point
-// runtime the p2p fields, and a mixed runtime merges both.
-func (rt *Runtime) Stats() rts.RTSStats {
-	if src, ok := rt.sys.(rts.StatsSource); ok {
-		return src.Counters()
-	}
-	return rts.RTSStats{}
-}
+// Stats returns the unified runtime-system counter snapshot: sequencer
+// groups fill the broadcast fields, the point-to-point domain the p2p
+// fields, and the snapshot merges every domain built.
+func (rt *Runtime) Stats() rts.RTSStats { return rt.sys.Counters() }
 
-// GroupStats returns per-member broadcast protocol counters (empty for
-// the point-to-point runtimes).
+// GroupStats returns per-member broadcast protocol counters, sequencer
+// group by sequencer group (empty without broadcast hardware).
 func (rt *Runtime) GroupStats() []group.Stats {
 	var out []group.Stats
 	for _, g := range rt.members {
@@ -504,17 +462,13 @@ func (rt *Runtime) Run(main func(p *Proc)) Report {
 	}
 	rt.env.Stop()
 	rep := Report{
-		Elapsed:  rt.env.Now() - rt.started,
-		TimedOut: rt.timedOut,
-		Net:      rt.net.Stats(),
-		RTS:      rt.Stats(),
-		Crashes:  rt.Crashes(),
-	}
-	if rt.shardRT != nil {
-		rep.Shards = rt.shardRT.ShardStats()
-	}
-	if mx, ok := rt.sys.(*rts.MixedRTS); ok {
-		rep.Placements = mx.AdaptivePlacements()
+		Elapsed:    rt.env.Now() - rt.started,
+		TimedOut:   rt.timedOut,
+		Net:        rt.net.Stats(),
+		RTS:        rt.Stats(),
+		Shards:     rt.sys.ShardStats(),
+		Crashes:    rt.Crashes(),
+		Placements: rt.sys.AdaptivePlacements(),
 	}
 	if len(rt.hists) > 0 {
 		rep.Latency = rt.hists
@@ -620,25 +574,17 @@ func (p *Proc) New(typeName string, args ...any) Object {
 	return Object{id: p.rt.sys.Create(p.w, typeName, args...), rt: p.rt}
 }
 
-// NewOn creates a shared object replicated only on the given
-// processors — the paper's partial-replication optimization ("an
-// optimizing scheme using partial replication is under development").
-// Operations from other processors are forwarded to a replica holder.
-// Nil nodes means full replication.
-//
-// Deprecated: use NewWith with With(ReplicatedOn(nodes...)).
-func (p *Proc) NewOn(typeName string, nodes []int, args ...any) Object {
-	return p.NewWith(typeName, Opts(With(Replicated), At(nodes...)), args...)
-}
-
 // Fork creates a new Orca process running fn on the given processor
 // (the paper's `fork func(args) on cpu`; cpu < 0 means the current
 // one). Shared objects are passed by closing over their handles,
 // mirroring Orca's call-by-reference object parameters.
 //
-// Remote forks travel as messages: under the broadcast runtime the
-// fork joins the same total order as object writes, and under the
-// point-to-point runtime it is a kernel message to the target. Either
+// Remote forks travel as messages, ordered after the parent's writes in
+// every sequencer group spanning both machines: with one group the fork
+// joins its total order, with several it is a barrier fence that starts
+// the child only after the last of them delivered it on the target.
+// When no group spans both machines (disjoint replication domains, or
+// no broadcast hardware) it is a kernel message to the target. Either
 // way a child never observes the shared objects as they were before
 // its parent's preceding writes.
 func (p *Proc) Fork(cpu int, name string, fn func(p *Proc)) {
@@ -668,27 +614,11 @@ func (p *Proc) Fork(cpu int, name string, fn func(p *Proc)) {
 	rt.forks[fid] = forkEntry{name: name, cpu: cpu, origin: p.CPU(), fn: fn}
 	rt.liveProcs++
 	msg := forkMsg{FID: fid, Target: cpu}
-	if rt.shardRT != nil {
-		// The fork travels as a barrier fence: it starts on the target
-		// only after every shard spanning both machines has delivered
-		// it there, so the child observes all of this process's
-		// preceding writes in every one of those shards. Disjoint
-		// replication domains (no common shard) fall back to a kernel
-		// message with point-to-point fork ordering.
-		if !rt.shardRT.ForkFence(p.w, cpu, msg, 32) {
-			rt.machines[p.CPU()].Send(p.w.P, cpu, amoeba.Packet{
-				Port: "orca-fork", Kind: "orca-fork", Body: msg, Size: 32,
-			})
-		}
-		return
+	if !rt.sys.ForkFence(p.w, cpu, "orca-fork", msg, 32) {
+		rt.machines[p.CPU()].Send(p.w.P, cpu, amoeba.Packet{
+			Port: "orca-fork", Kind: "orca-fork", Body: msg, Size: 32,
+		})
 	}
-	if len(rt.members) > 0 {
-		rt.members[p.CPU()].Broadcast(p.w.P, "orca-fork", msg, 32)
-		return
-	}
-	rt.machines[p.CPU()].Send(p.w.P, cpu, amoeba.Packet{
-		Port: "orca-fork", Kind: "orca-fork", Body: msg, Size: 32,
-	})
 }
 
 // Invoke performs an operation on a shared object: sequentially
@@ -708,10 +638,7 @@ func (p *Proc) Invoke(o Object, op string, args ...any) []any {
 // argument boxing, no result allocation. ok == false means the caller
 // must take the general Invoke path.
 func (p *Proc) readState(o Object, def *rts.OpDef) (rts.State, bool) {
-	if p.rt.fastRead == nil {
-		return nil, false
-	}
-	return p.rt.fastRead.LocalReadState(p.w, o.id, def)
+	return p.rt.sys.LocalReadState(p.w, o.id, def)
 }
 
 // InvokeI is Invoke for the common single-int-result case.
@@ -731,28 +658,25 @@ type FencedOp struct {
 	Args []any
 }
 
-// InvokeFenced applies a set of unguarded writes on objects that may
-// live in different shards as one indivisible step: no operation on any
-// touched shard is ordered between them. The fence reserves a slot in
-// every touched shard (in ascending shard order), pauses each shard's
-// delivery at its slot, executes all the writes, and releases the
-// shards — a sequenced two-phase barrier, not a lock. Results are not
-// returned; fenced operations are writes issued for effect (a
-// transfer, a multi-object commit).
+// InvokeFenced applies a set of unguarded writes on replicated objects
+// that may live in different shards as one indivisible step: no
+// operation on any touched shard is ordered between them. The fence
+// reserves a slot in every touched shard (in ascending shard order),
+// pauses each shard's delivery at its slot, executes all the writes,
+// and releases the shards — a sequenced two-phase barrier, not a lock.
+// Results are not returned; fenced operations are writes issued for
+// effect (a transfer, a multi-object commit). With a single sequencer
+// group the fence is one reservation in the one total order.
 //
-// Requires the sharded runtime: on any other runtime a single group
-// already orders all writes totally and a fence is meaningless, so
-// this panics rather than silently degrading.
+// Every operation is checked before anything is sequenced: a fence
+// naming a primary-copy or adaptive object, a read, a guarded
+// operation, or a shard that does not span this processor panics.
 func (p *Proc) InvokeFenced(ops ...FencedOp) {
-	if p.rt.shardRT == nil {
-		panic("orca: InvokeFenced requires Config.Shards > 1")
-	}
-	if len(ops) == 0 {
-		return
-	}
 	rops := make([]rts.FencedOp, len(ops))
 	for i, op := range ops {
 		rops[i] = rts.FencedOp{ID: op.Obj.id, Op: op.Op, Args: op.Args}
 	}
-	p.rt.shardRT.InvokeFenced(p.w, rops)
+	if err := p.rt.sys.InvokeFenced(p.w, rops); err != nil {
+		panic("orca: " + err.Error())
+	}
 }

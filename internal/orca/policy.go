@@ -37,47 +37,25 @@ const (
 
 // Policy declares where a shared object's replicas live and how they
 // are kept consistent. The concrete policies are Default, Replicated,
-// ReplicatedOn, and PrimaryCopy.
+// ReplicatedOn, PrimaryCopy, and Adaptive.
 type Policy interface {
 	applyPolicy(*createSpec)
 }
 
-// placementMode is the resolved policy family.
-type placementMode int
-
-const (
-	modeDefault placementMode = iota // follow Config.RTS
-	modeReplicated
-	modePrimaryCopy
-	modeAdaptive
-)
-
-// shardMode says how a sharded runtime picks the object's sequencer
-// group (see OnShard and Sharded).
-type shardMode int
-
-const (
-	shardAuto     shardMode = iota // hash of the object id
-	shardExplicit                  // OnShard: the named shard
-	shardKeyed                     // Sharded: key mod shard count
-)
-
-// createSpec is the accumulated result of a creation-option list.
+// createSpec is the accumulated result of a creation-option list: the
+// placement handed to the runtime's router.
 type createSpec struct {
-	mode      placementMode
-	nodes     []int
-	protocol  rts.P2PProtocol
-	placement rts.Placement
-	adapt     rts.AdaptConfig
-	shardSel  shardMode
-	shard     int // OnShard target / Sharded key
+	rts.Place
+	// keyed marks Group as a Sharded key, reduced modulo the sequencer
+	// group count at creation.
+	keyed bool
 }
 
 type defaultPolicy struct{}
 
 func (defaultPolicy) applyPolicy(cs *createSpec) {
-	cs.mode = modeDefault
-	cs.nodes = nil
+	cs.Kind = rts.PlaceDefault
+	cs.Nodes = nil
 }
 
 // Default is the back-compat policy: the object is hosted by the
@@ -88,54 +66,57 @@ var Default Policy = defaultPolicy{}
 type replicatedPolicy struct{ nodes []int }
 
 func (p replicatedPolicy) applyPolicy(cs *createSpec) {
-	cs.mode = modeReplicated
-	cs.nodes = p.nodes
+	cs.Kind = rts.PlaceReplicated
+	cs.Nodes = p.nodes
 }
 
-// Replicated places the object on the broadcast runtime, fully
-// replicated: local reads everywhere, writes through the total order —
-// the paper's §3.2.1 strategy, chosen per object.
+// Replicated places the object behind a sequencer group, fully
+// replicated on the group's machines: local reads there, writes through
+// the total order — the paper's §3.2.1 strategy, chosen per object.
+// Requires broadcast hardware (RTS: Broadcast, or Config.Mixed).
 var Replicated Policy = replicatedPolicy{}
 
 // ReplicatedOn is Replicated restricted to the given machines — the
 // partial-replication optimization. Machines outside the set forward
-// their operations to a replica holder.
+// their operations to a replica holder. The set must contain the
+// creating machine and lie within the object's sequencer group's span.
 func ReplicatedOn(nodes ...int) Policy {
 	return replicatedPolicy{nodes: append([]int(nil), nodes...)}
 }
 
-// PrimaryCopy places the object on the point-to-point runtime: the
+// PrimaryCopy places the object in the point-to-point domain: the
 // primary copy lives on the creating machine, secondaries follow the
 // Placement policy and are kept consistent by the Protocol — the
 // paper's §3.2.2 strategy, chosen per object. The zero value means the
-// invalidation protocol with dynamic placement.
+// invalidation protocol with dynamic placement. Requires a
+// point-to-point RTS or Config.Mixed.
 type PrimaryCopy struct {
 	Protocol  rts.P2PProtocol
 	Placement rts.Placement
 }
 
 func (p PrimaryCopy) applyPolicy(cs *createSpec) {
-	cs.mode = modePrimaryCopy
-	cs.protocol = p.Protocol
-	cs.placement = p.Placement
-	cs.nodes = nil
+	cs.Kind = rts.PlacePrimary
+	cs.Protocol = p.Protocol
+	cs.Copies = p.Placement
+	cs.Nodes = nil
 }
 
 type adaptivePolicy struct{ cfg rts.AdaptConfig }
 
 func (p adaptivePolicy) applyPolicy(cs *createSpec) {
-	cs.mode = modeAdaptive
-	cs.adapt = p.cfg
-	cs.nodes = nil
+	cs.Kind = rts.PlaceAdaptive
+	cs.Adapt = p.cfg
+	cs.Nodes = nil
 }
 
 // Adaptive places the object under the online placement controller:
-// it starts fully replicated on the broadcast runtime and re-places
-// itself mid-run — replicated to primary copy, primary copy to
-// replicated, primary re-homing toward the hottest writer — as the
-// observed access pattern warrants (see rts/adapt.go). The zero
-// AdaptConfig selects the default thresholds. Requires Config.Mixed:
-// the controller migrates objects between both runtime subsystems.
+// it starts replicated behind a sequencer group and re-places itself
+// mid-run — replicated to primary copy, primary copy to replicated,
+// primary re-homing toward the hottest writer — as the observed access
+// pattern warrants (see rts/adapt.go). The zero AdaptConfig selects the
+// default thresholds. Requires Config.Mixed: the controller migrates
+// objects between a sequencer group and the point-to-point domain.
 func Adaptive(cfg rts.AdaptConfig) Policy { return adaptivePolicy{cfg: cfg} }
 
 // Option configures one object creation. Build options with With and
@@ -156,145 +137,64 @@ func With(pol Policy) Option {
 // machine.
 func At(nodes ...int) Option {
 	cp := append([]int(nil), nodes...)
-	return func(cs *createSpec) { cs.nodes = cp }
+	return func(cs *createSpec) { cs.Nodes = cp }
 }
 
-// OnShard pins the object to sequencer group k of a sharded runtime
-// (Config.Shards > 1). k must name an existing shard whose span
-// contains the creating machine. Creation on a non-sharded runtime
-// panics: a pinned shard that silently degrades to "the one total
-// order" would hide a misconfiguration.
+// OnShard pins a replicated or adaptive object to sequencer group k
+// (Config.Shards groups exist, one by default). k must name an existing
+// group whose span contains the creating machine.
 func OnShard(k int) Option {
-	return func(cs *createSpec) {
-		cs.shardSel = shardExplicit
-		cs.shard = k
-	}
+	return func(cs *createSpec) { cs.Group, cs.keyed = k, false }
 }
 
-// Sharded selects the object's sequencer group as key modulo the shard
+// Sharded selects the object's sequencer group as key modulo the group
 // count — the caller-controlled analogue of the default id hash, for
 // programs that want related objects spread deterministically (a KV
-// store striping its buckets). Requires a sharded runtime, like
-// OnShard.
+// store striping its buckets).
 func Sharded(key int) Option {
-	return func(cs *createSpec) {
-		cs.shardSel = shardKeyed
-		cs.shard = key
-	}
+	return func(cs *createSpec) { cs.Group, cs.keyed = key, true }
 }
 
 // Opts bundles options into the slice NewWith takes, purely for
 // call-site readability: NewWith(t, orca.Opts(orca.With(pol)), args).
 func Opts(opts ...Option) []Option { return opts }
 
-// resolveSpec folds an option list into a creation spec.
-func resolveSpec(opts []Option) createSpec {
-	var cs createSpec
+// NewWith creates a shared object of a registered type under the given
+// creation options. With no options it is exactly New: the object
+// follows Config.RTS. A placement needs its domain built — a PrimaryCopy
+// or Adaptive object needs the point-to-point domain (a point-to-point
+// RTS, or Config.Mixed), a Replicated one needs a sequencer group
+// (RTS: Broadcast, or Config.Mixed) — and creation panics with the
+// router's error otherwise, naming the missing domain.
+func (p *Proc) NewWith(typeName string, opts []Option, args ...any) Object {
+	return Object{id: p.rt.create(p.w, typeName, opts, args), rt: p.rt}
+}
+
+// CheckPlacement reports whether this runtime can host an object
+// created under the given options, with the error NewWith would panic
+// with — so a program can reject a configuration before forking its
+// first process.
+func (rt *Runtime) CheckPlacement(opts ...Option) error {
+	return rt.sys.Hosts(rt.placement(opts))
+}
+
+// placement folds a creation-option list into the router's placement.
+func (rt *Runtime) placement(opts []Option) rts.Place {
+	cs := createSpec{Place: rts.Place{Group: -1}}
 	for _, o := range opts {
 		o(&cs)
 	}
-	return cs
+	if n := rt.sys.Groups(); cs.keyed && n > 0 {
+		cs.Group = ((cs.Group % n) + n) % n
+	}
+	return cs.Place
 }
 
-// NewWith creates a shared object of a registered type under the given
-// creation options. With no options it is exactly New: the object
-// follows Config.RTS. Policies beyond what the configured runtime can
-// host (a PrimaryCopy object on a pure broadcast runtime, a Replicated
-// object on a pure point-to-point runtime) require Config.Mixed and
-// panic otherwise, naming the missing capability.
-func (p *Proc) NewWith(typeName string, opts []Option, args ...any) Object {
-	cs := resolveSpec(opts)
-	return Object{id: p.rt.create(p.w, typeName, cs, args), rt: p.rt}
-}
-
-// create routes one creation spec onto the configured runtime system.
-func (rt *Runtime) create(w *rts.Worker, typeName string, cs createSpec, args []any) rts.ObjID {
-	if cs.shardSel != shardAuto {
-		if _, ok := rt.sys.(*rts.ShardedRTS); !ok {
-			panic("orca: OnShard/Sharded require a sharded runtime (Config.Shards > 1)")
-		}
+// create hands one creation to the router.
+func (rt *Runtime) create(w *rts.Worker, typeName string, opts []Option, args []any) rts.ObjID {
+	id, err := rt.sys.CreateAt(w, typeName, rt.placement(opts), args...)
+	if err != nil {
+		panic(fmt.Sprintf("orca: creating %s: %v", typeName, err))
 	}
-	switch sys := rt.sys.(type) {
-	case *rts.ShardedRTS:
-		switch cs.mode {
-		case modePrimaryCopy:
-			panic("orca: PrimaryCopy placement requires the point-to-point runtime or Config.Mixed")
-		case modeAdaptive:
-			panic("orca: Adaptive placement requires Config.Mixed")
-		default:
-			shard := -1
-			switch cs.shardSel {
-			case shardExplicit:
-				if cs.shard < 0 || cs.shard >= sys.Shards() {
-					panic(fmt.Sprintf("orca: OnShard(%d) out of range [0,%d)", cs.shard, sys.Shards()))
-				}
-				shard = cs.shard
-			case shardKeyed:
-				n := sys.Shards()
-				shard = ((cs.shard % n) + n) % n
-			}
-			return sys.CreateSharded(w, typeName, shard, cs.nodes, args...)
-		}
-	case *rts.MixedRTS:
-		switch cs.mode {
-		case modeReplicated:
-			return sys.CreateReplicated(w, typeName, cs.nodes, args...)
-		case modeAdaptive:
-			return sys.CreateAdaptive(w, typeName, cs.adapt, args...)
-		case modePrimaryCopy:
-			checkPrimaryNodes(w, cs.nodes)
-			return sys.CreatePrimaryCopy(w, typeName, cs.protocol, cs.placement, args...)
-		default:
-			if cs.nodes != nil {
-				// A bare At follows the default runtime's placement
-				// form: partial replication under a broadcast default.
-				if rt.cfg.RTS == Broadcast {
-					return sys.CreateReplicated(w, typeName, cs.nodes, args...)
-				}
-				panic("orca: At without a policy needs a broadcast default runtime; say With(ReplicatedOn(...)) or With(PrimaryCopy{...})")
-			}
-			return sys.Create(w, typeName, args...)
-		}
-	case *rts.BroadcastRTS:
-		switch cs.mode {
-		case modePrimaryCopy:
-			panic("orca: PrimaryCopy placement requires the point-to-point runtime or Config.Mixed")
-		case modeAdaptive:
-			panic("orca: Adaptive placement requires Config.Mixed")
-		default:
-			if cs.nodes != nil {
-				return sys.CreateOn(w, typeName, cs.nodes, args...)
-			}
-			return sys.Create(w, typeName, args...)
-		}
-	case *rts.P2PRTS:
-		switch cs.mode {
-		case modeReplicated:
-			panic("orca: Replicated placement requires broadcast hardware; use RTS: Broadcast or Config.Mixed")
-		case modeAdaptive:
-			panic("orca: Adaptive placement requires Config.Mixed")
-		case modePrimaryCopy:
-			checkPrimaryNodes(w, cs.nodes)
-			return sys.CreateWith(w, typeName, cs.protocol, cs.placement, args...)
-		default:
-			if cs.nodes != nil {
-				panic("orca: At requires a replicated policy (the point-to-point runtime places copies dynamically)")
-			}
-			return sys.Create(w, typeName, args...)
-		}
-	default:
-		panic(fmt.Sprintf("orca: unknown runtime system %T", rt.sys))
-	}
-}
-
-// checkPrimaryNodes validates an At restriction on a primary-copy
-// object: the primary always lives on the creating machine, so the
-// only meaningful pin is that machine itself.
-func checkPrimaryNodes(w *rts.Worker, nodes []int) {
-	if nodes == nil {
-		return
-	}
-	if len(nodes) != 1 || nodes[0] != w.Node() {
-		panic(fmt.Sprintf("orca: a primary copy lives on its creating machine %d; At%v cannot move it", w.Node(), nodes))
-	}
+	return id
 }

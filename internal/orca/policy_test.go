@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/orca"
 	"repro/internal/orca/std"
-	"repro/internal/rts"
 )
 
 // TestNewWithDefaultMatchesNew runs the same program through New and
@@ -157,8 +156,8 @@ func TestMixedProgramMixesRuntimes(t *testing.T) {
 	if rep.RTS.P2PWrites == 0 {
 		t.Error("no p2p writes: the queue did not use the point-to-point runtime")
 	}
-	if _, ok := rt.System().(*rts.MixedRTS); !ok {
-		t.Errorf("system is %T, want *rts.MixedRTS", rt.System())
+	if sys := rt.System(); sys.Groups() != 1 || sys.P2P() == nil {
+		t.Errorf("router has %d groups, p2p %v; want one group plus the point-to-point domain", sys.Groups(), sys.P2P() != nil)
 	}
 }
 

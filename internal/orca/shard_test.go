@@ -131,13 +131,15 @@ func TestInvokeFencedAtomicTransfer(t *testing.T) {
 	}
 }
 
-func TestInvokeFencedRequiresShardedRuntime(t *testing.T) {
+// TestInvokeFencedRejectsPrimaryCopy: a fence pauses sequencer-group
+// streams; an object in the point-to-point domain has none.
+func TestInvokeFencedRejectsPrimaryCopy(t *testing.T) {
 	rt := orca.New(orca.Config{Processors: 2, RTS: orca.P2PInvalidate, Seed: 14}, std.Register)
 	rt.Run(func(p *orca.Proc) {
 		o := p.New(std.IntObj)
 		defer func() {
 			if recover() == nil {
-				t.Error("InvokeFenced on a point-to-point runtime did not panic")
+				t.Error("InvokeFenced on a primary-copy object did not panic")
 			}
 		}()
 		p.InvokeFenced(orca.FencedOp{Obj: o, Op: "inc"})
@@ -156,15 +158,21 @@ func TestShardOptionValidation(t *testing.T) {
 			p.NewWith(std.IntObj, orca.Opts(orca.OnShard(2)))
 		})
 	})
-	t.Run("NonShardedRuntime", func(t *testing.T) {
+	t.Run("SingleGroup", func(t *testing.T) {
+		// One sequencer group is shard 0 of 1: pinning to it is a no-op,
+		// any other shard is out of range.
 		rt := orca.New(bcastCfg(2, 16), std.Register)
 		rt.Run(func(p *orca.Proc) {
+			o := p.NewWith(std.IntObj, orca.Opts(orca.OnShard(0)), 4)
+			if got := p.InvokeI(o, "value"); got != 4 {
+				t.Errorf("OnShard(0) object value = %d, want 4", got)
+			}
 			defer func() {
 				if recover() == nil {
-					t.Error("OnShard on a non-sharded runtime did not panic")
+					t.Error("OnShard(1) with one sequencer group did not panic")
 				}
 			}()
-			p.NewWith(std.IntObj, orca.Opts(orca.OnShard(0)))
+			p.NewWith(std.IntObj, orca.Opts(orca.OnShard(1)))
 		})
 	})
 }

@@ -165,14 +165,6 @@ func NewQueue[T any](p *orca.Proc, opts ...orca.Option) Queue[T] {
 	return Queue[T]{h: queueB.NewWith(p, opts)}
 }
 
-// NewQueueOn creates a job queue replicated only on the given
-// processors.
-//
-// Deprecated: use NewQueue with orca.With(orca.ReplicatedOn(nodes...)).
-func NewQueueOn[T any](p *orca.Proc, nodes []int) Queue[T] {
-	return NewQueue[T](p, orca.With(orca.Replicated), orca.At(nodes...))
-}
-
 // Handle exposes the typed handle (for statistics).
 func (q Queue[T]) Handle() orca.Handle[*jobQueueState] { return q.h }
 

@@ -103,13 +103,6 @@ func (b *TypeBuilder[S]) NewWith(p *Proc, opts []Option, args ...any) Handle[S] 
 	return Handle[S]{o: p.NewWith(b.t.Name, opts, args...)}
 }
 
-// NewOn creates a partially replicated shared object of this type.
-//
-// Deprecated: use NewWith with With(ReplicatedOn(nodes...)).
-func (b *TypeBuilder[S]) NewOn(p *Proc, nodes []int, args ...any) Handle[S] {
-	return b.NewWith(p, Opts(With(Replicated), At(nodes...)), args...)
-}
-
 // addOp wraps a typed apply into the positional wire encoding and
 // registers it under name. All descriptors funnel through here, so an
 // object type's operations are exactly its descriptors.

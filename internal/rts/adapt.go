@@ -11,12 +11,14 @@ import (
 // implementation (replicated vs single-copy) from observed access
 // patterns; PR 3 made that choice per object but froze it at creation.
 // This file adds the per-object placement controller and the
-// deterministic migration protocol that moves an object between the
-// broadcast subsystem (fully replicated) and the point-to-point
-// subsystem (primary copy) of a MixedRTS mid-run.
+// deterministic migration protocol that moves an object between its
+// home sequencer group (replicated on the group's span) and the
+// point-to-point domain (primary copy) of a Router mid-run. Only
+// machines in the home group's span drive a migration or become the
+// object's primary; an object never changes its home group.
 //
 // The cut point for a broadcast<->primary transition is a sequenced
-// migrate record through the broadcast total order: every member
+// migrate record through the home group's total order: every member
 // switches routing at the same position in the order, invocations
 // sequenced before the record complete under the old placement, and
 // invocations sequenced after it bounce with a private retry sentinel
@@ -30,7 +32,7 @@ import (
 
 // migrateRetry is the private bounce sentinel. An invocation that
 // reaches an object's old placement after the migration cut completes
-// with retrySlice instead of a result; the MixedRTS routing loop
+// with retrySlice instead of a result; the Router's Invoke loop
 // recognizes the pointer identity and re-issues the operation under
 // the new placement. No legitimate operation result can collide with
 // it: the pointer never escapes this package.
@@ -176,6 +178,7 @@ func adaptDecide(cfg AdaptConfig, replicated bool, primary int, ewmaWriteFrac fl
 // of an in-flight migration. One migration per object at a time.
 type adaptInfo struct {
 	cfg      AdaptConfig
+	home     int // the sequencer group the object replicates behind
 	typ      *ObjectType
 	ctorArgs []any
 	ops      opCache
@@ -210,98 +213,128 @@ func (info *adaptInfo) resetWindow() {
 	info.seen = 0
 }
 
-// CreateAdaptive creates an object under the adaptive placement
-// controller: it starts fully replicated on the broadcast subsystem
-// and re-places itself as the observed access pattern warrants.
-// Adaptive objects are excluded from the write-combining pipeline —
-// a combined write parked in a worker's buffer across the migration
-// cut would be silently dropped by the moved replica.
-func (m *MixedRTS) CreateAdaptive(w *Worker, typeName string, cfg AdaptConfig, args ...any) ObjID {
-	t := m.br.reg.Lookup(typeName)
-	id := m.br.Create(w, typeName, args...)
-	m.owner[id] = m.br
-	m.br.noBatch(id)
-	if m.adapt == nil {
-		m.adapt = make(map[ObjID]*adaptInfo)
+// count records one access in the statistics window.
+func (info *adaptInfo) count(node int, kind OpKind) {
+	if kind == Read {
+		info.reads[node]++
+	} else {
+		info.writes[node]++
 	}
-	m.adapt[id] = &adaptInfo{
+	info.seen++
+}
+
+// attachAdapt wires the point-to-point domain to the sequencer groups
+// for adaptive placement: sequenced migrate records route to the
+// Router, and a point-to-point moveout hands its snapshot to the home
+// group's total order.
+func (r *Router) attachAdapt() {
+	for _, g := range r.groups {
+		g.migrate = r.handleMigrate
+	}
+	r.p2p.moveSnap = func(node int, id ObjID, state State) {
+		info := r.objs[id].adapt
+		info.toBr = true
+		info.fromNode = node
+		info.cloned = state
+	}
+	r.p2p.mover = func(p *sim.Proc, node int, id ObjID, state State) {
+		info := r.objs[id].adapt
+		mgr := r.groups[info.home].mgr(node)
+		if mgr == nil {
+			// A crash re-homed the primary outside the home span: the
+			// first in-span waiter sequences the record (see awaitFlip).
+			return
+		}
+		uid := mgr.g.Broadcast(p, "rts-migrate", wireMigrate{Obj: id, Target: -1, State: state}, info.typ.stateSize(state)+24)
+		mgr.await(p, uid)
+	}
+	r.p2p.recoverState = func(meta *p2pMeta) State {
+		info := r.objs[meta.id].adapt
+		if info == nil {
+			return nil
+		}
+		// Every live home-span machine's frozen replica holds the same
+		// state — the prefix of the total order up to the br->p2p cut —
+		// so the lowest-numbered one is as good as any and the choice
+		// is deterministic.
+		for _, mgr := range r.groups[info.home].mgrs {
+			if mgr.m.Crashed() {
+				continue
+			}
+			if inst, ok := mgr.insts[meta.id]; ok && inst.moved {
+				return info.typ.Clone(inst.state)
+			}
+		}
+		return nil
+	}
+}
+
+// adopt puts a freshly created replicated object under the adaptive
+// placement controller: it starts replicated on its home group and
+// re-places itself as the observed access pattern warrants. Adaptive
+// objects are excluded from the write-combining pipeline — a combined
+// write parked in a worker's buffer across the migration cut would be
+// silently dropped by the moved replica.
+func (r *Router) adopt(w *Worker, id ObjID, g *BroadcastRTS, typeName string, cfg AdaptConfig, args []any) {
+	g.noBatch(id)
+	r.objs[id].adapt = &adaptInfo{
 		cfg:      cfg.withDefaults(),
-		typ:      t,
+		home:     r.objs[id].dom,
+		typ:      g.reg.Lookup(typeName),
 		ctorArgs: append([]any(nil), args...),
-		reads:    make([]int64, m.Nodes()),
-		writes:   make([]int64, m.Nodes()),
+		reads:    make([]int64, r.Nodes()),
+		writes:   make([]int64, r.Nodes()),
 		cond:     sim.NewCond(w.M.Env()),
 	}
-	return id
 }
 
 // AdaptivePlacements reports every adaptive object's current
 // placement ("replicated" or "primary@N") for reports and tests.
-func (m *MixedRTS) AdaptivePlacements() map[ObjID]string {
-	if len(m.adapt) == 0 {
-		return nil
-	}
-	out := make(map[ObjID]string, len(m.adapt))
-	for id := range m.adapt {
-		if m.owner[id] == System(m.br) {
+func (r *Router) AdaptivePlacements() map[ObjID]string {
+	var out map[ObjID]string
+	for i, e := range r.objs {
+		if e.adapt == nil {
+			continue
+		}
+		if out == nil {
+			out = make(map[ObjID]string)
+		}
+		if id := ObjID(i); e.dom != domP2P {
 			out[id] = "replicated"
 		} else {
-			out[id] = fmt.Sprintf("primary@%d", m.p2p.meta(id).primary)
+			out[id] = fmt.Sprintf("primary@%d", r.p2p.meta(id).primary)
 		}
 	}
 	return out
 }
 
-// adaptCount records one access for the controller without running a
-// decision (the typed local-read fast path uses it; reads never
-// trigger a migration of a replicated object, and primary-copy reads
-// take the Invoke path).
-func (m *MixedRTS) adaptCount(w *Worker, id ObjID, kind OpKind) {
-	info := m.adapt[id]
-	if info == nil {
-		return
-	}
-	if kind == Read {
-		info.reads[w.Node()]++
-	} else {
-		info.writes[w.Node()]++
-	}
-	info.seen++
-}
-
 // adaptObserve records one completed Invoke-path access and, when a
 // statistics window fills, runs the placement decision — migrating
-// the object from the invoking worker's context if it fires.
-func (m *MixedRTS) adaptObserve(w *Worker, id ObjID, opName string) {
-	info := m.adapt[id]
-	if info == nil {
+// the object from the invoking worker's context if it fires. Only a
+// machine of the home group's span decides (it must sequence the cut
+// there), and only such machines are migration targets; a window that
+// fills elsewhere waits for the next in-span access.
+func (r *Router) adaptObserve(w *Worker, id ObjID, info *adaptInfo, opName string) {
+	info.count(w.Node(), info.ops.lookup(info.typ, opName).Kind)
+	home := r.groups[info.home]
+	if info.seen < info.cfg.SampleEvery || info.migrating || home.mgr(w.Node()) == nil {
 		return
 	}
-	kind := info.ops.lookup(info.typ, opName).Kind
-	if kind == Read {
-		info.reads[w.Node()]++
-	} else {
-		info.writes[w.Node()]++
-	}
-	info.seen++
-	if info.seen < info.cfg.SampleEvery || info.migrating {
-		return
-	}
-	replicated := m.owner[id] == System(m.br)
+	replicated := r.objs[id].dom != domP2P
 	primary := -1
 	if !replicated {
-		primary = m.p2p.meta(id).primary
+		primary = r.p2p.meta(id).primary
 	}
 	act, target := info.step(replicated, primary, w.M.Env().Now())
-	if act == adaptStay {
+	switch act {
+	case adaptStay:
 		return
-	}
-	if act == adaptToPrimary || act == adaptRehome {
-		if m.p2p.nodeDown(target) {
-			return // never migrate toward a dead machine
+	case adaptToPrimary, adaptRehome:
+		if r.p2p.nodeDown(target) || home.mgr(target) == nil {
+			return // never migrate toward a dead or out-of-span machine
 		}
 	}
-	m.startMigration(w, id, info, act, target)
+	r.startMigration(w, id, info, act, target)
 }
 
 // step folds the completed statistics window into the EWMA and returns
@@ -334,11 +367,11 @@ func (info *adaptInfo) step(replicated bool, primary int, now sim.Time) (adaptAc
 	return act, target
 }
 
-// startMigration drives one migration from the invoking worker. It
-// returns with the flip (or abort) complete, so the controller's
-// dwell clock and the migrating flag are consistent when the worker
-// continues.
-func (m *MixedRTS) startMigration(w *Worker, id ObjID, info *adaptInfo, act adaptAction, target int) {
+// startMigration drives one migration from the invoking worker (a
+// machine of the home group's span). It returns with the flip (or
+// abort) complete, so the controller's dwell clock and the migrating
+// flag are consistent when the worker continues.
+func (r *Router) startMigration(w *Worker, id ObjID, info *adaptInfo, act adaptAction, target int) {
 	env := w.M.Env()
 	info.migrating = true
 	info.toBr = false
@@ -350,9 +383,9 @@ func (m *MixedRTS) startMigration(w *Worker, id ObjID, info *adaptInfo, act adap
 	env.Tracef("rts: object %d migration %s (target %d) from node %d", id, act, target, w.Node())
 	switch act {
 	case adaptToPrimary:
-		// Sequence the cut through the broadcast total order; the
+		// Sequence the cut through the home group's total order; the
 		// globally-first delivery flips ownership (see handleMigrate).
-		mgr := m.br.mgr(w.Node())
+		mgr := r.groups[info.home].mgr(w.Node())
 		mgr.syncBuf(w)
 		w.Flush()
 		uid := mgr.g.Broadcast(w.P, "rts-migrate", wireMigrate{Obj: id, Target: target}, 24)
@@ -367,42 +400,42 @@ func (m *MixedRTS) startMigration(w *Worker, id ObjID, info *adaptInfo, act adap
 		}
 	case adaptToReplicated:
 		// The primary's task queue is the cut: a moveout task drops
-		// every copy and hands the state to the broadcast group.
-		m.p2p.nodes[w.Node()].submitMigrate(w, m.p2p.meta(id), "moveout", -1)
-		m.awaitFlip(w, id, info, m.p2p)
+		// every copy and hands the state to the home group.
+		r.p2p.nodes[w.Node()].submitMigrate(w, r.p2p.meta(id), "moveout", -1)
+		r.awaitFlip(w, id, info, domP2P)
 	case adaptRehome:
-		m.p2p.nodes[w.Node()].submitMigrate(w, m.p2p.meta(id), "rehome", target)
-		info.migrating = false
-		info.last = env.Now()
-		m.migrations++
-		m.migrationUS += float64(env.Now()-info.start) / float64(sim.Microsecond)
-		info.cond.Broadcast()
+		r.p2p.nodes[w.Node()].submitMigrate(w, r.p2p.meta(id), "rehome", target)
+		r.finishMigration(info, id, domP2P, env.Now())
 	}
 }
 
-// finishMigration runs exactly once per broadcast-sequenced migration,
-// at the globally-first delivery of its migrate record: it flips the
-// owner, stamps the counters, and releases every bounced waiter.
-func (m *MixedRTS) finishMigration(info *adaptInfo, id ObjID, to System, now sim.Time) {
-	m.owner[id] = to
+// finishMigration completes one migration — at the globally-first
+// delivery of its migrate record for a broadcast-sequenced one, at the
+// return of the rehome task otherwise: it sets the owning domain,
+// stamps the counters, and releases every bounced waiter.
+func (r *Router) finishMigration(info *adaptInfo, id ObjID, to int, now sim.Time) {
+	r.objs[id].dom = to
 	info.migrating = false
 	info.cloned = nil
 	info.last = now
-	m.migrations++
-	m.migrationUS += float64(now-info.start) / float64(sim.Microsecond)
+	r.migrations++
+	r.migrationUS += float64(now-info.start) / float64(sim.Microsecond)
 	info.cond.Broadcast()
 }
 
 // awaitFlip blocks until an in-flight migration moves the object away
-// from the given subsystem (or aborts). If the machine driving a
-// moveout dies after the cut but possibly before its migrate record
-// reached the sequencer, the first waiter re-broadcasts the record
-// from its own machine using the snapshot kept in info.cloned —
-// duplicate records are idempotent at delivery.
-func (m *MixedRTS) awaitFlip(w *Worker, id ObjID, info *adaptInfo, from System) {
-	for info.migrating && m.sub(id) == from {
-		if info.toBr && !info.decided && info.cloned != nil && m.p2p.nodeDown(info.fromNode) {
-			mgr := m.br.mgr(w.Node())
+// from the given domain (or aborts). If the machine driving a moveout
+// cannot sequence its migrate record — it died after the cut, or a
+// crash re-homed the primary outside the home span — the first waiter
+// inside the span broadcasts the record from its own machine using the
+// snapshot kept in info.cloned; duplicate records are idempotent at
+// delivery.
+func (r *Router) awaitFlip(w *Worker, id ObjID, info *adaptInfo, from int) {
+	home := r.groups[info.home]
+	mgr := home.mgr(w.Node())
+	for info.migrating && r.objs[id].dom == from {
+		if mgr != nil && info.toBr && !info.decided && info.cloned != nil &&
+			(r.p2p.nodeDown(info.fromNode) || home.mgr(info.fromNode) == nil) {
 			w.Flush()
 			size := info.typ.stateSize(info.cloned) + 24
 			uid := mgr.g.Broadcast(w.P, "rts-migrate", wireMigrate{Obj: id, Target: -1, State: info.cloned}, size)
@@ -411,14 +444,15 @@ func (m *MixedRTS) awaitFlip(w *Worker, id ObjID, info *adaptInfo, from System) 
 		}
 		info.cond.Wait(w.P)
 	}
-	if m.sub(id) == System(m.br) {
-		// The object is broadcast-owned but this node's replica may
-		// still be the frozen pre-migration one: the flip runs at the
+	if mgr != nil && r.objs[id].dom != domP2P {
+		// The object is group-owned but this node's replica may still
+		// be the frozen pre-migration one: the flip runs at the
 		// globally-first delivery of the install record, and this
 		// node's own delivery — which replaces the frozen replica —
 		// can lag it. Wait for the replacement so the retry reads live
-		// state instead of bouncing forever.
-		mgr := m.br.mgr(w.Node())
+		// state instead of bouncing forever. (A machine outside the
+		// span has no replica to wait for: its retry forwards to a
+		// holder and bounces again until the holder caught up.)
 		for {
 			inst, ok := mgr.insts[id]
 			if ok && !inst.moved {
@@ -436,8 +470,8 @@ func (m *MixedRTS) awaitFlip(w *Worker, id ObjID, info *adaptInfo, from System) 
 // replica moved, bouncing its guard waiters, installing a fresh
 // replica) run at every manager, each at its own position in the
 // total order.
-func (m *MixedRTS) handleMigrate(p *sim.Proc, mgr *bcastManager, uid int64, src int, wm wireMigrate) {
-	info := m.adapt[wm.Obj]
+func (r *Router) handleMigrate(p *sim.Proc, mgr *bcastManager, uid int64, src int, wm wireMigrate) {
+	info := r.objs[wm.Obj].adapt
 	if info == nil {
 		panic(fmt.Sprintf("rts: migrate record for non-adaptive object %d", wm.Obj))
 	}
@@ -453,7 +487,7 @@ func (m *MixedRTS) handleMigrate(p *sim.Proc, mgr *bcastManager, uid int64, src 
 			}
 			t := info.typ
 			st := t.Clone(wm.State)
-			mgr.charge(p, m.br.costs.Create)
+			mgr.charge(p, mgr.rts.costs.Create)
 			inst := &bcastInstance{
 				typ:   t,
 				state: st,
@@ -467,7 +501,7 @@ func (m *MixedRTS) handleMigrate(p *sim.Proc, mgr *bcastManager, uid int64, src 
 		}
 		if !info.decided {
 			info.decided = true
-			m.finishMigration(info, wm.Obj, m.br, now)
+			r.finishMigration(info, wm.Obj, info.home, now)
 		}
 		mgr.complete(p, uid, src, nil)
 		return
@@ -475,7 +509,7 @@ func (m *MixedRTS) handleMigrate(p *sim.Proc, mgr *bcastManager, uid int64, src 
 	// broadcast -> primary copy at wm.Target.
 	if !info.decided {
 		info.decided = true
-		if m.p2p.nodeDown(wm.Target) {
+		if r.p2p.nodeDown(wm.Target) {
 			// The target died before the cut. Decided exactly once, at
 			// the globally-first delivery, so every manager (and the
 			// initiator) observes the same abort.
@@ -485,8 +519,8 @@ func (m *MixedRTS) handleMigrate(p *sim.Proc, mgr *bcastManager, uid int64, src 
 			// position of the total order, as every replica does at
 			// its own delivery of this record.
 			inst := mgr.insts[wm.Obj]
-			m.installPrimary(wm.Obj, info, wm.Target, info.typ.Clone(inst.state))
-			m.finishMigration(info, wm.Obj, m.p2p, now)
+			r.installPrimary(wm.Obj, info, wm.Target, info.typ.Clone(inst.state))
+			r.finishMigration(info, wm.Obj, domP2P, now)
 		}
 	}
 	if !info.aborted {
@@ -507,8 +541,8 @@ func (m *MixedRTS) handleMigrate(p *sim.Proc, mgr *bcastManager, uid int64, src 
 // installPrimary places a migrated state as a single primary copy on
 // the target machine's point-to-point runtime, reusing the object's
 // meta and primary thread if the object lived there before.
-func (m *MixedRTS) installPrimary(id ObjID, info *adaptInfo, target int, st State) {
-	r := m.p2p
+func (rt *Router) installPrimary(id ObjID, info *adaptInfo, target int, st State) {
+	r := rt.p2p
 	tn := r.nodes[target]
 	tn.installCopy(id, info.typ, st)
 	inst := tn.insts[id]

@@ -21,7 +21,7 @@ func TestAdaptWriteHeavyMigratesToPrimary(t *testing.T) {
 	var id ObjID
 	ready := sim.NewCond(b.env)
 	b.spawn(0, "creator", func(w *Worker) {
-		id = m.CreateAdaptive(w, "intcell", testAdaptCfg(), 5)
+		id = place(m, w, "intcell", adaptive(testAdaptCfg()), 5)
 		w.Flush()
 		ready.Broadcast()
 	})
@@ -63,7 +63,7 @@ func TestAdaptReadHeavyMigratesBack(t *testing.T) {
 		}
 	}
 	b.spawn(0, "creator", func(w *Worker) {
-		id = m.CreateAdaptive(w, "intcell", testAdaptCfg(), 0)
+		id = place(m, w, "intcell", adaptive(testAdaptCfg()), 0)
 		w.Flush()
 		step = 1
 		cond.Broadcast()
@@ -116,7 +116,7 @@ func TestAdaptRehomeFollowsWriter(t *testing.T) {
 		}
 	}
 	b.spawn(0, "creator", func(w *Worker) {
-		id = m.CreateAdaptive(w, "intcell", testAdaptCfg(), 0)
+		id = place(m, w, "intcell", adaptive(testAdaptCfg()), 0)
 		w.Flush()
 		step = 1
 		cond.Broadcast()
@@ -162,7 +162,7 @@ func TestAdaptGuardWaiterSurvivesMigration(t *testing.T) {
 	ready := sim.NewCond(b.env)
 	var got []int
 	b.spawn(0, "creator", func(w *Worker) {
-		id = m.CreateAdaptive(w, "queue", testAdaptCfg())
+		id = place(m, w, "queue", adaptive(testAdaptCfg()))
 		w.Flush()
 		ready.Broadcast()
 	})
@@ -219,7 +219,7 @@ func TestAdaptDeterminism(t *testing.T) {
 			}
 		}
 		b.spawn(0, "creator", func(w *Worker) {
-			id = m.CreateAdaptive(w, "intcell", testAdaptCfg(), 0)
+			id = place(m, w, "intcell", adaptive(testAdaptCfg()), 0)
 			w.Flush()
 			step = 1
 			cond.Broadcast()
@@ -290,7 +290,7 @@ func TestAdaptAbortWhenTargetDiesBeforeCut(t *testing.T) {
 	var id ObjID
 	ready := sim.NewCond(b.env)
 	b.spawn(0, "creator", func(w *Worker) {
-		id = m.CreateAdaptive(w, "intcell", cfg, 0)
+		id = place(m, w, "intcell", adaptive(cfg), 0)
 		w.Flush()
 		ready.Broadcast()
 	})
@@ -350,7 +350,7 @@ func TestAdaptMoveoutRescuedAfterDriverCrash(t *testing.T) {
 	var id ObjID
 	ready := sim.NewCond(b.env)
 	b.spawn(0, "creator", func(w *Worker) {
-		id = m.CreateAdaptive(w, "intcell", cfg, 0)
+		id = place(m, w, "intcell", adaptive(cfg), 0)
 		w.Flush()
 		ready.Broadcast()
 	})

@@ -22,8 +22,8 @@ package rts
 //     writes could deadlock the program;
 //   - ordering: any operation that leaves the combining path (a
 //     result-bearing write, a create, a forward, a direct write, a
-//     fork, an op routed to the point-to-point subsystem) syncs
-//     first, so the total order observes program order;
+//     fork, an op routed to another domain) syncs first, so the
+//     total order observes program order;
 //   - process exit and Sleep flush (exit syncs).
 //
 // A buffer keeps at most ONE batch in flight (depth-1 pipelining):

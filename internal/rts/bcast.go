@@ -28,9 +28,9 @@ type BroadcastRTS struct {
 	// span lists the global node ids hosting a manager (ascending), and
 	// mgrAt maps a global node id to its index in mgrs (-1 outside the
 	// span). A standalone runtime spans every machine and the mapping is
-	// the identity; under a ShardedRTS each sequencer group may span a
+	// the identity; under a Router each sequencer group may span a
 	// subset (its replication domain), and machines outside it reach the
-	// shard through the forwarder RPC (see ShardedRTS).
+	// group through the forwarder RPC (see Router.Invoke).
 	span  []int
 	mgrAt []int
 
@@ -38,12 +38,12 @@ type BroadcastRTS struct {
 	// per co-hosted shard, since Bind panics on a duplicate.
 	fwdPort string
 
-	// fence, when set by a ShardedRTS, handles cross-shard fence
-	// messages appearing in this shard's delivery stream.
+	// fence, set by a Router, handles fence messages appearing in this
+	// group's delivery stream (see fence.go).
 	fence func(p *sim.Proc, mgr *bcastManager, d group.Delivery, f wireFence)
 
-	// migrate, when set by a MixedRTS hosting adaptive objects,
-	// handles sequenced migration records — the cut points of online
+	// migrate, set by a Router that also hosts the point-to-point
+	// domain, handles sequenced migration records — the cut points of online
 	// placement changes (see adapt.go).
 	migrate func(p *sim.Proc, mgr *bcastManager, uid int64, src int, wm wireMigrate)
 
@@ -76,8 +76,8 @@ type BroadcastRTS struct {
 	batchFrames int64
 }
 
-// System is the interface shared by the runtime systems; the Orca
-// layer programs against it.
+// System is the interface shared by the runtime systems: each domain
+// alone, and the Router over them that the Orca layer builds.
 type System interface {
 	// Create instantiates a shared object of a registered type and
 	// returns its id. It blocks until the creating machine can use
@@ -99,17 +99,6 @@ type System interface {
 }
 
 var _ System = (*BroadcastRTS)(nil)
-
-// LocalReader is an optional System capability: a runtime that can
-// serve an unguarded read directly from a local replica exposes the
-// replica state (after charging exactly what the Invoke read path
-// would), letting typed callers bypass the []any wire encoding. The
-// state must be treated as read-only and not retained.
-type LocalReader interface {
-	LocalReadState(w *Worker, id ObjID, op *OpDef) (State, bool)
-}
-
-var _ LocalReader = (*BroadcastRTS)(nil)
 
 // Wire bodies for the group stream.
 type (
@@ -227,7 +216,7 @@ func NewBroadcastRTS(reg *Registry, costs Costs, machines []*amoeba.Machine, mem
 // newBroadcastRTSAt builds the runtime over a (possibly partial)
 // machine span, binding the forwarder service on the given port.
 // machines[i] and members[i] must be node span[i]; span must be
-// ascending. A ShardedRTS builds one per sequencer group.
+// ascending. A Router builds one per sequencer group.
 func newBroadcastRTSAt(reg *Registry, costs Costs, machines []*amoeba.Machine, members []*group.Member, span []int, port string) *BroadcastRTS {
 	r := &BroadcastRTS{reg: reg, costs: costs, ids: &idAlloc{}, span: span, fwdPort: port}
 	total := 0
@@ -305,7 +294,7 @@ func (r *BroadcastRTS) Stats() (localReads, bcastWrites, guardWaits int64) {
 	return r.localReads, r.bcastWrites, r.guardWaits
 }
 
-// Counters implements StatsSource with the unified counter snapshot.
+// Counters returns the unified counter snapshot.
 func (r *BroadcastRTS) Counters() RTSStats {
 	st := RTSStats{
 		LocalReads:  r.localReads,
@@ -354,33 +343,22 @@ func (r *BroadcastRTS) NodeCrashed(node int) {
 	r.crashes++
 }
 
-// Create broadcasts object creation so every machine instantiates a
-// replica, and waits until the local replica exists.
+// Create broadcasts object creation so every machine of the span
+// instantiates a replica, and waits until the local replica exists.
 func (r *BroadcastRTS) Create(w *Worker, typeName string, args ...any) ObjID {
-	t := r.reg.Lookup(typeName) // validate before broadcasting
-	id := r.ids.alloc()
-	mgr := r.mgr(w.Node())
-	if mgr == nil {
-		panic(fmt.Sprintf("rts: create from node %d outside the shard span %v", w.Node(), r.span))
-	}
-	mgr.syncBuf(w) // creation is ordered after the worker's buffered writes
-	w.Flush()
-	body := wireCreate{Obj: id, Type: t.Name, Args: args}
-	uid := mgr.g.Broadcast(w.P, "rts-create", body, SizeOfArgs(args)+len(typeName)+16)
-	mgr.await(w.P, uid)
-	return id
+	return r.CreateOn(w, typeName, nil, args...)
 }
 
 // Invoke implements System.
 func (r *BroadcastRTS) Invoke(w *Worker, id ObjID, opName string, args ...any) []any {
 	mgr := r.mgr(w.Node())
 	if mgr == nil {
-		panic(fmt.Sprintf("rts: invoke from node %d outside the shard span %v (route via ShardedRTS)", w.Node(), r.span))
+		panic(fmt.Sprintf("rts: invoke from node %d outside the group span %v (route via the Router)", w.Node(), r.span))
 	}
 	if pl := r.placement(id); pl != nil && !r.replicatedOn(w.Node(), id) {
 		// No local replica: forward the operation to a holder.
 		mgr.syncBuf(w)
-		return mgr.forward(w, id, pl, opName, args)
+		return r.forward(w, mgr.fwdClient, id, pl, opName, args)
 	}
 	inst := mgr.instance(w.P, id)
 	op := inst.op(opName)
@@ -410,12 +388,13 @@ func (r *BroadcastRTS) Invoke(w *Worker, id ObjID, opName string, args ...any) [
 	return mgr.await(w.P, uid)
 }
 
-// LocalReadState implements LocalReader: it serves the bookkeeping of
-// an unguarded local read — statistics and CPU charge, identical to
-// the Invoke read path — and exposes the local replica state so a
-// typed caller can apply its operation directly, with no []any
-// argument or result encoding. Guarded or forwarded reads are
-// declined; the caller falls back to Invoke.
+// LocalReadState serves the bookkeeping of an unguarded local read —
+// statistics and CPU charge, identical to the Invoke read path — and
+// exposes the local replica state so a typed caller can apply its
+// operation directly, with no []any argument or result encoding. The
+// state must be treated as read-only and not retained. Guarded or
+// forwarded reads, and reads of a replica frozen at a migration cut,
+// are declined; the caller falls back to Invoke.
 func (r *BroadcastRTS) LocalReadState(w *Worker, id ObjID, op *OpDef) (State, bool) {
 	if op.Guard != nil {
 		return nil, false
@@ -432,6 +411,11 @@ func (r *BroadcastRTS) LocalReadState(w *Worker, id ObjID, op *OpDef) (State, bo
 	inst := mgr.instance(w.P, id)
 	if w.batch != nil && w.batch.holds(inst) {
 		w.batch.sync(w) // read-own-write: wait for the buffered writes
+	}
+	if inst.moved {
+		// Frozen at a migration cut (see localRead): decline, so the
+		// read takes the Invoke path and bounces to the live placement.
+		return nil, false
 	}
 	r.localReads++
 	inst.reads++
@@ -617,7 +601,7 @@ func (mgr *bcastManager) run(p *sim.Proc) {
 				mgr.applyWrite(p, d.UID, d.Src, body)
 			case wireFence:
 				if mgr.rts.fence == nil {
-					panic("rts: cross-shard fence delivered to a non-sharded runtime")
+					panic("rts: fence delivered to a runtime outside a Router")
 				}
 				mgr.rts.fence(p, mgr, d, body)
 			case wireMigrate:

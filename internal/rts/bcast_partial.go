@@ -3,6 +3,7 @@ package rts
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/amoeba"
 	"repro/internal/sim"
@@ -24,7 +25,7 @@ import (
 // forwarders' round trips.
 
 // fwdPort is the default RPC port serving forwarded operations; each
-// shard of a ShardedRTS binds its own (see BroadcastRTS.fwdPort).
+// sequencer group of a Router binds its own (see BroadcastRTS.fwdPort).
 const fwdPort = "objfwd"
 
 // fwdOp is the forwarded-operation request body.
@@ -43,47 +44,38 @@ func (r *BroadcastRTS) placement(id ObjID) []int {
 	return r.placements[id]
 }
 
+// holders returns the machines holding a replica of id: its placement,
+// or the whole span.
+func (r *BroadcastRTS) holders(id ObjID) []int {
+	if pl := r.placement(id); pl != nil {
+		return pl
+	}
+	return r.span
+}
+
 // replicatedOn reports whether node holds a replica of id.
 func (r *BroadcastRTS) replicatedOn(node int, id ObjID) bool {
 	pl := r.placement(id)
-	if pl == nil {
-		return true
-	}
-	for _, n := range pl {
-		if n == node {
-			return true
-		}
-	}
-	return false
+	return pl == nil || slices.Contains(pl, node)
 }
 
 // CreateOn creates a shared object replicated only on the given
-// machines (nil or empty means all machines, i.e. plain Create). The
-// creating machine must be in the placement so creation can complete
-// locally.
+// machines (nil or empty means the whole span, i.e. plain Create):
+// creation is broadcast so every holder instantiates a replica, and
+// the call waits until the local one exists. The creating machine must
+// be in the placement so creation can complete locally.
 func (r *BroadcastRTS) CreateOn(w *Worker, typeName string, nodes []int, args ...any) ObjID {
-	if len(nodes) == 0 {
-		return r.Create(w, typeName, args...)
-	}
-	holder := false
-	for _, n := range nodes {
-		if n == w.Node() {
-			holder = true
-			break
-		}
-	}
-	if !holder {
-		panic(fmt.Sprintf("rts: CreateOn from node %d outside placement %v", w.Node(), nodes))
-	}
-	t := r.reg.Lookup(typeName)
-	id := r.ids.alloc()
-	if r.placements == nil {
-		r.placements = make(map[ObjID][]int)
-	}
-	r.placements[id] = append([]int(nil), nodes...)
 	mgr := r.mgr(w.Node())
-	if mgr == nil {
-		panic(fmt.Sprintf("rts: CreateOn from node %d outside the shard span %v", w.Node(), r.span))
+	if mgr == nil || len(nodes) > 0 && !slices.Contains(nodes, w.Node()) {
+		panic(fmt.Sprintf("rts: create from node %d outside placement %v of span %v", w.Node(), nodes, r.span))
+	}
+	t := r.reg.Lookup(typeName) // validate before broadcasting
+	id := r.ids.alloc()
+	if len(nodes) > 0 {
+		if r.placements == nil {
+			r.placements = make(map[ObjID][]int)
+		}
+		r.placements[id] = append([]int(nil), nodes...)
 	}
 	mgr.syncBuf(w) // creation is ordered after the worker's buffered writes
 	w.Flush()
@@ -121,26 +113,28 @@ func (r *BroadcastRTS) startForwarders(machines []*amoeba.Machine) {
 }
 
 // forward executes an operation at a replica holder on behalf of a
-// machine outside the placement. Dead holders are skipped, and a
-// holder that dies mid-operation fails the RPC with ErrCrashed; the
-// operation is then retried at the next surviving holder. A retried
-// write may therefore execute twice if the dead holder applied it
-// before crashing and the write had already been broadcast — the
+// machine that has none — outside the object's placement, or outside
+// this group's span altogether (the Router then lends the RPC client
+// of another local group). Dead holders are skipped, and a holder that
+// dies mid-operation fails the RPC with ErrCrashed; the operation is
+// then retried at the next surviving holder. A retried write may
+// therefore execute twice if the dead holder applied it before
+// crashing and the write had already been broadcast — the
 // at-least-once caveat every crash-recovery path of the runtime
 // shares (see DESIGN.md).
-func (mgr *bcastManager) forward(w *Worker, id ObjID, pl []int, opName string, args []any) []any {
+func (r *BroadcastRTS) forward(w *Worker, cl *amoeba.Client, id ObjID, holders []int, opName string, args []any) []any {
 	w.Flush()
-	mgr.rts.forwarded++
+	r.forwarded++
 	first := true
-	for _, holder := range pl {
-		if mgr.rts.down[holder] || mgr.m.Net().Down(holder) {
+	for _, holder := range holders {
+		if r.down[holder] || w.M.Net().Down(holder) {
 			continue
 		}
 		if !first {
-			mgr.rts.opsRetried++
+			r.opsRetried++
 		}
 		first = false
-		rep, err := mgr.fwdClient.Trans(w.P, holder, mgr.rts.fwdPort, opName,
+		rep, err := cl.Trans(w.P, holder, r.fwdPort, opName,
 			fwdOp{Obj: id, Op: opName, Args: args}, SizeOfArgs(args)+len(opName)+16)
 		if err == nil {
 			if rep == nil {
@@ -152,7 +146,7 @@ func (mgr *bcastManager) forward(w *Worker, id ObjID, pl []int, opName string, a
 			panic(fmt.Sprintf("rts: forwarded op %s on object %d failed: %v", opName, id, err))
 		}
 	}
-	panic(fmt.Sprintf("rts: no live replica holder for object %d (placement %v)", id, pl))
+	panic(fmt.Sprintf("rts: no live replica holder for object %d (holders %v)", id, holders))
 }
 
 // Forwarded reports how many operations were forwarded to replica

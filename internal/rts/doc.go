@@ -3,8 +3,10 @@
 // writes propagated by totally-ordered broadcast), the point-to-point
 // RTS (§3.2.2: primary copy plus secondaries kept consistent by an
 // invalidation or two-phase update protocol, with dynamic replication
-// decided from read/write statistics), and a mixed composite hosting
-// both so placement is a per-object decision.
+// decided from read/write statistics), and the Router that hosts any
+// number of broadcast sequencer groups plus the point-to-point runtime
+// as domains, so placement is a per-object — and, for adaptive
+// objects, a run-time — decision.
 //
 // An object is an instance of an ObjectType: encapsulated state plus
 // a set of operations, each classified as a read (no state change) or

@@ -35,7 +35,7 @@ type P2PRTS struct {
 	objs  map[ObjID]*p2pMeta
 	ids   *idAlloc
 
-	// mover and moveSnap, set by a MixedRTS hosting adaptive objects,
+	// mover and moveSnap, set by a Router that also hosts sequencer groups,
 	// connect a moveout to the broadcast total order (see adapt.go):
 	// moveSnap publishes the state snapshot before the cut (so a crash
 	// mid-moveout can be rescued), and mover broadcasts the sequenced
@@ -44,7 +44,7 @@ type P2PRTS struct {
 	mover    func(p *sim.Proc, node int, id ObjID, state State)
 	moveSnap func(node int, id ObjID, state State)
 
-	// recoverState, also set by a MixedRTS, gives crash recovery a
+	// recoverState, also set by the Router, gives crash recovery a
 	// better restart point than the creation arguments: an adaptive
 	// object that migrated in from the broadcast runtime left a frozen
 	// replica of its cut-point state on every machine, and restarting
@@ -291,7 +291,7 @@ func (r *P2PRTS) Nodes() int { return len(r.nodes) }
 // Stats returns a snapshot of runtime counters.
 func (r *P2PRTS) Stats() P2PStats { return r.stats }
 
-// Counters implements StatsSource with the unified counter snapshot.
+// Counters returns the unified counter snapshot.
 func (r *P2PRTS) Counters() RTSStats {
 	return RTSStats{
 		LocalReads:    r.stats.LocalReads,

@@ -111,7 +111,7 @@ func (r *P2PRTS) rehome(w *Worker, meta *p2pMeta) {
 	if !ok || !inst.valid {
 		var st State
 		if restart && r.recoverState != nil {
-			// A mixed runtime may hold a frozen migration snapshot that
+			// The Router may hold a frozen migration snapshot that
 			// beats restarting from the creation arguments (see the
 			// recoverState field).
 			if st = r.recoverState(meta); st != nil {

@@ -9,29 +9,56 @@ import (
 	"repro/internal/sim"
 )
 
-// newMixedTB builds a composite cluster: broadcast and point-to-point
-// managers over the same machines and group members, fused into a
-// MixedRTS with a broadcast default.
-func newMixedTB(t *testing.T, seed int64, n int, cfg P2PConfig) (*tb, *MixedRTS) {
+// newRouterTB builds a Router cluster: the given number of sequencer
+// groups, each over span consecutive machines (group k on block
+// k mod n/span), plus the point-to-point domain, with a broadcast
+// default.
+func newRouterTB(t *testing.T, seed int64, n, groups, span int, cfg P2PConfig) (*tb, *Router) {
 	t.Helper()
 	env := sim.New(seed)
 	nw := netsim.New(env, n, netsim.DefaultParams())
-	members := make([]int, n)
-	for i := range members {
-		members[i] = i
-	}
-	gcfg := group.DefaultConfig(members)
 	ms := make([]*amoeba.Machine, n)
-	gs := make([]*group.Member, n)
-	for i := 0; i < n; i++ {
+	for i := range ms {
 		ms[i] = amoeba.NewMachine(env, nw, i, amoeba.DefaultCosts())
-		gs[i] = group.Join(ms[i], gcfg)
 	}
-	br := NewBroadcastRTS(testRegistry(), DefaultCosts(), ms, gs)
-	p2p := NewP2PRTS(testRegistry(), DefaultCosts(), cfg, ms)
-	m := NewMixedRTS(br, p2p, true)
+	defs := make([]GroupDef, groups)
+	for k := range defs {
+		ids := make([]int, span)
+		for i := range ids {
+			ids[i] = (k%(n/span))*span + i
+		}
+		gcfg := group.DefaultConfig(ids)
+		gcfg.Shard, gcfg.ShardCount = k, groups
+		defs[k] = GroupDef{Span: ids}
+		for _, id := range ids {
+			defs[k].Members = append(defs[k].Members, group.Join(ms[id], gcfg))
+		}
+	}
+	m := NewRouter(testRegistry(), DefaultCosts(), ms, defs, &cfg, false)
 	return &tb{env: env, net: nw, ms: ms, sys: m}, m
 }
+
+// newMixedTB builds the classic mixed cluster: one sequencer group over
+// every machine plus the point-to-point domain.
+func newMixedTB(t *testing.T, seed int64, n int, cfg P2PConfig) (*tb, *Router) {
+	t.Helper()
+	return newRouterTB(t, seed, n, 1, n, cfg)
+}
+
+// place creates an object under pl; a placement error is a test bug.
+func place(m *Router, w *Worker, typ string, pl Place, args ...any) ObjID {
+	id, err := m.CreateAt(w, typ, pl, args...)
+	if err != nil {
+		panic(err)
+	}
+	return id
+}
+
+// singleCopy is the primary-copy placement the tests use.
+var singleCopy = Place{Kind: PlacePrimary, Group: -1, Protocol: Update, Copies: SingleCopy}
+
+// adaptive is an adaptive placement on a hashed home group.
+func adaptive(cfg AdaptConfig) Place { return Place{Kind: PlaceAdaptive, Group: -1, Adapt: cfg} }
 
 // TestMixedRoutesPerObject creates one object per subsystem and checks
 // ids are unique, operations route to the right manager, and PeekState
@@ -41,8 +68,8 @@ func TestMixedRoutesPerObject(t *testing.T) {
 	done := false
 	b.spawn(0, "driver", func(w *Worker) {
 		rep := m.Create(w, "intcell", 10) // broadcast (default)
-		prim := m.CreatePrimaryCopy(w, "intcell", Update, SingleCopy, 20)
-		part := m.CreateReplicated(w, "intcell", []int{0, 1}, 30)
+		prim := place(m, w, "intcell", singleCopy, 20)
+		part := place(m, w, "intcell", Place{Kind: PlaceReplicated, Group: -1, Nodes: []int{0, 1}}, 30)
 		if rep == prim || prim == part || rep == part {
 			t.Errorf("object ids collide: %d %d %d", rep, prim, part)
 		}
@@ -93,7 +120,7 @@ func TestMixedCountersMerge(t *testing.T) {
 	ready := sim.NewCond(b.env)
 	b.spawn(0, "creator", func(w *Worker) {
 		ids[0] = m.Create(w, "intcell")
-		ids[1] = m.CreatePrimaryCopy(w, "intcell", Update, SingleCopy)
+		ids[1] = place(m, w, "intcell", singleCopy)
 		w.Flush()
 		ready.Broadcast()
 	})
@@ -177,7 +204,7 @@ func TestMixedGuardAcrossSubsystems(t *testing.T) {
 	got := 0
 	ready := sim.NewCond(b.env)
 	b.spawn(0, "creator", func(w *Worker) {
-		q = m.CreatePrimaryCopy(w, "queue", Update, SingleCopy)
+		q = place(m, w, "queue", singleCopy)
 		noise = m.Create(w, "intcell")
 		w.Flush()
 		ready.Broadcast()
