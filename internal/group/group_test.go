@@ -19,6 +19,7 @@ type harness struct {
 	gs      []*Member
 	logs    [][]Delivery
 	uidLogs [][]int64
+	lastAt  sim.Time // instant of the latest delivery at any node
 }
 
 func newHarness(seed int64, n int, netMut func(*netsim.Params), cfgMut func(*Config)) *harness {
@@ -52,6 +53,7 @@ func newHarness(seed int64, n int, netMut func(*netsim.Params), cfgMut func(*Con
 					return
 				}
 				h.logs[i] = append(h.logs[i], d)
+				h.lastAt = p.Now()
 				if !d.Dup {
 					// Dup records are suppressed re-deliveries that only
 					// carry a frame boundary; agreement is over the
