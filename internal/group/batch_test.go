@@ -36,14 +36,11 @@ func TestBatchFlushMaxOps(t *testing.T) {
 	h.env.RunUntil(2 * sim.Second)
 	h.checkAgreement(t, 8, nil)
 	st := h.net.Stats()
-	if got := st.CountsByKind["grp-breq"]; got != 2 {
-		t.Errorf("packed request frames = %d, want 2 (8 ops / MaxOps 4)", got)
+	if got := st.CountsByKind["grp-req"]; got != 2 {
+		t.Errorf("request frames = %d, want 2 (8 ops / MaxOps 4)", got)
 	}
-	if got := st.CountsByKind["grp-bdata"]; got != 2 {
-		t.Errorf("packed data frames = %d, want 2 (8 ops / MaxOps 4)", got)
-	}
-	if got := st.CountsByKind["grp-req"] + st.CountsByKind["grp-data"]; got != 0 {
-		t.Errorf("unbatched frames = %d, want 0", got)
+	if got := st.CountsByKind["grp-data"]; got != 2 {
+		t.Errorf("sequenced data frames = %d, want 2 (8 ops / MaxOps 4)", got)
 	}
 	// Delivery order inside the batch is submission order.
 	for k := 0; k < 8; k++ {
@@ -64,8 +61,8 @@ func TestBatchFlushMaxBytes(t *testing.T) {
 	h.env.RunUntil(2 * sim.Second)
 	h.checkAgreement(t, 9, nil)
 	st := h.net.Stats()
-	if got := st.CountsByKind["grp-breq"]; got != 3 {
-		t.Errorf("packed request frames = %d, want 3 (byte cap)", got)
+	if got := st.CountsByKind["grp-req"]; got != 3 {
+		t.Errorf("request frames = %d, want 3 (byte cap)", got)
 	}
 	h.env.Stop()
 	h.env.Shutdown()
@@ -92,8 +89,11 @@ func TestBatchLinger(t *testing.T) {
 	h.env.RunUntil(time500())
 	h.checkAgreement(t, 2, nil)
 	st := h.net.Stats()
-	if got := st.CountsByKind["grp-bdata"]; got != 1 {
-		t.Errorf("packed data frames = %d, want 1 (both ops inside one linger window)", got)
+	if got := st.CountsByKind["grp-req"]; got != 2 {
+		t.Errorf("request frames = %d, want 2 (submitted in different instants)", got)
+	}
+	if got := st.CountsByKind["grp-data"]; got != 1 {
+		t.Errorf("sequenced data frames = %d, want 1 (both ops inside one linger window)", got)
 	}
 	if deliveredAt == 0 || deliveredAt > 10*sim.Millisecond {
 		t.Errorf("delivery at %v, want within a few linger windows", deliveredAt)
@@ -207,26 +207,64 @@ func TestBatchSequencerCrash(t *testing.T) {
 	h.env.Shutdown()
 }
 
-// TestBatchOffUnchangedWire: with the zero BatchConfig the wire
-// carries only the classic frame kinds — the batching machinery is
-// fully dormant.
-func TestBatchOffUnchangedWire(t *testing.T) {
-	h := newHarness(11, 3, nil, nil)
-	h.ms[1].SpawnThread("producer", func(p *sim.Proc) {
-		ops := make([]BatchOp, 4)
-		for j := range ops {
-			ops[j] = BatchOp{Kind: "msg", Body: j, Size: 100}
+// TestBatchOfOneIsUnbatched: there is one data path, and an unbatched
+// group is the MaxOps 1 case of it. Batch{MaxOps: 1} and the zero
+// BatchConfig give identical delivery logs and identical network
+// totals under every protocol, and a MaxOps 4 packer that flushes a
+// lone op on Linger expiry puts the same bytes on the wire as an
+// unbatched send (a one-op frame carries no item table).
+func TestBatchOfOneIsUnbatched(t *testing.T) {
+	run := func(pv, batch func(*Config)) string {
+		h := newHarness(11, 3, nil, func(c *Config) {
+			pv(c)
+			batch(c)
+		})
+		for i := range h.ms {
+			i := i
+			h.ms[i].SpawnThread("producer", func(p *sim.Proc) {
+				for k := 0; k < 6; k++ {
+					h.gs[i].BroadcastBatch(p, []BatchOp{{Kind: "m", Body: k, Size: 100}, {Kind: "m", Body: -k, Size: 2000}}, nil)
+					p.Sleep(sim.Time(3+i) * sim.Millisecond)
+				}
+			})
 		}
-		h.gs[1].BroadcastBatch(p, ops, nil)
-	})
-	h.env.RunUntil(2 * sim.Second)
-	h.checkAgreement(t, 4, nil)
-	st := h.net.Stats()
-	for _, kind := range []string{"grp-breq", "grp-bdata", "grp-bb-bdata", "grp-baccept"} {
-		if st.CountsByKind[kind] != 0 {
-			t.Errorf("batched frame kind %s on the wire with batching off", kind)
-		}
+		h.env.RunUntil(200 * sim.Millisecond) // before the first heartbeat
+		h.checkAgreement(t, 3*2*6, nil)
+		fp := h.fingerprint(nil)
+		h.env.Stop()
+		h.env.Shutdown()
+		return fp
 	}
-	h.env.Stop()
-	h.env.Shutdown()
+	for _, pv := range protocolVariants {
+		pv := pv
+		t.Run(pv.name, func(t *testing.T) {
+			zero := run(pv.mut, func(*Config) {})
+			one := run(pv.mut, func(c *Config) { c.Batch = BatchConfig{MaxOps: 1} })
+			if zero != one {
+				t.Errorf("MaxOps 1 differs from the zero BatchConfig:\n\t%s\n\t%s", one, zero)
+			}
+		})
+	}
+	// One lone op per instant from node 1 only: the MaxOps 4 packer has
+	// nothing to pack, so only the Linger wait differs.
+	lone := func(batch func(*Config)) netsim.Stats {
+		h := newHarness(11, 3, nil, batch)
+		h.ms[1].SpawnThread("producer", func(p *sim.Proc) {
+			for k := 0; k < 5; k++ {
+				h.gs[1].Broadcast(p, "m", k, 100)
+				p.Sleep(10 * sim.Millisecond)
+			}
+		})
+		h.env.RunUntil(200 * sim.Millisecond)
+		h.checkAgreement(t, 5, nil)
+		st := h.net.Stats()
+		h.env.Stop()
+		h.env.Shutdown()
+		return st
+	}
+	a, b := lone(func(*Config) {}), lone(batchCfg(4, 1<<20, sim.Millisecond))
+	if a.Frames != b.Frames || a.Messages != b.Messages || a.WireBytes != b.WireBytes {
+		t.Errorf("lone ops through a MaxOps 4 packer: frames/messages/wire = %d/%d/%d, unbatched %d/%d/%d",
+			b.Frames, b.Messages, b.WireBytes, a.Frames, a.Messages, a.WireBytes)
+	}
 }

@@ -260,7 +260,6 @@ func (g *Member) broadcastProp(p *sim.Proc, ds []*dataMsg) {
 	for _, d := range ds {
 		size += d.Size + hdrItem
 	}
-	g.stats.PBSends++
 	g.cast(p, amoeba.Packet{Port: g.port, Kind: "grp-prop",
 		Body: &propMsg{Ballot: g.ballot, Commit: g.committed, Ds: ds}, Size: size + hdrData})
 }
@@ -394,10 +393,7 @@ func (g *Member) stepDown(p *sim.Proc) {
 		g.propTimer.Cancel()
 		g.propTimer = nil
 	}
-	if g.cfg.Batch.Enabled() {
-		g.detachPack(p, &g.packQ, &g.packTimer)
-		g.packBytes = 0
-	}
+	g.flush(p, &g.pack) // queued own ops re-enter the sender path too
 	hi := g.maxSeen
 	g.maxSeen = g.committed // assigned-but-unchosen slots are void
 	for s := g.committed + 1; s <= hi; s++ {
@@ -408,8 +404,7 @@ func (g *Member) stepDown(p *sim.Proc) {
 		if _, mine := g.outstanding[d.UID]; mine {
 			continue
 		}
-		st := &sendState{uid: d.UID, srcSeq: d.SrcSeq, kind: d.Kind, body: d.Body, size: d.Size, method: ForcePB}
-		g.outstanding[d.UID] = st
+		st := g.newSend([]item{d.item}, ForcePB)
 		g.stats.Retransmits++
 		g.transmit(p, st)
 		g.armSenderTimer(st)
@@ -835,7 +830,7 @@ func (g *Member) checkTakeover(p *sim.Proc) {
 // finalizeTakeover installs this member as leader: choose a value for
 // every slot the prepare round surfaced (noop fillers for holes),
 // truncate frame boundaries broken by fillers, rebuild the sequencer
-// history/dedup state exactly like becomeSequencer, and re-propose
+// history/dedup state like becomeSequencer, and re-propose
 // the whole uncommitted tail under the new ballot. No view handshake:
 // members learn the leadership from the proposals themselves.
 func (g *Member) finalizeTakeover(p *sim.Proc) {
@@ -859,7 +854,7 @@ func (g *Member) finalizeTakeover(p *sim.Proc) {
 		if ps, ok := t.slots[s]; ok {
 			chosen = append(chosen, ps.D)
 		} else {
-			chosen = append(chosen, &dataMsg{Seq: s, Src: -1, Kind: noopKind})
+			chosen = append(chosen, &dataMsg{Seq: s, item: item{Src: -1, Kind: noopKind}})
 		}
 	}
 	// A More-flagged slot whose successor was noop-filled (or fell off
@@ -874,28 +869,7 @@ func (g *Member) finalizeTakeover(p *sim.Proc) {
 			chosen[i] = &nd
 		}
 	}
-	g.seenBySrc = make([]*seqRing[int64], len(g.cfg.Members))
-	for i := range g.statuses {
-		g.statuses[i] = -1
-	}
-	g.trimMin, g.trimOwn = 0, false
-	lo := g.nextSeq
-	for _, d := range g.cache {
-		if d == nil || d.Seq >= g.nextSeq {
-			continue
-		}
-		if d.Seq < lo {
-			lo = d.Seq
-		}
-	}
-	g.history.reset(lo)
-	for _, d := range g.cache {
-		if d == nil || d.Seq >= g.nextSeq {
-			continue
-		}
-		g.history.set(d.Seq, d)
-		g.noteSeen(d.Src, d.SrcSeq, d.Seq)
-	}
+	g.rebuildHistory()
 	for _, d := range chosen {
 		g.recordHistory(d)
 	}

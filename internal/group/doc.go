@@ -1,21 +1,48 @@
 // Package group implements Amoeba's totally-ordered reliable
 // broadcast (Kaashoek's group-communication protocol) as the paper
-// describes it: a sequencer orders all broadcasts; the PB method
-// (Point-to-point, then Broadcast) sends the message to the sequencer
-// which broadcasts it with a sequence number, while the BB method
-// (Broadcast, then Broadcast) broadcasts the message directly and the
-// sequencer broadcasts a short Accept. PB costs 2m bandwidth and one
-// interrupt per machine; BB costs m plus a tiny accept and two
-// interrupts. The implementation dynamically picks PB for messages
-// that fit one packet and BB for longer ones, exactly as the paper
-// states.
+// describes it, and the variations the reproduction grew around it.
+//
+// The paper's protocol (Config.Protocol == ElectedSequencer): a
+// sequencer orders all broadcasts; the PB method (Point-to-point, then
+// Broadcast) sends the message to the sequencer which broadcasts it
+// with a sequence number, while the BB method (Broadcast, then
+// Broadcast) broadcasts the message directly and the sequencer
+// broadcasts a short Accept. PB costs 2m bandwidth and one interrupt
+// per machine; BB costs m plus a tiny accept and two interrupts. The
+// implementation dynamically picks PB for messages that fit one packet
+// and BB for longer ones, exactly as the paper states.
+//
+// One data path (batch.go): every op travels in a frame — a request
+// frame to the sequencer or a BB data frame to everyone, then a
+// sequenced data frame or an accept frame back — and
+// Config.Batch.MaxOps is the number of ops a frame may carry. The
+// paper's protocol is MaxOps 1, the zero BatchConfig: each packer
+// flushes the instant an op is queued. A larger capacity lets the
+// sequencer coalesce queued ops into one multi-op frame (one sequence
+// number per op) and senders pack same-instant submissions; the
+// handlers, the wire bodies and the retransmission machinery are the
+// same code either way.
 //
 // Reliability: the sequencer keeps a history buffer; members detect
 // sequence gaps and request retransmission; senders retransmit
 // unacknowledged requests. If the sequencer crashes, surviving
 // members elect a new one (the candidate that has seen the most
 // messages wins) and resynchronize from its rebuilt history — the
-// paper's "committee electing a chairman", re-run on failure.
+// paper's "committee electing a chairman", re-run on failure
+// (election.go).
+//
+// Consensus (Config.Protocol == Consensus, consensus.go) replaces the
+// election with a replicated log: the leader proposes each frame's
+// slots, a majority accepts them before anyone delivers, and a
+// successor takes a crashed leader's log over in one re-proposal round
+// instead of an election window. Config.AllowJoin lets a member join a
+// running consensus group through a majority read.
+//
+// Shards: several groups can share the same machines, each bound to
+// its own kernel port with its own sequencer, history and membership
+// (Config.Shard, ShardCount, Port, and a Members list that may be a
+// subset of the network, reached by multicast). The runtime above
+// routes each object to one group.
 //
 // Downward: members speak kernel ports and timers from package
 // amoeba. Upward: the broadcast runtime in package rts consumes each

@@ -142,31 +142,7 @@ func (g *Member) becomeSequencer(p *sim.Proc) {
 	g.maxSeen = g.nextSeq - 1 // discard knowledge of unsequenceable holes
 	g.haveCoord = true
 	g.lastCoord = coordMsg{Epoch: g.epoch, Node: g.m.ID(), HighSeq: g.maxSeen}
-	// Rebuild the history ring and the per-source dedup windows from
-	// the delivered cache. The cache holds a contiguous window of the
-	// most recently delivered messages, so the ring rebase is exact.
-	g.seenBySrc = make([]*seqRing[int64], len(g.cfg.Members))
-	for i := range g.statuses {
-		g.statuses[i] = -1
-	}
-	g.trimMin, g.trimOwn = 0, false
-	lo := g.nextSeq
-	for _, d := range g.cache {
-		if d == nil || d.Seq >= g.nextSeq {
-			continue
-		}
-		if d.Seq < lo {
-			lo = d.Seq
-		}
-	}
-	g.history.reset(lo)
-	for _, d := range g.cache {
-		if d == nil || d.Seq >= g.nextSeq {
-			continue
-		}
-		g.history.set(d.Seq, d)
-		g.noteSeen(d.Src, d.SrcSeq, d.Seq)
-	}
+	g.rebuildHistory()
 	// Buffered-but-undelivered messages beyond the holes are dropped;
 	// their senders will retransmit and they will be re-sequenced
 	// (the per-source delivery windows suppress double delivery).
@@ -174,6 +150,30 @@ func (g *Member) becomeSequencer(p *sim.Proc) {
 	g.acceptedBB = make(map[int64]bbAccept)
 	g.m.Env().Tracef("node%d: became sequencer, epoch %d, highseq %d", g.m.ID(), g.epoch, g.maxSeen)
 	g.announceView(p)
+}
+
+// rebuildHistory resets a new sequencer's history ring, per-source
+// dedup windows and trim state from its delivered cache. The cache
+// holds a contiguous window of the most recently delivered messages,
+// so the ring rebase is exact.
+func (g *Member) rebuildHistory() {
+	g.seenBySrc = make([]*seqRing[int64], len(g.cfg.Members))
+	for i := range g.statuses {
+		g.statuses[i] = -1
+	}
+	g.trimMin, g.trimOwn = 0, false
+	lo := g.nextSeq
+	for _, d := range g.cache {
+		if d != nil && d.Seq < lo {
+			lo = d.Seq
+		}
+	}
+	g.history.reset(lo)
+	for _, d := range g.cache {
+		if d != nil && d.Seq < g.nextSeq {
+			g.recordHistory(d)
+		}
+	}
 }
 
 // announceView broadcasts the coordinator claim and re-arms until all
@@ -345,13 +345,13 @@ func (g *Member) onCoord(p *sim.Proc, c coordMsg) {
 // sequence — concurrent messages in a random order, breaking run
 // determinism.
 func (g *Member) kickOutstanding(p *sim.Proc) {
-	// Flatten batched sends into single-op states first: batch
-	// framing is not preserved across a view change, and per-op
-	// states keep the re-submission below uniform. Replacing map
-	// values is order-independent, so iterating the map here cannot
-	// perturb determinism (nothing transmits during the flatten).
+	// Split multi-op sends into one-op sends first: framing is not
+	// preserved across a view change, and per-op states keep the
+	// re-submission below uniform. Replacing map values is
+	// order-independent, so iterating the map here cannot perturb
+	// determinism (nothing transmits during the split).
 	for _, st := range g.outstanding {
-		if st.items == nil {
+		if len(st.items) == 1 {
 			continue
 		}
 		if st.timer != nil {
@@ -359,12 +359,9 @@ func (g *Member) kickOutstanding(p *sim.Proc) {
 			st.timer = nil
 		}
 		for i := range st.items {
-			it := st.items[i]
-			if g.outstanding[it.UID] != st {
-				continue
+			if it := st.items[i]; g.outstanding[it.UID] == st {
+				g.newSend(st.items[i:i+1], g.resolveMethod(frameSize(1, it.Size)))
 			}
-			g.outstanding[it.UID] = &sendState{uid: it.UID, srcSeq: it.SrcSeq, kind: it.Kind,
-				body: it.Body, size: it.Size, method: g.resolveMethod(it.Size)}
 		}
 	}
 	sts := make([]*sendState, 0, len(g.outstanding))
@@ -372,29 +369,23 @@ func (g *Member) kickOutstanding(p *sim.Proc) {
 		sts = append(sts, st)
 	}
 	for i := 1; i < len(sts); i++ {
-		for j := i; j > 0 && sts[j].uid < sts[j-1].uid; j-- {
+		for j := i; j > 0 && sts[j].items[0].UID < sts[j-1].items[0].UID; j-- {
 			sts[j], sts[j-1] = sts[j-1], sts[j]
 		}
 	}
 	for _, st := range sts {
 		st.retries = 0
-		// Re-resolve the method in case the sequencer moved to us.
 		if g.isSeq && g.installed {
+			// The sequencer moved to us: sequence our own op directly,
+			// unless a previous view already did.
 			if st.timer != nil {
 				st.timer.Cancel()
 			}
-			delete(g.outstanding, st.uid)
-			if _, dup := g.seenSeq(g.m.ID(), st.srcSeq); dup {
-				continue // already sequenced in a previous view
+			it := st.items[0]
+			delete(g.outstanding, it.UID)
+			if _, dup := g.seenSeq(it.Src, it.SrcSeq); !dup {
+				g.emit(p, st.items, false)
 			}
-			d := &dataMsg{Seq: g.nextSeqNum(), UID: st.uid, Src: g.m.ID(), SrcSeq: st.srcSeq, Kind: st.kind, Body: st.body, Size: st.size, Epoch: g.epoch}
-			g.recordHistory(d)
-			if g.cfg.Protocol == Consensus {
-				g.propose(p, []*dataMsg{d})
-				continue
-			}
-			g.cast(p, amoeba.Packet{Port: g.port, Kind: "grp-data", Body: d, Size: d.Size + hdrData})
-			g.processData(p, d)
 			continue
 		}
 		g.stats.Retransmits++

@@ -205,4 +205,56 @@ func TestStatsAccounting(t *testing.T) {
 	}
 	h.env.Stop()
 	h.env.Shutdown()
+
+	// PBSends/BBSends count a member's own submissions by method,
+	// whatever the frame capacity: a sequencer relaying 12 remote
+	// requests while submitting 3 ops of its own reports 3, the remote
+	// sender 12, under every protocol.
+	for _, pv := range protocolVariants {
+		for _, cv := range capacityVariants {
+			h := newHarness(61, 3, nil, func(c *Config) {
+				cv.mut(c)
+				pv.mut(c)
+			})
+			for i, n := range []int{3, 12} {
+				i, n := i, n
+				h.ms[i].SpawnThread("producer", func(p *sim.Proc) {
+					for k := 0; k < n; k++ {
+						h.gs[i].Broadcast(p, "m", k, 64)
+						p.Sleep(sim.Millisecond / 4)
+					}
+				})
+			}
+			h.env.RunUntil(5 * sim.Second)
+			h.checkAgreement(t, 15, nil)
+			for i, want := range []int64{3, 12, 0} {
+				st := h.gs[i].Stats()
+				if got := st.PBSends + st.BBSends; got != want || st.Sent != want {
+					t.Errorf("%s/%s node %d: PB+BB sends = %d, sent = %d, want %d", pv.name, cv.name, i, got, st.Sent, want)
+				}
+				if bb := pv.name == "sequencer-bb" && i == 1; bb != (st.BBSends > 0) {
+					t.Errorf("%s/%s node %d: BBSends = %d", pv.name, cv.name, i, st.BBSends)
+				}
+			}
+			h.env.Stop()
+			h.env.Shutdown()
+		}
+	}
+}
+
+// TestReplacedSendStandsDown: once an op is re-registered under a newer
+// sendState (a deposed consensus leader re-submits its unchosen slots
+// while the old send's timer may already have fired and be queued
+// behind the interrupt thread's work), the old send is dead and must
+// not keep retransmitting beside the new one.
+func TestReplacedSendStandsDown(t *testing.T) {
+	h := newHarness(7, 2, nil, nil)
+	g := h.gs[1]
+	old := g.newSend([]item{{UID: 42, Src: 1, SrcSeq: 1, Size: 10}}, ForcePB)
+	repl := g.newSend(old.items, ForcePB)
+	if old.live(g) || !repl.live(g) {
+		t.Fatalf("after replacement: old live = %t, replacement live = %t", old.live(g), repl.live(g))
+	}
+	h.env.Stop()
+	h.env.Shutdown()
 }

@@ -61,16 +61,16 @@ func (pr Protocol) String() string {
 	return fmt.Sprintf("Protocol(%d)", int(pr))
 }
 
-// BatchConfig governs frame packing (see DESIGN.md, "Batching and
-// frame packing"). When enabled, the sequencer coalesces queued
-// requests into one sequenced multi-op frame (one sequence number per
-// op, one frame per batch), and a sender packs ops submitted in the
-// same virtual instant into one request frame. The zero value
-// disables packing and leaves every code path of the unbatched
-// protocol untouched.
+// BatchConfig is the frame capacity of the group's one data path (see
+// DESIGN.md, "Group layer: one data path"). Every op travels in a
+// frame; MaxOps says how many ops a frame may carry. With MaxOps above
+// 1 the sequencer coalesces queued requests into one sequenced
+// multi-op frame (one sequence number per op, one frame per batch),
+// and a sender packs ops submitted in the same virtual instant into
+// one request frame. The zero value means MaxOps 1: every op is a
+// frame of its own and leaves the instant it is submitted.
 type BatchConfig struct {
-	// MaxOps flushes a packed frame at this many ops. Values below 2
-	// disable batching.
+	// MaxOps flushes a frame at this many ops. Values below 1 mean 1.
 	MaxOps int
 	// MaxBytes flushes when the packed payload reaches this many
 	// bytes (so a batch stays within one wire fragment).
@@ -80,7 +80,7 @@ type BatchConfig struct {
 	Linger sim.Time
 }
 
-// Enabled reports whether frame packing is on.
+// Enabled reports whether frames may carry more than one op.
 func (b BatchConfig) Enabled() bool { return b.MaxOps > 1 }
 
 // Config parameterizes a group.
@@ -108,7 +108,7 @@ type Config struct {
 	// joiner adopts the commit watermark via a majority read and
 	// catches up through ordinary gap recovery.
 	AllowJoin bool
-	// Batch configures frame packing; the zero value disables it.
+	// Batch is the frame capacity; the zero value is one op per frame.
 	Batch BatchConfig
 	// SenderTimeout is how long a sender waits for its broadcast to be
 	// sequenced before retransmitting.
@@ -237,61 +237,71 @@ type Delivery struct {
 	Size int
 	More bool
 	// Dup marks a re-sequenced duplicate suppressed by the dedup
-	// window (batching only). The payload must not be applied again;
+	// window (MaxOps above 1 only). The payload must not be applied again;
 	// the record exists so consumers still observe the frame boundary
 	// the duplicate occupied — without it a member whose frame tail
 	// was a duplicate would defer its per-frame sweep forever.
 	Dup bool
 }
 
-// Wire message bodies. All travel on the "grp" port. SrcSeq is the
-// sender's dense per-member submission counter: the sequencer and the
-// delivery path dedup on (Src, SrcSeq) with O(1) ring-buffer windows
-// instead of uid hash maps.
+// item is one application operation on its way to being sequenced.
+// SrcSeq is the sender's dense per-member submission counter: the
+// sequencer and the delivery path dedup on (Src, SrcSeq) with O(1)
+// ring-buffer windows instead of uid hash maps.
+type item struct {
+	UID    int64
+	Src    int
+	SrcSeq int64
+	Kind   string
+	Body   any
+	Size   int
+}
+
+// Wire message bodies. All travel on the "grp" port. The four data
+// roles (request, BB data, accept, sequenced data) each carry a list
+// of ops; an unbatched group's lists have one element. Frames travel
+// by pointer and are never mutated after they are sent: every receiver
+// shares the sender's records instead of rebuilding them.
 type (
 	// reqMsg is PB's RequestForBroadcast, unicast to the sequencer.
 	reqMsg struct {
-		UID    int64
-		Src    int
-		SrcSeq int64
-		Kind   string
-		Body   any
-		Size   int
-	}
-	// dataMsg is the sequenced message broadcast by the sequencer
-	// (PB), or unicast as a retransmission. Epoch stamps the
-	// sequencer's view so stale pre-election frames cannot interleave
-	// with a new sequencer's stream. More marks a mid-batch op (see
-	// Delivery).
-	dataMsg struct {
-		Seq    int64
-		UID    int64
-		Src    int
-		SrcSeq int64
-		Kind   string
-		Body   any
-		Size   int
-		Epoch  int
-		More   bool
+		Items []item
 	}
 	// bbDataMsg is BB's unsequenced data broadcast from the sender.
+	// Members stash pointers into Items until the accept arrives.
 	bbDataMsg struct {
-		UID    int64
-		Src    int
-		SrcSeq int64
-		Kind   string
-		Body   any
-		Size   int
+		Items []item
 	}
-	// acceptMsg is BB's short Accept broadcast from the sequencer.
-	// More mirrors the sequenced record's frame-boundary flag so a
-	// member completing a mid-batch op from a retransmitted accept
-	// reconstructs the boundary every other replica saw.
-	acceptMsg struct {
+	// dataMsg is one sequenced op. Epoch stamps the sequencer's view so
+	// stale pre-election frames cannot interleave with a new sequencer's
+	// stream. More marks a mid-batch op (see Delivery).
+	dataMsg struct {
+		item
 		Seq   int64
-		UID   int64
 		Epoch int
 		More  bool
+	}
+	// dataFrame is the frame of sequenced ops the sequencer broadcasts
+	// (PB), or one restamped copy unicast as a retransmission. Recs
+	// occupy consecutive sequence numbers. The history ring, the
+	// delivery buffers and every receiver hold pointers into Recs; one
+	// backs it for a one-op frame, so that frame is a single allocation.
+	dataFrame struct {
+		Recs []dataMsg
+		one  [1]dataMsg
+	}
+	// acceptMsg is BB's short Accept broadcast from the sequencer:
+	// UIDs[i] gets sequence number Seq+i, and every op but the last is
+	// mid-batch. More marks the last one mid-batch too — a lone accept
+	// retransmitted for a mid-batch op carries it, so the member
+	// reconstructs the boundary every other replica saw. one backs UIDs
+	// for a one-op accept.
+	acceptMsg struct {
+		Seq   int64
+		Epoch int
+		More  bool
+		UIDs  []int64
+		one   [1]int64
 	}
 	// retxReq asks the sequencer to retransmit sequence numbers
 	// [From, To]. Delivered piggybacks the requester's progress.
@@ -344,10 +354,20 @@ const (
 	hdrData   = 24
 	hdrAccept = 20
 	hdrSmall  = 20
-	// hdrItem is the per-op framing overhead inside a packed frame
+	// hdrItem is the per-op framing overhead inside a multi-op frame
 	// (uid, source, length).
 	hdrItem = 12
 )
+
+// frameSize is the wire size of a request, BB data or sequenced data
+// frame of n ops whose payloads total payload bytes. A one-op frame
+// carries no item table.
+func frameSize(n, payload int) int {
+	if n == 1 {
+		return hdrData + payload
+	}
+	return hdrData + payload + n*hdrItem
+}
 
 // srcWindow is the per-source dedup window, in submissions: how far
 // back the sequencer and the delivery path remember a source's
@@ -367,19 +387,14 @@ type bbAccept struct {
 	more bool
 }
 
-// sendState tracks one of this member's broadcasts until it is
-// sequenced. A batched send (items != nil) tracks several ops that
-// travel in one frame; each op completes individually as it appears
-// in the sequenced stream, and retransmissions carry only the ops
-// still outstanding.
+// sendState tracks one request or BB data frame of this member's ops
+// until they are sequenced. Each op completes individually as it
+// appears in the sequenced stream, and retransmissions carry only the
+// ops still outstanding.
 type sendState struct {
-	uid     int64
-	srcSeq  int64
-	kind    string
-	body    any
-	size    int
-	items   []batchItem // batched ops; nil for the single-op path
-	method  Method      // resolved (PB or BB)
+	items   []item
+	one     [1]item // backs items for a one-op send
+	method  Method  // resolved (PB or BB)
 	retries int
 	cycles  int // consensus: full retry cycles, for retransmit backoff
 	timer   *sim.Event
@@ -387,10 +402,6 @@ type sendState struct {
 
 // live reports whether any op of this send is still unacknowledged.
 func (st *sendState) live(g *Member) bool {
-	if st.items == nil {
-		_, ok := g.outstanding[st.uid]
-		return ok
-	}
 	for i := range st.items {
 		if g.outstanding[st.items[i].UID] == st {
 			return true
@@ -401,7 +412,12 @@ func (st *sendState) live(g *Member) bool {
 
 // Stats counts protocol activity at one member.
 type Stats struct {
-	Sent        int64
+	Sent int64
+	// PBSends and BBSends split Sent by the method each of this
+	// member's own ops was submitted under (the sequencer's own ops
+	// count as PB: one sequenced frame on the wire). Retransmissions and
+	// frames relayed for other members are not counted; an op a view
+	// change re-routes before it is sequenced counts again.
 	PBSends     int64
 	BBSends     int64
 	Delivered   int64
@@ -443,7 +459,7 @@ type Member struct {
 	outQ    *sim.Queue[Delivery]
 
 	buffered    seqRing[*dataMsg]    // seq -> out-of-order data
-	pendingBB   map[int64]*bbDataMsg // uid -> BB data awaiting accept
+	pendingBB   map[int64]*item      // uid -> BB data awaiting accept
 	acceptedBB  map[int64]bbAccept   // seq -> accept waiting for its data
 	outstanding map[int64]*sendState // uid -> my unsequenced sends
 	gapTimer    *sim.Event
@@ -474,16 +490,14 @@ type Member struct {
 	trimMin   int64             // min status found by the last trim scan
 	trimOwn   bool              // last scan was limited by own progress
 
-	// Sequencer-side packers (batching only; see batch.go).
-	packQ     []batchItem // PB ops queued for the next packed frame
-	packBytes int
-	packTimer *sim.Event
-	accQ      []batchItem // BB ops queued for the next packed accept
-	accTimer  *sim.Event
+	// Sequencer-side packers (see batch.go): PB ops queued for the next
+	// sequenced data frame, BB ops for the next accept frame.
+	pack packer
+	acc  packer
 
-	// Sender-side packer (batching only): ops submitted in the same
-	// instant leave in one request frame.
-	sendQ     []batchItem
+	// Sender-side packer: ops submitted in the same instant leave in
+	// one request frame.
+	sendQ     []item
 	sendBytes int
 	sendArmed bool
 
@@ -586,14 +600,18 @@ func Join(m *amoeba.Machine, cfg Config) *Member {
 	if histMax <= 0 {
 		histMax = 1
 	}
+	if cfg.Batch.MaxOps < 1 {
+		cfg.Batch.MaxOps = 1
+	}
 	g := &Member{
 		m:           m,
 		cfg:         cfg,
 		seqNode:     seq,
 		nextSeq:     1,
 		outQ:        sim.NewQueue[Delivery](m.Env()),
-		pendingBB:   make(map[int64]*bbDataMsg),
+		pendingBB:   make(map[int64]*item),
 		acceptedBB:  make(map[int64]bbAccept),
+		acc:         packer{accept: true},
 		outstanding: make(map[int64]*sendState),
 		memberIdx:   make([]int, maxID+1),
 		cache:       make([]*dataMsg, cfg.CacheSize),
@@ -776,9 +794,9 @@ func (g *Member) Stats() Stats { return g.stats }
 // history retains (exposed for tests).
 func (g *Member) historyLen() int { return g.history.span() }
 
-// resolveMethod picks PB or BB for a message of the given payload
+// resolveMethod picks PB or BB for a request frame of the given wire
 // size, following the paper's one-packet rule in Auto mode.
-func (g *Member) resolveMethod(size int) Method {
+func (g *Member) resolveMethod(frame int) Method {
 	if g.cfg.Protocol == Consensus {
 		// Proposals replicate payloads to every member regardless of
 		// size, so BB's data-first optimization buys nothing: requests
@@ -791,7 +809,7 @@ func (g *Member) resolveMethod(size int) Method {
 	case ForceBB:
 		return ForceBB
 	}
-	if g.m.Net().FragmentsFor(size+hdrData) > 1 {
+	if g.m.Net().FragmentsFor(frame) > 1 {
 		return ForceBB
 	}
 	return ForcePB
@@ -804,60 +822,68 @@ func (g *Member) resolveMethod(size int) Method {
 // for delivery: callers needing write-completion semantics wait until
 // their uid appears in the delivery stream.
 func (g *Member) Broadcast(p *sim.Proc, kind string, body any, size int) int64 {
-	if g.cfg.Batch.Enabled() {
-		return g.submitOp(p, kind, body, size)
-	}
 	uid := g.m.ServiceID()
 	g.sendSeq++
 	g.stats.Sent++
+	it := item{UID: uid, Src: g.m.ID(), SrcSeq: g.sendSeq, Kind: kind, Body: body, Size: size}
 	if g.isSeq && g.installed {
-		// The sequencer sequences its own messages directly and
-		// broadcasts the sequenced data: one message on the wire.
-		d := &dataMsg{Seq: g.nextSeqNum(), UID: uid, Src: g.m.ID(), SrcSeq: g.sendSeq, Kind: kind, Body: body, Size: size, Epoch: g.epoch}
-		g.recordHistory(d)
-		if g.cfg.Protocol == Consensus {
-			// A consensus leader's own slot still needs quorum
-			// acceptance before anyone (including itself) delivers.
-			g.propose(p, []*dataMsg{d})
-			return uid
-		}
+		// The sequencer sequences its own ops directly and broadcasts
+		// the sequenced data: one message on the wire.
 		g.stats.PBSends++
-		g.cast(p, amoeba.Packet{Port: g.port, Kind: "grp-data", Body: d, Size: size + hdrData})
-		g.processData(p, d)
-		return uid
+		g.enqueue(p, &g.pack, it)
+	} else {
+		g.enqueueSend(p, it)
 	}
-	st := &sendState{uid: uid, srcSeq: g.sendSeq, kind: kind, body: body, size: size, method: g.resolveMethod(size)}
-	g.outstanding[uid] = st
-	g.transmit(p, st)
-	g.armSenderTimer(st)
 	return uid
 }
 
-// transmit performs one send attempt for an outstanding message.
+// newSend registers items as one outstanding send of this member.
+func (g *Member) newSend(items []item, method Method) *sendState {
+	st := &sendState{method: method}
+	st.items = append(st.one[:0], items...)
+	for i := range st.items {
+		g.outstanding[st.items[i].UID] = st
+	}
+	return st
+}
+
+// transmit performs one send attempt for an outstanding send. Only the
+// still-outstanding ops travel; a retransmission after a partial
+// acknowledgment shrinks the frame.
 func (g *Member) transmit(p *sim.Proc, st *sendState) {
-	if st.items != nil {
-		g.transmitBatch(p, st)
+	n, payload := 0, 0
+	for i := range st.items {
+		if g.outstanding[st.items[i].UID] == st {
+			n++
+			payload += st.items[i].Size
+		}
+	}
+	if n == 0 {
 		return
+	}
+	// The frame shares the send's own item array (nobody mutates it)
+	// unless some ops have already been acknowledged.
+	live := st.items
+	if n < len(live) {
+		live = make([]item, 0, n)
+		for i := range st.items {
+			if g.outstanding[st.items[i].UID] == st {
+				live = append(live, st.items[i])
+			}
+		}
 	}
 	switch st.method {
 	case ForcePB:
-		g.stats.PBSends++
-		g.m.Send(p, g.seqNode, amoeba.Packet{
-			Port: g.port, Kind: "grp-req",
-			Body: reqMsg{UID: st.uid, Src: g.m.ID(), SrcSeq: st.srcSeq, Kind: st.kind, Body: st.body, Size: st.size},
-			Size: st.size + hdrData,
-		})
+		g.m.Send(p, g.seqNode, amoeba.Packet{Port: g.port, Kind: "grp-req",
+			Body: &reqMsg{Items: live}, Size: frameSize(n, payload)})
 	case ForceBB:
-		g.stats.BBSends++
-		// The sender keeps the same record it broadcasts; it will not
-		// hear its own frame, and nobody mutates the record.
-		bb := &bbDataMsg{UID: st.uid, Src: g.m.ID(), SrcSeq: st.srcSeq, Kind: st.kind, Body: st.body, Size: st.size}
-		g.pendingBB[st.uid] = bb
-		g.cast(p, amoeba.Packet{
-			Port: g.port, Kind: "grp-bb-data",
-			Body: bb,
-			Size: st.size + hdrData,
-		})
+		// The sender will not hear its own frame: it stashes the data
+		// it broadcasts.
+		for i := range live {
+			g.pendingBB[live[i].UID] = &live[i]
+		}
+		g.cast(p, amoeba.Packet{Port: g.port, Kind: "grp-bb-data",
+			Body: &bbDataMsg{Items: live}, Size: frameSize(n, payload)})
 	}
 }
 
@@ -900,7 +926,7 @@ func (g *Member) armSenderTimer(st *sendState) {
 				g.armSenderTimer(st)
 				return
 			}
-			g.m.Env().Tracef("node%d: sequencer %d suspected dead (uid %d)", g.m.ID(), g.seqNode, st.uid)
+			g.m.Env().Tracef("node%d: sequencer %d suspected dead (uid %d)", g.m.ID(), g.seqNode, st.items[0].UID)
 			g.suspectSequencer(p)
 			// Re-arm: the message is still outstanding and will be
 			// retransmitted to the new sequencer once elected.

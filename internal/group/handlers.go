@@ -10,28 +10,18 @@ import (
 // interrupt/protocol CPU costs have been charged.
 func (g *Member) handle(p *sim.Proc, from int, pkt amoeba.Packet) {
 	switch b := pkt.Body.(type) {
-	case reqMsg:
+	case *reqMsg:
 		g.onRequest(p, b)
-	case *reqBatchMsg:
-		g.onReqBatch(p, b)
-	case *dataMsg:
-		// Sequenced data travels by pointer: every receiver (and the
-		// sequencer's own history) shares one record, which is never
-		// mutated after sequencing.
-		g.processData(p, b)
-	case dataMsg:
-		// Retransmissions are restamped copies and travel by value.
-		g.processData(p, &b)
-	case *dataBatchMsg:
-		g.onDataBatch(p, b)
+	case *dataFrame:
+		// Every receiver (and the sequencer's own history) shares the
+		// frame's records, which are never mutated after sequencing.
+		for i := range b.Recs {
+			g.processData(p, &b.Recs[i])
+		}
 	case *bbDataMsg:
 		g.onBBData(p, b)
-	case *bbBatchMsg:
-		g.onBBBatch(p, b)
-	case acceptMsg:
+	case *acceptMsg:
 		g.onAccept(p, b)
-	case *acceptBatchMsg:
-		g.onAcceptBatch(p, b)
 	case retxReq:
 		g.onRetxReq(p, b)
 	case statusMsg:
@@ -88,93 +78,94 @@ func (g *Member) onHeartbeat(h hbMsg) {
 	}
 }
 
-// onRequest handles PB's RequestForBroadcast at the sequencer.
-func (g *Member) onRequest(p *sim.Proc, r reqMsg) {
+// reframe wraps a copy of one sequenced record as a one-op frame
+// stamped with epoch, for retransmission.
+func reframe(d *dataMsg, epoch int) *dataFrame {
+	f := newFrame(1)
+	f.Recs[0] = *d
+	f.Recs[0].Epoch = epoch
+	return f
+}
+
+// retransmit unicasts one sequenced record to a member that asked for
+// it, restamped with the current epoch: history may hold messages
+// sequenced under a previous view that are still part of the
+// (unchanged) prefix this view vouches for.
+func (g *Member) retransmit(p *sim.Proc, to int, d *dataMsg) {
+	g.m.Send(p, to, amoeba.Packet{Port: g.port, Kind: "grp-retx", Body: reframe(d, g.epoch), Size: frameSize(1, d.Size)})
+}
+
+// onRequest handles PB's RequestForBroadcast at the sequencer: each op
+// dedups individually and joins the pack buffer.
+func (g *Member) onRequest(p *sim.Proc, r *reqMsg) {
 	if !g.isSeq || !g.installed {
 		return // stale or uninstalled view; the sender will retry
 	}
-	if seq, dup := g.seenSeq(r.Src, r.SrcSeq); dup {
+	for _, it := range r.Items {
+		seq, dup := g.seenSeq(it.Src, it.SrcSeq)
+		if !dup {
+			g.enqueue(p, &g.pack, it)
+			continue
+		}
 		// Retransmitted request: rebroadcast the sequenced message so
 		// the sender (and anyone else who missed it) sees it. Under
 		// consensus only chosen slots may travel as direct data — an
 		// uncommitted slot is covered by the re-propose timer.
 		if d := g.history.get(seq); d != nil && (g.cfg.Protocol != Consensus || seq <= g.committed) {
-			g.cast(p, amoeba.Packet{Port: g.port, Kind: "grp-data", Body: d, Size: d.Size + hdrData})
+			g.cast(p, amoeba.Packet{Port: g.port, Kind: "grp-data", Body: reframe(d, d.Epoch), Size: frameSize(1, d.Size)})
 		}
-		return
 	}
-	if g.cfg.Batch.Enabled() {
-		g.enqueuePack(p, batchItem{UID: r.UID, Src: r.Src, SrcSeq: r.SrcSeq, Kind: r.Kind, Body: r.Body, Size: r.Size})
-		return
-	}
-	d := &dataMsg{Seq: g.nextSeqNum(), UID: r.UID, Src: r.Src, SrcSeq: r.SrcSeq, Kind: r.Kind, Body: r.Body, Size: r.Size, Epoch: g.epoch}
-	g.recordHistory(d)
-	if g.cfg.Protocol == Consensus {
-		g.propose(p, []*dataMsg{d})
-		return
-	}
-	g.cast(p, amoeba.Packet{Port: g.port, Kind: "grp-data", Body: d, Size: d.Size + hdrData})
-	g.processData(p, d)
 }
 
-// onBBData handles BB's data broadcast at every member.
+// onBBData handles BB's data broadcast at every member, op by op.
 func (g *Member) onBBData(p *sim.Proc, b *bbDataMsg) {
-	if g.isSeq && g.installed {
-		if seq, dup := g.seenSeq(b.Src, b.SrcSeq); dup {
+	for i := range b.Items {
+		it := &b.Items[i]
+		switch {
+		case g.isSeq && g.installed:
+			seq, dup := g.seenSeq(it.Src, it.SrcSeq)
+			if !dup {
+				g.enqueue(p, &g.acc, *it)
+				continue
+			}
 			// Retransmission: the accept may have been lost. Recover
 			// the frame-boundary flag from the sequenced record so the
 			// receiver reconstructs the boundary every replica saw.
-			more := false
+			a := &acceptMsg{Seq: seq, Epoch: g.epoch}
 			if d := g.history.get(seq); d != nil {
-				more = d.More
+				a.More = d.More
 			}
-			g.cast(p, amoeba.Packet{Port: g.port, Kind: "grp-accept",
-				Body: acceptMsg{Seq: seq, UID: b.UID, Epoch: g.epoch, More: more}, Size: hdrAccept})
-			return
+			a.UIDs = append(a.one[:0], it.UID)
+			g.castAccept(p, a)
+		case g.isSeq:
+			// Not installed yet: stash the data; the sender will retry.
+			g.pendingBB[it.UID] = it
+		default:
+			if seq, more, accepted := g.acceptedUID(it.UID); accepted {
+				// Accept arrived before the data: complete it now.
+				g.processData(p, &dataMsg{item: *it, Seq: seq, Epoch: g.epoch, More: more})
+				continue
+			}
+			g.pendingBB[it.UID] = it
 		}
-		if g.cfg.Batch.Enabled() {
-			g.enqueueAccept(p, batchItem{UID: b.UID, Src: b.Src, SrcSeq: b.SrcSeq, Kind: b.Kind, Body: b.Body, Size: b.Size})
-			return
-		}
-		d := &dataMsg{Seq: g.nextSeqNum(), UID: b.UID, Src: b.Src, SrcSeq: b.SrcSeq, Kind: b.Kind, Body: b.Body, Size: b.Size, Epoch: g.epoch}
-		g.recordHistory(d)
-		g.cast(p, amoeba.Packet{Port: g.port, Kind: "grp-accept",
-			Body: acceptMsg{Seq: d.Seq, UID: b.UID, Epoch: g.epoch}, Size: hdrAccept})
-		g.processData(p, d)
-		return
 	}
-	if g.isSeq {
-		// Not installed yet: stash the data; the sender will retry.
-		g.pendingBB[b.UID] = b
-		return
-	}
-	if acc, accepted := g.acceptedUID(b.UID); accepted {
-		// Accept arrived before the data: complete it now.
-		g.processData(p, &dataMsg{Seq: acc.seq, UID: b.UID, Src: b.Src, SrcSeq: b.SrcSeq, Kind: b.Kind, Body: b.Body, Size: b.Size, Epoch: g.epoch, More: acc.more})
-		return
-	}
-	g.pendingBB[b.UID] = b
 }
 
-// acceptedRec is an accept matched back to its data by uid.
-type acceptedRec struct {
-	seq  int64
-	more bool
-}
-
-// acceptedUID reports whether an accept for uid is waiting for data.
-func (g *Member) acceptedUID(uid int64) (acceptedRec, bool) {
+// acceptedUID reports whether an accept for uid is waiting for data,
+// and takes it.
+func (g *Member) acceptedUID(uid int64) (seq int64, more, ok bool) {
 	for seq, a := range g.acceptedBB {
 		if a.uid == uid {
 			delete(g.acceptedBB, seq)
-			return acceptedRec{seq: seq, more: a.more}, true
+			return seq, a.more, true
 		}
 	}
-	return acceptedRec{}, false
+	return 0, false, false
 }
 
-// onAccept handles BB's Accept at a non-sequencer member.
-func (g *Member) onAccept(p *sim.Proc, a acceptMsg) {
+// onAccept handles BB's Accept at a non-sequencer member: UIDs[i] is
+// sequenced at Seq+i.
+func (g *Member) onAccept(p *sim.Proc, a *acceptMsg) {
 	if a.Epoch < g.epoch {
 		return // stale sequencer's stream
 	}
@@ -182,67 +173,57 @@ func (g *Member) onAccept(p *sim.Proc, a acceptMsg) {
 		g.epoch = a.Epoch // adopt the newer view's stream
 		g.electing = false
 	}
-	if a.Seq < g.nextSeq {
-		delete(g.pendingBB, a.UID) // late duplicate; GC the stashed data
-		return
+	for i, uid := range a.UIDs {
+		seq := a.Seq + int64(i)
+		more := a.More || i < len(a.UIDs)-1
+		if seq < g.nextSeq {
+			delete(g.pendingBB, uid) // late duplicate; GC the stashed data
+			continue
+		}
+		if bb, ok := g.pendingBB[uid]; ok {
+			delete(g.pendingBB, uid)
+			g.processData(p, &dataMsg{item: *bb, Seq: seq, Epoch: g.epoch, More: more})
+			continue
+		}
+		// Data frame lost: remember the accept and fetch the payload
+		// from the sequencer's history via the gap machinery.
+		g.acceptedBB[seq] = bbAccept{uid: uid, more: more}
+		if seq > g.maxSeen {
+			g.maxSeen = seq
+		}
+		g.armGapTimer()
 	}
-	if bb, ok := g.pendingBB[a.UID]; ok {
-		delete(g.pendingBB, a.UID)
-		g.processData(p, &dataMsg{Seq: a.Seq, UID: a.UID, Src: bb.Src, SrcSeq: bb.SrcSeq, Kind: bb.Kind, Body: bb.Body, Size: bb.Size, Epoch: g.epoch, More: a.More})
-		return
-	}
-	// Data frame lost: remember the accept and fetch the payload from
-	// the sequencer's history via the gap machinery.
-	g.acceptedBB[a.Seq] = bbAccept{uid: a.UID, more: a.More}
-	if a.Seq > g.maxSeen {
-		g.maxSeen = a.Seq
-	}
-	g.armGapTimer()
 }
 
 // onRetxReq serves retransmissions out of the sequencer history.
 func (g *Member) onRetxReq(p *sim.Proc, r retxReq) {
 	g.noteStatus(r.Node, r.Delivered)
-	if !g.isSeq {
-		if g.cfg.Protocol == Consensus {
-			// Chosen slots are quorum-backed and immutable, so any
-			// member that delivered them can serve them from its cache:
-			// after a leader death the committed log must not depend on
-			// one machine being up and installed.
-			to := r.To
-			if to > g.committed {
-				to = g.committed
-			}
-			if len(g.cache) == 0 {
-				return
-			}
-			for s := r.From; s <= to; s++ {
-				if c := g.cache[int(s)%len(g.cache)]; c != nil && c.Seq == s {
-					rd := *c
-					rd.Epoch = g.epoch
-					g.m.Send(p, r.Node, amoeba.Packet{Port: g.port, Kind: "grp-retx", Body: rd, Size: rd.Size + hdrData})
-				}
-			}
-		}
-		return
-	}
 	to := r.To
-	if to > g.maxSeen {
-		to = g.maxSeen
-	}
 	if g.cfg.Protocol == Consensus && to > g.committed {
 		// Unchosen slots must never travel as direct data: a member
 		// would deliver them without quorum backing.
 		to = g.committed
 	}
+	if !g.isSeq {
+		if g.cfg.Protocol == Consensus && len(g.cache) > 0 {
+			// Chosen slots are quorum-backed and immutable, so any
+			// member that delivered them can serve them from its cache:
+			// after a leader death the committed log must not depend on
+			// one machine being up and installed.
+			for s := r.From; s <= to; s++ {
+				if c := g.cache[int(s)%len(g.cache)]; c != nil && c.Seq == s {
+					g.retransmit(p, r.Node, c)
+				}
+			}
+		}
+		return
+	}
+	if to > g.maxSeen {
+		to = g.maxSeen
+	}
 	for s := r.From; s <= to; s++ {
 		if d := g.history.get(s); d != nil {
-			// Restamp with the current epoch: history may hold
-			// messages sequenced under a previous view that are still
-			// part of the (unchanged) prefix this view vouches for.
-			rd := *d
-			rd.Epoch = g.epoch
-			g.m.Send(p, r.Node, amoeba.Packet{Port: g.port, Kind: "grp-retx", Body: rd, Size: d.Size + hdrData})
+			g.retransmit(p, r.Node, d)
 		}
 	}
 }
@@ -315,11 +296,12 @@ func (g *Member) deliver(p *sim.Proc, d *dataMsg) {
 		return
 	}
 	if g.dupDelivery(d.Src, d.SrcSeq) {
-		// Re-sequenced duplicate after an election. Under batching the
-		// consumer still needs the frame boundary this sequence slot
-		// occupies (a frame whose tail is a suppressed duplicate would
-		// otherwise never close its per-frame sweep), so a Dup-marked
-		// record travels in its place; the payload is never re-applied.
+		// Re-sequenced duplicate after an election. When frames carry
+		// several ops the consumer still needs the frame boundary this
+		// sequence slot occupies (a frame whose tail is a suppressed
+		// duplicate would otherwise never close its per-frame sweep), so
+		// a Dup-marked record travels in its place; the payload is never
+		// re-applied. A one-op frame has no boundary to keep.
 		if g.cfg.Batch.Enabled() {
 			g.outQ.Put(Delivery{Seq: d.Seq, UID: d.UID, Src: d.Src, Kind: d.Kind, Size: d.Size, More: d.More, Dup: true})
 		}

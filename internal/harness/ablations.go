@@ -30,6 +30,7 @@ func PartReplExperiment(w io.Writer, scale Scale) {
 		repl := tsp.RunOrca(orca.Config{Processors: p, RTS: orca.Broadcast, Seed: 1}, inst, tsp.Params{})
 		single := tsp.RunOrca(orca.Config{Processors: p, RTS: orca.Broadcast, Seed: 1}, inst,
 			tsp.Params{SingleCopyQueue: true})
+		// grp-data is the sequenced data frame, whatever its capacity.
 		rows = append(rows, []string{
 			fmt.Sprint(p),
 			fmtTime(repl.Report.Elapsed), fmt.Sprint(repl.Report.Net.CountsByKind["grp-data"]),

@@ -119,10 +119,10 @@ type Config struct {
 	// runtime (or Mixed).
 	Protocol group.Protocol
 	// Batching, when non-nil, turns on the broadcast runtime's
-	// batching pipeline (frame packing in the group layer plus
-	// per-worker write combining in the RTS). Off by default: the
-	// unbatched code paths are untouched and bit-identical. Under
-	// Mixed, batching applies to the sequencer groups only.
+	// batching pipeline (group frames that carry several ops plus
+	// per-worker write combining in the RTS). Nil means one op per
+	// frame, the paper's protocol. Under Mixed, batching applies to the
+	// sequencer groups only.
 	Batching *Batching
 	// Sequencer picks the initial group sequencer for the broadcast
 	// runtime (default: processor 0). Fault experiments use it to put
