@@ -6,8 +6,8 @@ package repro
 // ready queue, the event pool, the direct park/resume handoff, and the
 // synchronization primitives — from the protocol stack above it, so a
 // kernel regression is visible before it smears across every
-// experiment. cmd/orca-bench -bench-json runs the same workloads and
-// records them in BENCH_engine.json.
+// experiment. These are for measuring while you work (go test -bench
+// Engine .); the numbers that gate a change are bench/'s sim.* rungs.
 
 import (
 	"testing"

@@ -4,13 +4,13 @@
 // Usage:
 //
 //	orca-bench [-exp all|fig2|fig3|chess|atpg|pbbb|rtscmp|dynrepl|micro|partrepl|intrcost|mixed|faults|scale|kv|consensus|shard|adapt] [-quick]
-//	orca-bench -bench-json [-bench-out BENCH_engine.json] [-quick]
 //
 // Each experiment prints the measured series next to a summary of what
-// the paper reports; EXPERIMENTS.md records a full run. The
-// -bench-json mode instead runs the engine benchmark suite (wall-clock
-// ns/op, events/sec, allocs/op, and the invariant virtual-time
-// metrics) and records it in BENCH_engine.json.
+// the paper reports. Every figure is virtual time or a count, so the
+// output is a pure function of the flags: internal/harness pins the
+// -exp all -quick run byte for byte (testdata/quick.golden), and
+// EXPERIMENTS.md quotes the full-size runs. Wall-clock cost is
+// measured elsewhere, by bash bench/run.sh.
 package main
 
 import (
@@ -23,61 +23,34 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment: all, fig2, fig3, chess, atpg, pbbb, rtscmp, dynrepl, micro, partrepl, intrcost, mixed, faults, scale, kv, consensus, shard, adapt")
-	quick := flag.Bool("quick", false, "run reduced sweeps on smaller inputs")
-	benchJSON := flag.Bool("bench-json", false, "run the engine benchmark suite and write a JSON report")
-	benchOut := flag.String("bench-out", "BENCH_engine.json", "output path for -bench-json")
-	flag.Parse()
-
-	if *benchJSON {
-		if err := runBenchJSON(*benchOut, *quick); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
+	var have []string
+	for _, e := range harness.Experiments {
+		have = append(have, e.Name)
 	}
+	exp := flag.String("exp", "all", "experiment: all, "+strings.Join(have, ", "))
+	quick := flag.Bool("quick", false, "run reduced sweeps on smaller inputs")
+	flag.Parse()
 
 	scale := harness.Full
 	if *quick {
 		scale = harness.Quick
 	}
 	w := os.Stdout
-	run := map[string]func(){
-		"fig2":      func() { harness.Fig2TSP(w, scale) },
-		"fig3":      func() { harness.Fig3ACP(w, scale) },
-		"chess":     func() { harness.ChessExperiment(w, scale) },
-		"atpg":      func() { harness.ATPGExperiment(w, scale) },
-		"pbbb":      func() { harness.PBBBExperiment(w, scale) },
-		"rtscmp":    func() { harness.RTSCompareExperiment(w, scale) },
-		"dynrepl":   func() { harness.DynReplExperiment(w, scale) },
-		"micro":     func() { harness.MicroExperiment(w, scale) },
-		"partrepl":  func() { harness.PartReplExperiment(w, scale) },
-		"intrcost":  func() { harness.InterruptCostExperiment(w, scale) },
-		"mixed":     func() { harness.MixedPlacementExperiment(w, scale) },
-		"faults":    func() { harness.FaultsExperiment(w, scale) },
-		"scale":     func() { harness.ScaleExperiment(w, scale) },
-		"kv":        func() { harness.KVExperiment(w, scale) },
-		"consensus": func() { harness.ProtocolBakeoff(w, scale) },
-		"shard":     func() { harness.ShardExperiment(w, scale) },
-		"adapt":     func() { harness.AdaptExperiment(w, scale) },
-	}
-	order := []string{"pbbb", "micro", "rtscmp", "dynrepl", "fig2", "fig3", "chess", "atpg", "partrepl", "intrcost", "mixed", "faults", "scale", "kv", "consensus", "shard", "adapt"}
-	names := strings.Split(*exp, ",")
-	for _, name := range names {
+next:
+	for _, name := range strings.Split(*exp, ",") {
 		name = strings.TrimSpace(name)
 		if name == "all" {
-			for _, n := range order {
-				run[n]()
-				fmt.Fprintln(w)
-			}
+			harness.RunAll(w, scale)
 			continue
 		}
-		fn, ok := run[name]
-		if !ok {
-			fmt.Fprintf(os.Stderr, "unknown experiment %q; have %s\n", name, strings.Join(order, ", "))
-			os.Exit(2)
+		for _, e := range harness.Experiments {
+			if e.Name == name {
+				e.Run(w, scale)
+				fmt.Fprintln(w)
+				continue next
+			}
 		}
-		fn()
-		fmt.Fprintln(w)
+		fmt.Fprintf(os.Stderr, "unknown experiment %q; have %s\n", name, strings.Join(have, ", "))
+		os.Exit(2)
 	}
 }

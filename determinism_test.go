@@ -89,12 +89,17 @@ func fingerprint(rep orca.Report, rt *orca.Runtime) string {
 // counters omitted). Per-CPU busy times are left out — these runs go
 // up to 128 machines.
 func trackedFingerprint(rep orca.Report) string {
-	st, err := json.Marshal(rep.RTS)
+	return fmt.Sprintf("virtual_s=%v frames=%d msgs=%d wire=%d rts=%s",
+		rep.Elapsed.Seconds(), rep.Net.Frames, rep.Net.Messages, rep.Net.WireBytes, countersJSON(rep.RTS))
+}
+
+// countersJSON renders the non-zero runtime counters.
+func countersJSON(st rts.RTSStats) []byte {
+	b, err := json.Marshal(st)
 	if err != nil {
 		panic(err)
 	}
-	return fmt.Sprintf("virtual_s=%v frames=%d msgs=%d wire=%d rts=%s",
-		rep.Elapsed.Seconds(), rep.Net.Frames, rep.Net.Messages, rep.Net.WireBytes, st)
+	return b
 }
 
 // trackedTSP runs the 12-city instance of the tracked TSP entries.
@@ -138,11 +143,7 @@ func trackedOrcaOp(n int64, batching *orca.Batching, op func(p *orca.Proc, c std
 		}
 		per = (p.Now() - start) / sim.Time(n)
 	})
-	st, err := json.Marshal(rt.Stats())
-	if err != nil {
-		panic(err)
-	}
-	return fmt.Sprintf("virtual_us_per_op=%v rts=%s", per.Microseconds(), st)
+	return fmt.Sprintf("virtual_us_per_op=%v rts=%s", per.Microseconds(), countersJSON(rt.Stats()))
 }
 
 // apps is the cross-app determinism matrix: each entry up to

@@ -137,15 +137,6 @@ type (
 		Commit int64
 		Slots  []promSlot
 	}
-	// joinReadMsg / joinInfoMsg implement the AllowJoin majority
-	// read: a late joiner adopts the highest commit watermark a
-	// quorum reports.
-	joinReadMsg struct{ Node int }
-	joinInfoMsg struct {
-		Node   int
-		Commit int64
-		Leader int
-	}
 )
 
 // knownBal returns the ballot a prepare's Known summary claims for a
@@ -907,90 +898,4 @@ func (g *Member) finalizeTakeover(p *sim.Proc) {
 	g.tryCommit(p)
 	g.armPropTimer()
 	g.kickOutstanding(p)
-}
-
-// ---------------------------------------------------------------------
-// Late join (Config.AllowJoin).
-
-// JoinLate attaches a member to a group that may already be running:
-// it binds like Join but bootstraps its position in the log with a
-// majority read of the commit watermark, then catches up through the
-// ordinary gap machinery. Requires the consensus protocol (the read
-// needs a quorum-replicated log) and AllowJoin; the joiner must not
-// be the configured sequencer.
-func JoinLate(m *amoeba.Machine, cfg Config) *Member {
-	if cfg.Protocol != Consensus || !cfg.AllowJoin {
-		panic("group: JoinLate requires Protocol == Consensus and AllowJoin")
-	}
-	g := Join(m, cfg)
-	if g.isSeq {
-		panic("group: a late joiner cannot be the configured sequencer")
-	}
-	g.joinInfo = make(map[int]joinInfoMsg)
-	g.armJoinRead()
-	return g
-}
-
-// armJoinRead polls the membership for the commit watermark until a
-// quorum has answered.
-func (g *Member) armJoinRead() {
-	g.joinTimer = g.m.After(g.cfg.GapTimeout, func(p *sim.Proc) {
-		g.joinTimer = nil
-		if g.joined {
-			return
-		}
-		g.stats.GapRequests++
-		g.cast(p, amoeba.Packet{Port: g.port, Kind: "grp-jread",
-			Body: joinReadMsg{Node: g.m.ID()}, Size: hdrSmall})
-		g.armJoinRead()
-	})
-}
-
-// onJoinRead answers a joiner's watermark read.
-func (g *Member) onJoinRead(p *sim.Proc, from int, m joinReadMsg) {
-	if g.cfg.Protocol != Consensus {
-		return
-	}
-	g.m.Send(p, from, amoeba.Packet{Port: g.port, Kind: "grp-jinfo",
-		Body: joinInfoMsg{Node: g.m.ID(), Commit: g.committed, Leader: g.seqNode}, Size: hdrSmall})
-}
-
-// onJoinInfo collects watermark replies at the joiner; a majority
-// seals the read (the true watermark is at most the maximum reported,
-// and everything below it is fetchable from history).
-func (g *Member) onJoinInfo(m joinInfoMsg) {
-	if g.joinInfo == nil || g.joined {
-		return
-	}
-	g.joinInfo[m.Node] = m
-	if len(g.joinInfo) < g.quorum() {
-		return
-	}
-	best := joinInfoMsg{Node: -1}
-	for _, id := range g.cfg.Members {
-		r, ok := g.joinInfo[id]
-		if !ok {
-			continue
-		}
-		if best.Node == -1 || r.Commit > best.Commit {
-			best = r
-		}
-	}
-	g.joined = true
-	g.joinInfo = nil
-	if g.joinTimer != nil {
-		g.joinTimer.Cancel()
-		g.joinTimer = nil
-	}
-	g.seqNode = best.Leader
-	if best.Commit > g.committed {
-		g.committed = best.Commit
-	}
-	if g.committed > g.maxSeen {
-		g.maxSeen = g.committed
-	}
-	g.m.Env().Tracef("node%d: joined at commit %d (leader %d)", g.m.ID(), g.committed, g.seqNode)
-	if g.nextSeq <= g.maxSeen {
-		g.armGapTimer()
-	}
 }

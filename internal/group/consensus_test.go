@@ -231,63 +231,6 @@ func TestPartitionOverlappingCrash(t *testing.T) {
 	}
 }
 
-// TestConsensusLateJoin: with AllowJoin, a member configured in the
-// group but started late bootstraps its log position with a majority
-// read and catches up to the full stream.
-func TestConsensusLateJoin(t *testing.T) {
-	env := sim.New(91)
-	nw := netsim.New(env, 4, netsim.DefaultParams())
-	cfg := DefaultConfig([]int{0, 1, 2, 3})
-	consensusCfg(&cfg)
-	cfg.AllowJoin = true
-	ms := make([]*amoeba.Machine, 4)
-	gs := make([]*Member, 4)
-	logs := make([][]Delivery, 4)
-	consume := func(i int) {
-		ms[i].SpawnThread("consumer", func(p *sim.Proc) {
-			for {
-				d, ok := gs[i].Deliveries().Get(p)
-				if !ok {
-					return
-				}
-				logs[i] = append(logs[i], d)
-			}
-		})
-	}
-	for i := 0; i < 3; i++ {
-		ms[i] = amoeba.NewMachine(env, nw, i, amoeba.DefaultCosts())
-		gs[i] = Join(ms[i], cfg)
-		consume(i)
-	}
-	ms[1].SpawnThread("producer", func(p *sim.Proc) {
-		for k := 0; k < 30; k++ {
-			gs[1].Broadcast(p, "m", k, 64)
-			p.Sleep(5 * sim.Millisecond)
-		}
-	})
-	env.At(80*sim.Millisecond, func() {
-		ms[3] = amoeba.NewMachine(env, nw, 3, amoeba.DefaultCosts())
-		gs[3] = JoinLate(ms[3], cfg)
-		consume(3)
-	})
-	env.RunUntil(30 * sim.Second)
-	if len(logs[0]) != 30 {
-		t.Fatalf("node 0 delivered %d, want 30", len(logs[0]))
-	}
-	// The joiner adopts the whole log: history is retained for it
-	// until its first status report, so it replays from slot 1.
-	if len(logs[3]) != 30 {
-		t.Fatalf("late joiner delivered %d, want 30", len(logs[3]))
-	}
-	for k := range logs[0] {
-		if logs[3][k].UID != logs[0][k].UID {
-			t.Fatalf("joiner diverges at %d", k)
-		}
-	}
-	env.Stop()
-	env.Shutdown()
-}
-
 // TestConfigValidate: invalid configurations fail fast, before any
 // machine state exists.
 func TestConfigValidate(t *testing.T) {
@@ -308,8 +251,6 @@ func TestConfigValidate(t *testing.T) {
 			"ForceBB is incompatible"},
 		{"consensus-no-timeout", func(c *Config) { c.Protocol = Consensus; c.ProposeTimeout = 0 },
 			"positive ProposeTimeout"},
-		{"join-without-consensus", func(c *Config) { c.AllowJoin = true },
-			"AllowJoin requires"},
 		{"negative-batch", func(c *Config) { c.Batch = BatchConfig{MaxOps: -1} }, "batch"},
 		{"batch-no-linger", func(c *Config) { c.Batch = BatchConfig{MaxOps: 4, MaxBytes: 1 << 20} },
 			"positive Linger"},

@@ -35,8 +35,7 @@
 // election with a replicated log: the leader proposes each frame's
 // slots, a majority accepts them before anyone delivers, and a
 // successor takes a crashed leader's log over in one re-proposal round
-// instead of an election window. Config.AllowJoin lets a member join a
-// running consensus group through a majority read.
+// instead of an election window.
 //
 // Shards: several groups can share the same machines, each bound to
 // its own kernel port with its own sequencer, history and membership

@@ -390,5 +390,11 @@ func (g *Member) kickOutstanding(p *sim.Proc) {
 		}
 		g.stats.Retransmits++
 		g.transmit(p, st)
+		if st.timer == nil {
+			// A send split off above: it needs its own retransmission
+			// timer, or a lost grp-req strands the op. Armed here, in
+			// uid order, not in the map-order split loop.
+			g.armSenderTimer(st)
+		}
 	}
 }

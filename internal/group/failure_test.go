@@ -2,6 +2,7 @@ package group
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/netsim"
@@ -254,6 +255,76 @@ func TestReplacedSendStandsDown(t *testing.T) {
 	repl := g.newSend(old.items, ForcePB)
 	if old.live(g) || !repl.live(g) {
 		t.Fatalf("after replacement: old live = %t, replacement live = %t", old.live(g), repl.live(g))
+	}
+	h.env.Stop()
+	h.env.Shutdown()
+}
+
+// TestSplitSendSurvivesLostRekick: a view change splits every multi-op
+// send into one-op sends and transmits each once to the new sequencer.
+// If that one grp-req is lost the split send must still be
+// retransmitted like any other — without a sender timer the op is never
+// resubmitted and its invoker blocks forever.
+//
+// Every send here is a 3-op frame (capacity 4, bursts of three inside
+// the linger), so every send outstanding at the view change is split.
+// The test drops exactly one frame: the first one node 3 sends to the
+// new sequencer after all three survivors have acknowledged its view.
+func TestSplitSendSurvivesLostRekick(t *testing.T) {
+	h := newHarness(53, 5, nil, func(c *Config) {
+		c.SenderTimeout = 40 * sim.Millisecond
+		c.SenderRetries = 2
+		c.ElectionWait = 60 * sim.Millisecond
+		c.Heartbeat = 80 * sim.Millisecond
+		c.Batch = BatchConfig{MaxOps: 4, MaxBytes: 1 << 20, Linger: sim.Millisecond}
+	})
+	var dropped []string
+	h.env.Trace = func(_ sim.Time, format string, args ...any) {
+		if s := fmt.Sprintf(format, args...); strings.HasPrefix(s, "net: fault loss") {
+			dropped = append(dropped, s)
+		}
+	}
+	// The plan is consulted on every delivery, so the watcher below can
+	// open and close a loss window while the run is under way.
+	const crashAt = 30 * sim.Millisecond
+	plan := &netsim.FaultPlan{Crashes: []netsim.Crash{{Node: 0, At: crashAt}}}
+	h.net.InstallFaults(plan, func(node int) { h.ms[node].Crash() })
+	var watch func()
+	watch = func() {
+		st := h.net.Stats()
+		switch {
+		case st.FaultDrops > 0:
+			plan.Losses = nil
+			return
+		case plan.Losses == nil && st.CountsByKind["grp-coord-ack"] == 3:
+			// Node 1 won (equal histories, lowest id). The acks are on
+			// the wire; what node 3 sends it next is a re-kicked op.
+			plan.Losses = []netsim.LossWindow{{Src: 3, Dst: 1, From: h.env.Now(), Until: 120 * sim.Second, Prob: 1}}
+		}
+		h.env.At(h.env.Now()+10*sim.Microsecond, watch)
+	}
+	h.env.At(crashAt, watch)
+
+	sent := 0
+	for i := 1; i < 5; i++ {
+		i := i
+		h.ms[i].SpawnThread("producer", func(p *sim.Proc) {
+			for k := 0; k < 39; k++ {
+				h.gs[i].Broadcast(p, "m", fmt.Sprintf("%d-%d", i, k), 80)
+				sent++
+				if k%3 == 2 {
+					p.Sleep(5 * sim.Millisecond)
+				}
+			}
+		})
+	}
+	h.env.RunUntil(120 * sim.Second)
+	if len(dropped) != 1 || dropped[0] != "net: fault loss grp-req 3->1" {
+		t.Fatalf("the test must drop exactly one re-kicked grp-req from node 3, dropped %q", dropped)
+	}
+	h.checkAgreement(t, -1, map[int]bool{0: true})
+	if got := len(h.uidLogs[1]); got != sent {
+		t.Fatalf("delivered %d messages, want all %d survivor sends", got, sent)
 	}
 	h.env.Stop()
 	h.env.Shutdown()

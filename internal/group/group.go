@@ -104,10 +104,6 @@ type Config struct {
 	// slots a quorum has not yet accepted, and the unit of the
 	// deterministic takeover backoff ladder.
 	ProposeTimeout sim.Time
-	// AllowJoin permits JoinLate members (consensus only): a late
-	// joiner adopts the commit watermark via a majority read and
-	// catches up through ordinary gap recovery.
-	AllowJoin bool
 	// Batch is the frame capacity; the zero value is one op per frame.
 	Batch BatchConfig
 	// SenderTimeout is how long a sender waits for its broadcast to be
@@ -198,9 +194,6 @@ func (c Config) Validate() error {
 	}
 	if c.Protocol == Consensus && c.ProposeTimeout <= 0 {
 		return errors.New("group: the consensus protocol requires a positive ProposeTimeout")
-	}
-	if c.AllowJoin && c.Protocol != Consensus {
-		return errors.New("group: AllowJoin requires the consensus protocol (a majority read needs a quorum-replicated log)")
 	}
 	if c.Batch.MaxOps < 0 || c.Batch.MaxBytes < 0 || c.Batch.Linger < 0 {
 		return errors.New("group: negative batch parameter")
@@ -551,10 +544,7 @@ type Member struct {
 	// large group that drain outlasts the sender retry budget — an
 	// unsequenced op while deliveries are streaming means the op is
 	// queued behind the backlog, not that the sequencer died.
-	seqAlive  sim.Time
-	joinTimer *sim.Event // JoinLate quorum-read retry
-	joinInfo  map[int]joinInfoMsg
-	joined    bool
+	seqAlive sim.Time
 
 	// Ack/commit-announce throttles (leading edge + refractory
 	// window): the first event sends immediately, later ones inside

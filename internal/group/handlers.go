@@ -48,10 +48,6 @@ func (g *Member) handle(p *sim.Proc, from int, pkt amoeba.Packet) {
 		g.onPrep(p, from, b)
 	case *promMsg:
 		g.onProm(p, b)
-	case joinReadMsg:
-		g.onJoinRead(p, from, b)
-	case joinInfoMsg:
-		g.onJoinInfo(b)
 	}
 }
 

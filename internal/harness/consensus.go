@@ -67,13 +67,12 @@ func ProtocolBakeoff(w io.Writer, scale Scale) {
 		elections   int64
 		takeovers   int64
 		reproposals int64
-		fp          string
 	}
 
 	// One group-level run: nodes 1..P-1 each broadcast perNode ops,
 	// the sequencer (node 0) crashes at crashAt, and the run ends when
 	// every survivor holds the full agreed stream.
-	run := func(n int, v variant) res {
+	run := func(n int, v variant) (res, string) {
 		// Failure-detection timeouts scale with P (every variant gets the
 		// same factor, so the comparison stays fair at each P). A bigger
 		// group means more ack traffic, bigger elections, and a bigger
@@ -156,10 +155,9 @@ func ProtocolBakeoff(w io.Writer, scale Scale) {
 		}
 		out.framesPerOp = float64(c.net.Stats().Frames) / float64(total)
 		out.recovery = firstPost - crashAt
-		out.fp = fmt.Sprintf("uids=%v recovery=%d", uids, int64(out.recovery))
 		c.env.Stop()
 		c.env.Shutdown()
-		return out
+		return out, fmt.Sprintf("uids=%v recovery=%d", uids, int64(out.recovery))
 	}
 
 	fmt.Fprintf(w, "== CONSENSUS: sequencing-protocol bakeoff, sequencer crash at %v ==\n", crashAt)
@@ -169,11 +167,7 @@ func ProtocolBakeoff(w io.Writer, scale Scale) {
 	recoveries := map[string]sim.Time{}
 	for _, n := range ps {
 		for _, v := range variants {
-			a := run(n, v)
-			if b := run(n, v); a.fp != b.fp {
-				panic(fmt.Sprintf("harness: bakeoff %s P=%d not deterministic:\n  %s\n  %s",
-					v.name, n, a.fp, b.fp))
-			}
+			a := twice(fmt.Sprintf("bakeoff %s P=%d", v.name, n), func() (res, string) { return run(n, v) })
 			if n == ps[0] {
 				recoveries[v.name] = a.recovery
 			}
@@ -207,21 +201,11 @@ func ProtocolBakeoff(w io.Writer, scale Scale) {
 		if crash > 0 {
 			cfg.Faults = &netsim.FaultPlan{Crashes: []netsim.Crash{{Node: crashNode, At: crash}}}
 		}
-		fp := ""
-		var r tsp.Result
-		for i := 0; i < 2; i++ {
-			r = tsp.RunOrca(cfg, inst, tsp.Params{FaultTolerant: true})
-			if r.Report.TimedOut {
-				panic(fmt.Sprintf("harness: bakeoff %s timed out (blocked: %v)", name, r.Report.Blocked))
-			}
-			got := fmt.Sprintf("best=%d elapsed=%d msgs=%d", r.Best, int64(r.Report.Elapsed), r.Report.Net.Messages)
-			if fp == "" {
-				fp = got
-			} else if fp != got {
-				panic(fmt.Sprintf("harness: bakeoff %s not deterministic:\n  %s\n  %s", name, fp, got))
-			}
-		}
-		return r
+		return twice("bakeoff "+name, func() (tsp.Result, string) {
+			r := tsp.RunOrca(cfg, inst, tsp.Params{FaultTolerant: true})
+			mustFinish("bakeoff "+name, r.Report)
+			return r, tspFingerprint(r)
+		})
 	}
 	tspBase := runTSP("tsp/consensus", group.Consensus, 0)
 	tspCons := runTSP("tsp/consensus-crash", group.Consensus, tspBase.Report.Elapsed/2)
@@ -243,9 +227,7 @@ func ProtocolBakeoff(w io.Writer, scale Scale) {
 		Protocol: group.Consensus, Sequencer: 2,
 		Faults: &netsim.FaultPlan{Crashes: []netsim.Crash{{Node: 2, At: abase.Report.Elapsed / 3}}}},
 		ainst, acp.Params{FaultTolerant: true})
-	if acrash.Report.TimedOut {
-		panic("harness: bakeoff acp crash run timed out")
-	}
+	mustFinish("bakeoff acp/consensus-crash", acrash.Report)
 	for i := range abase.Domains {
 		if acrash.Domains[i] != abase.Domains[i] {
 			panic(fmt.Sprintf("harness: bakeoff acp fixpoint differs at variable %d", i))
@@ -261,9 +243,7 @@ func ProtocolBakeoff(w io.Writer, scale Scale) {
 		Protocol: group.Consensus, Sequencer: kvP - 1,
 		Faults: &netsim.FaultPlan{Crashes: []netsim.Crash{{Node: kvP - 1, At: 40 * sim.Millisecond}}}},
 		kv.Params{Policy: kv.PolicyReplicated, Workload: wl})
-	if kvr.Report.TimedOut {
-		panic("harness: bakeoff kv crash run timed out")
-	}
+	mustFinish("bakeoff kv/consensus-crash", kvr.Report)
 	if kvr.LostAcked > 0 {
 		panic(fmt.Sprintf("harness: bakeoff kv lost %d acknowledged writes under consensus", kvr.LostAcked))
 	}

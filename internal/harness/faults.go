@@ -60,20 +60,11 @@ func FaultsExperiment(w io.Writer, scale Scale) {
 		if crashAt > 0 {
 			cfg.Faults = &netsim.FaultPlan{Crashes: []netsim.Crash{{Node: crashNode, At: crashAt}}}
 		}
-		fp := ""
-		var r tsp.Result
-		for i := 0; i < 2; i++ {
-			r = tsp.RunOrca(cfg, inst, tsp.Params{FaultTolerant: true})
-			if r.Report.TimedOut {
-				panic(fmt.Sprintf("harness: faults %s run timed out (blocked: %v)", name, r.Report.Blocked))
-			}
-			got := fmt.Sprintf("best=%d elapsed=%d msgs=%d", r.Best, int64(r.Report.Elapsed), r.Report.Net.Messages)
-			if fp == "" {
-				fp = got
-			} else if fp != got {
-				panic(fmt.Sprintf("harness: faults %s not deterministic:\n  %s\n  %s", name, fp, got))
-			}
-		}
+		r := twice("faults "+name, func() (tsp.Result, string) {
+			r := tsp.RunOrca(cfg, inst, tsp.Params{FaultTolerant: true})
+			mustFinish("faults "+name, r.Report)
+			return r, tspFingerprint(r)
+		})
 		var elections int64
 		for i, gs := range r.Runtime.GroupStats() {
 			if i != crashNode || crashAt == 0 {
@@ -109,20 +100,11 @@ func FaultsExperiment(w io.Writer, scale Scale) {
 	acfg := orca.Config{Processors: 4, RTS: orca.Broadcast, Seed: 1}
 	abase := acp.RunOrca(acfg, ainst, acp.Params{FaultTolerant: true})
 	acfg.Faults = &netsim.FaultPlan{Crashes: []netsim.Crash{{Node: 2, At: abase.Report.Elapsed / 3}}}
-	fp := ""
-	var acrash acp.Result
-	for i := 0; i < 2; i++ {
-		acrash = acp.RunOrca(acfg, ainst, acp.Params{FaultTolerant: true})
-		if acrash.Report.TimedOut {
-			panic("harness: faults acp crash run timed out")
-		}
-		got := fmt.Sprintf("rev=%d elapsed=%d", acrash.Revisions, int64(acrash.Report.Elapsed))
-		if fp == "" {
-			fp = got
-		} else if fp != got {
-			panic("harness: faults acp run not deterministic")
-		}
-	}
+	acrash := twice("faults acp/participant-crash", func() (acp.Result, string) {
+		r := acp.RunOrca(acfg, ainst, acp.Params{FaultTolerant: true})
+		mustFinish("faults acp/participant-crash", r.Report)
+		return r, fmt.Sprintf("rev=%d elapsed=%d", r.Revisions, int64(r.Report.Elapsed))
+	})
 	for i := range abase.Domains {
 		if acrash.Domains[i] != abase.Domains[i] {
 			panic(fmt.Sprintf("harness: acp crash run fixpoint differs at variable %d", i))

@@ -5,8 +5,70 @@ import (
 	"io"
 	"strings"
 
+	"repro/internal/apps/tsp"
+	"repro/internal/orca"
 	"repro/internal/sim"
 )
+
+// Experiment is one named table or figure of the evaluation.
+type Experiment struct {
+	Name string
+	Run  func(w io.Writer, scale Scale)
+}
+
+// Experiments lists every experiment in the order RunAll prints them.
+var Experiments = []Experiment{
+	{"pbbb", PBBBExperiment},
+	{"micro", MicroExperiment},
+	{"rtscmp", RTSCompareExperiment},
+	{"dynrepl", DynReplExperiment},
+	{"fig2", func(w io.Writer, s Scale) { Fig2TSP(w, s) }},
+	{"fig3", func(w io.Writer, s Scale) { Fig3ACP(w, s) }},
+	{"chess", func(w io.Writer, s Scale) { ChessExperiment(w, s) }},
+	{"atpg", func(w io.Writer, s Scale) { ATPGExperiment(w, s) }},
+	{"partrepl", PartReplExperiment},
+	{"intrcost", InterruptCostExperiment},
+	{"mixed", MixedPlacementExperiment},
+	{"faults", FaultsExperiment},
+	{"scale", ScaleExperiment},
+	{"kv", KVExperiment},
+	{"consensus", ProtocolBakeoff},
+	{"shard", ShardExperiment},
+	{"adapt", AdaptExperiment},
+}
+
+// RunAll prints every experiment, a blank line after each. Its output
+// at Quick is committed as testdata/quick.golden.
+func RunAll(w io.Writer, scale Scale) {
+	for _, e := range Experiments {
+		e.Run(w, scale)
+		fmt.Fprintln(w)
+	}
+}
+
+// twice runs a scenario two times and panics unless both runs return
+// the same fingerprint: a run is a pure function of its seed, faults
+// included, so a mismatch is a bug (map iteration, host-time leakage).
+func twice[T any](name string, run func() (T, string)) T {
+	a, fa := run()
+	_, fb := run()
+	if fa != fb {
+		panic(fmt.Sprintf("harness: %s not deterministic:\n  %s\n  %s", name, fa, fb))
+	}
+	return a
+}
+
+// mustFinish panics if a run hit the runtime's deadlock timeout.
+func mustFinish(name string, rep orca.Report) {
+	if rep.TimedOut {
+		panic(fmt.Sprintf("harness: %s timed out (blocked: %v)", name, rep.Blocked))
+	}
+}
+
+// tspFingerprint is the double-run fingerprint of a TSP run.
+func tspFingerprint(r tsp.Result) string {
+	return fmt.Sprintf("best=%d elapsed=%d msgs=%d", r.Best, int64(r.Report.Elapsed), r.Report.Net.Messages)
+}
 
 // SpeedupPoint is one measurement in a processor sweep.
 type SpeedupPoint struct {

@@ -57,23 +57,14 @@ func KVExperiment(w io.Writer, scale Scale) {
 	// fingerprint mismatch, a timeout, or (unless expectLoss) a lost
 	// acknowledged write.
 	run := func(name string, cfg orca.Config, params kv.Params, expectLoss bool) kv.Result {
-		fp := ""
-		var r kv.Result
-		for i := 0; i < 2; i++ {
-			r = kv.Run(cfg, params)
-			if r.Report.TimedOut {
-				panic(fmt.Sprintf("harness: kv %s timed out (blocked: %v)", name, r.Report.Blocked))
-			}
+		r := twice("kv "+name, func() (kv.Result, string) {
+			r := kv.Run(cfg, params)
+			mustFinish("kv "+name, r.Report)
 			all := r.Report.Latency["kv.all"]
-			got := fmt.Sprintf("ops=%d elapsed=%d msgs=%d p50=%d p99=%d lost=%d",
+			return r, fmt.Sprintf("ops=%d elapsed=%d msgs=%d p50=%d p99=%d lost=%d",
 				r.Ops, int64(r.Report.Elapsed), r.Report.Net.Messages,
 				int64(all.Percentile(0.50)), int64(all.Percentile(0.99)), r.LostAcked)
-			if fp == "" {
-				fp = got
-			} else if fp != got {
-				panic(fmt.Sprintf("harness: kv %s not deterministic:\n  %s\n  %s", name, fp, got))
-			}
-		}
+		})
 		if r.LostAcked > 0 && !expectLoss {
 			panic(fmt.Sprintf("harness: kv %s lost %d acknowledged writes", name, r.LostAcked))
 		}

@@ -3,7 +3,6 @@ package harness
 import (
 	"fmt"
 	"io"
-	"time"
 
 	"repro/internal/apps/tsp"
 	"repro/internal/orca"
@@ -23,11 +22,12 @@ import (
 //     shared bound and a job queue — batching must not change its
 //     optimum, and the harness panics if it does.
 //
-// Each row reports host wall-clock time (the engine cost), virtual
-// time (the simulated outcome), total wire frames, frames per
-// runtime-level operation, and simulation events per wall second. The
-// harness panics if the batched counter workload misses the frames/op
-// target at P >= 32 — that target is the point of the pipeline.
+// Each row reports virtual time (the simulated outcome), total wire
+// frames and frames per runtime-level operation; what the same runs
+// cost the host is bench/'s job (sim.wall_ns_per_event,
+// ops_per_wall_s). The harness panics if the batched counter workload
+// misses the frames/op target at P >= 32 — that target is the point of
+// the pipeline.
 func ScaleExperiment(w io.Writer, scale Scale) {
 	procs := []int{8, 16, 32, 64, 128}
 	tspProcs := []int{8, 16, 32, 64}
@@ -47,14 +47,11 @@ func ScaleExperiment(w io.Writer, scale Scale) {
 	var rows [][]string
 	for _, p := range procs {
 		for _, batched := range []bool{false, true} {
-			var cfg orca.Config
-			cfg = orca.Config{Processors: p, RTS: orca.Broadcast, Seed: 1}
+			cfg := orca.Config{Processors: p, RTS: orca.Broadcast, Seed: 1}
 			if batched {
 				cfg.Batching = orca.DefaultBatching()
 			}
-			start := time.Now()
 			rt := orca.New(cfg, std.Register)
-			var final int
 			rep := rt.Run(func(pr *orca.Proc) {
 				c := std.NewCounter(pr, 0)
 				fin := std.NewBarrier(pr, p)
@@ -68,13 +65,9 @@ func ScaleExperiment(w io.Writer, scale Scale) {
 					})
 				}
 				fin.Wait(pr)
-				final = c.Value(pr)
+				c.Value(pr)
 			})
-			wall := time.Since(start)
-			if rep.TimedOut {
-				panic(fmt.Sprintf("harness: scale counter run timed out (P=%d batched=%v)", p, batched))
-			}
-			_ = final
+			mustFinish(fmt.Sprintf("scale counter P=%d batched=%v", p, batched), rep)
 			st := rep.RTS
 			ops := st.BcastWrites + st.BatchedOps
 			fpo := float64(rep.Net.Frames) / float64(ops)
@@ -82,14 +75,14 @@ func ScaleExperiment(w io.Writer, scale Scale) {
 				panic(fmt.Sprintf("harness: batched frames/op = %.3f at P=%d, want < 0.25", fpo, p))
 			}
 			rows = append(rows, []string{
-				fmt.Sprint(p), onOff(batched), wall.Round(time.Millisecond).String(),
+				fmt.Sprint(p), onOff(batched),
 				fmtTime(rep.Elapsed), fmt.Sprint(rep.Net.Frames), fmt.Sprint(ops),
-				fmt.Sprintf("%.3f", fpo), fmt.Sprintf("%.2fM", float64(rt.Env().Events())/wall.Seconds()/1e6),
+				fmt.Sprintf("%.3f", fpo),
 				fmt.Sprint(st.BatchedOps), fmt.Sprint(st.Frames),
 			})
 		}
 	}
-	Table(w, []string{"procs", "batch", "wall", "virtual", "frames", "ops", "frames/op", "events/s", "batched", "bframes"}, rows)
+	Table(w, []string{"procs", "batch", "virtual", "frames", "ops", "frames/op", "batched", "bframes"}, rows)
 	fmt.Fprintln(w)
 
 	// TSP application sweep.
@@ -103,9 +96,7 @@ func ScaleExperiment(w io.Writer, scale Scale) {
 			if batched {
 				cfg.Batching = orca.DefaultBatching()
 			}
-			start := time.Now()
 			r := tsp.RunOrca(cfg, inst, tsp.Params{})
-			wall := time.Since(start)
 			if best == -1 {
 				best = r.Best
 			} else if r.Best != best {
@@ -115,15 +106,14 @@ func ScaleExperiment(w io.Writer, scale Scale) {
 			st := r.Report.RTS
 			ops := st.BcastWrites + st.BatchedOps + st.LocalReads
 			rows = append(rows, []string{
-				fmt.Sprint(p), onOff(batched), wall.Round(time.Millisecond).String(),
+				fmt.Sprint(p), onOff(batched),
 				fmtTime(r.Report.Elapsed), fmt.Sprint(r.Report.Net.Frames),
 				fmt.Sprintf("%.4f", float64(r.Report.Net.Frames)/float64(ops)),
-				fmt.Sprintf("%.2fM", float64(r.Runtime.Env().Events())/wall.Seconds()/1e6),
 				fmt.Sprint(r.Best), fmt.Sprint(st.BatchedOps), fmt.Sprint(st.Frames),
 			})
 		}
 	}
-	Table(w, []string{"procs", "batch", "wall", "virtual", "frames", "frames/op", "events/s", "best", "batched", "bframes"}, rows)
+	Table(w, []string{"procs", "batch", "virtual", "frames", "frames/op", "best", "batched", "bframes"}, rows)
 	fmt.Fprintln(w, "Batching packs many ops into one sequenced frame (one seq number per")
 	fmt.Fprintln(w, "op), so the ordering protocol's frame rate stops being the throughput")
 	fmt.Fprintln(w, "ceiling: frames/op drops by roughly the batch factor under write-heavy")

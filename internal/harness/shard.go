@@ -3,7 +3,6 @@ package harness
 import (
 	"fmt"
 	"io"
-	"time"
 
 	"repro/internal/amoeba"
 	"repro/internal/apps/tsp"
@@ -104,7 +103,7 @@ func ShardExperiment(w io.Writer, scale Scale) {
 	// assigns through the combining buffer. The issued trace is
 	// identical across shard counts at fixed P — only the ordering
 	// structure changes.
-	runCounter := func(p, shards, opsPer int) (sweepRow, string) {
+	runCounter := func(name string, p, shards, opsPer int) (sweepRow, string) {
 		cfg := orca.Config{Processors: p, RTS: orca.Broadcast, Seed: 1,
 			Net: &modernNet, KernelCosts: &modernKernel, Batching: orca.DefaultBatching()}
 		if shards > 1 {
@@ -134,9 +133,7 @@ func ShardExperiment(w io.Writer, scale Scale) {
 			}
 			fin.Wait(pr)
 		})
-		if rep.TimedOut {
-			panic(fmt.Sprintf("harness: shard counter run timed out (P=%d S=%d, blocked: %v)", p, shards, rep.Blocked))
-		}
+		mustFinish(name, rep)
 		st := rep.RTS
 		ops := st.BcastWrites + st.BatchedOps
 		row := sweepRow{procs: p, shards: shards, ops: ops,
@@ -153,13 +150,8 @@ func ShardExperiment(w io.Writer, scale Scale) {
 		opsPer := opsFor(p)
 		var base float64
 		for _, s := range shardsFor(p) {
-			start := time.Now()
-			row, fp1 := runCounter(p, s, opsPer)
-			_, fp2 := runCounter(p, s, opsPer)
-			wall := time.Since(start)
-			if fp1 != fp2 {
-				panic(fmt.Sprintf("harness: shard counter run not deterministic (P=%d S=%d):\n  %s\n  %s", p, s, fp1, fp2))
-			}
+			name := fmt.Sprintf("shard counter P=%d S=%d", p, s)
+			row := twice(name, func() (sweepRow, string) { return runCounter(name, p, s, opsPer) })
 			if s == 1 {
 				base = row.opsPerSec
 			}
@@ -172,11 +164,10 @@ func ShardExperiment(w io.Writer, scale Scale) {
 			rows = append(rows, []string{
 				fmt.Sprint(p), fmt.Sprint(s), span, fmt.Sprint(row.ops),
 				fmt.Sprintf("%.2fM", row.opsPerSec/1e6), fmt.Sprintf("%.2fx", speedup),
-				(wall / 2).Round(time.Millisecond).String(),
 			})
 		}
 	}
-	Table(w, []string{"procs", "shards", "span", "writes", "writes/s", "vs 1 shard", "wall/run"}, rows)
+	Table(w, []string{"procs", "shards", "span", "writes", "writes/s", "vs 1 shard"}, rows)
 	if scale == Full {
 		one, sixteen := byConfig[[2]int{256, 1}], byConfig[[2]int{256, 16}]
 		ratio := sixteen.opsPerSec / one.opsPerSec
@@ -199,17 +190,10 @@ func ShardExperiment(w io.Writer, scale Scale) {
 			if s > 1 {
 				cfg.Shards = s
 			}
-			fp := ""
-			var r tsp.Result
-			for i := 0; i < 2; i++ {
-				r = tsp.RunOrca(cfg, inst, tsp.Params{})
-				got := fmt.Sprintf("best=%d elapsed=%d msgs=%d", r.Best, int64(r.Report.Elapsed), r.Report.Net.Messages)
-				if fp == "" {
-					fp = got
-				} else if fp != got {
-					panic(fmt.Sprintf("harness: sharded TSP not deterministic (P=%d S=%d):\n  %s\n  %s", p, s, fp, got))
-				}
-			}
+			r := twice(fmt.Sprintf("sharded TSP P=%d S=%d", p, s), func() (tsp.Result, string) {
+				r := tsp.RunOrca(cfg, inst, tsp.Params{})
+				return r, tspFingerprint(r)
+			})
 			if best == -1 {
 				best = r.Best
 			} else if r.Best != best {
@@ -238,10 +222,9 @@ func ShardExperiment(w io.Writer, scale Scale) {
 		workers := []int{2, 3, 4, 5, 6, 7}
 		doneAt := make([]sim.Time, crashP)
 		shardOf := func(cpu int) int { return cpu % crashShards }
-		fp := ""
-		for i := 0; i < 2; i++ {
+		rep = twice("shard crash run "+name, func() (orca.Report, string) {
 			rt := orca.New(cfg, std.Register)
-			rep = rt.Run(func(pr *orca.Proc) {
+			rep := rt.Run(func(pr *orca.Proc) {
 				counters := make([]orca.Object, crashP)
 				for _, cpu := range workers {
 					counters[cpu] = pr.NewWith(std.IntObj, orca.Opts(orca.OnShard(shardOf(cpu))))
@@ -265,16 +248,9 @@ func ShardExperiment(w io.Writer, scale Scale) {
 					}
 				}
 			})
-			if rep.TimedOut {
-				panic(fmt.Sprintf("harness: shard crash run %s timed out (blocked: %v)", name, rep.Blocked))
-			}
-			got := fmt.Sprintf("elapsed=%d msgs=%d", int64(rep.Elapsed), rep.Net.Messages)
-			if fp == "" {
-				fp = got
-			} else if fp != got {
-				panic(fmt.Sprintf("harness: shard crash run %s not deterministic:\n  %s\n  %s", name, fp, got))
-			}
-		}
+			mustFinish("shard crash run "+name, rep)
+			return rep, fmt.Sprintf("elapsed=%d msgs=%d", int64(rep.Elapsed), rep.Net.Messages)
+		})
 		for _, cpu := range workers {
 			d := doneAt[cpu]
 			if d > doneAll {

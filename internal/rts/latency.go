@@ -15,7 +15,7 @@ import (
 // streams produce bit-identical histograms and percentiles; no
 // sampling, no reservoir randomness). The orca layer owns a named
 // registry of them (Runtime.Histogram) and publishes the registry in
-// Report.Latency; the harness and -bench-json render p50/p95/p99.
+// Report.Latency; the harness and bench/ render p50/p95/p99.
 
 const (
 	// latSubBits splits each power-of-two octave into 2^latSubBits

@@ -3,7 +3,7 @@ package rts
 // RTSStats is the unified runtime-counter snapshot. A broadcast domain
 // fills the broadcast fields, the point-to-point domain the p2p fields,
 // and the Router merges every domain it hosts — one schema for reports,
-// experiment tables, and BENCH_engine.json regardless of configuration.
+// experiment tables, and pinned goldens regardless of configuration.
 type RTSStats struct {
 	// Broadcast-runtime counters.
 	LocalReads  int64 `json:"local_reads,omitempty"`  // reads served from a local replica (both runtimes)
