@@ -5,11 +5,16 @@
 //
 // Each Machine owns one CPU (the testbed machines are single-CPU
 // MC68030s) modelled as a sim.Resource. Every frame delivered by the
-// network is serviced by the machine's interrupt thread, which charges
-// per-fragment interrupt cost plus protocol processing cost to the CPU
-// before dispatching to the bound port handler. This per-message CPU
+// network is serviced in interrupt context: per-fragment interrupt cost
+// plus protocol processing cost is charged to the CPU ahead of queued
+// user work, and the bound port handler then runs. This per-message CPU
 // tax is what bends the speedup curves of update-heavy applications,
-// exactly as the paper reports for ACP.
+// exactly as the paper reports for ACP. Interrupt context is one FIFO
+// server per machine with two bodies: the simulator's dispatch lane,
+// for the charge and for handlers their port vouches will not block
+// (BindNonblocking), and the interrupt thread, for handlers that may
+// charge CPU or send and for deferred functions. Virtual time cannot
+// tell which body served a packet; wall-clock time can.
 //
 // Machines crash whole: Crash kills every thread on the machine and
 // takes it off the network, and in-flight RPCs from other machines to

@@ -50,10 +50,25 @@ type Packet struct {
 	Size int
 }
 
-// Handler services packets arriving at a bound port. Handlers run on
-// the machine's interrupt thread after CPU costs are charged; they
-// must not block (enqueue to a sim.Queue and return).
+// Handler services packets arriving at a bound port. It runs in
+// interrupt context, after the delivery's interrupt and protocol CPU
+// costs have been charged, and p is the machine's interrupt thread.
+// A handler may charge CPU and send packets through p (Send, Broadcast,
+// cpu.Use): interrupt service then stalls behind it, as on a real
+// kernel. It must not wait for another delivery or a timer, which
+// could never be served while it waits.
+//
+// For packets the port's Nonblocking predicate vouches for, the handler
+// is called on the dispatch lane while p stays parked: p is then good
+// for identity and p.Now() only, and reaching a blocking call with it
+// panics in sim.
 type Handler func(p *sim.Proc, from int, pkt Packet)
+
+// Nonblocking tells, for one packet about to be handed to its port's
+// handler, whether the handler will serve it without blocking — no CPU
+// charge, no send. It is evaluated at the instant the handler is due
+// and must itself have no side effect.
+type Nonblocking func(from int, pkt Packet) bool
 
 // task is a unit of work for the interrupt thread: either a network
 // delivery or a deferred function (timer bodies that need kernel CPU).
@@ -67,14 +82,18 @@ type task struct {
 // Machine is one kernel instance: a node id, a CPU, bound ports, and
 // bookkeeping for threads, processes, and segments.
 type Machine struct {
-	id      int
-	env     *sim.Env
-	net     *netsim.Network
-	costs   Costs
-	cpu     *sim.Resource
-	inq     *sim.Queue[task]
-	ports   map[string]Handler
-	crashed bool
+	id         int
+	env        *sim.Env
+	net        *netsim.Network
+	costs      Costs
+	cpu        *sim.Resource
+	inq        *sim.Queue[task]
+	isr        *sim.Proc // the interrupt thread
+	cur        task      // the delivery whose costs are being charged inline
+	dispatchFn func()    // m.dispatch, bound once
+	ports      map[string]Handler
+	inline     map[string]Nonblocking
+	crashed    bool
 
 	nextSegID  int
 	memInUse   int64
@@ -89,18 +108,21 @@ type Machine struct {
 // NewMachine boots a kernel on node id of net.
 func NewMachine(env *sim.Env, net *netsim.Network, id int, costs Costs) *Machine {
 	m := &Machine{
-		id:    id,
-		env:   env,
-		net:   net,
-		costs: costs,
-		cpu:   sim.NewResource(env),
-		inq:   sim.NewQueue[task](env),
-		ports: make(map[string]Handler),
+		id:     id,
+		env:    env,
+		net:    net,
+		costs:  costs,
+		cpu:    sim.NewResource(env),
+		inq:    sim.NewQueue[task](env),
+		ports:  make(map[string]Handler),
+		inline: make(map[string]Nonblocking),
 	}
+	m.dispatchFn = m.dispatch
 	net.Handle(id, func(d netsim.Delivery) {
 		m.inq.Put(task{deliv: d})
 	})
-	m.SpawnThread("netisr", m.interruptLoop)
+	m.inq.Serve(m.interrupt)
+	m.isr = m.SpawnThread("netisr", m.interruptLoop)
 	return m
 }
 
@@ -119,9 +141,61 @@ func (m *Machine) Costs() Costs { return m.costs }
 // CPU exposes the machine's processor resource.
 func (m *Machine) CPU() *sim.Resource { return m.cpu }
 
-// interruptLoop is the kernel's interrupt-service thread. It charges
-// interrupt and protocol costs for each delivery, then dispatches to
-// the bound handler.
+// Interrupt service runs to completion on the simulator's dispatch
+// lane wherever it cannot block, and on the interrupt thread's
+// goroutine otherwise; both are one FIFO server of m.inq (see
+// sim.Queue.Serve), so the order of service and every virtual instant
+// are those of a single thread doing all of it.
+//
+// interrupt is the inline half. A delivery's interrupt and protocol
+// costs are charged as a front-lane continuation on the CPU; dispatch
+// then runs the port handler in place if the port vouches that it will
+// not block, and otherwise hands the delivery to the thread, in the
+// same event, to run the same handler there. Deferred functions exist
+// to charge CPU and send, so they go straight to the thread.
+func (m *Machine) interrupt(t task) sim.Verdict {
+	if m.crashed {
+		return sim.Finished
+	}
+	if t.fn != nil {
+		return sim.Decline
+	}
+	m.cur = t
+	cost := m.costs.Interrupt*sim.Time(t.deliv.Fragments) + m.costs.Protocol
+	m.cpu.UseFrontFn(m.isr, cost, m.dispatchFn)
+	return sim.Pending
+}
+
+// dispatch runs when the current delivery's costs have been charged.
+func (m *Machine) dispatch() {
+	d := &m.cur.deliv
+	from, pkt := d.Frame.Src, m.packet(d)
+	m.cur = task{}
+	h := m.ports[pkt.Port]
+	switch ok := m.inline[pkt.Port]; {
+	case h == nil:
+		m.env.Tracef("node%d: drop packet for unbound port %q", m.id, pkt.Port)
+	case ok == nil || !ok(from, pkt):
+		m.inq.Punt()
+		return
+	default:
+		h(m.isr, from, pkt)
+	}
+	m.inq.Done()
+}
+
+// packet unwraps a delivery's payload.
+func (m *Machine) packet(d *netsim.Delivery) Packet {
+	pkt, ok := d.Frame.Payload.(Packet)
+	if !ok {
+		panic(fmt.Sprintf("amoeba: node %d received non-Packet payload %T", m.id, d.Frame.Payload))
+	}
+	return pkt
+}
+
+// interruptLoop is the kernel's interrupt-service thread: it runs what
+// interrupt and dispatch pass on — deferred functions, and deliveries,
+// already charged, whose handler may block.
 func (m *Machine) interruptLoop(p *sim.Proc) {
 	for {
 		t, ok := m.inq.Get(p)
@@ -135,19 +209,8 @@ func (m *Machine) interruptLoop(p *sim.Proc) {
 			t.fn(p)
 			continue
 		}
-		d := &t.deliv
-		cost := m.costs.Interrupt*sim.Time(d.Fragments) + m.costs.Protocol
-		m.cpu.UseFront(p, cost)
-		pkt, ok := d.Frame.Payload.(Packet)
-		if !ok {
-			panic(fmt.Sprintf("amoeba: node %d received non-Packet payload %T", m.id, d.Frame.Payload))
-		}
-		h := m.ports[pkt.Port]
-		if h == nil {
-			m.env.Tracef("node%d: drop packet for unbound port %q", m.id, pkt.Port)
-			continue
-		}
-		h(p, d.Frame.Src, pkt)
+		pkt := m.packet(&t.deliv)
+		m.ports[pkt.Port](p, t.deliv.Frame.Src, pkt)
 	}
 }
 
@@ -160,8 +223,21 @@ func (m *Machine) Bind(port string, h Handler) {
 	m.ports[port] = h
 }
 
+// BindNonblocking adds to a bound port the predicate that lets its
+// handler run to completion on the dispatch lane (see Handler). A port
+// without one has every packet served on the interrupt thread.
+func (m *Machine) BindNonblocking(port string, ok Nonblocking) {
+	if m.ports[port] == nil {
+		panic(fmt.Sprintf("amoeba: node %d: port %q not bound", m.id, port))
+	}
+	m.inline[port] = ok
+}
+
 // Unbind removes a port binding.
-func (m *Machine) Unbind(port string) { delete(m.ports, port) }
+func (m *Machine) Unbind(port string) {
+	delete(m.ports, port)
+	delete(m.inline, port)
+}
 
 // SpawnThread starts a kernel or user thread on this machine. The
 // thread is a simulated process; its compute must be charged explicitly
@@ -200,10 +276,7 @@ func (m *Machine) Compute(p *sim.Proc, d sim.Time) {
 		return
 	}
 	m.appBusy += d
-	q := m.costs.Quantum
-	if q <= 0 {
-		q = sim.Millisecond
-	}
+	q := m.quantum()
 	for d > 0 {
 		c := d
 		if c > q {
@@ -212,6 +285,29 @@ func (m *Machine) Compute(p *sim.Proc, d sim.Time) {
 		m.cpu.Use(p, c)
 		d -= c
 	}
+}
+
+// quantum is the scheduling timeslice in force.
+func (m *Machine) quantum() sim.Time {
+	if q := m.costs.Quantum; q > 0 {
+		return q
+	}
+	return sim.Millisecond
+}
+
+// ComputeFn is Compute in continuation form, for a thread p that is
+// parked as the consumer of a served queue: d is charged on p's behalf
+// and fn then runs on the dispatch lane (see sim.Resource.UseFn). It
+// takes only a charge Compute would make as one slice, 0 < d <=
+// Quantum, and reports whether it did; if not, nothing has happened
+// and the charge is Compute's to make, on the thread.
+func (m *Machine) ComputeFn(p *sim.Proc, d sim.Time, fn func()) bool {
+	if d <= 0 || d > m.quantum() {
+		return false
+	}
+	m.appBusy += d
+	m.cpu.UseFn(p, d, fn)
+	return true
 }
 
 // AppBusy reports total application CPU time charged via Compute.

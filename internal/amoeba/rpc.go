@@ -83,10 +83,23 @@ func NewServer(m *Machine, port string) *Server {
 		max:   1024,
 	}
 	m.Bind(port, s.handle)
+	m.BindNonblocking(port, s.queues)
 	return s
 }
 
-// handle runs on the interrupt thread for every packet on the port.
+// queues reports that handle will only queue (or drop) the packet: all
+// but the duplicate of an executed request, whose cached reply it
+// resends.
+func (s *Server) queues(from int, pkt Packet) bool {
+	w, ok := pkt.Body.(rpcWire)
+	if !ok || w.IsRep {
+		return true
+	}
+	_, done := s.seen[w.TxID]
+	return !done
+}
+
+// handle runs in interrupt context for every packet on the port.
 func (s *Server) handle(p *sim.Proc, from int, pkt Packet) {
 	w, ok := pkt.Body.(rpcWire)
 	if !ok || w.IsRep {
@@ -180,6 +193,8 @@ func (c *Client) ensureReplyPort(port string) {
 		wait.size = pkt.Size
 		wait.cond.Broadcast()
 	})
+	// A reply only wakes its waiting transaction.
+	c.m.BindNonblocking(port, func(int, Packet) bool { return true })
 }
 
 // Trans performs a blocking RPC: send the request to (dst, port),

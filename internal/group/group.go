@@ -649,6 +649,7 @@ func Join(m *amoeba.Machine, cfg Config) *Member {
 		}
 	}
 	m.Bind(g.port, g.handle)
+	m.BindNonblocking(g.port, g.nonblocking)
 	if cfg.Heartbeat > 0 {
 		g.armHeartbeat()
 	}

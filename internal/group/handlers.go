@@ -51,6 +51,30 @@ func (g *Member) handle(p *sim.Proc, from int, pkt amoeba.Packet) {
 	}
 }
 
+// nonblocking is the port's amoeba.Nonblocking predicate: it vouches
+// for the packets handle serves without a send or a CPU charge, which
+// the kernel then serves without a thread switch.
+func (g *Member) nonblocking(from int, pkt amoeba.Packet) bool {
+	switch b := pkt.Body.(type) {
+	case *dataFrame:
+		// processData sends from one place only: deliver, at a member
+		// other than the sequencer, reports status when the delivery
+		// count reaches a multiple of StatusEvery. With nothing buffered
+		// out of order, this frame delivers at most its own records.
+		if g.isSeq || g.nextSeq <= g.maxSeen {
+			return false
+		}
+		if every := int64(g.cfg.StatusEvery); every > 0 {
+			n := g.stats.Delivered
+			return n/every == (n+int64(len(b.Recs)))/every
+		}
+		return true
+	case statusMsg, hbMsg:
+		return true // onStatus and onHeartbeat take no process to block with
+	}
+	return false
+}
+
 // onHeartbeat learns the sequencer's progress; if this member is
 // behind, gap recovery kicks in.
 func (g *Member) onHeartbeat(h hbMsg) {

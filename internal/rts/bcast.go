@@ -162,6 +162,21 @@ type bcastManager struct {
 	// write, and steady state has a tiny number in flight.
 	wfree []*opWaiter
 
+	// thread is the object-manager thread (run). While it is parked,
+	// serve applies plain writes on its behalf on the dispatch lane:
+	// cur is the write whose CPU charge is in progress there, writtenFn
+	// (mgr.written, bound once) its continuation, and applied tells run
+	// that the delivery it is handed has been applied already and only
+	// its frame boundary is left.
+	thread    *sim.Proc
+	cur       inlineWrite
+	writtenFn func()
+	applied   bool
+
+	// discard is the result scratch for writes invoked elsewhere: only
+	// the invoker's manager hands a result to anyone.
+	discard []any
+
 	// Partial replication plumbing (see bcast_partial.go).
 	fwdSrv    *amoeba.Server
 	fwdClient *amoeba.Client
@@ -191,6 +206,16 @@ type pendingWrite struct {
 	uid  int64
 	src  int
 	op   *OpDef
+	args []any
+}
+
+// inlineWrite is a resolved write between its CPU charge and its
+// application (see serve).
+type inlineWrite struct {
+	inst *bcastInstance
+	op   *OpDef
+	uid  int64
+	src  int
 	args []any
 }
 
@@ -245,7 +270,9 @@ func newBroadcastRTSAt(reg *Registry, costs Costs, machines []*amoeba.Machine, m
 			instCond: sim.NewCond(m.Env()),
 		}
 		r.mgrs = append(r.mgrs, mgr)
-		m.SpawnThread("objmgr", mgr.run)
+		mgr.writtenFn = mgr.written
+		mgr.g.Deliveries().Serve(mgr.serve)
+		mgr.thread = m.SpawnThread("objmgr", mgr.run)
 	}
 	r.startForwarders(machines)
 	return r
@@ -592,33 +619,17 @@ func (mgr *bcastManager) run(p *sim.Proc) {
 		if !ok {
 			return
 		}
-		mgr.inFrame = d.More
-		if !d.Dup {
-			switch body := d.Body.(type) {
-			case wireCreate:
-				mgr.applyCreate(p, d.UID, d.Src, body)
-			case wireOp:
-				mgr.applyWrite(p, d.UID, d.Src, body)
-			case wireFence:
-				if mgr.rts.fence == nil {
-					panic("rts: fence delivered to a runtime outside a Router")
-				}
-				mgr.rts.fence(p, mgr, d, body)
-			case wireMigrate:
-				if mgr.rts.migrate == nil {
-					panic("rts: migrate record delivered to a runtime without adaptive placement")
-				}
-				mgr.rts.migrate(p, mgr, d.UID, d.Src, body)
-			default:
-				if mgr.extra == nil {
-					panic(fmt.Sprintf("rts: unexpected group message %T", d.Body))
-				}
-				mgr.extra(mgr.m.ID(), d.Body)
+		if mgr.applied {
+			mgr.applied = false // by written; the boundary below is ours
+		} else {
+			mgr.inFrame = d.More
+			if !d.Dup {
+				mgr.apply(p, d)
 			}
+			// A Dup record is a re-sequenced duplicate the group layer
+			// suppressed: nothing to apply (it completed at its first
+			// delivery), but its frame-boundary flag still counts below.
 		}
-		// A Dup record is a re-sequenced duplicate the group layer
-		// suppressed: nothing to apply (it completed at its first
-		// delivery), but its frame-boundary flag still counts below.
 		if !d.More {
 			if mgr.pendCharge > 0 {
 				// A frame whose tail op took a non-charging path (a
@@ -630,6 +641,95 @@ func (mgr *bcastManager) run(p *sim.Proc) {
 			mgr.drainTouched(p)
 		}
 	}
+}
+
+// apply dispatches one delivered message.
+func (mgr *bcastManager) apply(p *sim.Proc, d group.Delivery) {
+	switch body := d.Body.(type) {
+	case wireCreate:
+		mgr.applyCreate(p, d.UID, d.Src, body)
+	case wireOp:
+		mgr.applyWrite(p, d.UID, d.Src, body)
+	case wireFence:
+		if mgr.rts.fence == nil {
+			panic("rts: fence delivered to a runtime outside a Router")
+		}
+		mgr.rts.fence(p, mgr, d, body)
+	case wireMigrate:
+		if mgr.rts.migrate == nil {
+			panic("rts: migrate record delivered to a runtime without adaptive placement")
+		}
+		mgr.rts.migrate(p, mgr, d.UID, d.Src, body)
+	default:
+		if mgr.extra == nil {
+			panic(fmt.Sprintf("rts: unexpected group message %T", d.Body))
+		}
+		mgr.extra(mgr.m.ID(), d.Body)
+	}
+}
+
+// serve is the object manager on the dispatch lane (see
+// sim.Queue.Serve): the delivery stream offers it every message before
+// the thread, and it takes the one case that makes up nearly all of
+// the stream and needs nothing the thread has — an unguarded write to
+// a replica that is present and has not migrated away. Everything else
+// it declines untouched, and run handles it as ever.
+//
+// The steps are run's and applyWrite's own, in their order. A
+// mid-frame write accrues its cost and applies at once; a frame's last
+// write charges the accrued sum as a continuation on the CPU and
+// applies in written. What may block after that — guard retries at the
+// frame boundary — is left to the thread.
+func (mgr *bcastManager) serve(d group.Delivery) sim.Verdict {
+	wo, ok := d.Body.(wireOp)
+	if !ok || d.Dup {
+		return sim.Decline
+	}
+	inst := mgr.insts[wo.Obj]
+	if inst == nil || inst.moved {
+		return sim.Decline
+	}
+	op := inst.op(wo.Op)
+	if op.Guard != nil {
+		return sim.Decline
+	}
+	if d.Src == mgr.m.ID() && mgr.rts.batch.Enabled() {
+		// Completing a combined write of this machine may send the
+		// worker's next batch (see completeFlight).
+		return sim.Decline
+	}
+	if d.More {
+		mgr.inFrame = true
+		mgr.applyWrite(mgr.thread, d.UID, d.Src, wo)
+		return sim.Finished
+	}
+	cost := mgr.pendCharge + mgr.rts.costs.WriteApply + mgr.rts.costs.opCost(op)
+	if !mgr.m.ComputeFn(mgr.thread, cost, mgr.writtenFn) {
+		return sim.Decline
+	}
+	mgr.inFrame = false
+	mgr.pendCharge = 0
+	mgr.cur = inlineWrite{inst: inst, op: op, uid: d.UID, src: d.Src, args: wo.Args}
+	return sim.Pending
+}
+
+// written continues serve once a frame's last write has been charged:
+// apply it, then close the frame. A boundary with guard retries to
+// make goes to the thread, which charges for them.
+func (mgr *bcastManager) written() {
+	w := mgr.cur
+	mgr.cur = inlineWrite{}
+	mgr.applyCharged(mgr.thread, w.inst, w.uid, w.src, w.op, w.args)
+	mgr.touch(w.inst)
+	for _, inst := range mgr.touched {
+		if len(inst.pending) > 0 {
+			mgr.applied = true
+			mgr.g.Deliveries().Punt()
+			return
+		}
+	}
+	mgr.drainTouched(mgr.thread)
+	mgr.g.Deliveries().Done()
 }
 
 // charge accounts CPU cost for one delivered op: mid-frame costs
@@ -707,23 +807,51 @@ func (mgr *bcastManager) applyWrite(p *sim.Proc, uid int64, src int, wo wireOp) 
 		}
 	}
 	mgr.execWrite(p, inst, uid, src, op, wo.Args)
+	mgr.touch(inst)
+}
+
+// touch enters a written replica into the frame's guard-retry sweep.
+func (mgr *bcastManager) touch(inst *bcastInstance) {
 	if !inst.touched {
 		inst.touched = true
 		mgr.touched = append(mgr.touched, inst)
 	}
 }
 
-// execWrite applies one write to the replica.
+// execWrite charges for and applies one write to the replica.
 func (mgr *bcastManager) execWrite(p *sim.Proc, inst *bcastInstance, uid int64, src int, op *OpDef, args []any) {
-	r := mgr.rts
-	mgr.charge(p, r.costs.WriteApply+r.costs.opCost(op))
-	res := op.Apply(inst.state, args)
+	mgr.charge(p, mgr.rts.costs.WriteApply+mgr.rts.costs.opCost(op))
+	mgr.applyCharged(p, inst, uid, src, op, args)
+}
+
+// applyCharged applies a write whose cost has been accounted, completes
+// its invoker if that is a thread of this machine, and wakes
+// guard-blocked readers.
+func (mgr *bcastManager) applyCharged(p *sim.Proc, inst *bcastInstance, uid int64, src int, op *OpDef, args []any) {
+	var res []any
+	if src == mgr.m.ID() {
+		res = op.Apply(inst.state, args)
+	} else {
+		mgr.applyDiscard(op, inst.state, args)
+	}
 	inst.writes++
 	if !inst.typ.SizeFixed {
 		inst.seg.Resize(int64(inst.typ.stateSize(inst.state)))
 	}
 	mgr.complete(p, uid, src, res)
 	inst.cond.Broadcast()
+}
+
+// applyDiscard applies a write whose result nobody reads, through the
+// manager's scratch slice where the definition allows it instead of a
+// fresh result slice per replica.
+func (mgr *bcastManager) applyDiscard(op *OpDef, s State, args []any) {
+	if op.ApplyInto == nil {
+		op.Apply(s, args)
+		return
+	}
+	mgr.discard = op.ApplyInto(s, args, mgr.discard[:0])
+	clear(mgr.discard)
 }
 
 // drainPending retries queued guarded writes in arrival (sequence)

@@ -206,16 +206,13 @@ func (r *Router) execFence(p *sim.Proc, mgr *bcastManager, f wireFence) {
 		}
 		op := inst.op(fo.Op)
 		mgr.charge(p, sub.costs.WriteApply+sub.costs.opCost(op))
-		op.Apply(inst.state, fo.Args)
+		mgr.applyDiscard(op, inst.state, fo.Args)
 		inst.writes++
 		if !inst.typ.SizeFixed {
 			inst.seg.Resize(int64(inst.typ.stateSize(inst.state)))
 		}
 		inst.cond.Broadcast()
-		if !inst.touched {
-			inst.touched = true
-			sm.touched = append(sm.touched, inst)
-		}
+		sm.touch(inst)
 	}
 }
 

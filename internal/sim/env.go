@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -43,30 +42,61 @@ func (ev *Event) before(other *Event) bool {
 	return ev.seq < other.seq
 }
 
-// eventQueue is a min-heap ordered by (time, sequence). The sequence
-// number breaks ties deterministically in scheduling order.
+// eventQueue is a binary min-heap ordered by (time, sequence), typed on
+// *Event so sift steps compare and swap directly instead of calling
+// through heap.Interface. Keys are unique (seq is), so the pop order is
+// the one any correct heap yields. Each event's index field tracks its
+// slot; -1 means it is not on the heap.
 type eventQueue []*Event
 
-func (q eventQueue) Len() int           { return len(q) }
-func (q eventQueue) Less(i, j int) bool { return q[i].before(q[j]) }
-func (q eventQueue) Swap(i, j int) {
-	q[i], q[j] = q[j], q[i]
-	q[i].index = i
-	q[j].index = j
+func (q *eventQueue) push(ev *Event) {
+	h := append(*q, ev)
+	*q = h
+	i := len(h) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !ev.before(h[parent]) {
+			break
+		}
+		h[i] = h[parent]
+		h[i].index = i
+		i = parent
+	}
+	h[i] = ev
+	ev.index = i
 }
-func (q *eventQueue) Push(x any) {
-	ev := x.(*Event)
-	ev.index = len(*q)
-	*q = append(*q, ev)
-}
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	ev.index = -1
-	*q = old[:n-1]
-	return ev
+
+func (q *eventQueue) pop() *Event {
+	h := *q
+	top := h[0]
+	top.index = -1
+	n := len(h) - 1
+	last := h[n]
+	h[n] = nil
+	h = h[:n]
+	*q = h
+	if n == 0 {
+		return top
+	}
+	i := 0
+	for {
+		child := 2*i + 1
+		if child >= n {
+			break
+		}
+		if r := child + 1; r < n && h[r].before(h[child]) {
+			child = r
+		}
+		if !h[child].before(last) {
+			break
+		}
+		h[i] = h[child]
+		h[i].index = i
+		i = child
+	}
+	h[i] = last
+	last.index = i
+	return top
 }
 
 // Env is a discrete-event simulation environment: a virtual clock, an
@@ -89,6 +119,7 @@ type Env struct {
 	readyHead int        // index of the next ready event
 	seqGen    int64
 	free      *Event        // free list of recycled internal events
+	baton     *Proc         // process the current event resumes when its callback returns (see handoff)
 	done      chan struct{} // chain -> Run/RunUntil completion handoff
 	live      map[*Proc]struct{}
 	wg        sync.WaitGroup
@@ -170,7 +201,7 @@ func (e *Env) schedule(ev *Event, t Time) {
 		e.ready = append(e.ready, ev)
 		return
 	}
-	heap.Push(&e.queue, ev)
+	e.queue.push(ev)
 }
 
 // At schedules fn to run at virtual time t. Scheduling in the past
@@ -209,7 +240,7 @@ func (e *Env) next() *Event {
 	if len(e.queue) > 0 {
 		hv := e.queue[0]
 		if rv == nil || hv.before(rv) {
-			return heap.Pop(&e.queue).(*Event)
+			return e.queue.pop()
 		}
 	}
 	if rv == nil {
@@ -243,6 +274,15 @@ func (e *Env) next() *Event {
 // handed to a process and the caller must wait for done; false means
 // the run drained inline without any process becoming runnable.
 func (e *Env) advance(self *Proc) bool {
+	if self != nil && e.baton == self {
+		// The process handed itself the baton just before parking (a
+		// Queue.Get whose inline consumer declined the next item): the
+		// current event simply continues on this goroutine.
+		e.baton = nil
+		if !self.killed {
+			return true
+		}
+	}
 	for !e.stopped {
 		if e.bounded {
 			if head := e.peekTime(); head == nil || head.t > e.limit {
@@ -262,19 +302,26 @@ func (e *Env) advance(self *Proc) bool {
 		}
 		e.now = ev.t
 		e.dispatched++
-		if ev.proc == nil {
+		p := ev.proc
+		if p == nil {
 			fn := ev.fn
 			e.recycle(ev)
 			fn()
-			continue
-		}
-		p := ev.proc
-		e.recycle(ev)
-		if p == self && !p.terminated && !p.killed {
-			return true // our own resume: just keep running
+			if p = e.baton; p == nil {
+				continue
+			}
+			// The callback ended its event by handing the baton to a
+			// parked process: resume it exactly as a process-resume
+			// event in this slot would.
+			e.baton = nil
+		} else {
+			e.recycle(ev)
 		}
 		if p.terminated || p.killed {
 			continue
+		}
+		if p == self {
+			return true // our own resume: just keep running
 		}
 		p.resume <- struct{}{} // direct handoff
 		return self == nil
@@ -285,6 +332,22 @@ func (e *Env) advance(self *Proc) bool {
 		e.done <- struct{}{}
 	}
 	return false
+}
+
+// handoff ends the current event by resuming the parked process p: the
+// dispatch loop passes p the baton as soon as the running callback
+// returns (or, when p itself is the caller, at its next park), without
+// scheduling an event — no sequence number is consumed and Events()
+// does not move. It lets a callback that stands in for p (see
+// Queue.Serve) give the rest of its event to p's goroutine, so the pair
+// occupies the one slot in the (time, seq) order that a resume of p
+// would. The caller must do nothing further in this event, and p must
+// have no wake of its own pending.
+func (e *Env) handoff(p *Proc) {
+	if e.baton != nil {
+		panic("sim: two baton handoffs in one event (" + e.baton.name + ", " + p.name + ")")
+	}
+	e.baton = p
 }
 
 // peekTime reports the earliest pending event without popping.

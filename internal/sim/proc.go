@@ -14,6 +14,7 @@ type Proc struct {
 	resume     chan struct{}
 	terminated bool
 	killed     bool
+	parked     bool // suspended (or committed to suspending); see park
 	reaped     bool // unwound via Goexit; must not touch scheduler state
 }
 
@@ -74,10 +75,27 @@ func (p *Proc) Now() Time { return p.env.now }
 // goroutine first advances the dispatch loop itself (see Env.advance);
 // if its own resume event comes up it returns without ever blocking,
 // otherwise control was handed off and it waits on its resume channel.
+//
+// Code that runs on the dispatch lane on behalf of a parked process
+// (an inline queue consumer, a Resource continuation) is handed that
+// process for identity and for Now; if it reaches a blocking primitive
+// with it, the process would be parked twice. That is a broken
+// "declines before it can block" contract and panics here.
 func (p *Proc) park() {
+	if p.parked {
+		panic("sim: " + p.name + " blocks while already parked (an inline handler reached a blocking call)")
+	}
+	p.parked = true
+	p.wait()
+}
+
+// wait is the second half of park, for a caller that marked the
+// process parked itself.
+func (p *Proc) wait() {
 	if !p.env.advance(p) {
 		<-p.resume
 	}
+	p.parked = false
 	if p.killed {
 		// Killed (machine crash mid-run, or Shutdown reaping): unwind
 		// this goroutine. Deferred handlers must not touch the

@@ -1,0 +1,445 @@
+package sim
+
+import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"testing"
+)
+
+// The tests below hold inline service (Queue.Serve, Resource.UseFn,
+// Env.handoff) to its one promise: a program's schedule is the same
+// whether a queue's items are served by its process or on the dispatch
+// lane.
+
+// step is one observable moment of a served program: when it happened,
+// how many sequence numbers and dispatched events the engine had
+// consumed by then, and who did what.
+type step struct {
+	t          Time
+	seq, nth   int64
+	actor, act string
+}
+
+// Item kinds of the test servers. A server handles each as its thread
+// would, or in continuation form, as the run's mode says.
+const (
+	kFront = iota // front-lane charge, then done
+	kFIFO         // FIFO charge, then done
+	kNone         // no charge: served synchronously
+	kChain        // front-lane charge, then pass an item on to the next server
+	kBlock        // must block (charge, sleep, charge): inline declines untouched
+	kLate         // front-lane charge inline, then the thread finishes it
+	nKinds
+)
+
+type testItem struct {
+	id, kind int
+	cost     Time
+}
+
+type testServer struct {
+	id      int
+	env     *Env
+	cpu     *Resource
+	q       *Queue[testItem]
+	next    *testServer
+	thread  *Proc
+	log     *[]step
+	cur     testItem
+	charged bool // the item handed to the thread was started and charged inline (kLate)
+	after   func()
+}
+
+func (s *testServer) note(act string, it testItem) {
+	*s.log = append(*s.log, step{s.env.now, s.env.seqGen, s.env.dispatched,
+		fmt.Sprintf("srv%d", s.id), fmt.Sprintf("%s#%d", act, it.id)})
+}
+
+// finish is what every kind does once its first charge is over.
+func (s *testServer) finish(it testItem) {
+	s.note("done", it)
+	if it.kind == kChain {
+		s.next.q.Put(testItem{id: it.id + 10000, kind: kFIFO, cost: it.cost})
+	}
+}
+
+// onThread serves an item on the server's own goroutine: all of it,
+// or, for an item punted after its inline charge, the rest of it.
+func (s *testServer) onThread(p *Proc, it testItem) {
+	if s.charged {
+		s.charged = false
+	} else {
+		s.note("start", it)
+		switch it.kind {
+		case kNone:
+		case kFIFO:
+			s.cpu.Use(p, it.cost)
+		case kBlock:
+			s.cpu.Use(p, it.cost)
+			p.Sleep(it.cost / 2)
+			s.cpu.UseFront(p, it.cost)
+		default:
+			s.cpu.UseFront(p, it.cost)
+		}
+	}
+	if it.kind == kLate {
+		s.note("late", it)
+		s.cpu.Use(p, it.cost/3)
+	}
+	s.finish(it)
+}
+
+// inline is the same service as a Serve consumer.
+func (s *testServer) inline(it testItem) Verdict {
+	if it.kind == kBlock {
+		return Decline
+	}
+	s.note("start", it)
+	switch it.kind {
+	case kNone:
+		s.finish(it)
+		return Finished
+	case kFIFO:
+		s.cur = it
+		s.cpu.UseFn(s.thread, it.cost, s.after)
+	default:
+		s.cur = it
+		s.cpu.UseFrontFn(s.thread, it.cost, s.after)
+	}
+	return Pending
+}
+
+func (s *testServer) charge() {
+	if s.cur.kind == kLate {
+		s.charged = true
+		s.q.Punt()
+		return
+	}
+	s.finish(s.cur)
+	s.q.Done()
+}
+
+func (s *testServer) run(p *Proc) {
+	for {
+		it, _ := s.q.Get(p)
+		s.onThread(p, it)
+	}
+}
+
+// servedProgram runs one randomized program — three servers on one
+// CPU fed by timers and producer processes, with contender processes
+// claiming the CPU on both lanes — and returns what it observed.
+func servedProgram(seed int64, inline bool) (log []step, events int64, end Time) {
+	env := New(seed)
+	rng := rand.New(rand.NewSource(seed))
+	cpu := NewResource(env)
+	srv := make([]*testServer, 3)
+	for i := range srv {
+		srv[i] = &testServer{id: i, env: env, cpu: cpu, q: NewQueue[testItem](env), log: &log}
+		srv[i].after = srv[i].charge
+	}
+	for i, s := range srv {
+		s := s
+		s.next = srv[(i+1)%len(srv)]
+		if inline {
+			s.q.Serve(s.inline)
+		}
+		s.thread = env.Spawn(fmt.Sprintf("srv%d", i), s.run)
+	}
+	id := 0
+	item := func() testItem {
+		id++
+		return testItem{id: id, kind: rng.Intn(nKinds), cost: Time(1+rng.Intn(40)) * Microsecond}
+	}
+	// Timer-driven arrivals, in bursts so that items queue behind a
+	// busy server and behind each other.
+	for i := 0; i < 60; i++ {
+		at := Time(rng.Intn(3000)) * Microsecond
+		s := srv[rng.Intn(len(srv))]
+		burst := 1 + rng.Intn(3)
+		items := make([]testItem, burst)
+		for k := range items {
+			items[k] = item()
+		}
+		env.At(at, func() {
+			for _, it := range items {
+				s.q.Put(it)
+			}
+		})
+	}
+	// Process-driven arrivals, paying for their puts on the same CPU.
+	for i := 0; i < 3; i++ {
+		i := i
+		plan := make([]testItem, 20)
+		gaps := make([]Time, len(plan))
+		dst := make([]int, len(plan))
+		for k := range plan {
+			plan[k], gaps[k], dst[k] = item(), Time(rng.Intn(120))*Microsecond, rng.Intn(len(srv))
+		}
+		env.Spawn(fmt.Sprintf("prod%d", i), func(p *Proc) {
+			for k := range plan {
+				p.Sleep(gaps[k])
+				if k%2 == 0 {
+					cpu.Use(p, 5*Microsecond)
+				} else {
+					cpu.UseFront(p, 3*Microsecond)
+				}
+				log = append(log, step{env.now, env.seqGen, env.dispatched, fmt.Sprintf("prod%d", i), fmt.Sprintf("put#%d", plan[k].id)})
+				srv[dst[k]].q.Put(plan[k])
+			}
+		})
+	}
+	end = env.Run()
+	events = env.Events()
+	env.Shutdown()
+	return log, events, end
+}
+
+func TestServeMatchesThread(t *testing.T) {
+	for seed := int64(1); seed <= 40; seed++ {
+		want, wantEvents, wantEnd := servedProgram(seed, false)
+		got, gotEvents, gotEnd := servedProgram(seed, true)
+		if len(want) < 200 {
+			t.Fatalf("seed %d: only %d steps observed; the program is not exercising much", seed, len(want))
+		}
+		if gotEvents != wantEvents || gotEnd != wantEnd {
+			t.Errorf("seed %d: inline run dispatched %d events and ended at %v; the thread run, %d and %v",
+				seed, gotEvents, gotEnd, wantEvents, wantEnd)
+		}
+		if !reflect.DeepEqual(got, want) {
+			for i := range want {
+				if i >= len(got) || got[i] != want[i] {
+					var g any = "nothing"
+					if i < len(got) {
+						g = got[i]
+					}
+					t.Fatalf("seed %d: step %d differs: inline %+v, thread %+v", seed, i, g, want[i])
+				}
+			}
+			t.Fatalf("seed %d: inline run observed %d steps, thread run %d", seed, len(got), len(want))
+		}
+	}
+}
+
+// A killed consumer's stand-ins die with it: an offer pending for it is
+// dropped with its item, a grant or an end of hold due to its
+// continuation is discarded and the resource stays with the dead
+// holder, exactly as when the process itself was killed there.
+func TestServeKilledConsumer(t *testing.T) {
+	type outcome struct {
+		served int
+		busy   Time
+		events int64
+	}
+	const us = Microsecond
+	// Items 1, 2 and 4 arrive at 1µs and take 10µs of CPU each; 8
+	// arrives at 40µs. hog, when set, holds the CPU over [0, 5µs).
+	run := func(inline, hog bool, killAt Time) outcome {
+		env := New(1)
+		cpu := NewResource(env)
+		q := NewQueue[int](env)
+		served := 0
+		var thread *Proc
+		var cur int
+		after := func() { served += cur; q.Done() }
+		if inline {
+			q.Serve(func(x int) Verdict {
+				cur = x
+				cpu.UseFn(thread, 10*us, after)
+				return Pending
+			})
+		}
+		thread = env.Spawn("srv", func(p *Proc) {
+			for {
+				x, _ := q.Get(p)
+				cpu.Use(p, 10*us)
+				served += x
+			}
+		})
+		if hog {
+			env.Spawn("hog", func(p *Proc) { cpu.Use(p, 5*us) })
+		}
+		env.At(1*us, func() {
+			q.Put(1)
+			q.Put(2)
+			q.Put(4)
+			if killAt == 1*us {
+				env.Kill(thread)
+			}
+		})
+		if killAt != 1*us {
+			env.At(killAt, func() { env.Kill(thread) })
+		}
+		env.At(40*us, func() { q.Put(8) })
+		env.Run()
+		o := outcome{served, cpu.BusyTime(), env.Events()}
+		env.Shutdown()
+		return o
+	}
+	for _, c := range []struct {
+		name   string
+		hog    bool
+		killAt Time
+		want   outcome
+	}{
+		// the thread's start, three timers, the wake-up or offer, two
+		// ends of hold (the second discarded); the CPU held since 1µs
+		{"holding", false, 15 * us, outcome{1, 39 * us, 7}},
+		// the wake-up or offer is discarded: nothing served, CPU never held
+		{"offer pending", false, 1 * us, outcome{0, 0, 4}},
+		// the hog's release grants the dead claimant the CPU for good
+		{"grant pending", true, 3 * us, outcome{0, 40 * us, 8}},
+	} {
+		for _, inline := range []bool{false, true} {
+			if got := run(inline, c.hog, c.killAt); got != c.want {
+				t.Errorf("%s, inline=%t: got %+v, want %+v", c.name, inline, got, c.want)
+			}
+		}
+	}
+}
+
+// Wait lists keep FIFO order while their live window slides over the
+// backing array (the head-index form of Cond and of Queue's receivers).
+func TestWaitListsSlide(t *testing.T) {
+	env := New(1)
+	c := NewCond(env)
+	q := NewQueue[int](env)
+	var condOrder, queueOrder []int
+	for i := 0; i < 3; i++ {
+		i := i
+		env.Spawn(fmt.Sprintf("cw%d", i), func(p *Proc) {
+			p.Sleep(Time(i) * Microsecond)
+			for {
+				c.Wait(p)
+				condOrder = append(condOrder, i)
+			}
+		})
+		env.Spawn(fmt.Sprintf("qw%d", i), func(p *Proc) {
+			p.Sleep(Time(i) * Microsecond)
+			for {
+				q.Get(p)
+				queueOrder = append(queueOrder, i)
+			}
+		})
+	}
+	env.Spawn("driver", func(p *Proc) {
+		p.Sleep(10 * Microsecond)
+		for k := 0; k < 9; k++ {
+			c.Signal()
+			q.Put(k)
+			p.Sleep(Microsecond)
+		}
+	})
+	env.Run()
+	env.Shutdown()
+	want := []int{0, 1, 2, 0, 1, 2, 0, 1, 2}
+	if !reflect.DeepEqual(condOrder, want) || !reflect.DeepEqual(queueOrder, want) {
+		t.Errorf("wake order: cond %v, queue %v, want %v", condOrder, queueOrder, want)
+	}
+}
+
+// An inline consumer that reaches a blocking call with its parked
+// process is a bug the engine reports, not a hang.
+func TestServeBlockingPanics(t *testing.T) {
+	env := New(1)
+	q := NewQueue[int](env)
+	var thread *Proc
+	var caught any
+	q.Serve(func(int) Verdict {
+		// The offer runs on whichever goroutine is dispatching, so the
+		// panic is caught here rather than by the test's goroutine.
+		defer func() { caught = recover() }()
+		thread.Sleep(Microsecond)
+		return Finished
+	})
+	thread = env.Spawn("srv", func(p *Proc) {
+		for {
+			q.Get(p)
+		}
+	})
+	env.At(Microsecond, func() { q.Put(1) })
+	env.Run()
+	env.Shutdown()
+	if caught == nil {
+		t.Fatal("blocking with a parked process did not panic")
+	}
+}
+
+// Steady-state mailbox and condition traffic must not allocate: a
+// parked receiver used to cost a reallocated waiter list per Get.
+func TestQueueAndCondSteadyStateAllocs(t *testing.T) {
+	env := New(1)
+	q := NewQueue[int](env)
+	c := NewCond(env)
+	env.Spawn("producer", func(p *Proc) {
+		for i := 0; ; i++ {
+			q.Put(i)
+			c.Signal()
+			p.Sleep(Microsecond)
+		}
+	})
+	env.Spawn("consumer", func(p *Proc) {
+		for {
+			q.Get(p)
+		}
+	})
+	env.Spawn("waiter", func(p *Proc) {
+		for {
+			c.Wait(p)
+		}
+	})
+	served := NewQueue[int](env)
+	served.Serve(func(int) Verdict { return Finished })
+	env.Spawn("served", func(p *Proc) {
+		for {
+			served.Get(p)
+		}
+	})
+	env.Spawn("producer2", func(p *Proc) {
+		for i := 0; ; i++ {
+			served.Put(i)
+			p.Sleep(Microsecond)
+		}
+	})
+	now := Time(0)
+	tick := func() {
+		now += 10 * Microsecond
+		env.RunUntil(now)
+	}
+	tick()
+	if a := testing.AllocsPerRun(100, tick); a != 0 {
+		t.Errorf("steady-state Queue Put/Get and Cond Signal/Wait allocate %v per 10 exchanges, want 0", a)
+	}
+	env.Shutdown()
+}
+
+// The typed heap must pop in (time, seq) order whatever the insertion
+// order, and track each event's slot.
+func TestEventHeapOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	var q eventQueue
+	var seq int64
+	for round := 0; round < 50; round++ {
+		for i := rng.Intn(40); i >= 0; i-- {
+			seq++
+			q.push(&Event{t: Time(rng.Intn(25)), seq: seq})
+		}
+		for i, ev := range q {
+			if ev.index != i {
+				t.Fatalf("event at slot %d believes it is at %d", i, ev.index)
+			}
+		}
+		var last *Event
+		for n := rng.Intn(len(q) + 1); n > 0; n-- {
+			ev := q.pop()
+			if ev.index != -1 {
+				t.Fatalf("popped event keeps index %d", ev.index)
+			}
+			if last != nil && !last.before(ev) {
+				t.Fatalf("popped (%v,%d) after (%v,%d)", ev.t, ev.seq, last.t, last.seq)
+			}
+			last = ev
+		}
+	}
+}

@@ -1,5 +1,52 @@
 package sim
 
+// fifo is a FIFO on one backing array: pop advances a head index rather
+// than re-slicing (which would shed capacity and make every later push
+// reallocate), the array is reused from the start once drained, and a
+// push that finds it full slides the live window down before it grows.
+// A queue that cycles through a bounded number of entries therefore
+// stops allocating. The slack below head also takes pushFront.
+type fifo[T any] struct {
+	buf  []T
+	head int
+}
+
+func (f *fifo[T]) len() int { return len(f.buf) - f.head }
+
+func (f *fifo[T]) push(x T) {
+	if f.head > 0 && len(f.buf) == cap(f.buf) {
+		n := copy(f.buf, f.buf[f.head:])
+		clear(f.buf[n:])
+		f.buf = f.buf[:n]
+		f.head = 0
+	}
+	f.buf = append(f.buf, x)
+}
+
+func (f *fifo[T]) pushFront(x T) {
+	if f.head == 0 {
+		var zero T
+		f.buf = append(f.buf, zero)
+		copy(f.buf[1:], f.buf)
+		f.head = 1
+	}
+	f.head--
+	f.buf[f.head] = x
+}
+
+// pop removes and returns the oldest entry; the caller checked len.
+func (f *fifo[T]) pop() T {
+	x := f.buf[f.head]
+	var zero T
+	f.buf[f.head] = zero
+	f.head++
+	if f.head == len(f.buf) {
+		f.buf = f.buf[:0]
+		f.head = 0
+	}
+	return x
+}
+
 // Cond is a condition variable in virtual time. Waiters are woken in
 // FIFO order, which keeps simulations deterministic. The zero Cond is
 // ready to use (it binds to the environment of the first waiter), so
@@ -7,7 +54,7 @@ package sim
 // separate allocation.
 type Cond struct {
 	env     *Env
-	waiters []*Proc
+	waiters fifo[*Proc]
 }
 
 // NewCond creates a condition variable bound to e.
@@ -17,52 +64,67 @@ func NewCond(e *Env) *Cond { return &Cond{env: e} }
 // sync.Cond, callers re-check their predicate in a loop.
 func (c *Cond) Wait(p *Proc) {
 	c.env = p.env
-	c.waiters = append(c.waiters, p)
+	c.waiters.push(p)
 	p.park()
 }
 
 // Signal wakes the longest-waiting process, if any.
 func (c *Cond) Signal() {
-	if len(c.waiters) == 0 {
-		return
+	if c.waiters.len() > 0 {
+		c.env.wake(c.waiters.pop())
 	}
-	p := c.waiters[0]
-	c.waiters[0] = nil
-	c.waiters = c.waiters[1:]
-	c.env.wake(p)
 }
 
 // Broadcast wakes all waiting processes in FIFO order.
 func (c *Cond) Broadcast() {
-	for i, p := range c.waiters {
-		c.env.wake(p)
-		c.waiters[i] = nil
+	for c.waiters.len() > 0 {
+		c.env.wake(c.waiters.pop())
 	}
-	// Keep the backing array: a condition variable cycles through
-	// wait/broadcast constantly and should not reallocate each round.
-	c.waiters = c.waiters[:0]
 }
 
 // Waiting reports how many processes are parked on the condition.
-func (c *Cond) Waiting() int { return len(c.waiters) }
+func (c *Cond) Waiting() int { return c.waiters.len() }
 
 // Resource is an exclusively held resource (a node's CPU, for example)
 // with a FIFO wait queue and an optional high-priority lane used for
 // interrupt handling.
+//
+// A holder is a process. It either runs the hold on its own goroutine
+// (Acquire ... Release, Use) or stays parked elsewhere while a
+// continuation holds for it on the dispatch lane (UseFn): both kinds
+// share one wait queue, and a continuation occupies exactly the event
+// slots the process's own wake-ups would.
 type Resource struct {
-	env    *Env
-	holder *Proc
-	// waiters[head:] is the FIFO wait queue; the slack below head
-	// absorbs AcquireFront pushes without reallocating.
-	waiters []*Proc
-	head    int
+	env     *Env
+	holder  *Proc
+	waiters fifo[resWaiter] // FIFO; the front lane pushes at the head
 	// busy accumulates total held time, for utilization reports.
 	busy       Time
 	acquiredAt Time
+
+	// The current holder's continuation, when it holds through UseFn.
+	// There is one holder at a time, so one slot and two method values
+	// bound once serve every continuation without a per-use closure.
+	holdFor   Time
+	holdFn    func()
+	grantedFn func()
+	expiredFn func()
+}
+
+// resWaiter is one queued claim: process p waits, on its own goroutine
+// (fn == nil) or through a continuation that will hold for d.
+type resWaiter struct {
+	p  *Proc
+	d  Time
+	fn func()
 }
 
 // NewResource creates a free resource bound to e.
-func NewResource(e *Env) *Resource { return &Resource{env: e} }
+func NewResource(e *Env) *Resource {
+	r := &Resource{env: e}
+	r.grantedFn, r.expiredFn = r.granted, r.expired
+	return r
+}
 
 // Acquire blocks p until it holds the resource.
 func (r *Resource) Acquire(p *Proc) {
@@ -71,12 +133,9 @@ func (r *Resource) Acquire(p *Proc) {
 		r.acquiredAt = r.env.now
 		return
 	}
-	r.waiters = append(r.waiters, p)
+	r.waiters.push(resWaiter{p: p})
 	p.park()
 }
-
-// queued reports how many processes wait for the resource.
-func (r *Resource) queued() int { return len(r.waiters) - r.head }
 
 // AcquireFront is Acquire, but p jumps the wait queue. Interrupt
 // service threads use it so device handling preempts queued user work
@@ -88,14 +147,7 @@ func (r *Resource) AcquireFront(p *Proc) {
 		r.acquiredAt = r.env.now
 		return
 	}
-	if r.head > 0 {
-		r.head--
-		r.waiters[r.head] = p
-	} else {
-		r.waiters = append(r.waiters, nil)
-		copy(r.waiters[1:], r.waiters)
-		r.waiters[0] = p
-	}
+	r.waiters.pushFront(resWaiter{p: p})
 	p.park()
 }
 
@@ -106,24 +158,20 @@ func (r *Resource) Release(p *Proc) {
 		panic("sim: Release by non-holder " + p.name)
 	}
 	r.busy += r.env.now - r.acquiredAt
-	if r.queued() == 0 {
+	if r.waiters.len() == 0 {
 		r.holder = nil
-		if r.head > 0 {
-			r.waiters = r.waiters[:0]
-			r.head = 0
-		}
 		return
 	}
-	next := r.waiters[r.head]
-	r.waiters[r.head] = nil
-	r.head++
-	if r.head == len(r.waiters) {
-		r.waiters = r.waiters[:0]
-		r.head = 0
-	}
-	r.holder = next
+	next := r.waiters.pop()
+	r.holder = next.p
 	r.acquiredAt = r.env.now
-	r.env.wake(next)
+	if next.fn == nil {
+		r.env.wake(next.p)
+		return
+	}
+	// A continuation's grant takes the slot the waiter's wake would.
+	r.holdFor, r.holdFn = next.d, next.fn
+	r.env.Schedule(r.env.now, r.grantedFn)
 }
 
 // Use acquires the resource, holds it for d of virtual time, and
@@ -141,6 +189,64 @@ func (r *Resource) UseFront(p *Proc, d Time) {
 	r.Release(p)
 }
 
+// UseFn is Use in continuation form, for a process p that is parked
+// elsewhere (see Queue.Serve) and must stay parked: the resource is
+// held for d on p's behalf, and fn then runs on the dispatch lane
+// right after the release. The grant and the end of the hold are
+// callback events in the slots where p's wake-up and p's Sleep resume
+// would sit had p called Use itself, so a program's event sequence does
+// not depend on which form its claims take. fn must not block. If p is
+// killed before the hold ends, its events are discarded like a killed
+// process's: fn never runs and the resource stays with the dead holder.
+func (r *Resource) UseFn(p *Proc, d Time, fn func()) {
+	if r.holder != nil {
+		r.waiters.push(resWaiter{p: p, d: d, fn: fn})
+		return
+	}
+	r.hold(p, d, fn)
+}
+
+// UseFrontFn is UseFn with queue-jumping acquisition.
+func (r *Resource) UseFrontFn(p *Proc, d Time, fn func()) {
+	if r.holder != nil {
+		r.waiters.pushFront(resWaiter{p: p, d: d, fn: fn})
+		return
+	}
+	r.hold(p, d, fn)
+}
+
+// hold takes the free resource for p's continuation.
+func (r *Resource) hold(p *Proc, d Time, fn func()) {
+	if d < 0 {
+		panic("sim: negative hold")
+	}
+	r.holder = p
+	r.acquiredAt = r.env.now
+	r.holdFor, r.holdFn = d, fn
+	r.env.Schedule(r.env.now+d, r.expiredFn)
+}
+
+// granted fires where the waiting process's wake-up would: the hold
+// starts now.
+func (r *Resource) granted() {
+	if r.holder.killed {
+		return
+	}
+	r.env.Schedule(r.env.now+r.holdFor, r.expiredFn)
+}
+
+// expired fires where the holder's Sleep would resume: release, then
+// continue.
+func (r *Resource) expired() {
+	if r.holder.killed {
+		return
+	}
+	fn := r.holdFn
+	r.holdFn = nil
+	r.Release(r.holder)
+	fn()
+}
+
 // BusyTime reports the total virtual time the resource has been held.
 func (r *Resource) BusyTime() Time {
 	t := r.busy
@@ -154,28 +260,68 @@ func (r *Resource) BusyTime() Time {
 // Items are handed directly to waiting receivers, preserving FIFO
 // fairness among both items and receivers.
 //
-// Storage is a deque on one backing array: the head index advances on
-// Get and the array is reused once drained, so a steady-state
-// producer/consumer pair allocates nothing. Parked receivers are
-// represented by pooled waiter records for the same reason.
+// Items and parked receivers are both kept in fifos, and receivers are
+// pooled records, so a steady-state producer/consumer pair allocates
+// nothing.
 type Queue[T any] struct {
 	env     *Env
-	items   []T
-	head    int
-	waiters []*queueWaiter[T]
+	items   fifo[T]
+	waiters fifo[*queueWaiter[T]]
 	wfree   []*queueWaiter[T]
 	closed  bool
+
+	// Inline service (see Serve). server is the consumer's record while
+	// an offer event is pending or an item is in service on the
+	// dispatch lane; the consumer itself stays parked in Get.
+	serve   func(T) Verdict
+	server  *queueWaiter[T]
+	offerFn func()
 }
 
 type queueWaiter[T any] struct {
-	p     *Proc
-	item  T
-	ok    bool
-	ready bool
+	p    *Proc
+	item T
+	ok   bool
 }
+
+// Verdict is an inline consumer's answer to an offered item.
+type Verdict int
+
+const (
+	// Decline: the consumer has not touched the item; the process gets it.
+	Decline Verdict = iota
+	// Finished: the item was served completely within the call.
+	Finished
+	// Pending: the item is in service and a later callback event will
+	// call Done (or Punt).
+	Pending
+)
 
 // NewQueue creates an empty queue bound to e.
 func NewQueue[T any](e *Env) *Queue[T] { return &Queue[T]{env: e} }
+
+// Serve makes fn the queue's inline consumer. The queue must have one
+// consuming process, looping on Get; every item is offered to fn on the
+// dispatch lane first, and only an item fn declines (or punts) costs a
+// switch to the process's goroutine, which then handles it as if fn did
+// not exist. Service order is the queue order: while an item is
+// Pending, later items wait, exactly as they would behind a busy
+// process.
+//
+// The schedule does not depend on what fn answers. The offer of an item
+// that finds the consumer idle is a callback event in the slot its
+// wake-up would occupy; a decline resumes the process within that same
+// event (see Env.handoff); an item that finds the consumer busy is
+// offered when its predecessor completes, with no event of its own,
+// just as Get would return it. So fn must take, for an item it serves,
+// the steps the process would — the same claims on the same resources
+// (Resource.UseFn), the same wake-ups in the same order — and must
+// decline before any side effect. fn runs while the process is parked
+// and must not block. A served queue is never closed.
+func (q *Queue[T]) Serve(fn func(item T) Verdict) {
+	q.serve = fn
+	q.offerFn = q.offer
+}
 
 // Put appends an item, waking the longest-waiting receiver if one
 // exists. Put never blocks. Put on a closed queue panics.
@@ -183,75 +329,132 @@ func (q *Queue[T]) Put(x T) {
 	if q.closed {
 		panic("sim: Put on closed queue")
 	}
-	if len(q.waiters) > 0 {
-		w := q.waiters[0]
-		q.waiters[0] = nil
-		q.waiters = q.waiters[1:]
-		if len(q.waiters) == 0 {
-			q.waiters = q.waiters[:0]
+	if q.waiters.len() > 0 {
+		w := q.waiters.pop()
+		w.item, w.ok = x, true
+		if q.serve != nil {
+			q.server = w
+			q.env.Schedule(q.env.now, q.offerFn)
+			return
 		}
-		w.item, w.ok, w.ready = x, true, true
 		q.env.wake(w.p)
 		return
 	}
-	if q.head > 0 && len(q.items) == cap(q.items) {
-		// Compact instead of growing: slide the live window down so
-		// the backing array is reused. Amortized O(1) per item.
-		n := copy(q.items, q.items[q.head:])
-		clear(q.items[n:])
-		q.items = q.items[:n]
-		q.head = 0
-	}
-	q.items = append(q.items, x)
+	q.items.push(x)
 }
 
-// pop removes and returns the oldest item; the caller checked one
-// exists.
-func (q *Queue[T]) pop() T {
-	item := q.items[q.head]
-	var zero T
-	q.items[q.head] = zero
-	q.head++
-	if q.head == len(q.items) {
-		q.items = q.items[:0]
-		q.head = 0
+// waiter returns a pooled record for p.
+func (q *Queue[T]) waiter(p *Proc) *queueWaiter[T] {
+	if n := len(q.wfree); n > 0 {
+		w := q.wfree[n-1]
+		q.wfree[n-1] = nil
+		q.wfree = q.wfree[:n-1]
+		w.p = p
+		return w
 	}
-	return item
+	return &queueWaiter[T]{p: p}
 }
 
 // Get removes and returns the oldest item, blocking while the queue is
 // empty. ok is false if the queue was closed and drained.
 func (q *Queue[T]) Get(p *Proc) (item T, ok bool) {
-	if q.head < len(q.items) {
-		return q.pop(), true
+	empty := q.items.len() == 0
+	if !empty && q.serve == nil {
+		return q.items.pop(), true
 	}
-	if q.closed {
+	if empty && q.closed {
 		return item, false
 	}
-	var w *queueWaiter[T]
-	if n := len(q.wfree); n > 0 {
-		w = q.wfree[n-1]
-		q.wfree[n-1] = nil
-		q.wfree = q.wfree[:n-1]
-		*w = queueWaiter[T]{p: p}
+	w := q.waiter(p)
+	if empty {
+		q.waiters.push(w)
+		p.park()
 	} else {
-		w = &queueWaiter[T]{p: p}
+		// Items are waiting and the consumer just finished one: offer
+		// them inline from here. p is as good as parked — whatever the
+		// offers come to, p waits for an item to be handed to it (at once,
+		// if the first offer is declined).
+		p.parked = true
+		q.server = w
+		if !p.killed {
+			q.next()
+		}
+		p.wait()
 	}
-	q.waiters = append(q.waiters, w)
-	p.park()
 	item, ok = w.item, w.ok
 	var zero T
-	w.item, w.p = zero, nil
+	w.item, w.ok, w.p = zero, false, nil
 	q.wfree = append(q.wfree, w)
 	return item, ok
 }
 
+// offer fires in the slot where the idle consumer's wake-up would.
+func (q *Queue[T]) offer() {
+	w := q.server
+	if w.p.killed {
+		return // the wake-up of a dead process: discarded with its item
+	}
+	if q.offered() {
+		q.next()
+	}
+}
+
+// offered puts the item in q.server, the parked consumer's record, to
+// the inline consumer and reports whether it was served then and there.
+func (q *Queue[T]) offered() bool {
+	switch q.serve(q.server.item) {
+	case Pending:
+		return false
+	case Decline:
+		q.Punt()
+		return false
+	}
+	return true
+}
+
+// next offers the queued items in turn until one stays in service or
+// is declined; when none is left the consumer is idle again, an
+// ordinary parked receiver.
+func (q *Queue[T]) next() {
+	w := q.server
+	for q.items.len() > 0 {
+		w.item = q.items.pop()
+		if !q.offered() {
+			return
+		}
+	}
+	q.server = nil
+	var zero T
+	w.item, w.ok = zero, false
+	q.waiters.push(w)
+}
+
+// Done reports that the Pending item has been served; the next queued
+// item, if any, is offered at once, within the calling event. Call it
+// from a callback event, as the last thing that event does.
+func (q *Queue[T]) Done() {
+	if !q.server.p.killed {
+		q.next()
+	}
+}
+
+// Punt hands the Pending item to the consuming process after all: its
+// Get returns the item within the calling event. Whatever the inline
+// consumer did for the item so far, the process must not repeat. Same
+// calling rule as Done.
+func (q *Queue[T]) Punt() {
+	w := q.server
+	q.server = nil
+	w.ok = true
+	q.env.handoff(w.p)
+}
+
 // TryGet removes and returns the oldest item without blocking.
 func (q *Queue[T]) TryGet() (item T, ok bool) {
-	if q.head == len(q.items) {
+	if q.items.len() == 0 {
 		return item, false
 	}
-	return q.pop(), true
+	return q.items.pop(), true
 }
 
 // Close marks the queue closed and wakes all blocked receivers with
@@ -260,14 +463,14 @@ func (q *Queue[T]) Close() {
 	if q.closed {
 		return
 	}
-	q.closed = true
-	for i, w := range q.waiters {
-		w.ready = true
-		q.env.wake(w.p)
-		q.waiters[i] = nil
+	if q.serve != nil {
+		panic("sim: Close on a served queue")
 	}
-	q.waiters = q.waiters[:0]
+	q.closed = true
+	for q.waiters.len() > 0 {
+		q.env.wake(q.waiters.pop().p)
+	}
 }
 
 // Len reports the number of queued items.
-func (q *Queue[T]) Len() int { return len(q.items) - q.head }
+func (q *Queue[T]) Len() int { return q.items.len() }
