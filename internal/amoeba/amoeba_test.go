@@ -182,13 +182,17 @@ func TestRPCRetransmissionOnLossyNet(t *testing.T) {
 	env.Shutdown()
 }
 
-func TestRPCAtMostOnce(t *testing.T) {
-	// Force duplicate requests by making the first reply always lost:
-	// use a high drop rate and count executions vs completions.
-	env, _, ms := cluster(t, 2, func(p *netsim.Params) { p.DropProb = 0.4 })
+// atMostOnceRun sends 30 RPCs over a net that loses 40% of all frames,
+// so that requests are retransmitted and replies lost, to a server that
+// counts executions, and reports every figure an observer could take.
+// The server is one thread looping on GetRequest and PutReply; take, if
+// non-nil, is also installed as its inline consumer.
+func atMostOnceRun(t *testing.T, take func(srv *Server, p *sim.Proc, r *Request, execs *int) sim.Verdict) string {
+	t.Helper()
+	env, nw, ms := cluster(t, 2, func(p *netsim.Params) { p.DropProb = 0.4 })
 	srv := NewServer(ms[1], "ctr")
 	execs := 0
-	ms[1].SpawnThread("server", func(p *sim.Proc) {
+	thread := ms[1].SpawnThread("server", func(p *sim.Proc) {
 		for {
 			r, ok := srv.GetRequest(p)
 			if !ok {
@@ -198,25 +202,60 @@ func TestRPCAtMostOnce(t *testing.T) {
 			srv.PutReply(p, r, execs, 8)
 		}
 	})
+	if take != nil {
+		srv.Serve(thread, func(r *Request) sim.Verdict { return take(srv, thread, r, &execs) })
+	}
 	c := NewClient(ms[0], RPCDefaults{Timeout: 30 * sim.Millisecond, Retries: 30})
-	done := 0
+	done, sum := 0, 0
 	ms[0].SpawnThread("client", func(p *sim.Proc) {
 		for i := 0; i < 30; i++ {
-			if _, err := c.Trans(p, 1, "ctr", "bump", nil, 4); err != nil {
+			rep, err := c.Trans(p, 1, "ctr", "bump", nil, 4)
+			if err != nil {
 				t.Errorf("rpc failed: %v", err)
 				return
 			}
+			sum += rep.(int)
 			done++
 		}
 	})
-	env.Run()
-	if done != 30 {
-		t.Fatalf("done = %d", done)
-	}
-	if execs != 30 {
-		t.Fatalf("server executed %d ops for 30 RPCs; at-most-once violated", execs)
-	}
+	end := env.Run()
+	st := nw.Stats()
+	fig := fmt.Sprintf("done=%d execs=%d sum=%d end=%v events=%d frames=%d drops=%d busy=%d/%d",
+		done, execs, sum, end, env.Events(), st.Frames, st.Drops, ms[0].CPU().BusyTime(), ms[1].CPU().BusyTime())
 	env.Shutdown()
+	return fig
+}
+
+// Duplicate requests (the net loses 40% of all frames) must not execute
+// twice, and it must make no difference to any figure whether the
+// server's thread serves the requests, an inline consumer serves them
+// on the dispatch lane, or the two take turns. The pinned figures are
+// those of the server that had only threads.
+func TestRPCAtMostOnce(t *testing.T) {
+	inline := func(srv *Server, p *sim.Proc, r *Request, execs *int) sim.Verdict {
+		*execs++
+		srv.PutReplyFn(p, r, *execs, 8, srv.Done)
+		return sim.Pending
+	}
+	turn := 0
+	for _, mode := range []struct {
+		name string
+		take func(*Server, *sim.Proc, *Request, *int) sim.Verdict
+	}{
+		{"thread", nil},
+		{"inline", inline},
+		{"alternating", func(srv *Server, p *sim.Proc, r *Request, execs *int) sim.Verdict {
+			if turn++; turn%2 == 0 {
+				return sim.Decline
+			}
+			return inline(srv, p, r, execs)
+		}},
+	} {
+		const want = "done=30 execs=30 sum=465 end=1.601s events=586 frames=136 drops=52 busy=21060000/22860000"
+		if fig := atMostOnceRun(t, mode.take); fig != want {
+			t.Errorf("%s server: %s, want %s", mode.name, fig, want)
+		}
+	}
 }
 
 func TestRPCFailsFastOnCrashedServer(t *testing.T) {

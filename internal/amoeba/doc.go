@@ -16,6 +16,23 @@
 // charge CPU or send and for deferred functions. Virtual time cannot
 // tell which body served a packet; wall-clock time can.
 //
+// RPC is Amoeba's: a Client thread blocks in Trans, which retransmits
+// on timeout; a Server deduplicates by transaction id and answers a
+// duplicate of an executed request from its reply cache, so execution
+// is at most once on a lossy net. A Server is consumed by threads that
+// loop on GetRequest and PutReply — any number of them. A server with
+// exactly one such thread may also be served inline (Server.Serve): the
+// context switch is charged as a continuation on the CPU and a function
+// of the owner's is asked, at the instant GetRequest would have
+// returned, whether it serves the request on the dispatch lane (to the
+// end, or through PutReplyFn and Done) or declines, in which case the
+// thread gets the request within the same event. Like interrupt
+// context, that is one FIFO server with two bodies, and only the wall
+// clock can tell them apart; it is a contract on the owner — one
+// consuming thread, decline before any side effect, never block — and
+// such a server is never closed. Request and transaction records are
+// pooled: a Request is the server's again once its reply is sent.
+//
 // Machines crash whole: Crash kills every thread on the machine and
 // takes it off the network, and in-flight RPCs from other machines to
 // it fail with ErrCrashed instead of hanging — the primitive the

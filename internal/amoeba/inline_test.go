@@ -1,6 +1,7 @@
 package amoeba
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 
@@ -128,4 +129,153 @@ func TestBindNonblocking(t *testing.T) {
 	if caught == nil {
 		t.Error("a handler that blocked on the dispatch lane was not reported")
 	}
+}
+
+// A transaction's record goes back to the client's pool when Trans
+// returns and serves the next transaction, while a duplicate of the
+// first one's reply can still be on its way: the reply is 60 KB and
+// holds the wire for 48 ms, the client retransmits at 30 ms, and the
+// server answers the retransmission from its reply cache once the wire
+// is free — by which time the client is in its second transaction, on
+// the same record. Replies are matched by transaction id, so the
+// duplicate must be dropped as late, not handed to the wrong caller.
+func TestRPCLateDuplicateMeetsReusedRecord(t *testing.T) {
+	env, nw, ms := cluster(t, 2, nil)
+	srv := NewServer(ms[1], "svc")
+	ms[1].SpawnThread("server", func(p *sim.Proc) {
+		size := 60_000
+		for {
+			r, ok := srv.GetRequest(p)
+			if !ok {
+				return
+			}
+			if size == 8 {
+				ms[1].Compute(p, 5*sim.Millisecond) // keep the second transaction open while the duplicate arrives
+			}
+			srv.PutReply(p, r, r.Body, size)
+			size = 8
+		}
+	})
+	c := NewClient(ms[0], RPCDefaults{Timeout: 30 * sim.Millisecond, Retries: 10})
+	var got [2]any
+	var first *rpcWait
+	ms[0].SpawnThread("client", func(p *sim.Proc) {
+		got[0], _ = c.Trans(p, 1, "svc", "echo", "one", 8)
+		first = c.free[len(c.free)-1]
+		got[1], _ = c.Trans(p, 1, "svc", "echo", "two", 8)
+	})
+	// Watch the reply port from in front of the client's handler.
+	var replies []string
+	env.At(0, func() {
+		h := ms[0].ports["svc-rep"]
+		ms[0].ports["svc-rep"] = func(p *sim.Proc, from int, pkt Packet) {
+			w := pkt.Body.(rpcWire)
+			state := "late"
+			if c.waits[w.TxID] != nil {
+				state = "awaited"
+			}
+			for _, open := range c.waits {
+				if open == first && state == "late" {
+					state = "late, its record reused"
+				}
+			}
+			replies = append(replies, fmt.Sprintf("%v: %s", w.Body, state))
+			h(p, from, pkt)
+		}
+	})
+	env.Run()
+	if got[0] != "one" || got[1] != "two" {
+		t.Errorf("transactions returned %v, want [one two]", got)
+	}
+	want := "[one: awaited one: late, its record reused two: awaited]"
+	if fmt.Sprint(replies) != want {
+		t.Errorf("replies at the client: %v, want %s", replies, want)
+	}
+	if len(c.free) != 1 || c.free[0] != first || len(c.waits) != 0 {
+		t.Errorf("client ends with %d pooled records and %d open transactions, want the one record and none", len(c.free), len(c.waits))
+	}
+	if n := nw.Stats().CountsByKind["rpc-rep"]; n != 3 {
+		t.Errorf("%d replies on the wire, want 3", n)
+	}
+	env.Shutdown()
+}
+
+// A client thread killed in the middle of a transaction (its machine
+// crashed) unwinds on its own goroutine while the run goes on, so its
+// record must neither return to the pool nor leave the table of open
+// transactions, and the timer still armed for it must find the record
+// its own.
+func TestRPCKilledClientKeepsItsRecord(t *testing.T) {
+	env, _, ms := cluster(t, 3, nil)
+	NewServer(ms[2], "mute") // requests queue up; nobody serves them
+	doomed := NewClient(ms[0], RPCDefaults{Timeout: 40 * sim.Millisecond, Retries: 3})
+	bystander := NewClient(ms[1], RPCDefaults{Timeout: 40 * sim.Millisecond, Retries: 3})
+	var err error
+	ms[0].SpawnThread("client", func(p *sim.Proc) {
+		doomed.Trans(p, 2, "mute", "nop", nil, 0)
+		t.Error("Trans returned on a crashed machine")
+	})
+	ms[1].SpawnThread("client", func(p *sim.Proc) {
+		_, err = bystander.Trans(p, 2, "mute", "nop", nil, 0)
+	})
+	var open *rpcWait
+	env.At(10*sim.Millisecond, func() {
+		for _, w := range doomed.waits {
+			open = w
+		}
+		ms[0].Crash()
+	})
+	env.Run()
+	env.Shutdown() // the killed thread unwinds here, through Trans's deferred cleanup
+	if open == nil || len(doomed.waits) != 1 || len(doomed.free) != 0 {
+		t.Fatalf("killed client: %d open transactions and %d pooled records, want its one transaction still open and no record pooled",
+			len(doomed.waits), len(doomed.free))
+	}
+	if !open.timedOut || open.replied {
+		t.Errorf("the dead transaction's timer left timedOut=%t replied=%t, want it fired on its own record", open.timedOut, open.replied)
+	}
+	if !errors.Is(err, ErrRPCTimeout) || len(bystander.waits) != 0 || len(bystander.free) != 1 {
+		t.Errorf("bystander: err %v, %d open transactions, %d pooled records; want a timeout, none, one",
+			err, len(bystander.waits), len(bystander.free))
+	}
+}
+
+// One warm round trip allocates the two packets' wire forms (a boxed
+// request or reply inside a boxed packet, each way) and the
+// retransmission timer's event; the transaction record, the request
+// record, the frames in flight and every wake-up are recycled.
+func TestRPCRoundTripAllocations(t *testing.T) {
+	env, _, ms := cluster(t, 2, nil)
+	srv := NewServer(ms[1], "null")
+	ms[1].SpawnThread("server", func(p *sim.Proc) {
+		for {
+			r, ok := srv.GetRequest(p)
+			if !ok {
+				return
+			}
+			srv.PutReply(p, r, nil, 0)
+		}
+	})
+	c := NewClient(ms[0], DefaultRPCPolicy())
+	ms[0].SpawnThread("client", func(p *sim.Proc) {
+		for {
+			if _, err := c.Trans(p, 1, "null", "nop", nil, 0); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	})
+	now := sim.Time(0)
+	tick := func() {
+		now += 100 * sim.Millisecond
+		env.RunUntil(now)
+	}
+	tick()
+	before := env.Events()
+	perTick := testing.AllocsPerRun(10, tick)
+	trips := float64(env.Events()-before) / 11 / 11 // AllocsPerRun ticks once to warm up; a round trip is 11 events
+	if perTrip := perTick / trips; perTrip > 8 || trips < 50 {
+		t.Errorf("%.1f allocations per round trip over %.0f round trips per tick, want at most 8 over at least 50", perTrip, trips)
+	}
+	env.Shutdown()
 }

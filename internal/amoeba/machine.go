@@ -319,6 +319,12 @@ func (m *Machine) Send(p *sim.Proc, dst int, pkt Packet) {
 		return
 	}
 	m.cpu.Use(p, m.costs.Send)
+	m.transmit(dst, pkt)
+}
+
+// transmit hands a unicast packet whose send cost has been charged to
+// the driver.
+func (m *Machine) transmit(dst int, pkt Packet) {
 	m.net.SendFrame(netsim.Frame{Src: m.id, Dst: dst, Kind: pkt.Kind, Size: pkt.Size, Payload: pkt})
 }
 

@@ -49,7 +49,9 @@ func DefaultRPCPolicy() RPCDefaults {
 	return RPCDefaults{Timeout: 100 * sim.Millisecond, Retries: 5}
 }
 
-// Request is a received RPC request awaiting a reply.
+// Request is a received RPC request awaiting a reply. The record is the
+// server's: it is reused for a later request once the reply has been
+// sent, so whoever serves a Request must not keep it past its PutReply.
 type Request struct {
 	Op   string
 	Body any
@@ -57,30 +59,53 @@ type Request struct {
 	From int
 	txid int64
 	srv  *Server
+
+	// switched: the context switch to the serving thread has been charged
+	// on the dispatch lane already (see Server.Serve).
+	switched bool
+
+	// The reply on its way out in continuation form (see PutReplyFn);
+	// sentFn is r.sent, bound once per record.
+	rep     rpcWire
+	repSize int
+	then    func()
+	sentFn  func()
 }
 
 // Server accepts RPCs on a port of a machine. Create one with
 // NewServer, then run one or more threads that loop on GetRequest and
-// PutReply.
+// PutReply. A server with exactly one such thread may also be served
+// inline: see Serve.
 type Server struct {
-	m     *Machine
-	port  string
-	reqs  *sim.Queue[*Request]
-	seen  map[int64]rpcWire // txid -> cached reply (at-most-once)
-	inwrk map[int64]bool    // requests currently being served
-	order []int64           // FIFO of cached txids for bounded memory
-	max   int
+	m       *Machine
+	port    string
+	repPort string // port + "-rep", where clients listen for replies
+	reqs    *sim.Queue[*Request]
+	seen    map[int64]rpcWire // txid -> cached reply (at-most-once)
+	inwrk   map[int64]bool    // requests currently being served
+	order   []int64           // FIFO of cached txids for bounded memory
+	max     int
+	free    []*Request // replied-to records, for handle to reuse
+
+	// Inline service (see Serve): the consuming thread, the function
+	// asked about every request, the request whose context switch is
+	// being charged, and s.asked bound once.
+	thread  *sim.Proc
+	take    func(*Request) sim.Verdict
+	cur     *Request
+	askedFn func()
 }
 
 // NewServer binds an RPC server to port on machine m.
 func NewServer(m *Machine, port string) *Server {
 	s := &Server{
-		m:     m,
-		port:  port,
-		reqs:  sim.NewQueue[*Request](m.Env()),
-		seen:  make(map[int64]rpcWire),
-		inwrk: make(map[int64]bool),
-		max:   1024,
+		m:       m,
+		port:    port,
+		repPort: port + "-rep",
+		reqs:    sim.NewQueue[*Request](m.Env()),
+		seen:    make(map[int64]rpcWire),
+		inwrk:   make(map[int64]bool),
+		max:     1024,
 	}
 	m.Bind(port, s.handle)
 	m.BindNonblocking(port, s.queues)
@@ -108,7 +133,7 @@ func (s *Server) handle(p *sim.Proc, from int, pkt Packet) {
 	if rep, done := s.seen[w.TxID]; done {
 		// Duplicate of an executed request: resend the cached reply.
 		s.m.Send(p, from, Packet{
-			Port: s.port + "-rep", Kind: "rpc-rep", Body: rep,
+			Port: s.repPort, Kind: "rpc-rep", Body: rep,
 			Size: sizeOfBody(rep.Body) + rpcHeaderBytes,
 		})
 		return
@@ -117,22 +142,78 @@ func (s *Server) handle(p *sim.Proc, from int, pkt Packet) {
 		return // still executing; client will retry later
 	}
 	s.inwrk[w.TxID] = true
-	s.reqs.Put(&Request{Op: w.Op, Body: w.Body, Size: pkt.Size, From: from, txid: w.TxID, srv: s})
+	var r *Request
+	if n := len(s.free); n > 0 {
+		r = s.free[n-1]
+		s.free = s.free[:n-1]
+	} else {
+		r = &Request{srv: s}
+		r.sentFn = r.sent
+	}
+	r.Op, r.Body, r.Size, r.From, r.txid = w.Op, w.Body, pkt.Size, from, w.TxID
+	s.reqs.Put(r)
 }
 
 // GetRequest blocks the server thread until a request arrives.
 func (s *Server) GetRequest(p *sim.Proc) (*Request, bool) {
 	r, ok := s.reqs.Get(p)
-	if ok {
+	if ok && !r.switched {
 		// Waking the server thread costs a context switch.
 		s.m.cpu.Use(p, s.m.costs.Switch)
 	}
 	return r, ok
 }
 
-// PutReply sends the reply for r and records it for duplicate
-// suppression.
-func (s *Server) PutReply(p *sim.Proc, r *Request, body any, size int) {
+// Serve makes take the server's inline consumer, on behalf of p, which
+// must be the one thread that loops on GetRequest (see sim.Queue.Serve:
+// both are one FIFO server of the request queue, so the order of
+// service and every virtual instant are those of the thread doing all
+// of it). Each request's context switch is charged as a continuation on
+// the CPU, and take is asked at the instant GetRequest would have
+// returned the request to p. Its answer is the queue's:
+//
+//   - Decline: take has done nothing, and the request goes to p within
+//     the same event — GetRequest returns it without charging the
+//     switch again. Anything that may block is answered so.
+//   - Finished: take has served the request on the dispatch lane, taking
+//     the steps p would have taken, without blocking.
+//   - Pending: the service continues in later callback events — a reply
+//     through PutReplyFn, say — the last of which calls Done.
+func (s *Server) Serve(p *sim.Proc, take func(r *Request) sim.Verdict) {
+	s.thread, s.take = p, take
+	s.askedFn = s.asked
+	s.reqs.Serve(s.offered)
+}
+
+// offered charges the context switch for a request that has reached the
+// head of the queue.
+func (s *Server) offered(r *Request) sim.Verdict {
+	s.cur = r
+	s.m.cpu.UseFn(s.thread, s.m.costs.Switch, s.askedFn)
+	return sim.Pending
+}
+
+// asked runs where the thread would resume with the switch charged.
+func (s *Server) asked() {
+	r := s.cur
+	s.cur = nil
+	switch s.take(r) {
+	case sim.Decline:
+		r.switched = true
+		s.reqs.Punt()
+	case sim.Finished:
+		s.reqs.Done()
+	}
+}
+
+// Done ends the inline service of a request that take answered Pending
+// (see Serve). Call it from a callback event, as the last thing that
+// event does.
+func (s *Server) Done() { s.reqs.Done() }
+
+// reply records the reply to r for duplicate suppression and returns
+// it in wire form.
+func (s *Server) reply(r *Request, body any) rpcWire {
 	rep := rpcWire{TxID: r.txid, IsRep: true, Op: r.Op, Body: body}
 	delete(s.inwrk, r.txid)
 	s.seen[r.txid] = rep
@@ -141,9 +222,41 @@ func (s *Server) PutReply(p *sim.Proc, r *Request, body any, size int) {
 		delete(s.seen, s.order[0])
 		s.order = s.order[1:]
 	}
+	return rep
+}
+
+// release takes back the record of a request that has been replied to.
+func (s *Server) release(r *Request) {
+	*r = Request{srv: s, sentFn: r.sentFn}
+	s.free = append(s.free, r)
+}
+
+// PutReply sends the reply for r and records it for duplicate
+// suppression. r is the server's again when PutReply returns.
+func (s *Server) PutReply(p *sim.Proc, r *Request, body any, size int) {
+	rep := s.reply(r, body)
 	s.m.Send(p, r.From, Packet{
-		Port: s.port + "-rep", Kind: "rpc-rep", Body: rep, Size: size + rpcHeaderBytes,
+		Port: s.repPort, Kind: "rpc-rep", Body: rep, Size: size + rpcHeaderBytes,
 	})
+	s.release(r)
+}
+
+// PutReplyFn is PutReply in continuation form, for code that serves r
+// on the dispatch lane on behalf of a parked thread p (see Serve, and
+// sim.Resource.UseFn): the reply is recorded now, the send cost is
+// charged on p's behalf, and then the reply is transmitted and then
+// runs, in the event where PutReply would have returned to p.
+func (s *Server) PutReplyFn(p *sim.Proc, r *Request, body any, size int, then func()) {
+	r.rep, r.repSize, r.then = s.reply(r, body), size+rpcHeaderBytes, then
+	s.m.cpu.UseFn(p, s.m.costs.Send, r.sentFn)
+}
+
+// sent continues PutReplyFn once the send has been charged.
+func (r *Request) sent() {
+	s, then := r.srv, r.then
+	s.m.transmit(r.From, Packet{Port: s.repPort, Kind: "rpc-rep", Body: r.rep, Size: r.repSize})
+	s.release(r)
+	then()
 }
 
 // Close unbinds the server and wakes blocked GetRequest calls.
@@ -159,13 +272,25 @@ type Client struct {
 	m      *Machine
 	policy RPCDefaults
 	waits  map[int64]*rpcWait
-	bound  map[string]bool
+	bound  map[string]bool // service ports whose reply port is bound
+	free   []*rpcWait      // records of completed transactions
 }
 
+// rpcWait is one transaction in progress: what its caller sleeps on,
+// and what the reply handler and the retransmission timer leave for it.
+// Records are pooled, so the timer's callback is a method value bound
+// once per record, not a closure per attempt.
 type rpcWait struct {
-	cond  *sim.Cond
-	reply *rpcWire
-	size  int
+	cond      sim.Cond
+	reply     rpcWire
+	replied   bool
+	timedOut  bool
+	timeoutFn func() // w.timeout
+}
+
+func (w *rpcWait) timeout() {
+	w.timedOut = true
+	w.cond.Broadcast()
 }
 
 // NewClient creates an RPC client on machine m.
@@ -174,69 +299,91 @@ func NewClient(m *Machine, policy RPCDefaults) *Client {
 }
 
 // ensureReplyPort lazily binds the client side of an RPC port so reply
-// packets find their waiting transaction.
+// packets find their waiting transaction. Replies arrive on port+"-rep"
+// so a machine can be client and server of the same service.
 func (c *Client) ensureReplyPort(port string) {
 	if c.bound[port] {
 		return
 	}
 	c.bound[port] = true
-	c.m.Bind(port, func(p *sim.Proc, from int, pkt Packet) {
-		w, ok := pkt.Body.(rpcWire)
-		if !ok || !w.IsRep {
-			return
-		}
-		wait := c.waits[w.TxID]
-		if wait == nil {
-			return // late duplicate reply
-		}
-		wait.reply = &w
-		wait.size = pkt.Size
-		wait.cond.Broadcast()
-	})
+	c.m.Bind(port+"-rep", c.onReply)
 	// A reply only wakes its waiting transaction.
-	c.m.BindNonblocking(port, func(int, Packet) bool { return true })
+	c.m.BindNonblocking(port+"-rep", func(int, Packet) bool { return true })
+}
+
+// onReply hands a reply to the transaction waiting for it. Transactions
+// are found by id, never by record, so a duplicate that arrives after
+// its transaction ended is dropped even if the record now serves
+// another one.
+func (c *Client) onReply(p *sim.Proc, from int, pkt Packet) {
+	w, ok := pkt.Body.(rpcWire)
+	if !ok || !w.IsRep {
+		return
+	}
+	wait := c.waits[w.TxID]
+	if wait == nil {
+		return // late duplicate reply
+	}
+	wait.reply, wait.replied = w, true
+	wait.cond.Broadcast()
+}
+
+// begin registers a transaction under txid.
+func (c *Client) begin(txid int64) *rpcWait {
+	var w *rpcWait
+	if n := len(c.free); n > 0 {
+		w = c.free[n-1]
+		c.free = c.free[:n-1]
+	} else {
+		w = &rpcWait{}
+		w.timeoutFn = w.timeout
+	}
+	c.waits[txid] = w
+	return w
+}
+
+// end forgets a transaction when Trans returns. The calling thread can
+// also be killed mid-transaction (its machine crashed while it was
+// parked in Trans); the unwinding goroutine runs concurrently with
+// other reaped threads of this machine and must touch neither the
+// shared map nor the pool. Its record is simply dropped, so a timer
+// still armed for it fires on a record nobody else has.
+func (c *Client) end(p *sim.Proc, txid int64, w *rpcWait) {
+	if p.Killed() {
+		return
+	}
+	delete(c.waits, txid)
+	w.reply, w.replied, w.timedOut = rpcWire{}, false, false
+	c.free = append(c.free, w)
 }
 
 // Trans performs a blocking RPC: send the request to (dst, port),
 // retransmit on timeout, and return the reply body. It is the
 // transparent communication primitive the runtime systems build on.
+// Self-sends do traverse the simulated wire; the runtime systems avoid
+// them by checking locality first.
 func (c *Client) Trans(p *sim.Proc, dst int, port, op string, body any, size int) (any, error) {
-	// Replies arrive on port+"-rep" so a machine can be client and
-	// server of the same service. Self-sends do traverse the simulated
-	// wire; the runtime systems avoid them by checking locality first.
-	c.ensureReplyPort(port + "-rep")
+	c.ensureReplyPort(port)
 	if c.m.net.Down(dst) {
 		return nil, fmt.Errorf("%w: %s/%s to node %d", ErrCrashed, port, op, dst)
 	}
 	txid := c.m.ServiceID()
-	wait := &rpcWait{cond: sim.NewCond(c.m.Env())}
-	c.waits[txid] = wait
-	// The calling thread can be killed mid-transaction (its machine
-	// crashed while it was parked here); the unwinding goroutine runs
-	// concurrently with other reaped threads of this machine and must
-	// not touch the shared waits map.
-	defer func() {
-		if !p.Killed() {
-			delete(c.waits, txid)
-		}
-	}()
+	wait := c.begin(txid)
+	defer c.end(p, txid, wait)
 
-	req := rpcWire{TxID: txid, Op: op, Body: body, Client: c.m.id}
-	send := func(pp *sim.Proc) {
-		c.m.Send(pp, dst, Packet{Port: port, Kind: "rpc-req", Body: req, Size: size + rpcHeaderBytes})
+	req := Packet{
+		Port: port, Kind: "rpc-req", Size: size + rpcHeaderBytes,
+		Body: rpcWire{TxID: txid, Op: op, Body: body, Client: c.m.id},
 	}
-	send(p)
+	c.m.Send(p, dst, req)
 	for attempt := 0; attempt <= c.policy.Retries; attempt++ {
-		var timedOut bool
-		timer := c.m.Env().After(c.policy.Timeout, func() {
-			timedOut = true
-			wait.cond.Broadcast()
-		})
-		for wait.reply == nil && !timedOut {
+		wait.timedOut = false
+		timer := c.m.Env().After(c.policy.Timeout, wait.timeoutFn)
+		for !wait.replied && !wait.timedOut {
 			wait.cond.Wait(p)
 		}
 		timer.Cancel()
-		if wait.reply != nil {
+		if wait.replied {
 			return wait.reply.Body, nil
 		}
 		if c.m.net.Down(dst) {
@@ -246,7 +393,7 @@ func (c *Client) Trans(p *sim.Proc, dst int, port, op string, body any, size int
 		}
 		if attempt < c.policy.Retries {
 			c.m.Env().Tracef("node%d: rpc retry %s/%s to %d", c.m.id, port, op, dst)
-			send(p)
+			c.m.Send(p, dst, req)
 		}
 	}
 	return nil, fmt.Errorf("%w: %s/%s to node %d", ErrRPCTimeout, port, op, dst)

@@ -97,6 +97,32 @@ type Network struct {
 	busFreeAt sim.Time
 	faults    *FaultPlan
 	stats     Stats
+	free      *flight // arrived unicast frames' records, for deliver to reuse
+}
+
+// flight is one frame on its way to one receiver. Records are pooled and
+// carry their arrival callback as a method value bound once, so a frame
+// in flight costs neither a closure nor a copy of the frame on the heap.
+type flight struct {
+	nw       *Network
+	f        Frame
+	dst      int
+	at       sim.Time
+	frags    int
+	arriveFn func() // fl.arrive
+	next     *flight
+}
+
+// arrive fires at the frame's arrival instant.
+func (fl *flight) arrive() {
+	nw, f, dst, at, frags := fl.nw, fl.f, fl.dst, fl.at, fl.frags
+	fl.f = Frame{}
+	fl.next, nw.free = nw.free, fl
+	if nw.down[dst] || nw.handlers[dst] == nil {
+		return
+	}
+	nw.stats.Interrupts[dst] += int64(frags)
+	nw.handlers[dst](Delivery{Frame: f, Fragments: frags, At: at})
 }
 
 // New creates a network of n nodes with the given parameters.
@@ -215,13 +241,15 @@ func (nw *Network) deliver(f Frame, dst int, at sim.Time, frags int) {
 	}
 	// Pooled schedule: nobody cancels an in-flight frame, so the event
 	// comes from the scheduler's free list instead of the heap's churn.
-	nw.env.Schedule(at, func() {
-		if nw.down[dst] || nw.handlers[dst] == nil {
-			return
-		}
-		nw.stats.Interrupts[dst] += int64(frags)
-		nw.handlers[dst](Delivery{Frame: f, Fragments: frags, At: at})
-	})
+	fl := nw.free
+	if fl == nil {
+		fl = &flight{nw: nw}
+		fl.arriveFn = fl.arrive
+	} else {
+		nw.free = fl.next
+	}
+	fl.f, fl.dst, fl.at, fl.frags = f, dst, at, frags
+	nw.env.Schedule(at, fl.arriveFn)
 }
 
 // SendFrame transmits a unicast frame. The send is fire-and-forget;

@@ -111,7 +111,8 @@ func (b *TypeBuilder[S]) NewWith(p *Proc, opts []Option, args ...any) Handle[S] 
 // returns the extended slice. That one shape yields both OpDef.Apply
 // (dst = nil, a fresh slice per call, safe to retain) and
 // OpDef.ApplyInto (caller-provided scratch, the runtimes' zero-alloc
-// local-read path).
+// local-read path). Writes with results add OpDef.ApplyDiscard
+// themselves: only they can leave a result unconverted.
 func addOp[S rts.State](b *TypeBuilder[S], name string, kind rts.OpKind,
 	apply func(s S, a []any, dst []any) []any) *rts.OpDef {
 	if _, dup := b.t.Ops[name]; dup {
@@ -325,9 +326,11 @@ type WriteOp0[S rts.State, R any] struct{ def *rts.OpDef }
 
 // DefWrite0 attaches a no-argument write to a type.
 func DefWrite0[S rts.State, R any](b *TypeBuilder[S], name string, apply func(S) R) WriteOp0[S, R] {
-	return WriteOp0[S, R]{def: addOp(b, name, rts.Write, func(s S, _ []any, dst []any) []any {
+	def := addOp(b, name, rts.Write, func(s S, _ []any, dst []any) []any {
 		return append(dst, apply(s))
-	})}
+	})
+	def.ApplyDiscard = func(s rts.State, _ []any) { apply(s.(S)) }
+	return WriteOp0[S, R]{def: def}
 }
 
 // Guard makes the write blocking.
@@ -350,9 +353,11 @@ type WriteOp[S rts.State, A, R any] struct{ def *rts.OpDef }
 
 // DefWrite attaches a one-argument write to a type.
 func DefWrite[S rts.State, A, R any](b *TypeBuilder[S], name string, apply func(S, A) R) WriteOp[S, A, R] {
-	return WriteOp[S, A, R]{def: addOp(b, name, rts.Write, func(s S, a []any, dst []any) []any {
+	def := addOp(b, name, rts.Write, func(s S, a []any, dst []any) []any {
 		return append(dst, apply(s, argAs[A](a[0])))
-	})}
+	})
+	def.ApplyDiscard = func(s rts.State, a []any) { apply(s.(S), argAs[A](a[0])) }
+	return WriteOp[S, A, R]{def: def}
 }
 
 // Guard makes the write blocking; the guard sees the argument.
@@ -375,10 +380,12 @@ type WriteOp0x2[S rts.State, R1, R2 any] struct{ def *rts.OpDef }
 
 // DefWrite0x2 attaches a no-argument, two-result write to a type.
 func DefWrite0x2[S rts.State, R1, R2 any](b *TypeBuilder[S], name string, apply func(S) (R1, R2)) WriteOp0x2[S, R1, R2] {
-	return WriteOp0x2[S, R1, R2]{def: addOp(b, name, rts.Write, func(s S, _ []any, dst []any) []any {
+	def := addOp(b, name, rts.Write, func(s S, _ []any, dst []any) []any {
 		r1, r2 := apply(s)
 		return append(dst, r1, r2)
-	})}
+	})
+	def.ApplyDiscard = func(s rts.State, _ []any) { apply(s.(S)) }
+	return WriteOp0x2[S, R1, R2]{def: def}
 }
 
 // Guard makes the write blocking.
@@ -405,10 +412,12 @@ type WriteOp1x2[S rts.State, A, R1, R2 any] struct{ def *rts.OpDef }
 
 // DefWrite1x2 attaches a one-argument, two-result write to a type.
 func DefWrite1x2[S rts.State, A, R1, R2 any](b *TypeBuilder[S], name string, apply func(S, A) (R1, R2)) WriteOp1x2[S, A, R1, R2] {
-	return WriteOp1x2[S, A, R1, R2]{def: addOp(b, name, rts.Write, func(s S, a []any, dst []any) []any {
+	def := addOp(b, name, rts.Write, func(s S, a []any, dst []any) []any {
 		r1, r2 := apply(s, argAs[A](a[0]))
 		return append(dst, r1, r2)
-	})}
+	})
+	def.ApplyDiscard = func(s rts.State, a []any) { apply(s.(S), argAs[A](a[0])) }
+	return WriteOp1x2[S, A, R1, R2]{def: def}
 }
 
 // Guard makes the write blocking; the guard sees the argument.
@@ -435,10 +444,12 @@ type WriteOp2x2[S rts.State, A1, A2, R1, R2 any] struct{ def *rts.OpDef }
 
 // DefWrite2x2 attaches a two-argument, two-result write to a type.
 func DefWrite2x2[S rts.State, A1, A2, R1, R2 any](b *TypeBuilder[S], name string, apply func(S, A1, A2) (R1, R2)) WriteOp2x2[S, A1, A2, R1, R2] {
-	return WriteOp2x2[S, A1, A2, R1, R2]{def: addOp(b, name, rts.Write, func(s S, a []any, dst []any) []any {
+	def := addOp(b, name, rts.Write, func(s S, a []any, dst []any) []any {
 		r1, r2 := apply(s, argAs[A1](a[0]), argAs[A2](a[1]))
 		return append(dst, r1, r2)
-	})}
+	})
+	def.ApplyDiscard = func(s rts.State, a []any) { apply(s.(S), argAs[A1](a[0]), argAs[A2](a[1])) }
+	return WriteOp2x2[S, A1, A2, R1, R2]{def: def}
 }
 
 // Guard makes the write blocking; the guard sees both arguments.

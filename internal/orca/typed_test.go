@@ -234,3 +234,35 @@ func TestCostPropagates(t *testing.T) {
 		t.Fatal("op kinds misclassified")
 	}
 }
+
+// TestApplyDiscardDoesNotBoxResults covers the five write shapes that
+// return results: a replica that drops them applies the write through
+// OpDef.ApplyDiscard, which must change the state exactly as Apply does
+// and never convert a result to any (an allocation for every value the
+// runtime has no cached box for, like the large integers here).
+func TestApplyDiscardDoesNotBoxResults(t *testing.T) {
+	type acc struct{ n int64 }
+	b := NewType("test.acc", func([]any) *acc { return &acc{} })
+	const big = int64(1) << 40
+	DefWrite0(b, "w0", func(s *acc) int64 { s.n += big; return s.n })
+	DefWrite(b, "w1", func(s *acc, d int64) int64 { s.n += d; return s.n })
+	DefWrite0x2(b, "w0x2", func(s *acc) (int64, int64) { s.n += big; return s.n, -s.n })
+	DefWrite1x2(b, "w1x2", func(s *acc, d int64) (int64, int64) { s.n += d; return s.n, -s.n })
+	DefWrite2x2(b, "w2x2", func(s *acc, d, e int64) (int64, int64) { s.n += d + e; return s.n, -s.n })
+	args := []any{big, big}
+	for _, name := range []string{"w0", "w1", "w0x2", "w1x2", "w2x2"} {
+		op := b.Type().Op(name)
+		if op.ApplyDiscard == nil {
+			t.Fatalf("%s: no ApplyDiscard", name)
+		}
+		kept, dropped := &acc{n: 1}, &acc{n: 1}
+		res := op.Apply(kept, args)
+		op.ApplyDiscard(dropped, args)
+		if kept.n != dropped.n || kept.n == 1 || res[0].(int64) != kept.n {
+			t.Errorf("%s: Apply left %d (result %v), ApplyDiscard left %d", name, kept.n, res, dropped.n)
+		}
+		if a := testing.AllocsPerRun(100, func() { op.ApplyDiscard(dropped, args) }); a != 0 {
+			t.Errorf("%s: ApplyDiscard allocates %v times, want 0", name, a)
+		}
+	}
+}

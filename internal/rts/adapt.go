@@ -557,9 +557,5 @@ func (rt *Router) installPrimary(id ObjID, info *adaptInfo, target int, st State
 	meta.protocol = Update
 	meta.placement = SingleCopy
 	meta.moved = false
-	if _, ok := tn.queues[id]; !ok {
-		q := sim.NewQueue[*p2pTask](tn.m.Env())
-		tn.queues[id] = q
-		tn.m.SpawnThread(fmt.Sprintf("obj%d", id), func(pp *sim.Proc) { tn.objectLoop(pp, id, q) })
-	}
+	tn.startPrimary(id)
 }

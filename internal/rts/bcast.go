@@ -173,10 +173,6 @@ type bcastManager struct {
 	writtenFn func()
 	applied   bool
 
-	// discard is the result scratch for writes invoked elsewhere: only
-	// the invoker's manager hands a result to anyone.
-	discard []any
-
 	// Partial replication plumbing (see bcast_partial.go).
 	fwdSrv    *amoeba.Server
 	fwdClient *amoeba.Client
@@ -832,7 +828,7 @@ func (mgr *bcastManager) applyCharged(p *sim.Proc, inst *bcastInstance, uid int6
 	if src == mgr.m.ID() {
 		res = op.Apply(inst.state, args)
 	} else {
-		mgr.applyDiscard(op, inst.state, args)
+		op.applyDiscard(inst.state, args)
 	}
 	inst.writes++
 	if !inst.typ.SizeFixed {
@@ -840,18 +836,6 @@ func (mgr *bcastManager) applyCharged(p *sim.Proc, inst *bcastInstance, uid int6
 	}
 	mgr.complete(p, uid, src, res)
 	inst.cond.Broadcast()
-}
-
-// applyDiscard applies a write whose result nobody reads, through the
-// manager's scratch slice where the definition allows it instead of a
-// fresh result slice per replica.
-func (mgr *bcastManager) applyDiscard(op *OpDef, s State, args []any) {
-	if op.ApplyInto == nil {
-		op.Apply(s, args)
-		return
-	}
-	mgr.discard = op.ApplyInto(s, args, mgr.discard[:0])
-	clear(mgr.discard)
 }
 
 // drainPending retries queued guarded writes in arrival (sequence)

@@ -206,7 +206,7 @@ func (r *Router) execFence(p *sim.Proc, mgr *bcastManager, f wireFence) {
 		}
 		op := inst.op(fo.Op)
 		mgr.charge(p, sub.costs.WriteApply+sub.costs.opCost(op))
-		mgr.applyDiscard(op, inst.state, fo.Args)
+		op.applyDiscard(inst.state, fo.Args)
 		inst.writes++
 		if !inst.typ.SizeFixed {
 			inst.seg.Resize(int64(inst.typ.stateSize(inst.state)))

@@ -100,3 +100,189 @@ func TestWritePastPendingGuardTakesThread(t *testing.T) {
 		t.Errorf("figures moved:\n\t%s\nwere\t%s", fig, want)
 	}
 }
+
+// p2pRoutes counts what the primaries' object queues did with the tasks
+// offered to them on the dispatch lane.
+type p2pRoutes struct {
+	watched  map[*objQueue]bool
+	inline   int            // reads served to completion on the dispatch lane
+	declined map[string]int // tasks left to the thread, by kind ("guarded read" apart)
+}
+
+// watch puts a counter in front of every object queue that exists by
+// now and is not watched yet.
+func (c *p2pRoutes) watch(r *P2PRTS) {
+	if c.watched == nil {
+		c.watched, c.declined = map[*objQueue]bool{}, map[string]int{}
+	}
+	for _, n := range r.nodes {
+		for _, o := range n.queues {
+			if c.watched[o] {
+				continue
+			}
+			c.watched[o] = true
+			o := o
+			o.q.Serve(func(t *p2pTask) sim.Verdict {
+				kind := t.kind
+				if kind == "read" && t.op.Guard != nil {
+					kind = "guarded read"
+				}
+				v := o.serve(t)
+				switch {
+				case v == sim.Decline:
+					c.declined[kind]++
+				case kind != "read":
+					c.declined["WRONGLY INLINE: "+kind]++
+				default:
+					c.inline++
+				}
+				return v
+			})
+		}
+	}
+}
+
+// TestP2PInlineReadsAmongThreadPaths keeps plain remote reads in flight
+// — the one task a primary serves on the dispatch lane — while the
+// object meets everything that must take the thread: writes, a guarded
+// read that parks and is released by a write, a migration of the
+// primary under the readers (reads queued behind it bounce off the
+// object thread, reads that arrive after it bounce off the dispatcher),
+// and a crash of the new primary (the reads in flight time out and
+// re-home the object). Every route is counted, and the run's figures
+// are those it had when threads served everything.
+func TestP2PInlineReadsAmongThreadPaths(t *testing.T) {
+	const n = 4
+	cfg := dynCfg(Update)
+	cfg.Placement = SingleCopy
+	b, r := newP2PTB(t, 6, n, cfg)
+	defer b.done()
+	var routes p2pRoutes
+
+	var cell, flag ObjID
+	var got [n]string
+	ready := sim.NewCond(b.env)
+	b.spawn(0, "main", func(w *Worker) {
+		cell = r.Create(w, "intcell", 100)
+		flag = r.Create(w, "flag")
+		routes.watch(r)
+		ready.Broadcast()
+		w.P.Sleep(30 * sim.Millisecond)
+		// Move the cell's primary to machine 2 under the readers' feet.
+		r.nodes[0].submitMigrate(w, r.meta(cell), "rehome", 2)
+		routes.watch(r)
+		got[0] = fmt.Sprintf("moved@%v", w.P.Now())
+	})
+	reader := func(node, rounds int) {
+		b.spawn(node, fmt.Sprintf("reader%d", node), func(w *Worker) {
+			for cell == 0 || flag == 0 {
+				ready.Wait(w.P)
+			}
+			sum := 0
+			for k := 0; k < rounds; k++ {
+				sum += r.Invoke(w, cell, "get")[0].(int)
+				r.Invoke(w, flag, "get")
+			}
+			routes.watch(r)
+			got[node] = fmt.Sprintf("sum %d@%v", sum, w.P.Now())
+		})
+	}
+	reader(1, 40)
+	reader(3, 40)
+	b.spawn(2, "waiter", func(w *Worker) {
+		for flag == 0 {
+			ready.Wait(w.P)
+		}
+		r.Invoke(w, flag, "await") // parks at the primary until the flag is set
+		got[2] = fmt.Sprintf("released@%v", w.P.Now())
+		for k := 0; k < 5; k++ {
+			r.Invoke(w, cell, "inc")
+		}
+	})
+	b.spawn(3, "setter", func(w *Worker) {
+		w.P.Sleep(15 * sim.Millisecond)
+		r.Invoke(w, flag, "set", true)
+	})
+	// The cell's new primary dies with reads in flight.
+	b.env.At(60*sim.Millisecond, func() { b.crash(2, r) })
+	b.run(20 * sim.Second)
+
+	if app := b.blockedApp("", "main", "reader1", "reader3", "setter"); len(app) != 0 {
+		t.Fatalf("still blocked: %v", app)
+	}
+	ns := b.net.Stats()
+	fig := fmt.Sprintf("%v primary=%d events=%d frames=%d wire=%d stats=%+v",
+		got, r.Primary(cell), b.env.Events(), ns.Frames, ns.WireBytes, r.Stats())
+	const want = "[moved@30.296ms sum 4084@2.095s released@16.822ms sum 4084@95.691ms] primary=0 events=2213 frames=337 wire=27629 " +
+		"stats={LocalReads:0 RemoteReads:164 Writes:6 GuardWaits:1 Fetches:0 Discards:0 Invalidations:0 Updates:0 Crashes:1 OpsRetried:2 Rehomed:1}"
+	if fig != want {
+		t.Errorf("figures moved:\n\t%s\nwere\t%s", fig, want)
+	}
+	// Every read of an object at rest ran to completion inline; the
+	// threads got the six writes, the guarded read, the migration and the
+	// one read that was queued behind it and found the object gone.
+	if took := fmt.Sprintf("inline=%d declined=%v", routes.inline, routes.declined); took != "inline=160 declined=map[guarded read:1 read:1 rehome:1 write:6]" {
+		t.Errorf("routes: %s", took)
+	}
+}
+
+// TestCrashWhileContinuationHoldsPrimaryCPU kills a primary at each of
+// the three instants where a continuation holds its CPU for a remote
+// read — the dispatcher's context switch, the object's read charge, and
+// the reply's send charge, the last with the reply already recorded for
+// duplicate suppression. The continuation dies with the machine as the
+// thread it stands for would: nothing more happens there, the CPU stays
+// with the dead holder, and the reader times out, restarts the object
+// elsewhere and reads its initial value. Figures from the runtime whose
+// primaries were threads throughout.
+func TestCrashWhileContinuationHoldsPrimaryCPU(t *testing.T) {
+	run := func(crashBefore sim.Time) (done sim.Time, fig string) {
+		cfg := dynCfg(Update)
+		cfg.Placement = SingleCopy
+		b, r := newP2PTB(t, 8, 3, cfg)
+		defer b.done()
+		var id ObjID
+		var val int
+		var start, busyAtCrash sim.Time
+		b.spawn(0, "main", func(w *Worker) {
+			id = r.Create(w, "intcell", 7)
+			r.Invoke(w, id, "set", 8)
+			b.spawn(1, "reader", func(w *Worker) {
+				start = w.P.Now()
+				val = r.Invoke(w, id, "get")[0].(int)
+				done = w.P.Now() - start
+			})
+		})
+		if crashBefore > 0 {
+			b.env.At(crashBefore, func() {
+				busyAtCrash = b.ms[0].CPU().BusyTime()
+				b.crash(0, r)
+			})
+		}
+		b.run(10 * sim.Second)
+		ns := b.net.Stats()
+		fig = fmt.Sprintf("val=%d took=%v primary=%d events=%d frames=%d busy0=%v (%v at the crash) rehomed=%d",
+			val, done, r.Primary(id), b.env.Events(), ns.Frames, b.ms[0].CPU().BusyTime(), busyAtCrash, r.Stats().Rehomed)
+		return start + done, fig
+	}
+	end, clean := run(0)
+	if want := "val=8 took=1.084ms primary=0 events=25 frames=2 busy0=520.000µs (0ns at the crash) rehomed=0"; clean != want {
+		t.Errorf("no crash: %s, want %s", clean, want)
+	}
+	// Backwards from the reader's wake-up: 210 µs of interrupt service at
+	// the reader's machine, 112.4 µs on the wire, and then at the primary
+	// 180 µs of send, 10 µs of read and 60 µs of context switch.
+	for _, c := range []struct {
+		name   string
+		before sim.Time
+		want   string
+	}{
+		{"send charge, reply pending", 400 * sim.Microsecond, "val=7 took=2.000s primary=1 events=25 frames=1 busy0=2.000s (442.400µs at the crash) rehomed=1"},
+		{"read charge", 507 * sim.Microsecond, "val=7 took=2.000s primary=1 events=24 frames=1 busy0=2.000s (335.400µs at the crash) rehomed=1"},
+		{"context switch", 550 * sim.Microsecond, "val=7 took=2.000s primary=1 events=22 frames=1 busy0=2.000s (292.400µs at the crash) rehomed=1"},
+	} {
+		if _, fig := run(end - c.before); fig != c.want {
+			t.Errorf("crash during the %s: %s, want %s", c.name, fig, c.want)
+		}
+	}
+}

@@ -206,8 +206,9 @@ type p2pNode struct {
 	client *amoeba.Client
 	srv    *amoeba.Server
 	insts  map[ObjID]*p2pInstance
-	queues map[ObjID]*sim.Queue[*p2pTask]
+	queues map[ObjID]*objQueue
 	access map[ObjID]*accessStats
+	tfree  []*p2pTask // see task
 }
 
 // accessStats tracks one machine's accesses to one object for the
@@ -274,12 +275,12 @@ func NewP2PRTS(reg *Registry, costs Costs, cfg P2PConfig, machines []*amoeba.Mac
 			m:      m,
 			client: amoeba.NewClient(m, cfg.RPCPolicy),
 			insts:  make(map[ObjID]*p2pInstance),
-			queues: make(map[ObjID]*sim.Queue[*p2pTask]),
+			queues: make(map[ObjID]*objQueue),
 			access: make(map[ObjID]*accessStats),
 		}
 		n.srv = amoeba.NewServer(m, p2pRPCPort)
 		m.Bind(p2pCtlPort, n.handleCtl)
-		m.SpawnThread("objsvc", n.serve)
+		n.srv.Serve(m.SpawnThread("objsvc", n.serve), n.route)
 		r.nodes = append(r.nodes, n)
 	}
 	return r
@@ -381,9 +382,7 @@ func (r *P2PRTS) CreateWith(w *Worker, typeName string, protocol P2PProtocol, pl
 	node.insts[id] = inst
 	r.objs[id] = &p2pMeta{id: id, typ: t, primary: w.Node(), protocol: protocol, placement: placement,
 		ctorArgs: append([]any(nil), args...)}
-	q := sim.NewQueue[*p2pTask](w.M.Env())
-	node.queues[id] = q
-	node.m.SpawnThread(fmt.Sprintf("obj%d", id), func(p *sim.Proc) { node.objectLoop(p, id, q) })
+	node.startPrimary(id)
 	if placement == FullReplication {
 		for _, other := range r.nodes {
 			if other.m.ID() == w.Node() {
@@ -497,7 +496,7 @@ func (n *p2pNode) invokeWrite(w *Worker, meta *p2pMeta, op *OpDef, args []any) [
 		}
 		if meta.primary == n.m.ID() {
 			t := &p2pTask{kind: "write", op: op, args: args, from: n.m.ID()}
-			n.queues[meta.id].Put(t)
+			n.queues[meta.id].q.Put(t)
 			for !t.done {
 				t.cond.Wait(w.P)
 			}
@@ -634,7 +633,7 @@ func (n *p2pNode) submitMigrate(w *Worker, meta *p2pMeta, kind string, target in
 		}
 		if meta.primary == n.m.ID() {
 			t := &p2pTask{kind: kind, from: n.m.ID(), to: target}
-			n.queues[meta.id].Put(t)
+			n.queues[meta.id].q.Put(t)
 			for !t.done {
 				t.cond.Wait(w.P)
 			}

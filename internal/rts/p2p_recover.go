@@ -1,10 +1,6 @@
 package rts
 
-import (
-	"fmt"
-
-	"repro/internal/sim"
-)
+import "fmt"
 
 // Crash recovery for the point-to-point runtime. The paper's §3.2.2
 // RTS keeps one primary copy per object; a machine crash therefore
@@ -143,12 +139,7 @@ func (r *P2PRTS) rehome(w *Worker, meta *p2pMeta) {
 		}
 	}
 	inst.cond.Broadcast()
-	if _, ok := nn.queues[meta.id]; !ok {
-		q := sim.NewQueue[*p2pTask](nn.m.Env())
-		nn.queues[meta.id] = q
-		id := meta.id
-		nn.m.SpawnThread(fmt.Sprintf("obj%d", id), func(p *sim.Proc) { nn.objectLoop(p, id, q) })
-	}
+	nn.startPrimary(meta.id)
 	old := meta.primary
 	meta.primary = target
 	r.stats.Rehomed++

@@ -16,7 +16,12 @@ import (
 // work (operations at the primary, fetches) is routed to per-object
 // threads so one blocked object cannot stall the machine's service.
 // Secondary-side protocol steps (update apply, invalidation) are quick
-// and handled inline.
+// and handled here.
+//
+// Routing never blocks, so it runs to completion on the dispatch lane
+// (route is the server's inline consumer, see amoeba.Server.Serve) and
+// the thread is left with the requests it answers itself: bounces and
+// the secondary-side steps, which charge CPU and send.
 func (n *p2pNode) serve(p *sim.Proc) {
 	r := n.rts
 	for {
@@ -24,40 +29,21 @@ func (n *p2pNode) serve(p *sim.Proc) {
 		if !ok {
 			return
 		}
+		if n.route(req) == sim.Finished {
+			continue
+		}
 		switch body := req.Body.(type) {
-		case p2pOpReq:
-			meta := r.meta(body.Obj)
-			if meta.moved || meta.primary != n.m.ID() {
-				// The object migrated or re-homed while the request
-				// was in flight: bounce so the client re-resolves.
-				n.srv.PutReply(p, req, retrySlice, 8)
-				break
-			}
-			op := meta.typ.Op(body.Op)
-			kind := "write"
-			if op.Kind == Read {
-				kind = "read"
-			}
-			n.queues[body.Obj].Put(&p2pTask{kind: kind, op: op, args: body.Args, from: req.From, req: req})
-
-		case p2pFetchReq:
-			if meta := r.meta(body.Obj); meta.moved || meta.primary != n.m.ID() {
-				n.srv.PutReply(p, req, retrySlice, 8)
-				break
-			}
-			n.queues[body.Obj].Put(&p2pTask{kind: "fetch", from: body.Node, req: req})
+		case p2pOpReq, p2pFetchReq:
+			// The object migrated or re-homed while the request was in
+			// flight: bounce so the client re-resolves.
+			n.srv.PutReply(p, req, retrySlice, 8)
 
 		case p2pMigrateReq:
-			meta := r.meta(body.Obj)
-			if meta.moved {
+			if r.meta(body.Obj).moved {
 				n.srv.PutReply(p, req, nil, 4) // already cut over
-				break
-			}
-			if meta.primary != n.m.ID() {
+			} else {
 				n.srv.PutReply(p, req, retrySlice, 8)
-				break
 			}
-			n.queues[body.Obj].Put(&p2pTask{kind: body.Kind, from: req.From, to: body.Target, req: req})
 
 		case p2pUpdateReq:
 			// Phase one at a secondary: lock, apply, ack, stay locked.
@@ -75,6 +61,52 @@ func (n *p2pNode) serve(p *sim.Proc) {
 	}
 }
 
+// route queues an operation, fetch or migration request for the thread
+// of the object whose primary this machine is, and reports Finished.
+// Every other request it declines untouched: one for an object that has
+// moved or re-homed, which serve bounces, and the secondary-side steps.
+func (n *p2pNode) route(req *amoeba.Request) sim.Verdict {
+	t := p2pTask{from: req.From, req: req}
+	var id ObjID
+	var opName string
+	switch body := req.Body.(type) {
+	case p2pOpReq:
+		id, opName, t.args = body.Obj, body.Op, body.Args
+	case p2pFetchReq:
+		id, t.kind, t.from = body.Obj, "fetch", body.Node
+	case p2pMigrateReq:
+		id, t.kind, t.to = body.Obj, body.Kind, body.Target
+	default:
+		return sim.Decline
+	}
+	meta := n.rts.meta(id)
+	if meta.moved || meta.primary != n.m.ID() {
+		return sim.Decline
+	}
+	if t.kind == "" {
+		t.op, t.kind = meta.op(opName), "write"
+		if t.op.Kind == Read {
+			t.kind = "read"
+		}
+	}
+	queued := n.task()
+	*queued = t
+	n.queues[id].q.Put(queued)
+	return sim.Finished
+}
+
+// task returns a blank record for a remote request's task; reply takes
+// it back once the request is answered. (A local task is its invoker's,
+// who reads the result out of it.)
+func (n *p2pNode) task() *p2pTask {
+	if k := len(n.tfree); k > 0 {
+		t := n.tfree[k-1]
+		n.tfree = n.tfree[:k-1]
+		return t
+	}
+	return &p2pTask{}
+}
+
 // applyUpdate performs phase one of the update protocol at a
 // secondary.
 func (n *p2pNode) applyUpdate(p *sim.Proc, req *amoeba.Request, u p2pUpdateReq) {
@@ -89,7 +121,7 @@ func (n *p2pNode) applyUpdate(p *sim.Proc, req *amoeba.Request, u p2pUpdateReq) 
 	op := inst.typ.Op(u.Op)
 	inst.locked = true
 	n.m.Compute(p, r.costs.WriteApply+r.costs.opCost(op))
-	op.Apply(inst.state, u.Args)
+	op.applyDiscard(inst.state, u.Args)
 	if !inst.typ.SizeFixed {
 		inst.seg.Resize(int64(inst.typ.stateSize(inst.state)))
 	}
@@ -116,18 +148,82 @@ func (n *p2pNode) handleCtl(p *sim.Proc, from int, pkt amoeba.Packet) {
 	}
 }
 
-// objectLoop is the primary's per-object protocol thread. It
-// serializes all writes, remote reads, and fetches on the object, and
-// holds guarded tasks until a committed write enables them.
-func (n *p2pNode) objectLoop(p *sim.Proc, id ObjID, q *sim.Queue[*p2pTask]) {
+// objQueue is an object's task queue on a machine that is, or has been,
+// its primary, with the thread that consumes it and that consumer's
+// half on the dispatch lane.
+type objQueue struct {
+	n      *p2pNode
+	id     ObjID
+	q      *sim.Queue[*p2pTask]
+	thread *sim.Proc
+
+	// The read in service inline, with the copy it found (see serve), and
+	// the two continuations bound once: o.read and o.q.Done.
+	cur    *p2pTask
+	inst   *p2pInstance
+	readFn func()
+	doneFn func()
+}
+
+// startPrimary gives the object its queue and thread on this machine,
+// unless it has been primary here before and still has them.
+func (n *p2pNode) startPrimary(id ObjID) {
+	if _, ok := n.queues[id]; ok {
+		return
+	}
+	o := &objQueue{n: n, id: id, q: sim.NewQueue[*p2pTask](n.m.Env())}
+	o.readFn, o.doneFn = o.read, o.q.Done
+	o.q.Serve(o.serve)
+	n.queues[id] = o
+	o.thread = n.m.SpawnThread(fmt.Sprintf("obj%d", id), o.loop)
+}
+
+// loop is the primary's per-object protocol thread. It serializes all
+// writes, remote reads, and fetches on the object, and holds guarded
+// tasks until a committed write enables them.
+func (o *objQueue) loop(p *sim.Proc) {
 	var pending []*p2pTask
 	for {
-		t, ok := q.Get(p)
+		t, ok := o.q.Get(p)
 		if !ok {
 			return
 		}
-		n.execTask(p, id, t, &pending)
+		o.n.execTask(p, o.id, t, &pending)
 	}
+}
+
+// serve is the object thread on the dispatch lane (see sim.Queue.Serve).
+// It takes the one task that makes up nearly all of a primary's work and
+// cannot block on anything but the CPU: a remote, unguarded read of a
+// copy that is present and still the primary, whose cost is one
+// scheduling quantum at most. The steps are execTask's own in
+// continuation form — charge, apply, reply. Everything else (guards,
+// writes, fetches, migrations, an object that has gone) it declines
+// untouched, and loop handles it as ever.
+func (o *objQueue) serve(t *p2pTask) sim.Verdict {
+	n := o.n
+	r := n.rts
+	if t.kind != "read" || t.op.Guard != nil || t.req == nil {
+		return sim.Decline
+	}
+	inst := n.insts[o.id]
+	if r.meta(o.id).moved || inst == nil || !inst.primary {
+		return sim.Decline
+	}
+	if !n.m.ComputeFn(o.thread, r.costs.ReadLocal+r.costs.opCost(t.op), o.readFn) {
+		return sim.Decline
+	}
+	o.cur, o.inst = t, inst
+	return sim.Pending
+}
+
+// read continues serve once the read has been charged.
+func (o *objQueue) read() {
+	t, inst := o.cur, o.inst
+	o.cur, o.inst = nil, nil
+	res := t.op.Apply(inst.state, t.args)
+	o.n.srv.PutReplyFn(o.thread, t.req, res, SizeOfArgs(res), o.doneFn)
+	o.n.recycle(t)
 }
 
 // execTask runs one task, parking it if its guard is false.
@@ -145,7 +241,7 @@ func (n *p2pNode) execTask(p *sim.Proc, id ObjID, t *p2pTask, pending *[]*p2pTas
 	case "fetch":
 		state := inst.typ.Clone(inst.state)
 		inst.copyset[t.from] = true
-		n.srv.PutReply(p, t.req, state, inst.typ.stateSize(state)+16)
+		n.reply(p, t, state, inst.typ.stateSize(state)+16)
 
 	case "read":
 		if t.op.Guard != nil {
@@ -250,11 +346,7 @@ func (n *p2pNode) migratePrimary(p *sim.Proc, id ObjID, t *p2pTask, pending *[]*
 			sec.primary = false
 		}
 	}
-	if _, ok := tn.queues[id]; !ok {
-		q := sim.NewQueue[*p2pTask](tn.m.Env())
-		tn.queues[id] = q
-		tn.m.SpawnThread(fmt.Sprintf("obj%d", id), func(pp *sim.Proc) { tn.objectLoop(pp, id, q) })
-	}
+	tn.startPrimary(id)
 	meta.primary = target
 	n.dropLocal(id)
 	// Bounce parked guarded tasks; they re-issue at the new primary.
@@ -269,12 +361,24 @@ func (n *p2pNode) migratePrimary(p *sim.Proc, id ObjID, t *p2pTask, pending *[]*
 // finishTask completes a task toward its (local or remote) invoker.
 func (n *p2pNode) finishTask(p *sim.Proc, t *p2pTask, res []any) {
 	if t.req != nil {
-		n.srv.PutReply(p, t.req, res, SizeOfArgs(res))
+		n.reply(p, t, res, SizeOfArgs(res))
 		return
 	}
 	t.res = res
 	t.done = true
 	t.cond.Broadcast()
+}
+
+// reply answers the remote request behind t, which ends the task.
+func (n *p2pNode) reply(p *sim.Proc, t *p2pTask, body any, size int) {
+	n.srv.PutReply(p, t.req, body, size)
+	n.recycle(t)
+}
+
+// recycle takes back a finished remote task's record (see task).
+func (n *p2pNode) recycle(t *p2pTask) {
+	*t = p2pTask{}
+	n.tfree = append(n.tfree, t)
 }
 
 // commitWrite runs the object's write protocol at the primary.

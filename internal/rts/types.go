@@ -58,6 +58,13 @@ type OpDef struct {
 	// a read costs no result allocation. Optional; the typed builder
 	// layer always provides it.
 	ApplyInto func(s State, args []any, dst []any) []any
+	// ApplyDiscard, when non-nil, is Apply for a caller that drops the
+	// results: a replica applying a write invoked on another machine.
+	// An operation that knows its results are not wanted never converts
+	// them to any, which for most values is an allocation each.
+	// Optional; the typed builder layer provides it for every write
+	// that has results.
+	ApplyDiscard func(s State, args []any)
 	// NoResult declares that Apply always returns an empty result
 	// list (the typed DefUpdate* descriptors set it). Unguarded
 	// no-result writes are the ops a batching runtime may submit
@@ -67,6 +74,15 @@ type OpDef struct {
 	// CPUCost is the virtual CPU time one execution takes, beyond the
 	// runtime's fixed overheads. Zero means DefaultOpCost.
 	CPUCost sim.Time
+}
+
+// applyDiscard applies a write whose results nobody reads.
+func (op *OpDef) applyDiscard(s State, args []any) {
+	if op.ApplyDiscard != nil {
+		op.ApplyDiscard(s, args)
+		return
+	}
+	op.Apply(s, args)
 }
 
 // ObjectType is an abstract data type: a constructor plus operations.
@@ -207,6 +223,14 @@ func SizeOfValue(v any) int {
 		}
 		return n
 	}
+	return gobSize(v)
+}
+
+// gobSize is SizeOfValue's fallback. It is a function of its own
+// because the encoder takes the value's address: inside SizeOfValue
+// that would move the parameter to the heap on every call, the sized
+// shapes included.
+func gobSize(v any) int {
 	gobSizings.Add(1)
 	var buf bytes.Buffer
 	enc := gob.NewEncoder(&buf)

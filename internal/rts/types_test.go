@@ -64,6 +64,20 @@ func TestSizeOfArgsSums(t *testing.T) {
 	}
 }
 
+// Sizing runs several times per remote operation, on the argument and
+// result lists as they travel; the shapes with a direct size must cost
+// nothing, whatever the gob fallback needs for the others.
+func TestSizeOfArgsDoesNotAllocate(t *testing.T) {
+	args := []any{int64(1) << 40, true, "k"}
+	n := 0
+	if a := testing.AllocsPerRun(100, func() { n = SizeOfArgs(args) }); a != 0 || n != 4+8+1+5 {
+		t.Fatalf("SizeOfArgs = %d with %v allocations, want %d with 0", n, a, 4+8+1+5)
+	}
+	if a := testing.AllocsPerRun(100, func() { n = SizeOfArgs([]any{int64(1) << 40, true, "k"}) }); a != 0 {
+		t.Fatalf("SizeOfArgs of a literal list allocates %v times, want 0", a)
+	}
+}
+
 func TestSizeOfValueStringProperty(t *testing.T) {
 	f := func(s string) bool { return SizeOfValue(s) == 4+len(s) }
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {

@@ -23,12 +23,28 @@ type Event struct {
 	cancelled bool
 	pooled    bool   // internal event, recycled after firing
 	index     int    // heap index; -1 while on the ready queue or popped
+	env       *Env   // the environment a caller's event was scheduled in
 	next      *Event // free-list link while recycled
 }
 
 // Cancel prevents the event from firing. Cancelling an event that has
-// already fired (or was already cancelled) is a no-op.
-func (ev *Event) Cancel() { ev.cancelled = true }
+// already fired (or was already cancelled) is a no-op. Like every
+// scheduling call it must be made from simulation context.
+//
+// A future event leaves the heap here, in O(log n), so the heap holds
+// live events only: a timer that is armed and cancelled a million times
+// over — an RPC's retransmission timer — costs the dispatch loop
+// nothing, and nothing it references stays reachable through the queue.
+// A cancelled event was never counted in Events() and keeps the sequence
+// number it took when armed, so removing it moves no other event in the
+// (time, seq) order. Only an event already on the same-instant ready
+// list is merely flagged and skipped when its turn comes.
+func (ev *Event) Cancel() {
+	ev.cancelled = true
+	if ev.index >= 0 {
+		ev.env.queue.remove(ev.index)
+	}
+}
 
 // Time reports the virtual time at which the event fires.
 func (ev *Event) Time() Time { return ev.t }
@@ -52,7 +68,14 @@ type eventQueue []*Event
 func (q *eventQueue) push(ev *Event) {
 	h := append(*q, ev)
 	*q = h
-	i := len(h) - 1
+	i := h.up(len(h)-1, ev)
+	h[i] = ev
+	ev.index = i
+}
+
+// up finds ev's place at or above the vacant slot i: while ev fires
+// before the parent, the parent moves down into the vacancy.
+func (h eventQueue) up(i int, ev *Event) int {
 	for i > 0 {
 		parent := (i - 1) / 2
 		if !ev.before(h[parent]) {
@@ -62,8 +85,7 @@ func (q *eventQueue) push(ev *Event) {
 		h[i].index = i
 		i = parent
 	}
-	h[i] = ev
-	ev.index = i
+	return i
 }
 
 func (q *eventQueue) pop() *Event {
@@ -75,10 +97,16 @@ func (q *eventQueue) pop() *Event {
 	h[n] = nil
 	h = h[:n]
 	*q = h
-	if n == 0 {
-		return top
+	if n > 0 {
+		h.down(0, last)
 	}
-	i := 0
+	return top
+}
+
+// down places ev in the vacant slot i or, while a child fires before
+// it, in that child's slot further down.
+func (h eventQueue) down(i int, ev *Event) {
+	n := len(h)
 	for {
 		child := 2*i + 1
 		if child >= n {
@@ -87,16 +115,30 @@ func (q *eventQueue) pop() *Event {
 		if r := child + 1; r < n && h[r].before(h[child]) {
 			child = r
 		}
-		if !h[child].before(last) {
+		if !h[child].before(ev) {
 			break
 		}
 		h[i] = h[child]
 		h[i].index = i
 		i = child
 	}
-	h[i] = last
-	last.index = i
-	return top
+	h[i] = ev
+	ev.index = i
+}
+
+// remove takes the event in slot i off the heap: the last event moves
+// into the slot and sifts up or, failing that, down.
+func (q *eventQueue) remove(i int) {
+	h := *q
+	h[i].index = -1
+	n := len(h) - 1
+	last := h[n]
+	h[n] = nil
+	h = h[:n]
+	*q = h
+	if i < n {
+		h.down(h.up(i, last), last)
+	}
 }
 
 // Env is a discrete-event simulation environment: a virtual clock, an
@@ -183,7 +225,6 @@ func (e *Env) recycle(ev *Event) {
 	}
 	ev.fn = nil
 	ev.proc = nil
-	ev.cancelled = false
 	ev.next = e.free
 	e.free = ev
 }
@@ -207,7 +248,7 @@ func (e *Env) schedule(ev *Event, t Time) {
 // At schedules fn to run at virtual time t. Scheduling in the past
 // panics: it would violate causality.
 func (e *Env) At(t Time, fn func()) *Event {
-	ev := &Event{fn: fn}
+	ev := &Event{fn: fn, env: e}
 	e.schedule(ev, t)
 	return ev
 }
@@ -297,8 +338,7 @@ func (e *Env) advance(self *Proc) bool {
 			break
 		}
 		if ev.cancelled {
-			e.recycle(ev)
-			continue
+			continue // cancelled while on the ready list (see Event.Cancel)
 		}
 		e.now = ev.t
 		e.dispatched++
@@ -377,7 +417,11 @@ func (e *Env) Run() Time {
 }
 
 // RunUntil processes events until virtual time t is reached, the queue
-// empties, or Stop is called.
+// empties, or Stop is called. The clock ends at t only if an event is
+// still pending beyond it; a run that drains first ends at its last
+// event, as Run does. A cancelled event is not pending: a program
+// whose only leftover is a cancelled timer gets the same answer as one
+// that never armed it.
 func (e *Env) RunUntil(t Time) Time {
 	e.bounded, e.limit = true, t
 	if e.advance(nil) {

@@ -309,6 +309,35 @@ func TestRunUntil(t *testing.T) {
 	if count != 100 {
 		t.Fatalf("count = %d after Run, want 100", count)
 	}
+
+	// The clock ends at the bound only if something is still pending
+	// beyond it, and a cancelled event is not: arming a timer and
+	// cancelling it must not change the answer.
+	for _, c := range []struct {
+		name         string
+		arm, disarm  bool
+		wantNow      Time
+		wantLeftover int
+	}{
+		{"nothing pending", false, false, 10, 0},
+		{"live timer pending", true, false, 50, 1},
+		{"cancelled timer pending", true, true, 10, 0},
+	} {
+		e := New(1)
+		var timer *Event
+		if c.arm {
+			timer = e.At(100, func() {})
+		}
+		e.At(10, func() {
+			if c.disarm {
+				timer.Cancel()
+			}
+		})
+		if now := e.RunUntil(50); now != c.wantNow || len(e.queue) != c.wantLeftover {
+			t.Errorf("%s: RunUntil(50) = %v with %d events queued, want %v with %d",
+				c.name, now, len(e.queue), c.wantNow, c.wantLeftover)
+		}
+	}
 }
 
 func TestStop(t *testing.T) {
