@@ -174,7 +174,7 @@ func BenchmarkUpdateVsInvalidate(b *testing.B) {
 		b.Run(proto.String(), func(b *testing.B) {
 			var t sim.Time
 			for i := 0; i < b.N; i++ {
-				t, _, _ = harness.P2PWorkload(proto, rts.DynamicPlacement, 4, 16, 1, 6)
+				t = harness.P2PWorkload(proto, rts.DynamicPlacement, 4, 16, 1, 6).Elapsed
 			}
 			b.ReportMetric(t.Milliseconds(), "virtual-ms")
 		})
@@ -188,7 +188,7 @@ func BenchmarkDynamicReplication(b *testing.B) {
 		b.Run(pl.String(), func(b *testing.B) {
 			var t sim.Time
 			for i := 0; i < b.N; i++ {
-				t, _, _ = harness.P2PWorkload(rts.Update, pl, 4, 16, 1, 6)
+				t = harness.P2PWorkload(rts.Update, pl, 4, 16, 1, 6).Elapsed
 			}
 			b.ReportMetric(t.Milliseconds(), "virtual-ms")
 		})

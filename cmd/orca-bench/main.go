@@ -11,9 +11,16 @@
 // -exp all -quick run byte for byte (testdata/quick.golden), and
 // EXPERIMENTS.md quotes the full-size runs. Wall-clock cost is
 // measured elsewhere, by bash bench/run.sh.
+//
+// Every row runs twice and every experiment checks its own figures; a
+// run that times out or differs from its twin, or a check that fails,
+// is reported on stderr in one line naming experiment, table and row,
+// after the tables, and the exit status is 1. An unknown experiment is
+// exit status 2.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -35,22 +42,26 @@ func main() {
 	if *quick {
 		scale = harness.Quick
 	}
-	w := os.Stdout
+	var failed []error
 next:
 	for _, name := range strings.Split(*exp, ",") {
 		name = strings.TrimSpace(name)
 		if name == "all" {
-			harness.RunAll(w, scale)
+			failed = append(failed, harness.RunAll(os.Stdout, scale))
 			continue
 		}
 		for _, e := range harness.Experiments {
 			if e.Name == name {
-				e.Run(w, scale)
-				fmt.Fprintln(w)
+				failed = append(failed, e.Run(os.Stdout, scale))
+				fmt.Println()
 				continue next
 			}
 		}
 		fmt.Fprintf(os.Stderr, "unknown experiment %q; have %s\n", name, strings.Join(have, ", "))
 		os.Exit(2)
+	}
+	if err := errors.Join(failed...); err != nil {
+		fmt.Fprintf(os.Stderr, "orca-bench: %v\n", err)
+		os.Exit(1)
 	}
 }

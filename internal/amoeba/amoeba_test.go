@@ -3,6 +3,7 @@ package amoeba
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/netsim"
@@ -113,6 +114,44 @@ func TestRPCBasic(t *testing.T) {
 		t.Fatalf("got %v, want 42", got)
 	}
 	env.Shutdown()
+}
+
+// TestRPCReplyTwicePanics pins the record discipline: a Request goes
+// back to the server at its PutReply, so a second reply — in either
+// form — is a use after release and must panic, not send an rpc-rep
+// for transaction 0 to node 0.
+func TestRPCReplyTwicePanics(t *testing.T) {
+	env, _, ms := cluster(t, 2, nil)
+	srv := NewServer(ms[1], "adder")
+	var caught []any
+	again := func(reply func()) {
+		defer func() { caught = append(caught, recover()) }()
+		reply()
+	}
+	ms[1].SpawnThread("server", func(p *sim.Proc) {
+		r, _ := srv.GetRequest(p)
+		srv.PutReply(p, r, 1, 8)
+		again(func() { srv.PutReply(p, r, 2, 8) })
+		again(func() { srv.PutReplyFn(p, r, 3, 8, func() {}) })
+	})
+	c := NewClient(ms[0], DefaultRPCPolicy())
+	var got any
+	ms[0].SpawnThread("client", func(p *sim.Proc) {
+		got, _ = c.Trans(p, 1, "adder", "inc", 41, 8)
+	})
+	env.Run()
+	env.Shutdown()
+	if got != 1 {
+		t.Fatalf("client got %v, want the first reply", got)
+	}
+	for i, v := range caught {
+		if msg, _ := v.(string); !strings.Contains(msg, "already been replied to") {
+			t.Fatalf("second reply %d: recovered %v, want the reply-twice panic", i, v)
+		}
+	}
+	if len(caught) != 2 {
+		t.Fatalf("caught %d panics, want 2", len(caught))
+	}
 }
 
 func TestRPCLatencyInAmoebaRange(t *testing.T) {

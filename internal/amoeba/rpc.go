@@ -51,7 +51,8 @@ func DefaultRPCPolicy() RPCDefaults {
 
 // Request is a received RPC request awaiting a reply. The record is the
 // server's: it is reused for a later request once the reply has been
-// sent, so whoever serves a Request must not keep it past its PutReply.
+// sent, so whoever serves a Request must not keep it past its PutReply;
+// replying to one a second time panics.
 type Request struct {
 	Op   string
 	Body any
@@ -59,6 +60,9 @@ type Request struct {
 	From int
 	txid int64
 	srv  *Server
+
+	// released: the reply has been sent and the record is on srv.free.
+	released bool
 
 	// switched: the context switch to the serving thread has been charged
 	// on the dispatch lane already (see Server.Serve).
@@ -146,6 +150,7 @@ func (s *Server) handle(p *sim.Proc, from int, pkt Packet) {
 	if n := len(s.free); n > 0 {
 		r = s.free[n-1]
 		s.free = s.free[:n-1]
+		r.released = false
 	} else {
 		r = &Request{srv: s}
 		r.sentFn = r.sent
@@ -214,6 +219,9 @@ func (s *Server) Done() { s.reqs.Done() }
 // reply records the reply to r for duplicate suppression and returns
 // it in wire form.
 func (s *Server) reply(r *Request, body any) rpcWire {
+	if r.released {
+		panic("amoeba: reply to a Request that has already been replied to: the record went back to the server at its first PutReply")
+	}
 	rep := rpcWire{TxID: r.txid, IsRep: true, Op: r.Op, Body: body}
 	delete(s.inwrk, r.txid)
 	s.seen[r.txid] = rep
@@ -227,7 +235,7 @@ func (s *Server) reply(r *Request, body any) rpcWire {
 
 // release takes back the record of a request that has been replied to.
 func (s *Server) release(r *Request) {
-	*r = Request{srv: s, sentFn: r.sentFn}
+	*r = Request{srv: s, sentFn: r.sentFn, released: true}
 	s.free = append(s.free, r)
 }
 

@@ -775,9 +775,6 @@ func (g *Member) Sequencer() int { return g.seqNode }
 // IsSequencer reports whether this member is the sequencer.
 func (g *Member) IsSequencer() bool { return g.isSeq }
 
-// NextSeq reports the next sequence number this member will deliver.
-func (g *Member) NextSeq() int64 { return g.nextSeq }
-
 // Stats returns a snapshot of this member's protocol counters.
 func (g *Member) Stats() Stats { return g.stats }
 

@@ -2,7 +2,7 @@ package harness
 
 import (
 	"fmt"
-	"io"
+	"slices"
 
 	"repro/internal/apps/acp"
 	"repro/internal/apps/atpg"
@@ -11,192 +11,176 @@ import (
 	"repro/internal/orca"
 )
 
-// Scale trims the processor sweeps (for quick runs and benchmarks).
-type Scale int
+// sweep is a speedup experiment as data: one application, one or more
+// named variants of it, run on the broadcast runtime at each processor
+// count. The four application experiments of §4 differ only in the
+// values of this struct.
+type sweep struct {
+	title string
+	curve string // the plot's title
+	axis  int    // the plot's processor axis
+	prose string
 
-// Scales.
-const (
-	Full  Scale = iota // the paper's full sweeps
-	Quick              // a few points, small inputs
-)
+	procs  []int
+	label  []string // header of the variant column; none when there is one variant
+	extra  []string // headers of the application's own columns
+	series []series
+	// minSpeedup is demanded of every variant at the largest processor
+	// count.
+	minSpeedup float64
+}
 
-func sweep(scale Scale, max int) []int {
-	if scale == Quick {
-		return []int{1, 2, 4}
+// series is one variant: its name in the table and the plot's legend,
+// and a run returning the application's own cells.
+type series struct {
+	name string
+	run  func(cfg orca.Config) ([]any, orca.Report)
+}
+
+// point is one run of a sweep.
+type point struct {
+	series  string
+	speedup float64 // over the variant's first processor count
+	extra   []any
+}
+
+func (sw sweep) spec() Spec {
+	t := Tab[point]{
+		Name:  "speedup",
+		Cols:  slices.Concat(sw.label, []string{"procs", "time", "speedup"}, sw.extra, []string{"messages"}),
+		Curve: &Curve[point]{sw.curve, sw.axis, func(r Ran[point]) (string, float64) { return r.Res.series, r.Res.speedup }},
+		Prose: sw.prose,
+		Cells: func(r Ran[point]) []any {
+			return slices.Concat([]any{r.Report.Elapsed, fmt.Sprintf("%.2f", r.Res.speedup)}, r.Res.extra, []any{r.Report.Net.Messages})
+		},
 	}
-	var ps []int
-	for p := 1; p <= max; p++ {
-		ps = append(ps, p)
+	for _, s := range sw.series {
+		first := len(t.Rows)
+		for _, p := range sw.procs {
+			key := keys(p)
+			if sw.label != nil {
+				key = keys(s.name, p)
+			}
+			t.Rows = append(t.Rows, Row[point]{Key: key, Cfg: bcast(p),
+				Run: func(cfg orca.Config, done []Ran[point]) (point, orca.Report) {
+					extra, rep := s.run(cfg)
+					base := rep.Elapsed
+					if len(done) > first {
+						base = done[first].Report.Elapsed
+					}
+					return point{s.name, float64(base) / float64(rep.Elapsed), extra}, rep
+				}})
+		}
+	}
+	n := len(sw.procs)
+	t.Checks = []Check[point]{
+		{fmt.Sprintf("%d series of %d points from speedup 1.00", len(sw.series), n), func(rows []Ran[point]) error {
+			if len(rows) != len(sw.series)*n {
+				return fmt.Errorf("%d rows, want %d", len(rows), len(sw.series)*n)
+			}
+			for i := 0; i < len(rows); i += n {
+				if rows[i].Res.speedup != 1 {
+					return fmt.Errorf("row %q (%s): base speedup %v, want 1", rows[i], rows[i].Res.series, rows[i].Res.speedup)
+				}
+			}
+			return nil
+		}},
+		each(fmt.Sprintf("speedup at P=%d is at least %.2f", sw.procs[n-1], sw.minSpeedup), func(r Ran[point]) error {
+			if r.Cfg.Processors == sw.procs[n-1] && r.Res.speedup < sw.minSpeedup {
+				return fmt.Errorf("%s: speedup %.2f, want >= %.2f", r.Res.series, r.Res.speedup, sw.minSpeedup)
+			}
+			return nil
+		}),
+	}
+	return Spec{Title: sw.title, Tables: []Block{t}}
+}
+
+// quickProcs is every sweep's processor axis at Quick.
+var quickProcs = []int{1, 2, 4}
+
+// upTo is 1..n, the paper's processor axis.
+func upTo(n int) []int {
+	ps := make([]int, n)
+	for i := range ps {
+		ps[i] = i + 1
 	}
 	return ps
 }
 
-// Fig2TSP reproduces Figure 2: TSP speedup on a 14-city problem,
-// 1..16 processors, broadcast runtime.
-func Fig2TSP(w io.Writer, scale Scale) Series {
-	cities, seed := 14, int64(5)
-	if scale == Quick {
-		cities = 11
-	}
-	inst := tsp.Generate(cities, seed)
-	s := Series{Name: fmt.Sprintf("TSP %d cities", cities)}
-	var base orca.Report
-	var rows [][]string
-	for _, p := range sweep(scale, 16) {
-		r := tsp.RunOrca(orca.Config{Processors: p, RTS: orca.Broadcast, Seed: 1}, inst, tsp.Params{})
-		if p == 1 {
-			base = r.Report
-		}
-		pt := SpeedupPoint{
-			Procs: p, Elapsed: r.Report.Elapsed,
-			Speedup:  float64(base.Elapsed) / float64(r.Report.Elapsed),
-			Messages: r.Report.Net.Messages,
-		}
-		s.Points = append(s.Points, pt)
-		rows = append(rows, []string{
-			fmt.Sprint(p), fmtTime(r.Report.Elapsed), fmt.Sprintf("%.2f", pt.Speedup),
-			fmt.Sprint(r.Nodes), fmt.Sprint(r.Best), fmt.Sprint(pt.Messages),
-		})
-	}
-	fmt.Fprintf(w, "== FIG2: Traveling Salesman Problem (%d cities, branch and bound, broadcast RTS) ==\n", cities)
-	Table(w, []string{"procs", "time", "speedup", "nodes", "best", "messages"}, rows)
-	fmt.Fprintln(w)
-	RenderCurve(w, "Fig. 2 — Speedup for the Traveling Salesman Problem", []Series{s}, 16)
-	return s
+// fig2 reproduces Figure 2: TSP speedup on a 14-city problem, 1..16
+// processors.
+func fig2(s Scale) Spec {
+	cities := at(s, 14, 11)
+	inst := tsp.Generate(cities, 5)
+	return sweep{
+		title: fmt.Sprintf("== FIG2: Traveling Salesman Problem (%d cities, branch and bound, broadcast RTS) ==", cities),
+		curve: "Fig. 2 — Speedup for the Traveling Salesman Problem", axis: 16,
+		procs: at(s, upTo(16), quickProcs), extra: []string{"nodes", "best"}, minSpeedup: 1.5,
+		series: []series{{fmt.Sprintf("TSP %d cities", cities), func(cfg orca.Config) ([]any, orca.Report) {
+			r := tsp.RunOrca(cfg, inst, tsp.Params{})
+			return []any{r.Nodes, r.Best}, r.Report
+		}}},
+	}.spec()
 }
 
-// Fig3ACP reproduces Figure 3: Arc Consistency speedup with 64
-// variables, workers on processors 2..16 (the master has its own).
-func Fig3ACP(w io.Writer, scale Scale) Series {
-	nVars, dom, extra, seed := 64, 64, 40, int64(2)
-	if scale == Quick {
-		nVars, dom, extra = 24, 24, 16
-	}
-	inst := acp.GeneratePropagation(nVars, dom, extra, seed)
-	s := Series{Name: fmt.Sprintf("ACP %d variables", nVars)}
-	var base orca.Report
-	var rows [][]string
-	for _, p := range sweep(scale, 16) {
-		r := acp.RunOrca(orca.Config{Processors: p, RTS: orca.Broadcast, Seed: 1}, inst, acp.Params{})
-		if p == 1 {
-			base = r.Report
-		}
-		pt := SpeedupPoint{
-			Procs: p, Elapsed: r.Report.Elapsed,
-			Speedup:  float64(base.Elapsed) / float64(r.Report.Elapsed),
-			Messages: r.Report.Net.Messages,
-		}
-		s.Points = append(s.Points, pt)
-		rows = append(rows, []string{
-			fmt.Sprint(p), fmtTime(r.Report.Elapsed), fmt.Sprintf("%.2f", pt.Speedup),
-			fmt.Sprint(r.Revisions), fmt.Sprint(pt.Messages),
-		})
-	}
-	fmt.Fprintf(w, "== FIG3: Arc Consistency Problem (%d variables, static partition, broadcast RTS) ==\n", nVars)
-	Table(w, []string{"procs", "time", "speedup", "revisions", "messages"}, rows)
-	fmt.Fprintln(w)
-	RenderCurve(w, "Fig. 3 — Speedup for the Arc Consistency Problem", []Series{s}, 16)
-	return s
+// fig3 reproduces Figure 3: Arc Consistency speedup with 64 variables,
+// workers on processors 2..16 (the master has its own).
+func fig3(s Scale) Spec {
+	n := at(s, 64, 24)
+	inst := acp.GeneratePropagation(n, n, at(s, 40, 16), 2)
+	return sweep{
+		title: fmt.Sprintf("== FIG3: Arc Consistency Problem (%d variables, static partition, broadcast RTS) ==", n),
+		curve: "Fig. 3 — Speedup for the Arc Consistency Problem", axis: 16,
+		procs: at(s, upTo(16), quickProcs), extra: []string{"revisions"}, minSpeedup: 1,
+		series: []series{{fmt.Sprintf("ACP %d variables", n), func(cfg orca.Config) ([]any, orca.Report) {
+			r := acp.RunOrca(cfg, inst, acp.Params{})
+			return []any{r.Revisions}, r.Report
+		}}},
+	}.spec()
 }
 
-// ChessExperiment reproduces §4.3: Oracol speedups (the paper reports
+// chessSweep reproduces §4.3: Oracol speedups (the paper reports
 // 4.5-5.5 on 10 CPUs) and the shared-vs-local table comparison.
-func ChessExperiment(w io.Writer, scale Scale) []Series {
-	fen := "r1bq1rk1/pp1n1ppp/2pbpn2/3p4/2PP4/2NBPN2/PP3PPP/R1BQ1RK1 w - - 0 1"
-	depth := 6
-	procs := []int{1, 2, 4, 6, 8, 10}
-	if scale == Quick {
-		depth = 4
-		procs = []int{1, 2, 4}
+func chessSweep(s Scale) Spec {
+	depth := at(s, 6, 4)
+	b := must(chess.FromFEN("r1bq1rk1/pp1n1ppp/2pbpn2/3p4/2PP4/2NBPN2/PP3PPP/R1BQ1RK1 w - - 0 1"))
+	tables := func(name string, shared bool) series {
+		return series{name, func(cfg orca.Config) ([]any, orca.Report) {
+			r := chess.RunOrca(cfg, b, chess.Params{MaxDepth: depth, SharedTT: shared, SharedKiller: shared, SplitMinDepth: 1})
+			return []any{r.Nodes}, r.Report
+		}}
 	}
-	b, err := chess.FromFEN(fen)
-	if err != nil {
-		panic(err)
-	}
-	var out []Series
-	var rows [][]string
-	for _, shared := range []bool{true, false} {
-		name := "local tables"
-		if shared {
-			name = "shared tables"
-		}
-		s := Series{Name: name}
-		var base orca.Report
-		for _, p := range procs {
-			r := chess.RunOrca(orca.Config{Processors: p, RTS: orca.Broadcast, Seed: 1}, b,
-				chess.Params{MaxDepth: depth, SharedTT: shared, SharedKiller: shared, SplitMinDepth: 1})
-			if p == procs[0] {
-				base = r.Report
-			}
-			pt := SpeedupPoint{
-				Procs: p, Elapsed: r.Report.Elapsed,
-				Speedup:  float64(base.Elapsed) / float64(r.Report.Elapsed),
-				Messages: r.Report.Net.Messages,
-			}
-			s.Points = append(s.Points, pt)
-			rows = append(rows, []string{
-				name, fmt.Sprint(p), fmtTime(r.Report.Elapsed),
-				fmt.Sprintf("%.2f", pt.Speedup), fmt.Sprint(r.Nodes), fmt.Sprint(pt.Messages),
-			})
-		}
-		out = append(out, s)
-	}
-	fmt.Fprintf(w, "== CHESS: Oracol parallel alpha-beta (depth %d, PV-splitting) ==\n", depth)
-	Table(w, []string{"tables", "procs", "time", "speedup", "nodes", "messages"}, rows)
-	fmt.Fprintln(w)
-	RenderCurve(w, "§4.3 — Oracol speedup, shared vs local tables", out, 10)
-	fmt.Fprintln(w, "Paper: speedups between 4.5 and 5.5 on 10 CPUs; almost all overhead")
-	fmt.Fprintln(w, "is search overhead. Shared tables are most efficient, especially the")
-	fmt.Fprintln(w, "killer table.")
-	return out
+	return sweep{
+		title: fmt.Sprintf("== CHESS: Oracol parallel alpha-beta (depth %d, PV-splitting) ==", depth),
+		curve: "§4.3 — Oracol speedup, shared vs local tables", axis: 10,
+		procs: at(s, []int{1, 2, 4, 6, 8, 10}, quickProcs), label: []string{"tables"}, extra: []string{"nodes"}, minSpeedup: 1,
+		series: []series{tables("shared tables", true), tables("local tables", false)},
+		prose: `Paper: speedups between 4.5 and 5.5 on 10 CPUs; almost all overhead
+is search overhead. Shared tables are most efficient, especially the
+killer table.`,
+	}.spec()
 }
 
-// ATPGExperiment reproduces §4.4: near-linear speedup without fault
+// atpgSweep reproduces §4.4: near-linear speedup without fault
 // simulation; with fault simulation about 3x faster in absolute terms
 // but inferior speedup. The dynamic work distribution the paper lists
 // as future work is included.
-func ATPGExperiment(w io.Writer, scale Scale) []Series {
-	inputs, layers, width, seed := 24, 10, 60, int64(42)
-	if scale == Quick {
-		inputs, layers, width = 12, 5, 20
-	}
-	c := atpg.Generate(inputs, layers, width, seed)
+func atpgSweep(s Scale) Spec {
+	c := atpg.Generate(at(s, 24, 12), at(s, 10, 5), at(s, 60, 20), 42)
 	faults := atpg.AllFaults(c)
-	procs := []int{1, 2, 4, 8, 12, 16}
-	if scale == Quick {
-		procs = []int{1, 2, 4}
+	sw := sweep{
+		title: fmt.Sprintf("== ATPG: PODEM on a generated circuit (%d lines, %d faults) ==", c.Lines(), len(faults)),
+		curve: "§4.4 — ATPG speedup by mode", axis: 16,
+		procs: at(s, []int{1, 2, 4, 8, 12, 16}, quickProcs), label: []string{"mode"}, extra: []string{"detected", "patterns"}, minSpeedup: 1,
+		prose: `Paper: the basic program achieves speedups close to linear; the
+fault-simulation version is about 3x faster in absolute speed but
+obtains inferior speedups (communication overhead, load imbalance).`,
 	}
-	fmt.Fprintf(w, "== ATPG: PODEM on a generated circuit (%d lines, %d faults) ==\n", c.Lines(), len(faults))
-	var out []Series
-	var rows [][]string
 	for _, mode := range []atpg.Mode{atpg.Static, atpg.StaticFaultSim, atpg.DynamicFaultSim} {
-		s := Series{Name: mode.String()}
-		var base orca.Report
-		for _, p := range procs {
-			r := atpg.RunOrca(orca.Config{Processors: p, RTS: orca.Broadcast, Seed: 1}, c, faults,
-				atpg.Params{Mode: mode})
-			if p == procs[0] {
-				base = r.Report
-			}
-			pt := SpeedupPoint{
-				Procs: p, Elapsed: r.Report.Elapsed,
-				Speedup:  float64(base.Elapsed) / float64(r.Report.Elapsed),
-				Messages: r.Report.Net.Messages,
-			}
-			s.Points = append(s.Points, pt)
-			rows = append(rows, []string{
-				mode.String(), fmt.Sprint(p), fmtTime(r.Report.Elapsed),
-				fmt.Sprintf("%.2f", pt.Speedup), fmt.Sprint(r.Detected),
-				fmt.Sprint(r.Patterns), fmt.Sprint(pt.Messages),
-			})
-		}
-		out = append(out, s)
+		sw.series = append(sw.series, series{mode.String(), func(cfg orca.Config) ([]any, orca.Report) {
+			r := atpg.RunOrca(cfg, c, faults, atpg.Params{Mode: mode})
+			return []any{r.Detected, r.Patterns}, r.Report
+		}})
 	}
-	Table(w, []string{"mode", "procs", "time", "speedup", "detected", "patterns", "messages"}, rows)
-	fmt.Fprintln(w)
-	RenderCurve(w, "§4.4 — ATPG speedup by mode", out, 16)
-	fmt.Fprintln(w, "Paper: the basic program achieves speedups close to linear; the")
-	fmt.Fprintln(w, "fault-simulation version is about 3x faster in absolute speed but")
-	fmt.Fprintln(w, "obtains inferior speedups (communication overhead, load imbalance).")
-	return out
+	return sw.spec()
 }

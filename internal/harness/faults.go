@@ -2,20 +2,76 @@ package harness
 
 import (
 	"fmt"
-	"io"
 
 	"repro/internal/apps/acp"
 	"repro/internal/apps/tsp"
-	"repro/internal/netsim"
 	"repro/internal/orca"
-	"repro/internal/sim"
 )
 
-// FaultsExperiment exercises the paper's fault-tolerance claim end to
-// end: "if the sequencer machine subsequently crashes, the remaining
-// members elect a new one" — and, above the group layer, the whole
-// stack keeps computing. Three crash scenarios run against a no-fault
-// baseline:
+// appRun is one application run of a crash scenario: what it printed
+// as its result, its answer in full, and the answer its fault-free
+// baseline gave ("" for the baseline itself).
+type appRun struct {
+	result       string
+	answer, want string
+	// survivorElections sums the election rounds of the machines that
+	// did not crash.
+	survivorElections int64
+}
+
+// sameAnswer: a crash may cost time, never the result.
+var sameAnswer = each("crash runs reproduce the baseline answer", func(r Ran[appRun]) error {
+	if r.Res.want != "" && r.Res.answer != r.Res.want {
+		return fmt.Errorf("answered %s, its baseline %s", r.Res.answer, r.Res.want)
+	}
+	return nil
+})
+
+// tspScenario is a fault-tolerant TSP run. With crashNode >= 0 that
+// machine dies halfway through the run of the table's first row, which
+// is also the baseline whose optimum it must reproduce.
+func tspScenario(name string, cfg orca.Config, inst *tsp.Instance, crashNode int) Row[appRun] {
+	return Row[appRun]{Key: keys(name), Cfg: cfg,
+		Run: func(cfg orca.Config, done []Ran[appRun]) (appRun, orca.Report) {
+			var want string
+			if crashNode >= 0 {
+				cfg = crashing(cfg, crashNode, done[0].Report.Elapsed/2)
+				want = done[0].Res.answer
+			}
+			r := tsp.RunOrca(cfg, inst, tsp.Params{FaultTolerant: true})
+			out := appRun{result: fmt.Sprint(r.Best), answer: fmt.Sprint(r.Best), want: want}
+			for i, gs := range r.Runtime.GroupStats() {
+				if i != crashNode {
+					out.survivorElections += gs.Elections
+				}
+			}
+			return out, r.Report
+		}}
+}
+
+// acpScenario is a fault-tolerant arc-consistency run on base. With
+// crashNode >= 0 the row first runs base fault-free, then again with
+// the sequencer on machine seq and machine crashNode dying a third of
+// the way through, and must reach the identical fixpoint.
+func acpScenario(name string, base orca.Config, inst *acp.Instance, seq, crashNode int) Row[appRun] {
+	return Row[appRun]{Key: keys(name), Cfg: base,
+		Run: func(cfg orca.Config, _ []Ran[appRun]) (appRun, orca.Report) {
+			var want string
+			if crashNode >= 0 {
+				healthy := acp.RunOrca(cfg, inst, acp.Params{FaultTolerant: true})
+				want = fmt.Sprint(healthy.Domains)
+				cfg.Sequencer = seq
+				cfg = crashing(cfg, crashNode, healthy.Report.Elapsed/3)
+			}
+			r := acp.RunOrca(cfg, inst, acp.Params{FaultTolerant: true})
+			return appRun{result: fmt.Sprintf("rev=%d", r.Revisions), answer: fmt.Sprint(r.Domains), want: want}, r.Report
+		}}
+}
+
+// faults exercises the paper's fault-tolerance claim end to end: "if
+// the sequencer machine subsequently crashes, the remaining members
+// elect a new one" — and, above the group layer, the whole stack keeps
+// computing. Three crash scenarios run against a no-fault baseline:
 //
 //   - tsp worker crash: a worker machine dies mid-search; the
 //     crash-aware manager requeues its claimed jobs and the run must
@@ -27,112 +83,42 @@ import (
 //     variables join the orphan pool and the survivors must reach the
 //     identical fixpoint.
 //
-// Every scenario runs twice and panics if the two fingerprints differ:
-// crashes are scheduled events, so a faulty run is exactly as
+// Crashes are scheduled events, so a faulty run is exactly as
 // deterministic as a healthy one.
-func FaultsExperiment(w io.Writer, scale Scale) {
-	cities, procs := 13, 8
-	nVars, dom, extra := 32, 32, 20
-	if scale == Quick {
-		cities, procs = 11, 4
-		nVars, dom, extra = 20, 20, 12
-	}
-	crashNode := procs - 1
-
-	fmt.Fprintf(w, "== FAULTS: crash-surviving runs (TSP %d cities on P=%d, ACP %d variables) ==\n",
-		cities, procs, nVars)
-
+func faults(s Scale) Spec {
+	cities, procs, nVars := at(s, 13, 11), at(s, 8, 4), at(s, 32, 20)
 	inst := tsp.Generate(cities, 5)
-	type row struct {
-		name                string
-		elapsed             sim.Time
-		result              string
-		elections           int64
-		reproposals         int64
-		recoveryUS          float64
-		crashes, killed     int
-		retried, guardWaits int64
+	ainst := acp.GeneratePropagation(nVars, nVars, at(s, 20, 12), 2)
+	last := procs - 1
+	seqOnLast := bcast(procs)
+	seqOnLast.Sequencer = last
+	t := Tab[appRun]{
+		Name: "scenarios",
+		Cols: []string{"scenario", "time", "result", "crashes", "procs killed", "elections",
+			"reproposals", "recovery", "ops retried", "guard waits"},
+		Rows: []Row[appRun]{
+			tspScenario("tsp/no-fault", bcast(procs), inst, -1),
+			tspScenario("tsp/worker-crash", bcast(procs), inst, last),
+			tspScenario("tsp/sequencer-crash", seqOnLast, inst, last),
+			acpScenario("acp/no-fault", bcast(4), ainst, 0, -1),
+			acpScenario("acp/participant-crash", bcast(4), ainst, 0, 2),
+		},
+		Cells: func(r Ran[appRun]) []any {
+			rep, st := r.Report, r.Report.RTS
+			return []any{rep.Elapsed, r.Res.result, len(rep.Crashes), procsKilled(rep), r.Res.survivorElections,
+				st.Reproposals, fmt.Sprintf("%.0fus", st.RecoveryVirtualUS), st.OpsRetried, st.GuardWaits}
+		},
+		Checks: []Check[appRun]{sameAnswer,
+			{"the sequencer crash forces an election", func(rows []Ran[appRun]) error {
+				if r := rows[2]; r.Res.survivorElections == 0 {
+					return fmt.Errorf("row %q: survivors ran 0 elections", r)
+				}
+				return nil
+			}}},
+		Prose: `Every crash run is executed twice with identical fingerprints; the
+TSP crash scenarios report the baseline optimum and the ACP crash
+scenario reproduces the baseline fixpoint bit for bit. The sequencer
+scenario additionally forces an election, as the paper describes.`,
 	}
-	var rows []row
-
-	runTSP := func(name string, seqOn int, crashAt sim.Time) tsp.Result {
-		cfg := orca.Config{Processors: procs, RTS: orca.Broadcast, Seed: 1, Sequencer: seqOn}
-		if crashAt > 0 {
-			cfg.Faults = &netsim.FaultPlan{Crashes: []netsim.Crash{{Node: crashNode, At: crashAt}}}
-		}
-		r := twice("faults "+name, func() (tsp.Result, string) {
-			r := tsp.RunOrca(cfg, inst, tsp.Params{FaultTolerant: true})
-			mustFinish("faults "+name, r.Report)
-			return r, tspFingerprint(r)
-		})
-		var elections int64
-		for i, gs := range r.Runtime.GroupStats() {
-			if i != crashNode || crashAt == 0 {
-				elections += gs.Elections
-			}
-		}
-		killed := 0
-		for _, c := range r.Report.Crashes {
-			killed += c.ProcsKilled
-		}
-		rows = append(rows, row{
-			name: name, elapsed: r.Report.Elapsed,
-			result: fmt.Sprint(r.Best), elections: elections,
-			reproposals: r.Report.RTS.Reproposals, recoveryUS: r.Report.RTS.RecoveryVirtualUS,
-			crashes: len(r.Report.Crashes), killed: killed,
-			retried: r.Report.RTS.OpsRetried, guardWaits: r.Report.RTS.GuardWaits,
-		})
-		return r
-	}
-
-	base := runTSP("tsp/no-fault", 0, 0)
-	crashAt := base.Report.Elapsed / 2
-	worker := runTSP("tsp/worker-crash", 0, crashAt)
-	seq := runTSP("tsp/sequencer-crash", crashNode, crashAt)
-	for _, r := range []tsp.Result{worker, seq} {
-		if r.Best != base.Best {
-			panic(fmt.Sprintf("harness: crash run found %d, baseline optimum %d", r.Best, base.Best))
-		}
-	}
-
-	// ACP: participant loss must reproduce the baseline fixpoint.
-	ainst := acp.GeneratePropagation(nVars, dom, extra, 2)
-	acfg := orca.Config{Processors: 4, RTS: orca.Broadcast, Seed: 1}
-	abase := acp.RunOrca(acfg, ainst, acp.Params{FaultTolerant: true})
-	acfg.Faults = &netsim.FaultPlan{Crashes: []netsim.Crash{{Node: 2, At: abase.Report.Elapsed / 3}}}
-	acrash := twice("faults acp/participant-crash", func() (acp.Result, string) {
-		r := acp.RunOrca(acfg, ainst, acp.Params{FaultTolerant: true})
-		mustFinish("faults acp/participant-crash", r.Report)
-		return r, fmt.Sprintf("rev=%d elapsed=%d", r.Revisions, int64(r.Report.Elapsed))
-	})
-	for i := range abase.Domains {
-		if acrash.Domains[i] != abase.Domains[i] {
-			panic(fmt.Sprintf("harness: acp crash run fixpoint differs at variable %d", i))
-		}
-	}
-	rows = append(rows,
-		row{name: "acp/no-fault", elapsed: abase.Report.Elapsed, result: fmt.Sprintf("rev=%d", abase.Revisions)},
-		row{name: "acp/participant-crash", elapsed: acrash.Report.Elapsed,
-			result:      fmt.Sprintf("rev=%d", acrash.Revisions),
-			reproposals: acrash.Report.RTS.Reproposals, recoveryUS: acrash.Report.RTS.RecoveryVirtualUS,
-			crashes: len(acrash.Report.Crashes), killed: acrash.Report.Crashes[0].ProcsKilled,
-			retried: acrash.Report.RTS.OpsRetried, guardWaits: acrash.Report.RTS.GuardWaits,
-		})
-
-	var cells [][]string
-	for _, r := range rows {
-		cells = append(cells, []string{
-			r.name, fmtTime(r.elapsed), r.result,
-			fmt.Sprint(r.crashes), fmt.Sprint(r.killed),
-			fmt.Sprint(r.elections), fmt.Sprint(r.reproposals), fmt.Sprintf("%.0fus", r.recoveryUS),
-			fmt.Sprint(r.retried), fmt.Sprint(r.guardWaits),
-		})
-	}
-	Table(w, []string{"scenario", "time", "result", "crashes", "procs killed", "elections",
-		"reproposals", "recovery", "ops retried", "guard waits"}, cells)
-	fmt.Fprintln(w, "Every crash run is executed twice with identical fingerprints; the")
-	fmt.Fprintln(w, "TSP crash scenarios report the baseline optimum and the ACP crash")
-	fmt.Fprintln(w, "scenario reproduces the baseline fixpoint bit for bit. The sequencer")
-	fmt.Fprintln(w, "scenario additionally forces an election, as the paper describes.")
-	fmt.Fprintln(w)
+	return Spec{Title: fmt.Sprintf("== FAULTS: crash-surviving runs (TSP %d cities on P=%d, ACP %d variables) ==", cities, procs, nVars), Tables: []Block{t}}
 }

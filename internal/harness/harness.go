@@ -2,173 +2,136 @@ package harness
 
 import (
 	"fmt"
-	"io"
-	"strings"
 
 	"repro/internal/apps/tsp"
+	"repro/internal/netsim"
 	"repro/internal/orca"
 	"repro/internal/sim"
 )
 
-// Experiment is one named table or figure of the evaluation.
-type Experiment struct {
-	Name string
-	Run  func(w io.Writer, scale Scale)
-}
-
 // Experiments lists every experiment in the order RunAll prints them.
+// Adding one is adding an entry: a function from Scale to a Spec (see
+// doc.go).
 var Experiments = []Experiment{
-	{"pbbb", PBBBExperiment},
-	{"micro", MicroExperiment},
-	{"rtscmp", RTSCompareExperiment},
-	{"dynrepl", DynReplExperiment},
-	{"fig2", func(w io.Writer, s Scale) { Fig2TSP(w, s) }},
-	{"fig3", func(w io.Writer, s Scale) { Fig3ACP(w, s) }},
-	{"chess", func(w io.Writer, s Scale) { ChessExperiment(w, s) }},
-	{"atpg", func(w io.Writer, s Scale) { ATPGExperiment(w, s) }},
-	{"partrepl", PartReplExperiment},
-	{"intrcost", InterruptCostExperiment},
-	{"mixed", MixedPlacementExperiment},
-	{"faults", FaultsExperiment},
-	{"scale", ScaleExperiment},
-	{"kv", KVExperiment},
-	{"consensus", ProtocolBakeoff},
-	{"shard", ShardExperiment},
-	{"adapt", AdaptExperiment},
+	{"pbbb", pbbb},
+	{"micro", micro},
+	{"rtscmp", rtscmp},
+	{"dynrepl", dynrepl},
+	{"fig2", fig2},
+	{"fig3", fig3},
+	{"chess", chessSweep},
+	{"atpg", atpgSweep},
+	{"partrepl", partrepl},
+	{"intrcost", intrcost},
+	{"mixed", mixed},
+	{"faults", faults},
+	{"scale", scaleOut},
+	{"kv", kvServing},
+	{"consensus", consensus},
+	{"shard", shard},
+	{"adapt", adapt},
 }
 
-// RunAll prints every experiment, a blank line after each. Its output
-// at Quick is committed as testdata/quick.golden.
-func RunAll(w io.Writer, scale Scale) {
-	for _, e := range Experiments {
-		e.Run(w, scale)
-		fmt.Fprintln(w)
+// Scale trims the processor sweeps (for quick runs and benchmarks).
+type Scale int
+
+// Scales.
+const (
+	Full  Scale = iota // the paper's full sweeps
+	Quick              // a few points, small inputs
+)
+
+// at picks a parameter by scale.
+func at[T any](s Scale, full, quick T) T {
+	if s == Quick {
+		return quick
 	}
+	return full
 }
 
-// twice runs a scenario two times and panics unless both runs return
-// the same fingerprint: a run is a pure function of its seed, faults
-// included, so a mismatch is a bug (map iteration, host-time leakage).
-func twice[T any](name string, run func() (T, string)) T {
-	a, fa := run()
-	_, fb := run()
-	if fa != fb {
-		panic(fmt.Sprintf("harness: %s not deterministic:\n  %s\n  %s", name, fa, fb))
-	}
-	return a
+// The pieces below are shared by several experiments.
+
+// bcast is the configuration every application run starts from: the
+// paper's broadcast runtime on p processors.
+func bcast(p int) orca.Config {
+	return orca.Config{Processors: p, RTS: orca.Broadcast, Seed: 1}
 }
 
-// mustFinish panics if a run hit the runtime's deadlock timeout.
-func mustFinish(name string, rep orca.Report) {
-	if rep.TimedOut {
-		panic(fmt.Sprintf("harness: %s timed out (blocked: %v)", name, rep.Blocked))
-	}
+// crashing returns cfg with machine node dying at the given instant.
+func crashing(cfg orca.Config, node int, at sim.Time) orca.Config {
+	cfg.Faults = &netsim.FaultPlan{Crashes: []netsim.Crash{{Node: node, At: at}}}
+	return cfg
 }
 
-// tspFingerprint is the double-run fingerprint of a TSP run.
-func tspFingerprint(r tsp.Result) string {
-	return fmt.Sprintf("best=%d elapsed=%d msgs=%d", r.Best, int64(r.Report.Elapsed), r.Report.Net.Messages)
+// keys renders a row's leading cells.
+func keys(vs ...any) []string {
+	out := make([]string, len(vs))
+	for i, v := range vs {
+		out[i] = fmt.Sprint(v)
+	}
+	return out
 }
 
-// SpeedupPoint is one measurement in a processor sweep.
-type SpeedupPoint struct {
-	Procs    int
-	Elapsed  sim.Time
-	Speedup  float64
-	Messages int64
-	Extra    map[string]any
+// bare is a row that drives the kernel, group or point-to-point layer
+// directly: no orca configuration, no report.
+func bare[R any](run func() R, key ...any) Row[R] {
+	return Row[R]{Key: keys(key...), Run: func(orca.Config, []Ran[R]) (R, orca.Report) { return run(), orca.Report{} }}
 }
 
-// Series is a named speedup curve.
-type Series struct {
-	Name   string
-	Points []SpeedupPoint
+// dataFrames counts sequenced data frames, whatever their capacity.
+func dataFrames(rep orca.Report) int64 { return rep.Net.CountsByKind["grp-data"] }
+
+func procsKilled(rep orca.Report) int {
+	n := 0
+	for _, c := range rep.Crashes {
+		n += c.ProcsKilled
+	}
+	return n
 }
 
-// RenderCurve draws an ASCII speedup-vs-processors plot in the style
-// of the paper's Figures 2 and 3, including the dotted perfect-speedup
-// diagonal.
-func RenderCurve(w io.Writer, title string, series []Series, maxProcs int) {
-	fmt.Fprintf(w, "%s\n", title)
-	height := maxProcs
-	if height > 16 {
-		height = 16
-	}
-	marks := []byte{'*', 'o', '+', 'x'}
-	grid := make([][]byte, height+1)
-	for i := range grid {
-		grid[i] = []byte(strings.Repeat(" ", maxProcs*3+2))
-	}
-	plot := func(p int, s float64, mark byte) {
-		row := int(s*float64(height)/float64(maxProcs) + 0.5)
-		if row < 0 {
-			row = 0
-		}
-		if row > height {
-			row = height
-		}
-		col := p * 3
-		if col < len(grid[0]) {
-			grid[row][col] = mark
-		}
-	}
-	for p := 1; p <= maxProcs; p++ {
-		plot(p, float64(p), '.')
-	}
-	for si, s := range series {
-		for _, pt := range s.Points {
-			plot(pt.Procs, pt.Speedup, marks[si%len(marks)])
-		}
-	}
-	for row := height; row >= 0; row-- {
-		label := "  "
-		v := row * maxProcs / height
-		if row%2 == 0 {
-			label = fmt.Sprintf("%2d", v)
-		}
-		fmt.Fprintf(w, "%s |%s\n", label, string(grid[row]))
-	}
-	fmt.Fprintf(w, "   +%s\n    ", strings.Repeat("-", maxProcs*3+2))
-	for p := 1; p <= maxProcs; p++ {
-		fmt.Fprintf(w, "%3d", p)
-	}
-	fmt.Fprintln(w)
-	for si, s := range series {
-		fmt.Fprintf(w, "    %c = %s\n", marks[si%len(marks)], s.Name)
-	}
-	fmt.Fprintln(w, "    . = perfect speedup")
-}
-
-// Table prints a simple aligned table.
-func Table(w io.Writer, headers []string, rows [][]string) {
-	widths := make([]int, len(headers))
-	for i, h := range headers {
-		widths[i] = len(h)
-	}
-	for _, r := range rows {
-		for i, c := range r {
-			if i < len(widths) && len(c) > widths[i] {
-				widths[i] = len(c)
+// each is a check that holds row by row.
+func each[R any](name string, holds func(r Ran[R]) error) Check[R] {
+	return Check[R]{name, func(rows []Ran[R]) error {
+		for _, r := range rows {
+			if err := holds(r); err != nil {
+				return fmt.Errorf("row %q: %w", r, err)
 			}
 		}
-	}
-	line := func(cells []string) {
-		parts := make([]string, len(cells))
-		for i, c := range cells {
-			parts[i] = fmt.Sprintf("%-*s", widths[i], c)
-		}
-		fmt.Fprintln(w, "  "+strings.Join(parts, "  "))
-	}
-	line(headers)
-	seps := make([]string, len(headers))
-	for i := range seps {
-		seps[i] = strings.Repeat("-", widths[i])
-	}
-	line(seps)
-	for _, r := range rows {
-		line(r)
-	}
+		return nil
+	}}
 }
 
-// fmtTime renders a virtual time compactly for tables.
-func fmtTime(t sim.Time) string { return t.String() }
+// onOff renders a batched/unbatched flag.
+func onOff(b bool) string {
+	if b {
+		return "on"
+	}
+	return "off"
+}
+
+// batched returns cfg with the write-combining pipeline on or off.
+func batched(cfg orca.Config, on bool) orca.Config {
+	if on {
+		cfg.Batching = orca.DefaultBatching()
+	}
+	return cfg
+}
+
+// tspRow runs the TSP program on the row's configuration.
+func tspRow(inst *tsp.Instance, params tsp.Params, cfg orca.Config, key ...any) Row[tsp.Result] {
+	return Row[tsp.Result]{Key: keys(key...), Cfg: cfg,
+		Run: func(cfg orca.Config, _ []Ran[tsp.Result]) (tsp.Result, orca.Report) {
+			r := tsp.RunOrca(cfg, inst, params)
+			return r, r.Report
+		}}
+}
+
+// sameOptimum: no variant of a program may change what it computes.
+var sameOptimum = Check[tsp.Result]{"optimum unchanged", func(rows []Ran[tsp.Result]) error {
+	for _, r := range rows[1:] {
+		if r.Res.Best != rows[0].Res.Best {
+			return fmt.Errorf("row %q found optimum %d, row %q found %d", r, r.Res.Best, rows[0], rows[0].Res.Best)
+		}
+	}
+	return nil
+}}

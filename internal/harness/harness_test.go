@@ -2,20 +2,23 @@ package harness
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
 	"io"
 	"os"
 	"strings"
 	"testing"
 
+	"repro/internal/orca"
 	"repro/internal/rts"
 )
 
 // TestQuickGolden runs every experiment at Quick scale, in RunAll's
-// order, and compares the output byte for byte with the committed run.
-// Every figure the harness prints is virtual time or a count, so the
-// output is a pure function of the code. After a change that is meant
-// to move a figure, regenerate from the repository root and review the
-// diff:
+// order — each a subtest, each of its checks a subtest of that — and
+// compares the output byte for byte with the committed run. Every
+// figure the harness prints is virtual time or a count, so the output
+// is a pure function of the code. After a change that is meant to move
+// a figure, regenerate from the repository root and review the diff:
 //
 //	go run ./cmd/orca-bench -exp all -quick > internal/harness/testdata/quick.golden
 func TestQuickGolden(t *testing.T) {
@@ -24,7 +27,22 @@ func TestQuickGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	RunAll(&buf, Quick)
+	for _, e := range Experiments {
+		t.Run(e.Name, func(t *testing.T) {
+			verdicts, err := drive(&buf, e.Spec(Quick))
+			if err != nil {
+				t.Fatal(err)
+			}
+			fmt.Fprintln(&buf)
+			for _, v := range verdicts {
+				t.Run(v.Table+"/"+v.Check, func(t *testing.T) {
+					if v.Err != nil {
+						t.Fatal(v.Err)
+					}
+				})
+			}
+		})
+	}
 	got := buf.Bytes()
 	if bytes.Equal(got, want) {
 		return
@@ -38,48 +56,94 @@ func TestQuickGolden(t *testing.T) {
 	t.Fatalf("quick run has %d lines, testdata/quick.golden %d", len(gl), len(wl))
 }
 
-// The golden pins what the experiments print; these pin what they
-// return.
+// failing is an experiment that fails a check at Full and has a row
+// that is not a function of its configuration at Quick.
+func failing(calls *int) Experiment {
+	row := func(name string, run func() (int, orca.Report)) Row[int] {
+		return Row[int]{Key: keys(name), Run: func(orca.Config, []Ran[int]) (int, orca.Report) { return run() }}
+	}
+	spec := func(rows ...Row[int]) Spec {
+		return Spec{Title: "== FAILING ==", Tables: []Block{Tab[int]{
+			Name: "t", Cols: []string{"row", "value"}, Rows: rows,
+			Cells: func(r Ran[int]) []any { return []any{r.Res} },
+			Checks: []Check[int]{
+				{"holds", func([]Ran[int]) error { return nil }},
+				each("value below 5", func(r Ran[int]) error {
+					if r.Res >= 5 {
+						return fmt.Errorf("value %d, want < 5", r.Res)
+					}
+					return nil
+				}),
+			}}}}
+	}
+	return Experiment{"failing", func(s Scale) Spec {
+		switch s {
+		case Full:
+			return spec(row("steady", func() (int, orca.Report) { return 7, orca.Report{} }))
+		default:
+			return spec(
+				row("steady", func() (int, orca.Report) { return 1, orca.Report{} }),
+				row("drifting", func() (int, orca.Report) { *calls++; return *calls, orca.Report{} }))
+		}
+	}}
+}
 
-func TestFig2Quick(t *testing.T) {
-	s := Fig2TSP(io.Discard, Quick)
-	if len(s.Points) != 3 {
-		t.Fatalf("points = %d", len(s.Points))
+func TestDriverReportsFailuresAsErrors(t *testing.T) {
+	var calls int
+	e := failing(&calls)
+
+	// A failed check: the table still prints in full, and the error
+	// names experiment, table, check, row and both numbers.
+	var buf bytes.Buffer
+	err := e.Run(&buf, Full)
+	if want := "failing: t: value below 5: row \"steady\": value 7, want < 5"; err == nil || err.Error() != want {
+		t.Fatalf("err = %v\nwant %s", err, want)
 	}
-	if s.Points[0].Speedup != 1.0 {
-		t.Fatalf("base speedup = %f", s.Points[0].Speedup)
+	if want := "== FAILING ==\n  row     value\n  ------  -----\n  steady  7    \n\n"; buf.String() != want {
+		t.Fatalf("rendered %q, want %q", buf.String(), want)
 	}
-	last := s.Points[len(s.Points)-1]
-	if last.Speedup < 1.5 {
-		t.Fatalf("TSP quick speedup at P=%d is %f", last.Procs, last.Speedup)
+
+	// A run that differs between its two executions stops the
+	// experiment at that row.
+	err = e.Run(io.Discard, Quick)
+	if err == nil || !strings.HasPrefix(err.Error(), "failing: t: row \"drifting\": not deterministic:") {
+		t.Fatalf("err = %v", err)
+	}
+	if calls != 2 {
+		t.Fatalf("drifting row ran %d times, want 2", calls)
 	}
 }
 
-func TestFig3Quick(t *testing.T) {
-	if s := Fig3ACP(io.Discard, Quick); len(s.Points) != 3 {
-		t.Fatalf("points = %d", len(s.Points))
+func TestDriverReportsTimeout(t *testing.T) {
+	timedOut := Tab[int]{Name: "t", Rows: []Row[int]{{Key: keys("stuck"),
+		Run: func(orca.Config, []Ran[int]) (int, orca.Report) {
+			return 0, orca.Report{TimedOut: true, Blocked: []string{"w3"}}
+		}}}}
+	_, err := drive(io.Discard, Spec{Title: "x", Tables: []Block{timedOut}})
+	if want := `t: row "stuck": timed out (blocked: [w3])`; err == nil || err.Error() != want {
+		t.Fatalf("err = %v, want %s", err, want)
 	}
 }
 
-func TestChessQuick(t *testing.T) {
-	if series := ChessExperiment(io.Discard, Quick); len(series) != 2 {
-		t.Fatalf("series = %d, want shared+local", len(series))
-	}
-}
-
-func TestATPGQuick(t *testing.T) {
-	if series := ATPGExperiment(io.Discard, Quick); len(series) != 3 {
-		t.Fatalf("series = %d, want 3 modes", len(series))
+func TestRunAllJoinsErrors(t *testing.T) {
+	saved := Experiments
+	defer func() { Experiments = saved }()
+	var calls int
+	Experiments = []Experiment{failing(&calls), failing(&calls)}
+	err := RunAll(io.Discard, Full)
+	var joined interface{ Unwrap() []error }
+	if !errors.As(err, &joined) || len(joined.Unwrap()) != 2 {
+		t.Fatalf("err = %v, want both experiments' failures", err)
 	}
 }
 
 func TestP2PWorkloadBothProtocols(t *testing.T) {
 	for _, proto := range []rts.P2PProtocol{rts.Update, rts.Invalidation} {
-		elapsed, msgs, _ := P2PWorkload(proto, rts.DynamicPlacement, 3, 4, 1, 2)
-		if elapsed <= 0 {
+		r := P2PWorkload(proto, rts.DynamicPlacement, 3, 4, 1, 2)
+		if r.Elapsed <= 0 {
 			t.Fatalf("%v: no elapsed time", proto)
 		}
-		if msgs == 0 {
+		if r.Msgs == 0 {
 			t.Fatalf("%v: no messages", proto)
 		}
 	}

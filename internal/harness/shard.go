@@ -2,7 +2,6 @@ package harness
 
 import (
 	"fmt"
-	"io"
 
 	"repro/internal/amoeba"
 	"repro/internal/apps/tsp"
@@ -12,9 +11,50 @@ import (
 	"repro/internal/sim"
 )
 
-// ShardExperiment measures the sharded total order: N independent
-// sequencer groups on the same machines, each with its own replication
-// domain, against the single group every earlier experiment uses (see
+// modern returns cfg on the modern cost profile: a 1 Gb/s switch-class
+// wire and microsecond-scale kernel paths, against which the ordering
+// structure (not the 1992 CPU) is the bottleneck.
+func modern(cfg orca.Config) orca.Config {
+	cfg.Net = &netsim.Params{
+		BandwidthBps:     1_000_000_000,
+		PropDelay:        5 * sim.Microsecond,
+		FrameOverhead:    42,
+		MTU:              1500,
+		BroadcastCapable: true,
+	}
+	cfg.KernelCosts = &amoeba.Costs{
+		Interrupt: 5 * sim.Microsecond,
+		Protocol:  3 * sim.Microsecond,
+		Send:      6 * sim.Microsecond,
+		Switch:    2 * sim.Microsecond,
+		Quantum:   amoeba.DefaultCosts().Quantum,
+	}
+	return cfg
+}
+
+// sharded returns cfg split into n sequencer groups; with domains,
+// each group's objects are replicated on its own P/n machines only.
+func sharded(cfg orca.Config, n int, domains bool) orca.Config {
+	if n > 1 {
+		cfg.Shards = n
+		if domains {
+			cfg.ShardSpan = cfg.Processors / n
+		}
+	}
+	return cfg
+}
+
+// isolation is one run of the crash-isolation program: when the
+// workers on shards other than 1 finished, when all did, and what each
+// worker's counter held at the end.
+type isolation struct {
+	survivors, all sim.Time
+	counted        []int
+}
+
+// shard measures the sharded total order: N independent sequencer
+// groups on the same machines, each with its own replication domain,
+// against the single group every earlier experiment uses (see
 // DESIGN.md, "Sharded total order"). Three parts:
 //
 //   - counter throughput sweep: every machine streams no-result
@@ -22,268 +62,155 @@ import (
 //     counts {1,4,16,P/8}. One group flatlines — every write funnels
 //     through one sequencer and is applied by every machine — while
 //     sharding with domains scales the write throughput with the
-//     shard count. Runs use a modern cost profile (1 Gb/s wire,
-//     microsecond kernel paths): sharding is the structure for the
-//     millions-of-ops regime, not the paper's 10 Mb/s testbed.
+//     shard count. Runs use the modern cost profile: sharding is the
+//     structure for the millions-of-ops regime, not the paper's
+//     10 Mb/s testbed. At full scale P=256 with 16 shards must reach
+//     3x the single group's write throughput on the same trace.
 //   - TSP optimum: the paper's Figure 2 application with its shared
 //     objects hash-spread over shards (full spans); the optimum must
 //     match the single-group run bit-for-bit.
 //   - crash isolation: one shard's sequencer machine dies mid-run;
 //     workers on the surviving shards must finish in (near) baseline
 //     time while the crashed shard recovers and completes after.
-//
-// Every configuration runs twice and the harness panics if the two
-// fingerprints differ, and at full scale if P=256 with 16 shards does
-// not reach at least 3x the single-group write throughput on the same
-// trace.
-func ShardExperiment(w io.Writer, scale Scale) {
-	type sweepRow struct {
-		procs, shards int
-		ops           int64
-		opsPerSec     float64
+func shard(s Scale) Spec {
+	counter := Tab[stream]{
+		Name:    "counter",
+		Heading: "-- counter: per-machine no-result assigns, modern profile (1 Gb/s, µs kernel), batching on --",
+		Cols:    []string{"procs", "shards", "span", "writes", "writes/s", "vs 1 shard"},
+		Cells: func(r Ran[stream]) []any {
+			return []any{r.Res.writes, fmt.Sprintf("%.2fM", r.Res.perSec/1e6), fmt.Sprintf("%.2fx", r.Res.overFirst)}
+		},
 	}
-	procs := []int{8, 64, 256, 512}
-	shardsFor := func(p int) []int {
-		set := []int{1, 4, 16, p / 8}
-		var out []int
-		for _, s := range set {
-			dup := false
-			for _, t := range out {
-				dup = dup || t == s
-			}
-			if !dup && s >= 1 && s <= p && p%s == 0 {
-				out = append(out, s)
-			}
-		}
-		return out
+	// The counter sweep: P, assigns per machine (fewer at large P to
+	// bound the run), and shard counts {1, 4, 16, P/8}.
+	type cut struct {
+		p, opsPer int
+		shards    []int
 	}
-	opsFor := func(p int) int {
-		switch {
-		case p >= 512:
-			return 50
-		case p >= 256:
-			return 100
-		default:
-			return 200
+	for _, c := range at(s,
+		[]cut{{8, 200, []int{1, 4}}, {64, 200, []int{1, 4, 16, 8}}, {256, 100, []int{1, 4, 16, 32}}, {512, 50, []int{1, 4, 16, 64}}},
+		[]cut{{8, 100, []int{1, 4}}, {32, 100, []int{1, 4}}}) {
+		for _, n := range c.shards {
+			span := any("all")
+			if n > 1 {
+				span = c.p / n
+			}
+			counter.Rows = append(counter.Rows,
+				counterStream(false, c.opsPer, sharded(batched(modern(bcast(c.p)), true), n, true), c.p, n, span))
 		}
 	}
-	tspProcs, tspShards, cities := []int{8, 64}, []int{1, 4, 8}, 12
-	crashP, crashShards, crashOps := 8, 4, 60
-	if scale == Quick {
-		procs = []int{8, 32}
-		shardsFor = func(p int) []int { return []int{1, 4} }
-		opsFor = func(int) int { return 100 }
-		tspProcs, tspShards, cities = []int{8}, []int{1, 4}, 11
-		crashOps = 40
+	if s == Full {
+		big := func(rows []Ran[stream]) Ran[stream] {
+			for _, r := range rows {
+				if r.Cfg.Processors == 256 && r.Cfg.Shards == 16 {
+					return r
+				}
+			}
+			return Ran[stream]{}
+		}
+		counter.Summary = func(rows []Ran[stream]) string {
+			return fmt.Sprintf("P=256: 16 shards deliver %.1fx the single group's write throughput.", big(rows).Res.overFirst)
+		}
+		counter.Checks = []Check[stream]{{"16 shards at P=256 write at least 3x as fast as one group", func(rows []Ran[stream]) error {
+			if r := big(rows); r.Res.overFirst < 3 {
+				return fmt.Errorf("row %q: %.2fx the single group, want >= 3x", r, r.Res.overFirst)
+			}
+			return nil
+		}}}
 	}
 
-	// Modern cost profile: a 1 Gb/s switch-class wire and
-	// microsecond-scale kernel paths, against which the ordering
-	// structure (not the 1992 CPU) is the bottleneck.
-	modernNet := netsim.Params{
-		BandwidthBps:     1_000_000_000,
-		PropDelay:        5 * sim.Microsecond,
-		FrameOverhead:    42,
-		MTU:              1500,
-		BroadcastCapable: true,
-	}
-	modernKernel := amoeba.Costs{
-		Interrupt: 5 * sim.Microsecond,
-		Protocol:  3 * sim.Microsecond,
-		Send:      6 * sim.Microsecond,
-		Switch:    2 * sim.Microsecond,
-		Quantum:   amoeba.DefaultCosts().Quantum,
-	}
-
-	fmt.Fprintln(w, "== SHARD: N sequencer groups, domain replication, scale-out past one total order ==")
-	fmt.Fprintf(w, "-- counter: per-machine no-result assigns, modern profile (1 Gb/s, µs kernel), batching on --\n")
-
-	// runCounter executes the counter workload once: worker m creates
-	// its own counter inside its domain's shard and streams opsPer
-	// assigns through the combining buffer. The issued trace is
-	// identical across shard counts at fixed P — only the ordering
-	// structure changes.
-	runCounter := func(name string, p, shards, opsPer int) (sweepRow, string) {
-		cfg := orca.Config{Processors: p, RTS: orca.Broadcast, Seed: 1,
-			Net: &modernNet, KernelCosts: &modernKernel, Batching: orca.DefaultBatching()}
-		if shards > 1 {
-			cfg.Shards = shards
-			cfg.ShardSpan = p / shards
-		}
-		span := p
-		if shards > 1 {
-			span = p / shards
-		}
-		rt := orca.New(cfg, std.Register)
-		rep := rt.Run(func(pr *orca.Proc) {
-			fin := std.NewBarrier(pr, p)
-			for cpu := 0; cpu < p; cpu++ {
-				cpu := cpu
-				pr.Fork(cpu, fmt.Sprintf("shard-w%d", cpu), func(wp *orca.Proc) {
-					var opts []orca.Option
-					if shards > 1 {
-						opts = append(opts, orca.OnShard(cpu/span))
-					}
-					c := std.NewCounter(wp, 0, opts...)
-					for i := 0; i < opsPer; i++ {
-						c.Assign(wp, cpu*opsPer+i)
-					}
-					fin.Arrive(wp)
-				})
-			}
-			fin.Wait(pr)
-		})
-		mustFinish(name, rep)
-		st := rep.RTS
-		ops := st.BcastWrites + st.BatchedOps
-		row := sweepRow{procs: p, shards: shards, ops: ops,
-			opsPerSec: float64(ops) / rep.Elapsed.Seconds()}
-		fp := fmt.Sprintf("elapsed=%d msgs=%d frames=%d writes=%d batched=%d fwd=%d",
-			int64(rep.Elapsed), rep.Net.Messages, rep.Net.Frames,
-			st.BcastWrites, st.BatchedOps, st.Forwarded)
-		return row, fp
-	}
-
-	var rows [][]string
-	byConfig := map[[2]int]sweepRow{}
-	for _, p := range procs {
-		opsPer := opsFor(p)
-		var base float64
-		for _, s := range shardsFor(p) {
-			name := fmt.Sprintf("shard counter P=%d S=%d", p, s)
-			row := twice(name, func() (sweepRow, string) { return runCounter(name, p, s, opsPer) })
-			if s == 1 {
-				base = row.opsPerSec
-			}
-			byConfig[[2]int{p, s}] = row
-			speedup := row.opsPerSec / base
-			span := "all"
-			if s > 1 {
-				span = fmt.Sprint(p / s)
-			}
-			rows = append(rows, []string{
-				fmt.Sprint(p), fmt.Sprint(s), span, fmt.Sprint(row.ops),
-				fmt.Sprintf("%.2fM", row.opsPerSec/1e6), fmt.Sprintf("%.2fx", speedup),
-			})
-		}
-	}
-	Table(w, []string{"procs", "shards", "span", "writes", "writes/s", "vs 1 shard"}, rows)
-	if scale == Full {
-		one, sixteen := byConfig[[2]int{256, 1}], byConfig[[2]int{256, 16}]
-		ratio := sixteen.opsPerSec / one.opsPerSec
-		if ratio < 3 {
-			panic(fmt.Sprintf("harness: P=256 S=16 throughput only %.2fx the single group, want >= 3x", ratio))
-		}
-		fmt.Fprintf(w, "P=256: 16 shards deliver %.1fx the single group's write throughput.\n", ratio)
-	}
-	fmt.Fprintln(w)
-
-	// TSP: sharding the total order must not change what the program
+	// Sharding the total order must not change what the program
 	// computes. Shared objects hash-spread over full-span shards.
-	fmt.Fprintf(w, "-- TSP %d cities: optimum must match the single group --\n", cities)
+	cities := at(s, 12, 11)
 	inst := tsp.Generate(cities, 5)
-	rows = rows[:0]
-	best := -1
-	for _, p := range tspProcs {
-		for _, s := range tspShards {
-			cfg := orca.Config{Processors: p, RTS: orca.Broadcast, Seed: 1}
-			if s > 1 {
-				cfg.Shards = s
-			}
-			r := twice(fmt.Sprintf("sharded TSP P=%d S=%d", p, s), func() (tsp.Result, string) {
-				r := tsp.RunOrca(cfg, inst, tsp.Params{})
-				return r, tspFingerprint(r)
-			})
-			if best == -1 {
-				best = r.Best
-			} else if r.Best != best {
-				panic(fmt.Sprintf("harness: TSP optimum drifted under sharding: %d vs %d (P=%d S=%d)", r.Best, best, p, s))
-			}
-			rows = append(rows, []string{
-				fmt.Sprint(p), fmt.Sprint(s), fmt.Sprint(r.Best), fmtTime(r.Report.Elapsed),
-				fmt.Sprint(r.Report.Net.Frames),
-			})
+	app := Tab[tsp.Result]{
+		Name:    "tsp",
+		Heading: fmt.Sprintf("-- TSP %d cities: optimum must match the single group --", cities),
+		Cols:    []string{"procs", "shards", "best", "virtual", "frames"},
+		Cells:   func(r Ran[tsp.Result]) []any { return []any{r.Res.Best, r.Report.Elapsed, r.Report.Net.Frames} },
+		Checks:  []Check[tsp.Result]{sameOptimum},
+	}
+	for _, p := range at(s, []int{8, 64}, []int{8}) {
+		for _, n := range at(s, []int{1, 4, 8}, []int{1, 4}) {
+			app.Rows = append(app.Rows, tspRow(inst, tsp.Params{}, sharded(bcast(p), n, false), p, n))
 		}
 	}
-	Table(w, []string{"procs", "shards", "best", "virtual", "frames"}, rows)
-	fmt.Fprintln(w)
 
 	// Crash isolation: shard k sequences on machine k (full spans,
 	// rotation 0). Machine 1 dies mid-run, taking exactly shard 1's
 	// sequencer; workers bound to the other shards must finish in
 	// near-baseline time while shard 1 recovers.
-	fmt.Fprintf(w, "-- crash isolation at P=%d, %d shards: machine 1 (shard 1's sequencer) dies mid-run --\n",
-		crashP, crashShards)
-	runCrash := func(name string, crash bool) (doneSurvivors, doneAll sim.Time, rep orca.Report) {
-		cfg := orca.Config{Processors: crashP, RTS: orca.Broadcast, Shards: crashShards, Seed: 1}
-		if crash {
-			cfg.Faults = &netsim.FaultPlan{Crashes: []netsim.Crash{{Node: 1, At: 30 * sim.Millisecond}}}
-		}
-		workers := []int{2, 3, 4, 5, 6, 7}
-		doneAt := make([]sim.Time, crashP)
-		shardOf := func(cpu int) int { return cpu % crashShards }
-		rep = twice("shard crash run "+name, func() (orca.Report, string) {
-			rt := orca.New(cfg, std.Register)
-			rep := rt.Run(func(pr *orca.Proc) {
-				counters := make([]orca.Object, crashP)
-				for _, cpu := range workers {
-					counters[cpu] = pr.NewWith(std.IntObj, orca.Opts(orca.OnShard(shardOf(cpu))))
-				}
-				fin := std.NewBarrier(pr, len(workers))
-				for _, cpu := range workers {
-					cpu := cpu
-					pr.Fork(cpu, fmt.Sprintf("crash-w%d", cpu), func(wp *orca.Proc) {
-						for k := 0; k < crashOps; k++ {
-							wp.Invoke(counters[cpu], "inc")
-							wp.Work(sim.Millisecond)
-						}
-						doneAt[cpu] = wp.Now()
-						fin.Arrive(wp)
-					})
-				}
-				fin.Wait(pr)
-				for _, cpu := range workers {
-					if got := pr.InvokeI(counters[cpu], "value"); got != crashOps {
-						panic(fmt.Sprintf("harness: shard crash worker %d counted %d, want %d", cpu, got, crashOps))
+	const crashP, crashShards = 8, 4
+	ops := at(s, 60, 40)
+	workers := []int{2, 3, 4, 5, 6, 7}
+	isolate := func(cfg orca.Config, _ []Ran[isolation]) (isolation, orca.Report) {
+		var out isolation
+		rep := orca.New(cfg, std.Register).Run(func(pr *orca.Proc) {
+			counters := make([]orca.Object, crashP)
+			for _, cpu := range workers {
+				counters[cpu] = pr.NewWith(std.IntObj, orca.Opts(orca.OnShard(cpu%crashShards)))
+			}
+			fin := std.NewBarrier(pr, len(workers))
+			for _, cpu := range workers {
+				pr.Fork(cpu, fmt.Sprintf("crash-w%d", cpu), func(wp *orca.Proc) {
+					for k := 0; k < ops; k++ {
+						wp.Invoke(counters[cpu], "inc")
+						wp.Work(sim.Millisecond)
+					}
+					out.all = max(out.all, wp.Now())
+					if cpu%crashShards != 1 {
+						out.survivors = max(out.survivors, wp.Now())
+					}
+					fin.Arrive(wp)
+				})
+			}
+			fin.Wait(pr)
+			for _, cpu := range workers {
+				out.counted = append(out.counted, pr.InvokeI(counters[cpu], "value"))
+			}
+		})
+		return out, rep
+	}
+	slack := func(rows []Ran[isolation]) float64 {
+		return float64(rows[1].Res.survivors) / float64(rows[0].Res.survivors)
+	}
+	crash := Tab[isolation]{
+		Name: "crash",
+		Heading: fmt.Sprintf("-- crash isolation at P=%d, %d shards: machine 1 (shard 1's sequencer) dies mid-run --",
+			crashP, crashShards),
+		Cols: []string{"scenario", "survivors done", "all done", "virtual", "elect+takeover", "recovery", "crashes"},
+		Rows: []Row[isolation]{
+			{Key: keys("no-fault"), Cfg: sharded(bcast(crashP), crashShards, false), Run: isolate},
+			{Key: keys("seq-crash"), Cfg: crashing(sharded(bcast(crashP), crashShards, false), 1, 30*sim.Millisecond), Run: isolate},
+		},
+		Cells: func(r Ran[isolation]) []any {
+			rep, st := r.Report, r.Report.RTS
+			return []any{r.Res.survivors, r.Res.all, rep.Elapsed, st.Elections + st.Takeovers,
+				fmt.Sprintf("%.0fµs", st.RecoveryVirtualUS), len(rep.Crashes)}
+		},
+		Checks: []Check[isolation]{
+			each("every worker's counter holds its increments", func(r Ran[isolation]) error {
+				for i, got := range r.Res.counted {
+					if got != ops {
+						return fmt.Errorf("worker %d counted %d, want %d", workers[i], got, ops)
 					}
 				}
-			})
-			mustFinish("shard crash run "+name, rep)
-			return rep, fmt.Sprintf("elapsed=%d msgs=%d", int64(rep.Elapsed), rep.Net.Messages)
-		})
-		for _, cpu := range workers {
-			d := doneAt[cpu]
-			if d > doneAll {
-				doneAll = d
-			}
-			if shardOf(cpu) != 1 && d > doneSurvivors {
-				doneSurvivors = d
-			}
-		}
-		return doneSurvivors, doneAll, rep
+				return nil
+			}),
+			{"survivors within 1.15x of baseline", func(rows []Ran[isolation]) error {
+				if x := slack(rows); x > 1.15 {
+					return fmt.Errorf("row %q: surviving shards done at %v, %.2fx the %v of row %q, want <= 1.15x",
+						rows[1], rows[1].Res.survivors, x, rows[0].Res.survivors, rows[0])
+				}
+				return nil
+			}},
+		},
+		Summary: func(rows []Ran[isolation]) string {
+			return fmt.Sprintf("Workers on the surviving shards finished within %.1f%% of baseline while", (slack(rows)-1)*100)
+		},
+		Prose: `shard 1 elected a new sequencer and its workers completed afterwards:
+one shard's recovery is not a stop-the-world event.`,
 	}
-	baseSurv, baseAll, baseRep := runCrash("baseline", false)
-	crashSurv, crashAll, crashRep := runCrash("crash", true)
-	rows = rows[:0]
-	for _, rr := range []struct {
-		name      string
-		surv, all sim.Time
-		rep       orca.Report
-	}{{"no-fault", baseSurv, baseAll, baseRep}, {"seq-crash", crashSurv, crashAll, crashRep}} {
-		rows = append(rows, []string{
-			rr.name, fmtTime(rr.surv), fmtTime(rr.all), fmtTime(rr.rep.Elapsed),
-			fmt.Sprint(rr.rep.RTS.Elections + rr.rep.RTS.Takeovers),
-			fmt.Sprintf("%.0fµs", rr.rep.RTS.RecoveryVirtualUS),
-			fmt.Sprint(len(rr.rep.Crashes)),
-		})
-	}
-	Table(w, []string{"scenario", "survivors done", "all done", "virtual", "elect+takeover", "recovery", "crashes"}, rows)
-	slack := float64(crashSurv) / float64(baseSurv)
-	if slack > 1.15 {
-		panic(fmt.Sprintf("harness: surviving shards slowed %.2fx under a one-shard sequencer crash, want <= 1.15x", slack))
-	}
-	fmt.Fprintf(w, "Workers on the surviving shards finished within %.1f%% of baseline while\n", (slack-1)*100)
-	fmt.Fprintln(w, "shard 1 elected a new sequencer and its workers completed afterwards:")
-	fmt.Fprintln(w, "one shard's recovery is not a stop-the-world event.")
-	fmt.Fprintln(w)
+	return Spec{Title: "== SHARD: N sequencer groups, domain replication, scale-out past one total order ==",
+		Tables: []Block{counter, app, crash}}
 }

@@ -79,16 +79,6 @@ type FaultPlan struct {
 	Losses     []LossWindow
 }
 
-// CrashOf returns the crash entry for a node, if the plan has one.
-func (fp *FaultPlan) CrashOf(node int) (Crash, bool) {
-	for _, c := range fp.Crashes {
-		if c.Node == node {
-			return c, true
-		}
-	}
-	return Crash{}, false
-}
-
 // InstallFaults arms a fault plan on the network. Each crash entry is
 // scheduled at its instant; onCrash, when non-nil, performs the actual
 // crash (the kernel layer passes a callback that kills the machine),

@@ -372,9 +372,6 @@ func (rt *Runtime) System() *rts.Router { return rt.sys }
 // Net exposes the simulated network (for harness statistics).
 func (rt *Runtime) Net() *netsim.Network { return rt.net }
 
-// Machines exposes the simulated kernels.
-func (rt *Runtime) Machines() []*amoeba.Machine { return rt.machines }
-
 // Stats returns the unified runtime-system counter snapshot: sequencer
 // groups fill the broadcast fields, the point-to-point domain the p2p
 // fields, and the snapshot merges every domain built.

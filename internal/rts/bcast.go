@@ -299,9 +299,6 @@ func (r *BroadcastRTS) Span() []int { return r.span }
 // configuration so the sequencer packs frames too.
 func (r *BroadcastRTS) EnableBatching(bc group.BatchConfig) { r.batch = bc }
 
-// BatchingEnabled reports whether the write-combining pipeline is on.
-func (r *BroadcastRTS) BatchingEnabled() bool { return r.batch.Enabled() }
-
 // noBatch excludes an object from the write-combining pipeline (see
 // the unbatched field).
 func (r *BroadcastRTS) noBatch(id ObjID) {

@@ -143,7 +143,7 @@ func TestP2PRehomePreservesSurvivingCopy(t *testing.T) {
 	if final != 10 {
 		t.Fatalf("counter = %d after re-home, want 10 (state must survive)", final)
 	}
-	st := r.Stats()
+	st := r.Counters()
 	if st.Rehomed != 1 {
 		t.Fatalf("Rehomed = %d, want 1", st.Rehomed)
 	}
@@ -184,7 +184,7 @@ func TestP2PRestartWhenOnlyCopyDies(t *testing.T) {
 	if postCrash != 42 {
 		t.Fatalf("post-crash value = %d, want 42 (restarted from creation args)", postCrash)
 	}
-	if st := r.Stats(); st.Rehomed != 1 {
+	if st := r.Counters(); st.Rehomed != 1 {
 		t.Fatalf("Rehomed = %d, want 1", st.Rehomed)
 	}
 	b.done()

@@ -212,9 +212,10 @@ func TestP2PInlineReadsAmongThreadPaths(t *testing.T) {
 	}
 	ns := b.net.Stats()
 	fig := fmt.Sprintf("%v primary=%d events=%d frames=%d wire=%d stats=%+v",
-		got, r.Primary(cell), b.env.Events(), ns.Frames, ns.WireBytes, r.Stats())
+		got, r.Primary(cell), b.env.Events(), ns.Frames, ns.WireBytes, r.Counters())
 	const want = "[moved@30.296ms sum 4084@2.095s released@16.822ms sum 4084@95.691ms] primary=0 events=2213 frames=337 wire=27629 " +
-		"stats={LocalReads:0 RemoteReads:164 Writes:6 GuardWaits:1 Fetches:0 Discards:0 Invalidations:0 Updates:0 Crashes:1 OpsRetried:2 Rehomed:1}"
+		"stats={LocalReads:0 BcastWrites:0 GuardWaits:1 Forwarded:0 BatchedOps:0 Frames:0 RemoteReads:164 P2PWrites:6 Fetches:0 Discards:0 " +
+		"Invalidations:0 Updates:0 FencedOps:0 Migrations:0 MigrationVirtualUS:0 Crashes:1 OpsRetried:2 Rehomed:1 Elections:0 Takeovers:0 Reproposals:0 RecoveryVirtualUS:0}"
 	if fig != want {
 		t.Errorf("figures moved:\n\t%s\nwere\t%s", fig, want)
 	}
@@ -262,7 +263,7 @@ func TestCrashWhileContinuationHoldsPrimaryCPU(t *testing.T) {
 		b.run(10 * sim.Second)
 		ns := b.net.Stats()
 		fig = fmt.Sprintf("val=%d took=%v primary=%d events=%d frames=%d busy0=%v (%v at the crash) rehomed=%d",
-			val, done, r.Primary(id), b.env.Events(), ns.Frames, b.ms[0].CPU().BusyTime(), busyAtCrash, r.Stats().Rehomed)
+			val, done, r.Primary(id), b.env.Events(), ns.Frames, b.ms[0].CPU().BusyTime(), busyAtCrash, r.Counters().Rehomed)
 		return start + done, fig
 	}
 	end, clean := run(0)

@@ -52,7 +52,7 @@ type P2PRTS struct {
 	// dead primary after the cut. Returns nil when no snapshot exists.
 	recoverState func(meta *p2pMeta) State
 
-	stats P2PStats
+	stats RTSStats
 }
 
 var _ System = (*P2PRTS)(nil)
@@ -127,21 +127,6 @@ func DefaultP2PConfig() P2PConfig {
 		WindowMin:    8,
 		RPCPolicy:    amoeba.RPCDefaults{Timeout: 2 * sim.Second, Retries: 1 << 20},
 	}
-}
-
-// P2PStats aggregates runtime counters.
-type P2PStats struct {
-	LocalReads    int64
-	RemoteReads   int64
-	Writes        int64
-	GuardWaits    int64 // guard suspensions (local copies and primary-queued tasks)
-	Fetches       int64
-	Discards      int64
-	Invalidations int64 // invalidation messages sent
-	Updates       int64 // update messages sent
-	Crashes       int64 // machine crashes the runtime was notified of
-	OpsRetried    int64 // operations re-issued after a crash broke their first attempt
-	Rehomed       int64 // objects re-homed (or restarted) on a new primary
 }
 
 // p2pMeta is the global registry entry for an object: its type, the
@@ -289,25 +274,9 @@ func NewP2PRTS(reg *Registry, costs Costs, cfg P2PConfig, machines []*amoeba.Mac
 // Nodes implements System.
 func (r *P2PRTS) Nodes() int { return len(r.nodes) }
 
-// Stats returns a snapshot of runtime counters.
-func (r *P2PRTS) Stats() P2PStats { return r.stats }
-
-// Counters returns the unified counter snapshot.
-func (r *P2PRTS) Counters() RTSStats {
-	return RTSStats{
-		LocalReads:    r.stats.LocalReads,
-		RemoteReads:   r.stats.RemoteReads,
-		P2PWrites:     r.stats.Writes,
-		GuardWaits:    r.stats.GuardWaits,
-		Fetches:       r.stats.Fetches,
-		Discards:      r.stats.Discards,
-		Invalidations: r.stats.Invalidations,
-		Updates:       r.stats.Updates,
-		Crashes:       r.stats.Crashes,
-		OpsRetried:    r.stats.OpsRetried,
-		Rehomed:       r.stats.Rehomed,
-	}
-}
+// Counters returns the unified counter snapshot: the runtime counts
+// straight into one.
+func (r *P2PRTS) Counters() RTSStats { return r.stats }
 
 // Primary reports an object's primary machine.
 func (r *P2PRTS) Primary(id ObjID) int { return r.meta(id).primary }
@@ -487,7 +456,7 @@ func (n *p2pNode) invokeWrite(w *Worker, meta *p2pMeta, op *OpDef, args []any) [
 	r := n.rts
 	st := n.accessFor(meta.id)
 	st.writes++
-	r.stats.Writes++
+	r.stats.P2PWrites++
 	w.Flush()
 	var res []any
 	for {

@@ -45,7 +45,7 @@ func TestP2PRemoteReadAndWrite(t *testing.T) {
 	if got != 13 {
 		t.Fatalf("remote read = %d, want 13", got)
 	}
-	st := r.Stats()
+	st := r.Counters()
 	if st.RemoteReads == 0 {
 		t.Fatal("expected remote reads")
 	}
@@ -67,11 +67,11 @@ func TestP2PDynamicFetchOnReadHeavyUse(t *testing.T) {
 	if !r.HasCopy(1, id) {
 		t.Fatal("read-heavy node did not fetch a copy")
 	}
-	if r.Stats().Fetches == 0 {
+	if r.Counters().Fetches == 0 {
 		t.Fatal("no fetch recorded")
 	}
 	// Once the copy exists, reads must be local.
-	if r.Stats().LocalReads == 0 {
+	if r.Counters().LocalReads == 0 {
 		t.Fatal("no local reads after fetch")
 	}
 }
@@ -122,7 +122,7 @@ func TestP2PInvalidationDropsCopies(t *testing.T) {
 	if n := r.CopyCount(id); n != 1 {
 		t.Fatalf("copies after write = %d, want 1", n)
 	}
-	if r.Stats().Invalidations == 0 {
+	if r.Counters().Invalidations == 0 {
 		t.Fatal("no invalidations recorded")
 	}
 	s, _ := r.PeekState(0, id)
@@ -158,7 +158,7 @@ func TestP2PUpdateKeepsCopiesConsistent(t *testing.T) {
 		t.Fatalf("states diverged: primary=%d secondary=%d, want 5",
 			s0.(*intCellState).v, s1.(*intCellState).v)
 	}
-	if r.Stats().Updates == 0 {
+	if r.Counters().Updates == 0 {
 		t.Fatal("no update messages recorded")
 	}
 }
@@ -188,7 +188,7 @@ func TestP2PDiscardOnWriteHeavyUse(t *testing.T) {
 	if r.HasCopy(1, id) {
 		t.Fatal("write-heavy node kept its copy")
 	}
-	if r.Stats().Discards == 0 {
+	if r.Counters().Discards == 0 {
 		t.Fatal("no discard recorded")
 	}
 }

@@ -170,10 +170,10 @@ func TestPerObjectProtocol(t *testing.T) {
 		for upd == 0 {
 			ready.Wait(w.P)
 		}
-		base := r.Stats()
+		base := r.Counters()
 		r.Invoke(w, inval, "inc")
 		w.Flush()
-		after := r.Stats()
+		after := r.Counters()
 		if got := after.Invalidations - base.Invalidations; got != 2 {
 			t.Errorf("invalidation-object write sent %d invalidations, want 2", got)
 		}
@@ -183,7 +183,7 @@ func TestPerObjectProtocol(t *testing.T) {
 		base = after
 		r.Invoke(w, upd, "inc")
 		w.Flush()
-		after = r.Stats()
+		after = r.Counters()
 		if got := after.Updates - base.Updates; got != 2 {
 			t.Errorf("update-object write sent %d updates, want 2", got)
 		}

@@ -32,13 +32,30 @@ type Op struct {
 // WriteOrder reconstructs a total write order from the observation
 // structure of the histories. Constraint edges: v1 -> v2 if some
 // process wrote v1 before v2 (program order), or observed v1 and then
-// later observed or wrote v2. It returns an error naming two values on
-// a constraint cycle if no total order exists.
+// later observed or wrote v2. It returns an error naming process and
+// op index if a value is written twice or read without having been
+// written, and one naming the smallest value on a constraint cycle if
+// no total order exists.
 func WriteOrder(histories [][]Op) ([]int, error) {
-	values := map[int]bool{}
+	type site struct{ proc, op int }
+	written := map[int]site{}
+	for p, hist := range histories {
+		for i, op := range hist {
+			if !op.Write {
+				continue
+			}
+			if w, dup := written[op.Val]; dup {
+				return nil, fmt.Errorf("scheck: proc %d op %d: value %d already written by proc %d op %d — writes must be unique",
+					p, i, op.Val, w.proc, w.op)
+			}
+			written[op.Val] = site{p, i}
+		}
+	}
 	edges := map[int]map[int]bool{}
 	addEdge := func(a, b int) {
-		if a == b || a == 0 {
+		// The initial value precedes every write; CheckAgainst pins it
+		// at position 0, so it takes no part in the ordering.
+		if a == b || a == 0 || b == 0 {
 			return
 		}
 		if edges[a] == nil {
@@ -46,11 +63,11 @@ func WriteOrder(histories [][]Op) ([]int, error) {
 		}
 		edges[a][b] = true
 	}
-	for _, hist := range histories {
+	for p, hist := range histories {
 		prev := 0
-		for _, op := range hist {
-			if op.Val != 0 {
-				values[op.Val] = true
+		for i, op := range hist {
+			if _, ok := written[op.Val]; !ok && op.Val != 0 {
+				return nil, fmt.Errorf("scheck: proc %d op %d: read observed value %d, which no process wrote", p, i, op.Val)
 			}
 			addEdge(prev, op.Val)
 			prev = op.Val
@@ -59,8 +76,8 @@ func WriteOrder(histories [][]Op) ([]int, error) {
 	// Kahn's algorithm; ties broken by value so the witness order is
 	// deterministic.
 	indeg := map[int]int{}
-	for v := range values {
-		indeg[v] += 0
+	for v := range written {
+		indeg[v] = 0
 	}
 	for _, outs := range edges {
 		for b := range outs {
@@ -78,10 +95,13 @@ func WriteOrder(histories [][]Op) ([]int, error) {
 		}
 		if !found {
 			// Every remaining value has an incoming edge: a cycle.
-			// Name one remaining value for the error.
+			// Name the smallest so the message is deterministic.
 			for v := range indeg {
-				return nil, fmt.Errorf("scheck: observation constraints are cyclic at value %d: no total write order exists", v)
+				if !found || v < best {
+					best, found = v, true
+				}
 			}
+			return nil, fmt.Errorf("scheck: observation constraints are cyclic at value %d: no total write order exists", best)
 		}
 		order = append(order, best)
 		delete(indeg, best)

@@ -82,9 +82,6 @@ func (c *Cond) Broadcast() {
 	}
 }
 
-// Waiting reports how many processes are parked on the condition.
-func (c *Cond) Waiting() int { return c.waiters.len() }
-
 // Resource is an exclusively held resource (a node's CPU, for example)
 // with a FIFO wait queue and an optional high-priority lane used for
 // interrupt handling.
