@@ -132,7 +132,7 @@ func TestRPCReplyTwicePanics(t *testing.T) {
 		r, _ := srv.GetRequest(p)
 		srv.PutReply(p, r, 1, 8)
 		again(func() { srv.PutReply(p, r, 2, 8) })
-		again(func() { srv.PutReplyFn(p, r, 3, 8, func() {}) })
+		again(func() { srv.PutResultFn(p, r, Args{}, 8, func() {}) })
 	})
 	c := NewClient(ms[0], DefaultRPCPolicy())
 	var got any
@@ -221,6 +221,12 @@ func TestRPCRetransmissionOnLossyNet(t *testing.T) {
 	env.Shutdown()
 }
 
+// one is the record holding v.
+func one[T any](v T) (a Args) {
+	Put(&a, v)
+	return a
+}
+
 // atMostOnceRun sends 30 RPCs over a net that loses 40% of all frames,
 // so that requests are retransmitted and replies lost, to a server that
 // counts executions, and reports every figure an observer could take.
@@ -238,7 +244,7 @@ func atMostOnceRun(t *testing.T, take func(srv *Server, p *sim.Proc, r *Request,
 				return
 			}
 			execs++
-			srv.PutReply(p, r, execs, 8)
+			srv.PutResult(p, r, one(execs), 8)
 		}
 	})
 	if take != nil {
@@ -248,12 +254,12 @@ func atMostOnceRun(t *testing.T, take func(srv *Server, p *sim.Proc, r *Request,
 	done, sum := 0, 0
 	ms[0].SpawnThread("client", func(p *sim.Proc) {
 		for i := 0; i < 30; i++ {
-			rep, err := c.Trans(p, 1, "ctr", "bump", nil, 4)
+			rep, err := c.Call(p, 1, Packet{Port: "ctr", Op: "bump", Size: 4})
 			if err != nil {
 				t.Errorf("rpc failed: %v", err)
 				return
 			}
-			sum += rep.(int)
+			sum += Get[int](&rep.Args, 0)
 			done++
 		}
 	})
@@ -273,7 +279,7 @@ func atMostOnceRun(t *testing.T, take func(srv *Server, p *sim.Proc, r *Request,
 func TestRPCAtMostOnce(t *testing.T) {
 	inline := func(srv *Server, p *sim.Proc, r *Request, execs *int) sim.Verdict {
 		*execs++
-		srv.PutReplyFn(p, r, *execs, 8, srv.Done)
+		srv.PutResultFn(p, r, one(*execs), 8, srv.Done)
 		return sim.Pending
 	}
 	turn := 0
@@ -449,5 +455,37 @@ func TestServiceIDUnique(t *testing.T) {
 			}
 			seen[id] = true
 		}
+	}
+}
+
+// The at-most-once cache is a fixed ring of the last max transaction
+// ids: once full it evicts the oldest reply for each new one and never
+// allocates again. (It used to append and re-slice, and so reallocated
+// its 1024-entry array every 1024 replies for ever.)
+func TestRPCReplyCacheAllocations(t *testing.T) {
+	skipUnderRace(t)
+	env, _, ms := cluster(t, 1, nil)
+	defer env.Shutdown()
+	env.Run()
+	srv := NewServer(ms[0], "svc")
+	r := &Request{srv: srv}
+	reply := func() {
+		r.TxID++
+		srv.reply(r, one(r.TxID), nil, 8)
+	}
+	for i := 0; i < 2*srv.max; i++ {
+		reply()
+	}
+	ring := &srv.order[0]
+	if a := testing.AllocsPerRun(3*srv.max, reply); a != 0 || ring != &srv.order[0] || len(srv.order) != srv.max {
+		t.Errorf("a reply into the full cache allocates %v times (ring of %d moved: %t), want 0 in a ring of %d that stays put",
+			a, len(srv.order), ring != &srv.order[0], srv.max)
+	}
+	oldest := r.TxID - int64(srv.max) + 1
+	if _, gone := srv.seen[oldest-1]; gone || len(srv.seen) != srv.max {
+		t.Errorf("cache holds %d replies, transaction %d among them; want the last %d only", len(srv.seen), oldest-1, srv.max)
+	}
+	if rep := srv.seen[oldest]; Get[int64](&rep.args, 0) != oldest {
+		t.Errorf("the oldest cached reply is %v, want transaction %d's", rep.args.Values(), oldest)
 	}
 }

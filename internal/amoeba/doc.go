@@ -16,16 +16,25 @@
 // charge CPU or send and for deferred functions. Virtual time cannot
 // tell which body served a packet; wall-clock time can.
 //
-// RPC is Amoeba's: a Client thread blocks in Trans, which retransmits
-// on timeout; a Server deduplicates by transaction id and answers a
-// duplicate of an executed request from its reply cache, so execution
-// is at most once on a lossy net. A Server is consumed by threads that
+// RPC is Amoeba's: a Client thread blocks in Call (or Trans, its
+// all-body form), which retransmits on timeout; a Server deduplicates by
+// transaction id and answers a duplicate of an executed request from
+// its reply cache, so execution is at most once on a lossy net. What
+// travels is a Packet: port, traffic class, size and an opaque body,
+// and — as Amoeba's header carried h_command and the small parameters
+// beside the buffer — the transaction header in the packet itself: the
+// transaction id, the operation and object asked for, and an Args
+// record of parameters (results, in a reply), all by value. A unicast
+// packet crosses the wire in a pooled box that the receiving machine
+// copies out of and returns; a broadcast is one immutable value shared
+// by its receivers; nothing in flight aliases a record anyone can
+// reuse, which is what lets every record here be pooled. A Server is consumed by threads that
 // loop on GetRequest and PutReply — any number of them. A server with
 // exactly one such thread may also be served inline (Server.Serve): the
 // context switch is charged as a continuation on the CPU and a function
 // of the owner's is asked, at the instant GetRequest would have
 // returned, whether it serves the request on the dispatch lane (to the
-// end, or through PutReplyFn and Done) or declines, in which case the
+// end, or through PutResultFn and Done) or declines, in which case the
 // thread gets the request within the same event. Like interrupt
 // context, that is one FIFO server with two bodies, and only the wall
 // clock can tell them apart; it is a contract on the owner — one

@@ -3,8 +3,10 @@ package amoeba
 import (
 	"errors"
 	"fmt"
+	"runtime/debug"
 	"testing"
 
+	"repro/internal/netsim"
 	"repro/internal/sim"
 )
 
@@ -169,7 +171,7 @@ func TestRPCLateDuplicateMeetsReusedRecord(t *testing.T) {
 	env.At(0, func() {
 		h := ms[0].ports["svc-rep"]
 		ms[0].ports["svc-rep"] = func(p *sim.Proc, from int, pkt Packet) {
-			w := pkt.Body.(rpcWire)
+			w := pkt
 			state := "late"
 			if c.waits[w.TxID] != nil {
 				state = "awaited"
@@ -240,11 +242,25 @@ func TestRPCKilledClientKeepsItsRecord(t *testing.T) {
 	}
 }
 
-// One warm round trip allocates the two packets' wire forms (a boxed
-// request or reply inside a boxed packet, each way) and the
-// retransmission timer's event; the transaction record, the request
-// record, the frames in flight and every wake-up are recycled.
+// skipUnderRace skips an allocation budget when the race detector, which
+// allocates on its own account, is on.
+func skipUnderRace(t *testing.T) {
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range bi.Settings {
+			if s.Key == "-race" && s.Value == "true" {
+				t.Skip("allocation counts mean nothing under the race detector")
+			}
+		}
+	}
+}
+
+// One warm round trip allocates nothing to speak of: the packets travel
+// by value in pooled boxes, the retransmission timer is part of the
+// pooled transaction record, and the request record, the frames in
+// flight and every wake-up are recycled. (The reply cache's map is what
+// is left.)
 func TestRPCRoundTripAllocations(t *testing.T) {
+	skipUnderRace(t)
 	env, _, ms := cluster(t, 2, nil)
 	srv := NewServer(ms[1], "null")
 	ms[1].SpawnThread("server", func(p *sim.Proc) {
@@ -274,8 +290,100 @@ func TestRPCRoundTripAllocations(t *testing.T) {
 	before := env.Events()
 	perTick := testing.AllocsPerRun(10, tick)
 	trips := float64(env.Events()-before) / 11 / 11 // AllocsPerRun ticks once to warm up; a round trip is 11 events
-	if perTrip := perTick / trips; perTrip > 8 || trips < 50 {
-		t.Errorf("%.1f allocations per round trip over %.0f round trips per tick, want at most 8 over at least 50", perTrip, trips)
+	if perTrip := perTick / trips; perTrip > 1 || trips < 50 {
+		t.Errorf("%.1f allocations per round trip over %.0f round trips per tick, want at most 1 over at least 50", perTrip, trips)
 	}
 	env.Shutdown()
+}
+
+// A request is copied into a fresh box at every transmission, so a
+// retransmission carries the bytes it was first sent with whatever has
+// happened to the record it came from. The construction is that of
+// TestRPCLateDuplicateMeetsReusedRecord, with the header's parameters
+// watched: the first transaction's reply is 60 KB and holds the wire
+// while the client retransmits; the server then sees, in order, request
+// one, its retransmission, and request two — sent from the same client
+// record.
+func TestRPCRetransmissionCarriesItsOwnBytes(t *testing.T) {
+	env, nw, ms := cluster(t, 2, nil)
+	srv := NewServer(ms[1], "svc")
+	ms[1].SpawnThread("server", func(p *sim.Proc) {
+		size := 60_000
+		for {
+			r, ok := srv.GetRequest(p)
+			if !ok {
+				return
+			}
+			srv.PutResult(p, r, r.Args, size)
+			size = 8
+		}
+	})
+	var seen []string
+	env.At(0, func() {
+		h := ms[1].ports["svc"]
+		ms[1].ports["svc"] = func(p *sim.Proc, from int, pkt Packet) {
+			seen = append(seen, fmt.Sprintf("%s/%d %v", pkt.Op, pkt.Obj, pkt.Args.Values()))
+			h(p, from, pkt)
+		}
+	})
+	c := NewClient(ms[0], RPCDefaults{Timeout: 30 * sim.Millisecond, Retries: 10})
+	var got [2]Packet
+	ms[0].SpawnThread("client", func(p *sim.Proc) {
+		got[0], _ = c.Call(p, 1, Packet{Port: "svc", Op: "echo", Obj: 1, Args: one(int64(1) << 40), Size: 8})
+		got[1], _ = c.Call(p, 1, Packet{Port: "svc", Op: "echo", Obj: 2, Args: one("two"), Size: 8})
+	})
+	env.Run()
+	env.Shutdown()
+	want := "[echo/1 [1099511627776] echo/1 [1099511627776] echo/2 [two]]"
+	if fmt.Sprint(seen) != want {
+		t.Errorf("requests at the server: %v, want %s", seen, want)
+	}
+	if a, b := got[0].Args.Values(), got[1].Args.Values(); fmt.Sprint(a, b) != "[1099511627776] [two]" {
+		t.Errorf("replies: %v and %v", a, b)
+	}
+	if n := nw.Stats().CountsByKind["rpc-req"]; n != 3 {
+		t.Errorf("%d requests on the wire, want 3", n)
+	}
+}
+
+// A frame the network drops takes its box with it: nobody returns it,
+// nobody returns another's twice, and the transactions retry through
+// the fault. Every box the pool hands out afterwards must be blank, as
+// receive leaves them.
+func TestRPCDroppedFramesKeepTheirBoxes(t *testing.T) {
+	env, nw, ms := cluster(t, 2, nil)
+	nw.InstallFaults(&netsim.FaultPlan{Losses: []netsim.LossWindow{
+		{Src: netsim.AnyNode, Dst: netsim.AnyNode, Until: 2 * sim.Second, Prob: 0.4}}}, nil)
+	srv := NewServer(ms[1], "svc")
+	ms[1].SpawnThread("server", func(p *sim.Proc) {
+		for {
+			r, ok := srv.GetRequest(p)
+			if !ok {
+				return
+			}
+			srv.PutResult(p, r, r.Args, 8)
+		}
+	})
+	c := NewClient(ms[0], RPCDefaults{Timeout: 20 * sim.Millisecond, Retries: 50})
+	done := 0
+	ms[0].SpawnThread("client", func(p *sim.Proc) {
+		for i := 0; i < 40; i++ {
+			rep, err := c.Call(p, 1, Packet{Port: "svc", Op: "echo", Args: one(i), Size: 8})
+			if err != nil || Get[int](&rep.Args, 0) != i {
+				t.Errorf("call %d: %v, %v", i, rep.Args.Values(), err)
+				return
+			}
+			done++
+		}
+	})
+	env.Run()
+	env.Shutdown()
+	if st := nw.Stats(); done != 40 || st.FaultDrops == 0 {
+		t.Fatalf("%d of 40 calls through %d dropped frames; want all 40 and some drops", done, st.FaultDrops)
+	}
+	for i := 0; i < 8; i++ {
+		if b := boxes.Get().(*Packet); *b != (Packet{}) {
+			t.Fatalf("the pool hands out a box still holding %+v", *b)
+		}
+	}
 }

@@ -2,6 +2,7 @@ package amoeba
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/netsim"
 	"repro/internal/sim"
@@ -42,12 +43,21 @@ func DefaultCosts() Costs {
 
 // Packet is the unit the kernel exchanges: a port to demultiplex on
 // plus an opaque body. Kind labels the traffic class for wire
-// statistics.
+// statistics. The fields below Size are the header of an RPC
+// transaction (see rpc.go), zero on every other packet; they travel in
+// the packet itself, as Amoeba's header did beside the buffer, so that
+// a request or reply whose parameters fit the header has no body.
 type Packet struct {
 	Port string
 	Kind string
 	Body any
 	Size int
+
+	TxID int64  // the transaction, unique per client machine
+	Rep  bool   // a reply (a request otherwise)
+	Op   string // h_command: the operation asked for
+	Obj  int64  // the object it is asked of, if the service has objects
+	Args Args   // its parameters, or its results in a reply
 }
 
 // Handler services packets arriving at a bound port. It runs in
@@ -70,13 +80,14 @@ type Handler func(p *sim.Proc, from int, pkt Packet)
 // and must itself have no side effect.
 type Nonblocking func(from int, pkt Packet) bool
 
-// task is a unit of work for the interrupt thread: either a network
-// delivery or a deferred function (timer bodies that need kernel CPU).
-// The delivery travels by value: a pointer would force a fresh heap
+// task is a unit of work for the interrupt thread: either a delivered
+// packet or a deferred function (timer bodies that need kernel CPU).
+// The packet travels by value: a pointer would force a fresh heap
 // allocation per received frame.
 type task struct {
-	deliv netsim.Delivery
-	fn    func(p *sim.Proc)
+	from, frags int
+	pkt         Packet
+	fn          func(p *sim.Proc)
 }
 
 // Machine is one kernel instance: a node id, a CPU, bound ports, and
@@ -118,9 +129,7 @@ func NewMachine(env *sim.Env, net *netsim.Network, id int, costs Costs) *Machine
 		inline: make(map[string]Nonblocking),
 	}
 	m.dispatchFn = m.dispatch
-	net.Handle(id, func(d netsim.Delivery) {
-		m.inq.Put(task{deliv: d})
-	})
+	net.Handle(id, m.receive)
 	m.inq.Serve(m.interrupt)
 	m.isr = m.SpawnThread("netisr", m.interruptLoop)
 	return m
@@ -161,15 +170,14 @@ func (m *Machine) interrupt(t task) sim.Verdict {
 		return sim.Decline
 	}
 	m.cur = t
-	cost := m.costs.Interrupt*sim.Time(t.deliv.Fragments) + m.costs.Protocol
+	cost := m.costs.Interrupt*sim.Time(t.frags) + m.costs.Protocol
 	m.cpu.UseFrontFn(m.isr, cost, m.dispatchFn)
 	return sim.Pending
 }
 
 // dispatch runs when the current delivery's costs have been charged.
 func (m *Machine) dispatch() {
-	d := &m.cur.deliv
-	from, pkt := d.Frame.Src, m.packet(d)
+	from, pkt := m.cur.from, m.cur.pkt
 	m.cur = task{}
 	h := m.ports[pkt.Port]
 	switch ok := m.inline[pkt.Port]; {
@@ -184,13 +192,44 @@ func (m *Machine) dispatch() {
 	m.inq.Done()
 }
 
-// packet unwraps a delivery's payload.
-func (m *Machine) packet(d *netsim.Delivery) Packet {
-	pkt, ok := d.Frame.Payload.(Packet)
-	if !ok {
+// boxes recycles the payloads of unicast frames (see transmit and
+// receive). It is shared by every machine of every simulation in the
+// process, because who sends and who receives is rarely balanced: under
+// the PB method every member sends its requests to the sequencer and
+// hears only broadcasts back.
+var boxes = sync.Pool{New: func() any { return new(Packet) }}
+
+// cast is the payload of a broadcast or multicast frame: a packet less
+// the transaction header, which only unicast packets use. Every
+// receiver shares the one value and none writes it.
+type cast struct {
+	port, kind string
+	body       any
+	size       int
+}
+
+func (m *Machine) cast(pkt Packet) netsim.Frame {
+	return netsim.Frame{Src: m.id, Kind: pkt.Kind, Size: pkt.Size, Payload: cast{pkt.Port, pkt.Kind, pkt.Body, pkt.Size}}
+}
+
+// receive is the machine's network handler: it copies the packet out of
+// the frame and queues it for interrupt service. A unicast frame's
+// payload is a box (see transmit) that only this machine will ever see,
+// so it goes back to the pool here. A frame the network drops never
+// gets here, and its box goes to the collector.
+func (m *Machine) receive(d netsim.Delivery) {
+	t := task{from: d.Frame.Src, frags: d.Fragments}
+	switch b := d.Frame.Payload.(type) {
+	case cast:
+		t.pkt = Packet{Port: b.port, Kind: b.kind, Body: b.body, Size: b.size}
+	case *Packet:
+		t.pkt = *b
+		*b = Packet{}
+		boxes.Put(b)
+	default:
 		panic(fmt.Sprintf("amoeba: node %d received non-Packet payload %T", m.id, d.Frame.Payload))
 	}
-	return pkt
+	m.inq.Put(t)
 }
 
 // interruptLoop is the kernel's interrupt-service thread: it runs what
@@ -209,8 +248,7 @@ func (m *Machine) interruptLoop(p *sim.Proc) {
 			t.fn(p)
 			continue
 		}
-		pkt := m.packet(&t.deliv)
-		m.ports[pkt.Port](p, t.deliv.Frame.Src, pkt)
+		m.ports[t.pkt.Port](p, t.from, t.pkt)
 	}
 }
 
@@ -323,9 +361,18 @@ func (m *Machine) Send(p *sim.Proc, dst int, pkt Packet) {
 }
 
 // transmit hands a unicast packet whose send cost has been charged to
-// the driver.
+// the driver. The frame carries a copy of the packet in a pooled box
+// that the receiving machine returns (see receive); the caller's packet
+// is not referred to again, so a record it came from may be reused
+// while the frame is in flight.
 func (m *Machine) transmit(dst int, pkt Packet) {
-	m.net.SendFrame(netsim.Frame{Src: m.id, Dst: dst, Kind: pkt.Kind, Size: pkt.Size, Payload: pkt})
+	if dst == netsim.Broadcast { // several receivers must not share a box
+		m.net.BroadcastFrame(m.cast(pkt))
+		return
+	}
+	box := boxes.Get().(*Packet)
+	*box = pkt
+	m.net.SendFrame(netsim.Frame{Src: m.id, Dst: dst, Kind: pkt.Kind, Size: pkt.Size, Payload: box})
 }
 
 // Broadcast transmits a packet to all other machines, charging
@@ -335,7 +382,7 @@ func (m *Machine) Broadcast(p *sim.Proc, pkt Packet) {
 		return
 	}
 	m.cpu.Use(p, m.costs.Send)
-	m.net.BroadcastFrame(netsim.Frame{Src: m.id, Kind: pkt.Kind, Size: pkt.Size, Payload: pkt})
+	m.net.BroadcastFrame(m.cast(pkt))
 }
 
 // Multicast transmits a packet to the listed member nodes, charging
@@ -347,7 +394,7 @@ func (m *Machine) Multicast(p *sim.Proc, pkt Packet, members []int) {
 		return
 	}
 	m.cpu.Use(p, m.costs.Send)
-	m.net.MulticastFrame(netsim.Frame{Src: m.id, Kind: pkt.Kind, Size: pkt.Size, Payload: pkt}, members)
+	m.net.MulticastFrame(m.cast(pkt), members)
 }
 
 // Defer enqueues fn to run on the interrupt thread, where it may charge
@@ -363,11 +410,7 @@ func (m *Machine) Defer(fn func(p *sim.Proc)) {
 // After schedules fn on the interrupt thread d from now. The returned
 // event can be cancelled.
 func (m *Machine) After(d sim.Time, fn func(p *sim.Proc)) *sim.Event {
-	return m.env.After(d, func() {
-		if !m.crashed {
-			m.Defer(fn)
-		}
-	})
+	return m.env.After(d, func() { m.Defer(fn) }) // which a crashed machine ignores
 }
 
 // Crash simulates a processor crash: the machine leaves the network,

@@ -26,16 +26,8 @@ var ErrRPCTimeout = errors.New("amoeba: rpc timeout")
 // an object, re-routing to a surviving replica.
 var ErrCrashed = errors.New("amoeba: destination machine crashed")
 
-// rpcWire distinguishes request and reply packets on an RPC port.
-type rpcWire struct {
-	TxID   int64
-	IsRep  bool
-	Op     string
-	Body   any
-	Client int
-}
-
-// rpcHeaderBytes is the wire overhead of the RPC layer itself.
+// rpcHeaderBytes is the wire overhead of the RPC layer itself: the
+// transaction header of a Packet.
 const rpcHeaderBytes = 24
 
 // RPCDefaults groups the client retransmission policy.
@@ -54,12 +46,9 @@ func DefaultRPCPolicy() RPCDefaults {
 // sent, so whoever serves a Request must not keep it past its PutReply;
 // replying to one a second time panics.
 type Request struct {
-	Op   string
-	Body any
-	Size int
-	From int
-	txid int64
-	srv  *Server
+	Packet // as received: Op, Obj, Args, Body and Size are the request's
+	From   int
+	srv    *Server
 
 	// released: the reply has been sent and the record is on srv.free.
 	released bool
@@ -68,12 +57,11 @@ type Request struct {
 	// on the dispatch lane already (see Server.Serve).
 	switched bool
 
-	// The reply on its way out in continuation form (see PutReplyFn);
+	// The reply on its way out in continuation form (see PutResultFn);
 	// sentFn is r.sent, bound once per record.
-	rep     rpcWire
-	repSize int
-	then    func()
-	sentFn  func()
+	rep    Packet
+	then   func()
+	sentFn func()
 }
 
 // Server accepts RPCs on a port of a machine. Create one with
@@ -85,9 +73,10 @@ type Server struct {
 	port    string
 	repPort string // port + "-rep", where clients listen for replies
 	reqs    *sim.Queue[*Request]
-	seen    map[int64]rpcWire // txid -> cached reply (at-most-once)
-	inwrk   map[int64]bool    // requests currently being served
-	order   []int64           // FIFO of cached txids for bounded memory
+	seen    map[int64]cachedReply // txid -> reply sent (at-most-once)
+	inwrk   map[int64]bool        // requests currently being served
+	order   []int64               // ring of the cached txids, at most max, oldest at head once full
+	head    int
 	max     int
 	free    []*Request // replied-to records, for handle to reuse
 
@@ -100,6 +89,13 @@ type Server struct {
 	askedFn func()
 }
 
+// cachedReply is what a duplicate of an executed request is answered
+// with: the reply's results and body, by value.
+type cachedReply struct {
+	args Args
+	body any
+}
+
 // NewServer binds an RPC server to port on machine m.
 func NewServer(m *Machine, port string) *Server {
 	s := &Server{
@@ -107,7 +103,7 @@ func NewServer(m *Machine, port string) *Server {
 		port:    port,
 		repPort: port + "-rep",
 		reqs:    sim.NewQueue[*Request](m.Env()),
-		seen:    make(map[int64]rpcWire),
+		seen:    make(map[int64]cachedReply),
 		inwrk:   make(map[int64]bool),
 		max:     1024,
 	}
@@ -120,32 +116,24 @@ func NewServer(m *Machine, port string) *Server {
 // but the duplicate of an executed request, whose cached reply it
 // resends.
 func (s *Server) queues(from int, pkt Packet) bool {
-	w, ok := pkt.Body.(rpcWire)
-	if !ok || w.IsRep {
-		return true
-	}
-	_, done := s.seen[w.TxID]
-	return !done
+	_, done := s.seen[pkt.TxID]
+	return !done || pkt.Rep
 }
 
 // handle runs in interrupt context for every packet on the port.
 func (s *Server) handle(p *sim.Proc, from int, pkt Packet) {
-	w, ok := pkt.Body.(rpcWire)
-	if !ok || w.IsRep {
+	if pkt.Rep || pkt.TxID == 0 {
 		return
 	}
-	if rep, done := s.seen[w.TxID]; done {
+	if rep, done := s.seen[pkt.TxID]; done {
 		// Duplicate of an executed request: resend the cached reply.
-		s.m.Send(p, from, Packet{
-			Port: s.repPort, Kind: "rpc-rep", Body: rep,
-			Size: sizeOfBody(rep.Body) + rpcHeaderBytes,
-		})
+		s.m.Send(p, from, s.repPacket(pkt.TxID, pkt.Op, rep, sizeOfBody(rep.body)))
 		return
 	}
-	if s.inwrk[w.TxID] {
+	if s.inwrk[pkt.TxID] {
 		return // still executing; client will retry later
 	}
-	s.inwrk[w.TxID] = true
+	s.inwrk[pkt.TxID] = true
 	var r *Request
 	if n := len(s.free); n > 0 {
 		r = s.free[n-1]
@@ -155,7 +143,7 @@ func (s *Server) handle(p *sim.Proc, from int, pkt Packet) {
 		r = &Request{srv: s}
 		r.sentFn = r.sent
 	}
-	r.Op, r.Body, r.Size, r.From, r.txid = w.Op, w.Body, pkt.Size, from, w.TxID
+	r.Packet, r.From = pkt, from
 	s.reqs.Put(r)
 }
 
@@ -183,7 +171,7 @@ func (s *Server) GetRequest(p *sim.Proc) (*Request, bool) {
 //   - Finished: take has served the request on the dispatch lane, taking
 //     the steps p would have taken, without blocking.
 //   - Pending: the service continues in later callback events — a reply
-//     through PutReplyFn, say — the last of which calls Done.
+//     through PutResultFn, say — the last of which calls Done.
 func (s *Server) Serve(p *sim.Proc, take func(r *Request) sim.Verdict) {
 	s.thread, s.take = p, take
 	s.askedFn = s.asked
@@ -217,20 +205,30 @@ func (s *Server) asked() {
 func (s *Server) Done() { s.reqs.Done() }
 
 // reply records the reply to r for duplicate suppression and returns
-// it in wire form.
-func (s *Server) reply(r *Request, body any) rpcWire {
+// its packet. The cache holds the last max replies.
+func (s *Server) reply(r *Request, res Args, body any, size int) Packet {
 	if r.released {
 		panic("amoeba: reply to a Request that has already been replied to: the record went back to the server at its first PutReply")
 	}
-	rep := rpcWire{TxID: r.txid, IsRep: true, Op: r.Op, Body: body}
-	delete(s.inwrk, r.txid)
-	s.seen[r.txid] = rep
-	s.order = append(s.order, r.txid)
-	if len(s.order) > s.max {
-		delete(s.seen, s.order[0])
-		s.order = s.order[1:]
+	delete(s.inwrk, r.TxID)
+	rep := cachedReply{args: res, body: body}
+	s.seen[r.TxID] = rep
+	if len(s.order) < s.max {
+		s.order = append(s.order, r.TxID)
+	} else {
+		delete(s.seen, s.order[s.head])
+		s.order[s.head] = r.TxID
+		s.head = (s.head + 1) % s.max
 	}
-	return rep
+	return s.repPacket(r.TxID, r.Op, rep, size)
+}
+
+// repPacket is the reply to transaction txid on the wire.
+func (s *Server) repPacket(txid int64, op string, rep cachedReply, size int) Packet {
+	return Packet{
+		Port: s.repPort, Kind: "rpc-rep", Size: size + rpcHeaderBytes,
+		TxID: txid, Rep: true, Op: op, Args: rep.args, Body: rep.body,
+	}
 }
 
 // release takes back the record of a request that has been replied to.
@@ -239,30 +237,33 @@ func (s *Server) release(r *Request) {
 	s.free = append(s.free, r)
 }
 
-// PutReply sends the reply for r and records it for duplicate
-// suppression. r is the server's again when PutReply returns.
+// PutReply sends a reply for r that is all body and records it for
+// duplicate suppression. r is the server's again when PutReply returns.
 func (s *Server) PutReply(p *sim.Proc, r *Request, body any, size int) {
-	rep := s.reply(r, body)
-	s.m.Send(p, r.From, Packet{
-		Port: s.repPort, Kind: "rpc-rep", Body: rep, Size: size + rpcHeaderBytes,
-	})
+	s.m.Send(p, r.From, s.reply(r, Args{}, body, size))
 	s.release(r)
 }
 
-// PutReplyFn is PutReply in continuation form, for code that serves r
+// PutResult is PutReply for a reply that fits the header: res.
+func (s *Server) PutResult(p *sim.Proc, r *Request, res Args, size int) {
+	s.m.Send(p, r.From, s.reply(r, res, nil, size))
+	s.release(r)
+}
+
+// PutResultFn is PutResult in continuation form, for code that serves r
 // on the dispatch lane on behalf of a parked thread p (see Serve, and
 // sim.Resource.UseFn): the reply is recorded now, the send cost is
 // charged on p's behalf, and then the reply is transmitted and then
-// runs, in the event where PutReply would have returned to p.
-func (s *Server) PutReplyFn(p *sim.Proc, r *Request, body any, size int, then func()) {
-	r.rep, r.repSize, r.then = s.reply(r, body), size+rpcHeaderBytes, then
+// runs, in the event where PutResult would have returned to p.
+func (s *Server) PutResultFn(p *sim.Proc, r *Request, res Args, size int, then func()) {
+	r.rep, r.then = s.reply(r, res, nil, size), then
 	s.m.cpu.UseFn(p, s.m.costs.Send, r.sentFn)
 }
 
-// sent continues PutReplyFn once the send has been charged.
+// sent continues PutResultFn once the send has been charged.
 func (r *Request) sent() {
 	s, then := r.srv, r.then
-	s.m.transmit(r.From, Packet{Port: s.repPort, Kind: "rpc-rep", Body: r.rep, Size: r.repSize})
+	s.m.transmit(r.From, r.rep)
 	s.release(r)
 	then()
 }
@@ -286,14 +287,14 @@ type Client struct {
 
 // rpcWait is one transaction in progress: what its caller sleeps on,
 // and what the reply handler and the retransmission timer leave for it.
-// Records are pooled, so the timer's callback is a method value bound
-// once per record, not a closure per attempt.
+// Records are pooled and the retransmission timer is part of the record,
+// so a transaction arms it without allocating.
 type rpcWait struct {
-	cond      sim.Cond
-	reply     rpcWire
-	replied   bool
-	timedOut  bool
-	timeoutFn func() // w.timeout
+	cond     sim.Cond
+	reply    Packet
+	replied  bool
+	timedOut bool
+	timer    sim.Event // calls w.timeout
 }
 
 func (w *rpcWait) timeout() {
@@ -324,15 +325,14 @@ func (c *Client) ensureReplyPort(port string) {
 // its transaction ended is dropped even if the record now serves
 // another one.
 func (c *Client) onReply(p *sim.Proc, from int, pkt Packet) {
-	w, ok := pkt.Body.(rpcWire)
-	if !ok || !w.IsRep {
+	if !pkt.Rep {
 		return
 	}
-	wait := c.waits[w.TxID]
+	wait := c.waits[pkt.TxID]
 	if wait == nil {
 		return // late duplicate reply
 	}
-	wait.reply, wait.replied = w, true
+	wait.reply, wait.replied = pkt, true
 	wait.cond.Broadcast()
 }
 
@@ -344,7 +344,7 @@ func (c *Client) begin(txid int64) *rpcWait {
 		c.free = c.free[:n-1]
 	} else {
 		w = &rpcWait{}
-		w.timeoutFn = w.timeout
+		w.timer.Init(c.m.env, w.timeout)
 	}
 	c.waits[txid] = w
 	return w
@@ -361,50 +361,57 @@ func (c *Client) end(p *sim.Proc, txid int64, w *rpcWait) {
 		return
 	}
 	delete(c.waits, txid)
-	w.reply, w.replied, w.timedOut = rpcWire{}, false, false
+	w.reply, w.replied, w.timedOut = Packet{}, false, false
 	c.free = append(c.free, w)
 }
 
-// Trans performs a blocking RPC: send the request to (dst, port),
-// retransmit on timeout, and return the reply body. It is the
-// transparent communication primitive the runtime systems build on.
-// Self-sends do traverse the simulated wire; the runtime systems avoid
-// them by checking locality first.
+// Trans performs a blocking RPC whose request and reply are all body:
+// send the request to (dst, port), retransmit on timeout, and return
+// the reply body.
 func (c *Client) Trans(p *sim.Proc, dst int, port, op string, body any, size int) (any, error) {
-	c.ensureReplyPort(port)
+	rep, err := c.Call(p, dst, Packet{Port: port, Op: op, Body: body, Size: size})
+	return rep.Body, err
+}
+
+// Call performs a blocking RPC: send req — its Port, Op, Obj, Args and
+// Body, and the Size of those — to dst, retransmit on timeout, and
+// return the reply packet. It is the transparent communication
+// primitive the runtime systems build on. Self-sends do traverse the
+// simulated wire; the runtime systems avoid them by checking locality
+// first. Every transmission copies req, so a retransmission carries
+// what the first one did whatever has become of the frames before it.
+func (c *Client) Call(p *sim.Proc, dst int, req Packet) (Packet, error) {
+	c.ensureReplyPort(req.Port)
 	if c.m.net.Down(dst) {
-		return nil, fmt.Errorf("%w: %s/%s to node %d", ErrCrashed, port, op, dst)
+		return Packet{}, fmt.Errorf("%w: %s/%s to node %d", ErrCrashed, req.Port, req.Op, dst)
 	}
 	txid := c.m.ServiceID()
 	wait := c.begin(txid)
 	defer c.end(p, txid, wait)
 
-	req := Packet{
-		Port: port, Kind: "rpc-req", Size: size + rpcHeaderBytes,
-		Body: rpcWire{TxID: txid, Op: op, Body: body, Client: c.m.id},
-	}
+	req.Kind, req.TxID, req.Size = "rpc-req", txid, req.Size+rpcHeaderBytes
 	c.m.Send(p, dst, req)
 	for attempt := 0; attempt <= c.policy.Retries; attempt++ {
 		wait.timedOut = false
-		timer := c.m.Env().After(c.policy.Timeout, wait.timeoutFn)
+		wait.timer.Arm(c.policy.Timeout)
 		for !wait.replied && !wait.timedOut {
 			wait.cond.Wait(p)
 		}
-		timer.Cancel()
+		wait.timer.Cancel()
 		if wait.replied {
-			return wait.reply.Body, nil
+			return wait.reply, nil
 		}
 		if c.m.net.Down(dst) {
 			// The server died while the transaction was in flight: fail
 			// now instead of burning the whole retry budget.
-			return nil, fmt.Errorf("%w: %s/%s to node %d", ErrCrashed, port, op, dst)
+			return Packet{}, fmt.Errorf("%w: %s/%s to node %d", ErrCrashed, req.Port, req.Op, dst)
 		}
 		if attempt < c.policy.Retries {
-			c.m.Env().Tracef("node%d: rpc retry %s/%s to %d", c.m.id, port, op, dst)
+			c.m.Env().Tracef("node%d: rpc retry %s/%s to %d", c.m.id, req.Port, req.Op, dst)
 			c.m.Send(p, dst, req)
 		}
 	}
-	return nil, fmt.Errorf("%w: %s/%s to node %d", ErrRPCTimeout, port, op, dst)
+	return Packet{}, fmt.Errorf("%w: %s/%s to node %d", ErrRPCTimeout, req.Port, req.Op, dst)
 }
 
 // sizeOfBody gives a coarse wire size for cached replies whose

@@ -2,7 +2,7 @@ package kv
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/orca"
 	"repro/internal/orca/std"
@@ -353,6 +353,11 @@ func Run(cfg orca.Config, params Params) Result {
 		// latencies and serving intervals split at the workload's
 		// phase shift (everything in phase 0 without one).
 		var phaseLat [2][]sim.Time
+		expect := params.Workload.Ops
+		if r := params.Workload.Rate; r > 0 {
+			expect = int(r*params.Workload.Duration.Seconds()*1.03) + 64 // arrivals are a Poisson draw
+		}
+		phaseLat[0] = make([]sim.Time, 0, expect) // a shift trace's second phase grows as it goes
 		var phaseOps [2]int64
 		var phaseFirst, phaseLast [2]sim.Time
 		perRate := params.Workload.Rate / float64(nClients)
@@ -489,7 +494,7 @@ func Run(cfg orca.Config, params Params) Result {
 		for k := range worst {
 			keys = append(keys, k)
 		}
-		sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+		slices.Sort(keys)
 		for _, k := range keys {
 			_, ver := shards[shardFor(k)].Get(p, k)
 			if ver < worst[k] {
@@ -515,7 +520,7 @@ func Run(cfg orca.Config, params Params) Result {
 			if len(lats) == 0 {
 				continue
 			}
-			sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
+			slices.Sort(lats)
 			res.PhaseP50US[ph] = float64(lats[(len(lats)-1)*50/100]) / float64(sim.Microsecond)
 			res.PhaseP99US[ph] = float64(lats[(len(lats)-1)*99/100]) / float64(sim.Microsecond)
 		}

@@ -705,12 +705,7 @@ func (g *Member) abortTakeover() {
 func (g *Member) promiseSlots(from int64) []promSlot {
 	var out []promSlot
 	for s := from; s < g.nextSeq; s++ {
-		var d *dataMsg
-		if len(g.cache) > 0 {
-			if c := g.cache[int(s)%len(g.cache)]; c != nil && c.Seq == s {
-				d = c
-			}
-		}
+		d := g.cache.get(s)
 		if d == nil {
 			if a := g.accepted.get(s); a.d != nil {
 				d = a.d

@@ -162,15 +162,9 @@ func (g *Member) rebuildHistory() {
 		g.statuses[i] = -1
 	}
 	g.trimMin, g.trimOwn = 0, false
-	lo := g.nextSeq
-	for _, d := range g.cache {
-		if d != nil && d.Seq < lo {
-			lo = d.Seq
-		}
-	}
-	g.history.reset(lo)
-	for _, d := range g.cache {
-		if d != nil && d.Seq < g.nextSeq {
+	g.history.reset(min(g.cache.lo, g.nextSeq))
+	for s := g.cache.lo; s < g.nextSeq; s++ {
+		if d := g.cache.get(s); d != nil {
 			g.recordHistory(d)
 		}
 	}
@@ -354,10 +348,8 @@ func (g *Member) kickOutstanding(p *sim.Proc) {
 		if len(st.items) == 1 {
 			continue
 		}
-		if st.timer != nil {
-			st.timer.Cancel()
-			st.timer = nil
-		}
+		st.timer.Cancel()
+		st.timed = false
 		for i := range st.items {
 			if it := st.items[i]; g.outstanding[it.UID] == st {
 				g.newSend(st.items[i:i+1], g.resolveMethod(frameSize(1, it.Size)))
@@ -378,9 +370,7 @@ func (g *Member) kickOutstanding(p *sim.Proc) {
 		if g.isSeq && g.installed {
 			// The sequencer moved to us: sequence our own op directly,
 			// unless a previous view already did.
-			if st.timer != nil {
-				st.timer.Cancel()
-			}
+			st.timer.Cancel()
 			it := st.items[0]
 			delete(g.outstanding, it.UID)
 			if _, dup := g.seenSeq(it.Src, it.SrcSeq); !dup {
@@ -390,7 +380,7 @@ func (g *Member) kickOutstanding(p *sim.Proc) {
 		}
 		g.stats.Retransmits++
 		g.transmit(p, st)
-		if st.timer == nil {
+		if !st.timed {
 			// A send split off above: it needs its own retransmission
 			// timer, or a lost grp-req strands the op. Armed here, in
 			// uid order, not in the map-order split loop.

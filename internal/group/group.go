@@ -390,8 +390,17 @@ type sendState struct {
 	method  Method  // resolved (PB or BB)
 	retries int
 	cycles  int // consensus: full retry cycles, for retransmit backoff
-	timer   *sim.Event
+
+	// The retransmission timer is part of the record, so arming it
+	// allocates nothing: it fires due, which has the member's interrupt
+	// thread run resend. timed says the timer has been started; it then
+	// re-arms itself for as long as the send is live.
+	g     *Member
+	timer sim.Event
+	timed bool
 }
+
+func (st *sendState) due() { st.g.m.Defer(st.resend) }
 
 // live reports whether any op of this send is still unacknowledged.
 func (st *sendState) live(g *Member) bool {
@@ -455,7 +464,18 @@ type Member struct {
 	pendingBB   map[int64]*item      // uid -> BB data awaiting accept
 	acceptedBB  map[int64]bbAccept   // seq -> accept waiting for its data
 	outstanding map[int64]*sendState // uid -> my unsequenced sends
-	gapTimer    *sim.Event
+
+	// The gap timer (see armGapTimer) and what it remembers between
+	// rounds; gapOn from when it is armed until its round starts on the
+	// interrupt thread, or it is stopped.
+	gapTimer           sim.Event
+	gapOn              bool
+	gapNext            int64
+	gapEpoch, gapStall int
+	gapFn              func(p *sim.Proc) // g.gapRound
+
+	hbTimer sim.Event
+	hbFn    func(p *sim.Proc) // g.heartbeat
 
 	// memberIdx maps a node id to its dense index in cfg.Members (-1
 	// for non-members); the per-source rings below are indexed by it.
@@ -466,7 +486,7 @@ type Member struct {
 	// submission number, the sequence a source's op was delivered
 	// under, so a re-sequenced duplicate after an election is
 	// recognized in O(1).
-	cache    []*dataMsg
+	cache    seqRing[*dataMsg]
 	dlvBySrc []*seqRing[int64]
 
 	// Sequencer state. A freshly elected sequencer is not installed
@@ -604,7 +624,7 @@ func Join(m *amoeba.Machine, cfg Config) *Member {
 		acc:         packer{accept: true},
 		outstanding: make(map[int64]*sendState),
 		memberIdx:   make([]int, maxID+1),
-		cache:       make([]*dataMsg, cfg.CacheSize),
+		cache:       seqRing[*dataMsg]{max: cfg.CacheSize},
 		dlvBySrc:    make([]*seqRing[int64], len(cfg.Members)),
 		history:     seqRing[*dataMsg]{max: histMax},
 		seenBySrc:   make([]*seqRing[int64], len(cfg.Members)),
@@ -619,6 +639,7 @@ func Join(m *amoeba.Machine, cfg Config) *Member {
 	}
 	g.buffered.reset(1)
 	g.history.reset(1)
+	g.cache.reset(1)
 	g.isSeq = m.ID() == seq
 	g.installed = true // the boot view needs no installation round
 	if cfg.Protocol == Consensus {
@@ -650,8 +671,11 @@ func Join(m *amoeba.Machine, cfg Config) *Member {
 	}
 	m.Bind(g.port, g.handle)
 	m.BindNonblocking(g.port, g.nonblocking)
+	g.gapFn, g.hbFn = g.gapRound, g.heartbeat
+	g.gapTimer.Init(m.Env(), func() { m.Defer(g.gapFn) })
+	g.hbTimer.Init(m.Env(), func() { m.Defer(g.hbFn) })
 	if cfg.Heartbeat > 0 {
-		g.armHeartbeat()
+		g.hbTimer.Arm(cfg.Heartbeat)
 	}
 	return g
 }
@@ -745,23 +769,21 @@ func (g *Member) noteDelivered(src int, srcSeq int64, seq int64) {
 	r.set(srcSeq, seq)
 }
 
-// armHeartbeat runs the periodic sequencer announcement. Every member
-// runs the timer; only the current sequencer transmits.
-func (g *Member) armHeartbeat() {
-	g.m.After(g.cfg.Heartbeat, func(p *sim.Proc) {
-		// A consensus leader announces its commit watermark, not its
-		// assigned maximum: uncommitted slots are not yet deliverable
-		// and must not trigger gap recovery at members.
-		high := g.maxSeen
-		if g.cfg.Protocol == Consensus {
-			high = g.committed
-		}
-		if g.isSeq && g.installed && high > 0 {
-			g.cast(p, amoeba.Packet{Port: g.port, Kind: "grp-hb",
-				Body: hbMsg{Epoch: g.epoch, Node: g.m.ID(), HighSeq: high}, Size: hdrSmall})
-		}
-		g.armHeartbeat()
-	})
+// heartbeat is the periodic sequencer announcement. Every member runs
+// the timer; only the current sequencer transmits.
+func (g *Member) heartbeat(p *sim.Proc) {
+	// A consensus leader announces its commit watermark, not its
+	// assigned maximum: uncommitted slots are not yet deliverable
+	// and must not trigger gap recovery at members.
+	high := g.maxSeen
+	if g.cfg.Protocol == Consensus {
+		high = g.committed
+	}
+	if g.isSeq && g.installed && high > 0 {
+		g.cast(p, amoeba.Packet{Port: g.port, Kind: "grp-hb",
+			Body: hbMsg{Epoch: g.epoch, Node: g.m.ID(), HighSeq: high}, Size: hdrSmall})
+	}
+	g.hbTimer.Arm(g.cfg.Heartbeat)
 }
 
 // Deliveries returns the totally-ordered stream of group messages for
@@ -827,7 +849,8 @@ func (g *Member) Broadcast(p *sim.Proc, kind string, body any, size int) int64 {
 
 // newSend registers items as one outstanding send of this member.
 func (g *Member) newSend(items []item, method Method) *sendState {
-	st := &sendState{method: method}
+	st := &sendState{method: method, g: g}
+	st.timer.Init(g.m.Env(), st.due)
 	st.items = append(st.one[:0], items...)
 	for i := range st.items {
 		g.outstanding[st.items[i].UID] = st
@@ -890,43 +913,48 @@ func (g *Member) armSenderTimer(st *sendState) {
 		}
 		period <<= uint(c)
 	}
-	st.timer = g.m.After(period, func(p *sim.Proc) {
-		if !st.live(g) {
-			return
-		}
-		st.retries++
-		// Consensus suspects one retry earlier than the elected
-		// protocol: a wrong suspicion there costs a pnacked prepare
-		// (the stickiness window protects a live leader), not a view
-		// teardown, so the cheaper failure mode buys faster detection.
-		limit := g.cfg.SenderRetries
-		if g.cfg.Protocol == Consensus && limit > 1 {
-			limit--
-		}
-		if st.retries > limit {
-			if g.cfg.Protocol != Consensus && g.seqAlive > 0 && p.Now()-g.seqAlive < g.stickWindow() {
-				// Deliveries are advancing, so the sequencer is alive and
-				// this op is stuck behind its backlog (typical right after
-				// a view change re-kicks every member's outstanding set).
-				// A real crash stops all deliveries well before the retry
-				// budget runs out, so crash suspicion is not delayed.
-				st.retries = 0
-				g.armSenderTimer(st)
-				return
-			}
-			g.m.Env().Tracef("node%d: sequencer %d suspected dead (uid %d)", g.m.ID(), g.seqNode, st.items[0].UID)
-			g.suspectSequencer(p)
-			// Re-arm: the message is still outstanding and will be
-			// retransmitted to the new sequencer once elected.
+	st.timed = true
+	st.timer.Arm(period)
+}
+
+// resend is the retransmission timer's round, on the interrupt thread.
+func (st *sendState) resend(p *sim.Proc) {
+	g := st.g
+	if !st.live(g) {
+		return
+	}
+	st.retries++
+	// Consensus suspects one retry earlier than the elected
+	// protocol: a wrong suspicion there costs a pnacked prepare
+	// (the stickiness window protects a live leader), not a view
+	// teardown, so the cheaper failure mode buys faster detection.
+	limit := g.cfg.SenderRetries
+	if g.cfg.Protocol == Consensus && limit > 1 {
+		limit--
+	}
+	if st.retries > limit {
+		if g.cfg.Protocol != Consensus && g.seqAlive > 0 && p.Now()-g.seqAlive < g.stickWindow() {
+			// Deliveries are advancing, so the sequencer is alive and
+			// this op is stuck behind its backlog (typical right after
+			// a view change re-kicks every member's outstanding set).
+			// A real crash stops all deliveries well before the retry
+			// budget runs out, so crash suspicion is not delayed.
 			st.retries = 0
-			st.cycles++
 			g.armSenderTimer(st)
 			return
 		}
-		g.stats.Retransmits++
-		g.transmit(p, st)
+		g.m.Env().Tracef("node%d: sequencer %d suspected dead (uid %d)", g.m.ID(), g.seqNode, st.items[0].UID)
+		g.suspectSequencer(p)
+		// Re-arm: the message is still outstanding and will be
+		// retransmitted to the new sequencer once elected.
+		st.retries = 0
+		st.cycles++
 		g.armSenderTimer(st)
-	})
+		return
+	}
+	g.stats.Retransmits++
+	g.transmit(p, st)
+	g.armSenderTimer(st)
 }
 
 // nextSeqNum allocates the next global sequence number (sequencer

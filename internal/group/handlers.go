@@ -225,13 +225,13 @@ func (g *Member) onRetxReq(p *sim.Proc, r retxReq) {
 		to = g.committed
 	}
 	if !g.isSeq {
-		if g.cfg.Protocol == Consensus && len(g.cache) > 0 {
+		if g.cfg.Protocol == Consensus {
 			// Chosen slots are quorum-backed and immutable, so any
 			// member that delivered them can serve them from its cache:
 			// after a leader death the committed log must not depend on
 			// one machine being up and installed.
 			for s := r.From; s <= to; s++ {
-				if c := g.cache[int(s)%len(g.cache)]; c != nil && c.Seq == s {
+				if c := g.cache.get(s); c != nil {
 					g.retransmit(p, r.Node, c)
 				}
 			}
@@ -267,7 +267,7 @@ func (g *Member) processData(p *sim.Proc, d *dataMsg) {
 	if st, mine := g.outstanding[d.UID]; mine {
 		delete(g.outstanding, d.UID)
 		delete(g.pendingBB, d.UID)
-		if st.timer != nil && !st.live(g) {
+		if st.timed && !st.live(g) {
 			st.timer.Cancel()
 		}
 	}
@@ -290,9 +290,9 @@ func (g *Member) processData(p *sim.Proc, d *dataMsg) {
 	}
 	if g.nextSeq <= g.maxSeen {
 		g.armGapTimer()
-	} else if g.gapTimer != nil {
+	} else if g.gapOn {
 		g.gapTimer.Cancel()
-		g.gapTimer = nil
+		g.gapOn = false
 	}
 }
 
@@ -303,8 +303,8 @@ func (g *Member) deliver(p *sim.Proc, d *dataMsg) {
 	g.seqAlive = p.Now()
 	delete(g.acceptedBB, d.Seq)
 	delete(g.pendingBB, d.UID)
-	if len(g.cache) > 0 {
-		g.cache[int(d.Seq)%len(g.cache)] = d
+	if g.cfg.CacheSize > 0 {
+		g.cache.set(d.Seq, d)
 	}
 	if g.recoveryStart != 0 {
 		g.stats.RecoveryTime += p.Now() - g.recoveryStart
@@ -340,7 +340,7 @@ func (g *Member) deliver(p *sim.Proc, d *dataMsg) {
 // holes exist. Repeated stalls without progress make the member
 // suspect the sequencer and call an election.
 func (g *Member) armGapTimer() {
-	if g.gapTimer != nil {
+	if g.gapOn {
 		return
 	}
 	if g.cfg.Protocol == Consensus && g.isSeq {
@@ -348,43 +348,42 @@ func (g *Member) armGapTimer() {
 		// deliver when a quorum accepts them (see armPropTimer).
 		return
 	}
-	lastNext := g.nextSeq
-	lastEpoch := g.epoch
-	stalls := 0
-	var arm func()
-	arm = func() {
-		g.gapTimer = g.m.After(g.cfg.GapTimeout, func(p *sim.Proc) {
-			g.gapTimer = nil
-			if g.nextSeq > g.maxSeen {
-				return // caught up
-			}
-			if g.epoch != lastEpoch {
-				// A new view installed since the last round: give its
-				// sequencer a full suspicion window to start serving.
-				// Stalls carried across the view change count the
-				// election itself against the new sequencer and tear it
-				// down before its first retransmission arrives.
-				lastEpoch, stalls = g.epoch, 0
-			}
-			if g.nextSeq == lastNext {
-				stalls++
-			} else {
-				lastNext, stalls = g.nextSeq, 0
-			}
-			if stalls > g.cfg.SenderRetries {
-				g.suspectSequencer(p)
-				stalls = 0
-			}
-			g.stats.GapRequests++
-			to := g.nextSeq + 31
-			if to > g.maxSeen {
-				to = g.maxSeen
-			}
-			g.m.Send(p, g.seqNode, amoeba.Packet{Port: g.port, Kind: "grp-retx-req",
-				Body: retxReq{From: g.nextSeq, To: to, Node: g.m.ID(), Delivered: g.nextSeq - 1},
-				Size: hdrSmall})
-			arm()
-		})
+	g.gapNext, g.gapEpoch, g.gapStall = g.nextSeq, g.epoch, 0
+	g.gapOn = true
+	g.gapTimer.Arm(g.cfg.GapTimeout)
+}
+
+// gapRound is the gap timer's round, on the interrupt thread.
+func (g *Member) gapRound(p *sim.Proc) {
+	g.gapOn = false
+	if g.nextSeq > g.maxSeen {
+		return // caught up
 	}
-	arm()
+	if g.epoch != g.gapEpoch {
+		// A new view installed since the last round: give its
+		// sequencer a full suspicion window to start serving.
+		// Stalls carried across the view change count the
+		// election itself against the new sequencer and tear it
+		// down before its first retransmission arrives.
+		g.gapEpoch, g.gapStall = g.epoch, 0
+	}
+	if g.nextSeq == g.gapNext {
+		g.gapStall++
+	} else {
+		g.gapNext, g.gapStall = g.nextSeq, 0
+	}
+	if g.gapStall > g.cfg.SenderRetries {
+		g.suspectSequencer(p)
+		g.gapStall = 0
+	}
+	g.stats.GapRequests++
+	to := g.nextSeq + 31
+	if to > g.maxSeen {
+		to = g.maxSeen
+	}
+	g.m.Send(p, g.seqNode, amoeba.Packet{Port: g.port, Kind: "grp-retx-req",
+		Body: retxReq{From: g.nextSeq, To: to, Node: g.m.ID(), Delivered: g.nextSeq - 1},
+		Size: hdrSmall})
+	g.gapOn = true
+	g.gapTimer.Arm(g.cfg.GapTimeout)
 }

@@ -619,21 +619,22 @@ func (p *Proc) Fork(cpu int, name string, fn func(p *Proc)) {
 }
 
 // Invoke performs an operation on a shared object: sequentially
-// consistent, indivisible, blocking on guards. A local read's result
-// slice may alias a per-worker scratch buffer: it is valid until this
-// process's next operation, so a caller that retains results across
-// operations must copy them first. (All wrapper layers consume results
-// immediately.)
+// consistent, indivisible, blocking on guards.
 func (p *Proc) Invoke(o Object, op string, args ...any) []any {
 	return p.rt.sys.Invoke(p.w, o.id, op, args...)
+}
+
+// call is Invoke for the typed descriptors, which fill and read the
+// argument and result records themselves.
+func (p *Proc) call(o Object, def *rts.OpDef, in rts.Args) rts.Args {
+	return p.rt.sys.Call(p.w, o.id, def.Name, in)
 }
 
 // readState is the typed descriptors' local-read fast path: when the
 // runtime can serve an unguarded read from the local replica, it
 // charges the read (exactly as Invoke would) and returns the state for
-// the caller to apply its typed operation directly — no []any
-// argument boxing, no result allocation. ok == false means the caller
-// must take the general Invoke path.
+// the caller to apply its typed operation directly, with no record at
+// all. ok == false means the caller must take the general path.
 func (p *Proc) readState(o Object, def *rts.OpDef) (rts.State, bool) {
 	return p.rt.sys.LocalReadState(p.w, o.id, def)
 }
@@ -671,7 +672,7 @@ type FencedOp struct {
 func (p *Proc) InvokeFenced(ops ...FencedOp) {
 	rops := make([]rts.FencedOp, len(ops))
 	for i, op := range ops {
-		rops[i] = rts.FencedOp{ID: op.Obj.id, Op: op.Op, Args: op.Args}
+		rops[i] = rts.FencedOp{ID: op.Obj.id, Op: op.Op, Args: rts.ArgsOf(op.Args...)}
 	}
 	if err := p.rt.sys.InvokeFenced(p.w, rops); err != nil {
 		panic("orca: " + err.Error())

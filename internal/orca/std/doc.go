@@ -10,7 +10,7 @@
 // operation is a typed descriptor; the concrete wrapper types
 // (Counter, Queue, Barrier, Flag, BoolArray, Table, Killer, BitSet,
 // Accum) are the programming surface — their methods take a
-// *orca.Proc and real Go values, and the wire-level []any encoding
+// *orca.Proc and real Go values, and the argument record that travels
 // underneath is an implementation detail. All types register with an
 // rts.Registry via Register, and remain invokable through the untyped
 // Proc.Invoke under their registered operation names.

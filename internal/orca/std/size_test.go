@@ -83,11 +83,11 @@ func TestQueueIncrementalSizing(t *testing.T) {
 		n := 16
 		c := typ.Clone(state)
 		for {
-			res := typ.Op("get").Apply(c, nil)
-			if res[1] == false {
+			res := typ.Op("get").Apply(c, rts.Args{})
+			if res.Value(1) == false {
 				break
 			}
-			n += rts.SizeOfValue(res[0])
+			n += rts.SizeOfValue(res.Value(0))
 		}
 		return n
 	}
@@ -95,13 +95,13 @@ func TestQueueIncrementalSizing(t *testing.T) {
 	add, get := typ.Op("add"), typ.Op("get")
 	jobs := []any{"alpha", []int{1, 2, 3}, 42, "a-longer-string-payload"}
 	for i, j := range jobs {
-		add.Apply(state, []any{j})
+		add.Apply(state, rts.ArgsOf(j))
 		if got, want := typ.SizeOf(state), recount(); got != want {
 			t.Fatalf("after add %d: cached size %d, recount %d", i, got, want)
 		}
 	}
 	for i := range jobs {
-		get.Apply(state, nil)
+		get.Apply(state, rts.Args{})
 		if got, want := typ.SizeOf(state), recount(); got != want {
 			t.Fatalf("after get %d: cached size %d, recount %d", i, got, want)
 		}

@@ -19,7 +19,8 @@ func typeByName(t *testing.T, name string) *rts.ObjectType {
 
 func apply(t *testing.T, typ *rts.ObjectType, s rts.State, op string, args ...any) []any {
 	t.Helper()
-	return typ.Op(op).Apply(s, args)
+	out := typ.Op(op).Apply(s, rts.ArgsOf(args...))
+	return out.Values()
 }
 
 func TestIntObjOps(t *testing.T) {
@@ -48,10 +49,10 @@ func TestIntObjOps(t *testing.T) {
 		t.Fatal("max(50) should raise 2")
 	}
 	guard := typ.Op("awaitGE").Guard
-	if guard(s, []any{51}) {
+	if guard(s, rts.ArgsOf(51)) {
 		t.Fatal("awaitGE(51) guard true at 50")
 	}
-	if !guard(s, []any{50}) {
+	if !guard(s, rts.ArgsOf(50)) {
 		t.Fatal("awaitGE(50) guard false at 50")
 	}
 }
@@ -78,7 +79,7 @@ func TestJobQueueOps(t *testing.T) {
 	typ := typeByName(t, JobQueueObj)
 	s := typ.New(nil)
 	getGuard := typ.Op("get").Guard
-	if getGuard(s, nil) {
+	if getGuard(s, rts.Args{}) {
 		t.Fatal("get guard true on empty open queue")
 	}
 	apply(t, typ, s, "add", "a")
@@ -86,7 +87,7 @@ func TestJobQueueOps(t *testing.T) {
 	if n := apply(t, typ, s, "len")[0].(int); n != 2 {
 		t.Fatalf("len = %d", n)
 	}
-	if !getGuard(s, nil) {
+	if !getGuard(s, rts.Args{}) {
 		t.Fatal("get guard false on non-empty queue")
 	}
 	res := apply(t, typ, s, "get")
@@ -99,7 +100,7 @@ func TestJobQueueOps(t *testing.T) {
 	if res[1].(bool) {
 		t.Fatal("get on closed+empty queue should report !ok")
 	}
-	if !getGuard(s, nil) {
+	if !getGuard(s, rts.Args{}) {
 		t.Fatal("get guard must be true once closed")
 	}
 }
@@ -122,12 +123,12 @@ func TestBarrierOps(t *testing.T) {
 	waitGuard := typ.Op("wait").Guard
 	for i := 1; i <= 2; i++ {
 		apply(t, typ, s, "arrive")
-		if waitGuard(s, nil) {
+		if waitGuard(s, rts.Args{}) {
 			t.Fatalf("wait guard true after %d arrivals of 3", i)
 		}
 	}
 	apply(t, typ, s, "arrive")
-	if !waitGuard(s, nil) {
+	if !waitGuard(s, rts.Args{}) {
 		t.Fatal("wait guard false after all arrivals")
 	}
 	if n := apply(t, typ, s, "count")[0].(int); n != 3 {
@@ -142,11 +143,11 @@ func TestFlagOps(t *testing.T) {
 		t.Fatal("default flag should be false")
 	}
 	await := typ.Op("await").Guard
-	if await(s, nil) {
+	if await(s, rts.Args{}) {
 		t.Fatal("await guard true on false flag")
 	}
 	apply(t, typ, s, "set", true)
-	if !await(s, nil) {
+	if !await(s, rts.Args{}) {
 		t.Fatal("await guard false on true flag")
 	}
 	s2 := typ.New([]any{true})
@@ -305,9 +306,9 @@ func TestClonesAreDeep(t *testing.T) {
 		typ := reg.Lookup(tc.name)
 		orig := typ.New(tc.args)
 		clone := typ.Clone(orig)
-		before := typ.Op(tc.probe).Apply(clone, tc.pArgs)
-		typ.Op(tc.mutate).Apply(orig, tc.mutArgs)
-		after := typ.Op(tc.probe).Apply(clone, tc.pArgs)
+		before := apply(t, typ, clone, tc.probe, tc.pArgs...)
+		apply(t, typ, orig, tc.mutate, tc.mutArgs...)
+		after := apply(t, typ, clone, tc.probe, tc.pArgs...)
 		for i := range before {
 			if before[i] != after[i] {
 				t.Errorf("%s: clone observed mutation of original (%v -> %v)", tc.name, before, after)

@@ -1,8 +1,8 @@
 // API v2: the typed shared-object surface.
 //
-// The wire-level model underneath (internal/rts) is stringly typed:
-// operations are names plus []any argument lists returning []any
-// result lists, because that is what travels between machines. Orca
+// What travels between machines (internal/rts) is an operation name and
+// one rts.Args record each way: the arguments out, the results back,
+// scalars inline and anything else in the record's spill slot. Orca
 // itself never exposed that to the programmer — the compiler checked
 // every operation against the object's abstract type. This file plays
 // the compiler's role for the embedded API: a TypeBuilder[S] declares
@@ -14,10 +14,13 @@
 // wrong argument types, or expecting the wrong results is a compile
 // error, exactly as it would be in Orca.
 //
-// The descriptors delegate to the untyped Proc.Invoke, which remains
-// available as the dynamic escape hatch (and as the layer the rts
-// tests and protocol ablations exercise directly); the typed surface
-// is a facade over the existing runtime, not a fork of it.
+// A descriptor fills the record from its typed arguments, hands it by
+// value to the runtime (rts.Router.Call), and reads its typed results
+// out of the record that comes back; the operation it registered reads
+// its arguments out of the same record on whichever machine applies it.
+// The untyped Proc.Invoke is the same call with the record built from,
+// and turned back into, a value list: the dynamic escape hatch, and the
+// layer the rts tests and protocol ablations exercise directly.
 package orca
 
 import (
@@ -103,63 +106,38 @@ func (b *TypeBuilder[S]) NewWith(p *Proc, opts []Option, args ...any) Handle[S] 
 	return Handle[S]{o: p.NewWith(b.t.Name, opts, args...)}
 }
 
-// addOp wraps a typed apply into the positional wire encoding and
-// registers it under name. All descriptors funnel through here, so an
-// object type's operations are exactly its descriptors.
-//
-// The typed apply is append-style: it appends its results to dst and
-// returns the extended slice. That one shape yields both OpDef.Apply
-// (dst = nil, a fresh slice per call, safe to retain) and
-// OpDef.ApplyInto (caller-provided scratch, the runtimes' zero-alloc
-// local-read path). Writes with results add OpDef.ApplyDiscard
-// themselves: only they can leave a result unconverted.
-func addOp[S rts.State](b *TypeBuilder[S], name string, kind rts.OpKind,
-	apply func(s S, a []any, dst []any) []any) *rts.OpDef {
+// addOp registers apply under name. All descriptors funnel through
+// here, so an object type's operations are exactly its descriptors.
+func addOp[S rts.State](b *TypeBuilder[S], name string, kind rts.OpKind, apply func(s rts.State, in rts.Args) rts.Args) *rts.OpDef {
 	if _, dup := b.t.Ops[name]; dup {
 		panic(fmt.Sprintf("orca: type %s redefines operation %q", b.t.Name, name))
 	}
-	def := &rts.OpDef{
-		Name: name,
-		Kind: kind,
-		Apply: func(s rts.State, a []any) []any {
-			return apply(s.(S), a, nil)
-		},
-		ApplyInto: func(s rts.State, a []any, dst []any) []any {
-			return apply(s.(S), a, dst)
-		},
-	}
+	def := &rts.OpDef{Name: name, Kind: kind, Apply: apply}
 	b.t.Ops[name] = def
 	return def
 }
 
-// as decodes one wire result into its static type, mapping an absent
-// (nil) slot to the zero value — results legitimately carry nil in
-// "not found" slots (e.g. a drained queue's (nil, false)).
-func as[T any](v any) T {
-	if v == nil {
-		var zero T
-		return zero
-	}
-	return v.(T)
+// rec1 and rec2 are the record of one and of two values: a descriptor's
+// arguments on the way in, an operation's results on the way out.
+func rec1[T any](v T) (a rts.Args) {
+	rts.Put(&a, v)
+	return a
 }
 
-// argAs decodes one wire argument. Arguments are stricter than
-// results: a nil is only legal when T itself can hold nil (an
-// interface-typed parameter), and a wrong type panics at the call
-// site, exactly as the direct assertions of the untyped layer always
-// did — the typed facade must not weaken the dynamic path's checking.
-func argAs[T any](v any) T {
-	if t, ok := v.(T); ok {
-		return t
-	}
-	if v == nil {
-		var zero T
-		if any(zero) == nil {
-			return zero // T is an interface type: nil is its zero value
-		}
-	}
-	return v.(T) // panics with the runtime's standard conversion error
+func rec2[T1, T2 any](v1 T1, v2 T2) (a rts.Args) {
+	rts.Put(&a, v1)
+	rts.Put(&a, v2)
+	return a
 }
+
+// get1 and get2 read them back. Decoding is as strict as the direct
+// assertions of the untyped layer always were: a value of the wrong type
+// panics, and a nil is only legal where T itself can hold nil (results
+// legitimately carry nil in "not found" slots, e.g. a drained queue's
+// (nil, false)).
+func get1[T any](a rts.Args) T { return rts.Get[T](&a, 0) }
+
+func get2[T1, T2 any](a rts.Args) (T1, T2) { return rts.Get[T1](&a, 0), rts.Get[T2](&a, 1) }
 
 // ---------------------------------------------------------------------
 // Read operations. Reads never change the state; the runtime executes
@@ -167,7 +145,7 @@ func argAs[T any](v any) T {
 
 // ReadOp0 is a read taking no arguments and returning R. Read
 // descriptors keep their raw typed apply so unguarded local reads can
-// skip the []any wire encoding entirely (see Proc.readState).
+// skip the record entirely (see Proc.readState).
 type ReadOp0[S rts.State, R any] struct {
 	def   *rts.OpDef
 	apply func(S) R
@@ -175,14 +153,14 @@ type ReadOp0[S rts.State, R any] struct {
 
 // DefRead0 attaches a no-argument read to a type.
 func DefRead0[S rts.State, R any](b *TypeBuilder[S], name string, apply func(S) R) ReadOp0[S, R] {
-	return ReadOp0[S, R]{def: addOp(b, name, rts.Read, func(s S, _ []any, dst []any) []any {
-		return append(dst, apply(s))
+	return ReadOp0[S, R]{def: addOp(b, name, rts.Read, func(s rts.State, _ rts.Args) rts.Args {
+		return rec1(apply(s.(S)))
 	}), apply: apply}
 }
 
 // Guard makes the read blocking: it suspends until g is true.
 func (op ReadOp0[S, R]) Guard(g func(S) bool) ReadOp0[S, R] {
-	op.def.Guard = func(s rts.State, _ []any) bool { return g(s.(S)) }
+	op.def.Guard = func(s rts.State, _ rts.Args) bool { return g(s.(S)) }
 	return op
 }
 
@@ -194,7 +172,7 @@ func (op ReadOp0[S, R]) Call(p *Proc, h Handle[S]) R {
 	if s, ok := p.readState(h.o, op.def); ok {
 		return op.apply(s.(S))
 	}
-	return as[R](p.Invoke(h.o, op.def.Name)[0])
+	return get1[R](p.call(h.o, op.def, rts.Args{}))
 }
 
 // ReadOp is a read taking one argument A and returning R — the
@@ -206,14 +184,14 @@ type ReadOp[S rts.State, A, R any] struct {
 
 // DefRead attaches a one-argument read to a type.
 func DefRead[S rts.State, A, R any](b *TypeBuilder[S], name string, apply func(S, A) R) ReadOp[S, A, R] {
-	return ReadOp[S, A, R]{def: addOp(b, name, rts.Read, func(s S, a []any, dst []any) []any {
-		return append(dst, apply(s, argAs[A](a[0])))
+	return ReadOp[S, A, R]{def: addOp(b, name, rts.Read, func(s rts.State, in rts.Args) rts.Args {
+		return rec1(apply(s.(S), get1[A](in)))
 	}), apply: apply}
 }
 
 // Guard makes the read blocking; the guard sees the argument.
 func (op ReadOp[S, A, R]) Guard(g func(S, A) bool) ReadOp[S, A, R] {
-	op.def.Guard = func(s rts.State, a []any) bool { return g(s.(S), argAs[A](a[0])) }
+	op.def.Guard = func(s rts.State, in rts.Args) bool { return g(s.(S), get1[A](in)) }
 	return op
 }
 
@@ -225,7 +203,7 @@ func (op ReadOp[S, A, R]) Call(p *Proc, h Handle[S], arg A) R {
 	if s, ok := p.readState(h.o, op.def); ok {
 		return op.apply(s.(S), arg)
 	}
-	return as[R](p.Invoke(h.o, op.def.Name, arg)[0])
+	return get1[R](p.call(h.o, op.def, rec1(arg)))
 }
 
 // ReadOp1x2 is a read taking one argument and returning two results
@@ -237,9 +215,8 @@ type ReadOp1x2[S rts.State, A, R1, R2 any] struct {
 
 // DefRead1x2 attaches a one-argument, two-result read to a type.
 func DefRead1x2[S rts.State, A, R1, R2 any](b *TypeBuilder[S], name string, apply func(S, A) (R1, R2)) ReadOp1x2[S, A, R1, R2] {
-	return ReadOp1x2[S, A, R1, R2]{def: addOp(b, name, rts.Read, func(s S, a []any, dst []any) []any {
-		r1, r2 := apply(s, argAs[A](a[0]))
-		return append(dst, r1, r2)
+	return ReadOp1x2[S, A, R1, R2]{def: addOp(b, name, rts.Read, func(s rts.State, in rts.Args) rts.Args {
+		return rec2(apply(s.(S), get1[A](in)))
 	}), apply: apply}
 }
 
@@ -254,8 +231,7 @@ func (op ReadOp1x2[S, A, R1, R2]) Call(p *Proc, h Handle[S], arg A) (R1, R2) {
 	if s, ok := p.readState(h.o, op.def); ok {
 		return op.apply(s.(S), arg)
 	}
-	res := p.Invoke(h.o, op.def.Name, arg)
-	return as[R1](res[0]), as[R2](res[1])
+	return get2[R1, R2](p.call(h.o, op.def, rec1(arg)))
 }
 
 // ReadOp2x2 is a read taking two arguments and returning two results.
@@ -266,16 +242,17 @@ type ReadOp2x2[S rts.State, A1, A2, R1, R2 any] struct {
 
 // DefRead2x2 attaches a two-argument, two-result read to a type.
 func DefRead2x2[S rts.State, A1, A2, R1, R2 any](b *TypeBuilder[S], name string, apply func(S, A1, A2) (R1, R2)) ReadOp2x2[S, A1, A2, R1, R2] {
-	return ReadOp2x2[S, A1, A2, R1, R2]{def: addOp(b, name, rts.Read, func(s S, a []any, dst []any) []any {
-		r1, r2 := apply(s, argAs[A1](a[0]), argAs[A2](a[1]))
-		return append(dst, r1, r2)
+	return ReadOp2x2[S, A1, A2, R1, R2]{def: addOp(b, name, rts.Read, func(s rts.State, in rts.Args) rts.Args {
+		a1, a2 := get2[A1, A2](in)
+		return rec2(apply(s.(S), a1, a2))
 	}), apply: apply}
 }
 
 // Guard makes the read blocking; the guard sees both arguments.
 func (op ReadOp2x2[S, A1, A2, R1, R2]) Guard(g func(S, A1, A2) bool) ReadOp2x2[S, A1, A2, R1, R2] {
-	op.def.Guard = func(s rts.State, a []any) bool {
-		return g(s.(S), argAs[A1](a[0]), argAs[A2](a[1]))
+	op.def.Guard = func(s rts.State, in rts.Args) bool {
+		a1, a2 := get2[A1, A2](in)
+		return g(s.(S), a1, a2)
 	}
 	return op
 }
@@ -291,8 +268,7 @@ func (op ReadOp2x2[S, A1, A2, R1, R2]) Call(p *Proc, h Handle[S], a1 A1, a2 A2) 
 	if s, ok := p.readState(h.o, op.def); ok {
 		return op.apply(s.(S), a1, a2)
 	}
-	res := p.Invoke(h.o, op.def.Name, a1, a2)
-	return as[R1](res[0]), as[R2](res[1])
+	return get2[R1, R2](p.call(h.o, op.def, rec2(a1, a2)))
 }
 
 // AwaitOp is a guarded read with no arguments and no results: pure
@@ -303,8 +279,8 @@ type AwaitOp[S rts.State] struct{ def *rts.OpDef }
 // DefAwait attaches a blocking no-op read whose only effect is to
 // suspend the caller until guard holds.
 func DefAwait[S rts.State](b *TypeBuilder[S], name string, guard func(S) bool) AwaitOp[S] {
-	op := AwaitOp[S]{def: addOp(b, name, rts.Read, func(_ S, _ []any, dst []any) []any { return dst })}
-	op.def.Guard = func(s rts.State, _ []any) bool { return guard(s.(S)) }
+	op := AwaitOp[S]{def: addOp(b, name, rts.Read, func(rts.State, rts.Args) rts.Args { return rts.Args{} })}
+	op.def.Guard = func(s rts.State, _ rts.Args) bool { return guard(s.(S)) }
 	return op
 }
 
@@ -313,7 +289,7 @@ func (op AwaitOp[S]) Cost(d sim.Time) AwaitOp[S] { op.def.CPUCost = d; return op
 
 // Call blocks until the guard holds.
 func (op AwaitOp[S]) Call(p *Proc, h Handle[S]) {
-	p.Invoke(h.o, op.def.Name)
+	p.call(h.o, op.def, rts.Args{})
 }
 
 // ---------------------------------------------------------------------
@@ -326,16 +302,14 @@ type WriteOp0[S rts.State, R any] struct{ def *rts.OpDef }
 
 // DefWrite0 attaches a no-argument write to a type.
 func DefWrite0[S rts.State, R any](b *TypeBuilder[S], name string, apply func(S) R) WriteOp0[S, R] {
-	def := addOp(b, name, rts.Write, func(s S, _ []any, dst []any) []any {
-		return append(dst, apply(s))
-	})
-	def.ApplyDiscard = func(s rts.State, _ []any) { apply(s.(S)) }
-	return WriteOp0[S, R]{def: def}
+	return WriteOp0[S, R]{def: addOp(b, name, rts.Write, func(s rts.State, _ rts.Args) rts.Args {
+		return rec1(apply(s.(S)))
+	})}
 }
 
 // Guard makes the write blocking.
 func (op WriteOp0[S, R]) Guard(g func(S) bool) WriteOp0[S, R] {
-	op.def.Guard = func(s rts.State, _ []any) bool { return g(s.(S)) }
+	op.def.Guard = func(s rts.State, _ rts.Args) bool { return g(s.(S)) }
 	return op
 }
 
@@ -344,7 +318,7 @@ func (op WriteOp0[S, R]) Cost(d sim.Time) WriteOp0[S, R] { op.def.CPUCost = d; r
 
 // Call performs the operation on h.
 func (op WriteOp0[S, R]) Call(p *Proc, h Handle[S]) R {
-	return as[R](p.Invoke(h.o, op.def.Name)[0])
+	return get1[R](p.call(h.o, op.def, rts.Args{}))
 }
 
 // WriteOp is a write taking one argument A and returning R — the
@@ -353,16 +327,14 @@ type WriteOp[S rts.State, A, R any] struct{ def *rts.OpDef }
 
 // DefWrite attaches a one-argument write to a type.
 func DefWrite[S rts.State, A, R any](b *TypeBuilder[S], name string, apply func(S, A) R) WriteOp[S, A, R] {
-	def := addOp(b, name, rts.Write, func(s S, a []any, dst []any) []any {
-		return append(dst, apply(s, argAs[A](a[0])))
-	})
-	def.ApplyDiscard = func(s rts.State, a []any) { apply(s.(S), argAs[A](a[0])) }
-	return WriteOp[S, A, R]{def: def}
+	return WriteOp[S, A, R]{def: addOp(b, name, rts.Write, func(s rts.State, in rts.Args) rts.Args {
+		return rec1(apply(s.(S), get1[A](in)))
+	})}
 }
 
 // Guard makes the write blocking; the guard sees the argument.
 func (op WriteOp[S, A, R]) Guard(g func(S, A) bool) WriteOp[S, A, R] {
-	op.def.Guard = func(s rts.State, a []any) bool { return g(s.(S), argAs[A](a[0])) }
+	op.def.Guard = func(s rts.State, in rts.Args) bool { return g(s.(S), get1[A](in)) }
 	return op
 }
 
@@ -371,7 +343,7 @@ func (op WriteOp[S, A, R]) Cost(d sim.Time) WriteOp[S, A, R] { op.def.CPUCost = 
 
 // Call performs the operation on h.
 func (op WriteOp[S, A, R]) Call(p *Proc, h Handle[S], arg A) R {
-	return as[R](p.Invoke(h.o, op.def.Name, arg)[0])
+	return get1[R](p.call(h.o, op.def, rec1(arg)))
 }
 
 // WriteOp0x2 is a write taking no arguments and returning two results
@@ -380,17 +352,14 @@ type WriteOp0x2[S rts.State, R1, R2 any] struct{ def *rts.OpDef }
 
 // DefWrite0x2 attaches a no-argument, two-result write to a type.
 func DefWrite0x2[S rts.State, R1, R2 any](b *TypeBuilder[S], name string, apply func(S) (R1, R2)) WriteOp0x2[S, R1, R2] {
-	def := addOp(b, name, rts.Write, func(s S, _ []any, dst []any) []any {
-		r1, r2 := apply(s)
-		return append(dst, r1, r2)
-	})
-	def.ApplyDiscard = func(s rts.State, _ []any) { apply(s.(S)) }
-	return WriteOp0x2[S, R1, R2]{def: def}
+	return WriteOp0x2[S, R1, R2]{def: addOp(b, name, rts.Write, func(s rts.State, _ rts.Args) rts.Args {
+		return rec2(apply(s.(S)))
+	})}
 }
 
 // Guard makes the write blocking.
 func (op WriteOp0x2[S, R1, R2]) Guard(g func(S) bool) WriteOp0x2[S, R1, R2] {
-	op.def.Guard = func(s rts.State, _ []any) bool { return g(s.(S)) }
+	op.def.Guard = func(s rts.State, _ rts.Args) bool { return g(s.(S)) }
 	return op
 }
 
@@ -402,8 +371,7 @@ func (op WriteOp0x2[S, R1, R2]) Cost(d sim.Time) WriteOp0x2[S, R1, R2] {
 
 // Call performs the operation on h.
 func (op WriteOp0x2[S, R1, R2]) Call(p *Proc, h Handle[S]) (R1, R2) {
-	res := p.Invoke(h.o, op.def.Name)
-	return as[R1](res[0]), as[R2](res[1])
+	return get2[R1, R2](p.call(h.o, op.def, rts.Args{}))
 }
 
 // WriteOp1x2 is a write taking one argument and returning two results
@@ -412,17 +380,14 @@ type WriteOp1x2[S rts.State, A, R1, R2 any] struct{ def *rts.OpDef }
 
 // DefWrite1x2 attaches a one-argument, two-result write to a type.
 func DefWrite1x2[S rts.State, A, R1, R2 any](b *TypeBuilder[S], name string, apply func(S, A) (R1, R2)) WriteOp1x2[S, A, R1, R2] {
-	def := addOp(b, name, rts.Write, func(s S, a []any, dst []any) []any {
-		r1, r2 := apply(s, argAs[A](a[0]))
-		return append(dst, r1, r2)
-	})
-	def.ApplyDiscard = func(s rts.State, a []any) { apply(s.(S), argAs[A](a[0])) }
-	return WriteOp1x2[S, A, R1, R2]{def: def}
+	return WriteOp1x2[S, A, R1, R2]{def: addOp(b, name, rts.Write, func(s rts.State, in rts.Args) rts.Args {
+		return rec2(apply(s.(S), get1[A](in)))
+	})}
 }
 
 // Guard makes the write blocking; the guard sees the argument.
 func (op WriteOp1x2[S, A, R1, R2]) Guard(g func(S, A) bool) WriteOp1x2[S, A, R1, R2] {
-	op.def.Guard = func(s rts.State, a []any) bool { return g(s.(S), argAs[A](a[0])) }
+	op.def.Guard = func(s rts.State, in rts.Args) bool { return g(s.(S), get1[A](in)) }
 	return op
 }
 
@@ -434,8 +399,7 @@ func (op WriteOp1x2[S, A, R1, R2]) Cost(d sim.Time) WriteOp1x2[S, A, R1, R2] {
 
 // Call performs the operation on h.
 func (op WriteOp1x2[S, A, R1, R2]) Call(p *Proc, h Handle[S], arg A) (R1, R2) {
-	res := p.Invoke(h.o, op.def.Name, arg)
-	return as[R1](res[0]), as[R2](res[1])
+	return get2[R1, R2](p.call(h.o, op.def, rec1(arg)))
 }
 
 // WriteOp2x2 is a write taking two arguments and returning two
@@ -444,18 +408,17 @@ type WriteOp2x2[S rts.State, A1, A2, R1, R2 any] struct{ def *rts.OpDef }
 
 // DefWrite2x2 attaches a two-argument, two-result write to a type.
 func DefWrite2x2[S rts.State, A1, A2, R1, R2 any](b *TypeBuilder[S], name string, apply func(S, A1, A2) (R1, R2)) WriteOp2x2[S, A1, A2, R1, R2] {
-	def := addOp(b, name, rts.Write, func(s S, a []any, dst []any) []any {
-		r1, r2 := apply(s, argAs[A1](a[0]), argAs[A2](a[1]))
-		return append(dst, r1, r2)
-	})
-	def.ApplyDiscard = func(s rts.State, a []any) { apply(s.(S), argAs[A1](a[0]), argAs[A2](a[1])) }
-	return WriteOp2x2[S, A1, A2, R1, R2]{def: def}
+	return WriteOp2x2[S, A1, A2, R1, R2]{def: addOp(b, name, rts.Write, func(s rts.State, in rts.Args) rts.Args {
+		a1, a2 := get2[A1, A2](in)
+		return rec2(apply(s.(S), a1, a2))
+	})}
 }
 
 // Guard makes the write blocking; the guard sees both arguments.
 func (op WriteOp2x2[S, A1, A2, R1, R2]) Guard(g func(S, A1, A2) bool) WriteOp2x2[S, A1, A2, R1, R2] {
-	op.def.Guard = func(s rts.State, a []any) bool {
-		return g(s.(S), argAs[A1](a[0]), argAs[A2](a[1]))
+	op.def.Guard = func(s rts.State, in rts.Args) bool {
+		a1, a2 := get2[A1, A2](in)
+		return g(s.(S), a1, a2)
 	}
 	return op
 }
@@ -468,8 +431,7 @@ func (op WriteOp2x2[S, A1, A2, R1, R2]) Cost(d sim.Time) WriteOp2x2[S, A1, A2, R
 
 // Call performs the operation on h.
 func (op WriteOp2x2[S, A1, A2, R1, R2]) Call(p *Proc, h Handle[S], a1 A1, a2 A2) (R1, R2) {
-	res := p.Invoke(h.o, op.def.Name, a1, a2)
-	return as[R1](res[0]), as[R2](res[1])
+	return get2[R1, R2](p.call(h.o, op.def, rec2(a1, a2)))
 }
 
 // UpdateOp0 is a write with no arguments and no results (close,
@@ -478,9 +440,9 @@ type UpdateOp0[S rts.State] struct{ def *rts.OpDef }
 
 // DefUpdate0 attaches a no-argument, no-result write to a type.
 func DefUpdate0[S rts.State](b *TypeBuilder[S], name string, apply func(S)) UpdateOp0[S] {
-	op := UpdateOp0[S]{def: addOp(b, name, rts.Write, func(s S, _ []any, dst []any) []any {
-		apply(s)
-		return dst
+	op := UpdateOp0[S]{def: addOp(b, name, rts.Write, func(s rts.State, _ rts.Args) rts.Args {
+		apply(s.(S))
+		return rts.Args{}
 	})}
 	op.def.NoResult = true
 	return op
@@ -491,7 +453,7 @@ func (op UpdateOp0[S]) Cost(d sim.Time) UpdateOp0[S] { op.def.CPUCost = d; retur
 
 // Call performs the operation on h.
 func (op UpdateOp0[S]) Call(p *Proc, h Handle[S]) {
-	p.Invoke(h.o, op.def.Name)
+	p.call(h.o, op.def, rts.Args{})
 }
 
 // UpdateOp is a write taking one argument and returning nothing.
@@ -499,9 +461,9 @@ type UpdateOp[S rts.State, A any] struct{ def *rts.OpDef }
 
 // DefUpdate attaches a one-argument, no-result write to a type.
 func DefUpdate[S rts.State, A any](b *TypeBuilder[S], name string, apply func(S, A)) UpdateOp[S, A] {
-	op := UpdateOp[S, A]{def: addOp(b, name, rts.Write, func(s S, a []any, dst []any) []any {
-		apply(s, argAs[A](a[0]))
-		return dst
+	op := UpdateOp[S, A]{def: addOp(b, name, rts.Write, func(s rts.State, in rts.Args) rts.Args {
+		apply(s.(S), get1[A](in))
+		return rts.Args{}
 	})}
 	op.def.NoResult = true
 	return op
@@ -512,7 +474,7 @@ func (op UpdateOp[S, A]) Cost(d sim.Time) UpdateOp[S, A] { op.def.CPUCost = d; r
 
 // Call performs the operation on h.
 func (op UpdateOp[S, A]) Call(p *Proc, h Handle[S], arg A) {
-	p.Invoke(h.o, op.def.Name, arg)
+	p.call(h.o, op.def, rec1(arg))
 }
 
 // UpdateOp2 is a write taking two arguments and returning nothing.
@@ -520,9 +482,10 @@ type UpdateOp2[S rts.State, A1, A2 any] struct{ def *rts.OpDef }
 
 // DefUpdate2 attaches a two-argument, no-result write to a type.
 func DefUpdate2[S rts.State, A1, A2 any](b *TypeBuilder[S], name string, apply func(S, A1, A2)) UpdateOp2[S, A1, A2] {
-	op := UpdateOp2[S, A1, A2]{def: addOp(b, name, rts.Write, func(s S, a []any, dst []any) []any {
-		apply(s, argAs[A1](a[0]), argAs[A2](a[1]))
-		return dst
+	op := UpdateOp2[S, A1, A2]{def: addOp(b, name, rts.Write, func(s rts.State, in rts.Args) rts.Args {
+		a1, a2 := get2[A1, A2](in)
+		apply(s.(S), a1, a2)
+		return rts.Args{}
 	})}
 	op.def.NoResult = true
 	return op
@@ -536,5 +499,5 @@ func (op UpdateOp2[S, A1, A2]) Cost(d sim.Time) UpdateOp2[S, A1, A2] {
 
 // Call performs the operation on h.
 func (op UpdateOp2[S, A1, A2]) Call(p *Proc, h Handle[S], a1 A1, a2 A2) {
-	p.Invoke(h.o, op.def.Name, a1, a2)
+	p.call(h.o, op.def, rec2(a1, a2))
 }

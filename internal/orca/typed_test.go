@@ -8,6 +8,7 @@ package orca
 // needs no imports back into std.)
 
 import (
+	"runtime/debug"
 	"testing"
 
 	"repro/internal/rts"
@@ -35,6 +36,13 @@ var (
 		}
 		return n
 	}).Cost(20 * sim.Microsecond)
+	// lookup is the (value, ok) read shape.
+	cellsLookup = DefRead1x2(cellsB, "lookup", func(s *cellsState, i int) (int, bool) {
+		if i < 0 || i >= len(s.vals) {
+			return 0, false
+		}
+		return s.vals[i], true
+	})
 	// awaitSum blocks until the sum reaches the argument.
 	cellsAwaitSum = DefRead(cellsB, "awaitSum", func(s *cellsState, _ int) int {
 		n := 0
@@ -118,11 +126,10 @@ func TestTypedUntypedInterop(t *testing.T) {
 	})
 }
 
-// TestArgDecodingStrict checks the argument decoder keeps the
-// untyped layer's checking: wrong types and illegal nils panic (as
-// the hand-written []any assertions of the v1 types did), while nil
-// stays legal for interface-typed parameters and results map nil to
-// zero values.
+// TestArgDecodingStrict checks the record decoder keeps the untyped
+// layer's checking: wrong types and illegal nils panic (as the
+// hand-written assertions of the v1 types did), while nil stays legal
+// wherever the static type can hold it.
 func TestArgDecodingStrict(t *testing.T) {
 	mustPanic := func(name string, f func()) {
 		defer func() {
@@ -132,19 +139,19 @@ func TestArgDecodingStrict(t *testing.T) {
 		}()
 		f()
 	}
-	if got := argAs[int](7); got != 7 {
-		t.Errorf("argAs[int](7) = %d", got)
+	if got := get1[int](rec1(7)); got != 7 {
+		t.Errorf("get1[int] of 7 = %d", got)
 	}
-	if got := argAs[any](nil); got != nil {
-		t.Errorf("argAs[any](nil) = %v, want nil", got)
+	if got := get1[any](rec1[any](nil)); got != nil {
+		t.Errorf("get1[any] of nil = %v, want nil", got)
 	}
-	mustPanic("argAs[int] of string", func() { argAs[int]("zero") })
-	mustPanic("argAs[int] of nil", func() { argAs[int](nil) })
-	mustPanic("argAs[[]int] of nil", func() { argAs[[]int](nil) })
-	// Results, by contrast, map nil to the zero value (absent slots).
-	if got := as[int](nil); got != 0 {
-		t.Errorf("as[int](nil) = %d, want 0", got)
+	if v, ok := get2[any, bool](rec2[any](nil, false)); v != nil || ok {
+		t.Errorf("get2 of the not-found pair = (%v, %v)", v, ok)
 	}
+	mustPanic("get1[int] of string", func() { get1[int](rec1("zero")) })
+	mustPanic("get1[int] of nil", func() { get1[int](rec1[any](nil)) })
+	mustPanic("get1[[]int] of nil", func() { get1[[]int](rec1[any](nil)) })
+	mustPanic("get1[int] of nothing", func() { get1[int](rts.Args{}) })
 }
 
 // TestTypedGuardBlocksUntilWrite checks that a guarded typed read
@@ -235,12 +242,12 @@ func TestCostPropagates(t *testing.T) {
 	}
 }
 
-// TestApplyDiscardDoesNotBoxResults covers the five write shapes that
-// return results: a replica that drops them applies the write through
-// OpDef.ApplyDiscard, which must change the state exactly as Apply does
-// and never convert a result to any (an allocation for every value the
-// runtime has no cached box for, like the large integers here).
-func TestApplyDiscardDoesNotBoxResults(t *testing.T) {
+// TestScalarResultsAreNotBoxed covers the five write shapes that return
+// results: every replica applies the write and all but the invoker's
+// drop what it returns, so returning scalars must allocate nothing —
+// not even for the large integers here, which the runtime has no
+// cached box for.
+func TestScalarResultsAreNotBoxed(t *testing.T) {
 	type acc struct{ n int64 }
 	b := NewType("test.acc", func([]any) *acc { return &acc{} })
 	const big = int64(1) << 40
@@ -249,20 +256,49 @@ func TestApplyDiscardDoesNotBoxResults(t *testing.T) {
 	DefWrite0x2(b, "w0x2", func(s *acc) (int64, int64) { s.n += big; return s.n, -s.n })
 	DefWrite1x2(b, "w1x2", func(s *acc, d int64) (int64, int64) { s.n += d; return s.n, -s.n })
 	DefWrite2x2(b, "w2x2", func(s *acc, d, e int64) (int64, int64) { s.n += d + e; return s.n, -s.n })
-	args := []any{big, big}
+	args := rec2(big, big)
 	for _, name := range []string{"w0", "w1", "w0x2", "w1x2", "w2x2"} {
 		op := b.Type().Op(name)
-		if op.ApplyDiscard == nil {
-			t.Fatalf("%s: no ApplyDiscard", name)
+		st := &acc{n: 1}
+		if res := op.Apply(st, args); st.n == 1 || get1[int64](res) != st.n {
+			t.Errorf("%s: Apply left %d with result %v", name, st.n, res.Values())
 		}
-		kept, dropped := &acc{n: 1}, &acc{n: 1}
-		res := op.Apply(kept, args)
-		op.ApplyDiscard(dropped, args)
-		if kept.n != dropped.n || kept.n == 1 || res[0].(int64) != kept.n {
-			t.Errorf("%s: Apply left %d (result %v), ApplyDiscard left %d", name, kept.n, res, dropped.n)
-		}
-		if a := testing.AllocsPerRun(100, func() { op.ApplyDiscard(dropped, args) }); a != 0 {
-			t.Errorf("%s: ApplyDiscard allocates %v times, want 0", name, a)
+		if a := testing.AllocsPerRun(100, func() { op.Apply(st, args) }); a != 0 {
+			t.Errorf("%s: Apply allocates %v times, want 0", name, a)
 		}
 	}
+}
+
+// A typed read of a primary copy on another machine is an RPC whose
+// argument and results travel inline in the packet headers: from the
+// descriptor's Call to the operation's apply and back, nothing is boxed.
+// (The budget of 2 leaves room for the reply cache's map; the []any form
+// took 9.)
+func TestTypedRemoteReadAllocations(t *testing.T) {
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range bi.Settings {
+			if s.Key == "-race" && s.Value == "true" {
+				t.Skip("allocation counts mean nothing under the race detector")
+			}
+		}
+	}
+	rt := New(Config{Processors: 2, RTS: P2PUpdate, Seed: 35}, cellsSetup)
+	rt.Run(func(p *Proc) {
+		h := cellsB.NewWith(p, Opts(With(PrimaryCopy{Protocol: Update, Placement: SingleCopy})), 4)
+		cellsSet.Call(p, h, 2, 1<<40)
+		p.Fork(1, "reader", func(wp *Proc) {
+			read := func() {
+				if v, ok := cellsLookup.Call(wp, h, 2); v != 1<<40 || !ok {
+					t.Errorf("lookup(2) = (%d, %v), want (%d, true)", v, ok, 1<<40)
+				}
+			}
+			read()
+			if a := testing.AllocsPerRun(500, read); a > 2 {
+				t.Errorf("a typed remote read allocates %v times, want at most 2", a)
+			}
+			if st := rt.Stats(); st.RemoteReads < 500 {
+				t.Errorf("%d remote reads, want the 500 measured", st.RemoteReads)
+			}
+		})
+	})
 }

@@ -21,30 +21,27 @@ import (
 // migrate record through the home group's total order: every member
 // switches routing at the same position in the order, invocations
 // sequenced before the record complete under the old placement, and
-// invocations sequenced after it bounce with a private retry sentinel
-// and re-issue under the new placement. Guard waiters parked on the
-// old placement are bounced the same way, so they re-register on the
-// new one. Primary re-homing (p2p -> p2p) uses the object's own
+// invocations sequenced after it bounce with a retry status in place of
+// a result and re-issue under the new placement. Guard waiters parked
+// on the old placement are bounced the same way, so they re-register on
+// the new one. Primary re-homing (p2p -> p2p) uses the object's own
 // serialization point — the primary's task queue — as its cut.
 // DESIGN.md ("Adaptive placement") gives the full argument for why
 // sequential consistency holds mid-flight and why double runs stay
 // bit-identical.
 
-// migrateRetry is the private bounce sentinel. An invocation that
-// reaches an object's old placement after the migration cut completes
-// with retrySlice instead of a result; the Router's Invoke loop
-// recognizes the pointer identity and re-issues the operation under
-// the new placement. No legitimate operation result can collide with
-// it: the pointer never escapes this package.
-var migrateRetry = &struct{ _ byte }{}
+// statusRetry is the bounce: an invocation that reaches an object's old
+// placement after the migration cut completes with this status on an
+// empty result record, and the Router's Call loop re-issues the
+// operation under the new placement. No operation can produce it: an
+// Apply never sets a status.
+const statusRetry = 1
 
-// retrySlice is the shared bounce result. Callers only ever test it
-// with isRetry and must not mutate it.
-var retrySlice = []any{migrateRetry}
+// retry is the bounced result.
+var retry = Args{Status: statusRetry}
 
-// isRetry reports whether an invocation result is the migration bounce
-// sentinel.
-func isRetry(res []any) bool { return len(res) == 1 && res[0] == migrateRetry }
+// isRetry reports whether an invocation bounced.
+func isRetry(res Args) bool { return res.Status == statusRetry }
 
 // AdaptConfig parameterizes the placement controller. The zero value
 // selects the defaults below.
@@ -503,7 +500,7 @@ func (r *Router) handleMigrate(p *sim.Proc, mgr *bcastManager, uid int64, src in
 			info.decided = true
 			r.finishMigration(info, wm.Obj, info.home, now)
 		}
-		mgr.complete(p, uid, src, nil)
+		mgr.complete(p, uid, src, Args{})
 		return
 	}
 	// broadcast -> primary copy at wm.Target.
@@ -530,12 +527,12 @@ func (r *Router) handleMigrate(p *sim.Proc, mgr *bcastManager, uid int64, src in
 		inst := mgr.insts[wm.Obj]
 		inst.moved = true
 		for _, pw := range inst.pending {
-			mgr.complete(p, pw.uid, pw.src, retrySlice)
+			mgr.complete(p, pw.uid, pw.src, retry)
 		}
 		inst.pending = nil
 		inst.cond.Broadcast()
 	}
-	mgr.complete(p, uid, src, nil)
+	mgr.complete(p, uid, src, Args{})
 }
 
 // installPrimary places a migrated state as a single primary copy on

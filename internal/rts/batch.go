@@ -91,7 +91,7 @@ func (b *writeBuf) holds(inst *bcastInstance) bool {
 // bufferWrite appends one unguarded no-result write to w's combining
 // buffer, flushing or arming the linger deadline per the batch
 // configuration.
-func (mgr *bcastManager) bufferWrite(w *Worker, id ObjID, inst *bcastInstance, opName string, args []any) {
+func (mgr *bcastManager) bufferWrite(w *Worker, id ObjID, inst *bcastInstance, opName string, args Args) {
 	b := w.batch
 	if b == nil {
 		b = &writeBuf{mgr: mgr}
@@ -104,7 +104,7 @@ func (mgr *bcastManager) bufferWrite(w *Worker, id ObjID, inst *bcastInstance, o
 		// previous batch is still in flight — wait for it.
 		b.waitFlight(w.P)
 	}
-	size := SizeOfArgs(args) + len(opName) + 16
+	size := SizeOfArgs(&args) + len(opName) + 16
 	b.ops = append(b.ops, group.BatchOp{Kind: "rts-op", Body: wireOp{Obj: id, Op: opName, Args: args}, Size: size})
 	b.bytes += size
 	found := false

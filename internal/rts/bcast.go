@@ -83,12 +83,14 @@ type System interface {
 	// returns its id. It blocks until the creating machine can use
 	// the object.
 	Create(w *Worker, typeName string, args ...any) ObjID
-	// Invoke performs an operation on a shared object with the
+	// Call performs an operation on a shared object with the
 	// sequential-consistency and indivisibility guarantees of the
-	// shared data-object model. It blocks for guards, locks, and
-	// write completion. A local read's result slice may alias a
-	// per-worker scratch buffer: it is valid until the worker's next
-	// operation, and callers that retain results must copy them.
+	// shared data-object model: in are its arguments, the record
+	// returned its results. It blocks for guards, locks, and write
+	// completion.
+	Call(w *Worker, id ObjID, op string, in Args) Args
+	// Invoke is Call for a positional argument list, returning the
+	// results boxed.
 	Invoke(w *Worker, id ObjID, op string, args ...any) []any
 	// Nodes reports the machine count.
 	Nodes() int
@@ -100,6 +102,13 @@ type System interface {
 
 var _ System = (*BroadcastRTS)(nil)
 
+// invoke is every System's Invoke: the one place a value list becomes a
+// record and a record a value list.
+func invoke(s System, w *Worker, id ObjID, op string, args []any) []any {
+	out := s.Call(w, id, op, ArgsOf(args...))
+	return out.Values()
+}
+
 // Wire bodies for the group stream.
 type (
 	wireCreate struct {
@@ -110,7 +119,7 @@ type (
 	wireOp struct {
 		Obj  ObjID
 		Op   string
-		Args []any
+		Args Args
 	}
 	// wireMigrate is a sequenced placement change: the delivery
 	// position is the migration's cut point. Target is the new primary
@@ -132,7 +141,7 @@ type bcastManager struct {
 	g        *group.Member
 	insts    map[ObjID]*bcastInstance
 	waiters  map[int64]*opWaiter
-	early    map[int64][]any // completions that beat their waiter
+	early    map[int64]Args // completions that beat their waiter
 	flights  map[int64]*batchFlight
 	instCond *sim.Cond // signalled when a replica is instantiated
 	extra    func(node int, body any)
@@ -202,7 +211,7 @@ type pendingWrite struct {
 	uid  int64
 	src  int
 	op   *OpDef
-	args []any
+	args Args
 }
 
 // inlineWrite is a resolved write between its CPU charge and its
@@ -212,7 +221,7 @@ type inlineWrite struct {
 	op   *OpDef
 	uid  int64
 	src  int
-	args []any
+	args Args
 }
 
 // opWaiter lets the invoking thread sleep until its own write has been
@@ -221,7 +230,7 @@ type inlineWrite struct {
 type opWaiter struct {
 	cond sim.Cond
 	done bool
-	res  []any
+	res  Args
 }
 
 // NewBroadcastRTS builds the runtime over one group member per
@@ -261,7 +270,7 @@ func newBroadcastRTSAt(reg *Registry, costs Costs, machines []*amoeba.Machine, m
 			g:        members[i],
 			insts:    make(map[ObjID]*bcastInstance),
 			waiters:  make(map[int64]*opWaiter),
-			early:    make(map[int64][]any),
+			early:    make(map[int64]Args),
 			flights:  make(map[int64]*batchFlight),
 			instCond: sim.NewCond(m.Env()),
 		}
@@ -370,7 +379,12 @@ func (r *BroadcastRTS) Create(w *Worker, typeName string, args ...any) ObjID {
 }
 
 // Invoke implements System.
-func (r *BroadcastRTS) Invoke(w *Worker, id ObjID, opName string, args ...any) []any {
+func (r *BroadcastRTS) Invoke(w *Worker, id ObjID, op string, args ...any) []any {
+	return invoke(r, w, id, op, args)
+}
+
+// Call implements System.
+func (r *BroadcastRTS) Call(w *Worker, id ObjID, opName string, in Args) Args {
 	mgr := r.mgr(w.Node())
 	if mgr == nil {
 		panic(fmt.Sprintf("rts: invoke from node %d outside the group span %v (route via the Router)", w.Node(), r.span))
@@ -378,40 +392,40 @@ func (r *BroadcastRTS) Invoke(w *Worker, id ObjID, opName string, args ...any) [
 	if pl := r.placement(id); pl != nil && !r.replicatedOn(w.Node(), id) {
 		// No local replica: forward the operation to a holder.
 		mgr.syncBuf(w)
-		return r.forward(w, mgr.fwdClient, id, pl, opName, args)
+		return r.forward(w, mgr.fwdClient, id, pl, opName, in)
 	}
 	inst := mgr.instance(w.P, id)
 	op := inst.op(opName)
 	if op.Kind == Read {
-		return mgr.localRead(w, inst, op, args)
+		return mgr.localRead(w, inst, op, in)
 	}
 	if pl := r.placement(id); len(pl) == 1 {
 		// Single-copy object at its only holder: apply directly, no
 		// broadcast needed.
 		mgr.syncBuf(w)
-		return mgr.directWrite(w, inst, op, args)
+		return mgr.directWrite(w, inst, op, in)
 	}
 	if r.batch.Enabled() && op.NoResult && op.Guard == nil && r.placement(id) == nil && !r.unbatched[id] {
 		// Unguarded no-result write under batching: combine. The
 		// invoker continues immediately; program order is preserved
 		// by the sync points (see batch.go).
-		mgr.bufferWrite(w, id, inst, opName, args)
-		return nil
+		mgr.bufferWrite(w, id, inst, opName, in)
+		return Args{}
 	}
 	// Write: ship the operation through the total order and wait for
 	// it to be applied on this machine.
 	mgr.syncBuf(w)
 	w.Flush()
 	r.bcastWrites++
-	body := wireOp{Obj: id, Op: opName, Args: args}
-	uid := mgr.g.Broadcast(w.P, "rts-op", body, SizeOfArgs(args)+len(opName)+16)
+	body := wireOp{Obj: id, Op: opName, Args: in}
+	uid := mgr.g.Broadcast(w.P, "rts-op", body, SizeOfArgs(&in)+len(opName)+16)
 	return mgr.await(w.P, uid)
 }
 
 // LocalReadState serves the bookkeeping of an unguarded local read —
 // statistics and CPU charge, identical to the Invoke read path — and
 // exposes the local replica state so a typed caller can apply its
-// operation directly, with no []any argument or result encoding. The
+// operation directly, with no argument or result record at all. The
 // state must be treated as read-only and not retained. Guarded or
 // forwarded reads, and reads of a replica frozen at a migration cut,
 // are declined; the caller falls back to Invoke.
@@ -489,7 +503,7 @@ func (mgr *bcastManager) instance(p *sim.Proc, id ObjID) *bcastInstance {
 // localRead performs a read on the local replica: no network traffic,
 // just accumulated CPU. Guard-blocked reads wait on the replica's
 // condition and re-check after every applied write.
-func (mgr *bcastManager) localRead(w *Worker, inst *bcastInstance, op *OpDef, args []any) []any {
+func (mgr *bcastManager) localRead(w *Worker, inst *bcastInstance, op *OpDef, in Args) Args {
 	r := mgr.rts
 	if op.Guard == nil {
 		if w.batch != nil && w.batch.holds(inst) {
@@ -501,12 +515,12 @@ func (mgr *bcastManager) localRead(w *Worker, inst *bcastInstance, op *OpDef, ar
 			// consistent prefix, but after the object has round-tripped
 			// the frozen state is arbitrarily stale — bounce, and let
 			// the mixed router wait for the live placement.
-			return retrySlice
+			return retry
 		}
 		r.localReads++
 		inst.reads++
 		w.Charge(r.costs.ReadLocal + r.costs.opCost(op))
-		return w.applyLocal(op, inst.state, args)
+		return op.Apply(inst.state, in)
 	}
 	// Guarded: sync first — the guard may depend on the worker's own
 	// buffered writes, and suspending with writes unsent could stall
@@ -523,10 +537,10 @@ func (mgr *bcastManager) localRead(w *Worker, inst *bcastInstance, op *OpDef, ar
 			// The object migrated away while this reader was guard
 			// blocked: no further writes will ever wake it here, so
 			// bounce and re-register under the new placement.
-			return retrySlice
+			return retry
 		}
 		w.Accrue(r.costs.GuardCheck)
-		if !op.Guard(inst.state, args) {
+		if !op.Guard(inst.state, in) {
 			r.guardWaits++
 			inst.cond.Wait(w.P)
 			continue
@@ -534,7 +548,7 @@ func (mgr *bcastManager) localRead(w *Worker, inst *bcastInstance, op *OpDef, ar
 		r.localReads++
 		inst.reads++
 		w.Accrue(r.costs.ReadLocal + r.costs.opCost(op))
-		return w.applyLocal(op, inst.state, args)
+		return op.Apply(inst.state, in)
 	}
 }
 
@@ -543,7 +557,7 @@ func (mgr *bcastManager) localRead(w *Worker, inst *bcastInstance, op *OpDef, ar
 // invoker (broadcasting blocks on the CPU, and the manager may apply
 // the local delivery meanwhile), so completions that arrive before the
 // waiter registers are buffered in mgr.early.
-func (mgr *bcastManager) await(p *sim.Proc, uid int64) []any {
+func (mgr *bcastManager) await(p *sim.Proc, uid int64) Args {
 	if res, done := mgr.early[uid]; done {
 		delete(mgr.early, uid)
 		return res
@@ -561,7 +575,7 @@ func (mgr *bcastManager) await(p *sim.Proc, uid int64) []any {
 	}
 	delete(mgr.waiters, uid)
 	res := wt.res
-	wt.done, wt.res = false, nil
+	wt.done, wt.res = false, Args{}
 	mgr.wfree = append(mgr.wfree, wt)
 	return res
 }
@@ -570,7 +584,7 @@ func (mgr *bcastManager) await(p *sim.Proc, uid int64) []any {
 // completions for locally originated messages with no registered
 // waiter yet are buffered until await claims them. Async (combined)
 // ops complete through their batch flight instead of a waiter.
-func (mgr *bcastManager) complete(p *sim.Proc, uid int64, src int, res []any) {
+func (mgr *bcastManager) complete(p *sim.Proc, uid int64, src int, res Args) {
 	if mgr.completeFlight(p, uid) {
 		return
 	}
@@ -755,7 +769,7 @@ func (mgr *bcastManager) drainTouched(p *sim.Proc) {
 func (mgr *bcastManager) applyCreate(p *sim.Proc, uid int64, src int, c wireCreate) {
 	r := mgr.rts
 	if !r.replicatedOn(mgr.m.ID(), c.Obj) {
-		mgr.complete(p, uid, src, nil)
+		mgr.complete(p, uid, src, Args{})
 		return
 	}
 	t := r.reg.Lookup(c.Type)
@@ -768,7 +782,7 @@ func (mgr *bcastManager) applyCreate(p *sim.Proc, uid int64, src int, c wireCrea
 	}
 	mgr.insts[c.Obj] = inst
 	mgr.instCond.Broadcast()
-	mgr.complete(p, uid, src, nil)
+	mgr.complete(p, uid, src, Args{})
 }
 
 // applyWrite executes one write from the total order: check the guard
@@ -788,7 +802,7 @@ func (mgr *bcastManager) applyWrite(p *sim.Proc, uid int64, src int, wo wireOp) 
 		// The object migrated away at an earlier position in the total
 		// order: bounce, so the invoker re-issues under the new
 		// placement (see adapt.go).
-		mgr.complete(p, uid, src, retrySlice)
+		mgr.complete(p, uid, src, retry)
 		return
 	}
 	op := inst.op(wo.Op)
@@ -812,7 +826,7 @@ func (mgr *bcastManager) touch(inst *bcastInstance) {
 }
 
 // execWrite charges for and applies one write to the replica.
-func (mgr *bcastManager) execWrite(p *sim.Proc, inst *bcastInstance, uid int64, src int, op *OpDef, args []any) {
+func (mgr *bcastManager) execWrite(p *sim.Proc, inst *bcastInstance, uid int64, src int, op *OpDef, args Args) {
 	mgr.charge(p, mgr.rts.costs.WriteApply+mgr.rts.costs.opCost(op))
 	mgr.applyCharged(p, inst, uid, src, op, args)
 }
@@ -820,13 +834,8 @@ func (mgr *bcastManager) execWrite(p *sim.Proc, inst *bcastInstance, uid int64, 
 // applyCharged applies a write whose cost has been accounted, completes
 // its invoker if that is a thread of this machine, and wakes
 // guard-blocked readers.
-func (mgr *bcastManager) applyCharged(p *sim.Proc, inst *bcastInstance, uid int64, src int, op *OpDef, args []any) {
-	var res []any
-	if src == mgr.m.ID() {
-		res = op.Apply(inst.state, args)
-	} else {
-		op.applyDiscard(inst.state, args)
-	}
+func (mgr *bcastManager) applyCharged(p *sim.Proc, inst *bcastInstance, uid int64, src int, op *OpDef, args Args) {
+	res := op.Apply(inst.state, args)
 	inst.writes++
 	if !inst.typ.SizeFixed {
 		inst.seg.Resize(int64(inst.typ.stateSize(inst.state)))

@@ -28,13 +28,6 @@ import (
 // sequencer group of a Router binds its own (see BroadcastRTS.fwdPort).
 const fwdPort = "objfwd"
 
-// fwdOp is the forwarded-operation request body.
-type fwdOp struct {
-	Obj  ObjID
-	Op   string
-	Args []any
-}
-
 // placement returns the replica set for an object; nil means all
 // machines.
 func (r *BroadcastRTS) placement(id ObjID) []int {
@@ -80,7 +73,7 @@ func (r *BroadcastRTS) CreateOn(w *Worker, typeName string, nodes []int, args ..
 	mgr.syncBuf(w) // creation is ordered after the worker's buffered writes
 	w.Flush()
 	body := wireCreate{Obj: id, Type: t.Name, Args: args}
-	uid := mgr.g.Broadcast(w.P, "rts-create", body, SizeOfArgs(args)+len(typeName)+16)
+	uid := mgr.g.Broadcast(w.P, "rts-create", body, SizeOfValue(args)+len(typeName)+16)
 	mgr.await(w.P, uid)
 	return id
 }
@@ -100,12 +93,11 @@ func (r *BroadcastRTS) startForwarders(machines []*amoeba.Machine) {
 				if !ok {
 					return
 				}
-				body := req.Body.(fwdOp)
 				mgr.m.SpawnThread("objfwd-op", func(hp *sim.Proc) {
 					hw := NewWorker(hp, mgr.m)
-					res := r.Invoke(hw, body.Obj, body.Op, body.Args...)
+					res := r.Call(hw, ObjID(req.Obj), req.Op, req.Args)
 					hw.Flush()
-					srv.PutReply(hp, req, res, SizeOfArgs(res))
+					srv.PutResult(hp, req, res, SizeOfArgs(&res))
 				})
 			}
 		})
@@ -122,7 +114,7 @@ func (r *BroadcastRTS) startForwarders(machines []*amoeba.Machine) {
 // crashing and the write had already been broadcast — the
 // at-least-once caveat every crash-recovery path of the runtime
 // shares (see DESIGN.md).
-func (r *BroadcastRTS) forward(w *Worker, cl *amoeba.Client, id ObjID, holders []int, opName string, args []any) []any {
+func (r *BroadcastRTS) forward(w *Worker, cl *amoeba.Client, id ObjID, holders []int, opName string, in Args) Args {
 	w.Flush()
 	r.forwarded++
 	first := true
@@ -134,13 +126,10 @@ func (r *BroadcastRTS) forward(w *Worker, cl *amoeba.Client, id ObjID, holders [
 			r.opsRetried++
 		}
 		first = false
-		rep, err := cl.Trans(w.P, holder, r.fwdPort, opName,
-			fwdOp{Obj: id, Op: opName, Args: args}, SizeOfArgs(args)+len(opName)+16)
+		rep, err := cl.Call(w.P, holder, amoeba.Packet{Port: r.fwdPort, Op: opName, Obj: int64(id), Args: in,
+			Size: SizeOfArgs(&in) + len(opName) + 16})
 		if err == nil {
-			if rep == nil {
-				return nil
-			}
-			return rep.([]any)
+			return rep.Args
 		}
 		if !errors.Is(err, amoeba.ErrCrashed) {
 			panic(fmt.Sprintf("rts: forwarded op %s on object %d failed: %v", opName, id, err))
@@ -158,20 +147,20 @@ func (r *BroadcastRTS) Forwarded() int64 { return r.forwarded }
 // there is nothing to keep consistent, and the holder's execution
 // order is the object's total order. Guarded writes wait on the
 // replica's condition like guarded reads do.
-func (mgr *bcastManager) directWrite(w *Worker, inst *bcastInstance, op *OpDef, args []any) []any {
+func (mgr *bcastManager) directWrite(w *Worker, inst *bcastInstance, op *OpDef, in Args) Args {
 	r := mgr.rts
 	for {
 		w.Flush()
 		if op.Guard != nil {
 			w.Accrue(r.costs.GuardCheck)
-			if !op.Guard(inst.state, args) {
+			if !op.Guard(inst.state, in) {
 				r.guardWaits++
 				inst.cond.Wait(w.P)
 				continue
 			}
 		}
 		w.Accrue(r.costs.WriteApply + r.costs.opCost(op))
-		res := op.Apply(inst.state, args)
+		res := op.Apply(inst.state, in)
 		inst.writes++
 		if !inst.typ.SizeFixed {
 			inst.seg.Resize(int64(inst.typ.stateSize(inst.state)))

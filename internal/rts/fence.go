@@ -20,7 +20,7 @@ import (
 type FencedOp struct {
 	ID   ObjID
 	Op   string
-	Args []any
+	Args Args
 }
 
 // wireFence is the fence message sequenced into every covered shard's
@@ -165,7 +165,7 @@ func (r *Router) handleFence(p *sim.Proc, mgr *bcastManager, d group.Delivery, f
 		}
 		return
 	}
-	mgr.complete(p, d.UID, d.Src, nil)
+	mgr.complete(p, d.UID, d.Src, Args{})
 	if r.fenceAborted[node][f.FID] {
 		// Presumed aborted: a straggling delivery applies nothing and
 		// must not pause the stream again.
@@ -206,7 +206,7 @@ func (r *Router) execFence(p *sim.Proc, mgr *bcastManager, f wireFence) {
 		}
 		op := inst.op(fo.Op)
 		mgr.charge(p, sub.costs.WriteApply+sub.costs.opCost(op))
-		op.applyDiscard(inst.state, fo.Args)
+		op.Apply(inst.state, fo.Args)
 		inst.writes++
 		if !inst.typ.SizeFixed {
 			inst.seg.Resize(int64(inst.typ.stateSize(inst.state)))
@@ -257,7 +257,7 @@ func (r *Router) InvokeFenced(w *Worker, ops []FencedOp) error {
 		if op.Kind == Read || op.Guard != nil {
 			return fmt.Errorf("fenced operation %s is a read or guarded; fences carry unguarded writes", fo.Op)
 		}
-		size += SizeOfArgs(fo.Args) + len(fo.Op) + 16
+		size += SizeOfArgs(&fo.Args) + len(fo.Op) + 16
 		if !slices.Contains(shards, e.dom) {
 			shards = append(shards, e.dom)
 		}

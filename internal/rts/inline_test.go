@@ -2,6 +2,7 @@ package rts
 
 import (
 	"fmt"
+	"runtime/debug"
 	"testing"
 
 	"repro/internal/group"
@@ -285,5 +286,85 @@ func TestCrashWhileContinuationHoldsPrimaryCPU(t *testing.T) {
 		if _, fig := run(end - c.before); fig != c.want {
 			t.Errorf("crash during the %s: %s, want %s", c.name, fig, c.want)
 		}
+	}
+}
+
+// skipUnderRace skips an allocation budget when the race detector, which
+// allocates on its own account, is on.
+func skipUnderRace(t *testing.T) {
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range bi.Settings {
+			if s.Key == "-race" && s.Value == "true" {
+				t.Skip("allocation counts mean nothing under the race detector")
+			}
+		}
+	}
+}
+
+// allocsPerOp advances a running cluster in ticks of virtual time and
+// reports the allocations per operation completed meanwhile, ops being
+// the running count of those.
+func allocsPerOp(b *tb, tick sim.Time, ops *int) (perOp float64, done int) {
+	now := b.env.Now()
+	step := func() {
+		now += tick
+		b.env.RunUntil(now)
+	}
+	step()
+	before := *ops
+	perTick := testing.AllocsPerRun(10, step) // which ticks once more to warm up
+	done = *ops - before
+	return perTick * 11 / float64(done), done
+}
+
+// A remote read through the by-value entry point travels in two pooled
+// packet boxes and two pooled records and comes back in the caller's
+// frame: in the steady state nothing is allocated for it. (The budget of
+// 2 leaves room for the reply cache's map; the []any form took 9.)
+func TestP2PRemoteReadAllocations(t *testing.T) {
+	skipUnderRace(t)
+	cfg := DefaultP2PConfig()
+	cfg.Placement = SingleCopy
+	b, r := newP2PTB(t, 3, 2, cfg)
+	defer b.done()
+	ops := 0
+	b.spawn(0, "main", func(w *Worker) {
+		id := r.Create(w, "intcell", 1<<40)
+		b.spawn(1, "reader", func(w *Worker) {
+			for {
+				res := r.Call(w, id, "get", Args{})
+				if Get[int](&res, 0) != 1<<40 {
+					t.Error("remote read returned", res.Values())
+					return
+				}
+				ops++
+			}
+		})
+	})
+	if perOp, done := allocsPerOp(b, 100*sim.Millisecond, &ops); perOp > 2 || done < 500 {
+		t.Errorf("%.2f allocations per remote read over %d reads, want at most 2 over at least 500", perOp, done)
+	}
+}
+
+// A broadcast write at P = 16 costs the group layer's frames and
+// records and one boxed operation; the argument record itself, the
+// unicast request to the sequencer and the retransmission timers cost
+// nothing. (12.8 with []any arguments and a timer allocated per send.)
+func TestBcastWriteAllocations(t *testing.T) {
+	skipUnderRace(t)
+	b, r := newBcastTB(t, 3, 16, nil)
+	defer b.done()
+	ops := 0
+	b.spawn(1, "writer", func(w *Worker) {
+		id := r.Create(w, "intcell", 0)
+		for {
+			var in Args
+			Put(&in, 1<<40+ops)
+			r.Call(w, id, "set", in)
+			ops++
+		}
+	})
+	if perOp, done := allocsPerOp(b, 100*sim.Millisecond, &ops); perOp > 8 || done < 300 {
+		t.Errorf("%.2f allocations per broadcast write over %d writes, want at most 8 over at least 300", perOp, done)
 	}
 }

@@ -175,11 +175,11 @@ type p2pInstance struct {
 type p2pTask struct {
 	kind string // "write", "read", "fetch", "moveout", "rehome"
 	op   *OpDef
-	args []any
+	args Args
 	from int
 	to   int // rehome target
 	done bool
-	res  []any
+	res  Args
 	cond sim.Cond
 	req  *amoeba.Request
 }
@@ -210,34 +210,25 @@ func (a *accessStats) ratio() float64 {
 	return float64(a.reads) / float64(w)
 }
 
-// Wire bodies for the point-to-point protocols.
+// Wire bodies for the point-to-point protocols. A request on the RPC
+// port names its object, operation and arguments in the packet header
+// (amoeba.Packet's Obj, Op and Args); with no body it is client ->
+// primary, execute the operation (write or read), and the body of any
+// other says which protocol step it is.
 type (
-	p2pOpReq struct { // client -> primary: execute op (write or read)
-		Obj  ObjID
-		Op   string
-		Args []any
-	}
-	p2pInvalReq  struct{ Obj ObjID } // primary -> secondary
-	p2pUpdateReq struct {            // primary -> secondary, phase 1
-		Obj  ObjID
-		Op   string
-		Args []any
-	}
-	p2pUnlock struct{ Obj ObjID } // primary -> secondary, phase 2 (one-way)
-	p2pDrop   struct {            // secondary -> primary (one-way)
+	p2pInvalReq  struct{}            // primary -> secondary
+	p2pUpdateReq struct{}            // primary -> secondary, phase 1: apply the header's operation
+	p2pUnlock    struct{ Obj ObjID } // primary -> secondary, phase 2 (one-way)
+	p2pDrop      struct {            // secondary -> primary (one-way)
 		Obj  ObjID
 		Node int
 	}
-	p2pFetchReq struct { // secondary -> primary
-		Obj  ObjID
-		Node int
-	}
-	p2pInstall struct { // primary -> node (one-way, full replication)
+	p2pFetchReq struct{ Node int } // secondary -> primary
+	p2pInstall  struct {           // primary -> node (one-way, full replication)
 		Obj   ObjID
 		State State
 	}
 	p2pMigrateReq struct { // initiator -> primary: enqueue a migration task
-		Obj    ObjID
 		Kind   string // "moveout" or "rehome"
 		Target int
 	}
@@ -369,14 +360,19 @@ func (r *P2PRTS) CreateWith(w *Worker, typeName string, protocol P2PProtocol, pl
 }
 
 // Invoke implements System.
-func (r *P2PRTS) Invoke(w *Worker, id ObjID, opName string, args ...any) []any {
+func (r *P2PRTS) Invoke(w *Worker, id ObjID, op string, args ...any) []any {
+	return invoke(r, w, id, op, args)
+}
+
+// Call implements System.
+func (r *P2PRTS) Call(w *Worker, id ObjID, opName string, in Args) Args {
 	meta := r.meta(id)
 	op := meta.op(opName)
 	node := r.nodes[w.Node()]
 	if op.Kind == Read {
-		return node.invokeRead(w, meta, op, args)
+		return node.invokeRead(w, meta, op, in)
 	}
-	return node.invokeWrite(w, meta, op, args)
+	return node.invokeWrite(w, meta, op, in)
 }
 
 // --- invocation paths -------------------------------------------------
@@ -386,13 +382,13 @@ func (r *P2PRTS) Invoke(w *Worker, id ObjID, opName string, args ...any) []any {
 // copy. A primary that dies mid-read is detected by the failing RPC
 // (or by a copy left locked forever) and the object is re-homed before
 // the read retries.
-func (n *p2pNode) invokeRead(w *Worker, meta *p2pMeta, op *OpDef, args []any) []any {
+func (n *p2pNode) invokeRead(w *Worker, meta *p2pMeta, op *OpDef, in Args) Args {
 	r := n.rts
 	st := n.accessFor(meta.id)
 	st.reads++
 	for {
 		if meta.moved {
-			return retrySlice // migrated to the broadcast runtime
+			return retry // migrated to the broadcast runtime
 		}
 		inst, ok := n.insts[meta.id]
 		if ok && inst.valid {
@@ -417,7 +413,7 @@ func (n *p2pNode) invokeRead(w *Worker, meta *p2pMeta, op *OpDef, args []any) []
 			}
 			if op.Guard != nil {
 				w.Accrue(r.costs.GuardCheck)
-				if !op.Guard(inst.state, args) {
+				if !op.Guard(inst.state, in) {
 					r.stats.GuardWaits++
 					inst.cond.Wait(w.P)
 					continue
@@ -425,7 +421,7 @@ func (n *p2pNode) invokeRead(w *Worker, meta *p2pMeta, op *OpDef, args []any) []
 			}
 			r.stats.LocalReads++
 			w.Accrue(r.costs.ReadLocal + r.costs.opCost(op))
-			return w.applyLocal(op, inst.state, args)
+			return op.Apply(inst.state, in)
 		}
 		// No local copy: maybe fetch one first, else read remotely.
 		if n.shouldFetch(meta, st) {
@@ -434,16 +430,11 @@ func (n *p2pNode) invokeRead(w *Worker, meta *p2pMeta, op *OpDef, args []any) []
 		}
 		r.stats.RemoteReads++
 		w.Flush()
-		res, err := n.remoteOp(w.P, meta, op, args)
-		if err != nil {
-			r.stats.OpsRetried++
-			r.rehome(w, meta)
-			continue
+		rep, ok := n.callPrimary(w, meta, opPacket(op, in))
+		if !ok || isRetry(rep.Args) && !meta.moved {
+			continue // primary crashed, or re-homed while the op was in flight: retry there
 		}
-		if isRetry(res) && !meta.moved {
-			continue // primary re-homed while the op was in flight: retry there
-		}
-		return res
+		return rep.Args
 	}
 }
 
@@ -452,58 +443,63 @@ func (n *p2pNode) invokeRead(w *Worker, meta *p2pMeta, op *OpDef, args []any) []
 // and the write re-issued: crash recovery gives writes at-least-once
 // semantics (see DESIGN.md), exactly once in the common case where the
 // first attempt never reached the dead primary.
-func (n *p2pNode) invokeWrite(w *Worker, meta *p2pMeta, op *OpDef, args []any) []any {
+func (n *p2pNode) invokeWrite(w *Worker, meta *p2pMeta, op *OpDef, in Args) Args {
 	r := n.rts
 	st := n.accessFor(meta.id)
 	st.writes++
 	r.stats.P2PWrites++
 	w.Flush()
-	var res []any
 	for {
 		if meta.moved {
-			return retrySlice // migrated to the broadcast runtime
+			return retry // migrated to the broadcast runtime
 		}
+		var res Args
 		if meta.primary == n.m.ID() {
-			t := &p2pTask{kind: "write", op: op, args: args, from: n.m.ID()}
-			n.queues[meta.id].q.Put(t)
-			for !t.done {
-				t.cond.Wait(w.P)
-			}
-			res = t.res
+			res = n.runLocal(w, meta.id, &p2pTask{kind: "write", op: op, args: in})
+		} else if rep, ok := n.callPrimary(w, meta, opPacket(op, in)); ok {
+			res = rep.Args
 		} else {
-			var err error
-			res, err = n.remoteOp(w.P, meta, op, args)
-			if err != nil {
-				r.stats.OpsRetried++
-				r.rehome(w, meta)
-				continue
-			}
+			continue
 		}
 		if isRetry(res) && !meta.moved {
 			continue // primary re-homed mid-op: retry at the new primary
 		}
-		break
+		n.maybeDiscard(w, meta, st)
+		return res
 	}
-	n.maybeDiscard(w, meta, st)
-	return res
 }
 
-// remoteOp performs the operation at the primary over RPC. A crashed
-// primary returns an error for the caller to recover from; any other
-// failure is a bug and panics.
-func (n *p2pNode) remoteOp(p *sim.Proc, meta *p2pMeta, op *OpDef, args []any) ([]any, error) {
-	body := p2pOpReq{Obj: meta.id, Op: op.Name, Args: args}
-	rep, err := n.client.Trans(p, meta.primary, p2pRPCPort, "op", body, SizeOfArgs(args)+len(op.Name)+16)
-	if err != nil {
-		if errors.Is(err, amoeba.ErrCrashed) {
-			return nil, err
-		}
-		panic(fmt.Sprintf("rts: remote op %s on object %d failed: %v", op.Name, meta.id, err))
+// runLocal queues a task of this machine's for the thread of an object
+// whose primary it is, and waits for its result.
+func (n *p2pNode) runLocal(w *Worker, id ObjID, t *p2pTask) Args {
+	t.from = n.m.ID()
+	n.queues[id].q.Put(t)
+	for !t.done {
+		t.cond.Wait(w.P)
 	}
-	if rep == nil {
-		return nil, nil
+	return t.res
+}
+
+// opPacket is the request that has the primary execute op.
+func opPacket(op *OpDef, in Args) amoeba.Packet {
+	return amoeba.Packet{Op: op.Name, Args: in, Size: SizeOfArgs(&in) + len(op.Name) + 16}
+}
+
+// callPrimary sends req about the object to its primary. A primary that
+// has crashed is re-homed first and ok is false: the caller resolves
+// the object again and retries. Any other failure is a bug and panics.
+func (n *p2pNode) callPrimary(w *Worker, meta *p2pMeta, req amoeba.Packet) (rep amoeba.Packet, ok bool) {
+	req.Port, req.Obj = p2pRPCPort, int64(meta.id)
+	rep, err := n.client.Call(w.P, meta.primary, req)
+	if err == nil {
+		return rep, true
 	}
-	return rep.([]any), nil
+	if !errors.Is(err, amoeba.ErrCrashed) {
+		panic(fmt.Sprintf("rts: %s on object %d failed: %v", req.Op, meta.id, err))
+	}
+	n.rts.stats.OpsRetried++
+	n.rts.rehome(w, meta)
+	return rep, false
 }
 
 // accessFor returns this machine's statistics for an object.
@@ -551,28 +547,18 @@ func (n *p2pNode) maybeDiscard(w *Worker, meta *p2pMeta, st *accessStats) {
 // fetchCopy installs a secondary copy from the primary, re-homing the
 // object first if the primary died.
 func (n *p2pNode) fetchCopy(w *Worker, meta *p2pMeta) {
-	r := n.rts
-	r.stats.Fetches++
+	n.rts.stats.Fetches++
 	st := n.accessFor(meta.id)
 	st.reads, st.writes = 0, 0
 	for {
 		if meta.moved || meta.primary == n.m.ID() {
 			return // migrated away, or re-homed onto this very machine
 		}
-		rep, err := n.client.Trans(w.P, meta.primary, p2pRPCPort, "fetch",
-			p2pFetchReq{Obj: meta.id, Node: n.m.ID()}, 16)
-		if err == nil {
-			if res, ok := rep.([]any); ok && isRetry(res) {
-				continue // primary moved mid-fetch: re-resolve
-			}
-			n.installCopy(meta.id, meta.typ, rep.(State))
+		rep, ok := n.callPrimary(w, meta, amoeba.Packet{Op: "fetch", Body: p2pFetchReq{Node: n.m.ID()}, Size: 16})
+		if ok && !isRetry(rep.Args) { // else the primary moved mid-fetch: re-resolve
+			n.installCopy(meta.id, meta.typ, rep.Body.(State))
 			return
 		}
-		if !errors.Is(err, amoeba.ErrCrashed) {
-			panic(fmt.Sprintf("rts: fetch of object %d failed: %v", meta.id, err))
-		}
-		r.stats.OpsRetried++
-		r.rehome(w, meta)
 	}
 }
 
@@ -594,34 +580,19 @@ func (n *p2pNode) installCopy(id ObjID, t *ObjectType, state State) {
 // re-homed and the task re-submitted; a moveout that already cut over
 // (meta.moved) is left to the broadcast record to finish.
 func (n *p2pNode) submitMigrate(w *Worker, meta *p2pMeta, kind string, target int) {
-	r := n.rts
 	w.Flush()
 	for {
 		if meta.moved {
 			return
 		}
 		if meta.primary == n.m.ID() {
-			t := &p2pTask{kind: kind, from: n.m.ID(), to: target}
-			n.queues[meta.id].q.Put(t)
-			for !t.done {
-				t.cond.Wait(w.P)
-			}
+			n.runLocal(w, meta.id, &p2pTask{kind: kind, to: target})
 			return
 		}
-		rep, err := n.client.Trans(w.P, meta.primary, p2pRPCPort, "migrate",
-			p2pMigrateReq{Obj: meta.id, Kind: kind, Target: target}, 24)
-		if err != nil {
-			if !errors.Is(err, amoeba.ErrCrashed) {
-				panic(fmt.Sprintf("rts: migrate of object %d failed: %v", meta.id, err))
-			}
-			r.stats.OpsRetried++
-			r.rehome(w, meta)
-			continue
+		rep, ok := n.callPrimary(w, meta, amoeba.Packet{Op: "migrate", Body: p2pMigrateReq{Kind: kind, Target: target}, Size: 24})
+		if ok && !(isRetry(rep.Args) && !meta.moved) { // else the primary crashed or re-homed mid-request: re-submit there
+			return
 		}
-		if res, ok := rep.([]any); ok && isRetry(res) && !meta.moved {
-			continue // primary re-homed mid-request: re-submit there
-		}
-		return
 	}
 }
 

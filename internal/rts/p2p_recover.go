@@ -1,6 +1,9 @@
 package rts
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Crash recovery for the point-to-point runtime. The paper's §3.2.2
 // RTS keeps one primary copy per object; a machine crash therefore
@@ -43,7 +46,7 @@ func (r *P2PRTS) NodeCrashed(node int) {
 			ids = append(ids, id)
 		}
 	}
-	sortObjIDs(ids)
+	slices.Sort(ids)
 	for _, id := range ids {
 		for _, n := range r.nodes {
 			if n.m.Crashed() {
@@ -53,15 +56,6 @@ func (r *P2PRTS) NodeCrashed(node int) {
 				inst.locked = false
 				inst.cond.Broadcast()
 			}
-		}
-	}
-}
-
-// sortObjIDs sorts a small ObjID slice (insertion sort, like sortInts).
-func sortObjIDs(a []ObjID) {
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j] < a[j-1]; j-- {
-			a[j], a[j-1] = a[j-1], a[j]
 		}
 	}
 }

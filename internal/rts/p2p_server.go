@@ -3,6 +3,8 @@ package rts
 import (
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
 
 	"repro/internal/amoeba"
 	"repro/internal/sim"
@@ -32,27 +34,28 @@ func (n *p2pNode) serve(p *sim.Proc) {
 		if n.route(req) == sim.Finished {
 			continue
 		}
-		switch body := req.Body.(type) {
-		case p2pOpReq, p2pFetchReq:
+		id := ObjID(req.Obj)
+		switch req.Body.(type) {
+		case nil, p2pFetchReq:
 			// The object migrated or re-homed while the request was in
 			// flight: bounce so the client re-resolves.
-			n.srv.PutReply(p, req, retrySlice, 8)
+			n.srv.PutResult(p, req, retry, 8)
 
 		case p2pMigrateReq:
-			if r.meta(body.Obj).moved {
+			if r.meta(id).moved {
 				n.srv.PutReply(p, req, nil, 4) // already cut over
 			} else {
-				n.srv.PutReply(p, req, retrySlice, 8)
+				n.srv.PutResult(p, req, retry, 8)
 			}
 
 		case p2pUpdateReq:
 			// Phase one at a secondary: lock, apply, ack, stay locked.
-			n.applyUpdate(p, req, body)
+			n.applyUpdate(p, req)
 
 		case p2pInvalReq:
 			// Invalidate the local copy and acknowledge.
 			r.stats.Invalidations++
-			n.dropLocal(body.Obj)
+			n.dropLocal(id)
 			n.srv.PutReply(p, req, nil, 4)
 
 		default:
@@ -66,16 +69,14 @@ func (n *p2pNode) serve(p *sim.Proc) {
 // Every other request it declines untouched: one for an object that has
 // moved or re-homed, which serve bounces, and the secondary-side steps.
 func (n *p2pNode) route(req *amoeba.Request) sim.Verdict {
-	t := p2pTask{from: req.From, req: req}
-	var id ObjID
-	var opName string
+	id := ObjID(req.Obj)
+	kind, from, to := "", req.From, 0
 	switch body := req.Body.(type) {
-	case p2pOpReq:
-		id, opName, t.args = body.Obj, body.Op, body.Args
+	case nil:
 	case p2pFetchReq:
-		id, t.kind, t.from = body.Obj, "fetch", body.Node
+		kind, from = "fetch", body.Node
 	case p2pMigrateReq:
-		id, t.kind, t.to = body.Obj, body.Kind, body.Target
+		kind, to = body.Kind, body.Target
 	default:
 		return sim.Decline
 	}
@@ -83,15 +84,15 @@ func (n *p2pNode) route(req *amoeba.Request) sim.Verdict {
 	if meta.moved || meta.primary != n.m.ID() {
 		return sim.Decline
 	}
-	if t.kind == "" {
-		t.op, t.kind = meta.op(opName), "write"
+	t := n.task()
+	t.kind, t.from, t.to, t.req = kind, from, to, req
+	if kind == "" {
+		t.op, t.args, t.kind = meta.op(req.Op), req.Args, "write"
 		if t.op.Kind == Read {
 			t.kind = "read"
 		}
 	}
-	queued := n.task()
-	*queued = t
-	n.queues[id].q.Put(queued)
+	n.queues[id].q.Put(t)
 	return sim.Finished
 }
 
@@ -109,19 +110,19 @@ func (n *p2pNode) task() *p2pTask {
 
 // applyUpdate performs phase one of the update protocol at a
 // secondary.
-func (n *p2pNode) applyUpdate(p *sim.Proc, req *amoeba.Request, u p2pUpdateReq) {
+func (n *p2pNode) applyUpdate(p *sim.Proc, req *amoeba.Request) {
 	r := n.rts
-	inst, ok := n.insts[u.Obj]
+	inst, ok := n.insts[ObjID(req.Obj)]
 	if !ok || !inst.valid {
 		// The copy was discarded while the update was in flight; the
 		// drop notice will reach the primary. Acknowledge vacuously.
 		n.srv.PutReply(p, req, nil, 4)
 		return
 	}
-	op := inst.typ.Op(u.Op)
+	op := inst.typ.Op(req.Op)
 	inst.locked = true
 	n.m.Compute(p, r.costs.WriteApply+r.costs.opCost(op))
-	op.applyDiscard(inst.state, u.Args)
+	op.Apply(inst.state, req.Args)
 	if !inst.typ.SizeFixed {
 		inst.seg.Resize(int64(inst.typ.stateSize(inst.state)))
 	}
@@ -222,7 +223,7 @@ func (o *objQueue) read() {
 	t, inst := o.cur, o.inst
 	o.cur, o.inst = nil, nil
 	res := t.op.Apply(inst.state, t.args)
-	o.n.srv.PutReplyFn(o.thread, t.req, res, SizeOfArgs(res), o.doneFn)
+	o.n.srv.PutResultFn(o.thread, t.req, res, SizeOfArgs(&res), o.doneFn)
 	o.n.recycle(t)
 }
 
@@ -234,36 +235,30 @@ func (n *p2pNode) execTask(p *sim.Proc, id ObjID, t *p2pTask, pending *[]*p2pTas
 	if meta.moved || inst == nil || !inst.primary {
 		// The object migrated away or re-homed between enqueue and
 		// execution: bounce the task back to its invoker.
-		n.finishTask(p, t, retrySlice)
+		n.finishTask(p, t, retry)
 		return
+	}
+	if t.op != nil && t.op.Guard != nil {
+		// An operation whose guard is false waits for a write to enable it.
+		n.m.Compute(p, r.costs.GuardCheck)
+		if !t.op.Guard(inst.state, t.args) {
+			r.stats.GuardWaits++
+			*pending = append(*pending, t)
+			return
+		}
 	}
 	switch t.kind {
 	case "fetch":
 		state := inst.typ.Clone(inst.state)
 		inst.copyset[t.from] = true
-		n.reply(p, t, state, inst.typ.stateSize(state)+16)
+		n.srv.PutReply(p, t.req, state, inst.typ.stateSize(state)+16)
+		n.recycle(t)
 
 	case "read":
-		if t.op.Guard != nil {
-			n.m.Compute(p, r.costs.GuardCheck)
-			if !t.op.Guard(inst.state, t.args) {
-				r.stats.GuardWaits++
-				*pending = append(*pending, t)
-				return
-			}
-		}
 		n.m.Compute(p, r.costs.ReadLocal+r.costs.opCost(t.op))
 		n.finishTask(p, t, t.op.Apply(inst.state, t.args))
 
 	case "write":
-		if t.op.Guard != nil {
-			n.m.Compute(p, r.costs.GuardCheck)
-			if !t.op.Guard(inst.state, t.args) {
-				r.stats.GuardWaits++
-				*pending = append(*pending, t)
-				return
-			}
-		}
 		n.commitWrite(p, id, inst, t)
 		n.drainPending(p, id, pending)
 
@@ -298,7 +293,7 @@ func (n *p2pNode) migrateOut(p *sim.Proc, id ObjID, t *p2pTask, pending *[]*p2pT
 	meta.moved = true
 	// Bounce parked guarded tasks; they re-register as broadcast ops.
 	for _, pt := range *pending {
-		n.finishTask(p, pt, retrySlice)
+		n.finishTask(p, pt, retry)
 	}
 	*pending = (*pending)[:0]
 	// Drop every copy; suspended readers wake and bounce on meta.moved.
@@ -311,7 +306,7 @@ func (n *p2pNode) migrateOut(p *sim.Proc, id ObjID, t *p2pTask, pending *[]*p2pT
 	// Sequence the migrate record; its globally-first delivery flips
 	// ownership to the broadcast runtime.
 	r.mover(p, n.m.ID(), id, clone)
-	n.finishTask(p, t, nil)
+	n.finishTask(p, t, Args{})
 }
 
 // migratePrimary moves the primary copy onto a new machine — the
@@ -325,7 +320,7 @@ func (n *p2pNode) migratePrimary(p *sim.Proc, id ObjID, t *p2pTask, pending *[]*
 	inst := n.insts[id]
 	target := t.to
 	if target == n.m.ID() || r.nodeDown(target) {
-		n.finishTask(p, t, nil) // nothing to move, or the target died
+		n.finishTask(p, t, Args{}) // nothing to move, or the target died
 		return
 	}
 	tn := r.nodes[target]
@@ -351,28 +346,23 @@ func (n *p2pNode) migratePrimary(p *sim.Proc, id ObjID, t *p2pTask, pending *[]*
 	n.dropLocal(id)
 	// Bounce parked guarded tasks; they re-issue at the new primary.
 	for _, pt := range *pending {
-		n.finishTask(p, pt, retrySlice)
+		n.finishTask(p, pt, retry)
 	}
 	*pending = (*pending)[:0]
 	n.m.Env().Tracef("rts: object %d primary migrated %d -> %d", id, n.m.ID(), target)
-	n.finishTask(p, t, nil)
+	n.finishTask(p, t, Args{})
 }
 
 // finishTask completes a task toward its (local or remote) invoker.
-func (n *p2pNode) finishTask(p *sim.Proc, t *p2pTask, res []any) {
+func (n *p2pNode) finishTask(p *sim.Proc, t *p2pTask, res Args) {
 	if t.req != nil {
-		n.reply(p, t, res, SizeOfArgs(res))
+		n.srv.PutResult(p, t.req, res, SizeOfArgs(&res))
+		n.recycle(t)
 		return
 	}
 	t.res = res
 	t.done = true
 	t.cond.Broadcast()
-}
-
-// reply answers the remote request behind t, which ends the task.
-func (n *p2pNode) reply(p *sim.Proc, t *p2pTask, body any, size int) {
-	n.srv.PutReply(p, t.req, body, size)
-	n.recycle(t)
 }
 
 // recycle takes back a finished remote task's record (see task).
@@ -393,24 +383,19 @@ func (n *p2pNode) commitWrite(p *sim.Proc, id ObjID, inst *p2pInstance, t *p2pTa
 			delete(inst.copyset, node)
 		}
 	}
-	secs := make([]int, 0, len(inst.copyset))
-	for node := range inst.copyset {
-		secs = append(secs, node)
-	}
-	sortInts(secs)
+	secs := slices.Sorted(maps.Keys(inst.copyset))
 	if len(secs) > 0 {
 		switch meta.protocol {
 		case Invalidation:
 			// Lock, invalidate every secondary, collect acks.
-			n.fanoutRPC(p, secs, "inval", func(int) any { return p2pInvalReq{Obj: id} }, 8)
+			n.fanoutRPC(p, secs, "inval", amoeba.Packet{Op: "inval", Obj: int64(id), Body: p2pInvalReq{}, Size: 8})
 			inst.copyset = make(map[int]bool)
 		case Update:
 			// Phase one: ship the operation, collect acks; copies
 			// stay locked.
 			r.stats.Updates += int64(len(secs))
-			n.fanoutRPC(p, secs, "update", func(int) any {
-				return p2pUpdateReq{Obj: id, Op: t.op.Name, Args: t.args}
-			}, SizeOfArgs(t.args)+len(t.op.Name)+16)
+			n.fanoutRPC(p, secs, "update", amoeba.Packet{Op: t.op.Name, Obj: int64(id), Args: t.args, Body: p2pUpdateReq{},
+				Size: SizeOfArgs(&t.args) + len(t.op.Name) + 16})
 		}
 	}
 	// Apply at the primary.
@@ -456,20 +441,21 @@ func (n *p2pNode) drainPending(p *sim.Proc, id ObjID, pending *[]*p2pTask) {
 	}
 }
 
-// fanoutRPC issues the same RPC to several machines in parallel and
+// fanoutRPC issues the same request to several machines in parallel and
 // waits for all acknowledgements. A target that crashes mid-protocol
 // acknowledges vacuously — its copy died with it, so there is nothing
 // left to keep consistent — and the next commitWrite prunes it from
 // the copyset.
-func (n *p2pNode) fanoutRPC(p *sim.Proc, targets []int, op string, body func(dst int) any, size int) {
+func (n *p2pNode) fanoutRPC(p *sim.Proc, targets []int, step string, req amoeba.Packet) {
+	req.Port = p2pRPCPort
 	remaining := len(targets)
 	cond := sim.NewCond(n.m.Env())
 	for _, dst := range targets {
 		dst := dst
-		n.m.SpawnThread("fan-"+op, func(pp *sim.Proc) {
-			if _, err := n.client.Trans(pp, dst, p2pRPCPort, op, body(dst), size); err != nil {
+		n.m.SpawnThread("fan-"+step, func(pp *sim.Proc) {
+			if _, err := n.client.Call(pp, dst, req); err != nil {
 				if !errors.Is(err, amoeba.ErrCrashed) {
-					panic(fmt.Sprintf("rts: %s to node %d failed: %v", op, dst, err))
+					panic(fmt.Sprintf("rts: %s to node %d failed: %v", step, dst, err))
 				}
 			}
 			remaining--
@@ -478,15 +464,5 @@ func (n *p2pNode) fanoutRPC(p *sim.Proc, targets []int, op string, body func(dst
 	}
 	for remaining > 0 {
 		cond.Wait(p)
-	}
-}
-
-// sortInts sorts a small int slice (insertion sort; avoids pulling in
-// sort for three-element slices on hot paths).
-func sortInts(a []int) {
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j] < a[j-1]; j-- {
-			a[j], a[j-1] = a[j-1], a[j]
-		}
 	}
 }

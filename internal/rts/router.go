@@ -387,29 +387,34 @@ func (r *Router) CreateAt(w *Worker, typeName string, pl Place, args ...any) (Ob
 	return id, nil
 }
 
-// Invoke implements System: the one routing loop. The worker's
+// Invoke implements System.
+func (r *Router) Invoke(w *Worker, id ObjID, op string, args ...any) []any {
+	return invoke(r, w, id, op, args)
+}
+
+// Call implements System: the one routing loop. The worker's
 // combining buffer drains when the target domain changes; a machine
 // outside the owning group's span forwards to a holder inside it; and
 // an invocation that bounces off an object's old placement mid-
-// migration (the retry sentinel, see adapt.go) waits for the ownership
+// migration (the retry status, see adapt.go) waits for the ownership
 // flip and re-issues under the new placement — at most once per
 // migration, and the re-issued operation executes exactly once, after
 // the cut.
-func (r *Router) Invoke(w *Worker, id ObjID, op string, args ...any) []any {
+func (r *Router) Call(w *Worker, id ObjID, op string, in Args) Args {
 	for {
 		e := r.entry(id)
 		dom, info := e.dom, e.adapt
-		var res []any
+		var res Args
 		if dom == domP2P {
 			r.enter(w, nil)
-			res = r.p2p.Invoke(w, id, op, args...)
+			res = r.p2p.Call(w, id, op, in)
 		} else {
 			g := r.groups[dom]
 			r.enter(w, g)
 			if g.mgr(w.Node()) != nil {
-				res = g.Invoke(w, id, op, args...)
+				res = g.Call(w, id, op, in)
 			} else {
-				res = g.forward(w, r.fwdClient(w.Node()), id, g.holders(id), op, args)
+				res = g.forward(w, r.fwdClient(w.Node()), id, g.holders(id), op, in)
 			}
 		}
 		if !isRetry(res) {

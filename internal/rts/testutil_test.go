@@ -28,24 +28,24 @@ func intCellType() *ObjectType {
 		SizeOf: func(State) int { return 8 },
 		Ops: map[string]*OpDef{
 			"get": {Name: "get", Kind: Read,
-				Apply: func(s State, _ []any) []any { return []any{s.(*intCellState).v} }},
+				Apply: func(s State, _ Args) Args { return ArgsOf(s.(*intCellState).v) }},
 			"set": {Name: "set", Kind: Write, NoResult: true,
-				Apply: func(s State, a []any) []any { s.(*intCellState).v = a[0].(int); return nil }},
+				Apply: func(s State, a Args) Args { s.(*intCellState).v = Get[int](&a, 0); return Args{} }},
 			"inc": {Name: "inc", Kind: Write,
-				Apply: func(s State, _ []any) []any {
+				Apply: func(s State, _ Args) Args {
 					st := s.(*intCellState)
 					old := st.v
 					st.v++
-					return []any{old}
+					return ArgsOf(old)
 				}},
 			"min": {Name: "min", Kind: Write, // conditional lower, like the TSP bound
-				Apply: func(s State, a []any) []any {
+				Apply: func(s State, a Args) Args {
 					st := s.(*intCellState)
-					if v := a[0].(int); v < st.v {
+					if v := Get[int](&a, 0); v < st.v {
 						st.v = v
-						return []any{true}
+						return ArgsOf(true)
 					}
-					return []any{false}
+					return ArgsOf(false)
 				}},
 		},
 	}
@@ -65,21 +65,21 @@ func queueType() *ObjectType {
 		SizeOf: func(s State) int { return 8 + 16*len(s.(*queueState).items) },
 		Ops: map[string]*OpDef{
 			"put": {Name: "put", Kind: Write, NoResult: true,
-				Apply: func(s State, a []any) []any {
+				Apply: func(s State, a Args) Args {
 					q := s.(*queueState)
-					q.items = append(q.items, a[0])
-					return nil
+					q.items = append(q.items, a.Value(0))
+					return Args{}
 				}},
 			"get": {Name: "get", Kind: Write,
-				Guard: func(s State, _ []any) bool { return len(s.(*queueState).items) > 0 },
-				Apply: func(s State, _ []any) []any {
+				Guard: func(s State, _ Args) bool { return len(s.(*queueState).items) > 0 },
+				Apply: func(s State, _ Args) Args {
 					q := s.(*queueState)
 					v := q.items[0]
 					q.items = q.items[1:]
-					return []any{v}
+					return ArgsOf(v)
 				}},
 			"len": {Name: "len", Kind: Read,
-				Apply: func(s State, _ []any) []any { return []any{len(s.(*queueState).items)} }},
+				Apply: func(s State, _ Args) Args { return ArgsOf(len(s.(*queueState).items)) }},
 		},
 	}
 }
@@ -94,12 +94,12 @@ func flagType() *ObjectType {
 		SizeOf: func(State) int { return 1 },
 		Ops: map[string]*OpDef{
 			"set": {Name: "set", Kind: Write, NoResult: true,
-				Apply: func(s State, a []any) []any { s.(*flagState).b = a[0].(bool); return nil }},
+				Apply: func(s State, a Args) Args { s.(*flagState).b = Get[bool](&a, 0); return Args{} }},
 			"get": {Name: "get", Kind: Read,
-				Apply: func(s State, _ []any) []any { return []any{s.(*flagState).b} }},
+				Apply: func(s State, _ Args) Args { return ArgsOf(s.(*flagState).b) }},
 			"await": {Name: "await", Kind: Read,
-				Guard: func(s State, _ []any) bool { return s.(*flagState).b },
-				Apply: func(s State, _ []any) []any { return []any{true} }},
+				Guard: func(s State, _ Args) bool { return s.(*flagState).b },
+				Apply: func(s State, _ Args) Args { return ArgsOf(true) }},
 		},
 	}
 }

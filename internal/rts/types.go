@@ -1,11 +1,9 @@
 package rts
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
-	"sync/atomic"
 
+	"repro/internal/amoeba"
 	"repro/internal/sim"
 )
 
@@ -36,6 +34,29 @@ func (k OpKind) String() string {
 // the same deterministic operations in the same order.
 type State any
 
+// Args is the record an operation's arguments travel in, and its
+// results: a few scalars inline and a spill slot, copied by value from
+// the invoker to Apply and back (see amoeba.Args, which is the record
+// in the kernel's packet header). Status marks a bounced invocation
+// (see adapt.go).
+type Args = amoeba.Args
+
+// Put appends v to a record.
+func Put[T any](a *Args, v T) { amoeba.Put(a, v) }
+
+// Get returns value i of a record as a T; a value of another type
+// panics, and nil is the zero value of an interface type only.
+func Get[T any](a *Args, i int) T { return amoeba.Get[T](a, i) }
+
+// ArgsOf is the record of a positional value list. Values put as an
+// interface travel boxed, as they arrived.
+func ArgsOf(vs ...any) (a Args) {
+	for _, v := range vs {
+		Put(&a, v)
+	}
+	return a
+}
+
 // OpDef defines one operation of an object type.
 type OpDef struct {
 	// Name is the operation name used in Invoke.
@@ -46,27 +67,14 @@ type OpDef struct {
 	// Guard, if non-nil, must return true for the operation to
 	// execute; otherwise the invocation suspends until a write makes
 	// the guard true. Guards must be side-effect free.
-	Guard func(s State, args []any) bool
+	Guard func(s State, in Args) bool
 	// Apply executes the operation and returns its results. Write
 	// operations may mutate s; they must be deterministic, because
 	// the broadcast runtime ships the operation (function shipping)
 	// and every replica applies it independently.
-	Apply func(s State, args []any) []any
-	// ApplyInto, when non-nil, is Apply in append form: it appends the
-	// results to dst and returns the extended slice. The runtimes use
-	// it on local-read fast paths with a per-worker scratch buffer, so
-	// a read costs no result allocation. Optional; the typed builder
-	// layer always provides it.
-	ApplyInto func(s State, args []any, dst []any) []any
-	// ApplyDiscard, when non-nil, is Apply for a caller that drops the
-	// results: a replica applying a write invoked on another machine.
-	// An operation that knows its results are not wanted never converts
-	// them to any, which for most values is an allocation each.
-	// Optional; the typed builder layer provides it for every write
-	// that has results.
-	ApplyDiscard func(s State, args []any)
-	// NoResult declares that Apply always returns an empty result
-	// list (the typed DefUpdate* descriptors set it). Unguarded
+	Apply func(s State, in Args) Args
+	// NoResult declares that Apply always returns an empty record
+	// (the typed DefUpdate* descriptors set it). Unguarded
 	// no-result writes are the ops a batching runtime may submit
 	// through a combining buffer, completing them asynchronously —
 	// there is no result the invoker could observe.
@@ -74,15 +82,6 @@ type OpDef struct {
 	// CPUCost is the virtual CPU time one execution takes, beyond the
 	// runtime's fixed overheads. Zero means DefaultOpCost.
 	CPUCost sim.Time
-}
-
-// applyDiscard applies a write whose results nobody reads.
-func (op *OpDef) applyDiscard(s State, args []any) {
-	if op.ApplyDiscard != nil {
-		op.ApplyDiscard(s, args)
-		return
-	}
-	op.Apply(s, args)
 }
 
 // ObjectType is an abstract data type: a constructor plus operations.
@@ -187,13 +186,12 @@ func (c *opCache) lookup(t *ObjectType, name string) *OpDef {
 	return op
 }
 
-// Sized lets values report their own wire size, avoiding the gob
-// estimator on hot paths.
+// Sized lets values report their own wire size.
 type Sized interface{ WireSize() int }
 
-// SizeOfValue estimates the wire size of v in bytes. Known scalar and
-// slice shapes are computed directly; other values fall back to gob
-// encoding, which is accurate but slower.
+// SizeOfValue reports the wire size of v in bytes: known scalar and
+// slice shapes are computed directly and a Sized value is asked. A
+// value that is neither has no wire size, and sizing it panics.
 func SizeOfValue(v any) int {
 	switch x := v.(type) {
 	case nil:
@@ -223,41 +221,24 @@ func SizeOfValue(v any) int {
 		}
 		return n
 	}
-	return gobSize(v)
+	panic(fmt.Sprintf("rts: no wire size for a %T: give it a WireSize method (rts.Sized)", v))
 }
 
-// gobSize is SizeOfValue's fallback. It is a function of its own
-// because the encoder takes the value's address: inside SizeOfValue
-// that would move the parameter to the heap on every call, the sized
-// shapes included.
-func gobSize(v any) int {
-	gobSizings.Add(1)
-	var buf bytes.Buffer
-	enc := gob.NewEncoder(&buf)
-	if err := enc.Encode(&v); err != nil {
-		// Unencodable exotic value: charge a conservative default.
-		return 64
+// GobSizings reports how many values were sized by encoding them with
+// gob: none, since the fallback that did so is gone. The benchmark
+// still asks.
+func GobSizings() int64 { return 0 }
+
+// retryBytes is what a bounce (see adapt.go) weighs in a result record:
+// the 64 bytes the gob fallback used to charge its sentinel value.
+const retryBytes = 64
+
+// SizeOfArgs reports the wire size of a record.
+func SizeOfArgs(a *Args) int {
+	if a.Status == statusRetry {
+		return 4 + retryBytes
 	}
-	return buf.Len()
-}
-
-// gobSizings counts how often SizeOfValue fell back to gob encoding.
-// The fallback is accurate but ~100× slower than a direct size, so the
-// hot-path types all carry WireSize implementations; the counter lets
-// tests prove they never miss.
-var gobSizings atomic.Int64
-
-// GobSizings reports how many SizeOfValue calls reached the gob
-// fallback since process start.
-func GobSizings() int64 { return gobSizings.Load() }
-
-// SizeOfArgs sums the wire sizes of an argument list.
-func SizeOfArgs(args []any) int {
-	n := 4
-	for _, a := range args {
-		n += SizeOfValue(a)
-	}
-	return n
+	return a.Size(SizeOfValue)
 }
 
 // Costs are the runtime-system CPU overheads, separate from kernel

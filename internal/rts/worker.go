@@ -26,12 +26,6 @@ type Worker struct {
 
 	pending sim.Time
 
-	// res is the reusable result buffer for local reads. A read's
-	// result slice is only valid until the worker's next operation;
-	// every in-tree caller consumes results immediately, and the write
-	// paths (whose results are retained by waiters) never use it.
-	res []any
-
 	// batch is the write-combining buffer a batching BroadcastRTS
 	// attaches lazily on the worker's first combinable write; nil
 	// otherwise (including always under the point-to-point runtime).
@@ -56,17 +50,6 @@ func (w *Worker) FlushShared() {
 	if w.batch != nil {
 		w.batch.flush(w.P)
 	}
-}
-
-// applyLocal executes a non-mutating operation through the zero-alloc
-// ApplyInto path when the definition provides it, reusing the worker's
-// scratch buffer; otherwise it falls back to the allocating Apply.
-func (w *Worker) applyLocal(op *OpDef, s State, args []any) []any {
-	if op.ApplyInto == nil {
-		return op.Apply(s, args)
-	}
-	w.res = op.ApplyInto(s, args, w.res[:0])
-	return w.res
 }
 
 // DefaultFlushThreshold is the default accumulation bound.

@@ -9,6 +9,7 @@ import (
 // environment: the engine itself, or the reference model.
 type timerEnv interface {
 	After(d Time, fn func()) canceller
+	Timer(fn func()) rearmer // a timer armed again and again in place
 	Schedule(d Time, fn func())
 	Now() Time
 	Events() int64
@@ -18,6 +19,11 @@ type timerEnv interface {
 }
 
 type canceller interface{ Cancel() }
+
+type rearmer interface {
+	Arm(d Time)
+	Cancel()
+}
 
 // engineEnv drives the real Env, alternating At and After, and counts
 // the cancellations that hit the heap's two special slots.
@@ -52,6 +58,11 @@ func (r *engineEnv) After(d Time, fn func()) canceller {
 	}
 	return engineTimer{r, r.e.After(d, fn)}
 }
+func (r *engineEnv) Timer(fn func()) rearmer {
+	ev := new(Event)
+	ev.Init(r.e, fn)
+	return ev
+}
 func (r *engineEnv) Schedule(d Time, fn func()) { r.e.Schedule(r.e.now+d, fn) }
 func (r *engineEnv) Now() Time                  { return r.e.Now() }
 func (r *engineEnv) Events() int64              { return r.e.Events() }
@@ -73,7 +84,7 @@ func (r *engineEnv) check(t *testing.T) {
 		}
 	}
 	for _, ev := range r.e.ready[r.e.readyHead:] {
-		if ev.index != -1 {
+		if ev.index != onReady {
 			t.Fatalf("ready event (%v,%d) has heap index %d", ev.t, ev.seq, ev.index)
 		}
 	}
@@ -105,6 +116,27 @@ func (f *flagEnv) After(d Time, fn func()) canceller {
 	f.q = append(f.q, ev)
 	return ev
 }
+
+// flagTimer is the reference's re-armable timer: every Arm is a Cancel
+// of the firing before and a fresh After.
+type flagTimer struct {
+	f   *flagEnv
+	fn  func()
+	cur *flagEvent
+}
+
+func (t *flagTimer) Arm(d Time) {
+	t.Cancel()
+	t.cur = t.f.After(d, t.fn).(*flagEvent)
+}
+
+func (t *flagTimer) Cancel() {
+	if t.cur != nil {
+		t.cur.cancelled = true
+	}
+}
+
+func (f *flagEnv) Timer(fn func()) rearmer    { return &flagTimer{f: f, fn: fn} }
 func (f *flagEnv) Schedule(d Time, fn func()) { f.After(d, fn) }
 func (f *flagEnv) Now() Time                  { return f.now }
 func (f *flagEnv) Events() int64              { return f.dispatched }
@@ -141,6 +173,10 @@ type fired struct {
 // the engine treats differently.
 type cancelCoverage struct {
 	double, afterFiring, own, ready int
+
+	// Of the re-armable timers: armed again while pending in the future,
+	// while due this instant, and after a stop; stopped while pending.
+	rearmFuture, rearmReady, rearmStopped, stopPending int
 }
 
 // timerProgram runs one random program of arming, scheduling and
@@ -154,8 +190,15 @@ func timerProgram(t *testing.T, env timerEnv, seed int64, cov *cancelCoverage) [
 		at               Time
 		fired, cancelled bool
 	}
+	type rearmable struct {
+		h       rearmer
+		at      Time
+		seq     int64
+		pending bool
+	}
 	var (
 		timers []*timer
+		rearms [6]*rearmable
 		log    []fired
 		budget = 400
 		step   func(self *timer)
@@ -195,10 +238,48 @@ func timerProgram(t *testing.T, env timerEnv, seed int64, cov *cancelCoverage) [
 			tm.cancelled = true
 		}
 	}
+	rearm := func(rt *rearmable) {
+		if budget == 0 {
+			return
+		}
+		budget--
+		switch {
+		case !rt.pending:
+			cov.rearmStopped++
+		case rt.at == env.Now():
+			cov.rearmReady++
+		default:
+			cov.rearmFuture++
+		}
+		d := delay()
+		rt.h.Arm(d)
+		rt.at, rt.seq, rt.pending = env.Now()+d, env.lastSeq(), true
+	}
+	for i := range rearms {
+		rt := &rearmable{}
+		rt.h = env.Timer(func() {
+			if !rt.pending {
+				t.Fatalf("seed %d: re-armable timer fired while stopped", seed)
+			}
+			rt.pending = false
+			record(rt.seq)
+			step(nil)
+		})
+		rearms[i] = rt
+	}
 	step = func(self *timer) {
 		arm() // a successor, so that cancellations cannot end the program early
 		for n := rng.Intn(4); n > 0; n-- {
-			switch rng.Intn(8) {
+			switch rng.Intn(11) {
+			case 8, 9:
+				rearm(rearms[rng.Intn(len(rearms))])
+			case 10:
+				rt := rearms[rng.Intn(len(rearms))]
+				if rt.pending {
+					cov.stopPending++
+				}
+				rt.h.Cancel()
+				rt.pending = false
 			default:
 				arm()
 			case 3:
@@ -234,6 +315,9 @@ func timerProgram(t *testing.T, env timerEnv, seed int64, cov *cancelCoverage) [
 	for i := 0; i < 12; i++ {
 		arm()
 	}
+	for _, rt := range rearms[:3] {
+		rearm(rt)
+	}
 	env.check(t)
 	env.run()
 	return log
@@ -245,7 +329,9 @@ func timerProgram(t *testing.T, env timerEnv, seed int64, cov *cancelCoverage) [
 // event and skips it when its turn comes. The program cancels pending
 // timers (the heap's root and last slot among them), timers on the
 // same-instant ready list, fired timers, cancelled timers, and a
-// timer's own event from inside its callback.
+// timer's own event from inside its callback; and it arms six events
+// again and again in place (Event.Init, Event.Arm), pending or due this
+// instant or stopped, where the reference cancels and allocates anew.
 func TestCancelMatchesFlagging(t *testing.T) {
 	var cov cancelCoverage
 	var root, tail, fromTheHeap int
@@ -275,6 +361,8 @@ func TestCancelMatchesFlagging(t *testing.T) {
 		"from the heap": fromTheHeap, "of the heap's root": root, "of the heap's last slot": tail,
 		"of a cancelled timer": cov.double, "of a fired timer": cov.afterFiring,
 		"of the running callback's own event": cov.own, "of a same-instant ready event": cov.ready,
+		"by re-arming a pending timer": cov.rearmFuture, "by re-arming a timer due this instant": cov.rearmReady,
+		"of a pending re-armable timer": cov.stopPending, "(none: re-arming a stopped timer)": cov.rearmStopped,
 	} {
 		if n < 40 {
 			t.Errorf("only %d cancellations %s over 40 seeds", n, name)
@@ -316,4 +404,34 @@ func TestCancelledTimersLeaveTheHeap(t *testing.T) {
 	if want := 100_000 * Microsecond; end != want || e.Events() != 100_001 {
 		t.Errorf("run ended at %v after %d events, want %v after 100001", end, e.Events(), want)
 	}
+}
+
+// A timer embedded in its owner is armed and cancelled without
+// allocating and without leaving anything on the heap, and fires when
+// left alone.
+func TestTimerRearmAllocations(t *testing.T) {
+	e := New(1)
+	var timer Event
+	fires := 0
+	timer.Init(e, func() { fires++ })
+	e.Spawn("owner", func(p *Proc) {
+		allocs := testing.AllocsPerRun(1000, func() {
+			timer.Arm(2 * Second)
+			timer.Arm(3 * Second) // moves it
+			if len(e.queue) != 1 {
+				t.Fatalf("%d events on the heap with one timer armed", len(e.queue))
+			}
+			timer.Cancel()
+		})
+		if allocs != 0 || len(e.queue) != 0 {
+			t.Errorf("arming and cancelling allocates %v times and leaves %d events, want 0 and 0", allocs, len(e.queue))
+		}
+		timer.Arm(Second)
+		p.Sleep(2 * Second)
+		if fires != 1 || p.Now() != 2*Second {
+			t.Errorf("%d firings by %v, want 1 by 2s", fires, p.Now())
+		}
+	})
+	e.Run()
+	e.Shutdown()
 }

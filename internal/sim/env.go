@@ -22,10 +22,16 @@ type Event struct {
 	proc      *Proc // resume this process instead of calling fn
 	cancelled bool
 	pooled    bool   // internal event, recycled after firing
-	index     int    // heap index; -1 while on the ready queue or popped
+	index     int    // heap slot, or onReady, or idle
 	env       *Env   // the environment a caller's event was scheduled in
 	next      *Event // free-list link while recycled
 }
+
+// Where an event is when it is not in a heap slot.
+const (
+	onReady = -1 // on the same-instant ready list
+	idle    = -2 // popped to fire, taken off the heap, or never scheduled
+)
 
 // Cancel prevents the event from firing. Cancelling an event that has
 // already fired (or was already cancelled) is a no-op. Like every
@@ -49,6 +55,37 @@ func (ev *Event) Cancel() {
 // Time reports the virtual time at which the event fires.
 func (ev *Event) Time() Time { return ev.t }
 
+// Init makes ev, embedded in the record that owns it, a timer that is
+// armed again and again — a retransmission timeout — without allocating:
+// it binds the event, once, to its environment and callback.
+func (ev *Event) Init(e *Env, fn func()) { *ev = Event{fn: fn, env: e, index: idle} }
+
+// Arm schedules an event made by Init to fire d from now, in place of
+// any firing still pending. Arm and Cancel take the places in the
+// (time, seq) order that After and Cancel would: Arm consumes one
+// sequence number, Cancel none, and a cancelled firing was never
+// counted in Events().
+func (ev *Event) Arm(d Time) {
+	if d < 0 {
+		panic("sim: negative delay")
+	}
+	e := ev.env
+	switch {
+	case ev.index >= 0:
+		e.queue.remove(ev.index)
+	case ev.index == onReady:
+		// Due this very instant, cancelled or not: an event on the ready
+		// list can only be flagged, so a flagged stand-in takes its slot.
+		for j := e.readyHead; j < len(e.ready); j++ {
+			if e.ready[j] == ev {
+				e.ready[j] = &Event{t: ev.t, seq: ev.seq, cancelled: true, index: onReady}
+			}
+		}
+	}
+	ev.cancelled = false
+	e.schedule(ev, e.now+d)
+}
+
 // before reports whether ev fires before other in the (time, seq)
 // total order.
 func (ev *Event) before(other *Event) bool {
@@ -62,7 +99,7 @@ func (ev *Event) before(other *Event) bool {
 // *Event so sift steps compare and swap directly instead of calling
 // through heap.Interface. Keys are unique (seq is), so the pop order is
 // the one any correct heap yields. Each event's index field tracks its
-// slot; -1 means it is not on the heap.
+// slot; a negative index means it is not on the heap.
 type eventQueue []*Event
 
 func (q *eventQueue) push(ev *Event) {
@@ -91,7 +128,7 @@ func (h eventQueue) up(i int, ev *Event) int {
 func (q *eventQueue) pop() *Event {
 	h := *q
 	top := h[0]
-	top.index = -1
+	top.index = idle
 	n := len(h) - 1
 	last := h[n]
 	h[n] = nil
@@ -130,7 +167,7 @@ func (h eventQueue) down(i int, ev *Event) {
 // into the slot and sifts up or, failing that, down.
 func (q *eventQueue) remove(i int) {
 	h := *q
-	h[i].index = -1
+	h[i].index = idle
 	n := len(h) - 1
 	last := h[n]
 	h[n] = nil
@@ -210,7 +247,7 @@ func (e *Env) Tracef(format string, args ...any) {
 func (e *Env) getEvent() *Event {
 	ev := e.free
 	if ev == nil {
-		return &Event{pooled: true, index: -1}
+		return &Event{pooled: true, index: idle}
 	}
 	e.free = ev.next
 	ev.next = nil
@@ -238,7 +275,7 @@ func (e *Env) schedule(ev *Event, t Time) {
 	e.seqGen++
 	ev.t, ev.seq = t, e.seqGen
 	if t == e.now {
-		ev.index = -1
+		ev.index = onReady
 		e.ready = append(e.ready, ev)
 		return
 	}
@@ -288,6 +325,7 @@ func (e *Env) next() *Event {
 		return nil
 	}
 	e.ready[e.readyHead] = nil
+	rv.index = idle
 	e.readyHead++
 	if e.readyHead == len(e.ready) {
 		e.ready = e.ready[:0]
@@ -488,7 +526,7 @@ func (e *Env) wake(p *Proc) {
 	ev := e.getEvent()
 	ev.proc = p
 	e.seqGen++
-	ev.t, ev.seq = e.now, e.seqGen
+	ev.t, ev.seq, ev.index = e.now, e.seqGen, onReady
 	e.ready = append(e.ready, ev)
 }
 

@@ -433,7 +433,7 @@ func TestEventHeapOrder(t *testing.T) {
 		var last *Event
 		for n := rng.Intn(len(q) + 1); n > 0; n-- {
 			ev := q.pop()
-			if ev.index != -1 {
+			if ev.index != idle {
 				t.Fatalf("popped event keeps index %d", ev.index)
 			}
 			if last != nil && !last.before(ev) {
