@@ -26,9 +26,12 @@
 // transaction id, the operation and object asked for, and an Args
 // record of parameters (results, in a reply), all by value. A unicast
 // packet crosses the wire in a pooled box that the receiving machine
-// copies out of and returns; a broadcast is one immutable value shared
-// by its receivers; nothing in flight aliases a record anyone can
-// reuse, which is what lets every record here be pooled. A Server is consumed by threads that
+// copies out of and returns; a broadcast is one immutable record shared
+// by its receivers, which the last of them to open it returns to its
+// sender. A frame waiting in a queue keeps its payload where the sender
+// put it: the packet is built once, when the delivery has been charged
+// for. Nothing in flight aliases a record anyone can reuse, which is
+// what lets every record here be pooled. A Server is consumed by threads that
 // loop on GetRequest and PutReply — any number of them. A server with
 // exactly one such thread may also be served inline (Server.Serve): the
 // context switch is charged as a continuation on the CPU and a function

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime/debug"
+	"strings"
 	"testing"
 
 	"repro/internal/netsim"
@@ -25,7 +26,7 @@ func crashRun(t *testing.T, nonblocking bool, crashAt sim.Time) (handled [3][]si
 			handled[i] = append(handled[i], p.Now())
 		})
 		if nonblocking {
-			ms[i].BindNonblocking("sink", func(int, Packet) bool { return true })
+			ms[i].BindNonblocking("sink", func(int, *Packet) bool { return true })
 		}
 	}
 	ms[0].SpawnThread("sender", func(p *sim.Proc) {
@@ -113,7 +114,7 @@ func TestBindNonblocking(t *testing.T) {
 		}
 		log = append(log, fmt.Sprintf("%d@%v by %s", pkt.Body, p.Now(), p.Name()))
 	})
-	ms[1].BindNonblocking("svc", func(from int, pkt Packet) bool {
+	ms[1].BindNonblocking("svc", func(from int, pkt *Packet) bool {
 		k := pkt.Body.(int)
 		return k%2 == 0 || k == 3 // 3 is vouched for wrongly
 	})
@@ -169,8 +170,9 @@ func TestRPCLateDuplicateMeetsReusedRecord(t *testing.T) {
 	// Watch the reply port from in front of the client's handler.
 	var replies []string
 	env.At(0, func() {
-		h := ms[0].ports["svc-rep"]
-		ms[0].ports["svc-rep"] = func(p *sim.Proc, from int, pkt Packet) {
+		b := ms[0].ports["svc-rep"]
+		h := b.h
+		b.h = func(p *sim.Proc, from int, pkt Packet) {
 			w := pkt
 			state := "late"
 			if c.waits[w.TxID] != nil {
@@ -320,8 +322,9 @@ func TestRPCRetransmissionCarriesItsOwnBytes(t *testing.T) {
 	})
 	var seen []string
 	env.At(0, func() {
-		h := ms[1].ports["svc"]
-		ms[1].ports["svc"] = func(p *sim.Proc, from int, pkt Packet) {
+		b := ms[1].ports["svc"]
+		h := b.h
+		b.h = func(p *sim.Proc, from int, pkt Packet) {
 			seen = append(seen, fmt.Sprintf("%s/%d %v", pkt.Op, pkt.Obj, pkt.Args.Values()))
 			h(p, from, pkt)
 		}
@@ -349,7 +352,7 @@ func TestRPCRetransmissionCarriesItsOwnBytes(t *testing.T) {
 // A frame the network drops takes its box with it: nobody returns it,
 // nobody returns another's twice, and the transactions retry through
 // the fault. Every box the pool hands out afterwards must be blank, as
-// receive leaves them.
+// open leaves them.
 func TestRPCDroppedFramesKeepTheirBoxes(t *testing.T) {
 	env, nw, ms := cluster(t, 2, nil)
 	nw.InstallFaults(&netsim.FaultPlan{Losses: []netsim.LossWindow{
@@ -385,5 +388,121 @@ func TestRPCDroppedFramesKeepTheirBoxes(t *testing.T) {
 		if b := boxes.Get().(*Packet); *b != (Packet{}) {
 			t.Fatalf("the pool hands out a box still holding %+v", *b)
 		}
+	}
+}
+
+// A broadcast heard by fifteen machines is one recycled payload record,
+// one recycled flight and five-word tasks in queues that have stopped
+// growing: nothing is allocated for it, at the sender or at any
+// receiver. (2 when the payload was boxed per broadcast and the fan-out
+// was a closure.)
+func TestBroadcastReceiveAllocations(t *testing.T) {
+	skipUnderRace(t)
+	env, _, ms := cluster(t, 16, nil)
+	heard, sent := 0, 0
+	all := sim.NewCond(env)
+	for _, m := range ms {
+		m.Bind("sink", func(*sim.Proc, int, Packet) {
+			if heard++; heard == 15*sent {
+				all.Signal()
+			}
+		})
+		m.BindNonblocking("sink", func(int, *Packet) bool { return true })
+	}
+	ms[1].SpawnThread("sender", func(p *sim.Proc) {
+		for {
+			sent++
+			ms[1].Broadcast(p, Packet{Port: "sink", Kind: "test", Body: &sent, Size: 64})
+			all.Wait(p)
+		}
+	})
+	now := sim.Time(0)
+	tick := func() {
+		now += 100 * sim.Millisecond
+		env.RunUntil(now)
+	}
+	tick()
+	before := sent
+	perTick := testing.AllocsPerRun(10, tick)
+	if per := perTick * 11 / float64(sent-before); per > 1 || sent-before < 1000 {
+		t.Errorf("%.2f allocations per broadcast over %d broadcasts, want at most 1 over at least 1000", per, sent-before)
+	}
+	env.Shutdown()
+}
+
+// A broadcast's payload record returns to its sender when the last
+// receiver that queued the frame has opened it, and not before: here
+// receivers are charged nothing for a delivery and lose every other
+// frame, so each frame travels as one flight per receiver, and a
+// receiver opens its copy in the instant the next receiver hears its
+// own. Every machine must read, for every frame it hears, the body the
+// frame was sent with, while the sender goes through a handful of
+// records; with poisoning on (see TestMain) a record released early
+// would name a port nobody has bound.
+func TestCastReturnsAfterItsLastReceiver(t *testing.T) {
+	env := sim.New(7)
+	np := netsim.DefaultParams()
+	np.DropProb = 0.5
+	nw := netsim.New(env, 6, np)
+	ms := make([]*Machine, 6)
+	heard := 0
+	for i := range ms {
+		ms[i] = NewMachine(env, nw, i, Costs{Send: 200 * sim.Microsecond})
+		ms[i].Bind("sink", func(p *sim.Proc, from int, pkt Packet) {
+			if k := pkt.Body.(int); pkt.Size != 64+k%7 || pkt.Kind != "test" {
+				t.Errorf("frame %d arrived as %+v", k, pkt)
+			}
+			heard++
+		})
+		if i%2 == 0 {
+			ms[i].BindNonblocking("sink", func(int, *Packet) bool { return true })
+		}
+	}
+	env.Trace = func(_ sim.Time, format string, args ...any) {
+		if s := fmt.Sprintf(format, args...); strings.Contains(s, "unbound port") {
+			t.Error(s)
+		}
+	}
+	ms[1].SpawnThread("sender", func(p *sim.Proc) {
+		for k := 0; k < 500; k++ {
+			ms[1].Broadcast(p, Packet{Port: "sink", Kind: "test", Body: k, Size: 64 + k%7})
+		}
+	})
+	ms[4].Crash() // whatever it has queued is never opened: those records go to the collector
+	env.Run()
+	env.Shutdown()
+	records := 0
+	for c := ms[1].casts; c != nil; c = c.next {
+		records++
+		if c.refs != 0 || c.body != nil || c.port != "amoeba: released cast" {
+			t.Errorf("a record on the free list reads %+v", *c)
+		}
+	}
+	if heard < 500 || records == 0 || records > 8 {
+		t.Errorf("%d frames heard through %d payload records; want at least 500 through at most 8", heard, records)
+	}
+}
+
+// A server that keeps a Request past its PutReply holds, with poisoning
+// on (see TestMain), a record that names no transaction and no client.
+func TestReleasedRequestIsPoisoned(t *testing.T) {
+	env, _, ms := cluster(t, 2, nil)
+	srv := NewServer(ms[1], "svc")
+	var kept *Request
+	ms[1].SpawnThread("server", func(p *sim.Proc) {
+		r, _ := srv.GetRequest(p)
+		kept = r
+		srv.PutResult(p, r, r.Args, 8)
+	})
+	c := NewClient(ms[0], DefaultRPCPolicy())
+	ms[0].SpawnThread("client", func(p *sim.Proc) {
+		if _, err := c.Call(p, 1, Packet{Port: "svc", Op: "echo", Args: one(7), Size: 8}); err != nil {
+			t.Error(err)
+		}
+	})
+	env.Run()
+	env.Shutdown()
+	if kept == nil || kept.TxID != -1 || kept.From != -2 || len(kept.Args.Values()) != 0 || kept.Port != "amoeba: released Request" {
+		t.Errorf("the released request still reads %+v", kept)
 	}
 }

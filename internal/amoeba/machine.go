@@ -76,17 +76,26 @@ type Handler func(p *sim.Proc, from int, pkt Packet)
 
 // Nonblocking tells, for one packet about to be handed to its port's
 // handler, whether the handler will serve it without blocking — no CPU
-// charge, no send. It is evaluated at the instant the handler is due
-// and must itself have no side effect.
-type Nonblocking func(from int, pkt Packet) bool
+// charge, no send. It is evaluated at the instant the handler is due,
+// must itself have no side effect, and must neither keep nor write pkt,
+// which is the kernel's.
+type Nonblocking func(from int, pkt *Packet) bool
+
+// binding is what a bound port resolves to.
+type binding struct {
+	h  Handler
+	ok Nonblocking // nil: every packet is served on the interrupt thread
+}
 
 // task is a unit of work for the interrupt thread: either a delivered
-// packet or a deferred function (timer bodies that need kernel CPU).
-// The packet travels by value: a pointer would force a fresh heap
-// allocation per received frame.
+// frame or a deferred function (timer bodies that need kernel CPU). A
+// frame's payload (see open) stays where the sender put it until the
+// frame has been charged for: a task is copied from queue to queue, a
+// packet is seventeen words, and a frame waiting in a queue owns what
+// it points to.
 type task struct {
 	from, frags int
-	pkt         Packet
+	pay         any
 	fn          func(p *sim.Proc)
 }
 
@@ -101,9 +110,12 @@ type Machine struct {
 	inq        *sim.Queue[task]
 	isr        *sim.Proc // the interrupt thread
 	cur        task      // the delivery whose costs are being charged inline
+	pkt        Packet    // the packet being served, opened by dispatch
 	dispatchFn func()    // m.dispatch, bound once
-	ports      map[string]Handler
-	inline     map[string]Nonblocking
+	ports      map[string]*binding
+	lastPort   string   // memo of the last resolution (see bound);
+	last       *binding // nil after a Bind or an Unbind
+	casts      *cast    // released broadcast payloads, for cast to reuse
 	crashed    bool
 
 	nextSegID  int
@@ -119,14 +131,13 @@ type Machine struct {
 // NewMachine boots a kernel on node id of net.
 func NewMachine(env *sim.Env, net *netsim.Network, id int, costs Costs) *Machine {
 	m := &Machine{
-		id:     id,
-		env:    env,
-		net:    net,
-		costs:  costs,
-		cpu:    sim.NewResource(env),
-		inq:    sim.NewQueue[task](env),
-		ports:  make(map[string]Handler),
-		inline: make(map[string]Nonblocking),
+		id:    id,
+		env:   env,
+		net:   net,
+		costs: costs,
+		cpu:   sim.NewResource(env),
+		inq:   sim.NewQueue[task](env),
+		ports: make(map[string]*binding),
 	}
 	m.dispatchFn = m.dispatch
 	net.Handle(id, m.receive)
@@ -175,25 +186,37 @@ func (m *Machine) interrupt(t task) sim.Verdict {
 	return sim.Pending
 }
 
-// dispatch runs when the current delivery's costs have been charged.
+// dispatch runs when the current delivery's costs have been charged: it
+// opens the frame into m.pkt, the one packet built for a delivery, which
+// the handler receives by value.
 func (m *Machine) dispatch() {
-	from, pkt := m.cur.from, m.cur.pkt
+	from := m.cur.from
+	m.open(m.cur.pay)
 	m.cur = task{}
-	h := m.ports[pkt.Port]
-	switch ok := m.inline[pkt.Port]; {
-	case h == nil:
-		m.env.Tracef("node%d: drop packet for unbound port %q", m.id, pkt.Port)
-	case ok == nil || !ok(from, pkt):
+	switch b := m.bound(m.pkt.Port); {
+	case b == nil:
+		m.env.Tracef("node%d: drop packet for unbound port %q", m.id, m.pkt.Port)
+	case b.ok == nil || !b.ok(from, &m.pkt):
 		m.inq.Punt()
 		return
 	default:
-		h(m.isr, from, pkt)
+		b.h(m.isr, from, m.pkt)
 	}
 	m.inq.Done()
 }
 
+// bound resolves a port. Nearly every packet a machine receives is for
+// the port of the one before it, so the table is probed only when the
+// port changes.
+func (m *Machine) bound(port string) *binding {
+	if m.last == nil || port != m.lastPort {
+		m.lastPort, m.last = port, m.ports[port]
+	}
+	return m.last
+}
+
 // boxes recycles the payloads of unicast frames (see transmit and
-// receive). It is shared by every machine of every simulation in the
+// open). It is shared by every machine of every simulation in the
 // process, because who sends and who receives is rarely balanced: under
 // the PB method every member sends its requests to the sequencer and
 // hears only broadcasts back.
@@ -201,35 +224,70 @@ var boxes = sync.Pool{New: func() any { return new(Packet) }}
 
 // cast is the payload of a broadcast or multicast frame: a packet less
 // the transaction header, which only unicast packets use. Every
-// receiver shares the one value and none writes it.
+// receiver shares the one record and none writes it. It is the sending
+// machine's: refs counts the receivers that have queued the frame and
+// not yet opened it, and the last of them to open it returns it to the
+// sender's free list. All receivers of a frame queue it in events
+// scheduled when it was sent, for one instant, and open it in events
+// scheduled after that, so the count cannot touch zero early; a frame
+// that dies in a crashed machine's queue keeps its record from the
+// list, and the collector has it.
 type cast struct {
 	port, kind string
 	body       any
 	size       int
+	refs       int
+	m          *Machine
+	next       *cast
 }
+
+// poison makes a released cast and a released Request (see rpc.go)
+// unusable, so that a record used after its release fails loudly. Tests
+// turn it on.
+var poison bool
 
 func (m *Machine) cast(pkt Packet) netsim.Frame {
-	return netsim.Frame{Src: m.id, Kind: pkt.Kind, Size: pkt.Size, Payload: cast{pkt.Port, pkt.Kind, pkt.Body, pkt.Size}}
+	c := m.casts
+	if c == nil {
+		c = &cast{m: m}
+	} else {
+		m.casts = c.next
+	}
+	c.port, c.kind, c.body, c.size, c.refs = pkt.Port, pkt.Kind, pkt.Body, pkt.Size, 0
+	return netsim.Frame{Src: m.id, Kind: pkt.Kind, Size: pkt.Size, Payload: c}
 }
 
-// receive is the machine's network handler: it copies the packet out of
-// the frame and queues it for interrupt service. A unicast frame's
-// payload is a box (see transmit) that only this machine will ever see,
-// so it goes back to the pool here. A frame the network drops never
-// gets here, and its box goes to the collector.
+// receive is the machine's network handler: it queues the frame for
+// interrupt service as it is.
 func (m *Machine) receive(d netsim.Delivery) {
-	t := task{from: d.Frame.Src, frags: d.Fragments}
-	switch b := d.Frame.Payload.(type) {
-	case cast:
-		t.pkt = Packet{Port: b.port, Kind: b.kind, Body: b.body, Size: b.size}
+	if c, ok := d.Frame.Payload.(*cast); ok {
+		c.refs++
+	}
+	m.inq.Put(task{from: d.Frame.Src, frags: d.Fragments, pay: d.Frame.Payload})
+}
+
+// open copies a frame's packet into m.pkt and lets go of the payload. A
+// unicast frame's is a box (see transmit) that only this machine will
+// ever see, so it goes back to the pool here. A frame the network drops
+// never gets here, and its box goes to the collector.
+func (m *Machine) open(pay any) {
+	switch b := pay.(type) {
+	case *cast:
+		m.pkt = Packet{Port: b.port, Kind: b.kind, Body: b.body, Size: b.size}
+		if b.refs--; b.refs == 0 {
+			b.body = nil
+			if poison {
+				b.port, b.size = "amoeba: released cast", -1
+			}
+			b.next, b.m.casts = b.m.casts, b
+		}
 	case *Packet:
-		t.pkt = *b
+		m.pkt = *b
 		*b = Packet{}
 		boxes.Put(b)
 	default:
-		panic(fmt.Sprintf("amoeba: node %d received non-Packet payload %T", m.id, d.Frame.Payload))
+		panic(fmt.Sprintf("amoeba: node %d received non-Packet payload %T", m.id, pay))
 	}
-	m.inq.Put(t)
 }
 
 // interruptLoop is the kernel's interrupt-service thread: it runs what
@@ -248,7 +306,7 @@ func (m *Machine) interruptLoop(p *sim.Proc) {
 			t.fn(p)
 			continue
 		}
-		m.ports[t.pkt.Port](p, t.from, t.pkt)
+		m.bound(m.pkt.Port).h(p, t.from, m.pkt) // opened by dispatch, which punted it
 	}
 }
 
@@ -258,23 +316,24 @@ func (m *Machine) Bind(port string, h Handler) {
 	if _, dup := m.ports[port]; dup {
 		panic(fmt.Sprintf("amoeba: node %d: port %q already bound", m.id, port))
 	}
-	m.ports[port] = h
+	m.ports[port], m.last = &binding{h: h}, nil
 }
 
 // BindNonblocking adds to a bound port the predicate that lets its
 // handler run to completion on the dispatch lane (see Handler). A port
 // without one has every packet served on the interrupt thread.
 func (m *Machine) BindNonblocking(port string, ok Nonblocking) {
-	if m.ports[port] == nil {
+	b := m.ports[port]
+	if b == nil {
 		panic(fmt.Sprintf("amoeba: node %d: port %q not bound", m.id, port))
 	}
-	m.inline[port] = ok
+	b.ok = ok
 }
 
 // Unbind removes a port binding.
 func (m *Machine) Unbind(port string) {
 	delete(m.ports, port)
-	delete(m.inline, port)
+	m.last = nil
 }
 
 // SpawnThread starts a kernel or user thread on this machine. The
@@ -362,7 +421,7 @@ func (m *Machine) Send(p *sim.Proc, dst int, pkt Packet) {
 
 // transmit hands a unicast packet whose send cost has been charged to
 // the driver. The frame carries a copy of the packet in a pooled box
-// that the receiving machine returns (see receive); the caller's packet
+// that the receiving machine returns (see open); the caller's packet
 // is not referred to again, so a record it came from may be reused
 // while the frame is in flight.
 func (m *Machine) transmit(dst int, pkt Packet) {

@@ -115,7 +115,7 @@ func NewServer(m *Machine, port string) *Server {
 // queues reports that handle will only queue (or drop) the packet: all
 // but the duplicate of an executed request, whose cached reply it
 // resends.
-func (s *Server) queues(from int, pkt Packet) bool {
+func (s *Server) queues(from int, pkt *Packet) bool {
 	_, done := s.seen[pkt.TxID]
 	return !done || pkt.Rep
 }
@@ -234,6 +234,9 @@ func (s *Server) repPacket(txid int64, op string, rep cachedReply, size int) Pac
 // release takes back the record of a request that has been replied to.
 func (s *Server) release(r *Request) {
 	*r = Request{srv: s, sentFn: r.sentFn, released: true}
+	if poison { // a server that kept r replies to nobody, about nothing
+		r.Packet, r.From = Packet{Port: "amoeba: released Request", TxID: -1}, -2
+	}
 	s.free = append(s.free, r)
 }
 
@@ -317,7 +320,7 @@ func (c *Client) ensureReplyPort(port string) {
 	c.bound[port] = true
 	c.m.Bind(port+"-rep", c.onReply)
 	// A reply only wakes its waiting transaction.
-	c.m.BindNonblocking(port+"-rep", func(int, Packet) bool { return true })
+	c.m.BindNonblocking(port+"-rep", func(int, *Packet) bool { return true })
 }
 
 // onReply hands a reply to the transaction waiting for it. Transactions

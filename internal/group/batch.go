@@ -258,5 +258,8 @@ func (g *Member) flushSend(p *sim.Proc) {
 	}
 	g.noteFrame(len(items))
 	g.transmit(p, st)
+	// One frame carries these items, and they have been on no other: the
+	// one case in which their record can be recycled (see sendState).
+	st.fresh = st.method == ForcePB && g.cfg.Protocol == ElectedSequencer
 	g.armSenderTimer(st)
 }

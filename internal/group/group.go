@@ -254,7 +254,9 @@ type item struct {
 // roles (request, BB data, accept, sequenced data) each carry a list
 // of ops; an unbatched group's lists have one element. Frames travel
 // by pointer and are never mutated after they are sent: every receiver
-// shares the sender's records instead of rebuilding them.
+// shares the sender's records instead of rebuilding them. A status
+// report — delivery progress, for history trimming — has no body: it is
+// the packet header's Obj, from the member the packet is from.
 type (
 	// reqMsg is PB's RequestForBroadcast, unicast to the sequencer.
 	reqMsg struct {
@@ -300,11 +302,6 @@ type (
 	// [From, To]. Delivered piggybacks the requester's progress.
 	retxReq struct {
 		From, To  int64
-		Node      int
-		Delivered int64
-	}
-	// statusMsg reports delivery progress for history trimming.
-	statusMsg struct {
 		Node      int
 		Delivered int64
 	}
@@ -384,12 +381,27 @@ type bbAccept struct {
 // until they are sequenced. Each op completes individually as it
 // appears in the sequenced stream, and retransmissions carry only the
 // ops still outstanding.
+//
+// Records are recycled through the member's free list under one rule: a
+// frame on the wire or in a queue owns what it points to. A request
+// frame points to req, and so to the item array; under BB every
+// member's pendingBB stash points into the array too. So a record goes
+// back to the list only when no frame that shares it can still arrive,
+// which is known in one case — fresh (see flushSend): the elected
+// sequencer's protocol, the PB method, items no frame has carried
+// before, one transmission, the timer never fired. Those items can have
+// been sequenced only by the sequencer reading that one frame, so their
+// acknowledgment says the frame has been consumed. Every other record
+// is left to the collector once acknowledged, with whatever still
+// points to it.
 type sendState struct {
 	items   []item
 	one     [1]item // backs items for a one-op send
+	req     reqMsg  // the PB request frame's body
 	method  Method  // resolved (PB or BB)
 	retries int
 	cycles  int // consensus: full retry cycles, for retransmit backoff
+	fresh   bool
 
 	// The retransmission timer is part of the record, so arming it
 	// allocates nothing: it fires due, which has the member's interrupt
@@ -398,9 +410,18 @@ type sendState struct {
 	g     *Member
 	timer sim.Event
 	timed bool
+	next  *sendState // on g.sendFree
 }
 
-func (st *sendState) due() { st.g.m.Defer(st.resend) }
+// poison makes a sendState unusable when it is released, so that a
+// frame that reads one after its release fails loudly. Tests turn it
+// on.
+var poison bool
+
+func (st *sendState) due() {
+	st.fresh = false // the queued round refers to the record
+	st.g.m.Defer(st.resend)
+}
 
 // live reports whether any op of this send is still unacknowledged.
 func (st *sendState) live(g *Member) bool {
@@ -464,6 +485,7 @@ type Member struct {
 	pendingBB   map[int64]*item      // uid -> BB data awaiting accept
 	acceptedBB  map[int64]bbAccept   // seq -> accept waiting for its data
 	outstanding map[int64]*sendState // uid -> my unsequenced sends
+	sendFree    *sendState           // released records (see sendState)
 
 	// The gap timer (see armGapTimer) and what it remembers between
 	// rounds; gapOn from when it is armed until its round starts on the
@@ -482,12 +504,11 @@ type Member struct {
 	memberIdx []int
 
 	// Delivered-message cache (for election history rebuild) and
-	// per-source delivered windows: dlvBySrc[i] records, per
-	// submission number, the sequence a source's op was delivered
-	// under, so a re-sequenced duplicate after an election is
-	// recognized in O(1).
+	// per-source delivered windows: dlvBySrc[i] remembers which of a
+	// source's submissions have been delivered, so a re-sequenced
+	// duplicate after an election is recognized in O(1).
 	cache    seqRing[*dataMsg]
-	dlvBySrc []*seqRing[int64]
+	dlvBySrc []*dedupWindow
 
 	// Sequencer state. A freshly elected sequencer is not installed
 	// until every live member acknowledged its view; it assigns no
@@ -625,7 +646,7 @@ func Join(m *amoeba.Machine, cfg Config) *Member {
 		outstanding: make(map[int64]*sendState),
 		memberIdx:   make([]int, maxID+1),
 		cache:       seqRing[*dataMsg]{max: cfg.CacheSize},
-		dlvBySrc:    make([]*seqRing[int64], len(cfg.Members)),
+		dlvBySrc:    make([]*dedupWindow, len(cfg.Members)),
 		history:     seqRing[*dataMsg]{max: histMax},
 		seenBySrc:   make([]*seqRing[int64], len(cfg.Members)),
 		statuses:    make([]int64, len(cfg.Members)),
@@ -737,36 +758,23 @@ func (g *Member) noteSeen(src int, srcSeq int64, seq int64) {
 
 // dupDelivery reports whether submission srcSeq from src was already
 // handed to the application (a re-sequenced duplicate after an
-// election). Submissions below the window are ancient and count as
-// delivered.
+// election), and notes it as delivered if not. Submissions below the
+// window are ancient and count as delivered.
 func (g *Member) dupDelivery(src int, srcSeq int64) bool {
 	idx := g.srcIdx(src)
 	if idx < 0 || srcSeq <= 0 {
 		return false
 	}
-	r := g.dlvBySrc[idx]
-	if r == nil {
-		return false
+	w := g.dlvBySrc[idx]
+	if w == nil {
+		w = newDedupWindow()
+		g.dlvBySrc[idx] = w
 	}
-	if srcSeq < r.lo {
+	if w.delivered(srcSeq) {
 		return true
 	}
-	return r.get(srcSeq) != 0
-}
-
-// noteDelivered records a delivery in the per-source window.
-func (g *Member) noteDelivered(src int, srcSeq int64, seq int64) {
-	idx := g.srcIdx(src)
-	if idx < 0 || srcSeq <= 0 {
-		return
-	}
-	r := g.dlvBySrc[idx]
-	if r == nil {
-		r = &seqRing[int64]{max: srcWindow}
-		r.reset(1)
-		g.dlvBySrc[idx] = r
-	}
-	r.set(srcSeq, seq)
+	w.note(srcSeq)
+	return false
 }
 
 // heartbeat is the periodic sequencer announcement. Every member runs
@@ -849,13 +857,40 @@ func (g *Member) Broadcast(p *sim.Proc, kind string, body any, size int) int64 {
 
 // newSend registers items as one outstanding send of this member.
 func (g *Member) newSend(items []item, method Method) *sendState {
-	st := &sendState{method: method, g: g}
-	st.timer.Init(g.m.Env(), st.due)
-	st.items = append(st.one[:0], items...)
+	st := g.sendFree
+	if st == nil {
+		st = &sendState{g: g}
+		st.items = st.one[:0]
+		st.timer.Init(g.m.Env(), st.due)
+	} else {
+		g.sendFree, st.next = st.next, nil
+	}
+	st.method = method
+	st.items = append(st.items[:0], items...)
+	st.req.Items = st.items
 	for i := range st.items {
 		g.outstanding[st.items[i].UID] = st
 	}
 	return st
+}
+
+// acknowledged takes a send whose last op has appeared in the sequenced
+// stream off its timer and, if nothing else can refer to it (see
+// sendState), back to the free list.
+func (g *Member) acknowledged(st *sendState) {
+	if st.timed {
+		st.timer.Cancel()
+	}
+	if !st.fresh {
+		return
+	}
+	clear(st.items)
+	st.req, st.retries, st.cycles, st.fresh, st.timed = reqMsg{}, 0, 0, false, false
+	if poison { // a frame that still shares the record asks for an op nobody sent
+		st.items[0] = item{UID: -1, Src: 1 << 30, SrcSeq: -1, Kind: "group: released send"}
+		st.req.Items = st.items[:1]
+	}
+	st.next, g.sendFree = g.sendFree, st
 }
 
 // transmit performs one send attempt for an outstanding send. Only the
@@ -872,9 +907,11 @@ func (g *Member) transmit(p *sim.Proc, st *sendState) {
 	if n == 0 {
 		return
 	}
-	// The frame shares the send's own item array (nobody mutates it)
-	// unless some ops have already been acknowledged.
-	live := st.items
+	st.fresh = false // unless this is the first sending: see flushSend
+	// The frame shares the send's own item array and request body
+	// (nobody mutates them) unless some ops have already been
+	// acknowledged.
+	live, req := st.items, &st.req
 	if n < len(live) {
 		live = make([]item, 0, n)
 		for i := range st.items {
@@ -882,11 +919,12 @@ func (g *Member) transmit(p *sim.Proc, st *sendState) {
 				live = append(live, st.items[i])
 			}
 		}
+		req = &reqMsg{Items: live}
 	}
 	switch st.method {
 	case ForcePB:
 		g.m.Send(p, g.seqNode, amoeba.Packet{Port: g.port, Kind: "grp-req",
-			Body: &reqMsg{Items: live}, Size: frameSize(n, payload)})
+			Body: req, Size: frameSize(n, payload)})
 	case ForceBB:
 		// The sender will not hear its own frame: it stashes the data
 		// it broadcasts.

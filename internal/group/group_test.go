@@ -52,6 +52,9 @@ func newHarness(seed int64, n int, netMut func(*netsim.Params), cfgMut func(*Con
 				if !ok {
 					return
 				}
+				if d.UID < 0 {
+					panic(fmt.Sprintf("node %d was delivered %+v, read from a released record", i, d))
+				}
 				h.logs[i] = append(h.logs[i], d)
 				h.lastAt = p.Now()
 				if !d.Dup {

@@ -10,6 +10,8 @@ import (
 // interrupt/protocol CPU costs have been charged.
 func (g *Member) handle(p *sim.Proc, from int, pkt amoeba.Packet) {
 	switch b := pkt.Body.(type) {
+	case nil: // a status report is all header
+		g.noteStatus(from, pkt.Obj)
 	case *reqMsg:
 		g.onRequest(p, b)
 	case *dataFrame:
@@ -24,8 +26,6 @@ func (g *Member) handle(p *sim.Proc, from int, pkt amoeba.Packet) {
 		g.onAccept(p, b)
 	case retxReq:
 		g.onRetxReq(p, b)
-	case statusMsg:
-		g.onStatus(b)
 	case electMsg:
 		g.onElect(p, b)
 	case coordMsg:
@@ -54,7 +54,7 @@ func (g *Member) handle(p *sim.Proc, from int, pkt amoeba.Packet) {
 // nonblocking is the port's amoeba.Nonblocking predicate: it vouches
 // for the packets handle serves without a send or a CPU charge, which
 // the kernel then serves without a thread switch.
-func (g *Member) nonblocking(from int, pkt amoeba.Packet) bool {
+func (g *Member) nonblocking(from int, pkt *amoeba.Packet) bool {
 	switch b := pkt.Body.(type) {
 	case *dataFrame:
 		// processData sends from one place only: deliver, at a member
@@ -69,8 +69,8 @@ func (g *Member) nonblocking(from int, pkt amoeba.Packet) bool {
 			return n/every == (n+int64(len(b.Recs)))/every
 		}
 		return true
-	case statusMsg, hbMsg:
-		return true // onStatus and onHeartbeat take no process to block with
+	case nil, hbMsg:
+		return true // noteStatus and onHeartbeat take no process to block with
 	}
 	return false
 }
@@ -248,14 +248,15 @@ func (g *Member) onRetxReq(p *sim.Proc, r retxReq) {
 	}
 }
 
-// onStatus records a member's delivery progress.
-func (g *Member) onStatus(s statusMsg) {
-	g.noteStatus(s.Node, s.Delivered)
-}
+// alwaysBuffer sends every record through the out-of-order buffer. Tests
+// turn it on to show that the in-order path past it changes nothing.
+var alwaysBuffer bool
 
 // processData runs the ordered-delivery core: acknowledge own sends,
 // buffer out-of-order messages, deliver in strict sequence order, and
-// arm gap recovery when holes remain.
+// arm gap recovery when holes remain. The record a member hears most —
+// another member's, next in sequence, nothing waiting behind a hole —
+// probes no table and touches no buffer on its way to deliver.
 func (g *Member) processData(p *sim.Proc, d *dataMsg) {
 	if d.Epoch < g.epoch {
 		return // stale sequencer's stream
@@ -264,11 +265,13 @@ func (g *Member) processData(p *sim.Proc, d *dataMsg) {
 		g.epoch = d.Epoch // adopt the newer view's stream
 		g.electing = false
 	}
-	if st, mine := g.outstanding[d.UID]; mine {
-		delete(g.outstanding, d.UID)
-		delete(g.pendingBB, d.UID)
-		if st.timed && !st.live(g) {
-			st.timer.Cancel()
+	if d.Src == g.m.ID() { // a uid is its sender's: nobody else has it outstanding
+		if st, mine := g.outstanding[d.UID]; mine {
+			delete(g.outstanding, d.UID)
+			delete(g.pendingBB, d.UID)
+			if !st.live(g) {
+				g.acknowledged(st)
+			}
 		}
 	}
 	if d.Seq > g.maxSeen {
@@ -277,16 +280,22 @@ func (g *Member) processData(p *sim.Proc, d *dataMsg) {
 	if d.Seq < g.nextSeq {
 		return // duplicate
 	}
-	g.buffered.set(d.Seq, d)
-	for {
-		nd := g.buffered.get(g.nextSeq)
-		if nd == nil {
-			break
-		}
-		g.buffered.del(g.nextSeq)
-		g.deliver(p, nd)
+	if d.Seq == g.nextSeq && g.buffered.span() == 0 && !alwaysBuffer {
+		g.deliver(p, d)
 		g.nextSeq++
-		g.buffered.advanceTo(g.nextSeq)
+	} else {
+		g.buffered.advanceTo(g.nextSeq) // which the in-order path leaves behind
+		g.buffered.set(d.Seq, d)
+		for {
+			nd := g.buffered.get(g.nextSeq)
+			if nd == nil {
+				break
+			}
+			g.buffered.del(g.nextSeq)
+			g.deliver(p, nd)
+			g.nextSeq++
+			g.buffered.advanceTo(g.nextSeq)
+		}
 	}
 	if g.nextSeq <= g.maxSeen {
 		g.armGapTimer()
@@ -301,8 +310,12 @@ func (g *Member) processData(p *sim.Proc, d *dataMsg) {
 // reporting. Everything here is O(1) per delivery.
 func (g *Member) deliver(p *sim.Proc, d *dataMsg) {
 	g.seqAlive = p.Now()
-	delete(g.acceptedBB, d.Seq)
-	delete(g.pendingBB, d.UID)
+	if len(g.acceptedBB) > 0 {
+		delete(g.acceptedBB, d.Seq)
+	}
+	if len(g.pendingBB) > 0 {
+		delete(g.pendingBB, d.UID)
+	}
 	if g.cfg.CacheSize > 0 {
 		g.cache.set(d.Seq, d)
 	}
@@ -327,12 +340,10 @@ func (g *Member) deliver(p *sim.Proc, d *dataMsg) {
 		}
 		return
 	}
-	g.noteDelivered(d.Src, d.SrcSeq, d.Seq)
 	g.stats.Delivered++
 	g.outQ.Put(Delivery{Seq: d.Seq, UID: d.UID, Src: d.Src, Kind: d.Kind, Body: d.Body, Size: d.Size, More: d.More})
 	if !g.isSeq && g.cfg.StatusEvery > 0 && g.stats.Delivered%int64(g.cfg.StatusEvery) == 0 {
-		g.m.Send(p, g.seqNode, amoeba.Packet{Port: g.port, Kind: "grp-status",
-			Body: statusMsg{Node: g.m.ID(), Delivered: g.nextSeq}, Size: hdrSmall})
+		g.m.Send(p, g.seqNode, amoeba.Packet{Port: g.port, Kind: "grp-status", Obj: g.nextSeq, Size: hdrSmall})
 	}
 }
 

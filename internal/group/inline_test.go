@@ -26,7 +26,7 @@ func TestStatusBoundaryFrameTakesThread(t *testing.T) {
 	var refused, vouched int
 	for i := range h.gs {
 		g := h.gs[i]
-		h.ms[i].BindNonblocking(g.port, func(from int, pkt amoeba.Packet) bool {
+		h.ms[i].BindNonblocking(g.port, func(from int, pkt *amoeba.Packet) bool {
 			ok := g.nonblocking(from, pkt)
 			f, isData := pkt.Body.(*dataFrame)
 			if !isData {

@@ -1,0 +1,328 @@
+package group
+
+// What a receiver does per sequenced frame, pinned by equivalence: the
+// dedup window against the 4096-slot ring it replaced, the in-order
+// delivery path against the out-of-order buffer it skips, a capped ring
+// against a map, a recycled send record against frames that arrive
+// late, and the allocation budget of a PB send.
+
+import (
+	"fmt"
+	"math/rand"
+	"runtime/debug"
+	"testing"
+
+	"repro/internal/amoeba"
+	"repro/internal/netsim"
+	"repro/internal/sim"
+)
+
+// skipUnderRace skips an allocation budget when the race detector, which
+// allocates on its own account, is on.
+func skipUnderRace(t *testing.T) {
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range bi.Settings {
+			if s.Key == "-race" && s.Value == "true" {
+				t.Skip("allocation counts mean nothing under the race detector")
+			}
+		}
+	}
+}
+
+// A ring with a cap never holds more slots than its cap, whatever the
+// cap (the doubling it grew by overshot any cap that is not a power of
+// two), and reads back what a map would.
+func TestRingCapIsExact(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	for round := 0; round < 300; round++ {
+		max := 1 + rng.Intn(300)
+		r := seqRing[int64]{max: max}
+		lo := int64(1 + rng.Intn(5))
+		r.reset(lo)
+		ref := map[int64]int64{}
+		refLo, refHi := lo, lo
+		for step := 0; step < 400; step++ {
+			switch i := refLo - 2 + int64(rng.Intn(max+max/2+4)); rng.Intn(8) {
+			case 0:
+				r.advanceTo(i)
+				if i > refLo {
+					refLo = i
+				}
+			case 1:
+				r.del(i)
+				delete(ref, i)
+			default:
+				v := 1 + rng.Int63()
+				r.set(i, v)
+				if i >= refLo {
+					ref[i] = v
+					if i-int64(max)+1 > refLo {
+						refLo = i - int64(max) + 1
+					}
+				}
+			}
+			if refHi < refLo {
+				refHi = refLo
+			}
+			for i := range ref {
+				if i < refLo {
+					delete(ref, i)
+				} else if i >= refHi {
+					refHi = i + 1
+				}
+			}
+			if len(r.vals) > max {
+				t.Fatalf("max %d: the ring holds %d slots", max, len(r.vals))
+			}
+			if r.lo != refLo || r.hi != refHi {
+				t.Fatalf("max %d, step %d: window [%d, %d), want [%d, %d)", max, step, r.lo, r.hi, refLo, refHi)
+			}
+			for i := refLo - 3; i < refHi+3; i++ {
+				if got := r.get(i); got != ref[i] {
+					t.Fatalf("max %d, step %d: ring[%d] = %d, want %d", max, step, i, got, ref[i])
+				}
+			}
+		}
+	}
+}
+
+// The dedup window answers, for every submission of every program of
+// deliveries — in order, reordered, duplicated, with a hole that is
+// never filled, with a jump past the window — what the 4096-slot ring
+// of sequence numbers it replaced answered, and a source that delivers
+// in order costs it no slots at all.
+func TestDedupPrefixMatchesWindow(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	for round := 0; round < 40; round++ {
+		w := newDedupWindow()
+		ref := seqRing[int64]{max: srcWindow}
+		ref.reset(1)
+		refDup := func(i int64) bool { return i < ref.lo || ref.get(i) != 0 }
+		deliver := func(i int64) {
+			if got, want := w.delivered(i), refDup(i); got != want {
+				t.Fatalf("round %d: submission %d a duplicate: %t, the ring says %t (window lo %d, ring lo %d)", round, i, got, want, w.lo, ref.lo)
+			}
+			if !refDup(i) {
+				w.note(i)
+				ref.set(i, 1+rng.Int63())
+			}
+		}
+		next := int64(1)
+		for step := 0; step < 3000; step++ {
+			switch rng.Intn(40) {
+			case 0: // a hole that is never filled
+				next++
+			case 1: // a duplicate of something recent, or ancient
+				deliver(next - 1 - int64(rng.Intn(10)))
+				deliver(1 + rng.Int63n(next))
+			case 2: // a burst reordered within 8
+				perm := rng.Perm(8)
+				for _, k := range perm {
+					deliver(next + int64(k))
+				}
+				next += 8
+			case 3:
+				if rng.Intn(10) == 0 { // a jump past the window
+					next += srcWindow + int64(rng.Intn(100))
+				}
+			default:
+				deliver(next)
+				next++
+			}
+			if probe := next - int64(rng.Intn(2*srcWindow)); w.delivered(probe) != refDup(probe) {
+				t.Fatalf("round %d: submission %d: window says %t, the ring %t", round, probe, w.delivered(probe), refDup(probe))
+			}
+		}
+	}
+	w := newDedupWindow()
+	for i := int64(1); i <= 10_000; i++ {
+		if w.delivered(i) {
+			t.Fatalf("submission %d reads as delivered before it was", i)
+		}
+		w.note(i)
+	}
+	if len(w.vals) > 16 || !w.delivered(10_000) || w.delivered(10_001) {
+		t.Errorf("after 10 000 in-order deliveries the window holds %d slots (lo %d)", len(w.vals), w.lo)
+	}
+}
+
+// A record that arrives next in sequence with nothing buffered is
+// delivered without passing through the out-of-order buffer. The same
+// lossy run with every record forced through the buffer delivers the
+// same streams, counts the same and dispatches the same events.
+func TestInOrderFastPathMatchesBuffered(t *testing.T) {
+	run := func(method Method, buffered bool) string {
+		alwaysBuffer = buffered
+		defer func() { alwaysBuffer = false }()
+		h := newHarness(31, 5, func(p *netsim.Params) { p.DropProb = 0.05 }, func(c *Config) {
+			c.Method = method
+			c.SenderTimeout = 50 * sim.Millisecond
+			c.GapTimeout = 25 * sim.Millisecond
+			c.StatusEvery = 8
+		})
+		for i := range h.ms {
+			h.ms[i].SpawnThread("producer", func(p *sim.Proc) {
+				for k := 0; k < 40; k++ {
+					h.gs[i].Broadcast(p, "m", k, 100)
+					p.Sleep(sim.Time(3+i) * sim.Millisecond)
+				}
+			})
+		}
+		h.env.RunUntil(60 * sim.Second)
+		h.checkAgreement(t, 200, nil)
+		out := fmt.Sprintf("events %d\n", h.env.Events())
+		for i, g := range h.gs {
+			out += fmt.Sprintf("node %d: %+v\n", i, g.Stats())
+			for _, d := range h.logs[i] {
+				out += fmt.Sprintf("%d %d %d %t\n", d.Seq, d.UID, d.Src, d.More)
+			}
+		}
+		h.env.Stop()
+		h.env.Shutdown()
+		return out
+	}
+	for _, method := range []Method{ForcePB, ForceBB} {
+		if fast, slow := run(method, false), run(method, true); fast != slow {
+			t.Errorf("%v: the in-order path and the buffer disagree:\n%s\nthrough the buffer:\n%s", method, fast, slow)
+		}
+	}
+}
+
+// holdFirst rebinds member g's port so that the first packet from node
+// src whose body passes is is set aside instead of handled, and returns
+// a function that handles it, late, on the interrupt thread.
+func holdFirst(m *amoeba.Machine, g *Member, src int, is func(body any) bool) (late func()) {
+	var held *amoeba.Packet
+	m.Unbind(g.port)
+	m.Bind(g.port, func(p *sim.Proc, from int, pkt amoeba.Packet) {
+		if held == nil && from == src && is(pkt.Body) {
+			held = &pkt
+			return
+		}
+		g.handle(p, from, pkt)
+	})
+	return func() {
+		m.Defer(func(p *sim.Proc) { g.handle(p, src, *held) })
+	}
+}
+
+// A send record returns to the free list only when no frame that shares
+// it can still arrive. Here a frame does arrive late — after its op was
+// acknowledged through a retransmission and its sender has issued a
+// hundred more writes out of recycled, poisoned records: a request at
+// the sequencer, which must recognise it as the duplicate it is, and BB
+// data at a member, which stashes a pointer into the sender's array.
+// Either must still read the op it was sent with.
+func TestRecycledSendNeverReachesALateFrame(t *testing.T) {
+	for _, method := range []Method{ForcePB, ForceBB} {
+		h := newHarness(37, 4, nil, func(c *Config) {
+			c.Method = method
+			c.SenderTimeout = 40 * sim.Millisecond
+			c.GapTimeout = 20 * sim.Millisecond
+		})
+		// Under PB the sequencer misses the request; under BB member 2
+		// misses the data and fetches the op from the sequencer's history.
+		at, isLate := 0, func(body any) bool { _, ok := body.(*reqMsg); return ok }
+		if method == ForceBB {
+			at, isLate = 2, func(body any) bool { _, ok := body.(*bbDataMsg); return ok }
+		}
+		late := holdFirst(h.ms[at], h.gs[at], 3, isLate)
+		var first int64
+		h.ms[3].SpawnThread("writer", func(p *sim.Proc) {
+			wait := func(uid int64) {
+				for n := len(h.uidLogs[3]); n == 0 || h.uidLogs[3][n-1] != uid; n = len(h.uidLogs[3]) {
+					p.Sleep(sim.Millisecond)
+				}
+			}
+			first = h.gs[3].Broadcast(p, "m", "the late one", 80)
+			wait(first)
+			for k := 0; k < 100; k++ {
+				wait(h.gs[3].Broadcast(p, "m", k, 80))
+			}
+			late()
+		})
+		h.env.RunUntil(30 * sim.Second)
+		h.checkAgreement(t, 101, nil)
+		h.checkNoDuplicates(t, nil)
+		if retx, gaps := h.gs[3].Stats().Retransmits, h.gs[2].Stats().GapRequests; (method == ForcePB) != (retx == 1) || (method == ForceBB) != (gaps > 0) {
+			t.Errorf("%v: %d retransmissions, %d gap requests at member 2; the held frame must be made up for by one retransmission (PB) or from the sequencer's history (BB)", method, retx, gaps)
+		}
+		records := 0
+		for st := h.gs[3].sendFree; st != nil; st = st.next {
+			records++
+			if st.items[0].UID != -1 || st.req.Items[0].UID != -1 {
+				t.Errorf("%v: a released record reads %+v", method, st.items)
+			}
+		}
+		if want := map[Method]int{ForcePB: 1, ForceBB: 0}[method]; records != want {
+			t.Errorf("%v: 100 acknowledged sends went through %d recycled records, want %d", method, records, want)
+		}
+		if method == ForceBB {
+			if it := h.gs[2].pendingBB[first]; it == nil || it.UID != first || it.Body != "the late one" {
+				t.Errorf("BB: the late data frame stashed %+v at member 2, want the op it was sent with", it)
+			}
+		}
+		h.env.Stop()
+		h.env.Shutdown()
+	}
+}
+
+// A PB send from a member that is not the sequencer, through to its
+// delivery at all sixteen members, allocates the sequenced frame and
+// little else: the send record, its timer and its request body are
+// recycled, the broadcast's payload record and flight are pooled by the
+// layers below, a status report is all header, and in-order sources
+// cost the dedup windows nothing. (6.3 with a record, a method value
+// and a request body per send, a closure per fan-out and windows that
+// grew to 4096 slots.)
+func TestPBSendAllocations(t *testing.T) {
+	skipUnderRace(t)
+	const n = 16
+	env := sim.New(1)
+	nw := netsim.New(env, n, netsim.DefaultParams())
+	cfg := DefaultConfig(nil)
+	for i := 0; i < n; i++ {
+		cfg.Members = append(cfg.Members, i)
+	}
+	cfg.Method = ForcePB
+	gs := make([]*Member, n)
+	var last int64
+	got := sim.NewCond(env)
+	sent := 0
+	for i := 0; i < n; i++ {
+		m := amoeba.NewMachine(env, nw, i, amoeba.DefaultCosts())
+		gs[i] = Join(m, cfg)
+		m.SpawnThread("consumer", func(p *sim.Proc) {
+			for {
+				d, _ := gs[i].Deliveries().Get(p)
+				if i == 1 {
+					last = d.UID
+					got.Signal()
+				}
+			}
+		})
+		if i == 1 {
+			m.SpawnThread("writer", func(p *sim.Proc) {
+				for {
+					uid := gs[1].Broadcast(p, "m", nil, 64)
+					for last != uid {
+						got.Wait(p)
+					}
+					sent++
+				}
+			})
+		}
+	}
+	now := sim.Time(0)
+	tick := func() {
+		now += 200 * sim.Millisecond
+		env.RunUntil(now)
+	}
+	tick()
+	before := sent
+	perTick := testing.AllocsPerRun(10, tick)
+	if per := perTick * 11 / float64(sent-before); per > 2.5 || sent-before < 1000 {
+		t.Errorf("%.2f allocations per PB send over %d sends, want at most 2.5 over at least 1000", per, sent-before)
+	}
+	env.Shutdown()
+}

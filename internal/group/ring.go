@@ -12,7 +12,8 @@ package group
 // caps the window at max entries and silently forgets the oldest when
 // a store would exceed it (the sequencer history cap); max == 0 grows
 // the backing array instead (the out-of-order buffer, whose window is
-// bounded by gap recovery).
+// bounded by gap recovery). The backing array is allocated at the
+// first store and never holds more than max entries.
 type seqRing[T comparable] struct {
 	vals []T
 	lo   int64 // lowest retained index
@@ -105,15 +106,52 @@ func (r *seqRing[T]) clearAbove(n int64) {
 func (r *seqRing[T]) span() int { return int(r.hi - r.lo) }
 
 // grow reallocates the backing array to hold at least need entries,
-// re-placing the live window under the new modulus.
+// re-placing the live window under the new modulus. It grows eightfold,
+// so that a ring on its way to a cap of thousands has allocated a
+// seventh of the cap when it gets there, not all of it again, and stops
+// at the cap exactly (set never needs more).
 func (r *seqRing[T]) grow(need int64) {
 	n := int64(16)
 	for n < need {
-		n *= 2
+		n *= 8
+	}
+	if r.max > 0 && n > int64(r.max) {
+		n = int64(r.max)
 	}
 	nv := make([]T, n)
 	for i := r.lo; i < r.hi; i++ {
 		nv[int(i%n)] = r.vals[int(i%int64(len(r.vals)))]
 	}
 	r.vals = nv
+}
+
+// dedupWindow remembers which of one source's submissions, numbered
+// densely from 1, have been delivered: every one below lo — the
+// contiguous delivered prefix, and whatever is more than srcWindow
+// behind the newest, which counts as delivered — and, above lo, the
+// exceptions delivered out of order. A source whose submissions arrive
+// in order, the only kind without a view change, holds no exception and
+// no array.
+type dedupWindow struct{ seqRing[bool] }
+
+func newDedupWindow() *dedupWindow {
+	return &dedupWindow{seqRing[bool]{lo: 1, hi: 1, max: srcWindow}}
+}
+
+// delivered reports whether submission i has been noted.
+func (w *dedupWindow) delivered(i int64) bool { return i < w.lo || w.get(i) }
+
+// note records the delivery of submission i.
+func (w *dedupWindow) note(i int64) {
+	if i > w.lo {
+		w.set(i, true) // which drags lo along to keep the window at its cap
+	}
+	n := w.lo
+	if i == n {
+		n++
+	}
+	for w.get(n) {
+		n++
+	}
+	w.advanceTo(n)
 }

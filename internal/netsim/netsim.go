@@ -91,38 +91,88 @@ type Network struct {
 	env       *sim.Env
 	params    Params
 	n         int
+	all       []int // every node id, ascending: a broadcast's receivers
 	handlers  []Handler
 	down      []bool
 	downCount int
 	busFreeAt sim.Time
 	faults    *FaultPlan
 	stats     Stats
-	free      *flight // arrived unicast frames' records, for deliver to reuse
+	free      *flight // arrived frames' records, for launch to reuse
 }
 
-// flight is one frame on its way to one receiver. Records are pooled and
-// carry their arrival callback as a method value bound once, so a frame
-// in flight costs neither a closure nor a copy of the frame on the heap.
+// flight is one frame on its way: to the receiver dst or, when dst is
+// Broadcast, to every node of members at once. Records are pooled per
+// network and carry their arrival callback as a method value bound
+// once, so a frame in flight costs neither a closure nor a copy of the
+// frame on the heap. A record is the network's from launch to arrive,
+// which returns it before the first handler runs.
 type flight struct {
 	nw       *Network
 	f        Frame
 	dst      int
+	members  []int // the caller's, never written
 	at       sim.Time
 	frags    int
 	arriveFn func() // fl.arrive
 	next     *flight
 }
 
-// arrive fires at the frame's arrival instant.
+// poison makes arrive scribble over the record it releases, so that a
+// record used after its release fails loudly. Tests turn it on.
+var poison bool
+
+// arrive fires at the frame's arrival instant. All receivers of a
+// broadcast hear it in this one event, in node order.
 func (fl *flight) arrive() {
-	nw, f, dst, at, frags := fl.nw, fl.f, fl.dst, fl.at, fl.frags
-	fl.f = Frame{}
+	nw, dst, members := fl.nw, fl.dst, fl.members
+	d := Delivery{Frame: fl.f, Fragments: fl.frags, At: fl.at}
+	fl.f, fl.members = Frame{}, nil
+	if poison {
+		fl.dst, fl.frags = -2, -1 // no node's
+	}
 	fl.next, nw.free = nw.free, fl
-	if nw.down[dst] || nw.handlers[dst] == nil {
+	if dst != Broadcast {
+		if h := nw.hears(dst, d.Fragments); h != nil {
+			h(d)
+		}
 		return
 	}
-	nw.stats.Interrupts[dst] += int64(frags)
-	nw.handlers[dst](Delivery{Frame: f, Fragments: frags, At: at})
+	for _, dst := range members {
+		if dst == d.Frame.Src {
+			continue
+		}
+		if h := nw.hears(dst, d.Fragments); h != nil {
+			h(d)
+		}
+	}
+}
+
+// hears returns dst's handler, having counted the receive interrupts of
+// a frame that has arrived in frags fragments, or nil if dst is down or
+// has none.
+func (nw *Network) hears(dst, frags int) Handler {
+	h := nw.handlers[dst]
+	if h != nil && !nw.down[dst] {
+		nw.stats.Interrupts[dst] += int64(frags)
+		return h
+	}
+	return nil
+}
+
+// launch schedules the arrival of f, at dst or at all of members.
+// Nobody cancels a frame in flight, so the event too comes from a free
+// list, the scheduler's.
+func (nw *Network) launch(f Frame, dst int, members []int, at sim.Time, frags int) {
+	fl := nw.free
+	if fl == nil {
+		fl = &flight{nw: nw}
+		fl.arriveFn = fl.arrive
+	} else {
+		nw.free = fl.next
+	}
+	fl.f, fl.dst, fl.members, fl.at, fl.frags = f, dst, members, at, frags
+	nw.env.Schedule(at, fl.arriveFn)
 }
 
 // New creates a network of n nodes with the given parameters.
@@ -133,10 +183,15 @@ func New(env *sim.Env, n int, params Params) *Network {
 	if params.MTU <= 0 {
 		panic("netsim: MTU must be positive")
 	}
+	all := make([]int, n)
+	for i := range all {
+		all[i] = i
+	}
 	return &Network{
 		env:      env,
 		params:   params,
 		n:        n,
+		all:      all,
 		handlers: make([]Handler, n),
 		down:     make([]bool, n),
 		stats: Stats{
@@ -239,17 +294,7 @@ func (nw *Network) deliver(f Frame, dst int, at sim.Time, frags int) {
 			}
 		}
 	}
-	// Pooled schedule: nobody cancels an in-flight frame, so the event
-	// comes from the scheduler's free list instead of the heap's churn.
-	fl := nw.free
-	if fl == nil {
-		fl = &flight{nw: nw}
-		fl.arriveFn = fl.arrive
-	} else {
-		nw.free = fl.next
-	}
-	fl.f, fl.dst, fl.at, fl.frags = f, dst, at, frags
-	nw.env.Schedule(at, fl.arriveFn)
+	nw.launch(f, dst, nil, at, frags)
 }
 
 // SendFrame transmits a unicast frame. The send is fire-and-forget;
@@ -276,37 +321,7 @@ func (nw *Network) BroadcastFrame(f Frame) {
 	if !nw.params.BroadcastCapable {
 		panic("netsim: broadcast on non-broadcast network")
 	}
-	if nw.down[f.Src] {
-		return
-	}
-	f.Dst = Broadcast
-	at, frags := nw.transmit(f)
-	if nw.params.DropProb > 0 || nw.downCount > 0 || nw.faultsActive(nw.env.Now()) {
-		// Per-receiver loss rolls, and the schedule-time down-node
-		// filter (a node down at transmit time must not hear the frame
-		// even if it recovers before the arrival instant), need the
-		// general path.
-		for dst := 0; dst < nw.n; dst++ {
-			if dst == f.Src {
-				continue
-			}
-			nw.deliver(f, dst, at, frags)
-		}
-		return
-	}
-	// Healthy lossless fast path: all receivers hear the frame at the
-	// same instant, so one pooled event fans out to every handler in
-	// node order — identical delivery order to the per-receiver events
-	// it replaces, at a third of the event traffic.
-	nw.env.Schedule(at, func() {
-		for dst := 0; dst < nw.n; dst++ {
-			if dst == f.Src || nw.down[dst] || nw.handlers[dst] == nil {
-				continue
-			}
-			nw.stats.Interrupts[dst] += int64(frags)
-			nw.handlers[dst](Delivery{Frame: f, Fragments: frags, At: at})
-		}
-	})
+	nw.fanOut(f, nw.all)
 }
 
 // MulticastFrame transmits a frame to the listed member nodes except
@@ -314,36 +329,38 @@ func (nw *Network) BroadcastFrame(f Frame) {
 // Ethernet filtered multicast addresses in the controller): the bus is
 // occupied exactly once, and only member NICs raise receive
 // interrupts — every other node's hardware drops the frame for free.
-// members must be sorted ascending so delivery order is deterministic.
+// members must be sorted ascending so delivery order is deterministic,
+// and must not change while the frame is in flight.
 func (nw *Network) MulticastFrame(f Frame, members []int) {
 	if !nw.params.BroadcastCapable {
 		panic("netsim: multicast on non-broadcast network")
 	}
+	nw.fanOut(f, members)
+}
+
+// fanOut puts one frame for all of members but the sender on the wire.
+func (nw *Network) fanOut(f Frame, members []int) {
 	if nw.down[f.Src] {
 		return
 	}
 	f.Dst = Broadcast
 	at, frags := nw.transmit(f)
-	if nw.params.DropProb > 0 || nw.downCount > 0 || nw.faultsActive(nw.env.Now()) {
-		for _, dst := range members {
-			if dst == f.Src {
-				continue
-			}
-			nw.deliver(f, dst, at, frags)
-		}
+	if nw.params.DropProb == 0 && nw.downCount == 0 && !nw.faultsActive(nw.env.Now()) {
+		// Healthy and lossless: all receivers hear the frame at the same
+		// instant, so one flight fans out to every handler in node order
+		// — the delivery order of the per-receiver events it replaces,
+		// at a third of the event traffic.
+		nw.launch(f, Broadcast, members, at, frags)
 		return
 	}
-	// Healthy lossless fast path, mirroring BroadcastFrame: one pooled
-	// event fans out to the member handlers in node order.
-	nw.env.Schedule(at, func() {
-		for _, dst := range members {
-			if dst == f.Src || nw.down[dst] || nw.handlers[dst] == nil {
-				continue
-			}
-			nw.stats.Interrupts[dst] += int64(frags)
-			nw.handlers[dst](Delivery{Frame: f, Fragments: frags, At: at})
+	// Per-receiver loss rolls, and the schedule-time down-node filter (a
+	// node down at transmit time must not hear the frame even if it
+	// recovers before the arrival instant), take a flight per receiver.
+	for _, dst := range members {
+		if dst != f.Src {
+			nw.deliver(f, dst, at, frags)
 		}
-	})
+	}
 }
 
 // Stats returns a snapshot of the wire statistics.

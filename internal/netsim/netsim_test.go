@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"runtime/debug"
 	"testing"
 	"testing/quick"
 
@@ -214,4 +215,71 @@ func TestResetStats(t *testing.T) {
 	if s.Frames != 0 || s.WireBytes != 0 || s.Interrupts[1] != 0 {
 		t.Fatalf("stats not reset: %+v", s)
 	}
+}
+
+// skipUnderRace skips an allocation budget when the race detector, which
+// allocates on its own account, is on.
+func skipUnderRace(t *testing.T) {
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range bi.Settings {
+			if s.Key == "-race" && s.Value == "true" {
+				t.Skip("allocation counts mean nothing under the race detector")
+			}
+		}
+	}
+}
+
+// A broadcast on a healthy lossless network is one pooled flight and
+// one pooled event for all fifteen receivers: nothing is allocated for
+// it. (The fan-out was a closure per frame.)
+func TestBroadcastFanoutAllocations(t *testing.T) {
+	skipUnderRace(t)
+	env, nw := testNet(16, nil)
+	heard := 0
+	for i := 0; i < 16; i++ {
+		nw.Handle(i, func(Delivery) { heard++ })
+	}
+	members := []int{1, 3, 5, 7}
+	cast := func() {
+		nw.BroadcastFrame(Frame{Src: 1, Kind: "bench", Size: 64})
+		nw.MulticastFrame(Frame{Src: 1, Kind: "bench", Size: 64}, members)
+		env.Run()
+	}
+	cast()
+	if a := testing.AllocsPerRun(100, cast); a != 0 || heard != 102*(15+3) {
+		t.Errorf("%v allocations per broadcast and multicast, %d deliveries; want 0 and %d", a, heard, 102*(15+3))
+	}
+}
+
+// A flight record is the network's from launch to arrive and nobody's
+// afterwards: with poisoning on (see TestMain) a released record names
+// no node, and firing it again panics instead of delivering some later
+// frame's payload a second time.
+func TestReleasedFlightIsPoisoned(t *testing.T) {
+	env, nw := testNet(3, nil)
+	got := 0
+	nw.Handle(1, func(Delivery) { got++ })
+	nw.Handle(2, func(Delivery) { got++ })
+	nw.SendFrame(Frame{Src: 0, Dst: 1, Kind: "test", Size: 10, Payload: "unicast"})
+	nw.BroadcastFrame(Frame{Src: 0, Kind: "test", Size: 10, Payload: "broadcast"})
+	env.Run()
+	if got != 3 {
+		t.Fatalf("%d deliveries, want 3", got)
+	}
+	n := 0
+	for fl := nw.free; fl != nil; fl = fl.next {
+		n++
+		if fl.dst != -2 || fl.frags != -1 || fl.f.Payload != nil || fl.members != nil {
+			t.Errorf("released flight still reads dst %d, frags %d, payload %v, members %v", fl.dst, fl.frags, fl.f.Payload, fl.members)
+		}
+	}
+	if n != 2 {
+		t.Errorf("%d records on the free list, want the 2 that flew", n)
+	}
+	defer func() {
+		if recover() == nil || got != 3 {
+			t.Errorf("firing a released flight did not panic (deliveries: %d)", got)
+		}
+	}()
+	nw.free.arrive()
 }

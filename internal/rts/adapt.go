@@ -258,7 +258,7 @@ func (r *Router) attachAdapt() {
 			if mgr.m.Crashed() {
 				continue
 			}
-			if inst, ok := mgr.insts[meta.id]; ok && inst.moved {
+			if inst := mgr.inst(meta.id); inst != nil && inst.moved {
 				return info.typ.Clone(inst.state)
 			}
 		}
@@ -451,8 +451,7 @@ func (r *Router) awaitFlip(w *Worker, id ObjID, info *adaptInfo, from int) {
 		// span has no replica to wait for: its retry forwards to a
 		// holder and bounces again until the holder caught up.)
 		for {
-			inst, ok := mgr.insts[id]
-			if ok && !inst.moved {
+			if inst := mgr.inst(id); inst != nil && !inst.moved {
 				return
 			}
 			mgr.instCond.Wait(w.P)
@@ -478,8 +477,8 @@ func (r *Router) handleMigrate(p *sim.Proc, mgr *bcastManager, uid int64, src in
 		// snapshot. A live (non-moved) replica means this record is a
 		// crash-rescue duplicate: skip, preserving writes applied
 		// since the first record.
-		if old, ok := mgr.insts[wm.Obj]; !ok || old.moved {
-			if ok {
+		if old := mgr.inst(wm.Obj); old == nil || old.moved {
+			if old != nil {
 				old.seg.Free()
 			}
 			t := info.typ
@@ -490,11 +489,7 @@ func (r *Router) handleMigrate(p *sim.Proc, mgr *bcastManager, uid int64, src in
 				state: st,
 				seg:   mgr.m.AllocSegment(int64(t.stateSize(st))),
 			}
-			mgr.insts[wm.Obj] = inst
-			if mgr.lastID == wm.Obj {
-				mgr.lastInst = inst
-			}
-			mgr.instCond.Broadcast()
+			mgr.setInst(wm.Obj, inst)
 		}
 		if !info.decided {
 			info.decided = true
@@ -515,7 +510,7 @@ func (r *Router) handleMigrate(p *sim.Proc, mgr *bcastManager, uid int64, src in
 			// Clone this manager's replica: it sits exactly at the cut
 			// position of the total order, as every replica does at
 			// its own delivery of this record.
-			inst := mgr.insts[wm.Obj]
+			inst := mgr.inst(wm.Obj)
 			r.installPrimary(wm.Obj, info, wm.Target, info.typ.Clone(inst.state))
 			r.finishMigration(info, wm.Obj, domP2P, now)
 		}
@@ -524,7 +519,7 @@ func (r *Router) handleMigrate(p *sim.Proc, mgr *bcastManager, uid int64, src in
 		// Freeze the local replica: writes sequenced after the cut
 		// bounce (applyWrite), parked guard writes bounce here, and
 		// guard-blocked readers wake to bounce (localRead).
-		inst := mgr.insts[wm.Obj]
+		inst := mgr.inst(wm.Obj)
 		inst.moved = true
 		for _, pw := range inst.pending {
 			mgr.complete(p, pw.uid, pw.src, retry)

@@ -139,7 +139,7 @@ type bcastManager struct {
 	rts      *BroadcastRTS
 	m        *amoeba.Machine
 	g        *group.Member
-	insts    map[ObjID]*bcastInstance
+	insts    []*bcastInstance // by ObjID (see inst); ids are dense and never reused
 	waiters  map[int64]*opWaiter
 	early    map[int64]Args // completions that beat their waiter
 	flights  map[int64]*batchFlight
@@ -159,13 +159,6 @@ type bcastManager struct {
 	// happens exactly where it always did.
 	inFrame    bool
 	pendCharge sim.Time
-
-	// lastID/lastInst memoize the most recent instance lookup.
-	// Replicas are never removed from insts, so the cache cannot go
-	// stale; it turns the per-invocation map access into a compare on
-	// the overwhelmingly common repeated-object access pattern.
-	lastID   ObjID
-	lastInst *bcastInstance
 
 	// wfree recycles opWaiter records: one is needed per in-flight
 	// write, and steady state has a tiny number in flight.
@@ -268,7 +261,6 @@ func newBroadcastRTSAt(reg *Registry, costs Costs, machines []*amoeba.Machine, m
 			rts:      r,
 			m:        m,
 			g:        members[i],
-			insts:    make(map[ObjID]*bcastInstance),
 			waiters:  make(map[int64]*opWaiter),
 			early:    make(map[int64]Args),
 			flights:  make(map[int64]*batchFlight),
@@ -463,8 +455,8 @@ func (r *BroadcastRTS) PeekState(node int, id ObjID) (State, bool) {
 	if mgr == nil {
 		return nil, false
 	}
-	inst, ok := mgr.insts[id]
-	if !ok {
+	inst := mgr.inst(id)
+	if inst == nil {
 		return nil, false
 	}
 	return inst.state, true
@@ -477,8 +469,8 @@ func (r *BroadcastRTS) PendingWrites(node int, id ObjID) int {
 	if mgr == nil {
 		return 0
 	}
-	inst, ok := mgr.insts[id]
-	if !ok {
+	inst := mgr.inst(id)
+	if inst == nil {
 		return 0
 	}
 	return len(inst.pending)
@@ -488,16 +480,32 @@ func (r *BroadcastRTS) PendingWrites(node int, id ObjID) int {
 // broadcast if it has not arrived yet (a freshly forked worker can
 // race the create message).
 func (mgr *bcastManager) instance(p *sim.Proc, id ObjID) *bcastInstance {
-	if id == mgr.lastID && mgr.lastInst != nil {
-		return mgr.lastInst
-	}
 	for {
-		if inst, ok := mgr.insts[id]; ok {
-			mgr.lastID, mgr.lastInst = id, inst
+		if inst := mgr.inst(id); inst != nil {
 			return inst
 		}
 		mgr.instCond.Wait(p)
 	}
+}
+
+// inst returns the local replica of id, nil if there is none (yet). The
+// replicas sit in a table indexed by object id: ids come from one
+// allocator, counting up from 1, and a replica is replaced (see
+// handleMigrate) but never removed.
+func (mgr *bcastManager) inst(id ObjID) *bcastInstance {
+	if id < 0 || int(id) >= len(mgr.insts) {
+		return nil
+	}
+	return mgr.insts[id]
+}
+
+// setInst installs the local replica of id.
+func (mgr *bcastManager) setInst(id ObjID, inst *bcastInstance) {
+	for int(id) >= len(mgr.insts) {
+		mgr.insts = append(mgr.insts, nil)
+	}
+	mgr.insts[id] = inst
+	mgr.instCond.Broadcast()
 }
 
 // localRead performs a read on the local replica: no network traffic,
@@ -580,12 +588,13 @@ func (mgr *bcastManager) await(p *sim.Proc, uid int64) Args {
 	return res
 }
 
-// complete finishes a waiting invocation. src is the originating node:
-// completions for locally originated messages with no registered
-// waiter yet are buffered until await claims them. Async (combined)
-// ops complete through their batch flight instead of a waiter.
+// complete finishes a waiting invocation. src is the originating node,
+// the only one where anybody waits for uid: a completion with no
+// registered waiter yet is buffered there until await claims it. Async
+// (combined) ops complete through their batch flight instead of a
+// waiter.
 func (mgr *bcastManager) complete(p *sim.Proc, uid int64, src int, res Args) {
-	if mgr.completeFlight(p, uid) {
+	if src != mgr.m.ID() || mgr.completeFlight(p, uid) {
 		return
 	}
 	if wt, ok := mgr.waiters[uid]; ok {
@@ -594,9 +603,7 @@ func (mgr *bcastManager) complete(p *sim.Proc, uid int64, src int, res Args) {
 		wt.cond.Broadcast()
 		return
 	}
-	if src == mgr.m.ID() {
-		mgr.early[uid] = res
-	}
+	mgr.early[uid] = res
 }
 
 // SetExtraHandler installs a callback for group messages the runtime
@@ -692,7 +699,7 @@ func (mgr *bcastManager) serve(d group.Delivery) sim.Verdict {
 	if !ok || d.Dup {
 		return sim.Decline
 	}
-	inst := mgr.insts[wo.Obj]
+	inst := mgr.inst(wo.Obj)
 	if inst == nil || inst.moved {
 		return sim.Decline
 	}
@@ -780,8 +787,7 @@ func (mgr *bcastManager) applyCreate(p *sim.Proc, uid int64, src int, c wireCrea
 		state: state,
 		seg:   mgr.m.AllocSegment(int64(t.stateSize(state))),
 	}
-	mgr.insts[c.Obj] = inst
-	mgr.instCond.Broadcast()
+	mgr.setInst(c.Obj, inst)
 	mgr.complete(p, uid, src, Args{})
 }
 
@@ -791,8 +797,8 @@ func (mgr *bcastManager) applyCreate(p *sim.Proc, uid int64, src int, c wireCrea
 // runs at the frame boundary (see run), not here.
 func (mgr *bcastManager) applyWrite(p *sim.Proc, uid int64, src int, wo wireOp) {
 	r := mgr.rts
-	inst, ok := mgr.insts[wo.Obj]
-	if !ok {
+	inst := mgr.inst(wo.Obj)
+	if inst == nil {
 		if !mgr.rts.replicatedOn(mgr.m.ID(), wo.Obj) {
 			return // not a replica holder: the write does not apply here
 		}

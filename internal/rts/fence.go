@@ -200,8 +200,8 @@ func (r *Router) execFence(p *sim.Proc, mgr *bcastManager, f wireFence) {
 		if sm == nil || !sub.replicatedOn(node, fo.ID) {
 			continue
 		}
-		inst, ok := sm.insts[fo.ID]
-		if !ok {
+		inst := sm.inst(fo.ID)
+		if inst == nil {
 			panic(fmt.Sprintf("rts: fenced write to unknown object %d on node %d", fo.ID, node))
 		}
 		op := inst.op(fo.Op)
