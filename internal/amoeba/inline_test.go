@@ -506,3 +506,62 @@ func TestReleasedRequestIsPoisoned(t *testing.T) {
 		t.Errorf("the released request still reads %+v", kept)
 	}
 }
+
+// A charge of several quanta is the same slices in the same event slots
+// whether a thread makes it (Compute) or a served queue's inline consumer
+// makes it for the thread (ComputeFn): a second claimant that arrives
+// mid-way gets the CPU after the slice in progress either way, and every
+// moment an observer can see has the same clock and event count.
+func TestComputeFnSlicesLikeCompute(t *testing.T) {
+	type moment struct {
+		who    string
+		at     sim.Time
+		events int64
+	}
+	run := func(inline bool) (trace []moment) {
+		env, _, ms := cluster(t, 1, nil)
+		m := ms[0]
+		q := m.cpu.Slice
+		note := func(who string) { trace = append(trace, moment{who, env.Now(), env.Events()}) }
+		work := sim.NewQueue[sim.Time](env)
+		var thread *sim.Proc
+		if inline {
+			done := func() { note("long"); work.Done() }
+			work.Serve(func(d sim.Time) sim.Verdict {
+				m.ComputeFn(thread, d, done)
+				return sim.Pending
+			})
+		}
+		thread = m.SpawnThread("long", func(p *sim.Proc) {
+			for {
+				d, _ := work.Get(p)
+				m.Compute(p, d)
+				note("long")
+			}
+		})
+		m.SpawnThread("short", func(p *sim.Proc) {
+			p.Sleep(q + q/5) // into the long charge's second slice
+			m.Compute(p, q/2)
+			note("short")
+			m.Compute(p, 2*q) // and two slices of its own, interleaved with the rest
+			note("short")
+		})
+		env.At(10*sim.Microsecond, func() { work.Put(3*q + q/2) })
+		env.Run()
+		note("end")
+		if got, want := m.AppBusy(), 6*q; got != want {
+			t.Errorf("inline=%t: AppBusy = %v, want %v", inline, got, want)
+		}
+		env.Shutdown()
+		return trace
+	}
+	thread, inline := run(false), run(true)
+	if fmt.Sprint(thread) != fmt.Sprint(inline) {
+		t.Errorf("traces differ:\n  Compute:   %v\n  ComputeFn: %v", thread, inline)
+	}
+	q := sim.Millisecond
+	// long: [10µs, q+10µs) [q+10µs, 2q+10µs); short's half slice; then they alternate.
+	if want := 2*q + 10*sim.Microsecond + q/2; len(thread) != 4 || thread[0] != (moment{"short", want, thread[0].events}) {
+		t.Errorf("trace %v: the second claimant did not get the CPU at the slice boundary, %v", thread, want)
+	}
+}

@@ -190,7 +190,11 @@ func (s *Server) offered(r *Request) sim.Verdict {
 func (s *Server) asked() {
 	r := s.cur
 	s.cur = nil
-	switch s.take(r) {
+	v := sim.Decline
+	if !s.m.env.AllThreads {
+		v = s.take(r)
+	}
+	switch v {
 	case sim.Decline:
 		r.switched = true
 		s.reqs.Punt()
@@ -243,14 +247,14 @@ func (s *Server) release(r *Request) {
 // PutReply sends a reply for r that is all body and records it for
 // duplicate suppression. r is the server's again when PutReply returns.
 func (s *Server) PutReply(p *sim.Proc, r *Request, body any, size int) {
-	s.m.Send(p, r.From, s.reply(r, Args{}, body, size))
-	s.release(r)
+	s.putFn(p, r, Args{}, body, size, p.Resume())
+	p.Park()
 }
 
 // PutResult is PutReply for a reply that fits the header: res.
 func (s *Server) PutResult(p *sim.Proc, r *Request, res Args, size int) {
-	s.m.Send(p, r.From, s.reply(r, res, nil, size))
-	s.release(r)
+	s.putFn(p, r, res, nil, size, p.Resume())
+	p.Park()
 }
 
 // PutResultFn is PutResult in continuation form, for code that serves r
@@ -259,22 +263,27 @@ func (s *Server) PutResult(p *sim.Proc, r *Request, res Args, size int) {
 // charged on p's behalf, and then the reply is transmitted and then
 // runs, in the event where PutResult would have returned to p.
 func (s *Server) PutResultFn(p *sim.Proc, r *Request, res Args, size int, then func()) {
-	r.rep, r.then = s.reply(r, res, nil, size), then
+	s.putFn(p, r, res, nil, size, then)
+}
+
+// putFn is every reply. A crashed machine sends nothing and charges
+// nothing (see Machine.Send); whoever still runs there goes straight on.
+func (s *Server) putFn(p *sim.Proc, r *Request, res Args, body any, size int, then func()) {
+	r.rep, r.then = s.reply(r, res, body, size), then
+	if s.m.crashed {
+		s.release(r)
+		then()
+		return
+	}
 	s.m.cpu.UseFn(p, s.m.costs.Send, r.sentFn)
 }
 
-// sent continues PutResultFn once the send has been charged.
+// sent continues putFn once the send has been charged.
 func (r *Request) sent() {
 	s, then := r.srv, r.then
 	s.m.transmit(r.From, r.rep)
 	s.release(r)
 	then()
-}
-
-// Close unbinds the server and wakes blocked GetRequest calls.
-func (s *Server) Close() {
-	s.m.Unbind(s.port)
-	s.reqs.Close()
 }
 
 // Client issues RPCs from a machine to servers elsewhere. A single

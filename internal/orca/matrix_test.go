@@ -45,11 +45,12 @@ type matrixOutcome struct {
 // router refuses), then every processor hammers every created counter —
 // processor 0 writes unique values for the first half, processor 1 for
 // the second, everyone else reads through the typed API.
-func matrixRun(t *testing.T, cfg orca.Config) matrixOutcome {
+func matrixRun(t *testing.T, cfg orca.Config, allThreads bool) matrixOutcome {
 	const iters = 12
 	P := cfg.Processors
 	out := matrixOutcome{created: make([]bool, len(matrixPlacements)), hist: make([][][]scheck.Op, len(matrixPlacements))}
 	rt := orca.New(cfg, std.Register)
+	rt.Env().AllThreads = allThreads
 	rep := rt.Run(func(p *orca.Proc) {
 		objs := make([]std.Counter, len(matrixPlacements))
 		for i, pl := range matrixPlacements {
@@ -88,19 +89,13 @@ func matrixRun(t *testing.T, cfg orca.Config) matrixOutcome {
 	if rep.TimedOut {
 		t.Fatalf("timed out; blocked: %v", rep.Blocked)
 	}
-	out.fp = fmt.Sprintf("elapsed=%d net=%d/%d/%d rts=%+v created=%v placements=%v",
-		int64(rep.Elapsed), rep.Net.Frames, rep.Net.Messages, rep.Net.WireBytes, rep.RTS, out.created, rep.Placements)
+	out.fp = fmt.Sprintf("%s created=%v placements=%v", observed(rt, rep), out.created, rep.Placements)
 	return out
 }
 
-// TestConfigMatrix drives every combination of runtime kind, Mixed,
-// sharding, replication domains, batching and sequencing protocol
-// through the same program, which asks for every placement. A
-// configuration either fails Validate (and New panics) or builds; a
-// placement either is refused at creation — exactly when its domain was
-// not built — or serves a sequentially consistent history; and a second
-// run reproduces the first bit for bit.
-func TestConfigMatrix(t *testing.T) {
+// matrixConfigs calls cell with every combination of runtime kind, Mixed,
+// sharding, replication domains, batching and sequencing protocol.
+func matrixConfigs(t *testing.T, cell func(t *testing.T, cfg orca.Config)) {
 	const P = 4
 	type seq struct {
 		name     string
@@ -119,7 +114,7 @@ func TestConfigMatrix(t *testing.T) {
 								cfg.Batching = orca.DefaultBatching()
 							}
 							name := fmt.Sprintf("%v/mixed=%v/shards=%d/span=%d/batch=%v/%s", kind, mixed, shards, span, batching, sq.name)
-							t.Run(name, func(t *testing.T) { matrixCell(t, cfg) })
+							t.Run(name, func(t *testing.T) { cell(t, cfg) })
 						}
 					}
 				}
@@ -127,6 +122,14 @@ func TestConfigMatrix(t *testing.T) {
 		}
 	}
 }
+
+// TestConfigMatrix drives every such combination through the same
+// program, which asks for every placement. A
+// configuration either fails Validate (and New panics) or builds; a
+// placement either is refused at creation — exactly when its domain was
+// not built — or serves a sequentially consistent history; and a second
+// run reproduces the first bit for bit.
+func TestConfigMatrix(t *testing.T) { matrixConfigs(t, matrixCell) }
 
 func matrixCell(t *testing.T, cfg orca.Config) {
 	groups := cfg.RTS == orca.Broadcast || cfg.Mixed
@@ -147,7 +150,7 @@ func matrixCell(t *testing.T, cfg orca.Config) {
 		orca.New(cfg, std.Register)
 		return
 	}
-	out := matrixRun(t, cfg)
+	out := matrixRun(t, cfg, false)
 	for i, pl := range matrixPlacements {
 		if want := pl.hosted(groups, p2p); out.created[i] != want {
 			t.Errorf("%s: created = %v, want %v", pl.name, out.created[i], want)
@@ -156,7 +159,7 @@ func matrixCell(t *testing.T, cfg orca.Config) {
 			t.Errorf("%s: %v", pl.name, err)
 		}
 	}
-	if again := matrixRun(t, cfg); again.fp != out.fp {
+	if again := matrixRun(t, cfg, false); again.fp != out.fp {
 		t.Errorf("second run differs:\n  %s\n  %s", out.fp, again.fp)
 	}
 }

@@ -1,0 +1,264 @@
+package orca_test
+
+// The servers of a machine — interrupt service, the object manager, the
+// RPC dispatcher, a primary object's thread — serve what they can on the
+// simulator's dispatch lane and the rest on their goroutine. These tests
+// hold the two routes to one schedule, and measure how much still takes
+// the second.
+
+import (
+	"fmt"
+	"strings"
+	"testing"
+
+	"repro/internal/apps/kv"
+	"repro/internal/apps/tsp"
+	"repro/internal/group"
+	"repro/internal/netsim"
+	"repro/internal/orca"
+	"repro/internal/orca/std"
+	"repro/internal/rts"
+	"repro/internal/sim"
+	"repro/internal/workload"
+)
+
+// observed is everything a finished run shows an outsider: the clock,
+// the engine's event count, the wire, the CPUs, the runtime's counters
+// and the state of every object on every machine still alive.
+func observed(rt *orca.Runtime, rep orca.Report) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "elapsed=%d events=%d net=%+v cpu=%v rts=%+v", int64(rep.Elapsed), rt.Env().Events(), rep.Net, rep.CPUBusy, rep.RTS)
+	dead := map[int]bool{}
+	for _, c := range rep.Crashes {
+		dead[c.Node] = true
+	}
+	for id := rts.ObjID(1); id <= 32; id++ {
+		for node := range rep.CPUBusy {
+			if st, ok := rt.System().PeekState(node, id); ok && !dead[node] {
+				fmt.Fprintf(&b, " obj%d@%d=%+v", id, node, st)
+			}
+		}
+	}
+	return b.String()
+}
+
+// diffAt cuts two fingerprints down to where they part.
+func diffAt(a, b string) string {
+	i := 0
+	for i < len(a) && i < len(b) && a[i] == b[i] {
+		i++
+	}
+	from := max(0, i-60)
+	return fmt.Sprintf("\n  inline:      …%s\n  all threads: …%s", a[from:min(len(a), i+60)], b[from:min(len(b), i+60)])
+}
+
+// faultCells are the runs TestInlineMatchesAllThreads adds to the
+// configuration matrix: a crash of the sequencer, a crash of a primary
+// copy's machine, and an object migrating both ways.
+var faultCells = []struct {
+	name string
+	cfg  orca.Config
+	prog func(t *testing.T, p *orca.Proc)
+	want func(rep orca.Report) error
+}{
+	{"sequencer-crash",
+		orca.Config{Processors: 4, RTS: orca.Broadcast, Seed: 3, GroupMethod: group.ForcePB, Sequencer: 3,
+			Faults: &netsim.FaultPlan{Crashes: []netsim.Crash{{Node: 3, At: 30 * sim.Millisecond}}}},
+		func(t *testing.T, p *orca.Proc) {
+			c, done := std.NewCounter(p, 0), std.NewCounter(p, 0)
+			for cpu := 1; cpu < 3; cpu++ {
+				p.Fork(cpu, "w", func(wp *orca.Proc) {
+					for k := 0; k < 40; k++ {
+						c.Add(wp, 1)
+						wp.Work(1500 * sim.Microsecond)
+					}
+					done.Add(wp, 1)
+				})
+			}
+			done.AwaitGE(p, 2)
+			if got := c.Value(p); got != 80 {
+				t.Errorf("counter = %d, want 80", got)
+			}
+		},
+		func(rep orca.Report) error {
+			if rep.RTS.Elections == 0 {
+				return fmt.Errorf("no election: %+v", rep.RTS)
+			}
+			return nil
+		}},
+	{"primary-crash",
+		orca.Config{Processors: 4, RTS: orca.P2PUpdate, Seed: 5,
+			Faults: &netsim.FaultPlan{Crashes: []netsim.Crash{{Node: 2, At: 25 * sim.Millisecond}}}},
+		func(t *testing.T, p *orca.Proc) {
+			var c std.Counter
+			placed, done := std.NewFlag(p, false), std.NewCounter(p, 0)
+			p.Fork(2, "home", func(hp *orca.Proc) { // the primary copy lives where it is created
+				c = std.NewCounter(hp, 0)
+				placed.Set(hp, true)
+			})
+			placed.Await(p)
+			for _, cpu := range []int{1, 3} {
+				p.Fork(cpu, "w", func(wp *orca.Proc) {
+					for k := 0; k < 60; k++ {
+						if k%6 == 0 {
+							c.Add(wp, 1)
+						} else {
+							c.Value(wp)
+						}
+						wp.Work(800 * sim.Microsecond)
+					}
+					done.Add(wp, 1)
+				})
+			}
+			done.AwaitGE(p, 2)
+			c.Add(p, 1)
+		},
+		func(rep orca.Report) error {
+			if rep.RTS.Rehomed == 0 {
+				return fmt.Errorf("the object was never re-homed: %+v", rep.RTS)
+			}
+			return nil
+		}},
+	{"adaptive-migration",
+		orca.Config{Processors: 4, RTS: orca.Broadcast, Mixed: true, Seed: 11, GroupMethod: group.ForcePB},
+		func(t *testing.T, p *orca.Proc) {
+			obj := p.NewWith(std.IntObj, orca.Opts(orca.With(orca.Adaptive(rts.AdaptConfig{SampleEvery: 8, MinDwell: sim.Millisecond}))), 0)
+			done := std.NewCounter(p, 0)
+			p.Fork(2, "writer", func(wp *orca.Proc) {
+				for i := 0; i < 24; i++ {
+					wp.Invoke(obj, "inc")
+					wp.Work(200 * sim.Microsecond)
+				}
+				done.Add(wp, 1)
+			})
+			for _, cpu := range []int{1, 3} {
+				p.Fork(cpu, "reader", func(rp *orca.Proc) {
+					rp.Sleep(20 * sim.Millisecond)
+					for i := 0; i < 40; i++ {
+						rp.InvokeI(obj, "value")
+						rp.Work(150 * sim.Microsecond)
+					}
+					done.Add(rp, 1)
+				})
+			}
+			done.AwaitGE(p, 3)
+			if got := p.InvokeI(obj, "value"); got != 24 {
+				t.Errorf("value = %d, want 24", got)
+			}
+		},
+		func(rep orca.Report) error {
+			if rep.RTS.Migrations < 2 {
+				return fmt.Errorf("%d migrations, want the object to move out and back", rep.RTS.Migrations)
+			}
+			return nil
+		}},
+}
+
+// TestInlineMatchesAllThreads is the differential oracle of inline
+// service: with sim.Env.AllThreads set, every consumer that decides
+// between the dispatch lane and its goroutine takes the goroutine, and a
+// run must show an outsider exactly what it shows without. An inline
+// consumer that touches anything before it declines, or takes steps its
+// thread would not, fails here.
+func TestInlineMatchesAllThreads(t *testing.T) {
+	matrixConfigs(t, func(t *testing.T, cfg orca.Config) {
+		if cfg.Validate() != nil {
+			t.Skip("not a configuration")
+		}
+		if inline, threads := matrixRun(t, cfg, false).fp, matrixRun(t, cfg, true).fp; inline != threads {
+			t.Error("the two routes differ:", diffAt(inline, threads))
+		}
+	})
+	for _, c := range faultCells {
+		t.Run(c.name, func(t *testing.T) {
+			var fp [2]string
+			for i, allThreads := range []bool{false, true} {
+				rt := orca.New(c.cfg, std.Register)
+				rt.Env().AllThreads = allThreads
+				rep := rt.Run(func(p *orca.Proc) { c.prog(t, p) })
+				if rep.TimedOut {
+					t.Fatalf("allThreads=%t: timed out; blocked: %v", allThreads, rep.Blocked)
+				}
+				if err := c.want(rep); err != nil {
+					t.Fatalf("allThreads=%t: the cell does not exercise what it is for: %v", allThreads, err)
+				}
+				fp[i] = observed(rt, rep)
+			}
+			if fp[0] != fp[1] {
+				t.Error("the two routes differ:", diffAt(fp[0], fp[1]))
+			}
+		})
+	}
+}
+
+// TestRouteShares measures, on small versions of the benchmark's
+// workloads, how much of each served queue's work still ends on its
+// goroutine (run with -v for the table). The doc comments of the four
+// thread loops — amoeba.Machine.interruptLoop, rts.bcastManager.run,
+// rts.p2pNode.serve, rts.objQueue.loop — quote it, and what they claim
+// is asserted here.
+func TestRouteShares(t *testing.T) {
+	kvRun := func(procs int, mixed bool, policy kv.Policy, readFrac, rate float64) *orca.Runtime {
+		r := kv.Run(orca.Config{Processors: procs, RTS: orca.Broadcast, Mixed: mixed, Seed: 1, GroupMethod: group.ForcePB},
+			kv.Params{Policy: policy, Workload: workload.Config{Keys: 8192, Dist: workload.Zipf, Theta: 0.99,
+				ReadFrac: readFrac, UpdateFrac: (1 - readFrac) / 2, Seed: 1, Rate: rate, Duration: sim.Second}})
+		if r.Report.TimedOut || r.LostAcked != 0 {
+			t.Fatalf("kv %v: timed out %v, %d acknowledged writes lost", policy, r.Report.TimedOut, r.LostAcked)
+		}
+		return r.Runtime
+	}
+	inst := tsp.Generate(11, 18)
+	best, _ := tsp.SolveSeq(inst)
+	tspRun := tsp.RunOrca(orca.Config{Processors: 16, RTS: orca.Broadcast, Seed: 1, Shards: 4, Batching: orca.DefaultBatching()}, inst, tsp.Params{})
+	if tspRun.Report.TimedOut || tspRun.Best != best {
+		t.Fatalf("tsp: best %d, want %d; timed out %v", tspRun.Best, best, tspRun.Report.TimedOut)
+	}
+	runs := []struct {
+		name string
+		rt   *orca.Runtime
+	}{
+		{"kv replicated P=16, 50% writes", kvRun(16, false, kv.PolicyReplicated, 0.50, 3000)},
+		{"kv primary P=8, 5% writes", kvRun(8, true, kv.PolicyPrimary, 0.95, 4000)},
+		{"tsp P=16, 4 shards, batched", tspRun.Runtime},
+	}
+	share := map[string]float64{}
+	t.Logf("%-32s %-7s %9s %9s %9s %9s %9s  %s", "run", "queue", "offered", "finished", "pending", "declined", "punted", "on the goroutine")
+	for _, run := range runs {
+		// A consumer is named "node<n>/<thread>"; obj<id> threads count as one kind.
+		sum := map[string]sim.Routes{}
+		for _, r := range run.rt.Env().Routes() {
+			kind := strings.TrimRight(r.Consumer[strings.Index(r.Consumer, "/")+1:], "0123456789")
+			k := sum[kind]
+			sum[kind] = sim.Routes{Finished: k.Finished + r.Finished, Pending: k.Pending + r.Pending, Declined: k.Declined + r.Declined, Punted: k.Punted + r.Punted}
+		}
+		for _, kind := range []string{"netisr", "objmgr", "objsvc", "obj"} {
+			r := sum[kind]
+			offered := r.Finished + r.Pending + r.Declined
+			if offered == 0 {
+				continue
+			}
+			s := float64(r.Declined+r.Punted) / float64(offered)
+			share[run.name+"/"+kind] = s
+			t.Logf("%-32s %-7s %9d %9d %9d %9d %9d  %5.1f %%", run.name, kind, offered, r.Finished, r.Pending, r.Declined, r.Punted, 100*s)
+		}
+	}
+	for _, c := range []struct {
+		key      string
+		min, max float64
+	}{
+		// interruptLoop: the sequencer's and the senders' handlers send.
+		{"kv replicated P=16, 50% writes/netisr", 0.001, 0.15},
+		// run: plain writes stay inline (the rest is creations and the
+		// start barrier); a batching worker's own writes do not.
+		{"kv replicated P=16, 50% writes/objmgr", 0, 0.05},
+		{"tsp P=16, 4 shards, batched/objmgr", 0.30, 1},
+		// serve: with no secondaries nothing is left for the dispatcher.
+		{"kv primary P=8, 5% writes/objsvc", 0, 0},
+		// loop: a primary's writes, and only they.
+		{"kv primary P=8, 5% writes/obj", 0.01, 0.10},
+	} {
+		if s, ok := share[c.key]; !ok || s < c.min || s > c.max {
+			t.Errorf("%s: %.1f %% of items on the goroutine (measured: %t), the thread loop's comment says %.1f–%.1f %%", c.key, 100*s, ok, 100*c.min, 100*c.max)
+		}
+	}
+}

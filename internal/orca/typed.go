@@ -27,7 +27,6 @@ import (
 	"fmt"
 
 	"repro/internal/rts"
-	"repro/internal/sim"
 )
 
 // Handle is a typed handle to a shared data-object whose replicated
@@ -164,9 +163,6 @@ func (op ReadOp0[S, R]) Guard(g func(S) bool) ReadOp0[S, R] {
 	return op
 }
 
-// Cost sets the operation's virtual CPU cost.
-func (op ReadOp0[S, R]) Cost(d sim.Time) ReadOp0[S, R] { op.def.CPUCost = d; return op }
-
 // Call performs the operation on h.
 func (op ReadOp0[S, R]) Call(p *Proc, h Handle[S]) R {
 	if s, ok := p.readState(h.o, op.def); ok {
@@ -195,9 +191,6 @@ func (op ReadOp[S, A, R]) Guard(g func(S, A) bool) ReadOp[S, A, R] {
 	return op
 }
 
-// Cost sets the operation's virtual CPU cost.
-func (op ReadOp[S, A, R]) Cost(d sim.Time) ReadOp[S, A, R] { op.def.CPUCost = d; return op }
-
 // Call performs the operation on h.
 func (op ReadOp[S, A, R]) Call(p *Proc, h Handle[S], arg A) R {
 	if s, ok := p.readState(h.o, op.def); ok {
@@ -218,12 +211,6 @@ func DefRead1x2[S rts.State, A, R1, R2 any](b *TypeBuilder[S], name string, appl
 	return ReadOp1x2[S, A, R1, R2]{def: addOp(b, name, rts.Read, func(s rts.State, in rts.Args) rts.Args {
 		return rec2(apply(s.(S), get1[A](in)))
 	}), apply: apply}
-}
-
-// Cost sets the operation's virtual CPU cost.
-func (op ReadOp1x2[S, A, R1, R2]) Cost(d sim.Time) ReadOp1x2[S, A, R1, R2] {
-	op.def.CPUCost = d
-	return op
 }
 
 // Call performs the operation on h.
@@ -257,12 +244,6 @@ func (op ReadOp2x2[S, A1, A2, R1, R2]) Guard(g func(S, A1, A2) bool) ReadOp2x2[S
 	return op
 }
 
-// Cost sets the operation's virtual CPU cost.
-func (op ReadOp2x2[S, A1, A2, R1, R2]) Cost(d sim.Time) ReadOp2x2[S, A1, A2, R1, R2] {
-	op.def.CPUCost = d
-	return op
-}
-
 // Call performs the operation on h.
 func (op ReadOp2x2[S, A1, A2, R1, R2]) Call(p *Proc, h Handle[S], a1 A1, a2 A2) (R1, R2) {
 	if s, ok := p.readState(h.o, op.def); ok {
@@ -283,9 +264,6 @@ func DefAwait[S rts.State](b *TypeBuilder[S], name string, guard func(S) bool) A
 	op.def.Guard = func(s rts.State, _ rts.Args) bool { return guard(s.(S)) }
 	return op
 }
-
-// Cost sets the operation's virtual CPU cost.
-func (op AwaitOp[S]) Cost(d sim.Time) AwaitOp[S] { op.def.CPUCost = d; return op }
 
 // Call blocks until the guard holds.
 func (op AwaitOp[S]) Call(p *Proc, h Handle[S]) {
@@ -313,9 +291,6 @@ func (op WriteOp0[S, R]) Guard(g func(S) bool) WriteOp0[S, R] {
 	return op
 }
 
-// Cost sets the operation's virtual CPU cost.
-func (op WriteOp0[S, R]) Cost(d sim.Time) WriteOp0[S, R] { op.def.CPUCost = d; return op }
-
 // Call performs the operation on h.
 func (op WriteOp0[S, R]) Call(p *Proc, h Handle[S]) R {
 	return get1[R](p.call(h.o, op.def, rts.Args{}))
@@ -337,9 +312,6 @@ func (op WriteOp[S, A, R]) Guard(g func(S, A) bool) WriteOp[S, A, R] {
 	op.def.Guard = func(s rts.State, in rts.Args) bool { return g(s.(S), get1[A](in)) }
 	return op
 }
-
-// Cost sets the operation's virtual CPU cost.
-func (op WriteOp[S, A, R]) Cost(d sim.Time) WriteOp[S, A, R] { op.def.CPUCost = d; return op }
 
 // Call performs the operation on h.
 func (op WriteOp[S, A, R]) Call(p *Proc, h Handle[S], arg A) R {
@@ -363,12 +335,6 @@ func (op WriteOp0x2[S, R1, R2]) Guard(g func(S) bool) WriteOp0x2[S, R1, R2] {
 	return op
 }
 
-// Cost sets the operation's virtual CPU cost.
-func (op WriteOp0x2[S, R1, R2]) Cost(d sim.Time) WriteOp0x2[S, R1, R2] {
-	op.def.CPUCost = d
-	return op
-}
-
 // Call performs the operation on h.
 func (op WriteOp0x2[S, R1, R2]) Call(p *Proc, h Handle[S]) (R1, R2) {
 	return get2[R1, R2](p.call(h.o, op.def, rts.Args{}))
@@ -388,12 +354,6 @@ func DefWrite1x2[S rts.State, A, R1, R2 any](b *TypeBuilder[S], name string, app
 // Guard makes the write blocking; the guard sees the argument.
 func (op WriteOp1x2[S, A, R1, R2]) Guard(g func(S, A) bool) WriteOp1x2[S, A, R1, R2] {
 	op.def.Guard = func(s rts.State, in rts.Args) bool { return g(s.(S), get1[A](in)) }
-	return op
-}
-
-// Cost sets the operation's virtual CPU cost.
-func (op WriteOp1x2[S, A, R1, R2]) Cost(d sim.Time) WriteOp1x2[S, A, R1, R2] {
-	op.def.CPUCost = d
 	return op
 }
 
@@ -423,12 +383,6 @@ func (op WriteOp2x2[S, A1, A2, R1, R2]) Guard(g func(S, A1, A2) bool) WriteOp2x2
 	return op
 }
 
-// Cost sets the operation's virtual CPU cost.
-func (op WriteOp2x2[S, A1, A2, R1, R2]) Cost(d sim.Time) WriteOp2x2[S, A1, A2, R1, R2] {
-	op.def.CPUCost = d
-	return op
-}
-
 // Call performs the operation on h.
 func (op WriteOp2x2[S, A1, A2, R1, R2]) Call(p *Proc, h Handle[S], a1 A1, a2 A2) (R1, R2) {
 	return get2[R1, R2](p.call(h.o, op.def, rec2(a1, a2)))
@@ -448,9 +402,6 @@ func DefUpdate0[S rts.State](b *TypeBuilder[S], name string, apply func(S)) Upda
 	return op
 }
 
-// Cost sets the operation's virtual CPU cost.
-func (op UpdateOp0[S]) Cost(d sim.Time) UpdateOp0[S] { op.def.CPUCost = d; return op }
-
 // Call performs the operation on h.
 func (op UpdateOp0[S]) Call(p *Proc, h Handle[S]) {
 	p.call(h.o, op.def, rts.Args{})
@@ -469,9 +420,6 @@ func DefUpdate[S rts.State, A any](b *TypeBuilder[S], name string, apply func(S,
 	return op
 }
 
-// Cost sets the operation's virtual CPU cost.
-func (op UpdateOp[S, A]) Cost(d sim.Time) UpdateOp[S, A] { op.def.CPUCost = d; return op }
-
 // Call performs the operation on h.
 func (op UpdateOp[S, A]) Call(p *Proc, h Handle[S], arg A) {
 	p.call(h.o, op.def, rec1(arg))
@@ -488,12 +436,6 @@ func DefUpdate2[S rts.State, A1, A2 any](b *TypeBuilder[S], name string, apply f
 		return rts.Args{}
 	})}
 	op.def.NoResult = true
-	return op
-}
-
-// Cost sets the operation's virtual CPU cost.
-func (op UpdateOp2[S, A1, A2]) Cost(d sim.Time) UpdateOp2[S, A1, A2] {
-	op.def.CPUCost = d
 	return op
 }
 

@@ -35,7 +35,7 @@ var (
 			n += v
 		}
 		return n
-	}).Cost(20 * sim.Microsecond)
+	})
 	// lookup is the (value, ok) read shape.
 	cellsLookup = DefRead1x2(cellsB, "lookup", func(s *cellsState, i int) (int, bool) {
 		if i < 0 || i >= len(s.vals) {
@@ -228,12 +228,9 @@ func TestDuplicateOpPanics(t *testing.T) {
 	DefRead0(b, "x", func(*cellsState) int { return 1 })
 }
 
-// TestCostPropagates checks the fluent Cost setter lands in the
-// underlying OpDef (the simulator charges it per execution).
-func TestCostPropagates(t *testing.T) {
-	if got := cellsB.Type().Op("sum").CPUCost; got != 20*sim.Microsecond {
-		t.Fatalf("sum CPUCost = %v, want 20µs", got)
-	}
+// TestGuardAndKindPropagate checks the fluent Guard setter and the
+// descriptor's kind land in the underlying OpDef.
+func TestGuardAndKindPropagate(t *testing.T) {
 	if cellsB.Type().Op("awaitSum").Guard == nil {
 		t.Fatal("awaitSum lost its guard")
 	}

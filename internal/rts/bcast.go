@@ -445,7 +445,7 @@ func (r *BroadcastRTS) LocalReadState(w *Worker, id ObjID, op *OpDef) (State, bo
 	}
 	r.localReads++
 	inst.reads++
-	w.Charge(r.costs.ReadLocal + r.costs.opCost(op))
+	w.Charge(r.costs.ReadLocal + r.costs.DefaultOp)
 	return inst.state, true
 }
 
@@ -527,7 +527,7 @@ func (mgr *bcastManager) localRead(w *Worker, inst *bcastInstance, op *OpDef, in
 		}
 		r.localReads++
 		inst.reads++
-		w.Charge(r.costs.ReadLocal + r.costs.opCost(op))
+		w.Charge(r.costs.ReadLocal + r.costs.DefaultOp)
 		return op.Apply(inst.state, in)
 	}
 	// Guarded: sync first — the guard may depend on the worker's own
@@ -555,7 +555,7 @@ func (mgr *bcastManager) localRead(w *Worker, inst *bcastInstance, op *OpDef, in
 		}
 		r.localReads++
 		inst.reads++
-		w.Accrue(r.costs.ReadLocal + r.costs.opCost(op))
+		w.Accrue(r.costs.ReadLocal + r.costs.DefaultOp)
 		return op.Apply(inst.state, in)
 	}
 }
@@ -627,6 +627,14 @@ func (r *BroadcastRTS) SetExtraHandler(h func(node int, body any)) {
 // replicated guard queues deterministic. Unbatched messages are
 // single-op frames, reproducing the drain-after-every-write behavior
 // exactly.
+//
+// The goroutine exists because applying a delivery can wait for more
+// than the CPU: completing a combined write sends its worker's next
+// batch through the group (completeFlight), and a pausing fence waits
+// for the other groups' reservations (rec.cond). serve leaves it 4.0 %
+// of a replicated kv run's deliveries (creations and the start barrier;
+// a plain write never gets here) and 58.4 % of a batched, sharded TSP's:
+// go test -run TestRouteShares -v ./internal/orca.
 func (mgr *bcastManager) run(p *sim.Proc) {
 	for {
 		d, ok := mgr.g.Deliveries().Get(p)
@@ -645,13 +653,11 @@ func (mgr *bcastManager) run(p *sim.Proc) {
 			// delivery), but its frame-boundary flag still counts below.
 		}
 		if !d.More {
-			if mgr.pendCharge > 0 {
-				// A frame whose tail op took a non-charging path (a
-				// guard queued it, a non-holder skipped it): settle
-				// the accrued cost at the boundary.
-				mgr.m.Compute(p, mgr.pendCharge)
-				mgr.pendCharge = 0
-			}
+			// A frame whose tail op took a non-charging path (a guard
+			// queued it, a non-holder skipped it) settles the accrued
+			// cost, if any, at the boundary.
+			mgr.m.Compute(p, mgr.pendCharge)
+			mgr.pendCharge = 0
 			mgr.drainTouched(p)
 		}
 	}
@@ -696,7 +702,7 @@ func (mgr *bcastManager) apply(p *sim.Proc, d group.Delivery) {
 // frame boundary — is left to the thread.
 func (mgr *bcastManager) serve(d group.Delivery) sim.Verdict {
 	wo, ok := d.Body.(wireOp)
-	if !ok || d.Dup {
+	if !ok || d.Dup || mgr.m.Env().AllThreads {
 		return sim.Decline
 	}
 	inst := mgr.inst(wo.Obj)
@@ -717,13 +723,11 @@ func (mgr *bcastManager) serve(d group.Delivery) sim.Verdict {
 		mgr.applyWrite(mgr.thread, d.UID, d.Src, wo)
 		return sim.Finished
 	}
-	cost := mgr.pendCharge + mgr.rts.costs.WriteApply + mgr.rts.costs.opCost(op)
-	if !mgr.m.ComputeFn(mgr.thread, cost, mgr.writtenFn) {
-		return sim.Decline
-	}
+	cost := mgr.pendCharge + mgr.rts.costs.WriteApply + mgr.rts.costs.DefaultOp
 	mgr.inFrame = false
 	mgr.pendCharge = 0
 	mgr.cur = inlineWrite{inst: inst, op: op, uid: d.UID, src: d.Src, args: wo.Args}
+	mgr.m.ComputeFn(mgr.thread, cost, mgr.writtenFn)
 	return sim.Pending
 }
 
@@ -753,10 +757,8 @@ func (mgr *bcastManager) charge(p *sim.Proc, d sim.Time) {
 		mgr.pendCharge += d
 		return
 	}
-	if mgr.pendCharge > 0 {
-		d += mgr.pendCharge
-		mgr.pendCharge = 0
-	}
+	d += mgr.pendCharge
+	mgr.pendCharge = 0
 	mgr.m.Compute(p, d)
 }
 
@@ -833,7 +835,7 @@ func (mgr *bcastManager) touch(inst *bcastInstance) {
 
 // execWrite charges for and applies one write to the replica.
 func (mgr *bcastManager) execWrite(p *sim.Proc, inst *bcastInstance, uid int64, src int, op *OpDef, args Args) {
-	mgr.charge(p, mgr.rts.costs.WriteApply+mgr.rts.costs.opCost(op))
+	mgr.charge(p, mgr.rts.costs.WriteApply+mgr.rts.costs.DefaultOp)
 	mgr.applyCharged(p, inst, uid, src, op, args)
 }
 

@@ -159,7 +159,7 @@ func (mgr *bcastManager) directWrite(w *Worker, inst *bcastInstance, op *OpDef, 
 				continue
 			}
 		}
-		w.Accrue(r.costs.WriteApply + r.costs.opCost(op))
+		w.Accrue(r.costs.WriteApply + r.costs.DefaultOp)
 		res := op.Apply(inst.state, in)
 		inst.writes++
 		if !inst.typ.SizeFixed {

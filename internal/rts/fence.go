@@ -205,7 +205,7 @@ func (r *Router) execFence(p *sim.Proc, mgr *bcastManager, f wireFence) {
 			panic(fmt.Sprintf("rts: fenced write to unknown object %d on node %d", fo.ID, node))
 		}
 		op := inst.op(fo.Op)
-		mgr.charge(p, sub.costs.WriteApply+sub.costs.opCost(op))
+		mgr.charge(p, sub.costs.WriteApply+sub.costs.DefaultOp)
 		op.Apply(inst.state, fo.Args)
 		inst.writes++
 		if !inst.typ.SizeFixed {

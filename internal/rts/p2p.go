@@ -420,7 +420,7 @@ func (n *p2pNode) invokeRead(w *Worker, meta *p2pMeta, op *OpDef, in Args) Args 
 				}
 			}
 			r.stats.LocalReads++
-			w.Accrue(r.costs.ReadLocal + r.costs.opCost(op))
+			w.Accrue(r.costs.ReadLocal + r.costs.DefaultOp)
 			return op.Apply(inst.state, in)
 		}
 		// No local copy: maybe fetch one first, else read remotely.

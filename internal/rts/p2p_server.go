@@ -24,6 +24,15 @@ import (
 // (route is the server's inline consumer, see amoeba.Server.Serve) and
 // the thread is left with the requests it answers itself: bounces and
 // the secondary-side steps, which charge CPU and send.
+//
+// The goroutine exists because a served queue is a queue with a
+// consuming process (sim.Queue.Serve): it is who the requests' context
+// switches and a secondary's phase-one apply are charged to. With no
+// secondaries it does nothing — 0 of 3617 requests of a single-copy kv
+// run reach it (go test -run TestRouteShares -v ./internal/orca, which
+// asserts that) — and dropping it would take a second kind of served
+// queue, one without a process, for a thread that already costs nothing
+// while it is parked.
 func (n *p2pNode) serve(p *sim.Proc) {
 	r := n.rts
 	for {
@@ -121,7 +130,7 @@ func (n *p2pNode) applyUpdate(p *sim.Proc, req *amoeba.Request) {
 	}
 	op := inst.typ.Op(req.Op)
 	inst.locked = true
-	n.m.Compute(p, r.costs.WriteApply+r.costs.opCost(op))
+	n.m.Compute(p, r.costs.WriteApply+r.costs.DefaultOp)
 	op.Apply(inst.state, req.Args)
 	if !inst.typ.SizeFixed {
 		inst.seg.Resize(int64(inst.typ.stateSize(inst.state)))
@@ -158,12 +167,14 @@ type objQueue struct {
 	q      *sim.Queue[*p2pTask]
 	thread *sim.Proc
 
-	// The read in service inline, with the copy it found (see serve), and
-	// the two continuations bound once: o.read and o.q.Done.
-	cur    *p2pTask
-	inst   *p2pInstance
-	readFn func()
-	doneFn func()
+	// The read in service (see read), with the copy it found and what
+	// follows its reply, and the two continuations bound once: o.apply
+	// and o.q.Done.
+	cur     *p2pTask
+	inst    *p2pInstance
+	then    func()
+	applyFn func()
+	doneFn  func()
 }
 
 // startPrimary gives the object its queue and thread on this machine,
@@ -173,7 +184,7 @@ func (n *p2pNode) startPrimary(id ObjID) {
 		return
 	}
 	o := &objQueue{n: n, id: id, q: sim.NewQueue[*p2pTask](n.m.Env())}
-	o.readFn, o.doneFn = o.read, o.q.Done
+	o.applyFn, o.doneFn = o.apply, o.q.Done
 	o.q.Serve(o.serve)
 	n.queues[id] = o
 	o.thread = n.m.SpawnThread(fmt.Sprintf("obj%d", id), o.loop)
@@ -182,6 +193,12 @@ func (n *p2pNode) startPrimary(id ObjID) {
 // loop is the primary's per-object protocol thread. It serializes all
 // writes, remote reads, and fetches on the object, and holds guarded
 // tasks until a committed write enables them.
+//
+// The goroutine exists because a write waits for replies: commitWrite
+// invalidates or updates the secondaries and collects their
+// acknowledgements before it applies, and a migration sequences a
+// record. serve leaves it 5.6 % of a primary-copy kv run's tasks, the
+// writes: go test -run TestRouteShares -v ./internal/orca.
 func (o *objQueue) loop(p *sim.Proc) {
 	var pending []*p2pTask
 	for {
@@ -196,35 +213,37 @@ func (o *objQueue) loop(p *sim.Proc) {
 // serve is the object thread on the dispatch lane (see sim.Queue.Serve).
 // It takes the one task that makes up nearly all of a primary's work and
 // cannot block on anything but the CPU: a remote, unguarded read of a
-// copy that is present and still the primary, whose cost is one
-// scheduling quantum at most. The steps are execTask's own in
-// continuation form — charge, apply, reply. Everything else (guards,
+// copy that is present and still the primary. Everything else (guards,
 // writes, fetches, migrations, an object that has gone) it declines
 // untouched, and loop handles it as ever.
 func (o *objQueue) serve(t *p2pTask) sim.Verdict {
 	n := o.n
-	r := n.rts
-	if t.kind != "read" || t.op.Guard != nil || t.req == nil {
+	if t.kind != "read" || t.op.Guard != nil || t.req == nil || n.m.Env().AllThreads {
 		return sim.Decline
 	}
 	inst := n.insts[o.id]
-	if r.meta(o.id).moved || inst == nil || !inst.primary {
+	if n.rts.meta(o.id).moved || inst == nil || !inst.primary {
 		return sim.Decline
 	}
-	if !n.m.ComputeFn(o.thread, r.costs.ReadLocal+r.costs.opCost(t.op), o.readFn) {
-		return sim.Decline
-	}
-	o.cur, o.inst = t, inst
+	o.read(t, inst, o.doneFn)
 	return sim.Pending
 }
 
-// read continues serve once the read has been charged.
-func (o *objQueue) read() {
-	t, inst := o.cur, o.inst
-	o.cur, o.inst = nil, nil
-	res := t.op.Apply(inst.state, t.args)
-	o.n.srv.PutResultFn(o.thread, t.req, res, SizeOfArgs(&res), o.doneFn)
-	o.n.recycle(t)
+// read runs the read t of the primary copy inst whose guard, if any, has
+// held — charge, apply, answer — and then runs then: the queue's Done
+// when serve stands in for the thread, the thread's resume when it reads
+// for itself (see execTask).
+func (o *objQueue) read(t *p2pTask, inst *p2pInstance, then func()) {
+	o.cur, o.inst, o.then = t, inst, then
+	costs := &o.n.rts.costs
+	o.n.m.ComputeFn(o.thread, costs.ReadLocal+costs.DefaultOp, o.applyFn)
+}
+
+// apply continues read once the read has been charged.
+func (o *objQueue) apply() {
+	t, inst, then := o.cur, o.inst, o.then
+	o.cur, o.inst, o.then = nil, nil, nil
+	o.n.finishTaskFn(o.thread, t, t.op.Apply(inst.state, t.args), then)
 }
 
 // execTask runs one task, parking it if its guard is false.
@@ -255,8 +274,8 @@ func (n *p2pNode) execTask(p *sim.Proc, id ObjID, t *p2pTask, pending *[]*p2pTas
 		n.recycle(t)
 
 	case "read":
-		n.m.Compute(p, r.costs.ReadLocal+r.costs.opCost(t.op))
-		n.finishTask(p, t, t.op.Apply(inst.state, t.args))
+		n.queues[id].read(t, inst, p.Resume())
+		p.Park()
 
 	case "write":
 		n.commitWrite(p, id, inst, t)
@@ -355,14 +374,23 @@ func (n *p2pNode) migratePrimary(p *sim.Proc, id ObjID, t *p2pTask, pending *[]*
 
 // finishTask completes a task toward its (local or remote) invoker.
 func (n *p2pNode) finishTask(p *sim.Proc, t *p2pTask, res Args) {
+	n.finishTaskFn(p, t, res, p.Resume())
+	p.Park()
+}
+
+// finishTaskFn is finishTask in continuation form: then runs once a
+// remote invoker's reply has been sent, charged to p, or at once when
+// the invoker is a thread of this machine.
+func (n *p2pNode) finishTaskFn(p *sim.Proc, t *p2pTask, res Args, then func()) {
 	if t.req != nil {
-		n.srv.PutResult(p, t.req, res, SizeOfArgs(&res))
+		n.srv.PutResultFn(p, t.req, res, SizeOfArgs(&res), then)
 		n.recycle(t)
 		return
 	}
 	t.res = res
 	t.done = true
 	t.cond.Broadcast()
+	then()
 }
 
 // recycle takes back a finished remote task's record (see task).
@@ -399,7 +427,7 @@ func (n *p2pNode) commitWrite(p *sim.Proc, id ObjID, inst *p2pInstance, t *p2pTa
 		}
 	}
 	// Apply at the primary.
-	n.m.Compute(p, r.costs.WriteApply+r.costs.opCost(t.op))
+	n.m.Compute(p, r.costs.WriteApply+r.costs.DefaultOp)
 	res := t.op.Apply(inst.state, t.args)
 	if !inst.typ.SizeFixed {
 		inst.seg.Resize(int64(inst.typ.stateSize(inst.state)))
@@ -432,8 +460,8 @@ func (n *p2pNode) drainPending(p *sim.Proc, id ObjID, pending *[]*p2pTask) {
 			if t.kind == "write" {
 				n.commitWrite(p, id, inst, t)
 			} else {
-				n.m.Compute(p, n.rts.costs.ReadLocal+n.rts.costs.opCost(t.op))
-				n.finishTask(p, t, t.op.Apply(inst.state, t.args))
+				n.queues[id].read(t, inst, p.Resume())
+				p.Park()
 			}
 			progress = true
 			break

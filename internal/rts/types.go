@@ -79,9 +79,6 @@ type OpDef struct {
 	// through a combining buffer, completing them asynchronously —
 	// there is no result the invoker could observe.
 	NoResult bool
-	// CPUCost is the virtual CPU time one execution takes, beyond the
-	// runtime's fixed overheads. Zero means DefaultOpCost.
-	CPUCost sim.Time
 }
 
 // ObjectType is an abstract data type: a constructor plus operations.
@@ -253,8 +250,7 @@ type Costs struct {
 	GuardCheck sim.Time
 	// Create is charged when instantiating a replica.
 	Create sim.Time
-	// DefaultOp is the default operation execution cost when an OpDef
-	// does not specify one.
+	// DefaultOp is the execution cost of an operation.
 	DefaultOp sim.Time
 }
 
@@ -267,12 +263,4 @@ func DefaultCosts() Costs {
 		Create:     40 * sim.Microsecond,
 		DefaultOp:  5 * sim.Microsecond,
 	}
-}
-
-// opCost resolves an operation's execution cost.
-func (c Costs) opCost(op *OpDef) sim.Time {
-	if op.CPUCost > 0 {
-		return op.CPUCost
-	}
-	return c.DefaultOp
 }

@@ -11,15 +11,15 @@ import (
 // At and After so callers can cancel pending events (e.g. protocol
 // retransmission timers).
 //
-// An event resumes a parked process (proc non-nil) or runs a callback
-// (fn non-nil). Process-resume events are the scheduler's own and are
-// recycled through a free list; callback events are handed to callers
-// and never reused, so a retained *Event stays valid to Cancel.
+// An event runs a callback; the one that resumes a parked process is
+// the process's own (see Proc.Resume). The scheduler's events — those of
+// Schedule, and every wake-up — are recycled through a free list; those
+// of At and After are handed to callers and never reused, so a retained
+// *Event stays valid to Cancel.
 type Event struct {
 	t         Time
 	seq       int64
 	fn        func()
-	proc      *Proc // resume this process instead of calling fn
 	cancelled bool
 	pooled    bool   // internal event, recycled after firing
 	index     int    // heap slot, or onReady, or idle
@@ -51,9 +51,6 @@ func (ev *Event) Cancel() {
 		ev.env.queue.remove(ev.index)
 	}
 }
-
-// Time reports the virtual time at which the event fires.
-func (ev *Event) Time() Time { return ev.t }
 
 // Init makes ev, embedded in the record that owns it, a timer that is
 // armed again and again — a retransmission timeout — without allocating:
@@ -206,11 +203,19 @@ type Env struct {
 	stopped   bool
 	bounded   bool // RunUntil in progress
 	limit     Time // RunUntil bound
+	served    []*Routes
 
 	// Trace, when non-nil, receives a line per traced occurrence.
 	// It exists for debugging protocol implementations and is nil in
 	// normal runs.
 	Trace func(t Time, format string, args ...any)
+
+	// AllThreads is set by tests only, never by a constructor or an
+	// option: every inline consumer that decides between serving an item
+	// on the dispatch lane and leaving it to its process (see
+	// Queue.Serve) then leaves it. A run must come out the same either
+	// way, which is what the tests that set it check.
+	AllThreads bool
 
 	// stats
 	dispatched int64
@@ -235,6 +240,16 @@ func (e *Env) Rand() *rand.Rand { return e.rng }
 // Events reports the number of events dispatched so far; the engine
 // benchmarks use it to compute events/sec.
 func (e *Env) Events() int64 { return e.dispatched }
+
+// Routes reports, for every served queue of the environment (see
+// Queue.Serve), how its items have been served so far.
+func (e *Env) Routes() []Routes {
+	out := make([]Routes, len(e.served))
+	for i, r := range e.served {
+		out[i] = *r
+	}
+	return out
+}
 
 // Tracef emits a trace line if tracing is enabled.
 func (e *Env) Tracef(format string, args ...any) {
@@ -261,7 +276,6 @@ func (e *Env) recycle(ev *Event) {
 		return
 	}
 	ev.fn = nil
-	ev.proc = nil
 	ev.next = e.free
 	e.free = ev
 }
@@ -337,10 +351,10 @@ func (e *Env) next() *Event {
 // advance dispatches events on the calling goroutine until control
 // moves elsewhere: the scheduler is not a goroutine of its own but a
 // baton passed between simulated processes. A parking (or dying)
-// process dispatches onward itself — callback events run inline, and
-// a process-resume event is a single direct channel handoff to the
-// target's goroutine, half the context switches of a central
-// scheduler loop.
+// process dispatches onward itself — events run inline, and one that
+// ends by resuming a process (see handoff) is a single direct channel
+// handoff to the target's goroutine, half the context switches of a
+// central scheduler loop.
 //
 // For a process caller (self != nil), a true result means the
 // process's own resume event came up: it simply keeps running. A
@@ -355,7 +369,8 @@ func (e *Env) next() *Event {
 func (e *Env) advance(self *Proc) bool {
 	if self != nil && e.baton == self {
 		// The process handed itself the baton just before parking (a
-		// Queue.Get whose inline consumer declined the next item): the
+		// Queue.Get whose inline consumer declined the next item, a
+		// continuation that ran within the process's own step): the
 		// current event simply continues on this goroutine.
 		e.baton = nil
 		if !self.killed {
@@ -380,21 +395,17 @@ func (e *Env) advance(self *Proc) bool {
 		}
 		e.now = ev.t
 		e.dispatched++
-		p := ev.proc
+		fn := ev.fn
+		e.recycle(ev)
+		fn()
+		p := e.baton
 		if p == nil {
-			fn := ev.fn
-			e.recycle(ev)
-			fn()
-			if p = e.baton; p == nil {
-				continue
-			}
-			// The callback ended its event by handing the baton to a
-			// parked process: resume it exactly as a process-resume
-			// event in this slot would.
-			e.baton = nil
-		} else {
-			e.recycle(ev)
+			continue
 		}
+		// The callback ended its event by handing the baton to a parked
+		// process (a wake-up does nothing else): resume it, unless it died
+		// meanwhile.
+		e.baton = nil
 		if p.terminated || p.killed {
 			continue
 		}
@@ -416,11 +427,12 @@ func (e *Env) advance(self *Proc) bool {
 // dispatch loop passes p the baton as soon as the running callback
 // returns (or, when p itself is the caller, at its next park), without
 // scheduling an event — no sequence number is consumed and Events()
-// does not move. It lets a callback that stands in for p (see
-// Queue.Serve) give the rest of its event to p's goroutine, so the pair
-// occupies the one slot in the (time, seq) order that a resume of p
-// would. The caller must do nothing further in this event, and p must
-// have no wake of its own pending.
+// does not move. A wake-up is an event that does nothing else; a
+// callback that stands in for p (see Queue.Serve, Resource.UseFn) does
+// its work first and gives the rest of its event to p's goroutine, so
+// the pair occupies the one slot in the (time, seq) order that a
+// wake-up of p would. The caller must do nothing further in this event,
+// and p must have no wake of its own pending.
 func (e *Env) handoff(p *Proc) {
 	if e.baton != nil {
 		panic("sim: two baton handoffs in one event (" + e.baton.name + ", " + p.name + ")")
@@ -519,21 +531,5 @@ func (e *Env) Shutdown() {
 	e.live = make(map[*Proc]struct{})
 }
 
-// wake schedules p to resume at the current virtual time: an O(1)
-// append to the ready queue using a recycled event, no heap traffic
-// and no per-wake closure.
-func (e *Env) wake(p *Proc) {
-	ev := e.getEvent()
-	ev.proc = p
-	e.seqGen++
-	ev.t, ev.seq, ev.index = e.now, e.seqGen, onReady
-	e.ready = append(e.ready, ev)
-}
-
-// wakeAt schedules p to resume at time t >= now through the scheduler's
-// pooled-event path (Sleep, SpawnAt).
-func (e *Env) wakeAt(t Time, p *Proc) {
-	ev := e.getEvent()
-	ev.proc = p
-	e.schedule(ev, t)
-}
+// wake schedules p to resume at the current virtual time.
+func (e *Env) wake(p *Proc) { e.Schedule(e.now, p.resumeFn) }

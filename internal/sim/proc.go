@@ -6,12 +6,13 @@ import "runtime"
 // its own goroutine, but the scheduler guarantees that at most one Proc
 // (or event handler) executes at a time, handing control back and forth
 // through channel handshakes. Blocking primitives (Sleep, Cond.Wait,
-// Resource.Acquire, ...) park the process and return control to the
+// Resource.Use, ...) park the process and return control to the
 // scheduler.
 type Proc struct {
 	env        *Env
 	name       string
 	resume     chan struct{}
+	resumeFn   func() // see Resume; bound once
 	terminated bool
 	killed     bool
 	parked     bool // suspended (or committed to suspending); see park
@@ -28,6 +29,7 @@ func (e *Env) Spawn(name string, fn func(p *Proc)) *Proc {
 // SpawnAt is Spawn with an explicit start time.
 func (e *Env) SpawnAt(t Time, name string, fn func(p *Proc)) *Proc {
 	p := &Proc{env: e, name: name, resume: make(chan struct{})}
+	p.resumeFn = func() { e.handoff(p) }
 	e.live[p] = struct{}{}
 	e.wg.Add(1)
 	go func() {
@@ -57,7 +59,7 @@ func (e *Env) SpawnAt(t Time, name string, fn func(p *Proc)) *Proc {
 		}()
 		fn(p)
 	}()
-	e.wakeAt(t, p)
+	e.Schedule(t, p.resumeFn)
 	return p
 }
 
@@ -88,6 +90,23 @@ func (p *Proc) park() {
 	p.parked = true
 	p.wait()
 }
+
+// Park suspends p until the continuation Resume returns has run. A
+// blocking primitive is its continuation form followed by a park:
+//
+//	r.UseFn(p, d, p.Resume())
+//	p.Park()
+//
+// is Resource.Use, and the layers above build their blocking calls the
+// same way, so that a thread and the code standing in for it while it is
+// parked elsewhere (see Queue.Serve) run one implementation.
+func (p *Proc) Park() { p.park() }
+
+// Resume returns the continuation that ends p's Park: it gives p the
+// rest of the event it runs in (see Env.handoff), so p continues in the
+// slot a wake-up of its own would have had. If it runs before p parks,
+// within p's own step, the park returns at once.
+func (p *Proc) Resume() func() { return p.resumeFn }
 
 // wait is the second half of park, for a caller that marked the
 // process parked itself.
@@ -120,17 +139,10 @@ func (p *Proc) Sleep(d Time) {
 	if d < 0 {
 		panic("sim: negative sleep")
 	}
-	if d == 0 {
-		p.Yield()
-		return
-	}
-	p.env.wakeAt(p.env.now+d, p)
+	p.env.Schedule(p.env.now+d, p.resumeFn)
 	p.park()
 }
 
 // Yield reschedules the process at the current time, letting any other
 // event already queued for this instant run first.
-func (p *Proc) Yield() {
-	p.env.wake(p)
-	p.park()
-}
+func (p *Proc) Yield() { p.Sleep(0) }

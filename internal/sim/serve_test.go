@@ -78,9 +78,9 @@ func (s *testServer) onThread(p *Proc, it testItem) {
 		case kBlock:
 			s.cpu.Use(p, it.cost)
 			p.Sleep(it.cost / 2)
-			s.cpu.UseFront(p, it.cost)
+			useFront(s.cpu, p, it.cost)
 		default:
-			s.cpu.UseFront(p, it.cost)
+			useFront(s.cpu, p, it.cost)
 		}
 	}
 	if it.kind == kLate {
@@ -183,7 +183,7 @@ func servedProgram(seed int64, inline bool) (log []step, events int64, end Time)
 				if k%2 == 0 {
 					cpu.Use(p, 5*Microsecond)
 				} else {
-					cpu.UseFront(p, 3*Microsecond)
+					useFront(cpu, p, 3*Microsecond)
 				}
 				log = append(log, step{env.now, env.seqGen, env.dispatched, fmt.Sprintf("prod%d", i), fmt.Sprintf("put#%d", plan[k].id)})
 				srv[dst[k]].q.Put(plan[k])

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -166,47 +167,58 @@ func TestResourceSerializes(t *testing.T) {
 	}
 }
 
-func TestResourceAcquireFront(t *testing.T) {
+// useFront is the blocking form of a front-lane claim: its continuation
+// plus a park, as Use is of UseFn. Only tests claim the front lane from
+// a process of their own.
+func useFront(r *Resource, p *Proc, d Time) {
+	r.UseFrontFn(p, d, p.resumeFn)
+	p.park()
+}
+
+// The front lane jumps the wait queue but not the holder.
+func TestResourceFrontLane(t *testing.T) {
 	e := New(1)
 	r := NewResource(e)
 	var order []string
+	var at []Time
+	done := func(p *Proc, who string) { order, at = append(order, who), append(at, p.Now()) }
 	e.Spawn("holder", func(p *Proc) {
-		r.Acquire(p)
-		p.Sleep(10)
-		r.Release(p)
+		r.Use(p, 10)
+		done(p, "holder")
 	})
 	e.SpawnAt(1, "slow", func(p *Proc) {
 		r.Use(p, 10)
-		order = append(order, "slow")
+		done(p, "slow")
 	})
 	e.SpawnAt(2, "intr", func(p *Proc) {
-		r.UseFront(p, 10)
-		order = append(order, "intr")
+		useFront(r, p, 10)
+		done(p, "intr")
 	})
 	e.Run()
-	if order[0] != "intr" || order[1] != "slow" {
-		t.Fatalf("order = %v, want [intr slow]", order)
+	if !reflect.DeepEqual(order, []string{"holder", "intr", "slow"}) || !reflect.DeepEqual(at, []Time{10, 20, 30}) {
+		t.Fatalf("order = %v at %v, want [holder intr slow] at [10 20 30]", order, at)
 	}
 }
 
-func TestReleaseByNonHolderPanics(t *testing.T) {
-	e := New(1)
-	r := NewResource(e)
-	e.Spawn("a", func(p *Proc) {
-		r.Acquire(p)
-		p.Sleep(100)
-		r.Release(p)
-	})
-	e.Spawn("b", func(p *Proc) {
-		p.Sleep(1)
-		defer func() {
-			if recover() == nil {
-				t.Error("expected panic on Release by non-holder")
-			}
-		}()
-		r.Release(p)
-	})
-	e.Run()
+// A negative hold is refused where it is claimed, free resource or not,
+// and not later inside whoever releases to it.
+func TestNegativeHoldPanicsAtTheClaim(t *testing.T) {
+	for _, busy := range []bool{false, true} {
+		e := New(1)
+		r := NewResource(e)
+		if busy {
+			e.Spawn("holder", func(p *Proc) { r.Use(p, 100) })
+		}
+		panicked := false
+		e.SpawnAt(1, "claimant", func(p *Proc) {
+			defer func() { panicked = recover() != nil }()
+			r.UseFn(p, -1, func() {})
+		})
+		e.Run()
+		if !panicked {
+			t.Errorf("busy=%t: a negative hold was accepted", busy)
+		}
+	}
 }
 
 func TestQueueHandoff(t *testing.T) {
@@ -470,13 +482,14 @@ func TestSleepCompletionOrderProperty(t *testing.T) {
 func TestResourceBusyTimeWithHolder(t *testing.T) {
 	e := New(1)
 	r := NewResource(e)
-	e.Spawn("holder", func(p *Proc) {
-		r.Acquire(p)
-		p.Sleep(100)
+	e.Spawn("holder", func(p *Proc) { r.Use(p, 150) })
+	e.At(100, func() {
 		if r.BusyTime() != 100 {
 			t.Errorf("busy mid-hold = %v, want 100", r.BusyTime())
 		}
-		r.Release(p)
 	})
 	e.Run()
+	if r.BusyTime() != 150 {
+		t.Errorf("busy = %v, want 150", r.BusyTime())
+	}
 }

@@ -86,34 +86,41 @@ func (c *Cond) Broadcast() {
 // with a FIFO wait queue and an optional high-priority lane used for
 // interrupt handling.
 //
-// A holder is a process. It either runs the hold on its own goroutine
-// (Acquire ... Release, Use) or stays parked elsewhere while a
-// continuation holds for it on the dispatch lane (UseFn): both kinds
-// share one wait queue, and a continuation occupies exactly the event
-// slots the process's own wake-ups would.
+// There is one claim: hold for d on behalf of process p, then run a
+// continuation on the dispatch lane. A process that claims for itself
+// (Use) passes the continuation that resumes it and parks; code that
+// stands in for a process parked elsewhere (UseFn, see Queue.Serve)
+// passes its own. Both are the same events in the same slots, so the
+// schedule cannot tell who claimed.
 type Resource struct {
+	// Slice, if positive, is the longest a FIFO-lane claim holds at a
+	// time — a scheduling quantum: a longer claim gives way, a slice at a
+	// time, to whoever queued meanwhile and queues again for the rest, as
+	// if it were made slice by slice. Front-lane claims are never cut.
+	Slice Time
+
 	env     *Env
-	holder  *Proc
 	waiters fifo[resWaiter] // FIFO; the front lane pushes at the head
 	// busy accumulates total held time, for utilization reports.
 	busy       Time
 	acquiredAt Time
 
-	// The current holder's continuation, when it holds through UseFn.
-	// There is one holder at a time, so one slot and two method values
-	// bound once serve every continuation without a per-use closure.
-	holdFor   Time
-	holdFn    func()
+	// The current hold (hold.p is nil while the resource is free), which
+	// lasts span. There is one holder at a time, so one slot and two
+	// method values bound once serve every claim without a per-use
+	// closure.
+	hold      resWaiter
+	span      Time
 	grantedFn func()
 	expiredFn func()
 }
 
-// resWaiter is one queued claim: process p waits, on its own goroutine
-// (fn == nil) or through a continuation that will hold for d.
+// resWaiter is one claim: hold for d on p's behalf, then run fn.
 type resWaiter struct {
-	p  *Proc
-	d  Time
-	fn func()
+	p     *Proc
+	d     Time
+	fn    func()
+	front bool
 }
 
 // NewResource creates a free resource bound to e.
@@ -123,131 +130,87 @@ func NewResource(e *Env) *Resource {
 	return r
 }
 
-// Acquire blocks p until it holds the resource.
-func (r *Resource) Acquire(p *Proc) {
-	if r.holder == nil {
-		r.holder = p
-		r.acquiredAt = r.env.now
-		return
-	}
-	r.waiters.push(resWaiter{p: p})
-	p.park()
-}
-
-// AcquireFront is Acquire, but p jumps the wait queue. Interrupt
-// service threads use it so device handling preempts queued user work
-// (though not the current holder: the kernel is not preemptive
-// mid-instruction).
-func (r *Resource) AcquireFront(p *Proc) {
-	if r.holder == nil {
-		r.holder = p
-		r.acquiredAt = r.env.now
-		return
-	}
-	r.waiters.pushFront(resWaiter{p: p})
-	p.park()
-}
-
-// Release passes the resource to the next waiter, if any. Only the
-// holder may call Release.
-func (r *Resource) Release(p *Proc) {
-	if r.holder != p {
-		panic("sim: Release by non-holder " + p.name)
-	}
-	r.busy += r.env.now - r.acquiredAt
-	if r.waiters.len() == 0 {
-		r.holder = nil
-		return
-	}
-	next := r.waiters.pop()
-	r.holder = next.p
-	r.acquiredAt = r.env.now
-	if next.fn == nil {
-		r.env.wake(next.p)
-		return
-	}
-	// A continuation's grant takes the slot the waiter's wake would.
-	r.holdFor, r.holdFn = next.d, next.fn
-	r.env.Schedule(r.env.now, r.grantedFn)
-}
-
 // Use acquires the resource, holds it for d of virtual time, and
 // releases it. It models a burst of exclusive work such as CPU time.
 func (r *Resource) Use(p *Proc, d Time) {
-	r.Acquire(p)
-	p.Sleep(d)
-	r.Release(p)
+	r.UseFn(p, d, p.resumeFn)
+	p.park()
 }
 
-// UseFront is Use with queue-jumping acquisition.
-func (r *Resource) UseFront(p *Proc, d Time) {
-	r.AcquireFront(p)
-	p.Sleep(d)
-	r.Release(p)
-}
+// UseFn holds the resource for d on behalf of p, once it is free, and
+// then runs fn on the dispatch lane right after the release. The grant
+// to a claim that had to wait and the end of the hold are callback
+// events; Use is this plus a park, so a program's event sequence does
+// not depend on which form its claims take. fn must not block (a resume
+// of p apart, see Proc.Resume). If p is killed before the hold ends, its
+// events are discarded like a killed process's: fn never runs and the
+// resource stays with the dead holder.
+func (r *Resource) UseFn(p *Proc, d Time, fn func()) { r.claim(resWaiter{p, d, fn, false}) }
 
-// UseFn is Use in continuation form, for a process p that is parked
-// elsewhere (see Queue.Serve) and must stay parked: the resource is
-// held for d on p's behalf, and fn then runs on the dispatch lane
-// right after the release. The grant and the end of the hold are
-// callback events in the slots where p's wake-up and p's Sleep resume
-// would sit had p called Use itself, so a program's event sequence does
-// not depend on which form its claims take. fn must not block. If p is
-// killed before the hold ends, its events are discarded like a killed
-// process's: fn never runs and the resource stays with the dead holder.
-func (r *Resource) UseFn(p *Proc, d Time, fn func()) {
-	if r.holder != nil {
-		r.waiters.push(resWaiter{p: p, d: d, fn: fn})
-		return
-	}
-	r.hold(p, d, fn)
-}
+// UseFrontFn is UseFn, but the claim jumps the wait queue. Interrupt
+// service uses it so device handling preempts queued user work (though
+// not the current holder: the kernel is not preemptive
+// mid-instruction).
+func (r *Resource) UseFrontFn(p *Proc, d Time, fn func()) { r.claim(resWaiter{p, d, fn, true}) }
 
-// UseFrontFn is UseFn with queue-jumping acquisition.
-func (r *Resource) UseFrontFn(p *Proc, d Time, fn func()) {
-	if r.holder != nil {
-		r.waiters.pushFront(resWaiter{p: p, d: d, fn: fn})
-		return
-	}
-	r.hold(p, d, fn)
-}
-
-// hold takes the free resource for p's continuation.
-func (r *Resource) hold(p *Proc, d Time, fn func()) {
-	if d < 0 {
+func (r *Resource) claim(w resWaiter) {
+	if w.d < 0 {
 		panic("sim: negative hold")
 	}
-	r.holder = p
-	r.acquiredAt = r.env.now
-	r.holdFor, r.holdFn = d, fn
-	r.env.Schedule(r.env.now+d, r.expiredFn)
+	switch {
+	case r.hold.p == nil:
+		r.grant(w)
+		r.env.Schedule(r.env.now+r.span, r.expiredFn)
+	case w.front:
+		r.waiters.pushFront(w)
+	default:
+		r.waiters.push(w)
+	}
 }
 
-// granted fires where the waiting process's wake-up would: the hold
-// starts now.
+// grant makes w the current hold.
+func (r *Resource) grant(w resWaiter) {
+	r.acquiredAt, r.hold, r.span = r.env.now, w, w.d
+	if !w.front && r.Slice > 0 && w.d > r.Slice {
+		r.span = r.Slice
+	}
+}
+
+// granted starts the hold of a claim that waited, unless the claimant
+// was killed meanwhile.
 func (r *Resource) granted() {
-	if r.holder.killed {
+	if r.hold.p.killed {
 		return
 	}
-	r.env.Schedule(r.env.now+r.holdFor, r.expiredFn)
+	r.env.Schedule(r.env.now+r.span, r.expiredFn)
 }
 
-// expired fires where the holder's Sleep would resume: release, then
-// continue.
+// expired ends the hold: the resource passes to the next waiter, if
+// any, and the holder's continuation runs — or, if a slice has ended
+// and not the claim, the rest queues like a claim of its own.
 func (r *Resource) expired() {
-	if r.holder.killed {
+	if r.hold.p.killed {
 		return
 	}
-	fn := r.holdFn
-	r.holdFn = nil
-	r.Release(r.holder)
-	fn()
+	w := r.hold
+	w.d -= r.span
+	r.busy += r.env.now - r.acquiredAt
+	r.hold = resWaiter{}
+	if r.waiters.len() > 0 {
+		r.grant(r.waiters.pop())
+		r.env.Schedule(r.env.now, r.grantedFn)
+	}
+	if w.d > 0 {
+		r.claim(w)
+		return
+	}
+	w.fn()
 }
 
 // BusyTime reports the total virtual time the resource has been held.
 func (r *Resource) BusyTime() Time {
 	t := r.busy
-	if r.holder != nil {
+	if r.hold.p != nil {
 		t += r.env.now - r.acquiredAt
 	}
 	return t
@@ -273,6 +236,17 @@ type Queue[T any] struct {
 	serve   func(T) Verdict
 	server  *queueWaiter[T]
 	offerFn func()
+	routes  Routes
+}
+
+// Routes counts what became of the items offered to a served queue's
+// inline consumer: its three answers, and the Pending items it punted
+// later. Declined and Punted items cost a switch to the goroutine of
+// the consuming process, which Consumer names; the rest never left the
+// dispatch lane. Env.Routes lists every served queue's.
+type Routes struct {
+	Consumer                            string
+	Finished, Pending, Declined, Punted int64
 }
 
 type queueWaiter[T any] struct {
@@ -318,6 +292,7 @@ func NewQueue[T any](e *Env) *Queue[T] { return &Queue[T]{env: e} }
 func (q *Queue[T]) Serve(fn func(item T) Verdict) {
 	q.serve = fn
 	q.offerFn = q.offer
+	q.env.served = append(q.env.served, &q.routes)
 }
 
 // Put appends an item, waking the longest-waiting receiver if one
@@ -363,6 +338,7 @@ func (q *Queue[T]) Get(p *Proc) (item T, ok bool) {
 		return item, false
 	}
 	w := q.waiter(p)
+	q.routes.Consumer = p.name
 	if empty {
 		q.waiters.push(w)
 		p.park()
@@ -401,11 +377,14 @@ func (q *Queue[T]) offer() {
 func (q *Queue[T]) offered() bool {
 	switch q.serve(q.server.item) {
 	case Pending:
+		q.routes.Pending++
 		return false
 	case Decline:
-		q.Punt()
+		q.routes.Declined++
+		q.handover()
 		return false
 	}
+	q.routes.Finished++
 	return true
 }
 
@@ -440,6 +419,12 @@ func (q *Queue[T]) Done() {
 // consumer did for the item so far, the process must not repeat. Same
 // calling rule as Done.
 func (q *Queue[T]) Punt() {
+	q.routes.Punted++
+	q.handover()
+}
+
+// handover resumes the consuming process with the item on offer.
+func (q *Queue[T]) handover() {
 	w := q.server
 	q.server = nil
 	w.ok = true
