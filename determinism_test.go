@@ -47,10 +47,9 @@ func fingerprint(rep orca.Report, rt *orca.Runtime) string {
 	// neither block (pure point-to-point and sharded runs).
 	sys := rt.System()
 	if sys.Groups() == 1 && sys.P2P() == nil {
-		br := sys.Group(0)
-		lr, bw, gw := br.Stats()
-		s += fmt.Sprintf(" reads=%d writes=%d guardwaits=%d", lr, bw, gw)
-		if c := br.Counters(); c.BatchedOps > 0 {
+		c := sys.Group(0).Counters()
+		s += fmt.Sprintf(" reads=%d writes=%d guardwaits=%d", c.LocalReads, c.BcastWrites, c.GuardWaits)
+		if c.BatchedOps > 0 {
 			// Batched runs pin their combining-pipeline counters too;
 			// unbatched runs keep the exact historical format.
 			s += fmt.Sprintf(" batched=%d bframes=%d", c.BatchedOps, c.Frames)

@@ -362,57 +362,6 @@ func TestRPCTimeoutWithoutCrash(t *testing.T) {
 	env.Shutdown()
 }
 
-func TestSegmentsAccounting(t *testing.T) {
-	_, _, ms := cluster(t, 1, nil)
-	s1 := ms[0].AllocSegment(4096)
-	s2 := ms[0].AllocSegment(8192)
-	if ms[0].MemInUse() != 12288 {
-		t.Fatalf("MemInUse = %d", ms[0].MemInUse())
-	}
-	s1.Map()
-	if !s1.Mapped() {
-		t.Fatal("segment not mapped")
-	}
-	s1.Unmap()
-	s2.Resize(1024)
-	if ms[0].MemInUse() != 4096+1024 {
-		t.Fatalf("MemInUse after resize = %d", ms[0].MemInUse())
-	}
-	s1.Free()
-	s2.Free()
-	if ms[0].MemInUse() != 0 {
-		t.Fatalf("MemInUse after frees = %d", ms[0].MemInUse())
-	}
-	if ms[0].MemPeak() != 12288 {
-		t.Fatalf("MemPeak = %d", ms[0].MemPeak())
-	}
-}
-
-func TestSegmentDoubleFreePanics(t *testing.T) {
-	_, _, ms := cluster(t, 1, nil)
-	s := ms[0].AllocSegment(100)
-	s.Free()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on double free")
-		}
-	}()
-	s.Free()
-}
-
-func TestProcessThreads(t *testing.T) {
-	env, _, ms := cluster(t, 1, nil)
-	pr := ms[0].NewProcess("app")
-	ran := 0
-	pr.SpawnThread("t1", func(p *sim.Proc) { ran++ })
-	pr.SpawnThread("t2", func(p *sim.Proc) { ran++ })
-	env.Run()
-	if ran != 2 || pr.Threads() != 2 {
-		t.Fatalf("ran=%d threads=%d", ran, pr.Threads())
-	}
-	env.Shutdown()
-}
-
 func TestDeferRunsOnInterruptThread(t *testing.T) {
 	env, _, ms := cluster(t, 1, nil)
 	ran := false

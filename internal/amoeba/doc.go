@@ -1,7 +1,8 @@
 // Package amoeba models the microkernel of the paper's testbed: one
 // kernel instance per processor-pool machine, providing threads,
-// segments (memory management), transparent RPC, and the hooks the
-// group-communication layer needs.
+// transparent RPC, and the hooks the group-communication layer needs.
+// Amoeba's segments (memory management) are not modelled: replica
+// storage charges no virtual time and nothing reported reads it.
 //
 // Each Machine owns one CPU (the testbed machines are single-CPU
 // MC68030s) modelled as a sim.Resource. Every frame delivered by the

@@ -100,7 +100,7 @@ type task struct {
 }
 
 // Machine is one kernel instance: a node id, a CPU, bound ports, and
-// bookkeeping for threads, processes, and segments.
+// bookkeeping for threads.
 type Machine struct {
 	id         int
 	env        *sim.Env
@@ -118,9 +118,6 @@ type Machine struct {
 	casts      *cast    // released broadcast payloads, for cast to reuse
 	crashed    bool
 
-	nextSegID  int
-	memInUse   int64
-	memPeak    int64
 	nthreads   int
 	threads    []*sim.Proc // live threads of this machine (compacted lazily)
 	threadHi   int         // compaction watermark for threads

@@ -254,10 +254,6 @@ func TestConfigValidate(t *testing.T) {
 		{"negative-batch", func(c *Config) { c.Batch = BatchConfig{MaxOps: -1} }, "batch"},
 		{"batch-no-linger", func(c *Config) { c.Batch = BatchConfig{MaxOps: 4, MaxBytes: 1 << 20} },
 			"positive Linger"},
-		{"sharded", func(c *Config) { c.Shard = 2; c.ShardCount = 3 }, ""},
-		{"negative-shard-count", func(c *Config) { c.ShardCount = -1 }, "negative shard count"},
-		{"shard-out-of-range", func(c *Config) { c.Shard = 3; c.ShardCount = 3 }, "out of range"},
-		{"shard-without-count", func(c *Config) { c.Shard = 1 }, "without a shard count"},
 	}
 	for _, tc := range cases {
 		tc := tc

@@ -39,8 +39,8 @@
 //
 // Shards: several groups can share the same machines, each bound to
 // its own kernel port with its own sequencer, history and membership
-// (Config.Shard, ShardCount, Port, and a Members list that may be a
-// subset of the network, reached by multicast). The runtime above
+// (Config.Port, and a Members list that may be a subset of the
+// network, reached by multicast). The runtime above
 // routes each object to one group.
 //
 // Downward: members speak kernel ports and timers from package

@@ -118,31 +118,29 @@ type Config struct {
 	// StatusEvery makes members report their delivery progress to the
 	// sequencer every N deliveries, enabling history trimming.
 	StatusEvery int
-	// HistoryMax caps the sequencer history buffer (a safety net if
-	// statuses stall, e.g. while a member is crashed).
-	HistoryMax int
 	// ElectionWait is how long candidates collect votes.
 	ElectionWait sim.Time
-	// CacheSize is the per-member cache of recently delivered
-	// messages, used to rebuild history after an election.
-	CacheSize int
 	// Heartbeat is the interval at which the sequencer announces its
 	// highest sequence number, so members discover losses even when
 	// traffic stops (a trailing dropped broadcast would otherwise go
 	// unnoticed forever).
 	Heartbeat sim.Time
-	// Port overrides the kernel port the group binds. Hosting several
-	// groups on one machine requires distinct ports (Bind panics on a
-	// duplicate). Empty derives the default: "grp" for a solitary
-	// group, "grp<Shard>" when ShardCount labels this group as one of
-	// N co-hosted sequencer groups.
+	// Port is the kernel port the group binds; empty means Port ("grp").
+	// Hosting several groups on one machine requires distinct ports
+	// (Bind panics on a duplicate): orca names sequencer group k of
+	// several "grp<k>".
 	Port string
-	// Shard and ShardCount label this group's position among N
-	// co-hosted sequencer groups (sharded total order; see
-	// rts.Router in internal/rts). The zero values mean a solitary group.
-	Shard      int
-	ShardCount int
 }
+
+const (
+	// historyMax caps the sequencer history buffer (and the consensus
+	// acceptor's log): a safety net if statuses stall, e.g. while a
+	// member is crashed.
+	historyMax = 16384
+	// cacheSize is the per-member cache of recently delivered
+	// messages, used to rebuild history after an election.
+	cacheSize = 8192
+)
 
 // DefaultConfig returns a configuration tuned for the simulated
 // testbed.
@@ -155,9 +153,7 @@ func DefaultConfig(members []int) Config {
 		SenderRetries:  6,
 		GapTimeout:     50 * sim.Millisecond,
 		StatusEvery:    64,
-		HistoryMax:     16384,
 		ElectionWait:   300 * sim.Millisecond,
-		CacheSize:      8192,
 		Heartbeat:      250 * sim.Millisecond,
 	}
 }
@@ -200,15 +196,6 @@ func (c Config) Validate() error {
 	}
 	if c.Batch.Enabled() && c.Batch.Linger <= 0 {
 		return errors.New("group: batching requires a positive Linger deadline")
-	}
-	if c.ShardCount < 0 {
-		return fmt.Errorf("group: negative shard count %d", c.ShardCount)
-	}
-	if c.ShardCount > 0 && (c.Shard < 0 || c.Shard >= c.ShardCount) {
-		return fmt.Errorf("group: shard %d out of range [0,%d)", c.Shard, c.ShardCount)
-	}
-	if c.ShardCount == 0 && c.Shard != 0 {
-		return fmt.Errorf("group: shard %d set without a shard count", c.Shard)
 	}
 	return nil
 }
@@ -627,10 +614,6 @@ func Join(m *amoeba.Machine, cfg Config) *Member {
 			break
 		}
 	}
-	histMax := cfg.HistoryMax
-	if histMax <= 0 {
-		histMax = 1
-	}
 	if cfg.Batch.MaxOps < 1 {
 		cfg.Batch.MaxOps = 1
 	}
@@ -645,9 +628,9 @@ func Join(m *amoeba.Machine, cfg Config) *Member {
 		acc:         packer{accept: true},
 		outstanding: make(map[int64]*sendState),
 		memberIdx:   make([]int, maxID+1),
-		cache:       seqRing[*dataMsg]{max: cfg.CacheSize},
+		cache:       seqRing[*dataMsg]{max: cacheSize},
 		dlvBySrc:    make([]*dedupWindow, len(cfg.Members)),
-		history:     seqRing[*dataMsg]{max: histMax},
+		history:     seqRing[*dataMsg]{max: historyMax},
 		seenBySrc:   make([]*seqRing[int64], len(cfg.Members)),
 		statuses:    make([]int64, len(cfg.Members)),
 	}
@@ -664,7 +647,7 @@ func Join(m *amoeba.Machine, cfg Config) *Member {
 	g.isSeq = m.ID() == seq
 	g.installed = true // the boot view needs no installation round
 	if cfg.Protocol == Consensus {
-		g.accepted = seqRing[accSlot]{max: histMax}
+		g.accepted = seqRing[accSlot]{max: historyMax}
 		g.accepted.reset(1)
 		g.acked = make([]int64, len(cfg.Members))
 		if g.isSeq {
@@ -676,11 +659,7 @@ func Join(m *amoeba.Machine, cfg Config) *Member {
 	}
 	g.port = cfg.Port
 	if g.port == "" {
-		if cfg.ShardCount > 1 {
-			g.port = fmt.Sprintf("%s%d", Port, cfg.Shard)
-		} else {
-			g.port = Port
-		}
+		g.port = Port
 	}
 	if len(cfg.Members) < m.Net().Nodes() {
 		g.castTo = append([]int(nil), cfg.Members...)
@@ -1003,7 +982,7 @@ func (g *Member) nextSeqNum() int64 {
 }
 
 // recordHistory stores a sequenced message in the sequencer's history
-// ring (which drops its oldest entry beyond HistoryMax) and the
+// ring (which drops its oldest entry beyond historyMax) and the
 // per-source dedup window.
 func (g *Member) recordHistory(d *dataMsg) {
 	g.history.set(d.Seq, d)

@@ -316,9 +316,7 @@ func (g *Member) deliver(p *sim.Proc, d *dataMsg) {
 	if len(g.pendingBB) > 0 {
 		delete(g.pendingBB, d.UID)
 	}
-	if g.cfg.CacheSize > 0 {
-		g.cache.set(d.Seq, d)
-	}
+	g.cache.set(d.Seq, d)
 	if g.recoveryStart != 0 {
 		g.stats.RecoveryTime += p.Now() - g.recoveryStart
 		g.recoveryStart = 0
@@ -329,15 +327,12 @@ func (g *Member) deliver(p *sim.Proc, d *dataMsg) {
 		return
 	}
 	if g.dupDelivery(d.Src, d.SrcSeq) {
-		// Re-sequenced duplicate after an election. When frames carry
-		// several ops the consumer still needs the frame boundary this
-		// sequence slot occupies (a frame whose tail is a suppressed
-		// duplicate would otherwise never close its per-frame sweep), so
-		// a Dup-marked record travels in its place; the payload is never
-		// re-applied. A one-op frame has no boundary to keep.
-		if g.cfg.Batch.Enabled() {
-			g.outQ.Put(Delivery{Seq: d.Seq, UID: d.UID, Src: d.Src, Kind: d.Kind, Size: d.Size, More: d.More, Dup: true})
-		}
+		// Re-sequenced duplicate after an election. The consumer still
+		// needs the frame boundary this sequence slot occupies (a frame
+		// whose tail is a suppressed duplicate would otherwise never
+		// close its per-frame sweep), so a Dup-marked record travels in
+		// its place; the payload is never re-applied.
+		g.outQ.Put(Delivery{Seq: d.Seq, UID: d.UID, Src: d.Src, Kind: d.Kind, Size: d.Size, More: d.More, Dup: true})
 		return
 	}
 	g.stats.Delivered++

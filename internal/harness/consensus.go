@@ -52,6 +52,9 @@ func bakeoff(n, perNode int, protocol func(*group.Config)) bakeoffRun {
 	var firstPost sim.Time
 	counts := make([]int, n)
 	c.consume(1, func(i int, d group.Delivery, now sim.Time) {
+		if d.Dup {
+			return // a suppressed re-delivery: only a frame boundary
+		}
 		counts[i]++
 		sub := submitAt[d.UID]
 		if i == 1 && firstPost == 0 && sub > bakeoffCrashAt {

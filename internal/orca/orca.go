@@ -106,10 +106,6 @@ type Config struct {
 	Net *netsim.Params
 	// KernelCosts overrides kernel CPU costs (zero value: defaults).
 	KernelCosts *amoeba.Costs
-	// RTSCosts overrides runtime overheads (zero value: defaults).
-	RTSCosts *rts.Costs
-	// P2P tunes the point-to-point runtime (zero value: defaults).
-	P2P *rts.P2PConfig
 	// GroupMethod forces the broadcast method (PB/BB); zero is Auto.
 	GroupMethod group.Method
 	// Protocol picks the broadcast group's sequencing protocol: the
@@ -260,10 +256,6 @@ func New(cfg Config, setup func(reg *rts.Registry)) *Runtime {
 	for i := 0; i < cfg.Processors; i++ {
 		rt.machines = append(rt.machines, amoeba.NewMachine(env, nw, i, kc))
 	}
-	rc := rts.DefaultCosts()
-	if cfg.RTSCosts != nil {
-		rc = *cfg.RTSCosts
-	}
 	var groups []rts.GroupDef
 	if np.BroadcastCapable {
 		groups = rt.joinGroups()
@@ -273,18 +265,12 @@ func New(cfg Config, setup func(reg *rts.Registry)) *Runtime {
 	var p2p *rts.P2PConfig
 	if cfg.RTS != Broadcast || cfg.Mixed {
 		pc := rts.DefaultP2PConfig()
-		if cfg.P2P != nil {
-			pc = *cfg.P2P
-		}
-		switch cfg.RTS {
-		case P2PUpdate:
-			pc.Protocol = rts.Update
-		case P2PInvalidate:
+		if cfg.RTS == P2PInvalidate {
 			pc.Protocol = rts.Invalidation
 		}
 		p2p = &pc
 	}
-	rt.sys = rts.NewRouter(rt.reg, rc, rt.machines, groups, p2p, cfg.RTS != Broadcast)
+	rt.sys = rts.NewRouter(rt.reg, rts.DefaultCosts(), rt.machines, groups, p2p, cfg.RTS != Broadcast)
 	if cfg.Batching != nil {
 		rt.sys.EnableBatching(cfg.Batching.batchConfig())
 	}
@@ -330,8 +316,9 @@ func (rt *Runtime) joinGroups() []rts.GroupDef {
 		gcfg.Method = cfg.GroupMethod
 		gcfg.Protocol = cfg.Protocol
 		gcfg.Sequencer = ids[((k+cfg.Sequencer)%span+span)%span]
-		gcfg.Shard = k
-		gcfg.ShardCount = len(defs)
+		if len(defs) > 1 {
+			gcfg.Port = fmt.Sprintf("%s%d", group.Port, k)
+		}
 		if cfg.Batching != nil {
 			gcfg.Batch = cfg.Batching.batchConfig()
 			// Batched runs move MaxOps times the work per frame, so
@@ -340,7 +327,7 @@ func (rt *Runtime) joinGroups() []rts.GroupDef {
 			// reports, so the interval also scales with the span to keep
 			// the aggregate status traffic flat (statuses contribute
 			// (span-1)/StatusEvery frames per delivered op). The trim
-			// lag stays a small fraction of HistoryMax.
+			// lag stays a small fraction of the sequencer's history.
 			gcfg.StatusEvery *= gcfg.Batch.MaxOps * max(span/32, 1)
 		}
 		members := make([]*group.Member, span)

@@ -2,11 +2,10 @@ package std_test
 
 // Sizing-path regression tests: every registered std and app object
 // state must size through a direct WireSize/SizeOf computation, never
-// through the gob estimator. The gob fallback is ~100× slower and sits
-// on the execWrite hot path (segment resizing) and the p2p
-// state-transfer path (fetch/install message sizes), so a state type
-// silently losing its direct size would tax every write in every
-// experiment.
+// through the gob estimator. The gob fallback was ~100× slower and sat
+// on the p2p state-transfer path (fetch/install message sizes), so a
+// state type silently losing its direct size would tax every transfer
+// in every experiment.
 
 import (
 	"testing"

@@ -40,7 +40,7 @@ func Register(reg *rts.Registry) {
 
 type intState struct{ v int }
 
-// WireSize implements rts.Sized; it matches the type's FixedSize.
+// WireSize implements rts.Sized.
 func (s *intState) WireSize() int { return 8 }
 
 var (
@@ -52,7 +52,7 @@ var (
 		return s
 	}).
 		CloneWith(func(s *intState) *intState { c := *s; return &c }).
-		FixedSize(8)
+		SizedBy((*intState).WireSize)
 
 	intValue  = orca.DefRead0(intB, "value", func(s *intState) int { return s.v })
 	intAssign = orca.DefUpdate(intB, "assign", func(s *intState, v int) { s.v = v })
@@ -201,7 +201,7 @@ type barrierState struct {
 	count  int
 }
 
-// WireSize implements rts.Sized; it matches the type's FixedSize.
+// WireSize implements rts.Sized.
 func (s *barrierState) WireSize() int { return 16 }
 
 var (
@@ -209,7 +209,7 @@ var (
 		return &barrierState{target: args[0].(int)}
 	}).
 		CloneWith(func(s *barrierState) *barrierState { c := *s; return &c }).
-		FixedSize(16)
+		SizedBy((*barrierState).WireSize)
 
 	barrierArrive = orca.DefWrite0(barrierB, "arrive", func(s *barrierState) int {
 		s.count++
@@ -247,7 +247,7 @@ func (b Barrier) Count(p *orca.Proc) int { return barrierCount.Call(p, b.h) }
 
 type flagState struct{ b bool }
 
-// WireSize implements rts.Sized; it matches the type's FixedSize.
+// WireSize implements rts.Sized.
 func (s *flagState) WireSize() int { return 1 }
 
 var (
@@ -259,7 +259,7 @@ var (
 		return s
 	}).
 		CloneWith(func(s *flagState) *flagState { c := *s; return &c }).
-		FixedSize(1)
+		SizedBy((*flagState).WireSize)
 
 	flagSet   = orca.DefUpdate(flagB, "set", func(s *flagState, v bool) { s.b = v })
 	flagValue = orca.DefRead0(flagB, "value", func(s *flagState) bool { return s.b })
@@ -599,13 +599,13 @@ func (s BitSet) Count(p *orca.Proc) int { return bitSetCount.Call(p, s.h) }
 
 type accumState struct{ total int64 }
 
-// WireSize implements rts.Sized; it matches the type's FixedSize.
+// WireSize implements rts.Sized.
 func (s *accumState) WireSize() int { return 8 }
 
 var (
 	accumB = orca.NewType(AccumObj, func([]any) *accumState { return &accumState{} }).
 		CloneWith(func(s *accumState) *accumState { c := *s; return &c }).
-		FixedSize(8)
+		SizedBy((*accumState).WireSize)
 
 	accumAdd   = orca.DefUpdate(accumB, "add", func(s *accumState, n int) { s.total += int64(n) })
 	accumValue = orca.DefRead0(accumB, "value", func(s *accumState) int { return int(s.total) })

@@ -318,8 +318,8 @@ func TestClonesAreDeep(t *testing.T) {
 }
 
 // TestSizeOfGrowsWithContent checks the storage model: object sizes
-// must track their content (the RTS resizes replica segments on every
-// write).
+// must track their content (a fetched copy or a migration snapshot
+// weighs what its state holds).
 func TestSizeOfGrowsWithContent(t *testing.T) {
 	reg := rts.NewRegistry()
 	Register(reg)

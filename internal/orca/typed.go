@@ -72,18 +72,11 @@ func (b *TypeBuilder[S]) CloneWith(fn func(S) S) *TypeBuilder[S] {
 	return b
 }
 
-// SizedBy sets the state-size estimator (replica segment sizing and
-// state-transfer message sizes).
+// SizedBy sets the state's wire size in bytes, which state-transfer
+// messages (a fetched copy, a migration snapshot) weigh. A state type
+// with a WireSize method passes it: SizedBy((*T).WireSize).
 func (b *TypeBuilder[S]) SizedBy(fn func(S) int) *TypeBuilder[S] {
 	b.t.SizeOf = func(s rts.State) int { return fn(s.(S)) }
-	return b
-}
-
-// FixedSize declares a constant state size in bytes, letting the
-// runtimes skip per-write segment resizing.
-func (b *TypeBuilder[S]) FixedSize(n int) *TypeBuilder[S] {
-	b.t.SizeOf = func(rts.State) int { return n }
-	b.t.SizeFixed = true
 	return b
 }
 

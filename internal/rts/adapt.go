@@ -415,8 +415,8 @@ func (r *Router) finishMigration(info *adaptInfo, id ObjID, to int, now sim.Time
 	info.migrating = false
 	info.cloned = nil
 	info.last = now
-	r.migrations++
-	r.migrationUS += float64(now-info.start) / float64(sim.Microsecond)
+	r.stats.Migrations++
+	r.stats.MigrationVirtualUS += float64(now-info.start) / float64(sim.Microsecond)
 	info.cond.Broadcast()
 }
 
@@ -478,18 +478,9 @@ func (r *Router) handleMigrate(p *sim.Proc, mgr *bcastManager, uid int64, src in
 		// crash-rescue duplicate: skip, preserving writes applied
 		// since the first record.
 		if old := mgr.inst(wm.Obj); old == nil || old.moved {
-			if old != nil {
-				old.seg.Free()
-			}
-			t := info.typ
-			st := t.Clone(wm.State)
+			st := info.typ.Clone(wm.State)
 			mgr.charge(p, mgr.rts.costs.Create)
-			inst := &bcastInstance{
-				typ:   t,
-				state: st,
-				seg:   mgr.m.AllocSegment(int64(t.stateSize(st))),
-			}
-			mgr.setInst(wm.Obj, inst)
+			mgr.setInst(wm.Obj, &bcastInstance{typ: info.typ, state: st})
 		}
 		if !info.decided {
 			info.decided = true

@@ -117,7 +117,7 @@ func (mgr *bcastManager) bufferWrite(w *Worker, id ObjID, inst *bcastInstance, o
 	if !found {
 		b.insts = append(b.insts, inst)
 	}
-	r.batchedOps++
+	r.stats.BatchedOps++
 	if len(b.ops) >= bc.MaxOps || (bc.MaxBytes > 0 && b.bytes >= bc.MaxBytes) {
 		if b.flight != nil {
 			b.waitFlight(w.P)
@@ -165,7 +165,7 @@ func (b *writeBuf) flush(p *sim.Proc) {
 	b.ops = b.opsSpare[:0]
 	b.insts = b.instsSpare[:0]
 	b.bytes = 0
-	mgr.rts.batchFrames++
+	mgr.rts.stats.Frames++
 	b.uids = mgr.g.BroadcastBatch(p, ops, b.uids[:0])
 	for _, uid := range b.uids {
 		if _, done := mgr.early[uid]; done {

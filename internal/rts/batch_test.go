@@ -52,8 +52,8 @@ func TestReadOwnWriteAfterBufferedWrite(t *testing.T) {
 				t.Errorf("buffered set returned %v, want nil", res)
 			}
 		}
-		if r.batchedOps < 3 {
-			t.Errorf("batchedOps = %d, want >= 3 (sets should combine)", r.batchedOps)
+		if r.stats.BatchedOps < 3 {
+			t.Errorf("batchedOps = %d, want >= 3 (sets should combine)", r.stats.BatchedOps)
 		}
 		// Unrelated read: served with the writes still buffered.
 		if got := r.Invoke(w, other, "get")[0].(int); got != 7 {
@@ -110,11 +110,11 @@ func TestBatchedPutsDeliverExactlyOnce(t *testing.T) {
 			t.Fatalf("item %d = %d, want %d (order or duplication broke)", i, v, i)
 		}
 	}
-	if r.batchedOps < int64(n) {
-		t.Errorf("batchedOps = %d, want >= %d", r.batchedOps, n)
+	if r.stats.BatchedOps < int64(n) {
+		t.Errorf("batchedOps = %d, want >= %d", r.stats.BatchedOps, n)
 	}
-	if r.batchFrames == 0 || r.batchFrames >= r.batchedOps {
-		t.Errorf("batchFrames = %d for %d ops: no amortization", r.batchFrames, r.batchedOps)
+	if r.stats.Frames == 0 || r.stats.Frames >= r.stats.BatchedOps {
+		t.Errorf("batchFrames = %d for %d ops: no amortization", r.stats.Frames, r.stats.BatchedOps)
 	}
 	b.done()
 }
@@ -200,8 +200,8 @@ func TestBatchedManyWriters(t *testing.T) {
 	if want != n*per {
 		t.Fatalf("replicas hold %d items, want %d", want, n*per)
 	}
-	if r.batchFrames*2 >= r.batchedOps {
-		t.Errorf("weak amortization: %d frames for %d ops", r.batchFrames, r.batchedOps)
+	if r.stats.Frames*2 >= r.stats.BatchedOps {
+		t.Errorf("weak amortization: %d frames for %d ops", r.stats.Frames, r.stats.BatchedOps)
 	}
 	b.done()
 }

@@ -61,19 +61,9 @@ type BroadcastRTS struct {
 	// machines; absent means replicated everywhere (see CreateOn).
 	placements map[ObjID][]int
 
-	// down marks machines the runtime was told have crashed (see
-	// NodeCrashed); forwarded operations route around them.
-	down map[int]bool
-
-	// Stats
-	localReads  int64
-	guardWaits  int64
-	bcastWrites int64
-	forwarded   int64
-	crashes     int64
-	opsRetried  int64
-	batchedOps  int64
-	batchFrames int64
+	// stats counts straight into the broadcast fields of the unified
+	// snapshot; Counters adds the group layer's recovery figures.
+	stats RTSStats
 }
 
 // System is the interface shared by the runtime systems: each domain
@@ -186,9 +176,6 @@ type bcastInstance struct {
 	state   State
 	cond    sim.Cond // wakes guard-blocked readers after each write
 	pending []pendingWrite
-	seg     *amoeba.Segment
-	reads   int64
-	writes  int64
 	touched bool // written since the last frame boundary (see run)
 	moved   bool // migrated away at its cut point; writes bounce (see adapt.go)
 
@@ -309,24 +296,9 @@ func (r *BroadcastRTS) noBatch(id ObjID) {
 	r.unbatched[id] = true
 }
 
-// Stats reports aggregate runtime counters: local reads served without
-// communication, broadcast writes, and guard suspensions.
-func (r *BroadcastRTS) Stats() (localReads, bcastWrites, guardWaits int64) {
-	return r.localReads, r.bcastWrites, r.guardWaits
-}
-
 // Counters returns the unified counter snapshot.
 func (r *BroadcastRTS) Counters() RTSStats {
-	st := RTSStats{
-		LocalReads:  r.localReads,
-		BcastWrites: r.bcastWrites,
-		GuardWaits:  r.guardWaits,
-		Forwarded:   r.forwarded,
-		BatchedOps:  r.batchedOps,
-		Frames:      r.batchFrames,
-		Crashes:     r.crashes,
-		OpsRetried:  r.opsRetried,
-	}
+	st := r.stats
 	// Sequencer-recovery counters live in the group members below the
 	// runtime: elections and takeovers by max (survivors observe the
 	// same logical recovery), re-proposals by sum, recovery time as
@@ -350,19 +322,10 @@ func (r *BroadcastRTS) Counters() RTSStats {
 // NodeCrashed implements CrashAware. The replicated core needs no
 // repair — the dead machine's replicas, guard waiters, and manager
 // thread died with it, and the group layer already routes around a
-// dead member (electing a new sequencer if necessary) — so the
-// runtime only has to stop choosing the dead machine as a target for
-// forwarded operations on partially replicated objects.
-func (r *BroadcastRTS) NodeCrashed(node int) {
-	if r.down == nil {
-		r.down = make(map[int]bool)
-	}
-	if r.down[node] {
-		return
-	}
-	r.down[node] = true
-	r.crashes++
-}
+// dead member (electing a new sequencer if necessary) — and forwarded
+// operations already skip holders the network reports down, so the
+// runtime only counts the crash.
+func (r *BroadcastRTS) NodeCrashed(int) { r.stats.Crashes++ }
 
 // Create broadcasts object creation so every machine of the span
 // instantiates a replica, and waits until the local replica exists.
@@ -408,7 +371,7 @@ func (r *BroadcastRTS) Call(w *Worker, id ObjID, opName string, in Args) Args {
 	// it to be applied on this machine.
 	mgr.syncBuf(w)
 	w.Flush()
-	r.bcastWrites++
+	r.stats.BcastWrites++
 	body := wireOp{Obj: id, Op: opName, Args: in}
 	uid := mgr.g.Broadcast(w.P, "rts-op", body, SizeOfArgs(&in)+len(opName)+16)
 	return mgr.await(w.P, uid)
@@ -443,8 +406,7 @@ func (r *BroadcastRTS) LocalReadState(w *Worker, id ObjID, op *OpDef) (State, bo
 		// read takes the Invoke path and bounces to the live placement.
 		return nil, false
 	}
-	r.localReads++
-	inst.reads++
+	r.stats.LocalReads++
 	w.Charge(r.costs.ReadLocal + r.costs.DefaultOp)
 	return inst.state, true
 }
@@ -525,8 +487,7 @@ func (mgr *bcastManager) localRead(w *Worker, inst *bcastInstance, op *OpDef, in
 			// the mixed router wait for the live placement.
 			return retry
 		}
-		r.localReads++
-		inst.reads++
+		r.stats.LocalReads++
 		w.Charge(r.costs.ReadLocal + r.costs.DefaultOp)
 		return op.Apply(inst.state, in)
 	}
@@ -549,12 +510,11 @@ func (mgr *bcastManager) localRead(w *Worker, inst *bcastInstance, op *OpDef, in
 		}
 		w.Accrue(r.costs.GuardCheck)
 		if !op.Guard(inst.state, in) {
-			r.guardWaits++
+			r.stats.GuardWaits++
 			inst.cond.Wait(w.P)
 			continue
 		}
-		r.localReads++
-		inst.reads++
+		r.stats.LocalReads++
 		w.Accrue(r.costs.ReadLocal + r.costs.DefaultOp)
 		return op.Apply(inst.state, in)
 	}
@@ -783,13 +743,7 @@ func (mgr *bcastManager) applyCreate(p *sim.Proc, uid int64, src int, c wireCrea
 	}
 	t := r.reg.Lookup(c.Type)
 	mgr.charge(p, r.costs.Create)
-	state := t.New(c.Args)
-	inst := &bcastInstance{
-		typ:   t,
-		state: state,
-		seg:   mgr.m.AllocSegment(int64(t.stateSize(state))),
-	}
-	mgr.setInst(c.Obj, inst)
+	mgr.setInst(c.Obj, &bcastInstance{typ: t, state: t.New(c.Args)})
 	mgr.complete(p, uid, src, Args{})
 }
 
@@ -844,10 +798,6 @@ func (mgr *bcastManager) execWrite(p *sim.Proc, inst *bcastInstance, uid int64, 
 // guard-blocked readers.
 func (mgr *bcastManager) applyCharged(p *sim.Proc, inst *bcastInstance, uid int64, src int, op *OpDef, args Args) {
 	res := op.Apply(inst.state, args)
-	inst.writes++
-	if !inst.typ.SizeFixed {
-		inst.seg.Resize(int64(inst.typ.stateSize(inst.state)))
-	}
 	mgr.complete(p, uid, src, res)
 	inst.cond.Broadcast()
 }

@@ -86,7 +86,7 @@ func (r *BroadcastRTS) startForwarders(machines []*amoeba.Machine) {
 		mgr := r.mgrs[i]
 		srv := amoeba.NewServer(m, r.fwdPort)
 		mgr.fwdSrv = srv
-		mgr.fwdClient = amoeba.NewClient(m, amoeba.RPCDefaults{Timeout: 2 * sim.Second, Retries: 1 << 20})
+		mgr.fwdClient = amoeba.NewClient(m, rpcPolicy)
 		m.SpawnThread("objfwd", func(p *sim.Proc) {
 			for {
 				req, ok := srv.GetRequest(p)
@@ -116,14 +116,14 @@ func (r *BroadcastRTS) startForwarders(machines []*amoeba.Machine) {
 // shares (see DESIGN.md).
 func (r *BroadcastRTS) forward(w *Worker, cl *amoeba.Client, id ObjID, holders []int, opName string, in Args) Args {
 	w.Flush()
-	r.forwarded++
+	r.stats.Forwarded++
 	first := true
 	for _, holder := range holders {
-		if r.down[holder] || w.M.Net().Down(holder) {
+		if w.M.Net().Down(holder) {
 			continue
 		}
 		if !first {
-			r.opsRetried++
+			r.stats.OpsRetried++
 		}
 		first = false
 		rep, err := cl.Call(w.P, holder, amoeba.Packet{Port: r.fwdPort, Op: opName, Obj: int64(id), Args: in,
@@ -138,10 +138,6 @@ func (r *BroadcastRTS) forward(w *Worker, cl *amoeba.Client, id ObjID, holders [
 	panic(fmt.Sprintf("rts: no live replica holder for object %d (holders %v)", id, holders))
 }
 
-// Forwarded reports how many operations were forwarded to replica
-// holders (partial replication statistics).
-func (r *BroadcastRTS) Forwarded() int64 { return r.forwarded }
-
 // directWrite applies a write to a single-copy object at its only
 // holder, bypassing the broadcast entirely: with exactly one replica
 // there is nothing to keep consistent, and the holder's execution
@@ -154,17 +150,13 @@ func (mgr *bcastManager) directWrite(w *Worker, inst *bcastInstance, op *OpDef, 
 		if op.Guard != nil {
 			w.Accrue(r.costs.GuardCheck)
 			if !op.Guard(inst.state, in) {
-				r.guardWaits++
+				r.stats.GuardWaits++
 				inst.cond.Wait(w.P)
 				continue
 			}
 		}
 		w.Accrue(r.costs.WriteApply + r.costs.DefaultOp)
 		res := op.Apply(inst.state, in)
-		inst.writes++
-		if !inst.typ.SizeFixed {
-			inst.seg.Resize(int64(inst.typ.stateSize(inst.state)))
-		}
 		inst.cond.Broadcast()
 		return res
 	}

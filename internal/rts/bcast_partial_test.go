@@ -40,8 +40,8 @@ func TestPartialReplicationForwardedOps(t *testing.T) {
 	if got != 42 {
 		t.Fatalf("forwarded read = %d, want 42", got)
 	}
-	if r.Forwarded() != 2 {
-		t.Fatalf("forwarded ops = %d, want 2", r.Forwarded())
+	if fwd := r.Counters().Forwarded; fwd != 2 {
+		t.Fatalf("forwarded ops = %d, want 2", fwd)
 	}
 	// The write must have reached both replica holders.
 	for node := 0; node <= 1; node++ {
@@ -69,23 +69,6 @@ func TestPartialReplicationLocalReadsStayLocal(t *testing.T) {
 	})
 	b.run(10 * sim.Second)
 	b.done()
-}
-
-func TestPartialReplicationSavesMemory(t *testing.T) {
-	b, r := newBcastTB(t, 24, 4, nil)
-	b.spawn(0, "main", func(w *Worker) {
-		r.CreateOn(w, "queue", []int{0})
-	})
-	b.run(2 * sim.Second)
-	defer b.done()
-	if b.ms[0].MemInUse() == 0 {
-		t.Fatal("holder has no replica memory")
-	}
-	for node := 1; node < 4; node++ {
-		if b.ms[node].MemInUse() != 0 {
-			t.Fatalf("non-holder node %d reserves %d bytes", node, b.ms[node].MemInUse())
-		}
-	}
 }
 
 func TestPartialReplicationGuardedQueue(t *testing.T) {

@@ -339,7 +339,8 @@ func TestBcastStatsCount(t *testing.T) {
 	})
 	b.run(10 * sim.Second)
 	defer b.done()
-	reads, writes, _ := r.Stats()
+	st := r.Counters()
+	reads, writes := st.LocalReads, st.BcastWrites
 	if reads != 10 {
 		t.Fatalf("localReads = %d, want 10", reads)
 	}

@@ -207,10 +207,6 @@ func (r *Router) execFence(p *sim.Proc, mgr *bcastManager, f wireFence) {
 		op := inst.op(fo.Op)
 		mgr.charge(p, sub.costs.WriteApply+sub.costs.DefaultOp)
 		op.Apply(inst.state, fo.Args)
-		inst.writes++
-		if !inst.typ.SizeFixed {
-			inst.seg.Resize(int64(inst.typ.stateSize(inst.state)))
-		}
 		inst.cond.Broadcast()
 		sm.touch(inst)
 	}
@@ -276,7 +272,7 @@ func (r *Router) InvokeFenced(w *Worker, ops []FencedOp) error {
 	for !rec.done {
 		rec.cond.Wait(w.P)
 	}
-	r.fencedOps += int64(len(ops))
+	r.stats.FencedOps += int64(len(ops))
 	return nil
 }
 

@@ -102,32 +102,31 @@ func (pl Placement) String() string {
 	}
 }
 
-// P2PConfig parameterizes the runtime.
+// P2PConfig is the protocol and placement plain Create gives an object.
 type P2PConfig struct {
 	Protocol  P2PProtocol
 	Placement Placement
-	// FetchRatio: fetch a copy when reads/writes exceeds this.
-	FetchRatio float64
-	// DiscardRatio: discard the copy when reads/writes drops below.
-	DiscardRatio float64
-	// WindowMin is the minimum accesses before acting on statistics.
-	WindowMin int64
-	// RPCPolicy overrides the kernel RPC policy; guarded operations
-	// can legitimately block for a long time, so retries are high.
-	RPCPolicy amoeba.RPCDefaults
 }
 
 // DefaultP2PConfig returns the paper's dynamic-update configuration.
 func DefaultP2PConfig() P2PConfig {
-	return P2PConfig{
-		Protocol:     Update,
-		Placement:    DynamicPlacement,
-		FetchRatio:   4,
-		DiscardRatio: 1,
-		WindowMin:    8,
-		RPCPolicy:    amoeba.RPCDefaults{Timeout: 2 * sim.Second, Retries: 1 << 20},
-	}
+	return P2PConfig{Protocol: Update, Placement: DynamicPlacement}
 }
+
+// The dynamic placement's thresholds, on one machine's accesses to one
+// object: after windowMin accesses it fetches a copy once reads/writes
+// reaches fetchRatio, and discards its copy once the ratio falls to
+// discardRatio.
+const (
+	fetchRatio   = 4
+	discardRatio = 1
+	windowMin    = 8
+)
+
+// rpcPolicy is the point-to-point runtime's (and the forwarders') RPC
+// policy: a guarded operation can legitimately block for a long time,
+// so retries are high.
+var rpcPolicy = amoeba.RPCDefaults{Timeout: 2 * sim.Second, Retries: 1 << 20}
 
 // p2pMeta is the global registry entry for an object: its type, the
 // (static) primary machine, and the consistency protocol and placement
@@ -166,7 +165,6 @@ type p2pInstance struct {
 	primary bool
 	cond    *sim.Cond    // readers wait for unlock / guard / invalidation
 	copyset map[int]bool // primary only
-	seg     *amoeba.Segment
 }
 
 // p2pTask is a unit of work for an object's primary thread. Tasks
@@ -241,15 +239,12 @@ const (
 
 // NewP2PRTS builds the point-to-point runtime over the machines.
 func NewP2PRTS(reg *Registry, costs Costs, cfg P2PConfig, machines []*amoeba.Machine) *P2PRTS {
-	if cfg.RPCPolicy.Timeout == 0 {
-		cfg.RPCPolicy = DefaultP2PConfig().RPCPolicy
-	}
 	r := &P2PRTS{reg: reg, costs: costs, cfg: cfg, objs: make(map[ObjID]*p2pMeta), ids: &idAlloc{}}
 	for _, m := range machines {
 		n := &p2pNode{
 			rts:    r,
 			m:      m,
-			client: amoeba.NewClient(m, cfg.RPCPolicy),
+			client: amoeba.NewClient(m, rpcPolicy),
 			insts:  make(map[ObjID]*p2pInstance),
 			queues: make(map[ObjID]*objQueue),
 			access: make(map[ObjID]*accessStats),
@@ -337,7 +332,6 @@ func (r *P2PRTS) CreateWith(w *Worker, typeName string, protocol P2PProtocol, pl
 		typ: t, state: state, valid: true, primary: true,
 		cond:    sim.NewCond(w.M.Env()),
 		copyset: make(map[int]bool),
-		seg:     w.M.AllocSegment(int64(t.stateSize(state))),
 	}
 	node.insts[id] = inst
 	r.objs[id] = &p2pMeta{id: id, typ: t, primary: w.Node(), protocol: protocol, placement: placement,
@@ -517,10 +511,7 @@ func (n *p2pNode) shouldFetch(meta *p2pMeta, st *accessStats) bool {
 	if meta.placement != DynamicPlacement {
 		return false
 	}
-	if st.reads+st.writes < n.rts.cfg.WindowMin {
-		return false
-	}
-	return st.ratio() >= n.rts.cfg.FetchRatio
+	return st.reads+st.writes >= windowMin && st.ratio() >= fetchRatio
 }
 
 // maybeDiscard applies the discard threshold to a local secondary.
@@ -532,7 +523,7 @@ func (n *p2pNode) maybeDiscard(w *Worker, meta *p2pMeta, st *accessStats) {
 	if !ok || !inst.valid || inst.primary {
 		return
 	}
-	if st.reads+st.writes < n.rts.cfg.WindowMin || st.ratio() > n.rts.cfg.DiscardRatio {
+	if st.reads+st.writes < windowMin || st.ratio() > discardRatio {
 		return
 	}
 	n.rts.stats.Discards++
@@ -564,13 +555,9 @@ func (n *p2pNode) fetchCopy(w *Worker, meta *p2pMeta) {
 
 // installCopy places a (cloned) state as a valid secondary.
 func (n *p2pNode) installCopy(id ObjID, t *ObjectType, state State) {
-	if old, ok := n.insts[id]; ok {
-		old.seg.Free()
-	}
 	n.insts[id] = &p2pInstance{
 		typ: t, state: state, valid: true,
 		cond: sim.NewCond(n.m.Env()),
-		seg:  n.m.AllocSegment(int64(t.stateSize(state))),
 	}
 }
 
@@ -605,6 +592,5 @@ func (n *p2pNode) dropLocal(id ObjID) {
 	}
 	inst.valid = false
 	inst.cond.Broadcast()
-	inst.seg.Free()
 	delete(n.insts, id)
 }

@@ -132,9 +132,6 @@ func (n *p2pNode) applyUpdate(p *sim.Proc, req *amoeba.Request) {
 	inst.locked = true
 	n.m.Compute(p, r.costs.WriteApply+r.costs.DefaultOp)
 	op.Apply(inst.state, req.Args)
-	if !inst.typ.SizeFixed {
-		inst.seg.Resize(int64(inst.typ.stateSize(inst.state)))
-	}
 	n.srv.PutReply(p, req, nil, 4)
 }
 
@@ -429,9 +426,6 @@ func (n *p2pNode) commitWrite(p *sim.Proc, id ObjID, inst *p2pInstance, t *p2pTa
 	// Apply at the primary.
 	n.m.Compute(p, r.costs.WriteApply+r.costs.DefaultOp)
 	res := t.op.Apply(inst.state, t.args)
-	if !inst.typ.SizeFixed {
-		inst.seg.Resize(int64(inst.typ.stateSize(inst.state)))
-	}
 	if meta.protocol == Update {
 		// Phase two: unlock all copies.
 		for _, dst := range secs {

@@ -58,11 +58,9 @@ type Router struct {
 	fences       []map[int64]*fenceRec
 	fenceAborted []map[int64]bool
 	fenceSeq     int64
-	fencedOps    int64
 
-	// Migration counters (see RTSStats).
-	migrations  int64
-	migrationUS float64
+	// stats counts the Router's own work: fenced ops and migrations.
+	stats RTSStats
 }
 
 // objEntry is one object's routing state: the domain hosting it now,
@@ -482,8 +480,7 @@ func (r *Router) Counters() RTSStats {
 	if r.p2p != nil {
 		snaps = append(snaps, r.p2p.Counters())
 	}
-	snaps = append(snaps, RTSStats{FencedOps: r.fencedOps, Migrations: r.migrations, MigrationVirtualUS: r.migrationUS})
-	return Merge(snaps...)
+	return Merge(append(snaps, r.stats)...)
 }
 
 // ShardStats reports each sequencer group's own counter snapshot, in

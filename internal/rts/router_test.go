@@ -1,6 +1,7 @@
 package rts
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/amoeba"
@@ -28,7 +29,9 @@ func newRouterTB(t *testing.T, seed int64, n, groups, span int, cfg P2PConfig) (
 			ids[i] = (k%(n/span))*span + i
 		}
 		gcfg := group.DefaultConfig(ids)
-		gcfg.Shard, gcfg.ShardCount = k, groups
+		if groups > 1 {
+			gcfg.Port = fmt.Sprintf("%s%d", group.Port, k)
+		}
 		defs[k] = GroupDef{Span: ids}
 		for _, id := range ids {
 			defs[k].Members = append(defs[k].Members, group.Join(ms[id], gcfg))

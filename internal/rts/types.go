@@ -91,13 +91,10 @@ type ObjectType struct {
 	// to transfer copies between machines; it must produce a state
 	// disjoint from the original.
 	Clone func(s State) State
-	// SizeOf reports the state's wire/storage size in bytes, used for
-	// replica segments and state-transfer message sizes. If nil, a
-	// gob-based estimate is used.
+	// SizeOf reports the state's wire size in bytes, used for
+	// state-transfer message sizes. If nil, the state is sized by
+	// SizeOfValue, which panics on a value of no known wire size.
 	SizeOf func(s State) int
-	// SizeFixed declares that SizeOf is constant over the object's
-	// lifetime, letting the runtimes skip per-write segment resizing.
-	SizeFixed bool
 	// Ops maps operation names to definitions.
 	Ops map[string]*OpDef
 }
@@ -112,8 +109,8 @@ func (t *ObjectType) Op(name string) *OpDef {
 	return op
 }
 
-// stateSize reports the storage size of s using the type's SizeOf or
-// the generic estimator.
+// stateSize reports the wire size of s using the type's SizeOf or
+// SizeOfValue.
 func (t *ObjectType) stateSize(s State) int {
 	if t.SizeOf != nil {
 		return t.SizeOf(s)

@@ -233,8 +233,8 @@ func TestWorkerAutoFlushAtThreshold(t *testing.T) {
 	m := amoeba.NewMachine(env, nw, 0, amoeba.DefaultCosts())
 	m.SpawnThread("w", func(p *sim.Proc) {
 		w := NewWorker(p, m)
-		w.Charge(DefaultFlushThreshold) // exactly at threshold: flush
-		if m.AppBusy() != DefaultFlushThreshold {
+		w.Charge(flushThreshold) // exactly at threshold: flush
+		if m.AppBusy() != flushThreshold {
 			t.Errorf("auto-flush missing: busy=%v", m.AppBusy())
 		}
 	})

@@ -12,17 +12,13 @@ import (
 // Application compute and cheap local operations (object reads) accrue
 // into the accumulator instead of becoming individual simulation
 // events; the total is flushed to the machine's CPU before any
-// communication or blocking step, and whenever it exceeds
-// FlushThreshold. This keeps event counts tractable for workloads that
+// communication or blocking step, and whenever it reaches
+// flushThreshold. This keeps event counts tractable for workloads that
 // perform millions of local reads while bounding the timing error well
 // below protocol latencies.
 type Worker struct {
 	P *sim.Proc
 	M *amoeba.Machine
-
-	// FlushThreshold bounds the accumulation lag. Zero means the
-	// DefaultFlushThreshold.
-	FlushThreshold sim.Time
 
 	pending sim.Time
 
@@ -52,23 +48,19 @@ func (w *Worker) FlushShared() {
 	}
 }
 
-// DefaultFlushThreshold is the default accumulation bound.
-const DefaultFlushThreshold = 500 * sim.Microsecond
+// flushThreshold bounds the accumulation lag.
+const flushThreshold = 500 * sim.Microsecond
 
 // NewWorker creates a worker context for process p on machine m.
 func NewWorker(p *sim.Proc, m *amoeba.Machine) *Worker {
-	return &Worker{P: p, M: m, FlushThreshold: DefaultFlushThreshold}
+	return &Worker{P: p, M: m}
 }
 
-// Charge accrues d of CPU work, flushing if the pending total crosses
+// Charge accrues d of CPU work, flushing if the pending total reaches
 // the threshold.
 func (w *Worker) Charge(d sim.Time) {
 	w.pending += d
-	thr := w.FlushThreshold
-	if thr <= 0 {
-		thr = DefaultFlushThreshold
-	}
-	if w.pending >= thr {
+	if w.pending >= flushThreshold {
 		w.Flush()
 	}
 }
