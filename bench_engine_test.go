@@ -3,9 +3,9 @@ package repro
 // Engine benchmark suite: microbenchmarks of the simulation kernel's
 // hot paths, reporting events/sec alongside the usual wall-clock and
 // allocation measurements. These isolate the scheduler itself — the
-// ready queue, the event pool, the direct park/resume handoff, and the
-// synchronization primitives — from the protocol stack above it, so a
-// kernel regression is visible before it smears across every
+// ready queue, the event pool, the coroutine switch of a park/resume,
+// and the synchronization primitives — from the protocol stack above
+// it, so a kernel regression is visible before it smears across every
 // experiment. These are for measuring while you work (go test -bench
 // Engine .); the numbers that gate a change are bench/'s sim.* rungs.
 
@@ -23,8 +23,8 @@ func reportEvents(b *testing.B, e *sim.Env) {
 
 // BenchmarkEngineYield measures the same-instant wakeup path: a Yield
 // is one ready-queue append plus one resume, the cheapest possible
-// reschedule. With a single process every resume is a self-handoff
-// that never touches a channel.
+// reschedule. With a single process every resume is a self-handoff:
+// the parking process dispatches its own wake-up and never switches.
 func BenchmarkEngineYield(b *testing.B) {
 	e := sim.New(1)
 	e.Spawn("yielder", func(p *sim.Proc) {
@@ -38,9 +38,9 @@ func BenchmarkEngineYield(b *testing.B) {
 	e.Shutdown()
 }
 
-// BenchmarkEngineYieldPingPong measures the cross-goroutine handoff:
-// two processes alternating at the same instant, so every dispatch is
-// a direct channel handoff between goroutines.
+// BenchmarkEngineYieldPingPong measures the process switch: two
+// processes alternating at the same instant, so every dispatch yields
+// one coroutine to the driver loop, which resumes the other.
 func BenchmarkEngineYieldPingPong(b *testing.B) {
 	e := sim.New(1)
 	for i := 0; i < 2; i++ {

@@ -205,10 +205,10 @@ func TestRPCLateDuplicateMeetsReusedRecord(t *testing.T) {
 }
 
 // A client thread killed in the middle of a transaction (its machine
-// crashed) unwinds on its own goroutine while the run goes on, so its
-// record must neither return to the pool nor leave the table of open
-// transactions, and the timer still armed for it must find the record
-// its own.
+// crashed) stays parked while the run goes on and unwinds at Shutdown,
+// so its record must neither return to the pool nor leave the table of
+// open transactions, and the timer still armed for it must find the
+// record its own.
 func TestRPCKilledClientKeepsItsRecord(t *testing.T) {
 	env, _, ms := cluster(t, 3, nil)
 	NewServer(ms[2], "mute") // requests queue up; nobody serves them

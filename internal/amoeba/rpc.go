@@ -364,10 +364,10 @@ func (c *Client) begin(txid int64) *rpcWait {
 
 // end forgets a transaction when Trans returns. The calling thread can
 // also be killed mid-transaction (its machine crashed while it was
-// parked in Trans); the unwinding goroutine runs concurrently with
-// other reaped threads of this machine and must touch neither the
-// shared map nor the pool. Its record is simply dropped, so a timer
-// still armed for it fires on a record nobody else has.
+// parked in Trans); it unwinds only when Shutdown reaps it, and what a
+// crash abandons stays abandoned, so it touches neither the shared map
+// nor the pool. Its record is simply dropped, so a timer still armed
+// for it fires on a record nobody else has.
 func (c *Client) end(p *sim.Proc, txid int64, w *rpcWait) {
 	if p.Killed() {
 		return

@@ -33,7 +33,7 @@ type CrashRecord struct {
 
 // procRec tracks one Orca process for crash accounting: when its
 // machine crashes the runtime settles the process's liveness here and
-// the goroutine's own exit path (which never runs again) is skipped.
+// the thread's own exit path (which never runs again) is skipped.
 type procRec struct {
 	node int
 	done bool

@@ -489,9 +489,9 @@ func (rt *Runtime) spawnProc(cpu int, name string, fn func(p *Proc)) {
 		defer func() {
 			if sp.Killed() {
 				// The machine crashed under this process: crashNode
-				// already settled the accounting, and this goroutine is
-				// unwinding concurrently with its machine-mates during
-				// Shutdown — it must not touch shared state.
+				// already settled the accounting, and this body is being
+				// reaped by Shutdown after the run — it must not touch
+				// shared state.
 				return
 			}
 			rec.done = true

@@ -193,19 +193,26 @@ func TestInlineMatchesAllThreads(t *testing.T) {
 
 // TestRouteShares measures, on small versions of the benchmark's
 // workloads, how much of each served queue's work still ends on its
-// goroutine (run with -v for the table). The doc comments of the four
-// thread loops — amoeba.Machine.interruptLoop, rts.bcastManager.run,
-// rts.p2pNode.serve, rts.objQueue.loop — quote it, and what they claim
-// is asserted here.
+// goroutine, and how many process switches (sim.Env.Switches) a run
+// makes per operation offered — a kv request, or a shared-object
+// operation of the TSP (run with -v for the table). The doc comments of
+// the four thread loops — amoeba.Machine.interruptLoop,
+// rts.bcastManager.run, rts.p2pNode.serve, rts.objQueue.loop — quote
+// it, and what they claim is asserted here.
 func TestRouteShares(t *testing.T) {
-	kvRun := func(procs int, mixed bool, policy kv.Policy, readFrac, rate float64) *orca.Runtime {
+	type sample struct {
+		name string
+		rt   *orca.Runtime
+		ops  int64
+	}
+	kvRun := func(name string, procs int, mixed bool, policy kv.Policy, readFrac, rate float64) sample {
 		r := kv.Run(orca.Config{Processors: procs, RTS: orca.Broadcast, Mixed: mixed, Seed: 1, GroupMethod: group.ForcePB},
 			kv.Params{Policy: policy, Workload: workload.Config{Keys: 8192, Dist: workload.Zipf, Theta: 0.99,
 				ReadFrac: readFrac, UpdateFrac: (1 - readFrac) / 2, Seed: 1, Rate: rate, Duration: sim.Second}})
 		if r.Report.TimedOut || r.LostAcked != 0 {
 			t.Fatalf("kv %v: timed out %v, %d acknowledged writes lost", policy, r.Report.TimedOut, r.LostAcked)
 		}
-		return r.Runtime
+		return sample{name, r.Runtime, r.Ops}
 	}
 	inst := tsp.Generate(11, 18)
 	best, _ := tsp.SolveSeq(inst)
@@ -213,17 +220,18 @@ func TestRouteShares(t *testing.T) {
 	if tspRun.Report.TimedOut || tspRun.Best != best {
 		t.Fatalf("tsp: best %d, want %d; timed out %v", tspRun.Best, best, tspRun.Report.TimedOut)
 	}
-	runs := []struct {
-		name string
-		rt   *orca.Runtime
-	}{
-		{"kv replicated P=16, 50% writes", kvRun(16, false, kv.PolicyReplicated, 0.50, 3000)},
-		{"kv primary P=8, 5% writes", kvRun(8, true, kv.PolicyPrimary, 0.95, 4000)},
-		{"tsp P=16, 4 shards, batched", tspRun.Runtime},
+	st := tspRun.Report.RTS
+	runs := []sample{
+		kvRun("kv replicated P=16, 50% writes", 16, false, kv.PolicyReplicated, 0.50, 3000),
+		kvRun("kv primary P=8, 5% writes", 8, true, kv.PolicyPrimary, 0.95, 4000),
+		{"tsp P=16, 4 shards, batched", tspRun.Runtime, st.LocalReads + st.RemoteReads + st.BcastWrites + st.BatchedOps + st.P2PWrites},
 	}
-	share := map[string]float64{}
+	share, switches := map[string]float64{}, map[string]float64{}
 	t.Logf("%-32s %-7s %9s %9s %9s %9s %9s  %s", "run", "queue", "offered", "finished", "pending", "declined", "punted", "on the goroutine")
 	for _, run := range runs {
+		env := run.rt.Env()
+		switches[run.name] = float64(env.Switches()) / float64(run.ops)
+		t.Logf("%-32s %-7s %9d ops, %d events, %d process switches: %.3f switches per op", run.name, "", run.ops, env.Events(), env.Switches(), switches[run.name])
 		// A consumer is named "node<n>/<thread>"; obj<id> threads count as one kind.
 		sum := map[string]sim.Routes{}
 		for _, r := range run.rt.Env().Routes() {
@@ -259,6 +267,21 @@ func TestRouteShares(t *testing.T) {
 	} {
 		if s, ok := share[c.key]; !ok || s < c.min || s > c.max {
 			t.Errorf("%s: %.1f %% of items on the goroutine (measured: %t), the thread loop's comment says %.1f–%.1f %%", c.key, 100*s, ok, 100*c.min, 100*c.max)
+		}
+	}
+	// Switches per operation, as measured (3.484, 2.184, 0.071), ±15 %: a
+	// consumer that starts declining what it served, or a primitive that
+	// stops resuming a process within its own step, shows here first.
+	for _, c := range []struct {
+		run      string
+		min, max float64
+	}{
+		{"kv replicated P=16, 50% writes", 2.95, 4.0},
+		{"kv primary P=8, 5% writes", 1.85, 2.5},
+		{"tsp P=16, 4 shards, batched", 0.060, 0.082},
+	} {
+		if s := switches[c.run]; s < c.min || s > c.max {
+			t.Errorf("%s: %.3f process switches per op, want %.3f–%.3f", c.run, s, c.min, c.max)
 		}
 	}
 }

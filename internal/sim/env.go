@@ -3,8 +3,8 @@ package sim
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sort"
-	"sync"
 )
 
 // Event is a scheduled occurrence in virtual time. It is returned by
@@ -194,15 +194,15 @@ type Env struct {
 	ready     []*Event   // same-instant events in seq (FIFO) order
 	readyHead int        // index of the next ready event
 	seqGen    int64
-	free      *Event        // free list of recycled internal events
-	baton     *Proc         // process the current event resumes when its callback returns (see handoff)
-	done      chan struct{} // chain -> Run/RunUntil completion handoff
+	free      *Event // free list of recycled internal events
+	baton     *Proc  // process the current event resumes when its callback returns (see handoff)
+	target    *Proc  // process a parking one yielded the baton to: the driver resumes it next
 	live      map[*Proc]struct{}
-	wg        sync.WaitGroup
 	rng       *rand.Rand
 	stopped   bool
 	bounded   bool // RunUntil in progress
 	limit     Time // RunUntil bound
+	reaping   bool // Shutdown in progress
 	served    []*Routes
 
 	// Trace, when non-nil, receives a line per traced occurrence.
@@ -219,13 +219,13 @@ type Env struct {
 
 	// stats
 	dispatched int64
+	switches   int64
 }
 
 // New creates an environment whose random source is seeded with seed.
 // The same seed always yields the same simulation.
 func New(seed int64) *Env {
 	return &Env{
-		done: make(chan struct{}),
 		live: make(map[*Proc]struct{}),
 		rng:  rand.New(rand.NewSource(seed)),
 	}
@@ -240,6 +240,12 @@ func (e *Env) Rand() *rand.Rand { return e.rng }
 // Events reports the number of events dispatched so far; the engine
 // benchmarks use it to compute events/sec.
 func (e *Env) Events() int64 { return e.dispatched }
+
+// Switches reports the number of times the driver has resumed a
+// process: what the run paid in process switches, as against events.
+// A process whose own wake-up came next kept running and is not
+// counted. Like Events, it costs no event and no allocation.
+func (e *Env) Switches() int64 { return e.switches }
 
 // Routes reports, for every served queue of the environment (see
 // Queue.Serve), how its items have been served so far.
@@ -348,33 +354,21 @@ func (e *Env) next() *Event {
 	return rv
 }
 
-// advance dispatches events on the calling goroutine until control
-// moves elsewhere: the scheduler is not a goroutine of its own but a
-// baton passed between simulated processes. A parking (or dying)
-// process dispatches onward itself — events run inline, and one that
-// ends by resuming a process (see handoff) is a single direct channel
-// handoff to the target's goroutine, half the context switches of a
-// central scheduler loop.
-//
-// For a process caller (self != nil), a true result means the
-// process's own resume event came up: it simply keeps running. A
-// false result means control went elsewhere — the caller must block
-// on its resume channel (or, if dying, exit). When the chain ends
-// (drained, stopped, or past the RunUntil bound), the process that
-// discovers it signals done to hand control back to Run's caller.
-//
-// For the run caller (self == nil), a true result means control was
-// handed to a process and the caller must wait for done; false means
-// the run drained inline without any process becoming runnable.
-func (e *Env) advance(self *Proc) bool {
+// advance dispatches events until one ends by handing the baton to a
+// live process (see handoff) and returns that process, or returns nil
+// when the run is over: drained, stopped, or past the RunUntil bound.
+// Events run on whoever calls it — the driver (self == nil), or a
+// parking process (self), which keeps running, with no switch at all,
+// if the process returned is itself.
+func (e *Env) advance(self *Proc) *Proc {
 	if self != nil && e.baton == self {
 		// The process handed itself the baton just before parking (a
 		// Queue.Get whose inline consumer declined the next item, a
 		// continuation that ran within the process's own step): the
-		// current event simply continues on this goroutine.
+		// current event simply continues.
 		e.baton = nil
 		if !self.killed {
-			return true
+			return self
 		}
 	}
 	for !e.stopped {
@@ -406,21 +400,52 @@ func (e *Env) advance(self *Proc) bool {
 		// process (a wake-up does nothing else): resume it, unless it died
 		// meanwhile.
 		e.baton = nil
-		if p.terminated || p.killed {
-			continue
+		if !p.terminated && !p.killed {
+			return p
 		}
-		if p == self {
-			return true // our own resume: just keep running
-		}
-		p.resume <- struct{}{} // direct handoff
-		return self == nil
 	}
-	// The chain ends here. A process goroutine hands control back to
-	// the Run caller; the Run caller just returns.
-	if self != nil {
-		e.done <- struct{}{}
+	return nil
+}
+
+// schedEvery is how many process switches the driver makes between
+// two calls of runtime.Gosched. A coroutine switch never enters the Go
+// scheduler, so at GOMAXPROCS=1 the GC's background mark worker would
+// run only when the runtime preempts the driver: mark phases stretch,
+// and write barriers and mark assists fill them. On kv_seqcrash the
+// mean mark phase took 5.7–6.6 ms with no call, 5.3–5.4 at 4096, 2.5–3.1
+// at 1024, 1.6–1.7 at 256 and 1.6–1.9 at 64, against 1.5–1.9 ms when
+// every switch went through the scheduler: 256 is the sparsest that
+// restores it (DESIGN.md, "One driver, pooled coroutines").
+const schedEvery = 256
+
+// drive is Run's and RunUntil's loop: it dispatches events and resumes
+// each process an event hands the baton to, until the run is over.
+func (e *Env) drive() {
+	for p := e.advance(nil); p != nil; p = e.switchTo(p) {
 	}
-	return false
+}
+
+// switchTo resumes p — starting its body on a pooled coroutine, if this
+// is its start — until it parks or ends, and returns the process the
+// baton goes to next: the one p named as it parked, or whichever the
+// driver dispatches to after p ended; nil when the run is over.
+func (e *Env) switchTo(p *Proc) *Proc {
+	if e.switches++; e.switches%schedEvery == 0 {
+		runtime.Gosched()
+	}
+	if p.co == nil {
+		p.co = getCoro(p)
+	}
+	if ended, _ := p.co.next(); !ended {
+		next := e.target
+		e.target = nil
+		return next
+	}
+	putCoro(p.co)
+	p.co = nil
+	p.terminated = true
+	delete(e.live, p)
+	return e.advance(nil)
 }
 
 // handoff ends the current event by resuming the parked process p: the
@@ -429,10 +454,10 @@ func (e *Env) advance(self *Proc) bool {
 // scheduling an event — no sequence number is consumed and Events()
 // does not move. A wake-up is an event that does nothing else; a
 // callback that stands in for p (see Queue.Serve, Resource.UseFn) does
-// its work first and gives the rest of its event to p's goroutine, so
-// the pair occupies the one slot in the (time, seq) order that a
-// wake-up of p would. The caller must do nothing further in this event,
-// and p must have no wake of its own pending.
+// its work first and gives the rest of its event to p, so the pair
+// occupies the one slot in the (time, seq) order that a wake-up of p
+// would. The caller must do nothing further in this event, and p must
+// have no wake of its own pending.
 func (e *Env) handoff(p *Proc) {
 	if e.baton != nil {
 		panic("sim: two baton handoffs in one event (" + e.baton.name + ", " + p.name + ")")
@@ -459,10 +484,12 @@ func (e *Env) peekTime() *Event {
 // It returns the final virtual time. Processes that are still blocked
 // when the queue drains are left parked; call Shutdown to reap them
 // (Blocked lists them for deadlock diagnosis).
+//
+// Run drives the processes from the calling goroutine. A panic in a
+// process body or an event handler ends the run and is re-raised here,
+// with the same value.
 func (e *Env) Run() Time {
-	if e.advance(nil) {
-		<-e.done
-	}
+	e.drive()
 	return e.now
 }
 
@@ -474,9 +501,7 @@ func (e *Env) Run() Time {
 // that never armed it.
 func (e *Env) RunUntil(t Time) Time {
 	e.bounded, e.limit = true, t
-	if e.advance(nil) {
-		<-e.done
-	}
+	e.drive()
 	e.bounded = false
 	return e.now
 }
@@ -499,14 +524,15 @@ func (e *Env) Blocked() []string {
 	return names
 }
 
-// Kill marks a process dead from the current instant: the scheduler
-// never resumes it again, and any event that would have woken it is
+// Kill marks a process dead from the current instant: the driver never
+// resumes it again, and any event that would have woken it is
 // discarded when it fires. It models a thread dying with its crashed
 // machine, so — unlike a cooperative exit — the process's current
-// state (held resources, queued wait entries) is simply abandoned.
-// The goroutine itself is reclaimed by Shutdown. Killing the process
-// that is currently executing is allowed: it finishes its current
-// non-blocking step and is unwound at its next park.
+// state (held resources, queued wait entries) is simply abandoned, and
+// its deferred calls run only when Shutdown reaps it. Killing the
+// process that is currently executing is allowed: it finishes its
+// current non-blocking step, and its next park passes the baton on and
+// returns only to unwind, when Shutdown reaps it.
 func (e *Env) Kill(p *Proc) {
 	if p.terminated || p.killed {
 		return
@@ -518,17 +544,28 @@ func (e *Env) Kill(p *Proc) {
 // have not yet terminated.
 func (e *Env) LiveProcs() int { return len(e.live) }
 
-// Shutdown force-kills all parked processes and waits for their
-// goroutines to exit. It must be called only after Run has returned.
+// Shutdown kills every process still alive and reaps the parked ones,
+// one after another on the calling goroutine: a parked body unwinds
+// from its park by a panic its coroutine's top frame recovers, so its
+// deferred calls run, exactly once, as they would on a return (Killed
+// is true by then: they must not touch the simulation). A body that
+// recovers that panic itself is unwound again at its next park. Each
+// coroutine is then free for another process; one whose body panicked
+// for real during a run is dropped instead. Shutdown must be called
+// only after Run has returned.
 func (e *Env) Shutdown() {
+	e.reaping = true
 	for p := range e.live {
-		if !p.terminated {
-			p.killed = true
-			close(p.resume)
+		p.killed = true
+		if p.co != nil {
+			if ended, _ := p.co.next(); ended {
+				putCoro(p.co)
+			}
+			p.co = nil
 		}
 	}
-	e.wg.Wait()
-	e.live = make(map[*Proc]struct{})
+	e.reaping = false
+	clear(e.live)
 }
 
 // wake schedules p to resume at the current virtual time.

@@ -347,8 +347,8 @@ func TestServeBlockingPanics(t *testing.T) {
 	var thread *Proc
 	var caught any
 	q.Serve(func(int) Verdict {
-		// The offer runs on whichever goroutine is dispatching, so the
-		// panic is caught here rather than by the test's goroutine.
+		// The offer runs in whichever process is dispatching; caught
+		// here, the panic does not end the run.
 		defer func() { caught = recover() }()
 		thread.Sleep(Microsecond)
 		return Finished

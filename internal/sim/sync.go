@@ -241,9 +241,9 @@ type Queue[T any] struct {
 
 // Routes counts what became of the items offered to a served queue's
 // inline consumer: its three answers, and the Pending items it punted
-// later. Declined and Punted items cost a switch to the goroutine of
-// the consuming process, which Consumer names; the rest never left the
-// dispatch lane. Env.Routes lists every served queue's.
+// later. Declined and Punted items cost a switch to the consuming
+// process, which Consumer names; the rest never left the dispatch lane.
+// Env.Routes lists every served queue's.
 type Routes struct {
 	Consumer                            string
 	Finished, Pending, Declined, Punted int64
@@ -274,8 +274,7 @@ func NewQueue[T any](e *Env) *Queue[T] { return &Queue[T]{env: e} }
 // Serve makes fn the queue's inline consumer. The queue must have one
 // consuming process, looping on Get; every item is offered to fn on the
 // dispatch lane first, and only an item fn declines (or punts) costs a
-// switch to the process's goroutine, which then handles it as if fn did
-// not exist. Service order is the queue order: while an item is
+// switch to the process, which then handles it as if fn did not exist. Service order is the queue order: while an item is
 // Pending, later items wait, exactly as they would behind a busy
 // process.
 //
