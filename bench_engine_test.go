@@ -167,3 +167,42 @@ func BenchmarkEngineTimerCancel(b *testing.B) {
 	reportEvents(b, e)
 	e.Shutdown()
 }
+
+// BenchmarkEngineFanOut measures a broadcast's interrupts: one callback
+// — a frame's arrival — claims the CPUs of 32 machines, whose holds all
+// end at one instant, and the last hold to end schedules the next
+// arrival. The 32 expiries are pushed back to back for one instant, so
+// they share one heap slot as a run; the heap also holds a spread of
+// far-off timers, as a protocol's retransmission timers keep it
+// populated. ns/event is the wall time per dispatched event.
+func BenchmarkEngineFanOut(b *testing.B) {
+	e := sim.New(1)
+	const fanout, timers = 32, 64
+	cpus := make([]*sim.Resource, fanout)
+	owners := make([]*sim.Proc, fanout)
+	for i := range cpus {
+		cpus[i] = sim.NewResource(e)
+		owners[i] = e.Spawn("cpu", func(p *sim.Proc) { p.Park() })
+	}
+	for i := 0; i < timers; i++ {
+		e.At(sim.Time(i+1)*sim.Second*1000, func() {})
+	}
+	rounds, served := b.N/(fanout+1), 0
+	var arrive func()
+	next := func() {
+		if served++; served%fanout == 0 && served/fanout < rounds {
+			e.Schedule(e.Now()+sim.Microsecond, arrive)
+		}
+	}
+	arrive = func() {
+		for i, r := range cpus {
+			r.UseFrontFn(owners[i], 10*sim.Microsecond, next)
+		}
+	}
+	e.Schedule(0, arrive)
+	b.ResetTimer()
+	e.RunUntil(sim.Second * 1000)
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(e.Events()), "ns/event")
+	reportEvents(b, e)
+	e.Shutdown()
+}

@@ -26,12 +26,32 @@ type rearmer interface {
 }
 
 // engineEnv drives the real Env, alternating At and After, and counts
-// the cancellations that hit the heap's two special slots.
+// the cancellations that hit the heap's special slots and the runs'
+// special places.
 type engineEnv struct {
-	e           *Env
-	alt         bool
-	root, tail  int
-	fromTheHeap int
+	e      *Env
+	alt    bool
+	cov    engineCoverage
+	refill Time // the instant of a run's tail just cancelled, or -1
+}
+
+// engineCoverage counts cancellations by where the event was queued.
+type engineCoverage struct {
+	fromTheHeap, root, last int
+	// A run's head that has followers, a follower with a follower, a
+	// run's tail whose instant the next push joins again, and a follower
+	// re-armed.
+	runHead, middle, tailRefilled, armFollower int
+}
+
+func (c *engineCoverage) add(o engineCoverage) {
+	c.fromTheHeap += o.fromTheHeap
+	c.root += o.root
+	c.last += o.last
+	c.runHead += o.runHead
+	c.middle += o.middle
+	c.tailRefilled += o.tailRefilled
+	c.armFollower += o.armFollower
 }
 
 type engineTimer struct {
@@ -39,20 +59,56 @@ type engineTimer struct {
 	ev  *Event
 }
 
-func (h engineTimer) Cancel() {
-	if i := h.ev.index; i >= 0 {
-		h.env.fromTheHeap++
+// taking counts where ev is as it is about to leave the queue.
+func (r *engineEnv) taking(ev *Event) {
+	c := &r.cov
+	switch i := ev.index; {
+	case i >= 0:
+		c.fromTheHeap++
 		if i == 0 {
-			h.env.root++
+			c.root++
 		}
-		if i == len(h.env.e.queue)-1 {
-			h.env.tail++
+		if i == len(r.e.queue.h)-1 {
+			c.last++
+		}
+		if ev.next != nil {
+			c.runHead++
+		}
+	case i == behind:
+		if ev.next != nil {
+			c.middle++
+		}
+		if ev == r.e.queue.tail {
+			r.refill = ev.t
 		}
 	}
+}
+
+// scheduled counts a push that lands on the instant of a tail the
+// scheduling call before it cancelled.
+func (r *engineEnv) scheduled() {
+	if r.refill >= 0 && r.e.queue.tail != nil && r.e.queue.tail.t == r.refill {
+		r.cov.tailRefilled++
+	}
+	r.refill = -1
+}
+
+func (h engineTimer) Cancel() {
+	h.env.taking(h.ev)
 	h.ev.Cancel()
 }
 
+func (h engineTimer) Arm(d Time) {
+	if h.ev.index == behind {
+		h.env.cov.armFollower++
+	}
+	h.env.taking(h.ev)
+	h.ev.Arm(d)
+	h.env.scheduled()
+}
+
 func (r *engineEnv) After(d Time, fn func()) canceller {
+	defer r.scheduled()
 	if r.alt = !r.alt; r.alt {
 		return engineTimer{r, r.e.At(r.e.now+d, fn)}
 	}
@@ -61,33 +117,74 @@ func (r *engineEnv) After(d Time, fn func()) canceller {
 func (r *engineEnv) Timer(fn func()) rearmer {
 	ev := new(Event)
 	ev.Init(r.e, fn)
-	return ev
+	return engineTimer{r, ev}
 }
-func (r *engineEnv) Schedule(d Time, fn func()) { r.e.Schedule(r.e.now+d, fn) }
-func (r *engineEnv) Now() Time                  { return r.e.Now() }
-func (r *engineEnv) Events() int64              { return r.e.Events() }
-func (r *engineEnv) lastSeq() int64             { return r.e.seqGen }
-func (r *engineEnv) run()                       { r.e.Run() }
+func (r *engineEnv) Schedule(d Time, fn func()) {
+	r.e.Schedule(r.e.now+d, fn)
+	r.scheduled()
+}
+func (r *engineEnv) Now() Time      { return r.e.Now() }
+func (r *engineEnv) Events() int64  { return r.e.Events() }
+func (r *engineEnv) lastSeq() int64 { return r.e.seqGen }
+func (r *engineEnv) run()           { r.e.Run() }
 
-// check holds the heap to its invariants: every event knows its slot,
-// no parent fires after its child, and nothing cancelled is queued.
 func (r *engineEnv) check(t *testing.T) {
-	for i, ev := range r.e.queue {
-		if ev.index != i {
-			t.Fatalf("event (%v,%d) in slot %d believes it is in %d", ev.t, ev.seq, i, ev.index)
-		}
-		if ev.cancelled {
-			t.Fatalf("cancelled event (%v,%d) still in heap slot %d", ev.t, ev.seq, i)
-		}
-		if i > 0 && ev.before(r.e.queue[(i-1)/2]) {
-			t.Fatalf("event (%v,%d) in slot %d fires before its parent", ev.t, ev.seq, i)
-		}
-	}
+	checkQueue(t, &r.e.queue)
 	for _, ev := range r.e.ready[r.e.readyHead:] {
 		if ev.index != onReady {
 			t.Fatalf("ready event (%v,%d) has heap index %d", ev.t, ev.seq, ev.index)
 		}
 	}
+}
+
+// checkQueue holds the queue to its invariants: every head knows its
+// slot and no parent fires after its child; a follower has its head's
+// instant, a larger seq than the event before it, and links that agree
+// both ways; tail, if any, is queued and ends its run; and nothing
+// cancelled is queued.
+func checkQueue(t testing.TB, q *eventQueue) {
+	t.Helper()
+	tailSeen := q.tail == nil
+	for i, head := range q.h {
+		if head.index != i || head.prev != nil {
+			t.Fatalf("head (%v,%d) in slot %d believes it is in %d, after %p", head.t, head.seq, i, head.index, head.prev)
+		}
+		if i > 0 && head.before(q.h[(i-1)/2]) {
+			t.Fatalf("event (%v,%d) in slot %d fires before its parent", head.t, head.seq, i)
+		}
+		for ev := head; ev != nil; ev = ev.next {
+			if ev.cancelled {
+				t.Fatalf("cancelled event (%v,%d) still queued in slot %d", ev.t, ev.seq, i)
+			}
+			if ev != head && (ev.index != behind || ev.t != head.t || ev.seq <= ev.prev.seq) {
+				t.Fatalf("follower (%v,%d) with index %d behind (%v,%d) in the run of (%v,%d)",
+					ev.t, ev.seq, ev.index, ev.prev.t, ev.prev.seq, head.t, head.seq)
+			}
+			if ev.next != nil && ev.next.prev != ev {
+				t.Fatalf("(%v,%d) links forward to an event that links back elsewhere", ev.t, ev.seq)
+			}
+			if ev == q.tail {
+				tailSeen = true
+				if ev.next != nil {
+					t.Fatalf("tail (%v,%d) has a follower", ev.t, ev.seq)
+				}
+			}
+		}
+	}
+	if !tailSeen {
+		t.Fatalf("tail (%v,%d) is not queued", q.tail.t, q.tail.seq)
+	}
+}
+
+// queued counts the events on the queue, heads and followers.
+func queued(q *eventQueue) int {
+	n := 0
+	for _, ev := range q.h {
+		for ; ev != nil; ev = ev.next {
+			n++
+		}
+	}
+	return n
 }
 
 // flagEnv is the reference model: one unordered list of events, the
@@ -204,13 +301,20 @@ func timerProgram(t *testing.T, env timerEnv, seed int64, cov *cancelCoverage) [
 		step   func(self *timer)
 	)
 	delay := func() Time { return Time(rng.Intn(4)) * Time(rng.Intn(15)) } // zero about a third of the time
+	// again is the delay to the newest timer's instant while it is ahead
+	// — pending or cancelled, the instant of a run or of a run's tail.
+	again := func() Time {
+		if at := timers[len(timers)-1].at; at > env.Now() {
+			return at - env.Now()
+		}
+		return delay()
+	}
 	record := func(seq int64) { log = append(log, fired{env.Now(), seq, env.Events()}) }
-	arm := func() {
+	arm := func(d Time) {
 		if budget == 0 {
 			return
 		}
 		budget--
-		d := delay()
 		tm := &timer{at: env.Now() + d}
 		var seq int64
 		tm.h = env.After(d, func() {
@@ -238,7 +342,7 @@ func timerProgram(t *testing.T, env timerEnv, seed int64, cov *cancelCoverage) [
 			tm.cancelled = true
 		}
 	}
-	rearm := func(rt *rearmable) {
+	rearm := func(rt *rearmable, d Time) {
 		if budget == 0 {
 			return
 		}
@@ -251,7 +355,6 @@ func timerProgram(t *testing.T, env timerEnv, seed int64, cov *cancelCoverage) [
 		default:
 			cov.rearmFuture++
 		}
-		d := delay()
 		rt.h.Arm(d)
 		rt.at, rt.seq, rt.pending = env.Now()+d, env.lastSeq(), true
 	}
@@ -268,11 +371,18 @@ func timerProgram(t *testing.T, env timerEnv, seed int64, cov *cancelCoverage) [
 		rearms[i] = rt
 	}
 	step = func(self *timer) {
-		arm() // a successor, so that cancellations cannot end the program early
+		arm(delay()) // a successor, so that cancellations cannot end the program early
 		for n := rng.Intn(4); n > 0; n-- {
-			switch rng.Intn(11) {
-			case 8, 9:
-				rearm(rearms[rng.Intn(len(rearms))])
+			switch rng.Intn(12) {
+			case 8:
+				rearm(rearms[rng.Intn(len(rearms))], delay())
+			case 9:
+				rearm(rearms[rng.Intn(len(rearms))], again())
+			case 11: // a fan-out: timers due at one instant, armed back to back
+				d := again()
+				for k := 2 + rng.Intn(3); k > 0; k-- {
+					arm(d)
+				}
 			case 10:
 				rt := rearms[rng.Intn(len(rearms))]
 				if rt.pending {
@@ -281,7 +391,7 @@ func timerProgram(t *testing.T, env timerEnv, seed int64, cov *cancelCoverage) [
 				rt.h.Cancel()
 				rt.pending = false
 			default:
-				arm()
+				arm(delay())
 			case 3:
 				if budget > 0 {
 					budget--
@@ -301,8 +411,11 @@ func timerProgram(t *testing.T, env timerEnv, seed int64, cov *cancelCoverage) [
 				if first != nil {
 					cancel(first)
 				}
-			case 6: // the newest: mostly still where push left it, in the last slot
+			case 6: // the newest: mostly still where push left it, in the last slot or a run's tail
 				cancel(timers[len(timers)-1])
+				if rng.Intn(2) == 0 {
+					arm(again()) // and its replacement, due when it was
+				}
 			case 7:
 				if self != nil {
 					cov.own++
@@ -313,52 +426,36 @@ func timerProgram(t *testing.T, env timerEnv, seed int64, cov *cancelCoverage) [
 		}
 	}
 	for i := 0; i < 12; i++ {
-		arm()
+		arm(delay())
 	}
 	for _, rt := range rearms[:3] {
-		rearm(rt)
+		rearm(rt, delay())
 	}
 	env.check(t)
 	env.run()
 	return log
 }
 
-// Taking a cancelled event off the heap at once must be invisible: the
+// Taking a cancelled event off the queue at once must be invisible: the
 // same program fires the same callbacks at the same (time, seq) with
 // the same Events() count as under a reference that only flags the
 // event and skips it when its turn comes. The program cancels pending
-// timers (the heap's root and last slot among them), timers on the
-// same-instant ready list, fired timers, cancelled timers, and a
-// timer's own event from inside its callback; and it arms six events
-// again and again in place (Event.Init, Event.Arm), pending or due this
+// timers (the heap's root and last slot, a run's head, middle and tail
+// among them), timers on the same-instant ready list, fired timers,
+// cancelled timers, and a timer's own event from inside its callback;
+// and it arms six events again and again in place (Event.Init,
+// Event.Arm), pending — at the head of a run or behind it — or due this
 // instant or stopped, where the reference cancels and allocates anew.
 func TestCancelMatchesFlagging(t *testing.T) {
 	var cov cancelCoverage
-	var root, tail, fromTheHeap int
+	var eng engineCoverage
 	for seed := int64(1); seed <= 40; seed++ {
-		eng := &engineEnv{e: New(seed)}
-		got := timerProgram(t, eng, seed, &cov)
-		ref := &flagEnv{}
-		want := timerProgram(t, ref, seed, &cancelCoverage{})
-		if len(got) != len(want) || eng.Events() != ref.Events() {
-			t.Fatalf("seed %d: %d callbacks in %d events, the reference has %d in %d",
-				seed, len(got), eng.Events(), len(want), ref.Events())
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("seed %d: callback %d fired as %+v, the reference has %+v", seed, i, got[i], want[i])
-			}
-		}
-		if len(got) < 100 {
-			t.Fatalf("seed %d: only %d callbacks fired; the program is too short to mean anything", seed, len(got))
-		}
-		if n := len(eng.e.queue); n != 0 {
-			t.Fatalf("seed %d: %d events left on the heap after Run", seed, n)
-		}
-		root, tail, fromTheHeap = root+eng.root, tail+eng.tail, fromTheHeap+eng.fromTheHeap
+		eng.add(cancelMatchesFlagging(t, seed, &cov))
 	}
 	for name, n := range map[string]int{
-		"from the heap": fromTheHeap, "of the heap's root": root, "of the heap's last slot": tail,
+		"from the heap": eng.fromTheHeap, "of the heap's root": eng.root, "of the heap's last slot": eng.last,
+		"of a run's head with followers": eng.runHead, "of a run's middle follower": eng.middle,
+		"of a run's tail whose instant the next push joins": eng.tailRefilled, "by re-arming a follower": eng.armFollower,
 		"of a cancelled timer": cov.double, "of a fired timer": cov.afterFiring,
 		"of the running callback's own event": cov.own, "of a same-instant ready event": cov.ready,
 		"by re-arming a pending timer": cov.rearmFuture, "by re-arming a timer due this instant": cov.rearmReady,
@@ -370,66 +467,133 @@ func TestCancelMatchesFlagging(t *testing.T) {
 	}
 }
 
+// FuzzCancelMatchesFlagging runs TestCancelMatchesFlagging's comparison
+// on any seed; the test's 40 seeds are the corpus.
+//
+//	go test -run '^$' -fuzz FuzzCancelMatchesFlagging -fuzztime 20s ./internal/sim
+func FuzzCancelMatchesFlagging(f *testing.F) {
+	for seed := int64(1); seed <= 40; seed++ {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, seed int64) {
+		cancelMatchesFlagging(t, seed, &cancelCoverage{})
+	})
+}
+
+// cancelMatchesFlagging runs the program of seed on the engine and on
+// the reference, requires the two to fire alike and the engine's queue
+// to end empty, and returns where the engine's cancellations hit.
+func cancelMatchesFlagging(t *testing.T, seed int64, cov *cancelCoverage) engineCoverage {
+	eng := &engineEnv{e: New(seed), refill: -1}
+	got := timerProgram(t, eng, seed, cov)
+	ref := &flagEnv{}
+	want := timerProgram(t, ref, seed, &cancelCoverage{})
+	if len(got) != len(want) || eng.Events() != ref.Events() {
+		t.Fatalf("seed %d: %d callbacks in %d events, the reference has %d in %d",
+			seed, len(got), eng.Events(), len(want), ref.Events())
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("seed %d: callback %d fired as %+v, the reference has %+v", seed, i, got[i], want[i])
+		}
+	}
+	if len(got) < 100 {
+		t.Fatalf("seed %d: only %d callbacks fired; the program is too short to mean anything", seed, len(got))
+	}
+	if n := queued(&eng.e.queue); n != 0 || eng.e.queue.tail != nil {
+		t.Fatalf("seed %d: %d events left queued after Run, tail %p", seed, n, eng.e.queue.tail)
+	}
+	return eng.cov
+}
+
 // A retransmission timer armed for two seconds and cancelled a
 // microsecond later, a hundred thousand times over, must leave nothing
-// behind: the heap never holds more than the live timer and the event
-// that carries the loop.
+// behind: the queue never holds more than the live timers and the event
+// that carries the loop. Two timers armed together share a run.
 func TestCancelledTimersLeaveTheHeap(t *testing.T) {
-	e := New(1)
-	var (
-		timer  *Event
-		cycle  func()
-		cycles int
-		peak   int
-	)
-	cycle = func() {
-		if timer != nil {
-			timer.Cancel()
+	for _, timers := range []int{1, 2} {
+		e := New(1)
+		var (
+			live   []*Event
+			cycle  func()
+			cycles int
+			peak   int
+		)
+		cycle = func() {
+			for _, ev := range live {
+				ev.Cancel()
+			}
+			live = live[:0]
+			if cycles == 100_000 {
+				return
+			}
+			cycles++
+			for range timers {
+				live = append(live, e.After(2*Second, func() { t.Error("a cancelled timer fired") }))
+			}
+			e.Schedule(e.Now()+Microsecond, cycle)
+			if n := queued(&e.queue); n > peak {
+				peak = n
+			}
 		}
-		if cycles == 100_000 {
-			return
+		e.Schedule(0, cycle)
+		end := e.Run()
+		if n := queued(&e.queue); peak > timers+1 || n != 0 {
+			t.Errorf("%d timers: the queue peaked at %d events and ends with %d, want at most %d and 0", timers, peak, n, timers+1)
 		}
-		cycles++
-		timer = e.After(2*Second, func() { t.Error("a cancelled timer fired") })
-		e.Schedule(e.Now()+Microsecond, cycle)
-		if n := len(e.queue); n > peak {
-			peak = n
+		if want := 100_000 * Microsecond; end != want || e.Events() != 100_001 {
+			t.Errorf("%d timers: run ended at %v after %d events, want %v after 100001", timers, end, e.Events(), want)
 		}
-	}
-	e.Schedule(0, cycle)
-	end := e.Run()
-	if peak > 2 || len(e.queue) != 0 {
-		t.Errorf("heap peaked at %d events and ends with %d, want at most 2 and 0", peak, len(e.queue))
-	}
-	if want := 100_000 * Microsecond; end != want || e.Events() != 100_001 {
-		t.Errorf("run ended at %v after %d events, want %v after 100001", end, e.Events(), want)
 	}
 }
 
-// A timer embedded in its owner is armed and cancelled without
-// allocating and without leaving anything on the heap, and fires when
-// left alone.
+// Timers embedded in their owner are armed and cancelled without
+// allocating and without leaving anything queued, and fire when left
+// alone. Two timers armed for one instant share a run, the second
+// behind the first; cancelling them in either order, or re-arming the
+// follower, leaves the queue as it found it.
 func TestTimerRearmAllocations(t *testing.T) {
 	e := New(1)
-	var timer Event
+	var timers [2]Event
 	fires := 0
-	timer.Init(e, func() { fires++ })
+	for i := range timers {
+		timers[i].Init(e, func() { fires++ })
+	}
+	a, b := &timers[0], &timers[1]
 	e.Spawn("owner", func(p *Proc) {
-		allocs := testing.AllocsPerRun(1000, func() {
-			timer.Arm(2 * Second)
-			timer.Arm(3 * Second) // moves it
-			if len(e.queue) != 1 {
-				t.Fatalf("%d events on the heap with one timer armed", len(e.queue))
+		for _, c := range []struct {
+			name   string
+			rearm  func()
+			cancel [2]*Event
+		}{
+			{"one timer", func() { a.Arm(2 * Second); a.Arm(3 * Second) }, [2]*Event{a}},
+			{"a run, head cancelled first", func() { a.Arm(2 * Second); b.Arm(2 * Second); b.Arm(2 * Second) }, [2]*Event{a, b}},
+			{"a run, follower cancelled first", func() { a.Arm(3 * Second); b.Arm(3 * Second); a.Arm(3 * Second) }, [2]*Event{a, b}},
+		} {
+			want := 1
+			if c.cancel[1] != nil {
+				want = 2
 			}
-			timer.Cancel()
-		})
-		if allocs != 0 || len(e.queue) != 0 {
-			t.Errorf("arming and cancelling allocates %v times and leaves %d events, want 0 and 0", allocs, len(e.queue))
+			allocs := testing.AllocsPerRun(100_000, func() {
+				c.rearm()
+				if n := queued(&e.queue); n != want {
+					t.Fatalf("%s: %d events queued, want %d", c.name, n, want)
+				}
+				for _, ev := range c.cancel {
+					if ev != nil {
+						ev.Cancel()
+					}
+				}
+			})
+			if n := queued(&e.queue); allocs != 0 || n != 0 || e.queue.tail != nil {
+				t.Errorf("%s: arming and cancelling allocates %v times and leaves %d events, want 0 and 0", c.name, allocs, n)
+			}
 		}
-		timer.Arm(Second)
+		a.Arm(Second)
+		b.Arm(Second)
 		p.Sleep(2 * Second)
-		if fires != 1 || p.Now() != 2*Second {
-			t.Errorf("%d firings by %v, want 1 by 2s", fires, p.Now())
+		if fires != 2 || p.Now() != 2*Second {
+			t.Errorf("%d firings by %v, want 2 by 2s", fires, p.Now())
 		}
 	})
 	e.Run()

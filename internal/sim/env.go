@@ -15,40 +15,47 @@ import (
 // the process's own (see Proc.Resume). The scheduler's events — those of
 // Schedule, and every wake-up — are recycled through a free list; those
 // of At and After are handed to callers and never reused, so a retained
-// *Event stays valid to Cancel.
+// *Event stays valid to Cancel. A future event either holds a heap slot
+// or follows another event of its instant in that event's run (see
+// eventQueue); prev and next link the run.
 type Event struct {
 	t         Time
 	seq       int64
 	fn        func()
 	cancelled bool
 	pooled    bool   // internal event, recycled after firing
-	index     int    // heap slot, or onReady, or idle
+	index     int    // heap slot, or behind, onReady or idle
 	env       *Env   // the environment a caller's event was scheduled in
-	next      *Event // free-list link while recycled
+	prev      *Event // the event before this one in its run
+	next      *Event // the event after this one in its run; free-list link while recycled
 }
 
 // Where an event is when it is not in a heap slot.
 const (
-	onReady = -1 // on the same-instant ready list
-	idle    = -2 // popped to fire, taken off the heap, or never scheduled
+	behind  = -1 // a follower in a run on the heap
+	onReady = -2 // on the same-instant ready list
+	idle    = -3 // popped to fire, taken off the heap, or never scheduled
 )
 
 // Cancel prevents the event from firing. Cancelling an event that has
 // already fired (or was already cancelled) is a no-op. Like every
 // scheduling call it must be made from simulation context.
 //
-// A future event leaves the heap here, in O(log n), so the heap holds
-// live events only: a timer that is armed and cancelled a million times
-// over — an RPC's retransmission timer — costs the dispatch loop
-// nothing, and nothing it references stays reachable through the queue.
-// A cancelled event was never counted in Events() and keeps the sequence
-// number it took when armed, so removing it moves no other event in the
-// (time, seq) order. Only an event already on the same-instant ready
-// list is merely flagged and skipped when its turn comes.
+// A future event leaves the queue here, so the heap holds live events
+// only: a timer that is armed and cancelled a million times over — an
+// RPC's retransmission timer — costs the dispatch loop nothing, and
+// nothing it references stays reachable through the queue. A follower
+// is unlinked from its run in O(1); a run's head hands its slot to its
+// follower, also in O(1), and only a head alone leaves the heap in
+// O(log n). A cancelled event was never counted in Events() and keeps
+// the sequence number it took when armed, so removing it moves no other
+// event in the (time, seq) order. Only an event already on the
+// same-instant ready list is merely flagged and skipped when its turn
+// comes.
 func (ev *Event) Cancel() {
 	ev.cancelled = true
-	if ev.index >= 0 {
-		ev.env.queue.remove(ev.index)
+	if ev.index >= behind {
+		ev.env.queue.remove(ev)
 	}
 }
 
@@ -68,8 +75,8 @@ func (ev *Event) Arm(d Time) {
 	}
 	e := ev.env
 	switch {
-	case ev.index >= 0:
-		e.queue.remove(ev.index)
+	case ev.index >= behind:
+		e.queue.remove(ev)
 	case ev.index == onReady:
 		// Due this very instant, cancelled or not: an event on the ready
 		// list can only be flagged, so a flagged stand-in takes its slot.
@@ -92,24 +99,50 @@ func (ev *Event) before(other *Event) bool {
 	return ev.seq < other.seq
 }
 
-// eventQueue is a binary min-heap ordered by (time, sequence), typed on
-// *Event so sift steps compare and swap directly instead of calling
-// through heap.Interface. Keys are unique (seq is), so the pop order is
-// the one any correct heap yields. Each event's index field tracks its
-// slot; a negative index means it is not on the heap.
-type eventQueue []*Event
+// eventQueue holds the future events: a binary min-heap on (time, seq)
+// whose every slot holds a run, the events due at one instant that were
+// pushed back to back, in seq order, linked by prev and next behind the
+// run's head. The heap is typed on *Event so sift steps compare and swap
+// directly instead of calling through heap.Interface, and each head's
+// index field tracks its slot.
+//
+// A push due at the instant of tail — the last push, while it is still
+// queued — joins tail's run in O(1); any other push starts a run with an
+// ordinary heap push. seq only grows, so a run's events come after those
+// of every run created before it at its instant and before those of
+// every run created later: runs at one instant never interleave. That
+// is why a head's follower can take the head's slot, on a pop or a
+// removal, with no sift — its key is still below its children's and
+// above its parent's — and why the pop order is the one a heap of
+// single events yields.
+type eventQueue struct {
+	h      heap
+	tail   *Event
+	pushes int64 // every push
+	joined int64 // pushes that joined tail's run
+}
 
 func (q *eventQueue) push(ev *Event) {
-	h := append(*q, ev)
-	*q = h
-	i := h.up(len(h)-1, ev)
-	h[i] = ev
+	q.pushes++
+	if last := q.tail; last != nil && last.t == ev.t {
+		q.joined++
+		last.next, ev.prev, ev.index = ev, last, behind
+		q.tail = ev
+		return
+	}
+	q.tail = ev
+	q.h = append(q.h, ev)
+	i := q.h.up(len(q.h)-1, ev)
+	q.h[i] = ev
 	ev.index = i
 }
 
+// heap is the slot array of an eventQueue.
+type heap []*Event
+
 // up finds ev's place at or above the vacant slot i: while ev fires
 // before the parent, the parent moves down into the vacancy.
-func (h eventQueue) up(i int, ev *Event) int {
+func (h heap) up(i int, ev *Event) int {
 	for i > 0 {
 		parent := (i - 1) / 2
 		if !ev.before(h[parent]) {
@@ -122,24 +155,9 @@ func (h eventQueue) up(i int, ev *Event) int {
 	return i
 }
 
-func (q *eventQueue) pop() *Event {
-	h := *q
-	top := h[0]
-	top.index = idle
-	n := len(h) - 1
-	last := h[n]
-	h[n] = nil
-	h = h[:n]
-	*q = h
-	if n > 0 {
-		h.down(0, last)
-	}
-	return top
-}
-
 // down places ev in the vacant slot i or, while a child fires before
 // it, in that child's slot further down.
-func (h eventQueue) down(i int, ev *Event) {
+func (h heap) down(i int, ev *Event) {
 	n := len(h)
 	for {
 		child := 2*i + 1
@@ -160,18 +178,40 @@ func (h eventQueue) down(i int, ev *Event) {
 	ev.index = i
 }
 
-// remove takes the event in slot i off the heap: the last event moves
-// into the slot and sifts up or, failing that, down.
-func (q *eventQueue) remove(i int) {
-	h := *q
-	h[i].index = idle
-	n := len(h) - 1
-	last := h[n]
-	h[n] = nil
-	h = h[:n]
-	*q = h
-	if i < n {
-		h.down(h.up(i, last), last)
+func (q *eventQueue) pop() *Event {
+	top := q.h[0]
+	q.remove(top)
+	return top
+}
+
+// remove takes ev, queued, off the queue. A follower is unlinked from
+// its run; a head with a follower gives it its slot; a head alone leaves
+// the heap, the last slot's run moving into its slot and sifting up or,
+// failing that, down.
+func (q *eventQueue) remove(ev *Event) {
+	i, prev, next := ev.index, ev.prev, ev.next
+	ev.index, ev.prev, ev.next = idle, nil, nil
+	if q.tail == ev {
+		q.tail = prev
+	}
+	if next != nil {
+		next.prev = prev
+	}
+	switch {
+	case prev != nil:
+		prev.next = next
+	case next != nil:
+		q.h[i], next.index = next, i
+	default:
+		h := q.h
+		n := len(h) - 1
+		last := h[n]
+		h[n] = nil
+		h = h[:n]
+		q.h = h
+		if i < n {
+			h.down(h.up(i, last), last)
+		}
 	}
 }
 
@@ -185,12 +225,15 @@ func (q *eventQueue) remove(i int) {
 // FIFO ready queue instead of the binary heap: their (time, seq) keys
 // are necessarily larger than everything already consumed and appended
 // in seq order, so a plain append preserves the total order while
-// costing O(1) instead of O(log n). Only future events pay for the
-// heap. The dispatch loop merges the two sources by (time, seq), which
-// keeps the schedule bit-identical to a single-heap implementation.
+// costing O(1) instead of O(log n). Future events go to the heap, where
+// those due at one instant and pushed back to back — a broadcast's
+// interrupts — share one slot as a run (see eventQueue), so only the
+// first of them pays for a sift. The dispatch loop merges the ready
+// queue and the heap by (time, seq), which keeps the schedule
+// bit-identical to a heap of single events.
 type Env struct {
 	now       Time
-	queue     eventQueue // future events, min-heap on (time, seq)
+	queue     eventQueue // future events, min-heap of runs on (time, seq)
 	ready     []*Event   // same-instant events in seq (FIFO) order
 	readyHead int        // index of the next ready event
 	seqGen    int64
@@ -246,6 +289,12 @@ func (e *Env) Events() int64 { return e.dispatched }
 // A process whose own wake-up came next kept running and is not
 // counted. Like Events, it costs no event and no allocation.
 func (e *Env) Switches() int64 { return e.switches }
+
+// Pushes reports how many events have been pushed onto the future-event
+// heap, and how many of those joined the run of the push before them
+// instead of taking a heap slot (see eventQueue): what the run saved in
+// sifts. Like Events, it costs no event and no allocation.
+func (e *Env) Pushes() (pushes, joined int64) { return e.queue.pushes, e.queue.joined }
 
 // Routes reports, for every served queue of the environment (see
 // Queue.Serve), how its items have been served so far.
@@ -335,8 +384,8 @@ func (e *Env) next() *Event {
 	if e.readyHead < len(e.ready) {
 		rv = e.ready[e.readyHead]
 	}
-	if len(e.queue) > 0 {
-		hv := e.queue[0]
+	if len(e.queue.h) > 0 {
+		hv := e.queue.h[0]
 		if rv == nil || hv.before(rv) {
 			return e.queue.pop()
 		}
@@ -471,8 +520,8 @@ func (e *Env) peekTime() *Event {
 	if e.readyHead < len(e.ready) {
 		rv = e.ready[e.readyHead]
 	}
-	if len(e.queue) > 0 {
-		hv := e.queue[0]
+	if len(e.queue.h) > 0 {
+		hv := e.queue.h[0]
 		if rv == nil || hv.before(rv) {
 			return hv
 		}

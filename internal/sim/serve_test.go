@@ -414,32 +414,62 @@ func TestQueueAndCondSteadyStateAllocs(t *testing.T) {
 	env.Shutdown()
 }
 
-// The typed heap must pop in (time, seq) order whatever the insertion
-// order, and track each event's slot.
+// The queue must pop in (time, seq) order whatever the insertion order,
+// track each head's slot and keep its runs linked, whether the events
+// due at one instant are pushed back to back (one run) or interleaved
+// with others (several runs at that instant), and whether they leave by
+// a pop or by a removal from anywhere in a run.
 func TestEventHeapOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	var q eventQueue
+	var live []*Event // the reference: every queued event
 	var seq int64
-	for round := 0; round < 50; round++ {
+	joins := 0
+	for round := 0; round < 200; round++ {
 		for i := rng.Intn(40); i >= 0; i-- {
 			seq++
-			q.push(&Event{t: Time(rng.Intn(25)), seq: seq})
-		}
-		for i, ev := range q {
-			if ev.index != i {
-				t.Fatalf("event at slot %d believes it is at %d", i, ev.index)
+			ev := &Event{t: Time(rng.Intn(25)), seq: seq}
+			if q.tail != nil && rng.Intn(2) == 0 {
+				ev.t = q.tail.t // back to back
 			}
+			if q.tail != nil && q.tail.t == ev.t {
+				joins++
+			}
+			q.push(ev)
+			live = append(live, ev)
 		}
-		var last *Event
-		for n := rng.Intn(len(q) + 1); n > 0; n-- {
+		checkQueue(t, &q)
+		for n := rng.Intn(len(live)/4 + 1); n > 0; n-- {
+			i := rng.Intn(len(live))
+			q.remove(live[i])
+			if live[i].index != idle || live[i].prev != nil || live[i].next != nil {
+				t.Fatalf("removed event keeps index %d and links", live[i].index)
+			}
+			live = append(live[:i], live[i+1:]...)
+			checkQueue(t, &q)
+		}
+		for n := rng.Intn(len(live) + 1); n > 0; n-- {
+			first := 0
+			for i, ev := range live {
+				if ev.before(live[first]) {
+					first = i
+				}
+			}
 			ev := q.pop()
-			if ev.index != idle {
-				t.Fatalf("popped event keeps index %d", ev.index)
+			if ev != live[first] {
+				t.Fatalf("popped (%v,%d), want (%v,%d)", ev.t, ev.seq, live[first].t, live[first].seq)
 			}
-			if last != nil && !last.before(ev) {
-				t.Fatalf("popped (%v,%d) after (%v,%d)", ev.t, ev.seq, last.t, last.seq)
+			if ev.index != idle || ev.next != nil {
+				t.Fatalf("popped event keeps index %d and links", ev.index)
 			}
-			last = ev
+			live = append(live[:first], live[first+1:]...)
+			checkQueue(t, &q)
 		}
+		if n := queued(&q); n != len(live) {
+			t.Fatalf("%d events queued, want %d", n, len(live))
+		}
+	}
+	if joins < 1000 || q.joined != int64(joins) {
+		t.Fatalf("%d pushes joined a run (the queue counted %d), want at least 1000 and the same", joins, q.joined)
 	}
 }

@@ -345,9 +345,9 @@ func TestRunUntil(t *testing.T) {
 				timer.Cancel()
 			}
 		})
-		if now := e.RunUntil(50); now != c.wantNow || len(e.queue) != c.wantLeftover {
+		if now := e.RunUntil(50); now != c.wantNow || queued(&e.queue) != c.wantLeftover {
 			t.Errorf("%s: RunUntil(50) = %v with %d events queued, want %v with %d",
-				c.name, now, len(e.queue), c.wantNow, c.wantLeftover)
+				c.name, now, queued(&e.queue), c.wantNow, c.wantLeftover)
 		}
 	}
 }
