@@ -131,7 +131,7 @@ var trackedZipf = workload.Config{
 // trackedOrcaOp streams n operations on one counter from the main
 // process of a 4-processor broadcast runtime and pins the mean virtual
 // cost per operation next to the runtime counters.
-func trackedOrcaOp(n int64, batching *orca.Batching, op func(p *orca.Proc, c std.Counter, i int64)) string {
+func trackedOrcaOp(n int64, batching *group.BatchConfig, op func(p *orca.Proc, c std.Counter, i int64)) string {
 	rt := orca.New(orca.Config{Processors: 4, RTS: orca.Broadcast, Seed: 1, Batching: batching}, std.Register)
 	var per sim.Time
 	rt.Run(func(p *orca.Proc) {

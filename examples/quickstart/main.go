@@ -28,7 +28,7 @@ func main() {
 
 	var total int
 	report := rt.Run(func(p *orca.Proc) {
-		counter := std.NewCounter(p, 0) // Default policy: replicated on every machine
+		counter := std.NewCounter(p, 0) // no policy: Config.RTS, replicated on every machine
 		queue := std.NewQueue[int](p, orca.With(orca.PrimaryCopy{
 			Protocol: orca.Update, Placement: orca.SingleCopy,
 		})) // write-mostly: one copy on this machine, no broadcasts

@@ -3,6 +3,7 @@ package amoeba
 import (
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -10,20 +11,24 @@ import (
 	"repro/internal/sim"
 )
 
-// cluster boots n machines on a default network.
-func cluster(t *testing.T, n int, mutate func(*netsim.Params)) (*sim.Env, *netsim.Network, []*Machine) {
+// cluster boots n machines on a default network under a fault plan
+// (nil for none).
+func cluster(t *testing.T, n int, plan *netsim.FaultPlan) (*sim.Env, *netsim.Network, []*Machine) {
 	t.Helper()
 	env := sim.New(7)
-	p := netsim.DefaultParams()
-	if mutate != nil {
-		mutate(&p)
-	}
-	nw := netsim.New(env, n, p)
+	nw := netsim.New(env, n, netsim.DefaultParams())
+	nw.InstallFaults(plan, nil)
 	ms := make([]*Machine, n)
 	for i := 0; i < n; i++ {
 		ms[i] = NewMachine(env, nw, i, DefaultCosts())
 	}
 	return env, nw, ms
+}
+
+// lossy is a fault plan that loses each fragment with probability p on
+// every link for the whole run.
+func lossy(p float64) *netsim.FaultPlan {
+	return &netsim.FaultPlan{Losses: []netsim.LossWindow{{Src: netsim.AnyNode, Dst: netsim.AnyNode, Until: math.MaxInt64, Prob: p}}}
 }
 
 func TestPortDispatch(t *testing.T) {
@@ -185,7 +190,7 @@ func TestRPCLatencyInAmoebaRange(t *testing.T) {
 }
 
 func TestRPCRetransmissionOnLossyNet(t *testing.T) {
-	env, _, ms := cluster(t, 2, func(p *netsim.Params) { p.DropProb = 0.3 })
+	env, _, ms := cluster(t, 2, lossy(0.3))
 	srv := NewServer(ms[1], "svc")
 	served := 0
 	ms[1].SpawnThread("server", func(p *sim.Proc) {
@@ -234,7 +239,7 @@ func one[T any](v T) (a Args) {
 // non-nil, is also installed as its inline consumer.
 func atMostOnceRun(t *testing.T, take func(srv *Server, p *sim.Proc, r *Request, execs *int) sim.Verdict) string {
 	t.Helper()
-	env, nw, ms := cluster(t, 2, func(p *netsim.Params) { p.DropProb = 0.4 })
+	env, nw, ms := cluster(t, 2, lossy(0.4))
 	srv := NewServer(ms[1], "ctr")
 	execs := 0
 	thread := ms[1].SpawnThread("server", func(p *sim.Proc) {

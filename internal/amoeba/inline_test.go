@@ -381,8 +381,8 @@ func TestRPCDroppedFramesKeepTheirBoxes(t *testing.T) {
 	})
 	env.Run()
 	env.Shutdown()
-	if st := nw.Stats(); done != 40 || st.FaultDrops == 0 {
-		t.Fatalf("%d of 40 calls through %d dropped frames; want all 40 and some drops", done, st.FaultDrops)
+	if st := nw.Stats(); done != 40 || st.Drops == 0 {
+		t.Fatalf("%d of 40 calls through %d dropped frames; want all 40 and some drops", done, st.Drops)
 	}
 	for i := 0; i < 8; i++ {
 		if b := boxes.Get().(*Packet); *b != (Packet{}) {
@@ -441,9 +441,8 @@ func TestBroadcastReceiveAllocations(t *testing.T) {
 // would name a port nobody has bound.
 func TestCastReturnsAfterItsLastReceiver(t *testing.T) {
 	env := sim.New(7)
-	np := netsim.DefaultParams()
-	np.DropProb = 0.5
-	nw := netsim.New(env, 6, np)
+	nw := netsim.New(env, 6, netsim.DefaultParams())
+	nw.InstallFaults(lossy(0.5), nil)
 	ms := make([]*Machine, 6)
 	heard := 0
 	for i := range ms {

@@ -22,12 +22,13 @@ type Costs struct {
 	// Switch is the thread context-switch cost charged when a blocked
 	// thread is handed a message.
 	Switch sim.Time
-	// Quantum is the scheduling timeslice: a thread's claim on the CPU
-	// (Compute, above all) gives it up between quanta so other threads
-	// (and interrupt service) can interleave with long computations, as
-	// a preemptive kernel would allow. Zero means a millisecond.
-	Quantum sim.Time
 }
+
+// quantum is the scheduling timeslice: a thread's claim on the CPU
+// (Compute, above all) gives it up between quanta so other threads (and
+// interrupt service) can interleave with long computations, as a
+// preemptive kernel would allow.
+const quantum = sim.Millisecond
 
 // DefaultCosts returns constants for a 1992-class 68030 running the
 // Amoeba kernel.
@@ -37,7 +38,6 @@ func DefaultCosts() Costs {
 		Protocol:  90 * sim.Microsecond,
 		Send:      180 * sim.Microsecond,
 		Switch:    60 * sim.Microsecond,
-		Quantum:   sim.Millisecond,
 	}
 }
 
@@ -118,7 +118,6 @@ type Machine struct {
 	casts      *cast    // released broadcast payloads, for cast to reuse
 	crashed    bool
 
-	nthreads   int
 	threads    []*sim.Proc // live threads of this machine (compacted lazily)
 	threadHi   int         // compaction watermark for threads
 	appBusy    sim.Time    // CPU time charged through Compute (application work)
@@ -136,9 +135,7 @@ func NewMachine(env *sim.Env, net *netsim.Network, id int, costs Costs) *Machine
 		inq:   sim.NewQueue[task](env),
 		ports: make(map[string]*binding),
 	}
-	if m.cpu.Slice = costs.Quantum; m.cpu.Slice <= 0 {
-		m.cpu.Slice = sim.Millisecond
-	}
+	m.cpu.Slice = quantum
 	m.dispatchFn = m.dispatch
 	net.Handle(id, m.receive)
 	m.inq.Serve(m.interrupt)
@@ -350,7 +347,6 @@ func (m *Machine) SpawnThread(name string, fn func(p *sim.Proc)) *sim.Proc {
 	if m.crashed {
 		panic(fmt.Sprintf("amoeba: spawn %q on crashed node %d", name, m.id))
 	}
-	m.nthreads++
 	if len(m.threads) >= m.threadHi {
 		// Compact away terminated threads so short-lived per-operation
 		// threads (RPC fanouts, forwarded ops) do not accumulate for

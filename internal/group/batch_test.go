@@ -113,7 +113,7 @@ func TestBatchTotalOrderUnderLoss(t *testing.T) {
 	for _, method := range []Method{ForcePB, ForceBB} {
 		method := method
 		t.Run(method.String(), func(t *testing.T) {
-			h := newHarness(23, 4, func(p *netsim.Params) { p.DropProb = 0.15 },
+			h := newHarness(23, 4, lossy(0.15),
 				func(c *Config) {
 					c.Method = method
 					c.SenderTimeout = 60 * sim.Millisecond

@@ -149,7 +149,6 @@ var matrixGolden = map[string]string{
 func TestProtocolFaultMatrix(t *testing.T) {
 	type scenario struct {
 		name     string
-		netMut   func(*netsim.Params)
 		plan     *netsim.FaultPlan
 		crashed  map[int]bool // nodes the plan kills
 		allSends bool         // every send must come out the far end
@@ -157,7 +156,7 @@ func TestProtocolFaultMatrix(t *testing.T) {
 	scenarios := []scenario{
 		{
 			name:     "loss",
-			netMut:   func(p *netsim.Params) { p.DropProb = 0.15 },
+			plan:     lossy(0.15),
 			allSends: true,
 		},
 		{
@@ -180,7 +179,7 @@ func TestProtocolFaultMatrix(t *testing.T) {
 			for _, sc := range scenarios {
 				pv, cv, sc := pv, cv, sc
 				t.Run(pv.name+"/"+cv.name+"/"+sc.name, func(t *testing.T) {
-					h := newHarness(53, 4, sc.netMut, func(c *Config) {
+					h := newHarness(53, 4, sc.plan, func(c *Config) {
 						c.SenderTimeout = 50 * sim.Millisecond
 						c.SenderRetries = 8
 						c.GapTimeout = 25 * sim.Millisecond
@@ -188,7 +187,6 @@ func TestProtocolFaultMatrix(t *testing.T) {
 						cv.mut(c)
 						pv.mut(c)
 					})
-					h.net.InstallFaults(sc.plan, func(node int) { h.ms[node].Crash() })
 					sent := 0
 					for i := range h.ms {
 						if sc.crashed[i] {

@@ -121,7 +121,7 @@ func TestTwoSuccessiveSequencerCrashes(t *testing.T) {
 func TestCrashWithLossAndBBMethod(t *testing.T) {
 	// The BB method under loss and a sequencer crash: data broadcasts
 	// and accepts interleave with the election.
-	h := newHarness(59, 4, func(p *netsim.Params) { p.DropProb = 0.08 },
+	h := newHarness(59, 4, lossy(0.08),
 		func(c *Config) {
 			c.Method = ForceBB
 			c.SenderTimeout = 40 * sim.Millisecond
@@ -293,7 +293,7 @@ func TestSplitSendSurvivesLostRekick(t *testing.T) {
 	watch = func() {
 		st := h.net.Stats()
 		switch {
-		case st.FaultDrops > 0:
+		case st.Drops > 0:
 			plan.Losses = nil
 			return
 		case plan.Losses == nil && st.CountsByKind["grp-coord-ack"] == 3:

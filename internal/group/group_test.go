@@ -2,6 +2,7 @@ package group
 
 import (
 	"fmt"
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -22,13 +23,11 @@ type harness struct {
 	lastAt  sim.Time // instant of the latest delivery at any node
 }
 
-func newHarness(seed int64, n int, netMut func(*netsim.Params), cfgMut func(*Config)) *harness {
+// newHarness builds the group under a fault plan (nil for none) whose
+// crashes crash the machine.
+func newHarness(seed int64, n int, plan *netsim.FaultPlan, cfgMut func(*Config)) *harness {
 	env := sim.New(seed)
-	np := netsim.DefaultParams()
-	if netMut != nil {
-		netMut(&np)
-	}
-	nw := netsim.New(env, n, np)
+	nw := netsim.New(env, n, netsim.DefaultParams())
 	h := &harness{env: env, net: nw}
 	members := make([]int, n)
 	for i := range members {
@@ -66,7 +65,14 @@ func newHarness(seed int64, n int, netMut func(*netsim.Params), cfgMut func(*Con
 			}
 		})
 	}
+	nw.InstallFaults(plan, func(node int) { h.ms[node].Crash() })
 	return h
+}
+
+// lossy is a fault plan that loses each fragment with probability p on
+// every link for the whole run.
+func lossy(p float64) *netsim.FaultPlan {
+	return &netsim.FaultPlan{Losses: []netsim.LossWindow{{Src: netsim.AnyNode, Dst: netsim.AnyNode, Until: math.MaxInt64, Prob: p}}}
 }
 
 // checkAgreement verifies all live nodes delivered identical uid
@@ -202,7 +208,7 @@ func TestTotalOrderUnderLoss(t *testing.T) {
 	for _, method := range []Method{ForcePB, ForceBB} {
 		method := method
 		t.Run(method.String(), func(t *testing.T) {
-			h := newHarness(23, 4, func(p *netsim.Params) { p.DropProb = 0.15 },
+			h := newHarness(23, 4, lossy(0.15),
 				func(c *Config) {
 					c.Method = method
 					c.SenderTimeout = 60 * sim.Millisecond
@@ -232,7 +238,7 @@ func TestTotalOrderUnderLoss(t *testing.T) {
 func TestTotalOrderProperty(t *testing.T) {
 	f := func(seed int64, lossTenths uint8) bool {
 		loss := float64(lossTenths%3) / 10 // 0, 0.1, 0.2
-		h := newHarness(seed, 3, func(p *netsim.Params) { p.DropProb = loss },
+		h := newHarness(seed, 3, lossy(loss),
 			func(c *Config) {
 				c.SenderTimeout = 60 * sim.Millisecond
 				c.GapTimeout = 30 * sim.Millisecond
@@ -318,7 +324,7 @@ func TestSequencerCrashElection(t *testing.T) {
 }
 
 func TestSequencerCrashWithLoss(t *testing.T) {
-	h := newHarness(37, 4, func(p *netsim.Params) { p.DropProb = 0.1 },
+	h := newHarness(37, 4, lossy(0.1),
 		func(c *Config) {
 			c.SenderTimeout = 40 * sim.Millisecond
 			c.SenderRetries = 2

@@ -154,7 +154,7 @@ func TestInOrderFastPathMatchesBuffered(t *testing.T) {
 	run := func(method Method, buffered bool) string {
 		alwaysBuffer = buffered
 		defer func() { alwaysBuffer = false }()
-		h := newHarness(31, 5, func(p *netsim.Params) { p.DropProb = 0.05 }, func(c *Config) {
+		h := newHarness(31, 5, lossy(0.05), func(c *Config) {
 			c.Method = method
 			c.SenderTimeout = 50 * sim.Millisecond
 			c.GapTimeout = 25 * sim.Millisecond

@@ -27,7 +27,6 @@ func modern(cfg orca.Config) orca.Config {
 		Protocol:  3 * sim.Microsecond,
 		Send:      6 * sim.Microsecond,
 		Switch:    2 * sim.Microsecond,
-		Quantum:   amoeba.DefaultCosts().Quantum,
 	}
 	return cfg
 }

@@ -6,10 +6,10 @@
 // per-frame receiver interrupts (charged by the kernel layer for every
 // fragment delivered). Frames above the MTU are fragmented; messages
 // occupy the bus for all fragments back to back, as Amoeba's blast
-// protocols did. Losses are injected per receiver with a configurable
-// probability so the reliability machinery of the upper layers is
-// actually exercised, and a FaultPlan schedules deterministic machine
-// crashes, transient partitions, and per-link loss windows on top.
+// protocols did. The wire itself loses nothing: a FaultPlan schedules
+// deterministic machine crashes, transient partitions, and per-link
+// loss windows, whose per-receiver fragment losses exercise the
+// reliability machinery of the upper layers.
 //
 // Downward: the wire runs on package sim's virtual clock. Upward:
 // package amoeba attaches one kernel per node and charges interrupt

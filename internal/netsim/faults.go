@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/sim"
 )
@@ -79,14 +80,49 @@ type FaultPlan struct {
 	Losses     []LossWindow
 }
 
+// Validate reports the first reason the plan cannot run on a network of
+// nodes nodes, or nil: a crash, a partition side or a loss window that
+// names a node outside [0, nodes) (AnyNode apart), a window whose Until
+// is not after its From, or a loss probability outside [0, 1].
+func (p *FaultPlan) Validate(nodes int) error {
+	absent := func(n int) bool { return n < 0 || n >= nodes }
+	for _, c := range p.Crashes {
+		if absent(c.Node) {
+			return fmt.Errorf("netsim: fault plan crashes unknown node %d", c.Node)
+		}
+	}
+	for _, pt := range p.Partitions {
+		for _, n := range slices.Concat(pt.A, pt.B) {
+			if absent(n) {
+				return fmt.Errorf("netsim: fault plan partitions unknown node %d", n)
+			}
+		}
+		if pt.Until <= pt.From {
+			return fmt.Errorf("netsim: fault plan partition window [%v, %v) is empty", pt.From, pt.Until)
+		}
+	}
+	for _, lw := range p.Losses {
+		switch {
+		case lw.Src != AnyNode && absent(lw.Src) || lw.Dst != AnyNode && absent(lw.Dst):
+			return fmt.Errorf("netsim: fault plan loss window %d->%d names an unknown node", lw.Src, lw.Dst)
+		case lw.Until <= lw.From:
+			return fmt.Errorf("netsim: fault plan loss window [%v, %v) is empty", lw.From, lw.Until)
+		case !(lw.Prob >= 0 && lw.Prob <= 1):
+			return fmt.Errorf("netsim: fault plan loss probability %v is outside [0, 1]", lw.Prob)
+		}
+	}
+	return nil
+}
+
 // InstallFaults arms a fault plan on the network. Each crash entry is
 // scheduled at its instant; onCrash, when non-nil, performs the actual
 // crash (the kernel layer passes a callback that kills the machine),
 // otherwise the node is only marked down at the wire. Partitions and
 // loss windows become link filters consulted on every delivery.
-// Installing a plan on a network that already has one panics; a nil
-// plan is a no-op, and a healthy run with no plan takes exactly the
-// pre-fault code paths (bit-identical schedules).
+// Installing a plan on a network that already has one, or a plan that
+// fails Validate, panics; a nil plan is a no-op, and a healthy run with
+// no plan takes exactly the pre-fault code paths (bit-identical
+// schedules).
 func (nw *Network) InstallFaults(plan *FaultPlan, onCrash func(node int)) {
 	if plan == nil {
 		return
@@ -94,11 +130,11 @@ func (nw *Network) InstallFaults(plan *FaultPlan, onCrash func(node int)) {
 	if nw.faults != nil {
 		panic("netsim: fault plan already installed")
 	}
+	if err := plan.Validate(nw.n); err != nil {
+		panic(err.Error())
+	}
 	nw.faults = plan
 	for _, c := range plan.Crashes {
-		if c.Node < 0 || c.Node >= nw.n {
-			panic(fmt.Sprintf("netsim: fault plan crashes unknown node %d", c.Node))
-		}
 		node := c.Node
 		nw.env.At(c.At, func() {
 			if onCrash != nil {
@@ -145,8 +181,9 @@ func (nw *Network) linkCut(src, dst int, t sim.Time) bool {
 	return false
 }
 
-// linkLoss returns the extra per-fragment loss probability injected on
-// src→dst at time t (on top of Params.DropProb).
+// linkLoss returns the per-fragment loss probability on src→dst at
+// time t: the largest of the installed plan's loss windows open there,
+// zero for none.
 func (nw *Network) linkLoss(src, dst int, t sim.Time) float64 {
 	if nw.faults == nil {
 		return 0

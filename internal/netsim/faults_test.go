@@ -91,8 +91,8 @@ func TestLossWindowDropsProbabilistically(t *testing.T) {
 	}
 	env.Run()
 	st := nw.Stats()
-	if got+int(st.FaultDrops) != sends {
-		t.Fatalf("received %d + dropped %d != %d sent", got, st.FaultDrops, sends)
+	if got+int(st.Drops) != sends || st.FaultDrops != 0 {
+		t.Fatalf("received %d + dropped %d != %d sent (partition cuts %d)", got, st.Drops, sends, st.FaultDrops)
 	}
 	if got < sends/4 || got > 3*sends/4 {
 		t.Fatalf("received %d of %d at p=0.5; loss window not applying", got, sends)
@@ -124,7 +124,7 @@ func TestLossWindowsAreSeedDeterministic(t *testing.T) {
 			env.At(at, func() { nw.SendFrame(Frame{Src: 0, Dst: 1, Kind: "t", Size: 10}) })
 		}
 		env.Run()
-		return got, nw.Stats().FaultDrops
+		return got, nw.Stats().Drops
 	}
 	g1, d1 := run()
 	g2, d2 := run()
@@ -140,7 +140,7 @@ func TestHealthyRunsIgnoreNilPlan(t *testing.T) {
 	nw.Handle(1, func(d Delivery) { got++ })
 	nw.SendFrame(Frame{Src: 0, Dst: 1, Kind: "t", Size: 10})
 	env.Run()
-	if got != 1 || nw.Stats().FaultDrops != 0 {
-		t.Fatalf("nil plan changed behavior: got=%d drops=%d", got, nw.Stats().FaultDrops)
+	if st := nw.Stats(); got != 1 || st.Drops+st.FaultDrops != 0 {
+		t.Fatalf("nil plan changed behavior: got=%d drops=%d+%d", got, st.Drops, st.FaultDrops)
 	}
 }

@@ -10,7 +10,8 @@ import (
 // sender".
 const Broadcast = -1
 
-// Params configures the physical network.
+// Params configures the physical network, which by itself loses
+// nothing: frame loss is a FaultPlan loss window.
 type Params struct {
 	// BandwidthBps is the raw signalling rate. The paper's Ethernet
 	// runs at 10 Mb/s.
@@ -22,9 +23,6 @@ type Params struct {
 	FrameOverhead int
 	// MTU is the maximum payload per frame; larger messages fragment.
 	MTU int
-	// DropProb is the probability that a given receiver loses a given
-	// fragment (buffer overrun, CRC error). Zero for a perfect net.
-	DropProb float64
 	// BroadcastCapable reports whether the hardware supports
 	// broadcast. The point-to-point runtime system is measured on
 	// networks without it; calling BroadcastFrame then panics so an
@@ -33,14 +31,13 @@ type Params struct {
 }
 
 // DefaultParams returns the testbed network of the paper: 10 Mb/s
-// Ethernet, 1500-byte MTU, broadcast-capable, lossless.
+// Ethernet, 1500-byte MTU, broadcast-capable.
 func DefaultParams() Params {
 	return Params{
 		BandwidthBps:     10_000_000,
 		PropDelay:        50 * sim.Microsecond,
 		FrameOverhead:    42, // preamble 8 + MAC header/CRC 22 + IFG 12
 		MTU:              1500,
-		DropProb:         0,
 		BroadcastCapable: true,
 	}
 }
@@ -71,19 +68,19 @@ type Delivery struct {
 // queues.
 type Handler func(d Delivery)
 
-// Stats aggregates wire-level measurements.
+// Stats aggregates wire-level measurements. Both drop counters count
+// per-receiver deliveries an installed FaultPlan suppressed.
 type Stats struct {
-	Frames        int64 // fragments placed on the wire
-	Messages      int64 // logical sends
-	WireBytes     int64 // bytes on the wire including overhead
-	PayloadBytes  int64
-	Drops         int64 // per-receiver fragment losses
-	FaultDrops    int64 // deliveries suppressed by an installed fault plan
-	Interrupts    []int64
-	BytesByKind   map[string]int64
-	CountsByKind  map[string]int64
-	BusBusy       sim.Time
-	lastBusSample sim.Time
+	Frames       int64 // fragments placed on the wire
+	Messages     int64 // logical sends
+	WireBytes    int64 // bytes on the wire including overhead
+	PayloadBytes int64
+	Drops        int64 // lost to a loss window: some fragment's roll failed
+	FaultDrops   int64 // cut by a partition
+	Interrupts   []int64
+	BytesByKind  map[string]int64
+	CountsByKind map[string]int64
+	BusBusy      sim.Time
 }
 
 // Network is the shared bus connecting n nodes.
@@ -262,7 +259,10 @@ func (nw *Network) transmit(f Frame) (deliverAt sim.Time, frags int) {
 	return nw.busFreeAt + nw.params.PropDelay, frags
 }
 
-// deliver schedules the frame's arrival at dst, applying loss.
+// deliver schedules the frame's arrival at dst, applying the fault
+// plan's partitions and loss windows. A message is lost to a receiver
+// if any fragment is: one roll per fragment, in fragment order, until
+// one fails.
 func (nw *Network) deliver(f Frame, dst int, at sim.Time, frags int) {
 	if nw.down[dst] || nw.handlers[dst] == nil {
 		return
@@ -277,20 +277,10 @@ func (nw *Network) deliver(f Frame, dst int, at sim.Time, frags int) {
 		if p := nw.linkLoss(f.Src, dst, now); p > 0 {
 			for i := 0; i < frags; i++ {
 				if nw.env.Rand().Float64() < p {
-					nw.stats.FaultDrops++
+					nw.stats.Drops++
 					nw.env.Tracef("net: fault loss %s %d->%d", f.Kind, f.Src, dst)
 					return
 				}
-			}
-		}
-	}
-	// A message is lost to a receiver if any fragment is lost.
-	if nw.params.DropProb > 0 {
-		for i := 0; i < frags; i++ {
-			if nw.env.Rand().Float64() < nw.params.DropProb {
-				nw.stats.Drops++
-				nw.env.Tracef("net: drop %s %d->%d", f.Kind, f.Src, dst)
-				return
 			}
 		}
 	}
@@ -345,8 +335,8 @@ func (nw *Network) fanOut(f Frame, members []int) {
 	}
 	f.Dst = Broadcast
 	at, frags := nw.transmit(f)
-	if nw.params.DropProb == 0 && nw.downCount == 0 && !nw.faultsActive(nw.env.Now()) {
-		// Healthy and lossless: all receivers hear the frame at the same
+	if nw.downCount == 0 && !nw.faultsActive(nw.env.Now()) {
+		// Healthy and fault-free: all receivers hear the frame at the same
 		// instant, so one flight fans out to every handler in node order
 		// — the delivery order of the per-receiver events it replaces,
 		// at a third of the event traffic.

@@ -1,7 +1,10 @@
 package netsim
 
 import (
+	"fmt"
+	"math"
 	"runtime/debug"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -112,8 +115,15 @@ func TestInterruptAccounting(t *testing.T) {
 	}
 }
 
+// lossy is a fault plan that loses each fragment with probability p on
+// every link for the whole run.
+func lossy(p float64) *FaultPlan {
+	return &FaultPlan{Losses: []LossWindow{{Src: AnyNode, Dst: AnyNode, Until: math.MaxInt64, Prob: p}}}
+}
+
 func TestDropInjection(t *testing.T) {
-	env, nw := testNet(2, func(p *Params) { p.DropProb = 0.5 })
+	env, nw := testNet(2, nil)
+	nw.InstallFaults(lossy(0.5), nil)
 	delivered := 0
 	nw.Handle(1, func(d Delivery) { delivered++ })
 	const total = 1000
@@ -217,6 +227,54 @@ func TestResetStats(t *testing.T) {
 	}
 }
 
+// TestLossDrawOrder pins which receivers lost which frames under a
+// whole-run loss window — unicast, broadcast, and frames of three and
+// two fragments — over two seeds. The record was taken when frame loss
+// was a network parameter of its own, so it holds deliver to one roll
+// per fragment, receiver by receiver in node order, stopping at the
+// first failed roll.
+func TestLossDrawOrder(t *testing.T) {
+	want := map[int64]string{
+		1: "2>0 3>1 3>2 5>0 6>0 7>1 7>2 7>3 9>3 10>0 11>1 11>3 12>1 13>3 14>0 15>2 16>1 17>3 18>0 19>2 19>3 21>0 21>1 22>0 23>3",
+		2: "0>1 1>0 1>1 1>3 3>1 3>2 3>3 7>1 7>3 11>1 11>3 15>1 15>3 16>1 18>0 19>1 19>2 19>3 21>0 21>3 23>2 23>3",
+	}
+	for _, seed := range []int64{1, 2} {
+		env := sim.New(seed)
+		nw := New(env, 4, DefaultParams())
+		nw.InstallFaults(lossy(0.3), nil)
+		heard := map[string]bool{}
+		for i := 0; i < 4; i++ {
+			nw.Handle(i, func(d Delivery) { heard[fmt.Sprintf("%d>%d", d.Frame.Payload, i)] = true })
+		}
+		receivers := [][]int{{1}, {0, 1, 3}, {0}, {1, 2, 3}} // of each round's four frames
+		var sent []string                                    // every (frame, receiver) pair, in send order
+		for r := 0; r < 6; r++ {
+			f := 4 * r
+			env.At(sim.Time(r)*10*sim.Millisecond, func() {
+				nw.SendFrame(Frame{Src: 0, Dst: 1, Size: 100, Payload: f})
+				nw.BroadcastFrame(Frame{Src: 2, Size: 100, Payload: f + 1})
+				nw.SendFrame(Frame{Src: 3, Dst: 0, Size: 4000, Payload: f + 2})
+				nw.BroadcastFrame(Frame{Src: 0, Size: 3000, Payload: f + 3})
+			})
+			for k, dsts := range receivers {
+				for _, d := range dsts {
+					sent = append(sent, fmt.Sprintf("%d>%d", f+k, d))
+				}
+			}
+		}
+		env.Run()
+		var lost []string
+		for _, k := range sent {
+			if !heard[k] {
+				lost = append(lost, k)
+			}
+		}
+		if got := strings.Join(lost, " "); got != want[seed] || nw.Stats().Drops != int64(len(lost)) {
+			t.Errorf("seed %d: lost %s (Drops %d), want %s", seed, got, nw.Stats().Drops, want[seed])
+		}
+	}
+}
+
 // skipUnderRace skips an allocation budget when the race detector, which
 // allocates on its own account, is on.
 func skipUnderRace(t *testing.T) {
@@ -229,7 +287,7 @@ func skipUnderRace(t *testing.T) {
 	}
 }
 
-// A broadcast on a healthy lossless network is one pooled flight and
+// A broadcast on a healthy fault-free network is one pooled flight and
 // one pooled event for all fifteen receivers: nothing is allocated for
 // it. (The fan-out was a closure per frame.)
 func TestBroadcastFanoutAllocations(t *testing.T) {

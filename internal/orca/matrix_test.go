@@ -25,7 +25,7 @@ var matrixPlacements = []struct {
 }{
 	{"default", nil, func(g, p bool) bool { return true }},
 	{"Replicated", orca.Opts(orca.With(orca.Replicated)), func(g, p bool) bool { return g }},
-	{"ReplicatedOn", orca.Opts(orca.With(orca.ReplicatedOn(0, 1))), func(g, p bool) bool { return g }},
+	{"Replicated+At", orca.Opts(orca.With(orca.Replicated), orca.At(0, 1)), func(g, p bool) bool { return g }},
 	{"PrimaryCopy", orca.Opts(orca.With(orca.PrimaryCopy{Protocol: orca.Update, Placement: orca.SingleCopy})), func(g, p bool) bool { return p }},
 	{"Adaptive", orca.Opts(orca.With(orca.Adaptive(rts.AdaptConfig{
 		SampleEvery: 8, MinDwell: sim.Millisecond, WriteHeavyFrac: 0.08, ReadHeavyFrac: 0.04, DominantFrac: 0.5,

@@ -39,52 +39,12 @@ func (k RTSKind) String() string {
 	return fmt.Sprintf("RTSKind(%d)", int(k))
 }
 
-// Batching configures the broadcast runtime's batching pipeline: the
-// group sequencer packs queued requests into multi-op frames (one
-// sequence number per op, one network frame per batch), senders pack
-// same-instant submissions, and unguarded no-result writes travel
-// through per-worker combining buffers instead of blocking the
-// invoker per op. Defaults fill zero fields (see DefaultBatching).
-// Batching amortizes the ordering protocol — frames per op drop
-// roughly by MaxOps under write-heavy load — at the cost of up to
-// Linger of added latency for a lone op. Results, guards, and
-// read-own-write force synchronization, so program semantics are
-// unchanged; virtual timings differ, which is why batched runs pin
-// their own determinism goldens.
-type Batching struct {
-	// MaxOps flushes a batch at this many ops (minimum 2).
-	MaxOps int
-	// MaxBytes flushes when a batch's payload reaches this many
-	// bytes, keeping frames within one wire fragment.
-	MaxBytes int
-	// Linger is the flush deadline: an op waits at most this long in
-	// a pack buffer.
-	Linger sim.Time
-}
-
 // DefaultBatching returns the default batching parameters: 16-op
 // batches, one-fragment frames, and a linger of about one small
 // frame's wire time — long enough to pack concurrent submissions,
 // short enough that a lone operation barely notices.
-func DefaultBatching() *Batching {
-	return &Batching{MaxOps: 16, MaxBytes: 1024, Linger: 50 * sim.Microsecond}
-}
-
-// batchConfig resolves the group-layer configuration, filling
-// defaults for zero fields.
-func (b *Batching) batchConfig() group.BatchConfig {
-	d := DefaultBatching()
-	bc := group.BatchConfig{MaxOps: b.MaxOps, MaxBytes: b.MaxBytes, Linger: b.Linger}
-	if bc.MaxOps == 0 {
-		bc.MaxOps = d.MaxOps
-	}
-	if bc.MaxBytes == 0 {
-		bc.MaxBytes = d.MaxBytes
-	}
-	if bc.Linger == 0 {
-		bc.Linger = d.Linger
-	}
-	return bc
+func DefaultBatching() *group.BatchConfig {
+	return &group.BatchConfig{MaxOps: 16, MaxBytes: 1024, Linger: 50 * sim.Microsecond}
 }
 
 // Config describes the simulated machine and runtime choice.
@@ -115,11 +75,20 @@ type Config struct {
 	// runtime (or Mixed).
 	Protocol group.Protocol
 	// Batching, when non-nil, turns on the broadcast runtime's
-	// batching pipeline (group frames that carry several ops plus
-	// per-worker write combining in the RTS). Nil means one op per
-	// frame, the paper's protocol. Under Mixed, batching applies to the
-	// sequencer groups only.
-	Batching *Batching
+	// batching pipeline: the group sequencer packs queued requests into
+	// multi-op frames (one sequence number per op, one network frame
+	// per batch), senders pack same-instant submissions, and unguarded
+	// no-result writes travel through per-worker combining buffers
+	// instead of blocking the invoker per op. Start from
+	// DefaultBatching: every field must be set, MaxOps to at least 2.
+	// Frames per op drop roughly by MaxOps under write-heavy load, at
+	// the cost of up to Linger of added latency for a lone op. Results,
+	// guards, and read-own-write force synchronization, so program
+	// semantics are unchanged; virtual timings differ, which is why
+	// batched runs pin their own determinism goldens. Nil means one op
+	// per frame, the paper's protocol. Under Mixed, batching applies to
+	// the sequencer groups only.
+	Batching *group.BatchConfig
 	// Sequencer picks the initial group sequencer for the broadcast
 	// runtime (default: processor 0). Fault experiments use it to put
 	// the sequencer on a machine the fault plan crashes, without
@@ -152,10 +121,11 @@ type Config struct {
 	// fault handling is seed-deterministic. Crash reports land in
 	// Report.Crashes.
 	Faults *netsim.FaultPlan
-	// MaxTime bounds the virtual run (default 1 hour of virtual
-	// time); a program still running then is reported as timed out.
-	MaxTime sim.Time
 }
+
+// maxTime bounds a run's virtual time: a program still running after an
+// hour is reported as timed out.
+const maxTime = 3600 * sim.Second
 
 // Runtime is one configured simulated machine + runtime instance. A
 // Runtime runs exactly one program.
@@ -213,8 +183,8 @@ func (cfg Config) Validate() error {
 		return fmt.Errorf("orca: negative shard count %d", cfg.Shards)
 	case !hw && (cfg.Batching != nil || cfg.Protocol != group.ElectedSequencer || cfg.Shards > 1 || cfg.ShardSpan != 0):
 		return errors.New("orca: Batching, Protocol, Shards and ShardSpan configure sequencer groups, which need broadcast hardware (RTS: Broadcast, or Mixed)")
-	case cfg.Batching != nil && cfg.Batching.batchConfig().MaxOps < 2:
-		return errors.New("orca: Batching.MaxOps must be at least 2")
+	case cfg.Batching != nil && (cfg.Batching.MaxOps < 2 || cfg.Batching.MaxBytes <= 0 || cfg.Batching.Linger <= 0):
+		return errors.New("orca: Batching needs MaxOps of at least 2 and a positive MaxBytes and Linger (start from DefaultBatching)")
 	}
 	if span := cfg.ShardSpan; span != 0 {
 		switch {
@@ -223,6 +193,9 @@ func (cfg Config) Validate() error {
 		case max(cfg.Shards, 1)%(cfg.Processors/span) != 0:
 			return fmt.Errorf("orca: Shards %d must be a multiple of the %d domains (every machine must host a shard)", cfg.Shards, cfg.Processors/span)
 		}
+	}
+	if cfg.Faults != nil {
+		return cfg.Faults.Validate(cfg.Processors)
 	}
 	return nil
 }
@@ -235,9 +208,6 @@ func (cfg Config) Validate() error {
 func New(cfg Config, setup func(reg *rts.Registry)) *Runtime {
 	if err := cfg.Validate(); err != nil {
 		panic(err.Error())
-	}
-	if cfg.MaxTime == 0 {
-		cfg.MaxTime = 3600 * sim.Second
 	}
 	env := sim.New(cfg.Seed)
 	np := netsim.DefaultParams()
@@ -272,7 +242,7 @@ func New(cfg Config, setup func(reg *rts.Registry)) *Runtime {
 	}
 	rt.sys = rts.NewRouter(rt.reg, rts.DefaultCosts(), rt.machines, groups, p2p, cfg.RTS != Broadcast)
 	if cfg.Batching != nil {
-		rt.sys.EnableBatching(cfg.Batching.batchConfig())
+		rt.sys.EnableBatching(*cfg.Batching)
 	}
 	// Forks are ordered with object writes: they reach the target's
 	// extra handler through the sequencer groups (see Fork), or the
@@ -320,7 +290,7 @@ func (rt *Runtime) joinGroups() []rts.GroupDef {
 			gcfg.Port = fmt.Sprintf("%s%d", group.Port, k)
 		}
 		if cfg.Batching != nil {
-			gcfg.Batch = cfg.Batching.batchConfig()
+			gcfg.Batch = *cfg.Batching
 			// Batched runs move MaxOps times the work per frame, so
 			// delivery-progress reports can be MaxOps times sparser
 			// for the same history-trimming lag — and every member
@@ -401,7 +371,8 @@ type Report struct {
 	// Elapsed is the virtual time from program start to the
 	// completion of the last process.
 	Elapsed sim.Time
-	// TimedOut reports that MaxTime expired first.
+	// TimedOut reports that the program was still running after an
+	// hour of virtual time, when the run stops.
 	TimedOut bool
 	// Net is the wire-level statistics snapshot.
 	Net netsim.Stats
@@ -440,7 +411,7 @@ type Report struct {
 func (rt *Runtime) Run(main func(p *Proc)) Report {
 	rt.started = rt.env.Now()
 	rt.forkOn(0, "main", main)
-	rt.env.RunUntil(rt.cfg.MaxTime)
+	rt.env.RunUntil(maxTime)
 	if rt.liveProcs > 0 {
 		rt.timedOut = true
 	}

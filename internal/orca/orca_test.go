@@ -2,8 +2,11 @@ package orca_test
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
+	"repro/internal/group"
+	"repro/internal/netsim"
 	"repro/internal/orca"
 	"repro/internal/orca/std"
 	"repro/internal/sim"
@@ -243,16 +246,73 @@ func TestBitSetAddMany(t *testing.T) {
 	})
 }
 
+// TestTimeoutDetection: a run stops after an hour of virtual time, and
+// reports a program still running then as timed out, naming the
+// threads it left parked.
 func TestTimeoutDetection(t *testing.T) {
-	cfg := bcastCfg(2, 11)
-	cfg.MaxTime = 100 * sim.Millisecond
-	rt := orca.New(cfg, std.Register)
+	rt := orca.New(bcastCfg(2, 11), std.Register)
 	rep := rt.Run(func(p *orca.Proc) {
 		f := p.New(std.FlagObj)
-		p.Invoke(f, "await") // never set: deadlock by design
+		p.Fork(1, "waiter", func(wp *orca.Proc) {
+			wp.Invoke(f, "await") // never set: deadlock by design
+		})
+		p.Sleep(2 * 3600 * sim.Second) // outlives the hour
 	})
-	if !rep.TimedOut {
-		t.Fatal("expected timeout report")
+	if !rep.TimedOut || rep.Elapsed != 3600*sim.Second || len(rep.Blocked) == 0 {
+		t.Fatalf("timed out %v after %v with %d threads parked; want a timeout after an hour, with some", rep.TimedOut, rep.Elapsed, len(rep.Blocked))
+	}
+}
+
+// TestValidateRejects: a fault plan that names a machine the
+// configuration lacks, holds an empty window or a loss probability
+// outside [0, 1], and a hand-built Batching with a zero field fail
+// Validate with one error, so New panics before building a machine.
+// Every case here used to pass Validate: a partition or loss window
+// naming an absent node was inert, a crash of one panicked from the
+// network after the machines were built, and zero Batching fields were
+// filled in.
+func TestValidateRejects(t *testing.T) {
+	const ms = sim.Millisecond
+	anyNode := netsim.AnyNode
+	faults := func(plan netsim.FaultPlan) func(*orca.Config) {
+		return func(c *orca.Config) { c.Faults = &plan }
+	}
+	for _, c := range []struct {
+		name string
+		mut  func(*orca.Config)
+		want string // in the error; "" for a valid configuration
+	}{
+		{"valid", faults(netsim.FaultPlan{
+			Crashes:    []netsim.Crash{{Node: 3, At: ms}},
+			Partitions: []netsim.Partition{{A: []int{0}, B: []int{1, 2, 3}, From: 0, Until: ms}},
+			Losses:     []netsim.LossWindow{{Src: anyNode, Dst: 3, Until: ms, Prob: 1}}}), ""},
+		{"crash-absent", faults(netsim.FaultPlan{Crashes: []netsim.Crash{{Node: 4, At: ms}}}), "crashes unknown node 4"},
+		{"crash-negative", faults(netsim.FaultPlan{Crashes: []netsim.Crash{{Node: -1, At: ms}}}), "crashes unknown node -1"},
+		{"partition-absent", faults(netsim.FaultPlan{Partitions: []netsim.Partition{{A: []int{0}, B: []int{1, 7}, Until: ms}}}), "partitions unknown node 7"},
+		{"partition-empty", faults(netsim.FaultPlan{Partitions: []netsim.Partition{{A: []int{0}, B: []int{1}, From: ms, Until: ms}}}), "partition window"},
+		{"loss-src-absent", faults(netsim.FaultPlan{Losses: []netsim.LossWindow{{Src: 5, Dst: anyNode, Until: ms, Prob: 0.1}}}), "loss window 5->-1 names an unknown node"},
+		{"loss-dst-absent", faults(netsim.FaultPlan{Losses: []netsim.LossWindow{{Src: 0, Dst: -2, Until: ms, Prob: 0.1}}}), "loss window 0->-2 names an unknown node"},
+		{"loss-backwards", faults(netsim.FaultPlan{Losses: []netsim.LossWindow{{Src: anyNode, Dst: anyNode, From: 2 * ms, Until: ms, Prob: 0.1}}}), "loss window"},
+		{"loss-prob-high", faults(netsim.FaultPlan{Losses: []netsim.LossWindow{{Src: anyNode, Dst: anyNode, Until: ms, Prob: 1.5}}}), "probability 1.5"},
+		{"loss-prob-negative", faults(netsim.FaultPlan{Losses: []netsim.LossWindow{{Src: anyNode, Dst: anyNode, Until: ms, Prob: -0.1}}}), "probability -0.1"},
+		{"batching-zero-field", func(c *orca.Config) { c.Batching = &group.BatchConfig{MaxOps: 4} }, "Batching"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			cfg := bcastCfg(4, 1)
+			c.mut(&cfg)
+			err := cfg.Validate()
+			if c.want == "" && err != nil || c.want != "" && (err == nil || !strings.Contains(err.Error(), c.want)) {
+				t.Fatalf("Validate() = %v, want an error containing %q", err, c.want)
+			}
+			if err != nil {
+				defer func() {
+					if r := recover(); r != err.Error() {
+						t.Errorf("New panicked with %v, want Validate's error", r)
+					}
+				}()
+				orca.New(cfg, std.Register)
+			}
+		})
 	}
 }
 
@@ -317,7 +377,7 @@ func TestReplicatedPolicyRequiresBroadcast(t *testing.T) {
 				t.Error("expected panic: Replicated placement on the point-to-point runtime")
 			}
 		}()
-		p.NewWith(std.IntObj, orca.Opts(orca.With(orca.ReplicatedOn(0))))
+		p.NewWith(std.IntObj, orca.Opts(orca.With(orca.Replicated), orca.At(0)))
 	})
 }
 

@@ -36,8 +36,9 @@ const (
 )
 
 // Policy declares where a shared object's replicas live and how they
-// are kept consistent. The concrete policies are Default, Replicated,
-// ReplicatedOn, PrimaryCopy, and Adaptive.
+// are kept consistent. The concrete policies are Replicated,
+// PrimaryCopy, and Adaptive; an object created without one follows
+// Config.RTS.
 type Policy interface {
 	applyPolicy(*createSpec)
 }
@@ -51,38 +52,20 @@ type createSpec struct {
 	keyed bool
 }
 
-type defaultPolicy struct{}
+type replicatedPolicy struct{}
 
-func (defaultPolicy) applyPolicy(cs *createSpec) {
-	cs.Kind = rts.PlaceDefault
-	cs.Nodes = nil
-}
-
-// Default is the back-compat policy: the object is hosted by the
-// runtime Config.RTS selects, exactly as a plain New. It is what an
-// empty option list means.
-var Default Policy = defaultPolicy{}
-
-type replicatedPolicy struct{ nodes []int }
-
-func (p replicatedPolicy) applyPolicy(cs *createSpec) {
+func (replicatedPolicy) applyPolicy(cs *createSpec) {
 	cs.Kind = rts.PlaceReplicated
-	cs.Nodes = p.nodes
+	cs.Nodes = nil
 }
 
 // Replicated places the object behind a sequencer group, fully
 // replicated on the group's machines: local reads there, writes through
 // the total order — the paper's §3.2.1 strategy, chosen per object.
+// Followed by At, it is the partial-replication optimization: machines
+// outside the set forward their operations to a replica holder.
 // Requires broadcast hardware (RTS: Broadcast, or Config.Mixed).
 var Replicated Policy = replicatedPolicy{}
-
-// ReplicatedOn is Replicated restricted to the given machines — the
-// partial-replication optimization. Machines outside the set forward
-// their operations to a replica holder. The set must contain the
-// creating machine and lie within the object's sequencer group's span.
-func ReplicatedOn(nodes ...int) Policy {
-	return replicatedPolicy{nodes: append([]int(nil), nodes...)}
-}
 
 // PrimaryCopy places the object in the point-to-point domain: the
 // primary copy lives on the creating machine, secondaries follow the
@@ -132,9 +115,10 @@ func With(pol Policy) Option {
 }
 
 // At restricts the object's replicas to the given machines. Combined
-// with (or defaulting to) a replicated policy it means ReplicatedOn;
-// with PrimaryCopy it pins the primary, which must be the creating
-// machine.
+// with (or defaulting to) a replicated policy it is partial
+// replication: the set must contain the creating machine and lie within
+// the object's sequencer group's span. With PrimaryCopy it pins the
+// primary, which must be the creating machine.
 func At(nodes ...int) Option {
 	cp := append([]int(nil), nodes...)
 	return func(cs *createSpec) { cs.Nodes = cp }

@@ -89,9 +89,9 @@ func TestAtPinsPrimaryToCreator(t *testing.T) {
 func TestLastPolicyWins(t *testing.T) {
 	rt := orca.New(orca.Config{Processors: 3, RTS: orca.Broadcast, Mixed: true, Seed: 38}, std.Register)
 	rt.Run(func(p *orca.Proc) {
-		// ReplicatedOn(0) then Replicated: full replication, so a read
+		// Replicated at 0, then Replicated: full replication, so a read
 		// from node 2 must be served by a local replica, not forwarded.
-		full := p.NewWith(std.IntObj, orca.Opts(orca.With(orca.ReplicatedOn(0)), orca.With(orca.Replicated)), 9)
+		full := p.NewWith(std.IntObj, orca.Opts(orca.With(orca.Replicated), orca.At(0), orca.With(orca.Replicated)), 9)
 		flag := p.New(std.FlagObj)
 		p.Fork(2, "reader", func(wp *orca.Proc) {
 			if got := wp.InvokeI(full, "value"); got != 9 {
@@ -101,11 +101,11 @@ func TestLastPolicyWins(t *testing.T) {
 		})
 		p.Invoke(flag, "await")
 		if fwd := rt.Stats().Forwarded; fwd != 0 {
-			t.Errorf("read was forwarded (%d): earlier ReplicatedOn nodes leaked into Replicated", fwd)
+			t.Errorf("read was forwarded (%d): earlier At nodes leaked into Replicated", fwd)
 		}
-		// ReplicatedOn(1,2) then PrimaryCopy: the stale nodes must not
-		// trip the primary pin check.
-		o := p.NewWith(std.IntObj, orca.Opts(orca.With(orca.ReplicatedOn(1, 2)), orca.With(orca.PrimaryCopy{})), 4)
+		// Replicated at 1 and 2, then PrimaryCopy: the stale nodes must
+		// not trip the primary pin check.
+		o := p.NewWith(std.IntObj, orca.Opts(orca.With(orca.Replicated), orca.At(1, 2), orca.With(orca.PrimaryCopy{})), 4)
 		if got := p.InvokeI(o, "value"); got != 4 {
 			t.Errorf("primary-copy value = %d, want 4", got)
 		}
@@ -120,7 +120,7 @@ func TestMixedProgramMixesRuntimes(t *testing.T) {
 	const jobs = 12
 	var sum int
 	rep := rt.Run(func(p *orca.Proc) {
-		total := std.NewCounter(p, 0) // broadcast-replicated (Default)
+		total := std.NewCounter(p, 0) // broadcast-replicated (Config.RTS)
 		q := std.NewQueue[int](p, orca.With(orca.PrimaryCopy{
 			Protocol: orca.Update, Placement: orca.SingleCopy,
 		}))
@@ -168,7 +168,7 @@ func TestMixedWithP2PDefault(t *testing.T) {
 	rt := orca.New(orca.Config{Processors: 3, RTS: orca.P2PUpdate, Mixed: true, Seed: 35}, std.Register)
 	var readBack, cpu int
 	rep := rt.Run(func(p *orca.Proc) {
-		def := std.NewCounter(p, 0)                              // primary copy (Default → p2p)
+		def := std.NewCounter(p, 0)                              // primary copy (Config.RTS → p2p)
 		repl := std.NewCounter(p, 0, orca.With(orca.Replicated)) // broadcast-replicated
 		done := std.NewFlag(p, false, orca.With(orca.Replicated))
 		p.Fork(2, "remote", func(wp *orca.Proc) {

@@ -299,3 +299,41 @@ func TestTypedRemoteReadAllocations(t *testing.T) {
 		})
 	})
 }
+
+// BenchmarkLocalReadPaths prices the two ways a typed read of a local
+// replica can go: through readState, which hands the descriptor the
+// replica's state to apply its typed function to, and through call,
+// the general path that carries the argument and the result in records.
+// The gap is why the descriptors keep readState (DESIGN.md, "The
+// argument record and the packet header").
+//
+//	go test -run '^$' -bench LocalReadPaths ./internal/orca
+func BenchmarkLocalReadPaths(b *testing.B) {
+	paths := []struct {
+		name string
+		read func(p *Proc, h Handle[*cellsState]) int
+	}{
+		{"readState", func(p *Proc, h Handle[*cellsState]) int {
+			s, _ := p.readState(h.o, cellsGet.def)
+			return cellsGet.apply(s.(*cellsState), 2)
+		}},
+		{"call", func(p *Proc, h Handle[*cellsState]) int {
+			return get1[int](p.call(h.o, cellsGet.def, rec1(2)))
+		}},
+	}
+	for _, path := range paths {
+		b.Run(path.name, func(b *testing.B) {
+			rt := New(Config{Processors: 1, RTS: Broadcast, Seed: 36}, cellsSetup)
+			rt.Run(func(p *Proc) {
+				h := cellsB.New(p, 4)
+				cellsSet.Call(p, h, 2, 7)
+				b.ReportAllocs()
+				for b.Loop() {
+					if path.read(p, h) != 7 {
+						b.Fatal("read the wrong value")
+					}
+				}
+			})
+		})
+	}
+}

@@ -65,10 +65,10 @@ type AdaptConfig struct {
 	// must issue to be chosen as (or re-home) the primary.
 	// Default 0.55.
 	DominantFrac float64
-	// Alpha is the EWMA smoothing factor applied per window.
-	// Default 0.5.
-	Alpha float64
 }
+
+// alpha is the EWMA smoothing factor applied per window.
+const alpha = 0.5
 
 // DefaultAdaptConfig returns the default controller parameters.
 func DefaultAdaptConfig() AdaptConfig {
@@ -78,7 +78,6 @@ func DefaultAdaptConfig() AdaptConfig {
 		WriteHeavyFrac: 0.35,
 		ReadHeavyFrac:  0.15,
 		DominantFrac:   0.55,
-		Alpha:          0.5,
 	}
 }
 
@@ -99,9 +98,6 @@ func (c AdaptConfig) withDefaults() AdaptConfig {
 	}
 	if c.DominantFrac <= 0 {
 		c.DominantFrac = d.DominantFrac
-	}
-	if c.Alpha <= 0 {
-		c.Alpha = d.Alpha
 	}
 	return c
 }
@@ -351,7 +347,7 @@ func (info *adaptInfo) step(replicated bool, primary int, now sim.Time) (adaptAc
 	if !info.primed {
 		info.ewma, info.primed = frac, true
 	} else {
-		info.ewma = info.cfg.Alpha*frac + (1-info.cfg.Alpha)*info.ewma
+		info.ewma = alpha*frac + (1-alpha)*info.ewma
 	}
 	act, target := adaptDecide(info.cfg, replicated, primary, info.ewma, info.reads, info.writes)
 	info.resetWindow()
@@ -479,7 +475,7 @@ func (r *Router) handleMigrate(p *sim.Proc, mgr *bcastManager, uid int64, src in
 		// since the first record.
 		if old := mgr.inst(wm.Obj); old == nil || old.moved {
 			st := info.typ.Clone(wm.State)
-			mgr.charge(p, mgr.rts.costs.Create)
+			mgr.charge(p, mgr.rts.costs.create)
 			mgr.setInst(wm.Obj, &bcastInstance{typ: info.typ, state: st})
 		}
 		if !info.decided {

@@ -55,7 +55,6 @@ func adaptiveSCRun(t *testing.T, seed int64, iters int, typed bool) {
 		WriteHeavyFrac: 0.08,
 		ReadHeavyFrac:  0.04,
 		DominantFrac:   0.5,
-		Alpha:          0.5,
 	}
 	get := m.Group(0).reg.Lookup("intcell").Op("get")
 	var id ObjID

@@ -104,7 +104,7 @@ func (mgr *bcastManager) bufferWrite(w *Worker, id ObjID, inst *bcastInstance, o
 		// previous batch is still in flight — wait for it.
 		b.waitFlight(w.P)
 	}
-	size := SizeOfArgs(&args) + len(opName) + 16
+	size := opSize(opName, &args)
 	b.ops = append(b.ops, group.BatchOp{Kind: "rts-op", Body: wireOp{Obj: id, Op: opName, Args: args}, Size: size})
 	b.bytes += size
 	found := false

@@ -166,7 +166,6 @@ type bcastManager struct {
 	applied   bool
 
 	// Partial replication plumbing (see bcast_partial.go).
-	fwdSrv    *amoeba.Server
 	fwdClient *amoeba.Client
 }
 
@@ -319,12 +318,12 @@ func (r *BroadcastRTS) Counters() RTSStats {
 	return st
 }
 
-// NodeCrashed implements CrashAware. The replicated core needs no
-// repair — the dead machine's replicas, guard waiters, and manager
-// thread died with it, and the group layer already routes around a
-// dead member (electing a new sequencer if necessary) — and forwarded
-// operations already skip holders the network reports down, so the
-// runtime only counts the crash.
+// NodeCrashed tells the domain a machine died. The replicated core
+// needs no repair — the dead machine's replicas, guard waiters, and
+// manager thread died with it, and the group layer already routes
+// around a dead member (electing a new sequencer if necessary) — and
+// forwarded operations already skip holders the network reports down,
+// so the runtime only counts the crash.
 func (r *BroadcastRTS) NodeCrashed(int) { r.stats.Crashes++ }
 
 // Create broadcasts object creation so every machine of the span
@@ -373,7 +372,7 @@ func (r *BroadcastRTS) Call(w *Worker, id ObjID, opName string, in Args) Args {
 	w.Flush()
 	r.stats.BcastWrites++
 	body := wireOp{Obj: id, Op: opName, Args: in}
-	uid := mgr.g.Broadcast(w.P, "rts-op", body, SizeOfArgs(&in)+len(opName)+16)
+	uid := mgr.g.Broadcast(w.P, "rts-op", body, opSize(opName, &in))
 	return mgr.await(w.P, uid)
 }
 
@@ -407,7 +406,7 @@ func (r *BroadcastRTS) LocalReadState(w *Worker, id ObjID, op *OpDef) (State, bo
 		return nil, false
 	}
 	r.stats.LocalReads++
-	w.Charge(r.costs.ReadLocal + r.costs.DefaultOp)
+	w.Charge(r.costs.readLocal + r.costs.defaultOp)
 	return inst.state, true
 }
 
@@ -488,7 +487,7 @@ func (mgr *bcastManager) localRead(w *Worker, inst *bcastInstance, op *OpDef, in
 			return retry
 		}
 		r.stats.LocalReads++
-		w.Charge(r.costs.ReadLocal + r.costs.DefaultOp)
+		w.Charge(r.costs.readLocal + r.costs.defaultOp)
 		return op.Apply(inst.state, in)
 	}
 	// Guarded: sync first — the guard may depend on the worker's own
@@ -508,14 +507,14 @@ func (mgr *bcastManager) localRead(w *Worker, inst *bcastInstance, op *OpDef, in
 			// bounce and re-register under the new placement.
 			return retry
 		}
-		w.Accrue(r.costs.GuardCheck)
+		w.Accrue(r.costs.guardCheck)
 		if !op.Guard(inst.state, in) {
 			r.stats.GuardWaits++
 			inst.cond.Wait(w.P)
 			continue
 		}
 		r.stats.LocalReads++
-		w.Accrue(r.costs.ReadLocal + r.costs.DefaultOp)
+		w.Accrue(r.costs.readLocal + r.costs.defaultOp)
 		return op.Apply(inst.state, in)
 	}
 }
@@ -683,7 +682,7 @@ func (mgr *bcastManager) serve(d group.Delivery) sim.Verdict {
 		mgr.applyWrite(mgr.thread, d.UID, d.Src, wo)
 		return sim.Finished
 	}
-	cost := mgr.pendCharge + mgr.rts.costs.WriteApply + mgr.rts.costs.DefaultOp
+	cost := mgr.pendCharge + mgr.rts.costs.writeApply + mgr.rts.costs.defaultOp
 	mgr.inFrame = false
 	mgr.pendCharge = 0
 	mgr.cur = inlineWrite{inst: inst, op: op, uid: d.UID, src: d.Src, args: wo.Args}
@@ -742,7 +741,7 @@ func (mgr *bcastManager) applyCreate(p *sim.Proc, uid int64, src int, c wireCrea
 		return
 	}
 	t := r.reg.Lookup(c.Type)
-	mgr.charge(p, r.costs.Create)
+	mgr.charge(p, r.costs.create)
 	mgr.setInst(c.Obj, &bcastInstance{typ: t, state: t.New(c.Args)})
 	mgr.complete(p, uid, src, Args{})
 }
@@ -769,7 +768,7 @@ func (mgr *bcastManager) applyWrite(p *sim.Proc, uid int64, src int, wo wireOp) 
 	}
 	op := inst.op(wo.Op)
 	if op.Guard != nil {
-		mgr.charge(p, r.costs.GuardCheck)
+		mgr.charge(p, r.costs.guardCheck)
 		if !op.Guard(inst.state, wo.Args) {
 			inst.pending = append(inst.pending, pendingWrite{uid: uid, src: src, op: op, args: wo.Args})
 			return
@@ -789,7 +788,7 @@ func (mgr *bcastManager) touch(inst *bcastInstance) {
 
 // execWrite charges for and applies one write to the replica.
 func (mgr *bcastManager) execWrite(p *sim.Proc, inst *bcastInstance, uid int64, src int, op *OpDef, args Args) {
-	mgr.charge(p, mgr.rts.costs.WriteApply+mgr.rts.costs.DefaultOp)
+	mgr.charge(p, mgr.rts.costs.writeApply+mgr.rts.costs.defaultOp)
 	mgr.applyCharged(p, inst, uid, src, op, args)
 }
 
@@ -837,7 +836,7 @@ func (mgr *bcastManager) drainPending(p *sim.Proc, inst *bcastInstance) {
 				kept = append(kept, pw)
 				continue
 			}
-			mgr.m.Compute(p, r.costs.GuardCheck)
+			mgr.m.Compute(p, r.costs.guardCheck)
 			if pw.op.Guard(inst.state, pw.args) {
 				mgr.execWrite(p, inst, pw.uid, pw.src, pw.op, pw.args)
 				fired = true

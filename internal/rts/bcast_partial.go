@@ -85,7 +85,6 @@ func (r *BroadcastRTS) startForwarders(machines []*amoeba.Machine) {
 	for i, m := range machines {
 		mgr := r.mgrs[i]
 		srv := amoeba.NewServer(m, r.fwdPort)
-		mgr.fwdSrv = srv
 		mgr.fwdClient = amoeba.NewClient(m, rpcPolicy)
 		m.SpawnThread("objfwd", func(p *sim.Proc) {
 			for {
@@ -127,7 +126,7 @@ func (r *BroadcastRTS) forward(w *Worker, cl *amoeba.Client, id ObjID, holders [
 		}
 		first = false
 		rep, err := cl.Call(w.P, holder, amoeba.Packet{Port: r.fwdPort, Op: opName, Obj: int64(id), Args: in,
-			Size: SizeOfArgs(&in) + len(opName) + 16})
+			Size: opSize(opName, &in)})
 		if err == nil {
 			return rep.Args
 		}
@@ -148,14 +147,14 @@ func (mgr *bcastManager) directWrite(w *Worker, inst *bcastInstance, op *OpDef, 
 	for {
 		w.Flush()
 		if op.Guard != nil {
-			w.Accrue(r.costs.GuardCheck)
+			w.Accrue(r.costs.guardCheck)
 			if !op.Guard(inst.state, in) {
 				r.stats.GuardWaits++
 				inst.cond.Wait(w.P)
 				continue
 			}
 		}
-		w.Accrue(r.costs.WriteApply + r.costs.DefaultOp)
+		w.Accrue(r.costs.writeApply + r.costs.defaultOp)
 		res := op.Apply(inst.state, in)
 		inst.cond.Broadcast()
 		return res

@@ -13,7 +13,7 @@ import (
 
 // crash kills a machine and notifies the runtime, as the orca crash
 // cascade would.
-func (b *tb) crash(node int, ca CrashAware) {
+func (b *tb) crash(node int, ca interface{ NodeCrashed(int) }) {
 	b.ms[node].Crash()
 	ca.NodeCrashed(node)
 }

@@ -205,7 +205,7 @@ func (r *Router) execFence(p *sim.Proc, mgr *bcastManager, f wireFence) {
 			panic(fmt.Sprintf("rts: fenced write to unknown object %d on node %d", fo.ID, node))
 		}
 		op := inst.op(fo.Op)
-		mgr.charge(p, sub.costs.WriteApply+sub.costs.DefaultOp)
+		mgr.charge(p, sub.costs.writeApply+sub.costs.defaultOp)
 		op.Apply(inst.state, fo.Args)
 		inst.cond.Broadcast()
 		sm.touch(inst)
@@ -253,7 +253,7 @@ func (r *Router) InvokeFenced(w *Worker, ops []FencedOp) error {
 		if op.Kind == Read || op.Guard != nil {
 			return fmt.Errorf("fenced operation %s is a read or guarded; fences carry unguarded writes", fo.Op)
 		}
-		size += SizeOfArgs(&fo.Args) + len(fo.Op) + 16
+		size += opSize(fo.Op, &fo.Args)
 		if !slices.Contains(shards, e.dom) {
 			shards = append(shards, e.dom)
 		}

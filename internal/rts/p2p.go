@@ -326,7 +326,7 @@ func (r *P2PRTS) CreateWith(w *Worker, typeName string, protocol P2PProtocol, pl
 	id := r.ids.alloc()
 	node := r.nodes[w.Node()]
 	w.Flush()
-	w.M.Compute(w.P, r.costs.Create)
+	w.M.Compute(w.P, r.costs.create)
 	state := t.New(args)
 	inst := &p2pInstance{
 		typ: t, state: state, valid: true, primary: true,
@@ -406,7 +406,7 @@ func (n *p2pNode) invokeRead(w *Worker, meta *p2pMeta, op *OpDef, in Args) Args 
 				continue
 			}
 			if op.Guard != nil {
-				w.Accrue(r.costs.GuardCheck)
+				w.Accrue(r.costs.guardCheck)
 				if !op.Guard(inst.state, in) {
 					r.stats.GuardWaits++
 					inst.cond.Wait(w.P)
@@ -414,7 +414,7 @@ func (n *p2pNode) invokeRead(w *Worker, meta *p2pMeta, op *OpDef, in Args) Args 
 				}
 			}
 			r.stats.LocalReads++
-			w.Accrue(r.costs.ReadLocal + r.costs.DefaultOp)
+			w.Accrue(r.costs.readLocal + r.costs.defaultOp)
 			return op.Apply(inst.state, in)
 		}
 		// No local copy: maybe fetch one first, else read remotely.
@@ -476,7 +476,7 @@ func (n *p2pNode) runLocal(w *Worker, id ObjID, t *p2pTask) Args {
 
 // opPacket is the request that has the primary execute op.
 func opPacket(op *OpDef, in Args) amoeba.Packet {
-	return amoeba.Packet{Op: op.Name, Args: in, Size: SizeOfArgs(&in) + len(op.Name) + 16}
+	return amoeba.Packet{Op: op.Name, Args: in, Size: opSize(op.Name, &in)}
 }
 
 // callPrimary sends req about the object to its primary. A primary that

@@ -31,9 +31,9 @@ import (
 // nodeDown reports whether a machine has crashed.
 func (r *P2PRTS) nodeDown(node int) bool { return r.nodes[node].m.Crashed() }
 
-// NodeCrashed implements CrashAware: it counts the crash and releases
-// copies the dead primary left locked mid-update, so local readers
-// suspended on a locked copy re-check instead of sleeping forever.
+// NodeCrashed counts the crash and releases copies the dead primary
+// left locked mid-update, so local readers suspended on a locked copy
+// re-check instead of sleeping forever.
 // Object re-homing itself happens lazily, when the next operation
 // against a dead primary fails.
 func (r *P2PRTS) NodeCrashed(node int) {

@@ -130,7 +130,7 @@ func (n *p2pNode) applyUpdate(p *sim.Proc, req *amoeba.Request) {
 	}
 	op := inst.typ.Op(req.Op)
 	inst.locked = true
-	n.m.Compute(p, r.costs.WriteApply+r.costs.DefaultOp)
+	n.m.Compute(p, r.costs.writeApply+r.costs.defaultOp)
 	op.Apply(inst.state, req.Args)
 	n.srv.PutReply(p, req, nil, 4)
 }
@@ -233,7 +233,7 @@ func (o *objQueue) serve(t *p2pTask) sim.Verdict {
 func (o *objQueue) read(t *p2pTask, inst *p2pInstance, then func()) {
 	o.cur, o.inst, o.then = t, inst, then
 	costs := &o.n.rts.costs
-	o.n.m.ComputeFn(o.thread, costs.ReadLocal+costs.DefaultOp, o.applyFn)
+	o.n.m.ComputeFn(o.thread, costs.readLocal+costs.defaultOp, o.applyFn)
 }
 
 // apply continues read once the read has been charged.
@@ -256,7 +256,7 @@ func (n *p2pNode) execTask(p *sim.Proc, id ObjID, t *p2pTask, pending *[]*p2pTas
 	}
 	if t.op != nil && t.op.Guard != nil {
 		// An operation whose guard is false waits for a write to enable it.
-		n.m.Compute(p, r.costs.GuardCheck)
+		n.m.Compute(p, r.costs.guardCheck)
 		if !t.op.Guard(inst.state, t.args) {
 			r.stats.GuardWaits++
 			*pending = append(*pending, t)
@@ -341,7 +341,7 @@ func (n *p2pNode) migratePrimary(p *sim.Proc, id ObjID, t *p2pTask, pending *[]*
 	}
 	tn := r.nodes[target]
 	st := meta.typ.Clone(inst.state)
-	n.m.Compute(p, r.costs.WriteApply)
+	n.m.Compute(p, r.costs.writeApply)
 	tn.installCopy(id, meta.typ, st)
 	ti := tn.insts[id]
 	ti.primary = true
@@ -420,11 +420,11 @@ func (n *p2pNode) commitWrite(p *sim.Proc, id ObjID, inst *p2pInstance, t *p2pTa
 			// stay locked.
 			r.stats.Updates += int64(len(secs))
 			n.fanoutRPC(p, secs, "update", amoeba.Packet{Op: t.op.Name, Obj: int64(id), Args: t.args, Body: p2pUpdateReq{},
-				Size: SizeOfArgs(&t.args) + len(t.op.Name) + 16})
+				Size: opSize(t.op.Name, &t.args)})
 		}
 	}
 	// Apply at the primary.
-	n.m.Compute(p, r.costs.WriteApply+r.costs.DefaultOp)
+	n.m.Compute(p, r.costs.writeApply+r.costs.defaultOp)
 	res := t.op.Apply(inst.state, t.args)
 	if meta.protocol == Update {
 		// Phase two: unlock all copies.
@@ -445,7 +445,7 @@ func (n *p2pNode) drainPending(p *sim.Proc, id ObjID, pending *[]*p2pTask) {
 	for progress := true; progress; {
 		progress = false
 		for i, t := range *pending {
-			n.m.Compute(p, n.rts.costs.GuardCheck)
+			n.m.Compute(p, n.rts.costs.guardCheck)
 			inst := n.insts[id]
 			if !t.op.Guard(inst.state, t.args) {
 				continue

@@ -75,10 +75,7 @@ const (
 	domP2P  = -1 // the point-to-point domain
 )
 
-var (
-	_ System     = (*Router)(nil)
-	_ CrashAware = (*Router)(nil)
-)
+var _ System = (*Router)(nil)
 
 // idAlloc hands out object ids. Every domain of a Router shares one, so
 // ids are unique across domains and routing by ObjID is unambiguous.
@@ -218,13 +215,13 @@ func (r *Router) SetExtraHandler(h func(node int, body any)) {
 	}
 }
 
-// NodeCrashed implements CrashAware, forwarding to every domain. A
-// crash of one group's sequencer is that group's problem alone: the
-// other groups' streams keep delivering while it recovers. It also
-// wakes waiters of any moveout whose driving machine just died, so one
-// of them can rescue the migration by re-broadcasting the snapshot (see
-// awaitFlip), and starts the presumed-abort watch for the machine's
-// fences.
+// NodeCrashed tells every domain that a machine died; the orca runtime
+// calls it while executing a fault plan. A crash of one group's
+// sequencer is that group's problem alone: the other groups' streams
+// keep delivering while it recovers. It also wakes waiters of any
+// moveout whose driving machine just died, so one of them can rescue
+// the migration by re-broadcasting the snapshot (see awaitFlip), and
+// starts the presumed-abort watch for the machine's fences.
 func (r *Router) NodeCrashed(node int) {
 	for _, g := range r.groups {
 		g.NodeCrashed(node)

@@ -36,7 +36,7 @@ type RTSStats struct {
 	Migrations         int64   `json:"migrations,omitempty"`
 	MigrationVirtualUS float64 `json:"migration_virtual_us,omitempty"`
 
-	// Fault-tolerance counters (see CrashAware).
+	// Fault-tolerance counters (see Router.NodeCrashed).
 	Crashes    int64 `json:"crashes,omitempty"`     // machine crashes observed by the runtime
 	OpsRetried int64 `json:"ops_retried,omitempty"` // operations retried after a crash broke their first attempt
 	Rehomed    int64 `json:"rehomed,omitempty"`     // objects re-homed or restarted on a new primary
@@ -98,14 +98,4 @@ func Merge(snaps ...RTSStats) RTSStats {
 		}
 	}
 	return s
-}
-
-// CrashAware is implemented by runtime systems that recover from
-// machine crashes. The layer that detects (or injects) a crash — the
-// orca runtime executing a fault plan — notifies the runtime system,
-// which drops the dead machine from its routing decisions: the
-// broadcast runtime stops forwarding to dead replica holders, and the
-// point-to-point runtime re-homes objects whose primary died.
-type CrashAware interface {
-	NodeCrashed(node int)
 }

@@ -235,29 +235,30 @@ func SizeOfArgs(a *Args) int {
 	return a.Size(SizeOfValue)
 }
 
+// opSize is the wire size of an operation record: its arguments, its
+// name and a fixed 16 bytes. Every record that names an operation —
+// a write, a batched write, a fenced write, a forwarded or primary-copy
+// request — is charged by it.
+func opSize(name string, a *Args) int { return SizeOfArgs(a) + len(name) + 16 }
+
 // Costs are the runtime-system CPU overheads, separate from kernel
 // costs. They represent the object-manager bookkeeping around each
-// operation.
+// operation. There is one set, DefaultCosts.
 type Costs struct {
-	// ReadLocal is charged for a local read (lock check, dispatch).
-	ReadLocal sim.Time
-	// WriteApply is charged at every machine that applies a write.
-	WriteApply sim.Time
-	// GuardCheck is charged per guard evaluation.
-	GuardCheck sim.Time
-	// Create is charged when instantiating a replica.
-	Create sim.Time
-	// DefaultOp is the execution cost of an operation.
-	DefaultOp sim.Time
+	readLocal  sim.Time // a local read (lock check, dispatch)
+	writeApply sim.Time // at every machine that applies a write
+	guardCheck sim.Time // per guard evaluation
+	create     sim.Time // instantiating a replica
+	defaultOp  sim.Time // the execution of an operation
 }
 
 // DefaultCosts returns RTS overheads for the 68030-class testbed.
 func DefaultCosts() Costs {
 	return Costs{
-		ReadLocal:  5 * sim.Microsecond,
-		WriteApply: 15 * sim.Microsecond,
-		GuardCheck: 3 * sim.Microsecond,
-		Create:     40 * sim.Microsecond,
-		DefaultOp:  5 * sim.Microsecond,
+		readLocal:  5 * sim.Microsecond,
+		writeApply: 15 * sim.Microsecond,
+		guardCheck: 3 * sim.Microsecond,
+		create:     40 * sim.Microsecond,
+		defaultOp:  5 * sim.Microsecond,
 	}
 }

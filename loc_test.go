@@ -2,24 +2,23 @@ package repro
 
 // Size checks. TestCodeLines is the committed line counter the north
 // star's "least code" is measured by (go test -run TestCodeLines -v .);
-// TestConfigSurface pins every settable field of the configuration
-// records, so a new knob is a visible line in review.
+// TestConfigSurface requires every configuration knob to be set by code
+// outside its package, so a knob nobody outside turns fails the build.
 
 import (
+	"go/ast"
+	"go/importer"
+	"go/parser"
 	"go/scanner"
 	"go/token"
+	"go/types"
+	"maps"
 	"os"
 	"path/filepath"
-	"reflect"
+	"regexp"
 	"slices"
 	"strings"
 	"testing"
-
-	"repro/internal/amoeba"
-	"repro/internal/group"
-	"repro/internal/netsim"
-	"repro/internal/orca"
-	"repro/internal/rts"
 )
 
 // codeLines counts the lines of a Go source that hold a token: blank
@@ -92,37 +91,277 @@ func TestCodeLines(t *testing.T) {
 	}
 }
 
-// TestConfigSurface pins the exported fields of every configuration
-// record. A field earns its place when two non-test callers set it to
-// different values (DESIGN.md, "Configuration surface").
+// configRecords are the records a program configures the stack with.
+var configRecords = []string{
+	"orca.Config", "group.Config", "group.BatchConfig", "rts.P2PConfig",
+	"rts.AdaptConfig", "rts.Costs", "rts.ObjectType", "amoeba.Costs", "netsim.Params",
+}
+
+// pinnedRecords are records whose exported fields are handles that
+// outside code reads, not knobs it sets; their field lists are pinned.
+var pinnedRecords = map[string]string{"rts.Worker": "P M"}
+
+// surfaceKept lists the knobs no non-test code outside their package
+// sets, each with the outside reader that keeps it and why.
+var surfaceKept = map[string]struct{ reader, why string }{
+	"rts.AdaptConfig.WriteHeavyFrac": {"internal/orca/matrix_test.go", "TestConfigMatrix lowers it so an adaptive object migrates at test scale"},
+	"rts.AdaptConfig.ReadHeavyFrac":  {"internal/orca/matrix_test.go", "TestConfigMatrix lowers it so an adaptive object migrates at test scale"},
+	"rts.AdaptConfig.DominantFrac":   {"internal/orca/matrix_test.go", "TestConfigMatrix lowers it so an adaptive object migrates at test scale"},
+}
+
+// TestConfigSurface is DESIGN.md's outside-setter rule ("Configuration
+// surface") as a check. It type-checks every non-test package of the
+// module and of bench/, and requires every exported field of the
+// configuration records to be set by code outside the record's own
+// package — in a keyed literal, by assignment, by address, or through a
+// function that stores a parameter in it; a value read from the same
+// field of another record, such as DefaultCosts().Send, is a copy and
+// sets nothing — and every exported placement policy and creation option
+// of orca/policy.go to be referenced there. Anything else needs a
+// surfaceKept entry naming the outside reader that keeps it; -v prints
+// each knob's outside setters.
 func TestConfigSurface(t *testing.T) {
-	want := []struct {
-		v      any
-		fields string
-	}{
-		{orca.Config{}, "Processors RTS Mixed Seed Net KernelCosts GroupMethod Protocol Batching Sequencer Shards ShardSpan Faults MaxTime"},
-		{orca.Batching{}, "MaxOps MaxBytes Linger"},
-		{group.Config{}, "Members Sequencer Method Protocol ProposeTimeout Batch SenderTimeout SenderRetries GapTimeout StatusEvery ElectionWait Heartbeat Port"},
-		{group.BatchConfig{}, "MaxOps MaxBytes Linger"},
-		{rts.P2PConfig{}, "Protocol Placement"},
-		{rts.AdaptConfig{}, "SampleEvery MinDwell WriteHeavyFrac ReadHeavyFrac DominantFrac Alpha"},
-		{rts.Costs{}, "ReadLocal WriteApply GuardCheck Create DefaultOp"},
-		{rts.ObjectType{}, "Name New Clone SizeOf Ops"},
-		{rts.Worker{}, "P M"},
-		{amoeba.Costs{}, "Interrupt Protocol Send Switch Quantum"},
-		{netsim.Params{}, "BandwidthBps PropDelay FrameOverhead MTU DropProb BroadcastCapable"},
-	}
-	for _, w := range want {
-		typ := reflect.TypeOf(w.v)
+	src := loadSource(t)
+	orca := src.pkgs["repro/internal/orca"]
+
+	for rec, want := range pinnedRecords {
 		var got []string
-		for i := 0; i < typ.NumField(); i++ {
-			if f := typ.Field(i); f.IsExported() {
-				got = append(got, f.Name)
+		for _, f := range src.exported(rec) {
+			got = append(got, f.Name())
+		}
+		if strings.Join(got, " ") != want {
+			t.Errorf("%s's exported fields are %q, want %q", rec, strings.Join(got, " "), want)
+		}
+	}
+	knobs := map[types.Object]string{} // field or option → "pkg.Record.Field" / "pkg.Name"
+	var names []string
+	for _, rec := range configRecords {
+		fields := src.exported(rec)
+		for _, f := range fields {
+			knobs[f] = rec + "." + f.Name()
+			names = append(names, rec+"."+f.Name())
+		}
+		t.Logf("%-18s %2d exported fields", rec, len(fields))
+	}
+	policy := orca.Scope().Lookup("Policy").Type()
+	option := orca.Scope().Lookup("Option").Type()
+	for _, name := range orca.Scope().Names() {
+		obj := orca.Scope().Lookup(name)
+		if !obj.Exported() || filepath.Base(src.fset.Position(obj.Pos()).Filename) != "policy.go" {
+			continue
+		}
+		kind := obj.Type()
+		if sig, ok := kind.(*types.Signature); ok && sig.Results().Len() == 1 {
+			kind = sig.Results().At(0).Type()
+		}
+		if _, isType := obj.(*types.TypeName); isType && kind != policy && types.Implements(kind, policy.Underlying().(*types.Interface)) ||
+			!isType && (types.Identical(kind, policy) || types.Identical(kind, option)) {
+			knobs[obj] = "orca." + name
+			names = append(names, "orca."+name)
+		}
+	}
+
+	// A function that puts a parameter in a knob field, as
+	// group.DefaultConfig(members) does, lets every caller set the field.
+	fromParams := map[types.Object][]types.Object{}
+	for _, file := range src.files {
+		for _, d := range file.ast.Decls {
+			fd, ok := d.(*ast.FuncDecl)
+			if !ok || fd.Body == nil {
+				continue
+			}
+			fn := src.info.Defs[fd.Name].(*types.Func)
+			ast.Inspect(fd.Body, func(n ast.Node) bool {
+				if kv, ok := n.(*ast.KeyValueExpr); ok {
+					key, _ := kv.Key.(*ast.Ident)
+					val, _ := kv.Value.(*ast.Ident)
+					if _, isKnob := knobs[src.info.Uses[key]]; isKnob && val != nil && isParam(src.info.Uses[val], fn) {
+						fromParams[fn] = append(fromParams[fn], src.info.Uses[key])
+					}
+				}
+				return true
+			})
+		}
+	}
+
+	setters := map[string]map[string]bool{} // knob → outside package dirs
+	set := func(obj types.Object, file *srcFile) {
+		if name, ok := knobs[obj]; ok && obj.Pkg() != file.pkg {
+			if setters[name] == nil {
+				setters[name] = map[string]bool{}
+			}
+			setters[name][file.dir] = true
+		}
+	}
+	for _, file := range src.files {
+		ast.Inspect(file.ast, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.KeyValueExpr:
+				if id, ok := n.Key.(*ast.Ident); ok && !src.copies(n.Value, src.info.Uses[id]) {
+					set(src.info.Uses[id], file)
+				}
+			case *ast.AssignStmt:
+				for i, l := range n.Lhs {
+					if sel, ok := ast.Unparen(l).(*ast.SelectorExpr); ok && !(len(n.Rhs) == len(n.Lhs) && src.copies(n.Rhs[i], src.info.Uses[sel.Sel])) {
+						set(src.info.Uses[sel.Sel], file)
+					}
+				}
+			case *ast.IncDecStmt:
+				if sel, ok := ast.Unparen(n.X).(*ast.SelectorExpr); ok {
+					set(src.info.Uses[sel.Sel], file)
+				}
+			case *ast.UnaryExpr:
+				if sel, ok := ast.Unparen(n.X).(*ast.SelectorExpr); ok && n.Op == token.AND {
+					set(src.info.Uses[sel.Sel], file)
+				}
+			case *ast.Ident:
+				obj := src.info.Uses[n]
+				if v, ok := obj.(*types.Var); !ok || !v.IsField() {
+					set(obj, file) // a policy or an option is kept by any reference
+				}
+				for _, f := range fromParams[obj] {
+					set(f, file)
+				}
+			}
+			return true
+		})
+	}
+
+	for _, name := range names {
+		kept, isKept := surfaceKept[name]
+		switch {
+		case len(setters[name]) > 0 && isKept:
+			t.Errorf("%s is set outside its package (%s): delete its surfaceKept entry", name, strings.Join(slices.Sorted(maps.Keys(setters[name])), " "))
+		case len(setters[name]) > 0:
+			t.Logf("%-32s %s", name, strings.Join(slices.Sorted(maps.Keys(setters[name])), " "))
+		case !isKept:
+			t.Errorf("%s: no non-test code outside its package sets or uses it; cut it, or add a surfaceKept entry naming the outside reader that keeps it", name)
+		default:
+			t.Logf("%-32s kept: %s — %s", name, kept.reader, kept.why)
+			field := name[strings.LastIndex(name, ".")+1:]
+			if text, err := os.ReadFile(kept.reader); err != nil || !regexp.MustCompile(`\b`+field+`\b`).Match(text) {
+				t.Errorf("%s: its reader %s does not mention %s (%v)", name, kept.reader, field, err)
 			}
 		}
-		t.Logf("%-18s %2d fields", typ.String(), len(got))
-		if strings.Join(got, " ") != w.fields {
-			t.Errorf("%s fields are\n\t%s\nwant\n\t%s", typ, strings.Join(got, " "), w.fields)
+	}
+	for name := range surfaceKept {
+		if !slices.Contains(names, name) {
+			t.Errorf("surfaceKept names %s, which is no longer a knob", name)
 		}
 	}
+}
+
+// exported returns the exported fields of rec, a "pkg.Type" struct
+// under internal/.
+func (s *source) exported(rec string) []*types.Var {
+	pkg, typ, _ := strings.Cut(rec, ".")
+	var out []*types.Var
+	for f := range s.pkgs["repro/internal/"+pkg].Scope().Lookup(typ).Type().Underlying().(*types.Struct).Fields() {
+		if f.Exported() {
+			out = append(out, f)
+		}
+	}
+	return out
+}
+
+// copies reports whether the value e reads field from another record,
+// as in Send: DefaultCosts().Send or MaxOps: b.MaxOps.
+func (s *source) copies(e ast.Expr, field types.Object) bool {
+	sel, ok := ast.Unparen(e).(*ast.SelectorExpr)
+	return ok && s.info.Uses[sel.Sel] == field
+}
+
+// isParam reports whether obj is one of fn's parameters.
+func isParam(obj types.Object, fn *types.Func) bool {
+	for p := range fn.Signature().Params().Variables() {
+		if p == obj {
+			return true
+		}
+	}
+	return false
+}
+
+// srcFile is one parsed non-test file and the package it belongs to.
+type srcFile struct {
+	ast *ast.File
+	pkg *types.Package
+	dir string // relative to the repository root
+}
+
+// source is every non-test package of the repository, type-checked from
+// its files; the standard library comes from export data.
+type source struct {
+	fset  *token.FileSet
+	info  *types.Info
+	pkgs  map[string]*types.Package
+	files []*srcFile
+	std   types.Importer
+}
+
+// loadSource type-checks the non-test code under internal/, cmd/,
+// examples/ and bench/.
+func loadSource(t *testing.T) *source {
+	t.Helper()
+	fset := token.NewFileSet()
+	src := &source{fset: fset, info: &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}},
+		pkgs: map[string]*types.Package{}, std: importer.ForCompiler(fset, "gc", nil)}
+	for _, root := range []string{"internal", "cmd", "examples", "bench"} {
+		err := filepath.WalkDir(root, func(p string, d os.DirEntry, err error) error {
+			if err != nil || !d.IsDir() {
+				return err
+			}
+			if d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".") {
+				return filepath.SkipDir
+			}
+			if goFiles(p) != nil {
+				_, err = src.Import("repro/" + filepath.ToSlash(p))
+			}
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	return src
+}
+
+// goFiles lists dir's non-test Go files.
+func goFiles(dir string) []string {
+	ents, _ := os.ReadDir(dir)
+	var out []string
+	for _, e := range ents {
+		if n := e.Name(); !e.IsDir() && strings.HasSuffix(n, ".go") && !strings.HasSuffix(n, "_test.go") {
+			out = append(out, filepath.Join(dir, n))
+		}
+	}
+	return out
+}
+
+// Import type-checks a repository package from its files, once; bench/
+// is module repro/bench, so one prefix maps every path to its directory.
+func (s *source) Import(importPath string) (*types.Package, error) {
+	if pkg, ok := s.pkgs[importPath]; ok {
+		return pkg, nil
+	}
+	dir, ok := strings.CutPrefix(importPath, "repro/")
+	if !ok {
+		return s.std.Import(importPath)
+	}
+	var files []*ast.File
+	for _, name := range goFiles(filepath.FromSlash(dir)) {
+		f, err := parser.ParseFile(s.fset, name, nil, 0)
+		if err != nil {
+			return nil, err
+		}
+		files = append(files, f)
+	}
+	pkg, err := (&types.Config{Importer: s}).Check(importPath, s.fset, files, s.info)
+	if err != nil {
+		return nil, err
+	}
+	s.pkgs[importPath] = pkg
+	for _, f := range files {
+		s.files = append(s.files, &srcFile{ast: f, pkg: pkg, dir: dir})
+	}
+	return pkg, nil
 }
