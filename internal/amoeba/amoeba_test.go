@@ -367,16 +367,26 @@ func TestRPCTimeoutWithoutCrash(t *testing.T) {
 	env.Shutdown()
 }
 
+// A deferred function runs in interrupt context, with the interrupt
+// thread for identity, and may send; the next task of interrupt service,
+// another round due at the same instant, waits until the send's
+// continuation has run.
 func TestDeferRunsOnInterruptThread(t *testing.T) {
-	env, _, ms := cluster(t, 1, nil)
-	ran := false
+	env, _, ms := cluster(t, 2, nil)
+	ms[1].Bind("sink", func(*sim.Proc, int, Packet) {})
+	var log []string
+	note := func(p *sim.Proc, what string) {
+		log = append(log, fmt.Sprintf("%s by %s at %v", what, p.Name(), p.Now()))
+	}
 	ms[0].After(5*sim.Millisecond, func(p *sim.Proc) {
-		ran = true
-		ms[0].Compute(p, sim.Microsecond) // must be legal in kernel context
+		note(p, "round")
+		ms[0].SendFn(p, 1, Packet{Port: "sink", Size: 8}, func() { note(p, "sent") })
 	})
+	ms[0].After(5*sim.Millisecond, func(p *sim.Proc) { note(p, "next round") })
 	env.Run()
-	if !ran {
-		t.Fatal("deferred fn did not run")
+	want := "[round by node0/netisr at 5.000ms sent by node0/netisr at 5.180ms next round by node0/netisr at 5.180ms]"
+	if fmt.Sprint(log) != want {
+		t.Errorf("%v, want %s", log, want)
 	}
 	env.Shutdown()
 }

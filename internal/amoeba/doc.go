@@ -11,11 +11,14 @@
 // user work, and the bound port handler then runs. This per-message CPU
 // tax is what bends the speedup curves of update-heavy applications,
 // exactly as the paper reports for ACP. Interrupt context is one FIFO
-// server per machine with two bodies: the simulator's dispatch lane,
-// for the charge and for handlers their port vouches will not block
-// (BindNonblocking), and the interrupt thread, for handlers that may
-// charge CPU or send and for deferred functions. Virtual time cannot
-// tell which body served a packet; wall-clock time can.
+// server per machine that runs to completion on the simulator's
+// dispatch lane: the charge, the handler and deferred functions (kernel
+// timer rounds) alike. A handler never blocks: it sends through the
+// continuation forms (SendFn, MulticastFn), chaining one send from the
+// last one's continuation, and the kernel serves the next packet once
+// the handler and every continuation it started have run, so service
+// stalls behind its sends as it did behind a blocked interrupt thread,
+// in the same virtual instants.
 //
 // RPC is Amoeba's: a Client thread blocks in Call (or Trans, its
 // all-body form), which retransmits on timeout; a Server deduplicates by
@@ -39,12 +42,12 @@
 // of the owner's is asked, at the instant GetRequest would have
 // returned, whether it serves the request on the dispatch lane (to the
 // end, or through PutResultFn and Done) or declines, in which case the
-// thread gets the request within the same event. Like interrupt
-// context, that is one FIFO server with two bodies, and only the wall
-// clock can tell them apart; it is a contract on the owner — one
-// consuming thread, decline before any side effect, never block — and
-// such a server is never closed. Request and transaction records are
-// pooled: a Request is the server's again once its reply is sent.
+// thread gets the request within the same event. That is one FIFO
+// server with two bodies, and only the wall clock can tell them apart;
+// it is a contract on the owner — one consuming thread, decline before
+// any side effect, never block — and such a server is never closed.
+// Request and transaction records are pooled: a Request is the
+// server's again once its reply is on its way.
 //
 // Machines crash whole: Crash kills every thread on the machine and
 // takes it off the network, and in-flight RPCs from other machines to

@@ -17,7 +17,7 @@ import (
 // than they are served (a send costs 180 µs, a receipt 210 µs), so
 // machine 1 always has successors queued behind the delivery in
 // service.
-func crashRun(t *testing.T, nonblocking bool, crashAt sim.Time) (handled [3][]sim.Time, fig string) {
+func crashRun(t *testing.T, crashAt sim.Time) (handled [3][]sim.Time, fig string) {
 	t.Helper()
 	env, nw, ms := cluster(t, 3, nil)
 	for i := 1; i <= 2; i++ {
@@ -25,9 +25,6 @@ func crashRun(t *testing.T, nonblocking bool, crashAt sim.Time) (handled [3][]si
 		ms[i].Bind("sink", func(p *sim.Proc, from int, pkt Packet) {
 			handled[i] = append(handled[i], p.Now())
 		})
-		if nonblocking {
-			ms[i].BindNonblocking("sink", func(int, *Packet) bool { return true })
-		}
 	}
 	ms[0].SpawnThread("sender", func(p *sim.Proc) {
 		for k := 0; k < 4; k++ {
@@ -58,80 +55,141 @@ func crashRun(t *testing.T, nonblocking bool, crashAt sim.Time) (handled [3][]si
 // pinned figures (events, frames, CPU busy ns per machine) were taken
 // from the kernel whose interrupt service was a thread throughout.
 func TestCrashDuringInlineInterrupt(t *testing.T) {
-	for _, nonblocking := range []bool{false, true} {
-		clean, fig := crashRun(t, nonblocking, 0)
-		if want := "queued=-1 events=23 frames=4 busy=720000/840000/840000"; fig != want {
-			t.Errorf("nonblocking=%t, no crash: %s, want %s", nonblocking, fig, want)
+	clean, fig := crashRun(t, 0)
+	if want := "queued=-1 events=23 frames=4 busy=720000/840000/840000"; fig != want {
+		t.Errorf("no crash: %s, want %s", fig, want)
+	}
+	if len(clean[1]) != 4 || len(clean[2]) != 4 {
+		t.Fatalf("handled %d and %d packets, want 4 and 4", len(clean[1]), len(clean[2]))
+	}
+	for _, c := range []struct {
+		name    string
+		crashAt sim.Time
+		handled int
+		fig     string
+	}{
+		// 5 µs before the first handler is due: the first delivery's
+		// charge holds the CPU, the second is queued.
+		{"first charge", clean[1][0] - 5*sim.Microsecond, 0,
+			"queued=1 events=21 frames=4 busy=720000/4685200/840000"},
+		// 5 µs before the second: one handler has run, its successor's
+		// charge holds the CPU, the third is queued.
+		{"successor's charge", clean[1][1] - 5*sim.Microsecond, 1,
+			"queued=1 events=22 frames=4 busy=720000/4685200/840000"},
+	} {
+		handled, fig := crashRun(t, c.crashAt)
+		if len(handled[1]) != c.handled {
+			t.Errorf("%s: crashed machine ran %d handlers, want %d", c.name, len(handled[1]), c.handled)
 		}
-		if len(clean[1]) != 4 || len(clean[2]) != 4 {
-			t.Fatalf("nonblocking=%t: handled %d and %d packets, want 4 and 4", nonblocking, len(clean[1]), len(clean[2]))
+		if fmt.Sprint(handled[2]) != fmt.Sprint(clean[2]) {
+			t.Errorf("%s: bystander handled at %v, want %v", c.name, handled[2], clean[2])
 		}
-		for _, c := range []struct {
-			name    string
-			crashAt sim.Time
-			handled int
-			fig     string
-		}{
-			// 5 µs before the first handler is due: the first delivery's
-			// charge holds the CPU, the second is queued.
-			{"first charge", clean[1][0] - 5*sim.Microsecond, 0,
-				"queued=1 events=21 frames=4 busy=720000/4685200/840000"},
-			// 5 µs before the second: one handler has run, its successor's
-			// charge holds the CPU, the third is queued.
-			{"successor's charge", clean[1][1] - 5*sim.Microsecond, 1,
-				"queued=1 events=22 frames=4 busy=720000/4685200/840000"},
-		} {
-			handled, fig := crashRun(t, nonblocking, c.crashAt)
-			if len(handled[1]) != c.handled {
-				t.Errorf("nonblocking=%t, %s: crashed machine ran %d handlers, want %d", nonblocking, c.name, len(handled[1]), c.handled)
-			}
-			if fmt.Sprint(handled[2]) != fmt.Sprint(clean[2]) {
-				t.Errorf("nonblocking=%t, %s: bystander handled at %v, want %v", nonblocking, c.name, handled[2], clean[2])
-			}
-			if fig != c.fig {
-				t.Errorf("nonblocking=%t, %s: %s, want %s", nonblocking, c.name, fig, c.fig)
-			}
+		if fig != c.fig {
+			t.Errorf("%s: %s, want %s", c.name, fig, c.fig)
 		}
 	}
 }
 
-// A port's predicate decides, packet by packet and at the instant the
-// handler is due, where the handler runs; the handler sees the same
-// interrupt thread and the same instant either way, and a handler that
-// charges CPU after being vouched for is reported, not hung.
-func TestBindNonblocking(t *testing.T) {
-	env, _, ms := cluster(t, 2, nil)
-	var log []string
-	var caught any
-	ms[1].Bind("svc", func(p *sim.Proc, from int, pkt Packet) {
-		defer func() {
-			if r := recover(); r != nil {
-				caught = r
-			}
-		}()
-		if pkt.Body.(int)%2 == 1 {
-			ms[1].Compute(p, 10*sim.Microsecond) // legal on the thread only
-		}
-		log = append(log, fmt.Sprintf("%d@%v by %s", pkt.Body, p.Now(), p.Name()))
+// chainRun has machine 0 send three triggers to machine 1, each 3 ms
+// after the last, which relays each as two frames to machine 2, a then
+// b, while a user thread on machine 1 keeps its CPU busy in 100 µs
+// claims: the user's next claim is queued while the relay's first send
+// is charged, so it comes between the two sends. The relay's handler
+// sends through the continuation forms, the second send from the
+// first's continuation; on thread, the reference, the handler hands the
+// trigger to a thread of the test's that sends both with Send. Machine
+// 1 crashes at crashAt (never, if zero). It returns the (time, frame)
+// trace of machine 2 and the figures an observer could take.
+func chainRun(t *testing.T, thread bool, crashAt sim.Time) (trace, fig string) {
+	env, _, ms := cluster(t, 3, nil)
+	var got []string
+	ms[2].Bind("sink", func(p *sim.Proc, from int, pkt Packet) {
+		got = append(got, fmt.Sprintf("%v %v", p.Now(), pkt.Body))
 	})
-	ms[1].BindNonblocking("svc", func(from int, pkt *Packet) bool {
-		k := pkt.Body.(int)
-		return k%2 == 0 || k == 3 // 3 is vouched for wrongly
+	frame := func(name string, k int) Packet { return Packet{Port: "sink", Body: fmt.Sprint(name, k), Size: 64} }
+	if thread {
+		triggers := sim.NewQueue[int](env)
+		ms[1].Bind("relay", func(p *sim.Proc, from int, pkt Packet) { triggers.Put(pkt.Body.(int)) })
+		ms[1].SpawnThread("relay", func(p *sim.Proc) {
+			for {
+				k, _ := triggers.Get(p)
+				ms[1].Send(p, 2, frame("a", k))
+				ms[1].Send(p, 2, frame("b", k))
+			}
+		})
+	} else {
+		ms[1].Bind("relay", func(p *sim.Proc, from int, pkt Packet) {
+			k := pkt.Body.(int)
+			ms[1].SendFn(p, 2, frame("a", k), func() {
+				ms[1].SendFn(p, 2, frame("b", k), func() {})
+			})
+		})
+	}
+	ms[1].SpawnThread("user", func(p *sim.Proc) {
+		for i := 0; i < 100; i++ {
+			ms[1].Compute(p, 100*sim.Microsecond)
+		}
 	})
 	ms[0].SpawnThread("sender", func(p *sim.Proc) {
-		for k := 0; k < 4; k++ {
-			ms[0].Send(p, 1, Packet{Port: "svc", Body: k, Size: 64})
+		for k := 0; k < 3; k++ {
+			ms[0].Send(p, 1, Packet{Port: "relay", Body: k, Size: 64})
+			p.Sleep(3 * sim.Millisecond)
 		}
 	})
+	if crashAt > 0 {
+		env.At(crashAt, func() { ms[1].Crash() })
+	}
 	env.Run()
 	env.Shutdown()
-	want := "[0@524.800µs by node1/netisr 1@744.800µs by node1/netisr 2@954.800µs by node1/netisr]"
-	if got := fmt.Sprint(log); got != want {
-		t.Errorf("handled %s, want %s", got, want)
+	return strings.Join(got, ", "), fmt.Sprintf("busy=%d events=%d", ms[1].CPU().BusyTime(), env.Events())
+}
+
+// A handler's second send, made from its first send's continuation,
+// takes the place a thread's second Send takes: behind the claim a user
+// thread queued while the first was charged. So machine 2 hears the same
+// frames at the same instants as from the reference thread, and a crash
+// between the two sends cuts the chain where it cuts the thread. The
+// pinned figures were taken from the kernel that ran such a handler on
+// its interrupt thread with blocking sends.
+func TestChainedSendsMatchThread(t *testing.T) {
+	for _, c := range []struct {
+		name    string
+		crashAt sim.Time
+		trace   string
+		fig     string
+	}{
+		{"no crash", 0, "1.235ms a0, 1.515ms b0, 4.405ms a1, 4.685ms b1, 7.575ms a2, 7.855ms b2", "busy=11710000 events=162"},
+		// a1 has gone out, b1 is being charged behind the user's claim.
+		{"crash mid-chain", 4200 * sim.Microsecond, "1.235ms a0, 1.515ms b0, 4.405ms a1", "busy=9540000 events=74"},
+	} {
+		trace, fig := chainRun(t, false, c.crashAt)
+		if ref, _ := chainRun(t, true, c.crashAt); trace != ref {
+			t.Errorf("%s: machine 2 heard %s, from the reference thread %s", c.name, trace, ref)
+		}
+		if trace != c.trace || fig != c.fig {
+			t.Errorf("%s: %s | %s, want %s | %s", c.name, trace, fig, c.trace, c.fig)
+		}
 	}
-	if caught == nil {
-		t.Error("a handler that blocked on the dispatch lane was not reported")
-	}
+}
+
+// A handler runs on the dispatch lane with the interrupt thread parked,
+// so a handler that reaches a blocking call with it is a bug, and sim
+// says so, naming the thread, instead of hanging.
+func TestBlockingHandlerPanics(t *testing.T) {
+	env, _, ms := cluster(t, 2, nil)
+	ms[1].Bind("svc", func(p *sim.Proc, from int, pkt Packet) {
+		ms[1].Send(p, 0, Packet{Port: "svc", Size: 64})
+	})
+	ms[0].SpawnThread("sender", func(p *sim.Proc) {
+		ms[0].Send(p, 1, Packet{Port: "svc", Size: 64})
+	})
+	defer env.Shutdown()
+	defer func() {
+		if r := fmt.Sprint(recover()); !strings.Contains(r, "node1/netisr blocks while already parked") {
+			t.Errorf("a handler that blocked reported %q", r)
+		}
+	}()
+	env.Run()
 }
 
 // A transaction's record goes back to the client's pool when Trans
@@ -170,9 +228,8 @@ func TestRPCLateDuplicateMeetsReusedRecord(t *testing.T) {
 	// Watch the reply port from in front of the client's handler.
 	var replies []string
 	env.At(0, func() {
-		b := ms[0].ports["svc-rep"]
-		h := b.h
-		b.h = func(p *sim.Proc, from int, pkt Packet) {
+		h := ms[0].ports["svc-rep"]
+		ms[0].ports["svc-rep"] = func(p *sim.Proc, from int, pkt Packet) {
 			w := pkt
 			state := "late"
 			if c.waits[w.TxID] != nil {
@@ -322,9 +379,8 @@ func TestRPCRetransmissionCarriesItsOwnBytes(t *testing.T) {
 	})
 	var seen []string
 	env.At(0, func() {
-		b := ms[1].ports["svc"]
-		h := b.h
-		b.h = func(p *sim.Proc, from int, pkt Packet) {
+		h := ms[1].ports["svc"]
+		ms[1].ports["svc"] = func(p *sim.Proc, from int, pkt Packet) {
 			seen = append(seen, fmt.Sprintf("%s/%d %v", pkt.Op, pkt.Obj, pkt.Args.Values()))
 			h(p, from, pkt)
 		}
@@ -407,7 +463,6 @@ func TestBroadcastReceiveAllocations(t *testing.T) {
 				all.Signal()
 			}
 		})
-		m.BindNonblocking("sink", func(int, *Packet) bool { return true })
 	}
 	ms[1].SpawnThread("sender", func(p *sim.Proc) {
 		for {
@@ -453,9 +508,6 @@ func TestCastReturnsAfterItsLastReceiver(t *testing.T) {
 			}
 			heard++
 		})
-		if i%2 == 0 {
-			ms[i].BindNonblocking("sink", func(int, *Packet) bool { return true })
-		}
 	}
 	env.Trace = func(_ sim.Time, format string, args ...any) {
 		if s := fmt.Sprintf(format, args...); strings.Contains(s, "unbound port") {

@@ -61,34 +61,22 @@ type Packet struct {
 }
 
 // Handler services packets arriving at a bound port. It runs in
-// interrupt context, after the delivery's interrupt and protocol CPU
-// costs have been charged, and p is the machine's interrupt thread.
-// A handler may charge CPU and send packets through p (Send, Broadcast,
-// cpu.Use): interrupt service then stalls behind it, as on a real
-// kernel. It must not wait for another delivery or a timer, which
-// could never be served while it waits.
-//
-// For packets the port's Nonblocking predicate vouches for, the handler
-// is called on the dispatch lane while p stays parked: p is then good
-// for identity and p.Now() only, and reaching a blocking call with it
-// panics in sim.
+// interrupt context, on the simulator's dispatch lane, after the
+// delivery's interrupt and protocol CPU costs have been charged, and p
+// is the machine's interrupt thread, which stays parked: p is good for
+// identity, for p.Now() and as the claimant of CPU time, and reaching a
+// blocking call with it panics in sim. A handler never blocks. It sends
+// through the continuation forms (SendFn, MulticastFn) with p, whatever
+// it does after a send going into that send's continuation, and issues
+// a second send from the first one's continuation, never beside it. The
+// kernel joins them: the next delivery is served once the handler has
+// returned and every continuation it started has run, so interrupt
+// service stalls behind its sends, as on a real kernel. A handler must
+// not wait for another delivery or a timer.
 type Handler func(p *sim.Proc, from int, pkt Packet)
 
-// Nonblocking tells, for one packet about to be handed to its port's
-// handler, whether the handler will serve it without blocking — no CPU
-// charge, no send. It is evaluated at the instant the handler is due,
-// must itself have no side effect, and must neither keep nor write pkt,
-// which is the kernel's.
-type Nonblocking func(from int, pkt *Packet) bool
-
-// binding is what a bound port resolves to.
-type binding struct {
-	h  Handler
-	ok Nonblocking // nil: every packet is served on the interrupt thread
-}
-
-// task is a unit of work for the interrupt thread: either a delivered
-// frame or a deferred function (timer bodies that need kernel CPU). A
+// task is a unit of interrupt service: either a delivered frame or a
+// deferred function (a kernel timer round, which may send). A
 // frame's payload (see open) stays where the sender put it until the
 // frame has been charged for: a task is copied from queue to queue, a
 // packet is seventeen words, and a frame waiting in a queue owns what
@@ -112,10 +100,12 @@ type Machine struct {
 	cur        task      // the delivery whose costs are being charged inline
 	pkt        Packet    // the packet being served, opened by dispatch
 	dispatchFn func()    // m.dispatch, bound once
-	ports      map[string]*binding
-	lastPort   string   // memo of the last resolution (see bound);
-	last       *binding // nil after a Bind or an Unbind
-	casts      *cast    // released broadcast payloads, for cast to reuse
+	ports      map[string]Handler
+	lastPort   string  // memo of the last resolution (see bound);
+	last       Handler // nil after a Bind or an Unbind
+	casts      *cast   // released broadcast payloads, for cast to reuse
+	sends      *sending
+	joins      int // continuations the task in service has outstanding
 	crashed    bool
 
 	threads    []*sim.Proc // live threads of this machine (compacted lazily)
@@ -133,7 +123,7 @@ func NewMachine(env *sim.Env, net *netsim.Network, id int, costs Costs) *Machine
 		costs: costs,
 		cpu:   sim.NewResource(env),
 		inq:   sim.NewQueue[task](env),
-		ports: make(map[string]*binding),
+		ports: make(map[string]Handler),
 	}
 	m.cpu.Slice = quantum
 	m.dispatchFn = m.dispatch
@@ -156,23 +146,24 @@ func (m *Machine) Net() *netsim.Network { return m.net }
 func (m *Machine) CPU() *sim.Resource { return m.cpu }
 
 // Interrupt service runs to completion on the simulator's dispatch
-// lane wherever it cannot block, and on the interrupt thread's
-// goroutine otherwise; both are one FIFO server of m.inq (see
-// sim.Queue.Serve), so the order of service and every virtual instant
-// are those of a single thread doing all of it.
+// lane, as one FIFO server of m.inq (see sim.Queue.Serve): a task is
+// served once the one before it has finished, continuations and all, so
+// the order of service and every virtual instant are those of a single
+// thread doing all of it.
 //
-// interrupt is the inline half. A delivery's interrupt and protocol
-// costs are charged as a front-lane continuation on the CPU; dispatch
-// then runs the port handler in place if the port vouches that it will
-// not block, and otherwise hands the delivery to the thread, in the
-// same event, to run the same handler there. Deferred functions exist
-// to charge CPU and send, so they go straight to the thread.
+// interrupt serves one task. A deferred function runs in place. A
+// delivery's interrupt and protocol costs are charged as a front-lane
+// continuation on the CPU, and dispatch then runs the port handler.
 func (m *Machine) interrupt(t task) sim.Verdict {
 	if m.crashed {
 		return sim.Finished
 	}
 	if t.fn != nil {
-		return sim.Decline
+		t.fn(m.isr)
+		if m.joins > 0 {
+			return sim.Pending
+		}
+		return sim.Finished
 	}
 	m.cur = t
 	cost := m.costs.Interrupt*sim.Time(t.frags) + m.costs.Protocol
@@ -187,29 +178,27 @@ func (m *Machine) dispatch() {
 	from := m.cur.from
 	m.open(m.cur.pay)
 	m.cur = task{}
-	switch b := m.bound(m.pkt.Port); {
-	case b == nil:
+	if h := m.bound(m.pkt.Port); h != nil {
+		h(m.isr, from, m.pkt)
+	} else {
 		m.env.Tracef("node%d: drop packet for unbound port %q", m.id, m.pkt.Port)
-	case b.ok == nil || m.env.AllThreads || !b.ok(from, &m.pkt):
-		m.inq.Punt()
-		return
-	default:
-		b.h(m.isr, from, m.pkt)
 	}
-	m.inq.Done()
+	if m.joins == 0 {
+		m.inq.Done()
+	}
 }
 
 // bound resolves a port. Nearly every packet a machine receives is for
 // the port of the one before it, so the table is probed only when the
 // port changes.
-func (m *Machine) bound(port string) *binding {
+func (m *Machine) bound(port string) Handler {
 	if m.last == nil || port != m.lastPort {
 		m.lastPort, m.last = port, m.ports[port]
 	}
 	return m.last
 }
 
-// boxes recycles the payloads of unicast frames (see transmit and
+// boxes recycles the payloads of unicast frames (see sending.sent and
 // open). It is shared by every machine of every simulation in the
 // process, because who sends and who receives is rarely balanced: under
 // the PB method every member sends its requests to the sequencer and
@@ -261,7 +250,7 @@ func (m *Machine) receive(d netsim.Delivery) {
 }
 
 // open copies a frame's packet into m.pkt and lets go of the payload. A
-// unicast frame's is a box (see transmit) that only this machine will
+// unicast frame's is a box (see sending.sent) that only this machine will
 // ever see, so it goes back to the pool here. A frame the network drops
 // never gets here, and its box goes to the collector.
 func (m *Machine) open(pay any) {
@@ -284,32 +273,16 @@ func (m *Machine) open(pay any) {
 	}
 }
 
-// interruptLoop is the kernel's interrupt-service thread: it runs what
-// interrupt and dispatch pass on — deferred functions, and deliveries,
-// already charged, whose handler may block.
-//
-// The goroutine exists because a handler may send in the middle of a
-// change of state: the group layer's handlers (sequencing, retransmission,
-// elections, some eighty functions) interleave Send and Broadcast, which
-// wait for the CPU, with protocol state, and deferred functions exist to
-// do just that. It takes 7.3 % of the deliveries of a replicated kv run
-// (the sequencer's and the senders' side of each write), 0.6 % of a
-// primary-copy one and 24.1 % of a batched, sharded TSP: go test -run
+// interruptLoop is the interrupt thread's body. interrupt and dispatch
+// serve every task of m.inq on the dispatch lane, so the thread parks in
+// Get for good: it stays as the queue's consumer and as the identity the
+// kernel claims the CPU with. Of the deliveries of a replicated kv run,
+// a primary-copy one and a batched, sharded TSP, 0 reach it (7.3 %, 0.6 %
+// and 24.1 % when handlers that send ran here): go test -run
 // TestRouteShares -v ./internal/orca.
 func (m *Machine) interruptLoop(p *sim.Proc) {
-	for {
-		t, ok := m.inq.Get(p)
-		if !ok {
-			return
-		}
-		if m.crashed {
-			continue
-		}
-		if t.fn != nil {
-			t.fn(p)
-			continue
-		}
-		m.bound(m.pkt.Port).h(p, t.from, m.pkt) // opened by dispatch, which punted it
+	if _, ok := m.inq.Get(p); ok {
+		panic(fmt.Sprintf("amoeba: node %d: interrupt service handed a task to its thread", m.id))
 	}
 }
 
@@ -319,18 +292,7 @@ func (m *Machine) Bind(port string, h Handler) {
 	if _, dup := m.ports[port]; dup {
 		panic(fmt.Sprintf("amoeba: node %d: port %q already bound", m.id, port))
 	}
-	m.ports[port], m.last = &binding{h: h}, nil
-}
-
-// BindNonblocking adds to a bound port the predicate that lets its
-// handler run to completion on the dispatch lane (see Handler). A port
-// without one has every packet served on the interrupt thread.
-func (m *Machine) BindNonblocking(port string, ok Nonblocking) {
-	b := m.ports[port]
-	if b == nil {
-		panic(fmt.Sprintf("amoeba: node %d: port %q not bound", m.id, port))
-	}
-	b.ok = ok
+	m.ports[port], m.last = h, nil
 }
 
 // Unbind removes a port binding.
@@ -394,46 +356,97 @@ func (m *Machine) AppBusy() sim.Time { return m.appBusy }
 
 // Send transmits a unicast packet to dst, charging send-side CPU to p.
 func (m *Machine) Send(p *sim.Proc, dst int, pkt Packet) {
-	if m.crashed {
-		return
-	}
-	m.cpu.Use(p, m.costs.Send)
-	m.transmit(dst, pkt)
+	m.SendFn(p, dst, pkt, p.Resume())
+	p.Park()
 }
 
-// transmit hands a unicast packet whose send cost has been charged to
-// the driver. The frame carries a copy of the packet in a pooled box
-// that the receiving machine returns (see open); the caller's packet
-// is not referred to again, so a record it came from may be reused
-// while the frame is in flight.
-func (m *Machine) transmit(dst int, pkt Packet) {
-	if dst == netsim.Broadcast { // several receivers must not share a box
-		m.net.BroadcastFrame(m.cast(pkt))
+// SendFn is Send in continuation form: the send cost is charged on p's
+// behalf, and the packet is then transmitted and then runs, in the
+// event where Send would have returned to p. A crashed machine sends
+// nothing and charges nothing, and then runs at once. A claim made on
+// the interrupt thread's behalf belongs to the task in service, which
+// ends only once then has run (see Handler).
+func (m *Machine) SendFn(p *sim.Proc, dst int, pkt Packet, then func()) {
+	m.sendFn(p, dst, pkt, nil, then)
+}
+
+// sending is a send on its way out; records are pooled per machine.
+type sending struct {
+	m       *Machine
+	dst     int
+	members []int // a multicast's receivers
+	pkt     Packet
+	then    func()
+	kernel  bool   // claimed by the interrupt thread
+	sentFn  func() // s.sent, bound once
+	next    *sending
+}
+
+func (m *Machine) sendFn(p *sim.Proc, dst int, pkt Packet, members []int, then func()) {
+	if m.crashed {
+		then()
 		return
 	}
-	box := boxes.Get().(*Packet)
-	*box = pkt
-	m.net.SendFrame(netsim.Frame{Src: m.id, Dst: dst, Kind: pkt.Kind, Size: pkt.Size, Payload: box})
+	s := m.sends
+	if s == nil {
+		s = &sending{m: m}
+		s.sentFn = s.sent
+	} else {
+		m.sends = s.next
+	}
+	s.dst, s.members, s.pkt, s.then, s.kernel = dst, members, pkt, then, p == m.isr
+	if s.kernel {
+		m.joins++
+	}
+	m.cpu.UseFn(p, m.costs.Send, s.sentFn)
+}
+
+// sent hands a packet whose send cost has been charged to the driver
+// and runs the send's continuation; the last continuation of the task in
+// service ends it. A unicast frame carries a copy of the packet in a
+// pooled box that the receiving machine returns (see open); the caller's
+// packet is not referred to again, so a record it came from may be
+// reused while the frame is in flight.
+func (s *sending) sent() {
+	m := s.m
+	switch {
+	case s.members != nil:
+		m.net.MulticastFrame(m.cast(s.pkt), s.members)
+	case s.dst == netsim.Broadcast: // several receivers must not share a box
+		m.net.BroadcastFrame(m.cast(s.pkt))
+	default:
+		box := boxes.Get().(*Packet)
+		*box = s.pkt
+		m.net.SendFrame(netsim.Frame{Src: m.id, Dst: s.dst, Kind: s.pkt.Kind, Size: s.pkt.Size, Payload: box})
+	}
+	then, kernel := s.then, s.kernel
+	*s = sending{m: m, sentFn: s.sentFn, next: m.sends}
+	m.sends = s
+	then()
+	if kernel {
+		if m.joins--; m.joins == 0 {
+			m.inq.Done()
+		}
+	}
 }
 
 // Broadcast transmits a packet to all other machines, charging
-// send-side CPU to p. It requires broadcast-capable hardware.
+// send-side CPU to p. It requires broadcast-capable hardware; its
+// continuation form is SendFn to netsim.Broadcast.
 func (m *Machine) Broadcast(p *sim.Proc, pkt Packet) { m.Send(p, netsim.Broadcast, pkt) }
 
-// Multicast transmits a packet to the listed member nodes, charging
-// send-side CPU to p. The wire carries one frame (hardware multicast);
-// only member NICs take receive interrupts. members must be sorted
-// ascending for deterministic delivery order.
-func (m *Machine) Multicast(p *sim.Proc, pkt Packet, members []int) {
-	if m.crashed {
-		return
-	}
-	m.cpu.Use(p, m.costs.Send)
-	m.net.MulticastFrame(m.cast(pkt), members)
+// MulticastFn transmits a packet to the listed member nodes, charging
+// send-side CPU to p, in continuation form (see SendFn). The wire
+// carries one frame (hardware multicast); only member NICs take receive
+// interrupts. members must be sorted ascending for deterministic
+// delivery order.
+func (m *Machine) MulticastFn(p *sim.Proc, pkt Packet, members []int, then func()) {
+	m.sendFn(p, 0, pkt, members, then)
 }
 
-// Defer enqueues fn to run on the interrupt thread, where it may charge
-// kernel CPU and send packets. Timer callbacks use this to re-enter
+// Defer enqueues fn to run in interrupt context, as a task of interrupt
+// service: on the dispatch lane, with the interrupt thread for p, under
+// the contract of a Handler. Timer callbacks use this to re-enter
 // kernel context.
 func (m *Machine) Defer(fn func(p *sim.Proc)) {
 	if m.crashed {
@@ -442,8 +455,8 @@ func (m *Machine) Defer(fn func(p *sim.Proc)) {
 	m.inq.Put(task{fn: fn})
 }
 
-// After schedules fn on the interrupt thread d from now. The returned
-// event can be cancelled.
+// After schedules fn in interrupt context d from now (see Defer). The
+// returned event can be cancelled.
 func (m *Machine) After(d sim.Time, fn func(p *sim.Proc)) *sim.Event {
 	return m.env.After(d, func() { m.Defer(fn) }) // which a crashed machine ignores
 }

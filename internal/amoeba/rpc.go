@@ -42,8 +42,8 @@ func DefaultRPCPolicy() RPCDefaults {
 }
 
 // Request is a received RPC request awaiting a reply. The record is the
-// server's: it is reused for a later request once the reply has been
-// sent, so whoever serves a Request must not keep it past its PutReply;
+// server's: it is reused for a later request once the reply is on its
+// way, so whoever serves a Request must not keep it past its PutReply;
 // replying to one a second time panics.
 type Request struct {
 	Packet // as received: Op, Obj, Args, Body and Size are the request's
@@ -56,12 +56,6 @@ type Request struct {
 	// switched: the context switch to the serving thread has been charged
 	// on the dispatch lane already (see Server.Serve).
 	switched bool
-
-	// The reply on its way out in continuation form (see PutResultFn);
-	// sentFn is r.sent, bound once per record.
-	rep    Packet
-	then   func()
-	sentFn func()
 }
 
 // Server accepts RPCs on a port of a machine. Create one with
@@ -108,16 +102,7 @@ func NewServer(m *Machine, port string) *Server {
 		max:     1024,
 	}
 	m.Bind(port, s.handle)
-	m.BindNonblocking(port, s.queues)
 	return s
-}
-
-// queues reports that handle will only queue (or drop) the packet: all
-// but the duplicate of an executed request, whose cached reply it
-// resends.
-func (s *Server) queues(from int, pkt *Packet) bool {
-	_, done := s.seen[pkt.TxID]
-	return !done || pkt.Rep
 }
 
 // handle runs in interrupt context for every packet on the port.
@@ -127,7 +112,7 @@ func (s *Server) handle(p *sim.Proc, from int, pkt Packet) {
 	}
 	if rep, done := s.seen[pkt.TxID]; done {
 		// Duplicate of an executed request: resend the cached reply.
-		s.m.Send(p, from, s.repPacket(pkt.TxID, pkt.Op, rep, sizeOfBody(rep.body)))
+		s.m.SendFn(p, from, s.repPacket(pkt.TxID, pkt.Op, rep, sizeOfBody(rep.body)), func() {})
 		return
 	}
 	if s.inwrk[pkt.TxID] {
@@ -141,7 +126,6 @@ func (s *Server) handle(p *sim.Proc, from int, pkt Packet) {
 		r.released = false
 	} else {
 		r = &Request{srv: s}
-		r.sentFn = r.sent
 	}
 	r.Packet, r.From = pkt, from
 	s.reqs.Put(r)
@@ -237,7 +221,7 @@ func (s *Server) repPacket(txid int64, op string, rep cachedReply, size int) Pac
 
 // release takes back the record of a request that has been replied to.
 func (s *Server) release(r *Request) {
-	*r = Request{srv: s, sentFn: r.sentFn, released: true}
+	*r = Request{srv: s, released: true}
 	if poison { // a server that kept r replies to nobody, about nothing
 		r.Packet, r.From = Packet{Port: "amoeba: released Request", TxID: -1}, -2
 	}
@@ -245,7 +229,8 @@ func (s *Server) release(r *Request) {
 }
 
 // PutReply sends a reply for r that is all body and records it for
-// duplicate suppression. r is the server's again when PutReply returns.
+// duplicate suppression. r is the server's again once PutReply is
+// called.
 func (s *Server) PutReply(p *sim.Proc, r *Request, body any, size int) {
 	s.putFn(p, r, Args{}, body, size, p.Resume())
 	p.Park()
@@ -259,31 +244,17 @@ func (s *Server) PutResult(p *sim.Proc, r *Request, res Args, size int) {
 
 // PutResultFn is PutResult in continuation form, for code that serves r
 // on the dispatch lane on behalf of a parked thread p (see Serve, and
-// sim.Resource.UseFn): the reply is recorded now, the send cost is
-// charged on p's behalf, and then the reply is transmitted and then
-// runs, in the event where PutResult would have returned to p.
+// sim.Resource.UseFn): the reply is recorded now and sent with SendFn,
+// so then runs in the event where PutResult would have returned to p.
 func (s *Server) PutResultFn(p *sim.Proc, r *Request, res Args, size int, then func()) {
 	s.putFn(p, r, res, nil, size, then)
 }
 
-// putFn is every reply. A crashed machine sends nothing and charges
-// nothing (see Machine.Send); whoever still runs there goes straight on.
+// putFn is every reply.
 func (s *Server) putFn(p *sim.Proc, r *Request, res Args, body any, size int, then func()) {
-	r.rep, r.then = s.reply(r, res, body, size), then
-	if s.m.crashed {
-		s.release(r)
-		then()
-		return
-	}
-	s.m.cpu.UseFn(p, s.m.costs.Send, r.sentFn)
-}
-
-// sent continues putFn once the send has been charged.
-func (r *Request) sent() {
-	s, then := r.srv, r.then
-	s.m.transmit(r.From, r.rep)
+	rep, to := s.reply(r, res, body, size), r.From
 	s.release(r)
-	then()
+	s.m.SendFn(p, to, rep, then)
 }
 
 // Client issues RPCs from a machine to servers elsewhere. A single
@@ -328,8 +299,6 @@ func (c *Client) ensureReplyPort(port string) {
 	}
 	c.bound[port] = true
 	c.m.Bind(port+"-rep", c.onReply)
-	// A reply only wakes its waiting transaction.
-	c.m.BindNonblocking(port+"-rep", func(int, *Packet) bool { return true })
 }
 
 // onReply hands a reply to the transaction waiting for it. Transactions

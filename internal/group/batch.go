@@ -50,10 +50,23 @@ type BatchOp struct {
 // as few frames as the frame capacity allows. Op order is preserved
 // within the batch.
 func (g *Member) BroadcastBatch(p *sim.Proc, ops []BatchOp, dst []int64) []int64 {
-	for _, op := range ops {
-		dst = append(dst, g.Broadcast(p, op.Kind, op.Body, op.Size))
-	}
+	g.BroadcastBatchFn(p, ops, &dst, p.Resume())
+	p.Park()
 	return dst
+}
+
+// BroadcastBatchFn is BroadcastBatch in continuation form: each op's uid
+// is appended to *dst as the op is submitted, and then runs where
+// BroadcastBatch returns.
+func (g *Member) BroadcastBatchFn(p *sim.Proc, ops []BatchOp, dst *[]int64, then func()) {
+	l := g.loop(p, len(ops), batchOp, then)
+	l.ops, l.uids = ops, dst
+	l.next()
+}
+
+func batchOp(l *loop, i int) {
+	op := &l.ops[i]
+	*l.uids = append(*l.uids, l.g.broadcast(l.p, op.Kind, op.Body, op.Size, l.next))
 }
 
 // noteFrame counts a multi-op frame this member sequenced or sent.
@@ -82,7 +95,7 @@ type packer struct {
 // pre-marked in the dedup window (seq -1 = "queued, not yet
 // sequenced") so a retransmitted copy arriving before the flush cannot
 // be sequenced twice.
-func (g *Member) enqueue(p *sim.Proc, pk *packer, it item) {
+func (g *Member) enqueue(p *sim.Proc, pk *packer, it item, k func()) {
 	g.noteSeen(it.Src, it.SrcSeq, -1)
 	pk.q = append(pk.q, it)
 	if !pk.accept {
@@ -90,22 +103,23 @@ func (g *Member) enqueue(p *sim.Proc, pk *packer, it item) {
 	}
 	b := g.cfg.Batch
 	if len(pk.q) >= b.MaxOps || (b.MaxBytes > 0 && pk.bytes >= b.MaxBytes) {
-		g.flush(p, pk)
+		g.flush(p, pk, k)
 		return
 	}
 	if pk.timer == nil {
 		pk.timer = g.m.After(b.Linger, func(tp *sim.Proc) {
 			pk.timer = nil
-			g.flush(tp, pk)
+			g.flush(tp, pk, nop)
 		})
 	}
+	k()
 }
 
 // flush sequences pk's queued ops and emits them as one frame. When
 // this member no longer sequences (it lost an election with ops still
 // queued), its own items re-enter the sender path instead — other
 // members' requests are re-sent by their own retransmission timers.
-func (g *Member) flush(p *sim.Proc, pk *packer) {
+func (g *Member) flush(p *sim.Proc, pk *packer, k func()) {
 	if pk.timer != nil {
 		pk.timer.Cancel()
 		pk.timer = nil
@@ -113,21 +127,24 @@ func (g *Member) flush(p *sim.Proc, pk *packer) {
 	items := pk.q
 	pk.bytes = 0
 	if len(items) == 0 {
+		k()
 		return
 	}
 	if !g.isSeq || !g.installed {
 		// enqueueSend yields the CPU: detach the array so nothing
 		// queued meanwhile can overwrite the items still to re-send.
 		pk.q = nil
-		for _, it := range items {
-			if it.Src == g.m.ID() {
-				g.enqueueSend(p, it)
+		g.loop(p, len(items), func(l *loop, i int) {
+			if it := items[i]; it.Src == g.m.ID() {
+				g.enqueueSend(p, it, l.next)
+				return
 			}
-		}
+			l.next()
+		}, k).next()
 		return
 	}
 	pk.q = items[:0] // emit copies the items before anything can yield
-	g.emit(p, items, pk.accept)
+	g.emit(p, items, pk.accept, k)
 }
 
 // newFrame allocates a frame of n records; a one-op frame is a single
@@ -159,7 +176,7 @@ func (g *Member) sequence(items []item) *dataFrame {
 // data, a short accept for BB ops (the members already hold the data),
 // or a consensus proposal — and runs the new records through this
 // member's own ordered-delivery core.
-func (g *Member) emit(p *sim.Proc, items []item, accept bool) {
+func (g *Member) emit(p *sim.Proc, items []item, accept bool, k func()) {
 	f := g.sequence(items)
 	g.noteFrame(len(f.Recs))
 	switch {
@@ -173,8 +190,7 @@ func (g *Member) emit(p *sim.Proc, items []item, accept bool) {
 		for i := range f.Recs {
 			ds[i] = &f.Recs[i]
 		}
-		g.propose(p, ds)
-		return
+		g.propose(p, ds, k)
 	case accept:
 		a := &acceptMsg{Seq: f.Recs[0].Seq, Epoch: g.epoch}
 		a.UIDs = a.one[:0]
@@ -184,26 +200,23 @@ func (g *Member) emit(p *sim.Proc, items []item, accept bool) {
 		for i := range f.Recs {
 			a.UIDs = append(a.UIDs, f.Recs[i].UID)
 		}
-		g.castAccept(p, a)
+		g.castAccept(p, a, g.frame(p, f.Recs, k).next)
 	default:
 		payload := 0
 		for i := range f.Recs {
 			payload += f.Recs[i].Size
 		}
-		g.cast(p, amoeba.Packet{Port: g.port, Kind: "grp-data", Body: f, Size: frameSize(len(f.Recs), payload)})
-	}
-	for i := range f.Recs {
-		g.processData(p, &f.Recs[i])
+		g.cast(p, amoeba.Packet{Port: g.port, Kind: "grp-data", Body: f, Size: frameSize(len(f.Recs), payload)}, g.frame(p, f.Recs, k).next)
 	}
 }
 
 // castAccept broadcasts an accept frame.
-func (g *Member) castAccept(p *sim.Proc, a *acceptMsg) {
+func (g *Member) castAccept(p *sim.Proc, a *acceptMsg, k func()) {
 	size := hdrAccept
 	if n := len(a.UIDs); n > 1 {
 		size += 8 * n
 	}
-	g.cast(p, amoeba.Packet{Port: g.port, Kind: "grp-accept", Body: a, Size: size})
+	g.cast(p, amoeba.Packet{Port: g.port, Kind: "grp-accept", Body: a, Size: size}, k)
 }
 
 // ---------------------------------------------------------------------
@@ -214,27 +227,29 @@ func (g *Member) castAccept(p *sim.Proc, a *acceptMsg) {
 // instant leaves in one frame (cross-instant combining is the RTS
 // write buffer's job). MaxOps/MaxBytes flush early so one frame never
 // carries more than its capacity.
-func (g *Member) enqueueSend(p *sim.Proc, it item) {
+func (g *Member) enqueueSend(p *sim.Proc, it item, k func()) {
 	g.sendQ = append(g.sendQ, it)
 	g.sendBytes += it.Size + hdrItem
 	b := g.cfg.Batch
 	if len(g.sendQ) >= b.MaxOps || (b.MaxBytes > 0 && g.sendBytes >= b.MaxBytes) {
-		g.flushSend(p)
+		g.flushSend(p, k)
 		return
 	}
 	if !g.sendArmed {
 		g.sendArmed = true
 		g.m.After(0, func(tp *sim.Proc) {
 			g.sendArmed = false
-			g.flushSend(tp)
+			g.flushSend(tp, nop)
 		})
 	}
+	k()
 }
 
 // flushSend transmits the queued ops as one outstanding send.
-func (g *Member) flushSend(p *sim.Proc) {
+func (g *Member) flushSend(p *sim.Proc, k func()) {
 	items := g.sendQ
 	if len(items) == 0 {
+		k()
 		return
 	}
 	payload := g.sendBytes - len(items)*hdrItem
@@ -244,9 +259,7 @@ func (g *Member) flushSend(p *sim.Proc) {
 		// directly. enqueue can yield the CPU, so detach the array.
 		g.sendQ = nil
 		g.stats.PBSends += int64(len(items))
-		for _, it := range items {
-			g.enqueue(p, &g.pack, it)
-		}
+		g.loop(p, len(items), func(l *loop, i int) { g.enqueue(p, &g.pack, items[i], l.next) }, k).next()
 		return
 	}
 	g.sendQ = items[:0] // newSend copies the items before anything can yield
@@ -257,9 +270,6 @@ func (g *Member) flushSend(p *sim.Proc) {
 		g.stats.PBSends += int64(len(items))
 	}
 	g.noteFrame(len(items))
-	g.transmit(p, st)
-	// One frame carries these items, and they have been on no other: the
-	// one case in which their record can be recycled (see sendState).
-	st.fresh = st.method == ForcePB && g.cfg.Protocol == ElectedSequencer
-	g.armSenderTimer(st)
+	st.k = k
+	g.transmit(p, st, st.sentFn)
 }

@@ -208,19 +208,25 @@ func (g *Member) advanceAccPrefix() {
 // adoptBallot promises a higher ballot: a leading member steps down,
 // an in-flight lower-ballot takeover aborts, and the accepted prefix
 // rebases onto the new ballot.
-func (g *Member) adoptBallot(p *sim.Proc, b int64) {
+func (g *Member) adoptBallot(p *sim.Proc, b int64, k func()) {
 	if b <= g.promised {
+		k()
 		return
 	}
 	g.promised = b
 	if g.takeover != nil && b > g.takeover.ballot {
 		g.abortTakeover()
 	}
-	if g.isSeq && b > g.ballot {
-		g.stepDown(p)
+	rebase := func() {
+		g.accPrefix = g.nextSeq - 1
+		g.advanceAccPrefix()
+		k()
 	}
-	g.accPrefix = g.nextSeq - 1
-	g.advanceAccPrefix()
+	if g.isSeq && b > g.ballot {
+		g.stepDown(p, rebase)
+		return
+	}
+	rebase()
 }
 
 // ---------------------------------------------------------------------
@@ -230,7 +236,7 @@ func (g *Member) adoptBallot(p *sim.Proc, b int64) {
 // recorded in history by the caller) as one proposal frame. The
 // leader accepts its own proposal immediately — it is one member of
 // the quorum.
-func (g *Member) propose(p *sim.Proc, ds []*dataMsg) {
+func (g *Member) propose(p *sim.Proc, ds []*dataMsg, k func()) {
 	for _, d := range ds {
 		g.accepted.set(d.Seq, accSlot{bal: g.ballot, d: d})
 	}
@@ -240,19 +246,22 @@ func (g *Member) propose(p *sim.Proc, ds []*dataMsg) {
 	if idx := g.myIdx(); idx >= 0 {
 		g.acked[idx] = g.maxSeen
 	}
-	g.broadcastProp(p, ds)
-	g.tryCommit(p)
-	g.armPropTimer()
+	g.broadcastProp(p, ds, func() {
+		g.tryCommit(p, func() {
+			g.armPropTimer()
+			k()
+		})
+	})
 }
 
 // broadcastProp sends one proposal frame under the current ballot.
-func (g *Member) broadcastProp(p *sim.Proc, ds []*dataMsg) {
+func (g *Member) broadcastProp(p *sim.Proc, ds []*dataMsg, k func()) {
 	size := 0
 	for _, d := range ds {
 		size += d.Size + hdrItem
 	}
 	g.cast(p, amoeba.Packet{Port: g.port, Kind: "grp-prop",
-		Body: &propMsg{Ballot: g.ballot, Commit: g.committed, Ds: ds}, Size: size + hdrData})
+		Body: &propMsg{Ballot: g.ballot, Commit: g.committed, Ds: ds}, Size: size + hdrData}, k)
 }
 
 // armPropTimer re-proposes assigned-but-unchosen slots until a quorum
@@ -279,40 +288,42 @@ func (g *Member) armPropTimer() {
 			g.propBackoff = 0
 		}
 		g.propLastCmt = g.committed
-		g.reproposeUncommitted(p)
-		g.armPropTimer()
+		g.reproposeUncommitted(p, g.armPropTimer)
 	})
 }
 
 // reproposeUncommitted re-broadcasts every uncommitted slot from
 // history under the current ballot, in frames of up to 32 slots.
-func (g *Member) reproposeUncommitted(p *sim.Proc) {
-	var ds []*dataMsg
-	flush := func() {
+func (g *Member) reproposeUncommitted(p *sim.Proc, k func()) {
+	s := g.committed + 1
+	var frame func()
+	frame = func() {
+		var ds []*dataMsg
+		for ; s <= g.maxSeen && len(ds) < 32; s++ {
+			// Uncommitted slots cannot have been trimmed (trimming stops
+			// at the minimum delivered, which never exceeds committed).
+			if d := g.history.get(s); d != nil {
+				ds = append(ds, d)
+			}
+		}
 		if len(ds) == 0 {
+			k()
 			return
 		}
 		g.stats.Reproposals += int64(len(ds))
 		g.stats.Retransmits++
-		g.broadcastProp(p, ds)
-		ds = nil
-	}
-	for s := g.committed + 1; s <= g.maxSeen; s++ {
-		// Uncommitted slots cannot have been trimmed (trimming stops
-		// at the minimum delivered, which never exceeds committed).
-		if d := g.history.get(s); d != nil {
-			ds = append(ds, d)
+		if len(ds) < 32 { // the last frame: slots sequenced meanwhile wait for the next round
+			g.broadcastProp(p, ds, k)
+			return
 		}
-		if len(ds) >= 32 {
-			flush()
-		}
+		g.broadcastProp(p, ds, frame)
 	}
-	flush()
+	frame()
 }
 
 // tryCommit advances the commit watermark to the quorum floor: the
 // quorum-th largest cumulative accepted prefix.
-func (g *Member) tryCommit(p *sim.Proc) {
+func (g *Member) tryCommit(p *sim.Proc, k func()) {
 	g.ackScratch = append(g.ackScratch[:0], g.acked...)
 	sc := g.ackScratch
 	for i := 1; i < len(sc); i++ {
@@ -325,9 +336,10 @@ func (g *Member) tryCommit(p *sim.Proc) {
 		floor = g.maxSeen
 	}
 	if floor <= g.committed {
+		k()
 		return
 	}
-	g.advanceCommit(p, floor)
+	g.advanceCommit(p, floor, k)
 }
 
 // advanceCommit commits (committed, upTo], announces the watermark,
@@ -336,46 +348,51 @@ func (g *Member) tryCommit(p *sim.Proc) {
 // proposals piggyback the watermark anyway, so under load one
 // trailing pcmt per window is enough — but a lone op still commits
 // at its members with no added latency.
-func (g *Member) advanceCommit(p *sim.Proc, upTo int64) {
+func (g *Member) advanceCommit(p *sim.Proc, upTo int64, k func()) {
 	from := g.committed + 1
 	g.committed = upTo
 	g.propBackoff = 0 // progress: restore the fast re-propose deadline
+	deliver := g.loop(p, int(upTo-from+1), func(l *loop, i int) {
+		if d := g.history.get(from + int64(i)); d != nil {
+			g.processData(p, d, l.next)
+			return
+		}
+		l.next()
+	}, k).next
 	if g.cmtTimer != nil {
 		g.cmtPending = true
-	} else {
-		g.announceCommit(p)
-		var refract func()
-		refract = func() {
-			g.cmtTimer = g.m.After(g.coalesceDelay(), func(tp *sim.Proc) {
-				g.cmtTimer = nil
-				if g.cmtPending && g.isSeq {
-					g.cmtPending = false
-					g.announceCommit(tp)
-					refract()
-				}
-			})
-		}
+		deliver()
+		return
+	}
+	var refract func()
+	refract = func() {
+		g.cmtTimer = g.m.After(g.coalesceDelay(), func(tp *sim.Proc) {
+			g.cmtTimer = nil
+			if g.cmtPending && g.isSeq {
+				g.cmtPending = false
+				g.announceCommit(tp, refract)
+			}
+		})
+	}
+	g.announceCommit(p, func() {
 		refract()
-	}
-	for s := from; s <= upTo; s++ {
-		if d := g.history.get(s); d != nil {
-			g.processData(p, d)
-		}
-	}
+		deliver()
+	})
 }
 
 // announceCommit broadcasts the current commit watermark.
-func (g *Member) announceCommit(p *sim.Proc) {
+func (g *Member) announceCommit(p *sim.Proc, k func()) {
 	g.cast(p, amoeba.Packet{Port: g.port, Kind: "grp-pcmt",
-		Body: pcmtMsg{Ballot: g.ballot, UpTo: g.committed}, Size: hdrSmall})
+		Body: pcmtMsg{Ballot: g.ballot, UpTo: g.committed}, Size: hdrSmall}, k)
 }
 
 // stepDown demotes a deposed leader to a plain member. Its own
 // assigned-but-unchosen ops re-enter the sender path — the new leader
 // may never have seen them — while other members' ops are re-sent by
 // their own retransmission timers.
-func (g *Member) stepDown(p *sim.Proc) {
+func (g *Member) stepDown(p *sim.Proc, k func()) {
 	if !g.isSeq {
+		k()
 		return
 	}
 	g.isSeq = false
@@ -384,22 +401,23 @@ func (g *Member) stepDown(p *sim.Proc) {
 		g.propTimer.Cancel()
 		g.propTimer = nil
 	}
-	g.flush(p, &g.pack) // queued own ops re-enter the sender path too
-	hi := g.maxSeen
-	g.maxSeen = g.committed // assigned-but-unchosen slots are void
-	for s := g.committed + 1; s <= hi; s++ {
-		d := g.history.get(s)
-		if d == nil || d.Src != g.m.ID() {
-			continue
-		}
-		if _, mine := g.outstanding[d.UID]; mine {
-			continue
-		}
-		st := g.newSend([]item{d.item}, ForcePB)
-		g.stats.Retransmits++
-		g.transmit(p, st)
-		g.armSenderTimer(st)
-	}
+	g.flush(p, &g.pack, func() { // queued own ops re-enter the sender path too
+		hi, from := g.maxSeen, g.committed+1
+		g.maxSeen = g.committed // assigned-but-unchosen slots are void
+		g.loop(p, int(hi-from+1), func(l *loop, i int) {
+			d := g.history.get(from + int64(i))
+			if d == nil || d.Src != g.m.ID() || g.outstanding[d.UID] != nil {
+				l.next()
+				return
+			}
+			st := g.newSend([]item{d.item}, ForcePB)
+			g.stats.Retransmits++
+			g.transmit(p, st, func() {
+				g.armSenderTimer(st)
+				l.next()
+			})
+		}, k).next()
+	})
 }
 
 // ---------------------------------------------------------------------
@@ -408,22 +426,22 @@ func (g *Member) stepDown(p *sim.Proc) {
 // onPropose accepts a proposal frame at a member.
 func (g *Member) onPropose(p *sim.Proc, from int, m *propMsg) {
 	if m.Ballot < g.promised {
-		g.m.Send(p, from, amoeba.Packet{Port: g.port, Kind: "grp-pnack",
-			Body: pnackMsg{Promised: g.promised, Node: g.m.ID()}, Size: hdrSmall})
+		g.m.SendFn(p, from, amoeba.Packet{Port: g.port, Kind: "grp-pnack",
+			Body: pnackMsg{Promised: g.promised, Node: g.m.ID()}, Size: hdrSmall}, nop)
 		return
 	}
 	g.seqNode = from
 	g.leaderSeen = p.Now()
-	g.adoptBallot(p, m.Ballot)
-	for _, d := range m.Ds {
-		if d.Seq < g.nextSeq {
-			continue // already delivered: chosen values never regress
+	g.adoptBallot(p, m.Ballot, func() {
+		for _, d := range m.Ds {
+			if d.Seq < g.nextSeq {
+				continue // already delivered: chosen values never regress
+			}
+			g.accepted.set(d.Seq, accSlot{bal: m.Ballot, d: d})
 		}
-		g.accepted.set(d.Seq, accSlot{bal: m.Ballot, d: d})
-	}
-	g.advanceAccPrefix()
-	g.applyCommit(p, m.Ballot, m.Commit)
-	g.scheduleAck(p)
+		g.advanceAccPrefix()
+		g.applyCommit(p, m.Ballot, m.Commit, func() { g.scheduleAck(p) })
+	})
 }
 
 // coalesceDelay is the refractory window of the ack and
@@ -445,26 +463,24 @@ func (g *Member) scheduleAck(p *sim.Proc) {
 		g.ackPending = true
 		return
 	}
-	g.sendAck(p)
 	var refract func()
 	refract = func() {
 		g.ackTimer = g.m.After(g.coalesceDelay(), func(tp *sim.Proc) {
 			g.ackTimer = nil
 			if g.ackPending && !g.isSeq {
 				g.ackPending = false
-				g.sendAck(tp)
-				refract()
+				g.sendAck(tp, refract)
 			}
 		})
 	}
-	refract()
+	g.sendAck(p, refract)
 }
 
 // sendAck reports the cumulative accepted prefix under the currently
 // promised ballot.
-func (g *Member) sendAck(p *sim.Proc) {
-	g.m.Send(p, g.seqNode, amoeba.Packet{Port: g.port, Kind: "grp-pacc",
-		Body: paccMsg{Ballot: g.promised, Node: g.m.ID(), AccUpTo: g.accPrefix}, Size: hdrSmall})
+func (g *Member) sendAck(p *sim.Proc, k func()) {
+	g.m.SendFn(p, g.seqNode, amoeba.Packet{Port: g.port, Kind: "grp-pacc",
+		Body: paccMsg{Ballot: g.promised, Node: g.m.ID(), AccUpTo: g.accPrefix}, Size: hdrSmall}, k)
 }
 
 // onPAcc records a member's accepted prefix at the leader.
@@ -477,7 +493,7 @@ func (g *Member) onPAcc(p *sim.Proc, m paccMsg) {
 		return
 	}
 	g.acked[idx] = m.AccUpTo
-	g.tryCommit(p)
+	g.tryCommit(p, nop)
 }
 
 // onPcmt applies a commit watermark at a member.
@@ -485,18 +501,18 @@ func (g *Member) onPcmt(p *sim.Proc, from int, m pcmtMsg) {
 	if m.Ballot >= g.promised {
 		g.seqNode = from
 		g.leaderSeen = p.Now()
-		g.adoptBallot(p, m.Ballot)
 	}
 	// Even a deposed leader's commit is truthful — it counted a real
-	// quorum for its ballot — so the watermark applies regardless.
-	g.applyCommit(p, m.Ballot, m.UpTo)
+	// quorum for its ballot — so the watermark applies regardless, after
+	// the ballot is adopted if it is new (adoptBallot ignores any other).
+	g.adoptBallot(p, m.Ballot, func() { g.applyCommit(p, m.Ballot, m.UpTo, nop) })
 }
 
 // applyCommit learns that slots up to upTo are chosen and delivers
 // the accepted entries that match the committing ballot; mismatched
 // or missing slots become gaps the retransmission machinery fills
 // with the chosen values out of the leader's history.
-func (g *Member) applyCommit(p *sim.Proc, ballot, upTo int64) {
+func (g *Member) applyCommit(p *sim.Proc, ballot, upTo int64, k func()) {
 	if upTo > g.committed {
 		g.committed = upTo
 	}
@@ -508,16 +524,19 @@ func (g *Member) applyCommit(p *sim.Proc, ballot, upTo int64) {
 	if !g.isSeq && upTo > g.maxSeen {
 		g.maxSeen = upTo
 	}
-	for s := g.nextSeq; s <= upTo; s++ {
-		a := g.accepted.get(s)
-		if a.d == nil || a.bal != ballot {
-			continue
+	from := g.nextSeq
+	g.loop(p, int(upTo-from+1), func(l *loop, i int) {
+		if a := g.accepted.get(from + int64(i)); a.d != nil && a.bal == ballot {
+			g.processData(p, a.d, l.next)
+			return
 		}
-		g.processData(p, a.d)
-	}
-	if g.nextSeq <= g.maxSeen {
-		g.armGapTimer()
-	}
+		l.next()
+	}, func() {
+		if g.nextSeq <= g.maxSeen {
+			g.armGapTimer()
+		}
+		k()
+	}).next()
 }
 
 // onPNack reacts to a "promised higher" rejection: a stale leader
@@ -527,7 +546,7 @@ func (g *Member) onPNack(p *sim.Proc, m pnackMsg) {
 	if g.takeover != nil && m.Promised > g.takeover.ballot {
 		g.abortTakeover()
 	}
-	g.adoptBallot(p, m.Promised)
+	g.adoptBallot(p, m.Promised, nop)
 }
 
 // ---------------------------------------------------------------------
@@ -537,14 +556,16 @@ func (g *Member) onPNack(p *sim.Proc, m pnackMsg) {
 // first live member after the suspected leader in membership order
 // takes over immediately; everyone else arms a rank-proportional
 // backoff and stands down if progress resumes first.
-func (g *Member) suspectLeader(p *sim.Proc) {
+func (g *Member) suspectLeader(p *sim.Proc, k func()) {
 	if g.cfg.Protocol != Consensus || g.isSeq || g.takeover != nil || g.suspTimer != nil {
+		k()
 		return
 	}
 	if g.leaderSeen > 0 && p.Now()-g.leaderSeen < g.stickWindow() {
 		// The leader showed life inside the stickiness window: an
 		// undelivered op means backlog, not death. The sender and gap
 		// timers re-raise the suspicion if the silence grows.
+		k()
 		return
 	}
 	if g.recoveryStart == 0 {
@@ -566,7 +587,7 @@ func (g *Member) suspectLeader(p *sim.Proc) {
 	g.suspRounds++
 	rank := g.successorRank()
 	if rank == 0 && round == 0 {
-		g.startTakeover(p)
+		g.startTakeover(p, k)
 		return
 	}
 	escalate := sim.Time((int64(1)<<round)-1) * 2 // 0, 2, 6, 14, 30
@@ -581,8 +602,9 @@ func (g *Member) suspectLeader(p *sim.Proc) {
 		if g.seqNode != suspect || g.nextSeq != next {
 			return // progress or a new leader appeared: stand down
 		}
-		g.startTakeover(tp)
+		g.startTakeover(tp, nop)
 	})
+	k()
 }
 
 // successorRank returns this member's position in the takeover
@@ -610,8 +632,9 @@ func (g *Member) successorRank() int {
 
 // startTakeover opens a prepare round under a fresh ballot this
 // member owns.
-func (g *Member) startTakeover(p *sim.Proc) {
+func (g *Member) startTakeover(p *sim.Proc, k func()) {
 	if g.takeover != nil || g.isSeq {
+		k()
 		return
 	}
 	if g.recoveryStart == 0 {
@@ -629,9 +652,10 @@ func (g *Member) startTakeover(p *sim.Proc) {
 	g.takeover = t
 	g.mergePromise(t, promMsg{Ballot: b, Node: g.m.ID(), Slots: g.promiseSlots(t.from)})
 	g.m.Env().Tracef("node%d: consensus takeover, ballot %d from slot %d", g.m.ID(), b, t.from)
-	g.broadcastPrep(p)
-	g.armTakeoverTimer()
-	g.checkTakeover(p) // a single-member group is its own quorum
+	g.broadcastPrep(p, func() {
+		g.armTakeoverTimer()
+		g.checkTakeover(p, k) // a single-member group is its own quorum
+	})
 }
 
 // knownRanges compresses the takeover's per-slot knowledge into
@@ -656,12 +680,12 @@ func (g *Member) knownRanges(t *takeoverState) []balRange {
 }
 
 // broadcastPrep (re-)announces the in-flight prepare.
-func (g *Member) broadcastPrep(p *sim.Proc) {
+func (g *Member) broadcastPrep(p *sim.Proc, k func()) {
 	t := g.takeover
 	known := g.knownRanges(t)
 	g.cast(p, amoeba.Packet{Port: g.port, Kind: "grp-prep",
 		Body: prepMsg{Ballot: t.ballot, From: t.from, Node: g.m.ID(), Known: known},
-		Size: hdrSmall + len(known)*3*8})
+		Size: hdrSmall + len(known)*3*8}, k)
 }
 
 // armTakeoverTimer retries the prepare until a quorum promises or a
@@ -682,8 +706,7 @@ func (g *Member) armTakeoverTimer() {
 		}
 		t.tries++
 		g.stats.Retransmits++
-		g.broadcastPrep(p)
-		g.armTakeoverTimer()
+		g.broadcastPrep(p, g.armTakeoverTimer)
 	})
 }
 
@@ -741,41 +764,39 @@ func (g *Member) stickWindow() sim.Time { return 2 * g.cfg.SenderTimeout }
 // onPrep answers a prepare: promise (and report accepted entries) or
 // nack a stale ballot.
 func (g *Member) onPrep(p *sim.Proc, from int, m prepMsg) {
-	if m.Ballot < g.promised {
-		g.m.Send(p, from, amoeba.Packet{Port: g.port, Kind: "grp-pnack",
-			Body: pnackMsg{Promised: g.promised, Node: g.m.ID()}, Size: hdrSmall})
-		return
-	}
-	if m.Node != g.seqNode && g.leaderSeen > 0 && p.Now()-g.leaderSeen < g.stickWindow() {
-		// The leader we follow is demonstrably alive: refuse to help
-		// depose it. The pnack carries our (lower) promised ballot, so
-		// the candidate backs off without aborting — if the leader
-		// really is stuck, the window lapses and a retry succeeds.
-		g.m.Send(p, from, amoeba.Packet{Port: g.port, Kind: "grp-pnack",
-			Body: pnackMsg{Promised: g.promised, Node: g.m.ID()}, Size: hdrSmall})
+	if m.Ballot < g.promised || m.Node != g.seqNode && g.leaderSeen > 0 && p.Now()-g.leaderSeen < g.stickWindow() {
+		// A stale ballot, or the leader we follow is demonstrably alive:
+		// refuse to help depose it. The pnack carries our (lower)
+		// promised ballot, so the candidate backs off without aborting —
+		// if the leader really is stuck, the window lapses and a retry
+		// succeeds.
+		g.m.SendFn(p, from, amoeba.Packet{Port: g.port, Kind: "grp-pnack",
+			Body: pnackMsg{Promised: g.promised, Node: g.m.ID()}, Size: hdrSmall}, nop)
 		return
 	}
 	g.seqNode = m.Node
-	g.adoptBallot(p, m.Ballot)
-	// Report only values the candidate's Known summary does not already
-	// dominate. Equal ballot means the identical value (ballots have
-	// unique owners and one value per slot), and a lower ballot loses
-	// the takeover merge, so omitting those entries cannot change the
-	// chosen value — it only keeps n promises from shipping n copies of
-	// the same accepted tail through an already-congested wire.
-	all := g.promiseSlots(m.From)
-	slots := all[:0]
-	for _, ps := range all {
-		if ps.Bal > knownBal(m.Known, ps.D.Seq) {
-			slots = append(slots, ps)
+	g.adoptBallot(p, m.Ballot, func() {
+		// Report only values the candidate's Known summary does not
+		// already dominate. Equal ballot means the identical value
+		// (ballots have unique owners and one value per slot), and a
+		// lower ballot loses the takeover merge, so omitting those
+		// entries cannot change the chosen value — it only keeps n
+		// promises from shipping n copies of the same accepted tail
+		// through an already-congested wire.
+		all := g.promiseSlots(m.From)
+		slots := all[:0]
+		for _, ps := range all {
+			if ps.Bal > knownBal(m.Known, ps.D.Seq) {
+				slots = append(slots, ps)
+			}
 		}
-	}
-	size := hdrSmall
-	for _, ps := range slots {
-		size += ps.D.Size + hdrItem
-	}
-	g.m.Send(p, from, amoeba.Packet{Port: g.port, Kind: "grp-prom",
-		Body: &promMsg{Ballot: m.Ballot, Node: g.m.ID(), Commit: g.committed, Slots: slots}, Size: size})
+		size := hdrSmall
+		for _, ps := range slots {
+			size += ps.D.Size + hdrItem
+		}
+		g.m.SendFn(p, from, amoeba.Packet{Port: g.port, Kind: "grp-prom",
+			Body: &promMsg{Ballot: m.Ballot, Node: g.m.ID(), Commit: g.committed, Slots: slots}, Size: size}, nop)
+	})
 }
 
 // mergePromise folds one promise into the takeover state, keeping the
@@ -803,14 +824,16 @@ func (g *Member) onProm(p *sim.Proc, m *promMsg) {
 	}
 	t.acks[m.Node] = true
 	g.mergePromise(t, *m)
-	g.checkTakeover(p)
+	g.checkTakeover(p, nop)
 }
 
 // checkTakeover finalizes once a majority has promised.
-func (g *Member) checkTakeover(p *sim.Proc) {
+func (g *Member) checkTakeover(p *sim.Proc, k func()) {
 	if t := g.takeover; t != nil && len(t.acks) >= g.quorum() {
-		g.finalizeTakeover(p)
+		g.finalizeTakeover(p, k)
+		return
 	}
+	k()
 }
 
 // finalizeTakeover installs this member as leader: choose a value for
@@ -819,7 +842,7 @@ func (g *Member) checkTakeover(p *sim.Proc) {
 // history/dedup state like becomeSequencer, and re-propose
 // the whole uncommitted tail under the new ballot. No view handshake:
 // members learn the leadership from the proposals themselves.
-func (g *Member) finalizeTakeover(p *sim.Proc) {
+func (g *Member) finalizeTakeover(p *sim.Proc, k func()) {
 	t := g.takeover
 	g.takeover = nil
 	if t.timer != nil {
@@ -880,17 +903,19 @@ func (g *Member) finalizeTakeover(p *sim.Proc) {
 	}
 	g.m.Env().Tracef("node%d: consensus leader, ballot %d, slots %d..%d",
 		g.m.ID(), g.ballot, t.from, t.maxSlot)
-	if len(chosen) > 0 {
-		g.stats.Reproposals += int64(len(chosen))
-		for start := 0; start < len(chosen); start += 32 {
-			g.broadcastProp(p, chosen[start:min(start+32, len(chosen))])
-		}
-	} else {
-		// Nothing outstanding: announce leadership via the watermark.
-		g.cast(p, amoeba.Packet{Port: g.port, Kind: "grp-pcmt",
-			Body: pcmtMsg{Ballot: g.ballot, UpTo: g.committed}, Size: hdrSmall})
+	lead := func() {
+		g.tryCommit(p, func() {
+			g.armPropTimer()
+			g.kickOutstanding(p, k)
+		})
 	}
-	g.tryCommit(p)
-	g.armPropTimer()
-	g.kickOutstanding(p)
+	if len(chosen) == 0 {
+		// Nothing outstanding: announce leadership via the watermark.
+		g.announceCommit(p, lead)
+		return
+	}
+	g.stats.Reproposals += int64(len(chosen))
+	g.loop(p, (len(chosen)+31)/32, func(l *loop, i int) {
+		g.broadcastProp(p, chosen[32*i:min(32*i+32, len(chosen))], l.next)
+	}, lead).next()
 }

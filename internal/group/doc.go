@@ -43,6 +43,21 @@
 // network, reached by multicast). The runtime above
 // routes each object to one group.
 //
+// Continuations: every protocol packet and every timer round (sender
+// retransmission, gap and heartbeat timers, the packers' deadlines,
+// election and consensus timers) runs in the kernel's interrupt
+// context, which never blocks. A function that sends takes its
+// continuation k and runs it once whatever it sent has gone out, so
+// what follows a send runs in that send's continuation, in the event
+// where a blocked thread would have resumed, and successive sends are
+// chained. A walk that may send at any element — a frame's records, a
+// request's ops, a batch's ops — is a loop record from the member's
+// pool (group.go), so a member's data frame, the sequencer's request →
+// frame and a sender's flush allocate no closure. Application threads
+// use the blocking entry points, Broadcast and BroadcastBatch, each its
+// continuation form (broadcast, BroadcastBatchFn) plus a park: a thread
+// and interrupt service run one implementation of the protocol.
+//
 // Downward: members speak kernel ports and timers from package
 // amoeba. Upward: the broadcast runtime in package rts consumes each
 // member's totally-ordered delivery stream.

@@ -23,29 +23,28 @@ import (
 // stalls exhausted) to the protocol's recovery path: an election
 // under the elected-sequencer protocol, a leader takeover under
 // consensus.
-func (g *Member) suspectSequencer(p *sim.Proc) {
+func (g *Member) suspectSequencer(p *sim.Proc, k func()) {
 	if g.cfg.Protocol == Consensus {
-		g.suspectLeader(p)
+		g.suspectLeader(p, k)
 		return
 	}
-	g.startElection(p)
+	g.startElection(p, k)
 }
 
-// startElection begins (or joins) a new election epoch.
-func (g *Member) startElection(p *sim.Proc) {
-	if g.cfg.Protocol == Consensus {
-		g.suspectLeader(p) // consensus never elects; defense in depth
+// startElection begins (or joins) a new election epoch. Only the
+// elected-sequencer protocol gets here: consensus suspicion goes to
+// suspectLeader, and no coordinator claim or nack is ever sent under it.
+func (g *Member) startElection(p *sim.Proc, k func()) {
+	if g.electing && g.votedEpoch == g.epoch {
+		k() // already voted in the current epoch
 		return
 	}
-	if g.electing && g.votedEpoch == g.epoch {
-		return // already voted in the current epoch
-	}
 	g.epoch++
-	g.beginEpoch(p, g.epoch)
+	g.beginEpoch(p, g.epoch, k)
 }
 
 // beginEpoch votes in the given epoch and arms the decision timer.
-func (g *Member) beginEpoch(p *sim.Proc, epoch int) {
+func (g *Member) beginEpoch(p *sim.Proc, epoch int, k func()) {
 	g.stats.Elections++
 	if g.recoveryStart == 0 {
 		g.recoveryStart = p.Now()
@@ -58,8 +57,10 @@ func (g *Member) beginEpoch(p *sim.Proc, epoch int) {
 	me := electMsg{Epoch: epoch, Node: g.m.ID(), HighSeq: g.nextSeq - 1}
 	g.bestCand = me
 	g.m.Env().Tracef("node%d: election epoch %d, my highseq %d", g.m.ID(), epoch, me.HighSeq)
-	g.cast(p, amoeba.Packet{Port: g.port, Kind: "grp-elect", Body: me, Size: hdrSmall})
-	g.armElectionTimer()
+	g.cast(p, amoeba.Packet{Port: g.port, Kind: "grp-elect", Body: me, Size: hdrSmall}, func() {
+		g.armElectionTimer()
+		k()
+	})
 }
 
 // armElectionTimer schedules the end of the vote-collection window.
@@ -93,7 +94,7 @@ func (g *Member) armElectionTimer() {
 			}
 			// The expected winner never announced: try a fresh epoch.
 			g.epoch++
-			g.beginEpoch(p, g.epoch)
+			g.beginEpoch(p, g.epoch, nop)
 		})
 	}
 	arm()
@@ -113,13 +114,16 @@ func (g *Member) onElect(p *sim.Proc, e electMsg) {
 	case e.Epoch < g.epoch:
 		return // stale epoch
 	case e.Epoch > g.epoch:
-		g.beginEpoch(p, e.Epoch) // join the newer election
+		// Join the newer election. The vote below is counted while ours
+		// goes out: only election rounds, which wait for this one, read
+		// the best candidate.
+		g.beginEpoch(p, e.Epoch, nop)
 	case !g.electing:
 		// A vote for an epoch we think has concluded. If we are the
 		// sequencer of this epoch, re-announce.
 		if g.isSeq {
 			g.cast(p, amoeba.Packet{Port: g.port, Kind: "grp-coord",
-				Body: coordMsg{Epoch: g.epoch, Node: g.m.ID(), HighSeq: g.maxSeen}, Size: hdrSmall})
+				Body: coordMsg{Epoch: g.epoch, Node: g.m.ID(), HighSeq: g.maxSeen}, Size: hdrSmall}, nop)
 		}
 		return
 	}
@@ -178,22 +182,24 @@ func (g *Member) announceView(p *sim.Proc) {
 	}
 	epoch := g.epoch
 	g.cast(p, amoeba.Packet{Port: g.port, Kind: "grp-coord",
-		Body: coordMsg{Epoch: g.epoch, Node: g.m.ID(), HighSeq: g.maxSeen}, Size: hdrSmall})
-	g.checkViewInstalled(p)
-	if g.installed {
-		return
-	}
-	g.m.After(g.cfg.ElectionWait/2, func(pp *sim.Proc) {
-		if g.isSeq && !g.installed && g.epoch == epoch {
-			g.announceView(pp)
-		}
+		Body: coordMsg{Epoch: g.epoch, Node: g.m.ID(), HighSeq: g.maxSeen}, Size: hdrSmall}, func() {
+		g.checkViewInstalled(p, func() {
+			if !g.installed {
+				g.m.After(g.cfg.ElectionWait/2, func(pp *sim.Proc) {
+					if g.isSeq && !g.installed && g.epoch == epoch {
+						g.announceView(pp)
+					}
+				})
+			}
+		})
 	})
 }
 
 // checkViewInstalled completes installation once every live member has
 // acknowledged; only then does the sequencer start assigning numbers.
-func (g *Member) checkViewInstalled(p *sim.Proc) {
+func (g *Member) checkViewInstalled(p *sim.Proc, k func()) {
 	if !g.isSeq || g.installed {
+		k()
 		return
 	}
 	for _, id := range g.cfg.Members {
@@ -201,12 +207,13 @@ func (g *Member) checkViewInstalled(p *sim.Proc) {
 			continue
 		}
 		if !g.viewAcks[id] {
+			k()
 			return
 		}
 	}
 	g.installed = true
 	g.m.Env().Tracef("node%d: view epoch %d installed", g.m.ID(), g.epoch)
-	g.kickOutstanding(p)
+	g.kickOutstanding(p, k)
 }
 
 // onCoordAck records a member's view acknowledgement.
@@ -215,7 +222,7 @@ func (g *Member) onCoordAck(p *sim.Proc, a coordAck) {
 		return
 	}
 	g.viewAcks[a.Node] = true
-	g.checkViewInstalled(p)
+	g.checkViewInstalled(p, nop)
 }
 
 // onCoordNack aborts an inconsistent view claim: some member has
@@ -227,7 +234,7 @@ func (g *Member) onCoordNack(p *sim.Proc, n coordNack) {
 	g.m.Env().Tracef("node%d: view nacked by %d (high %d), re-electing", g.m.ID(), n.Node, n.HighSeq)
 	g.isSeq = false
 	g.installed = false
-	g.startElection(p)
+	g.startElection(p, nop)
 }
 
 // betterCoord reports whether claimant a should prevail over b when
@@ -262,23 +269,24 @@ func (g *Member) onCoord(p *sim.Proc, c coordMsg) {
 		// delivered.
 		g.m.Env().Tracef("node%d: ahead of claimed winner (mine %d > %d), nacking",
 			g.m.ID(), g.nextSeq-1, c.HighSeq)
-		g.m.Send(p, c.Node, amoeba.Packet{Port: g.port, Kind: "grp-coord-nack",
-			Body: coordNack{Epoch: c.Epoch, Node: g.m.ID(), HighSeq: g.nextSeq - 1}, Size: hdrSmall})
-		if c.Epoch == g.epoch {
-			// Colliding claims: the nack alone aborts this claimant; a
-			// fresh epoch here would tear down an election that is
-			// already converging on a better claim.
-			if g.isSeq {
-				g.cast(p, amoeba.Packet{Port: g.port, Kind: "grp-coord",
-					Body: coordMsg{Epoch: g.epoch, Node: g.m.ID(), HighSeq: g.maxSeen}, Size: hdrSmall})
-				return
+		g.m.SendFn(p, c.Node, amoeba.Packet{Port: g.port, Kind: "grp-coord-nack",
+			Body: coordNack{Epoch: c.Epoch, Node: g.m.ID(), HighSeq: g.nextSeq - 1}, Size: hdrSmall}, func() {
+			if c.Epoch == g.epoch {
+				// Colliding claims: the nack alone aborts this claimant; a
+				// fresh epoch here would tear down an election that is
+				// already converging on a better claim.
+				if g.isSeq {
+					g.cast(p, amoeba.Packet{Port: g.port, Kind: "grp-coord",
+						Body: coordMsg{Epoch: g.epoch, Node: g.m.ID(), HighSeq: g.maxSeen}, Size: hdrSmall}, nop)
+					return
+				}
+				if g.haveCoord && betterCoord(g.lastCoord, c) {
+					return
+				}
 			}
-			if g.haveCoord && betterCoord(g.lastCoord, c) {
-				return
-			}
-		}
-		g.epoch = c.Epoch
-		g.startElection(p)
+			g.epoch = c.Epoch
+			g.startElection(p, nop)
+		})
 		return
 	}
 	if c.Epoch == g.epoch {
@@ -287,7 +295,7 @@ func (g *Member) onCoord(p *sim.Proc, c coordMsg) {
 			// better claim; re-assert mine against a worse one.
 			mine := coordMsg{Epoch: g.epoch, Node: g.m.ID(), HighSeq: g.maxSeen}
 			if betterCoord(mine, c) {
-				g.cast(p, amoeba.Packet{Port: g.port, Kind: "grp-coord", Body: mine, Size: hdrSmall})
+				g.cast(p, amoeba.Packet{Port: g.port, Kind: "grp-coord", Body: mine, Size: hdrSmall}, nop)
 				return
 			}
 		}
@@ -296,8 +304,8 @@ func (g *Member) onCoord(p *sim.Proc, c coordMsg) {
 				// A re-announcement of the view we already follow:
 				// refresh the ack (the first may have been lost) without
 				// re-kicking every outstanding op onto the wire.
-				g.m.Send(p, c.Node, amoeba.Packet{Port: g.port, Kind: "grp-coord-ack",
-					Body: coordAck{Epoch: c.Epoch, Node: g.m.ID()}, Size: hdrSmall})
+				g.m.SendFn(p, c.Node, amoeba.Packet{Port: g.port, Kind: "grp-coord-ack",
+					Body: coordAck{Epoch: c.Epoch, Node: g.m.ID()}, Size: hdrSmall}, nop)
 				return
 			}
 			if !betterCoord(c, g.lastCoord) {
@@ -325,12 +333,13 @@ func (g *Member) onCoord(p *sim.Proc, c coordMsg) {
 	g.maxSeen = c.HighSeq
 	// Acknowledge the view; the sequencer serves nothing until all
 	// live members have.
-	g.m.Send(p, c.Node, amoeba.Packet{Port: g.port, Kind: "grp-coord-ack",
-		Body: coordAck{Epoch: c.Epoch, Node: g.m.ID()}, Size: hdrSmall})
-	if g.nextSeq <= g.maxSeen {
-		g.armGapTimer()
-	}
-	g.kickOutstanding(p)
+	g.m.SendFn(p, c.Node, amoeba.Packet{Port: g.port, Kind: "grp-coord-ack",
+		Body: coordAck{Epoch: c.Epoch, Node: g.m.ID()}, Size: hdrSmall}, func() {
+		if g.nextSeq <= g.maxSeen {
+			g.armGapTimer()
+		}
+		g.kickOutstanding(p, nop)
+	})
 }
 
 // kickOutstanding retransmits every unacknowledged broadcast to the
@@ -338,7 +347,7 @@ func (g *Member) onCoord(p *sim.Proc, c coordMsg) {
 // a map, and iterating it directly would retransmit — and therefore
 // sequence — concurrent messages in a random order, breaking run
 // determinism.
-func (g *Member) kickOutstanding(p *sim.Proc) {
+func (g *Member) kickOutstanding(p *sim.Proc, k func()) {
 	// Split multi-op sends into one-op sends first: framing is not
 	// preserved across a view change, and per-op states keep the
 	// re-submission below uniform. Replacing map values is
@@ -365,7 +374,8 @@ func (g *Member) kickOutstanding(p *sim.Proc) {
 			sts[j], sts[j-1] = sts[j-1], sts[j]
 		}
 	}
-	for _, st := range sts {
+	g.loop(p, len(sts), func(l *loop, i int) {
+		st := sts[i]
 		st.retries = 0
 		if g.isSeq && g.installed {
 			// The sequencer moved to us: sequence our own op directly,
@@ -374,17 +384,21 @@ func (g *Member) kickOutstanding(p *sim.Proc) {
 			it := st.items[0]
 			delete(g.outstanding, it.UID)
 			if _, dup := g.seenSeq(it.Src, it.SrcSeq); !dup {
-				g.emit(p, st.items, false)
+				g.emit(p, st.items, false, l.next)
+				return
 			}
-			continue
+			l.next()
+			return
 		}
 		g.stats.Retransmits++
-		g.transmit(p, st)
-		if !st.timed {
-			// A send split off above: it needs its own retransmission
-			// timer, or a lost grp-req strands the op. Armed here, in
-			// uid order, not in the map-order split loop.
-			g.armSenderTimer(st)
-		}
-	}
+		g.transmit(p, st, func() {
+			if !st.timed {
+				// A send split off above: it needs its own retransmission
+				// timer, or a lost grp-req strands the op. Armed here, in
+				// uid order, not in the map-order split loop.
+				g.armSenderTimer(st)
+			}
+			l.next()
+		})
+	}, k).next()
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"repro/internal/amoeba"
+	"repro/internal/netsim"
 	"repro/internal/sim"
 )
 
@@ -391,13 +392,18 @@ type sendState struct {
 	fresh   bool
 
 	// The retransmission timer is part of the record, so arming it
-	// allocates nothing: it fires due, which has the member's interrupt
-	// thread run resend. timed says the timer has been started; it then
-	// re-arms itself for as long as the send is live.
+	// allocates nothing: it fires due, which has interrupt service run
+	// resend. timed says the timer has been started; it then re-arms
+	// itself for as long as the send is live.
 	g     *Member
 	timer sim.Event
 	timed bool
 	next  *sendState // on g.sendFree
+
+	// What follows the first sending (see flushSend), and st.sent bound
+	// once.
+	k      func()
+	sentFn func()
 }
 
 // poison makes a sendState unusable when it is released, so that a
@@ -475,8 +481,8 @@ type Member struct {
 	sendFree    *sendState           // released records (see sendState)
 
 	// The gap timer (see armGapTimer) and what it remembers between
-	// rounds; gapOn from when it is armed until its round starts on the
-	// interrupt thread, or it is stopped.
+	// rounds; gapOn from when it is armed until its round starts in
+	// interrupt context, or it is stopped.
 	gapTimer           sim.Event
 	gapOn              bool
 	gapNext            int64
@@ -485,6 +491,11 @@ type Member struct {
 
 	hbTimer sim.Event
 	hbFn    func(p *sim.Proc) // g.heartbeat
+
+	// Continuations bound once: re-arming the gap and heartbeat timers
+	// once a round's send has gone out.
+	gapArmFn, hbArmFn func()
+	loops             *loop // released records (see loop)
 
 	// memberIdx maps a node id to its dense index in cfg.Members (-1
 	// for non-members); the per-source rings below are indexed by it.
@@ -670,26 +681,98 @@ func Join(m *amoeba.Machine, cfg Config) *Member {
 		}
 	}
 	m.Bind(g.port, g.handle)
-	m.BindNonblocking(g.port, g.nonblocking)
 	g.gapFn, g.hbFn = g.gapRound, g.heartbeat
 	g.gapTimer.Init(m.Env(), func() { m.Defer(g.gapFn) })
 	g.hbTimer.Init(m.Env(), func() { m.Defer(g.hbFn) })
+	g.gapArmFn = func() {
+		g.gapOn = true
+		g.gapTimer.Arm(g.cfg.GapTimeout)
+	}
+	g.hbArmFn = func() { g.hbTimer.Arm(g.cfg.Heartbeat) }
 	if cfg.Heartbeat > 0 {
-		g.hbTimer.Arm(cfg.Heartbeat)
+		g.hbArmFn()
 	}
 	return g
 }
 
-// cast broadcasts a protocol packet to the group: physical broadcast
-// when the group spans every network node, hardware multicast to the
-// member set otherwise (non-members' NICs filter the frame without
-// taking an interrupt).
-func (g *Member) cast(p *sim.Proc, pkt amoeba.Packet) {
+// cast broadcasts a protocol packet to the group, in continuation form
+// (see amoeba.Machine.SendFn): physical broadcast when the group spans
+// every network node, hardware multicast to the member set otherwise
+// (non-members' NICs filter the frame without taking an interrupt).
+func (g *Member) cast(p *sim.Proc, pkt amoeba.Packet, k func()) {
 	if g.castTo == nil {
-		g.m.Broadcast(p, pkt)
+		g.m.SendFn(p, netsim.Broadcast, pkt, k)
 		return
 	}
-	g.m.Multicast(p, pkt, g.castTo)
+	g.m.MulticastFn(p, pkt, g.castTo, k)
+}
+
+// The protocol runs in interrupt context, where nothing blocks, and on
+// application threads, which may: every function that sends takes its
+// continuation k, runs it once it is done — at once, if it sent nothing
+// — and does nothing after. A blocking entry point is its continuation
+// form plus a park (see Broadcast).
+
+// nop is the continuation of a kernel handler or timer round: the
+// kernel notices by itself when the last of its sends has gone out.
+func nop() {}
+
+// A loop is group code that walks a list and may send at each element:
+// body(l, i) handles element i and goes on with l.next once whatever it
+// sent has gone out, and after the last element k runs. Elements that
+// send nothing follow one another in place, so a long walk does not
+// nest. Records are pooled per member, and the walks on the hot paths
+// keep their list in a field here and name a function for their body,
+// so they allocate nothing.
+type loop struct {
+	g      *Member
+	p      *sim.Proc
+	i, n   int
+	body   func(l *loop, i int)
+	k      func()
+	next   func() // l.step, bound once
+	inBody bool   // body(l, i-1) is running
+	went   bool   // ... and has gone on in place
+	recs   []dataMsg
+	items  []item
+	ops    []BatchOp
+	uids   *[]int64
+	free   *loop
+}
+
+// loop returns a walk of n elements on p's behalf, not yet started:
+// l.next starts it, at once or as a send's continuation.
+func (g *Member) loop(p *sim.Proc, n int, body func(l *loop, i int), k func()) *loop {
+	l := g.loops
+	if l == nil {
+		l = &loop{g: g}
+		l.next = l.step
+	} else {
+		g.loops, l.free = l.free, nil
+	}
+	l.p, l.n, l.body, l.k = p, n, body, k
+	return l
+}
+
+// step goes on with the next element.
+func (l *loop) step() {
+	if l.inBody {
+		l.went = true
+		return
+	}
+	for l.i < l.n {
+		l.i++
+		l.inBody, l.went = true, false
+		l.body(l, l.i-1)
+		l.inBody = false
+		if !l.went {
+			return // the body's send has its continuation: l.next
+		}
+	}
+	g, k := l.g, l.k
+	*l = loop{g: g, next: l.next, free: g.loops}
+	g.loops = l
+	k()
 }
 
 // srcIdx resolves a node id to its member index (-1 for non-members).
@@ -756,8 +839,9 @@ func (g *Member) dupDelivery(src int, srcSeq int64) bool {
 	return false
 }
 
-// heartbeat is the periodic sequencer announcement. Every member runs
-// the timer; only the current sequencer transmits.
+// heartbeat is the periodic sequencer announcement, a kernel timer
+// round. Every member runs the timer; only the current sequencer
+// transmits.
 func (g *Member) heartbeat(p *sim.Proc) {
 	// A consensus leader announces its commit watermark, not its
 	// assigned maximum: uncommitted slots are not yet deliverable
@@ -768,9 +852,10 @@ func (g *Member) heartbeat(p *sim.Proc) {
 	}
 	if g.isSeq && g.installed && high > 0 {
 		g.cast(p, amoeba.Packet{Port: g.port, Kind: "grp-hb",
-			Body: hbMsg{Epoch: g.epoch, Node: g.m.ID(), HighSeq: high}, Size: hdrSmall})
+			Body: hbMsg{Epoch: g.epoch, Node: g.m.ID(), HighSeq: high}, Size: hdrSmall}, g.hbArmFn)
+		return
 	}
-	g.hbTimer.Arm(g.cfg.Heartbeat)
+	g.hbArmFn()
 }
 
 // Deliveries returns the totally-ordered stream of group messages for
@@ -819,6 +904,14 @@ func (g *Member) resolveMethod(frame int) Method {
 // for delivery: callers needing write-completion semantics wait until
 // their uid appears in the delivery stream.
 func (g *Member) Broadcast(p *sim.Proc, kind string, body any, size int) int64 {
+	uid := g.broadcast(p, kind, body, size, p.Resume())
+	p.Park()
+	return uid
+}
+
+// broadcast is Broadcast in continuation form: k runs where Broadcast
+// returns.
+func (g *Member) broadcast(p *sim.Proc, kind string, body any, size int, k func()) int64 {
 	uid := g.m.ServiceID()
 	g.sendSeq++
 	g.stats.Sent++
@@ -827,9 +920,9 @@ func (g *Member) Broadcast(p *sim.Proc, kind string, body any, size int) int64 {
 		// The sequencer sequences its own ops directly and broadcasts
 		// the sequenced data: one message on the wire.
 		g.stats.PBSends++
-		g.enqueue(p, &g.pack, it)
+		g.enqueue(p, &g.pack, it, k)
 	} else {
-		g.enqueueSend(p, it)
+		g.enqueueSend(p, it, k)
 	}
 	return uid
 }
@@ -841,6 +934,7 @@ func (g *Member) newSend(items []item, method Method) *sendState {
 		st = &sendState{g: g}
 		st.items = st.one[:0]
 		st.timer.Init(g.m.Env(), st.due)
+		st.sentFn = st.sent
 	} else {
 		g.sendFree, st.next = st.next, nil
 	}
@@ -875,7 +969,7 @@ func (g *Member) acknowledged(st *sendState) {
 // transmit performs one send attempt for an outstanding send. Only the
 // still-outstanding ops travel; a retransmission after a partial
 // acknowledgment shrinks the frame.
-func (g *Member) transmit(p *sim.Proc, st *sendState) {
+func (g *Member) transmit(p *sim.Proc, st *sendState, k func()) {
 	n, payload := 0, 0
 	for i := range st.items {
 		if g.outstanding[st.items[i].UID] == st {
@@ -884,6 +978,7 @@ func (g *Member) transmit(p *sim.Proc, st *sendState) {
 		}
 	}
 	if n == 0 {
+		k()
 		return
 	}
 	st.fresh = false // unless this is the first sending: see flushSend
@@ -900,19 +995,18 @@ func (g *Member) transmit(p *sim.Proc, st *sendState) {
 		}
 		req = &reqMsg{Items: live}
 	}
-	switch st.method {
-	case ForcePB:
-		g.m.Send(p, g.seqNode, amoeba.Packet{Port: g.port, Kind: "grp-req",
-			Body: req, Size: frameSize(n, payload)})
-	case ForceBB:
-		// The sender will not hear its own frame: it stashes the data
-		// it broadcasts.
-		for i := range live {
-			g.pendingBB[live[i].UID] = &live[i]
-		}
-		g.cast(p, amoeba.Packet{Port: g.port, Kind: "grp-bb-data",
-			Body: &bbDataMsg{Items: live}, Size: frameSize(n, payload)})
+	if st.method == ForcePB {
+		g.m.SendFn(p, g.seqNode, amoeba.Packet{Port: g.port, Kind: "grp-req",
+			Body: req, Size: frameSize(n, payload)}, k)
+		return
 	}
+	// BB: the sender will not hear its own frame, so it stashes the data
+	// it broadcasts.
+	for i := range live {
+		g.pendingBB[live[i].UID] = &live[i]
+	}
+	g.cast(p, amoeba.Packet{Port: g.port, Kind: "grp-bb-data",
+		Body: &bbDataMsg{Items: live}, Size: frameSize(n, payload)}, k)
 }
 
 // armSenderTimer schedules retransmission for st until it is
@@ -934,7 +1028,7 @@ func (g *Member) armSenderTimer(st *sendState) {
 	st.timer.Arm(period)
 }
 
-// resend is the retransmission timer's round, on the interrupt thread.
+// resend is the retransmission timer's round, in interrupt context.
 func (st *sendState) resend(p *sim.Proc) {
 	g := st.g
 	if !st.live(g) {
@@ -961,17 +1055,28 @@ func (st *sendState) resend(p *sim.Proc) {
 			return
 		}
 		g.m.Env().Tracef("node%d: sequencer %d suspected dead (uid %d)", g.m.ID(), g.seqNode, st.items[0].UID)
-		g.suspectSequencer(p)
-		// Re-arm: the message is still outstanding and will be
-		// retransmitted to the new sequencer once elected.
-		st.retries = 0
-		st.cycles++
-		g.armSenderTimer(st)
+		g.suspectSequencer(p, func() {
+			// Re-arm: the message is still outstanding and will be
+			// retransmitted to the new sequencer once elected.
+			st.retries = 0
+			st.cycles++
+			g.armSenderTimer(st)
+		})
 		return
 	}
 	g.stats.Retransmits++
-	g.transmit(p, st)
+	g.transmit(p, st, func() { g.armSenderTimer(st) })
+}
+
+// sent continues flushSend once the first sending of st has gone out.
+func (st *sendState) sent() {
+	g, k := st.g, st.k
+	st.k = nil
+	// One frame carries these items, and they have been on no other: the
+	// one case in which their record can be recycled (see sendState).
+	st.fresh = st.method == ForcePB && g.cfg.Protocol == ElectedSequencer
 	g.armSenderTimer(st)
+	k()
 }
 
 // nextSeqNum allocates the next global sequence number (sequencer

@@ -6,8 +6,10 @@ import (
 )
 
 // handle is the kernel port handler: it demultiplexes every group
-// protocol packet. It runs on the machine's interrupt thread, after
-// interrupt/protocol CPU costs have been charged.
+// protocol packet. It runs in interrupt context, after interrupt and
+// protocol CPU costs have been charged, and never blocks: what follows a
+// send runs in its continuation (see loop), and the kernel serves the
+// next packet once the last of them has run.
 func (g *Member) handle(p *sim.Proc, from int, pkt amoeba.Packet) {
 	switch b := pkt.Body.(type) {
 	case nil: // a status report is all header
@@ -17,9 +19,7 @@ func (g *Member) handle(p *sim.Proc, from int, pkt amoeba.Packet) {
 	case *dataFrame:
 		// Every receiver (and the sequencer's own history) shares the
 		// frame's records, which are never mutated after sequencing.
-		for i := range b.Recs {
-			g.processData(p, &b.Recs[i])
-		}
+		g.frame(p, b.Recs, nop).next()
 	case *bbDataMsg:
 		g.onBBData(p, b)
 	case *acceptMsg:
@@ -51,29 +51,15 @@ func (g *Member) handle(p *sim.Proc, from int, pkt amoeba.Packet) {
 	}
 }
 
-// nonblocking is the port's amoeba.Nonblocking predicate: it vouches
-// for the packets handle serves without a send or a CPU charge, which
-// the kernel then serves without a thread switch.
-func (g *Member) nonblocking(from int, pkt *amoeba.Packet) bool {
-	switch b := pkt.Body.(type) {
-	case *dataFrame:
-		// processData sends from one place only: deliver, at a member
-		// other than the sequencer, reports status when the delivery
-		// count reaches a multiple of StatusEvery. With nothing buffered
-		// out of order, this frame delivers at most its own records.
-		if g.isSeq || g.nextSeq <= g.maxSeen {
-			return false
-		}
-		if every := int64(g.cfg.StatusEvery); every > 0 {
-			n := g.stats.Delivered
-			return n/every == (n+int64(len(b.Recs)))/every
-		}
-		return true
-	case nil, hbMsg:
-		return true // noteStatus and onHeartbeat take no process to block with
-	}
-	return false
+// frame returns the walk that runs a frame's records through
+// processData and then k (see loop).
+func (g *Member) frame(p *sim.Proc, recs []dataMsg, k func()) *loop {
+	l := g.loop(p, len(recs), processRec, k)
+	l.recs = recs
+	return l
 }
+
+func processRec(l *loop, i int) { l.g.processData(l.p, &l.recs[i], l.next) }
 
 // onHeartbeat learns the sequencer's progress; if this member is
 // behind, gap recovery kicks in.
@@ -107,68 +93,71 @@ func reframe(d *dataMsg, epoch int) *dataFrame {
 	return f
 }
 
-// retransmit unicasts one sequenced record to a member that asked for
-// it, restamped with the current epoch: history may hold messages
-// sequenced under a previous view that are still part of the
-// (unchanged) prefix this view vouches for.
-func (g *Member) retransmit(p *sim.Proc, to int, d *dataMsg) {
-	g.m.Send(p, to, amoeba.Packet{Port: g.port, Kind: "grp-retx", Body: reframe(d, g.epoch), Size: frameSize(1, d.Size)})
-}
-
 // onRequest handles PB's RequestForBroadcast at the sequencer: each op
 // dedups individually and joins the pack buffer.
 func (g *Member) onRequest(p *sim.Proc, r *reqMsg) {
 	if !g.isSeq || !g.installed {
 		return // stale or uninstalled view; the sender will retry
 	}
-	for _, it := range r.Items {
-		seq, dup := g.seenSeq(it.Src, it.SrcSeq)
-		if !dup {
-			g.enqueue(p, &g.pack, it)
-			continue
-		}
-		// Retransmitted request: rebroadcast the sequenced message so
-		// the sender (and anyone else who missed it) sees it. Under
-		// consensus only chosen slots may travel as direct data — an
-		// uncommitted slot is covered by the re-propose timer.
-		if d := g.history.get(seq); d != nil && (g.cfg.Protocol != Consensus || seq <= g.committed) {
-			g.cast(p, amoeba.Packet{Port: g.port, Kind: "grp-data", Body: reframe(d, d.Epoch), Size: frameSize(1, d.Size)})
-		}
+	l := g.loop(p, len(r.Items), requestItem, nop)
+	l.items = r.Items
+	l.next()
+}
+
+func requestItem(l *loop, i int) {
+	g, it := l.g, l.items[i]
+	seq, dup := g.seenSeq(it.Src, it.SrcSeq)
+	if !dup {
+		g.enqueue(l.p, &g.pack, it, l.next)
+		return
 	}
+	// Retransmitted request: rebroadcast the sequenced message so the
+	// sender (and anyone else who missed it) sees it. Under consensus
+	// only chosen slots may travel as direct data — an uncommitted slot
+	// is covered by the re-propose timer.
+	if d := g.history.get(seq); d != nil && (g.cfg.Protocol != Consensus || seq <= g.committed) {
+		g.cast(l.p, amoeba.Packet{Port: g.port, Kind: "grp-data", Body: reframe(d, d.Epoch), Size: frameSize(1, d.Size)}, l.next)
+		return
+	}
+	l.next()
 }
 
 // onBBData handles BB's data broadcast at every member, op by op.
 func (g *Member) onBBData(p *sim.Proc, b *bbDataMsg) {
-	for i := range b.Items {
-		it := &b.Items[i]
-		switch {
-		case g.isSeq && g.installed:
-			seq, dup := g.seenSeq(it.Src, it.SrcSeq)
-			if !dup {
-				g.enqueue(p, &g.acc, *it)
-				continue
-			}
-			// Retransmission: the accept may have been lost. Recover
-			// the frame-boundary flag from the sequenced record so the
-			// receiver reconstructs the boundary every replica saw.
-			a := &acceptMsg{Seq: seq, Epoch: g.epoch}
-			if d := g.history.get(seq); d != nil {
-				a.More = d.More
-			}
-			a.UIDs = append(a.one[:0], it.UID)
-			g.castAccept(p, a)
-		case g.isSeq:
-			// Not installed yet: stash the data; the sender will retry.
-			g.pendingBB[it.UID] = it
-		default:
-			if seq, more, accepted := g.acceptedUID(it.UID); accepted {
-				// Accept arrived before the data: complete it now.
-				g.processData(p, &dataMsg{item: *it, Seq: seq, Epoch: g.epoch, More: more})
-				continue
-			}
-			g.pendingBB[it.UID] = it
+	g.loop(p, len(b.Items), func(l *loop, i int) { g.bbItem(p, &b.Items[i], l.next) }, nop).next()
+}
+
+// bbItem handles one op of a BB data frame.
+func (g *Member) bbItem(p *sim.Proc, it *item, k func()) {
+	switch {
+	case g.isSeq && g.installed:
+		seq, dup := g.seenSeq(it.Src, it.SrcSeq)
+		if !dup {
+			g.enqueue(p, &g.acc, *it, k)
+			return
 		}
+		// Retransmission: the accept may have been lost. Recover the
+		// frame-boundary flag from the sequenced record so the receiver
+		// reconstructs the boundary every replica saw.
+		a := &acceptMsg{Seq: seq, Epoch: g.epoch}
+		if d := g.history.get(seq); d != nil {
+			a.More = d.More
+		}
+		a.UIDs = append(a.one[:0], it.UID)
+		g.castAccept(p, a, k)
+		return
+	case g.isSeq:
+		// Not installed yet: stash the data; the sender will retry.
+		g.pendingBB[it.UID] = it
+	default:
+		if seq, more, accepted := g.acceptedUID(it.UID); accepted {
+			// Accept arrived before the data: complete it now.
+			g.processData(p, &dataMsg{item: *it, Seq: seq, Epoch: g.epoch, More: more}, k)
+			return
+		}
+		g.pendingBB[it.UID] = it
 	}
+	k()
 }
 
 // acceptedUID reports whether an accept for uid is waiting for data,
@@ -193,17 +182,18 @@ func (g *Member) onAccept(p *sim.Proc, a *acceptMsg) {
 		g.epoch = a.Epoch // adopt the newer view's stream
 		g.electing = false
 	}
-	for i, uid := range a.UIDs {
-		seq := a.Seq + int64(i)
+	g.loop(p, len(a.UIDs), func(l *loop, i int) {
+		uid, seq := a.UIDs[i], a.Seq+int64(i)
 		more := a.More || i < len(a.UIDs)-1
 		if seq < g.nextSeq {
 			delete(g.pendingBB, uid) // late duplicate; GC the stashed data
-			continue
+			l.next()
+			return
 		}
 		if bb, ok := g.pendingBB[uid]; ok {
 			delete(g.pendingBB, uid)
-			g.processData(p, &dataMsg{item: *bb, Seq: seq, Epoch: g.epoch, More: more})
-			continue
+			g.processData(p, &dataMsg{item: *bb, Seq: seq, Epoch: g.epoch, More: more}, l.next)
+			return
 		}
 		// Data frame lost: remember the accept and fetch the payload
 		// from the sequencer's history via the gap machinery.
@@ -212,10 +202,14 @@ func (g *Member) onAccept(p *sim.Proc, a *acceptMsg) {
 			g.maxSeen = seq
 		}
 		g.armGapTimer()
-	}
+		l.next()
+	}, nop).next()
 }
 
-// onRetxReq serves retransmissions out of the sequencer history.
+// onRetxReq serves retransmissions out of the sequencer history, one
+// unicast per sequenced record, restamped with the current epoch: history
+// may hold messages sequenced under a previous view that are still part
+// of the (unchanged) prefix this view vouches for.
 func (g *Member) onRetxReq(p *sim.Proc, r retxReq) {
 	g.noteStatus(r.Node, r.Delivered)
 	to := r.To
@@ -224,28 +218,27 @@ func (g *Member) onRetxReq(p *sim.Proc, r retxReq) {
 		// would deliver them without quorum backing.
 		to = g.committed
 	}
+	// A member that is not the sequencer serves only under consensus:
+	// chosen slots are quorum-backed and immutable, so any member that
+	// delivered them can serve them from its cache, and after a leader
+	// death the committed log must not depend on one machine being up and
+	// installed.
+	ring := &g.history
 	if !g.isSeq {
-		if g.cfg.Protocol == Consensus {
-			// Chosen slots are quorum-backed and immutable, so any
-			// member that delivered them can serve them from its cache:
-			// after a leader death the committed log must not depend on
-			// one machine being up and installed.
-			for s := r.From; s <= to; s++ {
-				if c := g.cache.get(s); c != nil {
-					g.retransmit(p, r.Node, c)
-				}
-			}
+		if g.cfg.Protocol != Consensus {
+			return
 		}
-		return
-	}
-	if to > g.maxSeen {
+		ring = &g.cache
+	} else if to > g.maxSeen {
 		to = g.maxSeen
 	}
-	for s := r.From; s <= to; s++ {
-		if d := g.history.get(s); d != nil {
-			g.retransmit(p, r.Node, d)
+	g.loop(p, int(to-r.From+1), func(l *loop, i int) {
+		if d := ring.get(r.From + int64(i)); d != nil {
+			g.m.SendFn(p, r.Node, amoeba.Packet{Port: g.port, Kind: "grp-retx", Body: reframe(d, g.epoch), Size: frameSize(1, d.Size)}, l.next)
+			return
 		}
-	}
+		l.next()
+	}, nop).next()
 }
 
 // alwaysBuffer sends every record through the out-of-order buffer. Tests
@@ -254,12 +247,13 @@ var alwaysBuffer bool
 
 // processData runs the ordered-delivery core: acknowledge own sends,
 // buffer out-of-order messages, deliver in strict sequence order, and
-// arm gap recovery when holes remain. The record a member hears most —
-// another member's, next in sequence, nothing waiting behind a hole —
-// probes no table and touches no buffer on its way to deliver.
-func (g *Member) processData(p *sim.Proc, d *dataMsg) {
+// arm gap recovery when holes remain, then k. The record a member hears
+// most — another member's, next in sequence, nothing waiting behind a
+// hole — probes no table and touches no buffer on its way to deliver.
+func (g *Member) processData(p *sim.Proc, d *dataMsg, k func()) {
 	if d.Epoch < g.epoch {
-		return // stale sequencer's stream
+		k() // stale sequencer's stream
+		return
 	}
 	if d.Epoch > g.epoch {
 		g.epoch = d.Epoch // adopt the newer view's stream
@@ -278,24 +272,34 @@ func (g *Member) processData(p *sim.Proc, d *dataMsg) {
 		g.maxSeen = d.Seq
 	}
 	if d.Seq < g.nextSeq {
-		return // duplicate
+		k() // duplicate
+		return
 	}
 	if d.Seq == g.nextSeq && g.buffered.span() == 0 && !alwaysBuffer {
-		g.deliver(p, d)
-		g.nextSeq++
-	} else {
-		g.buffered.advanceTo(g.nextSeq) // which the in-order path leaves behind
-		g.buffered.set(d.Seq, d)
-		for {
-			nd := g.buffered.get(g.nextSeq)
-			if nd == nil {
-				break
-			}
-			g.buffered.del(g.nextSeq)
-			g.deliver(p, nd)
-			g.nextSeq++
-			g.buffered.advanceTo(g.nextSeq)
+		if g.deliver(p, d) {
+			g.report(p, k)
+			return
 		}
+		g.nextSeq++
+		g.drain(p, k) // finds the buffer empty
+		return
+	}
+	g.buffered.advanceTo(g.nextSeq) // which the in-order path leaves behind
+	g.buffered.set(d.Seq, d)
+	g.drain(p, k)
+}
+
+// drain delivers what the out-of-order buffer holds in sequence, and
+// then gap recovery runs while holes remain.
+func (g *Member) drain(p *sim.Proc, k func()) {
+	for nd := g.buffered.get(g.nextSeq); nd != nil; nd = g.buffered.get(g.nextSeq) {
+		g.buffered.del(g.nextSeq)
+		if g.deliver(p, nd) {
+			g.report(p, k)
+			return
+		}
+		g.nextSeq++
+		g.buffered.advanceTo(g.nextSeq)
 	}
 	if g.nextSeq <= g.maxSeen {
 		g.armGapTimer()
@@ -303,12 +307,29 @@ func (g *Member) processData(p *sim.Proc, d *dataMsg) {
 		g.gapTimer.Cancel()
 		g.gapOn = false
 	}
+	k()
+}
+
+// report sends the status report deliver called for, after which
+// processData goes on draining, a loop of one step. On the in-order
+// path the buffer is empty: the step catches its window up with nextSeq
+// and checks for holes.
+func (g *Member) report(p *sim.Proc, k func()) {
+	g.m.SendFn(p, g.seqNode, amoeba.Packet{Port: g.port, Kind: "grp-status", Obj: g.nextSeq, Size: hdrSmall}, g.loop(p, 1, reported, k).next)
+}
+
+func reported(l *loop, _ int) {
+	g := l.g
+	g.nextSeq++
+	g.buffered.advanceTo(g.nextSeq)
+	g.drain(l.p, l.next)
 }
 
 // deliver hands one sequenced message to the application stream and
 // maintains the delivered cache, per-source dedup windows, and status
-// reporting. Everything here is O(1) per delivery.
-func (g *Member) deliver(p *sim.Proc, d *dataMsg) {
+// reporting: it tells whether a member that is not the sequencer is due
+// to report its progress. Everything here is O(1) per delivery.
+func (g *Member) deliver(p *sim.Proc, d *dataMsg) (report bool) {
 	g.seqAlive = p.Now()
 	if len(g.acceptedBB) > 0 {
 		delete(g.acceptedBB, d.Seq)
@@ -324,7 +345,7 @@ func (g *Member) deliver(p *sim.Proc, d *dataMsg) {
 	if d.Src < 0 {
 		// Consensus noop filler: it occupies its slot so the log stays
 		// dense, but carries nothing for the application.
-		return
+		return false
 	}
 	if g.dupDelivery(d.Src, d.SrcSeq) {
 		// Re-sequenced duplicate after an election. The consumer still
@@ -333,13 +354,11 @@ func (g *Member) deliver(p *sim.Proc, d *dataMsg) {
 		// close its per-frame sweep), so a Dup-marked record travels in
 		// its place; the payload is never re-applied.
 		g.outQ.Put(Delivery{Seq: d.Seq, UID: d.UID, Src: d.Src, Kind: d.Kind, Size: d.Size, More: d.More, Dup: true})
-		return
+		return false
 	}
 	g.stats.Delivered++
 	g.outQ.Put(Delivery{Seq: d.Seq, UID: d.UID, Src: d.Src, Kind: d.Kind, Body: d.Body, Size: d.Size, More: d.More})
-	if !g.isSeq && g.cfg.StatusEvery > 0 && g.stats.Delivered%int64(g.cfg.StatusEvery) == 0 {
-		g.m.Send(p, g.seqNode, amoeba.Packet{Port: g.port, Kind: "grp-status", Obj: g.nextSeq, Size: hdrSmall})
-	}
+	return !g.isSeq && g.cfg.StatusEvery > 0 && g.stats.Delivered%int64(g.cfg.StatusEvery) == 0
 }
 
 // armGapTimer starts periodic retransmission requests while sequence
@@ -355,11 +374,10 @@ func (g *Member) armGapTimer() {
 		return
 	}
 	g.gapNext, g.gapEpoch, g.gapStall = g.nextSeq, g.epoch, 0
-	g.gapOn = true
-	g.gapTimer.Arm(g.cfg.GapTimeout)
+	g.gapArmFn()
 }
 
-// gapRound is the gap timer's round, on the interrupt thread.
+// gapRound is the gap timer's round, in interrupt context.
 func (g *Member) gapRound(p *sim.Proc) {
 	g.gapOn = false
 	if g.nextSeq > g.maxSeen {
@@ -379,17 +397,24 @@ func (g *Member) gapRound(p *sim.Proc) {
 		g.gapNext, g.gapStall = g.nextSeq, 0
 	}
 	if g.gapStall > g.cfg.SenderRetries {
-		g.suspectSequencer(p)
-		g.gapStall = 0
+		g.suspectSequencer(p, func() {
+			g.gapStall = 0
+			g.requestGap(p)
+		})
+		return
 	}
+	g.requestGap(p)
+}
+
+// requestGap asks the sequencer for the missing sequence numbers and
+// re-arms the gap timer.
+func (g *Member) requestGap(p *sim.Proc) {
 	g.stats.GapRequests++
 	to := g.nextSeq + 31
 	if to > g.maxSeen {
 		to = g.maxSeen
 	}
-	g.m.Send(p, g.seqNode, amoeba.Packet{Port: g.port, Kind: "grp-retx-req",
+	g.m.SendFn(p, g.seqNode, amoeba.Packet{Port: g.port, Kind: "grp-retx-req",
 		Body: retxReq{From: g.nextSeq, To: to, Node: g.m.ID(), Delivered: g.nextSeq - 1},
-		Size: hdrSmall})
-	g.gapOn = true
-	g.gapTimer.Arm(g.cfg.GapTimeout)
+		Size: hdrSmall}, g.gapArmFn)
 }

@@ -37,6 +37,8 @@ package rts
 // round-trip, MaxOps ops at a time.
 
 import (
+	"slices"
+
 	"repro/internal/group"
 	"repro/internal/sim"
 )
@@ -56,36 +58,29 @@ type writeBuf struct {
 	ops    []group.BatchOp
 	insts  []*bcastInstance // objects with buffered writes
 	bytes  int
-	uids   []int64 // scratch for BroadcastBatch
+	uids   []int64 // the batch's, from BroadcastBatchFn
 	flight *batchFlight
 	fl0    batchFlight // the pooled flight record (one in flight max)
 	timer  *sim.Event
 
 	// spare buffers ping-pong with ops/insts across flushes: a flush
-	// detaches the filled buffers before broadcasting (the broadcast
-	// blocks on the CPU, and the worker may buffer more ops
-	// meanwhile) and returns them cleared afterwards.
+	// detaches the filled buffers into the spares before broadcasting
+	// (the broadcast waits for the CPU, and the worker may buffer more
+	// ops meanwhile) and returns them cleared afterwards.
 	opsSpare   []group.BatchOp
 	instsSpare []*bcastInstance
+
+	// The flush on its way out (see flushFn), and b.sent bound once.
+	p      *sim.Proc
+	then   func()
+	sentFn func()
 }
 
 // holds reports whether the buffer (or its in-flight batch) carries a
 // write to inst — the read-own-write test. Buffers hold at most
 // MaxOps ops, so the scan is a handful of pointer compares.
 func (b *writeBuf) holds(inst *bcastInstance) bool {
-	for _, x := range b.insts {
-		if x == inst {
-			return true
-		}
-	}
-	if fl := b.flight; fl != nil {
-		for _, x := range fl.insts {
-			if x == inst {
-				return true
-			}
-		}
-	}
-	return false
+	return slices.Contains(b.insts, inst) || b.flight != nil && slices.Contains(b.flight.insts, inst)
 }
 
 // bufferWrite appends one unguarded no-result write to w's combining
@@ -95,6 +90,7 @@ func (mgr *bcastManager) bufferWrite(w *Worker, id ObjID, inst *bcastInstance, o
 	b := w.batch
 	if b == nil {
 		b = &writeBuf{mgr: mgr}
+		b.sentFn = b.sent
 		w.batch = b
 	}
 	r := mgr.rts
@@ -107,14 +103,7 @@ func (mgr *bcastManager) bufferWrite(w *Worker, id ObjID, inst *bcastInstance, o
 	size := opSize(opName, &args)
 	b.ops = append(b.ops, group.BatchOp{Kind: "rts-op", Body: wireOp{Obj: id, Op: opName, Args: args}, Size: size})
 	b.bytes += size
-	found := false
-	for _, x := range b.insts {
-		if x == inst {
-			found = true
-			break
-		}
-	}
-	if !found {
+	if !slices.Contains(b.insts, inst) {
 		b.insts = append(b.insts, inst)
 	}
 	r.stats.BatchedOps++
@@ -130,24 +119,31 @@ func (mgr *bcastManager) bufferWrite(w *Worker, id ObjID, inst *bcastInstance, o
 			b.timer = nil
 			// A linger flush must not block, so it defers to the
 			// continuation flush when a batch is in flight.
-			b.flush(tp)
+			b.flushFn(tp, func() {})
 		})
 	}
 }
 
 // flush sends the buffered ops as one batch, if none is in flight.
-//
-// The broadcast below blocks on the machine's CPU, and arbitrary
-// simulation activity runs meanwhile: the worker may buffer more ops
-// (when the flush runs in manager or timer context), another flush
-// attempt may fire, and the local manager may already apply some of
-// the batch. So the flight is installed FIRST (making any concurrent
-// flush a no-op and keeping read-own-write checks truthful), the op
-// buffer is detached before broadcasting, and completions that beat
-// the uid registration are reconciled from the early-completion
-// buffer afterwards.
 func (b *writeBuf) flush(p *sim.Proc) {
+	b.flushFn(p, p.Resume())
+	p.Park()
+}
+
+// flushFn is flush in continuation form, for the linger timer's round in
+// interrupt context: then runs where flush returns.
+//
+// The broadcast waits for the machine's CPU, and arbitrary simulation
+// activity runs meanwhile: the worker may buffer more ops (when the
+// flush runs in manager or timer context), another flush attempt may
+// fire, and the local manager may already apply some of the batch. So
+// the flight is installed FIRST (making any concurrent flush a no-op and
+// keeping read-own-write checks truthful), the op buffer is detached
+// before broadcasting, and completions that beat the uid registration
+// are reconciled from the early-completion buffer afterwards (sent).
+func (b *writeBuf) flushFn(p *sim.Proc, then func()) {
 	if len(b.ops) == 0 || b.flight != nil {
+		then()
 		return
 	}
 	mgr := b.mgr
@@ -160,13 +156,17 @@ func (b *writeBuf) flush(p *sim.Proc) {
 	fl.remaining = len(b.ops) // provisional until the uids register
 	fl.insts = append(fl.insts[:0], b.insts...)
 	b.flight = fl
-	ops := b.ops
-	insts := b.insts
-	b.ops = b.opsSpare[:0]
-	b.insts = b.instsSpare[:0]
+	b.ops, b.opsSpare = b.opsSpare[:0], b.ops
+	b.insts, b.instsSpare = b.instsSpare[:0], b.insts
 	b.bytes = 0
 	mgr.rts.stats.Frames++
-	b.uids = mgr.g.BroadcastBatch(p, ops, b.uids[:0])
+	b.p, b.then, b.uids = p, then, b.uids[:0]
+	mgr.g.BroadcastBatchFn(p, b.opsSpare, &b.uids, b.sentFn)
+}
+
+// sent continues flushFn once the batch has been submitted.
+func (b *writeBuf) sent() {
+	mgr, fl, p, then := b.mgr, &b.fl0, b.p, b.then
 	for _, uid := range b.uids {
 		if _, done := mgr.early[uid]; done {
 			delete(mgr.early, uid)
@@ -175,17 +175,19 @@ func (b *writeBuf) flush(p *sim.Proc) {
 		}
 		mgr.flights[uid] = fl
 	}
-	clear(ops)
-	b.opsSpare = ops[:0]
-	clear(insts)
-	b.instsSpare = insts[:0]
+	clear(b.opsSpare)
+	b.opsSpare = b.opsSpare[:0]
+	clear(b.instsSpare)
+	b.instsSpare = b.instsSpare[:0]
 	if fl.remaining == 0 {
 		b.flight = nil
 		fl.cond.Broadcast()
 		if len(b.ops) > 0 {
-			b.flush(p) // ops buffered during the broadcast
+			b.flushFn(p, then) // ops buffered during the broadcast
+			return
 		}
 	}
+	then()
 }
 
 // waitFlight blocks until the current in-flight batch (if any) has

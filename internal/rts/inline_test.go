@@ -370,3 +370,26 @@ func TestBcastWriteAllocations(t *testing.T) {
 		t.Errorf("%.2f allocations per broadcast write over %d writes, want at most 4 over at least 300", perOp, done)
 	}
 }
+
+// Combined writes at P = 16 leave in frames of eight. A flush hands its
+// batch to the group layer through pooled walk records, so it allocates
+// nothing of its own: 2.39 allocations per write, as when the flush
+// looped over blocking broadcasts (a closure per flush made it 2.51).
+func TestBatchedWriteAllocations(t *testing.T) {
+	skipUnderRace(t)
+	b, r := newBatchedTB(t, 3, 16, testBatch())
+	defer b.done()
+	ops := 0
+	b.spawn(1, "writer", func(w *Worker) {
+		id := r.Create(w, "intcell", 0)
+		for {
+			var in Args
+			Put(&in, 1<<40+ops)
+			r.Call(w, id, "set", in)
+			ops++
+		}
+	})
+	if perOp, done := allocsPerOp(b, 100*sim.Millisecond, &ops); perOp > 2.4 || done < 4000 {
+		t.Errorf("%.3f allocations per combined write over %d writes, want at most 2.4 over at least 4000", perOp, done)
+	}
+}

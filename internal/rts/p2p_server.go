@@ -136,8 +136,8 @@ func (n *p2pNode) applyUpdate(p *sim.Proc, req *amoeba.Request) {
 }
 
 // handleCtl services the one-way control port: unlocks (phase two),
-// copyset drops, and pushed installs. It runs on the interrupt thread
-// and never blocks.
+// copyset drops, and pushed installs. It runs in interrupt context and
+// never blocks.
 func (n *p2pNode) handleCtl(p *sim.Proc, from int, pkt amoeba.Packet) {
 	switch body := pkt.Body.(type) {
 	case p2pUnlock:
