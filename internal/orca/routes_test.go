@@ -8,6 +8,7 @@ package orca_test
 
 import (
 	"fmt"
+	"os"
 	"strings"
 	"testing"
 
@@ -154,20 +155,46 @@ var faultCells = []struct {
 		}},
 }
 
+// runtimeGoldens reads testdata/runtime.golden: one line per run of
+// TestInlineMatchesAllThreads, its subtest name and its fingerprint
+// separated by a tab.
+func runtimeGoldens(t *testing.T) map[string]string {
+	data, err := os.ReadFile("testdata/runtime.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]string{}
+	for _, line := range strings.Split(strings.TrimSuffix(string(data), "\n"), "\n") {
+		name, fp, _ := strings.Cut(line, "\t")
+		want[name] = fp
+	}
+	return want
+}
+
 // TestInlineMatchesAllThreads is the differential oracle of inline
 // service: with sim.Env.AllThreads set, every consumer that decides
 // between the dispatch lane and its goroutine takes the goroutine, and a
 // run must show an outsider exactly what it shows without. An inline
 // consumer that touches anything before it declines, or takes steps its
-// thread would not, fails here.
+// thread would not, fails here. Both routes must also reproduce the
+// pinned fingerprint of every run (testdata/runtime.golden).
 func TestInlineMatchesAllThreads(t *testing.T) {
+	want := runtimeGoldens(t)
+	golden := func(t *testing.T, fp string) {
+		name := t.Name()[strings.Index(t.Name(), "/")+1:]
+		if w, ok := want[name]; !ok || fp != w {
+			t.Errorf("fingerprint moved (pinned: %t):%s", ok, diffAt(fp, w))
+		}
+	}
 	matrixConfigs(t, func(t *testing.T, cfg orca.Config) {
 		if cfg.Validate() != nil {
 			t.Skip("not a configuration")
 		}
-		if inline, threads := matrixRun(t, cfg, false).fp, matrixRun(t, cfg, true).fp; inline != threads {
+		inline, threads := matrixRun(t, cfg, false).fp, matrixRun(t, cfg, true).fp
+		if inline != threads {
 			t.Error("the two routes differ:", diffAt(inline, threads))
 		}
+		golden(t, inline)
 	})
 	for _, c := range faultCells {
 		t.Run(c.name, func(t *testing.T) {
@@ -187,6 +214,7 @@ func TestInlineMatchesAllThreads(t *testing.T) {
 			if fp[0] != fp[1] {
 				t.Error("the two routes differ:", diffAt(fp[0], fp[1]))
 			}
+			golden(t, fp[0])
 		})
 	}
 }
