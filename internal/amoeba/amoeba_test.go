@@ -235,25 +235,30 @@ func one[T any](v T) (a Args) {
 // atMostOnceRun sends 30 RPCs over a net that loses 40% of all frames,
 // so that requests are retransmitted and replies lost, to a server that
 // counts executions, and reports every figure an observer could take.
-// The server is one thread looping on GetRequest and PutReply; take, if
-// non-nil, is also installed as its inline consumer.
-func atMostOnceRun(t *testing.T, take func(srv *Server, p *sim.Proc, r *Request, execs *int) sim.Verdict) string {
+// The server is one thread looping on GetRequest and PutResult or, if
+// served, a consumer with no process behind it (Server.Serve).
+func atMostOnceRun(t *testing.T, served bool) string {
 	t.Helper()
 	env, nw, ms := cluster(t, 2, lossy(0.4))
 	srv := NewServer(ms[1], "ctr")
 	execs := 0
-	thread := ms[1].SpawnThread("server", func(p *sim.Proc) {
-		for {
-			r, ok := srv.GetRequest(p)
-			if !ok {
-				return
-			}
+	if served {
+		var c *sim.Proc
+		c = srv.Serve(func(r *Request) {
 			execs++
-			srv.PutResult(p, r, one(execs), 8)
-		}
-	})
-	if take != nil {
-		srv.Serve(thread, func(r *Request) sim.Verdict { return take(srv, thread, r, &execs) })
+			srv.PutResultFn(c, r, one(execs), 8, srv.Done)
+		})
+	} else {
+		ms[1].SpawnThread("server", func(p *sim.Proc) {
+			for {
+				r, ok := srv.GetRequest(p)
+				if !ok {
+					return
+				}
+				execs++
+				srv.PutResult(p, r, one(execs), 8)
+			}
+		})
 	}
 	c := NewClient(ms[0], RPCDefaults{Timeout: 30 * sim.Millisecond, Retries: 30})
 	done, sum := 0, 0
@@ -277,33 +282,14 @@ func atMostOnceRun(t *testing.T, take func(srv *Server, p *sim.Proc, r *Request,
 }
 
 // Duplicate requests (the net loses 40% of all frames) must not execute
-// twice, and it must make no difference to any figure whether the
-// server's thread serves the requests, an inline consumer serves them
-// on the dispatch lane, or the two take turns. The pinned figures are
-// those of the server that had only threads.
+// twice, and it must make no difference to any figure whether a thread
+// serves the requests or a consumer with no process behind it does. The
+// pinned figures are those of the server that had only threads.
 func TestRPCAtMostOnce(t *testing.T) {
-	inline := func(srv *Server, p *sim.Proc, r *Request, execs *int) sim.Verdict {
-		*execs++
-		srv.PutResultFn(p, r, one(*execs), 8, srv.Done)
-		return sim.Pending
-	}
-	turn := 0
-	for _, mode := range []struct {
-		name string
-		take func(*Server, *sim.Proc, *Request, *int) sim.Verdict
-	}{
-		{"thread", nil},
-		{"inline", inline},
-		{"alternating", func(srv *Server, p *sim.Proc, r *Request, execs *int) sim.Verdict {
-			if turn++; turn%2 == 0 {
-				return sim.Decline
-			}
-			return inline(srv, p, r, execs)
-		}},
-	} {
+	for _, served := range []bool{false, true} {
 		const want = "done=30 execs=30 sum=465 end=1.601s events=586 frames=136 drops=52 busy=21060000/22860000"
-		if fig := atMostOnceRun(t, mode.take); fig != want {
-			t.Errorf("%s server: %s, want %s", mode.name, fig, want)
+		if fig := atMostOnceRun(t, served); fig != want {
+			t.Errorf("served=%t: %s, want %s", served, fig, want)
 		}
 	}
 }

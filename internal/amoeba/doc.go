@@ -11,14 +11,16 @@
 // user work, and the bound port handler then runs. This per-message CPU
 // tax is what bends the speedup curves of update-heavy applications,
 // exactly as the paper reports for ACP. Interrupt context is one FIFO
-// server per machine that runs to completion on the simulator's
-// dispatch lane: the charge, the handler and deferred functions (kernel
-// timer rounds) alike. A handler never blocks: it sends through the
-// continuation forms (SendFn, MulticastFn), chaining one send from the
-// last one's continuation, and the kernel serves the next packet once
-// the handler and every continuation it started have run, so service
-// stalls behind its sends as it did behind a blocked interrupt thread,
-// in the same virtual instants.
+// consumer per machine with no process behind it, which runs to
+// completion on the simulator's dispatch lane in the name of the
+// machine's interrupt claimant (see sim.Env.Claimant): the charge, the
+// handler and deferred functions (kernel timer rounds) alike. A handler
+// never blocks: it sends through the continuation forms (SendFn,
+// MulticastFn), chaining one send from the last one's continuation, and
+// the kernel serves the next packet once the handler and every
+// continuation it started have run, so service stalls behind its sends
+// as it did behind a blocked interrupt thread, in the same virtual
+// instants.
 //
 // RPC is Amoeba's: a Client thread blocks in Call (or Trans, its
 // all-body form), which retransmits on timeout; a Server deduplicates by
@@ -36,21 +38,18 @@
 // put it: the packet is built once, when the delivery has been charged
 // for. Nothing in flight aliases a record anyone can reuse, which is
 // what lets every record here be pooled. A Server is consumed by threads that
-// loop on GetRequest and PutReply — any number of them. A server with
-// exactly one such thread may also be served inline (Server.Serve): the
-// context switch is charged as a continuation on the CPU and a function
-// of the owner's is asked, at the instant GetRequest would have
-// returned, whether it serves the request on the dispatch lane (to the
-// end, or through PutResultFn and Done) or declines, in which case the
-// thread gets the request within the same event. That is one FIFO
-// server with two bodies, and only the wall clock can tell them apart;
-// it is a contract on the owner — one consuming thread, decline before
-// any side effect, never block — and such a server is never closed.
-// Request and transaction records are pooled: a Request is the
-// server's again once its reply is on its way.
+// loop on GetRequest and PutReply — any number of them — or by one
+// consumer with no process behind it (Server.Serve): each request's
+// context switch is charged in the consumer's claimant's name, and a
+// function of the owner's is handed the request at the instant
+// GetRequest would have returned it, serves it on the dispatch lane
+// through the continuation forms (PutResultFn, PutReplyFn) without
+// blocking, and calls Done. Only the wall clock can tell that from one
+// thread serving the port. Request and transaction records are pooled:
+// a Request is the server's again once its reply is on its way.
 //
-// Machines crash whole: Crash kills every thread on the machine and
-// takes it off the network, and in-flight RPCs from other machines to
+// Machines crash whole: Crash kills every thread and claimant of the
+// machine and takes it off the network, and in-flight RPCs from other machines to
 // it fail with ErrCrashed instead of hanging — the primitive the
 // runtime systems' crash recovery is built on.
 //

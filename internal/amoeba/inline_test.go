@@ -172,9 +172,10 @@ func TestChainedSendsMatchThread(t *testing.T) {
 	}
 }
 
-// A handler runs on the dispatch lane with the interrupt thread parked,
-// so a handler that reaches a blocking call with it is a bug, and sim
-// says so, naming the thread, instead of hanging.
+// A handler runs on the dispatch lane in the name of the interrupt
+// claimant, which has no process to park, so a handler that reaches a
+// blocking call with it is a bug, and sim says so, naming the claimant,
+// instead of hanging.
 func TestBlockingHandlerPanics(t *testing.T) {
 	env, _, ms := cluster(t, 2, nil)
 	ms[1].Bind("svc", func(p *sim.Proc, from int, pkt Packet) {
@@ -559,8 +560,8 @@ func TestReleasedRequestIsPoisoned(t *testing.T) {
 }
 
 // A charge of several quanta is the same slices in the same event slots
-// whether a thread makes it (Compute) or a served queue's inline consumer
-// makes it for the thread (ComputeFn): a second claimant that arrives
+// whether a thread makes it (Compute) or a served queue's consumer makes
+// it in its claimant's name (ComputeFn): a second claimant that arrives
 // mid-way gets the CPU after the slice in progress either way, and every
 // moment an observer can see has the same clock and event count.
 func TestComputeFnSlicesLikeCompute(t *testing.T) {
@@ -575,21 +576,19 @@ func TestComputeFnSlicesLikeCompute(t *testing.T) {
 		q := m.cpu.Slice
 		note := func(who string) { trace = append(trace, moment{who, env.Now(), env.Events()}) }
 		work := sim.NewQueue[sim.Time](env)
-		var thread *sim.Proc
 		if inline {
+			c := m.Claimant("long")
 			done := func() { note("long"); work.Done() }
-			work.Serve(func(d sim.Time) sim.Verdict {
-				m.ComputeFn(thread, d, done)
-				return sim.Pending
+			work.Serve(c, func(d sim.Time) { m.ComputeFn(c, d, done) })
+		} else {
+			m.SpawnThread("long", func(p *sim.Proc) {
+				for {
+					d, _ := work.Get(p)
+					m.Compute(p, d)
+					note("long")
+				}
 			})
 		}
-		thread = m.SpawnThread("long", func(p *sim.Proc) {
-			for {
-				d, _ := work.Get(p)
-				m.Compute(p, d)
-				note("long")
-			}
-		})
 		m.SpawnThread("short", func(p *sim.Proc) {
 			p.Sleep(q + q/5) // into the long charge's second slice
 			m.Compute(p, q/2)

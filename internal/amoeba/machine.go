@@ -63,9 +63,10 @@ type Packet struct {
 // Handler services packets arriving at a bound port. It runs in
 // interrupt context, on the simulator's dispatch lane, after the
 // delivery's interrupt and protocol CPU costs have been charged, and p
-// is the machine's interrupt thread, which stays parked: p is good for
-// identity, for p.Now() and as the claimant of CPU time, and reaching a
-// blocking call with it panics in sim. A handler never blocks. It sends
+// is the machine's interrupt claimant (see sim.Env.Claimant), which has
+// no process behind it: p is good for identity, for p.Now() and as the
+// claimant of CPU time, and reaching a blocking call with it panics in
+// sim. A handler never blocks. It sends
 // through the continuation forms (SendFn, MulticastFn) with p, whatever
 // it does after a send going into that send's continuation, and issues
 // a second send from the first one's continuation, never beside it. The
@@ -96,7 +97,7 @@ type Machine struct {
 	costs      Costs
 	cpu        *sim.Resource
 	inq        *sim.Queue[task]
-	isr        *sim.Proc // the interrupt thread
+	isr        *sim.Proc // the interrupt claimant
 	cur        task      // the delivery whose costs are being charged inline
 	pkt        Packet    // the packet being served, opened by dispatch
 	dispatchFn func()    // m.dispatch, bound once
@@ -108,7 +109,7 @@ type Machine struct {
 	joins      int // continuations the task in service has outstanding
 	crashed    bool
 
-	threads    []*sim.Proc // live threads of this machine (compacted lazily)
+	threads    []*sim.Proc // live threads and the claimants of this machine (compacted lazily)
 	threadHi   int         // compaction watermark for threads
 	appBusy    sim.Time    // CPU time charged through Compute (application work)
 	svcCounter int64
@@ -128,8 +129,8 @@ func NewMachine(env *sim.Env, net *netsim.Network, id int, costs Costs) *Machine
 	m.cpu.Slice = quantum
 	m.dispatchFn = m.dispatch
 	net.Handle(id, m.receive)
-	m.inq.Serve(m.interrupt)
-	m.isr = m.SpawnThread("netisr", m.interruptLoop)
+	m.isr = m.Claimant("netisr")
+	m.inq.Serve(m.isr, m.interrupt)
 	return m
 }
 
@@ -146,29 +147,29 @@ func (m *Machine) Net() *netsim.Network { return m.net }
 func (m *Machine) CPU() *sim.Resource { return m.cpu }
 
 // Interrupt service runs to completion on the simulator's dispatch
-// lane, as one FIFO server of m.inq (see sim.Queue.Serve): a task is
-// served once the one before it has finished, continuations and all, so
-// the order of service and every virtual instant are those of a single
-// thread doing all of it.
+// lane, as the consumer of m.inq with no process behind it (see
+// sim.Queue.Serve): a task is served once the one before it has
+// finished, continuations and all, so the order of service and every
+// virtual instant are those of a single thread doing all of it.
 //
 // interrupt serves one task. A deferred function runs in place. A
 // delivery's interrupt and protocol costs are charged as a front-lane
 // continuation on the CPU, and dispatch then runs the port handler.
-func (m *Machine) interrupt(t task) sim.Verdict {
+func (m *Machine) interrupt(t task) {
 	if m.crashed {
-		return sim.Finished
+		m.inq.Done()
+		return
 	}
 	if t.fn != nil {
 		t.fn(m.isr)
-		if m.joins > 0 {
-			return sim.Pending
+		if m.joins == 0 {
+			m.inq.Done()
 		}
-		return sim.Finished
+		return
 	}
 	m.cur = t
 	cost := m.costs.Interrupt*sim.Time(t.frags) + m.costs.Protocol
 	m.cpu.UseFrontFn(m.isr, cost, m.dispatchFn)
-	return sim.Pending
 }
 
 // dispatch runs when the current delivery's costs have been charged: it
@@ -273,19 +274,6 @@ func (m *Machine) open(pay any) {
 	}
 }
 
-// interruptLoop is the interrupt thread's body. interrupt and dispatch
-// serve every task of m.inq on the dispatch lane, so the thread parks in
-// Get for good: it stays as the queue's consumer and as the identity the
-// kernel claims the CPU with. Of the deliveries of a replicated kv run,
-// a primary-copy one and a batched, sharded TSP, 0 reach it (7.3 %, 0.6 %
-// and 24.1 % when handlers that send ran here): go test -run
-// TestRouteShares -v ./internal/orca.
-func (m *Machine) interruptLoop(p *sim.Proc) {
-	if _, ok := m.inq.Get(p); ok {
-		panic(fmt.Sprintf("amoeba: node %d: interrupt service handed a task to its thread", m.id))
-	}
-}
-
 // Bind registers the handler for a port. Binding an already-bound port
 // panics: port names are service identities.
 func (m *Machine) Bind(port string, h Handler) {
@@ -328,6 +316,18 @@ func (m *Machine) SpawnThread(name string, fn func(p *sim.Proc)) *sim.Proc {
 	return p
 }
 
+// Claimant returns the record in whose name a consumer of this machine
+// with no process behind it claims the CPU and waits (see
+// sim.Env.Claimant). It dies with the machine, as a thread does.
+func (m *Machine) Claimant(name string) *sim.Proc {
+	if m.crashed {
+		panic(fmt.Sprintf("amoeba: claimant %q on crashed node %d", name, m.id))
+	}
+	c := m.env.Claimant(fmt.Sprintf("node%d/%s", m.id, name))
+	m.threads = append(m.threads, c)
+	return c
+}
+
 // Compute charges d of application CPU time to the machine on behalf
 // of thread p, blocking while the CPU is busy. Long computations are
 // sliced into scheduling quanta so other threads and interrupt service
@@ -339,9 +339,9 @@ func (m *Machine) Compute(p *sim.Proc, d sim.Time) {
 
 // ComputeFn is Compute in continuation form: d is charged on p's behalf,
 // a quantum at a time (see sim.Resource.Slice), and fn then runs on the
-// dispatch lane. A thread parked as the consumer of a served queue is
-// charged this way by the code that stands in for it. A charge of
-// nothing runs fn at once, as Compute returns at once.
+// dispatch lane. A consumer with no process behind it is charged this
+// way, in its claimant's name. A charge of nothing runs fn at once, as
+// Compute returns at once.
 func (m *Machine) ComputeFn(p *sim.Proc, d sim.Time, fn func()) {
 	if d <= 0 {
 		fn()
@@ -363,8 +363,8 @@ func (m *Machine) Send(p *sim.Proc, dst int, pkt Packet) {
 // SendFn is Send in continuation form: the send cost is charged on p's
 // behalf, and the packet is then transmitted and then runs, in the
 // event where Send would have returned to p. A crashed machine sends
-// nothing and charges nothing, and then runs at once. A claim made on
-// the interrupt thread's behalf belongs to the task in service, which
+// nothing and charges nothing, and then runs at once. A claim made in
+// the interrupt claimant's name belongs to the task in service, which
 // ends only once then has run (see Handler).
 func (m *Machine) SendFn(p *sim.Proc, dst int, pkt Packet, then func()) {
 	m.sendFn(p, dst, pkt, nil, then)
@@ -377,7 +377,7 @@ type sending struct {
 	members []int // a multicast's receivers
 	pkt     Packet
 	then    func()
-	kernel  bool   // claimed by the interrupt thread
+	kernel  bool   // claimed by the interrupt claimant
 	sentFn  func() // s.sent, bound once
 	next    *sending
 }
@@ -445,8 +445,8 @@ func (m *Machine) MulticastFn(p *sim.Proc, pkt Packet, members []int, then func(
 }
 
 // Defer enqueues fn to run in interrupt context, as a task of interrupt
-// service: on the dispatch lane, with the interrupt thread for p, under
-// the contract of a Handler. Timer callbacks use this to re-enter
+// service: on the dispatch lane, with the interrupt claimant for p,
+// under the contract of a Handler. Timer callbacks use this to re-enter
 // kernel context.
 func (m *Machine) Defer(fn func(p *sim.Proc)) {
 	if m.crashed {
@@ -464,7 +464,8 @@ func (m *Machine) After(d sim.Time, fn func(p *sim.Proc)) *sim.Event {
 // Crash simulates a processor crash: the machine leaves the network,
 // stops servicing its queues, and every thread spawned on it is killed
 // where it stands — mid-computation, parked on a condition, or waiting
-// for a reply. Nothing on the machine runs again. In-flight RPCs from
+// for a reply — as is every claimant, with whatever continuation is due
+// in its name. Nothing on the machine runs again. In-flight RPCs from
 // other machines to this one fail with ErrCrashed once their timeout
 // notices the destination is down.
 func (m *Machine) Crash() {

@@ -52,16 +52,11 @@ type Request struct {
 
 	// released: the reply has been sent and the record is on srv.free.
 	released bool
-
-	// switched: the context switch to the serving thread has been charged
-	// on the dispatch lane already (see Server.Serve).
-	switched bool
 }
 
 // Server accepts RPCs on a port of a machine. Create one with
-// NewServer, then run one or more threads that loop on GetRequest and
-// PutReply. A server with exactly one such thread may also be served
-// inline: see Serve.
+// NewServer, then either run threads that loop on GetRequest and
+// PutReply, or make it a consumer with no process behind it: see Serve.
 type Server struct {
 	m       *Machine
 	port    string
@@ -74,11 +69,11 @@ type Server struct {
 	max     int
 	free    []*Request // replied-to records, for handle to reuse
 
-	// Inline service (see Serve): the consuming thread, the function
-	// asked about every request, the request whose context switch is
+	// Service by a consumer (see Serve): its claimant, the function
+	// every request is handed to, the request whose context switch is
 	// being charged, and s.asked bound once.
-	thread  *sim.Proc
-	take    func(*Request) sim.Verdict
+	c       *sim.Proc
+	take    func(*Request)
 	cur     *Request
 	askedFn func()
 }
@@ -134,62 +129,45 @@ func (s *Server) handle(p *sim.Proc, from int, pkt Packet) {
 // GetRequest blocks the server thread until a request arrives.
 func (s *Server) GetRequest(p *sim.Proc) (*Request, bool) {
 	r, ok := s.reqs.Get(p)
-	if ok && !r.switched {
+	if ok {
 		// Waking the server thread costs a context switch.
 		s.m.cpu.Use(p, s.m.costs.Switch)
 	}
 	return r, ok
 }
 
-// Serve makes take the server's inline consumer, on behalf of p, which
-// must be the one thread that loops on GetRequest (see sim.Queue.Serve:
-// both are one FIFO server of the request queue, so the order of
-// service and every virtual instant are those of the thread doing all
-// of it). Each request's context switch is charged as a continuation on
-// the CPU, and take is asked at the instant GetRequest would have
-// returned the request to p. Its answer is the queue's:
-//
-//   - Decline: take has done nothing, and the request goes to p within
-//     the same event — GetRequest returns it without charging the
-//     switch again. Anything that may block is answered so.
-//   - Finished: take has served the request on the dispatch lane, taking
-//     the steps p would have taken, without blocking.
-//   - Pending: the service continues in later callback events — a reply
-//     through PutResultFn, say — the last of which calls Done.
-func (s *Server) Serve(p *sim.Proc, take func(r *Request) sim.Verdict) {
-	s.thread, s.take = p, take
+// Serve makes take the server's consumer, with no process behind it
+// (see sim.Queue.Serve), and returns the claimant it serves as, named
+// after the port: the requests are served one after another on the
+// dispatch lane, in the order, and at every virtual instant, of one
+// thread looping on GetRequest. Each request's context switch is charged
+// in the claimant's name, and take is handed the request where
+// GetRequest would have returned it. take serves it without blocking —
+// replying through PutResultFn or PutReplyFn, say — and calls Done once
+// it is served, within the call or from a later callback event.
+func (s *Server) Serve(take func(r *Request)) *sim.Proc {
+	s.c, s.take = s.m.Claimant(s.port), take
 	s.askedFn = s.asked
-	s.reqs.Serve(s.offered)
+	s.reqs.Serve(s.c, s.offered)
+	return s.c
 }
 
 // offered charges the context switch for a request that has reached the
 // head of the queue.
-func (s *Server) offered(r *Request) sim.Verdict {
+func (s *Server) offered(r *Request) {
 	s.cur = r
-	s.m.cpu.UseFn(s.thread, s.m.costs.Switch, s.askedFn)
-	return sim.Pending
+	s.m.cpu.UseFn(s.c, s.m.costs.Switch, s.askedFn)
 }
 
 // asked runs where the thread would resume with the switch charged.
 func (s *Server) asked() {
 	r := s.cur
 	s.cur = nil
-	v := sim.Decline
-	if !s.m.env.AllThreads {
-		v = s.take(r)
-	}
-	switch v {
-	case sim.Decline:
-		r.switched = true
-		s.reqs.Punt()
-	case sim.Finished:
-		s.reqs.Done()
-	}
+	s.take(r)
 }
 
-// Done ends the inline service of a request that take answered Pending
-// (see Serve). Call it from a callback event, as the last thing that
-// event does.
+// Done ends the service of a request (see Serve). Called from a
+// callback event, it must be the last thing that event does.
 func (s *Server) Done() { s.reqs.Done() }
 
 // reply records the reply to r for duplicate suppression and returns
@@ -242,12 +220,17 @@ func (s *Server) PutResult(p *sim.Proc, r *Request, res Args, size int) {
 	p.Park()
 }
 
-// PutResultFn is PutResult in continuation form, for code that serves r
-// on the dispatch lane on behalf of a parked thread p (see Serve, and
-// sim.Resource.UseFn): the reply is recorded now and sent with SendFn,
-// so then runs in the event where PutResult would have returned to p.
+// PutResultFn is PutResult in continuation form, for a consumer that
+// serves r on the dispatch lane in the name of its claimant p (see
+// Serve): the reply is recorded now and sent with SendFn, so then runs
+// in the event where PutResult would have returned.
 func (s *Server) PutResultFn(p *sim.Proc, r *Request, res Args, size int, then func()) {
 	s.putFn(p, r, res, nil, size, then)
+}
+
+// PutReplyFn is PutReply in continuation form (see PutResultFn).
+func (s *Server) PutReplyFn(p *sim.Proc, r *Request, body any, size int, then func()) {
+	s.putFn(p, r, Args{}, body, size, then)
 }
 
 // putFn is every reply.

@@ -45,12 +45,11 @@ type matrixOutcome struct {
 // router refuses), then every processor hammers every created counter —
 // processor 0 writes unique values for the first half, processor 1 for
 // the second, everyone else reads through the typed API.
-func matrixRun(t *testing.T, cfg orca.Config, allThreads bool) matrixOutcome {
+func matrixRun(t *testing.T, cfg orca.Config) matrixOutcome {
 	const iters = 12
 	P := cfg.Processors
 	out := matrixOutcome{created: make([]bool, len(matrixPlacements)), hist: make([][][]scheck.Op, len(matrixPlacements))}
 	rt := orca.New(cfg, std.Register)
-	rt.Env().AllThreads = allThreads
 	rep := rt.Run(func(p *orca.Proc) {
 		objs := make([]std.Counter, len(matrixPlacements))
 		for i, pl := range matrixPlacements {
@@ -125,10 +124,11 @@ func matrixConfigs(t *testing.T, cell func(t *testing.T, cfg orca.Config)) {
 
 // TestConfigMatrix drives every such combination through the same
 // program, which asks for every placement. A
-// configuration either fails Validate (and New panics) or builds; a
-// placement either is refused at creation — exactly when its domain was
-// not built — or serves a sequentially consistent history; and a second
-// run reproduces the first bit for bit.
+// configuration either fails Validate (and New panics) or builds, with
+// no process of the runtime's own; a placement either is refused at
+// creation — exactly when its domain was not built — or serves a
+// sequentially consistent history; and a second run reproduces the
+// first bit for bit.
 func TestConfigMatrix(t *testing.T) { matrixConfigs(t, matrixCell) }
 
 func matrixCell(t *testing.T, cfg orca.Config) {
@@ -150,7 +150,10 @@ func matrixCell(t *testing.T, cfg orca.Config) {
 		orca.New(cfg, std.Register)
 		return
 	}
-	out := matrixRun(t, cfg, false)
+	if n := orca.New(cfg, std.Register).Env().LiveProcs(); n != 0 {
+		t.Errorf("a freshly built runtime has %d processes, want none", n)
+	}
+	out := matrixRun(t, cfg)
 	for i, pl := range matrixPlacements {
 		if want := pl.hosted(groups, p2p); out.created[i] != want {
 			t.Errorf("%s: created = %v, want %v", pl.name, out.created[i], want)
@@ -159,7 +162,7 @@ func matrixCell(t *testing.T, cfg orca.Config) {
 			t.Errorf("%s: %v", pl.name, err)
 		}
 	}
-	if again := matrixRun(t, cfg, false); again.fp != out.fp {
+	if again := matrixRun(t, cfg); again.fp != out.fp {
 		t.Errorf("second run differs:\n  %s\n  %s", out.fp, again.fp)
 	}
 }

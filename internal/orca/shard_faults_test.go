@@ -182,3 +182,47 @@ func TestFencePresumedAbortOnInitiatorCrash(t *testing.T) {
 		})
 	}
 }
+
+// TestFencePresumedAbortOutlivesItsWatcher: the initiator dies between
+// its shard reservations, and then, inside the abort grace, so does the
+// lowest live machine, which is where the presumed-abort watch would
+// run if it were a thread of a machine. The watch belongs to the
+// environment, so the fence still aborts on every machine, the paused
+// shards release, and a survivor's writes sequenced behind the fence
+// complete with the fence applied nowhere.
+func TestFencePresumedAbortOutlivesItsWatcher(t *testing.T) {
+	const crashAt = 20 * sim.Millisecond
+	plan := &netsim.FaultPlan{Crashes: []netsim.Crash{{Node: 1, At: crashAt}, {Node: 0, At: crashAt + 100*sim.Millisecond}}}
+	cfg := orca.Config{Processors: 4, RTS: orca.Broadcast, Shards: 4, GroupMethod: group.ForcePB, Seed: 17, Faults: plan}
+	rt := orca.New(cfg, std.Register)
+	var v0, v1 int
+	rep := rt.Run(func(p *orca.Proc) {
+		c0 := p.NewWith(std.IntObj, orca.Opts(orca.OnShard(0)))
+		c1 := p.NewWith(std.IntObj, orca.Opts(orca.OnShard(1)))
+		p.Fork(1, "initiator", func(wp *orca.Proc) {
+			for i := 0; i < 200; i++ {
+				wp.InvokeFenced(
+					orca.FencedOp{Obj: c0, Op: "add", Args: []any{2}},
+					orca.FencedOp{Obj: c1, Op: "add", Args: []any{3}},
+				)
+			}
+		})
+		p.Fork(2, "survivor", func(wp *orca.Proc) {
+			wp.Sleep(crashAt + 2*sim.Millisecond)
+			wp.Invoke(c0, "add", 10)
+			wp.Invoke(c1, "add", 10)
+			v0 = wp.InvokeI(c0, "value")
+			v1 = wp.InvokeI(c1, "value")
+		})
+		p.Sleep(sim.Second) // dies with machine 0
+	})
+	if rep.TimedOut {
+		t.Fatalf("timed out: the fence never aborted (blocked: %v)", rep.Blocked)
+	}
+	if len(rep.Crashes) != 2 {
+		t.Fatalf("crash records = %+v", rep.Crashes)
+	}
+	if k0, k1 := v0-10, v1-10; k0 < 0 || k0%2 != 0 || k1%3 != 0 || k0/2 != k1/3 {
+		t.Fatalf("fenced counters %d/%d: the interrupted fence applied partially", v0, v1)
+	}
+}

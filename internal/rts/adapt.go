@@ -230,16 +230,16 @@ func (r *Router) attachAdapt() {
 		info.fromNode = node
 		info.cloned = state
 	}
-	r.p2p.mover = func(p *sim.Proc, node int, id ObjID, state State) {
+	r.p2p.mover = func(p *sim.Proc, node int, id ObjID, state State, k func()) {
 		info := r.objs[id].adapt
 		mgr := r.groups[info.home].mgr(node)
 		if mgr == nil {
 			// A crash re-homed the primary outside the home span: the
 			// first in-span waiter sequences the record (see awaitFlip).
+			k()
 			return
 		}
-		uid := mgr.g.Broadcast(p, "rts-migrate", wireMigrate{Obj: id, Target: -1, State: state}, info.typ.stateSize(state)+24)
-		mgr.await(p, uid)
+		mgr.sequence(p, "rts-migrate", wireMigrate{Obj: id, Target: -1, State: state}, info.typ.stateSize(state)+24, k)
 	}
 	r.p2p.recoverState = func(meta *p2pMeta) State {
 		info := r.objs[meta.id].adapt
@@ -456,13 +456,13 @@ func (r *Router) awaitFlip(w *Worker, id ObjID, info *adaptInfo, from int) {
 }
 
 // handleMigrate applies one delivery of a sequenced migrate record —
-// the cut point of a broadcast<->primary migration. Global decisions
-// (the ownership flip, the target-crashed abort) run exactly once, at
-// the globally-first delivery; per-manager effects (marking the local
-// replica moved, bouncing its guard waiters, installing a fresh
-// replica) run at every manager, each at its own position in the
-// total order.
-func (r *Router) handleMigrate(p *sim.Proc, mgr *bcastManager, uid int64, src int, wm wireMigrate) {
+// the cut point of a broadcast<->primary migration — and then runs k.
+// Global decisions (the ownership flip, the target-crashed abort) run
+// exactly once, at the globally-first delivery; per-manager effects
+// (marking the local replica moved, bouncing its guard waiters,
+// installing a fresh replica) run at every manager, each at its own
+// position in the total order.
+func (r *Router) handleMigrate(mgr *bcastManager, uid int64, src int, wm wireMigrate, k func()) {
 	info := r.objs[wm.Obj].adapt
 	if info == nil {
 		panic(fmt.Sprintf("rts: migrate record for non-adaptive object %d", wm.Obj))
@@ -473,16 +473,23 @@ func (r *Router) handleMigrate(p *sim.Proc, mgr *bcastManager, uid int64, src in
 		// snapshot. A live (non-moved) replica means this record is a
 		// crash-rescue duplicate: skip, preserving writes applied
 		// since the first record.
+		installed := func() {
+			if !info.decided {
+				info.decided = true
+				r.finishMigration(info, wm.Obj, info.home, now)
+			}
+			mgr.complete(uid, src, Args{})
+			k()
+		}
 		if old := mgr.inst(wm.Obj); old == nil || old.moved {
 			st := info.typ.Clone(wm.State)
-			mgr.charge(p, mgr.rts.costs.create)
-			mgr.setInst(wm.Obj, &bcastInstance{typ: info.typ, state: st})
+			mgr.charge(mgr.rts.costs.create, func() {
+				mgr.setInst(wm.Obj, &bcastInstance{typ: info.typ, state: st})
+				installed()
+			})
+			return
 		}
-		if !info.decided {
-			info.decided = true
-			r.finishMigration(info, wm.Obj, info.home, now)
-		}
-		mgr.complete(p, uid, src, Args{})
+		installed()
 		return
 	}
 	// broadcast -> primary copy at wm.Target.
@@ -505,21 +512,24 @@ func (r *Router) handleMigrate(p *sim.Proc, mgr *bcastManager, uid int64, src in
 	if !info.aborted {
 		// Freeze the local replica: writes sequenced after the cut
 		// bounce (applyWrite), parked guard writes bounce here, and
-		// guard-blocked readers wake to bounce (localRead).
+		// guard-blocked readers wake to bounce (localRead). A guarded
+		// write is never combined, so none of these completions sends a
+		// batch.
 		inst := mgr.inst(wm.Obj)
 		inst.moved = true
 		for _, pw := range inst.pending {
-			mgr.complete(p, pw.uid, pw.src, retry)
+			mgr.complete(pw.uid, pw.src, retry)
 		}
 		inst.pending = nil
 		inst.cond.Broadcast()
 	}
-	mgr.complete(p, uid, src, Args{})
+	mgr.complete(uid, src, Args{})
+	k()
 }
 
 // installPrimary places a migrated state as a single primary copy on
 // the target machine's point-to-point runtime, reusing the object's
-// meta and primary thread if the object lived there before.
+// meta and queue if the object lived there before.
 func (rt *Router) installPrimary(id ObjID, info *adaptInfo, target int, st State) {
 	r := rt.p2p
 	tn := r.nodes[target]

@@ -131,7 +131,8 @@ func (b *writeBuf) flush(p *sim.Proc) {
 }
 
 // flushFn is flush in continuation form, for the linger timer's round in
-// interrupt context: then runs where flush returns.
+// interrupt context and the object manager's continuation flush: then
+// runs where flush returns.
 //
 // The broadcast waits for the machine's CPU, and arbitrary simulation
 // activity runs meanwhile: the worker may buffer more ops (when the
@@ -224,28 +225,23 @@ func (mgr *bcastManager) syncBuf(w *Worker) {
 	}
 }
 
-// completeFlight finishes one async op. It reports whether uid
-// belonged to a flight (otherwise the caller falls through to the
-// synchronous waiter path).
-func (mgr *bcastManager) completeFlight(p *sim.Proc, uid int64) bool {
-	fl, ok := mgr.flights[uid]
-	if !ok {
-		return false
-	}
+// completeFlight finishes one async op of flight fl. When that was the
+// flight's last op, and the worker has buffered more meanwhile, it
+// returns the buffer: its next batch leaves at once, the pipeline's
+// steady state (the continuation flush; see bcastManager.written).
+func (mgr *bcastManager) completeFlight(uid int64, fl *batchFlight) *writeBuf {
 	delete(mgr.flights, uid)
 	fl.remaining--
-	if fl.remaining == 0 {
-		b := fl.buf
-		if b.flight == fl {
-			b.flight = nil
-		}
-		fl.cond.Broadcast()
-		if len(b.ops) > 0 {
-			// Continuation flush: ops accumulated while the batch was
-			// in flight leave immediately — the pipeline's steady
-			// state.
-			b.flush(p)
-		}
+	if fl.remaining > 0 {
+		return nil
 	}
-	return true
+	b := fl.buf
+	if b.flight == fl {
+		b.flight = nil
+	}
+	fl.cond.Broadcast()
+	if len(b.ops) > 0 {
+		return b
+	}
+	return nil
 }

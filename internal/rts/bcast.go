@@ -39,13 +39,13 @@ type BroadcastRTS struct {
 	fwdPort string
 
 	// fence, set by a Router, handles fence messages appearing in this
-	// group's delivery stream (see fence.go).
-	fence func(p *sim.Proc, mgr *bcastManager, d group.Delivery, f wireFence)
+	// group's delivery stream (see fence.go), and then runs k.
+	fence func(mgr *bcastManager, d group.Delivery, f wireFence, k func())
 
 	// migrate, set by a Router that also hosts the point-to-point
 	// domain, handles sequenced migration records — the cut points of online
-	// placement changes (see adapt.go).
-	migrate func(p *sim.Proc, mgr *bcastManager, uid int64, src int, wm wireMigrate)
+	// placement changes (see adapt.go) — and then runs k.
+	migrate func(mgr *bcastManager, uid int64, src int, wm wireMigrate, k func())
 
 	// unbatched lists objects excluded from the write-combining
 	// pipeline. Adaptive objects live here: a combined write parked in
@@ -124,11 +124,13 @@ type (
 )
 
 // bcastManager is the per-machine object manager: it owns the local
-// replicas and applies the totally-ordered write stream.
+// replicas and applies the totally-ordered write stream, as a consumer
+// of the delivery stream with no process behind it (see serve).
 type bcastManager struct {
 	rts      *BroadcastRTS
 	m        *amoeba.Machine
 	g        *group.Member
+	c        *sim.Proc        // the claimant the manager serves as
 	insts    []*bcastInstance // by ObjID (see inst); ids are dense and never reused
 	waiters  map[int64]*opWaiter
 	early    map[int64]Args // completions that beat their waiter
@@ -138,7 +140,7 @@ type bcastManager struct {
 
 	// touched collects the replicas written since the last frame
 	// boundary; the guard-retry sweep runs once per frame over them
-	// (see run), which is what batching amortizes.
+	// (see serve), which is what batching amortizes.
 	touched []*bcastInstance
 
 	// inFrame and pendCharge amortize the apply-cost accounting over
@@ -154,16 +156,14 @@ type bcastManager struct {
 	// write, and steady state has a tiny number in flight.
 	wfree []*opWaiter
 
-	// thread is the object-manager thread (run). While it is parked,
-	// serve applies plain writes on its behalf on the dispatch lane:
-	// cur is the write whose CPU charge is in progress there, writtenFn
-	// (mgr.written, bound once) its continuation, and applied tells run
-	// that the delivery it is handed has been applied already and only
-	// its frame boundary is left.
-	thread    *sim.Proc
-	cur       inlineWrite
-	writtenFn func()
-	applied   bool
+	// The delivery in service (see serve): d itself, cur the write being
+	// applied, sw the guard-retry sweep's place; the continuations are
+	// bound once.
+	d                                       group.Delivery
+	cur                                     resolvedWrite
+	sw                                      sweep
+	boundaryFn, createdFn, guardedFn        func()
+	writtenFn, wakeFn, settledFn, checkedFn func()
 
 	// Partial replication plumbing (see bcast_partial.go).
 	fwdClient *amoeba.Client
@@ -175,7 +175,7 @@ type bcastInstance struct {
 	state   State
 	cond    sim.Cond // wakes guard-blocked readers after each write
 	pending []pendingWrite
-	touched bool // written since the last frame boundary (see run)
+	touched bool // written since the last frame boundary (see serve)
 	moved   bool // migrated away at its cut point; writes bounce (see adapt.go)
 
 	ops opCache
@@ -193,14 +193,11 @@ type pendingWrite struct {
 	args Args
 }
 
-// inlineWrite is a resolved write between its CPU charge and its
-// application (see serve).
-type inlineWrite struct {
+// resolvedWrite is a resolved write between its CPU charges and its
+// application (see applyWrite).
+type resolvedWrite struct {
 	inst *bcastInstance
-	op   *OpDef
-	uid  int64
-	src  int
-	args Args
+	pendingWrite
 }
 
 // opWaiter lets the invoking thread sleep until its own write has been
@@ -253,9 +250,10 @@ func newBroadcastRTSAt(reg *Registry, costs Costs, machines []*amoeba.Machine, m
 			instCond: sim.NewCond(m.Env()),
 		}
 		r.mgrs = append(r.mgrs, mgr)
-		mgr.writtenFn = mgr.written
-		mgr.g.Deliveries().Serve(mgr.serve)
-		mgr.thread = m.SpawnThread("objmgr", mgr.run)
+		mgr.boundaryFn, mgr.createdFn, mgr.guardedFn = mgr.boundary, mgr.created, mgr.guarded
+		mgr.writtenFn, mgr.wakeFn, mgr.settledFn, mgr.checkedFn = mgr.written, mgr.wake, mgr.settled, mgr.checked
+		mgr.c = m.Claimant("objmgr")
+		mgr.g.Deliveries().Serve(mgr.c, mgr.serve)
 	}
 	r.startForwarders(machines)
 	return r
@@ -320,7 +318,7 @@ func (r *BroadcastRTS) Counters() RTSStats {
 
 // NodeCrashed tells the domain a machine died. The replicated core
 // needs no repair — the dead machine's replicas, guard waiters, and
-// manager thread died with it, and the group layer already routes
+// manager died with it, and the group layer already routes
 // around a dead member (electing a new sequencer if necessary) — and
 // forwarded operations already skip holders the network reports down,
 // so the runtime only counts the crash.
@@ -547,22 +545,60 @@ func (mgr *bcastManager) await(p *sim.Proc, uid int64) Args {
 	return res
 }
 
+// sequence is Broadcast and await in continuation form, in p's name: k
+// runs once the local delivery of body has been applied.
+func (mgr *bcastManager) sequence(p *sim.Proc, kind string, body any, size int, k func()) {
+	var uids []int64
+	mgr.g.BroadcastBatchFn(p, []group.BatchOp{{Kind: kind, Body: body, Size: size}}, &uids, func() {
+		wt := &opWaiter{}
+		if _, wt.done = mgr.early[uids[0]]; !wt.done {
+			mgr.waiters[uids[0]] = wt
+		}
+		until(&wt.cond, p, func() bool { return wt.done }, func() {
+			delete(mgr.early, uids[0])
+			delete(mgr.waiters, uids[0])
+			k()
+		})
+	})
+}
+
+// until runs k in p's name once done() holds, re-checking it at every
+// wake-up of c: the continuation form of
+//
+//	for !done() {
+//		c.Wait(p)
+//	}
+func until(c *sim.Cond, p *sim.Proc, done func() bool, k func()) {
+	if done() {
+		k()
+		return
+	}
+	c.WaitFn(p, func() { until(c, p, done, k) })
+}
+
 // complete finishes a waiting invocation. src is the originating node,
 // the only one where anybody waits for uid: a completion with no
 // registered waiter yet is buffered there until await claims it. Async
 // (combined) ops complete through their batch flight instead of a
-// waiter.
-func (mgr *bcastManager) complete(p *sim.Proc, uid int64, src int, res Args) {
-	if src != mgr.m.ID() || mgr.completeFlight(p, uid) {
-		return
+// waiter; complete returns the combining buffer whose next batch the
+// completion of its flight lets go, if any, and the caller sends it
+// (see written). Only an unguarded write of a combining worker has a
+// flight.
+func (mgr *bcastManager) complete(uid int64, src int, res Args) *writeBuf {
+	if src != mgr.m.ID() {
+		return nil
+	}
+	if fl, ok := mgr.flights[uid]; ok {
+		return mgr.completeFlight(uid, fl)
 	}
 	if wt, ok := mgr.waiters[uid]; ok {
 		wt.done = true
 		wt.res = res
 		wt.cond.Broadcast()
-		return
+		return nil
 	}
 	mgr.early[uid] = res
+	return nil
 }
 
 // SetExtraHandler installs a callback for group messages the runtime
@@ -576,186 +612,122 @@ func (r *BroadcastRTS) SetExtraHandler(h func(node int, body any)) {
 	}
 }
 
-// run is the object-manager thread: it consumes the totally-ordered
-// delivery stream and applies creations and writes. Guard retries run
-// once per frame, not per op: a write only marks its replica touched,
-// and the retry sweep over the touched replicas fires at the frame
-// boundary (d.More == false). Frame boundaries are assigned by the
-// sequencer and travel with each message, so every replica drains at
-// identical points in the total order — which is what keeps
-// replicated guard queues deterministic. Unbatched messages are
-// single-op frames, reproducing the drain-after-every-write behavior
-// exactly.
+// serve is the object manager: the consumer of the totally-ordered
+// delivery stream, with no process behind it (see sim.Queue.Serve). It
+// applies creations and writes on the dispatch lane, in mgr.c's name,
+// taking at every step the steps an object-manager thread took — the
+// same CPU claims, sends and wake-ups in the same slots — through
+// continuations: a CPU charge (charge), the next combined batch a
+// completion lets go (written), a pausing fence (handleFence), a
+// migration record (handleMigrate). The last of them calls Done.
 //
-// The goroutine exists because applying a delivery can wait for more
-// than the CPU: completing a combined write sends its worker's next
-// batch through the group (completeFlight), and a pausing fence waits
-// for the other groups' reservations (rec.cond). serve leaves it 4.0 %
-// of a replicated kv run's deliveries (creations and the start barrier;
-// a plain write never gets here) and 58.4 % of a batched, sharded TSP's:
-// go test -run TestRouteShares -v ./internal/orca.
-func (mgr *bcastManager) run(p *sim.Proc) {
-	for {
-		d, ok := mgr.g.Deliveries().Get(p)
-		if !ok {
-			return
-		}
-		if mgr.applied {
-			mgr.applied = false // by written; the boundary below is ours
-		} else {
-			mgr.inFrame = d.More
-			if !d.Dup {
-				mgr.apply(p, d)
-			}
-			// A Dup record is a re-sequenced duplicate the group layer
-			// suppressed: nothing to apply (it completed at its first
-			// delivery), but its frame-boundary flag still counts below.
-		}
-		if !d.More {
-			// A frame whose tail op took a non-charging path (a guard
-			// queued it, a non-holder skipped it) settles the accrued
-			// cost, if any, at the boundary.
-			mgr.m.Compute(p, mgr.pendCharge)
-			mgr.pendCharge = 0
-			mgr.drainTouched(p)
-		}
+// Guard retries run once per frame, not per op: a write only marks its
+// replica touched, and the retry sweep over the touched replicas fires
+// at the frame boundary (d.More == false). Frame boundaries are
+// assigned by the sequencer and travel with each message, so every
+// replica drains at identical points in the total order — which is
+// what keeps replicated guard queues deterministic. Unbatched messages
+// are single-op frames, reproducing the drain-after-every-write
+// behavior exactly.
+func (mgr *bcastManager) serve(d group.Delivery) {
+	mgr.d, mgr.inFrame = d, d.More
+	if d.Dup {
+		// A re-sequenced duplicate the group layer suppressed: nothing to
+		// apply (it completed at its first delivery), but its
+		// frame-boundary flag still counts.
+		mgr.boundary()
+		return
 	}
-}
-
-// apply dispatches one delivered message.
-func (mgr *bcastManager) apply(p *sim.Proc, d group.Delivery) {
 	switch body := d.Body.(type) {
 	case wireCreate:
-		mgr.applyCreate(p, d.UID, d.Src, body)
+		mgr.applyCreate(d.UID, d.Src, body)
 	case wireOp:
-		mgr.applyWrite(p, d.UID, d.Src, body)
+		mgr.applyWrite(d.UID, d.Src, body)
 	case wireFence:
 		if mgr.rts.fence == nil {
 			panic("rts: fence delivered to a runtime outside a Router")
 		}
-		mgr.rts.fence(p, mgr, d, body)
+		mgr.rts.fence(mgr, d, body, mgr.boundaryFn)
 	case wireMigrate:
 		if mgr.rts.migrate == nil {
 			panic("rts: migrate record delivered to a runtime without adaptive placement")
 		}
-		mgr.rts.migrate(p, mgr, d.UID, d.Src, body)
+		mgr.rts.migrate(mgr, d.UID, d.Src, body, mgr.boundaryFn)
 	default:
 		if mgr.extra == nil {
 			panic(fmt.Sprintf("rts: unexpected group message %T", d.Body))
 		}
 		mgr.extra(mgr.m.ID(), d.Body)
+		mgr.boundary()
 	}
 }
 
-// serve is the object manager on the dispatch lane (see
-// sim.Queue.Serve): the delivery stream offers it every message before
-// the thread, and it takes the one case that makes up nearly all of
-// the stream and needs nothing the thread has — an unguarded write to
-// a replica that is present and has not migrated away. Everything else
-// it declines untouched, and run handles it as ever.
-//
-// The steps are run's and applyWrite's own, in their order. A
-// mid-frame write accrues its cost and applies at once; a frame's last
-// write charges the accrued sum as a continuation on the CPU and
-// applies in written. What may block after that — guard retries at the
-// frame boundary — is left to the thread.
-func (mgr *bcastManager) serve(d group.Delivery) sim.Verdict {
-	wo, ok := d.Body.(wireOp)
-	if !ok || d.Dup || mgr.m.Env().AllThreads {
-		return sim.Decline
+// boundary closes the delivery in service, which has been applied. At a
+// frame boundary, a frame whose tail op took a non-charging path (a
+// guard queued it, a non-holder skipped it) settles the accrued cost,
+// if any, and the guard-retry sweep runs then.
+func (mgr *bcastManager) boundary() {
+	if mgr.inFrame {
+		mgr.g.Deliveries().Done()
+		return
 	}
-	inst := mgr.inst(wo.Obj)
-	if inst == nil || inst.moved {
-		return sim.Decline
-	}
-	op := inst.op(wo.Op)
-	if op.Guard != nil {
-		return sim.Decline
-	}
-	if d.Src == mgr.m.ID() && mgr.rts.batch.Enabled() {
-		// Completing a combined write of this machine may send the
-		// worker's next batch (see completeFlight).
-		return sim.Decline
-	}
-	if d.More {
-		mgr.inFrame = true
-		mgr.applyWrite(mgr.thread, d.UID, d.Src, wo)
-		return sim.Finished
-	}
-	cost := mgr.pendCharge + mgr.rts.costs.writeApply + mgr.rts.costs.defaultOp
-	mgr.inFrame = false
+	d := mgr.pendCharge
 	mgr.pendCharge = 0
-	mgr.cur = inlineWrite{inst: inst, op: op, uid: d.UID, src: d.Src, args: wo.Args}
-	mgr.m.ComputeFn(mgr.thread, cost, mgr.writtenFn)
-	return sim.Pending
+	mgr.m.ComputeFn(mgr.c, d, mgr.settledFn)
 }
 
-// written continues serve once a frame's last write has been charged:
-// apply it, then close the frame. A boundary with guard retries to
-// make goes to the thread, which charges for them.
-func (mgr *bcastManager) written() {
-	w := mgr.cur
-	mgr.cur = inlineWrite{}
-	mgr.applyCharged(mgr.thread, w.inst, w.uid, w.src, w.op, w.args)
-	mgr.touch(w.inst)
-	for _, inst := range mgr.touched {
-		if len(inst.pending) > 0 {
-			mgr.applied = true
-			mgr.g.Deliveries().Punt()
-			return
-		}
-	}
-	mgr.drainTouched(mgr.thread)
-	mgr.g.Deliveries().Done()
+// settled starts the frame boundary's guard-retry sweep over the
+// replicas touched so far.
+func (mgr *bcastManager) settled() {
+	mgr.sw = sweep{n: len(mgr.touched)}
+	mgr.drain()
 }
 
-// charge accounts CPU cost for one delivered op: mid-frame costs
-// accrue, and the frame's last op charges the accrued sum at once.
-func (mgr *bcastManager) charge(p *sim.Proc, d sim.Time) {
+// charge accounts CPU cost for one delivered op and then runs k:
+// mid-frame costs accrue, and the frame's last op charges the accrued
+// sum at once.
+func (mgr *bcastManager) charge(d sim.Time, k func()) {
 	if mgr.inFrame {
 		mgr.pendCharge += d
+		k()
 		return
 	}
 	d += mgr.pendCharge
 	mgr.pendCharge = 0
-	mgr.m.Compute(p, d)
-}
-
-// drainTouched runs the guard-retry sweep over every replica written
-// since the last frame boundary.
-func (mgr *bcastManager) drainTouched(p *sim.Proc) {
-	for i, inst := range mgr.touched {
-		inst.touched = false
-		mgr.touched[i] = nil
-		mgr.drainPending(p, inst)
-	}
-	mgr.touched = mgr.touched[:0]
+	mgr.m.ComputeFn(mgr.c, d, k)
 }
 
 // applyCreate instantiates the replica (on replica holders only, for
 // partially replicated objects).
-func (mgr *bcastManager) applyCreate(p *sim.Proc, uid int64, src int, c wireCreate) {
+func (mgr *bcastManager) applyCreate(uid int64, src int, c wireCreate) {
 	r := mgr.rts
 	if !r.replicatedOn(mgr.m.ID(), c.Obj) {
-		mgr.complete(p, uid, src, Args{})
+		mgr.complete(uid, src, Args{})
+		mgr.boundary()
 		return
 	}
-	t := r.reg.Lookup(c.Type)
-	mgr.charge(p, r.costs.create)
+	mgr.charge(r.costs.create, mgr.createdFn)
+}
+
+// created continues applyCreate once the creation has been charged.
+func (mgr *bcastManager) created() {
+	c := mgr.d.Body.(wireCreate)
+	t := mgr.rts.reg.Lookup(c.Type)
 	mgr.setInst(c.Obj, &bcastInstance{typ: t, state: t.New(c.Args)})
-	mgr.complete(p, uid, src, Args{})
+	mgr.complete(mgr.d.UID, mgr.d.Src, Args{})
+	mgr.boundary()
 }
 
 // applyWrite executes one write from the total order: check the guard
 // (queue if false), apply, complete the local invoker, and wake
 // guard-blocked readers. The guard-retry sweep over pending writes
-// runs at the frame boundary (see run), not here.
-func (mgr *bcastManager) applyWrite(p *sim.Proc, uid int64, src int, wo wireOp) {
-	r := mgr.rts
+// runs at the frame boundary (see serve), not here.
+func (mgr *bcastManager) applyWrite(uid int64, src int, wo wireOp) {
 	inst := mgr.inst(wo.Obj)
 	if inst == nil {
 		if !mgr.rts.replicatedOn(mgr.m.ID(), wo.Obj) {
-			return // not a replica holder: the write does not apply here
+			mgr.boundary() // not a replica holder: the write does not apply here
+			return
 		}
 		panic(fmt.Sprintf("rts: write to unknown object %d on node %d", wo.Obj, mgr.m.ID()))
 	}
@@ -763,19 +735,58 @@ func (mgr *bcastManager) applyWrite(p *sim.Proc, uid int64, src int, wo wireOp) 
 		// The object migrated away at an earlier position in the total
 		// order: bounce, so the invoker re-issues under the new
 		// placement (see adapt.go).
-		mgr.complete(p, uid, src, retry)
+		mgr.complete(uid, src, retry)
+		mgr.boundary()
 		return
 	}
 	op := inst.op(wo.Op)
+	mgr.cur = resolvedWrite{inst, pendingWrite{uid, src, op, wo.Args}}
 	if op.Guard != nil {
-		mgr.charge(p, r.costs.guardCheck)
-		if !op.Guard(inst.state, wo.Args) {
-			inst.pending = append(inst.pending, pendingWrite{uid: uid, src: src, op: op, args: wo.Args})
-			return
-		}
+		mgr.charge(mgr.rts.costs.guardCheck, mgr.guardedFn)
+		return
 	}
-	mgr.execWrite(p, inst, uid, src, op, wo.Args)
+	mgr.charge(mgr.rts.costs.writeApply+mgr.rts.costs.defaultOp, mgr.writtenFn)
+}
+
+// guarded continues applyWrite once the guard check has been charged.
+func (mgr *bcastManager) guarded() {
+	w := &mgr.cur
+	if !w.op.Guard(w.inst.state, w.args) {
+		w.inst.pending = append(w.inst.pending, w.pendingWrite)
+		mgr.boundary()
+		return
+	}
+	mgr.charge(mgr.rts.costs.writeApply+mgr.rts.costs.defaultOp, mgr.writtenFn)
+}
+
+// written applies mgr.cur, whose cost has been accounted, and completes
+// its invoker if that is a thread of this machine. A completion that
+// ends a combined batch's flight sends the worker's next batch, the
+// pipeline's steady state (see completeFlight), before the write's
+// guard-blocked readers wake.
+func (mgr *bcastManager) written() {
+	w := &mgr.cur
+	res := w.op.Apply(w.inst.state, w.args)
+	if b := mgr.complete(w.uid, w.src, res); b != nil {
+		b.flushFn(mgr.c, mgr.wakeFn)
+		return
+	}
+	mgr.wake()
+}
+
+// wake wakes the guard-blocked readers of the replica just written and
+// goes on: with the sweep that fired the write, or else by entering the
+// replica into the frame's guard-retry sweep and closing the delivery.
+func (mgr *bcastManager) wake() {
+	inst := mgr.cur.inst
+	inst.cond.Broadcast()
+	mgr.cur = resolvedWrite{}
+	if mgr.sw.inst != nil {
+		mgr.drain()
+		return
+	}
 	mgr.touch(inst)
+	mgr.boundary()
 }
 
 // touch enters a written replica into the frame's guard-retry sweep.
@@ -786,67 +797,91 @@ func (mgr *bcastManager) touch(inst *bcastInstance) {
 	}
 }
 
-// execWrite charges for and applies one write to the replica.
-func (mgr *bcastManager) execWrite(p *sim.Proc, inst *bcastInstance, uid int64, src int, op *OpDef, args Args) {
-	mgr.charge(p, mgr.rts.costs.writeApply+mgr.rts.costs.defaultOp)
-	mgr.applyCharged(p, inst, uid, src, op, args)
+// sweep is the place the frame boundary's guard-retry sweep has
+// reached: of the n replicas touched when it began, the one at at - 1
+// (inst, nil between two and after the last), and in inst's pending
+// writes the round in progress (see drain).
+type sweep struct {
+	n, at                     int
+	inst                      *bcastInstance
+	i, kept, stale, nextStale int
+	fired                     bool
 }
 
-// applyCharged applies a write whose cost has been accounted, completes
-// its invoker if that is a thread of this machine, and wakes
-// guard-blocked readers.
-func (mgr *bcastManager) applyCharged(p *sim.Proc, inst *bcastInstance, uid int64, src int, op *OpDef, args Args) {
-	res := op.Apply(inst.state, args)
-	mgr.complete(p, uid, src, res)
-	inst.cond.Broadcast()
-}
-
-// drainPending retries queued guarded writes in arrival (sequence)
+// drain runs the guard-retry sweep over every replica written since the
+// last frame boundary, from where it stands to the next CPU charge,
+// which goes on with it, or to its end, which ends the delivery.
+//
+// A replica's queued guarded writes are retried in arrival (sequence)
 // order after each state change, looping until none can run. Every
 // replica performs the identical retry sequence, preserving
-// determinism.
-//
-// Each round is a single order-preserving sweep that fires true guards
-// in place and compacts the survivors — no per-fire slice copy and no
-// restart from index 0. The guard-evaluation discipline is preserved:
-// an entry is only declared stuck once its guard was evaluated (and
-// charged) against the state left by the most recent fired write.
-// stale counts the leading kept entries whose last evaluation predates
-// the round's last fire; only those need the next round. When a fired
-// write enables at most one other pending write (every std type: a
-// queue add enables one get, a close enables all gets at once), the
-// charge sequence and firing order are identical to the restart-scan
-// this replaces — the pinned golden fingerprints prove it for the
-// reproduced workloads. With 3+ mutually-enabling pending writes on
-// one object the sweep evaluates the enabled suffix before re-checking
-// the prefix, where the restart-scan re-checked the prefix first; both
-// orders are deterministic and arrival-order-fair, but they are not
+// determinism. Each round is a single order-preserving sweep that fires
+// true guards in place and compacts the survivors — no per-fire slice
+// copy and no restart from index 0. The guard-evaluation discipline is
+// preserved: an entry is only declared stuck once its guard was
+// evaluated (and charged) against the state left by the most recent
+// fired write. stale counts the leading kept entries whose last
+// evaluation predates the round's last fire; only those need the next
+// round. When a fired write enables at most one other pending write
+// (every std type: a queue add enables one get, a close enables all
+// gets at once), the charge sequence and firing order are identical to
+// a restart-scan — the pinned golden fingerprints prove it for the
+// reproduced workloads. With 3+ mutually-enabling pending writes on one
+// object the sweep evaluates the enabled suffix before re-checking the
+// prefix, where a restart-scan re-checks the prefix first; both orders
+// are deterministic and arrival-order-fair, but they are not
 // charge-for-charge identical in that corner.
-func (mgr *bcastManager) drainPending(p *sim.Proc, inst *bcastInstance) {
-	r := mgr.rts
-	for stale := len(inst.pending); stale > 0; {
-		kept := inst.pending[:0]
-		fired := false
-		nextStale := 0
-		for i := range inst.pending {
-			pw := inst.pending[i]
-			if i >= stale && !fired {
-				// Already evaluated against the current state and no
-				// fire since: keep without re-charging a guard check.
-				kept = append(kept, pw)
-				continue
+func (mgr *bcastManager) drain() {
+	s := &mgr.sw
+	for {
+		inst := s.inst
+		if inst == nil {
+			if s.at == s.n {
+				mgr.touched = mgr.touched[:0]
+				mgr.g.Deliveries().Done()
+				return
 			}
-			mgr.m.Compute(p, r.costs.guardCheck)
-			if pw.op.Guard(inst.state, pw.args) {
-				mgr.execWrite(p, inst, pw.uid, pw.src, pw.op, pw.args)
-				fired = true
-				nextStale = len(kept)
-			} else {
-				kept = append(kept, pw)
-			}
+			inst = mgr.touched[s.at]
+			inst.touched = false
+			mgr.touched[s.at] = nil
+			*s = sweep{n: s.n, at: s.at + 1, inst: inst, stale: len(inst.pending)}
 		}
-		clear(inst.pending[len(kept):])
-		inst.pending = kept
-		stale = nextStale
+		if s.stale == 0 {
+			s.inst = nil
+			continue
+		}
+		if s.i == len(inst.pending) {
+			clear(inst.pending[s.kept:])
+			inst.pending = inst.pending[:s.kept]
+			*s = sweep{n: s.n, at: s.at, inst: inst, stale: s.nextStale}
+			continue
+		}
+		if s.i >= s.stale && !s.fired {
+			// Already evaluated against the current state and no fire
+			// since: keep without re-charging a guard check.
+			inst.pending[s.kept] = inst.pending[s.i]
+			s.kept++
+			s.i++
+			continue
+		}
+		mgr.m.ComputeFn(mgr.c, mgr.rts.costs.guardCheck, mgr.checkedFn)
+		return
 	}
+}
+
+// checked continues drain once a pending write's guard check has been
+// charged: the write fires, or keeps its place.
+func (mgr *bcastManager) checked() {
+	s := &mgr.sw
+	pw := s.inst.pending[s.i]
+	s.i++
+	if !pw.op.Guard(s.inst.state, pw.args) {
+		s.inst.pending[s.kept] = pw
+		s.kept++
+		mgr.drain()
+		return
+	}
+	s.fired, s.nextStale = true, s.kept
+	mgr.cur = resolvedWrite{s.inst, pw}
+	mgr.charge(mgr.rts.costs.writeApply+mgr.rts.costs.defaultOp, mgr.writtenFn)
 }

@@ -79,26 +79,22 @@ func (r *BroadcastRTS) CreateOn(w *Worker, typeName string, nodes []int, args ..
 }
 
 // startForwarders binds the forwarded-operation service on every
-// machine. Each request is handled on a fresh thread so a guarded
-// operation cannot stall other forwarded work.
+// machine, a consumer with no process behind it (see
+// amoeba.Server.Serve). Each request is handled on a fresh thread, which
+// blocks the way a caller does, so a guarded operation cannot stall
+// other forwarded work.
 func (r *BroadcastRTS) startForwarders(machines []*amoeba.Machine) {
 	for i, m := range machines {
-		mgr := r.mgrs[i]
 		srv := amoeba.NewServer(m, r.fwdPort)
-		mgr.fwdClient = amoeba.NewClient(m, rpcPolicy)
-		m.SpawnThread("objfwd", func(p *sim.Proc) {
-			for {
-				req, ok := srv.GetRequest(p)
-				if !ok {
-					return
-				}
-				mgr.m.SpawnThread("objfwd-op", func(hp *sim.Proc) {
-					hw := NewWorker(hp, mgr.m)
-					res := r.Call(hw, ObjID(req.Obj), req.Op, req.Args)
-					hw.Flush()
-					srv.PutResult(hp, req, res, SizeOfArgs(&res))
-				})
-			}
+		r.mgrs[i].fwdClient = amoeba.NewClient(m, rpcPolicy)
+		srv.Serve(func(req *amoeba.Request) {
+			m.SpawnThread("objfwd-op", func(hp *sim.Proc) {
+				hw := NewWorker(hp, m)
+				res := r.Call(hw, ObjID(req.Obj), req.Op, req.Args)
+				hw.Flush()
+				srv.PutResult(hp, req, res, SizeOfArgs(&res))
+			})
+			srv.Done()
 		})
 	}
 }

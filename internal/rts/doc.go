@@ -22,6 +22,17 @@
 // restarts it from its creation arguments if none survived) — see
 // p2p_recover.go for the at-least-once caveat on writes in flight.
 //
+// The runtime has no process of its own. Every machine's servers — the
+// object manager applying a group's delivery stream, the RPC
+// dispatchers of the point-to-point runtime and of forwarded
+// operations, each primary copy's queue — are consumers with no process
+// behind them (sim.Queue.Serve): they serve on the simulator's dispatch
+// lane, in the name of a claimant of their machine, and take every step
+// a server thread would take, in continuation form, in the same virtual
+// instants and event slots. Threads remain where something blocks the
+// way a caller does: an application's workers, each forwarded operation
+// and each secondary an update is fanned out to.
+//
 // Downward: replicas live on amoeba machines; broadcast writes ride
 // package group and primary-copy traffic rides amoeba RPC. Upward:
 // package orca wraps these systems in the Orca programming model.

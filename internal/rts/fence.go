@@ -67,25 +67,16 @@ func (r *Router) presumeAbort(node int) {
 	if r.fenceSeq == 0 {
 		return // no fence was ever issued: nothing to watch
 	}
-	watch := -1
-	for i, m := range r.machines {
-		if !m.Crashed() {
-			watch = i
-			break
-		}
-	}
-	if watch == -1 {
-		return
-	}
-	r.machines[watch].SpawnThread("fence-abort", func(p *sim.Proc) {
-		// The scan waits out the grace rather than running at the crash
-		// instant: the initiator's last reservation broadcast may still
-		// be in flight when the machine dies, so its record only shows
-		// up in the fence tables after delivery. A fence found
-		// incomplete this long after the crash can never complete — a
-		// fully sequenced fence finishes on every machine within normal
-		// delivery latency of the crash, far inside the grace.
-		p.Sleep(fenceAbortGrace)
+	// The watch is the environment's, not a thread of a machine that
+	// might crash inside the grace. The scan waits out the grace rather
+	// than running at the crash instant: the initiator's last reservation
+	// broadcast may still be in flight when the machine dies, so its
+	// record only shows up in the fence tables after delivery. A fence
+	// found incomplete this long after the crash can never complete — a
+	// fully sequenced fence finishes on every machine within normal
+	// delivery latency of the crash, far inside the grace.
+	env := r.machines[0].Env()
+	env.After(fenceAbortGrace, func() {
 		var fids []int64
 		seen := make(map[int64]bool)
 		for _, m := range r.fences {
@@ -107,7 +98,7 @@ func (r *Router) presumeAbort(node int) {
 					delete(r.fences[i], fid)
 				}
 			}
-			p.Env().Tracef("rts: fence %d presumed aborted (initiator %d crashed mid-reservation)", fid, node)
+			env.Tracef("rts: fence %d presumed aborted (initiator %d crashed mid-reservation)", fid, node)
 		}
 	})
 }
@@ -132,8 +123,8 @@ func (r *Router) fenceRec(node int, f wireFence) *fenceRec {
 }
 
 // handleFence consumes one fence delivery from a group's stream
-// (installed as every group's fence hook; runs on the delivering
-// manager's thread).
+// (installed as every group's fence hook; runs as part of the
+// delivering manager's service) and then runs k.
 //
 // Barrier fences only matter at the target machine: the last covered
 // shard's delivery there fires the extra handler with the payload, so
@@ -144,56 +135,59 @@ func (r *Router) fenceRec(node int, f wireFence) *fenceRec {
 // uid completion InvokeFenced awaits), then every covered shard but
 // the last PAUSES its delivery stream on this machine — nothing
 // sequenced after the fence in that shard may apply before the fenced
-// writes. The last arrival executes the fenced writes against the
-// local replicas and releases the paused shards. Reservation in
+// writes: the manager's service waits on the fence's record, k in its
+// claimant's name. The last arrival executes the fenced writes against
+// the local replicas and releases the paused shards. Reservation in
 // ascending shard order plus ack-before-pause makes concurrent fences
 // acquire their shards in a consistent order, so two fences can never
 // pause each other's completion path (see DESIGN.md).
-func (r *Router) handleFence(p *sim.Proc, mgr *bcastManager, d group.Delivery, f wireFence) {
+func (r *Router) handleFence(mgr *bcastManager, d group.Delivery, f wireFence, k func()) {
 	node := mgr.m.ID()
 	if !f.Pause {
-		if node != f.Target {
-			return
-		}
-		rec := r.fenceRec(node, f)
-		rec.arrived++
-		if rec.arrived == rec.expect {
-			delete(r.fences[node], f.FID)
-			if r.extra != nil {
-				r.extra(node, f.Body)
+		if node == f.Target {
+			rec := r.fenceRec(node, f)
+			rec.arrived++
+			if rec.arrived == rec.expect {
+				delete(r.fences[node], f.FID)
+				if r.extra != nil {
+					r.extra(node, f.Body)
+				}
 			}
 		}
+		k()
 		return
 	}
-	mgr.complete(p, d.UID, d.Src, Args{})
+	mgr.complete(d.UID, d.Src, Args{})
 	if r.fenceAborted[node][f.FID] {
 		// Presumed aborted: a straggling delivery applies nothing and
 		// must not pause the stream again.
+		k()
 		return
 	}
 	rec := r.fenceRec(node, f)
 	rec.src = d.Src
 	rec.arrived++
 	if rec.arrived < rec.expect {
-		for !rec.done {
-			rec.cond.Wait(p)
-		}
+		until(&rec.cond, mgr.c, func() bool { return rec.done }, k)
 		return
 	}
-	r.execFence(p, mgr, f)
-	rec.done = true
-	rec.cond.Broadcast()
-	delete(r.fences[node], f.FID)
+	r.execFence(mgr, f, 0, func() {
+		rec.done = true
+		rec.cond.Broadcast()
+		delete(r.fences[node], f.FID)
+		k()
+	})
 }
 
-// execFence applies the fenced writes on this machine, in op order,
-// each against its owning shard's replica. Costs charge through the
-// delivering manager's frame accounting; touched replicas join their
-// OWNING manager's guard-retry sweep, which runs at that manager's
-// next frame boundary (its own delivery of this fence, at the latest).
-func (r *Router) execFence(p *sim.Proc, mgr *bcastManager, f wireFence) {
+// execFence applies the fenced writes from the i-th on on this machine,
+// in op order, each against its owning shard's replica, and then runs
+// k. Costs charge through the delivering manager's frame accounting;
+// touched replicas join their OWNING manager's guard-retry sweep, which
+// runs at that manager's next frame boundary (its own delivery of this
+// fence, at the latest).
+func (r *Router) execFence(mgr *bcastManager, f wireFence, i int, k func()) {
 	node := mgr.m.ID()
-	for i := range f.Ops {
+	for ; i < len(f.Ops); i++ {
 		fo := &f.Ops[i]
 		sub := r.groups[r.objs[fo.ID].dom]
 		sm := sub.mgr(node)
@@ -205,11 +199,15 @@ func (r *Router) execFence(p *sim.Proc, mgr *bcastManager, f wireFence) {
 			panic(fmt.Sprintf("rts: fenced write to unknown object %d on node %d", fo.ID, node))
 		}
 		op := inst.op(fo.Op)
-		mgr.charge(p, sub.costs.writeApply+sub.costs.defaultOp)
-		op.Apply(inst.state, fo.Args)
-		inst.cond.Broadcast()
-		sm.touch(inst)
+		mgr.charge(sub.costs.writeApply+sub.costs.defaultOp, func() {
+			op.Apply(inst.state, fo.Args)
+			inst.cond.Broadcast()
+			sm.touch(inst)
+			r.execFence(mgr, f, i+1, k)
+		})
+		return
 	}
+	k()
 }
 
 // InvokeFenced applies several write operations — possibly on objects

@@ -39,9 +39,9 @@ type P2PRTS struct {
 	// connect a moveout to the broadcast total order (see adapt.go):
 	// moveSnap publishes the state snapshot before the cut (so a crash
 	// mid-moveout can be rescued), and mover broadcasts the sequenced
-	// migrate record from the given machine and waits for the local
-	// delivery.
-	mover    func(p *sim.Proc, node int, id ObjID, state State)
+	// migrate record from the given machine in p's name and runs k once
+	// the local delivery has applied it.
+	mover    func(p *sim.Proc, node int, id ObjID, state State, k func())
 	moveSnap func(node int, id ObjID, state State)
 
 	// recoverState, also set by the Router, gives crash recovery a
@@ -167,7 +167,7 @@ type p2pInstance struct {
 	copyset map[int]bool // primary only
 }
 
-// p2pTask is a unit of work for an object's primary thread. Tasks
+// p2pTask is a unit of work for an object's primary queue. Tasks
 // from remote machines carry the RPC request to reply to; local tasks
 // carry a condition the invoking thread waits on.
 type p2pTask struct {
@@ -188,6 +188,7 @@ type p2pNode struct {
 	m      *amoeba.Machine
 	client *amoeba.Client
 	srv    *amoeba.Server
+	svc    *sim.Proc // the claimant route serves as
 	insts  map[ObjID]*p2pInstance
 	queues map[ObjID]*objQueue
 	access map[ObjID]*accessStats
@@ -251,7 +252,7 @@ func NewP2PRTS(reg *Registry, costs Costs, cfg P2PConfig, machines []*amoeba.Mac
 		}
 		n.srv = amoeba.NewServer(m, p2pRPCPort)
 		m.Bind(p2pCtlPort, n.handleCtl)
-		n.srv.Serve(m.SpawnThread("objsvc", n.serve), n.route)
+		n.svc = n.srv.Serve(n.route)
 		r.nodes = append(r.nodes, n)
 	}
 	return r
@@ -463,7 +464,7 @@ func (n *p2pNode) invokeWrite(w *Worker, meta *p2pMeta, op *OpDef, in Args) Args
 	}
 }
 
-// runLocal queues a task of this machine's for the thread of an object
+// runLocal queues a task of this machine's for the queue of an object
 // whose primary it is, and waits for its result.
 func (n *p2pNode) runLocal(w *Worker, id ObjID, t *p2pTask) Args {
 	t.from = n.m.ID()
@@ -563,7 +564,7 @@ func (n *p2pNode) installCopy(id ObjID, t *ObjectType, state State) {
 
 // submitMigrate routes a migration task ("moveout" to the broadcast
 // runtime, or "rehome" onto a new primary) to the object's primary
-// thread and waits for it to run. A primary that dies first is
+// queue and waits for it to run. A primary that dies first is
 // re-homed and the task re-submitted; a moveout that already cut over
 // (meta.moved) is left to the broadcast record to finish.
 func (n *p2pNode) submitMigrate(w *Worker, meta *p2pMeta, kind string, target int) {

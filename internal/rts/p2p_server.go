@@ -11,73 +11,20 @@ import (
 )
 
 // Server side of the point-to-point runtime: the per-machine RPC
-// dispatcher, the one-way control port, and the per-object primary
-// thread that runs the invalidation and update protocols.
+// dispatcher, the one-way control port, and each object's queue at its
+// primary, which runs the invalidation and update protocols. The
+// dispatcher and the queues are consumers with no process behind them
+// (see sim.Queue.Serve): each serves its items one after another on the
+// dispatch lane, in the name of its claimant, taking the steps a thread
+// looping on its queue would take, in continuation form.
 
-// serve is the machine's RPC dispatcher thread. Potentially blocking
-// work (operations at the primary, fetches) is routed to per-object
-// threads so one blocked object cannot stall the machine's service.
-// Secondary-side protocol steps (update apply, invalidation) are quick
-// and handled here.
-//
-// Routing never blocks, so it runs to completion on the dispatch lane
-// (route is the server's inline consumer, see amoeba.Server.Serve) and
-// the thread is left with the requests it answers itself: bounces and
-// the secondary-side steps, which charge CPU and send.
-//
-// The goroutine exists because a served queue is a queue with a
-// consuming process (sim.Queue.Serve): it is who the requests' context
-// switches and a secondary's phase-one apply are charged to. With no
-// secondaries it does nothing — 0 of 3617 requests of a single-copy kv
-// run reach it (go test -run TestRouteShares -v ./internal/orca, which
-// asserts that) — and dropping it would take a second kind of served
-// queue, one without a process, for a thread that already costs nothing
-// while it is parked.
-func (n *p2pNode) serve(p *sim.Proc) {
-	r := n.rts
-	for {
-		req, ok := n.srv.GetRequest(p)
-		if !ok {
-			return
-		}
-		if n.route(req) == sim.Finished {
-			continue
-		}
-		id := ObjID(req.Obj)
-		switch req.Body.(type) {
-		case nil, p2pFetchReq:
-			// The object migrated or re-homed while the request was in
-			// flight: bounce so the client re-resolves.
-			n.srv.PutResult(p, req, retry, 8)
-
-		case p2pMigrateReq:
-			if r.meta(id).moved {
-				n.srv.PutReply(p, req, nil, 4) // already cut over
-			} else {
-				n.srv.PutResult(p, req, retry, 8)
-			}
-
-		case p2pUpdateReq:
-			// Phase one at a secondary: lock, apply, ack, stay locked.
-			n.applyUpdate(p, req)
-
-		case p2pInvalReq:
-			// Invalidate the local copy and acknowledge.
-			r.stats.Invalidations++
-			n.dropLocal(id)
-			n.srv.PutReply(p, req, nil, 4)
-
-		default:
-			panic(fmt.Sprintf("rts: unexpected RPC body %T", req.Body))
-		}
-	}
-}
-
-// route queues an operation, fetch or migration request for the thread
-// of the object whose primary this machine is, and reports Finished.
-// Every other request it declines untouched: one for an object that has
-// moved or re-homed, which serve bounces, and the secondary-side steps.
-func (n *p2pNode) route(req *amoeba.Request) sim.Verdict {
+// route is the machine's RPC dispatcher (see amoeba.Server.Serve). It
+// hands an operation, fetch or migration request to the queue of the
+// object whose primary this machine is, so that one object waiting on
+// its secondaries cannot stall the machine's service, and answers the
+// rest itself: it bounces a request for an object that has moved or
+// re-homed, and takes the quick secondary-side protocol steps.
+func (n *p2pNode) route(req *amoeba.Request) {
 	id := ObjID(req.Obj)
 	kind, from, to := "", req.From, 0
 	switch body := req.Body.(type) {
@@ -86,12 +33,30 @@ func (n *p2pNode) route(req *amoeba.Request) sim.Verdict {
 		kind, from = "fetch", body.Node
 	case p2pMigrateReq:
 		kind, to = body.Kind, body.Target
+	case p2pUpdateReq:
+		// Phase one at a secondary: lock, apply, ack, stay locked.
+		n.applyUpdate(req)
+		return
+	case p2pInvalReq:
+		// Invalidate the local copy and acknowledge.
+		n.rts.stats.Invalidations++
+		n.dropLocal(id)
+		n.srv.PutResultFn(n.svc, req, Args{}, 4, n.srv.Done)
+		return
 	default:
-		return sim.Decline
+		panic(fmt.Sprintf("rts: unexpected RPC body %T", req.Body))
 	}
 	meta := n.rts.meta(id)
 	if meta.moved || meta.primary != n.m.ID() {
-		return sim.Decline
+		// The object migrated or re-homed while the request was in
+		// flight: bounce so the client re-resolves — unless a migration
+		// finds the cut made already.
+		res, size := retry, 8
+		if _, migrate := req.Body.(p2pMigrateReq); migrate && meta.moved {
+			res, size = Args{}, 4
+		}
+		n.srv.PutResultFn(n.svc, req, res, size, n.srv.Done)
+		return
 	}
 	t := n.task()
 	t.kind, t.from, t.to, t.req = kind, from, to, req
@@ -102,7 +67,7 @@ func (n *p2pNode) route(req *amoeba.Request) sim.Verdict {
 		}
 	}
 	n.queues[id].q.Put(t)
-	return sim.Finished
+	n.srv.Done()
 }
 
 // task returns a blank record for a remote request's task; reply takes
@@ -119,20 +84,21 @@ func (n *p2pNode) task() *p2pTask {
 
 // applyUpdate performs phase one of the update protocol at a
 // secondary.
-func (n *p2pNode) applyUpdate(p *sim.Proc, req *amoeba.Request) {
+func (n *p2pNode) applyUpdate(req *amoeba.Request) {
 	r := n.rts
 	inst, ok := n.insts[ObjID(req.Obj)]
 	if !ok || !inst.valid {
 		// The copy was discarded while the update was in flight; the
 		// drop notice will reach the primary. Acknowledge vacuously.
-		n.srv.PutReply(p, req, nil, 4)
+		n.srv.PutResultFn(n.svc, req, Args{}, 4, n.srv.Done)
 		return
 	}
 	op := inst.typ.Op(req.Op)
 	inst.locked = true
-	n.m.Compute(p, r.costs.writeApply+r.costs.defaultOp)
-	op.Apply(inst.state, req.Args)
-	n.srv.PutReply(p, req, nil, 4)
+	n.m.ComputeFn(n.svc, r.costs.writeApply+r.costs.defaultOp, func() {
+		op.Apply(inst.state, req.Args)
+		n.srv.PutResultFn(n.svc, req, Args{}, 4, n.srv.Done)
+	})
 }
 
 // handleCtl services the one-way control port: unlocks (phase two),
@@ -156,173 +122,131 @@ func (n *p2pNode) handleCtl(p *sim.Proc, from int, pkt amoeba.Packet) {
 }
 
 // objQueue is an object's task queue on a machine that is, or has been,
-// its primary, with the thread that consumes it and that consumer's
-// half on the dispatch lane.
+// its primary, and the consumer that serves it (see serve).
 type objQueue struct {
-	n      *p2pNode
-	id     ObjID
-	q      *sim.Queue[*p2pTask]
-	thread *sim.Proc
+	n       *p2pNode
+	id      ObjID
+	q       *sim.Queue[*p2pTask]
+	c       *sim.Proc  // the claimant the queue is served as
+	pending []*p2pTask // guarded tasks whose guard was false, in arrival order
 
-	// The read in service (see read), with the copy it found and what
-	// follows its reply, and the two continuations bound once: o.apply
-	// and o.q.Done.
-	cur     *p2pTask
-	inst    *p2pInstance
-	then    func()
-	applyFn func()
-	doneFn  func()
+	// The task in service (t), the primary copy it runs on, the result
+	// and secondaries of a write, what follows a read or a write (then),
+	// and drain's place; the continuations are bound once.
+	t                                  *p2pTask
+	inst                               *p2pInstance
+	res                                Args
+	secs                               []int
+	then                               func()
+	di                                 int
+	doneFn, guardedFn, readFn, writeFn func()
+	committedFn, drainFn, checkedFn    func()
 }
 
-// startPrimary gives the object its queue and thread on this machine,
-// unless it has been primary here before and still has them.
+// startPrimary gives the object its queue on this machine, unless it
+// has been primary here before and still has it.
 func (n *p2pNode) startPrimary(id ObjID) {
 	if _, ok := n.queues[id]; ok {
 		return
 	}
 	o := &objQueue{n: n, id: id, q: sim.NewQueue[*p2pTask](n.m.Env())}
-	o.applyFn, o.doneFn = o.apply, o.q.Done
-	o.q.Serve(o.serve)
+	o.doneFn, o.guardedFn, o.readFn, o.writeFn = o.q.Done, o.guarded, o.read, o.write
+	o.committedFn, o.drainFn, o.checkedFn = o.committed, o.drain, o.checked
 	n.queues[id] = o
-	o.thread = n.m.SpawnThread(fmt.Sprintf("obj%d", id), o.loop)
+	o.c = n.m.Claimant(fmt.Sprintf("obj%d", id))
+	o.q.Serve(o.c, o.serve)
 }
 
-// loop is the primary's per-object protocol thread. It serializes all
-// writes, remote reads, and fetches on the object, and holds guarded
-// tasks until a committed write enables them.
-//
-// The goroutine exists because a write waits for replies: commitWrite
-// invalidates or updates the secondaries and collects their
-// acknowledgements before it applies, and a migration sequences a
-// record. serve leaves it 5.6 % of a primary-copy kv run's tasks, the
-// writes: go test -run TestRouteShares -v ./internal/orca.
-func (o *objQueue) loop(p *sim.Proc) {
-	var pending []*p2pTask
-	for {
-		t, ok := o.q.Get(p)
-		if !ok {
-			return
-		}
-		o.n.execTask(p, o.id, t, &pending)
-	}
-}
-
-// serve is the object thread on the dispatch lane (see sim.Queue.Serve).
-// It takes the one task that makes up nearly all of a primary's work and
-// cannot block on anything but the CPU: a remote, unguarded read of a
-// copy that is present and still the primary. Everything else (guards,
-// writes, fetches, migrations, an object that has gone) it declines
-// untouched, and loop handles it as ever.
-func (o *objQueue) serve(t *p2pTask) sim.Verdict {
-	n := o.n
-	if t.kind != "read" || t.op.Guard != nil || t.req == nil || n.m.Env().AllThreads {
-		return sim.Decline
-	}
+// serve is the primary's per-object protocol. It serializes all writes,
+// remote reads, and fetches on the object, and holds guarded tasks until
+// a committed write enables them. A task for an object that migrated
+// away or re-homed between enqueue and execution bounces back to its
+// invoker.
+func (o *objQueue) serve(t *p2pTask) {
+	n, r := o.n, o.n.rts
 	inst := n.insts[o.id]
-	if n.rts.meta(o.id).moved || inst == nil || !inst.primary {
-		return sim.Decline
-	}
-	o.read(t, inst, o.doneFn)
-	return sim.Pending
-}
-
-// read runs the read t of the primary copy inst whose guard, if any, has
-// held — charge, apply, answer — and then runs then: the queue's Done
-// when serve stands in for the thread, the thread's resume when it reads
-// for itself (see execTask).
-func (o *objQueue) read(t *p2pTask, inst *p2pInstance, then func()) {
-	o.cur, o.inst, o.then = t, inst, then
-	costs := &o.n.rts.costs
-	o.n.m.ComputeFn(o.thread, costs.readLocal+costs.defaultOp, o.applyFn)
-}
-
-// apply continues read once the read has been charged.
-func (o *objQueue) apply() {
-	t, inst, then := o.cur, o.inst, o.then
-	o.cur, o.inst, o.then = nil, nil, nil
-	o.n.finishTaskFn(o.thread, t, t.op.Apply(inst.state, t.args), then)
-}
-
-// execTask runs one task, parking it if its guard is false.
-func (n *p2pNode) execTask(p *sim.Proc, id ObjID, t *p2pTask, pending *[]*p2pTask) {
-	r := n.rts
-	meta := r.meta(id)
-	inst := n.insts[id]
-	if meta.moved || inst == nil || !inst.primary {
-		// The object migrated away or re-homed between enqueue and
-		// execution: bounce the task back to its invoker.
-		n.finishTask(p, t, retry)
+	if r.meta(o.id).moved || inst == nil || !inst.primary {
+		n.finishTaskFn(o.c, t, retry, o.doneFn)
 		return
 	}
+	o.t, o.inst = t, inst
 	if t.op != nil && t.op.Guard != nil {
 		// An operation whose guard is false waits for a write to enable it.
-		n.m.Compute(p, r.costs.guardCheck)
-		if !t.op.Guard(inst.state, t.args) {
-			r.stats.GuardWaits++
-			*pending = append(*pending, t)
-			return
-		}
+		n.m.ComputeFn(o.c, r.costs.guardCheck, o.guardedFn)
+		return
 	}
+	o.run()
+}
+
+// guarded continues serve once the guard check has been charged.
+func (o *objQueue) guarded() {
+	if t := o.t; !t.op.Guard(o.inst.state, t.args) {
+		o.n.rts.stats.GuardWaits++
+		o.pending = append(o.pending, t)
+		o.q.Done()
+		return
+	}
+	o.run()
+}
+
+// run runs the task in service, whose guard, if any, has held.
+func (o *objQueue) run() {
+	n, t, inst := o.n, o.t, o.inst
 	switch t.kind {
 	case "fetch":
 		state := inst.typ.Clone(inst.state)
 		inst.copyset[t.from] = true
-		n.srv.PutReply(p, t.req, state, inst.typ.stateSize(state)+16)
+		n.srv.PutReplyFn(o.c, t.req, state, inst.typ.stateSize(state)+16, o.doneFn)
 		n.recycle(t)
-
 	case "read":
-		n.queues[id].read(t, inst, p.Resume())
-		p.Park()
-
+		o.then = o.doneFn
+		n.m.ComputeFn(o.c, n.rts.costs.readLocal+n.rts.costs.defaultOp, o.readFn)
 	case "write":
-		n.commitWrite(p, id, inst, t)
-		n.drainPending(p, id, pending)
-
+		o.commit(o.drainFn)
 	case "moveout":
-		n.migrateOut(p, id, t, pending)
-
+		o.migrateOut()
 	case "rehome":
-		n.migratePrimary(p, id, t, pending)
-
+		o.migratePrimary()
 	default:
 		panic("rts: unknown task kind " + t.kind)
 	}
 }
 
-// migrateOut hands the object to the broadcast runtime (see
-// adapt.go). It runs on the primary's object thread, so every task
-// enqueued before it has completed — the queue position is the
-// point-to-point side of the cut; the sequenced migrate record it
-// emits is the broadcast side. The snapshot is published through
-// moveSnap before the cut, with no blocking point in between, so a
-// machine crash can never strand the object without a recoverable
-// snapshot.
-func (n *p2pNode) migrateOut(p *sim.Proc, id ObjID, t *p2pTask, pending *[]*p2pTask) {
-	r := n.rts
+// read continues a read once it has been charged: apply, answer, and go
+// on with o.then.
+func (o *objQueue) read() {
+	t := o.t
+	o.n.finishTaskFn(o.c, t, t.op.Apply(o.inst.state, t.args), o.then)
+}
+
+// migrateOut hands the object to the broadcast runtime (see adapt.go).
+// The primary's queue serializes it behind every task enqueued before
+// it — the queue position is the point-to-point side of the cut; the
+// sequenced migrate record it emits is the broadcast side. The snapshot
+// is published through moveSnap before the cut, with no blocking point
+// in between, so a machine crash can never strand the object without a
+// recoverable snapshot.
+func (o *objQueue) migrateOut() {
+	n, r, t := o.n, o.n.rts, o.t
 	if r.mover == nil || r.moveSnap == nil {
 		panic("rts: moveout without a broadcast runtime attached")
 	}
-	meta := r.meta(id)
-	inst := n.insts[id]
-	clone := meta.typ.Clone(inst.state)
-	r.moveSnap(n.m.ID(), id, clone)
+	meta := r.meta(o.id)
+	clone := meta.typ.Clone(o.inst.state)
+	r.moveSnap(n.m.ID(), o.id, clone)
 	meta.moved = true
 	// Bounce parked guarded tasks; they re-register as broadcast ops.
-	for _, pt := range *pending {
-		n.finishTask(p, pt, retry)
-	}
-	*pending = (*pending)[:0]
-	// Drop every copy; suspended readers wake and bounce on meta.moved.
-	for _, node := range r.nodes {
-		if node.m.Crashed() {
-			continue
+	o.bounce(0, func() {
+		// Drop every copy; suspended readers wake and bounce on meta.moved.
+		for _, node := range r.nodes {
+			if !node.m.Crashed() {
+				node.dropLocal(o.id)
+			}
 		}
-		node.dropLocal(id)
-	}
-	// Sequence the migrate record; its globally-first delivery flips
-	// ownership to the broadcast runtime.
-	r.mover(p, n.m.ID(), id, clone)
-	n.finishTask(p, t, Args{})
+		// Sequence the migrate record; its globally-first delivery flips
+		// ownership to the broadcast runtime.
+		r.mover(o.c, n.m.ID(), o.id, clone, func() { n.finishTaskFn(o.c, t, Args{}, o.doneFn) })
+	})
 }
 
 // migratePrimary moves the primary copy onto a new machine — the
@@ -330,54 +254,57 @@ func (n *p2pNode) migrateOut(p *sim.Proc, id ObjID, t *p2pTask, pending *[]*p2pT
 // serializes it against all earlier operations; like rehome, the
 // promotion mutates the global object table directly, charging the
 // state-transfer work to this machine's CPU.
-func (n *p2pNode) migratePrimary(p *sim.Proc, id ObjID, t *p2pTask, pending *[]*p2pTask) {
-	r := n.rts
-	meta := r.meta(id)
-	inst := n.insts[id]
+func (o *objQueue) migratePrimary() {
+	n, r, t := o.n, o.n.rts, o.t
+	meta := r.meta(o.id)
 	target := t.to
 	if target == n.m.ID() || r.nodeDown(target) {
-		n.finishTask(p, t, Args{}) // nothing to move, or the target died
+		n.finishTaskFn(o.c, t, Args{}, o.doneFn) // nothing to move, or the target died
 		return
 	}
 	tn := r.nodes[target]
-	st := meta.typ.Clone(inst.state)
-	n.m.Compute(p, r.costs.writeApply)
-	tn.installCopy(id, meta.typ, st)
-	ti := tn.insts[id]
-	ti.primary = true
-	ti.copyset = make(map[int]bool)
-	// Adopt surviving secondaries (none under SingleCopy placement,
-	// but the protocol does not depend on that).
-	for _, on := range r.nodes {
-		if on.m.Crashed() || on.m.ID() == target || on.m.ID() == n.m.ID() {
-			continue
+	st := meta.typ.Clone(o.inst.state)
+	n.m.ComputeFn(o.c, r.costs.writeApply, func() {
+		tn.installCopy(o.id, meta.typ, st)
+		ti := tn.insts[o.id]
+		ti.primary = true
+		ti.copyset = make(map[int]bool)
+		// Adopt surviving secondaries (none under SingleCopy placement,
+		// but the protocol does not depend on that).
+		for _, on := range r.nodes {
+			if on.m.Crashed() || on.m.ID() == target || on.m.ID() == n.m.ID() {
+				continue
+			}
+			if sec, ok := on.insts[o.id]; ok && sec.valid {
+				ti.copyset[on.m.ID()] = true
+				sec.primary = false
+			}
 		}
-		if sec, ok := on.insts[id]; ok && sec.valid {
-			ti.copyset[on.m.ID()] = true
-			sec.primary = false
-		}
-	}
-	tn.startPrimary(id)
-	meta.primary = target
-	n.dropLocal(id)
-	// Bounce parked guarded tasks; they re-issue at the new primary.
-	for _, pt := range *pending {
-		n.finishTask(p, pt, retry)
-	}
-	*pending = (*pending)[:0]
-	n.m.Env().Tracef("rts: object %d primary migrated %d -> %d", id, n.m.ID(), target)
-	n.finishTask(p, t, Args{})
+		tn.startPrimary(o.id)
+		meta.primary = target
+		n.dropLocal(o.id)
+		// Bounce parked guarded tasks; they re-issue at the new primary.
+		o.bounce(0, func() {
+			n.m.Env().Tracef("rts: object %d primary migrated %d -> %d", o.id, n.m.ID(), target)
+			n.finishTaskFn(o.c, t, Args{}, o.doneFn)
+		})
+	})
 }
 
-// finishTask completes a task toward its (local or remote) invoker.
-func (n *p2pNode) finishTask(p *sim.Proc, t *p2pTask, res Args) {
-	n.finishTaskFn(p, t, res, p.Resume())
-	p.Park()
+// bounce finishes the parked guarded tasks from the i-th on with the
+// retry status, one after another, and then runs k.
+func (o *objQueue) bounce(i int, k func()) {
+	if i == len(o.pending) {
+		o.pending = o.pending[:0]
+		k()
+		return
+	}
+	o.n.finishTaskFn(o.c, o.pending[i], retry, func() { o.bounce(i+1, k) })
 }
 
-// finishTaskFn is finishTask in continuation form: then runs once a
-// remote invoker's reply has been sent, charged to p, or at once when
-// the invoker is a thread of this machine.
+// finishTaskFn completes a task toward its (local or remote) invoker and
+// runs then: once a remote invoker's reply has been sent, charged to p,
+// or at once when the invoker is a thread of this machine.
 func (n *p2pNode) finishTaskFn(p *sim.Proc, t *p2pTask, res Args, then func()) {
 	if t.req != nil {
 		n.srv.PutResultFn(p, t.req, res, SizeOfArgs(&res), then)
@@ -396,10 +323,10 @@ func (n *p2pNode) recycle(t *p2pTask) {
 	n.tfree = append(n.tfree, t)
 }
 
-// commitWrite runs the object's write protocol at the primary.
-func (n *p2pNode) commitWrite(p *sim.Proc, id ObjID, inst *p2pInstance, t *p2pTask) {
-	r := n.rts
-	meta := r.meta(id)
+// commit runs the object's write protocol at the primary for the task
+// in service, and then runs k.
+func (o *objQueue) commit(k func()) {
+	r, inst := o.n.rts, o.inst
 	inst.locked = true
 	// Crashed secondaries leave the copyset: their copies died with
 	// their machines and must not be waited on.
@@ -408,72 +335,112 @@ func (n *p2pNode) commitWrite(p *sim.Proc, id ObjID, inst *p2pInstance, t *p2pTa
 			delete(inst.copyset, node)
 		}
 	}
-	secs := slices.Sorted(maps.Keys(inst.copyset))
-	if len(secs) > 0 {
-		switch meta.protocol {
-		case Invalidation:
-			// Lock, invalidate every secondary, collect acks.
-			n.fanoutRPC(p, secs, "inval", amoeba.Packet{Op: "inval", Obj: int64(id), Body: p2pInvalReq{}, Size: 8})
+	o.secs, o.then = slices.Sorted(maps.Keys(inst.copyset)), k
+	if len(o.secs) == 0 {
+		o.write()
+		return
+	}
+	switch t := o.t; r.meta(o.id).protocol {
+	case Invalidation:
+		// Lock, invalidate every secondary, collect acks.
+		o.fanout("inval", amoeba.Packet{Op: "inval", Obj: int64(o.id), Body: p2pInvalReq{}, Size: 8}, func() {
 			inst.copyset = make(map[int]bool)
-		case Update:
-			// Phase one: ship the operation, collect acks; copies
-			// stay locked.
-			r.stats.Updates += int64(len(secs))
-			n.fanoutRPC(p, secs, "update", amoeba.Packet{Op: t.op.Name, Obj: int64(id), Args: t.args, Body: p2pUpdateReq{},
-				Size: opSize(t.op.Name, &t.args)})
-		}
-	}
-	// Apply at the primary.
-	n.m.Compute(p, r.costs.writeApply+r.costs.defaultOp)
-	res := t.op.Apply(inst.state, t.args)
-	if meta.protocol == Update {
-		// Phase two: unlock all copies.
-		for _, dst := range secs {
-			n.m.Send(p, dst, amoeba.Packet{
-				Port: p2pCtlPort, Kind: "rts-unlock", Body: p2pUnlock{Obj: id}, Size: 12,
-			})
-		}
-	}
-	inst.locked = false
-	inst.cond.Broadcast()
-	n.finishTask(p, t, res)
-}
-
-// drainPending retries guarded tasks after each committed write until
-// no more can run.
-func (n *p2pNode) drainPending(p *sim.Proc, id ObjID, pending *[]*p2pTask) {
-	for progress := true; progress; {
-		progress = false
-		for i, t := range *pending {
-			n.m.Compute(p, n.rts.costs.guardCheck)
-			inst := n.insts[id]
-			if !t.op.Guard(inst.state, t.args) {
-				continue
-			}
-			*pending = append((*pending)[:i], (*pending)[i+1:]...)
-			if t.kind == "write" {
-				n.commitWrite(p, id, inst, t)
-			} else {
-				n.queues[id].read(t, inst, p.Resume())
-				p.Park()
-			}
-			progress = true
-			break
-		}
+			o.write()
+		})
+	case Update:
+		// Phase one: ship the operation, collect acks; copies stay
+		// locked.
+		r.stats.Updates += int64(len(o.secs))
+		o.fanout("update", amoeba.Packet{Op: t.op.Name, Obj: int64(o.id), Args: t.args, Body: p2pUpdateReq{},
+			Size: opSize(t.op.Name, &t.args)}, o.writeFn)
 	}
 }
 
-// fanoutRPC issues the same request to several machines in parallel and
-// waits for all acknowledgements. A target that crashes mid-protocol
+// write applies the write at the primary once its secondaries have
+// acknowledged.
+func (o *objQueue) write() {
+	o.n.m.ComputeFn(o.c, o.n.rts.costs.writeApply+o.n.rts.costs.defaultOp, o.committedFn)
+}
+
+// committed applies the charged write, unlocks every copy (phase two of
+// the update protocol) and answers the invoker.
+func (o *objQueue) committed() {
+	t := o.t
+	o.res = t.op.Apply(o.inst.state, t.args)
+	if o.n.rts.meta(o.id).protocol == Update {
+		o.unlock(0)
+		return
+	}
+	o.unlocked()
+}
+
+// unlock sends phase two to the secondaries from the i-th on, one after
+// another.
+func (o *objQueue) unlock(i int) {
+	if i == len(o.secs) {
+		o.unlocked()
+		return
+	}
+	o.n.m.SendFn(o.c, o.secs[i], amoeba.Packet{Port: p2pCtlPort, Kind: "rts-unlock", Body: p2pUnlock{Obj: o.id}, Size: 12},
+		func() { o.unlock(i + 1) })
+}
+
+func (o *objQueue) unlocked() {
+	o.inst.locked = false
+	o.inst.cond.Broadcast()
+	o.n.finishTaskFn(o.c, o.t, o.res, o.then)
+}
+
+// drain retries guarded tasks after a committed write, from the first
+// on, each guard check charged, until a pass finds none that can run;
+// then the task in service is done.
+func (o *objQueue) drain() {
+	o.di = 0
+	o.check()
+}
+
+// check charges the guard check of the di-th guarded task, or ends the
+// task in service when none is left.
+func (o *objQueue) check() {
+	if o.di == len(o.pending) {
+		o.q.Done()
+		return
+	}
+	o.n.m.ComputeFn(o.c, o.n.rts.costs.guardCheck, o.checkedFn)
+}
+
+// checked runs a guarded task whose guard holds now, and then drains
+// again from the first; or goes on with the next.
+func (o *objQueue) checked() {
+	t := o.pending[o.di]
+	inst := o.n.insts[o.id]
+	if !t.op.Guard(inst.state, t.args) {
+		o.di++
+		o.check()
+		return
+	}
+	o.pending = append(o.pending[:o.di], o.pending[o.di+1:]...)
+	o.t, o.inst = t, inst
+	if t.kind == "write" {
+		o.commit(o.drainFn)
+		return
+	}
+	o.then = o.drainFn
+	o.n.m.ComputeFn(o.c, o.n.rts.costs.readLocal+o.n.rts.costs.defaultOp, o.readFn)
+}
+
+// fanout issues the same request to the secondaries in parallel, each
+// from a thread of its own, since an RPC blocks its caller, and runs k
+// once all have acknowledged. A target that crashes mid-protocol
 // acknowledges vacuously — its copy died with it, so there is nothing
-// left to keep consistent — and the next commitWrite prunes it from
-// the copyset.
-func (n *p2pNode) fanoutRPC(p *sim.Proc, targets []int, step string, req amoeba.Packet) {
+// left to keep consistent — and the next commit prunes it from the
+// copyset.
+func (o *objQueue) fanout(step string, req amoeba.Packet, k func()) {
+	n := o.n
 	req.Port = p2pRPCPort
-	remaining := len(targets)
+	remaining := len(o.secs)
 	cond := sim.NewCond(n.m.Env())
-	for _, dst := range targets {
-		dst := dst
+	for _, dst := range o.secs {
 		n.m.SpawnThread("fan-"+step, func(pp *sim.Proc) {
 			if _, err := n.client.Call(pp, dst, req); err != nil {
 				if !errors.Is(err, amoeba.ErrCrashed) {
@@ -484,7 +451,5 @@ func (n *p2pNode) fanoutRPC(p *sim.Proc, targets []int, step string, req amoeba.
 			cond.Broadcast()
 		})
 	}
-	for remaining > 0 {
-		cond.Wait(p)
-	}
+	until(cond, o.c, func() bool { return remaining == 0 }, k)
 }

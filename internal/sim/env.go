@@ -253,13 +253,6 @@ type Env struct {
 	// normal runs.
 	Trace func(t Time, format string, args ...any)
 
-	// AllThreads is set by tests only, never by a constructor or an
-	// option: every inline consumer that decides between serving an item
-	// on the dispatch lane and leaving it to its process (see
-	// Queue.Serve) then leaves it. A run must come out the same either
-	// way, which is what the tests that set it check.
-	AllThreads bool
-
 	// stats
 	dispatched int64
 	switches   int64
@@ -412,7 +405,6 @@ func (e *Env) next() *Event {
 func (e *Env) advance(self *Proc) *Proc {
 	if self != nil && e.baton == self {
 		// The process handed itself the baton just before parking (a
-		// Queue.Get whose inline consumer declined the next item, a
 		// continuation that ran within the process's own step): the
 		// current event simply continues.
 		e.baton = nil
@@ -501,12 +493,12 @@ func (e *Env) switchTo(p *Proc) *Proc {
 // dispatch loop passes p the baton as soon as the running callback
 // returns (or, when p itself is the caller, at its next park), without
 // scheduling an event — no sequence number is consumed and Events()
-// does not move. A wake-up is an event that does nothing else; a
-// callback that stands in for p (see Queue.Serve, Resource.UseFn) does
-// its work first and gives the rest of its event to p, so the pair
-// occupies the one slot in the (time, seq) order that a wake-up of p
-// would. The caller must do nothing further in this event, and p must
-// have no wake of its own pending.
+// does not move. A wake-up is an event that does nothing else; the end
+// of a hold of p's (see Resource.UseFn) does the resource's work first
+// and gives the rest of its event to p, so the pair occupies the one
+// slot in the (time, seq) order that a wake-up of p would. The caller
+// must do nothing further in this event, and p must have no wake of its
+// own pending.
 func (e *Env) handoff(p *Proc) {
 	if e.baton != nil {
 		panic("sim: two baton handoffs in one event (" + e.baton.name + ", " + p.name + ")")

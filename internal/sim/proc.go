@@ -25,6 +25,15 @@ type Proc struct {
 	parked     bool // suspended (or committed to suspending); see park
 }
 
+// Claimant returns a process record that is never spawned: the name
+// in which a consumer with no process behind it (see Queue.Serve)
+// claims resources and waits on conditions, through continuations. It
+// has no body and no coroutine, so a blocking call with it panics, and
+// LiveProcs and Blocked do not count it. Kill kills it: whatever is then
+// due on its behalf — an offer, a grant, the end of a hold, a wake-up —
+// is discarded, as a killed process's wake-ups are.
+func (e *Env) Claimant(name string) *Proc { return &Proc{env: e, name: name, parked: true} }
+
 // Spawn creates a process named name running fn and schedules it to
 // start at the current virtual time. It may be called before Run (to
 // seed the simulation) or from simulation context (to fork).
@@ -55,9 +64,12 @@ type coro struct {
 	p     *Proc
 }
 
-// poolCap bounds the idle coroutines kept for reuse, above the 2 306
-// processes of a P = 64 TSP run; a coroutine freed beyond it is
-// stopped, and its goroutine exits.
+// poolCap bounds the idle coroutines kept for reuse; a coroutine freed
+// beyond it is stopped, and its goroutine exits. It is far above what
+// one run needs at once: a repetition of the P = 64 TSP benchmark (two
+// runs) has at most 65 processes, and so coroutines, alive at a time
+// (1 153 while the runtime's servers were threads), and several
+// environments on several goroutines share the pool.
 const poolCap = 4096
 
 // pool is the free list of idle coroutines, shared by every Env. It is
@@ -145,14 +157,13 @@ func (p *Proc) Now() Time { return p.env.now }
 // resume comes up it returns without a switch; otherwise it names the
 // process that got the baton as the driver's next target and yields.
 //
-// Code that runs on the dispatch lane on behalf of a parked process
-// (an inline queue consumer, a Resource continuation) is handed that
-// process for identity and for Now; if it reaches a blocking primitive
-// with it, the process would be parked twice. That is a broken
-// "declines before it can block" contract and panics here.
+// Code that runs on the dispatch lane in the name of a claimant (see
+// Env.Claimant) or of a parked process has nothing it may park: a
+// claimant counts as parked for good, and reaching a blocking
+// primitive with either panics here.
 func (p *Proc) park() {
 	if p.parked {
-		panic("sim: " + p.name + " blocks while already parked (an inline handler reached a blocking call)")
+		panic("sim: " + p.name + " blocks while already parked (code on the dispatch lane reached a blocking call)")
 	}
 	p.parked = true
 	p.wait()
@@ -165,8 +176,8 @@ func (p *Proc) park() {
 //	p.Park()
 //
 // is Resource.Use, and the layers above build their blocking calls the
-// same way, so that a thread and the code standing in for it while it is
-// parked elsewhere (see Queue.Serve) run one implementation.
+// same way, so that a thread and a consumer with no process behind it
+// (see Queue.Serve) run one implementation.
 func (p *Proc) Park() { p.park() }
 
 // Resume returns the continuation that ends p's Park: it gives p the

@@ -4,13 +4,14 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 )
 
-// The tests below hold inline service (Queue.Serve, Resource.UseFn,
-// Env.handoff) to its one promise: a program's schedule is the same
-// whether a queue's items are served by its process or on the dispatch
-// lane.
+// The tests below hold a served queue (Queue.Serve, Resource.UseFn,
+// Cond.WaitFn) to its one promise: a program's schedule is the same
+// whether a queue's items are served by a process looping on Get or by
+// a consumer with no process behind it, on the dispatch lane.
 
 // step is one observable moment of a served program: when it happened,
 // how many sequence numbers and dispatched events the engine had
@@ -28,8 +29,8 @@ const (
 	kFIFO         // FIFO charge, then done
 	kNone         // no charge: served synchronously
 	kChain        // front-lane charge, then pass an item on to the next server
-	kBlock        // must block (charge, sleep, charge): inline declines untouched
-	kLate         // front-lane charge inline, then the thread finishes it
+	kBlock        // charge, sleep, front-lane charge
+	kLate         // front-lane charge, then a FIFO charge
 	nKinds
 )
 
@@ -39,16 +40,15 @@ type testItem struct {
 }
 
 type testServer struct {
-	id      int
-	env     *Env
-	cpu     *Resource
-	q       *Queue[testItem]
-	next    *testServer
-	thread  *Proc
-	log     *[]step
-	cur     testItem
-	charged bool // the item handed to the thread was started and charged inline (kLate)
-	after   func()
+	id    int
+	env   *Env
+	cpu   *Resource
+	q     *Queue[testItem]
+	next  *testServer
+	c     *Proc // the claimant, when the server has no thread
+	log   *[]step
+	cur   testItem
+	after func()
 }
 
 func (s *testServer) note(act string, it testItem) {
@@ -56,7 +56,7 @@ func (s *testServer) note(act string, it testItem) {
 		fmt.Sprintf("srv%d", s.id), fmt.Sprintf("%s#%d", act, it.id)})
 }
 
-// finish is what every kind does once its first charge is over.
+// finish is what every kind does once its charges are over.
 func (s *testServer) finish(it testItem) {
 	s.note("done", it)
 	if it.kind == kChain {
@@ -64,24 +64,19 @@ func (s *testServer) finish(it testItem) {
 	}
 }
 
-// onThread serves an item on the server's own goroutine: all of it,
-// or, for an item punted after its inline charge, the rest of it.
+// onThread serves an item on the server's own thread.
 func (s *testServer) onThread(p *Proc, it testItem) {
-	if s.charged {
-		s.charged = false
-	} else {
-		s.note("start", it)
-		switch it.kind {
-		case kNone:
-		case kFIFO:
-			s.cpu.Use(p, it.cost)
-		case kBlock:
-			s.cpu.Use(p, it.cost)
-			p.Sleep(it.cost / 2)
-			useFront(s.cpu, p, it.cost)
-		default:
-			useFront(s.cpu, p, it.cost)
-		}
+	s.note("start", it)
+	switch it.kind {
+	case kNone:
+	case kFIFO:
+		s.cpu.Use(p, it.cost)
+	case kBlock:
+		s.cpu.Use(p, it.cost)
+		p.Sleep(it.cost / 2)
+		useFront(s.cpu, p, it.cost)
+	default:
+		useFront(s.cpu, p, it.cost)
 	}
 	if it.kind == kLate {
 		s.note("late", it)
@@ -90,32 +85,31 @@ func (s *testServer) onThread(p *Proc, it testItem) {
 	s.finish(it)
 }
 
-// inline is the same service as a Serve consumer.
-func (s *testServer) inline(it testItem) Verdict {
-	if it.kind == kBlock {
-		return Decline
-	}
+// inline is the same service in continuation form, as a Serve consumer.
+func (s *testServer) inline(it testItem) {
 	s.note("start", it)
+	s.cur = it
 	switch it.kind {
 	case kNone:
 		s.finish(it)
-		return Finished
+		s.q.Done()
 	case kFIFO:
-		s.cur = it
-		s.cpu.UseFn(s.thread, it.cost, s.after)
+		s.cpu.UseFn(s.c, it.cost, s.after)
+	case kBlock:
+		s.cpu.UseFn(s.c, it.cost, func() {
+			s.env.Schedule(s.env.now+it.cost/2, func() { s.cpu.UseFrontFn(s.c, it.cost, s.after) })
+		})
+	case kLate:
+		s.cpu.UseFrontFn(s.c, it.cost, func() {
+			s.note("late", it)
+			s.cpu.UseFn(s.c, it.cost/3, s.after)
+		})
 	default:
-		s.cur = it
-		s.cpu.UseFrontFn(s.thread, it.cost, s.after)
+		s.cpu.UseFrontFn(s.c, it.cost, s.after)
 	}
-	return Pending
 }
 
-func (s *testServer) charge() {
-	if s.cur.kind == kLate {
-		s.charged = true
-		s.q.Punt()
-		return
-	}
+func (s *testServer) charged() {
 	s.finish(s.cur)
 	s.q.Done()
 }
@@ -137,15 +131,16 @@ func servedProgram(seed int64, inline bool) (log []step, events int64, end Time)
 	srv := make([]*testServer, 3)
 	for i := range srv {
 		srv[i] = &testServer{id: i, env: env, cpu: cpu, q: NewQueue[testItem](env), log: &log}
-		srv[i].after = srv[i].charge
+		srv[i].after = srv[i].charged
 	}
 	for i, s := range srv {
-		s := s
 		s.next = srv[(i+1)%len(srv)]
 		if inline {
-			s.q.Serve(s.inline)
+			s.c = env.Claimant(fmt.Sprintf("srv%d", i))
+			s.q.Serve(s.c, s.inline)
+		} else {
+			env.Spawn(fmt.Sprintf("srv%d", i), s.run)
 		}
-		s.thread = env.Spawn(fmt.Sprintf("srv%d", i), s.run)
 	}
 	id := 0
 	item := func() testItem {
@@ -170,7 +165,6 @@ func servedProgram(seed int64, inline bool) (log []step, events int64, end Time)
 	}
 	// Process-driven arrivals, paying for their puts on the same CPU.
 	for i := 0; i < 3; i++ {
-		i := i
 		plan := make([]testItem, 20)
 		gaps := make([]Time, len(plan))
 		dst := make([]int, len(plan))
@@ -196,6 +190,11 @@ func servedProgram(seed int64, inline bool) (log []step, events int64, end Time)
 	return log, events, end
 }
 
+// A consumer with no process behind it starts where its thread would,
+// takes each item in the slot the thread's Get would return it in, and
+// claims the CPU, sleeps and chains in the slots the thread's blocking
+// calls take: every step of the run, with its sequence number and event
+// count, is the thread's.
 func TestServeMatchesThread(t *testing.T) {
 	for seed := int64(1); seed <= 40; seed++ {
 		want, wantEvents, wantEnd := servedProgram(seed, false)
@@ -204,7 +203,7 @@ func TestServeMatchesThread(t *testing.T) {
 			t.Fatalf("seed %d: only %d steps observed; the program is not exercising much", seed, len(want))
 		}
 		if gotEvents != wantEvents || gotEnd != wantEnd {
-			t.Errorf("seed %d: inline run dispatched %d events and ended at %v; the thread run, %d and %v",
+			t.Errorf("seed %d: the served run dispatched %d events and ended at %v; the thread run, %d and %v",
 				seed, gotEvents, gotEnd, wantEvents, wantEnd)
 		}
 		if !reflect.DeepEqual(got, want) {
@@ -214,18 +213,18 @@ func TestServeMatchesThread(t *testing.T) {
 					if i < len(got) {
 						g = got[i]
 					}
-					t.Fatalf("seed %d: step %d differs: inline %+v, thread %+v", seed, i, g, want[i])
+					t.Fatalf("seed %d: step %d differs: served %+v, thread %+v", seed, i, g, want[i])
 				}
 			}
-			t.Fatalf("seed %d: inline run observed %d steps, thread run %d", seed, len(got), len(want))
+			t.Fatalf("seed %d: the served run observed %d steps, the thread run %d", seed, len(got), len(want))
 		}
 	}
 }
 
-// A killed consumer's stand-ins die with it: an offer pending for it is
-// dropped with its item, a grant or an end of hold due to its
-// continuation is discarded and the resource stays with the dead
-// holder, exactly as when the process itself was killed there.
+// A killed claimant's continuations die with it: an offer pending for it
+// is dropped with its item, a grant or an end of hold due to a
+// continuation of its is discarded and the resource stays with the dead
+// holder, exactly as when a thread serving the queue was killed there.
 func TestServeKilledConsumer(t *testing.T) {
 	type outcome struct {
 		served int
@@ -235,28 +234,29 @@ func TestServeKilledConsumer(t *testing.T) {
 	const us = Microsecond
 	// Items 1, 2 and 4 arrive at 1µs and take 10µs of CPU each; 8
 	// arrives at 40µs. hog, when set, holds the CPU over [0, 5µs).
-	run := func(inline, hog bool, killAt Time) outcome {
+	run := func(claimant, hog bool, killAt Time) outcome {
 		env := New(1)
 		cpu := NewResource(env)
 		q := NewQueue[int](env)
 		served := 0
-		var thread *Proc
-		var cur int
-		after := func() { served += cur; q.Done() }
-		if inline {
-			q.Serve(func(x int) Verdict {
+		var srv *Proc
+		if claimant {
+			srv = env.Claimant("srv")
+			var cur int
+			after := func() { served += cur; q.Done() }
+			q.Serve(srv, func(x int) {
 				cur = x
-				cpu.UseFn(thread, 10*us, after)
-				return Pending
+				cpu.UseFn(srv, 10*us, after)
+			})
+		} else {
+			srv = env.Spawn("srv", func(p *Proc) {
+				for {
+					x, _ := q.Get(p)
+					cpu.Use(p, 10*us)
+					served += x
+				}
 			})
 		}
-		thread = env.Spawn("srv", func(p *Proc) {
-			for {
-				x, _ := q.Get(p)
-				cpu.Use(p, 10*us)
-				served += x
-			}
-		})
 		if hog {
 			env.Spawn("hog", func(p *Proc) { cpu.Use(p, 5*us) })
 		}
@@ -265,11 +265,11 @@ func TestServeKilledConsumer(t *testing.T) {
 			q.Put(2)
 			q.Put(4)
 			if killAt == 1*us {
-				env.Kill(thread)
+				env.Kill(srv)
 			}
 		})
 		if killAt != 1*us {
-			env.At(killAt, func() { env.Kill(thread) })
+			env.At(killAt, func() { env.Kill(srv) })
 		}
 		env.At(40*us, func() { q.Put(8) })
 		env.Run()
@@ -283,18 +283,62 @@ func TestServeKilledConsumer(t *testing.T) {
 		killAt Time
 		want   outcome
 	}{
-		// the thread's start, three timers, the wake-up or offer, two
-		// ends of hold (the second discarded); the CPU held since 1µs
+		// the start, three timers, the wake-up or offer, two ends of hold
+		// (the second, a continuation holding the CPU, discarded); the CPU
+		// held since 1µs
 		{"holding", false, 15 * us, outcome{1, 39 * us, 7}},
 		// the wake-up or offer is discarded: nothing served, CPU never held
 		{"offer pending", false, 1 * us, outcome{0, 0, 4}},
 		// the hog's release grants the dead claimant the CPU for good
 		{"grant pending", true, 3 * us, outcome{0, 40 * us, 8}},
 	} {
-		for _, inline := range []bool{false, true} {
-			if got := run(inline, c.hog, c.killAt); got != c.want {
-				t.Errorf("%s, inline=%t: got %+v, want %+v", c.name, inline, got, c.want)
+		for _, claimant := range []bool{false, true} {
+			if got := run(claimant, c.hog, c.killAt); got != c.want {
+				t.Errorf("%s, claimant=%t: got %+v, want %+v", c.name, claimant, got, c.want)
 			}
+		}
+	}
+}
+
+// A continuation waiting on a condition in a claimant's name is woken in
+// the waiter's FIFO place and dies with the claimant, as a waiting
+// thread does: killed before the wake-up, it never runs.
+func TestCondWaitFnDiesWithClaimant(t *testing.T) {
+	run := func(claimant, kill bool) (order []string, events int64) {
+		env := New(1)
+		c := NewCond(env)
+		env.Spawn("first", func(p *Proc) {
+			c.Wait(p)
+			order = append(order, "first")
+		})
+		var w *Proc
+		if claimant {
+			w = env.Claimant("w")
+			env.At(0, func() { c.WaitFn(w, func() { order = append(order, "w") }) })
+		} else {
+			w = env.Spawn("w", func(p *Proc) {
+				c.Wait(p)
+				order = append(order, "w")
+			})
+		}
+		env.Spawn("last", func(p *Proc) {
+			c.Wait(p)
+			order = append(order, "last")
+		})
+		if kill {
+			env.At(Microsecond, func() { env.Kill(w) })
+		}
+		env.At(2*Microsecond, c.Broadcast)
+		env.Run()
+		events = env.Events()
+		env.Shutdown()
+		return order, events
+	}
+	for _, kill := range []bool{false, true} {
+		thread, te := run(false, kill)
+		served, se := run(true, kill)
+		if fmt.Sprint(served) != fmt.Sprint(thread) || se != te {
+			t.Errorf("kill=%t: the continuation ran %v in %d events, the thread %v in %d", kill, served, se, thread, te)
 		}
 	}
 }
@@ -339,31 +383,21 @@ func TestWaitListsSlide(t *testing.T) {
 	}
 }
 
-// An inline consumer that reaches a blocking call with its parked
-// process is a bug the engine reports, not a hang.
+// A consumer that reaches a blocking call with its claimant is a bug the
+// engine reports, naming the claimant, not a hang.
 func TestServeBlockingPanics(t *testing.T) {
 	env := New(1)
 	q := NewQueue[int](env)
-	var thread *Proc
-	var caught any
-	q.Serve(func(int) Verdict {
-		// The offer runs in whichever process is dispatching; caught
-		// here, the panic does not end the run.
-		defer func() { caught = recover() }()
-		thread.Sleep(Microsecond)
-		return Finished
-	})
-	thread = env.Spawn("srv", func(p *Proc) {
-		for {
-			q.Get(p)
-		}
-	})
+	c := env.Claimant("srv")
+	q.Serve(c, func(int) { c.Sleep(Microsecond) })
 	env.At(Microsecond, func() { q.Put(1) })
+	defer env.Shutdown()
+	defer func() {
+		if s := fmt.Sprint(recover()); !strings.Contains(s, "srv blocks") {
+			t.Errorf("blocking with a claimant reported %q", s)
+		}
+	}()
 	env.Run()
-	env.Shutdown()
-	if caught == nil {
-		t.Fatal("blocking with a parked process did not panic")
-	}
 }
 
 // Steady-state mailbox and condition traffic must not allocate: a
@@ -390,12 +424,7 @@ func TestQueueAndCondSteadyStateAllocs(t *testing.T) {
 		}
 	})
 	served := NewQueue[int](env)
-	served.Serve(func(int) Verdict { return Finished })
-	env.Spawn("served", func(p *Proc) {
-		for {
-			served.Get(p)
-		}
-	})
+	served.Serve(env.Claimant("served"), func(int) { served.Done() })
 	env.Spawn("producer2", func(p *Proc) {
 		for i := 0; ; i++ {
 			served.Put(i)

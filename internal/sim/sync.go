@@ -54,7 +54,14 @@ func (f *fifo[T]) pop() T {
 // separate allocation.
 type Cond struct {
 	env     *Env
-	waiters fifo[*Proc]
+	waiters fifo[condWaiter]
+}
+
+// condWaiter is a parked process, or a continuation fn waiting on p's
+// behalf (see WaitFn).
+type condWaiter struct {
+	p  *Proc
+	fn func()
 }
 
 // NewCond creates a condition variable bound to e.
@@ -64,34 +71,54 @@ func NewCond(e *Env) *Cond { return &Cond{env: e} }
 // sync.Cond, callers re-check their predicate in a loop.
 func (c *Cond) Wait(p *Proc) {
 	c.env = p.env
-	c.waiters.push(p)
+	c.waiters.push(condWaiter{p: p})
 	p.park()
 }
 
-// Signal wakes the longest-waiting process, if any.
+// WaitFn is Wait in continuation form: the wake-up runs fn on p's
+// behalf, in the event that would have resumed p, unless p has been
+// killed by then.
+func (c *Cond) WaitFn(p *Proc, fn func()) {
+	c.env = p.env
+	c.waiters.push(condWaiter{p, fn})
+}
+
+// Signal wakes the longest waiter, if any.
 func (c *Cond) Signal() {
 	if c.waiters.len() > 0 {
-		c.env.wake(c.waiters.pop())
+		c.wake(c.waiters.pop())
 	}
 }
 
-// Broadcast wakes all waiting processes in FIFO order.
+// Broadcast wakes all waiters in FIFO order.
 func (c *Cond) Broadcast() {
 	for c.waiters.len() > 0 {
-		c.env.wake(c.waiters.pop())
+		c.wake(c.waiters.pop())
 	}
+}
+
+func (c *Cond) wake(w condWaiter) {
+	if w.fn == nil {
+		c.env.wake(w.p)
+		return
+	}
+	c.env.Schedule(c.env.now, func() {
+		if !w.p.killed {
+			w.fn()
+		}
+	})
 }
 
 // Resource is an exclusively held resource (a node's CPU, for example)
 // with a FIFO wait queue and an optional high-priority lane used for
 // interrupt handling.
 //
-// There is one claim: hold for d on behalf of process p, then run a
+// There is one claim: hold for d on behalf of p, then run a
 // continuation on the dispatch lane. A process that claims for itself
-// (Use) passes the continuation that resumes it and parks; code that
-// stands in for a process parked elsewhere (UseFn, see Queue.Serve)
-// passes its own. Both are the same events in the same slots, so the
-// schedule cannot tell who claimed.
+// (Use) passes the continuation that resumes it and parks; a consumer
+// with no process behind it claims in its claimant's name (UseFn, see
+// Queue.Serve) and passes its own. Both are the same events in the same
+// slots, so the schedule cannot tell who claimed.
 type Resource struct {
 	// Slice, if positive, is the longest a FIFO-lane claim holds at a
 	// time — a scheduling quantum: a longer claim gives way, a slice at a
@@ -142,8 +169,8 @@ func (r *Resource) Use(p *Proc, d Time) {
 // to a claim that had to wait and the end of the hold are callback
 // events; Use is this plus a park, so a program's event sequence does
 // not depend on which form its claims take. fn must not block (a resume
-// of p apart, see Proc.Resume). If p is killed before the hold ends, its
-// events are discarded like a killed process's: fn never runs and the
+// of p apart, see Proc.Resume). If p is killed before the hold ends,
+// process or claimant, its events are discarded: fn never runs and the
 // resource stays with the dead holder.
 func (r *Resource) UseFn(p *Proc, d Time, fn func()) { r.claim(resWaiter{p, d, fn, false}) }
 
@@ -230,23 +257,24 @@ type Queue[T any] struct {
 	wfree   []*queueWaiter[T]
 	closed  bool
 
-	// Inline service (see Serve). server is the consumer's record while
-	// an offer event is pending or an item is in service on the
-	// dispatch lane; the consumer itself stays parked in Get.
-	serve   func(T) Verdict
-	server  *queueWaiter[T]
-	offerFn func()
-	routes  Routes
+	// A served queue's consumer (see Serve): fn, and the claimant c it
+	// serves as. busy holds from the scheduling of an offer (or of the
+	// consumer's start) to the Done of the last item served; in is set
+	// while fn runs, and done records a Done made meanwhile.
+	serve    func(T)
+	c        *Proc
+	busy     bool
+	in, done bool
+	offerFn  func()
+	routes   Routes
 }
 
-// Routes counts what became of the items offered to a served queue's
-// inline consumer: its three answers, and the Pending items it punted
-// later. Declined and Punted items cost a switch to the consuming
-// process, which Consumer names; the rest never left the dispatch lane.
-// Env.Routes lists every served queue's.
+// Routes counts how a served queue's consumer has served its items:
+// Finished within the call that offered them, or Pending until a later
+// event called Done. Env.Routes lists every served queue's.
 type Routes struct {
-	Consumer                            string
-	Finished, Pending, Declined, Punted int64
+	Consumer          string
+	Finished, Pending int64
 }
 
 type queueWaiter[T any] struct {
@@ -255,43 +283,30 @@ type queueWaiter[T any] struct {
 	ok   bool
 }
 
-// Verdict is an inline consumer's answer to an offered item.
-type Verdict int
-
-const (
-	// Decline: the consumer has not touched the item; the process gets it.
-	Decline Verdict = iota
-	// Finished: the item was served completely within the call.
-	Finished
-	// Pending: the item is in service and a later callback event will
-	// call Done (or Punt).
-	Pending
-)
-
 // NewQueue creates an empty queue bound to e.
 func NewQueue[T any](e *Env) *Queue[T] { return &Queue[T]{env: e} }
 
-// Serve makes fn the queue's inline consumer. The queue must have one
-// consuming process, looping on Get; every item is offered to fn on the
-// dispatch lane first, and only an item fn declines (or punts) costs a
-// switch to the process, which then handles it as if fn did not exist. Service order is the queue order: while an item is
-// Pending, later items wait, exactly as they would behind a busy
-// process.
+// Serve makes fn the queue's consumer, serving every item to completion
+// on the dispatch lane on behalf of c, a claimant (see Env.Claimant):
+// fn claims resources and waits on conditions in c's name, through
+// continuations, and calls Done when the item has been served — within
+// the call, or as the last thing a later callback event does. Service
+// order is the queue order: while an item is in service, later items
+// wait.
 //
-// The schedule does not depend on what fn answers. The offer of an item
-// that finds the consumer idle is a callback event in the slot its
-// wake-up would occupy; a decline resumes the process within that same
-// event (see Env.handoff); an item that finds the consumer busy is
-// offered when its predecessor completes, with no event of its own,
-// just as Get would return it. So fn must take, for an item it serves,
-// the steps the process would — the same claims on the same resources
-// (Resource.UseFn), the same wake-ups in the same order — and must
-// decline before any side effect. fn runs while the process is parked
-// and must not block. A served queue is never closed.
-func (q *Queue[T]) Serve(fn func(item T) Verdict) {
-	q.serve = fn
+// The consumer keeps a thread's schedule. It starts from an event
+// scheduled now, where a thread spawned now would start, and takes what
+// was put before then from there; an item that finds it idle is offered
+// from an event of its own, where a parked thread's wake-up would be;
+// an item that finds it busy is offered within the event that ends its
+// predecessor, as a thread's next Get would return it. A served queue
+// is never closed and has no Get.
+func (q *Queue[T]) Serve(c *Proc, fn func(item T)) {
+	q.serve, q.c, q.busy = fn, c, true
 	q.offerFn = q.offer
+	q.routes.Consumer = c.name
 	q.env.served = append(q.env.served, &q.routes)
+	q.env.Schedule(q.env.now, q.offerFn)
 }
 
 // Put appends an item, waking the longest-waiting receiver if one
@@ -300,18 +315,40 @@ func (q *Queue[T]) Put(x T) {
 	if q.closed {
 		panic("sim: Put on closed queue")
 	}
+	if q.serve != nil {
+		q.items.push(x)
+		if !q.busy {
+			q.busy = true
+			q.env.Schedule(q.env.now, q.offerFn)
+		}
+		return
+	}
 	if q.waiters.len() > 0 {
 		w := q.waiters.pop()
 		w.item, w.ok = x, true
-		if q.serve != nil {
-			q.server = w
-			q.env.Schedule(q.env.now, q.offerFn)
-			return
-		}
 		q.env.wake(w.p)
 		return
 	}
 	q.items.push(x)
+}
+
+// Get removes and returns the oldest item, blocking while the queue is
+// empty. ok is false if the queue was closed and drained.
+func (q *Queue[T]) Get(p *Proc) (item T, ok bool) {
+	if q.items.len() > 0 {
+		return q.items.pop(), true
+	}
+	if q.closed {
+		return item, false
+	}
+	w := q.waiter(p)
+	q.waiters.push(w)
+	p.park()
+	item, ok = w.item, w.ok
+	var zero T
+	w.item, w.ok, w.p = zero, false, nil
+	q.wfree = append(q.wfree, w)
+	return item, ok
 }
 
 // waiter returns a pooled record for p.
@@ -326,108 +363,40 @@ func (q *Queue[T]) waiter(p *Proc) *queueWaiter[T] {
 	return &queueWaiter[T]{p: p}
 }
 
-// Get removes and returns the oldest item, blocking while the queue is
-// empty. ok is false if the queue was closed and drained.
-func (q *Queue[T]) Get(p *Proc) (item T, ok bool) {
-	empty := q.items.len() == 0
-	if !empty && q.serve == nil {
-		return q.items.pop(), true
-	}
-	if empty && q.closed {
-		return item, false
-	}
-	w := q.waiter(p)
-	q.routes.Consumer = p.name
-	if empty {
-		q.waiters.push(w)
-		p.park()
-	} else {
-		// Items are waiting and the consumer just finished one: offer
-		// them inline from here. p is as good as parked — whatever the
-		// offers come to, p waits for an item to be handed to it (at once,
-		// if the first offer is declined).
-		p.parked = true
-		q.server = w
-		if !p.killed {
-			q.next()
-		}
-		p.wait()
-	}
-	item, ok = w.item, w.ok
-	var zero T
-	w.item, w.ok, w.p = zero, false, nil
-	q.wfree = append(q.wfree, w)
-	return item, ok
-}
-
-// offer fires in the slot where the idle consumer's wake-up would.
+// offer fires where the idle consumer's thread would have been resumed:
+// at its start, or with an item put while it was idle.
 func (q *Queue[T]) offer() {
-	w := q.server
-	if w.p.killed {
-		return // the wake-up of a dead process: discarded with its item
-	}
-	if q.offered() {
+	if !q.c.killed {
 		q.next()
 	}
 }
 
-// offered puts the item in q.server, the parked consumer's record, to
-// the inline consumer and reports whether it was served then and there.
-func (q *Queue[T]) offered() bool {
-	switch q.serve(q.server.item) {
-	case Pending:
-		q.routes.Pending++
-		return false
-	case Decline:
-		q.routes.Declined++
-		q.handover()
-		return false
-	}
-	q.routes.Finished++
-	return true
-}
-
-// next offers the queued items in turn until one stays in service or
-// is declined; when none is left the consumer is idle again, an
-// ordinary parked receiver.
+// next offers the queued items in turn until one stays in service; when
+// none is left the consumer is idle again.
 func (q *Queue[T]) next() {
-	w := q.server
 	for q.items.len() > 0 {
-		w.item = q.items.pop()
-		if !q.offered() {
+		q.in, q.done = true, false
+		q.serve(q.items.pop())
+		q.in = false
+		if !q.done {
+			q.routes.Pending++
 			return
 		}
+		q.routes.Finished++
 	}
-	q.server = nil
-	var zero T
-	w.item, w.ok = zero, false
-	q.waiters.push(w)
+	q.busy = false
 }
 
-// Done reports that the Pending item has been served; the next queued
-// item, if any, is offered at once, within the calling event. Call it
-// from a callback event, as the last thing that event does.
+// Done reports that the item in service has been served; the next
+// queued item, if any, is offered at once, within the calling event.
 func (q *Queue[T]) Done() {
-	if !q.server.p.killed {
+	if q.in {
+		q.done = true
+		return
+	}
+	if !q.c.killed {
 		q.next()
 	}
-}
-
-// Punt hands the Pending item to the consuming process after all: its
-// Get returns the item within the calling event. Whatever the inline
-// consumer did for the item so far, the process must not repeat. Same
-// calling rule as Done.
-func (q *Queue[T]) Punt() {
-	q.routes.Punted++
-	q.handover()
-}
-
-// handover resumes the consuming process with the item on offer.
-func (q *Queue[T]) handover() {
-	w := q.server
-	q.server = nil
-	w.ok = true
-	q.env.handoff(w.p)
 }
 
 // TryGet removes and returns the oldest item without blocking.
