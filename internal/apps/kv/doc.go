@@ -16,6 +16,14 @@
 // (replicate what you read, keep a single copy of what you write) is
 // exactly the knob the Policy field turns.
 //
+// A shard's state is a record array, not a map. Run resolves every key
+// once, before the clients start, to its shard and its slot (its rank
+// among the shard's keys), and an operation ships the reference
+// slot | slots<<32 in the one int64 the key took: a replica allocates
+// its array at its first write, sized by the slot count the reference
+// carries, and applies every write with one index. Keys must be below
+// 1<<31.
+//
 // The store runs under Config.Faults crash schedules: clients on a
 // crashed machine die mid-request, the survivors keep serving, and
 // the post-run audit proves no acknowledged write was lost (every put

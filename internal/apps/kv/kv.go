@@ -24,55 +24,69 @@ type entry struct {
 	ver int64
 }
 
-// shardState is one shard: a small map of keys. Many shards, each a
-// small object, is the store's shape — placement is decided per
-// shard, so the same traffic can run fully replicated, primary-copy,
-// or mixed.
+// shardState is one shard replica: a record array indexed by a key's
+// slot in the run's directory (see directory), ver == 0 marking an absent
+// key, and n counting the keys present. Many shards, each a small
+// object, is the store's shape — placement is decided per shard, so the
+// same traffic can run fully replicated, primary-copy, or mixed.
 type shardState struct {
-	m map[int64]entry
+	e []entry
+	n int
 }
 
 // WireSize implements rts.Sized.
-func (s *shardState) WireSize() int { return 16 + 24*len(s.m) }
+func (s *shardState) WireSize() int { return 16 + 24*s.n }
+
+// get reads one key: (value, version), (0, 0) when absent.
+func (s *shardState) get(ref int64) (int64, int64) {
+	if s.e == nil {
+		return 0, 0
+	}
+	e := s.e[uint32(ref)]
+	return e.val, e.ver
+}
+
+// write advances the version of the entry ref names and returns it. The
+// array is allocated at the replica's first write, to the slot count
+// the reference carries, so it never grows.
+func (s *shardState) write(ref int64) *entry {
+	if s.e == nil {
+		s.e = make([]entry, ref>>32)
+	}
+	e := &s.e[uint32(ref)]
+	if e.ver == 0 {
+		s.n++
+	}
+	e.ver++
+	return e
+}
+
+// put overwrites a key and returns (new version, previous existence) —
+// the version is the caller's durability receipt.
+func (s *shardState) put(ref, val int64) (int64, bool) {
+	e := s.write(ref)
+	e.val = val
+	return e.ver, e.ver > 1
+}
+
+// bump is the read-modify-write session update: add delta to the stored
+// value indivisibly, returning (new value, new version).
+func (s *shardState) bump(ref, delta int64) (int64, int64) {
+	e := s.write(ref)
+	e.val += delta
+	return e.val, e.ver
+}
 
 var (
-	shardB = orca.NewType(ShardObj, func([]any) *shardState {
-		return &shardState{m: make(map[int64]entry)}
-	}).
-		CloneWith(func(s *shardState) *shardState {
-			c := &shardState{m: make(map[int64]entry, len(s.m))}
-			for k, v := range s.m {
-				c.m[k] = v
-			}
-			return c
-		}).
+	shardB = orca.NewType(ShardObj, func([]any) *shardState { return &shardState{} }).
+		CloneWith(func(s *shardState) *shardState { return &shardState{e: slices.Clone(s.e), n: s.n} }).
 		SizedBy((*shardState).WireSize)
 
-	// get reads one key: (value, version), (0, 0) when absent.
-	shardGet = orca.DefRead1x2(shardB, "get", func(s *shardState, key int64) (int64, int64) {
-		e := s.m[key]
-		return e.val, e.ver
-	})
-	// put overwrites a key and returns (new version, previous
-	// existence) — the version is the caller's durability receipt.
-	shardPut = orca.DefWrite2x2(shardB, "put", func(s *shardState, key, val int64) (int64, bool) {
-		e, had := s.m[key]
-		e.val = val
-		e.ver++
-		s.m[key] = e
-		return e.ver, had
-	})
-	// bump is the read-modify-write session update: add delta to the
-	// stored value indivisibly, returning (new value, new version).
-	shardBump = orca.DefWrite2x2(shardB, "bump", func(s *shardState, key, delta int64) (int64, int64) {
-		e := s.m[key]
-		e.val += delta
-		e.ver++
-		s.m[key] = e
-		return e.val, e.ver
-	})
+	shardGet  = orca.DefRead1x2(shardB, "get", (*shardState).get)
+	shardPut  = orca.DefWrite2x2(shardB, "put", (*shardState).put)
+	shardBump = orca.DefWrite2x2(shardB, "bump", (*shardState).bump)
 	// size reads the shard's key count.
-	shardSize = orca.DefRead0(shardB, "size", func(s *shardState) int { return len(s.m) })
+	shardSize = orca.DefRead0(shardB, "size", func(s *shardState) int { return s.n })
 )
 
 // Shard is a typed handle to one store shard.
@@ -86,19 +100,19 @@ func NewShard(p *orca.Proc, opts ...orca.Option) Shard {
 // Handle exposes the typed handle (for statistics).
 func (s Shard) Handle() orca.Handle[*shardState] { return s.h }
 
-// Get reads key: (value, version), version 0 when absent.
-func (s Shard) Get(p *orca.Proc, key int64) (int64, int64) { return shardGet.Call(p, s.h, key) }
+// Get reads the key ref names: (value, version), version 0 when absent.
+func (s Shard) Get(p *orca.Proc, ref int64) (int64, int64) { return shardGet.Call(p, s.h, ref) }
 
-// Put overwrites key with val and returns the new version.
-func (s Shard) Put(p *orca.Proc, key, val int64) int64 {
-	ver, _ := shardPut.Call(p, s.h, key, val)
+// Put overwrites the key ref names with val and returns the new version.
+func (s Shard) Put(p *orca.Proc, ref, val int64) int64 {
+	ver, _ := shardPut.Call(p, s.h, ref, val)
 	return ver
 }
 
-// Bump adds delta to key's value indivisibly, returning the new
-// value and version.
-func (s Shard) Bump(p *orca.Proc, key, delta int64) (int64, int64) {
-	return shardBump.Call(p, s.h, key, delta)
+// Bump adds delta to the value of the key ref names indivisibly,
+// returning the new value and version.
+func (s Shard) Bump(p *orca.Proc, ref, delta int64) (int64, int64) {
+	return shardBump.Call(p, s.h, ref, delta)
 }
 
 // Size reads the shard's key count.
@@ -246,6 +260,28 @@ func shardOfAffine(key, keys int64, shards int) int {
 	return s
 }
 
+// directory resolves every key in [0, keys) once per run, to its shard
+// (shardOf, or shardOfAffine when affine) and to the reference an
+// operation on it ships: slot | slots<<32, the slot being the key's
+// rank among its shard's keys in ascending key order and slots, the
+// shard's key count, sizing a replica's array at its first write.
+func directory(keys int64, shards int, affine bool) (shard []int, ref []int64) {
+	shard, ref = make([]int, keys), make([]int64, keys)
+	slots := make([]int64, shards)
+	for k := range shard {
+		s := shardOf(int64(k), shards)
+		if affine {
+			s = shardOfAffine(int64(k), keys, shards)
+		}
+		shard[k], ref[k] = s, slots[s]
+		slots[s]++
+	}
+	for k, s := range shard {
+		ref[k] |= slots[s] << 32
+	}
+	return shard, ref
+}
+
 // shardOpts resolves one shard's creation options under the policy.
 // seqShards > 0 stripes store shard s onto sequencer group s mod
 // seqShards (the Sharded option applies the modulus).
@@ -293,6 +329,9 @@ func Run(cfg orca.Config, params Params) Result {
 	if params.Workload.Keys <= 0 {
 		panic("kv: Params.Workload.Keys must be positive")
 	}
+	if params.Workload.Keys >= 1<<31 {
+		panic("kv: Params.Workload.Keys must be below 1<<31 (a key reference packs a slot and its shard's slot count into one int64)")
+	}
 	if params.SequencerShards > 0 {
 		cfg.Shards = params.SequencerShards
 	}
@@ -309,11 +348,7 @@ func Run(cfg orca.Config, params Params) Result {
 	rep := rt.Run(func(p *orca.Proc) {
 		P := cfg.Processors
 		nShards, nClients := params.Shards, params.Clients
-		shardFor := func(key int64) int { return shardOf(key, nShards) }
-		if params.AffineKeys {
-			keys := params.Workload.Keys
-			shardFor = func(key int64) int { return shardOfAffine(key, keys, nShards) }
-		}
+		keyShard, keyRef := directory(params.Workload.Keys, nShards, params.AffineKeys)
 
 		// Create shards from their home machines, so a primary copy
 		// lives where the shard is homed. The handles travel through
@@ -339,15 +374,17 @@ func Run(cfg orca.Config, params Params) Result {
 		// Clients. Each records completion latencies into the shared
 		// histograms and its acknowledged puts into host memory; a
 		// client killed by a machine crash simply stops, leaving its
-		// acked map at the last write it saw complete.
+		// receipts at the last write it saw complete.
 		histGet := p.Histogram("kv.get")
 		histPut := p.Histogram("kv.put")
 		histUpd := p.Histogram("kv.update")
 		histAll := p.Histogram("kv.all")
 		exited := std.NewBoolArray(p, nClients, false)
-		acked := make([]map[int64]int64, nClients) // key -> acked version
-		ackN := make([]int64, nClients)            // acks received (one per put)
-		counts := make([][3]int64, nClients)       // gets, puts, updates
+		// Versions per key are monotone in the total order, so the highest
+		// acknowledged version is the receipt the audit needs.
+		acked := make([]int64, params.Workload.Keys) // key -> highest acked version
+		ackN := make([]int64, nClients)              // acks received (one per put)
+		counts := make([][3]int64, nClients)         // gets, puts, updates
 		var firstAt, lastDone sim.Time
 		// Per-phase accounting, all in host memory: completion
 		// latencies and serving intervals split at the workload's
@@ -364,7 +401,6 @@ func Run(cfg orca.Config, params Params) Result {
 		perOps := params.Workload.Ops / nClients
 		for c := 0; c < nClients; c++ {
 			c := c
-			acked[c] = make(map[int64]int64)
 			wcfg := params.Workload
 			wcfg.Rate = perRate
 			wcfg.Ops = perOps
@@ -408,19 +444,19 @@ func Run(cfg orca.Config, params Params) Result {
 						}
 						start = at
 					}
-					sh := shards[shardFor(op.Key)]
+					sh, ref := shards[keyShard[op.Key]], keyRef[op.Key]
 					switch op.Kind {
 					case workload.Get:
-						sh.Get(cp, op.Key)
+						sh.Get(cp, ref)
 						counts[c][0]++
 					case workload.Put:
 						val := int64(c+1)<<32 | (counts[c][1] + 1)
-						ver := sh.Put(cp, op.Key, val)
-						acked[c][op.Key] = ver
+						ver := sh.Put(cp, ref, val)
+						acked[op.Key] = max(acked[op.Key], ver)
 						ackN[c]++
 						counts[c][1]++
 					case workload.Update:
-						sh.Bump(cp, op.Key, 1)
+						sh.Bump(cp, ref, 1)
 						counts[c][2]++
 					}
 					end := cp.Now()
@@ -480,24 +516,13 @@ func Run(cfg orca.Config, params Params) Result {
 
 		// Audit: every acknowledged write must still be visible at
 		// (at least) its acked version — including writes acked to
-		// clients that died afterwards. Keys are audited in sorted
+		// clients that died afterwards. Keys are audited in ascending
 		// order so the audit's own op sequence is deterministic.
-		worst := make(map[int64]int64)
-		for c := 0; c < nClients; c++ {
-			for k, v := range acked[c] {
-				if v > worst[k] {
-					worst[k] = v
-				}
+		for k, want := range acked {
+			if want == 0 {
+				continue
 			}
-		}
-		keys := make([]int64, 0, len(worst))
-		for k := range worst {
-			keys = append(keys, k)
-		}
-		slices.Sort(keys)
-		for _, k := range keys {
-			_, ver := shards[shardFor(k)].Get(p, k)
-			if ver < worst[k] {
+			if _, ver := shards[keyShard[k]].Get(p, keyRef[k]); ver < want {
 				res.LostAcked++
 			}
 		}

@@ -9,7 +9,8 @@
 // operation: the generator draws from one seeded source in a fixed
 // order (arrival, key, kind), so traces can be double-run for
 // determinism goldens and replayed byte-identically by different
-// placement policies. The repo's batch apps (tsp, acp, chess, atpg)
+// placement policies. The Zipf table depends only on (Keys, Theta), so
+// it is built once per process and shared by every generator. The repo's batch apps (tsp, acp, chess, atpg)
 // run to completion; this package supplies the open-loop, read-heavy,
 // hot-key traffic shape a session store serves — the proving ground
 // for the adaptive-placement and sharding work the ROADMAP queues.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 
 	"repro/internal/sim"
 )
@@ -187,7 +188,7 @@ func New(cfg Config) *Gen {
 	cfg = cfg.withDefaults()
 	g := &Gen{cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed))}
 	if cfg.Dist == Zipf {
-		g.zipf = newZipf(cfg.Keys, cfg.Theta)
+		g.zipf = sharedZipf(cfg.Keys, cfg.Theta)
 	}
 	return g
 }
@@ -299,6 +300,20 @@ func newZipf(n int64, theta float64) *zipfGen {
 		eta:          (1 - math.Pow(2/float64(n), 1-theta)) / (1 - zeta2/zetan),
 		halfPowTheta: math.Pow(0.5, theta),
 	}
+}
+
+// zipfs memoises newZipf per (n, theta): the table is read-only once
+// built, so every generator of a universe, in any Env on any goroutine,
+// shares one instead of summing O(n) powers again.
+var zipfs sync.Map // [2]float64{n, theta} -> *zipfGen; n is exact far beyond any n newZipf can sum
+
+func sharedZipf(n int64, theta float64) *zipfGen {
+	key := [2]float64{float64(n), theta}
+	if z, ok := zipfs.Load(key); ok {
+		return z.(*zipfGen)
+	}
+	z, _ := zipfs.LoadOrStore(key, newZipf(n, theta))
+	return z.(*zipfGen)
 }
 
 // next maps one uniform draw u in [0, 1) to a key in [0, n).

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"math"
+	"sync"
 	"testing"
 
 	"repro/internal/sim"
@@ -254,6 +255,31 @@ func TestAffinityOffLeavesTraceUnchanged(t *testing.T) {
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("trace differs at op %d: %+v vs %+v", i, a[i], b[i])
+		}
+	}
+}
+
+// TestSharedZipfIsNewZipf: generators on several goroutines share one
+// table per (Keys, Theta), and it is the table newZipf builds.
+func TestSharedZipfIsNewZipf(t *testing.T) {
+	for _, c := range []struct {
+		n     int64
+		theta float64
+	}{{1024, 0.99}, {1024, 0.6}, {7, 0.99}} {
+		var wg sync.WaitGroup
+		got := make([]*zipfGen, 4)
+		for i := range got {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				got[i] = New(Config{Keys: c.n, Theta: c.theta, Ops: 1}).zipf
+			}()
+		}
+		wg.Wait()
+		for _, z := range got {
+			if z != got[0] || *z != *newZipf(c.n, c.theta) {
+				t.Errorf("n=%d theta=%v: generators hold %+v and %+v, newZipf builds %+v", c.n, c.theta, *z, *got[0], *newZipf(c.n, c.theta))
+			}
 		}
 	}
 }
