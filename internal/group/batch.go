@@ -37,19 +37,11 @@ import (
 	"repro/internal/sim"
 )
 
-// BatchOp is one application operation submitted through
-// BroadcastBatch for sender-side packing.
-type BatchOp struct {
-	Kind string
-	Body any
-	Size int
-}
-
-// BroadcastBatch submits several ops in one call, appending their
+// BroadcastBatch submits several messages in one call, appending their
 // uids to dst and returning it. The ops leave this member packed into
 // as few frames as the frame capacity allows. Op order is preserved
 // within the batch.
-func (g *Member) BroadcastBatch(p *sim.Proc, ops []BatchOp, dst []int64) []int64 {
+func (g *Member) BroadcastBatch(p *sim.Proc, ops []Msg, dst []int64) []int64 {
 	g.BroadcastBatchFn(p, ops, &dst, p.Resume())
 	p.Park()
 	return dst
@@ -58,15 +50,14 @@ func (g *Member) BroadcastBatch(p *sim.Proc, ops []BatchOp, dst []int64) []int64
 // BroadcastBatchFn is BroadcastBatch in continuation form: each op's uid
 // is appended to *dst as the op is submitted, and then runs where
 // BroadcastBatch returns.
-func (g *Member) BroadcastBatchFn(p *sim.Proc, ops []BatchOp, dst *[]int64, then func()) {
+func (g *Member) BroadcastBatchFn(p *sim.Proc, ops []Msg, dst *[]int64, then func()) {
 	l := g.loop(p, len(ops), batchOp, then)
 	l.ops, l.uids = ops, dst
 	l.next()
 }
 
 func batchOp(l *loop, i int) {
-	op := &l.ops[i]
-	*l.uids = append(*l.uids, l.g.broadcast(l.p, op.Kind, op.Body, op.Size, l.next))
+	*l.uids = append(*l.uids, l.g.broadcast(l.p, &l.ops[i], l.next))
 }
 
 // noteFrame counts a multi-op frame this member sequenced or sent.

@@ -18,9 +18,9 @@ func batchCfg(maxOps, maxBytes int, linger sim.Time) func(*Config) {
 // burst submits n same-instant ops of the given size from node i.
 func burst(h *harness, i, n, size int) {
 	h.ms[i].SpawnThread("burst", func(p *sim.Proc) {
-		ops := make([]BatchOp, n)
+		ops := make([]Msg, n)
 		for k := range ops {
-			ops[k] = BatchOp{Kind: "msg", Body: fmt.Sprintf("n%d-%d", i, k), Size: size}
+			ops[k] = Msg{Kind: "msg", Body: fmt.Sprintf("n%d-%d", i, k), Size: size}
 		}
 		h.gs[i].BroadcastBatch(p, ops, nil)
 	})
@@ -126,9 +126,9 @@ func TestBatchTotalOrderUnderLoss(t *testing.T) {
 				i := i
 				h.ms[i].SpawnThread("producer", func(p *sim.Proc) {
 					for k := 0; k < bursts; k++ {
-						ops := make([]BatchOp, per)
+						ops := make([]Msg, per)
 						for j := range ops {
-							ops[j] = BatchOp{Kind: "msg", Body: fmt.Sprintf("n%d-%d-%d", i, k, j), Size: 150}
+							ops[j] = Msg{Kind: "msg", Body: fmt.Sprintf("n%d-%d-%d", i, k, j), Size: 150}
 						}
 						h.gs[i].BroadcastBatch(p, ops, nil)
 						p.Sleep(sim.Time(3+i) * sim.Millisecond)
@@ -167,9 +167,9 @@ func TestBatchSequencerCrash(t *testing.T) {
 		i := i
 		h.ms[i].SpawnThread("producer", func(p *sim.Proc) {
 			send := func(tag string, k int) {
-				ops := make([]BatchOp, 3)
+				ops := make([]Msg, 3)
 				for j := range ops {
-					ops[j] = BatchOp{Kind: "msg", Body: fmt.Sprintf("n%d-%s%d-%d", i, tag, k, j), Size: 100}
+					ops[j] = Msg{Kind: "msg", Body: fmt.Sprintf("n%d-%s%d-%d", i, tag, k, j), Size: 100}
 				}
 				h.gs[i].BroadcastBatch(p, ops, nil)
 			}
@@ -223,7 +223,7 @@ func TestBatchOfOneIsUnbatched(t *testing.T) {
 			i := i
 			h.ms[i].SpawnThread("producer", func(p *sim.Proc) {
 				for k := 0; k < 6; k++ {
-					h.gs[i].BroadcastBatch(p, []BatchOp{{Kind: "m", Body: k, Size: 100}, {Kind: "m", Body: -k, Size: 2000}}, nil)
+					h.gs[i].BroadcastBatch(p, []Msg{{Kind: "m", Body: k, Size: 100}, {Kind: "m", Body: -k, Size: 2000}}, nil)
 					p.Sleep(sim.Time(3+i) * sim.Millisecond)
 				}
 			})

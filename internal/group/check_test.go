@@ -179,6 +179,7 @@ func TestProtocolFaultMatrix(t *testing.T) {
 			for _, sc := range scenarios {
 				pv, cv, sc := pv, cv, sc
 				t.Run(pv.name+"/"+cv.name+"/"+sc.name, func(t *testing.T) {
+					WatchDeliveries(t) // and no record changes once delivered
 					h := newHarness(53, 4, sc.plan, func(c *Config) {
 						c.SenderTimeout = 50 * sim.Millisecond
 						c.SenderRetries = 8

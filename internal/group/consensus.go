@@ -863,7 +863,7 @@ func (g *Member) finalizeTakeover(p *sim.Proc, k func()) {
 		if ps, ok := t.slots[s]; ok {
 			chosen = append(chosen, ps.D)
 		} else {
-			chosen = append(chosen, &dataMsg{Seq: s, item: item{Src: -1, Kind: noopKind}})
+			chosen = append(chosen, &dataMsg{Seq: s, item: item{Src: -1, Msg: Msg{Kind: noopKind}}})
 		}
 	}
 	// A More-flagged slot whose successor was noop-filled (or fell off

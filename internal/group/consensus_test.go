@@ -141,9 +141,9 @@ func TestConsensusBatchCrashFrames(t *testing.T) {
 		i := i
 		h.ms[i].SpawnThread("producer", func(p *sim.Proc) {
 			send := func(tag string, k int) {
-				ops := make([]BatchOp, 3)
+				ops := make([]Msg, 3)
 				for j := range ops {
-					ops[j] = BatchOp{Kind: "msg", Body: fmt.Sprintf("n%d-%s%d-%d", i, tag, k, j), Size: 100}
+					ops[j] = Msg{Kind: "msg", Body: fmt.Sprintf("n%d-%s%d-%d", i, tag, k, j), Size: 100}
 				}
 				h.gs[i].BroadcastBatch(p, ops, nil)
 			}

@@ -251,7 +251,7 @@ func TestStatsAccounting(t *testing.T) {
 func TestReplacedSendStandsDown(t *testing.T) {
 	h := newHarness(7, 2, nil, nil)
 	g := h.gs[1]
-	old := g.newSend([]item{{UID: 42, Src: 1, SrcSeq: 1, Size: 10}}, ForcePB)
+	old := g.newSend([]item{{UID: 42, Src: 1, SrcSeq: 1, Msg: Msg{Size: 10}}}, ForcePB)
 	repl := g.newSend(old.items, ForcePB)
 	if old.live(g) || !repl.live(g) {
 		t.Fatalf("after replacement: old live = %t, replacement live = %t", old.live(g), repl.live(g))

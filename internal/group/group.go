@@ -3,6 +3,7 @@ package group
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/amoeba"
 	"repro/internal/netsim"
@@ -166,15 +167,13 @@ func (c Config) Validate() error {
 	if len(c.Members) == 0 {
 		return errors.New("group: empty membership")
 	}
-	seen := make(map[int]bool, len(c.Members))
-	for _, id := range c.Members {
+	for i, id := range c.Members {
 		if id < 0 {
 			return fmt.Errorf("group: negative member id %d", id)
 		}
-		if seen[id] {
+		if slices.Contains(c.Members[:i], id) {
 			return fmt.Errorf("group: duplicate member id %d", id)
 		}
-		seen[id] = true
 	}
 	switch c.Method {
 	case Auto, ForcePB, ForceBB:
@@ -201,31 +200,42 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// Delivery is one totally-ordered message handed to the application.
-// All members observe identical (Seq, UID, Src, Body) streams. More
-// marks a mid-batch op: the remaining ops of its packed frame follow
-// at the next sequence numbers, letting consumers amortize per-frame
-// work (the RTS runs one guard-retry sweep per frame, not per op).
-// The More flags are assigned by the sequencer and travel with the
+// Msg is one application message on its way through the total order:
+// what a member broadcasts and what every member is delivered. An
+// operation travels inline, in the shape of amoeba.Packet's header — Obj
+// names the object, Op the operation, Args its parameters — so a
+// sequenced operation is its frame's record and nothing besides; Body
+// carries any other payload. Size is the payload's wire size.
+type Msg struct {
+	Kind string
+	Obj  int64
+	Op   string
+	Args amoeba.Args
+	Body any
+	Size int
+}
+
+// Delivery is one totally-ordered message handed to the application:
+// the sequenced record itself, which the frame it arrived in, the
+// history rings and every consumer share, and which nobody mutates after
+// it was sequenced. All members observe identical (Seq, UID, Src, Msg)
+// streams. More marks a mid-batch op: the remaining ops of its packed
+// frame follow at the next sequence numbers, letting consumers amortize
+// per-frame work (the RTS runs one guard-retry sweep per frame, not per
+// op). The More flags are assigned by the sequencer and travel with the
 // message, so every member sees identical frame boundaries regardless
 // of how (or how often) a message reached it.
 type Delivery struct {
-	Seq  int64
-	UID  int64
-	Src  int
-	Kind string
-	Body any
-	Size int
-	More bool
+	*dataMsg
 	// Dup marks a re-sequenced duplicate suppressed by the dedup
-	// window (MaxOps above 1 only). The payload must not be applied again;
-	// the record exists so consumers still observe the frame boundary
-	// the duplicate occupied — without it a member whose frame tail
-	// was a duplicate would defer its per-frame sweep forever.
+	// window. Its message must not be applied again (consumers test Dup
+	// first); the delivery exists so consumers still observe the frame
+	// boundary the duplicate occupied — without it a member whose frame
+	// tail was a duplicate would defer its per-frame sweep forever.
 	Dup bool
 }
 
-// item is one application operation on its way to being sequenced.
+// item is one application message on its way to being sequenced.
 // SrcSeq is the sender's dense per-member submission counter: the
 // sequencer and the delivery path dedup on (Src, SrcSeq) with O(1)
 // ring-buffer windows instead of uid hash maps.
@@ -233,9 +243,7 @@ type item struct {
 	UID    int64
 	Src    int
 	SrcSeq int64
-	Kind   string
-	Body   any
-	Size   int
+	Msg
 }
 
 // Wire message bodies. All travel on the "grp" port. The four data
@@ -506,7 +514,7 @@ type Member struct {
 	// source's submissions have been delivered, so a re-sequenced
 	// duplicate after an election is recognized in O(1).
 	cache    seqRing[*dataMsg]
-	dlvBySrc []*dedupWindow
+	dlvBySrc []dedupWindow
 
 	// Sequencer state. A freshly elected sequencer is not installed
 	// until every live member acknowledged its view; it assigns no
@@ -609,21 +617,9 @@ func Join(m *amoeba.Machine, cfg Config) *Member {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	seq := cfg.Members[0]
-	maxID := 0
-	for _, id := range cfg.Members {
-		if id < seq {
-			seq = id
-		}
-		if id > maxID {
-			maxID = id
-		}
-	}
-	for _, id := range cfg.Members {
-		if id == cfg.Sequencer {
-			seq = cfg.Sequencer
-			break
-		}
+	seq := slices.Min(cfg.Members)
+	if slices.Contains(cfg.Members, cfg.Sequencer) {
+		seq = cfg.Sequencer
 	}
 	if cfg.Batch.MaxOps < 1 {
 		cfg.Batch.MaxOps = 1
@@ -638,9 +634,9 @@ func Join(m *amoeba.Machine, cfg Config) *Member {
 		acceptedBB:  make(map[int64]bbAccept),
 		acc:         packer{accept: true},
 		outstanding: make(map[int64]*sendState),
-		memberIdx:   make([]int, maxID+1),
+		memberIdx:   make([]int, slices.Max(cfg.Members)+1),
 		cache:       seqRing[*dataMsg]{max: cacheSize},
-		dlvBySrc:    make([]*dedupWindow, len(cfg.Members)),
+		dlvBySrc:    make([]dedupWindow, len(cfg.Members)),
 		history:     seqRing[*dataMsg]{max: historyMax},
 		seenBySrc:   make([]*seqRing[int64], len(cfg.Members)),
 		statuses:    make([]int64, len(cfg.Members)),
@@ -651,6 +647,7 @@ func Join(m *amoeba.Machine, cfg Config) *Member {
 	for i, id := range cfg.Members {
 		g.memberIdx[id] = i
 		g.statuses[i] = -1
+		g.dlvBySrc[i] = newDedupWindow()
 	}
 	g.buffered.reset(1)
 	g.history.reset(1)
@@ -673,12 +670,8 @@ func Join(m *amoeba.Machine, cfg Config) *Member {
 		g.port = Port
 	}
 	if len(cfg.Members) < m.Net().Nodes() {
-		g.castTo = append([]int(nil), cfg.Members...)
-		for i := 1; i < len(g.castTo); i++ {
-			for j := i; j > 0 && g.castTo[j] < g.castTo[j-1]; j-- {
-				g.castTo[j], g.castTo[j-1] = g.castTo[j-1], g.castTo[j]
-			}
-		}
+		g.castTo = slices.Clone(cfg.Members)
+		slices.Sort(g.castTo)
 	}
 	m.Bind(g.port, g.handle)
 	g.gapFn, g.hbFn = g.gapRound, g.heartbeat
@@ -735,7 +728,7 @@ type loop struct {
 	went   bool   // ... and has gone on in place
 	recs   []dataMsg
 	items  []item
-	ops    []BatchOp
+	ops    []Msg
 	uids   *[]int64
 	free   *loop
 }
@@ -827,11 +820,7 @@ func (g *Member) dupDelivery(src int, srcSeq int64) bool {
 	if idx < 0 || srcSeq <= 0 {
 		return false
 	}
-	w := g.dlvBySrc[idx]
-	if w == nil {
-		w = newDedupWindow()
-		g.dlvBySrc[idx] = w
-	}
+	w := &g.dlvBySrc[idx]
 	if w.delivered(srcSeq) {
 		return true
 	}
@@ -904,18 +893,24 @@ func (g *Member) resolveMethod(frame int) Method {
 // for delivery: callers needing write-completion semantics wait until
 // their uid appears in the delivery stream.
 func (g *Member) Broadcast(p *sim.Proc, kind string, body any, size int) int64 {
-	uid := g.broadcast(p, kind, body, size, p.Resume())
+	return g.BroadcastMsg(p, Msg{Kind: kind, Body: body, Size: size})
+}
+
+// BroadcastMsg is Broadcast of a message record, which may carry an
+// operation inline.
+func (g *Member) BroadcastMsg(p *sim.Proc, m Msg) int64 {
+	uid := g.broadcast(p, &m, p.Resume())
 	p.Park()
 	return uid
 }
 
-// broadcast is Broadcast in continuation form: k runs where Broadcast
+// broadcast is BroadcastMsg in continuation form: k runs where it
 // returns.
-func (g *Member) broadcast(p *sim.Proc, kind string, body any, size int, k func()) int64 {
+func (g *Member) broadcast(p *sim.Proc, m *Msg, k func()) int64 {
 	uid := g.m.ServiceID()
 	g.sendSeq++
 	g.stats.Sent++
-	it := item{UID: uid, Src: g.m.ID(), SrcSeq: g.sendSeq, Kind: kind, Body: body, Size: size}
+	it := item{UID: uid, Src: g.m.ID(), SrcSeq: g.sendSeq, Msg: *m}
 	if g.isSeq && g.installed {
 		// The sequencer sequences its own ops directly and broadcasts
 		// the sequenced data: one message on the wire.
@@ -960,7 +955,7 @@ func (g *Member) acknowledged(st *sendState) {
 	clear(st.items)
 	st.req, st.retries, st.cycles, st.fresh, st.timed = reqMsg{}, 0, 0, false, false
 	if poison { // a frame that still shares the record asks for an op nobody sent
-		st.items[0] = item{UID: -1, Src: 1 << 30, SrcSeq: -1, Kind: "group: released send"}
+		st.items[0] = item{UID: -1, Src: 1 << 30, SrcSeq: -1, Msg: Msg{Kind: "group: released send"}}
 		st.req.Items = st.items[:1]
 	}
 	st.next, g.sendFree = g.sendFree, st

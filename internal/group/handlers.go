@@ -347,19 +347,24 @@ func (g *Member) deliver(p *sim.Proc, d *dataMsg) (report bool) {
 		// dense, but carries nothing for the application.
 		return false
 	}
-	if g.dupDelivery(d.Src, d.SrcSeq) {
-		// Re-sequenced duplicate after an election. The consumer still
-		// needs the frame boundary this sequence slot occupies (a frame
-		// whose tail is a suppressed duplicate would otherwise never
-		// close its per-frame sweep), so a Dup-marked record travels in
-		// its place; the payload is never re-applied.
-		g.outQ.Put(Delivery{Seq: d.Seq, UID: d.UID, Src: d.Src, Kind: d.Kind, Size: d.Size, More: d.More, Dup: true})
-		return false
+	// A re-sequenced duplicate after an election travels marked Dup: the
+	// consumer still needs the frame boundary its sequence slot occupies
+	// (a frame whose tail is a suppressed duplicate would otherwise never
+	// close its per-frame sweep), but its message is never re-applied.
+	dl := Delivery{d, g.dupDelivery(d.Src, d.SrcSeq)}
+	if !dl.Dup {
+		g.stats.Delivered++
 	}
-	g.stats.Delivered++
-	g.outQ.Put(Delivery{Seq: d.Seq, UID: d.UID, Src: d.Src, Kind: d.Kind, Body: d.Body, Size: d.Size, More: d.More})
-	return !g.isSeq && g.cfg.StatusEvery > 0 && g.stats.Delivered%int64(g.cfg.StatusEvery) == 0
+	if handedOut != nil {
+		handedOut(dl)
+	}
+	g.outQ.Put(dl)
+	return !dl.Dup && !g.isSeq && g.cfg.StatusEvery > 0 && g.stats.Delivered%int64(g.cfg.StatusEvery) == 0
 }
+
+// handedOut, when set, sees every delivery as deliver hands it out.
+// Tests set it to check that no record changes after it was delivered.
+var handedOut func(Delivery)
 
 // armGapTimer starts periodic retransmission requests while sequence
 // holes exist. Repeated stalls without progress make the member

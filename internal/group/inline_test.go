@@ -43,10 +43,10 @@ func TestStatusBoundaryFrameSendsFromContinuation(t *testing.T) {
 		i := i
 		h.ms[i].SpawnThread("producer", func(p *sim.Proc) {
 			for k := 0; k < 10; k++ {
-				ops := make([]BatchOp, 1+(i+k)%3)
+				ops := make([]Msg, 1+(i+k)%3)
 				sent += len(ops)
 				for j := range ops {
-					ops[j] = BatchOp{Kind: "m", Body: fmt.Sprintf("n%d-%d-%d", i, k, j), Size: 60}
+					ops[j] = Msg{Kind: "m", Body: fmt.Sprintf("n%d-%d-%d", i, k, j), Size: 60}
 				}
 				h.gs[i].BroadcastBatch(p, ops, nil)
 				p.Sleep(sim.Time(3+i) * sim.Millisecond)

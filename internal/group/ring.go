@@ -134,8 +134,8 @@ func (r *seqRing[T]) grow(need int64) {
 // no array.
 type dedupWindow struct{ seqRing[bool] }
 
-func newDedupWindow() *dedupWindow {
-	return &dedupWindow{seqRing[bool]{lo: 1, hi: 1, max: srcWindow}}
+func newDedupWindow() dedupWindow {
+	return dedupWindow{seqRing[bool]{lo: 1, hi: 1, max: srcWindow}}
 }
 
 // delivered reports whether submission i has been noted.

@@ -55,7 +55,7 @@ type batchFlight struct {
 // writeBuf is a worker's combining buffer.
 type writeBuf struct {
 	mgr    *bcastManager
-	ops    []group.BatchOp
+	ops    []group.Msg
 	insts  []*bcastInstance // objects with buffered writes
 	bytes  int
 	uids   []int64 // the batch's, from BroadcastBatchFn
@@ -67,7 +67,7 @@ type writeBuf struct {
 	// detaches the filled buffers into the spares before broadcasting
 	// (the broadcast waits for the CPU, and the worker may buffer more
 	// ops meanwhile) and returns them cleared afterwards.
-	opsSpare   []group.BatchOp
+	opsSpare   []group.Msg
 	instsSpare []*bcastInstance
 
 	// The flush on its way out (see flushFn), and b.sent bound once.
@@ -101,7 +101,7 @@ func (mgr *bcastManager) bufferWrite(w *Worker, id ObjID, inst *bcastInstance, o
 		b.waitFlight(w.P)
 	}
 	size := opSize(opName, &args)
-	b.ops = append(b.ops, group.BatchOp{Kind: "rts-op", Body: wireOp{Obj: id, Op: opName, Args: args}, Size: size})
+	b.ops = append(b.ops, group.Msg{Kind: opKind, Obj: int64(id), Op: opName, Args: args, Size: size})
 	b.bytes += size
 	if !slices.Contains(b.insts, inst) {
 		b.insts = append(b.insts, inst)

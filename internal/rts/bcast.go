@@ -99,17 +99,16 @@ func invoke(s System, w *Worker, id ObjID, op string, args []any) []any {
 	return out.Values()
 }
 
+// opKind is the kind of a write's group message, which carries the
+// operation inline (group.Msg's Obj, Op and Args) and has no body.
+const opKind = "rts-op"
+
 // Wire bodies for the group stream.
 type (
 	wireCreate struct {
 		Obj  ObjID
 		Type string
 		Args []any
-	}
-	wireOp struct {
-		Obj  ObjID
-		Op   string
-		Args Args
 	}
 	// wireMigrate is a sequenced placement change: the delivery
 	// position is the migration's cut point. Target is the new primary
@@ -369,8 +368,7 @@ func (r *BroadcastRTS) Call(w *Worker, id ObjID, opName string, in Args) Args {
 	mgr.syncBuf(w)
 	w.Flush()
 	r.stats.BcastWrites++
-	body := wireOp{Obj: id, Op: opName, Args: in}
-	uid := mgr.g.Broadcast(w.P, "rts-op", body, opSize(opName, &in))
+	uid := mgr.g.BroadcastMsg(w.P, group.Msg{Kind: opKind, Obj: int64(id), Op: opName, Args: in, Size: opSize(opName, &in)})
 	return mgr.await(w.P, uid)
 }
 
@@ -549,7 +547,7 @@ func (mgr *bcastManager) await(p *sim.Proc, uid int64) Args {
 // runs once the local delivery of body has been applied.
 func (mgr *bcastManager) sequence(p *sim.Proc, kind string, body any, size int, k func()) {
 	var uids []int64
-	mgr.g.BroadcastBatchFn(p, []group.BatchOp{{Kind: kind, Body: body, Size: size}}, &uids, func() {
+	mgr.g.BroadcastBatchFn(p, []group.Msg{{Kind: kind, Body: body, Size: size}}, &uids, func() {
 		wt := &opWaiter{}
 		if _, wt.done = mgr.early[uids[0]]; !wt.done {
 			mgr.waiters[uids[0]] = wt
@@ -638,11 +636,13 @@ func (mgr *bcastManager) serve(d group.Delivery) {
 		mgr.boundary()
 		return
 	}
+	if d.Kind == opKind {
+		mgr.applyWrite(ObjID(d.Obj), d.Op, d.Args)
+		return
+	}
 	switch body := d.Body.(type) {
 	case wireCreate:
 		mgr.applyCreate(d.UID, d.Src, body)
-	case wireOp:
-		mgr.applyWrite(d.UID, d.Src, body)
 	case wireFence:
 		if mgr.rts.fence == nil {
 			panic("rts: fence delivered to a runtime outside a Router")
@@ -718,29 +718,31 @@ func (mgr *bcastManager) created() {
 	mgr.boundary()
 }
 
-// applyWrite executes one write from the total order: check the guard
+// applyWrite executes the write the delivery in service carries, obj's
+// operation opName with args, from the total order: check the guard
 // (queue if false), apply, complete the local invoker, and wake
 // guard-blocked readers. The guard-retry sweep over pending writes
 // runs at the frame boundary (see serve), not here.
-func (mgr *bcastManager) applyWrite(uid int64, src int, wo wireOp) {
-	inst := mgr.inst(wo.Obj)
+func (mgr *bcastManager) applyWrite(obj ObjID, opName string, args Args) {
+	inst := mgr.inst(obj)
 	if inst == nil {
-		if !mgr.rts.replicatedOn(mgr.m.ID(), wo.Obj) {
+		if !mgr.rts.replicatedOn(mgr.m.ID(), obj) {
 			mgr.boundary() // not a replica holder: the write does not apply here
 			return
 		}
-		panic(fmt.Sprintf("rts: write to unknown object %d on node %d", wo.Obj, mgr.m.ID()))
+		panic(fmt.Sprintf("rts: write to unknown object %d on node %d", obj, mgr.m.ID()))
 	}
+	d := &mgr.d
 	if inst.moved {
 		// The object migrated away at an earlier position in the total
 		// order: bounce, so the invoker re-issues under the new
 		// placement (see adapt.go).
-		mgr.complete(uid, src, retry)
+		mgr.complete(d.UID, d.Src, retry)
 		mgr.boundary()
 		return
 	}
-	op := inst.op(wo.Op)
-	mgr.cur = resolvedWrite{inst, pendingWrite{uid, src, op, wo.Args}}
+	op := inst.op(opName)
+	mgr.cur = resolvedWrite{inst, pendingWrite{d.UID, d.Src, op, args}}
 	if op.Guard != nil {
 		mgr.charge(mgr.rts.costs.guardCheck, mgr.guardedFn)
 		return

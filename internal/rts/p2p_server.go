@@ -3,7 +3,6 @@ package rts
 import (
 	"errors"
 	"fmt"
-	"maps"
 	"slices"
 
 	"repro/internal/amoeba"
@@ -329,13 +328,18 @@ func (o *objQueue) commit(k func()) {
 	r, inst := o.n.rts, o.inst
 	inst.locked = true
 	// Crashed secondaries leave the copyset: their copies died with
-	// their machines and must not be waited on.
+	// their machines and must not be waited on. The rest are o.secs, in
+	// ascending order, refilled in place: the last commit's fan-out and
+	// unlock walk, which read it, ended before this task was served.
+	o.secs, o.then = o.secs[:0], k
 	for node := range inst.copyset {
 		if r.nodeDown(node) {
 			delete(inst.copyset, node)
+			continue
 		}
+		o.secs = append(o.secs, node)
 	}
-	o.secs, o.then = slices.Sorted(maps.Keys(inst.copyset)), k
+	slices.Sort(o.secs)
 	if len(o.secs) == 0 {
 		o.write()
 		return
@@ -344,7 +348,7 @@ func (o *objQueue) commit(k func()) {
 	case Invalidation:
 		// Lock, invalidate every secondary, collect acks.
 		o.fanout("inval", amoeba.Packet{Op: "inval", Obj: int64(o.id), Body: p2pInvalReq{}, Size: 8}, func() {
-			inst.copyset = make(map[int]bool)
+			clear(inst.copyset)
 			o.write()
 		})
 	case Update:
