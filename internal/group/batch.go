@@ -33,7 +33,6 @@ package group
 // guard-retry sweep per frame.
 
 import (
-	"repro/internal/amoeba"
 	"repro/internal/sim"
 )
 
@@ -51,13 +50,11 @@ func (g *Member) BroadcastBatch(p *sim.Proc, ops []Msg, dst []int64) []int64 {
 // is appended to *dst as the op is submitted, and then runs where
 // BroadcastBatch returns.
 func (g *Member) BroadcastBatchFn(p *sim.Proc, ops []Msg, dst *[]int64, then func()) {
-	l := g.loop(p, len(ops), batchOp, then)
-	l.ops, l.uids = ops, dst
-	l.next()
-}
-
-func batchOp(l *loop, i int) {
-	*l.uids = append(*l.uids, l.g.broadcast(l.p, &l.ops[i], l.next))
+	o := g.begin(p, then)
+	for i := range ops {
+		g.later(effect{kind: fxBroadcast, m: &ops[i], uids: dst})
+	}
+	o.issue()
 }
 
 // noteFrame counts a multi-op frame this member sequenced or sent.
@@ -78,6 +75,7 @@ type packer struct {
 	q      []item
 	bytes  int // packed payload of q (data packer only)
 	timer  *sim.Event
+	fire   func(p *sim.Proc) // the Linger deadline's round, bound once
 	accept bool
 }
 
@@ -86,7 +84,7 @@ type packer struct {
 // pre-marked in the dedup window (seq -1 = "queued, not yet
 // sequenced") so a retransmitted copy arriving before the flush cannot
 // be sequenced twice.
-func (g *Member) enqueue(p *sim.Proc, pk *packer, it item, k func()) {
+func (g *Member) enqueue(pk *packer, it item) {
 	g.noteSeen(it.Src, it.SrcSeq, -1)
 	pk.q = append(pk.q, it)
 	if !pk.accept {
@@ -94,23 +92,19 @@ func (g *Member) enqueue(p *sim.Proc, pk *packer, it item, k func()) {
 	}
 	b := g.cfg.Batch
 	if len(pk.q) >= b.MaxOps || (b.MaxBytes > 0 && pk.bytes >= b.MaxBytes) {
-		g.flush(p, pk, k)
+		g.flush(pk)
 		return
 	}
 	if pk.timer == nil {
-		pk.timer = g.m.After(b.Linger, func(tp *sim.Proc) {
-			pk.timer = nil
-			g.flush(tp, pk, nop)
-		})
+		pk.timer = g.m.After(b.Linger, pk.fire)
 	}
-	k()
 }
 
 // flush sequences pk's queued ops and emits them as one frame. When
 // this member no longer sequences (it lost an election with ops still
 // queued), its own items re-enter the sender path instead — other
 // members' requests are re-sent by their own retransmission timers.
-func (g *Member) flush(p *sim.Proc, pk *packer, k func()) {
+func (g *Member) flush(pk *packer) {
 	if pk.timer != nil {
 		pk.timer.Cancel()
 		pk.timer = nil
@@ -118,24 +112,22 @@ func (g *Member) flush(p *sim.Proc, pk *packer, k func()) {
 	items := pk.q
 	pk.bytes = 0
 	if len(items) == 0 {
-		k()
 		return
 	}
 	if !g.isSeq || !g.installed {
-		// enqueueSend yields the CPU: detach the array so nothing
-		// queued meanwhile can overwrite the items still to re-send.
+		// The ops re-enter one by one, each once the last one's send
+		// has gone out: detach the array so nothing queued meanwhile
+		// can overwrite the items still to re-send.
 		pk.q = nil
-		g.loop(p, len(items), func(l *loop, i int) {
-			if it := items[i]; it.Src == g.m.ID() {
-				g.enqueueSend(p, it, l.next)
-				return
+		g.each(len(items), func(i int) {
+			if items[i].Src == g.m.ID() {
+				g.enqueueSend(items[i])
 			}
-			l.next()
-		}, k).next()
+		})
 		return
 	}
-	pk.q = items[:0] // emit copies the items before anything can yield
-	g.emit(p, items, pk.accept, k)
+	pk.q = items[:0] // emit copies the items
+	g.emit(items, pk.accept)
 }
 
 // newFrame allocates a frame of n records; a one-op frame is a single
@@ -157,7 +149,8 @@ func (g *Member) sequence(items []item) *dataFrame {
 	f := newFrame(len(items))
 	for i, it := range items {
 		d := &f.Recs[i]
-		*d = dataMsg{item: it, Seq: g.nextSeqNum(), Epoch: g.epoch, More: i < len(items)-1}
+		g.maxSeen++ // the next global sequence number
+		*d = dataMsg{item: it, Seq: g.maxSeen, Epoch: g.epoch, More: i < len(items)-1}
 		g.recordHistory(d)
 	}
 	return f
@@ -166,8 +159,8 @@ func (g *Member) sequence(items []item) *dataFrame {
 // emit sequences items as one frame, puts it on the wire — sequenced
 // data, a short accept for BB ops (the members already hold the data),
 // or a consensus proposal — and runs the new records through this
-// member's own ordered-delivery core.
-func (g *Member) emit(p *sim.Proc, items []item, accept bool, k func()) {
+// member's own ordered-delivery core once it has gone out.
+func (g *Member) emit(items []item, accept bool) {
 	f := g.sequence(items)
 	g.noteFrame(len(f.Recs))
 	switch {
@@ -181,7 +174,8 @@ func (g *Member) emit(p *sim.Proc, items []item, accept bool, k func()) {
 		for i := range f.Recs {
 			ds[i] = &f.Recs[i]
 		}
-		g.propose(p, ds, k)
+		g.propose(ds)
+		return
 	case accept:
 		a := &acceptMsg{Seq: f.Recs[0].Seq, Epoch: g.epoch}
 		a.UIDs = a.one[:0]
@@ -191,23 +185,24 @@ func (g *Member) emit(p *sim.Proc, items []item, accept bool, k func()) {
 		for i := range f.Recs {
 			a.UIDs = append(a.UIDs, f.Recs[i].UID)
 		}
-		g.castAccept(p, a, g.frame(p, f.Recs, k).next)
+		g.castAccept(a)
 	default:
 		payload := 0
 		for i := range f.Recs {
 			payload += f.Recs[i].Size
 		}
-		g.cast(p, amoeba.Packet{Port: g.port, Kind: "grp-data", Body: f, Size: frameSize(len(f.Recs), payload)}, g.frame(p, f.Recs, k).next)
+		g.cast("grp-data", f, frameSize(len(f.Recs), payload))
 	}
+	g.processFrame(f.Recs)
 }
 
 // castAccept broadcasts an accept frame.
-func (g *Member) castAccept(p *sim.Proc, a *acceptMsg, k func()) {
+func (g *Member) castAccept(a *acceptMsg) {
 	size := hdrAccept
 	if n := len(a.UIDs); n > 1 {
 		size += 8 * n
 	}
-	g.cast(p, amoeba.Packet{Port: g.port, Kind: "grp-accept", Body: a, Size: size}, k)
+	g.cast("grp-accept", a, size)
 }
 
 // ---------------------------------------------------------------------
@@ -218,42 +213,44 @@ func (g *Member) castAccept(p *sim.Proc, a *acceptMsg, k func()) {
 // instant leaves in one frame (cross-instant combining is the RTS
 // write buffer's job). MaxOps/MaxBytes flush early so one frame never
 // carries more than its capacity.
-func (g *Member) enqueueSend(p *sim.Proc, it item, k func()) {
+func (g *Member) enqueueSend(it item) {
 	g.sendQ = append(g.sendQ, it)
 	g.sendBytes += it.Size + hdrItem
 	b := g.cfg.Batch
 	if len(g.sendQ) >= b.MaxOps || (b.MaxBytes > 0 && g.sendBytes >= b.MaxBytes) {
-		g.flushSend(p, k)
+		g.flushSend()
 		return
 	}
 	if !g.sendArmed {
 		g.sendArmed = true
-		g.m.After(0, func(tp *sim.Proc) {
-			g.sendArmed = false
-			g.flushSend(tp, nop)
-		})
+		g.m.After(0, g.sendFire)
 	}
-	k()
+}
+
+// flushArmed is the same-instant flush's round.
+func (g *Member) flushArmed() {
+	g.sendArmed = false
+	g.flushSend()
 }
 
 // flushSend transmits the queued ops as one outstanding send.
-func (g *Member) flushSend(p *sim.Proc, k func()) {
+func (g *Member) flushSend() {
 	items := g.sendQ
 	if len(items) == 0 {
-		k()
 		return
 	}
 	payload := g.sendBytes - len(items)*hdrItem
 	g.sendBytes = 0
 	if g.isSeq && g.installed {
 		// Became the sequencer while ops were queued: sequence them
-		// directly. enqueue can yield the CPU, so detach the array.
+		// directly, each once the last one's frame has gone out, so
+		// detach the array.
 		g.sendQ = nil
 		g.stats.PBSends += int64(len(items))
-		g.loop(p, len(items), func(l *loop, i int) { g.enqueue(p, &g.pack, items[i], l.next) }, k).next()
+		g.each(len(items), func(i int) { g.enqueue(&g.pack, items[i]) })
 		return
 	}
-	g.sendQ = items[:0] // newSend copies the items before anything can yield
+	g.sendQ = items[:0] // newSend copies the items
 	st := g.newSend(items, g.resolveMethod(frameSize(len(items), payload)))
 	if st.method == ForceBB {
 		g.stats.BBSends += int64(len(items))
@@ -261,6 +258,9 @@ func (g *Member) flushSend(p *sim.Proc, k func()) {
 		g.stats.PBSends += int64(len(items))
 	}
 	g.noteFrame(len(items))
-	st.k = k
-	g.transmit(p, st, st.sentFn)
+	g.transmit(st)
+	// One frame carries these items, and they have been on no other: the
+	// one case in which their record can be recycled (see sendState).
+	st.fresh = st.method == ForcePB && g.cfg.Protocol == ElectedSequencer
+	g.later(effect{kind: fxArmSender, st: st})
 }

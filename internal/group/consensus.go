@@ -11,7 +11,7 @@ package group
 // single-decree Paxos instance per sequence number:
 //
 //   - The leader assigns slots exactly like the sequencer (the same
-//     nextSeqNum/history/dedup machinery) but broadcasts a proposal
+//     sequence/history/dedup machinery) but broadcasts a proposal
 //     frame (grp-prop) instead of sequenced data. A packed batch
 //     travels as one multi-slot proposal, accepted atomically per
 //     member, which keeps More frame boundaries stable across
@@ -51,7 +51,8 @@ package group
 // walks slot indices in order).
 
 import (
-	"repro/internal/amoeba"
+	"slices"
+
 	"repro/internal/sim"
 )
 
@@ -193,9 +194,7 @@ func (g *Member) nextOwnBallot(min int64) int64 {
 // slots count unconditionally (they are chosen), undelivered ones
 // only under the currently promised ballot.
 func (g *Member) advanceAccPrefix() {
-	if g.accPrefix < g.nextSeq-1 {
-		g.accPrefix = g.nextSeq - 1
-	}
+	g.accPrefix = max(g.accPrefix, g.nextSeq-1)
 	for {
 		a := g.accepted.get(g.accPrefix + 1)
 		if a.d == nil || a.bal != g.promised {
@@ -208,25 +207,21 @@ func (g *Member) advanceAccPrefix() {
 // adoptBallot promises a higher ballot: a leading member steps down,
 // an in-flight lower-ballot takeover aborts, and the accepted prefix
 // rebases onto the new ballot.
-func (g *Member) adoptBallot(p *sim.Proc, b int64, k func()) {
+func (g *Member) adoptBallot(b int64) {
 	if b <= g.promised {
-		k()
 		return
 	}
 	g.promised = b
 	if g.takeover != nil && b > g.takeover.ballot {
 		g.abortTakeover()
 	}
-	rebase := func() {
+	if g.isSeq && b > g.ballot {
+		g.stepDown()
+	}
+	g.call(func() {
 		g.accPrefix = g.nextSeq - 1
 		g.advanceAccPrefix()
-		k()
-	}
-	if g.isSeq && b > g.ballot {
-		g.stepDown(p, rebase)
-		return
-	}
-	rebase()
+	})
 }
 
 // ---------------------------------------------------------------------
@@ -236,7 +231,7 @@ func (g *Member) adoptBallot(p *sim.Proc, b int64, k func()) {
 // recorded in history by the caller) as one proposal frame. The
 // leader accepts its own proposal immediately — it is one member of
 // the quorum.
-func (g *Member) propose(p *sim.Proc, ds []*dataMsg, k func()) {
+func (g *Member) propose(ds []*dataMsg) {
 	for _, d := range ds {
 		g.accepted.set(d.Seq, accSlot{bal: g.ballot, d: d})
 	}
@@ -246,22 +241,18 @@ func (g *Member) propose(p *sim.Proc, ds []*dataMsg, k func()) {
 	if idx := g.myIdx(); idx >= 0 {
 		g.acked[idx] = g.maxSeen
 	}
-	g.broadcastProp(p, ds, func() {
-		g.tryCommit(p, func() {
-			g.armPropTimer()
-			k()
-		})
-	})
+	g.broadcastProp(ds)
+	g.call(g.tryCommit)
+	g.call(g.armPropTimer)
 }
 
 // broadcastProp sends one proposal frame under the current ballot.
-func (g *Member) broadcastProp(p *sim.Proc, ds []*dataMsg, k func()) {
+func (g *Member) broadcastProp(ds []*dataMsg) {
 	size := 0
 	for _, d := range ds {
 		size += d.Size + hdrItem
 	}
-	g.cast(p, amoeba.Packet{Port: g.port, Kind: "grp-prop",
-		Body: &propMsg{Ballot: g.ballot, Commit: g.committed, Ds: ds}, Size: size + hdrData}, k)
+	g.cast("grp-prop", &propMsg{Ballot: g.ballot, Commit: g.committed, Ds: ds}, size+hdrData)
 }
 
 // armPropTimer re-proposes assigned-but-unchosen slots until a quorum
@@ -275,7 +266,7 @@ func (g *Member) armPropTimer() {
 	if g.propTimer != nil {
 		return
 	}
-	g.propTimer = g.m.After(g.cfg.ProposeTimeout<<g.propBackoff, func(p *sim.Proc) {
+	g.propTimer = g.after(g.cfg.ProposeTimeout<<g.propBackoff, func() {
 		g.propTimer = nil
 		if !g.isSeq || g.cfg.Protocol != Consensus || g.committed >= g.maxSeen {
 			return
@@ -288,58 +279,45 @@ func (g *Member) armPropTimer() {
 			g.propBackoff = 0
 		}
 		g.propLastCmt = g.committed
-		g.reproposeUncommitted(p, g.armPropTimer)
+		g.reproposeUncommitted(g.committed + 1)
+		g.call(g.armPropTimer)
 	})
 }
 
-// reproposeUncommitted re-broadcasts every uncommitted slot from
-// history under the current ballot, in frames of up to 32 slots.
-func (g *Member) reproposeUncommitted(p *sim.Proc, k func()) {
-	s := g.committed + 1
-	var frame func()
-	frame = func() {
-		var ds []*dataMsg
-		for ; s <= g.maxSeen && len(ds) < 32; s++ {
-			// Uncommitted slots cannot have been trimmed (trimming stops
-			// at the minimum delivered, which never exceeds committed).
-			if d := g.history.get(s); d != nil {
-				ds = append(ds, d)
-			}
+// reproposeUncommitted re-broadcasts every uncommitted slot from s on
+// out of history under the current ballot, in frames of up to 32 slots,
+// each once the last one has gone out.
+func (g *Member) reproposeUncommitted(s int64) {
+	var ds []*dataMsg
+	for ; s <= g.maxSeen && len(ds) < 32; s++ {
+		// Uncommitted slots cannot have been trimmed (trimming stops
+		// at the minimum delivered, which never exceeds committed).
+		if d := g.history.get(s); d != nil {
+			ds = append(ds, d)
 		}
-		if len(ds) == 0 {
-			k()
-			return
-		}
-		g.stats.Reproposals += int64(len(ds))
-		g.stats.Retransmits++
-		if len(ds) < 32 { // the last frame: slots sequenced meanwhile wait for the next round
-			g.broadcastProp(p, ds, k)
-			return
-		}
-		g.broadcastProp(p, ds, frame)
 	}
-	frame()
+	if len(ds) == 0 {
+		return
+	}
+	g.stats.Reproposals += int64(len(ds))
+	g.stats.Retransmits++
+	g.broadcastProp(ds)
+	// A full frame may have more behind it, read once it has gone out;
+	// after a short one, slots sequenced meanwhile wait for the next round.
+	if len(ds) == 32 {
+		g.call(func() { g.reproposeUncommitted(s) })
+	}
 }
 
 // tryCommit advances the commit watermark to the quorum floor: the
 // quorum-th largest cumulative accepted prefix.
-func (g *Member) tryCommit(p *sim.Proc, k func()) {
+func (g *Member) tryCommit() {
 	g.ackScratch = append(g.ackScratch[:0], g.acked...)
-	sc := g.ackScratch
-	for i := 1; i < len(sc); i++ {
-		for j := i; j > 0 && sc[j] > sc[j-1]; j-- {
-			sc[j], sc[j-1] = sc[j-1], sc[j]
-		}
+	slices.Sort(g.ackScratch)
+	floor := min(g.ackScratch[len(g.ackScratch)-g.quorum()], g.maxSeen)
+	if floor > g.committed {
+		g.advanceCommit(floor)
 	}
-	floor := sc[g.quorum()-1]
-	if floor > g.maxSeen {
-		floor = g.maxSeen
-	}
-	if floor <= g.committed {
-		k()
-		return
-	}
-	g.advanceCommit(p, floor, k)
 }
 
 // advanceCommit commits (committed, upTo], announces the watermark,
@@ -348,51 +326,47 @@ func (g *Member) tryCommit(p *sim.Proc, k func()) {
 // proposals piggyback the watermark anyway, so under load one
 // trailing pcmt per window is enough — but a lone op still commits
 // at its members with no added latency.
-func (g *Member) advanceCommit(p *sim.Proc, upTo int64, k func()) {
+func (g *Member) advanceCommit(upTo int64) {
 	from := g.committed + 1
 	g.committed = upTo
 	g.propBackoff = 0 // progress: restore the fast re-propose deadline
-	deliver := g.loop(p, int(upTo-from+1), func(l *loop, i int) {
-		if d := g.history.get(from + int64(i)); d != nil {
-			g.processData(p, d, l.next)
-			return
-		}
-		l.next()
-	}, k).next
 	if g.cmtTimer != nil {
 		g.cmtPending = true
-		deliver()
-		return
+	} else {
+		g.announceCommit()
+		g.call(g.refractCommit)
 	}
-	var refract func()
-	refract = func() {
-		g.cmtTimer = g.m.After(g.coalesceDelay(), func(tp *sim.Proc) {
-			g.cmtTimer = nil
-			if g.cmtPending && g.isSeq {
-				g.cmtPending = false
-				g.announceCommit(tp, refract)
-			}
-		})
+	for s := from; s <= upTo; s++ {
+		if d := g.history.get(s); d != nil {
+			g.later(effect{kind: fxProcess, d: d})
+		}
 	}
-	g.announceCommit(p, func() {
-		refract()
-		deliver()
+}
+
+// refractCommit opens the commit announcement's refractory window: a
+// commit inside it is announced once, when the window closes.
+func (g *Member) refractCommit() {
+	g.cmtTimer = g.after(g.coalesceDelay(), func() {
+		g.cmtTimer = nil
+		if g.cmtPending && g.isSeq {
+			g.cmtPending = false
+			g.announceCommit()
+			g.call(g.refractCommit)
+		}
 	})
 }
 
 // announceCommit broadcasts the current commit watermark.
-func (g *Member) announceCommit(p *sim.Proc, k func()) {
-	g.cast(p, amoeba.Packet{Port: g.port, Kind: "grp-pcmt",
-		Body: pcmtMsg{Ballot: g.ballot, UpTo: g.committed}, Size: hdrSmall}, k)
+func (g *Member) announceCommit() {
+	g.cast("grp-pcmt", pcmtMsg{Ballot: g.ballot, UpTo: g.committed}, hdrSmall)
 }
 
 // stepDown demotes a deposed leader to a plain member. Its own
 // assigned-but-unchosen ops re-enter the sender path — the new leader
 // may never have seen them — while other members' ops are re-sent by
 // their own retransmission timers.
-func (g *Member) stepDown(p *sim.Proc, k func()) {
+func (g *Member) stepDown() {
 	if !g.isSeq {
-		k()
 		return
 	}
 	g.isSeq = false
@@ -401,22 +375,20 @@ func (g *Member) stepDown(p *sim.Proc, k func()) {
 		g.propTimer.Cancel()
 		g.propTimer = nil
 	}
-	g.flush(p, &g.pack, func() { // queued own ops re-enter the sender path too
+	g.flush(&g.pack) // queued own ops re-enter the sender path too
+	g.call(func() {
 		hi, from := g.maxSeen, g.committed+1
 		g.maxSeen = g.committed // assigned-but-unchosen slots are void
-		g.loop(p, int(hi-from+1), func(l *loop, i int) {
+		g.each(int(hi-from+1), func(i int) {
 			d := g.history.get(from + int64(i))
 			if d == nil || d.Src != g.m.ID() || g.outstanding[d.UID] != nil {
-				l.next()
 				return
 			}
 			st := g.newSend([]item{d.item}, ForcePB)
 			g.stats.Retransmits++
-			g.transmit(p, st, func() {
-				g.armSenderTimer(st)
-				l.next()
-			})
-		}, k).next()
+			g.transmit(st)
+			g.later(effect{kind: fxArmSender, st: st})
+		})
 	})
 }
 
@@ -424,15 +396,15 @@ func (g *Member) stepDown(p *sim.Proc, k func()) {
 // Acceptor: proposals, commits, nacks.
 
 // onPropose accepts a proposal frame at a member.
-func (g *Member) onPropose(p *sim.Proc, from int, m *propMsg) {
+func (g *Member) onPropose(from int, m *propMsg) {
 	if m.Ballot < g.promised {
-		g.m.SendFn(p, from, amoeba.Packet{Port: g.port, Kind: "grp-pnack",
-			Body: pnackMsg{Promised: g.promised, Node: g.m.ID()}, Size: hdrSmall}, nop)
+		g.pnack(from)
 		return
 	}
 	g.seqNode = from
-	g.leaderSeen = p.Now()
-	g.adoptBallot(p, m.Ballot, func() {
+	g.leaderSeen = g.now()
+	g.adoptBallot(m.Ballot)
+	g.call(func() {
 		for _, d := range m.Ds {
 			if d.Seq < g.nextSeq {
 				continue // already delivered: chosen values never regress
@@ -440,8 +412,15 @@ func (g *Member) onPropose(p *sim.Proc, from int, m *propMsg) {
 			g.accepted.set(d.Seq, accSlot{bal: m.Ballot, d: d})
 		}
 		g.advanceAccPrefix()
-		g.applyCommit(p, m.Ballot, m.Commit, func() { g.scheduleAck(p) })
+		g.applyCommit(m.Ballot, m.Commit)
+		g.call(g.scheduleAck)
 	})
+}
+
+// pnack tells a stale proposer or candidate the ballot this member has
+// promised.
+func (g *Member) pnack(to int) {
+	g.send(to, "grp-pnack", pnackMsg{Promised: g.promised, Node: g.m.ID()}, hdrSmall)
 }
 
 // coalesceDelay is the refractory window of the ack and
@@ -458,33 +437,36 @@ func (g *Member) coalesceDelay() sim.Time {
 // tax on a lone op), a member inside the refractory window coalesces
 // every further proposal into one trailing ack. Without this, P-1
 // ack unicasts per op saturate the wire at large P.
-func (g *Member) scheduleAck(p *sim.Proc) {
+func (g *Member) scheduleAck() {
 	if g.ackTimer != nil {
 		g.ackPending = true
 		return
 	}
-	var refract func()
-	refract = func() {
-		g.ackTimer = g.m.After(g.coalesceDelay(), func(tp *sim.Proc) {
-			g.ackTimer = nil
-			if g.ackPending && !g.isSeq {
-				g.ackPending = false
-				g.sendAck(tp, refract)
-			}
-		})
-	}
-	g.sendAck(p, refract)
+	g.sendAck()
+	g.call(g.refractAck)
+}
+
+// refractAck opens the ack throttle's refractory window: proposals
+// inside it are acknowledged once, when the window closes.
+func (g *Member) refractAck() {
+	g.ackTimer = g.after(g.coalesceDelay(), func() {
+		g.ackTimer = nil
+		if g.ackPending && !g.isSeq {
+			g.ackPending = false
+			g.sendAck()
+			g.call(g.refractAck)
+		}
+	})
 }
 
 // sendAck reports the cumulative accepted prefix under the currently
 // promised ballot.
-func (g *Member) sendAck(p *sim.Proc, k func()) {
-	g.m.SendFn(p, g.seqNode, amoeba.Packet{Port: g.port, Kind: "grp-pacc",
-		Body: paccMsg{Ballot: g.promised, Node: g.m.ID(), AccUpTo: g.accPrefix}, Size: hdrSmall}, k)
+func (g *Member) sendAck() {
+	g.send(g.seqNode, "grp-pacc", paccMsg{Ballot: g.promised, Node: g.m.ID(), AccUpTo: g.accPrefix}, hdrSmall)
 }
 
 // onPAcc records a member's accepted prefix at the leader.
-func (g *Member) onPAcc(p *sim.Proc, m paccMsg) {
+func (g *Member) onPAcc(m paccMsg) {
 	if !g.isSeq || m.Ballot != g.ballot {
 		return
 	}
@@ -493,29 +475,28 @@ func (g *Member) onPAcc(p *sim.Proc, m paccMsg) {
 		return
 	}
 	g.acked[idx] = m.AccUpTo
-	g.tryCommit(p, nop)
+	g.tryCommit()
 }
 
 // onPcmt applies a commit watermark at a member.
-func (g *Member) onPcmt(p *sim.Proc, from int, m pcmtMsg) {
+func (g *Member) onPcmt(from int, m pcmtMsg) {
 	if m.Ballot >= g.promised {
 		g.seqNode = from
-		g.leaderSeen = p.Now()
+		g.leaderSeen = g.now()
 	}
 	// Even a deposed leader's commit is truthful — it counted a real
 	// quorum for its ballot — so the watermark applies regardless, after
 	// the ballot is adopted if it is new (adoptBallot ignores any other).
-	g.adoptBallot(p, m.Ballot, func() { g.applyCommit(p, m.Ballot, m.UpTo, nop) })
+	g.adoptBallot(m.Ballot)
+	g.call(func() { g.applyCommit(m.Ballot, m.UpTo) })
 }
 
 // applyCommit learns that slots up to upTo are chosen and delivers
 // the accepted entries that match the committing ballot; mismatched
 // or missing slots become gaps the retransmission machinery fills
 // with the chosen values out of the leader's history.
-func (g *Member) applyCommit(p *sim.Proc, ballot, upTo int64, k func()) {
-	if upTo > g.committed {
-		g.committed = upTo
-	}
+func (g *Member) applyCommit(ballot, upTo int64) {
+	g.committed = max(g.committed, upTo)
 	if g.takeover != nil && g.committed >= g.takeover.from {
 		// The stalled slot that justified this takeover has been chosen
 		// by someone else's quorum: the premise is gone, stand down.
@@ -524,29 +505,26 @@ func (g *Member) applyCommit(p *sim.Proc, ballot, upTo int64, k func()) {
 	if !g.isSeq && upTo > g.maxSeen {
 		g.maxSeen = upTo
 	}
-	from := g.nextSeq
-	g.loop(p, int(upTo-from+1), func(l *loop, i int) {
-		if a := g.accepted.get(from + int64(i)); a.d != nil && a.bal == ballot {
-			g.processData(p, a.d, l.next)
-			return
+	for s := g.nextSeq; s <= upTo; s++ {
+		if a := g.accepted.get(s); a.d != nil && a.bal == ballot {
+			g.later(effect{kind: fxProcess, d: a.d})
 		}
-		l.next()
-	}, func() {
+	}
+	g.call(func() {
 		if g.nextSeq <= g.maxSeen {
 			g.armGapTimer()
 		}
-		k()
-	}).next()
+	})
 }
 
 // onPNack reacts to a "promised higher" rejection: a stale leader
 // steps down, a stale takeover aborts. The next suspicion re-enters
 // the ladder with a fresher ballot.
-func (g *Member) onPNack(p *sim.Proc, m pnackMsg) {
+func (g *Member) onPNack(m pnackMsg) {
 	if g.takeover != nil && m.Promised > g.takeover.ballot {
 		g.abortTakeover()
 	}
-	g.adoptBallot(p, m.Promised, nop)
+	g.adoptBallot(m.Promised)
 }
 
 // ---------------------------------------------------------------------
@@ -556,20 +534,18 @@ func (g *Member) onPNack(p *sim.Proc, m pnackMsg) {
 // first live member after the suspected leader in membership order
 // takes over immediately; everyone else arms a rank-proportional
 // backoff and stands down if progress resumes first.
-func (g *Member) suspectLeader(p *sim.Proc, k func()) {
+func (g *Member) suspectLeader() {
 	if g.cfg.Protocol != Consensus || g.isSeq || g.takeover != nil || g.suspTimer != nil {
-		k()
 		return
 	}
-	if g.leaderSeen > 0 && p.Now()-g.leaderSeen < g.stickWindow() {
+	if g.leaderSeen > 0 && g.now()-g.leaderSeen < g.stickWindow() {
 		// The leader showed life inside the stickiness window: an
 		// undelivered op means backlog, not death. The sender and gap
 		// timers re-raise the suspicion if the silence grows.
-		k()
 		return
 	}
 	if g.recoveryStart == 0 {
-		g.recoveryStart = p.Now()
+		g.recoveryStart = g.now()
 	}
 	// Escalate when suspicion rounds come and go without a single
 	// delivery: each fruitless round pushes the next takeover attempt
@@ -580,21 +556,18 @@ func (g *Member) suspectLeader(p *sim.Proc, k func()) {
 		g.suspRounds = 0
 	}
 	g.suspMark = g.nextSeq
-	round := g.suspRounds
-	if round > 4 {
-		round = 4
-	}
+	round := min(g.suspRounds, 4)
 	g.suspRounds++
 	rank := g.successorRank()
 	if rank == 0 && round == 0 {
-		g.startTakeover(p, k)
+		g.startTakeover()
 		return
 	}
 	escalate := sim.Time((int64(1)<<round)-1) * 2 // 0, 2, 6, 14, 30
 	jitter := sim.Time(mix64(uint64(g.m.ID())<<32^uint64(g.promised+1)) % uint64(g.cfg.ProposeTimeout))
 	delay := (2*sim.Time(rank)+escalate)*g.cfg.ProposeTimeout + jitter
 	suspect, next := g.seqNode, g.nextSeq
-	g.suspTimer = g.m.After(delay, func(tp *sim.Proc) {
+	g.suspTimer = g.after(delay, func() {
 		g.suspTimer = nil
 		if g.isSeq || g.takeover != nil {
 			return
@@ -602,9 +575,8 @@ func (g *Member) suspectLeader(p *sim.Proc, k func()) {
 		if g.seqNode != suspect || g.nextSeq != next {
 			return // progress or a new leader appeared: stand down
 		}
-		g.startTakeover(tp, nop)
+		g.startTakeover()
 	})
-	k()
 }
 
 // successorRank returns this member's position in the takeover
@@ -632,13 +604,12 @@ func (g *Member) successorRank() int {
 
 // startTakeover opens a prepare round under a fresh ballot this
 // member owns.
-func (g *Member) startTakeover(p *sim.Proc, k func()) {
+func (g *Member) startTakeover() {
 	if g.takeover != nil || g.isSeq {
-		k()
 		return
 	}
 	if g.recoveryStart == 0 {
-		g.recoveryStart = p.Now()
+		g.recoveryStart = g.now()
 	}
 	b := g.nextOwnBallot(g.promised)
 	g.promised = b
@@ -652,9 +623,10 @@ func (g *Member) startTakeover(p *sim.Proc, k func()) {
 	g.takeover = t
 	g.mergePromise(t, promMsg{Ballot: b, Node: g.m.ID(), Slots: g.promiseSlots(t.from)})
 	g.m.Env().Tracef("node%d: consensus takeover, ballot %d from slot %d", g.m.ID(), b, t.from)
-	g.broadcastPrep(p, func() {
+	g.broadcastPrep()
+	g.call(func() {
 		g.armTakeoverTimer()
-		g.checkTakeover(p, k) // a single-member group is its own quorum
+		g.checkTakeover() // a single-member group is its own quorum
 	})
 }
 
@@ -680,12 +652,10 @@ func (g *Member) knownRanges(t *takeoverState) []balRange {
 }
 
 // broadcastPrep (re-)announces the in-flight prepare.
-func (g *Member) broadcastPrep(p *sim.Proc, k func()) {
+func (g *Member) broadcastPrep() {
 	t := g.takeover
 	known := g.knownRanges(t)
-	g.cast(p, amoeba.Packet{Port: g.port, Kind: "grp-prep",
-		Body: prepMsg{Ballot: t.ballot, From: t.from, Node: g.m.ID(), Known: known},
-		Size: hdrSmall + len(known)*3*8}, k)
+	g.cast("grp-prep", prepMsg{Ballot: t.ballot, From: t.from, Node: g.m.ID(), Known: known}, hdrSmall+len(known)*3*8)
 }
 
 // armTakeoverTimer retries the prepare until a quorum promises or a
@@ -696,17 +666,14 @@ func (g *Member) broadcastPrep(p *sim.Proc, k func()) {
 // sends.
 func (g *Member) armTakeoverTimer() {
 	t := g.takeover
-	tries := t.tries
-	if tries > 4 {
-		tries = 4
-	}
-	t.timer = g.m.After(2*g.cfg.ProposeTimeout<<uint(tries), func(p *sim.Proc) {
+	t.timer = g.after(2*g.cfg.ProposeTimeout<<uint(min(t.tries, 4)), func() {
 		if g.takeover != t {
 			return
 		}
 		t.tries++
 		g.stats.Retransmits++
-		g.broadcastPrep(p, g.armTakeoverTimer)
+		g.broadcastPrep()
+		g.call(g.armTakeoverTimer)
 	})
 }
 
@@ -730,19 +697,13 @@ func (g *Member) promiseSlots(from int64) []promSlot {
 	for s := from; s < g.nextSeq; s++ {
 		d := g.cache.get(s)
 		if d == nil {
-			if a := g.accepted.get(s); a.d != nil {
-				d = a.d
-			}
+			d = g.accepted.get(s).d
 		}
 		if d != nil {
 			out = append(out, promSlot{Bal: balChosen, D: d})
 		}
 	}
-	lo := g.nextSeq
-	if lo < g.accepted.lo {
-		lo = g.accepted.lo
-	}
-	for s := lo; s < g.accepted.hi; s++ {
+	for s := max(g.nextSeq, g.accepted.lo); s < g.accepted.hi; s++ {
 		if a := g.accepted.get(s); a.d != nil {
 			out = append(out, promSlot{Bal: a.bal, D: a.d})
 		}
@@ -763,19 +724,19 @@ func (g *Member) stickWindow() sim.Time { return 2 * g.cfg.SenderTimeout }
 
 // onPrep answers a prepare: promise (and report accepted entries) or
 // nack a stale ballot.
-func (g *Member) onPrep(p *sim.Proc, from int, m prepMsg) {
-	if m.Ballot < g.promised || m.Node != g.seqNode && g.leaderSeen > 0 && p.Now()-g.leaderSeen < g.stickWindow() {
+func (g *Member) onPrep(from int, m prepMsg) {
+	if m.Ballot < g.promised || m.Node != g.seqNode && g.leaderSeen > 0 && g.now()-g.leaderSeen < g.stickWindow() {
 		// A stale ballot, or the leader we follow is demonstrably alive:
 		// refuse to help depose it. The pnack carries our (lower)
 		// promised ballot, so the candidate backs off without aborting —
 		// if the leader really is stuck, the window lapses and a retry
 		// succeeds.
-		g.m.SendFn(p, from, amoeba.Packet{Port: g.port, Kind: "grp-pnack",
-			Body: pnackMsg{Promised: g.promised, Node: g.m.ID()}, Size: hdrSmall}, nop)
+		g.pnack(from)
 		return
 	}
 	g.seqNode = m.Node
-	g.adoptBallot(p, m.Ballot, func() {
+	g.adoptBallot(m.Ballot)
+	g.call(func() {
 		// Report only values the candidate's Known summary does not
 		// already dominate. Equal ballot means the identical value
 		// (ballots have unique owners and one value per slot), and a
@@ -794,8 +755,7 @@ func (g *Member) onPrep(p *sim.Proc, from int, m prepMsg) {
 		for _, ps := range slots {
 			size += ps.D.Size + hdrItem
 		}
-		g.m.SendFn(p, from, amoeba.Packet{Port: g.port, Kind: "grp-prom",
-			Body: &promMsg{Ballot: m.Ballot, Node: g.m.ID(), Commit: g.committed, Slots: slots}, Size: size}, nop)
+		g.send(from, "grp-prom", &promMsg{Ballot: m.Ballot, Node: g.m.ID(), Commit: g.committed, Slots: slots}, size)
 	})
 }
 
@@ -807,9 +767,7 @@ func (g *Member) mergePromise(t *takeoverState, m promMsg) {
 		if s < t.from {
 			continue
 		}
-		if s > t.maxSlot {
-			t.maxSlot = s
-		}
+		t.maxSlot = max(t.maxSlot, s)
 		if cur, ok := t.slots[s]; !ok || ps.Bal > cur.Bal {
 			t.slots[s] = ps
 		}
@@ -817,23 +775,21 @@ func (g *Member) mergePromise(t *takeoverState, m promMsg) {
 }
 
 // onProm records a promise at the candidate.
-func (g *Member) onProm(p *sim.Proc, m *promMsg) {
+func (g *Member) onProm(m *promMsg) {
 	t := g.takeover
 	if t == nil || m.Ballot != t.ballot || t.acks[m.Node] {
 		return
 	}
 	t.acks[m.Node] = true
 	g.mergePromise(t, *m)
-	g.checkTakeover(p, nop)
+	g.checkTakeover()
 }
 
 // checkTakeover finalizes once a majority has promised.
-func (g *Member) checkTakeover(p *sim.Proc, k func()) {
+func (g *Member) checkTakeover() {
 	if t := g.takeover; t != nil && len(t.acks) >= g.quorum() {
-		g.finalizeTakeover(p, k)
-		return
+		g.finalizeTakeover()
 	}
-	k()
 }
 
 // finalizeTakeover installs this member as leader: choose a value for
@@ -842,7 +798,7 @@ func (g *Member) checkTakeover(p *sim.Proc, k func()) {
 // history/dedup state like becomeSequencer, and re-propose
 // the whole uncommitted tail under the new ballot. No view handshake:
 // members learn the leadership from the proposals themselves.
-func (g *Member) finalizeTakeover(p *sim.Proc, k func()) {
+func (g *Member) finalizeTakeover() {
 	t := g.takeover
 	g.takeover = nil
 	if t.timer != nil {
@@ -882,10 +838,7 @@ func (g *Member) finalizeTakeover(p *sim.Proc, k func()) {
 	for _, d := range chosen {
 		g.recordHistory(d)
 	}
-	g.maxSeen = t.maxSlot
-	if g.maxSeen < g.nextSeq-1 {
-		g.maxSeen = g.nextSeq - 1
-	}
+	g.maxSeen = max(t.maxSlot, g.nextSeq-1)
 	// The tail above our deliveries is re-committed under our ballot:
 	// acks only count for the current ballot, so the watermark rebases
 	// to what we have delivered ourselves.
@@ -896,26 +849,20 @@ func (g *Member) finalizeTakeover(p *sim.Proc, k func()) {
 		g.accepted.set(d.Seq, accSlot{bal: g.ballot, d: d})
 	}
 	if idx := g.myIdx(); idx >= 0 {
-		for i := range g.acked {
-			g.acked[i] = 0
-		}
+		clear(g.acked)
 		g.acked[idx] = g.maxSeen
 	}
 	g.m.Env().Tracef("node%d: consensus leader, ballot %d, slots %d..%d",
 		g.m.ID(), g.ballot, t.from, t.maxSlot)
-	lead := func() {
-		g.tryCommit(p, func() {
-			g.armPropTimer()
-			g.kickOutstanding(p, k)
-		})
-	}
 	if len(chosen) == 0 {
 		// Nothing outstanding: announce leadership via the watermark.
-		g.announceCommit(p, lead)
-		return
+		g.announceCommit()
 	}
 	g.stats.Reproposals += int64(len(chosen))
-	g.loop(p, (len(chosen)+31)/32, func(l *loop, i int) {
-		g.broadcastProp(p, chosen[32*i:min(32*i+32, len(chosen))], l.next)
-	}, lead).next()
+	g.each((len(chosen)+31)/32, func(i int) { g.broadcastProp(chosen[32*i : min(32*i+32, len(chosen))]) })
+	g.call(g.tryCommit)
+	g.call(func() {
+		g.armPropTimer()
+		g.kickOutstanding()
+	})
 }

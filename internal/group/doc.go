@@ -43,20 +43,22 @@
 // network, reached by multicast). The runtime above
 // routes each object to one group.
 //
-// Continuations: every protocol packet and every timer round (sender
-// retransmission, gap and heartbeat timers, the packers' deadlines,
-// election and consensus timers) runs in the kernel's interrupt
-// context, which never blocks. A function that sends takes its
-// continuation k and runs it once whatever it sent has gone out, so
-// what follows a send runs in that send's continuation, in the event
-// where a blocked thread would have resumed, and successive sends are
-// chained. A walk that may send at any element — a frame's records, a
-// request's ops, a batch's ops — is a loop record from the member's
-// pool (group.go), so a member's data frame, the sequencer's request →
-// frame and a sender's flush allocate no closure. Application threads
-// use the blocking entry points, Broadcast and BroadcastBatch, each its
-// continuation form (broadcast, BroadcastBatchFn) plus a park: a thread
-// and interrupt service run one implementation of the protocol.
+// Steps and the outbox: every protocol packet and every timer round
+// (sender retransmission, gap and heartbeat timers, the packers'
+// deadlines, election and consensus timers) runs in the kernel's
+// interrupt context, which never blocks, and application threads enter
+// the protocol through Broadcast and BroadcastBatch. Each is a step: it
+// runs straight through over the member's state and appends its sends,
+// in order, to an outbox of the member's pool, together with the calls
+// that must wait for them — a frame's next record once a status report
+// has gone out, a timer armed once a round's request has. One driver
+// (outbox.issue) then chains the sends through the kernel's
+// continuation forms in the step's name, so a handler's sends are
+// joined as the kernel requires, and makes each waiting call where a
+// thread blocked in Send would have resumed. Broadcast and
+// BroadcastBatch are their steps plus a park, so a thread and interrupt
+// service run one implementation of the protocol (group.go, "Steps and
+// the outbox"; DESIGN.md, "group: the ordering protocol").
 //
 // Downward: members speak kernel ports and timers from package
 // amoeba. Upward: the broadcast runtime in package rts consumes each

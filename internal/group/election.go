@@ -1,7 +1,9 @@
 package group
 
 import (
-	"repro/internal/amoeba"
+	"cmp"
+	"slices"
+
 	"repro/internal/sim"
 )
 
@@ -23,31 +25,30 @@ import (
 // stalls exhausted) to the protocol's recovery path: an election
 // under the elected-sequencer protocol, a leader takeover under
 // consensus.
-func (g *Member) suspectSequencer(p *sim.Proc, k func()) {
+func (g *Member) suspectSequencer() {
 	if g.cfg.Protocol == Consensus {
-		g.suspectLeader(p, k)
+		g.suspectLeader()
 		return
 	}
-	g.startElection(p, k)
+	g.startElection()
 }
 
 // startElection begins (or joins) a new election epoch. Only the
 // elected-sequencer protocol gets here: consensus suspicion goes to
 // suspectLeader, and no coordinator claim or nack is ever sent under it.
-func (g *Member) startElection(p *sim.Proc, k func()) {
+func (g *Member) startElection() {
 	if g.electing && g.votedEpoch == g.epoch {
-		k() // already voted in the current epoch
-		return
+		return // already voted in the current epoch
 	}
 	g.epoch++
-	g.beginEpoch(p, g.epoch, k)
+	g.beginEpoch(g.epoch)
 }
 
 // beginEpoch votes in the given epoch and arms the decision timer.
-func (g *Member) beginEpoch(p *sim.Proc, epoch int, k func()) {
+func (g *Member) beginEpoch(epoch int) {
 	g.stats.Elections++
 	if g.recoveryStart == 0 {
-		g.recoveryStart = p.Now()
+		g.recoveryStart = g.now()
 	}
 	g.epoch = epoch
 	g.electing = true
@@ -57,10 +58,8 @@ func (g *Member) beginEpoch(p *sim.Proc, epoch int, k func()) {
 	me := electMsg{Epoch: epoch, Node: g.m.ID(), HighSeq: g.nextSeq - 1}
 	g.bestCand = me
 	g.m.Env().Tracef("node%d: election epoch %d, my highseq %d", g.m.ID(), epoch, me.HighSeq)
-	g.cast(p, amoeba.Packet{Port: g.port, Kind: "grp-elect", Body: me, Size: hdrSmall}, func() {
-		g.armElectionTimer()
-		k()
-	})
+	g.cast("grp-elect", me, hdrSmall)
+	g.call(g.armElectionTimer)
 }
 
 // armElectionTimer schedules the end of the vote-collection window.
@@ -77,13 +76,13 @@ func (g *Member) armElectionTimer() {
 	rounds := 0
 	var arm func()
 	arm = func() {
-		g.electTimer = g.m.After(wait, func(p *sim.Proc) {
+		g.electTimer = g.after(wait, func() {
 			g.electTimer = nil
 			if !g.electing {
 				return
 			}
 			if g.bestCand.Node == g.m.ID() {
-				g.becomeSequencer(p)
+				g.becomeSequencer()
 				return
 			}
 			rounds++
@@ -94,13 +93,14 @@ func (g *Member) armElectionTimer() {
 			}
 			// The expected winner never announced: try a fresh epoch.
 			g.epoch++
-			g.beginEpoch(p, g.epoch, nop)
+			g.beginEpoch(g.epoch)
 		})
 	}
 	arm()
 }
 
-// better reports whether candidate a should win over b.
+// better reports whether candidate or claimant a should win over b:
+// the longer history wins, ties broken by lowest node id.
 func better(a, b electMsg) bool {
 	if a.HighSeq != b.HighSeq {
 		return a.HighSeq > b.HighSeq
@@ -108,8 +108,13 @@ func better(a, b electMsg) bool {
 	return a.Node < b.Node
 }
 
+// claim is this member's coordinator claim for the current epoch.
+func (g *Member) claim() coordMsg {
+	return coordMsg{Epoch: g.epoch, Node: g.m.ID(), HighSeq: g.maxSeen}
+}
+
 // onElect processes a vote.
-func (g *Member) onElect(p *sim.Proc, e electMsg) {
+func (g *Member) onElect(e electMsg) {
 	switch {
 	case e.Epoch < g.epoch:
 		return // stale epoch
@@ -117,13 +122,12 @@ func (g *Member) onElect(p *sim.Proc, e electMsg) {
 		// Join the newer election. The vote below is counted while ours
 		// goes out: only election rounds, which wait for this one, read
 		// the best candidate.
-		g.beginEpoch(p, e.Epoch, nop)
+		g.beginEpoch(e.Epoch)
 	case !g.electing:
 		// A vote for an epoch we think has concluded. If we are the
 		// sequencer of this epoch, re-announce.
 		if g.isSeq {
-			g.cast(p, amoeba.Packet{Port: g.port, Kind: "grp-coord",
-				Body: coordMsg{Epoch: g.epoch, Node: g.m.ID(), HighSeq: g.maxSeen}, Size: hdrSmall}, nop)
+			g.cast("grp-coord", g.claim(), hdrSmall)
 		}
 		return
 	}
@@ -137,7 +141,7 @@ func (g *Member) onElect(p *sim.Proc, e electMsg) {
 // sequence number is assigned until every live member has acknowledged
 // the view — otherwise two members could deliver different messages
 // under the same sequence number across the view change.
-func (g *Member) becomeSequencer(p *sim.Proc) {
+func (g *Member) becomeSequencer() {
 	g.electing = false
 	g.isSeq = true
 	g.installed = false
@@ -145,7 +149,7 @@ func (g *Member) becomeSequencer(p *sim.Proc) {
 	g.seqNode = g.m.ID()
 	g.maxSeen = g.nextSeq - 1 // discard knowledge of unsequenceable holes
 	g.haveCoord = true
-	g.lastCoord = coordMsg{Epoch: g.epoch, Node: g.m.ID(), HighSeq: g.maxSeen}
+	g.lastCoord = g.claim()
 	g.rebuildHistory()
 	// Buffered-but-undelivered messages beyond the holes are dropped;
 	// their senders will retransmit and they will be re-sequenced
@@ -153,7 +157,7 @@ func (g *Member) becomeSequencer(p *sim.Proc) {
 	g.buffered.reset(g.nextSeq)
 	g.acceptedBB = make(map[int64]bbAccept)
 	g.m.Env().Tracef("node%d: became sequencer, epoch %d, highseq %d", g.m.ID(), g.epoch, g.maxSeen)
-	g.announceView(p)
+	g.announceView()
 }
 
 // rebuildHistory resets a new sequencer's history ring, per-source
@@ -176,75 +180,59 @@ func (g *Member) rebuildHistory() {
 
 // announceView broadcasts the coordinator claim and re-arms until all
 // live members acknowledge (coord or ack frames can be lost).
-func (g *Member) announceView(p *sim.Proc) {
+func (g *Member) announceView() {
 	if !g.isSeq || g.installed {
 		return
 	}
 	epoch := g.epoch
-	g.cast(p, amoeba.Packet{Port: g.port, Kind: "grp-coord",
-		Body: coordMsg{Epoch: g.epoch, Node: g.m.ID(), HighSeq: g.maxSeen}, Size: hdrSmall}, func() {
-		g.checkViewInstalled(p, func() {
-			if !g.installed {
-				g.m.After(g.cfg.ElectionWait/2, func(pp *sim.Proc) {
-					if g.isSeq && !g.installed && g.epoch == epoch {
-						g.announceView(pp)
-					}
-				})
-			}
-		})
+	g.cast("grp-coord", g.claim(), hdrSmall)
+	g.call(g.checkViewInstalled)
+	g.call(func() {
+		if !g.installed {
+			g.after(g.cfg.ElectionWait/2, func() {
+				if g.isSeq && !g.installed && g.epoch == epoch {
+					g.announceView()
+				}
+			})
+		}
 	})
 }
 
 // checkViewInstalled completes installation once every live member has
 // acknowledged; only then does the sequencer start assigning numbers.
-func (g *Member) checkViewInstalled(p *sim.Proc, k func()) {
+func (g *Member) checkViewInstalled() {
 	if !g.isSeq || g.installed {
-		k()
 		return
 	}
 	for _, id := range g.cfg.Members {
-		if id == g.m.ID() || g.m.Net().Down(id) {
-			continue
-		}
-		if !g.viewAcks[id] {
-			k()
+		if id != g.m.ID() && !g.m.Net().Down(id) && !g.viewAcks[id] {
 			return
 		}
 	}
 	g.installed = true
 	g.m.Env().Tracef("node%d: view epoch %d installed", g.m.ID(), g.epoch)
-	g.kickOutstanding(p, k)
+	g.kickOutstanding()
 }
 
 // onCoordAck records a member's view acknowledgement.
-func (g *Member) onCoordAck(p *sim.Proc, a coordAck) {
+func (g *Member) onCoordAck(a coordAck) {
 	if !g.isSeq || a.Epoch != g.epoch {
 		return
 	}
 	g.viewAcks[a.Node] = true
-	g.checkViewInstalled(p, nop)
+	g.checkViewInstalled()
 }
 
 // onCoordNack aborts an inconsistent view claim: some member has
 // delivered beyond this sequencer's history, so it must win instead.
-func (g *Member) onCoordNack(p *sim.Proc, n coordNack) {
+func (g *Member) onCoordNack(n coordNack) {
 	if !g.isSeq || n.Epoch < g.epoch {
 		return
 	}
 	g.m.Env().Tracef("node%d: view nacked by %d (high %d), re-electing", g.m.ID(), n.Node, n.HighSeq)
 	g.isSeq = false
 	g.installed = false
-	g.startElection(p, nop)
-}
-
-// betterCoord reports whether claimant a should prevail over b when
-// two coordinator claims collide in the same epoch: the longer history
-// wins, ties broken by lowest node id.
-func betterCoord(a, b coordMsg) bool {
-	if a.HighSeq != b.HighSeq {
-		return a.HighSeq > b.HighSeq
-	}
-	return a.Node < b.Node
+	g.startElection()
 }
 
 // onCoord installs the announced winner.
@@ -257,7 +245,7 @@ func betterCoord(a, b coordMsg) bool {
 // so members hold the best coord seen this epoch and refuse to flip
 // to a worse one, and a claimant that hears a better equal-epoch
 // claim yields to it rather than both re-announcing forever.
-func (g *Member) onCoord(p *sim.Proc, c coordMsg) {
+func (g *Member) onCoord(c coordMsg) {
 	if c.Epoch < g.epoch {
 		return
 	}
@@ -269,23 +257,22 @@ func (g *Member) onCoord(p *sim.Proc, c coordMsg) {
 		// delivered.
 		g.m.Env().Tracef("node%d: ahead of claimed winner (mine %d > %d), nacking",
 			g.m.ID(), g.nextSeq-1, c.HighSeq)
-		g.m.SendFn(p, c.Node, amoeba.Packet{Port: g.port, Kind: "grp-coord-nack",
-			Body: coordNack{Epoch: c.Epoch, Node: g.m.ID(), HighSeq: g.nextSeq - 1}, Size: hdrSmall}, func() {
+		g.send(c.Node, "grp-coord-nack", coordNack{Epoch: c.Epoch, Node: g.m.ID(), HighSeq: g.nextSeq - 1}, hdrSmall)
+		g.call(func() {
 			if c.Epoch == g.epoch {
 				// Colliding claims: the nack alone aborts this claimant; a
 				// fresh epoch here would tear down an election that is
 				// already converging on a better claim.
 				if g.isSeq {
-					g.cast(p, amoeba.Packet{Port: g.port, Kind: "grp-coord",
-						Body: coordMsg{Epoch: g.epoch, Node: g.m.ID(), HighSeq: g.maxSeen}, Size: hdrSmall}, nop)
+					g.cast("grp-coord", g.claim(), hdrSmall)
 					return
 				}
-				if g.haveCoord && betterCoord(g.lastCoord, c) {
+				if g.haveCoord && better(electMsg(g.lastCoord), electMsg(c)) {
 					return
 				}
 			}
 			g.epoch = c.Epoch
-			g.startElection(p, nop)
+			g.startElection()
 		})
 		return
 	}
@@ -293,9 +280,8 @@ func (g *Member) onCoord(p *sim.Proc, c coordMsg) {
 		if g.isSeq && c.Node != g.m.ID() {
 			// A colliding claimant in my own epoch: yield only to a
 			// better claim; re-assert mine against a worse one.
-			mine := coordMsg{Epoch: g.epoch, Node: g.m.ID(), HighSeq: g.maxSeen}
-			if betterCoord(mine, c) {
-				g.cast(p, amoeba.Packet{Port: g.port, Kind: "grp-coord", Body: mine, Size: hdrSmall}, nop)
+			if mine := g.claim(); better(electMsg(mine), electMsg(c)) {
+				g.cast("grp-coord", mine, hdrSmall)
 				return
 			}
 		}
@@ -304,11 +290,10 @@ func (g *Member) onCoord(p *sim.Proc, c coordMsg) {
 				// A re-announcement of the view we already follow:
 				// refresh the ack (the first may have been lost) without
 				// re-kicking every outstanding op onto the wire.
-				g.m.SendFn(p, c.Node, amoeba.Packet{Port: g.port, Kind: "grp-coord-ack",
-					Body: coordAck{Epoch: c.Epoch, Node: g.m.ID()}, Size: hdrSmall}, nop)
+				g.ackView(c)
 				return
 			}
-			if !betterCoord(c, g.lastCoord) {
+			if !better(electMsg(c), electMsg(g.lastCoord)) {
 				return // worse than the claimant we already follow
 			}
 		}
@@ -333,21 +318,26 @@ func (g *Member) onCoord(p *sim.Proc, c coordMsg) {
 	g.maxSeen = c.HighSeq
 	// Acknowledge the view; the sequencer serves nothing until all
 	// live members have.
-	g.m.SendFn(p, c.Node, amoeba.Packet{Port: g.port, Kind: "grp-coord-ack",
-		Body: coordAck{Epoch: c.Epoch, Node: g.m.ID()}, Size: hdrSmall}, func() {
+	g.ackView(c)
+	g.call(func() {
 		if g.nextSeq <= g.maxSeen {
 			g.armGapTimer()
 		}
-		g.kickOutstanding(p, nop)
+		g.kickOutstanding()
 	})
 }
 
+// ackView acknowledges claimant c's view.
+func (g *Member) ackView(c coordMsg) {
+	g.send(c.Node, "grp-coord-ack", coordAck{Epoch: c.Epoch, Node: g.m.ID()}, hdrSmall)
+}
+
 // kickOutstanding retransmits every unacknowledged broadcast to the
-// (possibly new) sequencer, in uid (submission) order: outstanding is
-// a map, and iterating it directly would retransmit — and therefore
-// sequence — concurrent messages in a random order, breaking run
-// determinism.
-func (g *Member) kickOutstanding(p *sim.Proc, k func()) {
+// (possibly new) sequencer, in uid (submission) order, each once the
+// last one's frame has gone out: outstanding is a map, and iterating it
+// directly would retransmit — and therefore sequence — concurrent
+// messages in a random order, breaking run determinism.
+func (g *Member) kickOutstanding() {
 	// Split multi-op sends into one-op sends first: framing is not
 	// preserved across a view change, and per-op states keep the
 	// re-submission below uniform. Replacing map values is
@@ -369,12 +359,8 @@ func (g *Member) kickOutstanding(p *sim.Proc, k func()) {
 	for _, st := range g.outstanding {
 		sts = append(sts, st)
 	}
-	for i := 1; i < len(sts); i++ {
-		for j := i; j > 0 && sts[j].items[0].UID < sts[j-1].items[0].UID; j-- {
-			sts[j], sts[j-1] = sts[j-1], sts[j]
-		}
-	}
-	g.loop(p, len(sts), func(l *loop, i int) {
+	slices.SortFunc(sts, func(a, b *sendState) int { return cmp.Compare(a.items[0].UID, b.items[0].UID) })
+	g.each(len(sts), func(i int) {
 		st := sts[i]
 		st.retries = 0
 		if g.isSeq && g.installed {
@@ -384,21 +370,19 @@ func (g *Member) kickOutstanding(p *sim.Proc, k func()) {
 			it := st.items[0]
 			delete(g.outstanding, it.UID)
 			if _, dup := g.seenSeq(it.Src, it.SrcSeq); !dup {
-				g.emit(p, st.items, false, l.next)
-				return
+				g.emit(st.items, false)
 			}
-			l.next()
 			return
 		}
 		g.stats.Retransmits++
-		g.transmit(p, st, func() {
+		g.transmit(st)
+		g.call(func() {
 			if !st.timed {
 				// A send split off above: it needs its own retransmission
 				// timer, or a lost grp-req strands the op. Armed here, in
 				// uid order, not in the map-order split loop.
 				g.armSenderTimer(st)
 			}
-			l.next()
 		})
-	}, k).next()
+	})
 }

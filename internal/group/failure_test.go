@@ -38,7 +38,7 @@ func TestNonSequencerMemberCrash(t *testing.T) {
 	}
 	// Sequencer history must still be bounded (crashed member cannot
 	// block trimming).
-	if n := h.gs[0].historyLen(); n > 2048 {
+	if n := h.gs[0].history.span(); n > 2048 {
 		t.Fatalf("history grew to %d entries with a crashed member", n)
 	}
 	h.env.Stop()

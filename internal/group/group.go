@@ -260,9 +260,7 @@ type (
 	}
 	// bbDataMsg is BB's unsequenced data broadcast from the sender.
 	// Members stash pointers into Items until the accept arrives.
-	bbDataMsg struct {
-		Items []item
-	}
+	bbDataMsg reqMsg
 	// dataMsg is one sequenced op. Epoch stamps the sequencer's view so
 	// stale pre-election frames cannot interleave with a new sequencer's
 	// stream. More marks a mid-batch op (see Delivery).
@@ -309,30 +307,16 @@ type (
 		HighSeq int64
 	}
 	// coordMsg announces the election winner.
-	coordMsg struct {
-		Epoch   int
-		Node    int
-		HighSeq int64
-	}
+	coordMsg electMsg
 	// coordAck confirms a member has installed the winner's view;
-	// the winner sequences nothing until every live member has.
-	coordAck struct {
-		Epoch int
-		Node  int
-	}
+	// the winner sequences nothing until every live member has. It
+	// carries no HighSeq.
+	coordAck electMsg
 	// coordNack rejects a view whose HighSeq is behind the member's
 	// deliveries (the winner must abort and re-elect).
-	coordNack struct {
-		Epoch   int
-		Node    int
-		HighSeq int64
-	}
+	coordNack electMsg
 	// hbMsg is the sequencer's periodic progress announcement.
-	hbMsg struct {
-		Epoch   int
-		Node    int
-		HighSeq int64
-	}
+	hbMsg electMsg
 )
 
 // Header sizes in bytes for the wire model.
@@ -400,29 +384,19 @@ type sendState struct {
 	fresh   bool
 
 	// The retransmission timer is part of the record, so arming it
-	// allocates nothing: it fires due, which has interrupt service run
-	// resend. timed says the timer has been started; it then re-arms
-	// itself for as long as the send is live.
+	// allocates nothing: its firing (bound in newSend) has interrupt
+	// service run resend. timed says the timer has been started; it then
+	// re-arms itself for as long as the send is live.
 	g     *Member
 	timer sim.Event
 	timed bool
 	next  *sendState // on g.sendFree
-
-	// What follows the first sending (see flushSend), and st.sent bound
-	// once.
-	k      func()
-	sentFn func()
 }
 
 // poison makes a sendState unusable when it is released, so that a
 // frame that reads one after its release fails loudly. Tests turn it
 // on.
 var poison bool
-
-func (st *sendState) due() {
-	st.fresh = false // the queued round refers to the record
-	st.g.m.Defer(st.resend)
-}
 
 // live reports whether any op of this send is still unacknowledged.
 func (st *sendState) live(g *Member) bool {
@@ -495,15 +469,15 @@ type Member struct {
 	gapOn              bool
 	gapNext            int64
 	gapEpoch, gapStall int
-	gapFn              func(p *sim.Proc) // g.gapRound
 
 	hbTimer sim.Event
-	hbFn    func(p *sim.Proc) // g.heartbeat
 
-	// Continuations bound once: re-arming the gap and heartbeat timers
-	// once a round's send has gone out.
-	gapArmFn, hbArmFn func()
-	loops             *loop // released records (see loop)
+	// out is the outbox of the step that is running (see outbox), boxes
+	// the released ones.
+	out, boxes *outbox
+	// sendFire is the sender packer's same-instant flush step (see
+	// enqueueSend), bound once.
+	sendFire func(p *sim.Proc)
 
 	// memberIdx maps a node id to its dense index in cfg.Members (-1
 	// for non-members); the per-source rings below are indexed by it.
@@ -674,99 +648,211 @@ func Join(m *amoeba.Machine, cfg Config) *Member {
 		slices.Sort(g.castTo)
 	}
 	m.Bind(g.port, g.handle)
-	g.gapFn, g.hbFn = g.gapRound, g.heartbeat
-	g.gapTimer.Init(m.Env(), func() { m.Defer(g.gapFn) })
-	g.hbTimer.Init(m.Env(), func() { m.Defer(g.hbFn) })
-	g.gapArmFn = func() {
-		g.gapOn = true
-		g.gapTimer.Arm(g.cfg.GapTimeout)
+	gapRound := func(p *sim.Proc) { g.step(p, g.gapRound) }
+	heartbeat := func(p *sim.Proc) { g.step(p, g.heartbeat) }
+	g.gapTimer.Init(m.Env(), func() { m.Defer(gapRound) })
+	g.hbTimer.Init(m.Env(), func() { m.Defer(heartbeat) })
+	for _, pk := range []*packer{&g.pack, &g.acc} {
+		pk.fire = func(p *sim.Proc) {
+			g.step(p, func() {
+				pk.timer = nil
+				g.flush(pk)
+			})
+		}
 	}
-	g.hbArmFn = func() { g.hbTimer.Arm(g.cfg.Heartbeat) }
+	g.sendFire = func(p *sim.Proc) { g.step(p, g.flushArmed) }
 	if cfg.Heartbeat > 0 {
-		g.hbArmFn()
+		g.hbTimer.Arm(cfg.Heartbeat)
 	}
 	return g
 }
 
-// cast broadcasts a protocol packet to the group, in continuation form
-// (see amoeba.Machine.SendFn): physical broadcast when the group spans
-// every network node, hardware multicast to the member set otherwise
-// (non-members' NICs filter the frame without taking an interrupt).
-func (g *Member) cast(p *sim.Proc, pkt amoeba.Packet, k func()) {
-	if g.castTo == nil {
-		g.m.SendFn(p, netsim.Broadcast, pkt, k)
-		return
-	}
-	g.m.MulticastFn(p, pkt, g.castTo, k)
+// Steps and the outbox. The protocol runs in interrupt context, where
+// nothing blocks, and on application threads, which may. Every packet
+// handler, timer round and broadcast entry point is a step: it runs in
+// one go over the member's state and appends what must wait for the
+// wire to the outbox of the step (g.out): its sends, in order, and the
+// calls that must run only once the sends before them have gone out.
+// One driver, issue, then carries the outbox out, chaining each send
+// through the kernel's continuation forms in the step's name, so the
+// kernel joins a handler's sends as it always has. A call that may
+// follow a send goes through later (call for a closure, each for a walk
+// that may send at any element), which runs it at once when nothing the
+// step appended is still pending and appends it otherwise; its own
+// sends and calls go in where it stood. DESIGN.md ("group: the ordering
+// protocol") states which state a step may touch at once.
+
+// fxKind names what an effect does when it is issued.
+type fxKind uint8
+
+const (
+	fxSend      fxKind = iota // pkt to dst; to the group if dst is netsim.Broadcast
+	fxProcess                 // processData(d)
+	fxDrain                   // the rest of a delivery run after a status report
+	fxRequest                 // requestItem(it)
+	fxBroadcast               // append broadcast(m)'s uid to *uids
+	fxArmSender               // armSenderTimer(st)
+	fxArmGap                  // startGap()
+	fxArmHB                   // start the heartbeat timer
+	fxCall                    // fn()
+	fxEach                    // each(i) for i in [i, n)
+)
+
+// effect is one entry of an outbox.
+type effect struct {
+	kind fxKind
+	dst  int
+	pkt  amoeba.Packet
+	d    *dataMsg
+	it   *item
+	m    *Msg
+	uids *[]int64
+	st   *sendState
+	fn   func()
+	each func(i int)
+	i, n int
 }
 
-// The protocol runs in interrupt context, where nothing blocks, and on
-// application threads, which may: every function that sends takes its
-// continuation k, runs it once it is done — at once, if it sent nothing
-// — and does nothing after. A blocking entry point is its continuation
-// form plus a park (see Broadcast).
-
-// nop is the continuation of a kernel handler or timer round: the
-// kernel notices by itself when the last of its sends has gone out.
-func nop() {}
-
-// A loop is group code that walks a list and may send at each element:
-// body(l, i) handles element i and goes on with l.next once whatever it
-// sent has gone out, and after the last element k runs. Elements that
-// send nothing follow one another in place, so a long walk does not
-// nest. Records are pooled per member, and the walks on the hot paths
-// keep their list in a field here and name a function for their body,
-// so they allocate nothing.
-type loop struct {
-	g      *Member
-	p      *sim.Proc
-	i, n   int
-	body   func(l *loop, i int)
-	k      func()
-	next   func() // l.step, bound once
-	inBody bool   // body(l, i-1) is running
-	went   bool   // ... and has gone on in place
-	recs   []dataMsg
-	items  []item
-	ops    []Msg
-	uids   *[]int64
-	free   *loop
+// outbox is one step's effects: fx[i:] are still to be issued, and the
+// step or call running now inserts its own at at. Outboxes are pooled
+// per member, so a step allocates none.
+type outbox struct {
+	g       *Member
+	p       *sim.Proc
+	fx      []effect
+	i, at   int
+	then    func() // runs after the last effect (nil: interrupt context)
+	issueFn func() // o.issue, bound once
+	free    *outbox
 }
 
-// loop returns a walk of n elements on p's behalf, not yet started:
-// l.next starts it, at once or as a send's continuation.
-func (g *Member) loop(p *sim.Proc, n int, body func(l *loop, i int), k func()) *loop {
-	l := g.loops
-	if l == nil {
-		l = &loop{g: g}
-		l.next = l.step
+// begin opens the outbox of a step on p's behalf; issue then carries it
+// out, and then runs once the last effect has been issued.
+func (g *Member) begin(p *sim.Proc, then func()) *outbox {
+	o := g.boxes
+	if o == nil {
+		o = &outbox{g: g}
+		o.issueFn = o.issue
 	} else {
-		g.loops, l.free = l.free, nil
+		g.boxes, o.free = o.free, nil
 	}
-	l.p, l.n, l.body, l.k = p, n, body, k
-	return l
+	o.p, o.then, g.out = p, then, o
+	return o
 }
 
-// step goes on with the next element.
-func (l *loop) step() {
-	if l.inBody {
-		l.went = true
+// step runs body as a step in interrupt context on p's behalf: a kernel
+// timer round (see amoeba.Machine.Defer).
+func (g *Member) step(p *sim.Proc, body func()) {
+	o := g.begin(p, nil)
+	body()
+	o.issue()
+}
+
+// after runs body as a timer round d from now.
+func (g *Member) after(d sim.Time, body func()) *sim.Event {
+	return g.m.After(d, func(p *sim.Proc) { g.step(p, body) })
+}
+
+// issue carries out the outbox from fx[i] on, and goes on from a send's
+// continuation.
+func (o *outbox) issue() {
+	g := o.g
+	for o.i < len(o.fx) {
+		e := o.fx[o.i]
+		o.fx[o.i] = effect{}
+		o.i++
+		o.at = o.i
+		switch {
+		case e.kind != fxSend:
+			g.out = o
+			g.run(e)
+			continue
+		case e.dst == netsim.Broadcast && g.castTo != nil:
+			g.m.MulticastFn(o.p, e.pkt, g.castTo, o.issueFn)
+		default:
+			g.m.SendFn(o.p, e.dst, e.pkt, o.issueFn)
+		}
 		return
 	}
-	for l.i < l.n {
-		l.i++
-		l.inBody, l.went = true, false
-		l.body(l, l.i-1)
-		l.inBody = false
-		if !l.went {
-			return // the body's send has its continuation: l.next
+	then := o.then
+	o.fx, o.i, o.at, o.then, o.p = o.fx[:0], 0, 0, nil, nil
+	o.free, g.boxes = g.boxes, o
+	if then != nil {
+		then()
+	}
+}
+
+// run carries out an effect that is not a send.
+func (g *Member) run(e effect) {
+	switch e.kind {
+	case fxProcess:
+		g.processData(e.d)
+	case fxDrain:
+		g.nextSeq++
+		g.buffered.advanceTo(g.nextSeq)
+		g.drain()
+	case fxRequest:
+		g.requestItem(e.it)
+	case fxBroadcast:
+		*e.uids = append(*e.uids, g.broadcast(e.m))
+	case fxArmSender:
+		g.armSenderTimer(e.st)
+	case fxArmGap:
+		g.startGap()
+	case fxArmHB:
+		g.hbTimer.Arm(g.cfg.Heartbeat)
+	case fxCall:
+		e.fn()
+	case fxEach:
+		for ; e.i < e.n; e.i++ {
+			if o := g.out; o.at > o.i {
+				g.push(e) // goes on once element e.i-1's effects have been issued
+				return
+			}
+			e.each(e.i)
 		}
 	}
-	g, k := l.g, l.k
-	*l = loop{g: g, next: l.next, free: g.loops}
-	g.loops = l
-	k()
 }
+
+// push appends e to the running step's outbox, where it stands.
+func (g *Member) push(e effect) {
+	o := g.out
+	o.fx = slices.Insert(o.fx, o.at, e)
+	o.at++
+}
+
+// later runs e now if nothing the running step appended is pending, and
+// appends it otherwise.
+func (g *Member) later(e effect) {
+	if o := g.out; o.at > o.i {
+		g.push(e)
+		return
+	}
+	g.run(e)
+}
+
+// call is later of a call.
+func (g *Member) call(fn func()) { g.later(effect{kind: fxCall, fn: fn}) }
+
+// each runs body(0), ..., body(n-1), each once whatever the one before
+// it appended has been issued: a walk that may send at any element, for
+// the one closure.
+func (g *Member) each(n int, body func(i int)) { g.run(effect{kind: fxEach, each: body, n: n}) }
+
+// send unicasts a protocol packet of the given kind, body and wire size
+// to dst.
+func (g *Member) send(dst int, kind string, body any, size int) {
+	g.push(effect{kind: fxSend, dst: dst, pkt: amoeba.Packet{Port: g.port, Kind: kind, Body: body, Size: size}})
+}
+
+// cast sends a protocol packet to the group: physical broadcast when the
+// group spans every network node, hardware multicast to the member set
+// otherwise (non-members' NICs filter the frame without taking an
+// interrupt).
+func (g *Member) cast(kind string, body any, size int) { g.send(netsim.Broadcast, kind, body, size) }
+
+// now is the virtual time.
+func (g *Member) now() sim.Time { return g.m.Env().Now() }
 
 // srcIdx resolves a node id to its member index (-1 for non-members).
 func (g *Member) srcIdx(node int) int {
@@ -782,13 +868,10 @@ func (g *Member) srcIdx(node int) int {
 // below the window are certainly ancient and report as handled.
 func (g *Member) seenSeq(src int, srcSeq int64) (seq int64, dup bool) {
 	idx := g.srcIdx(src)
-	if idx < 0 || srcSeq <= 0 {
+	if idx < 0 || srcSeq <= 0 || g.seenBySrc[idx] == nil {
 		return 0, false
 	}
 	r := g.seenBySrc[idx]
-	if r == nil {
-		return 0, false
-	}
 	if srcSeq < r.lo {
 		return 0, true
 	}
@@ -821,17 +904,17 @@ func (g *Member) dupDelivery(src int, srcSeq int64) bool {
 		return false
 	}
 	w := &g.dlvBySrc[idx]
-	if w.delivered(srcSeq) {
-		return true
+	dup := w.delivered(srcSeq)
+	if !dup {
+		w.note(srcSeq)
 	}
-	w.note(srcSeq)
-	return false
+	return dup
 }
 
 // heartbeat is the periodic sequencer announcement, a kernel timer
 // round. Every member runs the timer; only the current sequencer
 // transmits.
-func (g *Member) heartbeat(p *sim.Proc) {
+func (g *Member) heartbeat() {
 	// A consensus leader announces its commit watermark, not its
 	// assigned maximum: uncommitted slots are not yet deliverable
 	// and must not trigger gap recovery at members.
@@ -840,11 +923,9 @@ func (g *Member) heartbeat(p *sim.Proc) {
 		high = g.committed
 	}
 	if g.isSeq && g.installed && high > 0 {
-		g.cast(p, amoeba.Packet{Port: g.port, Kind: "grp-hb",
-			Body: hbMsg{Epoch: g.epoch, Node: g.m.ID(), HighSeq: high}, Size: hdrSmall}, g.hbArmFn)
-		return
+		g.cast("grp-hb", hbMsg{Epoch: g.epoch, Node: g.m.ID(), HighSeq: high}, hdrSmall)
 	}
-	g.hbArmFn()
+	g.later(effect{kind: fxArmHB})
 }
 
 // Deliveries returns the totally-ordered stream of group messages for
@@ -861,10 +942,6 @@ func (g *Member) IsSequencer() bool { return g.isSeq }
 // Stats returns a snapshot of this member's protocol counters.
 func (g *Member) Stats() Stats { return g.stats }
 
-// historyLen reports how many sequenced messages the sequencer
-// history retains (exposed for tests).
-func (g *Member) historyLen() int { return g.history.span() }
-
 // resolveMethod picks PB or BB for a request frame of the given wire
 // size, following the paper's one-packet rule in Auto mode.
 func (g *Member) resolveMethod(frame int) Method {
@@ -874,11 +951,8 @@ func (g *Member) resolveMethod(frame int) Method {
 		// always travel PB-style to the leader.
 		return ForcePB
 	}
-	switch g.cfg.Method {
-	case ForcePB:
-		return ForcePB
-	case ForceBB:
-		return ForceBB
+	if g.cfg.Method != Auto {
+		return g.cfg.Method
 	}
 	if g.m.Net().FragmentsFor(frame) > 1 {
 		return ForceBB
@@ -899,14 +973,15 @@ func (g *Member) Broadcast(p *sim.Proc, kind string, body any, size int) int64 {
 // BroadcastMsg is Broadcast of a message record, which may carry an
 // operation inline.
 func (g *Member) BroadcastMsg(p *sim.Proc, m Msg) int64 {
-	uid := g.broadcast(p, &m, p.Resume())
+	o := g.begin(p, p.Resume())
+	uid := g.broadcast(&m)
+	o.issue()
 	p.Park()
 	return uid
 }
 
-// broadcast is BroadcastMsg in continuation form: k runs where it
-// returns.
-func (g *Member) broadcast(p *sim.Proc, m *Msg, k func()) int64 {
+// broadcast is the step of BroadcastMsg.
+func (g *Member) broadcast(m *Msg) int64 {
 	uid := g.m.ServiceID()
 	g.sendSeq++
 	g.stats.Sent++
@@ -915,9 +990,9 @@ func (g *Member) broadcast(p *sim.Proc, m *Msg, k func()) int64 {
 		// The sequencer sequences its own ops directly and broadcasts
 		// the sequenced data: one message on the wire.
 		g.stats.PBSends++
-		g.enqueue(p, &g.pack, it, k)
+		g.enqueue(&g.pack, it)
 	} else {
-		g.enqueueSend(p, it, k)
+		g.enqueueSend(it)
 	}
 	return uid
 }
@@ -928,8 +1003,11 @@ func (g *Member) newSend(items []item, method Method) *sendState {
 	if st == nil {
 		st = &sendState{g: g}
 		st.items = st.one[:0]
-		st.timer.Init(g.m.Env(), st.due)
-		st.sentFn = st.sent
+		resend := func(p *sim.Proc) { g.step(p, st.resend) }
+		st.timer.Init(g.m.Env(), func() {
+			st.fresh = false // the queued round refers to the record
+			g.m.Defer(resend)
+		})
 	} else {
 		g.sendFree, st.next = st.next, nil
 	}
@@ -964,7 +1042,7 @@ func (g *Member) acknowledged(st *sendState) {
 // transmit performs one send attempt for an outstanding send. Only the
 // still-outstanding ops travel; a retransmission after a partial
 // acknowledgment shrinks the frame.
-func (g *Member) transmit(p *sim.Proc, st *sendState, k func()) {
+func (g *Member) transmit(st *sendState) {
 	n, payload := 0, 0
 	for i := range st.items {
 		if g.outstanding[st.items[i].UID] == st {
@@ -973,7 +1051,6 @@ func (g *Member) transmit(p *sim.Proc, st *sendState, k func()) {
 		}
 	}
 	if n == 0 {
-		k()
 		return
 	}
 	st.fresh = false // unless this is the first sending: see flushSend
@@ -991,8 +1068,7 @@ func (g *Member) transmit(p *sim.Proc, st *sendState, k func()) {
 		req = &reqMsg{Items: live}
 	}
 	if st.method == ForcePB {
-		g.m.SendFn(p, g.seqNode, amoeba.Packet{Port: g.port, Kind: "grp-req",
-			Body: req, Size: frameSize(n, payload)}, k)
+		g.send(g.seqNode, "grp-req", req, frameSize(n, payload))
 		return
 	}
 	// BB: the sender will not hear its own frame, so it stashes the data
@@ -1000,8 +1076,7 @@ func (g *Member) transmit(p *sim.Proc, st *sendState, k func()) {
 	for i := range live {
 		g.pendingBB[live[i].UID] = &live[i]
 	}
-	g.cast(p, amoeba.Packet{Port: g.port, Kind: "grp-bb-data",
-		Body: &bbDataMsg{Items: live}, Size: frameSize(n, payload)}, k)
+	g.cast("grp-bb-data", &bbDataMsg{Items: live}, frameSize(n, payload))
 }
 
 // armSenderTimer schedules retransmission for st until it is
@@ -1013,18 +1088,14 @@ func (g *Member) transmit(p *sim.Proc, st *sendState, k func()) {
 func (g *Member) armSenderTimer(st *sendState) {
 	period := g.cfg.SenderTimeout
 	if g.cfg.Protocol == Consensus {
-		c := st.cycles
-		if c > 4 {
-			c = 4
-		}
-		period <<= uint(c)
+		period <<= uint(min(st.cycles, 4))
 	}
 	st.timed = true
 	st.timer.Arm(period)
 }
 
-// resend is the retransmission timer's round, in interrupt context.
-func (st *sendState) resend(p *sim.Proc) {
+// resend is the retransmission timer's round.
+func (st *sendState) resend() {
 	g := st.g
 	if !st.live(g) {
 		return
@@ -1039,7 +1110,7 @@ func (st *sendState) resend(p *sim.Proc) {
 		limit--
 	}
 	if st.retries > limit {
-		if g.cfg.Protocol != Consensus && g.seqAlive > 0 && p.Now()-g.seqAlive < g.stickWindow() {
+		if g.cfg.Protocol != Consensus && g.seqAlive > 0 && g.now()-g.seqAlive < g.stickWindow() {
 			// Deliveries are advancing, so the sequencer is alive and
 			// this op is stuck behind its backlog (typical right after
 			// a view change re-kicks every member's outstanding set).
@@ -1050,9 +1121,10 @@ func (st *sendState) resend(p *sim.Proc) {
 			return
 		}
 		g.m.Env().Tracef("node%d: sequencer %d suspected dead (uid %d)", g.m.ID(), g.seqNode, st.items[0].UID)
-		g.suspectSequencer(p, func() {
-			// Re-arm: the message is still outstanding and will be
-			// retransmitted to the new sequencer once elected.
+		g.suspectSequencer()
+		// Re-arm: the message is still outstanding and will be
+		// retransmitted to the new sequencer once elected.
+		g.call(func() {
 			st.retries = 0
 			st.cycles++
 			g.armSenderTimer(st)
@@ -1060,25 +1132,8 @@ func (st *sendState) resend(p *sim.Proc) {
 		return
 	}
 	g.stats.Retransmits++
-	g.transmit(p, st, func() { g.armSenderTimer(st) })
-}
-
-// sent continues flushSend once the first sending of st has gone out.
-func (st *sendState) sent() {
-	g, k := st.g, st.k
-	st.k = nil
-	// One frame carries these items, and they have been on no other: the
-	// one case in which their record can be recycled (see sendState).
-	st.fresh = st.method == ForcePB && g.cfg.Protocol == ElectedSequencer
-	g.armSenderTimer(st)
-	k()
-}
-
-// nextSeqNum allocates the next global sequence number (sequencer
-// only).
-func (g *Member) nextSeqNum() int64 {
-	g.maxSeen++
-	return g.maxSeen
+	g.transmit(st)
+	g.later(effect{kind: fxArmSender, st: st})
 }
 
 // recordHistory stores a sequenced message in the sequencer's history
@@ -1094,29 +1149,19 @@ func (g *Member) recordHistory(d *dataMsg) {
 // minimum actually advanced (see noteStatus); the trim itself touches
 // exactly the dropped entries.
 func (g *Member) trimHistory() {
-	min := int64(1<<62 - 1)
+	low := int64(1<<62 - 1)
 	for i, id := range g.cfg.Members {
-		if id == g.m.ID() {
-			continue
-		}
-		if g.m.Net().Down(id) {
+		if id == g.m.ID() || g.m.Net().Down(id) {
 			continue // crashed members never report; don't stall
 		}
-		d := g.statuses[i]
-		if d < 0 {
+		if g.statuses[i] < 0 {
 			return // no report yet; cannot trim
 		}
-		if d < min {
-			min = d
-		}
+		low = min(low, g.statuses[i])
 	}
-	g.trimMin = min
-	g.trimOwn = false
-	if own := g.nextSeq - 1; own < min {
-		min = own
-		g.trimOwn = true
-	}
-	g.history.advanceTo(min + 1)
+	own := g.nextSeq - 1
+	g.trimMin, g.trimOwn = low, own < low
+	g.history.advanceTo(min(low, own) + 1)
 }
 
 // noteStatus records a member's delivery progress and re-trims when

@@ -370,7 +370,7 @@ func TestHistoryTrimming(t *testing.T) {
 	if !seq.IsSequencer() {
 		t.Fatal("node 0 should be sequencer")
 	}
-	if n := seq.historyLen(); n > 64 {
+	if n := seq.history.span(); n > 64 {
 		t.Fatalf("history holds %d entries after trimming, want <= 64", n)
 	}
 	h.checkAgreement(t, 200, nil)

@@ -7,59 +7,58 @@ import (
 
 // handle is the kernel port handler: it demultiplexes every group
 // protocol packet. It runs in interrupt context, after interrupt and
-// protocol CPU costs have been charged, and never blocks: what follows a
-// send runs in its continuation (see loop), and the kernel serves the
-// next packet once the last of them has run.
+// protocol CPU costs have been charged, as a step (see outbox): the
+// kernel serves the next packet once its outbox has been issued.
 func (g *Member) handle(p *sim.Proc, from int, pkt amoeba.Packet) {
+	o := g.begin(p, nil)
 	switch b := pkt.Body.(type) {
 	case nil: // a status report is all header
 		g.noteStatus(from, pkt.Obj)
 	case *reqMsg:
-		g.onRequest(p, b)
+		g.onRequest(b)
 	case *dataFrame:
 		// Every receiver (and the sequencer's own history) shares the
 		// frame's records, which are never mutated after sequencing.
-		g.frame(p, b.Recs, nop).next()
+		g.processFrame(b.Recs)
 	case *bbDataMsg:
-		g.onBBData(p, b)
+		g.onBBData(b)
 	case *acceptMsg:
-		g.onAccept(p, b)
+		g.onAccept(b)
 	case retxReq:
-		g.onRetxReq(p, b)
+		g.onRetxReq(b)
 	case electMsg:
-		g.onElect(p, b)
+		g.onElect(b)
 	case coordMsg:
-		g.onCoord(p, b)
+		g.onCoord(b)
 	case coordAck:
-		g.onCoordAck(p, b)
+		g.onCoordAck(b)
 	case coordNack:
-		g.onCoordNack(p, b)
+		g.onCoordNack(b)
 	case hbMsg:
 		g.onHeartbeat(b)
 	case *propMsg:
-		g.onPropose(p, from, b)
+		g.onPropose(from, b)
 	case paccMsg:
-		g.onPAcc(p, b)
+		g.onPAcc(b)
 	case pcmtMsg:
-		g.onPcmt(p, from, b)
+		g.onPcmt(from, b)
 	case pnackMsg:
-		g.onPNack(p, b)
+		g.onPNack(b)
 	case prepMsg:
-		g.onPrep(p, from, b)
+		g.onPrep(from, b)
 	case *promMsg:
-		g.onProm(p, b)
+		g.onProm(b)
+	}
+	o.issue()
+}
+
+// processFrame runs a frame's records through processData, each once
+// whatever the one before it sent has gone out.
+func (g *Member) processFrame(recs []dataMsg) {
+	for i := range recs {
+		g.later(effect{kind: fxProcess, d: &recs[i]})
 	}
 }
-
-// frame returns the walk that runs a frame's records through
-// processData and then k (see loop).
-func (g *Member) frame(p *sim.Proc, recs []dataMsg, k func()) *loop {
-	l := g.loop(p, len(recs), processRec, k)
-	l.recs = recs
-	return l
-}
-
-func processRec(l *loop, i int) { l.g.processData(l.p, &l.recs[i], l.next) }
 
 // onHeartbeat learns the sequencer's progress; if this member is
 // behind, gap recovery kicks in.
@@ -68,16 +67,12 @@ func (g *Member) onHeartbeat(h hbMsg) {
 		return
 	}
 	g.seqNode = h.Node
-	if h.HighSeq > g.maxSeen {
-		g.maxSeen = h.HighSeq
-	}
+	g.maxSeen = max(g.maxSeen, h.HighSeq)
 	if g.cfg.Protocol == Consensus {
-		g.leaderSeen = g.m.Env().Now()
-		if h.HighSeq > g.committed {
-			// The heartbeat announces the leader's commit watermark:
-			// everything up to it is chosen and safe to fetch.
-			g.committed = h.HighSeq
-		}
+		g.leaderSeen = g.now()
+		// The heartbeat announces the leader's commit watermark:
+		// everything up to it is chosen and safe to fetch.
+		g.committed = max(g.committed, h.HighSeq)
 	}
 	if g.nextSeq <= g.maxSeen {
 		g.armGapTimer()
@@ -95,20 +90,20 @@ func reframe(d *dataMsg, epoch int) *dataFrame {
 
 // onRequest handles PB's RequestForBroadcast at the sequencer: each op
 // dedups individually and joins the pack buffer.
-func (g *Member) onRequest(p *sim.Proc, r *reqMsg) {
+func (g *Member) onRequest(r *reqMsg) {
 	if !g.isSeq || !g.installed {
 		return // stale or uninstalled view; the sender will retry
 	}
-	l := g.loop(p, len(r.Items), requestItem, nop)
-	l.items = r.Items
-	l.next()
+	for i := range r.Items {
+		g.later(effect{kind: fxRequest, it: &r.Items[i]})
+	}
 }
 
-func requestItem(l *loop, i int) {
-	g, it := l.g, l.items[i]
+// requestItem handles one op of a request frame.
+func (g *Member) requestItem(it *item) {
 	seq, dup := g.seenSeq(it.Src, it.SrcSeq)
 	if !dup {
-		g.enqueue(l.p, &g.pack, it, l.next)
+		g.enqueue(&g.pack, *it)
 		return
 	}
 	// Retransmitted request: rebroadcast the sequenced message so the
@@ -116,48 +111,42 @@ func requestItem(l *loop, i int) {
 	// only chosen slots may travel as direct data — an uncommitted slot
 	// is covered by the re-propose timer.
 	if d := g.history.get(seq); d != nil && (g.cfg.Protocol != Consensus || seq <= g.committed) {
-		g.cast(l.p, amoeba.Packet{Port: g.port, Kind: "grp-data", Body: reframe(d, d.Epoch), Size: frameSize(1, d.Size)}, l.next)
-		return
+		g.cast("grp-data", reframe(d, d.Epoch), frameSize(1, d.Size))
 	}
-	l.next()
 }
 
 // onBBData handles BB's data broadcast at every member, op by op.
-func (g *Member) onBBData(p *sim.Proc, b *bbDataMsg) {
-	g.loop(p, len(b.Items), func(l *loop, i int) { g.bbItem(p, &b.Items[i], l.next) }, nop).next()
-}
-
-// bbItem handles one op of a BB data frame.
-func (g *Member) bbItem(p *sim.Proc, it *item, k func()) {
-	switch {
-	case g.isSeq && g.installed:
-		seq, dup := g.seenSeq(it.Src, it.SrcSeq)
-		if !dup {
-			g.enqueue(p, &g.acc, *it, k)
-			return
+func (g *Member) onBBData(b *bbDataMsg) {
+	g.each(len(b.Items), func(i int) {
+		it := &b.Items[i]
+		switch {
+		case g.isSeq && g.installed:
+			seq, dup := g.seenSeq(it.Src, it.SrcSeq)
+			if !dup {
+				g.enqueue(&g.acc, *it)
+				return
+			}
+			// Retransmission: the accept may have been lost. Recover the
+			// frame-boundary flag from the sequenced record so the
+			// receiver reconstructs the boundary every replica saw.
+			a := &acceptMsg{Seq: seq, Epoch: g.epoch}
+			if d := g.history.get(seq); d != nil {
+				a.More = d.More
+			}
+			a.UIDs = append(a.one[:0], it.UID)
+			g.castAccept(a)
+		case g.isSeq:
+			// Not installed yet: stash the data; the sender will retry.
+			g.pendingBB[it.UID] = it
+		default:
+			if seq, more, accepted := g.acceptedUID(it.UID); accepted {
+				// Accept arrived before the data: complete it now.
+				g.processData(&dataMsg{item: *it, Seq: seq, Epoch: g.epoch, More: more})
+				return
+			}
+			g.pendingBB[it.UID] = it
 		}
-		// Retransmission: the accept may have been lost. Recover the
-		// frame-boundary flag from the sequenced record so the receiver
-		// reconstructs the boundary every replica saw.
-		a := &acceptMsg{Seq: seq, Epoch: g.epoch}
-		if d := g.history.get(seq); d != nil {
-			a.More = d.More
-		}
-		a.UIDs = append(a.one[:0], it.UID)
-		g.castAccept(p, a, k)
-		return
-	case g.isSeq:
-		// Not installed yet: stash the data; the sender will retry.
-		g.pendingBB[it.UID] = it
-	default:
-		if seq, more, accepted := g.acceptedUID(it.UID); accepted {
-			// Accept arrived before the data: complete it now.
-			g.processData(p, &dataMsg{item: *it, Seq: seq, Epoch: g.epoch, More: more}, k)
-			return
-		}
-		g.pendingBB[it.UID] = it
-	}
-	k()
+	})
 }
 
 // acceptedUID reports whether an accept for uid is waiting for data,
@@ -174,49 +163,41 @@ func (g *Member) acceptedUID(uid int64) (seq int64, more, ok bool) {
 
 // onAccept handles BB's Accept at a non-sequencer member: UIDs[i] is
 // sequenced at Seq+i.
-func (g *Member) onAccept(p *sim.Proc, a *acceptMsg) {
-	if a.Epoch < g.epoch {
-		return // stale sequencer's stream
+func (g *Member) onAccept(a *acceptMsg) {
+	if g.stale(a.Epoch) {
+		return
 	}
-	if a.Epoch > g.epoch {
-		g.epoch = a.Epoch // adopt the newer view's stream
-		g.electing = false
-	}
-	g.loop(p, len(a.UIDs), func(l *loop, i int) {
+	g.each(len(a.UIDs), func(i int) {
 		uid, seq := a.UIDs[i], a.Seq+int64(i)
 		more := a.More || i < len(a.UIDs)-1
 		if seq < g.nextSeq {
 			delete(g.pendingBB, uid) // late duplicate; GC the stashed data
-			l.next()
 			return
 		}
 		if bb, ok := g.pendingBB[uid]; ok {
 			delete(g.pendingBB, uid)
-			g.processData(p, &dataMsg{item: *bb, Seq: seq, Epoch: g.epoch, More: more}, l.next)
+			g.processData(&dataMsg{item: *bb, Seq: seq, Epoch: g.epoch, More: more})
 			return
 		}
 		// Data frame lost: remember the accept and fetch the payload
 		// from the sequencer's history via the gap machinery.
 		g.acceptedBB[seq] = bbAccept{uid: uid, more: more}
-		if seq > g.maxSeen {
-			g.maxSeen = seq
-		}
+		g.maxSeen = max(g.maxSeen, seq)
 		g.armGapTimer()
-		l.next()
-	}, nop).next()
+	})
 }
 
 // onRetxReq serves retransmissions out of the sequencer history, one
 // unicast per sequenced record, restamped with the current epoch: history
 // may hold messages sequenced under a previous view that are still part
 // of the (unchanged) prefix this view vouches for.
-func (g *Member) onRetxReq(p *sim.Proc, r retxReq) {
+func (g *Member) onRetxReq(r retxReq) {
 	g.noteStatus(r.Node, r.Delivered)
 	to := r.To
-	if g.cfg.Protocol == Consensus && to > g.committed {
+	if g.cfg.Protocol == Consensus {
 		// Unchosen slots must never travel as direct data: a member
 		// would deliver them without quorum backing.
-		to = g.committed
+		to = min(to, g.committed)
 	}
 	// A member that is not the sequencer serves only under consensus:
 	// chosen slots are quorum-backed and immutable, so any member that
@@ -229,16 +210,23 @@ func (g *Member) onRetxReq(p *sim.Proc, r retxReq) {
 			return
 		}
 		ring = &g.cache
-	} else if to > g.maxSeen {
-		to = g.maxSeen
+	} else {
+		to = min(to, g.maxSeen)
 	}
-	g.loop(p, int(to-r.From+1), func(l *loop, i int) {
+	g.each(int(to-r.From+1), func(i int) {
 		if d := ring.get(r.From + int64(i)); d != nil {
-			g.m.SendFn(p, r.Node, amoeba.Packet{Port: g.port, Kind: "grp-retx", Body: reframe(d, g.epoch), Size: frameSize(1, d.Size)}, l.next)
-			return
+			g.send(r.Node, "grp-retx", reframe(d, g.epoch), frameSize(1, d.Size))
 		}
-		l.next()
-	}, nop).next()
+	})
+}
+
+// stale reports whether a sequenced stream stamped epoch is a stale
+// sequencer's, and adopts it if it is a newer view's.
+func (g *Member) stale(epoch int) bool {
+	if epoch > g.epoch {
+		g.epoch, g.electing = epoch, false
+	}
+	return epoch < g.epoch
 }
 
 // alwaysBuffer sends every record through the out-of-order buffer. Tests
@@ -247,17 +235,12 @@ var alwaysBuffer bool
 
 // processData runs the ordered-delivery core: acknowledge own sends,
 // buffer out-of-order messages, deliver in strict sequence order, and
-// arm gap recovery when holes remain, then k. The record a member hears
-// most — another member's, next in sequence, nothing waiting behind a
-// hole — probes no table and touches no buffer on its way to deliver.
-func (g *Member) processData(p *sim.Proc, d *dataMsg, k func()) {
-	if d.Epoch < g.epoch {
-		k() // stale sequencer's stream
+// arm gap recovery when holes remain. The record a member hears most —
+// another member's, next in sequence, nothing waiting behind a hole —
+// probes no table and touches no buffer on its way to deliver.
+func (g *Member) processData(d *dataMsg) {
+	if g.stale(d.Epoch) {
 		return
-	}
-	if d.Epoch > g.epoch {
-		g.epoch = d.Epoch // adopt the newer view's stream
-		g.electing = false
 	}
 	if d.Src == g.m.ID() { // a uid is its sender's: nobody else has it outstanding
 		if st, mine := g.outstanding[d.UID]; mine {
@@ -268,34 +251,30 @@ func (g *Member) processData(p *sim.Proc, d *dataMsg, k func()) {
 			}
 		}
 	}
-	if d.Seq > g.maxSeen {
-		g.maxSeen = d.Seq
-	}
+	g.maxSeen = max(g.maxSeen, d.Seq)
 	if d.Seq < g.nextSeq {
-		k() // duplicate
-		return
+		return // duplicate
 	}
 	if d.Seq == g.nextSeq && g.buffered.span() == 0 && !alwaysBuffer {
-		if g.deliver(p, d) {
-			g.report(p, k)
+		if g.deliver(d) {
 			return
 		}
 		g.nextSeq++
-		g.drain(p, k) // finds the buffer empty
-		return
+	} else {
+		g.buffered.advanceTo(g.nextSeq) // which the in-order path leaves behind
+		g.buffered.set(d.Seq, d)
 	}
-	g.buffered.advanceTo(g.nextSeq) // which the in-order path leaves behind
-	g.buffered.set(d.Seq, d)
-	g.drain(p, k)
+	g.drain()
 }
 
 // drain delivers what the out-of-order buffer holds in sequence, and
-// then gap recovery runs while holes remain.
-func (g *Member) drain(p *sim.Proc, k func()) {
+// then gap recovery runs while holes remain. A delivery that reports
+// status ends the run: the rest of it goes on once the report has gone
+// out (fxDrain).
+func (g *Member) drain() {
 	for nd := g.buffered.get(g.nextSeq); nd != nil; nd = g.buffered.get(g.nextSeq) {
 		g.buffered.del(g.nextSeq)
-		if g.deliver(p, nd) {
-			g.report(p, k)
+		if g.deliver(nd) {
 			return
 		}
 		g.nextSeq++
@@ -307,30 +286,16 @@ func (g *Member) drain(p *sim.Proc, k func()) {
 		g.gapTimer.Cancel()
 		g.gapOn = false
 	}
-	k()
-}
-
-// report sends the status report deliver called for, after which
-// processData goes on draining, a loop of one step. On the in-order
-// path the buffer is empty: the step catches its window up with nextSeq
-// and checks for holes.
-func (g *Member) report(p *sim.Proc, k func()) {
-	g.m.SendFn(p, g.seqNode, amoeba.Packet{Port: g.port, Kind: "grp-status", Obj: g.nextSeq, Size: hdrSmall}, g.loop(p, 1, reported, k).next)
-}
-
-func reported(l *loop, _ int) {
-	g := l.g
-	g.nextSeq++
-	g.buffered.advanceTo(g.nextSeq)
-	g.drain(l.p, l.next)
 }
 
 // deliver hands one sequenced message to the application stream and
 // maintains the delivered cache, per-source dedup windows, and status
-// reporting: it tells whether a member that is not the sequencer is due
-// to report its progress. Everything here is O(1) per delivery.
-func (g *Member) deliver(p *sim.Proc, d *dataMsg) (report bool) {
-	g.seqAlive = p.Now()
+// reporting. A member that is not the sequencer and is due to report
+// its progress sends the report and returns true, and the delivery run
+// goes on from fxDrain. Everything here is O(1) per delivery.
+func (g *Member) deliver(d *dataMsg) (reported bool) {
+	now := g.now()
+	g.seqAlive = now
 	if len(g.acceptedBB) > 0 {
 		delete(g.acceptedBB, d.Seq)
 	}
@@ -339,7 +304,7 @@ func (g *Member) deliver(p *sim.Proc, d *dataMsg) (report bool) {
 	}
 	g.cache.set(d.Seq, d)
 	if g.recoveryStart != 0 {
-		g.stats.RecoveryTime += p.Now() - g.recoveryStart
+		g.stats.RecoveryTime += now - g.recoveryStart
 		g.recoveryStart = 0
 	}
 	if d.Src < 0 {
@@ -359,7 +324,12 @@ func (g *Member) deliver(p *sim.Proc, d *dataMsg) (report bool) {
 		handedOut(dl)
 	}
 	g.outQ.Put(dl)
-	return !dl.Dup && !g.isSeq && g.cfg.StatusEvery > 0 && g.stats.Delivered%int64(g.cfg.StatusEvery) == 0
+	if dl.Dup || g.isSeq || g.cfg.StatusEvery <= 0 || g.stats.Delivered%int64(g.cfg.StatusEvery) != 0 {
+		return false
+	}
+	g.push(effect{kind: fxSend, dst: g.seqNode, pkt: amoeba.Packet{Port: g.port, Kind: "grp-status", Obj: g.nextSeq, Size: hdrSmall}})
+	g.push(effect{kind: fxDrain})
+	return true
 }
 
 // handedOut, when set, sees every delivery as deliver hands it out.
@@ -379,11 +349,17 @@ func (g *Member) armGapTimer() {
 		return
 	}
 	g.gapNext, g.gapEpoch, g.gapStall = g.nextSeq, g.epoch, 0
-	g.gapArmFn()
+	g.startGap()
 }
 
-// gapRound is the gap timer's round, in interrupt context.
-func (g *Member) gapRound(p *sim.Proc) {
+// startGap starts the gap timer.
+func (g *Member) startGap() {
+	g.gapOn = true
+	g.gapTimer.Arm(g.cfg.GapTimeout)
+}
+
+// gapRound is the gap timer's round.
+func (g *Member) gapRound() {
 	g.gapOn = false
 	if g.nextSeq > g.maxSeen {
 		return // caught up
@@ -402,24 +378,21 @@ func (g *Member) gapRound(p *sim.Proc) {
 		g.gapNext, g.gapStall = g.nextSeq, 0
 	}
 	if g.gapStall > g.cfg.SenderRetries {
-		g.suspectSequencer(p, func() {
+		g.suspectSequencer()
+		g.call(func() {
 			g.gapStall = 0
-			g.requestGap(p)
+			g.requestGap()
 		})
 		return
 	}
-	g.requestGap(p)
+	g.requestGap()
 }
 
 // requestGap asks the sequencer for the missing sequence numbers and
 // re-arms the gap timer.
-func (g *Member) requestGap(p *sim.Proc) {
+func (g *Member) requestGap() {
 	g.stats.GapRequests++
-	to := g.nextSeq + 31
-	if to > g.maxSeen {
-		to = g.maxSeen
-	}
-	g.m.SendFn(p, g.seqNode, amoeba.Packet{Port: g.port, Kind: "grp-retx-req",
-		Body: retxReq{From: g.nextSeq, To: to, Node: g.m.ID(), Delivered: g.nextSeq - 1},
-		Size: hdrSmall}, g.gapArmFn)
+	to := min(g.nextSeq+31, g.maxSeen)
+	g.send(g.seqNode, "grp-retx-req", retxReq{From: g.nextSeq, To: to, Node: g.m.ID(), Delivered: g.nextSeq - 1}, hdrSmall)
+	g.push(effect{kind: fxArmGap})
 }

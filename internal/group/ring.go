@@ -53,9 +53,7 @@ func (r *seqRing[T]) set(i int64, v T) {
 		r.grow(need)
 	}
 	r.vals[int(i%int64(len(r.vals)))] = v
-	if i >= r.hi {
-		r.hi = i + 1
-	}
+	r.hi = max(r.hi, i+1)
 }
 
 // del clears the entry at index i without moving the window.
@@ -73,33 +71,21 @@ func (r *seqRing[T]) advanceTo(newLo int64) {
 		return
 	}
 	var zero T
-	top := newLo
-	if top > r.hi {
-		top = r.hi
-	}
-	for i := r.lo; i < top; i++ {
+	for i := r.lo; i < min(newLo, r.hi); i++ {
 		r.vals[int(i%int64(len(r.vals)))] = zero
 	}
-	r.lo = newLo
-	if r.hi < newLo {
-		r.hi = newLo
-	}
+	r.lo, r.hi = newLo, max(r.hi, newLo)
 }
 
 // clearAbove forgets every entry at indices > n, shrinking the window
 // from the top (used when a new view discards unsequenceable tails).
 func (r *seqRing[T]) clearAbove(n int64) {
 	var zero T
-	from := n + 1
-	if from < r.lo {
-		from = r.lo
-	}
+	from := max(n+1, r.lo)
 	for i := from; i < r.hi; i++ {
 		r.vals[int(i%int64(len(r.vals)))] = zero
 	}
-	if r.hi > from {
-		r.hi = from
-	}
+	r.hi = min(r.hi, from)
 }
 
 // span reports the width of the retained window.
