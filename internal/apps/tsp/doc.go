@@ -18,6 +18,19 @@
 // the manager requeue a crashed worker's jobs so the search still
 // finds the optimum.
 //
+// The search kernel, SearchJob, costs the host what a node costs the
+// simulated machine: a compare against the bound, read afresh at every
+// node, and a walk of the cities not yet on the route. Those are one
+// uint64, walked in ascending order with bits.TrailingZeros64, and the
+// recursion is a method over the job's state with the current row of
+// the distance matrix hoisted, so an instance has at most 64 cities.
+// Its visit order, its CPU charges (64 nodes at a time, then the
+// remainder) and its found routes are those of the closure over a
+// visited []bool it replaced, which search_test.go keeps as the
+// reference it checks the kernel against. SolveSeq is a separate
+// solver on purpose: the benchmark checks every parallel optimum
+// against it.
+//
 // Downward: built on package orca and the std object types. Upward:
 // internal/harness reproduces Figure 2 and the fault scenarios from
 // this package.

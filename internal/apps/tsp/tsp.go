@@ -1,7 +1,9 @@
 package tsp
 
 import (
+	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"sort"
 
@@ -253,51 +255,63 @@ func GenerateJobs(inst *Instance, jobDepth int) []Job {
 //     updated bound to continue with,
 //   - charge accounts virtual CPU per expanded node.
 //
-// It returns the number of nodes expanded.
+// It returns the number of nodes expanded. Instances have at most 64
+// cities: the cities still to visit are one uint64.
 func SearchJob(inst *Instance, job Job, readBound func() int, foundRoute func(total int), charge func(n int64)) int64 {
 	n := inst.N
-	minOut := inst.MinOut()
-	visited := make([]bool, n)
+	if n > 64 {
+		panic(fmt.Sprintf("tsp: %d cities, the search handles at most 64", n))
+	}
+	s := searcher{dist: inst.Dist, minOut: inst.MinOut(), readBound: readBound, foundRoute: foundRoute, charge: charge}
+	free := uint64(1)<<n - 2 // every city but the start
 	rest := 0
 	for i := 1; i < n; i++ {
-		rest += minOut[i]
+		rest += s.minOut[i]
 	}
 	for _, c := range job.Route {
-		visited[c] = true
+		free &^= 1 << c
 		if c != 0 {
-			rest -= minOut[c]
+			rest -= s.minOut[c]
 		}
 	}
-	var nodes int64
-	var dfs func(last, length, depth int)
-	dfs = func(last, length, depth int) {
-		nodes++
-		if nodes%64 == 0 {
-			charge(64)
-		}
-		// The bound object is read at every node; reads are local on
-		// a replicated object, so this is cheap — the heart of the
-		// paper's argument for replication.
-		if length+rest+minOut[last] >= readBound() {
-			return
-		}
-		if depth == n {
-			foundRoute(length + inst.Dist[last][0])
-			return
-		}
-		for next := 1; next < n; next++ {
-			if visited[next] {
-				continue
-			}
-			visited[next] = true
-			rest -= minOut[next]
-			dfs(next, length+inst.Dist[last][next], depth+1)
-			rest += minOut[next]
-			visited[next] = false
-		}
+	s.dfs(job.Route[len(job.Route)-1], job.Len, rest, free)
+	s.charge(s.nodes % 64)
+	return s.nodes
+}
+
+// searcher is one job's search: the instance, the caller's bound
+// interactions and the node count. A node is a compare against the
+// bound, read afresh at every node, and a walk of the cities not yet
+// on the route in ascending order, one bit each.
+type searcher struct {
+	dist       [][]int
+	minOut     []int
+	readBound  func() int
+	foundRoute func(total int)
+	charge     func(n int64)
+	nodes      int64
+}
+
+// dfs expands the node that reached last with a route of the given
+// length; rest sums the cheapest departures of the free cities.
+func (s *searcher) dfs(last, length, rest int, free uint64) {
+	s.nodes++
+	if s.nodes%64 == 0 {
+		s.charge(64)
 	}
-	last := job.Route[len(job.Route)-1]
-	dfs(last, job.Len, len(job.Route))
-	charge(nodes % 64)
-	return nodes
+	// The bound object is read at every node; reads are local on a
+	// replicated object, so this is cheap — the heart of the paper's
+	// argument for replication.
+	if length+rest+s.minOut[last] >= s.readBound() {
+		return
+	}
+	row := s.dist[last]
+	if free == 0 {
+		s.foundRoute(length + row[0])
+		return
+	}
+	for m := free; m != 0; m &= m - 1 {
+		next := bits.TrailingZeros64(m)
+		s.dfs(next, length+row[next], rest-s.minOut[next], free&^(1<<next))
+	}
 }

@@ -266,12 +266,9 @@ func TestScalarResultsAreNotBoxed(t *testing.T) {
 	}
 }
 
-// A typed read of a primary copy on another machine is an RPC whose
-// argument and results travel inline in the packet headers: from the
-// descriptor's Call to the operation's apply and back, nothing is boxed.
-// (The budget of 2 leaves room for the reply cache's map; the []any form
-// took 9.)
-func TestTypedRemoteReadAllocations(t *testing.T) {
+// skipUnderRace skips an allocation budget when the race detector, which
+// allocates on its own account, is on.
+func skipUnderRace(t *testing.T) {
 	if bi, ok := debug.ReadBuildInfo(); ok {
 		for _, s := range bi.Settings {
 			if s.Key == "-race" && s.Value == "true" {
@@ -279,6 +276,15 @@ func TestTypedRemoteReadAllocations(t *testing.T) {
 			}
 		}
 	}
+}
+
+// A typed read of a primary copy on another machine is an RPC whose
+// argument and results travel inline in the packet headers: from the
+// descriptor's Call to the operation's apply and back, nothing is boxed.
+// (The budget of 2 leaves room for the reply cache's map; the []any form
+// took 9.)
+func TestTypedRemoteReadAllocations(t *testing.T) {
+	skipUnderRace(t)
 	rt := New(Config{Processors: 2, RTS: P2PUpdate, Seed: 35}, cellsSetup)
 	rt.Run(func(p *Proc) {
 		h := cellsB.NewWith(p, Opts(With(PrimaryCopy{Protocol: Update, Placement: SingleCopy})), 4)
@@ -300,12 +306,41 @@ func TestTypedRemoteReadAllocations(t *testing.T) {
 	})
 }
 
+// A typed read of a local replica under a sharded router, TSP's bound
+// read, allocates nothing: the router takes the replica from the
+// machine's replica table and the descriptor applies its function to
+// the state directly.
+func TestLocalReadAllocations(t *testing.T) {
+	skipUnderRace(t)
+	rt := New(Config{Processors: 8, RTS: Broadcast, Shards: 8, Seed: 37}, cellsSetup)
+	rt.Run(func(p *Proc) {
+		h := cellsB.New(p, 4)
+		cellsSet.Call(p, h, 2, 7)
+		read := func() {
+			if v := cellsGet.Call(p, h, 2); v != 7 {
+				t.Errorf("get(2) = %d, want 7", v)
+			}
+		}
+		before := rt.Stats().LocalReads
+		if a := testing.AllocsPerRun(1000, read); a != 0 {
+			t.Errorf("a typed local read allocates %v times, want none", a)
+		}
+		if n := rt.Stats().LocalReads - before; n != 1001 {
+			t.Errorf("%d local reads, want the 1001 measured", n)
+		}
+	})
+}
+
 // BenchmarkLocalReadPaths prices the two ways a typed read of a local
 // replica can go: through readState, which hands the descriptor the
 // replica's state to apply its typed function to, and through call,
 // the general path that carries the argument and the result in records.
 // The gap is why the descriptors keep readState (DESIGN.md, "The
-// argument record and the packet header").
+// argument record and the packet header"). Each path runs under one
+// sequencer group, under eight ("s8": the router TSP's bound is read
+// through), and under eight with 64 objects read round-robin ("s8-rr64":
+// kv's shards), where a worker's read goes to a different replica every
+// time.
 //
 //	go test -run '^$' -bench LocalReadPaths ./internal/orca
 func BenchmarkLocalReadPaths(b *testing.B) {
@@ -321,19 +356,37 @@ func BenchmarkLocalReadPaths(b *testing.B) {
 			return get1[int](p.call(h.o, cellsGet.def, rec1(2)))
 		}},
 	}
+	setups := []struct {
+		name    string
+		cfg     Config
+		objects int
+	}{
+		{"p1", Config{Processors: 1, RTS: Broadcast, Seed: 36}, 1},
+		{"s8", Config{Processors: 8, RTS: Broadcast, Shards: 8, Seed: 36}, 1},
+		{"s8-rr64", Config{Processors: 8, RTS: Broadcast, Shards: 8, Seed: 36}, 64},
+	}
 	for _, path := range paths {
-		b.Run(path.name, func(b *testing.B) {
-			rt := New(Config{Processors: 1, RTS: Broadcast, Seed: 36}, cellsSetup)
-			rt.Run(func(p *Proc) {
-				h := cellsB.New(p, 4)
-				cellsSet.Call(p, h, 2, 7)
-				b.ReportAllocs()
-				for b.Loop() {
-					if path.read(p, h) != 7 {
-						b.Fatal("read the wrong value")
+		for _, su := range setups {
+			b.Run(path.name+"/"+su.name, func(b *testing.B) {
+				rt := New(su.cfg, cellsSetup)
+				rt.Run(func(p *Proc) {
+					hs := make([]Handle[*cellsState], su.objects)
+					for i := range hs {
+						hs[i] = cellsB.New(p, 4)
+						cellsSet.Call(p, hs[i], 2, 7)
 					}
-				}
+					b.ReportAllocs()
+					i := 0
+					for b.Loop() {
+						if path.read(p, hs[i]) != 7 {
+							b.Fatal("read the wrong value")
+						}
+						if i++; i == len(hs) {
+							i = 0
+						}
+					}
+				})
 			})
-		})
+		}
 	}
 }

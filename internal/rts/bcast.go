@@ -372,40 +372,6 @@ func (r *BroadcastRTS) Call(w *Worker, id ObjID, opName string, in Args) Args {
 	return mgr.await(w.P, uid)
 }
 
-// LocalReadState serves the bookkeeping of an unguarded local read —
-// statistics and CPU charge, identical to the Invoke read path — and
-// exposes the local replica state so a typed caller can apply its
-// operation directly, with no argument or result record at all. The
-// state must be treated as read-only and not retained. Guarded or
-// forwarded reads, and reads of a replica frozen at a migration cut,
-// are declined; the caller falls back to Invoke.
-func (r *BroadcastRTS) LocalReadState(w *Worker, id ObjID, op *OpDef) (State, bool) {
-	if op.Guard != nil {
-		return nil, false
-	}
-	if r.placements != nil {
-		if pl := r.placement(id); pl != nil && !r.replicatedOn(w.Node(), id) {
-			return nil, false
-		}
-	}
-	mgr := r.mgr(w.Node())
-	if mgr == nil {
-		return nil, false
-	}
-	inst := mgr.instance(w.P, id)
-	if w.batch != nil && w.batch.holds(inst) {
-		w.batch.sync(w) // read-own-write: wait for the buffered writes
-	}
-	if inst.moved {
-		// Frozen at a migration cut (see localRead): decline, so the
-		// read takes the Invoke path and bounces to the live placement.
-		return nil, false
-	}
-	r.stats.LocalReads++
-	w.Charge(r.costs.readLocal + r.costs.defaultOp)
-	return inst.state, true
-}
-
 // PeekState implements System.
 func (r *BroadcastRTS) PeekState(node int, id ObjID) (State, bool) {
 	mgr := r.mgr(node)

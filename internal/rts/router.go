@@ -451,20 +451,62 @@ func (r *Router) PeekState(node int, id ObjID) (State, bool) {
 	}
 }
 
-// LocalReadState is the typed local-read fast path (see
-// BroadcastRTS.LocalReadState): replicated objects keep it;
-// primary-copy objects decline, so their reads take the general Invoke
-// path (local copy, lock, or RPC).
+// LocalReadState is the typed local-read fast path: an unguarded read
+// of a replicated object is applied by the caller to the state it
+// returns, counted and charged exactly as the Invoke read path would.
+// Everything else declines, and the caller takes the general Invoke
+// path: a guarded read, a primary-copy object (local copy, lock, or
+// RPC), a machine holding no replica (forwarded), a replica frozen at
+// a migration cut (bounced to the live placement). A replica not
+// created yet is waited for, and the worker's buffered writes to it are
+// synced first (read-own-write).
+//
+// The hit path reads the replica straight out of the machine's replica
+// table (bcastManager.insts, by object id) when the object is
+// non-adaptive: such an object never changes domain and its replica is
+// never replaced or frozen, because only a migration does that
+// (adapt.go). Anything else — an adaptive object, a replica not there
+// (yet), the worker's own buffered write to it — takes resolveRead.
 func (r *Router) LocalReadState(w *Worker, id ObjID, op *OpDef) (State, bool) {
+	if op.Guard == nil && uint(id) < uint(len(r.objs)) {
+		if e := r.objs[id]; e.dom >= 0 && e.adapt == nil {
+			g := r.groups[e.dom]
+			if mgr := g.mgr(w.M.ID()); mgr != nil {
+				if inst := mgr.inst(id); inst != nil && (w.batch == nil || !w.batch.holds(inst)) {
+					g.stats.LocalReads++
+					w.Charge(g.costs.readLocal + g.costs.defaultOp)
+					return inst.state, true
+				}
+			}
+		}
+	}
+	return r.resolveRead(w, id, op)
+}
+
+// resolveRead is LocalReadState's general path.
+func (r *Router) resolveRead(w *Worker, id ObjID, op *OpDef) (State, bool) {
 	e := r.entry(id)
-	if e.dom == domP2P {
+	if e.dom == domP2P || op.Guard != nil {
 		return nil, false
 	}
-	st, ok := r.groups[e.dom].LocalReadState(w, id, op)
-	if ok && e.adapt != nil {
+	g := r.groups[e.dom]
+	mgr := g.mgr(w.Node())
+	if mgr == nil || !g.replicatedOn(w.Node(), id) {
+		return nil, false
+	}
+	inst := mgr.instance(w.P, id)
+	if w.batch != nil && w.batch.holds(inst) {
+		w.batch.sync(w)
+	}
+	if inst.moved {
+		return nil, false
+	}
+	g.stats.LocalReads++
+	w.Charge(g.costs.readLocal + g.costs.defaultOp)
+	if e.adapt != nil {
 		e.adapt.count(w.Node(), Read)
 	}
-	return st, ok
+	return inst.state, true
 }
 
 // Counters merges every domain's counters into one snapshot, plus the

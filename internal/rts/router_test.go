@@ -13,8 +13,9 @@ import (
 // newRouterTB builds a Router cluster: the given number of sequencer
 // groups, each over span consecutive machines (group k on block
 // k mod n/span), plus the point-to-point domain, with a broadcast
-// default.
-func newRouterTB(t *testing.T, seed int64, n, groups, span int, cfg P2PConfig) (*tb, *Router) {
+// default. A batch configuration, if given, turns write combining on in
+// both layers.
+func newRouterTB(t *testing.T, seed int64, n, groups, span int, cfg P2PConfig, batch ...group.BatchConfig) (*tb, *Router) {
 	t.Helper()
 	env := sim.New(seed)
 	nw := netsim.New(env, n, netsim.DefaultParams())
@@ -29,6 +30,9 @@ func newRouterTB(t *testing.T, seed int64, n, groups, span int, cfg P2PConfig) (
 			ids[i] = (k%(n/span))*span + i
 		}
 		gcfg := group.DefaultConfig(ids)
+		if len(batch) > 0 {
+			gcfg.Batch = batch[0]
+		}
 		if groups > 1 {
 			gcfg.Port = fmt.Sprintf("%s%d", group.Port, k)
 		}
@@ -38,6 +42,9 @@ func newRouterTB(t *testing.T, seed int64, n, groups, span int, cfg P2PConfig) (
 		}
 	}
 	m := NewRouter(testRegistry(), DefaultCosts(), ms, defs, &cfg, false)
+	if len(batch) > 0 {
+		m.EnableBatching(batch[0])
+	}
 	return &tb{env: env, net: nw, ms: ms, sys: m}, m
 }
 

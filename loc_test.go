@@ -66,14 +66,14 @@ var codeCeilings = map[string]int{
 	"internal/apps/acp":   637,
 	"internal/apps/atpg":  769,
 	"internal/apps/chess": 986,
-	"internal/apps/kv":    369, // +9: the key directory, the slot array's write path and the 1<<31 key limit (map shard state and receipt maps went)
-	"internal/apps/tsp":   559,
+	"internal/apps/kv":    369,  // +9: the key directory, the slot array's write path and the 1<<31 key limit (map shard state and receipt maps went)
+	"internal/apps/tsp":   564,  // +5: the search is a method recursion over a uint64 of free cities, and rejects more than 64
 	"internal/group":      2111, // −103: handlers, timer rounds and broadcasts are steps that append sends to an outbox one driver issues; no continuation parameters or loop records
 	"internal/harness":    1622,
 	"internal/netsim":     414,
 	"internal/orca":       748,
 	"internal/orca/std":   383,
-	"internal/rts":        2881,
+	"internal/rts":        2886, // +5: a typed read of a non-adaptive replica comes straight from the machine's replica table; the general path moved into the Router
 	"internal/rts/scheck": 111,
 	"internal/sim":        797,
 	"internal/workload":   231, // +10: one Zipf table per (Keys, Theta), shared by every generator instead of summed per client
