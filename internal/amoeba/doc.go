@@ -23,7 +23,9 @@
 // instants.
 //
 // RPC is Amoeba's: a Client thread blocks in Call (or Trans, its
-// all-body form), which retransmits on timeout; a Server deduplicates by
+// all-body form), which retransmits on timeout, and a consumer makes the
+// same transaction in continuation form, in its claimant's name
+// (CallFn, of which Call is the park); a Server deduplicates by
 // transaction id and answers a duplicate of an executed request from
 // its reply cache, so execution is at most once on a lossy net. What
 // travels is a Packet: port, traffic class, size and an opaque body,
@@ -46,7 +48,9 @@
 // through the continuation forms (PutResultFn, PutReplyFn) without
 // blocking, and calls Done. Only the wall clock can tell that from one
 // thread serving the port. Request and transaction records are pooled:
-// a Request is the server's again once its reply is on its way.
+// a Request is the server's again once its reply is on its way, and a
+// transaction's record goes back to its client when the transaction
+// ends.
 //
 // Machines crash whole: Crash kills every thread and claimant of the
 // machine and takes it off the network, and in-flight RPCs from other machines to

@@ -615,3 +615,78 @@ func TestComputeFnSlicesLikeCompute(t *testing.T) {
 		t.Errorf("trace %v: the second claimant did not get the CPU at the slice boundary, %v", thread, want)
 	}
 }
+
+// A transaction that a consumer makes in its claimant's name with
+// CallFn takes the steps a thread's Call takes, in the same events. Each
+// case runs once with Call from a thread and once with CallFn from a
+// claimant, started from an event in the slot where the thread started,
+// and both must end with the same packet, error and instant, after the
+// same events. A killed caller hears nothing in either form.
+func TestRPCCallFnMatchesCall(t *testing.T) {
+	echo := func(env *sim.Env, ms []*Machine) {
+		srv := NewServer(ms[1], "svc")
+		ms[1].SpawnThread("server", func(p *sim.Proc) {
+			for {
+				r, ok := srv.GetRequest(p)
+				if !ok {
+					return
+				}
+				srv.PutResult(p, r, one(Get[int](&r.Args, 0)+1), 8)
+			}
+		})
+	}
+	mute := func(env *sim.Env, ms []*Machine) { NewServer(ms[1], "svc") } // nobody serves its requests
+	patient := RPCDefaults{Timeout: 10 * sim.Millisecond, Retries: 1 << 20}
+	for _, c := range []struct {
+		name   string
+		plan   *netsim.FaultPlan // the network's faults
+		policy RPCDefaults
+		setup  func(env *sim.Env, ms []*Machine)
+		want   string // the outcome, which both forms must reach
+	}{
+		{"reply", nil, DefaultRPCPolicy(), echo, "42"},
+		{"lost request, retransmitted", &netsim.FaultPlan{Losses: []netsim.LossWindow{{Src: 0, Dst: 1, Until: sim.Millisecond, Prob: 1}}},
+			RPCDefaults{Timeout: 30 * sim.Millisecond, Retries: 5}, echo, "42"},
+		{"destination down before the call", nil, patient,
+			func(env *sim.Env, ms []*Machine) { echo(env, ms); ms[1].Crash() }, ErrCrashed.Error()},
+		{"destination crashes mid-transaction", nil, patient,
+			func(env *sim.Env, ms []*Machine) { mute(env, ms); env.At(15*sim.Millisecond, ms[1].Crash) }, ErrCrashed.Error()},
+		{"retries exhausted", nil, RPCDefaults{Timeout: 10 * sim.Millisecond, Retries: 2}, mute, ErrRPCTimeout.Error()},
+		{"caller's machine crashes mid-transaction", nil, patient,
+			func(env *sim.Env, ms []*Machine) { mute(env, ms); env.At(15*sim.Millisecond, ms[0].Crash) }, "nothing"},
+	} {
+		run := func(fn bool) (outcome, fig string) {
+			env, nw, ms := cluster(t, 2, c.plan)
+			c.setup(env, ms)
+			cl := NewClient(ms[0], c.policy)
+			req := Packet{Port: "svc", Op: "inc", Args: one(41), Size: 8}
+			outcome, fig = "nothing", "nothing heard"
+			heard := func(rep Packet, err error) {
+				if outcome = fmt.Sprint(err); err == nil {
+					outcome = fmt.Sprint(Get[int](&rep.Args, 0))
+				}
+				fig = fmt.Sprintf("at %v: %+v, %v", env.Now(), rep, err)
+			}
+			if fn {
+				caller := ms[0].Claimant("caller")
+				env.Schedule(0, func() { cl.CallFn(caller, 1, req, heard) })
+			} else {
+				ms[0].SpawnThread("caller", func(p *sim.Proc) { heard(cl.Call(p, 1, req)) })
+			}
+			end := env.Run()
+			st := nw.Stats()
+			fig += fmt.Sprintf("; end %v, %d events, %d frames, %d dropped", end, env.Events(), st.Frames, st.Drops)
+			env.Shutdown()
+			return outcome, fig
+		}
+		t.Run(c.name, func(t *testing.T) {
+			outcome, thread := run(false)
+			if !strings.HasPrefix(outcome, c.want) {
+				t.Errorf("Call from a thread ended with %q, want %q", outcome, c.want)
+			}
+			if _, consumer := run(true); consumer != thread {
+				t.Errorf("CallFn from a claimant: %s\nCall from a thread: %s", consumer, thread)
+			}
+		})
+	}
+}

@@ -116,8 +116,7 @@ func (s *Server) handle(p *sim.Proc, from int, pkt Packet) {
 	s.inwrk[pkt.TxID] = true
 	var r *Request
 	if n := len(s.free); n > 0 {
-		r = s.free[n-1]
-		s.free = s.free[:n-1]
+		r, s.free = s.free[n-1], s.free[:n-1]
 		r.released = false
 	} else {
 		r = &Request{srv: s}
@@ -241,47 +240,51 @@ func (s *Server) putFn(p *sim.Proc, r *Request, res Args, body any, size int, th
 }
 
 // Client issues RPCs from a machine to servers elsewhere. A single
-// Client may be shared by all threads of a machine; each Trans tracks
-// its own transaction.
+// Client may be shared by all threads and consumers of a machine; each
+// transaction has a record of its own.
 type Client struct {
 	m      *Machine
 	policy RPCDefaults
 	waits  map[int64]*rpcWait
 	bound  map[string]bool // service ports whose reply port is bound
 	free   []*rpcWait      // records of completed transactions
+
+	// rep and err are what the transaction a thread parked in Call for
+	// ended with: set as it ends and read as the thread resumes, at the
+	// end of the same event, before anything else runs.
+	rep Packet
+	err error
 }
 
-// rpcWait is one transaction in progress: what its caller sleeps on,
-// and what the reply handler and the retransmission timer leave for it.
-// Records are pooled and the retransmission timer is part of the record,
-// so a transaction arms it without allocating.
+// rpcWait is one transaction in progress, in the name of its caller p:
+// the request, what the reply handler and the retransmission timer
+// leave for it, and what runs when it ends. Records are pooled, and the
+// timer and the continuations are part of the record, so a transaction
+// allocates nothing.
 type rpcWait struct {
-	cond     sim.Cond
-	reply    Packet
-	replied  bool
-	timedOut bool
-	timer    sim.Event // calls w.timeout
+	c                          *Client
+	p                          *sim.Proc
+	dst, attempt               int
+	req, reply                 Packet
+	k                          func(Packet, error) // nil: resume p (see Call)
+	replied, timedOut, waiting bool
+	timer                      sim.Event
+	sentFn, wokeFn             func()
 }
 
-func (w *rpcWait) timeout() {
-	w.timedOut = true
-	w.cond.Broadcast()
+// wake runs the transaction's next step, if it is waiting for one, from
+// an event of its own: the slot a wake-up of a thread parked on it
+// would take.
+func (w *rpcWait) wake() {
+	if w.waiting {
+		w.waiting = false
+		w.c.m.env.Schedule(w.c.m.env.Now(), w.wokeFn)
+	}
 }
 
 // NewClient creates an RPC client on machine m.
 func NewClient(m *Machine, policy RPCDefaults) *Client {
 	return &Client{m: m, policy: policy, waits: make(map[int64]*rpcWait), bound: make(map[string]bool)}
-}
-
-// ensureReplyPort lazily binds the client side of an RPC port so reply
-// packets find their waiting transaction. Replies arrive on port+"-rep"
-// so a machine can be client and server of the same service.
-func (c *Client) ensureReplyPort(port string) {
-	if c.bound[port] {
-		return
-	}
-	c.bound[port] = true
-	c.m.Bind(port+"-rep", c.onReply)
 }
 
 // onReply hands a reply to the transaction waiting for it. Transactions
@@ -297,36 +300,7 @@ func (c *Client) onReply(p *sim.Proc, from int, pkt Packet) {
 		return // late duplicate reply
 	}
 	wait.reply, wait.replied = pkt, true
-	wait.cond.Broadcast()
-}
-
-// begin registers a transaction under txid.
-func (c *Client) begin(txid int64) *rpcWait {
-	var w *rpcWait
-	if n := len(c.free); n > 0 {
-		w = c.free[n-1]
-		c.free = c.free[:n-1]
-	} else {
-		w = &rpcWait{}
-		w.timer.Init(c.m.env, w.timeout)
-	}
-	c.waits[txid] = w
-	return w
-}
-
-// end forgets a transaction when Trans returns. The calling thread can
-// also be killed mid-transaction (its machine crashed while it was
-// parked in Trans); it unwinds only when Shutdown reaps it, and what a
-// crash abandons stays abandoned, so it touches neither the shared map
-// nor the pool. Its record is simply dropped, so a timer still armed
-// for it fires on a record nobody else has.
-func (c *Client) end(p *sim.Proc, txid int64, w *rpcWait) {
-	if p.Killed() {
-		return
-	}
-	delete(c.waits, txid)
-	w.reply, w.replied, w.timedOut = Packet{}, false, false
-	c.free = append(c.free, w)
+	wait.wake()
 }
 
 // Trans performs a blocking RPC whose request and reply are all body:
@@ -344,38 +318,88 @@ func (c *Client) Trans(p *sim.Proc, dst int, port, op string, body any, size int
 // simulated wire; the runtime systems avoid them by checking locality
 // first. Every transmission copies req, so a retransmission carries
 // what the first one did whatever has become of the frames before it.
+// Call is CallFn and a park.
 func (c *Client) Call(p *sim.Proc, dst int, req Packet) (Packet, error) {
-	c.ensureReplyPort(req.Port)
-	if c.m.net.Down(dst) {
-		return Packet{}, fmt.Errorf("%w: %s/%s to node %d", ErrCrashed, req.Port, req.Op, dst)
-	}
-	txid := c.m.ServiceID()
-	wait := c.begin(txid)
-	defer c.end(p, txid, wait)
+	c.CallFn(p, dst, req, nil)
+	p.Park()
+	return c.rep, c.err
+}
 
-	req.Kind, req.TxID, req.Size = "rpc-req", txid, req.Size+rpcHeaderBytes
-	c.m.Send(p, dst, req)
-	for attempt := 0; attempt <= c.policy.Retries; attempt++ {
-		wait.timedOut = false
-		wait.timer.Arm(c.policy.Timeout)
-		for !wait.replied && !wait.timedOut {
-			wait.cond.Wait(p)
-		}
-		wait.timer.Cancel()
-		if wait.replied {
-			return wait.reply, nil
-		}
-		if c.m.net.Down(dst) {
-			// The server died while the transaction was in flight: fail
-			// now instead of burning the whole retry budget.
-			return Packet{}, fmt.Errorf("%w: %s/%s to node %d", ErrCrashed, req.Port, req.Op, dst)
-		}
-		if attempt < c.policy.Retries {
-			c.m.Env().Tracef("node%d: rpc retry %s/%s to %d", c.m.id, req.Port, req.Op, dst)
-			c.m.Send(p, dst, req)
-		}
+// CallFn is Call in continuation form, for a consumer that calls in the
+// name of its claimant p: the transaction starts within the calling
+// event and takes Call's steps in the same events, and k runs with the
+// reply or the error in the event where Call would have returned. If p
+// is killed first, k never runs. (A nil k resumes p instead: Call.)
+func (c *Client) CallFn(p *sim.Proc, dst int, req Packet, k func(Packet, error)) {
+	if !c.bound[req.Port] {
+		// Replies arrive on port+"-rep", so that a machine can be client
+		// and server of one service.
+		c.bound[req.Port] = true
+		c.m.Bind(req.Port+"-rep", c.onReply)
 	}
-	return Packet{}, fmt.Errorf("%w: %s/%s to node %d", ErrRPCTimeout, req.Port, req.Op, dst)
+	var w *rpcWait
+	if n := len(c.free); n > 0 {
+		w, c.free = c.free[n-1], c.free[:n-1]
+	} else {
+		w = &rpcWait{c: c}
+		w.timer.Init(c.m.env, func() { w.timedOut = true; w.wake() })
+		w.sentFn, w.wokeFn = func() { w.timedOut = false; w.timer.Arm(c.policy.Timeout); w.woke() }, w.woke
+	}
+	w.p, w.dst, w.k, w.req = p, dst, k, req
+	if c.m.net.Down(dst) {
+		w.finish(ErrCrashed)
+		return
+	}
+	w.req.Kind, w.req.TxID, w.req.Size = "rpc-req", c.m.ServiceID(), req.Size+rpcHeaderBytes
+	c.waits[w.req.TxID] = w
+	c.m.SendFn(p, dst, w.req, w.sentFn)
+}
+
+// woke goes on once the request has been sent, or once a reply or a
+// timeout has come after: it waits, the transaction ends, or the
+// request goes out again.
+func (w *rpcWait) woke() {
+	c := w.c
+	switch {
+	case w.p.Killed():
+	case !w.replied && !w.timedOut:
+		w.waiting = true
+	case w.replied:
+		w.timer.Cancel()
+		w.finish(nil)
+	case c.m.net.Down(w.dst):
+		// The server died while the transaction was in flight: fail
+		// now instead of burning the whole retry budget.
+		w.finish(ErrCrashed)
+	case w.attempt < c.policy.Retries:
+		w.attempt++
+		c.m.Env().Tracef("node%d: rpc retry %s/%s to %d", c.m.id, w.req.Port, w.req.Op, w.dst)
+		c.m.SendFn(w.p, w.dst, w.req, w.sentFn)
+	default:
+		w.finish(ErrRPCTimeout)
+	}
+}
+
+// finish ends the transaction with err (nil: the reply came), pools its
+// record and hands the outcome on. A caller killed mid-transaction (its
+// machine crashed) never gets here: what a crash abandons stays
+// abandoned, so its record keeps its entry in the shared map and stays
+// out of the pool, and a timer still armed for it fires on a record
+// nobody else has.
+func (w *rpcWait) finish(err error) {
+	c, p, rep, k := w.c, w.p, w.reply, w.k
+	if err != nil {
+		err = fmt.Errorf("%w: %s/%s to node %d", err, w.req.Port, w.req.Op, w.dst)
+	}
+	delete(c.waits, w.req.TxID)
+	*w = rpcWait{c: c, timer: w.timer, sentFn: w.sentFn, wokeFn: w.wokeFn}
+	c.free = append(c.free, w)
+	if k == nil {
+		c.rep, c.err = rep, err
+		p.Resume()()
+		return
+	}
+	k(rep, err)
 }
 
 // sizeOfBody gives a coarse wire size for cached replies whose

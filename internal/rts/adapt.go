@@ -379,7 +379,7 @@ func (r *Router) startMigration(w *Worker, id ObjID, info *adaptInfo, act adaptA
 		// Sequence the cut through the home group's total order; the
 		// globally-first delivery flips ownership (see handleMigrate).
 		mgr := r.groups[info.home].mgr(w.Node())
-		mgr.syncBuf(w)
+		w.SyncShared()
 		w.Flush()
 		uid := mgr.g.Broadcast(w.P, "rts-migrate", wireMigrate{Obj: id, Target: target}, 24)
 		mgr.await(w.P, uid)
@@ -484,7 +484,7 @@ func (r *Router) handleMigrate(mgr *bcastManager, uid int64, src int, wm wireMig
 		if old := mgr.inst(wm.Obj); old == nil || old.moved {
 			st := info.typ.Clone(wm.State)
 			mgr.charge(mgr.rts.costs.create, func() {
-				mgr.setInst(wm.Obj, &bcastInstance{typ: info.typ, state: st})
+				mgr.setInst(wm.Obj, newReplica(info.typ, st))
 				installed()
 			})
 			return
@@ -532,19 +532,11 @@ func (r *Router) handleMigrate(mgr *bcastManager, uid int64, src int, wm wireMig
 // meta and queue if the object lived there before.
 func (rt *Router) installPrimary(id ObjID, info *adaptInfo, target int, st State) {
 	r := rt.p2p
-	tn := r.nodes[target]
-	tn.installCopy(id, info.typ, st)
-	inst := tn.insts[id]
-	inst.primary = true
-	inst.copyset = make(map[int]bool)
 	meta, ok := r.objs[id]
 	if !ok {
 		meta = &p2pMeta{id: id, typ: info.typ, ctorArgs: info.ctorArgs}
 		r.objs[id] = meta
 	}
-	meta.primary = target
-	meta.protocol = Update
-	meta.placement = SingleCopy
-	meta.moved = false
-	tn.startPrimary(id)
+	meta.protocol, meta.placement, meta.moved = Update, SingleCopy, false
+	r.promote(meta, target, st)
 }

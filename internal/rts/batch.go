@@ -48,7 +48,7 @@ import (
 type batchFlight struct {
 	remaining int
 	buf       *writeBuf
-	insts     []*bcastInstance // objects with writes in this flight
+	insts     []*replica // objects with writes in this flight
 	cond      sim.Cond
 }
 
@@ -56,7 +56,7 @@ type batchFlight struct {
 type writeBuf struct {
 	mgr    *bcastManager
 	ops    []group.Msg
-	insts  []*bcastInstance // objects with buffered writes
+	insts  []*replica // objects with buffered writes
 	bytes  int
 	uids   []int64 // the batch's, from BroadcastBatchFn
 	flight *batchFlight
@@ -68,7 +68,7 @@ type writeBuf struct {
 	// (the broadcast waits for the CPU, and the worker may buffer more
 	// ops meanwhile) and returns them cleared afterwards.
 	opsSpare   []group.Msg
-	instsSpare []*bcastInstance
+	instsSpare []*replica
 
 	// The flush on its way out (see flushFn), and b.sent bound once.
 	p      *sim.Proc
@@ -79,14 +79,14 @@ type writeBuf struct {
 // holds reports whether the buffer (or its in-flight batch) carries a
 // write to inst — the read-own-write test. Buffers hold at most
 // MaxOps ops, so the scan is a handful of pointer compares.
-func (b *writeBuf) holds(inst *bcastInstance) bool {
+func (b *writeBuf) holds(inst *replica) bool {
 	return slices.Contains(b.insts, inst) || b.flight != nil && slices.Contains(b.flight.insts, inst)
 }
 
 // bufferWrite appends one unguarded no-result write to w's combining
 // buffer, flushing or arming the linger deadline per the batch
 // configuration.
-func (mgr *bcastManager) bufferWrite(w *Worker, id ObjID, inst *bcastInstance, opName string, args Args) {
+func (mgr *bcastManager) bufferWrite(w *Worker, id ObjID, inst *replica, opName string, args Args) {
 	b := w.batch
 	if b == nil {
 		b = &writeBuf{mgr: mgr}
@@ -214,14 +214,6 @@ func (b *writeBuf) sync(w *Worker) {
 			continue
 		}
 		return
-	}
-}
-
-// syncBuf is the manager-side hook: flush-and-wait the worker's
-// buffer before an operation that must observe program order.
-func (mgr *bcastManager) syncBuf(w *Worker) {
-	if w.batch != nil {
-		w.batch.sync(w)
 	}
 }
 

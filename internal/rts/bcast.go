@@ -129,8 +129,8 @@ type bcastManager struct {
 	rts      *BroadcastRTS
 	m        *amoeba.Machine
 	g        *group.Member
-	c        *sim.Proc        // the claimant the manager serves as
-	insts    []*bcastInstance // by ObjID (see inst); ids are dense and never reused
+	c        *sim.Proc  // the claimant the manager serves as
+	insts    []*replica // by ObjID (see inst); ids are dense and never reused
 	waiters  map[int64]*opWaiter
 	early    map[int64]Args // completions that beat their waiter
 	flights  map[int64]*batchFlight
@@ -138,9 +138,11 @@ type bcastManager struct {
 	extra    func(node int, body any)
 
 	// touched collects the replicas written since the last frame
-	// boundary; the guard-retry sweep runs once per frame over them
-	// (see serve), which is what batching amortizes.
-	touched []*bcastInstance
+	// boundary, and the boundary runs a guard-retry pass over each (see
+	// serve), which is what batching amortizes: ti is the next to go.
+	touched []*replica
+	ti      int
+	pass    *retrier
 
 	// inFrame and pendCharge amortize the apply-cost accounting over
 	// a packed frame: mid-frame ops accrue their CPU cost and the
@@ -155,48 +157,16 @@ type bcastManager struct {
 	// write, and steady state has a tiny number in flight.
 	wfree []*opWaiter
 
-	// The delivery in service (see serve): d itself, cur the write being
-	// applied, sw the guard-retry sweep's place; the continuations are
-	// bound once.
-	d                                       group.Delivery
-	cur                                     resolvedWrite
-	sw                                      sweep
-	boundaryFn, createdFn, guardedFn        func()
-	writtenFn, wakeFn, settledFn, checkedFn func()
+	// The delivery in service (see serve): d itself, and the write being
+	// applied, cur on curInst; the continuations are bound once.
+	d                                group.Delivery
+	curInst                          *replica
+	cur                              pendingOp
+	boundaryFn, createdFn, guardedFn func()
+	writtenFn, wakeFn, settledFn     func()
 
 	// Partial replication plumbing (see bcast_partial.go).
 	fwdClient *amoeba.Client
-}
-
-// bcastInstance is one local replica.
-type bcastInstance struct {
-	typ     *ObjectType
-	state   State
-	cond    sim.Cond // wakes guard-blocked readers after each write
-	pending []pendingWrite
-	touched bool // written since the last frame boundary (see serve)
-	moved   bool // migrated away at its cut point; writes bounce (see adapt.go)
-
-	ops opCache
-}
-
-// op resolves an operation name through the replica's MRU cache.
-func (inst *bcastInstance) op(name string) *OpDef { return inst.ops.lookup(inst.typ, name) }
-
-// pendingWrite is a guarded write waiting for its guard, in total
-// order position.
-type pendingWrite struct {
-	uid  int64
-	src  int
-	op   *OpDef
-	args Args
-}
-
-// resolvedWrite is a resolved write between its CPU charges and its
-// application (see applyWrite).
-type resolvedWrite struct {
-	inst *bcastInstance
-	pendingWrite
 }
 
 // opWaiter lets the invoking thread sleep until its own write has been
@@ -250,8 +220,9 @@ func newBroadcastRTSAt(reg *Registry, costs Costs, machines []*amoeba.Machine, m
 		}
 		r.mgrs = append(r.mgrs, mgr)
 		mgr.boundaryFn, mgr.createdFn, mgr.guardedFn = mgr.boundary, mgr.created, mgr.guarded
-		mgr.writtenFn, mgr.wakeFn, mgr.settledFn, mgr.checkedFn = mgr.written, mgr.wake, mgr.settled, mgr.checked
+		mgr.writtenFn, mgr.wakeFn, mgr.settledFn = mgr.written, mgr.wake, mgr.nextTouched
 		mgr.c = m.Claimant("objmgr")
+		mgr.pass = newRetrier(m, mgr.c, costs.guardCheck, mgr.fire, mgr.nextTouched)
 		mgr.g.Deliveries().Serve(mgr.c, mgr.serve)
 	}
 	r.startForwarders(machines)
@@ -342,7 +313,7 @@ func (r *BroadcastRTS) Call(w *Worker, id ObjID, opName string, in Args) Args {
 	}
 	if pl := r.placement(id); pl != nil && !r.replicatedOn(w.Node(), id) {
 		// No local replica: forward the operation to a holder.
-		mgr.syncBuf(w)
+		w.SyncShared()
 		return r.forward(w, mgr.fwdClient, id, pl, opName, in)
 	}
 	inst := mgr.instance(w.P, id)
@@ -353,7 +324,7 @@ func (r *BroadcastRTS) Call(w *Worker, id ObjID, opName string, in Args) Args {
 	if pl := r.placement(id); len(pl) == 1 {
 		// Single-copy object at its only holder: apply directly, no
 		// broadcast needed.
-		mgr.syncBuf(w)
+		w.SyncShared()
 		return mgr.directWrite(w, inst, op, in)
 	}
 	if r.batch.Enabled() && op.NoResult && op.Guard == nil && r.placement(id) == nil && !r.unbatched[id] {
@@ -365,7 +336,7 @@ func (r *BroadcastRTS) Call(w *Worker, id ObjID, opName string, in Args) Args {
 	}
 	// Write: ship the operation through the total order and wait for
 	// it to be applied on this machine.
-	mgr.syncBuf(w)
+	w.SyncShared()
 	w.Flush()
 	r.stats.BcastWrites++
 	uid := mgr.g.BroadcastMsg(w.P, group.Msg{Kind: opKind, Obj: int64(id), Op: opName, Args: in, Size: opSize(opName, &in)})
@@ -402,7 +373,7 @@ func (r *BroadcastRTS) PendingWrites(node int, id ObjID) int {
 // instance returns the local replica, waiting for the creation
 // broadcast if it has not arrived yet (a freshly forked worker can
 // race the create message).
-func (mgr *bcastManager) instance(p *sim.Proc, id ObjID) *bcastInstance {
+func (mgr *bcastManager) instance(p *sim.Proc, id ObjID) *replica {
 	for {
 		if inst := mgr.inst(id); inst != nil {
 			return inst
@@ -415,7 +386,7 @@ func (mgr *bcastManager) instance(p *sim.Proc, id ObjID) *bcastInstance {
 // replicas sit in a table indexed by object id: ids come from one
 // allocator, counting up from 1, and a replica is replaced (see
 // handleMigrate) but never removed.
-func (mgr *bcastManager) inst(id ObjID) *bcastInstance {
+func (mgr *bcastManager) inst(id ObjID) *replica {
 	if id < 0 || int(id) >= len(mgr.insts) {
 		return nil
 	}
@@ -423,7 +394,7 @@ func (mgr *bcastManager) inst(id ObjID) *bcastInstance {
 }
 
 // setInst installs the local replica of id.
-func (mgr *bcastManager) setInst(id ObjID, inst *bcastInstance) {
+func (mgr *bcastManager) setInst(id ObjID, inst *replica) {
 	for int(id) >= len(mgr.insts) {
 		mgr.insts = append(mgr.insts, nil)
 	}
@@ -434,7 +405,7 @@ func (mgr *bcastManager) setInst(id ObjID, inst *bcastInstance) {
 // localRead performs a read on the local replica: no network traffic,
 // just accumulated CPU. Guard-blocked reads wait on the replica's
 // condition and re-check after every applied write.
-func (mgr *bcastManager) localRead(w *Worker, inst *bcastInstance, op *OpDef, in Args) Args {
+func (mgr *bcastManager) localRead(w *Worker, inst *replica, op *OpDef, in Args) Args {
 	r := mgr.rts
 	if op.Guard == nil {
 		if w.batch != nil && w.batch.holds(inst) {
@@ -455,30 +426,16 @@ func (mgr *bcastManager) localRead(w *Worker, inst *bcastInstance, op *OpDef, in
 	// Guarded: sync first — the guard may depend on the worker's own
 	// buffered writes, and suspending with writes unsent could stall
 	// the program.
-	mgr.syncBuf(w)
-	for {
-		// Flush before evaluating the guard: flushing blocks on the
-		// CPU, and a wakeup that fires while this thread is neither
-		// checking the guard nor on the wait queue would be lost.
-		// Between the guard check and Wait (or Apply) nothing may
-		// block, so costs are accrued, not charged.
-		w.Flush()
-		if inst.moved {
-			// The object migrated away while this reader was guard
-			// blocked: no further writes will ever wake it here, so
-			// bounce and re-register under the new placement.
-			return retry
-		}
-		w.Accrue(r.costs.guardCheck)
-		if !op.Guard(inst.state, in) {
-			r.stats.GuardWaits++
-			inst.cond.Wait(w.P)
-			continue
-		}
-		r.stats.LocalReads++
-		w.Accrue(r.costs.readLocal + r.costs.defaultOp)
-		return op.Apply(inst.state, in)
+	w.SyncShared()
+	if !awaitGuard(w, inst, op, in, r.costs.guardCheck, &r.stats.GuardWaits) {
+		// The object migrated away while this reader was guard blocked:
+		// no further writes will ever wake it here, so bounce and
+		// re-register under the new placement.
+		return retry
 	}
+	r.stats.LocalReads++
+	w.Accrue(r.costs.readLocal + r.costs.defaultOp)
+	return op.Apply(inst.state, in)
 }
 
 // await blocks until the manager applies the message with this uid
@@ -631,7 +588,7 @@ func (mgr *bcastManager) serve(d group.Delivery) {
 // boundary closes the delivery in service, which has been applied. At a
 // frame boundary, a frame whose tail op took a non-charging path (a
 // guard queued it, a non-holder skipped it) settles the accrued cost,
-// if any, and the guard-retry sweep runs then.
+// if any, and the guard-retry passes run then.
 func (mgr *bcastManager) boundary() {
 	if mgr.inFrame {
 		mgr.g.Deliveries().Done()
@@ -640,13 +597,6 @@ func (mgr *bcastManager) boundary() {
 	d := mgr.pendCharge
 	mgr.pendCharge = 0
 	mgr.m.ComputeFn(mgr.c, d, mgr.settledFn)
-}
-
-// settled starts the frame boundary's guard-retry sweep over the
-// replicas touched so far.
-func (mgr *bcastManager) settled() {
-	mgr.sw = sweep{n: len(mgr.touched)}
-	mgr.drain()
 }
 
 // charge accounts CPU cost for one delivered op and then runs k:
@@ -679,16 +629,16 @@ func (mgr *bcastManager) applyCreate(uid int64, src int, c wireCreate) {
 func (mgr *bcastManager) created() {
 	c := mgr.d.Body.(wireCreate)
 	t := mgr.rts.reg.Lookup(c.Type)
-	mgr.setInst(c.Obj, &bcastInstance{typ: t, state: t.New(c.Args)})
+	mgr.setInst(c.Obj, newReplica(t, t.New(c.Args)))
 	mgr.complete(mgr.d.UID, mgr.d.Src, Args{})
 	mgr.boundary()
 }
 
 // applyWrite executes the write the delivery in service carries, obj's
 // operation opName with args, from the total order: check the guard
-// (queue if false), apply, complete the local invoker, and wake
-// guard-blocked readers. The guard-retry sweep over pending writes
-// runs at the frame boundary (see serve), not here.
+// (park it if false), apply, complete the local invoker, and wake
+// guard-blocked readers. The guard-retry pass over parked writes runs
+// at the frame boundary (see serve), not here.
 func (mgr *bcastManager) applyWrite(obj ObjID, opName string, args Args) {
 	inst := mgr.inst(obj)
 	if inst == nil {
@@ -708,7 +658,7 @@ func (mgr *bcastManager) applyWrite(obj ObjID, opName string, args Args) {
 		return
 	}
 	op := inst.op(opName)
-	mgr.cur = resolvedWrite{inst, pendingWrite{d.UID, d.Src, op, args}}
+	mgr.curInst, mgr.cur = inst, pendingOp{op: op, args: args, uid: d.UID, src: d.Src}
 	if op.Guard != nil {
 		mgr.charge(mgr.rts.costs.guardCheck, mgr.guardedFn)
 		return
@@ -718,12 +668,18 @@ func (mgr *bcastManager) applyWrite(obj ObjID, opName string, args Args) {
 
 // guarded continues applyWrite once the guard check has been charged.
 func (mgr *bcastManager) guarded() {
-	w := &mgr.cur
-	if !w.op.Guard(w.inst.state, w.args) {
-		w.inst.pending = append(w.inst.pending, w.pendingWrite)
+	inst, w := mgr.curInst, &mgr.cur
+	if !w.op.Guard(inst.state, w.args) {
+		inst.pending = append(inst.pending, *w)
 		mgr.boundary()
 		return
 	}
+	mgr.charge(mgr.rts.costs.writeApply+mgr.rts.costs.defaultOp, mgr.writtenFn)
+}
+
+// fire applies a parked write whose guard holds now (see retrier).
+func (mgr *bcastManager) fire(inst *replica, po pendingOp) {
+	mgr.curInst, mgr.cur = inst, po
 	mgr.charge(mgr.rts.costs.writeApply+mgr.rts.costs.defaultOp, mgr.writtenFn)
 }
 
@@ -734,7 +690,7 @@ func (mgr *bcastManager) guarded() {
 // guard-blocked readers wake.
 func (mgr *bcastManager) written() {
 	w := &mgr.cur
-	res := w.op.Apply(w.inst.state, w.args)
+	res := w.op.Apply(mgr.curInst.state, w.args)
 	if b := mgr.complete(w.uid, w.src, res); b != nil {
 		b.flushFn(mgr.c, mgr.wakeFn)
 		return
@@ -743,113 +699,42 @@ func (mgr *bcastManager) written() {
 }
 
 // wake wakes the guard-blocked readers of the replica just written and
-// goes on: with the sweep that fired the write, or else by entering the
-// replica into the frame's guard-retry sweep and closing the delivery.
+// goes on: with the retry pass that fired the write, or else by entering
+// the replica into the frame's retry passes and closing the delivery.
 func (mgr *bcastManager) wake() {
-	inst := mgr.cur.inst
+	inst := mgr.curInst
 	inst.cond.Broadcast()
-	mgr.cur = resolvedWrite{}
-	if mgr.sw.inst != nil {
-		mgr.drain()
+	mgr.curInst, mgr.cur = nil, pendingOp{}
+	if mgr.pass.inst != nil {
+		mgr.pass.next()
 		return
 	}
 	mgr.touch(inst)
 	mgr.boundary()
 }
 
-// touch enters a written replica into the frame's guard-retry sweep.
-func (mgr *bcastManager) touch(inst *bcastInstance) {
+// touch enters a written replica into the frame's guard-retry passes.
+func (mgr *bcastManager) touch(inst *replica) {
 	if !inst.touched {
 		inst.touched = true
 		mgr.touched = append(mgr.touched, inst)
 	}
 }
 
-// sweep is the place the frame boundary's guard-retry sweep has
-// reached: of the n replicas touched when it began, the one at at - 1
-// (inst, nil between two and after the last), and in inst's pending
-// writes the round in progress (see drain).
-type sweep struct {
-	n, at                     int
-	inst                      *bcastInstance
-	i, kept, stale, nextStale int
-	fired                     bool
-}
-
-// drain runs the guard-retry sweep over every replica written since the
-// last frame boundary, from where it stands to the next CPU charge,
-// which goes on with it, or to its end, which ends the delivery.
-//
-// A replica's queued guarded writes are retried in arrival (sequence)
-// order after each state change, looping until none can run. Every
-// replica performs the identical retry sequence, preserving
-// determinism. Each round is a single order-preserving sweep that fires
-// true guards in place and compacts the survivors — no per-fire slice
-// copy and no restart from index 0. The guard-evaluation discipline is
-// preserved: an entry is only declared stuck once its guard was
-// evaluated (and charged) against the state left by the most recent
-// fired write. stale counts the leading kept entries whose last
-// evaluation predates the round's last fire; only those need the next
-// round. When a fired write enables at most one other pending write
-// (every std type: a queue add enables one get, a close enables all
-// gets at once), the charge sequence and firing order are identical to
-// a restart-scan — the pinned golden fingerprints prove it for the
-// reproduced workloads. With 3+ mutually-enabling pending writes on one
-// object the sweep evaluates the enabled suffix before re-checking the
-// prefix, where a restart-scan re-checks the prefix first; both orders
-// are deterministic and arrival-order-fair, but they are not
-// charge-for-charge identical in that corner.
-func (mgr *bcastManager) drain() {
-	s := &mgr.sw
-	for {
-		inst := s.inst
-		if inst == nil {
-			if s.at == s.n {
-				mgr.touched = mgr.touched[:0]
-				mgr.g.Deliveries().Done()
-				return
-			}
-			inst = mgr.touched[s.at]
-			inst.touched = false
-			mgr.touched[s.at] = nil
-			*s = sweep{n: s.n, at: s.at + 1, inst: inst, stale: len(inst.pending)}
-		}
-		if s.stale == 0 {
-			s.inst = nil
-			continue
-		}
-		if s.i == len(inst.pending) {
-			clear(inst.pending[s.kept:])
-			inst.pending = inst.pending[:s.kept]
-			*s = sweep{n: s.n, at: s.at, inst: inst, stale: s.nextStale}
-			continue
-		}
-		if s.i >= s.stale && !s.fired {
-			// Already evaluated against the current state and no fire
-			// since: keep without re-charging a guard check.
-			inst.pending[s.kept] = inst.pending[s.i]
-			s.kept++
-			s.i++
-			continue
-		}
-		mgr.m.ComputeFn(mgr.c, mgr.rts.costs.guardCheck, mgr.checkedFn)
+// nextTouched runs the frame boundary's guard-retry pass over the next
+// touched replica, or ends the delivery once none is left. A replica
+// touched while a pass is in progress — a fence that another group's
+// manager executes on this machine touches this one's replicas (see
+// execFence) — is appended, and its pass runs in turn.
+func (mgr *bcastManager) nextTouched() {
+	if mgr.ti == len(mgr.touched) {
+		clear(mgr.touched)
+		mgr.touched, mgr.ti = mgr.touched[:0], 0
+		mgr.g.Deliveries().Done()
 		return
 	}
-}
-
-// checked continues drain once a pending write's guard check has been
-// charged: the write fires, or keeps its place.
-func (mgr *bcastManager) checked() {
-	s := &mgr.sw
-	pw := s.inst.pending[s.i]
-	s.i++
-	if !pw.op.Guard(s.inst.state, pw.args) {
-		s.inst.pending[s.kept] = pw
-		s.kept++
-		mgr.drain()
-		return
-	}
-	s.fired, s.nextStale = true, s.kept
-	mgr.cur = resolvedWrite{s.inst, pw}
-	mgr.charge(mgr.rts.costs.writeApply+mgr.rts.costs.defaultOp, mgr.writtenFn)
+	inst := mgr.touched[mgr.ti]
+	mgr.ti++
+	inst.touched = false
+	mgr.pass.start(inst)
 }

@@ -70,7 +70,7 @@ func (r *BroadcastRTS) CreateOn(w *Worker, typeName string, nodes []int, args ..
 		}
 		r.placements[id] = append([]int(nil), nodes...)
 	}
-	mgr.syncBuf(w) // creation is ordered after the worker's buffered writes
+	w.SyncShared() // creation is ordered after the worker's buffered writes
 	w.Flush()
 	body := wireCreate{Obj: id, Type: t.Name, Args: args}
 	uid := mgr.g.Broadcast(w.P, "rts-create", body, SizeOfValue(args)+len(typeName)+16)
@@ -138,21 +138,11 @@ func (r *BroadcastRTS) forward(w *Worker, cl *amoeba.Client, id ObjID, holders [
 // there is nothing to keep consistent, and the holder's execution
 // order is the object's total order. Guarded writes wait on the
 // replica's condition like guarded reads do.
-func (mgr *bcastManager) directWrite(w *Worker, inst *bcastInstance, op *OpDef, in Args) Args {
+func (mgr *bcastManager) directWrite(w *Worker, inst *replica, op *OpDef, in Args) Args {
 	r := mgr.rts
-	for {
-		w.Flush()
-		if op.Guard != nil {
-			w.Accrue(r.costs.guardCheck)
-			if !op.Guard(inst.state, in) {
-				r.stats.GuardWaits++
-				inst.cond.Wait(w.P)
-				continue
-			}
-		}
-		w.Accrue(r.costs.writeApply + r.costs.defaultOp)
-		res := op.Apply(inst.state, in)
-		inst.cond.Broadcast()
-		return res
-	}
+	awaitGuard(w, inst, op, in, r.costs.guardCheck, &r.stats.GuardWaits)
+	w.Accrue(r.costs.writeApply + r.costs.defaultOp)
+	res := op.Apply(inst.state, in)
+	inst.cond.Broadcast()
+	return res
 }

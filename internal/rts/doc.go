@@ -29,9 +29,15 @@
 // behind them (sim.Queue.Serve): they serve on the simulator's dispatch
 // lane, in the name of a claimant of their machine, and take every step
 // a server thread would take, in continuation form, in the same virtual
-// instants and event slots. Threads remain where something blocks the
-// way a caller does: an application's workers, each forwarded operation
-// and each secondary an update is fanned out to.
+// instants and event slots; a primary fans a write out to its
+// secondaries as one RPC in continuation form each. Threads remain
+// where something blocks the way a caller does: an application's
+// workers and each forwarded operation.
+//
+// Both domains keep a machine's copy of an object in one record, a
+// replica, and retry the guarded operations parked on it with one
+// routine, a restart scan: the object manager at each frame boundary,
+// a primary's queue after each committed write.
 //
 // Downward: replicas live on amoeba machines; broadcast writes ride
 // package group and primary-copy traffic rides amoeba RPC. Upward:

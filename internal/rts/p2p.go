@@ -156,17 +156,6 @@ type p2pMeta struct {
 // op resolves an operation name through the object's MRU cache.
 func (m *p2pMeta) op(name string) *OpDef { return m.ops.lookup(m.typ, name) }
 
-// p2pInstance is one machine's copy of an object.
-type p2pInstance struct {
-	typ     *ObjectType
-	state   State
-	locked  bool
-	valid   bool
-	primary bool
-	cond    *sim.Cond    // readers wait for unlock / guard / invalidation
-	copyset map[int]bool // primary only
-}
-
 // p2pTask is a unit of work for an object's primary queue. Tasks
 // from remote machines carry the RPC request to reply to; local tasks
 // carry a condition the invoking thread waits on.
@@ -189,10 +178,16 @@ type p2pNode struct {
 	client *amoeba.Client
 	srv    *amoeba.Server
 	svc    *sim.Proc // the claimant route serves as
-	insts  map[ObjID]*p2pInstance
+	insts  map[ObjID]*replica
 	queues map[ObjID]*objQueue
 	access map[ObjID]*accessStats
 	tfree  []*p2pTask // see task
+
+	// The update in service at this secondary (see applyUpdate), and
+	// srv.Done and updated bound once.
+	upd                 *amoeba.Request
+	updInst             *replica
+	servedFn, updatedFn func()
 }
 
 // accessStats tracks one machine's accesses to one object for the
@@ -246,11 +241,12 @@ func NewP2PRTS(reg *Registry, costs Costs, cfg P2PConfig, machines []*amoeba.Mac
 			rts:    r,
 			m:      m,
 			client: amoeba.NewClient(m, rpcPolicy),
-			insts:  make(map[ObjID]*p2pInstance),
+			insts:  make(map[ObjID]*replica),
 			queues: make(map[ObjID]*objQueue),
 			access: make(map[ObjID]*accessStats),
 		}
 		n.srv = amoeba.NewServer(m, p2pRPCPort)
+		n.servedFn, n.updatedFn = n.srv.Done, n.updated
 		m.Bind(p2pCtlPort, n.handleCtl)
 		n.svc = n.srv.Serve(n.route)
 		r.nodes = append(r.nodes, n)
@@ -329,11 +325,8 @@ func (r *P2PRTS) CreateWith(w *Worker, typeName string, protocol P2PProtocol, pl
 	w.Flush()
 	w.M.Compute(w.P, r.costs.create)
 	state := t.New(args)
-	inst := &p2pInstance{
-		typ: t, state: state, valid: true, primary: true,
-		cond:    sim.NewCond(w.M.Env()),
-		copyset: make(map[int]bool),
-	}
+	inst := newReplica(t, state)
+	inst.primary, inst.copyset = true, make(map[int]bool)
 	node.insts[id] = inst
 	r.objs[id] = &p2pMeta{id: id, typ: t, primary: w.Node(), protocol: protocol, placement: placement,
 		ctorArgs: append([]any(nil), args...)}
@@ -387,36 +380,22 @@ func (n *p2pNode) invokeRead(w *Worker, meta *p2pMeta, op *OpDef, in Args) Args 
 		}
 		inst, ok := n.insts[meta.id]
 		if ok && inst.valid {
-			// Local read; suspend while the copy is locked or the
-			// guard is false. Flush before inspecting the replica:
-			// flushing blocks on the CPU and a wakeup firing during
-			// it would otherwise be lost; the check-then-Wait path
-			// itself must never block.
-			w.Flush()
-			if !inst.valid {
-				continue // invalidated while flushing
+			// Local read, once the copy is unlocked and the guard holds.
+			if awaitGuard(w, inst, op, in, r.costs.guardCheck, &r.stats.GuardWaits) {
+				r.stats.LocalReads++
+				w.Accrue(r.costs.readLocal + r.costs.defaultOp)
+				return op.Apply(inst.state, in)
 			}
-			if inst.locked {
+			if inst.valid && inst.locked {
 				if r.nodeDown(meta.primary) {
 					// The primary died between update phases; re-home
 					// the object, which also unlocks this copy.
 					r.rehome(w, meta)
-					continue
-				}
-				inst.cond.Wait(w.P)
-				continue
-			}
-			if op.Guard != nil {
-				w.Accrue(r.costs.guardCheck)
-				if !op.Guard(inst.state, in) {
-					r.stats.GuardWaits++
+				} else {
 					inst.cond.Wait(w.P)
-					continue
 				}
 			}
-			r.stats.LocalReads++
-			w.Accrue(r.costs.readLocal + r.costs.defaultOp)
-			return op.Apply(inst.state, in)
+			continue // invalidated, or unlocked: look again
 		}
 		// No local copy: maybe fetch one first, else read remotely.
 		if n.shouldFetch(meta, st) {
@@ -439,28 +418,39 @@ func (n *p2pNode) invokeRead(w *Worker, meta *p2pMeta, op *OpDef, in Args) Args 
 // semantics (see DESIGN.md), exactly once in the common case where the
 // first attempt never reached the dead primary.
 func (n *p2pNode) invokeWrite(w *Worker, meta *p2pMeta, op *OpDef, in Args) Args {
-	r := n.rts
 	st := n.accessFor(meta.id)
 	st.writes++
-	r.stats.P2PWrites++
+	n.rts.stats.P2PWrites++
 	w.Flush()
+	res := n.atPrimary(w, meta, p2pTask{kind: "write", op: op, args: in}, opPacket(op, in))
+	if !isRetry(res) {
+		n.maybeDiscard(w, meta, st)
+	}
+	return res
+}
+
+// atPrimary runs task t, or has its primary run req, at the object's
+// primary — queued here when this machine is the primary, by RPC
+// otherwise — and returns the result. A primary that crashed or
+// re-homed meanwhile is resolved again and asked again; an object that
+// migrated to the broadcast runtime returns the retry status.
+func (n *p2pNode) atPrimary(w *Worker, meta *p2pMeta, t p2pTask, req amoeba.Packet) Args {
 	for {
 		if meta.moved {
-			return retry // migrated to the broadcast runtime
+			return retry
 		}
 		var res Args
 		if meta.primary == n.m.ID() {
-			res = n.runLocal(w, meta.id, &p2pTask{kind: "write", op: op, args: in})
-		} else if rep, ok := n.callPrimary(w, meta, opPacket(op, in)); ok {
+			t := t
+			res = n.runLocal(w, meta.id, &t)
+		} else if rep, ok := n.callPrimary(w, meta, req); ok {
 			res = rep.Args
 		} else {
 			continue
 		}
-		if isRetry(res) && !meta.moved {
-			continue // primary re-homed mid-op: retry at the new primary
+		if !isRetry(res) || meta.moved {
+			return res
 		}
-		n.maybeDiscard(w, meta, st)
-		return res
 	}
 }
 
@@ -556,10 +546,7 @@ func (n *p2pNode) fetchCopy(w *Worker, meta *p2pMeta) {
 
 // installCopy places a (cloned) state as a valid secondary.
 func (n *p2pNode) installCopy(id ObjID, t *ObjectType, state State) {
-	n.insts[id] = &p2pInstance{
-		typ: t, state: state, valid: true,
-		cond: sim.NewCond(n.m.Env()),
-	}
+	n.insts[id] = newReplica(t, state)
 }
 
 // submitMigrate routes a migration task ("moveout" to the broadcast
@@ -569,19 +556,8 @@ func (n *p2pNode) installCopy(id ObjID, t *ObjectType, state State) {
 // (meta.moved) is left to the broadcast record to finish.
 func (n *p2pNode) submitMigrate(w *Worker, meta *p2pMeta, kind string, target int) {
 	w.Flush()
-	for {
-		if meta.moved {
-			return
-		}
-		if meta.primary == n.m.ID() {
-			n.runLocal(w, meta.id, &p2pTask{kind: kind, to: target})
-			return
-		}
-		rep, ok := n.callPrimary(w, meta, amoeba.Packet{Op: "migrate", Body: p2pMigrateReq{Kind: kind, Target: target}, Size: 24})
-		if ok && !(isRetry(rep.Args) && !meta.moved) { // else the primary crashed or re-homed mid-request: re-submit there
-			return
-		}
-	}
+	n.atPrimary(w, meta, p2pTask{kind: kind, to: target},
+		amoeba.Packet{Op: "migrate", Body: p2pMigrateReq{Kind: kind, Target: target}, Size: 24})
 }
 
 // dropLocal removes the local copy and wakes any blocked readers so

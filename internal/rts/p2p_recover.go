@@ -71,78 +71,72 @@ func (r *P2PRTS) rehome(w *Worker, meta *p2pMeta) {
 	if !r.nodeDown(meta.primary) {
 		return // already re-homed by an earlier detector
 	}
-	// Prefer the lowest-numbered live machine holding a valid copy.
-	target, restart, recovered := -1, false, false
+	// Prefer the lowest-numbered live machine holding a valid copy; if
+	// every copy died, restart on the lowest-numbered live machine.
+	target, restart := -1, true
 	for _, n := range r.nodes {
 		if n.m.Crashed() {
 			continue
 		}
-		if inst, ok := n.insts[meta.id]; ok && inst.valid {
+		if target == -1 {
 			target = n.m.ID()
+		}
+		if inst, ok := n.insts[meta.id]; ok && inst.valid {
+			target, restart = n.m.ID(), false
 			break
 		}
 	}
 	if target == -1 {
-		// Every copy died: restart from the creation arguments on the
-		// lowest-numbered live machine.
-		restart = true
-		for _, n := range r.nodes {
-			if !n.m.Crashed() {
-				target = n.m.ID()
-				break
-			}
-		}
-		if target == -1 {
-			panic(fmt.Sprintf("rts: no live machine to re-home object %d", meta.id))
-		}
+		panic(fmt.Sprintf("rts: no live machine to re-home object %d", meta.id))
 	}
-	nn := r.nodes[target]
-	inst, ok := nn.insts[meta.id]
-	if !ok || !inst.valid {
-		var st State
-		if restart && r.recoverState != nil {
+	var st State // nil: the target's copy is promoted as it stands
+	how := "re-homed"
+	if restart {
+		how = "restarted from its creation arguments"
+		if r.recoverState != nil {
 			// The Router may hold a frozen migration snapshot that
 			// beats restarting from the creation arguments (see the
 			// recoverState field).
 			if st = r.recoverState(meta); st != nil {
-				recovered = true
+				how = "recovered from its migration snapshot"
 			}
 		}
 		if st == nil {
 			st = meta.typ.New(meta.ctorArgs)
 		}
-		nn.installCopy(meta.id, meta.typ, st)
-		inst = nn.insts[meta.id]
 	}
-	inst.primary = true
-	inst.locked = false
+	r.nodes[target].m.Env().Tracef("rts: object %d %s on node %d (primary %d died)", meta.id, how, target, meta.primary)
+	r.promote(meta, target, st)
+	r.stats.Rehomed++
+}
+
+// promote makes target's copy of the object its primary — st, unless
+// nil, installed there as a fresh copy first — adopts every other live
+// valid copy as a secondary, releasing a copy a dead primary left
+// locked between update phases, and gives the object its queue there.
+// Re-homing, primary migration and a migration in from the broadcast
+// runtime all install a primary this way.
+func (r *P2PRTS) promote(meta *p2pMeta, target int, st State) {
+	tn := r.nodes[target]
+	if st != nil {
+		tn.installCopy(meta.id, meta.typ, st)
+	}
+	inst := tn.insts[meta.id]
+	inst.primary, inst.locked = true, false
 	if inst.copyset == nil {
 		inst.copyset = make(map[int]bool)
 	}
-	// Adopt the surviving secondaries and release any copy the dead
-	// primary left locked between update phases.
 	for _, n := range r.nodes {
-		if n.m.Crashed() || n.m.ID() == target {
+		if n.m.Crashed() || n == tn || n.m.ID() == meta.primary {
 			continue
 		}
 		if sec, ok := n.insts[meta.id]; ok && sec.valid {
 			inst.copyset[n.m.ID()] = true
-			sec.primary = false
-			sec.locked = false
+			sec.primary, sec.locked = false, false
 			sec.cond.Broadcast()
 		}
 	}
 	inst.cond.Broadcast()
-	nn.startPrimary(meta.id)
-	old := meta.primary
+	tn.startPrimary(meta.id)
 	meta.primary = target
-	r.stats.Rehomed++
-	switch {
-	case recovered:
-		nn.m.Env().Tracef("rts: object %d recovered on node %d from its migration snapshot (primary %d died)", meta.id, target, old)
-	case restart:
-		nn.m.Env().Tracef("rts: object %d restarted on node %d (primary %d died with the only copy)", meta.id, target, old)
-	default:
-		nn.m.Env().Tracef("rts: object %d re-homed %d -> %d", meta.id, old, target)
-	}
 }

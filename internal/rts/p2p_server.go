@@ -40,7 +40,7 @@ func (n *p2pNode) route(req *amoeba.Request) {
 		// Invalidate the local copy and acknowledge.
 		n.rts.stats.Invalidations++
 		n.dropLocal(id)
-		n.srv.PutResultFn(n.svc, req, Args{}, 4, n.srv.Done)
+		n.srv.PutResultFn(n.svc, req, Args{}, 4, n.servedFn)
 		return
 	default:
 		panic(fmt.Sprintf("rts: unexpected RPC body %T", req.Body))
@@ -54,7 +54,7 @@ func (n *p2pNode) route(req *amoeba.Request) {
 		if _, migrate := req.Body.(p2pMigrateReq); migrate && meta.moved {
 			res, size = Args{}, 4
 		}
-		n.srv.PutResultFn(n.svc, req, res, size, n.srv.Done)
+		n.srv.PutResultFn(n.svc, req, res, size, n.servedFn)
 		return
 	}
 	t := n.task()
@@ -82,22 +82,27 @@ func (n *p2pNode) task() *p2pTask {
 }
 
 // applyUpdate performs phase one of the update protocol at a
-// secondary.
+// secondary. The dispatcher serves one request at a time, so the one in
+// service waits for its charge in n.upd.
 func (n *p2pNode) applyUpdate(req *amoeba.Request) {
-	r := n.rts
 	inst, ok := n.insts[ObjID(req.Obj)]
 	if !ok || !inst.valid {
 		// The copy was discarded while the update was in flight; the
 		// drop notice will reach the primary. Acknowledge vacuously.
-		n.srv.PutResultFn(n.svc, req, Args{}, 4, n.srv.Done)
+		n.srv.PutResultFn(n.svc, req, Args{}, 4, n.servedFn)
 		return
 	}
-	op := inst.typ.Op(req.Op)
 	inst.locked = true
-	n.m.ComputeFn(n.svc, r.costs.writeApply+r.costs.defaultOp, func() {
-		op.Apply(inst.state, req.Args)
-		n.srv.PutResultFn(n.svc, req, Args{}, 4, n.srv.Done)
-	})
+	n.upd, n.updInst = req, inst
+	n.m.ComputeFn(n.svc, n.rts.costs.writeApply+n.rts.costs.defaultOp, n.updatedFn)
+}
+
+// updated applies the charged update and acknowledges it.
+func (n *p2pNode) updated() {
+	req, inst := n.upd, n.updInst
+	n.upd, n.updInst = nil, nil
+	inst.op(req.Op).Apply(inst.state, req.Args)
+	n.srv.PutResultFn(n.svc, req, Args{}, 4, n.servedFn)
 }
 
 // handleCtl services the one-way control port: unlocks (phase two),
@@ -123,23 +128,29 @@ func (n *p2pNode) handleCtl(p *sim.Proc, from int, pkt amoeba.Packet) {
 // objQueue is an object's task queue on a machine that is, or has been,
 // its primary, and the consumer that serves it (see serve).
 type objQueue struct {
-	n       *p2pNode
-	id      ObjID
-	q       *sim.Queue[*p2pTask]
-	c       *sim.Proc  // the claimant the queue is served as
-	pending []*p2pTask // guarded tasks whose guard was false, in arrival order
+	n    *p2pNode
+	id   ObjID
+	q    *sim.Queue[*p2pTask]
+	c    *sim.Proc // the claimant the queue is served as
+	pass *retrier  // guarded tasks park on the primary copy (see guarded)
 
 	// The task in service (t), the primary copy it runs on, the result
 	// and secondaries of a write, what follows a read or a write (then),
-	// and drain's place; the continuations are bound once.
-	t                                  *p2pTask
-	inst                               *p2pInstance
-	res                                Args
-	secs                               []int
-	then                               func()
-	di                                 int
-	doneFn, guardedFn, readFn, writeFn func()
-	committedFn, drainFn, checkedFn    func()
+	// and the fan-out in progress: its request, the secondaries it has
+	// yet to start (from fi) and to hear from, and what follows it. The
+	// continuations and the unlock packet are bound once.
+	t                                   *p2pTask
+	inst                                *replica
+	res                                 Args
+	secs                                []int
+	then, fanned                        func()
+	req, unlockPkt                      amoeba.Packet
+	fi, ui, acks                        int
+	waiting                             bool
+	doneFn, guardedFn, readFn, writeFn  func()
+	committedFn, invalidatedFn, drainFn func()
+	startFn, countedFn, unlockFn        func()
+	ackFn                               func(amoeba.Packet, error)
 }
 
 // startPrimary gives the object its queue on this machine, unless it
@@ -150,9 +161,12 @@ func (n *p2pNode) startPrimary(id ObjID) {
 	}
 	o := &objQueue{n: n, id: id, q: sim.NewQueue[*p2pTask](n.m.Env())}
 	o.doneFn, o.guardedFn, o.readFn, o.writeFn = o.q.Done, o.guarded, o.read, o.write
-	o.committedFn, o.drainFn, o.checkedFn = o.committed, o.drain, o.checked
+	o.committedFn, o.invalidatedFn, o.drainFn = o.committed, o.invalidated, o.drain
+	o.startFn, o.countedFn, o.unlockFn, o.ackFn = o.start, o.counted, o.unlock, o.ack
+	o.unlockPkt = amoeba.Packet{Port: p2pCtlPort, Kind: "rts-unlock", Body: p2pUnlock{Obj: id}, Size: 12}
 	n.queues[id] = o
 	o.c = n.m.Claimant(fmt.Sprintf("obj%d", id))
+	o.pass = newRetrier(n.m, o.c, n.rts.costs.guardCheck, o.fire, o.doneFn)
 	o.q.Serve(o.c, o.serve)
 }
 
@@ -174,22 +188,23 @@ func (o *objQueue) serve(t *p2pTask) {
 		n.m.ComputeFn(o.c, r.costs.guardCheck, o.guardedFn)
 		return
 	}
-	o.run()
+	o.run(o.doneFn, o.drainFn)
 }
 
 // guarded continues serve once the guard check has been charged.
 func (o *objQueue) guarded() {
 	if t := o.t; !t.op.Guard(o.inst.state, t.args) {
 		o.n.rts.stats.GuardWaits++
-		o.pending = append(o.pending, t)
+		o.inst.pending = append(o.inst.pending, pendingOp{op: t.op, args: t.args, task: t})
 		o.q.Done()
 		return
 	}
-	o.run()
+	o.run(o.doneFn, o.drainFn)
 }
 
-// run runs the task in service, whose guard, if any, has held.
-func (o *objQueue) run() {
+// run runs the task in service, whose guard, if any, has held; a read
+// goes on with afterRead, a write with afterWrite.
+func (o *objQueue) run(afterRead, afterWrite func()) {
 	n, t, inst := o.n, o.t, o.inst
 	switch t.kind {
 	case "fetch":
@@ -198,10 +213,10 @@ func (o *objQueue) run() {
 		n.srv.PutReplyFn(o.c, t.req, state, inst.typ.stateSize(state)+16, o.doneFn)
 		n.recycle(t)
 	case "read":
-		o.then = o.doneFn
+		o.then = afterRead
 		n.m.ComputeFn(o.c, n.rts.costs.readLocal+n.rts.costs.defaultOp, o.readFn)
 	case "write":
-		o.commit(o.drainFn)
+		o.commit(afterWrite)
 	case "moveout":
 		o.migrateOut()
 	case "rehome":
@@ -209,6 +224,16 @@ func (o *objQueue) run() {
 	default:
 		panic("rts: unknown task kind " + t.kind)
 	}
+}
+
+// drain retries the parked tasks after a committed write.
+func (o *objQueue) drain() { o.pass.start(o.inst) }
+
+// fire runs a parked task whose guard holds now (see retrier), and the
+// retry pass goes on after it.
+func (o *objQueue) fire(inst *replica, po pendingOp) {
+	o.t, o.inst = po.task, inst
+	o.run(o.pass.nextFn, o.pass.nextFn)
 }
 
 // read continues a read once it has been charged: apply, answer, and go
@@ -224,7 +249,8 @@ func (o *objQueue) read() {
 // sequenced migrate record it emits is the broadcast side. The snapshot
 // is published through moveSnap before the cut, with no blocking point
 // in between, so a machine crash can never strand the object without a
-// recoverable snapshot.
+// recoverable snapshot. From the cut on no copy serves: a reader woken
+// meanwhile looks again, and bounces on meta.moved.
 func (o *objQueue) migrateOut() {
 	n, r, t := o.n, o.n.rts, o.t
 	if r.mover == nil || r.moveSnap == nil {
@@ -234,6 +260,11 @@ func (o *objQueue) migrateOut() {
 	clone := meta.typ.Clone(o.inst.state)
 	r.moveSnap(n.m.ID(), o.id, clone)
 	meta.moved = true
+	for _, node := range r.nodes {
+		if inst, ok := node.insts[o.id]; ok {
+			inst.valid = false
+		}
+	}
 	// Bounce parked guarded tasks; they re-register as broadcast ops.
 	o.bounce(0, func() {
 		// Drop every copy; suspended readers wake and bounce on meta.moved.
@@ -261,26 +292,9 @@ func (o *objQueue) migratePrimary() {
 		n.finishTaskFn(o.c, t, Args{}, o.doneFn) // nothing to move, or the target died
 		return
 	}
-	tn := r.nodes[target]
 	st := meta.typ.Clone(o.inst.state)
 	n.m.ComputeFn(o.c, r.costs.writeApply, func() {
-		tn.installCopy(o.id, meta.typ, st)
-		ti := tn.insts[o.id]
-		ti.primary = true
-		ti.copyset = make(map[int]bool)
-		// Adopt surviving secondaries (none under SingleCopy placement,
-		// but the protocol does not depend on that).
-		for _, on := range r.nodes {
-			if on.m.Crashed() || on.m.ID() == target || on.m.ID() == n.m.ID() {
-				continue
-			}
-			if sec, ok := on.insts[o.id]; ok && sec.valid {
-				ti.copyset[on.m.ID()] = true
-				sec.primary = false
-			}
-		}
-		tn.startPrimary(o.id)
-		meta.primary = target
+		r.promote(meta, target, st)
 		n.dropLocal(o.id)
 		// Bounce parked guarded tasks; they re-issue at the new primary.
 		o.bounce(0, func() {
@@ -293,12 +307,12 @@ func (o *objQueue) migratePrimary() {
 // bounce finishes the parked guarded tasks from the i-th on with the
 // retry status, one after another, and then runs k.
 func (o *objQueue) bounce(i int, k func()) {
-	if i == len(o.pending) {
-		o.pending = o.pending[:0]
+	if i == len(o.inst.pending) {
+		o.inst.pending = o.inst.pending[:0]
 		k()
 		return
 	}
-	o.n.finishTaskFn(o.c, o.pending[i], retry, func() { o.bounce(i+1, k) })
+	o.n.finishTaskFn(o.c, o.inst.pending[i].task, retry, func() { o.bounce(i+1, k) })
 }
 
 // finishTaskFn completes a task toward its (local or remote) invoker and
@@ -347,17 +361,23 @@ func (o *objQueue) commit(k func()) {
 	switch t := o.t; r.meta(o.id).protocol {
 	case Invalidation:
 		// Lock, invalidate every secondary, collect acks.
-		o.fanout("inval", amoeba.Packet{Op: "inval", Obj: int64(o.id), Body: p2pInvalReq{}, Size: 8}, func() {
-			clear(inst.copyset)
-			o.write()
-		})
+		o.req = amoeba.Packet{Op: "inval", Obj: int64(o.id), Body: p2pInvalReq{}, Size: 8}
+		o.fanout(o.invalidatedFn)
 	case Update:
 		// Phase one: ship the operation, collect acks; copies stay
 		// locked.
 		r.stats.Updates += int64(len(o.secs))
-		o.fanout("update", amoeba.Packet{Op: t.op.Name, Obj: int64(o.id), Args: t.args, Body: p2pUpdateReq{},
-			Size: opSize(t.op.Name, &t.args)}, o.writeFn)
+		o.req = amoeba.Packet{Op: t.op.Name, Obj: int64(o.id), Args: t.args, Body: p2pUpdateReq{},
+			Size: opSize(t.op.Name, &t.args)}
+		o.fanout(o.writeFn)
 	}
+}
+
+// invalidated continues an invalidation once every secondary has
+// acknowledged.
+func (o *objQueue) invalidated() {
+	clear(o.inst.copyset)
+	o.write()
 }
 
 // write applies the write at the primary once its secondaries have
@@ -371,22 +391,22 @@ func (o *objQueue) write() {
 func (o *objQueue) committed() {
 	t := o.t
 	o.res = t.op.Apply(o.inst.state, t.args)
+	o.ui = 0
 	if o.n.rts.meta(o.id).protocol == Update {
-		o.unlock(0)
+		o.unlock()
 		return
 	}
 	o.unlocked()
 }
 
-// unlock sends phase two to the secondaries from the i-th on, one after
-// another.
-func (o *objQueue) unlock(i int) {
-	if i == len(o.secs) {
+// unlock sends phase two to the next secondary, one after another.
+func (o *objQueue) unlock() {
+	if o.ui == len(o.secs) {
 		o.unlocked()
 		return
 	}
-	o.n.m.SendFn(o.c, o.secs[i], amoeba.Packet{Port: p2pCtlPort, Kind: "rts-unlock", Body: p2pUnlock{Obj: o.id}, Size: 12},
-		func() { o.unlock(i + 1) })
+	o.ui++
+	o.n.m.SendFn(o.c, o.secs[o.ui-1], o.unlockPkt, o.unlockFn)
 }
 
 func (o *objQueue) unlocked() {
@@ -395,65 +415,53 @@ func (o *objQueue) unlocked() {
 	o.n.finishTaskFn(o.c, o.t, o.res, o.then)
 }
 
-// drain retries guarded tasks after a committed write, from the first
-// on, each guard check charged, until a pass finds none that can run;
-// then the task in service is done.
-func (o *objQueue) drain() {
-	o.di = 0
-	o.check()
+// fanout issues o.req to the secondaries in parallel, a transaction
+// each in the queue's name, and runs k once all have acknowledged. Each
+// transaction starts from an event of its own, scheduled now, in the
+// slot the thread that made it once started in; and each
+// acknowledgement wakes the queue from an event of its own, if it is
+// waiting, where that thread's wake-up of it ran. A target that crashes
+// mid-protocol acknowledges vacuously — its copy died with it, so there
+// is nothing left to keep consistent — and the next commit prunes it
+// from the copyset.
+func (o *objQueue) fanout(k func()) {
+	env := o.n.m.Env()
+	o.req.Port, o.fanned = p2pRPCPort, k
+	o.fi, o.acks, o.waiting = 0, len(o.secs), true
+	for range o.secs {
+		env.Schedule(env.Now(), o.startFn)
+	}
 }
 
-// check charges the guard check of the di-th guarded task, or ends the
-// task in service when none is left.
-func (o *objQueue) check() {
-	if o.di == len(o.pending) {
-		o.q.Done()
-		return
+// start begins the transaction to the next secondary.
+func (o *objQueue) start() {
+	if !o.c.Killed() {
+		o.fi++
+		o.n.client.CallFn(o.c, o.secs[o.fi-1], o.req, o.ackFn)
 	}
-	o.n.m.ComputeFn(o.c, o.n.rts.costs.guardCheck, o.checkedFn)
 }
 
-// checked runs a guarded task whose guard holds now, and then drains
-// again from the first; or goes on with the next.
-func (o *objQueue) checked() {
-	t := o.pending[o.di]
-	inst := o.n.insts[o.id]
-	if !t.op.Guard(inst.state, t.args) {
-		o.di++
-		o.check()
-		return
+// ack counts one secondary's acknowledgement.
+func (o *objQueue) ack(_ amoeba.Packet, err error) {
+	if err != nil && !errors.Is(err, amoeba.ErrCrashed) {
+		panic(fmt.Sprintf("rts: %s failed: %v", o.req.Op, err))
 	}
-	o.pending = append(o.pending[:o.di], o.pending[o.di+1:]...)
-	o.t, o.inst = t, inst
-	if t.kind == "write" {
-		o.commit(o.drainFn)
-		return
+	o.acks--
+	if o.waiting {
+		o.waiting = false
+		env := o.n.m.Env()
+		env.Schedule(env.Now(), o.countedFn)
 	}
-	o.then = o.drainFn
-	o.n.m.ComputeFn(o.c, o.n.rts.costs.readLocal+o.n.rts.costs.defaultOp, o.readFn)
 }
 
-// fanout issues the same request to the secondaries in parallel, each
-// from a thread of its own, since an RPC blocks its caller, and runs k
-// once all have acknowledged. A target that crashes mid-protocol
-// acknowledges vacuously — its copy died with it, so there is nothing
-// left to keep consistent — and the next commit prunes it from the
-// copyset.
-func (o *objQueue) fanout(step string, req amoeba.Packet, k func()) {
-	n := o.n
-	req.Port = p2pRPCPort
-	remaining := len(o.secs)
-	cond := sim.NewCond(n.m.Env())
-	for _, dst := range o.secs {
-		n.m.SpawnThread("fan-"+step, func(pp *sim.Proc) {
-			if _, err := n.client.Call(pp, dst, req); err != nil {
-				if !errors.Is(err, amoeba.ErrCrashed) {
-					panic(fmt.Sprintf("rts: %s to node %d failed: %v", step, dst, err))
-				}
-			}
-			remaining--
-			cond.Broadcast()
-		})
+// counted goes on with the fan-out's continuation once every
+// secondary has acknowledged, or waits for the rest.
+func (o *objQueue) counted() {
+	switch {
+	case o.c.Killed():
+	case o.acks > 0:
+		o.waiting = true
+	default:
+		o.fanned()
 	}
-	until(cond, o.c, func() bool { return remaining == 0 }, k)
 }

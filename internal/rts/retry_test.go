@@ -1,6 +1,7 @@
 package rts
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/sim"
@@ -90,4 +91,55 @@ func TestRetryKeepsReplicaTouchedMidPass(t *testing.T) {
 	if r.PendingWrites(0, a) != 1 {
 		t.Errorf("%d writes parked on A at node 0, want 1", r.PendingWrites(0, a))
 	}
+}
+
+// Both domains retry parked guarded writes in one order: the restart
+// scan, which goes back to the front after every write it fires. Three
+// writes park on one object, A (v >= 2), B (v >= 1, sets v = 2) and C
+// (v >= 1), and then v = 1 is written: B fires, which enables A, parked
+// before it, and the scan goes back for A before it reaches C. Every
+// guard evaluation is charged: one per arrival and four in the retry
+// pass (A, B, A, C).
+func TestGuardRetryOrder(t *testing.T) {
+	const want = "fired [2 1 3], 7 guard checks"
+	park := func(b *tb, sys System, id ObjID, node int) {
+		for label, step := range [][2]int{{2, 0}, {1, 2}, {1, 0}} { // A, B, C
+			b.spawn(node, "parked", func(w *Worker) { sys.Call(w, id, "step", ArgsOf(step[0], step[1], label+1)) })
+			b.env.RunUntil(b.env.Now() + 20*sim.Millisecond)
+		}
+	}
+	log := func(s State) string {
+		st := s.(*gcellState)
+		return fmt.Sprintf("fired %v, %d guard checks", st.fired, st.checks)
+	}
+	t.Run("sequenced", func(t *testing.T) {
+		b, r := newBcastTB(t, 1, 2, nil)
+		defer b.done()
+		r.reg.Register(gcellType())
+		var id ObjID
+		b.spawn(0, "main", func(w *Worker) { id = r.Create(w, "gcell") })
+		b.env.RunUntil(20 * sim.Millisecond)
+		park(b, r, id, 1)
+		b.spawn(0, "set", func(w *Worker) { r.Call(w, id, "set", ArgsOf(1)) })
+		b.env.RunUntil(b.env.Now() + sim.Second)
+		for node := range 2 {
+			if st, _ := r.PeekState(node, id); log(st) != want {
+				t.Errorf("node %d: %s, want %s", node, log(st), want)
+			}
+		}
+	})
+	t.Run("primary copy", func(t *testing.T) {
+		b, r := newP2PTB(t, 1, 2, P2PConfig{Protocol: Update, Placement: SingleCopy})
+		defer b.done()
+		r.reg.Register(gcellType())
+		var id ObjID
+		b.spawn(0, "main", func(w *Worker) { id = r.Create(w, "gcell") })
+		b.env.RunUntil(20 * sim.Millisecond)
+		park(b, r, id, 1)
+		b.spawn(1, "set", func(w *Worker) { r.Call(w, id, "set", ArgsOf(1)) })
+		b.env.RunUntil(b.env.Now() + sim.Second)
+		if st, _ := r.PeekState(0, id); log(st) != want {
+			t.Errorf("primary: %s, want %s", log(st), want)
+		}
+	})
 }
