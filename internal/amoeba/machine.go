@@ -299,7 +299,7 @@ func (m *Machine) SpawnThread(name string, fn func(p *sim.Proc)) *sim.Proc {
 	}
 	if len(m.threads) >= m.threadHi {
 		// Compact away terminated threads so short-lived per-operation
-		// threads (RPC fanouts, forwarded ops) do not accumulate for
+		// threads (forwarded ops, above all) do not accumulate for
 		// the machine's lifetime. Amortized O(1) per spawn.
 		live := m.threads[:0]
 		for _, t := range m.threads {

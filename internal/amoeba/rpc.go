@@ -116,7 +116,8 @@ func (s *Server) handle(p *sim.Proc, from int, pkt Packet) {
 	s.inwrk[pkt.TxID] = true
 	var r *Request
 	if n := len(s.free); n > 0 {
-		r, s.free = s.free[n-1], s.free[:n-1]
+		r = s.free[n-1]
+		s.free = s.free[:n-1]
 		r.released = false
 	} else {
 		r = &Request{srv: s}
@@ -359,22 +360,21 @@ func (c *Client) CallFn(p *sim.Proc, dst int, req Packet, k func(Packet, error))
 // timeout has come after: it waits, the transaction ends, or the
 // request goes out again.
 func (w *rpcWait) woke() {
-	c := w.c
-	switch {
+	switch m := w.c.m; {
 	case w.p.Killed():
 	case !w.replied && !w.timedOut:
 		w.waiting = true
 	case w.replied:
 		w.timer.Cancel()
 		w.finish(nil)
-	case c.m.net.Down(w.dst):
+	case m.net.Down(w.dst):
 		// The server died while the transaction was in flight: fail
 		// now instead of burning the whole retry budget.
 		w.finish(ErrCrashed)
-	case w.attempt < c.policy.Retries:
+	case w.attempt < w.c.policy.Retries:
 		w.attempt++
-		c.m.Env().Tracef("node%d: rpc retry %s/%s to %d", c.m.id, w.req.Port, w.req.Op, w.dst)
-		c.m.SendFn(w.p, w.dst, w.req, w.sentFn)
+		m.Env().Tracef("node%d: rpc retry %s/%s to %d", m.id, w.req.Port, w.req.Op, w.dst)
+		m.SendFn(w.p, w.dst, w.req, w.sentFn)
 	default:
 		w.finish(ErrRPCTimeout)
 	}

@@ -222,7 +222,7 @@ func newBroadcastRTSAt(reg *Registry, costs Costs, machines []*amoeba.Machine, m
 		mgr.boundaryFn, mgr.createdFn, mgr.guardedFn = mgr.boundary, mgr.created, mgr.guarded
 		mgr.writtenFn, mgr.wakeFn, mgr.settledFn = mgr.written, mgr.wake, mgr.nextTouched
 		mgr.c = m.Claimant("objmgr")
-		mgr.pass = newRetrier(m, mgr.c, costs.guardCheck, mgr.fire, mgr.nextTouched)
+		mgr.pass = newRetrier(m, mgr.c, costs.guardCheck, false, mgr.fire, mgr.nextTouched)
 		mgr.g.Deliveries().Serve(mgr.c, mgr.serve)
 	}
 	r.startForwarders(machines)

@@ -36,8 +36,9 @@
 //
 // Both domains keep a machine's copy of an object in one record, a
 // replica, and retry the guarded operations parked on it with one
-// routine, a restart scan: the object manager at each frame boundary,
-// a primary's queue after each committed write.
+// routine: the object manager at each frame boundary, sweeping in
+// rounds, and a primary's queue after each committed write, scanning
+// again from the front after every fire.
 //
 // Downward: replicas live on amoeba machines; broadcast writes ride
 // package group and primary-copy traffic rides amoeba RPC. Upward:

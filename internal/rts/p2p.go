@@ -157,18 +157,16 @@ type p2pMeta struct {
 func (m *p2pMeta) op(name string) *OpDef { return m.ops.lookup(m.typ, name) }
 
 // p2pTask is a unit of work for an object's primary queue. Tasks
-// from remote machines carry the RPC request to reply to; local tasks
-// carry a condition the invoking thread waits on.
+// from remote machines carry the RPC request to reply to; a local task's
+// invoking thread waits on its opWaiter, as a sequenced write's does.
 type p2pTask struct {
 	kind string // "write", "read", "fetch", "moveout", "rehome"
 	op   *OpDef
 	args Args
 	from int
 	to   int // rehome target
-	done bool
-	res  Args
-	cond sim.Cond
 	req  *amoeba.Request
+	opWaiter
 }
 
 // p2pNode is the per-machine runtime state.

@@ -166,7 +166,7 @@ func (n *p2pNode) startPrimary(id ObjID) {
 	o.unlockPkt = amoeba.Packet{Port: p2pCtlPort, Kind: "rts-unlock", Body: p2pUnlock{Obj: id}, Size: 12}
 	n.queues[id] = o
 	o.c = n.m.Claimant(fmt.Sprintf("obj%d", id))
-	o.pass = newRetrier(n.m, o.c, n.rts.costs.guardCheck, o.fire, o.doneFn)
+	o.pass = newRetrier(n.m, o.c, n.rts.costs.guardCheck, true, o.fire, o.doneFn)
 	o.q.Serve(o.c, o.serve)
 }
 

@@ -50,46 +50,64 @@ type pendingOp struct {
 
 // retrier is the one guard-retry routine, and where it stands: a pass
 // over a replica's parked operations, in arrival order, that charges
-// each guard check in its consumer's name and fires the first operation
-// whose guard holds. fire runs that operation in continuation form and
-// then calls next, and the scan restarts from the front, since the
-// operation may have enabled one parked before it; the pass ends, and
-// runs done, once a scan finds none that can run. A group's object
-// manager runs one pass per touched replica at a frame boundary, and a
-// primary's queue one after each committed write (DESIGN.md, "One
-// replica record, one guard-retry routine").
+// each guard check in its consumer's name and fires an operation whose
+// guard holds; fire runs it in continuation form and then calls next.
+// Fired operations may enable ones parked before them, and the caller
+// picks, in code, when those are checked again. A primary's queue
+// restarts the scan from the front after every fire (restart), and the
+// pass ends once a scan finds none that can run. A group's object
+// manager sweeps in rounds instead: a round goes on past a fire to the
+// end of the list, and the next round re-checks only the operations
+// kept before the round's last fire, since those after it have already
+// been checked against the state it left; the pass ends after a round
+// that fires nothing behind a kept one. The manager runs one pass per
+// touched replica at a frame boundary, the queue one after each
+// committed write (DESIGN.md, "One replica record, one guard-retry
+// routine").
 type retrier struct {
 	m                 *amoeba.Machine
 	c                 *sim.Proc
 	check             sim.Time
+	restart           bool
 	inst              *replica // nil between passes
-	i                 int
+	i                 int      // the scan's place in inst.pending
+	stale, nextStale  int      // a round checks the first stale operations; the next round, nextStale
+	fired             bool     // in this round
 	fire              func(*replica, pendingOp)
 	done              func()
 	nextFn, checkedFn func()
 }
 
-func newRetrier(m *amoeba.Machine, c *sim.Proc, check sim.Time, fire func(*replica, pendingOp), done func()) *retrier {
-	p := &retrier{m: m, c: c, check: check, fire: fire, done: done}
+func newRetrier(m *amoeba.Machine, c *sim.Proc, check sim.Time, restart bool, fire func(*replica, pendingOp), done func()) *retrier {
+	p := &retrier{m: m, c: c, check: check, restart: restart, fire: fire, done: done}
 	p.nextFn, p.checkedFn = p.next, p.checked
 	return p
 }
 
-// start begins a pass over inst's parked operations.
+// start begins a pass over inst's parked operations, all of them
+// unchecked against its state.
 func (p *retrier) start(inst *replica) {
-	p.inst, p.i = inst, 0
+	p.inst, p.i, p.stale, p.nextStale, p.fired = inst, 0, len(inst.pending), 0, false
 	p.next()
 }
 
-// next charges the guard check of the operation the scan has reached,
-// or ends the pass.
+// next charges the guard check of the next operation the scan must
+// evaluate, or ends the round, and with it, unless another round is
+// due, the pass.
 func (p *retrier) next() {
-	if p.i == len(p.inst.pending) {
+	for p.i < len(p.inst.pending) && p.i >= p.stale && !p.fired {
+		p.i++ // checked against the state as it is, with no fire since
+	}
+	switch {
+	case p.i < len(p.inst.pending):
+		p.m.ComputeFn(p.c, p.check, p.checkedFn)
+	case p.nextStale > 0:
+		p.i, p.stale, p.nextStale, p.fired = 0, p.nextStale, 0, false
+		p.next()
+	default:
 		p.inst = nil
 		p.done()
-		return
 	}
-	p.m.ComputeFn(p.c, p.check, p.checkedFn)
 }
 
 // checked evaluates the guard whose check has been charged: the
@@ -103,7 +121,11 @@ func (p *retrier) checked() {
 		return
 	}
 	inst.pending = slices.Delete(inst.pending, p.i, p.i+1)
-	p.i = 0
+	if p.restart {
+		p.i = 0
+	} else {
+		p.fired, p.nextStale = true, p.i
+	}
 	p.fire(inst, po)
 }
 
