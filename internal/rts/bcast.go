@@ -142,7 +142,7 @@ type bcastManager struct {
 	// serve), which is what batching amortizes: ti is the next to go.
 	touched []*replica
 	ti      int
-	pass    *retrier
+	pass    retrier
 
 	// inFrame and pendCharge amortize the apply-cost accounting over
 	// a packed frame: mid-frame ops accrue their CPU cost and the
@@ -220,9 +220,9 @@ func newBroadcastRTSAt(reg *Registry, costs Costs, machines []*amoeba.Machine, m
 		}
 		r.mgrs = append(r.mgrs, mgr)
 		mgr.boundaryFn, mgr.createdFn, mgr.guardedFn = mgr.boundary, mgr.created, mgr.guarded
-		mgr.writtenFn, mgr.wakeFn, mgr.settledFn = mgr.written, mgr.wake, mgr.nextTouched
+		mgr.writtenFn, mgr.wakeFn, mgr.settledFn = mgr.written, mgr.wake, mgr.retried
 		mgr.c = m.Claimant("objmgr")
-		mgr.pass = newRetrier(m, mgr.c, costs.guardCheck, false, mgr.fire, mgr.nextTouched)
+		mgr.pass.init(m, mgr.c, costs.guardCheck, mgr)
 		mgr.g.Deliveries().Serve(mgr.c, mgr.serve)
 	}
 	r.startForwarders(machines)
@@ -677,7 +677,8 @@ func (mgr *bcastManager) guarded() {
 	mgr.charge(mgr.rts.costs.writeApply+mgr.rts.costs.defaultOp, mgr.writtenFn)
 }
 
-// fire applies a parked write whose guard holds now (see retrier).
+// fire applies a parked write whose guard holds now (see retrier); the
+// round goes on after it (see wake).
 func (mgr *bcastManager) fire(inst *replica, po pendingOp) {
 	mgr.curInst, mgr.cur = inst, po
 	mgr.charge(mgr.rts.costs.writeApply+mgr.rts.costs.defaultOp, mgr.writtenFn)
@@ -721,12 +722,12 @@ func (mgr *bcastManager) touch(inst *replica) {
 	}
 }
 
-// nextTouched runs the frame boundary's guard-retry pass over the next
+// retried runs the frame boundary's guard-retry pass over the next
 // touched replica, or ends the delivery once none is left. A replica
 // touched while a pass is in progress — a fence that another group's
 // manager executes on this machine touches this one's replicas (see
 // execFence) — is appended, and its pass runs in turn.
-func (mgr *bcastManager) nextTouched() {
+func (mgr *bcastManager) retried() {
 	if mgr.ti == len(mgr.touched) {
 		clear(mgr.touched)
 		mgr.touched, mgr.ti = mgr.touched[:0], 0

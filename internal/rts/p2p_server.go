@@ -132,25 +132,25 @@ type objQueue struct {
 	id   ObjID
 	q    *sim.Queue[*p2pTask]
 	c    *sim.Proc // the claimant the queue is served as
-	pass *retrier  // guarded tasks park on the primary copy (see guarded)
+	pass retrier   // guarded tasks park on the primary copy (see guarded)
 
 	// The task in service (t), the primary copy it runs on, the result
 	// and secondaries of a write, what follows a read or a write (then),
 	// and the fan-out in progress: its request, the secondaries it has
 	// yet to start (from fi) and to hear from, and what follows it. The
 	// continuations and the unlock packet are bound once.
-	t                                   *p2pTask
-	inst                                *replica
-	res                                 Args
-	secs                                []int
-	then, fanned                        func()
-	req, unlockPkt                      amoeba.Packet
-	fi, ui, acks                        int
-	waiting                             bool
-	doneFn, guardedFn, readFn, writeFn  func()
-	committedFn, invalidatedFn, drainFn func()
-	startFn, countedFn, unlockFn        func()
-	ackFn                               func(amoeba.Packet, error)
+	t                                  *p2pTask
+	inst                               *replica
+	res                                Args
+	secs                               []int
+	then, fanned                       func()
+	req, unlockPkt                     amoeba.Packet
+	fi, ui, acks                       int
+	waiting                            bool
+	doneFn, guardedFn, readFn, writeFn func()
+	committedFn, drainFn               func()
+	startFn, countedFn, unlockFn       func()
+	ackFn                              func(amoeba.Packet, error)
 }
 
 // startPrimary gives the object its queue on this machine, unless it
@@ -161,12 +161,12 @@ func (n *p2pNode) startPrimary(id ObjID) {
 	}
 	o := &objQueue{n: n, id: id, q: sim.NewQueue[*p2pTask](n.m.Env())}
 	o.doneFn, o.guardedFn, o.readFn, o.writeFn = o.q.Done, o.guarded, o.read, o.write
-	o.committedFn, o.invalidatedFn, o.drainFn = o.committed, o.invalidated, o.drain
+	o.committedFn, o.drainFn = o.committed, o.drain
 	o.startFn, o.countedFn, o.unlockFn, o.ackFn = o.start, o.counted, o.unlock, o.ack
 	o.unlockPkt = amoeba.Packet{Port: p2pCtlPort, Kind: "rts-unlock", Body: p2pUnlock{Obj: id}, Size: 12}
 	n.queues[id] = o
 	o.c = n.m.Claimant(fmt.Sprintf("obj%d", id))
-	o.pass = newRetrier(n.m, o.c, n.rts.costs.guardCheck, true, o.fire, o.doneFn)
+	o.pass.init(n.m, o.c, n.rts.costs.guardCheck, o)
 	o.q.Serve(o.c, o.serve)
 }
 
@@ -226,15 +226,19 @@ func (o *objQueue) run(afterRead, afterWrite func()) {
 	}
 }
 
-// drain retries the parked tasks after a committed write.
+// drain retries the parked tasks after a committed write, and again
+// from the front after every task a retry fires.
 func (o *objQueue) drain() { o.pass.start(o.inst) }
 
-// fire runs a parked task whose guard holds now (see retrier), and the
-// retry pass goes on after it.
+// fire runs a parked task whose guard holds now (see retrier), and then
+// scans again from the front.
 func (o *objQueue) fire(inst *replica, po pendingOp) {
 	o.t, o.inst = po.task, inst
-	o.run(o.pass.nextFn, o.pass.nextFn)
+	o.run(o.drainFn, o.drainFn)
 }
+
+// retried ends the task in service once the retries it enabled are done.
+func (o *objQueue) retried() { o.q.Done() }
 
 // read continues a read once it has been charged: apply, answer, and go
 // on with o.then.
@@ -360,9 +364,12 @@ func (o *objQueue) commit(k func()) {
 	}
 	switch t := o.t; r.meta(o.id).protocol {
 	case Invalidation:
-		// Lock, invalidate every secondary, collect acks.
+		// Lock, invalidate every secondary (the copyset empties now: the
+		// queue serves nothing that reads it before the acks are in),
+		// collect acks.
+		clear(inst.copyset)
 		o.req = amoeba.Packet{Op: "inval", Obj: int64(o.id), Body: p2pInvalReq{}, Size: 8}
-		o.fanout(o.invalidatedFn)
+		o.fanout(o.writeFn)
 	case Update:
 		// Phase one: ship the operation, collect acks; copies stay
 		// locked.
@@ -371,13 +378,6 @@ func (o *objQueue) commit(k func()) {
 			Size: opSize(t.op.Name, &t.args)}
 		o.fanout(o.writeFn)
 	}
-}
-
-// invalidated continues an invalidation once every secondary has
-// acknowledged.
-func (o *objQueue) invalidated() {
-	clear(o.inst.copyset)
-	o.write()
 }
 
 // write applies the write at the primary once its secondaries have

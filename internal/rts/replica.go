@@ -51,37 +51,44 @@ type pendingOp struct {
 // retrier is the one guard-retry routine, and where it stands: a pass
 // over a replica's parked operations, in arrival order, that charges
 // each guard check in its consumer's name and fires an operation whose
-// guard holds; fire runs it in continuation form and then calls next.
-// Fired operations may enable ones parked before them, and the caller
-// picks, in code, when those are checked again. A primary's queue
-// restarts the scan from the front after every fire (restart), and the
-// pass ends once a scan finds none that can run. A group's object
-// manager sweeps in rounds instead: a round goes on past a fire to the
-// end of the list, and the next round re-checks only the operations
-// kept before the round's last fire, since those after it have already
-// been checked against the state it left; the pass ends after a round
-// that fires nothing behind a kept one. The manager runs one pass per
-// touched replica at a frame boundary, the queue one after each
-// committed write (DESIGN.md, "One replica record, one guard-retry
-// routine").
+// guard holds. Its host's fire runs that operation in continuation form
+// and then picks, in code, when the operations parked before it, which
+// it may have enabled, are checked again. A group's object manager goes
+// on with next, which sweeps in rounds: a round goes on past a fire to
+// the end of the list, and the next round re-checks only the operations
+// kept before the round's last fire, since those after it have been
+// checked against the state it left. A primary's queue goes on with
+// start, which scans again from the front. The pass ends, and the host
+// is told, once a round or a scan fires nothing that needs another. The
+// manager runs one pass per touched replica at a frame boundary, the
+// queue one after each committed write (DESIGN.md, "One replica
+// record, one guard-retry routine").
 type retrier struct {
-	m                 *amoeba.Machine
-	c                 *sim.Proc
-	check             sim.Time
-	restart           bool
-	inst              *replica // nil between passes
-	i                 int      // the scan's place in inst.pending
-	stale, nextStale  int      // a round checks the first stale operations; the next round, nextStale
-	fired             bool     // in this round
-	fire              func(*replica, pendingOp)
-	done              func()
-	nextFn, checkedFn func()
+	m                *amoeba.Machine
+	c                *sim.Proc
+	check            sim.Time
+	host             retryHost
+	inst             *replica // nil between passes
+	i                int      // the scan's place in inst.pending
+	stale, nextStale int      // a round checks the first stale operations; the next round, nextStale
+	fired            bool     // in this round
+	checkedFn        func()
 }
 
-func newRetrier(m *amoeba.Machine, c *sim.Proc, check sim.Time, restart bool, fire func(*replica, pendingOp), done func()) *retrier {
-	p := &retrier{m: m, c: c, check: check, restart: restart, fire: fire, done: done}
-	p.nextFn, p.checkedFn = p.next, p.checked
-	return p
+// retryHost is the consumer a retrier runs in: fire runs a parked
+// operation whose guard holds, in continuation form, and then goes on
+// with the retrier's next or start; retried goes on once a pass has
+// ended.
+type retryHost interface {
+	fire(inst *replica, po pendingOp)
+	retried()
+}
+
+// init binds the retrier to its consumer, which charges guard checks on
+// m in c's name.
+func (p *retrier) init(m *amoeba.Machine, c *sim.Proc, check sim.Time, host retryHost) {
+	*p = retrier{m: m, c: c, check: check, host: host}
+	p.checkedFn = p.checked
 }
 
 // start begins a pass over inst's parked operations, all of them
@@ -106,7 +113,7 @@ func (p *retrier) next() {
 		p.next()
 	default:
 		p.inst = nil
-		p.done()
+		p.host.retried()
 	}
 }
 
@@ -121,12 +128,8 @@ func (p *retrier) checked() {
 		return
 	}
 	inst.pending = slices.Delete(inst.pending, p.i, p.i+1)
-	if p.restart {
-		p.i = 0
-	} else {
-		p.fired, p.nextStale = true, p.i
-	}
-	p.fire(inst, po)
+	p.fired, p.nextStale = true, p.i
+	p.host.fire(inst, po)
 }
 
 // awaitGuard blocks w until op's guard holds on inst, each evaluation
