@@ -140,6 +140,8 @@ func (r *BroadcastRTS) forward(w *Worker, cl *amoeba.Client, id ObjID, holders [
 // replica's condition like guarded reads do.
 func (mgr *bcastManager) directWrite(w *Worker, inst *replica, op *OpDef, in Args) Args {
 	r := mgr.rts
+	// Nothing moves, locks or invalidates a single-copy object's
+	// replica, so the wait ends only with the guard holding.
 	awaitGuard(w, inst, op, in, r.costs.guardCheck, &r.stats.GuardWaits)
 	w.Accrue(r.costs.writeApply + r.costs.defaultOp)
 	res := op.Apply(inst.state, in)
