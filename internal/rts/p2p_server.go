@@ -253,8 +253,7 @@ func (o *objQueue) read() {
 // sequenced migrate record it emits is the broadcast side. The snapshot
 // is published through moveSnap before the cut, with no blocking point
 // in between, so a machine crash can never strand the object without a
-// recoverable snapshot. From the cut on no copy serves: a reader woken
-// meanwhile looks again, and bounces on meta.moved.
+// recoverable snapshot.
 func (o *objQueue) migrateOut() {
 	n, r, t := o.n, o.n.rts, o.t
 	if r.mover == nil || r.moveSnap == nil {
@@ -264,11 +263,6 @@ func (o *objQueue) migrateOut() {
 	clone := meta.typ.Clone(o.inst.state)
 	r.moveSnap(n.m.ID(), o.id, clone)
 	meta.moved = true
-	for _, node := range r.nodes {
-		if inst, ok := node.insts[o.id]; ok {
-			inst.valid = false
-		}
-	}
 	// Bounce parked guarded tasks; they re-register as broadcast ops.
 	o.bounce(0, func() {
 		// Drop every copy; suspended readers wake and bounce on meta.moved.

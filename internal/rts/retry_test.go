@@ -147,3 +147,36 @@ func TestGuardRetryOrder(t *testing.T) {
 		}
 	})
 }
+
+// A reader blocked on a guard over its local secondary copy, whose copy
+// an invalidating write then drops, looks the object up again before it
+// charges anything more: read-heavy as it is, it fetches a fresh copy
+// and reads the guard true from that. The figures are pinned from the
+// runtime whose point-to-point local read had a wait loop of its own.
+func TestGuardedReaderRefetchesDroppedCopy(t *testing.T) {
+	b, r := newP2PTB(t, 3, 2, dynCfg(Invalidation))
+	defer b.done()
+	fig := "reader never finished"
+	b.spawn(0, "main", func(w *Worker) {
+		id := r.Create(w, "flag")
+		b.spawn(1, "reader", func(w *Worker) {
+			for i := 0; i < 15; i++ { // fetch a copy at the 8th read, then build the ratio up again
+				r.Call(w, id, "get", Args{})
+			}
+			if !r.HasCopy(1, id) {
+				t.Error("the reader holds no copy before it blocks")
+			}
+			res := r.Call(w, id, "await", Args{})
+			fig = fmt.Sprintf("%v at %v", Get[bool](&res, 0), w.P.Now())
+		})
+		w.P.Sleep(500 * sim.Millisecond)
+		r.Call(w, id, "set", ArgsOf(true))
+	})
+	b.env.RunUntil(5 * sim.Second)
+	st := r.Counters()
+	fig += fmt.Sprintf("; %d events, fetches %d, invalidations %d, guard waits %d, busy %d/%d",
+		b.env.Events(), st.Fetches, st.Invalidations, st.GuardWaits, b.ms[0].CPU().BusyTime(), b.ms[1].CPU().BusyTime())
+	if want := "true at 501.895ms; 152 events, fetches 2, invalidations 1, guard waits 1, busy 4570000/4043000"; fig != want {
+		t.Errorf("%s, want %s", fig, want)
+	}
+}
