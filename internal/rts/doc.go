@@ -36,9 +36,8 @@
 //
 // Both domains keep a machine's copy of an object in one record, a
 // replica, and retry the guarded operations parked on it with one
-// routine: the object manager at each frame boundary, sweeping in
-// rounds, and a primary's queue after each committed write, scanning
-// again from the front after every fire.
+// routine, a sweep in rounds: the object manager at each frame
+// boundary, a primary's queue after each committed write.
 //
 // Downward: replicas live on amoeba machines; broadcast writes ride
 // package group and primary-copy traffic rides amoeba RPC. Upward:

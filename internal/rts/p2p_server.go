@@ -148,7 +148,7 @@ type objQueue struct {
 	fi, ui, acks                       int
 	waiting                            bool
 	doneFn, guardedFn, readFn, writeFn func()
-	committedFn, drainFn               func()
+	committedFn, drainFn, nextFn       func()
 	startFn, countedFn, unlockFn       func()
 	ackFn                              func(amoeba.Packet, error)
 }
@@ -167,6 +167,7 @@ func (n *p2pNode) startPrimary(id ObjID) {
 	n.queues[id] = o
 	o.c = n.m.Claimant(fmt.Sprintf("obj%d", id))
 	o.pass.init(n.m, o.c, n.rts.costs.guardCheck, o)
+	o.nextFn = o.pass.next
 	o.q.Serve(o.c, o.serve)
 }
 
@@ -226,15 +227,14 @@ func (o *objQueue) run(afterRead, afterWrite func()) {
 	}
 }
 
-// drain retries the parked tasks after a committed write, and again
-// from the front after every task a retry fires.
+// drain retries the parked tasks after a committed write.
 func (o *objQueue) drain() { o.pass.start(o.inst) }
 
-// fire runs a parked task whose guard holds now (see retrier), and then
-// scans again from the front.
+// fire runs a parked task whose guard holds now (see retrier), and the
+// round goes on after it.
 func (o *objQueue) fire(inst *replica, po pendingOp) {
 	o.t, o.inst = po.task, inst
-	o.run(o.drainFn, o.drainFn)
+	o.run(o.nextFn, o.nextFn)
 }
 
 // retried ends the task in service once the retries it enabled are done.

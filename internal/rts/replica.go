@@ -52,17 +52,15 @@ type pendingOp struct {
 // over a replica's parked operations, in arrival order, that charges
 // each guard check in its consumer's name and fires an operation whose
 // guard holds. Its host's fire runs that operation in continuation form
-// and then picks, in code, when the operations parked before it, which
-// it may have enabled, are checked again. A group's object manager goes
-// on with next, which sweeps in rounds: a round goes on past a fire to
-// the end of the list, and the next round re-checks only the operations
-// kept before the round's last fire, since those after it have been
-// checked against the state it left. A primary's queue goes on with
-// start, which scans again from the front. The pass ends, and the host
-// is told, once a round or a scan fires nothing that needs another. The
-// manager runs one pass per touched replica at a frame boundary, the
-// queue one after each committed write (DESIGN.md, "One replica
-// record, one guard-retry routine").
+// and then calls next. The pass sweeps in rounds: a round goes on past a
+// fire to the end of the list, and the next round re-checks only the
+// operations kept before the round's last fire, which it may have
+// enabled; those after it have been checked against the state it left.
+// The pass ends, and the host is told, after a round that fires nothing
+// behind a kept operation. A group's object manager runs one pass per
+// touched replica at a frame boundary, a primary's queue one after each
+// committed write (DESIGN.md, "One replica record, one guard-retry
+// routine").
 type retrier struct {
 	m                *amoeba.Machine
 	c                *sim.Proc
@@ -76,9 +74,8 @@ type retrier struct {
 }
 
 // retryHost is the consumer a retrier runs in: fire runs a parked
-// operation whose guard holds, in continuation form, and then goes on
-// with the retrier's next or start; retried goes on once a pass has
-// ended.
+// operation whose guard holds, in continuation form, and then calls the
+// retrier's next; retried goes on once a pass has ended.
 type retryHost interface {
 	fire(inst *replica, po pendingOp)
 	retried()

@@ -93,17 +93,15 @@ func TestRetryKeepsReplicaTouchedMidPass(t *testing.T) {
 	}
 }
 
-// The two domains retry parked guarded writes in the orders their
-// callers give the one routine. Three writes park on one object, A
-// (v >= 2), B (v >= 1, sets v = 2) and C (v >= 1), and then v = 1 is
-// written, so B fires and enables A, parked before it. A primary's
-// queue scans again from the front and fires A before C; a group's
-// object manager finishes its round, firing C, and re-checks A in the
-// next. Every guard evaluation is charged: one per arrival and four in
-// the retry pass (A, B, A, C or A, B, C, A). The manager's sweep is
-// what the full-scale ACP runs of -exp all were pinned with (DESIGN.md,
-// "One replica record, one guard-retry routine").
+// Both domains retry parked guarded writes in one order. Three writes
+// park on one object, A (v >= 2), B (v >= 1, sets v = 2) and C (v >= 1),
+// and then v = 1 is written, so B fires and enables A, parked before
+// it. The retry pass finishes its round, firing C, and re-checks A in
+// the next round: B, C, A in both domains (a scan that went back to the
+// front after every fire would fire B, A, C). Every guard evaluation is
+// charged: one per arrival and four in the pass (A, B, C, A).
 func TestGuardRetryOrder(t *testing.T) {
+	const want = "fired [2 3 1], 7 guard checks"
 	park := func(b *tb, sys System, id ObjID, node int) {
 		for label, step := range [][2]int{{2, 0}, {1, 2}, {1, 0}} { // A, B, C
 			b.spawn(node, "parked", func(w *Worker) { sys.Call(w, id, "step", ArgsOf(step[0], step[1], label+1)) })
@@ -124,7 +122,6 @@ func TestGuardRetryOrder(t *testing.T) {
 		park(b, r, id, 1)
 		b.spawn(0, "set", func(w *Worker) { r.Call(w, id, "set", ArgsOf(1)) })
 		b.env.RunUntil(b.env.Now() + sim.Second)
-		const want = "fired [2 3 1], 7 guard checks"
 		for node := range 2 {
 			if st, _ := r.PeekState(node, id); log(st) != want {
 				t.Errorf("node %d: %s, want %s", node, log(st), want)
@@ -141,7 +138,6 @@ func TestGuardRetryOrder(t *testing.T) {
 		park(b, r, id, 1)
 		b.spawn(1, "set", func(w *Worker) { r.Call(w, id, "set", ArgsOf(1)) })
 		b.env.RunUntil(b.env.Now() + sim.Second)
-		const want = "fired [2 1 3], 7 guard checks"
 		if st, _ := r.PeekState(0, id); log(st) != want {
 			t.Errorf("primary: %s, want %s", log(st), want)
 		}

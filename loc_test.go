@@ -73,7 +73,7 @@ var codeCeilings = map[string]int{
 	"internal/netsim":     414,
 	"internal/orca":       748,
 	"internal/orca/std":   383,
-	"internal/rts":        2842, // −44: one replica record, one guard-retry routine, one worker-side guard wait and one promotion for both domains; a primary's fan-out is a CallFn per secondary, not a thread
+	"internal/rts":        2843, // −43: one replica record, one guard-retry routine in one order, one worker-side guard wait and one promotion for both domains; a primary's fan-out is a CallFn per secondary, not a thread
 	"internal/rts/scheck": 111,
 	"internal/sim":        797,
 	"internal/workload":   231, // +10: one Zipf table per (Keys, Theta), shared by every generator instead of summed per client
