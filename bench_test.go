@@ -238,37 +238,9 @@ func BenchmarkRPC(b *testing.B) {
 }
 
 // BenchmarkOrcaOps measures the core object-operation primitives of
-// the broadcast runtime: a local read and a broadcast write.
+// the broadcast runtime through the typed descriptors (std.Counter): a
+// local read and a broadcast write.
 func BenchmarkOrcaOps(b *testing.B) {
-	run := func(b *testing.B, op func(p *orca.Proc, o orca.Object, i int)) sim.Time {
-		rt := orca.New(orca.Config{Processors: 4, RTS: orca.Broadcast, Seed: 1}, std.Register)
-		var per sim.Time
-		rep := rt.Run(func(p *orca.Proc) {
-			o := p.New(std.IntObj)
-			start := p.Now()
-			for i := 0; i < b.N; i++ {
-				op(p, o, i)
-			}
-			per = (p.Now() - start) / sim.Time(b.N)
-		})
-		_ = rep
-		return per
-	}
-	b.Run("LocalRead", func(b *testing.B) {
-		per := run(b, func(p *orca.Proc, o orca.Object, _ int) { p.Invoke(o, "value") })
-		b.ReportMetric(per.Microseconds(), "virtual-µs/op")
-	})
-	b.Run("BroadcastWrite", func(b *testing.B) {
-		per := run(b, func(p *orca.Proc, o orca.Object, i int) { p.Invoke(o, "assign", i) })
-		b.ReportMetric(per.Microseconds(), "virtual-µs/op")
-	})
-}
-
-// BenchmarkTypedOps measures the same primitives through the typed
-// API v2 surface (std.Counter over the descriptor layer); the virtual
-// costs must match BenchmarkOrcaOps, since the typed surface is a
-// facade over the same untyped Invoke path.
-func BenchmarkTypedOps(b *testing.B) {
 	run := func(b *testing.B, op func(p *orca.Proc, c std.Counter, i int)) sim.Time {
 		rt := orca.New(orca.Config{Processors: 4, RTS: orca.Broadcast, Seed: 1}, std.Register)
 		var per sim.Time

@@ -200,12 +200,12 @@ func P2PWorkload(proto rts.P2PProtocol, placement rts.Placement, nodes, readsPer
 				for round := 0; round < rounds; round++ {
 					if n == 1+(round%(nodes-1)) {
 						for k := 0; k < writeRun; k++ {
-							r.Invoke(w, id, "inc")
+							r.Call(w, id, "inc", rts.Args{})
 							w.Charge(200 * sim.Microsecond)
 						}
 					}
 					for k := 0; k < readsPerWrite; k++ {
-						r.Invoke(w, id, "get")
+						r.Call(w, id, "get", rts.Args{})
 						w.Charge(sim.Time(100+n*37) * sim.Microsecond)
 					}
 				}

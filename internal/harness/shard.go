@@ -145,15 +145,15 @@ func shard(s Scale) Spec {
 	isolate := func(cfg orca.Config, _ []Ran[isolation]) (isolation, orca.Report) {
 		var out isolation
 		rep := orca.New(cfg, std.Register).Run(func(pr *orca.Proc) {
-			counters := make([]orca.Object, crashP)
+			counters := make([]std.Counter, crashP)
 			for _, cpu := range workers {
-				counters[cpu] = pr.NewWith(std.IntObj, orca.Opts(orca.OnShard(cpu%crashShards)))
+				counters[cpu] = std.NewZeroCounter(pr, orca.OnShard(cpu%crashShards))
 			}
 			fin := std.NewBarrier(pr, len(workers))
 			for _, cpu := range workers {
 				pr.Fork(cpu, fmt.Sprintf("crash-w%d", cpu), func(wp *orca.Proc) {
 					for k := 0; k < ops; k++ {
-						wp.Invoke(counters[cpu], "inc")
+						counters[cpu].Inc(wp)
 						wp.Work(sim.Millisecond)
 					}
 					out.all = max(out.all, wp.Now())
@@ -165,7 +165,7 @@ func shard(s Scale) Spec {
 			}
 			fin.Wait(pr)
 			for _, cpu := range workers {
-				out.counted = append(out.counted, pr.InvokeI(counters[cpu], "value"))
+				out.counted = append(out.counted, counters[cpu].Value(pr))
 			}
 		})
 		return out, rep

@@ -13,8 +13,8 @@
 // fluent TypeBuilder and operations are typed descriptors.
 //
 // A program is a function run as the main process on processor 0 of a
-// simulated Amoeba multicomputer. It creates objects (Proc.New, or
-// NewWith for per-object placement policies), forks workers
+// simulated Amoeba multicomputer. It creates objects (TypeBuilder.New,
+// or NewWith for per-object placement policies), forks workers
 // (Proc.Fork), performs operations, and charges its computation in
 // virtual time (Proc.Work). The runtime beneath is selected by
 // Config.RTS; with Config.Mixed both runtimes share the machines.

@@ -2,6 +2,7 @@ package orca_test
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/group"
@@ -168,29 +169,61 @@ func matrixCell(t *testing.T, cfg orca.Config) {
 }
 
 // TestInvokeFencedRejectsUnfenceableObjects: a fence that names a
-// primary-copy or adaptive object is refused before anything is
-// sequenced — the replicated write in the same fence never applies.
+// primary-copy or adaptive object, a guarded write, or an object whose
+// sequencer group's span leaves out the fencing processor is refused
+// before anything is sequenced — the replicated write in the same fence
+// never applies.
 func TestInvokeFencedRejectsUnfenceableObjects(t *testing.T) {
-	rt := orca.New(orca.Config{Processors: 2, RTS: orca.Broadcast, Mixed: true, Shards: 2, Seed: 3}, std.Register)
-	rep := rt.Run(func(p *orca.Proc) {
-		rep := p.NewWith(std.IntObj, orca.Opts(orca.With(orca.Replicated)), 0)
-		for _, pol := range []orca.Policy{orca.PrimaryCopy{}, orca.Adaptive(rts.AdaptConfig{})} {
-			bad := p.NewWith(std.IntObj, orca.Opts(orca.With(pol)), 0)
-			func() {
-				defer func() {
-					if recover() == nil {
-						t.Errorf("a fence naming a %T object did not panic", pol)
+	mixed := orca.Config{Processors: 2, RTS: orca.Broadcast, Mixed: true, Shards: 2, Seed: 3}
+	split := orca.Config{Processors: 4, RTS: orca.Broadcast, Shards: 2, ShardSpan: 2, Seed: 3} // shard 0 on 0-1, shard 1 on 2-3
+	for _, c := range []struct {
+		name string
+		cfg  orca.Config
+		on   int // the fencing processor
+		// bad creates, on processor 0, the object of the write no fence
+		// can carry, and names that write.
+		bad  func(p *orca.Proc) orca.FencedOp
+		want string // in the panic
+	}{
+		{"primary-copy", mixed, 0, func(p *orca.Proc) orca.FencedOp {
+			return cellAssign.Fenced(cellB.NewWith(p, orca.Opts(orca.With(orca.PrimaryCopy{})), 0), 1)
+		}, "primary-copy or adaptive"},
+		{"adaptive", mixed, 0, func(p *orca.Proc) orca.FencedOp {
+			return cellAssign.Fenced(cellB.NewWith(p, orca.Opts(orca.With(orca.Adaptive(rts.AdaptConfig{}))), 0), 1)
+		}, "primary-copy or adaptive"},
+		{"guarded-write", mixed, 0, func(p *orca.Proc) orca.FencedOp {
+			// The guard holds: a fence refuses a guarded write as such.
+			return cellAddPositive.Fenced(cellB.NewWith(p, orca.Opts(orca.With(orca.Replicated)), 1), 1)
+		}, "guarded"},
+		{"outside-span", split, 2, func(p *orca.Proc) orca.FencedOp {
+			return cellAssign.Fenced(cellB.NewWith(p, orca.Opts(orca.OnShard(0)), 0), 1)
+		}, "outside sequencer group 0's span"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			rt := orca.New(c.cfg, withCells)
+			rep := rt.Run(func(p *orca.Proc) {
+				bad := c.bad(p)
+				p.Fork(c.on, "fencer", func(fp *orca.Proc) {
+					good := cellB.NewWith(fp, orca.Opts(orca.With(orca.Replicated)), 0)
+					func() {
+						defer func() {
+							if r := fmt.Sprint(recover()); !strings.Contains(r, c.want) {
+								t.Errorf("the fence panicked with %q, want %q in it", r, c.want)
+							}
+						}()
+						fp.InvokeFenced(cellAssign.Fenced(good, 1), bad)
+					}()
+					if got := cellValue.Call(fp, good); got != 0 {
+						t.Errorf("a rejected fence applied its replicated write: value = %d", got)
 					}
-				}()
-				p.InvokeFenced(orca.FencedOp{Obj: rep, Op: "assign", Args: []any{1}},
-					orca.FencedOp{Obj: bad, Op: "assign", Args: []any{1}})
-			}()
-		}
-		if got := p.InvokeI(rep, "value"); got != 0 {
-			t.Errorf("a rejected fence applied its replicated write: value = %d", got)
-		}
-	})
-	if rep.RTS.FencedOps != 0 {
-		t.Errorf("FencedOps = %d after only rejected fences", rep.RTS.FencedOps)
+				})
+			})
+			if rep.TimedOut {
+				t.Fatalf("timed out; blocked: %v", rep.Blocked)
+			}
+			if rep.RTS.FencedOps != 0 {
+				t.Errorf("FencedOps = %d after only a rejected fence", rep.RTS.FencedOps)
+			}
+		})
 	}
 }

@@ -55,9 +55,9 @@ type Config struct {
 	RTS RTSKind
 	// Mixed hosts the broadcast runtime and the point-to-point runtime
 	// on the same machines, so individual objects can opt out of the
-	// RTS default with a creation policy (see NewWith and Policy).
-	// Objects created without a policy still follow RTS. Mixed implies
-	// broadcast-capable hardware regardless of RTS.
+	// RTS default with a creation policy (see TypeBuilder.NewWith and
+	// Policy). Objects created without a policy still follow RTS.
+	// Mixed implies broadcast-capable hardware regardless of RTS.
 	Mixed bool
 	// Seed drives all randomness in the simulation.
 	Seed int64
@@ -171,7 +171,7 @@ type forkEntry struct {
 // or nil. It is the one place configurations are checked: New panics
 // with its error before building a single machine. What a valid
 // configuration can host is decided per object at creation (see
-// NewWith), by the runtime's placement router.
+// TypeBuilder.NewWith), by the runtime's placement router.
 func (cfg Config) Validate() error {
 	hw := cfg.RTS == Broadcast || cfg.Mixed // broadcast hardware, hence sequencer groups
 	switch {
@@ -481,17 +481,6 @@ func (rt *Runtime) spawnProc(cpu int, name string, fn func(p *Proc)) {
 	})
 }
 
-// Object is a handle to a shared data-object. Handles are passed to
-// forked processes exactly like Orca's shared call-by-reference
-// parameters; the object's replicas live inside the runtime system.
-type Object struct {
-	id rts.ObjID
-	rt *Runtime
-}
-
-// ID exposes the runtime object id (for harness statistics).
-func (o Object) ID() rts.ObjID { return o.id }
-
 // Proc is the execution context of one Orca process.
 type Proc struct {
 	rt *Runtime
@@ -522,11 +511,6 @@ func (p *Proc) Sleep(d sim.Time) {
 	p.w.Flush()
 	p.w.FlushShared() // buffered writes should not sit out the sleep
 	p.w.P.Sleep(d)
-}
-
-// New creates a shared object of a registered type.
-func (p *Proc) New(typeName string, args ...any) Object {
-	return Object{id: p.rt.sys.Create(p.w, typeName, args...), rt: p.rt}
 }
 
 // Fork creates a new Orca process running fn on the given processor
@@ -576,43 +560,26 @@ func (p *Proc) Fork(cpu int, name string, fn func(p *Proc)) {
 	}
 }
 
-// Invoke performs an operation on a shared object: sequentially
-// consistent, indivisible, blocking on guards.
-func (p *Proc) Invoke(o Object, op string, args ...any) []any {
-	return p.rt.sys.Invoke(p.w, o.id, op, args...)
-}
-
-// call is Invoke for the typed descriptors, which fill and read the
-// argument and result records themselves.
-func (p *Proc) call(o Object, def *rts.OpDef, in rts.Args) rts.Args {
-	return p.rt.sys.Call(p.w, o.id, def.Name, in)
+// call performs an operation on a shared object: sequentially
+// consistent, indivisible, blocking on guards. The typed descriptors
+// fill the argument record and read the result record themselves.
+func (p *Proc) call(id rts.ObjID, def *rts.OpDef, in rts.Args) rts.Args {
+	return p.rt.sys.Call(p.w, id, def.Name, in)
 }
 
 // readState is the typed descriptors' local-read fast path: when the
 // runtime can serve an unguarded read from the local replica, it
-// charges the read (exactly as Invoke would) and returns the state for
+// charges the read (exactly as call would) and returns the state for
 // the caller to apply its typed operation directly, with no record at
 // all. ok == false means the caller must take the general path.
-func (p *Proc) readState(o Object, def *rts.OpDef) (rts.State, bool) {
-	return p.rt.sys.LocalReadState(p.w, o.id, def)
+func (p *Proc) readState(id rts.ObjID, def *rts.OpDef) (rts.State, bool) {
+	return p.rt.sys.LocalReadState(p.w, id, def)
 }
 
-// InvokeI is Invoke for the common single-int-result case.
-func (p *Proc) InvokeI(o Object, op string, args ...any) int {
-	return p.rt.sys.Invoke(p.w, o.id, op, args...)[0].(int)
-}
-
-// InvokeB is Invoke for the single-bool-result case.
-func (p *Proc) InvokeB(o Object, op string, args ...any) bool {
-	return p.rt.sys.Invoke(p.w, o.id, op, args...)[0].(bool)
-}
-
-// FencedOp names one write of a cross-shard fenced invocation.
-type FencedOp struct {
-	Obj  Object
-	Op   string
-	Args []any
-}
+// FencedOp is one write of a cross-shard fenced invocation, built from
+// a write descriptor, a handle and the write's arguments:
+// op.Fenced(h, arg).
+type FencedOp struct{ op rts.FencedOp }
 
 // InvokeFenced applies a set of unguarded writes on replicated objects
 // that may live in different shards as one indivisible step: no
@@ -625,12 +592,12 @@ type FencedOp struct {
 // group the fence is one reservation in the one total order.
 //
 // Every operation is checked before anything is sequenced: a fence
-// naming a primary-copy or adaptive object, a read, a guarded
-// operation, or a shard that does not span this processor panics.
+// naming a primary-copy or adaptive object, a guarded write, or a shard
+// that does not span this processor panics.
 func (p *Proc) InvokeFenced(ops ...FencedOp) {
 	rops := make([]rts.FencedOp, len(ops))
 	for i, op := range ops {
-		rops[i] = rts.FencedOp{ID: op.Obj.id, Op: op.Op, Args: rts.ArgsOf(op.Args...)}
+		rops[i] = op.op
 	}
 	if err := p.rt.sys.InvokeFenced(p.w, rops); err != nil {
 		panic("orca: " + err.Error())

@@ -9,6 +9,7 @@ import (
 	"repro/internal/netsim"
 	"repro/internal/orca"
 	"repro/internal/orca/std"
+	"repro/internal/rts"
 	"repro/internal/sim"
 )
 
@@ -16,13 +17,46 @@ func bcastCfg(n int, seed int64) orca.Config {
 	return orca.Config{Processors: n, RTS: orca.Broadcast, Seed: seed}
 }
 
+// cellState is these tests' own shared integer, for what the std
+// wrappers do not offer: typed fences and a guarded write.
+type cellState struct{ v int }
+
+var (
+	cellB = orca.NewType("test.cell", func(args []any) *cellState {
+		s := &cellState{}
+		if len(args) > 0 {
+			s.v = args[0].(int)
+		}
+		return s
+	}).
+		CloneWith(func(s *cellState) *cellState { c := *s; return &c }).
+		SizedBy(func(*cellState) int { return 8 })
+
+	cellAdd    = orca.DefWrite(cellB, "add", func(s *cellState, d int) int { s.v += d; return s.v })
+	cellInc    = orca.DefWrite0(cellB, "inc", func(s *cellState) int { s.v++; return s.v })
+	cellAssign = orca.DefUpdate(cellB, "assign", func(s *cellState, v int) { s.v = v })
+	cellValue  = orca.DefRead0(cellB, "value", func(s *cellState) int { return s.v })
+	// cellAwaitGE blocks until the value reaches the argument.
+	cellAwaitGE = orca.DefRead(cellB, "awaitGE", func(s *cellState, _ int) int { return s.v }).
+			Guard(func(s *cellState, n int) bool { return s.v >= n })
+	// cellAddPositive adds once the value is positive: a guarded write.
+	cellAddPositive = orca.DefWrite(cellB, "addPositive", func(s *cellState, d int) int { s.v += d; return s.v }).
+			Guard(func(s *cellState, _ int) bool { return s.v > 0 })
+)
+
+// withCells registers the standard types and the cell type.
+func withCells(reg *rts.Registry) {
+	std.Register(reg)
+	cellB.Register(reg)
+}
+
 func TestRunSimpleProgram(t *testing.T) {
 	rt := orca.New(bcastCfg(2, 1), std.Register)
 	var final int
 	rep := rt.Run(func(p *orca.Proc) {
-		o := p.New(std.IntObj, 10)
-		p.Invoke(o, "add", 5)
-		final = p.InvokeI(o, "value")
+		o := std.NewCounter(p, 10)
+		o.Add(p, 5)
+		final = o.Value(p)
 	})
 	if final != 15 {
 		t.Fatalf("final = %d, want 15", final)
@@ -40,18 +74,18 @@ func TestForkPlacementAndSharing(t *testing.T) {
 	rt := orca.New(bcastCfg(workers, 2), std.Register)
 	cpus := make([]int, workers)
 	rt.Run(func(p *orca.Proc) {
-		counter := p.New(std.IntObj)
-		done := p.New(std.BarrierObj, workers)
+		counter := std.NewZeroCounter(p)
+		done := std.NewBarrier(p, workers)
 		for i := 0; i < workers; i++ {
 			i := i
 			p.Fork(i, fmt.Sprintf("worker%d", i), func(wp *orca.Proc) {
 				cpus[i] = wp.CPU()
-				wp.Invoke(counter, "inc")
-				wp.Invoke(done, "arrive")
+				counter.Inc(wp)
+				done.Arrive(wp)
 			})
 		}
-		p.Invoke(done, "wait")
-		if got := p.InvokeI(counter, "value"); got != workers {
+		done.Wait(p)
+		if got := counter.Value(p); got != workers {
 			t.Errorf("counter = %d, want %d", got, workers)
 		}
 	})
@@ -81,14 +115,14 @@ func TestParallelWorkSpeedsUp(t *testing.T) {
 	elapsed := func(procs int) sim.Time {
 		rt := orca.New(bcastCfg(procs, 4), std.Register)
 		rep := rt.Run(func(p *orca.Proc) {
-			done := p.New(std.BarrierObj, procs)
+			done := std.NewBarrier(p, procs)
 			for i := 0; i < procs; i++ {
 				p.Fork(i, fmt.Sprintf("w%d", i), func(wp *orca.Proc) {
 					wp.Work(sim.Second / sim.Time(procs) * 16) // fixed total
-					wp.Invoke(done, "arrive")
+					done.Arrive(wp)
 				})
 			}
-			p.Invoke(done, "wait")
+			done.Wait(p)
 		})
 		return rep.Elapsed
 	}
@@ -108,30 +142,30 @@ func TestJobQueueReplicatedWorkers(t *testing.T) {
 			rt := orca.New(orca.Config{Processors: workers + 1, RTS: kind, Seed: 5}, std.Register)
 			var sum int
 			rt.Run(func(p *orca.Proc) {
-				q := p.New(std.JobQueueObj)
-				acc := p.New(std.AccumObj)
-				fin := p.New(std.BarrierObj, workers)
+				q := std.NewQueue[int](p)
+				acc := std.NewAccum(p)
+				fin := std.NewBarrier(p, workers)
 				for i := 1; i <= workers; i++ {
 					p.Fork(i, fmt.Sprintf("worker%d", i), func(wp *orca.Proc) {
 						local := 0
 						for {
-							res := wp.Invoke(q, "get")
-							if !res[1].(bool) {
+							j, ok := q.Get(wp)
+							if !ok {
 								break
 							}
-							local += res[0].(int)
+							local += j
 							wp.Work(time1ms)
 						}
-						wp.Invoke(acc, "add", local)
-						wp.Invoke(fin, "arrive")
+						acc.Add(wp, local)
+						fin.Arrive(wp)
 					})
 				}
 				for j := 1; j <= jobs; j++ {
-					p.Invoke(q, "add", j)
+					q.Add(p, j)
 				}
-				p.Invoke(q, "close")
-				p.Invoke(fin, "wait")
-				sum = wp0Value(p, acc)
+				q.Close(p)
+				fin.Wait(p)
+				sum = acc.Value(p)
 			})
 			want := jobs * (jobs + 1) / 2
 			if sum != want {
@@ -143,8 +177,6 @@ func TestJobQueueReplicatedWorkers(t *testing.T) {
 
 const time1ms = sim.Millisecond
 
-func wp0Value(p *orca.Proc, acc orca.Object) int { return p.InvokeI(acc, "value") }
-
 func TestFlagAwaitAcrossRTS(t *testing.T) {
 	for _, kind := range []orca.RTSKind{orca.Broadcast, orca.P2PUpdate} {
 		kind := kind
@@ -153,14 +185,14 @@ func TestFlagAwaitAcrossRTS(t *testing.T) {
 			var awoke sim.Time
 			var setAt sim.Time
 			rt.Run(func(p *orca.Proc) {
-				f := p.New(std.FlagObj)
+				f := std.NewFlag(p, false)
 				p.Fork(1, "waiter", func(wp *orca.Proc) {
-					wp.Invoke(f, "await")
+					f.Await(wp)
 					awoke = wp.Now()
 				})
 				p.Sleep(300 * sim.Millisecond)
 				setAt = p.Now()
-				p.Invoke(f, "set", true)
+				f.Set(p, true)
 			})
 			if awoke < setAt {
 				t.Fatalf("await woke at %v before set at %v", awoke, setAt)
@@ -174,19 +206,19 @@ func TestBoolArrayClaimExactlyOnce(t *testing.T) {
 	rt := orca.New(bcastCfg(workers, 7), std.Register)
 	claims := make([]int, items)
 	rt.Run(func(p *orca.Proc) {
-		work := p.New(std.BoolArrayObj, items, true)
-		fin := p.New(std.BarrierObj, workers)
+		work := std.NewBoolArray(p, items, true)
+		fin := std.NewBarrier(p, workers)
 		for wdx := 0; wdx < workers; wdx++ {
 			p.Fork(wdx, fmt.Sprintf("w%d", wdx), func(wp *orca.Proc) {
 				for i := 0; i < items; i++ {
-					if wp.InvokeB(work, "claim", i) {
+					if work.Claim(wp, i) {
 						claims[i]++
 					}
 				}
-				wp.Invoke(fin, "arrive")
+				fin.Arrive(wp)
 			})
 		}
-		p.Invoke(fin, "wait")
+		fin.Wait(p)
 	})
 	for i, c := range claims {
 		if c != 1 {
@@ -198,15 +230,13 @@ func TestBoolArrayClaimExactlyOnce(t *testing.T) {
 func TestTableStoreLookup(t *testing.T) {
 	rt := orca.New(bcastCfg(2, 8), std.Register)
 	rt.Run(func(p *orca.Proc) {
-		tab := p.New(std.TableObj, 128)
-		p.Invoke(tab, "store", uint64(12345), int64(-77))
+		tab := std.NewTable(p, 128)
+		tab.Store(p, 12345, -77)
 		p.Fork(1, "reader", func(wp *orca.Proc) {
-			res := wp.Invoke(tab, "lookup", uint64(12345))
-			if !res[1].(bool) || res[0].(int64) != -77 {
-				t.Errorf("lookup = %v", res)
+			if v, ok := tab.Lookup(wp, 12345); !ok || v != -77 {
+				t.Errorf("lookup = (%d, %v)", v, ok)
 			}
-			miss := wp.Invoke(tab, "lookup", uint64(999))
-			if miss[1].(bool) {
+			if _, ok := tab.Lookup(wp, 999); ok {
 				t.Error("expected miss")
 			}
 		})
@@ -216,12 +246,11 @@ func TestTableStoreLookup(t *testing.T) {
 func TestKillerTable(t *testing.T) {
 	rt := orca.New(bcastCfg(1, 9), std.Register)
 	rt.Run(func(p *orca.Proc) {
-		k := p.New(std.KillerObj, 8)
-		p.Invoke(k, "add", 3, 111)
-		p.Invoke(k, "add", 3, 222)
-		res := p.Invoke(k, "get", 3)
-		if res[0].(int) != 222 || res[1].(int) != 111 {
-			t.Errorf("killer moves = %v, want [222 111]", res)
+		k := std.NewKiller(p, 8)
+		k.Add(p, 3, 111)
+		k.Add(p, 3, 222)
+		if m0, m1 := k.Get(p, 3); m0 != 222 || m1 != 111 {
+			t.Errorf("killer moves = [%d %d], want [222 111]", m0, m1)
 		}
 	})
 }
@@ -229,18 +258,18 @@ func TestKillerTable(t *testing.T) {
 func TestBitSetAddMany(t *testing.T) {
 	rt := orca.New(bcastCfg(2, 10), std.Register)
 	rt.Run(func(p *orca.Proc) {
-		s := p.New(std.BitSetObj, 1000)
-		added := p.InvokeI(s, "addMany", []int{1, 5, 900, 5})
+		s := std.NewBitSet(p, 1000)
+		added := s.AddMany(p, []int{1, 5, 900, 5})
 		if added != 3 {
 			t.Errorf("added = %d, want 3 (one duplicate)", added)
 		}
-		if !p.InvokeB(s, "contains", 900) {
+		if !s.Contains(p, 900) {
 			t.Error("missing 900")
 		}
-		if p.InvokeB(s, "contains", 2) {
+		if s.Contains(p, 2) {
 			t.Error("unexpected 2")
 		}
-		if n := p.InvokeI(s, "count"); n != 3 {
+		if n := s.Count(p); n != 3 {
 			t.Errorf("count = %d", n)
 		}
 	})
@@ -253,9 +282,9 @@ func TestBitSetAddMany(t *testing.T) {
 func TestTimeoutDetection(t *testing.T) {
 	rt := orca.New(bcastCfg(2, 11), std.Register)
 	rep := rt.Run(func(p *orca.Proc) {
-		f := p.New(std.FlagObj)
+		f := std.NewFlag(p, false)
 		p.Fork(1, "waiter", func(wp *orca.Proc) {
-			wp.Invoke(f, "await") // never set: deadlock by design
+			f.Await(wp) // never set: deadlock by design
 		})
 		p.Sleep(2 * 3600 * sim.Second) // outlives the hour
 	})
@@ -323,9 +352,9 @@ func TestValidateRejects(t *testing.T) {
 func TestReportStatistics(t *testing.T) {
 	rt := orca.New(bcastCfg(3, 12), std.Register)
 	rep := rt.Run(func(p *orca.Proc) {
-		o := p.New(std.IntObj)
+		o := std.NewZeroCounter(p)
 		for i := 0; i < 10; i++ {
-			p.Invoke(o, "assign", i)
+			o.Assign(p, i)
 		}
 	})
 	if rep.Net.Messages == 0 {
@@ -344,25 +373,25 @@ func TestDeterministicRuns(t *testing.T) {
 	run := func() (sim.Time, int64) {
 		rt := orca.New(bcastCfg(4, 77), std.Register)
 		rep := rt.Run(func(p *orca.Proc) {
-			q := p.New(std.JobQueueObj)
-			fin := p.New(std.BarrierObj, 3)
+			q := std.NewQueue[int](p)
+			fin := std.NewBarrier(p, 3)
 			for i := 1; i <= 3; i++ {
 				p.Fork(i, fmt.Sprintf("w%d", i), func(wp *orca.Proc) {
 					for {
-						res := wp.Invoke(q, "get")
-						if !res[1].(bool) {
+						j, ok := q.Get(wp)
+						if !ok {
 							break
 						}
-						wp.Work(sim.Time(res[0].(int)) * 100 * sim.Microsecond)
+						wp.Work(sim.Time(j) * 100 * sim.Microsecond)
 					}
-					wp.Invoke(fin, "arrive")
+					fin.Arrive(wp)
 				})
 			}
 			for j := 1; j <= 40; j++ {
-				p.Invoke(q, "add", j)
+				q.Add(p, j)
 			}
-			p.Invoke(q, "close")
-			p.Invoke(fin, "wait")
+			q.Close(p)
+			fin.Wait(p)
 		})
 		return rep.Elapsed, rep.Net.Messages
 	}
@@ -381,7 +410,7 @@ func TestReplicatedPolicyRequiresBroadcast(t *testing.T) {
 				t.Error("expected panic: Replicated placement on the point-to-point runtime")
 			}
 		}()
-		p.NewWith(std.IntObj, orca.Opts(orca.With(orca.Replicated), orca.At(0)))
+		std.NewZeroCounter(p, orca.With(orca.Replicated), orca.At(0))
 	})
 }
 
@@ -389,11 +418,11 @@ func TestPartialPlacement(t *testing.T) {
 	rt := orca.New(bcastCfg(4, 21), std.Register)
 	var forwarded bool
 	rt.Run(func(p *orca.Proc) {
-		o := p.NewWith(std.IntObj, orca.Opts(orca.At(0, 1)), 3)
+		o := std.NewCounter(p, 3, orca.At(0, 1))
 		p.Fork(3, "outsider", func(wp *orca.Proc) {
 			// Node 3 holds no replica: the operation forwards and
 			// still returns the right answer.
-			if got := wp.InvokeI(o, "value"); got != 3 {
+			if got := o.Value(wp); got != 3 {
 				t.Errorf("forwarded read = %d", got)
 			}
 			forwarded = true
@@ -408,12 +437,12 @@ func TestRemoteForkOnP2PRuntime(t *testing.T) {
 	rt := orca.New(orca.Config{Processors: 3, RTS: orca.P2PInvalidate, Seed: 22}, std.Register)
 	var ranOn int
 	rt.Run(func(p *orca.Proc) {
-		f := p.New(std.FlagObj)
+		f := std.NewFlag(p, false)
 		p.Fork(2, "remote", func(wp *orca.Proc) {
 			ranOn = wp.CPU()
-			wp.Invoke(f, "set", true)
+			f.Set(wp, true)
 		})
-		p.Invoke(f, "await")
+		f.Await(p)
 	})
 	if ranOn != 2 {
 		t.Fatalf("remote fork ran on cpu %d, want 2", ranOn)
@@ -423,9 +452,9 @@ func TestRemoteForkOnP2PRuntime(t *testing.T) {
 func TestGroupStatsExposed(t *testing.T) {
 	rt := orca.New(bcastCfg(3, 23), std.Register)
 	rt.Run(func(p *orca.Proc) {
-		o := p.New(std.IntObj)
+		o := std.NewZeroCounter(p)
 		for i := 0; i < 5; i++ {
-			p.Invoke(o, "assign", i)
+			o.Assign(p, i)
 		}
 	})
 	gs := rt.GroupStats()

@@ -7,10 +7,10 @@
 // replicated. This file makes that decision part of object creation:
 // a Policy names a strategy (fully replicated, replicated on a subset,
 // primary copy under a point-to-point protocol), creation options
-// attach one to Proc.NewWith / TypeBuilder.NewWith, and a program
-// configured with Config.Mixed can host objects under different
-// strategies side by side. Objects created without a policy follow
-// Config.RTS exactly as before.
+// attach one to TypeBuilder.NewWith, and a program configured with
+// Config.Mixed can host objects under different strategies side by
+// side. Objects created without a policy follow Config.RTS exactly as
+// before.
 package orca
 
 import (
@@ -103,7 +103,7 @@ func (p adaptivePolicy) applyPolicy(cs *createSpec) {
 func Adaptive(cfg rts.AdaptConfig) Policy { return adaptivePolicy{cfg: cfg} }
 
 // Option configures one object creation. Build options with With and
-// At, and pass them to Proc.NewWith or TypeBuilder.NewWith.
+// At, and pass them to TypeBuilder.NewWith (or a std constructor).
 type Option func(*createSpec)
 
 // With selects the object's placement policy. Options apply in order
@@ -140,19 +140,8 @@ func Sharded(key int) Option {
 }
 
 // Opts bundles options into the slice NewWith takes, purely for
-// call-site readability: NewWith(t, orca.Opts(orca.With(pol)), args).
+// call-site readability: b.NewWith(p, orca.Opts(orca.With(pol)), args).
 func Opts(opts ...Option) []Option { return opts }
-
-// NewWith creates a shared object of a registered type under the given
-// creation options. With no options it is exactly New: the object
-// follows Config.RTS. A placement needs its domain built — a PrimaryCopy
-// or Adaptive object needs the point-to-point domain (a point-to-point
-// RTS, or Config.Mixed), a Replicated one needs a sequencer group
-// (RTS: Broadcast, or Config.Mixed) — and creation panics with the
-// router's error otherwise, naming the missing domain.
-func (p *Proc) NewWith(typeName string, opts []Option, args ...any) Object {
-	return Object{id: p.rt.create(p.w, typeName, opts, args), rt: p.rt}
-}
 
 // CheckPlacement reports whether this runtime can host an object
 // created under the given options, with the error NewWith would panic

@@ -16,19 +16,19 @@ import (
 // through NewWith with no options and requires bit-identical reports:
 // the options API must be a pure superset of the old one.
 func TestNewWithDefaultMatchesNew(t *testing.T) {
-	run := func(create func(p *orca.Proc) orca.Object) string {
-		rt := orca.New(bcastCfg(3, 30), std.Register)
+	run := func(create func(p *orca.Proc) orca.Handle[*cellState]) string {
+		rt := orca.New(bcastCfg(3, 30), withCells)
 		rep := rt.Run(func(p *orca.Proc) {
 			o := create(p)
 			p.Fork(1, "writer", func(wp *orca.Proc) {
-				wp.Invoke(o, "add", 7)
+				cellAdd.Call(wp, o, 7)
 			})
-			p.InvokeI(o, "awaitGE", 7)
+			cellAwaitGE.Call(p, o, 7)
 		})
 		return fmt.Sprintf("%d %d %d", int64(rep.Elapsed), rep.Net.Messages, rep.Net.WireBytes)
 	}
-	plain := run(func(p *orca.Proc) orca.Object { return p.New(std.IntObj, 0) })
-	withOpts := run(func(p *orca.Proc) orca.Object { return p.NewWith(std.IntObj, nil, 0) })
+	plain := run(func(p *orca.Proc) orca.Handle[*cellState] { return cellB.New(p, 0) })
+	withOpts := run(func(p *orca.Proc) orca.Handle[*cellState] { return cellB.NewWith(p, nil, 0) })
 	if plain != withOpts {
 		t.Fatalf("NewWith(nil opts) diverged from New:\n  New:     %s\n  NewWith: %s", plain, withOpts)
 	}
@@ -44,7 +44,7 @@ func TestPrimaryCopyRequiresMixed(t *testing.T) {
 				t.Error("expected panic: PrimaryCopy on a pure broadcast runtime")
 			}
 		}()
-		p.NewWith(std.IntObj, orca.Opts(orca.With(orca.PrimaryCopy{})))
+		std.NewZeroCounter(p, orca.With(orca.PrimaryCopy{}))
 	})
 }
 
@@ -54,11 +54,11 @@ func TestPrimaryCopyOnP2PRuntime(t *testing.T) {
 	rt := orca.New(orca.Config{Processors: 2, RTS: orca.P2PUpdate, Seed: 32}, std.Register)
 	var got int
 	rt.Run(func(p *orca.Proc) {
-		o := p.NewWith(std.IntObj, orca.Opts(orca.With(orca.PrimaryCopy{
+		o := std.NewCounter(p, 5, orca.With(orca.PrimaryCopy{
 			Protocol: orca.Invalidation, Placement: orca.SingleCopy,
-		})), 5)
-		p.Invoke(o, "add", 3)
-		got = p.InvokeI(o, "value")
+		}))
+		o.Add(p, 3)
+		got = o.Value(p)
 	})
 	if got != 8 {
 		t.Fatalf("value = %d, want 8", got)
@@ -70,8 +70,8 @@ func TestPrimaryCopyOnP2PRuntime(t *testing.T) {
 func TestAtPinsPrimaryToCreator(t *testing.T) {
 	rt := orca.New(orca.Config{Processors: 3, RTS: orca.Broadcast, Mixed: true, Seed: 33}, std.Register)
 	rt.Run(func(p *orca.Proc) {
-		o := p.NewWith(std.IntObj, orca.Opts(orca.With(orca.PrimaryCopy{}), orca.At(p.CPU())), 1)
-		if got := p.InvokeI(o, "value"); got != 1 {
+		o := std.NewCounter(p, 1, orca.With(orca.PrimaryCopy{}), orca.At(p.CPU()))
+		if got := o.Value(p); got != 1 {
 			t.Errorf("pinned primary value = %d, want 1", got)
 		}
 		defer func() {
@@ -79,7 +79,7 @@ func TestAtPinsPrimaryToCreator(t *testing.T) {
 				t.Error("expected panic: At cannot move a primary off the creating machine")
 			}
 		}()
-		p.NewWith(std.IntObj, orca.Opts(orca.With(orca.PrimaryCopy{}), orca.At(2)))
+		std.NewZeroCounter(p, orca.With(orca.PrimaryCopy{}), orca.At(2))
 	})
 }
 
@@ -91,22 +91,22 @@ func TestLastPolicyWins(t *testing.T) {
 	rt.Run(func(p *orca.Proc) {
 		// Replicated at 0, then Replicated: full replication, so a read
 		// from node 2 must be served by a local replica, not forwarded.
-		full := p.NewWith(std.IntObj, orca.Opts(orca.With(orca.Replicated), orca.At(0), orca.With(orca.Replicated)), 9)
-		flag := p.New(std.FlagObj)
+		full := std.NewCounter(p, 9, orca.With(orca.Replicated), orca.At(0), orca.With(orca.Replicated))
+		flag := std.NewFlag(p, false)
 		p.Fork(2, "reader", func(wp *orca.Proc) {
-			if got := wp.InvokeI(full, "value"); got != 9 {
+			if got := full.Value(wp); got != 9 {
 				t.Errorf("value = %d, want 9", got)
 			}
-			wp.Invoke(flag, "set", true)
+			flag.Set(wp, true)
 		})
-		p.Invoke(flag, "await")
+		flag.Await(p)
 		if fwd := rt.Stats().Forwarded; fwd != 0 {
 			t.Errorf("read was forwarded (%d): earlier At nodes leaked into Replicated", fwd)
 		}
 		// Replicated at 1 and 2, then PrimaryCopy: the stale nodes must
 		// not trip the primary pin check.
-		o := p.NewWith(std.IntObj, orca.Opts(orca.With(orca.Replicated), orca.At(1, 2), orca.With(orca.PrimaryCopy{})), 4)
-		if got := p.InvokeI(o, "value"); got != 4 {
+		o := std.NewCounter(p, 4, orca.With(orca.Replicated), orca.At(1, 2), orca.With(orca.PrimaryCopy{}))
+		if got := o.Value(p); got != 4 {
 			t.Errorf("primary-copy value = %d, want 4", got)
 		}
 	})

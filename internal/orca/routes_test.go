@@ -123,11 +123,11 @@ var faultCells = []struct {
 	{"adaptive-migration",
 		orca.Config{Processors: 4, RTS: orca.Broadcast, Mixed: true, Seed: 11, GroupMethod: group.ForcePB},
 		func(t *testing.T, p *orca.Proc) {
-			obj := p.NewWith(std.IntObj, orca.Opts(orca.With(orca.Adaptive(rts.AdaptConfig{SampleEvery: 8, MinDwell: sim.Millisecond}))), 0)
+			obj := std.NewCounter(p, 0, orca.With(orca.Adaptive(rts.AdaptConfig{SampleEvery: 8, MinDwell: sim.Millisecond})))
 			done := std.NewCounter(p, 0)
 			p.Fork(2, "writer", func(wp *orca.Proc) {
 				for i := 0; i < 24; i++ {
-					wp.Invoke(obj, "inc")
+					obj.Inc(wp)
 					wp.Work(200 * sim.Microsecond)
 				}
 				done.Add(wp, 1)
@@ -136,14 +136,14 @@ var faultCells = []struct {
 				p.Fork(cpu, "reader", func(rp *orca.Proc) {
 					rp.Sleep(20 * sim.Millisecond)
 					for i := 0; i < 40; i++ {
-						rp.InvokeI(obj, "value")
+						obj.Value(rp)
 						rp.Work(150 * sim.Microsecond)
 					}
 					done.Add(rp, 1)
 				})
 			}
 			done.AwaitGE(p, 3)
-			if got := p.InvokeI(obj, "value"); got != 24 {
+			if got := obj.Value(p); got != 24 {
 				t.Errorf("value = %d, want 24", got)
 			}
 		},

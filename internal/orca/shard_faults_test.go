@@ -29,37 +29,34 @@ func shardedFenceRun(t *testing.T, method group.Method, protocol group.Protocol)
 	}
 	cfg := orca.Config{Processors: procs, RTS: orca.Broadcast, Shards: shards,
 		GroupMethod: method, Protocol: protocol, Seed: 33, Faults: plan}
-	rt := orca.New(cfg, std.Register)
+	rt := orca.New(cfg, withCells)
 	finals := make([]int, shards)
 	rep := rt.Run(func(p *orca.Proc) {
-		counters := make([]orca.Object, shards)
+		counters := make([]orca.Handle[*cellState], shards)
 		for k := range counters {
-			counters[k] = p.NewWith(std.IntObj, orca.Opts(orca.OnShard(k)))
+			counters[k] = cellB.NewWith(p, orca.Opts(orca.OnShard(k)))
 		}
-		done := p.New(std.BarrierObj, 2)
+		done := std.NewBarrier(p, 2)
 		for _, cpu := range []int{2, 3} {
 			cpu := cpu
 			p.Fork(cpu, fmt.Sprintf("w%d", cpu), func(wp *orca.Proc) {
 				for i := 0; i < opsPer; i++ {
-					wp.Invoke(counters[cpu], "inc")
+					cellInc.Call(wp, counters[cpu])
 					wp.Work(time1ms)
 				}
-				wp.Invoke(done, "arrive")
+				done.Arrive(wp)
 			})
 		}
 		// Cross-shard fences spanning the crashed shard and a healthy
 		// one: each must reserve a slot in both streams even while
 		// shard 1 is recovering its sequencer.
 		for i := 0; i < transfers; i++ {
-			p.InvokeFenced(
-				orca.FencedOp{Obj: counters[0], Op: "add", Args: []any{2}},
-				orca.FencedOp{Obj: counters[1], Op: "add", Args: []any{3}},
-			)
+			p.InvokeFenced(cellAdd.Fenced(counters[0], 2), cellAdd.Fenced(counters[1], 3))
 			p.Work(5 * time1ms)
 		}
-		p.Invoke(done, "wait")
+		done.Wait(p)
 		for k := range counters {
-			finals[k] = p.InvokeI(counters[k], "value")
+			finals[k] = cellValue.Call(p, counters[k])
 		}
 	})
 	if rep.TimedOut {
@@ -118,28 +115,25 @@ func fenceAbortRun(t *testing.T, method group.Method, protocol group.Protocol, c
 	plan := &netsim.FaultPlan{Crashes: []netsim.Crash{{Node: 1, At: crashAt}}}
 	cfg := orca.Config{Processors: procs, RTS: orca.Broadcast, Shards: shards,
 		GroupMethod: method, Protocol: protocol, Seed: 17, Faults: plan}
-	rt := orca.New(cfg, std.Register)
+	rt := orca.New(cfg, withCells)
 	var v0, v1 int
 	rep := rt.Run(func(p *orca.Proc) {
-		c0 := p.NewWith(std.IntObj, orca.Opts(orca.OnShard(0)))
-		c1 := p.NewWith(std.IntObj, orca.Opts(orca.OnShard(1)))
+		c0 := cellB.NewWith(p, orca.Opts(orca.OnShard(0)))
+		c1 := cellB.NewWith(p, orca.Opts(orca.OnShard(1)))
 		p.Fork(1, "initiator", func(wp *orca.Proc) {
 			// Back-to-back fences: the crash instant is inside one of
 			// them, between the shard-0 and shard-1 reservations.
 			for i := 0; i < 200; i++ {
-				wp.InvokeFenced(
-					orca.FencedOp{Obj: c0, Op: "add", Args: []any{2}},
-					orca.FencedOp{Obj: c1, Op: "add", Args: []any{3}},
-				)
+				wp.InvokeFenced(cellAdd.Fenced(c0, 2), cellAdd.Fenced(c1, 3))
 			}
 		})
 		p.Sleep(crashAt + 2*sim.Millisecond)
 		// Survivor writes to both shards: these sit behind the paused
 		// streams until the presumed abort releases them.
-		p.Invoke(c0, "add", 10)
-		p.Invoke(c1, "add", 10)
-		v0 = p.InvokeI(c0, "value")
-		v1 = p.InvokeI(c1, "value")
+		cellAdd.Call(p, c0, 10)
+		cellAdd.Call(p, c1, 10)
+		v0 = cellValue.Call(p, c0)
+		v1 = cellValue.Call(p, c1)
 	})
 	if rep.TimedOut {
 		t.Fatalf("%v/%v: timed out (blocked: %v)", method, protocol, rep.Blocked)
@@ -194,25 +188,22 @@ func TestFencePresumedAbortOutlivesItsWatcher(t *testing.T) {
 	const crashAt = 20 * sim.Millisecond
 	plan := &netsim.FaultPlan{Crashes: []netsim.Crash{{Node: 1, At: crashAt}, {Node: 0, At: crashAt + 100*sim.Millisecond}}}
 	cfg := orca.Config{Processors: 4, RTS: orca.Broadcast, Shards: 4, GroupMethod: group.ForcePB, Seed: 17, Faults: plan}
-	rt := orca.New(cfg, std.Register)
+	rt := orca.New(cfg, withCells)
 	var v0, v1 int
 	rep := rt.Run(func(p *orca.Proc) {
-		c0 := p.NewWith(std.IntObj, orca.Opts(orca.OnShard(0)))
-		c1 := p.NewWith(std.IntObj, orca.Opts(orca.OnShard(1)))
+		c0 := cellB.NewWith(p, orca.Opts(orca.OnShard(0)))
+		c1 := cellB.NewWith(p, orca.Opts(orca.OnShard(1)))
 		p.Fork(1, "initiator", func(wp *orca.Proc) {
 			for i := 0; i < 200; i++ {
-				wp.InvokeFenced(
-					orca.FencedOp{Obj: c0, Op: "add", Args: []any{2}},
-					orca.FencedOp{Obj: c1, Op: "add", Args: []any{3}},
-				)
+				wp.InvokeFenced(cellAdd.Fenced(c0, 2), cellAdd.Fenced(c1, 3))
 			}
 		})
 		p.Fork(2, "survivor", func(wp *orca.Proc) {
 			wp.Sleep(crashAt + 2*sim.Millisecond)
-			wp.Invoke(c0, "add", 10)
-			wp.Invoke(c1, "add", 10)
-			v0 = wp.InvokeI(c0, "value")
-			v1 = wp.InvokeI(c1, "value")
+			cellAdd.Call(wp, c0, 10)
+			cellAdd.Call(wp, c1, 10)
+			v0 = cellValue.Call(wp, c0)
+			v1 = cellValue.Call(wp, c1)
 		})
 		p.Sleep(sim.Second) // dies with machine 0
 	})

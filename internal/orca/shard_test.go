@@ -19,23 +19,23 @@ func TestShardedCounterProgram(t *testing.T) {
 	rt := orca.New(shardedCfg(procs, shards, 11), std.Register)
 	finals := make([]int, procs)
 	rep := rt.Run(func(p *orca.Proc) {
-		counters := make([]orca.Object, procs)
+		counters := make([]std.Counter, procs)
 		for i := range counters {
-			counters[i] = p.NewWith(std.IntObj, orca.Opts(orca.Sharded(i)))
+			counters[i] = std.NewZeroCounter(p, orca.Sharded(i))
 		}
-		done := p.New(std.BarrierObj, procs)
+		done := std.NewBarrier(p, procs)
 		for i := 0; i < procs; i++ {
 			i := i
 			p.Fork(i, fmt.Sprintf("w%d", i), func(wp *orca.Proc) {
 				for k := 0; k < opsPer; k++ {
-					wp.Invoke(counters[i], "inc")
+					counters[i].Inc(wp)
 				}
-				wp.Invoke(done, "arrive")
+				done.Arrive(wp)
 			})
 		}
-		p.Invoke(done, "wait")
+		done.Wait(p)
 		for i := range counters {
-			finals[i] = p.InvokeI(counters[i], "value")
+			finals[i] = counters[i].Value(p)
 		}
 	})
 	for i, v := range finals {
@@ -70,21 +70,21 @@ func TestShardedForkSeesPriorWrites(t *testing.T) {
 	// them — including writes to objects in different shards.
 	rt := orca.New(shardedCfg(4, 4, 12), std.Register)
 	rt.Run(func(p *orca.Proc) {
-		a := p.NewWith(std.IntObj, orca.Opts(orca.OnShard(0)))
-		b := p.NewWith(std.IntObj, orca.Opts(orca.OnShard(3)))
-		fin := p.New(std.FlagObj)
-		p.Invoke(a, "add", 7)
-		p.Invoke(b, "add", 9)
+		a := std.NewZeroCounter(p, orca.OnShard(0))
+		b := std.NewZeroCounter(p, orca.OnShard(3))
+		fin := std.NewFlag(p, false)
+		a.Add(p, 7)
+		b.Add(p, 9)
 		p.Fork(2, "child", func(cp *orca.Proc) {
-			if got := cp.InvokeI(a, "value"); got != 7 {
+			if got := a.Value(cp); got != 7 {
 				t.Errorf("child read a = %d, want 7", got)
 			}
-			if got := cp.InvokeI(b, "value"); got != 9 {
+			if got := b.Value(cp); got != 9 {
 				t.Errorf("child read b = %d, want 9", got)
 			}
-			cp.Invoke(fin, "set", true)
+			fin.Set(cp, true)
 		})
-		p.Invoke(fin, "await")
+		fin.Await(p)
 	})
 }
 
@@ -92,37 +92,34 @@ func TestInvokeFencedAtomicTransfer(t *testing.T) {
 	// Fenced writes on objects in different shards apply as one step
 	// while unrelated traffic keeps both sequencers busy.
 	const transfers, noise = 10, 40
-	rt := orca.New(shardedCfg(4, 2, 13), std.Register)
+	rt := orca.New(shardedCfg(4, 2, 13), withCells)
 	rep := rt.Run(func(p *orca.Proc) {
-		a := p.NewWith(std.IntObj, orca.Opts(orca.OnShard(0)), 100)
-		b := p.NewWith(std.IntObj, orca.Opts(orca.OnShard(1)))
-		na := p.NewWith(std.IntObj, orca.Opts(orca.OnShard(0)))
-		nb := p.NewWith(std.IntObj, orca.Opts(orca.OnShard(1)))
-		done := p.New(std.BarrierObj, 2)
+		a := cellB.NewWith(p, orca.Opts(orca.OnShard(0)), 100)
+		b := cellB.NewWith(p, orca.Opts(orca.OnShard(1)))
+		na := std.NewZeroCounter(p, orca.OnShard(0))
+		nb := std.NewZeroCounter(p, orca.OnShard(1))
+		done := std.NewBarrier(p, 2)
 		for i := 1; i <= 2; i++ {
 			i := i
 			p.Fork(i, fmt.Sprintf("noise%d", i), func(wp *orca.Proc) {
 				for k := 0; k < noise; k++ {
-					wp.Invoke(na, "inc")
-					wp.Invoke(nb, "inc")
+					na.Inc(wp)
+					nb.Inc(wp)
 				}
-				wp.Invoke(done, "arrive")
+				done.Arrive(wp)
 			})
 		}
 		for k := 0; k < transfers; k++ {
-			p.InvokeFenced(
-				orca.FencedOp{Obj: a, Op: "add", Args: []any{-3}},
-				orca.FencedOp{Obj: b, Op: "add", Args: []any{3}},
-			)
+			p.InvokeFenced(cellAdd.Fenced(a, -3), cellAdd.Fenced(b, 3))
 		}
-		p.Invoke(done, "wait")
-		if got := p.InvokeI(a, "value"); got != 100-3*transfers {
+		done.Wait(p)
+		if got := cellValue.Call(p, a); got != 100-3*transfers {
 			t.Errorf("a = %d, want %d", got, 100-3*transfers)
 		}
-		if got := p.InvokeI(b, "value"); got != 3*transfers {
+		if got := cellValue.Call(p, b); got != 3*transfers {
 			t.Errorf("b = %d, want %d", got, 3*transfers)
 		}
-		if got := p.InvokeI(na, "value"); got != 2*noise {
+		if got := na.Value(p); got != 2*noise {
 			t.Errorf("na = %d, want %d", got, 2*noise)
 		}
 	})
@@ -134,15 +131,15 @@ func TestInvokeFencedAtomicTransfer(t *testing.T) {
 // TestInvokeFencedRejectsPrimaryCopy: a fence pauses sequencer-group
 // streams; an object in the point-to-point domain has none.
 func TestInvokeFencedRejectsPrimaryCopy(t *testing.T) {
-	rt := orca.New(orca.Config{Processors: 2, RTS: orca.P2PInvalidate, Seed: 14}, std.Register)
+	rt := orca.New(orca.Config{Processors: 2, RTS: orca.P2PInvalidate, Seed: 14}, withCells)
 	rt.Run(func(p *orca.Proc) {
-		o := p.New(std.IntObj)
+		o := cellB.New(p)
 		defer func() {
 			if recover() == nil {
 				t.Error("InvokeFenced on a primary-copy object did not panic")
 			}
 		}()
-		p.InvokeFenced(orca.FencedOp{Obj: o, Op: "inc"})
+		p.InvokeFenced(cellInc.Fenced(o))
 	})
 }
 
@@ -155,7 +152,7 @@ func TestShardOptionValidation(t *testing.T) {
 					t.Error("OnShard(2) with 2 shards did not panic")
 				}
 			}()
-			p.NewWith(std.IntObj, orca.Opts(orca.OnShard(2)))
+			std.NewZeroCounter(p, orca.OnShard(2))
 		})
 	})
 	t.Run("SingleGroup", func(t *testing.T) {
@@ -163,8 +160,8 @@ func TestShardOptionValidation(t *testing.T) {
 		// any other shard is out of range.
 		rt := orca.New(bcastCfg(2, 16), std.Register)
 		rt.Run(func(p *orca.Proc) {
-			o := p.NewWith(std.IntObj, orca.Opts(orca.OnShard(0)), 4)
-			if got := p.InvokeI(o, "value"); got != 4 {
+			o := std.NewCounter(p, 4, orca.OnShard(0))
+			if got := o.Value(p); got != 4 {
 				t.Errorf("OnShard(0) object value = %d, want 4", got)
 			}
 			defer func() {
@@ -172,7 +169,7 @@ func TestShardOptionValidation(t *testing.T) {
 					t.Error("OnShard(1) with one sequencer group did not panic")
 				}
 			}()
-			p.NewWith(std.IntObj, orca.Opts(orca.OnShard(1)))
+			std.NewZeroCounter(p, orca.OnShard(1))
 		})
 	})
 }
@@ -185,17 +182,17 @@ func TestShardedDomainsForwardAcross(t *testing.T) {
 		Shards: shards, ShardSpan: 4, Seed: 17}, std.Register)
 	rep := rt.Run(func(p *orca.Proc) {
 		// Shard 0 spans machines 0-3; main (cpu 0) may pin to it.
-		o := p.NewWith(std.IntObj, orca.Opts(orca.OnShard(0)))
-		fin := p.New(std.FlagObj)
+		o := std.NewZeroCounter(p, orca.OnShard(0))
+		fin := std.NewFlag(p, false)
 		p.Fork(6, "far", func(wp *orca.Proc) {
-			wp.Invoke(o, "add", 5) // cpu 6 is outside shard 0's span
-			if got := wp.InvokeI(o, "value"); got != 5 {
+			o.Add(wp, 5) // cpu 6 is outside shard 0's span
+			if got := o.Value(wp); got != 5 {
 				t.Errorf("forwarded read = %d, want 5", got)
 			}
-			wp.Invoke(fin, "set", true)
+			fin.Set(wp, true)
 		})
-		p.Invoke(fin, "await")
-		if got := p.InvokeI(o, "value"); got != 5 {
+		fin.Await(p)
+		if got := o.Value(p); got != 5 {
 			t.Errorf("local read = %d, want 5", got)
 		}
 	})
@@ -213,7 +210,7 @@ func TestShardedDomainCreateOutsideSpanPanics(t *testing.T) {
 				t.Error("OnShard(1) from outside its span did not panic")
 			}
 		}()
-		p.NewWith(std.IntObj, orca.Opts(orca.OnShard(1))) // shard 1 spans 4-7; main is cpu 0
+		std.NewZeroCounter(p, orca.OnShard(1)) // shard 1 spans 4-7; main is cpu 0
 	})
 }
 
@@ -222,23 +219,23 @@ func TestShardedBatchingComposes(t *testing.T) {
 	rt := orca.New(orca.Config{Processors: procs, RTS: orca.Broadcast,
 		Shards: shards, Batching: orca.DefaultBatching(), Seed: 19}, std.Register)
 	rep := rt.Run(func(p *orca.Proc) {
-		accs := make([]orca.Object, shards)
+		accs := make([]std.Accum, shards)
 		for k := range accs {
-			accs[k] = p.NewWith(std.AccumObj, orca.Opts(orca.OnShard(k)))
+			accs[k] = std.NewAccum(p, orca.OnShard(k))
 		}
-		done := p.New(std.BarrierObj, procs)
+		done := std.NewBarrier(p, procs)
 		for i := 0; i < procs; i++ {
 			i := i
 			p.Fork(i, fmt.Sprintf("w%d", i), func(wp *orca.Proc) {
 				for k := 0; k < opsPer; k++ {
-					wp.Invoke(accs[i%shards], "add", 1)
+					accs[i%shards].Add(wp, 1)
 				}
-				wp.Invoke(done, "arrive")
+				done.Arrive(wp)
 			})
 		}
-		p.Invoke(done, "wait")
+		done.Wait(p)
 		for k := range accs {
-			if got := wpValue(p, accs[k]); got != 2*opsPer {
+			if got := accs[k].Value(p); got != 2*opsPer {
 				t.Errorf("acc %d = %d, want %d", k, got, 2*opsPer)
 			}
 		}
@@ -251,29 +248,25 @@ func TestShardedBatchingComposes(t *testing.T) {
 	}
 }
 
-func wpValue(p *orca.Proc, o orca.Object) int {
-	return p.InvokeI(o, "value")
-}
-
 func TestShardedDeterministicRuns(t *testing.T) {
 	run := func() (sim.Time, int64) {
 		rt := orca.New(shardedCfg(8, 4, 20), std.Register)
 		rep := rt.Run(func(p *orca.Proc) {
-			counters := make([]orca.Object, 6)
+			counters := make([]std.Counter, 6)
 			for i := range counters {
-				counters[i] = p.New(std.IntObj)
+				counters[i] = std.NewZeroCounter(p)
 			}
-			done := p.New(std.BarrierObj, 8)
+			done := std.NewBarrier(p, 8)
 			for i := 0; i < 8; i++ {
 				i := i
 				p.Fork(i, fmt.Sprintf("w%d", i), func(wp *orca.Proc) {
 					for k := 0; k < 20; k++ {
-						wp.Invoke(counters[(i+k)%len(counters)], "inc")
+						counters[(i+k)%len(counters)].Inc(wp)
 					}
-					wp.Invoke(done, "arrive")
+					done.Arrive(wp)
 				})
 			}
-			p.Invoke(done, "wait")
+			done.Wait(p)
 		})
 		return rep.Elapsed, rep.RTS.BcastWrites
 	}
@@ -295,24 +288,24 @@ func TestShardedCrashOneShardOthersAdvance(t *testing.T) {
 		Shards: shards, Seed: 21, Faults: plan}, std.Register)
 	finals := make([]int, shards)
 	rep := rt.Run(func(p *orca.Proc) {
-		counters := make([]orca.Object, shards)
+		counters := make([]std.Counter, shards)
 		for k := range counters {
-			counters[k] = p.NewWith(std.IntObj, orca.Opts(orca.OnShard(k)))
+			counters[k] = std.NewZeroCounter(p, orca.OnShard(k))
 		}
-		done := p.New(std.BarrierObj, 2)
+		done := std.NewBarrier(p, 2)
 		for _, cpu := range []int{2, 3} {
 			cpu := cpu
 			p.Fork(cpu, fmt.Sprintf("w%d", cpu), func(wp *orca.Proc) {
 				for k := 0; k < 40; k++ {
-					wp.Invoke(counters[cpu], "inc")
+					counters[cpu].Inc(wp)
 					wp.Work(2 * sim.Millisecond)
 				}
-				wp.Invoke(done, "arrive")
+				done.Arrive(wp)
 			})
 		}
-		p.Invoke(done, "wait")
+		done.Wait(p)
 		for k := range counters {
-			finals[k] = p.InvokeI(counters[k], "value")
+			finals[k] = counters[k].Value(p)
 		}
 	})
 	if rep.TimedOut {

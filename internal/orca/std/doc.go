@@ -12,8 +12,7 @@
 // Accum) are the programming surface — their methods take a
 // *orca.Proc and real Go values, and the argument record that travels
 // underneath is an implementation detail. All types register with an
-// rts.Registry via Register, and remain invokable through the untyped
-// Proc.Invoke under their registered operation names.
+// rts.Registry via Register.
 //
 // Downward: descriptors compile to rts.OpDefs. Upward: the
 // applications in internal/apps compose these types (and add their

@@ -86,6 +86,13 @@ func NewCounter(p *orca.Proc, init int, opts ...orca.Option) Counter {
 	return Counter{h: intB.NewWith(p, opts, init)}
 }
 
+// NewZeroCounter creates a shared integer at zero. It sends no
+// constructor argument, so its creation broadcast is 8 bytes lighter
+// than NewCounter(p, 0)'s.
+func NewZeroCounter(p *orca.Proc, opts ...orca.Option) Counter {
+	return Counter{h: intB.NewWith(p, opts)}
+}
+
 // Handle exposes the typed handle (for statistics).
 func (c Counter) Handle() orca.Handle[*intState] { return c.h }
 

@@ -18,9 +18,10 @@
 // value to the runtime (rts.Router.Call), and reads its typed results
 // out of the record that comes back; the operation it registered reads
 // its arguments out of the same record on whichever machine applies it.
-// The untyped Proc.Invoke is the same call with the record built from,
-// and turned back into, a value list: the dynamic escape hatch, and the
-// layer the rts tests and protocol ablations exercise directly.
+// Descriptors are the only way a program creates (TypeBuilder.New),
+// invokes (Call) and fences (Fenced) a shared object: there is no
+// untyped escape hatch, so a misspelt operation or a wrong argument
+// type cannot reach the runtime.
 package orca
 
 import (
@@ -30,25 +31,22 @@ import (
 )
 
 // Handle is a typed handle to a shared data-object whose replicated
-// state is S. Like Object, a Handle is passed to forked processes by
-// closure, mirroring Orca's shared call-by-reference parameters; the
-// zero Handle is invalid until assigned from New/NewWith.
+// state is S. A Handle is passed to forked processes by closure,
+// mirroring Orca's shared call-by-reference parameters; the object's
+// replicas live inside the runtime system. The zero Handle is invalid
+// until assigned from New/NewWith.
 type Handle[S rts.State] struct {
-	o Object
+	id rts.ObjID
 }
 
-// Untyped returns the untyped object handle (for statistics and for
-// mixing with the dynamic Invoke surface).
-func (h Handle[S]) Untyped() Object { return h.o }
-
 // ID exposes the runtime object id (for harness statistics).
-func (h Handle[S]) ID() rts.ObjID { return h.o.ID() }
+func (h Handle[S]) ID() rts.ObjID { return h.id }
 
 // TypeBuilder declares an object type whose state is S. Build one with
 // NewType, chain the state-management hooks fluently, attach typed
 // operations with the Def* functions, and register the result with
 // Register. The builder owns an ordinary *rts.ObjectType underneath,
-// so typed and untyped invocations dispatch to the same definitions.
+// whose operations are exactly the descriptors defined on it.
 type TypeBuilder[S rts.State] struct {
 	t *rts.ObjectType
 }
@@ -87,15 +85,21 @@ func (b *TypeBuilder[S]) Type() *rts.ObjectType { return b.t }
 func (b *TypeBuilder[S]) Register(reg *rts.Registry) { reg.Register(b.t) }
 
 // New creates a shared object of this type, returning a typed handle.
+// It follows Config.RTS.
 func (b *TypeBuilder[S]) New(p *Proc, args ...any) Handle[S] {
-	return Handle[S]{o: p.New(b.t.Name, args...)}
+	return b.NewWith(p, nil, args...)
 }
 
 // NewWith creates a shared object of this type under the given
-// creation options (see Proc.NewWith and Policy), returning a typed
-// handle. With no options it is exactly New.
+// creation options (see Policy), returning a typed handle. With no
+// options it is exactly New. A placement needs its domain built — a
+// PrimaryCopy or Adaptive object needs the point-to-point domain (a
+// point-to-point RTS, or Config.Mixed), a Replicated one needs a
+// sequencer group (RTS: Broadcast, or Config.Mixed) — and creation
+// panics with the router's error otherwise, naming the missing domain.
+// The creation broadcast carries args, so it weighs what they weigh.
 func (b *TypeBuilder[S]) NewWith(p *Proc, opts []Option, args ...any) Handle[S] {
-	return Handle[S]{o: p.NewWith(b.t.Name, opts, args...)}
+	return Handle[S]{id: p.rt.create(p.w, b.t.Name, opts, args)}
 }
 
 // addOp registers apply under name. All descriptors funnel through
@@ -107,6 +111,11 @@ func addOp[S rts.State](b *TypeBuilder[S], name string, kind rts.OpKind, apply f
 	def := &rts.OpDef{Name: name, Kind: kind, Apply: apply}
 	b.t.Ops[name] = def
 	return def
+}
+
+// fenced is the fence entry of a write descriptor's operation on h.
+func fenced[S rts.State](h Handle[S], def *rts.OpDef, in rts.Args) FencedOp {
+	return FencedOp{rts.FencedOp{ID: h.id, Op: def.Name, Args: in}}
 }
 
 // rec1 and rec2 are the record of one and of two values: a descriptor's
@@ -122,11 +131,10 @@ func rec2[T1, T2 any](v1 T1, v2 T2) (a rts.Args) {
 	return a
 }
 
-// get1 and get2 read them back. Decoding is as strict as the direct
-// assertions of the untyped layer always were: a value of the wrong type
-// panics, and a nil is only legal where T itself can hold nil (results
-// legitimately carry nil in "not found" slots, e.g. a drained queue's
-// (nil, false)).
+// get1 and get2 read them back. Decoding is strict: a value of the
+// wrong type panics, and a nil is only legal where T itself can hold
+// nil (results legitimately carry nil in "not found" slots, e.g. a
+// drained queue's (nil, false)).
 func get1[T any](a rts.Args) T { return rts.Get[T](&a, 0) }
 
 func get2[T1, T2 any](a rts.Args) (T1, T2) { return rts.Get[T1](&a, 0), rts.Get[T2](&a, 1) }
@@ -158,10 +166,10 @@ func (op ReadOp0[S, R]) Guard(g func(S) bool) ReadOp0[S, R] {
 
 // Call performs the operation on h.
 func (op ReadOp0[S, R]) Call(p *Proc, h Handle[S]) R {
-	if s, ok := p.readState(h.o, op.def); ok {
+	if s, ok := p.readState(h.id, op.def); ok {
 		return op.apply(s.(S))
 	}
-	return get1[R](p.call(h.o, op.def, rts.Args{}))
+	return get1[R](p.call(h.id, op.def, rts.Args{}))
 }
 
 // ReadOp is a read taking one argument A and returning R — the
@@ -186,10 +194,10 @@ func (op ReadOp[S, A, R]) Guard(g func(S, A) bool) ReadOp[S, A, R] {
 
 // Call performs the operation on h.
 func (op ReadOp[S, A, R]) Call(p *Proc, h Handle[S], arg A) R {
-	if s, ok := p.readState(h.o, op.def); ok {
+	if s, ok := p.readState(h.id, op.def); ok {
 		return op.apply(s.(S), arg)
 	}
-	return get1[R](p.call(h.o, op.def, rec1(arg)))
+	return get1[R](p.call(h.id, op.def, rec1(arg)))
 }
 
 // ReadOp1x2 is a read taking one argument and returning two results
@@ -208,10 +216,10 @@ func DefRead1x2[S rts.State, A, R1, R2 any](b *TypeBuilder[S], name string, appl
 
 // Call performs the operation on h.
 func (op ReadOp1x2[S, A, R1, R2]) Call(p *Proc, h Handle[S], arg A) (R1, R2) {
-	if s, ok := p.readState(h.o, op.def); ok {
+	if s, ok := p.readState(h.id, op.def); ok {
 		return op.apply(s.(S), arg)
 	}
-	return get2[R1, R2](p.call(h.o, op.def, rec1(arg)))
+	return get2[R1, R2](p.call(h.id, op.def, rec1(arg)))
 }
 
 // ReadOp2x2 is a read taking two arguments and returning two results.
@@ -239,10 +247,10 @@ func (op ReadOp2x2[S, A1, A2, R1, R2]) Guard(g func(S, A1, A2) bool) ReadOp2x2[S
 
 // Call performs the operation on h.
 func (op ReadOp2x2[S, A1, A2, R1, R2]) Call(p *Proc, h Handle[S], a1 A1, a2 A2) (R1, R2) {
-	if s, ok := p.readState(h.o, op.def); ok {
+	if s, ok := p.readState(h.id, op.def); ok {
 		return op.apply(s.(S), a1, a2)
 	}
-	return get2[R1, R2](p.call(h.o, op.def, rec2(a1, a2)))
+	return get2[R1, R2](p.call(h.id, op.def, rec2(a1, a2)))
 }
 
 // AwaitOp is a guarded read with no arguments and no results: pure
@@ -260,7 +268,7 @@ func DefAwait[S rts.State](b *TypeBuilder[S], name string, guard func(S) bool) A
 
 // Call blocks until the guard holds.
 func (op AwaitOp[S]) Call(p *Proc, h Handle[S]) {
-	p.call(h.o, op.def, rts.Args{})
+	p.call(h.id, op.def, rts.Args{})
 }
 
 // ---------------------------------------------------------------------
@@ -286,8 +294,12 @@ func (op WriteOp0[S, R]) Guard(g func(S) bool) WriteOp0[S, R] {
 
 // Call performs the operation on h.
 func (op WriteOp0[S, R]) Call(p *Proc, h Handle[S]) R {
-	return get1[R](p.call(h.o, op.def, rts.Args{}))
+	return get1[R](p.call(h.id, op.def, rts.Args{}))
 }
+
+// Fenced names the operation on h as one write of Proc.InvokeFenced;
+// its result is discarded.
+func (op WriteOp0[S, R]) Fenced(h Handle[S]) FencedOp { return fenced(h, op.def, rts.Args{}) }
 
 // WriteOp is a write taking one argument A and returning R — the
 // canonical typed operation shape.
@@ -308,8 +320,12 @@ func (op WriteOp[S, A, R]) Guard(g func(S, A) bool) WriteOp[S, A, R] {
 
 // Call performs the operation on h.
 func (op WriteOp[S, A, R]) Call(p *Proc, h Handle[S], arg A) R {
-	return get1[R](p.call(h.o, op.def, rec1(arg)))
+	return get1[R](p.call(h.id, op.def, rec1(arg)))
 }
+
+// Fenced names the operation on h as one write of Proc.InvokeFenced;
+// its result is discarded.
+func (op WriteOp[S, A, R]) Fenced(h Handle[S], arg A) FencedOp { return fenced(h, op.def, rec1(arg)) }
 
 // WriteOp0x2 is a write taking no arguments and returning two results
 // (the guarded dequeue shape: (item, ok)).
@@ -330,7 +346,7 @@ func (op WriteOp0x2[S, R1, R2]) Guard(g func(S) bool) WriteOp0x2[S, R1, R2] {
 
 // Call performs the operation on h.
 func (op WriteOp0x2[S, R1, R2]) Call(p *Proc, h Handle[S]) (R1, R2) {
-	return get2[R1, R2](p.call(h.o, op.def, rts.Args{}))
+	return get2[R1, R2](p.call(h.id, op.def, rts.Args{}))
 }
 
 // WriteOp1x2 is a write taking one argument and returning two results
@@ -352,7 +368,7 @@ func (op WriteOp1x2[S, A, R1, R2]) Guard(g func(S, A) bool) WriteOp1x2[S, A, R1,
 
 // Call performs the operation on h.
 func (op WriteOp1x2[S, A, R1, R2]) Call(p *Proc, h Handle[S], arg A) (R1, R2) {
-	return get2[R1, R2](p.call(h.o, op.def, rec1(arg)))
+	return get2[R1, R2](p.call(h.id, op.def, rec1(arg)))
 }
 
 // WriteOp2x2 is a write taking two arguments and returning two
@@ -378,7 +394,7 @@ func (op WriteOp2x2[S, A1, A2, R1, R2]) Guard(g func(S, A1, A2) bool) WriteOp2x2
 
 // Call performs the operation on h.
 func (op WriteOp2x2[S, A1, A2, R1, R2]) Call(p *Proc, h Handle[S], a1 A1, a2 A2) (R1, R2) {
-	return get2[R1, R2](p.call(h.o, op.def, rec2(a1, a2)))
+	return get2[R1, R2](p.call(h.id, op.def, rec2(a1, a2)))
 }
 
 // UpdateOp0 is a write with no arguments and no results (close,
@@ -397,7 +413,7 @@ func DefUpdate0[S rts.State](b *TypeBuilder[S], name string, apply func(S)) Upda
 
 // Call performs the operation on h.
 func (op UpdateOp0[S]) Call(p *Proc, h Handle[S]) {
-	p.call(h.o, op.def, rts.Args{})
+	p.call(h.id, op.def, rts.Args{})
 }
 
 // UpdateOp is a write taking one argument and returning nothing.
@@ -415,8 +431,11 @@ func DefUpdate[S rts.State, A any](b *TypeBuilder[S], name string, apply func(S,
 
 // Call performs the operation on h.
 func (op UpdateOp[S, A]) Call(p *Proc, h Handle[S], arg A) {
-	p.call(h.o, op.def, rec1(arg))
+	p.call(h.id, op.def, rec1(arg))
 }
+
+// Fenced names the operation on h as one write of Proc.InvokeFenced.
+func (op UpdateOp[S, A]) Fenced(h Handle[S], arg A) FencedOp { return fenced(h, op.def, rec1(arg)) }
 
 // UpdateOp2 is a write taking two arguments and returning nothing.
 type UpdateOp2[S rts.State, A1, A2 any] struct{ def *rts.OpDef }
@@ -434,5 +453,5 @@ func DefUpdate2[S rts.State, A1, A2 any](b *TypeBuilder[S], name string, apply f
 
 // Call performs the operation on h.
 func (op UpdateOp2[S, A1, A2]) Call(p *Proc, h Handle[S], a1 A1, a2 A2) {
-	p.call(h.o, op.def, rec2(a1, a2))
+	p.call(h.id, op.def, rec2(a1, a2))
 }

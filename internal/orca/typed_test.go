@@ -1,9 +1,8 @@
 package orca
 
 // Tests of the typed API v2 layer itself: the TypeBuilder, the op
-// descriptors, guard attachment, and the interop guarantee that typed
-// descriptors and the untyped Invoke dispatch to the same registered
-// definitions. (The std wrappers get their own tests in orca/std;
+// descriptors, guard attachment, and the guarantee that a descriptor
+// dispatches to the definition registered under its name. (The std wrappers get their own tests in orca/std;
 // this file uses a purpose-built type so package orca's internal test
 // needs no imports back into std.)
 
@@ -106,30 +105,27 @@ func TestTypedOpsRoundTrip(t *testing.T) {
 }
 
 // TestTypedUntypedInterop checks the facade property: a typed
-// descriptor and an untyped Invoke under the registered name hit the
-// same operation on the same object.
+// descriptor and the runtime's entry by name (rts.Router.Call, which
+// the descriptors call) hit the same operation on the same object.
 func TestTypedUntypedInterop(t *testing.T) {
 	rt := New(Config{Processors: 2, RTS: Broadcast, Seed: 32}, cellsSetup)
 	rt.Run(func(p *Proc) {
 		h := cellsB.New(p, 2)
-		p.Invoke(h.Untyped(), "set", 1, 9) // untyped write...
+		rt.sys.Call(p.w, h.ID(), "set", rts.ArgsOf(1, 9)) // a write by name...
 		if got := cellsGet.Call(p, h, 1); got != 9 {
-			t.Errorf("typed read after untyped write = %d, want 9", got)
+			t.Errorf("typed read after a write by name = %d, want 9", got)
 		}
-		cellsSet.Call(p, h, 0, 4) // ...and typed write, untyped read
-		if got := p.InvokeI(h.Untyped(), "sum"); got != 13 {
-			t.Errorf("untyped sum = %d, want 13", got)
-		}
-		if h.ID() != h.Untyped().ID() {
-			t.Error("handle ids disagree")
+		cellsSet.Call(p, h, 0, 4) // ...and a typed write, read by name
+		if res := rt.sys.Call(p.w, h.ID(), "sum", rts.Args{}); rts.Get[int](&res, 0) != 13 {
+			t.Errorf("sum by name = %v, want 13", res.Values())
 		}
 	})
 }
 
-// TestArgDecodingStrict checks the record decoder keeps the untyped
-// layer's checking: wrong types and illegal nils panic (as the
-// hand-written assertions of the v1 types did), while nil stays legal
-// wherever the static type can hold it.
+// TestArgDecodingStrict checks the record decoder is strict: wrong
+// types and illegal nils panic (as the hand-written assertions of the
+// v1 types did), while nil stays legal wherever the static type can
+// hold it.
 func TestArgDecodingStrict(t *testing.T) {
 	mustPanic := func(name string, f func()) {
 		defer func() {
@@ -349,11 +345,11 @@ func BenchmarkLocalReadPaths(b *testing.B) {
 		read func(p *Proc, h Handle[*cellsState]) int
 	}{
 		{"readState", func(p *Proc, h Handle[*cellsState]) int {
-			s, _ := p.readState(h.o, cellsGet.def)
+			s, _ := p.readState(h.id, cellsGet.def)
 			return cellsGet.apply(s.(*cellsState), 2)
 		}},
 		{"call", func(p *Proc, h Handle[*cellsState]) int {
-			return get1[int](p.call(h.o, cellsGet.def, rec1(2)))
+			return get1[int](p.call(h.id, cellsGet.def, rec1(2)))
 		}},
 	}
 	setups := []struct {

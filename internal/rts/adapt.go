@@ -275,8 +275,8 @@ func (r *Router) adopt(w *Worker, id ObjID, g *BroadcastRTS, typeName string, cf
 		home:     r.objs[id].dom,
 		typ:      g.reg.Lookup(typeName),
 		ctorArgs: append([]any(nil), args...),
-		reads:    make([]int64, r.Nodes()),
-		writes:   make([]int64, r.Nodes()),
+		reads:    make([]int64, len(r.machines)),
+		writes:   make([]int64, len(r.machines)),
 		cond:     sim.NewCond(w.M.Env()),
 	}
 }
@@ -301,12 +301,15 @@ func (r *Router) AdaptivePlacements() map[ObjID]string {
 	return out
 }
 
-// adaptObserve records one completed Invoke-path access and, when a
-// statistics window fills, runs the placement decision — migrating
+// adaptObserve records one completed access through Call and, when the
+// statistics window is full, runs the placement decision — migrating
 // the object from the invoking worker's context if it fires. Only a
 // machine of the home group's span decides (it must sequence the cut
 // there), and only such machines are migration targets; a window that
-// fills elsewhere waits for the next in-span access.
+// fills elsewhere waits for the next in-span access. A local read
+// served by LocalReadState only counts itself into the window, so a
+// window it fills is decided here too, at the object's next access
+// through Call (DESIGN.md "Adaptive placement").
 func (r *Router) adaptObserve(w *Worker, id ObjID, info *adaptInfo, opName string) {
 	info.count(w.Node(), info.ops.lookup(info.typ, opName).Kind)
 	home := r.groups[info.home]

@@ -27,7 +27,7 @@ func TestAdaptiveSequentialConsistency(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 5}); err != nil {
 		t.Fatal(err)
 	}
-	// Regression: typed reads (LocalReadState, Invoke on decline) must
+	// Regression: typed reads (LocalReadState, Call on decline) must
 	// not be served from a replica frozen at a p2p->broadcast cut whose
 	// install record this machine has not delivered yet. Seed 94 is the
 	// one that caught it; its neighbours keep the net wide.
@@ -39,7 +39,7 @@ func TestAdaptiveSequentialConsistency(t *testing.T) {
 // adaptiveSCRun is one hammer run of iters operations per process (ten
 // with node 0 writing, ten with node 1 writing, the rest read-only),
 // with reads going through the typed local-read path — LocalReadState,
-// Invoke when it declines — when typed is set.
+// Call when it declines — when typed is set.
 func adaptiveSCRun(t *testing.T, seed int64, iters int, typed bool) {
 	t.Helper()
 	const nodes = 8
@@ -64,7 +64,7 @@ func adaptiveSCRun(t *testing.T, seed int64, iters int, typed bool) {
 				return st.(*intCellState).v
 			}
 		}
-		return m.Invoke(w, id, "get")[0].(int)
+		return invoke(m, w, id, "get")[0].(int)
 	}
 	histories := make([][]scheck.Op, nodes)
 	b.spawn(0, "boot", func(w *Worker) {
@@ -87,7 +87,7 @@ func adaptiveSCRun(t *testing.T, seed int64, iters int, typed bool) {
 					}
 					if n == writer {
 						v := n*1000 + i + 1 // unique nonzero value
-						m.Invoke(w, id, "set", v)
+						invoke(m, w, id, "set", v)
 						histories[n] = append(histories[n], scheck.Op{Proc: n, Write: true, Val: v})
 					} else {
 						histories[n] = append(histories[n], scheck.Op{Proc: n, Val: read(w)})

@@ -31,10 +31,10 @@ func TestAdaptWriteHeavyMigratesToPrimary(t *testing.T) {
 		}
 		w.P.Sleep(2 * sim.Millisecond) // put the first decision past the dwell
 		for i := 0; i < 40; i++ {
-			m.Invoke(w, id, "inc")
+			invoke(m, w, id, "inc")
 		}
 		w.Flush()
-		if got := m.Invoke(w, id, "get")[0].(int); got != 45 {
+		if got := invoke(m, w, id, "get")[0].(int); got != 45 {
 			t.Errorf("value after migration = %d, want 45", got)
 		}
 	})
@@ -45,6 +45,38 @@ func TestAdaptWriteHeavyMigratesToPrimary(t *testing.T) {
 	}
 	if st := m.Counters(); st.Migrations != 1 {
 		t.Errorf("migrations = %d, want 1", st.Migrations)
+	}
+}
+
+// TestAdaptLocalReadsDecideAtNextCall pins the controller's decision
+// rule: a local read served by LocalReadState counts itself into the
+// statistics window but does not decide, so a window that such reads
+// fill stays unfolded, however far past SampleEvery they go; the
+// object's next access through Call folds it.
+func TestAdaptLocalReadsDecideAtNextCall(t *testing.T) {
+	b, m := newMixedTB(t, 11, 3, DefaultP2PConfig())
+	defer b.done()
+	cfg := testAdaptCfg()
+	reads := cfg.SampleEvery + 3
+	b.spawn(0, "main", func(w *Worker) {
+		id := place(m, w, "intcell", adaptive(cfg), 0)
+		info := m.objs[id].adapt
+		for i := 0; i < reads; i++ {
+			if _, ok := m.LocalReadState(w, id, testOp(m, "intcell", "get")); !ok {
+				t.Fatalf("local read %d declined", i)
+			}
+		}
+		if info.seen != reads || info.primed {
+			t.Errorf("after %d local reads: %d accesses in the window, folded %t; want %d, unfolded", reads, info.seen, info.primed, reads)
+		}
+		invoke(m, w, id, "set", 1)
+		if want := 1 / float64(reads+1); info.seen != 0 || !info.primed || info.ewma != want {
+			t.Errorf("after a write through Call: %d accesses in the window, folded %t, write fraction %v; want 0, folded, %v", info.seen, info.primed, info.ewma, want)
+		}
+	})
+	b.run(sim.Second)
+	if st := m.Counters(); st.Migrations != 0 {
+		t.Errorf("%d migrations of a read-mostly object, want none", st.Migrations)
 	}
 }
 
@@ -72,7 +104,7 @@ func TestAdaptReadHeavyMigratesBack(t *testing.T) {
 		await(w.P, 1)
 		w.P.Sleep(2 * sim.Millisecond)
 		for i := 0; i < 32; i++ {
-			m.Invoke(w, id, "inc")
+			invoke(m, w, id, "inc")
 		}
 		w.Flush()
 		if pl := m.AdaptivePlacements()[id]; pl != "primary@1" {
@@ -86,7 +118,7 @@ func TestAdaptReadHeavyMigratesBack(t *testing.T) {
 		// Three pure-read windows decay the EWMA 1.0 -> 0.5 -> 0.25 ->
 		// 0.125, under the 0.15 read-heavy default at the third decision.
 		for i := 0; i < 64; i++ {
-			if got := m.Invoke(w, id, "get")[0].(int); got != 32 {
+			if got := invoke(m, w, id, "get")[0].(int); got != 32 {
 				t.Errorf("read %d = %d, want 32", i, got)
 			}
 		}
@@ -125,7 +157,7 @@ func TestAdaptRehomeFollowsWriter(t *testing.T) {
 		await(w.P, 1)
 		w.P.Sleep(2 * sim.Millisecond)
 		for i := 0; i < 32; i++ {
-			m.Invoke(w, id, "inc")
+			invoke(m, w, id, "inc")
 		}
 		w.Flush()
 		step = 2
@@ -135,10 +167,10 @@ func TestAdaptRehomeFollowsWriter(t *testing.T) {
 		await(w.P, 2)
 		w.P.Sleep(2 * sim.Millisecond) // dwell between the two migrations
 		for i := 0; i < 32; i++ {
-			m.Invoke(w, id, "inc")
+			invoke(m, w, id, "inc")
 		}
 		w.Flush()
-		if got := m.Invoke(w, id, "get")[0].(int); got != 64 {
+		if got := invoke(m, w, id, "get")[0].(int); got != 64 {
 			t.Errorf("value after re-home = %d, want 64", got)
 		}
 	})
@@ -172,7 +204,7 @@ func TestAdaptGuardWaiterSurvivesMigration(t *testing.T) {
 		}
 		w.P.Sleep(2 * sim.Millisecond)
 		for i := 0; i < 48; i++ {
-			m.Invoke(w, id, "put", i)
+			invoke(m, w, id, "put", i)
 			if i%8 == 7 {
 				w.P.Sleep(sim.Millisecond) // let the consumer drain and block again
 			}
@@ -184,7 +216,7 @@ func TestAdaptGuardWaiterSurvivesMigration(t *testing.T) {
 			ready.Wait(w.P)
 		}
 		for i := 0; i < 12; i++ {
-			got = append(got, m.Invoke(w, id, "get")[0].(int))
+			got = append(got, invoke(m, w, id, "get")[0].(int))
 		}
 		w.Flush()
 	})
@@ -228,7 +260,7 @@ func TestAdaptDeterminism(t *testing.T) {
 			await(w.P, 1)
 			w.P.Sleep(2 * sim.Millisecond)
 			for i := 0; i < 32; i++ {
-				m.Invoke(w, id, "inc")
+				invoke(m, w, id, "inc")
 			}
 			w.Flush()
 			step = 2
@@ -238,7 +270,7 @@ func TestAdaptDeterminism(t *testing.T) {
 			await(w.P, 2)
 			w.P.Sleep(2 * sim.Millisecond)
 			for i := 0; i < 32; i++ {
-				m.Invoke(w, id, "inc")
+				invoke(m, w, id, "inc")
 			}
 			w.Flush()
 			step = 3
@@ -248,7 +280,7 @@ func TestAdaptDeterminism(t *testing.T) {
 			await(w.P, 3)
 			w.P.Sleep(2 * sim.Millisecond)
 			for i := 0; i < 64; i++ {
-				m.Invoke(w, id, "get")
+				invoke(m, w, id, "get")
 			}
 			w.Flush()
 		})
@@ -300,7 +332,7 @@ func TestAdaptAbortWhenTargetDiesBeforeCut(t *testing.T) {
 		}
 		w.P.Sleep(sim.Millisecond)
 		for i := 0; i < 7; i++ { // one short of the window
-			m.Invoke(w, id, "inc")
+			invoke(m, w, id, "inc")
 			w.P.Sleep(500 * sim.Microsecond)
 		}
 	})
@@ -313,10 +345,10 @@ func TestAdaptAbortWhenTargetDiesBeforeCut(t *testing.T) {
 		// The 8th access: fills the window, decides to-primary@1, and
 		// drives the migration — node 1 dies while the record is in
 		// flight, so this returns only after the abort.
-		m.Invoke(w, id, "get")
-		after = m.Invoke(w, id, "get")[0].(int)
-		m.Invoke(w, id, "inc")
-		bumped = m.Invoke(w, id, "get")[0].(int)
+		invoke(m, w, id, "get")
+		after = invoke(m, w, id, "get")[0].(int)
+		invoke(m, w, id, "inc")
+		bumped = invoke(m, w, id, "get")[0].(int)
 	})
 	b.env.At(12100*sim.Microsecond, func() { b.crash(1, m) })
 	b.run(30 * sim.Second)
@@ -363,7 +395,7 @@ func TestAdaptMoveoutRescuedAfterDriverCrash(t *testing.T) {
 		// local primary, so value 8 lives only on node 1 (plus the
 		// frozen replicas of the cut and, later, the moveout snapshot).
 		for i := 0; i < 8; i++ {
-			m.Invoke(w, id, "inc")
+			invoke(m, w, id, "inc")
 			w.P.Sleep(400 * sim.Microsecond)
 		}
 	})
@@ -379,10 +411,10 @@ func TestAdaptMoveoutRescuedAfterDriverCrash(t *testing.T) {
 			// bar; one of these reads initiates the moveout that node
 			// 1's object thread drives when the crash hits.
 			for i := 0; i < 12; i++ {
-				m.Invoke(w, id, "get")
+				invoke(m, w, id, "get")
 				w.P.Sleep(600 * sim.Microsecond)
 			}
-			finals[node] = m.Invoke(w, id, "get")[0].(int)
+			finals[node] = invoke(m, w, id, "get")[0].(int)
 		})
 	}
 	b.env.At(22200*sim.Microsecond, func() { b.crash(1, m) })

@@ -31,7 +31,7 @@ func newBatchedTB(t *testing.T, seed int64, n int, bc group.BatchConfig) (*tb, *
 	}
 	r := NewBroadcastRTS(testRegistry(), DefaultCosts(), ms, gs)
 	r.EnableBatching(bc)
-	return &tb{env: env, net: nw, ms: ms, sys: r}, r
+	return &tb{env: env, net: nw, ms: ms}, r
 }
 
 func testBatch() group.BatchConfig {

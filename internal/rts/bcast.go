@@ -30,7 +30,7 @@ type BroadcastRTS struct {
 	// span). A standalone runtime spans every machine and the mapping is
 	// the identity; under a Router each sequencer group may span a
 	// subset (its replication domain), and machines outside it reach the
-	// group through the forwarder RPC (see Router.Invoke).
+	// group through the forwarder RPC (see Router.Call).
 	span  []int
 	mgrAt []int
 
@@ -64,39 +64,6 @@ type BroadcastRTS struct {
 	// stats counts straight into the broadcast fields of the unified
 	// snapshot; Counters adds the group layer's recovery figures.
 	stats RTSStats
-}
-
-// System is the interface shared by the runtime systems: each domain
-// alone, and the Router over them that the Orca layer builds.
-type System interface {
-	// Create instantiates a shared object of a registered type and
-	// returns its id. It blocks until the creating machine can use
-	// the object.
-	Create(w *Worker, typeName string, args ...any) ObjID
-	// Call performs an operation on a shared object with the
-	// sequential-consistency and indivisibility guarantees of the
-	// shared data-object model: in are its arguments, the record
-	// returned its results. It blocks for guards, locks, and write
-	// completion.
-	Call(w *Worker, id ObjID, op string, in Args) Args
-	// Invoke is Call for a positional argument list, returning the
-	// results boxed.
-	Invoke(w *Worker, id ObjID, op string, args ...any) []any
-	// Nodes reports the machine count.
-	Nodes() int
-	// PeekState returns a machine's current replica state (nil if the
-	// machine holds no copy). It is an inspection hook for tests and
-	// experiment harnesses, not part of the programming model.
-	PeekState(node int, id ObjID) (State, bool)
-}
-
-var _ System = (*BroadcastRTS)(nil)
-
-// invoke is every System's Invoke: the one place a value list becomes a
-// record and a record a value list.
-func invoke(s System, w *Worker, id ObjID, op string, args []any) []any {
-	out := s.Call(w, id, op, ArgsOf(args...))
-	return out.Values()
 }
 
 // opKind is the kind of a write's group message, which carries the
@@ -241,9 +208,6 @@ func (r *BroadcastRTS) mgr(node int) *bcastManager {
 	return r.mgrs[i]
 }
 
-// Nodes reports the machine count (span size).
-func (r *BroadcastRTS) Nodes() int { return len(r.mgrs) }
-
 // Span reports the global node ids hosting this runtime's replicas.
 func (r *BroadcastRTS) Span() []int { return r.span }
 
@@ -295,17 +259,25 @@ func (r *BroadcastRTS) Counters() RTSStats {
 func (r *BroadcastRTS) NodeCrashed(int) { r.stats.Crashes++ }
 
 // Create broadcasts object creation so every machine of the span
-// instantiates a replica, and waits until the local replica exists.
+// instantiates a replica, and waits until the local replica exists. It
+// stays for bench/rungs.go; the Router creates through CreateOn.
 func (r *BroadcastRTS) Create(w *Worker, typeName string, args ...any) ObjID {
 	return r.CreateOn(w, typeName, nil, args...)
 }
 
-// Invoke implements System.
+// Invoke is Call for a positional argument list, returning the results
+// boxed. It stays for bench/rungs.go, which drives a group with no
+// Router over it; programs reach Call through the typed descriptors
+// and the Router.
 func (r *BroadcastRTS) Invoke(w *Worker, id ObjID, op string, args ...any) []any {
-	return invoke(r, w, id, op, args)
+	out := r.Call(w, id, op, ArgsOf(args...))
+	return out.Values()
 }
 
-// Call implements System.
+// Call performs an operation on a shared object with the
+// sequential-consistency and indivisibility guarantees of the shared
+// data-object model: in are its arguments, the record returned its
+// results. It blocks for guards and write completion.
 func (r *BroadcastRTS) Call(w *Worker, id ObjID, opName string, in Args) Args {
 	mgr := r.mgr(w.Node())
 	if mgr == nil {
@@ -343,7 +315,9 @@ func (r *BroadcastRTS) Call(w *Worker, id ObjID, opName string, in Args) Args {
 	return mgr.await(w.P, uid)
 }
 
-// PeekState implements System.
+// PeekState returns a machine's current replica state (nil if the
+// machine holds no copy): an inspection hook for tests and experiment
+// harnesses, not part of the programming model.
 func (r *BroadcastRTS) PeekState(node int, id ObjID) (State, bool) {
 	mgr := r.mgr(node)
 	if mgr == nil {

@@ -8,7 +8,7 @@ import (
 )
 
 // localReadCase is one row of the local-read decline table: a scenario
-// whose typed reads go through read, which falls back to Invoke when the
+// whose typed reads go through read, which falls back to Call when the
 // typed path declines.
 type localReadCase struct {
 	name  string
@@ -44,7 +44,7 @@ var localReadCases = []localReadCase{
 				read(w, id, testOp(m, "flag", "get"))
 			})
 			w.P.Sleep(5 * sim.Millisecond)
-			m.Invoke(w, id, "set", true)
+			invoke(m, w, id, "set", true)
 		})
 	}},
 	{name: "non-holder", declines: 3, run: func(t *testing.T, b *tb, m *Router, read func(*Worker, ObjID, *OpDef) any) {
@@ -108,7 +108,7 @@ var localReadCases = []localReadCase{
 			info := m.objs[id].adapt
 			w.P.Sleep(5 * sim.Millisecond)
 			m.startMigration(w, id, info, adaptToPrimary, 1)
-			m.Invoke(w, id, "set", 12)
+			invoke(m, w, id, "set", 12)
 			w.P.Sleep(5 * sim.Millisecond)
 			b.spawn(3, "hog", func(w *Worker) { w.M.Compute(w.P, 30*sim.Millisecond) })
 			m.startMigration(w, id, info, adaptToReplicated, -1)
@@ -133,7 +133,7 @@ var localReadCases = []localReadCase{
 			read(w, id, testOp(m, "intcell", "get"))
 			read(w, other, testOp(m, "intcell", "get"))
 			for i := 1; i <= 3; i++ {
-				m.Invoke(w, id, "set", 10*i)                // buffered
+				invoke(m, w, id, "set", 10*i)               // buffered
 				read(w, other, testOp(m, "intcell", "get")) // does not sync
 				if v := read(w, id, testOp(m, "intcell", "get")); v != 10*i {
 					t.Errorf("read %v after buffering set %d", v, 10*i)
@@ -170,7 +170,7 @@ var localReadCases = []localReadCase{
 // table. Every row runs three times: through LocalReadState, whose hit
 // path reads a non-adaptive object's replica straight out of the
 // machine's replica table; through its general path alone, which
-// resolves every read; and through Invoke alone, the untyped path. All
+// resolves every read; and through Call alone, the routed path. All
 // three must read the same values at the same virtual instants, count
 // the same local reads per group and adaptive reads per machine, and
 // end with the same event count, and the two typed runs must decline
@@ -179,7 +179,7 @@ func TestLocalReadDeclines(t *testing.T) {
 	for _, c := range localReadCases {
 		t.Run(c.name, func(t *testing.T) {
 			fast, declines := localReadRun(t, c, "fast")
-			for _, path := range []string{"general", "invoke"} {
+			for _, path := range []string{"general", "call"} {
 				fp, d := localReadRun(t, c, path)
 				if fp != fast {
 					t.Errorf("the fast path differs from the %s one:\n fast %s\n %s %s", path, fast, path, fp)
@@ -209,7 +209,7 @@ func localReadRun(t *testing.T, c localReadCase, path string) (string, int) {
 	via := map[string]func(*Worker, ObjID, *OpDef) (State, bool){
 		"fast":    m.LocalReadState,
 		"general": m.resolveRead,
-		"invoke":  func(*Worker, ObjID, *OpDef) (State, bool) { return nil, false },
+		"call":    func(*Worker, ObjID, *OpDef) (State, bool) { return nil, false },
 	}[path]
 	var log []string
 	declines := 0
@@ -221,7 +221,7 @@ func localReadRun(t *testing.T, c localReadCase, path string) (string, int) {
 			v = res.Value(0)
 		} else {
 			declines++
-			v = m.Invoke(w, id, op.Name)[0]
+			v = invoke(m, w, id, op.Name)[0]
 		}
 		log = append(log, fmt.Sprintf("%s:%v@%v", w.P.Name(), v, w.P.Now()))
 		return v

@@ -55,8 +55,6 @@ type P2PRTS struct {
 	stats RTSStats
 }
 
-var _ System = (*P2PRTS)(nil)
-
 // P2PProtocol selects how the primary keeps secondaries consistent.
 type P2PProtocol int
 
@@ -252,9 +250,6 @@ func NewP2PRTS(reg *Registry, costs Costs, cfg P2PConfig, machines []*amoeba.Mac
 	return r
 }
 
-// Nodes implements System.
-func (r *P2PRTS) Nodes() int { return len(r.nodes) }
-
 // Counters returns the unified counter snapshot: the runtime counts
 // straight into one.
 func (r *P2PRTS) Counters() RTSStats { return r.stats }
@@ -286,7 +281,8 @@ func (r *P2PRTS) HasCopy(node int, id ObjID) bool {
 	return ok && inst.valid
 }
 
-// PeekState implements System.
+// PeekState returns a machine's valid copy's state (nil if it holds
+// none); an inspection hook, like BroadcastRTS.PeekState.
 func (r *P2PRTS) PeekState(node int, id ObjID) (State, bool) {
 	inst, ok := r.nodes[node].insts[id]
 	if !ok || !inst.valid {
@@ -345,12 +341,16 @@ func (r *P2PRTS) CreateWith(w *Worker, typeName string, protocol P2PProtocol, pl
 	return id
 }
 
-// Invoke implements System.
+// Invoke is Call for a positional argument list, returning the results
+// boxed. It stays for bench/rungs.go, which drives the domain with no
+// Router over it.
 func (r *P2PRTS) Invoke(w *Worker, id ObjID, op string, args ...any) []any {
-	return invoke(r, w, id, op, args)
+	out := r.Call(w, id, op, ArgsOf(args...))
+	return out.Values()
 }
 
-// Call implements System.
+// Call performs an operation on a primary-copy object: in are its
+// arguments, the record returned its results.
 func (r *P2PRTS) Call(w *Worker, id ObjID, opName string, in Args) Args {
 	meta := r.meta(id)
 	op := meta.op(opName)

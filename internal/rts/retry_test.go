@@ -59,7 +59,7 @@ func gcellType() *ObjectType {
 func TestRetryKeepsReplicaTouchedMidPass(t *testing.T) {
 	b, r := newBcastTB(t, 1, 2, nil)
 	defer b.done()
-	b.sys.(*BroadcastRTS).reg.Register(gcellType())
+	r.reg.Register(gcellType())
 	var a, c ObjID
 	released := false
 	b.spawn(0, "main", func(w *Worker) {
@@ -102,7 +102,10 @@ func TestRetryKeepsReplicaTouchedMidPass(t *testing.T) {
 // charged: one per arrival and four in the pass (A, B, C, A).
 func TestGuardRetryOrder(t *testing.T) {
 	const want = "fired [2 3 1], 7 guard checks"
-	park := func(b *tb, sys System, id ObjID, node int) {
+	type caller interface {
+		Call(w *Worker, id ObjID, op string, in Args) Args
+	}
+	park := func(b *tb, sys caller, id ObjID, node int) {
 		for label, step := range [][2]int{{2, 0}, {1, 2}, {1, 0}} { // A, B, C
 			b.spawn(node, "parked", func(w *Worker) { sys.Call(w, id, "step", ArgsOf(step[0], step[1], label+1)) })
 			b.env.RunUntil(b.env.Now() + 20*sim.Millisecond)

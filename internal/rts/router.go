@@ -29,7 +29,7 @@ import (
 //     forwarding to a holder inside it.
 //
 // Everything above the domains lives here once: the id allocator (ids
-// are unique across domains), the object table, creation, the Invoke
+// are unique across domains), the object table, creation, the Call
 // loop, crash fan-out, counters, cross-group fences (fence.go) and the
 // adaptive placement controller (adapt.go). Inside a domain nothing
 // changes: a replicated object's writes travel its group's total order
@@ -74,8 +74,6 @@ const (
 	domNone = -2 // no such object
 	domP2P  = -1 // the point-to-point domain
 )
-
-var _ System = (*Router)(nil)
 
 // idAlloc hands out object ids. Every domain of a Router shares one, so
 // ids are unique across domains and routing by ObjID is unambiguous.
@@ -195,9 +193,6 @@ func (r *Router) Group(k int) *BroadcastRTS { return r.groups[k] }
 // not built.
 func (r *Router) P2P() *P2PRTS { return r.p2p }
 
-// Nodes implements System: the total machine count.
-func (r *Router) Nodes() int { return len(r.machines) }
-
 // EnableBatching turns on the write-combining pipeline in every group
 // (see BroadcastRTS.EnableBatching).
 func (r *Router) EnableBatching(bc group.BatchConfig) {
@@ -279,15 +274,6 @@ func (r *Router) enter(w *Worker, g *BroadcastRTS) {
 func hashGroup(id ObjID, n int) int {
 	h := uint64(id) * 0x9E3779B97F4A7C15
 	return int((h >> 33) % uint64(n))
-}
-
-// Create implements System: a Default placement.
-func (r *Router) Create(w *Worker, typeName string, args ...any) ObjID {
-	id, err := r.CreateAt(w, typeName, Place{Group: -1}, args...)
-	if err != nil {
-		panic("rts: " + err.Error())
-	}
-	return id
 }
 
 // resolve matches a placement against the domains that were built —
@@ -382,12 +368,12 @@ func (r *Router) CreateAt(w *Worker, typeName string, pl Place, args ...any) (Ob
 	return id, nil
 }
 
-// Invoke implements System.
-func (r *Router) Invoke(w *Worker, id ObjID, op string, args ...any) []any {
-	return invoke(r, w, id, op, args)
-}
-
-// Call implements System: the one routing loop. The worker's
+// Call performs an operation on a shared object with the
+// sequential-consistency and indivisibility guarantees of the shared
+// data-object model: in are its arguments, the record returned its
+// results. It blocks for guards, locks and write completion. It is the
+// one routing loop, and the runtime's one entry for an operation by
+// name (the typed descriptors of package orca call it). The worker's
 // combining buffer drains when the target domain changes; a machine
 // outside the owning group's span forwards to a holder inside it; and
 // an invocation that bounces off an object's old placement mid-
@@ -436,7 +422,9 @@ func (r *Router) fwdClient(node int) *amoeba.Client {
 	panic(fmt.Sprintf("rts: node %d lies in no group span", node))
 }
 
-// PeekState implements System, routing by object.
+// PeekState returns a machine's current copy of an object (nil if it
+// holds none), routing by object: an inspection hook for tests and
+// experiment harnesses, not part of the programming model.
 func (r *Router) PeekState(node int, id ObjID) (State, bool) {
 	if id <= 0 || int(id) >= len(r.objs) {
 		return nil, false
@@ -453,13 +441,12 @@ func (r *Router) PeekState(node int, id ObjID) (State, bool) {
 
 // LocalReadState is the typed local-read fast path: an unguarded read
 // of a replicated object is applied by the caller to the state it
-// returns, counted and charged exactly as the Invoke read path would.
-// Everything else declines, and the caller takes the general Invoke
-// path: a guarded read, a primary-copy object (local copy, lock, or
-// RPC), a machine holding no replica (forwarded), a replica frozen at
-// a migration cut (bounced to the live placement). A replica not
-// created yet is waited for, and the worker's buffered writes to it are
-// synced first (read-own-write).
+// returns, counted and charged exactly as Call's read path would.
+// Everything else declines, and the caller takes Call: a guarded read,
+// a primary-copy object (local copy, lock, or RPC), a machine holding
+// no replica (forwarded), a replica frozen at a migration cut (bounced
+// to the live placement). A replica not created yet is waited for, and
+// the worker's buffered writes to it are synced first (read-own-write).
 //
 // The hit path reads the replica straight out of the machine's replica
 // table (bcastManager.insts, by object id) when the object is
@@ -504,6 +491,8 @@ func (r *Router) resolveRead(w *Worker, id ObjID, op *OpDef) (State, bool) {
 	g.stats.LocalReads++
 	w.Charge(g.costs.readLocal + g.costs.defaultOp)
 	if e.adapt != nil {
+		// Counted, not decided: a full window waits for the object's
+		// next access through Call (see adaptObserve).
 		e.adapt.count(w.Node(), Read)
 	}
 	return inst.state, true

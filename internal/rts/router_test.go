@@ -45,7 +45,7 @@ func newRouterTB(t *testing.T, seed int64, n, groups, span int, cfg P2PConfig, b
 	if len(batch) > 0 {
 		m.EnableBatching(batch[0])
 	}
-	return &tb{env: env, net: nw, ms: ms, sys: m}, m
+	return &tb{env: env, net: nw, ms: ms}, m
 }
 
 // newMixedTB builds the classic mixed cluster: one sequencer group over
@@ -77,22 +77,22 @@ func TestMixedRoutesPerObject(t *testing.T) {
 	b, m := newMixedTB(t, 1, 3, DefaultP2PConfig())
 	done := false
 	b.spawn(0, "driver", func(w *Worker) {
-		rep := m.Create(w, "intcell", 10) // broadcast (default)
+		rep := place(m, w, "intcell", Place{Group: -1}, 10) // broadcast (default)
 		prim := place(m, w, "intcell", singleCopy, 20)
 		part := place(m, w, "intcell", Place{Kind: PlaceReplicated, Group: -1, Nodes: []int{0, 1}}, 30)
 		if rep == prim || prim == part || rep == part {
 			t.Errorf("object ids collide: %d %d %d", rep, prim, part)
 		}
-		m.Invoke(w, rep, "set", 11)
-		m.Invoke(w, prim, "set", 21)
-		m.Invoke(w, part, "set", 31)
-		if got := m.Invoke(w, rep, "get")[0].(int); got != 11 {
+		invoke(m, w, rep, "set", 11)
+		invoke(m, w, prim, "set", 21)
+		invoke(m, w, part, "set", 31)
+		if got := invoke(m, w, rep, "get")[0].(int); got != 11 {
 			t.Errorf("replicated get = %d, want 11", got)
 		}
-		if got := m.Invoke(w, prim, "get")[0].(int); got != 21 {
+		if got := invoke(m, w, prim, "get")[0].(int); got != 21 {
 			t.Errorf("primary-copy get = %d, want 21", got)
 		}
-		if got := m.Invoke(w, part, "get")[0].(int); got != 31 {
+		if got := invoke(m, w, part, "get")[0].(int); got != 31 {
 			t.Errorf("partial get = %d, want 31", got)
 		}
 		w.Flush()
@@ -129,7 +129,7 @@ func TestMixedCountersMerge(t *testing.T) {
 	var ids [2]ObjID
 	ready := sim.NewCond(b.env)
 	b.spawn(0, "creator", func(w *Worker) {
-		ids[0] = m.Create(w, "intcell")
+		ids[0] = place(m, w, "intcell", Place{Group: -1})
 		ids[1] = place(m, w, "intcell", singleCopy)
 		w.Flush()
 		ready.Broadcast()
@@ -138,10 +138,10 @@ func TestMixedCountersMerge(t *testing.T) {
 		for ids[1] == 0 {
 			ready.Wait(w.P)
 		}
-		m.Invoke(w, ids[0], "inc") // broadcast write
-		m.Invoke(w, ids[0], "get") // local read
-		m.Invoke(w, ids[1], "inc") // p2p write via RPC
-		m.Invoke(w, ids[1], "get") // remote read (no local copy)
+		invoke(m, w, ids[0], "inc") // broadcast write
+		invoke(m, w, ids[0], "get") // local read
+		invoke(m, w, ids[1], "inc") // p2p write via RPC
+		invoke(m, w, ids[1], "get") // remote read (no local copy)
 		w.Flush()
 	})
 	b.run(10 * sim.Second)
@@ -215,23 +215,23 @@ func TestMixedGuardAcrossSubsystems(t *testing.T) {
 	ready := sim.NewCond(b.env)
 	b.spawn(0, "creator", func(w *Worker) {
 		q = place(m, w, "queue", singleCopy)
-		noise = m.Create(w, "intcell")
+		noise = place(m, w, "intcell", Place{Group: -1})
 		w.Flush()
 		ready.Broadcast()
 		// Broadcast traffic while the consumer is blocked, then the
 		// enabling put.
 		for i := 0; i < 5; i++ {
-			m.Invoke(w, noise, "inc")
+			invoke(m, w, noise, "inc")
 		}
 		w.P.Sleep(100 * sim.Millisecond)
-		m.Invoke(w, q, "put", 7)
+		invoke(m, w, q, "put", 7)
 		w.Flush()
 	})
 	b.spawn(1, "consumer", func(w *Worker) {
 		for q == 0 {
 			ready.Wait(w.P)
 		}
-		got = m.Invoke(w, q, "get")[0].(int) // guard: blocks until the put
+		got = invoke(m, w, q, "get")[0].(int) // guard: blocks until the put
 		w.Flush()
 	})
 	b.run(10 * sim.Second)

@@ -117,7 +117,13 @@ type tb struct {
 	env *sim.Env
 	net *netsim.Network
 	ms  []*amoeba.Machine
-	sys System
+}
+
+// invoke performs an operation through the Router's one entry, Call,
+// with the arguments and results as value lists.
+func invoke(r *Router, w *Worker, id ObjID, op string, args ...any) []any {
+	out := r.Call(w, id, op, ArgsOf(args...))
+	return out.Values()
 }
 
 // spawn runs fn as an application thread on the given node.
@@ -157,7 +163,7 @@ func newBcastTB(t *testing.T, seed int64, n int, netMut func(*netsim.Params)) (*
 		gs[i] = group.Join(ms[i], gcfg)
 	}
 	r := NewBroadcastRTS(testRegistry(), DefaultCosts(), ms, gs)
-	return &tb{env: env, net: nw, ms: ms, sys: r}, r
+	return &tb{env: env, net: nw, ms: ms}, r
 }
 
 // newP2PTB builds a point-to-point-RTS cluster.
@@ -172,5 +178,5 @@ func newP2PTB(t *testing.T, seed int64, n int, cfg P2PConfig) (*tb, *P2PRTS) {
 		ms[i] = amoeba.NewMachine(env, nw, i, amoeba.DefaultCosts())
 	}
 	r := NewP2PRTS(testRegistry(), DefaultCosts(), cfg, ms)
-	return &tb{env: env, net: nw, ms: ms, sys: r}, r
+	return &tb{env: env, net: nw, ms: ms}, r
 }

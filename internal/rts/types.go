@@ -59,7 +59,7 @@ func ArgsOf(vs ...any) (a Args) {
 
 // OpDef defines one operation of an object type.
 type OpDef struct {
-	// Name is the operation name used in Invoke.
+	// Name is the operation name Call dispatches on.
 	Name string
 	// Kind classifies the operation; the runtime trusts it (as the
 	// Orca compiler determined it statically).

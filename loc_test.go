@@ -71,9 +71,9 @@ var codeCeilings = map[string]int{
 	"internal/group":      2111, // −103: handlers, timer rounds and broadcasts are steps that append sends to an outbox one driver issues; no continuation parameters or loop records
 	"internal/harness":    1622,
 	"internal/netsim":     414,
-	"internal/orca":       748,
-	"internal/orca/std":   383,
-	"internal/rts":        2843, // −43: one replica record, one guard-retry routine in one order, one worker-side guard wait and one promotion for both domains; a primary's fan-out is a CallFn per secondary, not a thread
+	"internal/orca":       729,  // −19: the typed descriptors are the only way to create, invoke and fence an object; Proc.New/NewWith/Invoke*, Object and the untyped FencedOp are gone
+	"internal/orca/std":   386,  // +3: NewZeroCounter, a counter created with no constructor argument
+	"internal/rts":        2818, // −25: Router.Call is the one entry by name; the System interface, Router.Invoke/Create/Nodes and the domains' Nodes are gone
 	"internal/rts/scheck": 111,
 	"internal/sim":        797,
 	"internal/workload":   231, // +10: one Zipf table per (Keys, Theta), shared by every generator instead of summed per client
