@@ -204,6 +204,91 @@ func BenchmarkGroupBroadcast(b *testing.B) {
 	b.ReportMetric(lat.Milliseconds(), "virtual-ms")
 }
 
+// BenchmarkGroupSend measures one broadcast from member 1 of a
+// sixteen-member group under each sequencing protocol, as bench/'s
+// group rungs do: 128-byte messages, the driver waiting for member 1's
+// delivery after every send (after every sixteenth in the batched
+// case, whose frames carry up to the orca default capacity). Allocations
+// are counted from the first send on, so a run of few iterations also
+// pays for the rings' first growth.
+func BenchmarkGroupSend(b *testing.B) {
+	const n, payload = 16, 128
+	cases := []struct {
+		name    string
+		method  group.Method
+		proto   group.Protocol
+		batched bool
+	}{
+		{"pb16", group.ForcePB, group.ElectedSequencer, false},
+		{"bb16", group.ForceBB, group.ElectedSequencer, false},
+		{"consensus16", group.ForcePB, group.Consensus, false},
+		{"pb16_batched", group.ForcePB, group.ElectedSequencer, true},
+	}
+	for _, tc := range cases {
+		b.Run(tc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			env := sim.New(1)
+			nw := netsim.New(env, n, netsim.DefaultParams())
+			ids := make([]int, n)
+			for i := range ids {
+				ids[i] = i
+			}
+			cfg := group.DefaultConfig(ids)
+			cfg.Method, cfg.Protocol = tc.method, tc.proto
+			burst := 1
+			if tc.batched {
+				bc := orca.DefaultBatching()
+				cfg.Batch = group.BatchConfig{MaxOps: bc.MaxOps, MaxBytes: bc.MaxBytes, Linger: bc.Linger}
+				cfg.StatusEvery *= bc.MaxOps
+				burst = 16
+			}
+			gs := make([]*group.Member, n)
+			ms := make([]*amoebapkg.Machine, n)
+			for i := range ms {
+				ms[i] = amoebapkg.NewMachine(env, nw, i, amoebapkg.DefaultCosts())
+				gs[i] = group.Join(ms[i], cfg)
+			}
+			c := sim.NewCond(env)
+			var last int64 // uid of the latest delivery on machine 1
+			for i, m := range ms {
+				m.SpawnThread("consume", func(p *sim.Proc) {
+					for {
+						d, ok := gs[i].Deliveries().Get(p)
+						if !ok {
+							return
+						}
+						if i == 1 {
+							last = d.UID
+							c.Signal()
+						}
+					}
+				})
+			}
+			var v0, v1 sim.Time
+			var e0, e1 int64
+			ms[1].SpawnThread("drive", func(p *sim.Proc) {
+				b.ResetTimer()
+				v0, e0 = env.Now(), env.Events()
+				for i := 0; i < b.N; i++ {
+					uid := gs[1].Broadcast(p, "bench", nil, payload)
+					if (i+1)%burst == 0 || i == b.N-1 {
+						for last != uid {
+							c.Wait(p)
+						}
+					}
+				}
+				b.StopTimer()
+				v1, e1 = env.Now(), env.Events()
+				env.Stop()
+			})
+			env.Run()
+			env.Shutdown()
+			b.ReportMetric((v1-v0).Microseconds()/float64(b.N), "virtual-us/op")
+			b.ReportMetric(float64(e1-e0)/float64(b.N), "events/op")
+		})
+	}
+}
+
 // BenchmarkRPC measures the null RPC round trip.
 func BenchmarkRPC(b *testing.B) {
 	var rtt sim.Time

@@ -267,16 +267,13 @@ func TestRecycledSendNeverReachesALateFrame(t *testing.T) {
 	}
 }
 
-// A PB send from a member that is not the sequencer, through to its
-// delivery at all sixteen members, allocates the sequenced frame and
-// little else: the send record, its timer and its request body are
-// recycled, the broadcast's payload record and flight are pooled by the
-// layers below, a status report is all header, and in-order sources
-// cost the dedup windows nothing. (6.3 with a record, a method value
-// and a request body per send, a closure per fan-out and windows that
-// grew to 4096 slots.)
-func TestPBSendAllocations(t *testing.T) {
-	skipUnderRace(t)
+// sendAllocations measures the allocations of one send from member 1 of
+// a sixteen-member group, through to its delivery at every member: a
+// writer broadcasts a 64-byte message, waits until member 1 is delivered
+// it, and goes on. It returns the allocations per send and the number of
+// sends measured.
+func sendAllocations(t *testing.T, tune func(*Config)) (float64, int) {
+	t.Helper()
 	const n = 16
 	env := sim.New(1)
 	nw := netsim.New(env, n, netsim.DefaultParams())
@@ -284,7 +281,7 @@ func TestPBSendAllocations(t *testing.T) {
 	for i := 0; i < n; i++ {
 		cfg.Members = append(cfg.Members, i)
 	}
-	cfg.Method = ForcePB
+	tune(&cfg)
 	gs := make([]*Member, n)
 	var last int64
 	got := sim.NewCond(env)
@@ -321,8 +318,42 @@ func TestPBSendAllocations(t *testing.T) {
 	tick()
 	before := sent
 	perTick := testing.AllocsPerRun(10, tick)
-	if per := perTick * 11 / float64(sent-before); per > 2.5 || sent-before < 1000 {
-		t.Errorf("%.2f allocations per PB send over %d sends, want at most 2.5 over at least 1000", per, sent-before)
-	}
 	env.Shutdown()
+	return perTick * 11 / float64(sent-before), sent - before
+}
+
+// A PB send from a member that is not the sequencer, through to its
+// delivery at all sixteen members, allocates the sequenced frame and
+// little else: the send record, its timer and its request body are
+// recycled, the broadcast's payload record and flight are pooled by the
+// layers below, a status report is all header, and in-order sources
+// cost the dedup windows nothing. (6.3 with a record, a method value
+// and a request body per send, a closure per fan-out and windows that
+// grew to 4096 slots.)
+func TestPBSendAllocations(t *testing.T) {
+	skipUnderRace(t)
+	per, sends := sendAllocations(t, func(c *Config) { c.Method = ForcePB })
+	if per > 2.5 || sends < 1000 {
+		t.Errorf("%.2f allocations per PB send over %d sends, want at most 2.5 over at least 1000", per, sends)
+	}
+}
+
+// A BB send at sixteen members: the sender's data broadcast, the
+// sequencer's accept, and every member's match of the two.
+func TestBBSendAllocations(t *testing.T) {
+	skipUnderRace(t)
+	per, sends := sendAllocations(t, func(c *Config) { c.Method = ForceBB })
+	if per > 51.05 || sends < 500 {
+		t.Errorf("%.2f allocations per BB send over %d sends, want at most 51.05 over at least 500", per, sends)
+	}
+}
+
+// A send under the consensus protocol at sixteen members: the leader's
+// proposal, fifteen acknowledgments, the commit and its announcement.
+func TestConsensusSendAllocations(t *testing.T) {
+	skipUnderRace(t)
+	per, sends := sendAllocations(t, func(c *Config) { c.Protocol = Consensus })
+	if per > 179.9 || sends < 300 {
+		t.Errorf("%.2f allocations per consensus send over %d sends, want at most 179.9 over at least 300", per, sends)
+	}
 }
