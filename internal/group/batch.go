@@ -52,7 +52,7 @@ func (g *Member) BroadcastBatch(p *sim.Proc, ops []Msg, dst []int64) []int64 {
 func (g *Member) BroadcastBatchFn(p *sim.Proc, ops []Msg, dst *[]int64, then func()) {
 	o := g.begin(p, then)
 	for i := range ops {
-		g.later(effect{kind: fxBroadcast, m: &ops[i], uids: dst})
+		g.later(effect{kind: fxBroadcast, on: &ops[i], uids: dst})
 	}
 	o.issue()
 }
@@ -130,14 +130,15 @@ func (g *Member) flush(pk *packer) {
 	g.emit(items, pk.accept)
 }
 
-// newFrame allocates a frame of n records; a one-op frame is a single
-// allocation.
-func newFrame(n int) *dataFrame {
-	f := &dataFrame{}
+// newFrame carves a frame of n records from the member's chunks: a
+// one-op frame is one carving.
+func (g *Member) newFrame(n int) *dataFrame {
+	c := g.carve()
+	f := &c.frames.take(1)[0]
 	if n == 1 {
 		f.Recs = f.one[:]
 	} else {
-		f.Recs = make([]dataMsg, n)
+		f.Recs = c.recs.take(n)
 	}
 	return f
 }
@@ -146,7 +147,7 @@ func newFrame(n int) *dataFrame {
 // each op in the history ring; every op but the last carries the More
 // (mid-frame) flag.
 func (g *Member) sequence(items []item) *dataFrame {
-	f := newFrame(len(items))
+	f := g.newFrame(len(items))
 	for i, it := range items {
 		d := &f.Recs[i]
 		g.maxSeen++ // the next global sequence number
@@ -170,18 +171,14 @@ func (g *Member) emit(items []item, accept bool) {
 		// boundaries stable across a re-proposal. A consensus leader's
 		// own slot still needs quorum acceptance before anyone
 		// (including itself) delivers.
-		ds := make([]*dataMsg, len(f.Recs))
+		ds := g.carve().slots.take(len(f.Recs))
 		for i := range f.Recs {
 			ds[i] = &f.Recs[i]
 		}
 		g.propose(ds)
 		return
 	case accept:
-		a := &acceptMsg{Seq: f.Recs[0].Seq, Epoch: g.epoch}
-		a.UIDs = a.one[:0]
-		if len(f.Recs) > 1 {
-			a.UIDs = make([]int64, 0, len(f.Recs))
-		}
+		a := g.newAccept(f.Recs[0].Seq, len(f.Recs))
 		for i := range f.Recs {
 			a.UIDs = append(a.UIDs, f.Recs[i].UID)
 		}
@@ -194,6 +191,17 @@ func (g *Member) emit(items []item, accept bool) {
 		g.cast("grp-data", f, frameSize(len(f.Recs), payload))
 	}
 	g.processFrame(f.Recs)
+}
+
+// newAccept carves an accept of sequence numbers from seq on, with room
+// for n uids, from the member's chunks.
+func (g *Member) newAccept(seq int64, n int) *acceptMsg {
+	a := g.carve().accepts.add(acceptMsg{Seq: seq, Epoch: g.epoch})
+	a.UIDs = a.one[:0]
+	if n > 1 {
+		a.UIDs = make([]int64, 0, n)
+	}
+	return a
 }
 
 // castAccept broadcasts an accept frame.
@@ -262,5 +270,5 @@ func (g *Member) flushSend() {
 	// One frame carries these items, and they have been on no other: the
 	// one case in which their record can be recycled (see sendState).
 	st.fresh = st.method == ForcePB && g.cfg.Protocol == ElectedSequencer
-	g.later(effect{kind: fxArmSender, st: st})
+	g.later(effect{kind: fxArmSender, on: st})
 }

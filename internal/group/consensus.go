@@ -160,7 +160,7 @@ type takeoverState struct {
 	acks    map[int]bool       // members that promised (incl. self)
 	slots   map[int64]promSlot // slot -> highest-ballot reported value
 	tries   int                // re-prepare rounds (exponential backoff)
-	timer   *sim.Event
+	timer   sim.Event          // the re-prepare deadline (see armTakeoverTimer)
 }
 
 // mix64 is the splitmix64 finalizer: the deterministic jitter source
@@ -242,8 +242,8 @@ func (g *Member) propose(ds []*dataMsg) {
 		g.acked[idx] = g.maxSeen
 	}
 	g.broadcastProp(ds)
-	g.call(g.tryCommit)
-	g.call(g.armPropTimer)
+	g.later(effect{kind: fxTryCommit})
+	g.later(effect{kind: fxArmProp})
 }
 
 // broadcastProp sends one proposal frame under the current ballot.
@@ -252,7 +252,7 @@ func (g *Member) broadcastProp(ds []*dataMsg) {
 	for _, d := range ds {
 		size += d.Size + hdrItem
 	}
-	g.cast("grp-prop", &propMsg{Ballot: g.ballot, Commit: g.committed, Ds: ds}, size+hdrData)
+	g.cast("grp-prop", g.carve().props.add(propMsg{Ballot: g.ballot, Commit: g.committed, Ds: ds}), size+hdrData)
 }
 
 // armPropTimer re-proposes assigned-but-unchosen slots until a quorum
@@ -263,25 +263,29 @@ func (g *Member) broadcastProp(ds []*dataMsg) {
 // enough to saturate the wire, which is exactly the condition that
 // keeps the tail from committing.
 func (g *Member) armPropTimer() {
-	if g.propTimer != nil {
+	if g.propOn {
 		return
 	}
-	g.propTimer = g.after(g.cfg.ProposeTimeout<<g.propBackoff, func() {
-		g.propTimer = nil
-		if !g.isSeq || g.cfg.Protocol != Consensus || g.committed >= g.maxSeen {
-			return
+	g.propOn = true
+	g.arm(&g.propTimer, g.cfg.ProposeTimeout<<g.propBackoff, (*Member).reproposeRound)
+}
+
+// reproposeRound is the re-propose deadline's round.
+func (g *Member) reproposeRound() {
+	g.propOn = false
+	if !g.isSeq || g.cfg.Protocol != Consensus || g.committed >= g.maxSeen {
+		return
+	}
+	if g.committed == g.propLastCmt {
+		if g.propBackoff < 4 {
+			g.propBackoff++
 		}
-		if g.committed == g.propLastCmt {
-			if g.propBackoff < 4 {
-				g.propBackoff++
-			}
-		} else {
-			g.propBackoff = 0
-		}
-		g.propLastCmt = g.committed
-		g.reproposeUncommitted(g.committed + 1)
-		g.call(g.armPropTimer)
-	})
+	} else {
+		g.propBackoff = 0
+	}
+	g.propLastCmt = g.committed
+	g.reproposeUncommitted(g.committed + 1)
+	g.later(effect{kind: fxArmProp})
 }
 
 // reproposeUncommitted re-broadcasts every uncommitted slot from s on
@@ -330,35 +334,34 @@ func (g *Member) advanceCommit(upTo int64) {
 	from := g.committed + 1
 	g.committed = upTo
 	g.propBackoff = 0 // progress: restore the fast re-propose deadline
-	if g.cmtTimer != nil {
+	if g.cmtOn {
 		g.cmtPending = true
 	} else {
 		g.announceCommit()
-		g.call(g.refractCommit)
+		g.later(effect{kind: fxArmCommit}) // a refractory window opens
 	}
 	for s := from; s <= upTo; s++ {
 		if d := g.history.get(s); d != nil {
-			g.later(effect{kind: fxProcess, d: d})
+			g.later(effect{kind: fxProcess, on: d})
 		}
 	}
 }
 
-// refractCommit opens the commit announcement's refractory window: a
-// commit inside it is announced once, when the window closes.
-func (g *Member) refractCommit() {
-	g.cmtTimer = g.after(g.coalesceDelay(), func() {
-		g.cmtTimer = nil
-		if g.cmtPending && g.isSeq {
-			g.cmtPending = false
-			g.announceCommit()
-			g.call(g.refractCommit)
-		}
-	})
+// commitRound closes the commit announcement's refractory window (see
+// fxArmCommit): the commits inside it are announced once, now, and the
+// next window opens.
+func (g *Member) commitRound() {
+	g.cmtOn = false
+	if g.cmtPending && g.isSeq {
+		g.cmtPending = false
+		g.announceCommit()
+		g.later(effect{kind: fxArmCommit})
+	}
 }
 
 // announceCommit broadcasts the current commit watermark.
 func (g *Member) announceCommit() {
-	g.cast("grp-pcmt", pcmtMsg{Ballot: g.ballot, UpTo: g.committed}, hdrSmall)
+	g.cast("grp-pcmt", g.carve().commits.add(pcmtMsg{Ballot: g.ballot, UpTo: g.committed}), hdrSmall)
 }
 
 // stepDown demotes a deposed leader to a plain member. Its own
@@ -371,9 +374,9 @@ func (g *Member) stepDown() {
 	}
 	g.isSeq = false
 	g.ballot = 0
-	if g.propTimer != nil {
+	if g.propOn {
 		g.propTimer.Cancel()
-		g.propTimer = nil
+		g.propOn = false
 	}
 	g.flush(&g.pack) // queued own ops re-enter the sender path too
 	g.call(func() {
@@ -387,7 +390,7 @@ func (g *Member) stepDown() {
 			st := g.newSend([]item{d.item}, ForcePB)
 			g.stats.Retransmits++
 			g.transmit(st)
-			g.later(effect{kind: fxArmSender, st: st})
+			g.later(effect{kind: fxArmSender, on: st})
 		})
 	})
 }
@@ -404,17 +407,20 @@ func (g *Member) onPropose(from int, m *propMsg) {
 	g.seqNode = from
 	g.leaderSeen = g.now()
 	g.adoptBallot(m.Ballot)
-	g.call(func() {
-		for _, d := range m.Ds {
-			if d.Seq < g.nextSeq {
-				continue // already delivered: chosen values never regress
-			}
-			g.accepted.set(d.Seq, accSlot{bal: m.Ballot, d: d})
+	g.later(effect{kind: fxAcceptProp, on: m})
+}
+
+// acceptProp accepts a proposal's slots once its ballot is adopted.
+func (g *Member) acceptProp(m *propMsg) {
+	for _, d := range m.Ds {
+		if d.Seq < g.nextSeq {
+			continue // already delivered: chosen values never regress
 		}
-		g.advanceAccPrefix()
-		g.applyCommit(m.Ballot, m.Commit)
-		g.call(g.scheduleAck)
-	})
+		g.accepted.set(d.Seq, accSlot{bal: m.Ballot, d: d})
+	}
+	g.advanceAccPrefix()
+	g.applyCommit(m.Ballot, m.Commit)
+	g.later(effect{kind: fxAck})
 }
 
 // pnack tells a stale proposer or candidate the ballot this member has
@@ -438,35 +444,34 @@ func (g *Member) coalesceDelay() sim.Time {
 // every further proposal into one trailing ack. Without this, P-1
 // ack unicasts per op saturate the wire at large P.
 func (g *Member) scheduleAck() {
-	if g.ackTimer != nil {
+	if g.ackOn {
 		g.ackPending = true
 		return
 	}
 	g.sendAck()
-	g.call(g.refractAck)
+	g.later(effect{kind: fxArmAck}) // a refractory window opens
 }
 
-// refractAck opens the ack throttle's refractory window: proposals
-// inside it are acknowledged once, when the window closes.
-func (g *Member) refractAck() {
-	g.ackTimer = g.after(g.coalesceDelay(), func() {
-		g.ackTimer = nil
-		if g.ackPending && !g.isSeq {
-			g.ackPending = false
-			g.sendAck()
-			g.call(g.refractAck)
-		}
-	})
+// ackRound closes the ack throttle's refractory window (see fxArmAck):
+// the proposals inside it are acknowledged once, now, and the next
+// window opens.
+func (g *Member) ackRound() {
+	g.ackOn = false
+	if g.ackPending && !g.isSeq {
+		g.ackPending = false
+		g.sendAck()
+		g.later(effect{kind: fxArmAck})
+	}
 }
 
 // sendAck reports the cumulative accepted prefix under the currently
 // promised ballot.
 func (g *Member) sendAck() {
-	g.send(g.seqNode, "grp-pacc", paccMsg{Ballot: g.promised, Node: g.m.ID(), AccUpTo: g.accPrefix}, hdrSmall)
+	g.send(g.seqNode, "grp-pacc", g.carve().acks.add(paccMsg{Ballot: g.promised, Node: g.m.ID(), AccUpTo: g.accPrefix}), hdrSmall)
 }
 
 // onPAcc records a member's accepted prefix at the leader.
-func (g *Member) onPAcc(m paccMsg) {
+func (g *Member) onPAcc(m *paccMsg) {
 	if !g.isSeq || m.Ballot != g.ballot {
 		return
 	}
@@ -479,7 +484,7 @@ func (g *Member) onPAcc(m paccMsg) {
 }
 
 // onPcmt applies a commit watermark at a member.
-func (g *Member) onPcmt(from int, m pcmtMsg) {
+func (g *Member) onPcmt(from int, m *pcmtMsg) {
 	if m.Ballot >= g.promised {
 		g.seqNode = from
 		g.leaderSeen = g.now()
@@ -488,7 +493,7 @@ func (g *Member) onPcmt(from int, m pcmtMsg) {
 	// quorum for its ballot — so the watermark applies regardless, after
 	// the ballot is adopted if it is new (adoptBallot ignores any other).
 	g.adoptBallot(m.Ballot)
-	g.call(func() { g.applyCommit(m.Ballot, m.UpTo) })
+	g.later(effect{kind: fxCommit, on: m})
 }
 
 // applyCommit learns that slots up to upTo are chosen and delivers
@@ -507,14 +512,10 @@ func (g *Member) applyCommit(ballot, upTo int64) {
 	}
 	for s := g.nextSeq; s <= upTo; s++ {
 		if a := g.accepted.get(s); a.d != nil && a.bal == ballot {
-			g.later(effect{kind: fxProcess, d: a.d})
+			g.later(effect{kind: fxProcess, on: a.d})
 		}
 	}
-	g.call(func() {
-		if g.nextSeq <= g.maxSeen {
-			g.armGapTimer()
-		}
-	})
+	g.later(effect{kind: fxGapCheck})
 }
 
 // onPNack reacts to a "promised higher" rejection: a stale leader
@@ -535,7 +536,7 @@ func (g *Member) onPNack(m pnackMsg) {
 // takes over immediately; everyone else arms a rank-proportional
 // backoff and stands down if progress resumes first.
 func (g *Member) suspectLeader() {
-	if g.cfg.Protocol != Consensus || g.isSeq || g.takeover != nil || g.suspTimer != nil {
+	if g.cfg.Protocol != Consensus || g.isSeq || g.takeover != nil || g.suspOn {
 		return
 	}
 	if g.leaderSeen > 0 && g.now()-g.leaderSeen < g.stickWindow() {
@@ -566,17 +567,20 @@ func (g *Member) suspectLeader() {
 	escalate := sim.Time((int64(1)<<round)-1) * 2 // 0, 2, 6, 14, 30
 	jitter := sim.Time(mix64(uint64(g.m.ID())<<32^uint64(g.promised+1)) % uint64(g.cfg.ProposeTimeout))
 	delay := (2*sim.Time(rank)+escalate)*g.cfg.ProposeTimeout + jitter
-	suspect, next := g.seqNode, g.nextSeq
-	g.suspTimer = g.after(delay, func() {
-		g.suspTimer = nil
-		if g.isSeq || g.takeover != nil {
-			return
-		}
-		if g.seqNode != suspect || g.nextSeq != next {
-			return // progress or a new leader appeared: stand down
-		}
-		g.startTakeover()
-	})
+	g.suspOn, g.suspNode, g.suspNext = true, g.seqNode, g.nextSeq
+	g.arm(&g.suspTimer, delay, (*Member).suspicionRound)
+}
+
+// suspicionRound is the takeover backoff's round.
+func (g *Member) suspicionRound() {
+	g.suspOn = false
+	if g.isSeq || g.takeover != nil {
+		return
+	}
+	if g.seqNode != g.suspNode || g.nextSeq != g.suspNext {
+		return // progress or a new leader appeared: stand down
+	}
+	g.startTakeover()
 }
 
 // successorRank returns this member's position in the takeover
@@ -620,6 +624,7 @@ func (g *Member) startTakeover() {
 		acks:    map[int]bool{g.m.ID(): true},
 		slots:   make(map[int64]promSlot),
 	}
+	g.timer(&t.timer, func(g *Member) { g.retryTakeover(t) })
 	g.takeover = t
 	g.mergePromise(t, promMsg{Ballot: b, Node: g.m.ID(), Slots: g.promiseSlots(t.from)})
 	g.m.Env().Tracef("node%d: consensus takeover, ballot %d from slot %d", g.m.ID(), b, t.from)
@@ -666,22 +671,25 @@ func (g *Member) broadcastPrep() {
 // sends.
 func (g *Member) armTakeoverTimer() {
 	t := g.takeover
-	t.timer = g.after(2*g.cfg.ProposeTimeout<<uint(min(t.tries, 4)), func() {
-		if g.takeover != t {
-			return
-		}
-		t.tries++
-		g.stats.Retransmits++
-		g.broadcastPrep()
-		g.call(g.armTakeoverTimer)
-	})
+	t.timer.Arm(2 * g.cfg.ProposeTimeout << uint(min(t.tries, 4)))
+}
+
+// retryTakeover is the round of t's re-prepare deadline.
+func (g *Member) retryTakeover(t *takeoverState) {
+	if g.takeover != t {
+		return
+	}
+	t.tries++
+	g.stats.Retransmits++
+	g.broadcastPrep()
+	g.call(g.armTakeoverTimer)
 }
 
 // abortTakeover drops the in-flight prepare round.
 func (g *Member) abortTakeover() {
 	t := g.takeover
 	g.takeover = nil
-	if t != nil && t.timer != nil {
+	if t != nil {
 		t.timer.Cancel()
 	}
 }
@@ -801,12 +809,10 @@ func (g *Member) checkTakeover() {
 func (g *Member) finalizeTakeover() {
 	t := g.takeover
 	g.takeover = nil
-	if t.timer != nil {
-		t.timer.Cancel()
-	}
-	if g.suspTimer != nil {
+	t.timer.Cancel()
+	if g.suspOn {
 		g.suspTimer.Cancel()
-		g.suspTimer = nil
+		g.suspOn = false
 	}
 	g.stats.Takeovers++
 	g.ballot = t.ballot
@@ -819,7 +825,7 @@ func (g *Member) finalizeTakeover() {
 		if ps, ok := t.slots[s]; ok {
 			chosen = append(chosen, ps.D)
 		} else {
-			chosen = append(chosen, &dataMsg{Seq: s, item: item{Src: -1, Msg: Msg{Kind: noopKind}}})
+			chosen = append(chosen, g.carve().recs.add(dataMsg{Seq: s, item: item{Src: -1, Msg: Msg{Kind: noopKind}}}))
 		}
 	}
 	// A More-flagged slot whose successor was noop-filled (or fell off
@@ -829,9 +835,8 @@ func (g *Member) finalizeTakeover() {
 	// atomically per member — so this can only rewrite unchosen tails.
 	for i, d := range chosen {
 		if d.More && (i == len(chosen)-1 || chosen[i+1].Src < 0) {
-			nd := *d
-			nd.More = false
-			chosen[i] = &nd
+			chosen[i] = g.carve().recs.add(*d)
+			chosen[i].More = false
 		}
 	}
 	g.rebuildHistory()
@@ -860,7 +865,7 @@ func (g *Member) finalizeTakeover() {
 	}
 	g.stats.Reproposals += int64(len(chosen))
 	g.each((len(chosen)+31)/32, func(i int) { g.broadcastProp(chosen[32*i : min(32*i+32, len(chosen))]) })
-	g.call(g.tryCommit)
+	g.later(effect{kind: fxTryCommit})
 	g.call(func() {
 		g.armPropTimer()
 		g.kickOutstanding()

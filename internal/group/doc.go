@@ -58,7 +58,11 @@
 // thread blocked in Send would have resumed. Broadcast and
 // BroadcastBatch are their steps plus a park, so a thread and interrupt
 // service run one implementation of the protocol (group.go, "Steps and
-// the outbox"; DESIGN.md, "group: the ordering protocol").
+// the outbox"; DESIGN.md, "group: the ordering protocol"). What a member
+// creates per operation — sequenced records, the frames that carry them
+// and its per-op wire bodies — is carved from runs the member allocates
+// and never reuses (chunk, in ring.go): with no fault, a PB send
+// allocates nothing, and a BB or consensus send only its send record.
 //
 // Downward: members speak kernel ports and timers from package
 // amoeba. Upward: the broadcast runtime in package rts consumes each

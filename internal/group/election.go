@@ -69,34 +69,33 @@ func (g *Member) beginEpoch(epoch int) {
 // epoch — otherwise synchronized timeouts outrun the coord frame and
 // the election livelocks.
 func (g *Member) armElectionTimer() {
-	if g.electTimer != nil {
-		g.electTimer.Cancel()
+	g.electRounds = 0
+	g.arm(&g.electTimer, g.electionWait(), (*Member).electionRound)
+}
+
+// electionWait is the vote-collection window, staggered by node id.
+func (g *Member) electionWait() sim.Time {
+	return g.cfg.ElectionWait + sim.Time(g.m.ID())*g.cfg.ElectionWait/16
+}
+
+// electionRound ends a vote-collection window.
+func (g *Member) electionRound() {
+	if !g.electing {
+		return
 	}
-	wait := g.cfg.ElectionWait + sim.Time(g.m.ID())*g.cfg.ElectionWait/16
-	rounds := 0
-	var arm func()
-	arm = func() {
-		g.electTimer = g.after(wait, func() {
-			g.electTimer = nil
-			if !g.electing {
-				return
-			}
-			if g.bestCand.Node == g.m.ID() {
-				g.becomeSequencer()
-				return
-			}
-			rounds++
-			if rounds < 3 {
-				// Give the expected winner more time to announce.
-				arm()
-				return
-			}
-			// The expected winner never announced: try a fresh epoch.
-			g.epoch++
-			g.beginEpoch(g.epoch)
-		})
+	if g.bestCand.Node == g.m.ID() {
+		g.becomeSequencer()
+		return
 	}
-	arm()
+	g.electRounds++
+	if g.electRounds < 3 {
+		// Give the expected winner more time to announce.
+		g.arm(&g.electTimer, g.electionWait(), (*Member).electionRound)
+		return
+	}
+	// The expected winner never announced: try a fresh epoch.
+	g.epoch++
+	g.beginEpoch(g.epoch)
 }
 
 // better reports whether candidate or claimant a should win over b:
@@ -189,13 +188,17 @@ func (g *Member) announceView() {
 	g.call(g.checkViewInstalled)
 	g.call(func() {
 		if !g.installed {
-			g.after(g.cfg.ElectionWait/2, func() {
-				if g.isSeq && !g.installed && g.epoch == epoch {
-					g.announceView()
-				}
-			})
+			g.viewEpoch = epoch
+			g.arm(&g.viewTimer, g.cfg.ElectionWait/2, (*Member).viewRound)
 		}
 	})
+}
+
+// viewRound re-announces a view that is still not installed.
+func (g *Member) viewRound() {
+	if g.isSeq && !g.installed && g.epoch == g.viewEpoch {
+		g.announceView()
+	}
 }
 
 // checkViewInstalled completes installation once every live member has
@@ -303,7 +306,6 @@ func (g *Member) onCoord(c coordMsg) {
 	g.electing = false
 	if g.electTimer != nil {
 		g.electTimer.Cancel()
-		g.electTimer = nil
 	}
 	g.seqNode = c.Node
 	g.isSeq = c.Node == g.m.ID()

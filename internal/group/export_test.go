@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"os"
+	"sync"
 	"testing"
 )
 
@@ -22,14 +23,21 @@ func TestMain(m *testing.M) {
 // Deliveries share the sequenced records they point to with the frames,
 // the history rings and every other consumer, so nobody may write one.
 // Tests that watch must not run in parallel with other tests of the
-// package.
+// package; a test that watches may run environments on several
+// goroutines.
 func WatchDeliveries(t *testing.T) {
 	type watched struct {
 		d  Delivery
 		fp uint64
 	}
 	var all []watched
-	handedOut = func(d Delivery) { all = append(all, watched{d, recordPrint(d)}) }
+	var mu sync.Mutex
+	handedOut = func(d Delivery) {
+		w := watched{d, recordPrint(d)}
+		mu.Lock()
+		all = append(all, w)
+		mu.Unlock()
+	}
 	t.Cleanup(func() {
 		handedOut = nil
 		for i, w := range all {

@@ -274,7 +274,9 @@ type (
 	// (PB), or one restamped copy unicast as a retransmission. Recs
 	// occupy consecutive sequence numbers. The history ring, the
 	// delivery buffers and every receiver hold pointers into Recs; one
-	// backs it for a one-op frame, so that frame is a single allocation.
+	// backs it for a one-op frame. Frames and records are carved from
+	// their maker's chunks (see newFrame), so a frame costs no allocation
+	// of its own.
 	dataFrame struct {
 		Recs []dataMsg
 		one  [1]dataMsg
@@ -363,8 +365,8 @@ type bbAccept struct {
 // ops still outstanding.
 //
 // Records are recycled through the member's free list under one rule: a
-// frame on the wire or in a queue owns what it points to. A request
-// frame points to req, and so to the item array; under BB every
+// frame on the wire or in a queue owns what it points to. A request or
+// BB data frame points to req, and so to the item array; under BB every
 // member's pendingBB stash points into the array too. So a record goes
 // back to the list only when no frame that shares it can still arrive,
 // which is known in one case — fresh (see flushSend): the elected
@@ -377,7 +379,7 @@ type bbAccept struct {
 type sendState struct {
 	items   []item
 	one     [1]item // backs items for a one-op send
-	req     reqMsg  // the PB request frame's body
+	req     reqMsg  // the request or BB data frame's body
 	method  Method  // resolved (PB or BB)
 	retries int
 	cycles  int // consensus: full retry cycles, for retransmit backoff
@@ -462,6 +464,8 @@ type Member struct {
 	outstanding map[int64]*sendState // uid -> my unsequenced sends
 	sendFree    *sendState           // released records (see sendState)
 
+	chunks *chunks // made with the first record (see carve)
+
 	// The gap timer (see armGapTimer) and what it remembers between
 	// rounds; gapOn from when it is armed until its round starts in
 	// interrupt context, or it is stopped.
@@ -519,7 +523,15 @@ type Member struct {
 	electing   bool
 	bestCand   electMsg
 	votedEpoch int
-	electTimer *sim.Event
+	// The vote-collection window and the rounds it has waited for the
+	// expected winner (see armElectionTimer), and the re-announcement of
+	// a view not yet installed, for the epoch it was announced in. These
+	// timers and the consensus ones below are made when first armed
+	// (see arm).
+	electTimer  *sim.Event
+	electRounds int
+	viewTimer   *sim.Event
+	viewEpoch   int
 	// Claimant convergence (exercised only when elections collide,
 	// which needs a large group with unsynchronized suspicions): the
 	// coord accepted for the current epoch, so a worse claimant cannot
@@ -538,8 +550,14 @@ type Member struct {
 	acked      []int64          // leader: per-member cumulative accepted prefixes
 	ackScratch []int64          // quorum-floor scratch
 	propTimer  *sim.Event       // leader: re-propose deadline
-	takeover   *takeoverState   // in-flight prepare round (nil otherwise)
-	suspTimer  *sim.Event       // takeover backoff (non-successor members)
+	propOn     bool
+	takeover   *takeoverState // in-flight prepare round (nil otherwise)
+	// The takeover backoff of a member that is not the successor, and
+	// the leader and progress it was armed against (see suspectLeader).
+	suspTimer *sim.Event
+	suspOn    bool
+	suspNode  int
+	suspNext  int64
 
 	// Congestion damping: a fruitless re-propose round (no commit
 	// progress) doubles the next re-propose deadline, and a suspicion
@@ -573,8 +591,10 @@ type Member struct {
 	// O(P) message cost collapses under load without adding latency
 	// when the group is idle.
 	ackTimer   *sim.Event
+	ackOn      bool
 	ackPending bool
 	cmtTimer   *sim.Event
+	cmtOn      bool
 	cmtPending bool
 
 	// recoveryStart is the instant this member first suspected a
@@ -648,10 +668,8 @@ func Join(m *amoeba.Machine, cfg Config) *Member {
 		slices.Sort(g.castTo)
 	}
 	m.Bind(g.port, g.handle)
-	gapRound := func(p *sim.Proc) { g.step(p, g.gapRound) }
-	heartbeat := func(p *sim.Proc) { g.step(p, g.heartbeat) }
-	g.gapTimer.Init(m.Env(), func() { m.Defer(gapRound) })
-	g.hbTimer.Init(m.Env(), func() { m.Defer(heartbeat) })
+	g.timer(&g.gapTimer, (*Member).gapRound)
+	g.timer(&g.hbTimer, (*Member).heartbeat)
 	for _, pk := range []*packer{&g.pack, &g.acc} {
 		pk.fire = func(p *sim.Proc) {
 			g.step(p, func() {
@@ -676,26 +694,40 @@ func Join(m *amoeba.Machine, cfg Config) *Member {
 // One driver, issue, then carries the outbox out, chaining each send
 // through the kernel's continuation forms in the step's name, so the
 // kernel joins a handler's sends as it always has. A call that may
-// follow a send goes through later (call for a closure, each for a walk
-// that may send at any element), which runs it at once when nothing the
-// step appended is still pending and appends it otherwise; its own
-// sends and calls go in where it stood. DESIGN.md ("group: the ordering
-// protocol") states which state a step may touch at once.
+// follow a send goes through later, which runs it at once when nothing
+// the step appended is still pending and appends it otherwise; its own
+// sends and calls go in where it stood. A walk that may send at any
+// element runs each element once the one before it has been issued. On
+// the paths an operation takes, calls and walks are typed effects, so a
+// step allocates nothing; the cold paths (view changes, takeovers,
+// suspicion) use call for a closure and each for a walk. DESIGN.md
+// ("group: the ordering protocol") states which state a step may touch
+// at once.
 
 // fxKind names what an effect does when it is issued.
 type fxKind uint8
 
 const (
-	fxSend      fxKind = iota // pkt to dst; to the group if dst is netsim.Broadcast
-	fxProcess                 // processData(d)
-	fxDrain                   // the rest of a delivery run after a status report
-	fxRequest                 // requestItem(it)
-	fxBroadcast               // append broadcast(m)'s uid to *uids
-	fxArmSender               // armSenderTimer(st)
-	fxArmGap                  // startGap()
-	fxArmHB                   // start the heartbeat timer
-	fxCall                    // fn()
-	fxEach                    // each(i) for i in [i, n)
+	fxSend       fxKind = iota // pkt to dst; to the group if dst is netsim.Broadcast
+	fxProcess                  // processData(on)
+	fxDrain                    // the rest of a delivery run after a status report
+	fxRequest                  // requestItem(on)
+	fxBroadcast                // append broadcast(on)'s uid to *uids
+	fxArmSender                // armSenderTimer(on)
+	fxArmGap                   // startGap()
+	fxArmHB                    // start the heartbeat timer
+	fxAcceptProp               // acceptProp(on)
+	fxCommit                   // applyCommit(on.Ballot, on.UpTo)
+	fxGapCheck                 // armGapTimer() if a hole remains
+	fxTryCommit                // tryCommit()
+	fxArmProp                  // armPropTimer()
+	fxAck                      // scheduleAck()
+	fxArmAck                   // open the ack throttle's window
+	fxArmCommit                // open the commit throttle's window
+	fxCall                     // on()
+	fxEach                     // on(i) for i in [i, n)
+	fxBBData                   // bbItem(&on.Items[i]) for i in [i, n)
+	fxAccept                   // acceptItem(on, i) for i in [i, n)
 )
 
 // effect is one entry of an outbox.
@@ -703,13 +735,8 @@ type effect struct {
 	kind fxKind
 	dst  int
 	pkt  amoeba.Packet
-	d    *dataMsg
-	it   *item
-	m    *Msg
+	on   any // what the effect is about: a pointer or func of the type its kind says
 	uids *[]int64
-	st   *sendState
-	fn   func()
-	each func(i int)
 	i, n int
 }
 
@@ -748,9 +775,22 @@ func (g *Member) step(p *sim.Proc, body func()) {
 	o.issue()
 }
 
-// after runs body as a timer round d from now.
-func (g *Member) after(d sim.Time, body func()) *sim.Event {
-	return g.m.After(d, func(p *sim.Proc) { g.step(p, body) })
+// timer binds ev, a timer of the member, once: each time it fires, round
+// runs as a step in interrupt context. Arming it allocates nothing.
+func (g *Member) timer(ev *sim.Event, round func(*Member)) {
+	fire := func(p *sim.Proc) { g.step(p, func() { round(g) }) }
+	ev.Init(g.m.Env(), func() { g.m.Defer(fire) }) // which a crashed machine ignores
+}
+
+// arm arms the timer *ev to fire d from now. The timer is made and bound
+// (see timer) when it is first armed, so a member whose protocol never
+// arms it pays nothing for it.
+func (g *Member) arm(ev **sim.Event, d sim.Time, round func(*Member)) {
+	if *ev == nil {
+		*ev = new(sim.Event)
+		g.timer(*ev, round)
+	}
+	(*ev).Arm(d)
 }
 
 // issue carries out the outbox from fx[i] on, and goes on from a send's
@@ -786,30 +826,58 @@ func (o *outbox) issue() {
 func (g *Member) run(e effect) {
 	switch e.kind {
 	case fxProcess:
-		g.processData(e.d)
+		g.processData(e.on.(*dataMsg))
 	case fxDrain:
 		g.nextSeq++
 		g.buffered.advanceTo(g.nextSeq)
 		g.drain()
 	case fxRequest:
-		g.requestItem(e.it)
+		g.requestItem(e.on.(*item))
 	case fxBroadcast:
-		*e.uids = append(*e.uids, g.broadcast(e.m))
+		*e.uids = append(*e.uids, g.broadcast(e.on.(*Msg)))
 	case fxArmSender:
-		g.armSenderTimer(e.st)
+		g.armSenderTimer(e.on.(*sendState))
 	case fxArmGap:
 		g.startGap()
 	case fxArmHB:
 		g.hbTimer.Arm(g.cfg.Heartbeat)
+	case fxAcceptProp:
+		g.acceptProp(e.on.(*propMsg))
+	case fxCommit:
+		m := e.on.(*pcmtMsg)
+		g.applyCommit(m.Ballot, m.UpTo)
+	case fxGapCheck:
+		if g.nextSeq <= g.maxSeen {
+			g.armGapTimer()
+		}
+	case fxTryCommit:
+		g.tryCommit()
+	case fxArmProp:
+		g.armPropTimer()
+	case fxAck:
+		g.scheduleAck()
+	case fxArmAck:
+		g.ackOn = true
+		g.arm(&g.ackTimer, g.coalesceDelay(), (*Member).ackRound)
+	case fxArmCommit:
+		g.cmtOn = true
+		g.arm(&g.cmtTimer, g.coalesceDelay(), (*Member).commitRound)
 	case fxCall:
-		e.fn()
-	case fxEach:
+		e.on.(func())()
+	case fxEach, fxBBData, fxAccept:
 		for ; e.i < e.n; e.i++ {
 			if o := g.out; o.at > o.i {
 				g.push(e) // goes on once element e.i-1's effects have been issued
 				return
 			}
-			e.each(e.i)
+			switch e.kind {
+			case fxBBData:
+				g.bbItem(&e.on.(*bbDataMsg).Items[e.i])
+			case fxAccept:
+				g.acceptItem(e.on.(*acceptMsg), e.i)
+			default:
+				e.on.(func(int))(e.i)
+			}
 		}
 	}
 }
@@ -832,12 +900,12 @@ func (g *Member) later(e effect) {
 }
 
 // call is later of a call.
-func (g *Member) call(fn func()) { g.later(effect{kind: fxCall, fn: fn}) }
+func (g *Member) call(fn func()) { g.later(effect{kind: fxCall, on: fn}) }
 
 // each runs body(0), ..., body(n-1), each once whatever the one before
 // it appended has been issued: a walk that may send at any element, for
 // the one closure.
-func (g *Member) each(n int, body func(i int)) { g.run(effect{kind: fxEach, each: body, n: n}) }
+func (g *Member) each(n int, body func(i int)) { g.run(effect{kind: fxEach, on: body, n: n}) }
 
 // send unicasts a protocol packet of the given kind, body and wire size
 // to dst.
@@ -1054,9 +1122,9 @@ func (g *Member) transmit(st *sendState) {
 		return
 	}
 	st.fresh = false // unless this is the first sending: see flushSend
-	// The frame shares the send's own item array and request body
-	// (nobody mutates them) unless some ops have already been
-	// acknowledged.
+	// The frame shares the send's own item array and body (nobody
+	// mutates them; a BB data frame is the same body under its own type)
+	// unless some ops have already been acknowledged.
 	live, req := st.items, &st.req
 	if n < len(live) {
 		live = make([]item, 0, n)
@@ -1076,7 +1144,7 @@ func (g *Member) transmit(st *sendState) {
 	for i := range live {
 		g.pendingBB[live[i].UID] = &live[i]
 	}
-	g.cast("grp-bb-data", &bbDataMsg{Items: live}, frameSize(n, payload))
+	g.cast("grp-bb-data", (*bbDataMsg)(req), frameSize(n, payload))
 }
 
 // armSenderTimer schedules retransmission for st until it is
@@ -1133,7 +1201,7 @@ func (st *sendState) resend() {
 	}
 	g.stats.Retransmits++
 	g.transmit(st)
-	g.later(effect{kind: fxArmSender, st: st})
+	g.later(effect{kind: fxArmSender, on: st})
 }
 
 // recordHistory stores a sequenced message in the sequencer's history

@@ -38,9 +38,9 @@ func (g *Member) handle(p *sim.Proc, from int, pkt amoeba.Packet) {
 		g.onHeartbeat(b)
 	case *propMsg:
 		g.onPropose(from, b)
-	case paccMsg:
+	case *paccMsg:
 		g.onPAcc(b)
-	case pcmtMsg:
+	case *pcmtMsg:
 		g.onPcmt(from, b)
 	case pnackMsg:
 		g.onPNack(b)
@@ -56,7 +56,7 @@ func (g *Member) handle(p *sim.Proc, from int, pkt amoeba.Packet) {
 // whatever the one before it sent has gone out.
 func (g *Member) processFrame(recs []dataMsg) {
 	for i := range recs {
-		g.later(effect{kind: fxProcess, d: &recs[i]})
+		g.later(effect{kind: fxProcess, on: &recs[i]})
 	}
 }
 
@@ -81,8 +81,8 @@ func (g *Member) onHeartbeat(h hbMsg) {
 
 // reframe wraps a copy of one sequenced record as a one-op frame
 // stamped with epoch, for retransmission.
-func reframe(d *dataMsg, epoch int) *dataFrame {
-	f := newFrame(1)
+func (g *Member) reframe(d *dataMsg, epoch int) *dataFrame {
+	f := g.newFrame(1)
 	f.Recs[0] = *d
 	f.Recs[0].Epoch = epoch
 	return f
@@ -95,7 +95,7 @@ func (g *Member) onRequest(r *reqMsg) {
 		return // stale or uninstalled view; the sender will retry
 	}
 	for i := range r.Items {
-		g.later(effect{kind: fxRequest, it: &r.Items[i]})
+		g.later(effect{kind: fxRequest, on: &r.Items[i]})
 	}
 }
 
@@ -111,42 +111,44 @@ func (g *Member) requestItem(it *item) {
 	// only chosen slots may travel as direct data — an uncommitted slot
 	// is covered by the re-propose timer.
 	if d := g.history.get(seq); d != nil && (g.cfg.Protocol != Consensus || seq <= g.committed) {
-		g.cast("grp-data", reframe(d, d.Epoch), frameSize(1, d.Size))
+		g.cast("grp-data", g.reframe(d, d.Epoch), frameSize(1, d.Size))
 	}
 }
 
 // onBBData handles BB's data broadcast at every member, op by op.
 func (g *Member) onBBData(b *bbDataMsg) {
-	g.each(len(b.Items), func(i int) {
-		it := &b.Items[i]
-		switch {
-		case g.isSeq && g.installed:
-			seq, dup := g.seenSeq(it.Src, it.SrcSeq)
-			if !dup {
-				g.enqueue(&g.acc, *it)
-				return
-			}
-			// Retransmission: the accept may have been lost. Recover the
-			// frame-boundary flag from the sequenced record so the
-			// receiver reconstructs the boundary every replica saw.
-			a := &acceptMsg{Seq: seq, Epoch: g.epoch}
-			if d := g.history.get(seq); d != nil {
-				a.More = d.More
-			}
-			a.UIDs = append(a.one[:0], it.UID)
-			g.castAccept(a)
-		case g.isSeq:
-			// Not installed yet: stash the data; the sender will retry.
-			g.pendingBB[it.UID] = it
-		default:
-			if seq, more, accepted := g.acceptedUID(it.UID); accepted {
-				// Accept arrived before the data: complete it now.
-				g.processData(&dataMsg{item: *it, Seq: seq, Epoch: g.epoch, More: more})
-				return
-			}
-			g.pendingBB[it.UID] = it
+	g.run(effect{kind: fxBBData, on: b, n: len(b.Items)})
+}
+
+// bbItem handles one op of a BB data frame.
+func (g *Member) bbItem(it *item) {
+	switch {
+	case g.isSeq && g.installed:
+		seq, dup := g.seenSeq(it.Src, it.SrcSeq)
+		if !dup {
+			g.enqueue(&g.acc, *it)
+			return
 		}
-	})
+		// Retransmission: the accept may have been lost. Recover the
+		// frame-boundary flag from the sequenced record so the
+		// receiver reconstructs the boundary every replica saw.
+		a := g.newAccept(seq, 1)
+		if d := g.history.get(seq); d != nil {
+			a.More = d.More
+		}
+		a.UIDs = append(a.UIDs, it.UID)
+		g.castAccept(a)
+	case g.isSeq:
+		// Not installed yet: stash the data; the sender will retry.
+		g.pendingBB[it.UID] = it
+	default:
+		if seq, more, accepted := g.acceptedUID(it.UID); accepted {
+			// Accept arrived before the data: complete it now.
+			g.processData(g.carve().recs.add(dataMsg{item: *it, Seq: seq, Epoch: g.epoch, More: more}))
+			return
+		}
+		g.pendingBB[it.UID] = it
+	}
 }
 
 // acceptedUID reports whether an accept for uid is waiting for data,
@@ -167,24 +169,27 @@ func (g *Member) onAccept(a *acceptMsg) {
 	if g.stale(a.Epoch) {
 		return
 	}
-	g.each(len(a.UIDs), func(i int) {
-		uid, seq := a.UIDs[i], a.Seq+int64(i)
-		more := a.More || i < len(a.UIDs)-1
-		if seq < g.nextSeq {
-			delete(g.pendingBB, uid) // late duplicate; GC the stashed data
-			return
-		}
-		if bb, ok := g.pendingBB[uid]; ok {
-			delete(g.pendingBB, uid)
-			g.processData(&dataMsg{item: *bb, Seq: seq, Epoch: g.epoch, More: more})
-			return
-		}
-		// Data frame lost: remember the accept and fetch the payload
-		// from the sequencer's history via the gap machinery.
-		g.acceptedBB[seq] = bbAccept{uid: uid, more: more}
-		g.maxSeen = max(g.maxSeen, seq)
-		g.armGapTimer()
-	})
+	g.run(effect{kind: fxAccept, on: a, n: len(a.UIDs)})
+}
+
+// acceptItem handles the accept of UIDs[i].
+func (g *Member) acceptItem(a *acceptMsg, i int) {
+	uid, seq := a.UIDs[i], a.Seq+int64(i)
+	more := a.More || i < len(a.UIDs)-1
+	if seq < g.nextSeq {
+		delete(g.pendingBB, uid) // late duplicate; GC the stashed data
+		return
+	}
+	if bb, ok := g.pendingBB[uid]; ok {
+		delete(g.pendingBB, uid)
+		g.processData(g.carve().recs.add(dataMsg{item: *bb, Seq: seq, Epoch: g.epoch, More: more}))
+		return
+	}
+	// Data frame lost: remember the accept and fetch the payload
+	// from the sequencer's history via the gap machinery.
+	g.acceptedBB[seq] = bbAccept{uid: uid, more: more}
+	g.maxSeen = max(g.maxSeen, seq)
+	g.armGapTimer()
 }
 
 // onRetxReq serves retransmissions out of the sequencer history, one
@@ -215,7 +220,7 @@ func (g *Member) onRetxReq(r retxReq) {
 	}
 	g.each(int(to-r.From+1), func(i int) {
 		if d := ring.get(r.From + int64(i)); d != nil {
-			g.send(r.Node, "grp-retx", reframe(d, g.epoch), frameSize(1, d.Size))
+			g.send(r.Node, "grp-retx", g.reframe(d, g.epoch), frameSize(1, d.Size))
 		}
 	})
 }

@@ -89,7 +89,7 @@ var statusBoundaryCases = []struct {
 		rounds: 10,
 		run:    5 * sim.Second,
 		chain: func(g *Member, pkt amoeba.Packet, handle func()) bool {
-			_, ok := pkt.Body.(paccMsg)
+			_, ok := pkt.Body.(*paccMsg)
 			before := g.committed
 			handle()
 			return ok && g.isSeq && g.committed > before+1

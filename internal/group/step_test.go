@@ -47,7 +47,7 @@ func stepDelivery(seed int64) error {
 		for j := range k {
 			recs[i+j].More = j < k-1
 		}
-		f := newFrame(k)
+		f := h.gs[0].newFrame(k)
 		copy(f.Recs, recs[i:i+k])
 		frames = append(frames, f)
 		i += k

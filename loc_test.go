@@ -68,7 +68,7 @@ var codeCeilings = map[string]int{
 	"internal/apps/chess": 986,
 	"internal/apps/kv":    369,  // +9: the key directory, the slot array's write path and the 1<<31 key limit (map shard state and receipt maps went)
 	"internal/apps/tsp":   564,  // +5: the search is a method recursion over a uint64 of free cities, and rejects more than 64
-	"internal/group":      2111, // −103: handlers, timer rounds and broadcasts are steps that append sends to an outbox one driver issues; no continuation parameters or loop records
+	"internal/group":      2193, // +82: per-op records and wire bodies are carved from per-member chunks, and the BB and consensus steps are typed effects and walks with timers bound once (after is gone), so a no-fault send allocates nothing of its own
 	"internal/harness":    1622,
 	"internal/netsim":     414,
 	"internal/orca":       729,  // −19: the typed descriptors are the only way to create, invoke and fence an object; Proc.New/NewWith/Invoke*, Object and the untyped FencedOp are gone
