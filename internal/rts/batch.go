@@ -11,20 +11,15 @@ package rts
 // reaches Batch.MaxOps/MaxBytes, when its Linger deadline fires, or
 // when the pipeline continuation sends it (see below).
 //
-// Semantics are preserved by flushing at every point where buffering
-// could become observable:
-//
-//   - read-own-write: a local read of an object with a buffered or
-//     in-flight write first syncs (flushes and waits until the writes
-//     applied locally), so the invoker always sees its own writes;
-//   - guards: any guarded operation syncs first — a guard may depend
-//     on the invoker's earlier writes, and suspending with unsent
-//     writes could deadlock the program;
-//   - ordering: any operation that leaves the combining path (a
-//     result-bearing write, a create, a forward, a direct write, a
-//     fork, an op routed to another domain) syncs first, so the
-//     total order observes program order;
-//   - process exit and Sleep flush (exit syncs).
+// One rule keeps this sequentially consistent: an unguarded no-result
+// write to a fully replicated object joins the buffer, and every other
+// operation — any read, of any object, a guarded or result-bearing
+// write, a create, a forward, a direct write, a fork, a fence, an op
+// routed to another domain, process exit — first syncs: it flushes the
+// buffer and waits until the buffered writes have been applied locally.
+// A process's operations therefore take effect in program order, and a
+// read never overtakes a write of its own. Sleep flushes without
+// waiting.
 //
 // A buffer keeps at most ONE batch in flight (depth-1 pipelining):
 // the next batch is not sent until the previous one has been applied
@@ -37,8 +32,6 @@ package rts
 // round-trip, MaxOps ops at a time.
 
 import (
-	"slices"
-
 	"repro/internal/group"
 	"repro/internal/sim"
 )
@@ -48,7 +41,6 @@ import (
 type batchFlight struct {
 	remaining int
 	buf       *writeBuf
-	insts     []*replica // objects with writes in this flight
 	cond      sim.Cond
 }
 
@@ -56,19 +48,17 @@ type batchFlight struct {
 type writeBuf struct {
 	mgr    *bcastManager
 	ops    []group.Msg
-	insts  []*replica // objects with buffered writes
 	bytes  int
 	uids   []int64 // the batch's, from BroadcastBatchFn
 	flight *batchFlight
 	fl0    batchFlight // the pooled flight record (one in flight max)
 	timer  *sim.Event
 
-	// spare buffers ping-pong with ops/insts across flushes: a flush
-	// detaches the filled buffers into the spares before broadcasting
-	// (the broadcast waits for the CPU, and the worker may buffer more
-	// ops meanwhile) and returns them cleared afterwards.
-	opsSpare   []group.Msg
-	instsSpare []*replica
+	// opsSpare ping-pongs with ops across flushes: a flush detaches the
+	// filled buffer into the spare before broadcasting (the broadcast
+	// waits for the CPU, and the worker may buffer more ops meanwhile)
+	// and returns it cleared afterwards.
+	opsSpare []group.Msg
 
 	// The flush on its way out (see flushFn), and b.sent bound once.
 	p      *sim.Proc
@@ -76,17 +66,14 @@ type writeBuf struct {
 	sentFn func()
 }
 
-// holds reports whether the buffer (or its in-flight batch) carries a
-// write to inst — the read-own-write test. Buffers hold at most
-// MaxOps ops, so the scan is a handful of pointer compares.
-func (b *writeBuf) holds(inst *replica) bool {
-	return slices.Contains(b.insts, inst) || b.flight != nil && slices.Contains(b.flight.insts, inst)
-}
+// idle reports whether the buffer holds no write, buffered or in
+// flight: a sync would return at once. A nil buffer is idle.
+func (b *writeBuf) idle() bool { return b == nil || len(b.ops) == 0 && b.flight == nil }
 
 // bufferWrite appends one unguarded no-result write to w's combining
 // buffer, flushing or arming the linger deadline per the batch
 // configuration.
-func (mgr *bcastManager) bufferWrite(w *Worker, id ObjID, inst *replica, opName string, args Args) {
+func (mgr *bcastManager) bufferWrite(w *Worker, id ObjID, opName string, args Args) {
 	b := w.batch
 	if b == nil {
 		b = &writeBuf{mgr: mgr}
@@ -103,9 +90,6 @@ func (mgr *bcastManager) bufferWrite(w *Worker, id ObjID, inst *replica, opName 
 	size := opSize(opName, &args)
 	b.ops = append(b.ops, group.Msg{Kind: opKind, Obj: int64(id), Op: opName, Args: args, Size: size})
 	b.bytes += size
-	if !slices.Contains(b.insts, inst) {
-		b.insts = append(b.insts, inst)
-	}
 	r.stats.BatchedOps++
 	if len(b.ops) >= bc.MaxOps || (bc.MaxBytes > 0 && b.bytes >= bc.MaxBytes) {
 		if b.flight != nil {
@@ -139,7 +123,7 @@ func (b *writeBuf) flush(p *sim.Proc) {
 // flush runs in manager or timer context), another flush attempt may
 // fire, and the local manager may already apply some of the batch. So
 // the flight is installed FIRST (making any concurrent flush a no-op and
-// keeping read-own-write checks truthful), the op buffer is detached
+// keeping a concurrent sync waiting for it), the op buffer is detached
 // before broadcasting, and completions that beat the uid registration
 // are reconciled from the early-completion buffer afterwards (sent).
 func (b *writeBuf) flushFn(p *sim.Proc, then func()) {
@@ -155,10 +139,8 @@ func (b *writeBuf) flushFn(p *sim.Proc, then func()) {
 	fl := &b.fl0 // at most one flight exists; the record is pooled
 	fl.buf = b
 	fl.remaining = len(b.ops) // provisional until the uids register
-	fl.insts = append(fl.insts[:0], b.insts...)
 	b.flight = fl
 	b.ops, b.opsSpare = b.opsSpare[:0], b.ops
-	b.insts, b.instsSpare = b.instsSpare[:0], b.insts
 	b.bytes = 0
 	mgr.rts.stats.Frames++
 	b.p, b.then, b.uids = p, then, b.uids[:0]
@@ -178,8 +160,6 @@ func (b *writeBuf) sent() {
 	}
 	clear(b.opsSpare)
 	b.opsSpare = b.opsSpare[:0]
-	clear(b.instsSpare)
-	b.instsSpare = b.instsSpare[:0]
 	if fl.remaining == 0 {
 		b.flight = nil
 		fl.cond.Broadcast()
@@ -204,16 +184,12 @@ func (b *writeBuf) waitFlight(p *sim.Proc) {
 // its writes and the total order contains them before anything the
 // worker does next.
 func (b *writeBuf) sync(w *Worker) {
-	for {
+	for !b.idle() {
 		if b.flight != nil {
 			b.waitFlight(w.P)
-			continue
-		}
-		if len(b.ops) > 0 {
+		} else {
 			b.flush(w.P)
-			continue
 		}
-		return
 	}
 }
 

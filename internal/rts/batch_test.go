@@ -41,7 +41,8 @@ func testBatch() group.BatchConfig {
 // TestReadOwnWriteAfterBufferedWrite: a worker that buffers no-result
 // writes and immediately reads the object must observe its own
 // writes — the read syncs the combining buffer first. A read of an
-// UNRELATED object must not sync (that is the pipelining).
+// UNRELATED object syncs too: served with the writes still buffered, it
+// would overtake them in the total order (the store-buffering outcome).
 func TestReadOwnWriteAfterBufferedWrite(t *testing.T) {
 	b, r := newBatchedTB(t, 3, 3, testBatch())
 	b.spawn(1, "writer", func(w *Worker) {
@@ -55,16 +56,21 @@ func TestReadOwnWriteAfterBufferedWrite(t *testing.T) {
 		if r.stats.BatchedOps < 3 {
 			t.Errorf("batchedOps = %d, want >= 3 (sets should combine)", r.stats.BatchedOps)
 		}
-		// Unrelated read: served with the writes still buffered.
+		// Unrelated read: drains the buffer first.
 		if got := r.Invoke(w, other, "get")[0].(int); got != 7 {
 			t.Errorf("other get = %d, want 7", got)
 		}
-		if w.batch == nil || (len(w.batch.ops) == 0 && w.batch.flight == nil) {
-			t.Error("unrelated read drained the combining buffer")
+		if w.batch == nil || len(w.batch.ops) != 0 || w.batch.flight != nil {
+			t.Error("unrelated read was served with the writes still buffered")
 		}
-		// Read-own-write: must sync and observe the last set.
-		if got := r.Invoke(w, cell, "get")[0].(int); got != 30 {
-			t.Errorf("read-own-write get = %d, want 30", got)
+		if s, _ := r.PeekState(1, cell); s.(*intCellState).v != 30 {
+			t.Errorf("after the unrelated read the writer's replica = %v, want 30", s)
+		}
+		// Read-own-write: a fresh buffered set, then a read that must
+		// observe it.
+		r.Invoke(w, cell, "set", 40)
+		if got := r.Invoke(w, cell, "get")[0].(int); got != 40 {
+			t.Errorf("read-own-write get = %d, want 40", got)
 		}
 		if len(w.batch.ops) != 0 || w.batch.flight != nil {
 			t.Error("read of a written object left the buffer unsynced")
@@ -73,8 +79,8 @@ func TestReadOwnWriteAfterBufferedWrite(t *testing.T) {
 	b.run(5 * sim.Second)
 	// Every replica converged on the last write.
 	for node := 0; node < 3; node++ {
-		if s, ok := r.PeekState(node, 1); !ok || s.(*intCellState).v != 30 {
-			t.Errorf("node %d replica = %v, want 30", node, s)
+		if s, ok := r.PeekState(node, 1); !ok || s.(*intCellState).v != 40 {
+			t.Errorf("node %d replica = %v, want 40", node, s)
 		}
 	}
 	b.done()

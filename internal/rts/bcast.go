@@ -2,6 +2,7 @@ package rts
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/amoeba"
 	"repro/internal/group"
@@ -283,32 +284,33 @@ func (r *BroadcastRTS) Call(w *Worker, id ObjID, opName string, in Args) Args {
 	if mgr == nil {
 		panic(fmt.Sprintf("rts: invoke from node %d outside the group span %v (route via the Router)", w.Node(), r.span))
 	}
-	if pl := r.placement(id); pl != nil && !r.replicatedOn(w.Node(), id) {
+	pl := r.placement(id)
+	if pl != nil && !slices.Contains(pl, w.Node()) {
 		// No local replica: forward the operation to a holder.
 		w.SyncShared()
 		return r.forward(w, mgr.fwdClient, id, pl, opName, in)
 	}
 	inst := mgr.instance(w.P, id)
 	op := inst.op(opName)
+	if r.batch.Enabled() && op.Kind == Write && op.NoResult && op.Guard == nil && pl == nil && !r.unbatched[id] {
+		// Unguarded no-result write to a fully replicated object under
+		// batching: combine. The invoker continues immediately.
+		mgr.bufferWrite(w, id, opName, in)
+		return Args{}
+	}
+	// Everything else observes the total order: the worker's buffered
+	// writes are applied locally first (see batch.go).
+	w.SyncShared()
 	if op.Kind == Read {
 		return mgr.localRead(w, inst, op, in)
 	}
-	if pl := r.placement(id); len(pl) == 1 {
+	if len(pl) == 1 {
 		// Single-copy object at its only holder: apply directly, no
 		// broadcast needed.
-		w.SyncShared()
 		return mgr.directWrite(w, inst, op, in)
-	}
-	if r.batch.Enabled() && op.NoResult && op.Guard == nil && r.placement(id) == nil && !r.unbatched[id] {
-		// Unguarded no-result write under batching: combine. The
-		// invoker continues immediately; program order is preserved
-		// by the sync points (see batch.go).
-		mgr.bufferWrite(w, id, inst, opName, in)
-		return Args{}
 	}
 	// Write: ship the operation through the total order and wait for
 	// it to be applied on this machine.
-	w.SyncShared()
 	w.Flush()
 	r.stats.BcastWrites++
 	uid := mgr.g.BroadcastMsg(w.P, group.Msg{Kind: opKind, Obj: int64(id), Op: opName, Args: in, Size: opSize(opName, &in)})
@@ -382,9 +384,6 @@ func (mgr *bcastManager) setInst(id ObjID, inst *replica) {
 func (mgr *bcastManager) localRead(w *Worker, inst *replica, op *OpDef, in Args) Args {
 	r := mgr.rts
 	if op.Guard == nil {
-		if w.batch != nil && w.batch.holds(inst) {
-			w.batch.sync(w) // read-own-write: wait for the buffered writes
-		}
 		if inst.moved {
 			// The object migrated away and this replica is frozen at
 			// the cut. A first-migration read here would still be a
@@ -397,10 +396,6 @@ func (mgr *bcastManager) localRead(w *Worker, inst *replica, op *OpDef, in Args)
 		w.Charge(r.costs.readLocal + r.costs.defaultOp)
 		return op.Apply(inst.state, in)
 	}
-	// Guarded: sync first — the guard may depend on the worker's own
-	// buffered writes, and suspending with writes unsent could stall
-	// the program.
-	w.SyncShared()
 	if !awaitGuard(w, inst, op, in, r.costs.guardCheck, &r.stats.GuardWaits) {
 		// The object migrated away while this reader was guard blocked:
 		// no further writes will ever wake it here, so bounce and

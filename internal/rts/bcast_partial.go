@@ -91,6 +91,7 @@ func (r *BroadcastRTS) startForwarders(machines []*amoeba.Machine) {
 			m.SpawnThread("objfwd-op", func(hp *sim.Proc) {
 				hw := NewWorker(hp, m)
 				res := r.Call(hw, ObjID(req.Obj), req.Op, req.Args)
+				hw.SyncShared() // a combined write is applied before its reply
 				hw.Flush()
 				srv.PutResult(hp, req, res, SizeOfArgs(&res))
 			})

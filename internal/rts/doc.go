@@ -12,8 +12,11 @@
 // a set of operations, each classified as a read (no state change) or
 // a write. Operations may carry a guard; a guarded operation blocks
 // until its guard is true and then executes indivisibly — Orca's
-// condition synchronization. All operations on all shared objects are
-// sequentially consistent.
+// condition synchronization. Operations are sequentially consistent
+// among the objects behind one sequencer group's total order and among
+// primary copies. Across groups sequential consistency holds per object:
+// only fences (Router.InvokeFenced) and forks order operations on
+// objects in different groups.
 //
 // Machine crashes are survived, not masked: the broadcast runtime
 // rides on the group layer's re-election and routes forwarded work

@@ -446,20 +446,21 @@ func (r *Router) PeekState(node int, id ObjID) (State, bool) {
 // a primary-copy object (local copy, lock, or RPC), a machine holding
 // no replica (forwarded), a replica frozen at a migration cut (bounced
 // to the live placement). A replica not created yet is waited for, and
-// the worker's buffered writes to it are synced first (read-own-write).
+// the worker's buffered writes, to any object, are synced first.
 //
 // The hit path reads the replica straight out of the machine's replica
 // table (bcastManager.insts, by object id) when the object is
-// non-adaptive: such an object never changes domain and its replica is
-// never replaced or frozen, because only a migration does that
-// (adapt.go). Anything else — an adaptive object, a replica not there
-// (yet), the worker's own buffered write to it — takes resolveRead.
+// non-adaptive and the worker's combining buffer is idle: such an
+// object never changes domain and its replica is never replaced or
+// frozen, because only a migration does that (adapt.go). Anything else
+// — an adaptive object, a replica not there (yet), a write of the
+// worker's still buffered or in flight — takes resolveRead.
 func (r *Router) LocalReadState(w *Worker, id ObjID, op *OpDef) (State, bool) {
 	if op.Guard == nil && uint(id) < uint(len(r.objs)) {
 		if e := r.objs[id]; e.dom >= 0 && e.adapt == nil {
 			g := r.groups[e.dom]
 			if mgr := g.mgr(w.M.ID()); mgr != nil {
-				if inst := mgr.inst(id); inst != nil && (w.batch == nil || !w.batch.holds(inst)) {
+				if inst := mgr.inst(id); inst != nil && w.batch.idle() {
 					g.stats.LocalReads++
 					w.Charge(g.costs.readLocal + g.costs.defaultOp)
 					return inst.state, true
@@ -482,9 +483,7 @@ func (r *Router) resolveRead(w *Worker, id ObjID, op *OpDef) (State, bool) {
 		return nil, false
 	}
 	inst := mgr.instance(w.P, id)
-	if w.batch != nil && w.batch.holds(inst) {
-		w.batch.sync(w)
-	}
+	w.SyncShared()
 	if inst.moved {
 		return nil, false
 	}

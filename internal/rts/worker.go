@@ -30,9 +30,9 @@ type Worker struct {
 
 // SyncShared flushes the worker's write-combining buffer (if any) and
 // blocks until every buffered and in-flight operation has been
-// applied on this worker's machine. The runtimes call it at every
-// point where buffering could become observable; the process layer
-// calls it on fork and exit.
+// applied on this worker's machine. The runtimes call it before every
+// operation that is not a combined write (see batch.go); the process
+// layer calls it on fork and exit.
 func (w *Worker) SyncShared() {
 	if w.batch != nil {
 		w.batch.sync(w)
