@@ -82,9 +82,10 @@ type Config struct {
 	// instead of blocking the invoker per op. Start from
 	// DefaultBatching: every field must be set, MaxOps to at least 2.
 	// Frames per op drop roughly by MaxOps under write-heavy load, at
-	// the cost of up to Linger of added latency for a lone op. Results,
-	// guards, and read-own-write force synchronization, so program
-	// semantics are unchanged; virtual timings differ, which is why
+	// the cost of up to Linger of added latency for a lone op. Every
+	// operation but a combined write first drains the worker's buffer
+	// (rts/batch.go), so program semantics are unchanged; virtual
+	// timings differ, which is why
 	// batched runs pin their own determinism goldens. Nil means one op
 	// per frame, the paper's protocol. Under Mixed, batching applies to
 	// the sequencer groups only.

@@ -298,8 +298,8 @@ func (r *BroadcastRTS) Call(w *Worker, id ObjID, opName string, in Args) Args {
 		mgr.bufferWrite(w, id, opName, in)
 		return Args{}
 	}
-	// Everything else observes the total order: the worker's buffered
-	// writes are applied locally first (see batch.go).
+	// Every other operation first waits until the worker's buffered
+	// writes are applied locally (the ordering rule in batch.go).
 	w.SyncShared()
 	if op.Kind == Read {
 		return mgr.localRead(w, inst, op, in)
