@@ -216,60 +216,64 @@ func (info *adaptInfo) count(node int, kind OpKind) {
 	info.seen++
 }
 
-// attachAdapt wires the point-to-point domain to the sequencer groups
-// for adaptive placement: sequenced migrate records route to the
-// Router, and a point-to-point moveout hands its snapshot to the home
-// group's total order.
-func (r *Router) attachAdapt() {
-	for _, g := range r.groups {
-		g.migrate = r.handleMigrate
+// moveSnap publishes an adaptive object's state snapshot, taken by a
+// moveout at its primary on node before the cut, so a crash mid-moveout
+// can be rescued (see awaitFlip).
+func (r *Router) moveSnap(node int, id ObjID, state State) {
+	info := r.objs[id].adapt
+	info.toBr = true
+	info.fromNode = node
+	info.cloned = state
+}
+
+// moveout broadcasts a moveout's sequenced migrate record, carrying the
+// snapshot, through the object's home group from node in p's name, and
+// runs k once the local delivery has applied it.
+func (r *Router) moveout(p *sim.Proc, node int, id ObjID, state State, k func()) {
+	info := r.objs[id].adapt
+	mgr := r.groups[info.home].mgr(node)
+	if mgr == nil {
+		// A crash re-homed the primary outside the home span: the
+		// first in-span waiter sequences the record (see awaitFlip).
+		k()
+		return
 	}
-	r.p2p.moveSnap = func(node int, id ObjID, state State) {
-		info := r.objs[id].adapt
-		info.toBr = true
-		info.fromNode = node
-		info.cloned = state
-	}
-	r.p2p.mover = func(p *sim.Proc, node int, id ObjID, state State, k func()) {
-		info := r.objs[id].adapt
-		mgr := r.groups[info.home].mgr(node)
-		if mgr == nil {
-			// A crash re-homed the primary outside the home span: the
-			// first in-span waiter sequences the record (see awaitFlip).
-			k()
-			return
-		}
-		mgr.sequence(p, "rts-migrate", wireMigrate{Obj: id, Target: -1, State: state}, info.typ.stateSize(state)+24, k)
-	}
-	r.p2p.recoverState = func(meta *p2pMeta) State {
-		info := r.objs[meta.id].adapt
-		if info == nil {
-			return nil
-		}
-		// Every live home-span machine's frozen replica holds the same
-		// state — the prefix of the total order up to the br->p2p cut —
-		// so the lowest-numbered one is as good as any and the choice
-		// is deterministic.
-		for _, mgr := range r.groups[info.home].mgrs {
-			if mgr.m.Crashed() {
-				continue
-			}
-			if inst := mgr.inst(meta.id); inst != nil && inst.moved {
-				return info.typ.Clone(inst.state)
-			}
-		}
+	mgr.sequence(p, "rts-migrate", wireMigrate{Obj: id, Target: -1, State: state}, info.typ.stateSize(state)+24, k)
+}
+
+// recoverState gives crash recovery a better restart point than the
+// creation arguments: an adaptive object that migrated in from the
+// broadcast runtime left a frozen replica of its cut-point state on
+// every machine of its home span, and restarting from that snapshot
+// loses only the writes acknowledged by the dead primary after the cut.
+// It returns nil when no snapshot exists, always for a non-adaptive
+// object.
+func (r *Router) recoverState(meta *p2pMeta) State {
+	info := r.objs[meta.id].adapt
+	if info == nil {
 		return nil
 	}
+	// Every live home-span machine's frozen replica holds the same
+	// state — the prefix of the total order up to the br->p2p cut —
+	// so the lowest-numbered one is as good as any and the choice
+	// is deterministic.
+	for _, mgr := range r.groups[info.home].mgrs {
+		if mgr.m.Crashed() {
+			continue
+		}
+		if inst := mgr.inst(meta.id); inst != nil && inst.moved {
+			return info.typ.Clone(inst.state)
+		}
+	}
+	return nil
 }
 
 // adopt puts a freshly created replicated object under the adaptive
 // placement controller: it starts replicated on its home group and
-// re-places itself as the observed access pattern warrants. Adaptive
-// objects are excluded from the write-combining pipeline — a combined
-// write parked in a worker's buffer across the migration cut would be
-// silently dropped by the moved replica.
+// re-places itself as the observed access pattern warrants. An adaptive
+// object never joins the write-combining pipeline (see
+// BroadcastRTS.Call).
 func (r *Router) adopt(w *Worker, id ObjID, g *BroadcastRTS, typeName string, cfg AdaptConfig, args []any) {
-	g.noBatch(id)
 	r.objs[id].adapt = &adaptInfo{
 		cfg:      cfg.withDefaults(),
 		home:     r.objs[id].dom,
@@ -533,13 +537,12 @@ func (r *Router) handleMigrate(mgr *bcastManager, uid int64, src int, wm wireMig
 // installPrimary places a migrated state as a single primary copy on
 // the target machine's point-to-point runtime, reusing the object's
 // meta and queue if the object lived there before.
-func (rt *Router) installPrimary(id ObjID, info *adaptInfo, target int, st State) {
-	r := rt.p2p
-	meta, ok := r.objs[id]
-	if !ok {
+func (r *Router) installPrimary(id ObjID, info *adaptInfo, target int, st State) {
+	meta := r.objs[id].meta
+	if meta == nil {
 		meta = &p2pMeta{id: id, typ: info.typ, ctorArgs: info.ctorArgs}
-		r.objs[id] = meta
+		r.objs[id].meta = meta
 	}
 	meta.protocol, meta.placement, meta.moved = Update, SingleCopy, false
-	r.promote(meta, target, st)
+	r.p2p.promote(meta, target, st)
 }

@@ -1,7 +1,7 @@
 package rts
 
 // Write combining for the broadcast runtime (see
-// BroadcastRTS.EnableBatching).
+// Router.EnableBatching).
 //
 // Each worker owns a combining buffer. An unguarded, no-result write
 // (the DefUpdate* shapes: queue add, counter assign, flag set) does
@@ -81,7 +81,7 @@ func (mgr *bcastManager) bufferWrite(w *Worker, id ObjID, opName string, args Ar
 		w.batch = b
 	}
 	r := mgr.rts
-	bc := r.batch
+	bc := r.router.batch
 	if b.flight != nil && len(b.ops) >= bc.MaxOps {
 		// Depth-1 pipeline backpressure: the buffer is full and the
 		// previous batch is still in flight — wait for it.

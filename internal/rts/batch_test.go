@@ -30,7 +30,7 @@ func newBatchedTB(t *testing.T, seed int64, n int, bc group.BatchConfig) (*tb, *
 		gs[i] = group.Join(ms[i], gcfg)
 	}
 	r := NewBroadcastRTS(testRegistry(), DefaultCosts(), ms, gs)
-	r.EnableBatching(bc)
+	r.router.EnableBatching(bc)
 	return &tb{env: env, net: nw, ms: ms}, r
 }
 

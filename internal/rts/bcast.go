@@ -2,7 +2,6 @@ package rts
 
 import (
 	"fmt"
-	"slices"
 
 	"repro/internal/amoeba"
 	"repro/internal/group"
@@ -20,47 +19,28 @@ import (
 // Guarded writes whose guard is false at their position in the total
 // order are queued and deterministically retried after each subsequent
 // write — identically on every replica, so replicas never diverge.
+//
+// A BroadcastRTS is sequencer group k of its Router, which holds the
+// object table and the settings every group shares.
 type BroadcastRTS struct {
-	reg   *Registry
-	costs Costs
-	mgrs  []*bcastManager
-	ids   *idAlloc
+	router *Router
+	k      int
+	reg    *Registry
+	costs  Costs
+	mgrs   []*bcastManager
 
 	// span lists the global node ids hosting a manager (ascending), and
 	// mgrAt maps a global node id to its index in mgrs (-1 outside the
-	// span). A standalone runtime spans every machine and the mapping is
+	// span). A group built alone spans every machine and the mapping is
 	// the identity; under a Router each sequencer group may span a
-	// subset (its replication domain), and machines outside it reach the
-	// group through the forwarder RPC (see Router.Call).
+	// subset (its replication domain), and machines outside it forward
+	// their operations to a holder inside it (see Call).
 	span  []int
 	mgrAt []int
 
 	// fwdPort is the RPC port serving forwarded operations — distinct
 	// per co-hosted shard, since Bind panics on a duplicate.
 	fwdPort string
-
-	// fence, set by a Router, handles fence messages appearing in this
-	// group's delivery stream (see fence.go), and then runs k.
-	fence func(mgr *bcastManager, d group.Delivery, f wireFence, k func())
-
-	// migrate, set by a Router that also hosts the point-to-point
-	// domain, handles sequenced migration records — the cut points of online
-	// placement changes (see adapt.go) — and then runs k.
-	migrate func(mgr *bcastManager, uid int64, src int, wm wireMigrate, k func())
-
-	// unbatched lists objects excluded from the write-combining
-	// pipeline. Adaptive objects live here: a combined write parked in
-	// a worker's buffer across a migration cut would be dropped by the
-	// moved replica.
-	unbatched map[ObjID]bool
-
-	// batch, when enabled, turns on the write-combining pipeline (see
-	// EnableBatching and batch.go).
-	batch group.BatchConfig
-
-	// placements maps partially replicated objects to their replica
-	// machines; absent means replicated everywhere (see CreateOn).
-	placements map[ObjID][]int
 
 	// stats counts straight into the broadcast fields of the unified
 	// snapshot; Counters adds the group layer's recovery figures.
@@ -103,7 +83,6 @@ type bcastManager struct {
 	early    map[int64]Args // completions that beat their waiter
 	flights  map[int64]*batchFlight
 	instCond *sim.Cond // signalled when a replica is instantiated
-	extra    func(node int, body any)
 
 	// touched collects the replicas written since the last frame
 	// boundary, and the boundary runs a guard-retry pass over each (see
@@ -132,9 +111,6 @@ type bcastManager struct {
 	cur                              pendingOp
 	boundaryFn, createdFn, guardedFn func()
 	writtenFn, wakeFn, settledFn     func()
-
-	// Partial replication plumbing (see bcast_partial.go).
-	fwdClient *amoeba.Client
 }
 
 // opWaiter lets the invoking thread sleep until its own write has been
@@ -147,21 +123,22 @@ type opWaiter struct {
 }
 
 // NewBroadcastRTS builds the runtime over one group member per
-// machine. machines[i] and members[i] must be node i.
+// machine: the one group of a Router built for it. machines[i] and
+// members[i] must be node i.
 func NewBroadcastRTS(reg *Registry, costs Costs, machines []*amoeba.Machine, members []*group.Member) *BroadcastRTS {
 	span := make([]int, len(machines))
 	for i, m := range machines {
 		span[i] = m.ID()
 	}
-	return newBroadcastRTSAt(reg, costs, machines, members, span, fwdPort)
+	return NewRouter(reg, costs, machines, []GroupDef{{Members: members, Span: span}}, nil, false).groups[0]
 }
 
-// newBroadcastRTSAt builds the runtime over a (possibly partial)
-// machine span, binding the forwarder service on the given port.
-// machines[i] and members[i] must be node span[i]; span must be
-// ascending. A Router builds one per sequencer group.
-func newBroadcastRTSAt(reg *Registry, costs Costs, machines []*amoeba.Machine, members []*group.Member, span []int, port string) *BroadcastRTS {
-	r := &BroadcastRTS{reg: reg, costs: costs, ids: &idAlloc{}, span: span, fwdPort: port}
+// newBroadcastRTS builds sequencer group k of the router over a
+// (possibly partial) machine span, binding the forwarder service on a
+// port of the group's own. machines[i] and members[i] must be node
+// span[i]; span must be ascending.
+func newBroadcastRTS(router *Router, k int, reg *Registry, costs Costs, machines []*amoeba.Machine, members []*group.Member, span []int) *BroadcastRTS {
+	r := &BroadcastRTS{router: router, k: k, reg: reg, costs: costs, span: span, fwdPort: fmt.Sprintf("%s%d", fwdPort, k)}
 	total := 0
 	for _, m := range machines {
 		if n := m.Net().Nodes(); n > total {
@@ -212,22 +189,6 @@ func (r *BroadcastRTS) mgr(node int) *bcastManager {
 // Span reports the global node ids hosting this runtime's replicas.
 func (r *BroadcastRTS) Span() []int { return r.span }
 
-// EnableBatching turns on the write-combining pipeline: unguarded
-// no-result writes are submitted through per-worker combining buffers
-// and leave as multi-op frames (see batch.go). Call before the
-// simulation starts. The group members should run the same
-// configuration so the sequencer packs frames too.
-func (r *BroadcastRTS) EnableBatching(bc group.BatchConfig) { r.batch = bc }
-
-// noBatch excludes an object from the write-combining pipeline (see
-// the unbatched field).
-func (r *BroadcastRTS) noBatch(id ObjID) {
-	if r.unbatched == nil {
-		r.unbatched = make(map[ObjID]bool)
-	}
-	r.unbatched[id] = true
-}
-
 // Counters returns the unified counter snapshot.
 func (r *BroadcastRTS) Counters() RTSStats {
 	st := r.stats
@@ -267,9 +228,9 @@ func (r *BroadcastRTS) Create(w *Worker, typeName string, args ...any) ObjID {
 }
 
 // Invoke is Call for a positional argument list, returning the results
-// boxed. It stays for bench/rungs.go, which drives a group with no
-// Router over it; programs reach Call through the typed descriptors
-// and the Router.
+// boxed. It stays for bench/rungs.go, which drives a group built by
+// NewBroadcastRTS directly; programs reach Call through the typed
+// descriptors and the Router.
 func (r *BroadcastRTS) Invoke(w *Worker, id ObjID, op string, args ...any) []any {
 	out := r.Call(w, id, op, ArgsOf(args...))
 	return out.Values()
@@ -278,23 +239,26 @@ func (r *BroadcastRTS) Invoke(w *Worker, id ObjID, op string, args ...any) []any
 // Call performs an operation on a shared object with the
 // sequential-consistency and indivisibility guarantees of the shared
 // data-object model: in are its arguments, the record returned its
-// results. It blocks for guards and write completion.
+// results. It blocks for guards and write completion. It is the one
+// place that decides where the operation runs: a machine holding no
+// replica — outside the group's span or outside the object's replica
+// set — forwards it to a holder.
 func (r *BroadcastRTS) Call(w *Worker, id ObjID, opName string, in Args) Args {
-	mgr := r.mgr(w.Node())
-	if mgr == nil {
-		panic(fmt.Sprintf("rts: invoke from node %d outside the group span %v (route via the Router)", w.Node(), r.span))
-	}
-	pl := r.placement(id)
-	if pl != nil && !slices.Contains(pl, w.Node()) {
-		// No local replica: forward the operation to a holder.
+	e := r.router.entry(id)
+	nodes, adapt := e.nodes, e.adapt // copied: the table may grow while this blocks
+	if !r.replicatedOn(w.Node(), id) {
 		w.SyncShared()
-		return r.forward(w, mgr.fwdClient, id, pl, opName, in)
+		return r.forward(w, id, opName, in)
 	}
+	mgr := r.mgr(w.Node())
 	inst := mgr.instance(w.P, id)
 	op := inst.op(opName)
-	if r.batch.Enabled() && op.Kind == Write && op.NoResult && op.Guard == nil && pl == nil && !r.unbatched[id] {
+	if r.router.batch.Enabled() && op.Kind == Write && op.NoResult && op.Guard == nil && nodes == nil && adapt == nil {
 		// Unguarded no-result write to a fully replicated object under
-		// batching: combine. The invoker continues immediately.
+		// batching: combine. The invoker continues immediately. An
+		// adaptive object never combines: a combined write parked in a
+		// worker's buffer across a migration cut would be dropped by the
+		// moved replica.
 		mgr.bufferWrite(w, id, opName, in)
 		return Args{}
 	}
@@ -304,7 +268,7 @@ func (r *BroadcastRTS) Call(w *Worker, id ObjID, opName string, in Args) Args {
 	if op.Kind == Read {
 		return mgr.localRead(w, inst, op, in)
 	}
-	if len(pl) == 1 {
+	if len(nodes) == 1 {
 		// Single-copy object at its only holder: apply directly, no
 		// broadcast needed.
 		return mgr.directWrite(w, inst, op, in)
@@ -491,25 +455,14 @@ func (mgr *bcastManager) complete(uid int64, src int, res Args) *writeBuf {
 	return nil
 }
 
-// SetExtraHandler installs a callback for group messages the runtime
-// does not recognize. The Orca layer uses it to order process creation
-// within the same total order as object writes, which is what makes a
-// freshly forked process observe all writes its parent issued before
-// the fork.
-func (r *BroadcastRTS) SetExtraHandler(h func(node int, body any)) {
-	for _, mgr := range r.mgrs {
-		mgr.extra = h
-	}
-}
-
 // serve is the object manager: the consumer of the totally-ordered
 // delivery stream, with no process behind it (see sim.Queue.Serve). It
 // applies creations and writes on the dispatch lane, in mgr.c's name,
 // taking at every step the steps an object-manager thread took — the
 // same CPU claims, sends and wake-ups in the same slots — through
 // continuations: a CPU charge (charge), the next combined batch a
-// completion lets go (written), a pausing fence (handleFence), a
-// migration record (handleMigrate). The last of them calls Done.
+// completion lets go (written), a pausing fence (Router.handleFence), a
+// migration record (Router.handleMigrate). The last of them calls Done.
 //
 // Guard retries run once per frame, not per op: a write only marks its
 // replica touched, and the retry sweep over the touched replicas fires
@@ -536,20 +489,15 @@ func (mgr *bcastManager) serve(d group.Delivery) {
 	case wireCreate:
 		mgr.applyCreate(d.UID, d.Src, body)
 	case wireFence:
-		if mgr.rts.fence == nil {
-			panic("rts: fence delivered to a runtime outside a Router")
-		}
-		mgr.rts.fence(mgr, d, body, mgr.boundaryFn)
+		mgr.rts.router.handleFence(mgr, d, body, mgr.boundaryFn)
 	case wireMigrate:
-		if mgr.rts.migrate == nil {
-			panic("rts: migrate record delivered to a runtime without adaptive placement")
-		}
-		mgr.rts.migrate(mgr, d.UID, d.Src, body, mgr.boundaryFn)
+		mgr.rts.router.handleMigrate(mgr, d.UID, d.Src, body, mgr.boundaryFn)
 	default:
-		if mgr.extra == nil {
+		extra := mgr.rts.router.extra
+		if extra == nil {
 			panic(fmt.Sprintf("rts: unexpected group message %T", d.Body))
 		}
-		mgr.extra(mgr.m.ID(), d.Body)
+		extra(mgr.m.ID(), d.Body)
 		mgr.boundary()
 	}
 }

@@ -24,32 +24,15 @@ import (
 // machine, trading everyone's update-application cost for the
 // forwarders' round trips.
 
-// fwdPort is the default RPC port serving forwarded operations; each
-// sequencer group of a Router binds its own (see BroadcastRTS.fwdPort).
+// fwdPort prefixes the RPC port serving forwarded operations: group k
+// binds fwdPort+k (see BroadcastRTS.fwdPort).
 const fwdPort = "objfwd"
 
-// placement returns the replica set for an object; nil means all
-// machines.
-func (r *BroadcastRTS) placement(id ObjID) []int {
-	if r.placements == nil {
-		return nil
-	}
-	return r.placements[id]
-}
-
-// holders returns the machines holding a replica of id: its placement,
-// or the whole span.
-func (r *BroadcastRTS) holders(id ObjID) []int {
-	if pl := r.placement(id); pl != nil {
-		return pl
-	}
-	return r.span
-}
-
-// replicatedOn reports whether node holds a replica of id.
+// replicatedOn reports whether node holds a replica of id: it lies in
+// the group's span and in the object's replica set, if it has one.
 func (r *BroadcastRTS) replicatedOn(node int, id ObjID) bool {
-	pl := r.placement(id)
-	return pl == nil || slices.Contains(pl, node)
+	nodes := r.router.objs[id].nodes
+	return r.mgr(node) != nil && (nodes == nil || slices.Contains(nodes, node))
 }
 
 // CreateOn creates a shared object replicated only on the given
@@ -63,13 +46,11 @@ func (r *BroadcastRTS) CreateOn(w *Worker, typeName string, nodes []int, args ..
 		panic(fmt.Sprintf("rts: create from node %d outside placement %v of span %v", w.Node(), nodes, r.span))
 	}
 	t := r.reg.Lookup(typeName) // validate before broadcasting
-	id := r.ids.alloc()
+	var set []int
 	if len(nodes) > 0 {
-		if r.placements == nil {
-			r.placements = make(map[ObjID][]int)
-		}
-		r.placements[id] = append([]int(nil), nodes...)
+		set = append(set, nodes...)
 	}
+	id := r.router.alloc(r.k, set)
 	w.SyncShared() // creation is ordered after the worker's buffered writes
 	w.Flush()
 	body := wireCreate{Obj: id, Type: t.Name, Args: args}
@@ -78,15 +59,14 @@ func (r *BroadcastRTS) CreateOn(w *Worker, typeName string, nodes []int, args ..
 	return id
 }
 
-// startForwarders binds the forwarded-operation service on every
-// machine, a consumer with no process behind it (see
+// startForwarders binds the group's forwarded-operation service on
+// every machine of its span, a consumer with no process behind it (see
 // amoeba.Server.Serve). Each request is handled on a fresh thread, which
 // blocks the way a caller does, so a guarded operation cannot stall
 // other forwarded work.
 func (r *BroadcastRTS) startForwarders(machines []*amoeba.Machine) {
-	for i, m := range machines {
+	for _, m := range machines {
 		srv := amoeba.NewServer(m, r.fwdPort)
-		r.mgrs[i].fwdClient = amoeba.NewClient(m, rpcPolicy)
 		srv.Serve(func(req *amoeba.Request) {
 			m.SpawnThread("objfwd-op", func(hp *sim.Proc) {
 				hw := NewWorker(hp, m)
@@ -101,16 +81,22 @@ func (r *BroadcastRTS) startForwarders(machines []*amoeba.Machine) {
 }
 
 // forward executes an operation at a replica holder on behalf of a
-// machine that has none — outside the object's placement, or outside
-// this group's span altogether (the Router then lends the RPC client
-// of another local group). Dead holders are skipped, and a holder that
-// dies mid-operation fails the RPC with ErrCrashed; the operation is
-// then retried at the next surviving holder. A retried write may
+// machine that has none — outside the object's replica set, or outside
+// this group's span altogether — through the machine's forwarder client.
+// The holders are the replica set, or else the span. Dead holders are
+// skipped, and a holder that dies mid-operation fails the RPC with
+// ErrCrashed; the operation is then retried at the next surviving
+// holder. A retried write may
 // therefore execute twice if the dead holder applied it before
 // crashing and the write had already been broadcast — the
 // at-least-once caveat every crash-recovery path of the runtime
 // shares (see DESIGN.md).
-func (r *BroadcastRTS) forward(w *Worker, cl *amoeba.Client, id ObjID, holders []int, opName string, in Args) Args {
+func (r *BroadcastRTS) forward(w *Worker, id ObjID, opName string, in Args) Args {
+	holders := r.router.objs[id].nodes
+	if holders == nil {
+		holders = r.span
+	}
+	cl := r.router.fwd[w.Node()]
 	w.Flush()
 	r.stats.Forwarded++
 	first := true

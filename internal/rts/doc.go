@@ -6,7 +6,9 @@
 // decided from read/write statistics), and the Router that hosts any
 // number of broadcast sequencer groups plus the point-to-point runtime
 // as domains, so placement is a per-object — and, for adaptive
-// objects, a run-time — decision.
+// objects, a run-time — decision. A domain is always a part of its
+// Router, which holds the one object table and the settings the domains
+// share.
 //
 // An object is an instance of an ObjectType: encapsulated state plus
 // a set of operations, each classified as a read (no state change) or

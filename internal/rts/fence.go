@@ -113,7 +113,7 @@ func (r *Router) fenceRec(node int, f wireFence) *fenceRec {
 	}
 	expect := 0
 	for _, k := range f.Shards {
-		if r.inSpan[k][node] {
+		if r.groups[k].mgr(node) != nil {
 			expect++
 		}
 	}
@@ -122,9 +122,8 @@ func (r *Router) fenceRec(node int, f wireFence) *fenceRec {
 	return rec
 }
 
-// handleFence consumes one fence delivery from a group's stream
-// (installed as every group's fence hook; runs as part of the
-// delivering manager's service) and then runs k.
+// handleFence consumes one fence delivery from a group's stream (as
+// part of the delivering manager's service) and then runs k.
 //
 // Barrier fences only matter at the target machine: the last covered
 // shard's delivery there fires the extra handler with the payload, so
@@ -190,10 +189,10 @@ func (r *Router) execFence(mgr *bcastManager, f wireFence, i int, k func()) {
 	for ; i < len(f.Ops); i++ {
 		fo := &f.Ops[i]
 		sub := r.groups[r.objs[fo.ID].dom]
-		sm := sub.mgr(node)
-		if sm == nil || !sub.replicatedOn(node, fo.ID) {
+		if !sub.replicatedOn(node, fo.ID) {
 			continue
 		}
+		sm := sub.mgr(node)
 		inst := sm.inst(fo.ID)
 		if inst == nil {
 			panic(fmt.Sprintf("rts: fenced write to unknown object %d on node %d", fo.ID, node))
@@ -243,17 +242,18 @@ func (r *Router) InvokeFenced(w *Worker, ops []FencedOp) error {
 		if e.dom == domP2P || e.adapt != nil {
 			return fmt.Errorf("fenced op on object %d, which is primary-copy or adaptive; fences order replicated objects", fo.ID)
 		}
-		mg := r.groups[e.dom].mgr(node)
+		dom := e.dom
+		mg := r.groups[dom].mgr(node)
 		if mg == nil {
-			return fmt.Errorf("fenced op on object %d from node %d outside sequencer group %d's span", fo.ID, node, e.dom)
+			return fmt.Errorf("fenced op on object %d from node %d outside sequencer group %d's span", fo.ID, node, dom)
 		}
 		op := mg.instance(w.P, fo.ID).op(fo.Op)
 		if op.Kind == Read || op.Guard != nil {
 			return fmt.Errorf("fenced operation %s is a read or guarded; fences carry unguarded writes", fo.Op)
 		}
 		size += opSize(fo.Op, &fo.Args)
-		if !slices.Contains(shards, e.dom) {
-			shards = append(shards, e.dom)
+		if !slices.Contains(shards, dom) {
+			shards = append(shards, dom)
 		}
 	}
 	slices.Sort(shards)
@@ -288,7 +288,7 @@ func (r *Router) ForkFence(w *Worker, target int, kind string, body any, size in
 	node := w.Node()
 	var shards []int
 	for k := range r.groups {
-		if r.inSpan[k][node] && r.inSpan[k][target] {
+		if r.groups[k].mgr(node) != nil && r.groups[k].mgr(target) != nil {
 			shards = append(shards, k)
 		}
 	}

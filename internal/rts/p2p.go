@@ -27,32 +27,16 @@ import (
 // statistics: a machine whose read/write ratio for an object exceeds a
 // threshold fetches a copy from the primary; when the ratio falls
 // below another threshold it discards its copy.
+//
+// A P2PRTS is the point-to-point domain of its Router, whose object
+// table holds each object's p2pMeta.
 type P2PRTS struct {
-	reg   *Registry
-	costs Costs
-	cfg   P2PConfig
-	nodes []*p2pNode
-	objs  map[ObjID]*p2pMeta
-	ids   *idAlloc
-
-	// mover and moveSnap, set by a Router that also hosts sequencer groups,
-	// connect a moveout to the broadcast total order (see adapt.go):
-	// moveSnap publishes the state snapshot before the cut (so a crash
-	// mid-moveout can be rescued), and mover broadcasts the sequenced
-	// migrate record from the given machine in p's name and runs k once
-	// the local delivery has applied it.
-	mover    func(p *sim.Proc, node int, id ObjID, state State, k func())
-	moveSnap func(node int, id ObjID, state State)
-
-	// recoverState, also set by the Router, gives crash recovery a
-	// better restart point than the creation arguments: an adaptive
-	// object that migrated in from the broadcast runtime left a frozen
-	// replica of its cut-point state on every machine, and restarting
-	// from that snapshot loses only the writes acknowledged by the
-	// dead primary after the cut. Returns nil when no snapshot exists.
-	recoverState func(meta *p2pMeta) State
-
-	stats RTSStats
+	router *Router
+	reg    *Registry
+	costs  Costs
+	cfg    P2PConfig
+	nodes  []*p2pNode
+	stats  RTSStats
 }
 
 // P2PProtocol selects how the primary keeps secondaries consistent.
@@ -229,10 +213,17 @@ const (
 	p2pCtlPort = "objctl" // one-way: unlock, drop, install
 )
 
-// NewP2PRTS builds the point-to-point runtime over the machines.
+// NewP2PRTS builds the point-to-point runtime over the machines (all
+// nodes of the simulation, by node id): the one domain of a Router built
+// for it.
 func NewP2PRTS(reg *Registry, costs Costs, cfg P2PConfig, machines []*amoeba.Machine) *P2PRTS {
-	r := &P2PRTS{reg: reg, costs: costs, cfg: cfg, objs: make(map[ObjID]*p2pMeta), ids: &idAlloc{}}
-	for _, m := range machines {
+	return NewRouter(reg, costs, machines, nil, &cfg, true).p2p
+}
+
+// newP2PRTS builds the router's point-to-point domain over its machines.
+func newP2PRTS(router *Router, reg *Registry, costs Costs, cfg P2PConfig) *P2PRTS {
+	r := &P2PRTS{router: router, reg: reg, costs: costs, cfg: cfg}
+	for _, m := range router.machines {
 		n := &p2pNode{
 			rts:    r,
 			m:      m,
@@ -291,12 +282,12 @@ func (r *P2PRTS) PeekState(node int, id ObjID) (State, bool) {
 	return inst.state, true
 }
 
+// meta returns an object's point-to-point record.
 func (r *P2PRTS) meta(id ObjID) *p2pMeta {
-	m, ok := r.objs[id]
-	if !ok {
-		panic(fmt.Sprintf("rts: unknown object %d", id))
+	if m := r.router.entry(id).meta; m != nil {
+		return m
 	}
-	return m
+	panic(fmt.Sprintf("rts: object %d has never lived in the point-to-point domain", id))
 }
 
 // Create instantiates the object with its single primary copy on the
@@ -314,7 +305,7 @@ func (r *P2PRTS) Create(w *Worker, typeName string, args ...any) ObjID {
 // independent of what the rest of the objects use.
 func (r *P2PRTS) CreateWith(w *Worker, typeName string, protocol P2PProtocol, placement Placement, args ...any) ObjID {
 	t := r.reg.Lookup(typeName)
-	id := r.ids.alloc()
+	id := r.router.alloc(domP2P, nil)
 	node := r.nodes[w.Node()]
 	w.Flush()
 	w.M.Compute(w.P, r.costs.create)
@@ -322,7 +313,7 @@ func (r *P2PRTS) CreateWith(w *Worker, typeName string, protocol P2PProtocol, pl
 	inst := newReplica(t, state)
 	inst.primary, inst.copyset = true, make(map[int]bool)
 	node.insts[id] = inst
-	r.objs[id] = &p2pMeta{id: id, typ: t, primary: w.Node(), protocol: protocol, placement: placement,
+	r.router.objs[id].meta = &p2pMeta{id: id, typ: t, primary: w.Node(), protocol: protocol, placement: placement,
 		ctorArgs: append([]any(nil), args...)}
 	node.startPrimary(id)
 	if placement == FullReplication {
@@ -342,8 +333,8 @@ func (r *P2PRTS) CreateWith(w *Worker, typeName string, protocol P2PProtocol, pl
 }
 
 // Invoke is Call for a positional argument list, returning the results
-// boxed. It stays for bench/rungs.go, which drives the domain with no
-// Router over it.
+// boxed. It stays for bench/rungs.go, which drives a domain built by
+// NewP2PRTS directly.
 func (r *P2PRTS) Invoke(w *Worker, id ObjID, op string, args ...any) []any {
 	out := r.Call(w, id, op, ArgsOf(args...))
 	return out.Values()

@@ -1,9 +1,6 @@
 package rts
 
-import (
-	"fmt"
-	"slices"
-)
+import "fmt"
 
 // Crash recovery for the point-to-point runtime. The paper's §3.2.2
 // RTS keeps one primary copy per object; a machine crash therefore
@@ -38,21 +35,17 @@ func (r *P2PRTS) nodeDown(node int) bool { return r.nodes[node].m.Crashed() }
 // against a dead primary fails.
 func (r *P2PRTS) NodeCrashed(node int) {
 	r.stats.Crashes++
-	// Iterate objects in id order: waking suspended readers must happen
-	// in a deterministic order, and the objs map iterates randomly.
-	ids := make([]ObjID, 0, len(r.objs))
-	for id, meta := range r.objs {
-		if meta.primary == node {
-			ids = append(ids, id)
+	// The table walks in id order, so suspended readers wake in a
+	// deterministic order.
+	for id, e := range r.router.objs {
+		if e.meta == nil || e.meta.primary != node {
+			continue
 		}
-	}
-	slices.Sort(ids)
-	for _, id := range ids {
 		for _, n := range r.nodes {
 			if n.m.Crashed() {
 				continue
 			}
-			if inst, ok := n.insts[id]; ok && inst.valid && inst.locked {
+			if inst, ok := n.insts[ObjID(id)]; ok && inst.valid && inst.locked {
 				inst.locked = false
 				inst.cond.Broadcast()
 			}
@@ -93,15 +86,9 @@ func (r *P2PRTS) rehome(w *Worker, meta *p2pMeta) {
 	how := "re-homed"
 	if restart {
 		how = "restarted from its creation arguments"
-		if r.recoverState != nil {
-			// The Router may hold a frozen migration snapshot that
-			// beats restarting from the creation arguments (see the
-			// recoverState field).
-			if st = r.recoverState(meta); st != nil {
-				how = "recovered from its migration snapshot"
-			}
-		}
-		if st == nil {
+		if st = r.router.recoverState(meta); st != nil {
+			how = "recovered from its migration snapshot"
+		} else {
 			st = meta.typ.New(meta.ctorArgs)
 		}
 	}

@@ -251,17 +251,14 @@ func (o *objQueue) read() {
 // The primary's queue serializes it behind every task enqueued before
 // it — the queue position is the point-to-point side of the cut; the
 // sequenced migrate record it emits is the broadcast side. The snapshot
-// is published through moveSnap before the cut, with no blocking point
-// in between, so a machine crash can never strand the object without a
-// recoverable snapshot.
+// is published through Router.moveSnap before the cut, with no blocking
+// point in between, so a machine crash can never strand the object
+// without a recoverable snapshot.
 func (o *objQueue) migrateOut() {
 	n, r, t := o.n, o.n.rts, o.t
-	if r.mover == nil || r.moveSnap == nil {
-		panic("rts: moveout without a broadcast runtime attached")
-	}
 	meta := r.meta(o.id)
 	clone := meta.typ.Clone(o.inst.state)
-	r.moveSnap(n.m.ID(), o.id, clone)
+	r.router.moveSnap(n.m.ID(), o.id, clone)
 	meta.moved = true
 	// Bounce parked guarded tasks; they re-register as broadcast ops.
 	o.bounce(0, func() {
@@ -273,7 +270,7 @@ func (o *objQueue) migrateOut() {
 		}
 		// Sequence the migrate record; its globally-first delivery flips
 		// ownership to the broadcast runtime.
-		r.mover(o.c, n.m.ID(), o.id, clone, func() { n.finishTaskFn(o.c, t, Args{}, o.doneFn) })
+		r.router.moveout(o.c, n.m.ID(), o.id, clone, func() { n.finishTaskFn(o.c, t, Args{}, o.doneFn) })
 	})
 }
 

@@ -28,28 +28,34 @@ import (
 //     machines (its replication domain), with machines outside a span
 //     forwarding to a holder inside it.
 //
-// Everything above the domains lives here once: the id allocator (ids
-// are unique across domains), the object table, creation, the Call
-// loop, crash fan-out, counters, cross-group fences (fence.go) and the
-// adaptive placement controller (adapt.go). Inside a domain nothing
-// changes: a replicated object's writes travel its group's total order
-// exactly as under a solitary BroadcastRTS, a primary-copy object runs
-// the invalidation or update protocol exactly as under a solitary
-// P2PRTS, and a Router over one group puts the same bytes on the wire
-// as that group alone.
+// A domain is always a part of its Router, even when built alone
+// (NewBroadcastRTS, NewP2PRTS build a one-domain Router): it reads every
+// per-object fact from the Router's object table and every shared
+// setting from the Router. Everything above the domains lives here once:
+// the object table (ids are unique across domains), creation, the Call
+// loop, crash fan-out, counters, cross-group fences (fence.go), the
+// adaptive placement controller (adapt.go), the write-combining
+// configuration, the handler for the Orca layer's bodies and each
+// machine's forwarder client.
 type Router struct {
 	machines []*amoeba.Machine
 	groups   []*BroadcastRTS
-	inSpan   [][]bool // [group][node]
-	p2p      *P2PRTS  // nil when the point-to-point domain is not built
-	defP2P   bool     // Default placements go to the point-to-point domain
-	ids      *idAlloc
+	p2p      *P2PRTS // nil when the point-to-point domain is not built
+	defP2P   bool    // Default placements go to the point-to-point domain
 
-	// objs is the object table, indexed by the dense ObjID. The
-	// simulation is single-threaded, so no locking.
+	// objs is the object table, indexed by the dense ObjID: alloc hands
+	// out the ids, counting up from 1. The simulation is single-threaded,
+	// so no locking; but alloc may grow the slice, so nothing holds a
+	// pointer into it across a blocking call.
 	objs []objEntry
 
+	// batch turns on the groups' write-combining pipeline (see
+	// EnableBatching and batch.go); extra takes the group bodies and
+	// barrier-fence payloads the runtime does not recognize; fwd is each
+	// machine's forwarder RPC client (nil without groups).
+	batch group.BatchConfig
 	extra func(node int, body any)
+	fwd   []*amoeba.Client
 
 	// fences holds the per-machine in-flight fence records, keyed by
 	// fence id. fenceAborted marks fences presumed aborted after their
@@ -63,28 +69,21 @@ type Router struct {
 	stats RTSStats
 }
 
-// objEntry is one object's routing state: the domain hosting it now,
-// and its placement controller when the object is adaptive.
+// objEntry is one object's entry in the table: the domain hosting it
+// now, the replica set of a partially replicated object (nil: its
+// group's whole span), its placement controller when it is adaptive, and
+// its point-to-point record once it has lived in that domain.
 type objEntry struct {
 	dom   int // domNone, domP2P, or a sequencer-group index
+	nodes []int
 	adapt *adaptInfo
+	meta  *p2pMeta
 }
 
 const (
 	domNone = -2 // no such object
 	domP2P  = -1 // the point-to-point domain
 )
-
-// idAlloc hands out object ids. Every domain of a Router shares one, so
-// ids are unique across domains and routing by ObjID is unambiguous.
-type idAlloc struct{ next ObjID }
-
-func (a *idAlloc) alloc() ObjID { a.next++; return a.next }
-
-// peek reports the id the next alloc will return without consuming it;
-// the Router uses it to pick an object's group before the group's
-// creation allocates that same id.
-func (a *idAlloc) peek() ObjID { return a.next + 1 }
 
 // GroupDef describes one sequencer group of a Router: the group
 // endpoints (already joined, on a port distinct per group) and the
@@ -133,7 +132,7 @@ type Place struct {
 // point-to-point domain when p2p is non-nil. defaultP2P picks where
 // Default placements go. With groups present, every machine must lie
 // in at least one span, so creations and forks always have a local
-// group to travel.
+// group to travel, and every machine gets a forwarder client.
 func NewRouter(reg *Registry, costs Costs, machines []*amoeba.Machine, groups []GroupDef, p2p *P2PConfig, defaultP2P bool) *Router {
 	if defaultP2P && p2p == nil || !defaultP2P && len(groups) == 0 {
 		panic("rts: the router's default domain is not built")
@@ -141,7 +140,6 @@ func NewRouter(reg *Registry, costs Costs, machines []*amoeba.Machine, groups []
 	r := &Router{
 		machines:     machines,
 		defP2P:       defaultP2P,
-		ids:          &idAlloc{},
 		objs:         []objEntry{{dom: domNone}}, // ids start at 1
 		fences:       make([]map[int64]*fenceRec, len(machines)),
 		fenceAborted: make([]map[int64]bool, len(machines)),
@@ -153,32 +151,26 @@ func NewRouter(reg *Registry, costs Costs, machines []*amoeba.Machine, groups []
 	covered := make([]bool, len(machines))
 	for k, def := range groups {
 		sub := make([]*amoeba.Machine, len(def.Span))
-		in := make([]bool, len(machines))
 		for i, id := range def.Span {
 			if i > 0 && def.Span[i-1] >= id {
 				panic(fmt.Sprintf("rts: group %d span %v not ascending", k, def.Span))
 			}
 			sub[i] = machines[id]
-			in[id] = true
 			covered[id] = true
 		}
-		g := newBroadcastRTSAt(reg, costs, sub, def.Members, def.Span, fmt.Sprintf("%s%d", fwdPort, k))
-		g.ids = r.ids
-		g.fence = r.handleFence
-		r.groups = append(r.groups, g)
-		r.inSpan = append(r.inSpan, in)
+		r.groups = append(r.groups, newBroadcastRTS(r, k, reg, costs, sub, def.Members, def.Span))
 	}
-	for id, ok := range covered {
-		if !ok && len(groups) > 0 {
-			panic(fmt.Sprintf("rts: node %d lies in no group span", id))
+	if len(groups) > 0 {
+		r.fwd = make([]*amoeba.Client, len(machines))
+		for id, m := range machines {
+			if !covered[id] {
+				panic(fmt.Sprintf("rts: node %d lies in no group span", id))
+			}
+			r.fwd[id] = amoeba.NewClient(m, rpcPolicy)
 		}
 	}
 	if p2p != nil {
-		r.p2p = NewP2PRTS(reg, costs, *p2p, machines)
-		r.p2p.ids = r.ids
-		if len(groups) > 0 {
-			r.attachAdapt()
-		}
+		r.p2p = newP2PRTS(r, reg, costs, *p2p)
 	}
 	return r
 }
@@ -193,22 +185,20 @@ func (r *Router) Group(k int) *BroadcastRTS { return r.groups[k] }
 // not built.
 func (r *Router) P2P() *P2PRTS { return r.p2p }
 
-// EnableBatching turns on the write-combining pipeline in every group
-// (see BroadcastRTS.EnableBatching).
-func (r *Router) EnableBatching(bc group.BatchConfig) {
-	for _, g := range r.groups {
-		g.EnableBatching(bc)
-	}
-}
+// EnableBatching turns on the write-combining pipeline in every group:
+// unguarded no-result writes to fully replicated, non-adaptive objects
+// are submitted through per-worker combining buffers and leave as
+// multi-op frames (see batch.go). Call before the simulation starts. The
+// group members should run the same configuration so the sequencer
+// packs frames too.
+func (r *Router) EnableBatching(bc group.BatchConfig) { r.batch = bc }
 
-// SetExtraHandler installs the callback for unrecognized group bodies
-// and barrier-fence payloads (the Orca layer's fork messages).
-func (r *Router) SetExtraHandler(h func(node int, body any)) {
-	r.extra = h
-	for _, g := range r.groups {
-		g.SetExtraHandler(h)
-	}
-}
+// SetExtraHandler installs the callback for group bodies the runtime
+// does not recognize and barrier-fence payloads. The Orca layer uses it
+// to order process creation within the same total order as object
+// writes, which is what makes a freshly forked process observe all
+// writes its parent issued before the fork.
+func (r *Router) SetExtraHandler(h func(node int, body any)) { r.extra = h }
 
 // NodeCrashed tells every domain that a machine died; the orca runtime
 // calls it while executing a fault plan. A crash of one group's
@@ -232,20 +222,23 @@ func (r *Router) NodeCrashed(node int) {
 	r.presumeAbort(node)
 }
 
-// entry resolves an object's routing state.
-func (r *Router) entry(id ObjID) objEntry {
+// entry resolves an object's entry in the table. The pointer is good
+// until the next alloc, which may grow the table: read what is needed
+// before any blocking call.
+func (r *Router) entry(id ObjID) *objEntry {
 	if id <= 0 || int(id) >= len(r.objs) || r.objs[id].dom == domNone {
 		panic(fmt.Sprintf("rts: unknown object %d", id))
 	}
-	return r.objs[id]
+	return &r.objs[id]
 }
 
-// bind records a freshly created object's domain.
-func (r *Router) bind(id ObjID, dom int) {
-	for int(id) >= len(r.objs) {
-		r.objs = append(r.objs, objEntry{dom: domNone})
-	}
-	r.objs[id].dom = dom
+// alloc hands out the next object id and enters it in the table, in
+// domain dom with replica set nodes. A domain allocates before it
+// announces the creation, so every machine that applies it finds the
+// entry.
+func (r *Router) alloc(dom int, nodes []int) ObjID {
+	r.objs = append(r.objs, objEntry{dom: dom, nodes: nodes})
+	return ObjID(len(r.objs) - 1)
 }
 
 // enter drains the worker's write-combining buffer when an operation
@@ -334,20 +327,18 @@ func (r *Router) CreateAt(w *Worker, typeName string, pl Place, args ...any) (Ob
 			return 0, fmt.Errorf("a primary copy lives on its creating machine %d; replica set %v cannot move it", node, pl.Nodes)
 		}
 		r.enter(w, nil)
-		id := r.p2p.CreateWith(w, typeName, pl.Protocol, pl.Copies, args...)
-		r.bind(id, domP2P)
-		return id, nil
+		return r.p2p.CreateWith(w, typeName, pl.Protocol, pl.Copies, args...), nil
 	}
 	k := pl.Group
 	if k < 0 {
 		var elig []int
 		for g := range r.groups {
-			if r.inSpan[g][node] {
+			if r.groups[g].mgr(node) != nil {
 				elig = append(elig, g)
 			}
 		}
-		k = elig[hashGroup(r.ids.peek(), len(elig))]
-	} else if !r.inSpan[k][node] {
+		k = elig[hashGroup(ObjID(len(r.objs)), len(elig))] // the id alloc hands out next
+	} else if r.groups[k].mgr(node) == nil {
 		return 0, fmt.Errorf("create on sequencer group %d from node %d outside its span %v", k, node, r.groups[k].span)
 	}
 	g := r.groups[k]
@@ -361,7 +352,6 @@ func (r *Router) CreateAt(w *Worker, typeName string, pl Place, args ...any) (Ob
 	}
 	r.enter(w, g)
 	id := g.CreateOn(w, typeName, pl.Nodes, args...)
-	r.bind(id, k)
 	if pl.Kind == PlaceAdaptive {
 		r.adopt(w, id, g, typeName, pl.Adapt, args)
 	}
@@ -374,13 +364,13 @@ func (r *Router) CreateAt(w *Worker, typeName string, pl Place, args ...any) (Ob
 // results. It blocks for guards, locks and write completion. It is the
 // one routing loop, and the runtime's one entry for an operation by
 // name (the typed descriptors of package orca call it). The worker's
-// combining buffer drains when the target domain changes; a machine
-// outside the owning group's span forwards to a holder inside it; and
-// an invocation that bounces off an object's old placement mid-
-// migration (the retry status, see adapt.go) waits for the ownership
-// flip and re-issues under the new placement — at most once per
-// migration, and the re-issued operation executes exactly once, after
-// the cut.
+// combining buffer drains when the target domain changes; the owning
+// domain decides where the operation runs (a machine holding no replica
+// forwards it, see BroadcastRTS.Call); and an invocation that bounces
+// off an object's old placement mid-migration (the retry status, see
+// adapt.go) waits for the ownership flip and re-issues under the new
+// placement — at most once per migration, and the re-issued operation
+// executes exactly once, after the cut.
 func (r *Router) Call(w *Worker, id ObjID, op string, in Args) Args {
 	for {
 		e := r.entry(id)
@@ -392,11 +382,7 @@ func (r *Router) Call(w *Worker, id ObjID, op string, in Args) Args {
 		} else {
 			g := r.groups[dom]
 			r.enter(w, g)
-			if g.mgr(w.Node()) != nil {
-				res = g.Call(w, id, op, in)
-			} else {
-				res = g.forward(w, r.fwdClient(w.Node()), id, g.holders(id), op, in)
-			}
+			res = g.Call(w, id, op, in)
 		}
 		if !isRetry(res) {
 			if info != nil {
@@ -409,17 +395,6 @@ func (r *Router) Call(w *Worker, id ObjID, op string, in Args) Args {
 		}
 		r.awaitFlip(w, id, info, dom)
 	}
-}
-
-// fwdClient returns a forwarder RPC client on the node: any local
-// group's will do (every machine lies in at least one span).
-func (r *Router) fwdClient(node int) *amoeba.Client {
-	for _, g := range r.groups {
-		if mg := g.mgr(node); mg != nil {
-			return mg.fwdClient
-		}
-	}
-	panic(fmt.Sprintf("rts: node %d lies in no group span", node))
 }
 
 // PeekState returns a machine's current copy of an object (nil if it
@@ -457,7 +432,7 @@ func (r *Router) PeekState(node int, id ObjID) (State, bool) {
 // worker's still buffered or in flight — takes resolveRead.
 func (r *Router) LocalReadState(w *Worker, id ObjID, op *OpDef) (State, bool) {
 	if op.Guard == nil && uint(id) < uint(len(r.objs)) {
-		if e := r.objs[id]; e.dom >= 0 && e.adapt == nil {
+		if e := &r.objs[id]; e.dom >= 0 && e.adapt == nil {
 			g := r.groups[e.dom]
 			if mgr := g.mgr(w.M.ID()); mgr != nil {
 				if inst := mgr.inst(id); inst != nil && w.batch.idle() {
@@ -477,22 +452,21 @@ func (r *Router) resolveRead(w *Worker, id ObjID, op *OpDef) (State, bool) {
 	if e.dom == domP2P || op.Guard != nil {
 		return nil, false
 	}
-	g := r.groups[e.dom]
-	mgr := g.mgr(w.Node())
-	if mgr == nil || !g.replicatedOn(w.Node(), id) {
+	g, info := r.groups[e.dom], e.adapt
+	if !g.replicatedOn(w.Node(), id) {
 		return nil, false
 	}
-	inst := mgr.instance(w.P, id)
+	inst := g.mgr(w.Node()).instance(w.P, id)
 	w.SyncShared()
 	if inst.moved {
 		return nil, false
 	}
 	g.stats.LocalReads++
 	w.Charge(g.costs.readLocal + g.costs.defaultOp)
-	if e.adapt != nil {
+	if info != nil {
 		// Counted, not decided: a full window waits for the object's
 		// next access through Call (see adaptObserve).
-		e.adapt.count(w.Node(), Read)
+		info.count(w.Node(), Read)
 	}
 	return inst.state, true
 }

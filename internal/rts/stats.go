@@ -11,7 +11,7 @@ type RTSStats struct {
 	GuardWaits  int64 `json:"guard_waits,omitempty"`  // guard suspensions (both runtimes)
 	Forwarded   int64 `json:"forwarded,omitempty"`    // ops forwarded to a partial-replication holder
 
-	// Batching counters (see BroadcastRTS.EnableBatching): ops
+	// Batching counters (see Router.EnableBatching): ops
 	// submitted through per-worker combining buffers, and the batch
 	// frames that carried them — Frames << BatchedOps is the
 	// amortization experiments report.

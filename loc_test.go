@@ -73,7 +73,7 @@ var codeCeilings = map[string]int{
 	"internal/netsim":     414,
 	"internal/orca":       729,  // −19: the typed descriptors are the only way to create, invoke and fence an object; Proc.New/NewWith/Invoke*, Object and the untyped FencedOp are gone
 	"internal/orca/std":   386,  // +3: NewZeroCounter, a counter created with no constructor argument
-	"internal/rts":        2797, // −21: one ordering rule for write combining (every operation but a combined write syncs the buffer first); the per-object read-own-write bookkeeping and its sync calls are gone
+	"internal/rts":        2705, // −92: one object table and no hooks (the domains are parts of the Router: the id allocator, the per-domain placement, batch-exclusion and primary-copy maps, the six hook fields and the Router's own forward branch are gone)
 	"internal/rts/scheck": 111,
 	"internal/sim":        797,
 	"internal/workload":   231, // +10: one Zipf table per (Keys, Theta), shared by every generator instead of summed per client
