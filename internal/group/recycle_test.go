@@ -428,3 +428,31 @@ func TestConsensusSendAllocations(t *testing.T) {
 		t.Errorf("%.3f allocations per consensus send over %d sends, want at most 3.3 over at least 300", per, sends)
 	}
 }
+
+// Sends at frame capacity 4 from the lone writer of sendAllocations, so
+// that every frame carries one op and waits out its packers: the
+// sender's same-instant flush and, at the sequencer, the Linger
+// deadline of the data packer (PB and consensus) or the accept packer
+// (BB). Each deadline costs an event and a closure per arm, four
+// allocations a send on top of the unbatched send's.
+func TestBatchedSendAllocations(t *testing.T) {
+	skipUnderRace(t)
+	for _, c := range []struct {
+		name  string
+		mut   func(*Config)
+		max   float64
+		sends int
+	}{
+		{"PB", func(c *Config) { c.Method = ForcePB }, 4.05, 1000},
+		{"BB", func(c *Config) { c.Method = ForceBB }, 7.25, 1000},
+		{"consensus", func(c *Config) { c.Protocol = Consensus }, 7.3, 300},
+	} {
+		per, sends := sendAllocations(t, func(cfg *Config) {
+			batchCfg(4, 1<<20, sim.Millisecond)(cfg)
+			c.mut(cfg)
+		})
+		if per > c.max || sends < c.sends {
+			t.Errorf("%s: %.3f allocations per send over %d sends, want at most %.2f over at least %d", c.name, per, sends, c.max, c.sends)
+		}
+	}
+}
