@@ -364,11 +364,11 @@ func TestDeferRunsOnInterruptThread(t *testing.T) {
 	note := func(p *sim.Proc, what string) {
 		log = append(log, fmt.Sprintf("%s by %s at %v", what, p.Name(), p.Now()))
 	}
-	ms[0].After(5*sim.Millisecond, func(p *sim.Proc) {
+	ms[0].Deadline(5*sim.Millisecond, func(p *sim.Proc) {
 		note(p, "round")
 		ms[0].SendFn(p, 1, Packet{Port: "sink", Size: 8}, func() { note(p, "sent") })
 	})
-	ms[0].After(5*sim.Millisecond, func(p *sim.Proc) { note(p, "next round") })
+	ms[0].Deadline(5*sim.Millisecond, func(p *sim.Proc) { note(p, "next round") })
 	env.Run()
 	want := "[round by node0/netisr at 5.000ms sent by node0/netisr at 5.180ms next round by node0/netisr at 5.180ms]"
 	if fmt.Sprint(log) != want {

@@ -12,7 +12,7 @@ import (
 // from now, unless the returned cancel comes first. A script cancels a
 // deadline at most once, and never after its round has started.
 func arm(m *Machine, d sim.Time, round func(p *sim.Proc)) (cancel func()) {
-	return m.After(d, round).Cancel
+	return m.Deadline(d, round).Cancel
 }
 
 // deadlineScript runs one scripted case on a two-machine cluster and
@@ -99,5 +99,26 @@ func TestDeadlineScript(t *testing.T) {
 		if got := deadlineScript(t, c.script); got != c.want {
 			t.Errorf("%s: %s, want %s", c.script, got, c.want)
 		}
+	}
+}
+
+// A deadline allocates nothing once its machine holds as many records as
+// it ever has deadlines pending: an arm takes the record that the last
+// round or cancel gave back.
+func TestDeadlineAllocations(t *testing.T) {
+	skipUnderRace(t)
+	env, _, ms := cluster(t, 1, nil)
+	defer env.Shutdown()
+	m := ms[0]
+	rounds := 0
+	round := func(*sim.Proc) { rounds++ }
+	cycle := func() {
+		m.Deadline(sim.Millisecond, round)
+		m.Deadline(2*sim.Millisecond, round).Cancel()
+		env.RunUntil(env.Now() + 3*sim.Millisecond)
+	}
+	cycle()
+	if a := testing.AllocsPerRun(100, cycle); a != 0 || rounds != 102 {
+		t.Errorf("%v allocations a cycle over %d rounds, want none over 102", a, rounds)
 	}
 }

@@ -106,7 +106,8 @@ type Machine struct {
 	last       Handler // nil after a Bind or an Unbind
 	casts      *cast   // released broadcast payloads, for cast to reuse
 	sends      *sending
-	joins      int // continuations the task in service has outstanding
+	deadlines  *Deadline // released deadline records, for Deadline to reuse
+	joins      int       // continuations the task in service has outstanding
 	crashed    bool
 
 	threads    []*sim.Proc // live threads and the claimants of this machine (compacted lazily)
@@ -447,7 +448,7 @@ func (m *Machine) MulticastFn(p *sim.Proc, pkt Packet, members []int, then func(
 // Defer enqueues fn to run in interrupt context, as a task of interrupt
 // service: on the dispatch lane, with the interrupt claimant for p,
 // under the contract of a Handler. Timer callbacks use this to re-enter
-// kernel context.
+// kernel context (see Deadline). A crashed machine ignores it.
 func (m *Machine) Defer(fn func(p *sim.Proc)) {
 	if m.crashed {
 		return
@@ -455,10 +456,72 @@ func (m *Machine) Defer(fn func(p *sim.Proc)) {
 	m.inq.Put(task{fn: fn})
 }
 
-// After schedules fn in interrupt context d from now (see Defer). The
-// returned event can be cancelled.
-func (m *Machine) After(d sim.Time, fn func(p *sim.Proc)) *sim.Event {
-	return m.env.After(d, func() { m.Defer(fn) }) // which a crashed machine ignores
+// Deadline is a kernel deadline: a timer round that runs once, deferred
+// into interrupt service (see Defer) when the deadline fires, unless it
+// is cancelled before. Records are the machine's, recycled: a deadline
+// takes one when it is armed and gives it back once its round has run,
+// or when it is cancelled before it fired. A cancel after the firing
+// leaves the queued round alone, so a deadline armed again while that
+// round waits (a packer flushed on its op count, then handed its next
+// op) runs both rounds. A crashed machine drops its rounds, and their
+// records with them.
+type Deadline struct {
+	ev    sim.Event // bound to fire once, when the record is made
+	m     *Machine
+	round func(p *sim.Proc)
+	armed bool              // from the arm to the firing or the cancel
+	runFn func(p *sim.Proc) // dl.run, bound once
+	next  *Deadline
+}
+
+// Deadline arms a kernel deadline: round runs in interrupt context d
+// from now. The arm and a cancel take the places in the (time, seq)
+// order that scheduling and cancelling an event take (see
+// sim.Event.Arm). The caller may Cancel the deadline until its round
+// starts and must let go of it then: from the end of the round on, the
+// record may be another deadline.
+func (m *Machine) Deadline(d sim.Time, round func(p *sim.Proc)) *Deadline {
+	dl := m.deadlines
+	if dl == nil {
+		dl = &Deadline{m: m}
+		dl.ev.Init(m.env, dl.fire)
+		dl.runFn = dl.run
+	} else {
+		m.deadlines, dl.next = dl.next, nil
+	}
+	dl.round, dl.armed = round, true
+	dl.ev.Arm(d)
+	return dl
+}
+
+// Cancel removes the deadline's round if the deadline has not fired; it
+// does nothing once it has.
+func (dl *Deadline) Cancel() {
+	if !dl.armed {
+		return
+	}
+	dl.armed = false
+	dl.ev.Cancel()
+	dl.release()
+}
+
+// fire queues the round for interrupt service, which a crashed machine
+// does not do.
+func (dl *Deadline) fire() {
+	dl.armed = false
+	dl.m.Defer(dl.runFn)
+}
+
+// run is the task of interrupt service that runs the round.
+func (dl *Deadline) run(p *sim.Proc) {
+	dl.round(p)
+	dl.release()
+}
+
+// release gives the record back to its machine.
+func (dl *Deadline) release() {
+	m := dl.m
+	dl.round, dl.next, m.deadlines = nil, m.deadlines, dl
 }
 
 // Crash simulates a processor crash: the machine leaves the network,

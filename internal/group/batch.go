@@ -33,6 +33,7 @@ package group
 // guard-retry sweep per frame.
 
 import (
+	"repro/internal/amoeba"
 	"repro/internal/sim"
 )
 
@@ -74,8 +75,8 @@ func (g *Member) noteFrame(ops int) {
 type packer struct {
 	q      []item
 	bytes  int // packed payload of q (data packer only)
-	timer  *sim.Event
-	fire   func(p *sim.Proc) // the Linger deadline's round, bound once
+	timer  *amoeba.Deadline
+	fire   func(p *sim.Proc) // the Linger deadline's round, bound when first armed
 	accept bool
 }
 
@@ -96,8 +97,22 @@ func (g *Member) enqueue(pk *packer, it item) {
 		return
 	}
 	if pk.timer == nil {
-		pk.timer = g.m.After(b.Linger, pk.fire)
+		g.armLinger(pk)
 	}
+}
+
+// armLinger arms pk's Linger deadline. Its round is bound when it is
+// first armed: only a sequencer packs.
+func (g *Member) armLinger(pk *packer) {
+	if pk.fire == nil {
+		pk.fire = func(p *sim.Proc) {
+			g.step(p, func() {
+				pk.timer = nil
+				g.flush(pk)
+			})
+		}
+	}
+	pk.timer = g.m.Deadline(g.cfg.Batch.Linger, pk.fire)
 }
 
 // flush sequences pk's queued ops and emits them as one frame. When
@@ -231,7 +246,10 @@ func (g *Member) enqueueSend(it item) {
 	}
 	if !g.sendArmed {
 		g.sendArmed = true
-		g.m.After(0, g.sendFire)
+		if g.sendFire == nil {
+			g.sendFire = func(p *sim.Proc) { g.step(p, g.flushArmed) }
+		}
+		g.m.Deadline(0, g.sendFire)
 	}
 }
 

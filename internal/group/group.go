@@ -469,7 +469,7 @@ type Member struct {
 	// The gap timer (see armGapTimer) and what it remembers between
 	// rounds; gapOn from when it is armed until its round starts in
 	// interrupt context, or it is stopped.
-	gapTimer           sim.Event
+	gapTimer           *sim.Event
 	gapOn              bool
 	gapNext            int64
 	gapEpoch, gapStall int
@@ -479,8 +479,10 @@ type Member struct {
 	// out is the outbox of the step that is running (see outbox), boxes
 	// the released ones.
 	out, boxes *outbox
+	// box0 is the member's first outbox.
+	box0 outbox
 	// sendFire is the sender packer's same-instant flush step (see
-	// enqueueSend), bound once.
+	// enqueueSend), bound when first armed.
 	sendFire func(p *sim.Proc)
 
 	// memberIdx maps a node id to its dense index in cfg.Members (-1
@@ -668,17 +670,10 @@ func Join(m *amoeba.Machine, cfg Config) *Member {
 		slices.Sort(g.castTo)
 	}
 	m.Bind(g.port, g.handle)
-	g.timer(&g.gapTimer, (*Member).gapRound)
-	g.timer(&g.hbTimer, (*Member).heartbeat)
-	for _, pk := range []*packer{&g.pack, &g.acc} {
-		pk.fire = func(p *sim.Proc) {
-			g.step(p, func() {
-				pk.timer = nil
-				g.flush(pk)
-			})
-		}
+	if cfg.Batch.MaxOps > 1 {
+		g.outQ.Grow(cfg.Batch.MaxOps) // a frame's deliveries, queued at once
 	}
-	g.sendFire = func(p *sim.Proc) { g.step(p, g.flushArmed) }
+	g.timer(&g.hbTimer, (*Member).heartbeat)
 	if cfg.Heartbeat > 0 {
 		g.hbTimer.Arm(cfg.Heartbeat)
 	}
@@ -758,7 +753,11 @@ type outbox struct {
 func (g *Member) begin(p *sim.Proc, then func()) *outbox {
 	o := g.boxes
 	if o == nil {
-		o = &outbox{g: g}
+		o = &g.box0
+		if o.g != nil { // in use: a step began while another's sends wait
+			o = new(outbox)
+		}
+		o.g = g
 		o.issueFn = o.issue
 	} else {
 		g.boxes, o.free = o.free, nil
@@ -991,7 +990,7 @@ func (g *Member) heartbeat() {
 		high = g.committed
 	}
 	if g.isSeq && g.installed && high > 0 {
-		g.cast("grp-hb", hbMsg{Epoch: g.epoch, Node: g.m.ID(), HighSeq: high}, hdrSmall)
+		g.cast("grp-hb", g.carve().hbs.add(hbMsg{Epoch: g.epoch, Node: g.m.ID(), HighSeq: high}), hdrSmall)
 	}
 	g.later(effect{kind: fxArmHB})
 }

@@ -34,7 +34,7 @@ func (g *Member) handle(p *sim.Proc, from int, pkt amoeba.Packet) {
 		g.onCoordAck(b)
 	case coordNack:
 		g.onCoordNack(b)
-	case hbMsg:
+	case *hbMsg:
 		g.onHeartbeat(b)
 	case *propMsg:
 		g.onPropose(from, b)
@@ -62,7 +62,7 @@ func (g *Member) processFrame(recs []dataMsg) {
 
 // onHeartbeat learns the sequencer's progress; if this member is
 // behind, gap recovery kicks in.
-func (g *Member) onHeartbeat(h hbMsg) {
+func (g *Member) onHeartbeat(h *hbMsg) {
 	if h.Epoch < g.epoch || g.electing {
 		return
 	}
@@ -360,7 +360,7 @@ func (g *Member) armGapTimer() {
 // startGap starts the gap timer.
 func (g *Member) startGap() {
 	g.gapOn = true
-	g.gapTimer.Arm(g.cfg.GapTimeout)
+	g.arm(&g.gapTimer, g.cfg.GapTimeout, (*Member).gapRound)
 }
 
 // gapRound is the gap timer's round.

@@ -159,8 +159,8 @@ type chunk[T any] struct {
 
 // chunks are what a member carves the records and bodies it creates per
 // operation from: sequenced records and the frames that carry them, a
-// proposal's slot list, and the bodies of accepts, proposals, acks and
-// commit announcements.
+// proposal's slot list, and the bodies of accepts, proposals, acks,
+// commit announcements and heartbeats.
 type chunks struct {
 	recs    chunk[dataMsg]
 	frames  chunk[dataFrame]
@@ -169,6 +169,7 @@ type chunks struct {
 	props   chunk[propMsg]
 	acks    chunk[paccMsg]
 	commits chunk[pcmtMsg]
+	hbs     chunk[hbMsg]
 }
 
 // carve returns the member's chunks, which it makes when it first

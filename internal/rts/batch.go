@@ -32,6 +32,7 @@ package rts
 // round-trip, MaxOps ops at a time.
 
 import (
+	"repro/internal/amoeba"
 	"repro/internal/group"
 	"repro/internal/sim"
 )
@@ -52,7 +53,9 @@ type writeBuf struct {
 	uids   []int64 // the batch's, from BroadcastBatchFn
 	flight *batchFlight
 	fl0    batchFlight // the pooled flight record (one in flight max)
-	timer  *sim.Event
+	timer  *amoeba.Deadline
+	// lingerFn is b.linger, bound when the deadline is first armed.
+	lingerFn func(p *sim.Proc)
 
 	// opsSpare ping-pongs with ops across flushes: a flush detaches the
 	// filled buffer into the spare before broadcasting (the broadcast
@@ -99,13 +102,19 @@ func (mgr *bcastManager) bufferWrite(w *Worker, id ObjID, opName string, args Ar
 		return
 	}
 	if b.timer == nil && bc.Linger > 0 {
-		b.timer = mgr.m.After(bc.Linger, func(tp *sim.Proc) {
-			b.timer = nil
-			// A linger flush must not block, so it defers to the
-			// continuation flush when a batch is in flight.
-			b.flushFn(tp, func() {})
-		})
+		if b.lingerFn == nil {
+			b.lingerFn = b.linger
+		}
+		b.timer = mgr.m.Deadline(bc.Linger, b.lingerFn)
 	}
+}
+
+// linger is the Linger deadline's round, in interrupt context. A linger
+// flush must not block, so it defers to the continuation flush when a
+// batch is in flight.
+func (b *writeBuf) linger(p *sim.Proc) {
+	b.timer = nil
+	b.flushFn(p, func() {})
 }
 
 // flush sends the buffered ops as one batch, if none is in flight.

@@ -430,7 +430,6 @@ func (n *p2pNode) atPrimary(w *Worker, meta *p2pMeta, t p2pTask, req amoeba.Pack
 		}
 		var res Args
 		if meta.primary == n.m.ID() {
-			t := t
 			res = n.runLocal(w, meta.id, &t)
 		} else if rep, ok := n.callPrimary(w, meta, req); ok {
 			res = rep.Args
@@ -443,15 +442,20 @@ func (n *p2pNode) atPrimary(w *Worker, meta *p2pMeta, t p2pTask, req amoeba.Pack
 	}
 }
 
-// runLocal queues a task of this machine's for the queue of an object
-// whose primary it is, and waits for its result.
+// runLocal queues task t of this machine's for the queue of an object
+// whose primary it is, and waits for its result. The task travels in a
+// record of the node's (see task), which the invoker gives back once it
+// has read the result.
 func (n *p2pNode) runLocal(w *Worker, id ObjID, t *p2pTask) Args {
-	t.from = n.m.ID()
-	n.queues[id].q.Put(t)
-	for !t.done {
-		t.cond.Wait(w.P)
+	lt := n.task()
+	lt.kind, lt.op, lt.args, lt.to, lt.from = t.kind, t.op, t.args, t.to, n.m.ID()
+	n.queues[id].q.Put(lt)
+	for !lt.done {
+		lt.cond.Wait(w.P)
 	}
-	return t.res
+	res := lt.res
+	n.recycle(lt)
+	return res
 }
 
 // opPacket is the request that has the primary execute op.

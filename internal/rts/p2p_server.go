@@ -69,9 +69,9 @@ func (n *p2pNode) route(req *amoeba.Request) {
 	n.srv.Done()
 }
 
-// task returns a blank record for a remote request's task; reply takes
-// it back once the request is answered. (A local task is its invoker's,
-// who reads the result out of it.)
+// task returns a blank record for a task: a remote request's, which
+// finishTaskFn takes back once the request is answered, or a local
+// invoker's, which runLocal takes back once it has read the result.
 func (n *p2pNode) task() *p2pTask {
 	if k := len(n.tfree); k > 0 {
 		t := n.tfree[k-1]
@@ -325,9 +325,9 @@ func (n *p2pNode) finishTaskFn(p *sim.Proc, t *p2pTask, res Args, then func()) {
 	then()
 }
 
-// recycle takes back a finished remote task's record (see task).
+// recycle takes back a finished task's record (see task).
 func (n *p2pNode) recycle(t *p2pTask) {
-	*t = p2pTask{}
+	*t = p2pTask{opWaiter: opWaiter{cond: t.cond}} // keeps the condition's waiter buffer
 	n.tfree = append(n.tfree, t)
 }
 

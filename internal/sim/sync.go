@@ -1,5 +1,7 @@
 package sim
 
+import "slices"
+
 // fifo is a FIFO on one backing array: pop advances a head index rather
 // than re-slicing (which would shed capacity and make every later push
 // reallocate), the array is reused from the start once drained, and a
@@ -285,6 +287,10 @@ type queueWaiter[T any] struct {
 
 // NewQueue creates an empty queue bound to e.
 func NewQueue[T any](e *Env) *Queue[T] { return &Queue[T]{env: e} }
+
+// Grow makes room for n more items, so that a queue known to hold at
+// most n at a time never grows.
+func (q *Queue[T]) Grow(n int) { q.items.buf = slices.Grow(q.items.buf, n) }
 
 // Serve makes fn the queue's consumer, serving every item to completion
 // on the dispatch lane on behalf of c, a claimant (see Env.Claimant):
