@@ -113,7 +113,7 @@ func run(w io.Writer, repo, base, head string, args []string, pairs int) (err er
 			fmt.Fprintf(os.Stderr, "pair %d/%d: %s done in %.0f s\n", p+1, pairs, sides[side], time.Since(t0).Seconds())
 		}
 	}
-	fmt.Fprintf(w, "%-20s %-32s %-32s %9s %7s  %s\n", "metric", "base median [q1, q3]", "head median [q1, q3]", "change", "won", "verdict")
+	fmt.Fprintf(w, "%-20s %-40s %-40s %9s %4s %4s  %s\n", "metric", "base median [q1, q3]", "head median [q1, q3]", "change", "won", "lost", "verdict")
 	for _, m := range bench.EndToEnd {
 		b, h := samples[0][m.Name], samples[1][m.Name]
 		if len(b) != pairs || len(h) != pairs {
@@ -124,7 +124,7 @@ func run(w io.Writer, repo, base, head string, args []string, pairs int) (err er
 		if c.worseBy() > m.Bound {
 			note = strings.TrimSpace(note + " beyond bound")
 		}
-		fmt.Fprintf(w, "%-20s %-32s %-32s %+8.2f%% %3d/%-3d  %s\n", m.Name, c.base, c.head, 100*c.change(), c.wins, pairs, note)
+		fmt.Fprintf(w, "%-20s %-40s %-40s %+8.2f%% %4d %4d  %s\n", m.Name, c.base, c.head, 100*c.change(), c.wins, c.losses, note)
 	}
 	return nil
 }

@@ -20,7 +20,13 @@
 // the kernel serves the next packet once the handler and every
 // continuation it started have run, so service stalls behind its sends
 // as it did behind a blocked interrupt thread, in the same virtual
-// instants.
+// instants. A kernel timer round that runs once is a Deadline: a record
+// of the machine's whose event is armed in place and whose round is
+// deferred into interrupt service when it fires. The record is reused
+// only after its round has run, so a deadline armed again while a fired
+// one's round still waits runs both rounds, and a crashed machine drops
+// its rounds; arming one allocates nothing once the machine holds as
+// many records as it ever has rounds pending.
 //
 // RPC is Amoeba's: a Client thread blocks in Call (or Trans, its
 // all-body form), which retransmits on timeout, and a consumer makes the

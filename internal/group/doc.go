@@ -59,10 +59,14 @@
 // BroadcastBatch are their steps plus a park, so a thread and interrupt
 // service run one implementation of the protocol (group.go, "Steps and
 // the outbox"; DESIGN.md, "group: the ordering protocol"). What a member
-// creates per operation — sequenced records, the frames that carry them
-// and its per-op wire bodies — is carved from runs the member allocates
-// and never reuses (chunk, in ring.go): with no fault, a PB send
-// allocates nothing, and a BB or consensus send only its send record.
+// creates per operation — sequenced records, the frames that carry them,
+// its per-op wire bodies and heartbeats — is carved from runs the member
+// allocates and never reuses (chunk, in ring.go). The packers' Linger
+// deadlines and the sender's same-instant flush are kernel deadlines
+// (amoeba.Deadline) on records the machine recycles, and a member binds
+// a timer's round when it first arms it, so that a member binds only the
+// rounds it runs: with no fault, a PB send allocates nothing, batched
+// or not, and a BB or consensus send only its send record.
 //
 // Downward: members speak kernel ports and timers from package
 // amoeba. Upward: the broadcast runtime in package rts consumes each
