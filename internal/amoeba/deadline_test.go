@@ -68,6 +68,14 @@ func deadlineScript(t *testing.T, script string) string {
 			arm(m, 500*sim.Microsecond, round("a again"))
 		})
 		at(2*sim.Millisecond, func() { arm(m, sim.Millisecond, round("b")) })
+	case "cancel and re-arm in one instant":
+		// The cancelled firing is already due: its record is reused while
+		// the event still waits among those due now.
+		at(2*sim.Millisecond, func() {
+			arm(m, 0, round("a"))()
+			arm(m, 0, round("b"))
+			arm(m, sim.Millisecond, round("c"))
+		})
 	case "crash with a round pending":
 		busy()
 		arm(m, sim.Millisecond, round("a"))
@@ -82,9 +90,10 @@ func deadlineScript(t *testing.T, script string) string {
 
 // A kernel deadline's round runs in interrupt context at the instant it
 // fires, or behind the interrupt work queued before it. A cancel before
-// the firing removes the round; one after it leaves the queued round
-// alone, and a deadline armed again meanwhile runs a round of its own. A
-// machine that crashes drops every round still to run. The pins were
+// the firing removes the round, even one already due at this instant; one
+// after it leaves the queued round alone, and a deadline armed again
+// meanwhile runs a round of its own. A machine that crashes drops every
+// round still to run. The pins were
 // taken with Machine.After, which allocated an event and a closure per
 // arm; every form must keep each round's instant and order and the
 // events of the run.
@@ -94,6 +103,7 @@ func TestDeadlineScript(t *testing.T) {
 		{"cancel before firing", "b@5.000ms c@7.000ms; events 8"},
 		{"cancel after firing", "busy@1.000ms a@1.180ms; events 10"},
 		{"re-arm while the round waits", "busy@1.000ms a@1.180ms a again@1.600ms b@3.000ms; events 15"},
+		{"cancel and re-arm in one instant", "b@2.000ms c@3.000ms; events 7"},
 		{"crash with a round pending", "busy@1.000ms; events 8"},
 	} {
 		if got := deadlineScript(t, c.script); got != c.want {
