@@ -1,10 +1,12 @@
 // Command orca-ab runs the benchmark on two commits in alternating
 // pairs and says, metric by metric, whether the second commit wins.
 //
-//	go run ./cmd/orca-ab -base HEAD^ -head HEAD -workload tsp_p64_s8 [-seed 1] [-seconds 20] [-pairs 10]
+//	go run ./cmd/orca-ab -repo CLONE -base C1 -head C2 -workload tsp_p64_s8 [-seed 1] [-seconds 20] [-pairs 10]
 //
-// It checks both commits out with git worktree under a temporary
-// directory, so the working tree is not touched, and runs
+// CLONE is a git clone made for the measurement (git clone . CLONE), not
+// a checkout being worked in: the command adds two worktrees to it and
+// removes them with --force when it is done. It checks both commits out
+// with git worktree under a temporary directory and runs
 // bash bench/run.sh --workload W --seed S --seconds T --trace 0 from each
 // checkout, the base first in even pairs and the head first in odd ones.
 // Each run's last line is the benchmark's JSON result. For every
@@ -34,7 +36,7 @@ import (
 
 func main() {
 	var (
-		repo     = flag.String("repo", ".", "the git repository the commits are in")
+		repo     = flag.String("repo", "", "a git clone holding both commits, not a working checkout (required)")
 		base     = flag.String("base", "HEAD^", "the parent commit")
 		head     = flag.String("head", "HEAD", "the commit measured against it")
 		workload = flag.String("workload", "", "the benchmark workload")
@@ -43,8 +45,9 @@ func main() {
 		pairs    = flag.Int("pairs", 10, "how many pairs of runs")
 	)
 	flag.Parse()
-	if *workload == "" || *pairs < 1 {
-		fmt.Fprintln(os.Stderr, "usage: orca-ab -workload W [-base C] [-head C] [-seed S] [-seconds T] [-pairs N]")
+	if *repo == "" || *workload == "" || *pairs < 1 {
+		fmt.Fprintln(os.Stderr, "usage: orca-ab -repo CLONE -workload W [-base C] [-head C] [-seed S] [-seconds T] [-pairs N]")
+		fmt.Fprintln(os.Stderr, "CLONE is a git clone made for the run: orca-ab adds two worktrees to it and force-removes them")
 		os.Exit(2)
 	}
 	args := []string{"bench/run.sh", "--workload", *workload, "--seed", strconv.FormatInt(*seed, 10),

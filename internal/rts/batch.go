@@ -54,7 +54,7 @@ type writeBuf struct {
 	flight *batchFlight
 	fl0    batchFlight // the pooled flight record (one in flight max)
 	timer  *amoeba.Deadline
-	// lingerFn is b.linger, bound when the deadline is first armed.
+	// lingerFn is b.linger, bound once.
 	lingerFn func(p *sim.Proc)
 
 	// opsSpare ping-pongs with ops across flushes: a flush detaches the
@@ -81,6 +81,7 @@ func (mgr *bcastManager) bufferWrite(w *Worker, id ObjID, opName string, args Ar
 	if b == nil {
 		b = &writeBuf{mgr: mgr}
 		b.sentFn = b.sent
+		b.lingerFn = b.linger
 		w.batch = b
 	}
 	r := mgr.rts
@@ -102,9 +103,6 @@ func (mgr *bcastManager) bufferWrite(w *Worker, id ObjID, opName string, args Ar
 		return
 	}
 	if b.timer == nil && bc.Linger > 0 {
-		if b.lingerFn == nil {
-			b.lingerFn = b.linger
-		}
 		b.timer = mgr.m.Deadline(bc.Linger, b.lingerFn)
 	}
 }
