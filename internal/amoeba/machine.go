@@ -299,9 +299,9 @@ func (m *Machine) SpawnThread(name string, fn func(p *sim.Proc)) *sim.Proc {
 		panic(fmt.Sprintf("amoeba: spawn %q on crashed node %d", name, m.id))
 	}
 	if len(m.threads) >= m.threadHi {
-		// Compact away terminated threads so short-lived per-operation
-		// threads (forwarded ops, above all) do not accumulate for
-		// the machine's lifetime. Amortized O(1) per spawn.
+		// Compact away terminated threads so short-lived threads (a
+		// program's forks) do not accumulate for the machine's
+		// lifetime. Amortized O(1) per spawn.
 		live := m.threads[:0]
 		for _, t := range m.threads {
 			if !t.Terminated() {

@@ -38,6 +38,7 @@ var matrixPlacements = []struct {
 type matrixOutcome struct {
 	created []bool          // per placement: creation succeeded
 	hist    [][][]scheck.Op // [placement][process] observed history
+	live    int             // the most processes alive at any operation's end
 	fp      string
 }
 
@@ -75,6 +76,7 @@ func matrixRun(t *testing.T, cfg orca.Config) matrixOutcome {
 					} else {
 						out.hist[i][me] = append(out.hist[i][me], scheck.Op{Proc: me, Val: c.Value(wp)})
 					}
+					out.live = max(out.live, rt.Env().LiveProcs())
 				}
 				wp.Work(50 * sim.Microsecond)
 			}
@@ -126,7 +128,8 @@ func matrixConfigs(t *testing.T, cell func(t *testing.T, cfg orca.Config)) {
 // TestConfigMatrix drives every such combination through the same
 // program, which asks for every placement. A
 // configuration either fails Validate (and New panics) or builds, with
-// no process of the runtime's own; a placement either is refused at
+// no process of the runtime's own, then or while the program runs
+// (machines outside a replica set forward); a placement either is refused at
 // creation — exactly when its domain was not built — or serves a
 // sequentially consistent history; and a second run reproduces the
 // first bit for bit.
@@ -155,6 +158,9 @@ func matrixCell(t *testing.T, cfg orca.Config) {
 		t.Errorf("a freshly built runtime has %d processes, want none", n)
 	}
 	out := matrixRun(t, cfg)
+	if out.live > cfg.Processors {
+		t.Errorf("%d processes alive at once, want at most the program's %d: the runtime ran a thread of its own", out.live, cfg.Processors)
+	}
 	for i, pl := range matrixPlacements {
 		if want := pl.hosted(groups, p2p); out.created[i] != want {
 			t.Errorf("%s: created = %v, want %v", pl.name, out.created[i], want)

@@ -278,21 +278,33 @@ func TestBitSetAddMany(t *testing.T) {
 // TestTimeoutDetection: a run stops after an hour of virtual time, and
 // reports a program still running then as timed out, naming the
 // processes it left parked — the Orca processes, and nothing of the
-// runtime's, which has no process of its own.
+// runtime's, which has no process of its own: not even when the flag's
+// one replica is on node 0, and the waiter's guarded read waits at that
+// holder as a forwarded operation.
 func TestTimeoutDetection(t *testing.T) {
-	rt := orca.New(bcastCfg(2, 11), std.Register)
-	rep := rt.Run(func(p *orca.Proc) {
-		f := std.NewFlag(p, false)
-		p.Fork(1, "waiter", func(wp *orca.Proc) {
-			f.Await(wp) // never set: deadlock by design
+	for _, c := range []struct {
+		name string
+		opts []orca.Option
+	}{
+		{"replicated", nil},
+		{"forwarded", orca.Opts(orca.At(0))},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			rt := orca.New(bcastCfg(2, 11), std.Register)
+			rep := rt.Run(func(p *orca.Proc) {
+				f := std.NewFlag(p, false, c.opts...)
+				p.Fork(1, "waiter", func(wp *orca.Proc) {
+					f.Await(wp) // never set: deadlock by design
+				})
+				p.Sleep(2 * 3600 * sim.Second) // outlives the hour
+			})
+			if !rep.TimedOut || rep.Elapsed != 3600*sim.Second {
+				t.Fatalf("timed out %v after %v; want a timeout after an hour", rep.TimedOut, rep.Elapsed)
+			}
+			if got := fmt.Sprint(rep.Blocked); got != "[node0/main node1/waiter]" {
+				t.Errorf("blocked: %s, want the main process sleeping and the waiter", got)
+			}
 		})
-		p.Sleep(2 * 3600 * sim.Second) // outlives the hour
-	})
-	if !rep.TimedOut || rep.Elapsed != 3600*sim.Second {
-		t.Fatalf("timed out %v after %v; want a timeout after an hour", rep.TimedOut, rep.Elapsed)
-	}
-	if got := fmt.Sprint(rep.Blocked); got != "[node0/main node1/waiter]" {
-		t.Errorf("blocked: %s, want the main process sleeping and the waiter", got)
 	}
 }
 

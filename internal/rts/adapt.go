@@ -3,6 +3,7 @@ package rts
 import (
 	"fmt"
 
+	"repro/internal/group"
 	"repro/internal/sim"
 )
 
@@ -229,16 +230,22 @@ func (r *Router) moveSnap(node int, id ObjID, state State) {
 // moveout broadcasts a moveout's sequenced migrate record, carrying the
 // snapshot, through the object's home group from node in p's name, and
 // runs k once the local delivery has applied it.
-func (r *Router) moveout(p *sim.Proc, node int, id ObjID, state State, k func()) {
+func (r *Router) moveout(p *sim.Proc, node int, id ObjID, state State, k func(Args)) {
 	info := r.objs[id].adapt
 	mgr := r.groups[info.home].mgr(node)
 	if mgr == nil {
 		// A crash re-homed the primary outside the home span: the
 		// first in-span waiter sequences the record (see awaitFlip).
-		k()
+		k(Args{})
 		return
 	}
-	mgr.sequence(p, "rts-migrate", wireMigrate{Obj: id, Target: -1, State: state}, info.typ.stateSize(state)+24, k)
+	mgr.sequence(p, moveoutMsg(id, info, state), k)
+}
+
+// moveoutMsg is the migrate record that moves an object into its home
+// group with the given state.
+func moveoutMsg(id ObjID, info *adaptInfo, state State) group.Msg {
+	return group.Msg{Kind: "rts-migrate", Body: wireMigrate{Obj: id, Target: -1, State: state}, Size: info.typ.stateSize(state) + 24}
 }
 
 // recoverState gives crash recovery a better restart point than the
@@ -388,8 +395,7 @@ func (r *Router) startMigration(w *Worker, id ObjID, info *adaptInfo, act adaptA
 		mgr := r.groups[info.home].mgr(w.Node())
 		w.SyncShared()
 		w.Flush()
-		uid := mgr.g.Broadcast(w.P, "rts-migrate", wireMigrate{Obj: id, Target: target}, 24)
-		mgr.await(w.P, uid)
+		mgr.sequenced(w.P, group.Msg{Kind: "rts-migrate", Body: wireMigrate{Obj: id, Target: target}, Size: 24})
 		if info.aborted {
 			// Target crashed before the cut: the object stays
 			// replicated and the dwell clock still advances, so the
@@ -437,9 +443,7 @@ func (r *Router) awaitFlip(w *Worker, id ObjID, info *adaptInfo, from int) {
 		if mgr != nil && info.toBr && !info.decided && info.cloned != nil &&
 			(r.p2p.nodeDown(info.fromNode) || home.mgr(info.fromNode) == nil) {
 			w.Flush()
-			size := info.typ.stateSize(info.cloned) + 24
-			uid := mgr.g.Broadcast(w.P, "rts-migrate", wireMigrate{Obj: id, Target: -1, State: info.cloned}, size)
-			mgr.await(w.P, uid)
+			mgr.sequenced(w.P, moveoutMsg(id, info, info.cloned))
 			continue
 		}
 		info.cond.Wait(w.P)

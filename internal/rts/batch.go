@@ -163,6 +163,9 @@ func (b *writeBuf) sent() {
 			fl.remaining--
 			continue
 		}
+		if mgr.flights == nil {
+			mgr.flights = make(map[int64]*batchFlight)
+		}
 		mgr.flights[uid] = fl
 	}
 	clear(b.opsSpare)

@@ -38,10 +38,6 @@ type BroadcastRTS struct {
 	span  []int
 	mgrAt []int
 
-	// fwdPort is the RPC port serving forwarded operations — distinct
-	// per co-hosted shard, since Bind panics on a duplicate.
-	fwdPort string
-
 	// stats counts straight into the broadcast fields of the unified
 	// snapshot; Counters adds the group layer's recovery figures.
 	stats RTSStats
@@ -79,10 +75,17 @@ type bcastManager struct {
 	g        *group.Member
 	c        *sim.Proc  // the claimant the manager serves as
 	insts    []*replica // by ObjID (see inst); ids are dense and never reused
-	waiters  map[int64]*opWaiter
-	early    map[int64]Args // completions that beat their waiter
-	flights  map[int64]*batchFlight
-	instCond *sim.Cond // signalled when a replica is instantiated
+	instCond *sim.Cond  // signalled when a replica is instantiated
+
+	// The waits for this machine's sequenced records (see sequence), by
+	// uid: waiters, completions that beat their waiter (early), and
+	// combined batches in flight (see batch.go). Each map is made at its
+	// first insert; most managers never forward or combine.
+	waiters map[int64]*seqWait
+	early   map[int64]Args
+	flights map[int64]*batchFlight
+	sfree   []*seqWait // see sequence
+	res     Args       // a parked sequence's result (see sequenced)
 
 	// touched collects the replicas written since the last frame
 	// boundary, and the boundary runs a guard-retry pass over each (see
@@ -100,10 +103,6 @@ type bcastManager struct {
 	inFrame    bool
 	pendCharge sim.Time
 
-	// wfree recycles opWaiter records: one is needed per in-flight
-	// write, and steady state has a tiny number in flight.
-	wfree []*opWaiter
-
 	// The delivery in service (see serve): d itself, and the write being
 	// applied, cur on curInst; the continuations are bound once.
 	d                                group.Delivery
@@ -111,15 +110,6 @@ type bcastManager struct {
 	cur                              pendingOp
 	boundaryFn, createdFn, guardedFn func()
 	writtenFn, wakeFn, settledFn     func()
-}
-
-// opWaiter lets the invoking thread sleep until its own write has been
-// applied locally (which, given total order, is the linearization
-// point visible to it).
-type opWaiter struct {
-	cond sim.Cond
-	done bool
-	res  Args
 }
 
 // NewBroadcastRTS builds the runtime over one group member per
@@ -134,11 +124,10 @@ func NewBroadcastRTS(reg *Registry, costs Costs, machines []*amoeba.Machine, mem
 }
 
 // newBroadcastRTS builds sequencer group k of the router over a
-// (possibly partial) machine span, binding the forwarder service on a
-// port of the group's own. machines[i] and members[i] must be node
-// span[i]; span must be ascending.
+// (possibly partial) machine span. machines[i] and members[i] must be
+// node span[i]; span must be ascending.
 func newBroadcastRTS(router *Router, k int, reg *Registry, costs Costs, machines []*amoeba.Machine, members []*group.Member, span []int) *BroadcastRTS {
-	r := &BroadcastRTS{router: router, k: k, reg: reg, costs: costs, span: span, fwdPort: fmt.Sprintf("%s%d", fwdPort, k)}
+	r := &BroadcastRTS{router: router, k: k, reg: reg, costs: costs, span: span}
 	total := 0
 	for _, m := range machines {
 		if n := m.Net().Nodes(); n > total {
@@ -154,15 +143,7 @@ func newBroadcastRTS(router *Router, k int, reg *Registry, costs Costs, machines
 			panic(fmt.Sprintf("rts: span machine mismatch (node %d at span slot %d)", m.ID(), span[i]))
 		}
 		r.mgrAt[m.ID()] = i
-		mgr := &bcastManager{
-			rts:      r,
-			m:        m,
-			g:        members[i],
-			waiters:  make(map[int64]*opWaiter),
-			early:    make(map[int64]Args),
-			flights:  make(map[int64]*batchFlight),
-			instCond: sim.NewCond(m.Env()),
-		}
+		mgr := &bcastManager{rts: r, m: m, g: members[i], instCond: sim.NewCond(m.Env())}
 		r.mgrs = append(r.mgrs, mgr)
 		mgr.boundaryFn, mgr.createdFn, mgr.guardedFn = mgr.boundary, mgr.created, mgr.guarded
 		mgr.writtenFn, mgr.wakeFn, mgr.settledFn = mgr.written, mgr.wake, mgr.retried
@@ -170,7 +151,6 @@ func newBroadcastRTS(router *Router, k int, reg *Registry, costs Costs, machines
 		mgr.pass.init(m, mgr.c, costs.guardCheck, mgr)
 		mgr.g.Deliveries().Serve(mgr.c, mgr.serve)
 	}
-	r.startForwarders(machines)
 	return r
 }
 
@@ -277,8 +257,7 @@ func (r *BroadcastRTS) Call(w *Worker, id ObjID, opName string, in Args) Args {
 	// it to be applied on this machine.
 	w.Flush()
 	r.stats.BcastWrites++
-	uid := mgr.g.BroadcastMsg(w.P, group.Msg{Kind: opKind, Obj: int64(id), Op: opName, Args: in, Size: opSize(opName, &in)})
-	return mgr.await(w.P, uid)
+	return mgr.sequenced(w.P, group.Msg{Kind: opKind, Obj: int64(id), Op: opName, Args: in, Size: opSize(opName, &in)})
 }
 
 // PeekState returns a machine's current replica state (nil if the
@@ -371,49 +350,77 @@ func (mgr *bcastManager) localRead(w *Worker, inst *replica, op *OpDef, in Args)
 	return op.Apply(inst.state, in)
 }
 
-// await blocks until the manager applies the message with this uid
-// locally and returns its results. The apply can race ahead of the
-// invoker (broadcasting blocks on the CPU, and the manager may apply
-// the local delivery meanwhile), so completions that arrive before the
-// waiter registers are buffered in mgr.early.
-func (mgr *bcastManager) await(p *sim.Proc, uid int64) Args {
-	if res, done := mgr.early[uid]; done {
-		delete(mgr.early, uid)
-		return res
-	}
-	var wt *opWaiter
-	if n := len(mgr.wfree); n > 0 {
-		wt = mgr.wfree[n-1]
-		mgr.wfree = mgr.wfree[:n-1]
-	} else {
-		wt = &opWaiter{}
-	}
-	mgr.waiters[uid] = wt
-	for !wt.done {
-		wt.cond.Wait(p)
-	}
-	delete(mgr.waiters, uid)
-	res := wt.res
-	wt.done, wt.res = false, Args{}
-	mgr.wfree = append(mgr.wfree, wt)
-	return res
+// seqWait is the wait of one sequenced record for its local
+// application (see sequence). Records are pooled per manager, and the
+// continuations are part of the record, so a wait allocates nothing.
+type seqWait struct {
+	mgr            *bcastManager
+	p              *sim.Proc
+	msg            [1]group.Msg
+	uids           []int64
+	res            Args
+	k              func(Args) // nil: resume p (see sequenced)
+	sentFn, wokeFn func()
 }
 
-// sequence is Broadcast and await in continuation form, in p's name: k
-// runs once the local delivery of body has been applied.
-func (mgr *bcastManager) sequence(p *sim.Proc, kind string, body any, size int, k func()) {
-	var uids []int64
-	mgr.g.BroadcastBatchFn(p, []group.Msg{{Kind: kind, Body: body, Size: size}}, &uids, func() {
-		wt := &opWaiter{}
-		if _, wt.done = mgr.early[uids[0]]; !wt.done {
-			mgr.waiters[uids[0]] = wt
-		}
-		until(&wt.cond, p, func() bool { return wt.done }, func() {
-			delete(mgr.early, uids[0])
-			delete(mgr.waiters, uids[0])
-			k()
-		})
-	})
+// sequence broadcasts m through the group in p's name and runs k with
+// the results once the manager has applied m's local delivery: the
+// one wait for the total order. The apply can race ahead of the
+// broadcast's return (broadcasting blocks on the CPU, and the manager
+// may apply the local delivery meanwhile), so a completion that finds
+// no waiter is kept in mgr.early for it. If p is killed first, k never
+// runs.
+func (mgr *bcastManager) sequence(p *sim.Proc, m group.Msg, k func(Args)) {
+	var s *seqWait
+	if n := len(mgr.sfree); n > 0 {
+		s, mgr.sfree = mgr.sfree[n-1], mgr.sfree[:n-1]
+	} else {
+		s = &seqWait{mgr: mgr}
+		s.sentFn, s.wokeFn = s.sent, s.woke
+	}
+	s.p, s.k, s.msg[0], s.uids = p, k, m, s.uids[:0]
+	mgr.g.BroadcastBatchFn(p, s.msg[:], &s.uids, s.sentFn)
+}
+
+// sent registers the wait once the broadcast has returned, or ends it
+// if the completion came first.
+func (s *seqWait) sent() {
+	mgr, uid := s.mgr, s.uids[0]
+	if res, done := mgr.early[uid]; done {
+		delete(mgr.early, uid)
+		s.res = res
+		s.woke()
+		return
+	}
+	if mgr.waiters == nil {
+		mgr.waiters = make(map[int64]*seqWait)
+	}
+	mgr.waiters[uid] = s
+}
+
+// woke ends the wait, where a thread parked on it would wake: the
+// record goes back to the pool and k runs with the results.
+func (s *seqWait) woke() {
+	mgr, p, k, res := s.mgr, s.p, s.k, s.res
+	if p.Killed() {
+		return // abandoned with its machine, record and all
+	}
+	s.p, s.k, s.msg[0], s.res = nil, nil, group.Msg{}, Args{}
+	mgr.sfree = append(mgr.sfree, s)
+	if k == nil {
+		mgr.res = res
+		p.Resume()()
+		return
+	}
+	k(res)
+}
+
+// sequenced is sequence and a park: it returns the results once m's
+// local delivery has been applied.
+func (mgr *bcastManager) sequenced(p *sim.Proc, m group.Msg) Args {
+	mgr.sequence(p, m, nil)
+	p.Park()
+	return mgr.res
 }
 
 // until runs k in p's name once done() holds, re-checking it at every
@@ -432,7 +439,8 @@ func until(c *sim.Cond, p *sim.Proc, done func() bool, k func()) {
 
 // complete finishes a waiting invocation. src is the originating node,
 // the only one where anybody waits for uid: a completion with no
-// registered waiter yet is buffered there until await claims it. Async
+// registered waiter yet is kept there until its wait registers (see
+// sequence). Async
 // (combined) ops complete through their batch flight instead of a
 // waiter; complete returns the combining buffer whose next batch the
 // completion of its flight lets go, if any, and the caller sends it
@@ -445,11 +453,15 @@ func (mgr *bcastManager) complete(uid int64, src int, res Args) *writeBuf {
 	if fl, ok := mgr.flights[uid]; ok {
 		return mgr.completeFlight(uid, fl)
 	}
-	if wt, ok := mgr.waiters[uid]; ok {
-		wt.done = true
-		wt.res = res
-		wt.cond.Broadcast()
+	if s, ok := mgr.waiters[uid]; ok {
+		delete(mgr.waiters, uid)
+		s.res = res
+		env := mgr.m.Env()
+		env.Schedule(env.Now(), s.wokeFn)
 		return nil
+	}
+	if mgr.early == nil {
+		mgr.early = make(map[int64]Args)
 	}
 	mgr.early[uid] = res
 	return nil
@@ -602,7 +614,7 @@ func (mgr *bcastManager) fire(inst *replica, po pendingOp) {
 }
 
 // written applies mgr.cur, whose cost has been accounted, and completes
-// its invoker if that is a thread of this machine. A completion that
+// its invoker if that waits on this machine. A completion that
 // ends a combined batch's flight sends the worker's next batch, the
 // pipeline's steady state (see completeFlight), before the write's
 // guard-blocked readers wake.

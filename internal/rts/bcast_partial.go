@@ -6,6 +6,7 @@ import (
 	"slices"
 
 	"repro/internal/amoeba"
+	"repro/internal/group"
 	"repro/internal/sim"
 )
 
@@ -18,15 +19,11 @@ import (
 // Machines inside the placement behave exactly as with full
 // replication: local reads, broadcast writes. Machines outside the
 // placement forward their operations over RPC to a replica holder,
-// which executes the operation through the normal path and returns the
-// results. Write-heavy objects (like TSP's job queue, which the paper
-// notes would be better off unreplicated) can thus be pinned to one
-// machine, trading everyone's update-application cost for the
-// forwarders' round trips.
-
-// fwdPort prefixes the RPC port serving forwarded operations: group k
-// binds fwdPort+k (see BroadcastRTS.fwdPort).
-const fwdPort = "objfwd"
+// whose object service executes the operation at its replica and
+// returns the results (see serveForward). Write-heavy objects (like
+// TSP's job queue, which the paper notes would be better off
+// unreplicated) can thus be pinned to one machine, trading everyone's
+// update-application cost for the forwarders' round trips.
 
 // replicatedOn reports whether node holds a replica of id: it lies in
 // the group's span and in the object's replica set, if it has one.
@@ -54,35 +51,13 @@ func (r *BroadcastRTS) CreateOn(w *Worker, typeName string, nodes []int, args ..
 	w.SyncShared() // creation is ordered after the worker's buffered writes
 	w.Flush()
 	body := wireCreate{Obj: id, Type: t.Name, Args: args}
-	uid := mgr.g.Broadcast(w.P, "rts-create", body, SizeOfValue(args)+len(typeName)+16)
-	mgr.await(w.P, uid)
+	mgr.sequenced(w.P, group.Msg{Kind: "rts-create", Body: body, Size: SizeOfValue(args) + len(typeName) + 16})
 	return id
-}
-
-// startForwarders binds the group's forwarded-operation service on
-// every machine of its span, a consumer with no process behind it (see
-// amoeba.Server.Serve). Each request is handled on a fresh thread, which
-// blocks the way a caller does, so a guarded operation cannot stall
-// other forwarded work.
-func (r *BroadcastRTS) startForwarders(machines []*amoeba.Machine) {
-	for _, m := range machines {
-		srv := amoeba.NewServer(m, r.fwdPort)
-		srv.Serve(func(req *amoeba.Request) {
-			m.SpawnThread("objfwd-op", func(hp *sim.Proc) {
-				hw := NewWorker(hp, m)
-				res := r.Call(hw, ObjID(req.Obj), req.Op, req.Args)
-				hw.SyncShared() // a combined write is applied before its reply
-				hw.Flush()
-				srv.PutResult(hp, req, res, SizeOfArgs(&res))
-			})
-			srv.Done()
-		})
-	}
 }
 
 // forward executes an operation at a replica holder on behalf of a
 // machine that has none — outside the object's replica set, or outside
-// this group's span altogether — through the machine's forwarder client.
+// this group's span altogether — through the machine's object service.
 // The holders are the replica set, or else the span. Dead holders are
 // skipped, and a holder that dies mid-operation fails the RPC with
 // ErrCrashed; the operation is then retried at the next surviving
@@ -96,7 +71,7 @@ func (r *BroadcastRTS) forward(w *Worker, id ObjID, opName string, in Args) Args
 	if holders == nil {
 		holders = r.span
 	}
-	cl := r.router.fwd[w.Node()]
+	cl := r.router.svc[w.Node()].cl
 	w.Flush()
 	r.stats.Forwarded++
 	first := true
@@ -108,8 +83,8 @@ func (r *BroadcastRTS) forward(w *Worker, id ObjID, opName string, in Args) Args
 			r.stats.OpsRetried++
 		}
 		first = false
-		rep, err := cl.Call(w.P, holder, amoeba.Packet{Port: r.fwdPort, Op: opName, Obj: int64(id), Args: in,
-			Size: opSize(opName, &in)})
+		rep, err := cl.Call(w.P, holder, amoeba.Packet{Port: svcPort, Op: opName, Obj: int64(id), Args: in,
+			Body: fwdReq{}, Size: opSize(opName, &in)})
 		if err == nil {
 			return rep.Args
 		}
@@ -118,6 +93,111 @@ func (r *BroadcastRTS) forward(w *Worker, id ObjID, opName string, in Args) Args
 		}
 	}
 	panic(fmt.Sprintf("rts: no live replica holder for object %d (holders %v)", id, holders))
+}
+
+// fwdReq marks a forwarded operation's request to the object service,
+// which carries the operation in the packet header.
+type fwdReq struct{}
+
+// fwdOp is a forwarded operation in service at its holder, in the name
+// of the machine's object service (see serveForward), and the CPU it
+// has accrued, charged as a worker's would be: before each guard
+// re-check and before the reply.
+type fwdOp struct {
+	mgr     *bcastManager
+	s       *objService
+	req     *amoeba.Request
+	inst    *replica
+	op      *OpDef
+	pending sim.Time
+}
+
+// serveForward serves a forwarded operation at this holder, in
+// continuation form, taking the steps a thread running the whole Call
+// took: an unguarded read is charged, applied and answered; a guarded
+// read, or a write to a single-copy object, first waits on the replica's
+// condition (see guard); any other write is sequenced and answered at
+// its local application. A replica that moved away answers the retry
+// status, and the forwarder's Router.Call waits for the flip. The
+// service goes on to its next request at once: the operation starts
+// from an event of its own, where the thread started.
+func (r *BroadcastRTS) serveForward(s *objService, req *amoeba.Request) {
+	f := &fwdOp{mgr: r.mgr(s.m.ID()), s: s, req: req}
+	env := s.m.Env()
+	env.Schedule(env.Now(), f.start)
+	s.srv.Done()
+}
+
+// start waits for the replica, which a creation still in flight may
+// not have made yet, and runs the operation.
+func (f *fwdOp) start() {
+	if f.s.c.Killed() {
+		return
+	}
+	mgr, id := f.mgr, ObjID(f.req.Obj)
+	until(mgr.instCond, f.s.c, func() bool { return mgr.inst(id) != nil }, func() {
+		r := mgr.rts
+		e := r.router.entry(id)
+		f.inst = mgr.inst(id)
+		f.op = f.inst.op(f.req.Op)
+		if f.op.Kind == Read || len(e.nodes) == 1 {
+			f.guard()
+			return
+		}
+		if r.router.batch.Enabled() && f.op.NoResult && f.op.Guard == nil && e.nodes == nil && e.adapt == nil {
+			// A write the forwarder would have combined, had it a replica:
+			// a batch of one.
+			r.stats.BatchedOps++
+			r.stats.Frames++
+		} else {
+			r.stats.BcastWrites++
+		}
+		a := &f.req.Args
+		mgr.sequence(f.s.c, group.Msg{Kind: opKind, Obj: f.req.Obj, Op: f.req.Op, Args: *a, Size: opSize(f.req.Op, a)}, f.answer)
+	})
+}
+
+// guard is awaitGuard in continuation form, followed by the operation:
+// it waits until the guard holds on the replica, accruing each check
+// and charging it before the next, and then applies a read, or a write
+// to a single-copy object, which nothing else applies.
+func (f *fwdOp) guard() {
+	r, inst, op, in := f.mgr.rts, f.inst, f.op, f.req.Args
+	if inst.moved {
+		f.answer(retry)
+		return
+	}
+	if op.Guard != nil {
+		f.pending += r.costs.guardCheck
+		if !op.Guard(inst.state, in) {
+			r.stats.GuardWaits++
+			inst.cond.WaitFn(f.s.c, func() { f.charge(f.guard) })
+			return
+		}
+	}
+	if op.Kind == Read {
+		r.stats.LocalReads++
+		f.pending += r.costs.readLocal + r.costs.defaultOp
+		f.answer(op.Apply(inst.state, in))
+		return
+	}
+	f.pending += r.costs.writeApply + r.costs.defaultOp
+	res := op.Apply(inst.state, in)
+	inst.cond.Broadcast()
+	f.answer(res)
+}
+
+// charge charges the accrued CPU and then runs k.
+func (f *fwdOp) charge(k func()) {
+	d := f.pending
+	f.pending = 0
+	f.mgr.m.ComputeFn(f.s.c, d, k)
+}
+
+// answer replies to the forwarder with res once the accrued CPU has
+// been charged.
+func (f *fwdOp) answer(res Args) {
+	f.charge(func() { f.s.srv.PutResultFn(f.s.c, f.req, res, SizeOfArgs(&res), func() {}) })
 }
 
 // directWrite applies a write to a single-copy object at its only

@@ -28,16 +28,19 @@
 // p2p_recover.go for the at-least-once caveat on writes in flight.
 //
 // The runtime has no process of its own. Every machine's servers — the
-// object manager applying a group's delivery stream, the RPC
-// dispatchers of the point-to-point runtime and of forwarded
-// operations, each primary copy's queue — are consumers with no process
+// object manager applying a group's delivery stream, the machine's one
+// object service (an RPC dispatcher serving the point-to-point
+// domain's requests and the operations forwarded to this machine's
+// replicas), each primary copy's queue — are consumers with no process
 // behind them (sim.Queue.Serve): they serve on the simulator's dispatch
 // lane, in the name of a claimant of their machine, and take every step
 // a server thread would take, in continuation form, in the same virtual
 // instants and event slots; a primary fans a write out to its
-// secondaries as one RPC in continuation form each. Threads remain
-// where something blocks the way a caller does: an application's
-// workers and each forwarded operation.
+// secondaries as one RPC in continuation form each, and a forwarded
+// operation waits for its guard or its write's place in the total order
+// in continuation form too. The only threads are an application's
+// workers, and a worker that waits for the total order parks on the
+// same continuation (bcastManager.sequence).
 //
 // Both domains keep a machine's copy of an object in one record, a
 // replica, and retry the guarded operations parked on it with one

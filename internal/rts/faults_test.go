@@ -20,9 +20,9 @@ func (b *tb) crash(node int, ca interface{ NodeCrashed(int) }) {
 
 // blockedApp filters Blocked() down to interesting parked threads:
 // anything on the given dead node (its threads must have been reaped,
-// not parked) plus the named application threads. Kernel service
-// threads (netisr, objmgr, objsvc, objfwd, per-object loops) park
-// between work items by design and are ignored.
+// not parked) plus the named application threads. The kernel's and
+// the runtime's servers (netisr, objmgr, objsvc, the per-object queues)
+// are consumers with no process behind them and are never listed.
 func (b *tb) blockedApp(deadNode string, appNames ...string) []string {
 	var out []string
 	for _, name := range b.env.Blocked() {

@@ -78,24 +78,23 @@ func (r *Router) presumeAbort(node int) {
 	env := r.machines[0].Env()
 	env.After(fenceAbortGrace, func() {
 		var fids []int64
-		seen := make(map[int64]bool)
-		for _, m := range r.fences {
-			for fid, rec := range m {
-				if rec.src == node && !rec.done && !seen[fid] {
-					fids = append(fids, fid)
-					seen[fid] = true
-				}
+		for key, rec := range r.fences {
+			if rec.src == node && !rec.done && !slices.Contains(fids, key.fid) {
+				fids = append(fids, key.fid)
 			}
 		}
 		slices.Sort(fids)
 		for _, fid := range fids {
-			for i := range r.fences {
-				r.fenceAborted[i][fid] = true
-				if rec, ok := r.fences[i][fid]; ok {
+			if r.fenceAborted == nil {
+				r.fenceAborted = make(map[int64]bool)
+			}
+			r.fenceAborted[fid] = true
+			for i := range r.machines {
+				if rec, ok := r.fences[fenceKey{i, fid}]; ok {
 					rec.aborted = true
 					rec.done = true
 					rec.cond.Broadcast()
-					delete(r.fences[i], fid)
+					delete(r.fences, fenceKey{i, fid})
 				}
 			}
 			env.Tracef("rts: fence %d presumed aborted (initiator %d crashed mid-reservation)", fid, node)
@@ -103,12 +102,17 @@ func (r *Router) presumeAbort(node int) {
 	})
 }
 
+// fenceKey names one machine's record of a fence.
+type fenceKey struct {
+	node int
+	fid  int64
+}
+
 // fenceRec returns (or installs) the machine's record for a fence,
 // expecting one arrival per covered shard whose span contains the
 // machine.
 func (r *Router) fenceRec(node int, f wireFence) *fenceRec {
-	m := r.fences[node]
-	if rec, ok := m[f.FID]; ok {
+	if rec, ok := r.fences[fenceKey{node, f.FID}]; ok {
 		return rec
 	}
 	expect := 0
@@ -118,7 +122,10 @@ func (r *Router) fenceRec(node int, f wireFence) *fenceRec {
 		}
 	}
 	rec := &fenceRec{expect: expect, src: -1}
-	m[f.FID] = rec
+	if r.fences == nil {
+		r.fences = make(map[fenceKey]*fenceRec)
+	}
+	r.fences[fenceKey{node, f.FID}] = rec
 	return rec
 }
 
@@ -147,7 +154,7 @@ func (r *Router) handleFence(mgr *bcastManager, d group.Delivery, f wireFence, k
 			rec := r.fenceRec(node, f)
 			rec.arrived++
 			if rec.arrived == rec.expect {
-				delete(r.fences[node], f.FID)
+				delete(r.fences, fenceKey{node, f.FID})
 				if r.extra != nil {
 					r.extra(node, f.Body)
 				}
@@ -157,7 +164,7 @@ func (r *Router) handleFence(mgr *bcastManager, d group.Delivery, f wireFence, k
 		return
 	}
 	mgr.complete(d.UID, d.Src, Args{})
-	if r.fenceAborted[node][f.FID] {
+	if r.fenceAborted[f.FID] {
 		// Presumed aborted: a straggling delivery applies nothing and
 		// must not pause the stream again.
 		k()
@@ -173,7 +180,7 @@ func (r *Router) handleFence(mgr *bcastManager, d group.Delivery, f wireFence, k
 	r.execFence(mgr, f, 0, func() {
 		rec.done = true
 		rec.cond.Broadcast()
-		delete(r.fences[node], f.FID)
+		delete(r.fences, fenceKey{node, f.FID})
 		k()
 	})
 }
@@ -263,9 +270,7 @@ func (r *Router) InvokeFenced(w *Worker, ops []FencedOp) error {
 	f := wireFence{FID: r.fenceSeq, Shards: shards, Target: -1, Ops: ops, Pause: true}
 	rec := r.fenceRec(node, f)
 	for _, k := range shards {
-		mgr := r.groups[k].mgr(node)
-		uid := mgr.g.Broadcast(w.P, "rts-fence", f, size)
-		mgr.await(w.P, uid)
+		r.groups[k].mgr(node).sequenced(w.P, group.Msg{Kind: "rts-fence", Body: f, Size: size})
 	}
 	for !rec.done {
 		rec.cond.Wait(w.P)

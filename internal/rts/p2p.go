@@ -105,9 +105,9 @@ const (
 	windowMin    = 8
 )
 
-// rpcPolicy is the point-to-point runtime's (and the forwarders') RPC
-// policy: a guarded operation can legitimately block for a long time,
-// so retries are high.
+// rpcPolicy is the object service clients' RPC policy: a guarded
+// operation can legitimately block for a long time, so retries are
+// high.
 var rpcPolicy = amoeba.RPCDefaults{Timeout: 2 * sim.Second, Retries: 1 << 20}
 
 // p2pMeta is the global registry entry for an object: its type, the
@@ -140,7 +140,7 @@ func (m *p2pMeta) op(name string) *OpDef { return m.ops.lookup(m.typ, name) }
 
 // p2pTask is a unit of work for an object's primary queue. Tasks
 // from remote machines carry the RPC request to reply to; a local task's
-// invoking thread waits on its opWaiter, as a sequenced write's does.
+// invoking thread waits on cond until the task is done with res.
 type p2pTask struct {
 	kind string // "write", "read", "fetch", "moveout", "rehome"
 	op   *OpDef
@@ -148,16 +148,16 @@ type p2pTask struct {
 	from int
 	to   int // rehome target
 	req  *amoeba.Request
-	opWaiter
+	done bool
+	res  Args
+	cond sim.Cond
 }
 
-// p2pNode is the per-machine runtime state.
+// p2pNode is the per-machine runtime state. Its requests come and go
+// through the machine's object service.
 type p2pNode struct {
+	*objService
 	rts    *P2PRTS
-	m      *amoeba.Machine
-	client *amoeba.Client
-	srv    *amoeba.Server
-	svc    *sim.Proc // the claimant route serves as
 	insts  map[ObjID]*replica
 	queues map[ObjID]*objQueue
 	access map[ObjID]*accessStats
@@ -208,10 +208,10 @@ type (
 	}
 )
 
-const (
-	p2pRPCPort = "objsvc" // RPC: op, update, inval, fetch
-	p2pCtlPort = "objctl" // one-way: unlock, drop, install
-)
+// p2pCtlPort is the one-way port: unlock, drop, install. Requests (an
+// operation, an update, an invalidation, a fetch) go to the object
+// service (svcPort).
+const p2pCtlPort = "objctl"
 
 // NewP2PRTS builds the point-to-point runtime over the machines (all
 // nodes of the simulation, by node id): the one domain of a Router built
@@ -223,19 +223,16 @@ func NewP2PRTS(reg *Registry, costs Costs, cfg P2PConfig, machines []*amoeba.Mac
 // newP2PRTS builds the router's point-to-point domain over its machines.
 func newP2PRTS(router *Router, reg *Registry, costs Costs, cfg P2PConfig) *P2PRTS {
 	r := &P2PRTS{router: router, reg: reg, costs: costs, cfg: cfg}
-	for _, m := range router.machines {
+	for _, s := range router.svc {
 		n := &p2pNode{
-			rts:    r,
-			m:      m,
-			client: amoeba.NewClient(m, rpcPolicy),
-			insts:  make(map[ObjID]*replica),
-			queues: make(map[ObjID]*objQueue),
-			access: make(map[ObjID]*accessStats),
+			objService: s,
+			rts:        r,
+			insts:      make(map[ObjID]*replica),
+			queues:     make(map[ObjID]*objQueue),
+			access:     make(map[ObjID]*accessStats),
 		}
-		n.srv = amoeba.NewServer(m, p2pRPCPort)
 		n.servedFn, n.updatedFn = n.srv.Done, n.updated
-		m.Bind(p2pCtlPort, n.handleCtl)
-		n.svc = n.srv.Serve(n.route)
+		s.m.Bind(p2pCtlPort, n.handleCtl)
 		r.nodes = append(r.nodes, n)
 	}
 	return r
@@ -467,8 +464,8 @@ func opPacket(op *OpDef, in Args) amoeba.Packet {
 // has crashed is re-homed first and ok is false: the caller resolves
 // the object again and retries. Any other failure is a bug and panics.
 func (n *p2pNode) callPrimary(w *Worker, meta *p2pMeta, req amoeba.Packet) (rep amoeba.Packet, ok bool) {
-	req.Port, req.Obj = p2pRPCPort, int64(meta.id)
-	rep, err := n.client.Call(w.P, meta.primary, req)
+	req.Port, req.Obj = svcPort, int64(meta.id)
+	rep, err := n.cl.Call(w.P, meta.primary, req)
 	if err == nil {
 		return rep, true
 	}

@@ -40,7 +40,7 @@ func (n *p2pNode) route(req *amoeba.Request) {
 		// Invalidate the local copy and acknowledge.
 		n.rts.stats.Invalidations++
 		n.dropLocal(id)
-		n.srv.PutResultFn(n.svc, req, Args{}, 4, n.servedFn)
+		n.srv.PutResultFn(n.c, req, Args{}, 4, n.servedFn)
 		return
 	default:
 		panic(fmt.Sprintf("rts: unexpected RPC body %T", req.Body))
@@ -54,7 +54,7 @@ func (n *p2pNode) route(req *amoeba.Request) {
 		if _, migrate := req.Body.(p2pMigrateReq); migrate && meta.moved {
 			res, size = Args{}, 4
 		}
-		n.srv.PutResultFn(n.svc, req, res, size, n.servedFn)
+		n.srv.PutResultFn(n.c, req, res, size, n.servedFn)
 		return
 	}
 	t := n.task()
@@ -89,12 +89,12 @@ func (n *p2pNode) applyUpdate(req *amoeba.Request) {
 	if !ok || !inst.valid {
 		// The copy was discarded while the update was in flight; the
 		// drop notice will reach the primary. Acknowledge vacuously.
-		n.srv.PutResultFn(n.svc, req, Args{}, 4, n.servedFn)
+		n.srv.PutResultFn(n.c, req, Args{}, 4, n.servedFn)
 		return
 	}
 	inst.locked = true
 	n.upd, n.updInst = req, inst
-	n.m.ComputeFn(n.svc, n.rts.costs.writeApply+n.rts.costs.defaultOp, n.updatedFn)
+	n.m.ComputeFn(n.c, n.rts.costs.writeApply+n.rts.costs.defaultOp, n.updatedFn)
 }
 
 // updated applies the charged update and acknowledges it.
@@ -102,7 +102,7 @@ func (n *p2pNode) updated() {
 	req, inst := n.upd, n.updInst
 	n.upd, n.updInst = nil, nil
 	inst.op(req.Op).Apply(inst.state, req.Args)
-	n.srv.PutResultFn(n.svc, req, Args{}, 4, n.servedFn)
+	n.srv.PutResultFn(n.c, req, Args{}, 4, n.servedFn)
 }
 
 // handleCtl services the one-way control port: unlocks (phase two),
@@ -270,7 +270,7 @@ func (o *objQueue) migrateOut() {
 		}
 		// Sequence the migrate record; its globally-first delivery flips
 		// ownership to the broadcast runtime.
-		r.router.moveout(o.c, n.m.ID(), o.id, clone, func() { n.finishTaskFn(o.c, t, Args{}, o.doneFn) })
+		r.router.moveout(o.c, n.m.ID(), o.id, clone, func(Args) { n.finishTaskFn(o.c, t, Args{}, o.doneFn) })
 	})
 }
 
@@ -327,7 +327,7 @@ func (n *p2pNode) finishTaskFn(p *sim.Proc, t *p2pTask, res Args, then func()) {
 
 // recycle takes back a finished task's record (see task).
 func (n *p2pNode) recycle(t *p2pTask) {
-	*t = p2pTask{opWaiter: opWaiter{cond: t.cond}} // keeps the condition's waiter buffer
+	*t = p2pTask{cond: t.cond} // keeps the condition's waiter buffer
 	n.tfree = append(n.tfree, t)
 }
 
@@ -417,7 +417,7 @@ func (o *objQueue) unlocked() {
 // from the copyset.
 func (o *objQueue) fanout(k func()) {
 	env := o.n.m.Env()
-	o.req.Port, o.fanned = p2pRPCPort, k
+	o.req.Port, o.fanned = svcPort, k
 	o.fi, o.acks, o.waiting = 0, len(o.secs), true
 	for range o.secs {
 		env.Schedule(env.Now(), o.startFn)
@@ -428,7 +428,7 @@ func (o *objQueue) fanout(k func()) {
 func (o *objQueue) start() {
 	if !o.c.Killed() {
 		o.fi++
-		o.n.client.CallFn(o.c, o.secs[o.fi-1], o.req, o.ackFn)
+		o.n.cl.CallFn(o.c, o.secs[o.fi-1], o.req, o.ackFn)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/amoeba"
 	"repro/internal/group"
+	"repro/internal/sim"
 )
 
 // Router is the one placement layer of the runtime: it decides, per
@@ -36,7 +37,7 @@ import (
 // loop, crash fan-out, counters, cross-group fences (fence.go), the
 // adaptive placement controller (adapt.go), the write-combining
 // configuration, the handler for the Orca layer's bodies and each
-// machine's forwarder client.
+// machine's object service.
 type Router struct {
 	machines []*amoeba.Machine
 	groups   []*BroadcastRTS
@@ -51,18 +52,18 @@ type Router struct {
 
 	// batch turns on the groups' write-combining pipeline (see
 	// EnableBatching and batch.go); extra takes the group bodies and
-	// barrier-fence payloads the runtime does not recognize; fwd is each
-	// machine's forwarder RPC client (nil without groups).
+	// barrier-fence payloads the runtime does not recognize; svc is each
+	// machine's object service, by node id.
 	batch group.BatchConfig
 	extra func(node int, body any)
-	fwd   []*amoeba.Client
+	svc   []*objService
 
-	// fences holds the per-machine in-flight fence records, keyed by
-	// fence id. fenceAborted marks fences presumed aborted after their
+	// fences holds each machine's in-flight fence records, by machine
+	// and fence id. fenceAborted marks fences presumed aborted after their
 	// initiator crashed mid-reservation: late deliveries of an aborted
 	// fence complete without pausing or applying (see presumeAbort).
-	fences       []map[int64]*fenceRec
-	fenceAborted []map[int64]bool
+	fences       map[fenceKey]*fenceRec
+	fenceAborted map[int64]bool
 	fenceSeq     int64
 
 	// stats counts the Router's own work: fenced ops and migrations.
@@ -84,6 +85,37 @@ const (
 	domNone = -2 // no such object
 	domP2P  = -1 // the point-to-point domain
 )
+
+// svcPort is the object service's RPC port.
+const svcPort = "objsvc"
+
+// objService is a machine's one remote-request service: an RPC server
+// on svcPort, a consumer with no process behind it (see
+// amoeba.Server.Serve) that serves every domain's requests (see serve),
+// and the client through which the machine's runtime calls the others.
+type objService struct {
+	m   *amoeba.Machine
+	srv *amoeba.Server
+	cl  *amoeba.Client
+	c   *sim.Proc // the claimant the service serves as
+}
+
+// serve routes a request to the machine's object service: a forwarded
+// operation to its object's group, the group that hosts it or, while it
+// lives in the point-to-point domain, its home group; anything else to
+// the point-to-point domain.
+func (r *Router) serve(s *objService, req *amoeba.Request) {
+	if _, fwd := req.Body.(fwdReq); fwd {
+		e := &r.objs[req.Obj]
+		k := e.dom
+		if k == domP2P {
+			k = e.adapt.home
+		}
+		r.groups[k].serveForward(s, req)
+		return
+	}
+	r.p2p.nodes[s.m.ID()].route(req)
+}
 
 // GroupDef describes one sequencer group of a Router: the group
 // endpoints (already joined, on a port distinct per group) and the
@@ -129,24 +161,19 @@ type Place struct {
 
 // NewRouter builds the runtime over machines (all nodes of the
 // simulation, by node id): one BroadcastRTS per GroupDef, and the
-// point-to-point domain when p2p is non-nil. defaultP2P picks where
-// Default placements go. With groups present, every machine must lie
-// in at least one span, so creations and forks always have a local
-// group to travel, and every machine gets a forwarder client.
+// point-to-point domain when p2p is non-nil, and every machine's object
+// service. defaultP2P picks where Default placements go. With groups
+// present, every machine must lie in at least one span, so creations
+// and forks always have a local group to travel.
 func NewRouter(reg *Registry, costs Costs, machines []*amoeba.Machine, groups []GroupDef, p2p *P2PConfig, defaultP2P bool) *Router {
 	if defaultP2P && p2p == nil || !defaultP2P && len(groups) == 0 {
 		panic("rts: the router's default domain is not built")
 	}
-	r := &Router{
-		machines:     machines,
-		defP2P:       defaultP2P,
-		objs:         []objEntry{{dom: domNone}}, // ids start at 1
-		fences:       make([]map[int64]*fenceRec, len(machines)),
-		fenceAborted: make([]map[int64]bool, len(machines)),
-	}
-	for i := range r.fences {
-		r.fences[i] = make(map[int64]*fenceRec)
-		r.fenceAborted[i] = make(map[int64]bool)
+	r := &Router{machines: machines, defP2P: defaultP2P, objs: []objEntry{{dom: domNone}}} // ids start at 1
+	for _, m := range machines {
+		s := &objService{m: m, srv: amoeba.NewServer(m, svcPort), cl: amoeba.NewClient(m, rpcPolicy)}
+		s.c = s.srv.Serve(func(req *amoeba.Request) { r.serve(s, req) })
+		r.svc = append(r.svc, s)
 	}
 	covered := make([]bool, len(machines))
 	for k, def := range groups {
@@ -160,13 +187,9 @@ func NewRouter(reg *Registry, costs Costs, machines []*amoeba.Machine, groups []
 		}
 		r.groups = append(r.groups, newBroadcastRTS(r, k, reg, costs, sub, def.Members, def.Span))
 	}
-	if len(groups) > 0 {
-		r.fwd = make([]*amoeba.Client, len(machines))
-		for id, m := range machines {
-			if !covered[id] {
-				panic(fmt.Sprintf("rts: node %d lies in no group span", id))
-			}
-			r.fwd[id] = amoeba.NewClient(m, rpcPolicy)
+	for id := range machines {
+		if len(groups) > 0 && !covered[id] {
+			panic(fmt.Sprintf("rts: node %d lies in no group span", id))
 		}
 	}
 	if p2p != nil {

@@ -74,7 +74,7 @@ var codeCeilings = map[string]int{
 	"internal/netsim":     414,
 	"internal/orca":       729,  // −19: the typed descriptors are the only way to create, invoke and fence an object; Proc.New/NewWith/Invoke*, Object and the untyped FencedOp are gone
 	"internal/orca/std":   386,  // +3: NewZeroCounter, a counter created with no constructor argument
-	"internal/rts":        2711, // +6: the combining buffer's Linger round is a method bound once, and a local task at the primary travels in a record of the node's
+	"internal/rts":        2783, // +72: a forwarded operation is a continuation at its holder (fwdOp: the guard wait, the charges and the reply a thread's blocking Call took), behind one object service per machine that routes by body (objService, Router.serve), and the one wait for the total order is a pooled record (seqWait) with its early-completion map; startForwarders, the objfwd<k> ports, Router.fwd, p2pNode.client, await, wfree and opWaiter went, and the per-machine fence maps are one map made at its first insert
 	"internal/rts/scheck": 111,
 	"internal/sim":        799, // +2: Queue.Grow, so a group member's delivery queue is sized to one frame
 	"internal/workload":   231, // +10: one Zipf table per (Keys, Theta), shared by every generator instead of summed per client
