@@ -412,8 +412,10 @@ func TestServiceIDUnique(t *testing.T) {
 // cachedArgs is the reply the server's at-most-once cache holds for
 // transaction txid, if it holds one.
 func cachedArgs(s *Server, txid int64) (Args, bool) {
-	rep, ok := s.seen[txid]
-	return rep.args, ok
+	if rep := s.seen.get(txid); rep != nil {
+		return rep.args, true
+	}
+	return Args{}, false
 }
 
 // The at-most-once cache holds exactly the last max replies, and over a
@@ -430,7 +432,7 @@ func TestRPCReplyCacheAllocations(t *testing.T) {
 	defer env.Shutdown()
 	env.Run()
 	srv := NewServer(ms[0], "svc")
-	window := srv.max
+	window := replyWindow
 	r := &Request{srv: srv}
 	replies := func(n int) {
 		for i := 0; i < n; i++ {

@@ -317,8 +317,8 @@ func skipUnderRace(t *testing.T) {
 // One warm round trip allocates nothing to speak of: the packets travel
 // by value in pooled boxes, the retransmission timer is part of the
 // pooled transaction record, and the request record, the frames in
-// flight and every wake-up are recycled. (The reply cache's map is what
-// is left.)
+// flight and every wake-up are recycled, and the reply cache has grown
+// to its full ring by the end of the warm-up tick.
 func TestRPCRoundTripAllocations(t *testing.T) {
 	skipUnderRace(t)
 	env, _, ms := cluster(t, 2, nil)

@@ -3,6 +3,7 @@ package amoeba
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 
 	"repro/internal/sim"
 )
@@ -57,17 +58,16 @@ type Request struct {
 // Server accepts RPCs on a port of a machine. Create one with
 // NewServer, then either run threads that loop on GetRequest and
 // PutReply, or make it a consumer with no process behind it: see Serve.
+// A duplicate of any of its last replyWindow requests is answered from
+// its reply cache and never served again.
 type Server struct {
 	m       *Machine
 	port    string
 	repPort string // port + "-rep", where clients listen for replies
 	reqs    *sim.Queue[*Request]
-	seen    map[int64]cachedReply // txid -> reply sent (at-most-once)
-	inwrk   map[int64]bool        // requests currently being served
-	order   []int64               // ring of the cached txids, at most max, oldest at head once full
-	head    int
-	max     int
-	free    []*Request // replied-to records, for handle to reuse
+	seen    replyCache     // the last replyWindow replies sent (at-most-once)
+	inwrk   map[int64]bool // requests currently being served
+	free    []*Request     // replied-to records, for handle to reuse
 
 	// Service by a consumer (see Serve): its claimant, the function
 	// every request is handed to, the request whose context switch is
@@ -78,11 +78,84 @@ type Server struct {
 	askedFn func()
 }
 
+// replyWindow is how many of its last replies a server keeps for
+// duplicates of their requests.
+const replyWindow = 1024
+
+// replyCache holds a server's last replyWindow replies by value, in a
+// ring in reply order, and finds them by transaction id through an
+// index of buckets (a power of two, as many as ring slots) whose chains
+// are threaded through the ring's entries, newest first, so an eviction
+// unlinks one entry and leaves no tombstone. It starts as the zero value
+// and grows eightfold from the first reply (16, 128, 1024); once full, a
+// reply overwrites the oldest entry and allocates nothing.
+type replyCache struct {
+	ring   []cachedReply
+	bucket []int32 // id hash -> 1 + ring slot of the bucket's newest entry; 0: empty
+	n      int     // entries held
+	head   int     // the slot the next reply takes: the oldest entry's, once full
+}
+
 // cachedReply is what a duplicate of an executed request is answered
-// with: the reply's results and body, by value.
+// with: the reply's results and body, by value, under its transaction
+// id, and the next older entry of its bucket (1 + ring slot; 0: none).
 type cachedReply struct {
+	txid int64
 	args Args
 	body any
+	next int32
+}
+
+// slot is the bucket of transaction id txid. A machine's ids differ in
+// their low bits, so the id is mixed by a Fibonacci multiply and the
+// bucket taken from the top bits.
+func (c *replyCache) slot(txid int64) int {
+	return int(uint64(txid) * 0x9e3779b97f4a7c15 >> (64 - bits.TrailingZeros(uint(len(c.bucket)))))
+}
+
+// get is the cached reply to txid, or nil.
+func (c *replyCache) get(txid int64) *cachedReply {
+	if c.n == 0 {
+		return nil
+	}
+	for i := c.bucket[c.slot(txid)]; i != 0; i = c.ring[i-1].next {
+		if c.ring[i-1].txid == txid {
+			return &c.ring[i-1]
+		}
+	}
+	return nil
+}
+
+// add caches rep, which no cached reply shares an id with, in place of
+// the oldest once replyWindow are held.
+func (c *replyCache) add(rep cachedReply) {
+	if c.n == len(c.ring) && c.n < replyWindow {
+		c.grow(min(replyWindow, max(16, 8*c.n)))
+	}
+	if c.n == len(c.ring) {
+		i := &c.bucket[c.slot(c.ring[c.head].txid)]
+		for int(*i) != c.head+1 { // the oldest entry is the tail of its chain
+			i = &c.ring[*i-1].next
+		}
+		*i = 0
+	} else {
+		c.n++
+	}
+	b := &c.bucket[c.slot(rep.txid)]
+	rep.next, *b = *b, int32(c.head+1)
+	c.ring[c.head] = rep
+	c.head = (c.head + 1) % len(c.ring)
+}
+
+// grow moves the ring, which is full and has never wrapped, into n
+// slots and rebuilds the index over n buckets.
+func (c *replyCache) grow(n int) {
+	c.ring = append(make([]cachedReply, 0, n), c.ring...)[:n]
+	c.bucket, c.head = make([]int32, n), c.n
+	for i := range c.n {
+		b := &c.bucket[c.slot(c.ring[i].txid)]
+		c.ring[i].next, *b = *b, int32(i+1)
+	}
 }
 
 // NewServer binds an RPC server to port on machine m.
@@ -92,9 +165,7 @@ func NewServer(m *Machine, port string) *Server {
 		port:    port,
 		repPort: port + "-rep",
 		reqs:    sim.NewQueue[*Request](m.Env()),
-		seen:    make(map[int64]cachedReply),
 		inwrk:   make(map[int64]bool),
-		max:     1024,
 	}
 	m.Bind(port, s.handle)
 	return s
@@ -105,9 +176,9 @@ func (s *Server) handle(p *sim.Proc, from int, pkt Packet) {
 	if pkt.Rep || pkt.TxID == 0 {
 		return
 	}
-	if rep, done := s.seen[pkt.TxID]; done {
+	if rep := s.seen.get(pkt.TxID); rep != nil {
 		// Duplicate of an executed request: resend the cached reply.
-		s.m.SendFn(p, from, s.repPacket(pkt.TxID, pkt.Op, rep, sizeOfBody(rep.body)), func() {})
+		s.m.SendFn(p, from, s.repPacket(pkt.TxID, pkt.Op, *rep, sizeOfBody(rep.body)), func() {})
 		return
 	}
 	if s.inwrk[pkt.TxID] {
@@ -171,21 +242,14 @@ func (s *Server) asked() {
 func (s *Server) Done() { s.reqs.Done() }
 
 // reply records the reply to r for duplicate suppression and returns
-// its packet. The cache holds the last max replies.
+// its packet.
 func (s *Server) reply(r *Request, res Args, body any, size int) Packet {
 	if r.released {
 		panic("amoeba: reply to a Request that has already been replied to: the record went back to the server at its first PutReply")
 	}
 	delete(s.inwrk, r.TxID)
-	rep := cachedReply{args: res, body: body}
-	s.seen[r.TxID] = rep
-	if len(s.order) < s.max {
-		s.order = append(s.order, r.TxID)
-	} else {
-		delete(s.seen, s.order[s.head])
-		s.order[s.head] = r.TxID
-		s.head = (s.head + 1) % s.max
-	}
+	rep := cachedReply{txid: r.TxID, args: res, body: body}
+	s.seen.add(rep)
 	return s.repPacket(r.TxID, r.Op, rep, size)
 }
 

@@ -63,7 +63,7 @@ var codeCeilings = map[string]int{
 	"examples/mixed":      30,
 	"examples/quickstart": 48,
 	"examples/tsp":        32,
-	"internal/amoeba":     734, // +39: the kernel deadline (Deadline), a record recycled per machine, in place of After's event and closure per arm
+	"internal/amoeba":     772, // +38: the RPC reply cache is a ring in reply order with an index of chains threaded through its entries (replyCache), in place of a Go map beside a ring of ids
 	"internal/apps/acp":   637,
 	"internal/apps/atpg":  769,
 	"internal/apps/chess": 986,
