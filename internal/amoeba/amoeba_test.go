@@ -432,6 +432,9 @@ func TestRPCReplyCacheAllocations(t *testing.T) {
 	defer env.Shutdown()
 	env.Run()
 	srv := NewServer(ms[0], "svc")
+	if srv.inwrk != nil || srv.seen.ring != nil {
+		t.Errorf("a server that has served nothing holds an in-work set (%t) or a reply ring of %d", srv.inwrk != nil, len(srv.seen.ring))
+	}
 	window := replyWindow
 	r := &Request{srv: srv}
 	replies := func(n int) {

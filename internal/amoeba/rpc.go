@@ -66,7 +66,7 @@ type Server struct {
 	repPort string // port + "-rep", where clients listen for replies
 	reqs    *sim.Queue[*Request]
 	seen    replyCache     // the last replyWindow replies sent (at-most-once)
-	inwrk   map[int64]bool // requests currently being served
+	inwrk   map[int64]bool // requests currently being served; nil until the first
 	free    []*Request     // replied-to records, for handle to reuse
 
 	// Service by a consumer (see Serve): its claimant, the function
@@ -165,7 +165,6 @@ func NewServer(m *Machine, port string) *Server {
 		port:    port,
 		repPort: port + "-rep",
 		reqs:    sim.NewQueue[*Request](m.Env()),
-		inwrk:   make(map[int64]bool),
 	}
 	m.Bind(port, s.handle)
 	return s
@@ -183,6 +182,9 @@ func (s *Server) handle(p *sim.Proc, from int, pkt Packet) {
 	}
 	if s.inwrk[pkt.TxID] {
 		return // still executing; client will retry later
+	}
+	if s.inwrk == nil {
+		s.inwrk = make(map[int64]bool)
 	}
 	s.inwrk[pkt.TxID] = true
 	var r *Request
