@@ -288,7 +288,7 @@ func atMostOnceRun(t *testing.T, served bool) string {
 // pinned figures are those of the server that had only threads.
 func TestRPCAtMostOnce(t *testing.T) {
 	for _, served := range []bool{false, true} {
-		const want = "done=30 execs=30 sum=465 end=1.601s events=586 frames=136 drops=52 busy=21060000/22860000"
+		const want = "done=30 execs=30 sum=465 end=1.600s events=586 frames=136 drops=52 busy=21060000/22860000"
 		if fig := atMostOnceRun(t, served); fig != want {
 			t.Errorf("served=%t: %s, want %s", served, fig, want)
 		}

@@ -360,10 +360,12 @@ func TestRPCRoundTripAllocations(t *testing.T) {
 // retransmission carries the bytes it was first sent with whatever has
 // happened to the record it came from. The construction is that of
 // TestRPCLateDuplicateMeetsReusedRecord, with the header's parameters
-// watched: the first transaction's reply is 60 KB and holds the wire
-// while the client retransmits; the server then sees, in order, request
-// one, its retransmission, and request two — sent from the same client
-// record.
+// watched: the first transaction's reply is 60 KB, sent 40 ms late, and
+// holds the wire while the client retransmits; the server then sees, in
+// order, request one, its retransmission, and request two — sent from
+// the same client record. The retransmission is answered with the
+// cached reply at the 60 KB it went out with, and request two, which
+// waits behind that on the wire, is answered within its timeout.
 func TestRPCRetransmissionCarriesItsOwnBytes(t *testing.T) {
 	env, nw, ms := cluster(t, 2, nil)
 	srv := NewServer(ms[1], "svc")
@@ -373,6 +375,9 @@ func TestRPCRetransmissionCarriesItsOwnBytes(t *testing.T) {
 			r, ok := srv.GetRequest(p)
 			if !ok {
 				return
+			}
+			if size > 8 {
+				p.Sleep(40 * sim.Millisecond)
 			}
 			srv.PutResult(p, r, r.Args, size)
 			size = 8
@@ -386,7 +391,7 @@ func TestRPCRetransmissionCarriesItsOwnBytes(t *testing.T) {
 			h(p, from, pkt)
 		}
 	})
-	c := NewClient(ms[0], RPCDefaults{Timeout: 30 * sim.Millisecond, Retries: 10})
+	c := NewClient(ms[0], RPCDefaults{Timeout: 70 * sim.Millisecond, Retries: 10})
 	var got [2]Packet
 	ms[0].SpawnThread("client", func(p *sim.Proc) {
 		got[0], _ = c.Call(p, 1, Packet{Port: "svc", Op: "echo", Obj: 1, Args: one(int64(1) << 40), Size: 8})
@@ -403,6 +408,13 @@ func TestRPCRetransmissionCarriesItsOwnBytes(t *testing.T) {
 	}
 	if n := nw.Stats().CountsByKind["rpc-req"]; n != 3 {
 		t.Errorf("%d requests on the wire, want 3", n)
+	}
+	wire := func(size int) int64 {
+		size += rpcHeaderBytes
+		return int64(size + nw.FragmentsFor(size)*netsim.DefaultParams().FrameOverhead)
+	}
+	if b, want := nw.Stats().BytesByKind["rpc-rep"], 2*wire(60_000)+wire(8); b != want {
+		t.Errorf("%d reply bytes on the wire, want %d: the 60 KB reply twice and an 8-byte one", b, want)
 	}
 }
 

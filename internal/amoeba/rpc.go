@@ -97,12 +97,14 @@ type replyCache struct {
 }
 
 // cachedReply is what a duplicate of an executed request is answered
-// with: the reply's results and body, by value, under its transaction
-// id, and the next older entry of its bucket (1 + ring slot; 0: none).
+// with: the reply's results and body, by value, and the wire size they
+// went out with, under its transaction id, and the next older entry of
+// its bucket (1 + ring slot; 0: none).
 type cachedReply struct {
 	txid int64
 	args Args
 	body any
+	size int32
 	next int32
 }
 
@@ -177,7 +179,7 @@ func (s *Server) handle(p *sim.Proc, from int, pkt Packet) {
 	}
 	if rep := s.seen.get(pkt.TxID); rep != nil {
 		// Duplicate of an executed request: resend the cached reply.
-		s.m.SendFn(p, from, s.repPacket(pkt.TxID, pkt.Op, *rep, sizeOfBody(rep.body)), func() {})
+		s.m.SendFn(p, from, s.repPacket(pkt.Op, *rep), func() {})
 		return
 	}
 	if s.inwrk[pkt.TxID] {
@@ -250,16 +252,16 @@ func (s *Server) reply(r *Request, res Args, body any, size int) Packet {
 		panic("amoeba: reply to a Request that has already been replied to: the record went back to the server at its first PutReply")
 	}
 	delete(s.inwrk, r.TxID)
-	rep := cachedReply{txid: r.TxID, args: res, body: body}
+	rep := cachedReply{txid: r.TxID, args: res, body: body, size: int32(size)}
 	s.seen.add(rep)
-	return s.repPacket(r.TxID, r.Op, rep, size)
+	return s.repPacket(r.Op, rep)
 }
 
-// repPacket is the reply to transaction txid on the wire.
-func (s *Server) repPacket(txid int64, op string, rep cachedReply, size int) Packet {
+// repPacket is the reply rep, to an op request, on the wire.
+func (s *Server) repPacket(op string, rep cachedReply) Packet {
 	return Packet{
-		Port: s.repPort, Kind: "rpc-rep", Size: size + rpcHeaderBytes,
-		TxID: txid, Rep: true, Op: op, Args: rep.args, Body: rep.body,
+		Port: s.repPort, Kind: "rpc-rep", Size: int(rep.size) + rpcHeaderBytes,
+		TxID: rep.txid, Rep: true, Op: op, Args: rep.args, Body: rep.body,
 	}
 }
 
@@ -466,14 +468,4 @@ func (w *rpcWait) finish(err error) {
 		return
 	}
 	k(rep, err)
-}
-
-// sizeOfBody gives a coarse wire size for cached replies whose
-// original size was not recorded. Callers that care pass sizes
-// explicitly; this is only used on the duplicate-reply path.
-func sizeOfBody(v any) int {
-	if s, ok := v.(interface{ WireSize() int }); ok {
-		return s.WireSize()
-	}
-	return 64
 }
