@@ -361,13 +361,16 @@ func TestRPCRoundTripAllocations(t *testing.T) {
 // happened to the record it came from. The construction is that of
 // TestRPCLateDuplicateMeetsReusedRecord, with the header's parameters
 // watched: the first transaction's reply is 60 KB, sent 40 ms late, and
-// holds the wire while the client retransmits; the server then sees, in
-// order, request one, its retransmission, and request two — sent from
-// the same client record. The retransmission is answered with the
-// cached reply at the 60 KB it went out with, and request two, which
-// waits behind that on the wire, is answered within its timeout.
+// holds the wire when the client retransmits, and a third machine's
+// 20 KB frame, queued at 60 ms, holds it after that, so the
+// retransmission is still on its way when the client, its first
+// transaction over, sends request two from the same record. The server
+// sees, in order, request one, its retransmission, and request two. It
+// answers the retransmission with the cached reply at the 60 KB it went
+// out with, and request two, which waits behind that on the wire, is
+// answered within its timeout.
 func TestRPCRetransmissionCarriesItsOwnBytes(t *testing.T) {
-	env, nw, ms := cluster(t, 2, nil)
+	env, nw, ms := cluster(t, 3, nil)
 	srv := NewServer(ms[1], "svc")
 	ms[1].SpawnThread("server", func(p *sim.Proc) {
 		size := 60_000
@@ -383,18 +386,27 @@ func TestRPCRetransmissionCarriesItsOwnBytes(t *testing.T) {
 			size = 8
 		}
 	})
+	ms[0].Bind("hog", func(*sim.Proc, int, Packet) {})
+	ms[2].SpawnThread("hog", func(p *sim.Proc) {
+		p.Sleep(60 * sim.Millisecond)
+		ms[2].Send(p, 0, Packet{Port: "hog", Kind: "hog", Size: 20_000})
+	})
 	var seen []string
+	var at []sim.Time
 	env.At(0, func() {
 		h := ms[1].ports["svc"]
 		ms[1].ports["svc"] = func(p *sim.Proc, from int, pkt Packet) {
 			seen = append(seen, fmt.Sprintf("%s/%d %v", pkt.Op, pkt.Obj, pkt.Args.Values()))
+			at = append(at, p.Now())
 			h(p, from, pkt)
 		}
 	})
-	c := NewClient(ms[0], RPCDefaults{Timeout: 70 * sim.Millisecond, Retries: 10})
+	c := NewClient(ms[0], RPCDefaults{Timeout: 80 * sim.Millisecond, Retries: 10})
 	var got [2]Packet
+	var reused sim.Time
 	ms[0].SpawnThread("client", func(p *sim.Proc) {
 		got[0], _ = c.Call(p, 1, Packet{Port: "svc", Op: "echo", Obj: 1, Args: one(int64(1) << 40), Size: 8})
+		reused = p.Now()
 		got[1], _ = c.Call(p, 1, Packet{Port: "svc", Op: "echo", Obj: 2, Args: one("two"), Size: 8})
 	})
 	env.Run()
@@ -402,6 +414,9 @@ func TestRPCRetransmissionCarriesItsOwnBytes(t *testing.T) {
 	want := "[echo/1 [1099511627776] echo/1 [1099511627776] echo/2 [two]]"
 	if fmt.Sprint(seen) != want {
 		t.Errorf("requests at the server: %v, want %s", seen, want)
+	}
+	if len(at) > 1 && at[1] <= reused {
+		t.Errorf("the retransmission reached the server at %v, before its record was reused at %v", at[1], reused)
 	}
 	if a, b := got[0].Args.Values(), got[1].Args.Values(); fmt.Sprint(a, b) != "[1099511627776] [two]" {
 		t.Errorf("replies: %v and %v", a, b)
