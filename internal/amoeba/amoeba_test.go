@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"runtime/debug"
 	"strings"
 	"testing"
 
@@ -418,48 +419,55 @@ func cachedArgs(s *Server, txid int64) (Args, bool) {
 	return Args{}, false
 }
 
-// The at-most-once cache holds exactly the last max replies, and over a
-// server's whole life — from its first reply to 32×max — it allocates
-// nothing once full and under 100 KB in all. The allocations are counted
-// with runtime.MemStats over the whole run, not averaged per reply by
-// testing.AllocsPerRun, whose integer average reads a rare rehash as 0:
-// a Go map beside a ring of ids spent about 620 KB to hold 64 KB of
-// replies, because the map's FIFO deletes leave tombstones and its
-// rehash always grows the table.
+// The at-most-once cache holds exactly the last replyWindow replies, and
+// over a server's whole life — from its first reply to 32×replyWindow —
+// it allocates nothing once full and under 100 KB in all. The allocations
+// are counted with runtime.MemStats over the whole run, not averaged per
+// reply by testing.AllocsPerRun, whose integer average reads a rare
+// rehash as 0: a Go map beside a ring of ids spent about 620 KB to hold
+// 64 KB of replies, because the map's FIFO deletes leave tombstones and
+// its rehash always grows the table. The counts are the process's, and
+// another goroutine (a test that is finishing) may allocate during one
+// life, so a life that reads over budget is lived again by a new server,
+// up to three times; what the cache allocates, it allocates every time.
 func TestRPCReplyCacheAllocations(t *testing.T) {
 	skipUnderRace(t)
 	env, _, ms := cluster(t, 1, nil)
 	defer env.Shutdown()
 	env.Run()
-	srv := NewServer(ms[0], "svc")
-	if srv.inwrk != nil || srv.seen.ring != nil {
-		t.Errorf("a server that has served nothing holds an in-work set (%t) or a reply ring of %d", srv.inwrk != nil, len(srv.seen.ring))
-	}
-	window := replyWindow
-	r := &Request{srv: srv}
-	replies := func(n int) {
-		for i := 0; i < n; i++ {
-			r.TxID++
-			srv.reply(r, one(r.TxID), nil, 8)
+	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // a collection may allocate for the runtime
+	for life := 1; ; life++ {
+		srv := NewServer(ms[0], fmt.Sprint("svc", life))
+		if srv.inwrk != nil || srv.seen.ring != nil {
+			t.Fatalf("a server that has served nothing holds an in-work set (%t) or a reply ring of %d", srv.inwrk != nil, len(srv.seen.ring))
 		}
-	}
-	var born, full, end runtime.MemStats
-	runtime.ReadMemStats(&born)
-	replies(window)
-	runtime.ReadMemStats(&full)
-	replies(31 * window)
-	runtime.ReadMemStats(&end)
-	if n := end.Mallocs - full.Mallocs; n != 0 {
-		t.Errorf("%d replies into the full cache allocate %d times (%d B), want 0", 31*window, n, end.TotalAlloc-full.TotalAlloc)
-	}
-	if b := end.TotalAlloc - born.TotalAlloc; b > 100<<10 {
-		t.Errorf("the cache's whole life of %d replies allocates %d B in %d allocations, want at most %d", 32*window, b, end.Mallocs-born.Mallocs, 100<<10)
-	}
-	oldest := r.TxID - int64(window) + 1
-	for id := oldest - int64(window); id <= r.TxID; id++ {
-		args, ok := cachedArgs(srv, id)
-		if want := id >= oldest; ok != want || ok && Get[int64](&args, 0) != id {
-			t.Fatalf("transaction %d: cached %t with %v, want cached %t (the last %d of %d only)", id, ok, args.Values(), want, window, r.TxID)
+		r := &Request{srv: srv}
+		replies := func(n int) {
+			for i := 0; i < n; i++ {
+				r.TxID++
+				srv.reply(r, one(r.TxID), nil, 8)
+			}
+		}
+		var born, full, end runtime.MemStats
+		runtime.ReadMemStats(&born)
+		replies(replyWindow)
+		runtime.ReadMemStats(&full)
+		replies(31 * replyWindow)
+		runtime.ReadMemStats(&end)
+		oldest := r.TxID - int64(replyWindow) + 1
+		for id := oldest - int64(replyWindow); id <= r.TxID; id++ {
+			args, ok := cachedArgs(srv, id)
+			if want := id >= oldest; ok != want || ok && Get[int64](&args, 0) != id {
+				t.Fatalf("transaction %d: cached %t with %v, want cached %t (the last %d of %d only)", id, ok, args.Values(), want, replyWindow, r.TxID)
+			}
+		}
+		n, b := end.Mallocs-full.Mallocs, end.TotalAlloc-born.TotalAlloc
+		if n == 0 && b <= 100<<10 {
+			return
+		}
+		if life == 3 {
+			t.Fatalf("%d replies into the full cache allocate %d times (%d B), want 0; the cache's whole life of %d replies allocates %d B in %d allocations, want at most %d",
+				31*replyWindow, n, end.TotalAlloc-full.TotalAlloc, 32*replyWindow, b, end.Mallocs-born.Mallocs, 100<<10)
 		}
 	}
 }

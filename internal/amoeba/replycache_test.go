@@ -30,8 +30,9 @@ func (c *mapCache) add(rep cachedReply) {
 // lookup reaches back up to 4095 ids of a machine, across the window's
 // edge. A reply is to an id the cache does not hold, as Server.handle
 // guarantees: a fresh one, or one that has left the window (a late
-// duplicate executed again). With ids of several machines in the index,
-// buckets chain, and a run that fills the cache must have chained.
+// duplicate executed again). Ids of several machines share buckets: a
+// run of twice the window's replies from more than one machine must
+// have added some to a bucket that already held one.
 func FuzzReplyCacheMatchesMap(f *testing.F) {
 	f.Add([]byte{0, 255, 4, 255, 8, 255, 12, 255, 2, 1, 2, 5, 6, 9, 254, 13})
 	f.Add([]byte{1, 200, 5, 200, 9, 200, 13, 200, 1, 200, 5, 200, 2, 0, 254, 255, 3, 240, 3, 4, 2, 240, 2, 4})
