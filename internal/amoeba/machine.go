@@ -76,8 +76,9 @@ type Packet struct {
 // not wait for another delivery or a timer.
 type Handler func(p *sim.Proc, from int, pkt Packet)
 
-// task is a unit of interrupt service: either a delivered frame or a
-// deferred function (a kernel timer round, which may send). A
+// task is a unit of interrupt service: either a delivered frame of
+// frags fragments, at least one, or, with no fragments, a deferred round
+// (a kernel timer's, which may send), pay. A
 // frame's payload (see open) stays where the sender put it until the
 // frame has been charged for: a task is copied from queue to queue, a
 // packet is seventeen words, and a frame waiting in a queue owns what
@@ -85,8 +86,16 @@ type Handler func(p *sim.Proc, from int, pkt Packet)
 type task struct {
 	from, frags int
 	pay         any
-	fn          func(p *sim.Proc)
 }
+
+// Round is a typed kernel timer round: what interrupt service runs, in
+// the interrupt claimant's name p, when its timer fires (see Timer).
+type Round interface{ Round(p *sim.Proc) }
+
+// deferred is a function deferred into interrupt service (see Defer).
+type deferred func(p *sim.Proc)
+
+func (fn deferred) Round(p *sim.Proc) { fn(p) }
 
 // Machine is one kernel instance: a node id, a CPU, bound ports, and
 // bookkeeping for threads.
@@ -97,10 +106,11 @@ type Machine struct {
 	costs      Costs
 	cpu        *sim.Resource
 	inq        *sim.Queue[task]
-	isr        *sim.Proc // the interrupt claimant
-	cur        task      // the delivery whose costs are being charged inline
-	pkt        Packet    // the packet being served, opened by dispatch
-	dispatchFn func()    // m.dispatch, bound once
+	isr        *sim.Proc // the interrupt claimant, isrRec's
+	isrRec     Claimant
+	cur        task   // the delivery whose costs are being charged inline
+	pkt        Packet // the packet being served, opened by dispatch
+	dispatchFn func() // m.dispatch, bound once
 	ports      map[string]Handler
 	lastPort   string  // memo of the last resolution (see bound);
 	last       Handler // nil after a Bind or an Unbind
@@ -130,7 +140,7 @@ func NewMachine(env *sim.Env, net *netsim.Network, id int, costs Costs) *Machine
 	m.cpu.Slice = quantum
 	m.dispatchFn = m.dispatch
 	net.Handle(id, m.receive)
-	m.isr = m.Claimant("netisr")
+	m.isr = m.isrRec.Init(m, "netisr", -1)
 	m.inq.Serve(m.isr, m.interrupt)
 	return m
 }
@@ -161,8 +171,8 @@ func (m *Machine) interrupt(t task) {
 		m.inq.Done()
 		return
 	}
-	if t.fn != nil {
-		t.fn(m.isr)
+	if t.frags == 0 {
+		t.pay.(Round).Round(m.isr)
 		if m.joins == 0 {
 			m.inq.Done()
 		}
@@ -317,17 +327,39 @@ func (m *Machine) SpawnThread(name string, fn func(p *sim.Proc)) *sim.Proc {
 	return p
 }
 
-// Claimant returns the record in whose name a consumer of this machine
-// with no process behind it claims the CPU and waits (see
-// sim.Env.Claimant). It dies with the machine, as a thread does.
-func (m *Machine) Claimant(name string) *sim.Proc {
-	if m.crashed {
-		panic(fmt.Sprintf("amoeba: claimant %q on crashed node %d", name, m.id))
-	}
-	c := m.env.Claimant(fmt.Sprintf("node%d/%s", m.id, name))
-	m.threads = append(m.threads, c)
-	return c
+// Claimant is the record in whose name a consumer of a machine with no
+// process behind it claims the CPU and waits (see sim.Env.Claimant),
+// kept as part of the consumer's own record. It dies with the machine,
+// as a thread does. Its name, "node<id>/<role>", or "node<id>/<role><n>"
+// for n >= 0, is rendered the first time something reads it.
+type Claimant struct {
+	sim.Proc
+	m    *Machine
+	role string
+	n    int
 }
+
+// Init makes c a claimant of m, in the given role, and returns it.
+func (c *Claimant) Init(m *Machine, role string, n int) *sim.Proc {
+	if m.crashed {
+		panic(fmt.Sprintf("amoeba: claimant %q on crashed node %d", role, m.id))
+	}
+	c.m, c.role, c.n = m, role, n
+	c.InitClaimant(m.env, c)
+	m.threads = append(m.threads, &c.Proc)
+	return &c.Proc
+}
+
+// String renders the claimant's name.
+func (c *Claimant) String() string {
+	if c.n < 0 {
+		return fmt.Sprintf("node%d/%s", c.m.id, c.role)
+	}
+	return fmt.Sprintf("node%d/%s%d", c.m.id, c.role, c.n)
+}
+
+// Claimant returns a claimant of m of its own, named "node<id>/<name>".
+func (m *Machine) Claimant(name string) *sim.Proc { return new(Claimant).Init(m, name, -1) }
 
 // Compute charges d of application CPU time to the machine on behalf
 // of thread p, blocking while the CPU is busy. Long computations are
@@ -449,12 +481,40 @@ func (m *Machine) MulticastFn(p *sim.Proc, pkt Packet, members []int, then func(
 // service: on the dispatch lane, with the interrupt claimant for p,
 // under the contract of a Handler. Timer callbacks use this to re-enter
 // kernel context (see Deadline). A crashed machine ignores it.
-func (m *Machine) Defer(fn func(p *sim.Proc)) {
+func (m *Machine) Defer(fn func(p *sim.Proc)) { m.deferRound(deferred(fn)) }
+
+// deferRound queues a round for interrupt service (see Defer).
+func (m *Machine) deferRound(r Round) {
 	if m.crashed {
 		return
 	}
-	m.inq.Put(task{fn: fn})
+	m.inq.Put(task{pay: r})
 }
+
+// Timer is a kernel timer armed again and again (the group layer's
+// heartbeat): each firing queues its round for interrupt service (see
+// Defer), which a crashed machine does not do. It is part of the record
+// that owns it, and its round is typed, so making it binds nothing.
+type Timer struct {
+	ev    sim.Event
+	m     *Machine
+	round Round
+}
+
+// Init binds the timer to m and to its round.
+func (t *Timer) Init(m *Machine, round Round) {
+	t.m, t.round = m, round
+	t.ev.InitOn(m.env, (*timerFire)(t))
+}
+
+// Arm arms the timer to fire d from now, in place of any firing still
+// pending (see sim.Event.Arm).
+func (t *Timer) Arm(d sim.Time) { t.ev.Arm(d) }
+
+// timerFire is a timer as the callback of its event.
+type timerFire Timer
+
+func (f *timerFire) Fire() { f.m.deferRound(f.round) }
 
 // Deadline is a kernel deadline: a timer round that runs once, deferred
 // into interrupt service (see Defer) when the deadline fires, unless it

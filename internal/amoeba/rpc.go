@@ -73,6 +73,7 @@ type Server struct {
 	// every request is handed to, the request whose context switch is
 	// being charged, and s.asked bound once.
 	c       *sim.Proc
+	claim   Claimant // c's record
 	take    func(*Request)
 	cur     *Request
 	askedFn func()
@@ -221,7 +222,7 @@ func (s *Server) GetRequest(p *sim.Proc) (*Request, bool) {
 // replying through PutResultFn or PutReplyFn, say — and calls Done once
 // it is served, within the call or from a later callback event.
 func (s *Server) Serve(take func(r *Request)) *sim.Proc {
-	s.c, s.take = s.m.Claimant(s.port), take
+	s.c, s.take = s.claim.Init(s.m, s.port, -1), take
 	s.askedFn = s.asked
 	s.reqs.Serve(s.c, s.offered)
 	return s.c

@@ -154,7 +154,7 @@ func (g *Member) becomeSequencer() {
 	// their senders will retransmit and they will be re-sequenced
 	// (the per-source delivery windows suppress double delivery).
 	g.buffered.reset(g.nextSeq)
-	g.acceptedBB = make(map[int64]bbAccept)
+	g.acceptedBB = nil
 	g.m.Env().Tracef("node%d: became sequencer, epoch %d, highseq %d", g.m.ID(), g.epoch, g.maxSeen)
 	g.announceView()
 }
@@ -164,7 +164,7 @@ func (g *Member) becomeSequencer() {
 // holds a contiguous window of the most recently delivered messages,
 // so the ring rebase is exact.
 func (g *Member) rebuildHistory() {
-	g.seenBySrc = make([]*seqRing[int64], len(g.cfg.Members))
+	clear(g.seenBySrc)
 	for i := range g.statuses {
 		g.statuses[i] = -1
 	}

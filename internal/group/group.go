@@ -447,7 +447,8 @@ type Member struct {
 	// port is the resolved kernel port (see Config.Port); castTo is
 	// the sorted member list protocol broadcasts multicast to, nil
 	// when the group spans every network node and physical broadcast
-	// is identical (and cheaper to simulate).
+	// is identical (and cheaper to simulate). Every member of a JoinAll
+	// shares it, read-only.
 	port   string
 	castTo []int
 
@@ -456,8 +457,9 @@ type Member struct {
 	nextSeq int64 // next sequence number to deliver
 	maxSeen int64 // highest sequence number observed
 	sendSeq int64 // dense per-member submission counter (SrcSeq)
-	outQ    *sim.Queue[Delivery]
+	outQ    sim.Queue[Delivery]
 
+	// The three maps are made at their first insert.
 	buffered    seqRing[*dataMsg]    // seq -> out-of-order data
 	pendingBB   map[int64]*item      // uid -> BB data awaiting accept
 	acceptedBB  map[int64]bbAccept   // seq -> accept waiting for its data
@@ -474,7 +476,7 @@ type Member struct {
 	gapNext            int64
 	gapEpoch, gapStall int
 
-	hbTimer sim.Event
+	hbTimer amoeba.Timer // its round is the member (see hbRound)
 
 	// out is the outbox of the step that is running (see outbox), boxes
 	// the released ones.
@@ -487,6 +489,7 @@ type Member struct {
 
 	// memberIdx maps a node id to its dense index in cfg.Members (-1
 	// for non-members); the per-source rings below are indexed by it.
+	// Every member of a JoinAll shares it, read-only.
 	memberIdx []int
 
 	// Delivered-message cache (for election history rebuild) and
@@ -607,9 +610,17 @@ type Member struct {
 	stats Stats
 }
 
-// Join attaches machine m to the group. Every member must Join before
-// the simulation starts broadcasting.
-func Join(m *amoeba.Machine, cfg Config) *Member {
+// Join attaches machine m to the group: a JoinAll of one machine.
+func Join(m *amoeba.Machine, cfg Config) *Member { return JoinAll([]*amoeba.Machine{m}, cfg)[0] }
+
+// JoinAll attaches the machines to the group, one member each, in order.
+// Every member must join before the simulation starts broadcasting. The
+// members are built as one: what they share (the member index, the
+// multicast list) they share read-only, and their records, delivery
+// queues (each sized to one frame) and per-source state come from slabs
+// of the group's, so building a group costs a handful of allocations
+// whatever its size, and a member one: its port binding.
+func JoinAll(ms []*amoeba.Machine, cfg Config) []*Member {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
@@ -620,64 +631,81 @@ func Join(m *amoeba.Machine, cfg Config) *Member {
 	if cfg.Batch.MaxOps < 1 {
 		cfg.Batch.MaxOps = 1
 	}
-	g := &Member{
-		m:           m,
-		cfg:         cfg,
-		seqNode:     seq,
-		nextSeq:     1,
-		outQ:        sim.NewQueue[Delivery](m.Env()),
-		pendingBB:   make(map[int64]*item),
-		acceptedBB:  make(map[int64]bbAccept),
-		acc:         packer{accept: true},
-		outstanding: make(map[int64]*sendState),
-		memberIdx:   make([]int, slices.Max(cfg.Members)+1),
-		cache:       seqRing[*dataMsg]{max: cacheSize},
-		dlvBySrc:    make([]dedupWindow, len(cfg.Members)),
-		history:     seqRing[*dataMsg]{max: historyMax},
-		seenBySrc:   make([]*seqRing[int64], len(cfg.Members)),
-		statuses:    make([]int64, len(cfg.Members)),
+	port := cfg.Port
+	if port == "" {
+		port = Port
 	}
-	for i := range g.memberIdx {
-		g.memberIdx[i] = -1
+	n, k, frame := len(cfg.Members), len(ms), cfg.Batch.MaxOps
+	idx := make([]int, slices.Max(cfg.Members)+1)
+	for i := range idx {
+		idx[i] = -1
 	}
 	for i, id := range cfg.Members {
-		g.memberIdx[id] = i
-		g.statuses[i] = -1
-		g.dlvBySrc[i] = newDedupWindow()
+		idx[id] = i
 	}
-	g.buffered.reset(1)
-	g.history.reset(1)
-	g.cache.reset(1)
-	g.isSeq = m.ID() == seq
-	g.installed = true // the boot view needs no installation round
+	var castTo []int
+	if n < ms[0].Net().Nodes() {
+		castTo = slices.Clone(cfg.Members)
+		slices.Sort(castTo)
+	}
+	var (
+		slab     = make([]Member, k)
+		out      = make([]*Member, k)
+		dlv      = make([]dedupWindow, k*n)
+		seen     = make([]*seqRing[int64], k*n)
+		statuses = make([]int64, k*n)
+		frames   = make([]Delivery, k*frame)
+		acked    []int64
+	)
 	if cfg.Protocol == Consensus {
-		g.accepted = seqRing[accSlot]{max: historyMax}
-		g.accepted.reset(1)
-		g.acked = make([]int64, len(cfg.Members))
-		if g.isSeq {
-			// The boot leader owns the smallest ballot of its member
-			// index; every member starts at promised 0 and accepts it.
-			g.ballot = int64(g.memberIdx[seq]) + 1
-			g.promised = g.ballot
+		acked = make([]int64, k*n)
+	}
+	for j, m := range ms {
+		g := &slab[j]
+		*g = Member{
+			m:         m,
+			cfg:       cfg,
+			port:      port,
+			castTo:    castTo,
+			seqNode:   seq,
+			nextSeq:   1,
+			acc:       packer{accept: true},
+			memberIdx: idx,
+			cache:     seqRing[*dataMsg]{max: cacheSize},
+			dlvBySrc:  dlv[j*n : (j+1)*n : (j+1)*n],
+			history:   seqRing[*dataMsg]{max: historyMax},
+			seenBySrc: seen[j*n : (j+1)*n : (j+1)*n],
+			statuses:  statuses[j*n : (j+1)*n : (j+1)*n],
 		}
+		for i := range n {
+			g.statuses[i] = -1
+			g.dlvBySrc[i] = newDedupWindow()
+		}
+		g.outQ.Buffer(frames[j*frame : j*frame : (j+1)*frame]) // a frame's deliveries, queued at once
+		g.buffered.reset(1)
+		g.history.reset(1)
+		g.cache.reset(1)
+		g.isSeq = m.ID() == seq
+		g.installed = true // the boot view needs no installation round
+		if cfg.Protocol == Consensus {
+			g.accepted = seqRing[accSlot]{max: historyMax}
+			g.accepted.reset(1)
+			g.acked = acked[j*n : (j+1)*n : (j+1)*n]
+			if g.isSeq {
+				// The boot leader owns the smallest ballot of its member
+				// index; every member starts at promised 0 and accepts it.
+				g.ballot = int64(idx[seq]) + 1
+				g.promised = g.ballot
+			}
+		}
+		m.Bind(port, g.handle)
+		g.hbTimer.Init(m, (*hbRound)(g))
+		if cfg.Heartbeat > 0 {
+			g.hbTimer.Arm(cfg.Heartbeat)
+		}
+		out[j] = g
 	}
-	g.port = cfg.Port
-	if g.port == "" {
-		g.port = Port
-	}
-	if len(cfg.Members) < m.Net().Nodes() {
-		g.castTo = slices.Clone(cfg.Members)
-		slices.Sort(g.castTo)
-	}
-	m.Bind(g.port, g.handle)
-	if cfg.Batch.MaxOps > 1 {
-		g.outQ.Grow(cfg.Batch.MaxOps) // a frame's deliveries, queued at once
-	}
-	g.timer(&g.hbTimer, (*Member).heartbeat)
-	if cfg.Heartbeat > 0 {
-		g.hbTimer.Arm(cfg.Heartbeat)
-	}
-	return g
+	return out
 }
 
 // Steps and the outbox. The protocol runs in interrupt context, where
@@ -772,6 +800,14 @@ func (g *Member) step(p *sim.Proc, body func()) {
 	o := g.begin(p, nil)
 	body()
 	o.issue()
+}
+
+// hbRound is a member as the round of its heartbeat timer.
+type hbRound Member
+
+func (r *hbRound) Round(p *sim.Proc) {
+	g := (*Member)(r)
+	g.step(p, g.heartbeat)
 }
 
 // timer binds ev, a timer of the member, once: each time it fires, round
@@ -997,7 +1033,7 @@ func (g *Member) heartbeat() {
 
 // Deliveries returns the totally-ordered stream of group messages for
 // this member. Consumers (the RTS object manager) Get in a loop.
-func (g *Member) Deliveries() *sim.Queue[Delivery] { return g.outQ }
+func (g *Member) Deliveries() *sim.Queue[Delivery] { return &g.outQ }
 
 // Sequencer reports the node this member currently believes is the
 // sequencer.
@@ -1082,7 +1118,7 @@ func (g *Member) newSend(items []item, method Method) *sendState {
 	st.items = append(st.items[:0], items...)
 	st.req.Items = st.items
 	for i := range st.items {
-		g.outstanding[st.items[i].UID] = st
+		put(&g.outstanding, st.items[i].UID, st)
 	}
 	return st
 }
@@ -1141,7 +1177,7 @@ func (g *Member) transmit(st *sendState) {
 	// BB: the sender will not hear its own frame, so it stashes the data
 	// it broadcasts.
 	for i := range live {
-		g.pendingBB[live[i].UID] = &live[i]
+		put(&g.pendingBB, live[i].UID, &live[i])
 	}
 	g.cast("grp-bb-data", (*bbDataMsg)(req), frameSize(n, payload))
 }

@@ -140,14 +140,14 @@ func (g *Member) bbItem(it *item) {
 		g.castAccept(a)
 	case g.isSeq:
 		// Not installed yet: stash the data; the sender will retry.
-		g.pendingBB[it.UID] = it
+		put(&g.pendingBB, it.UID, it)
 	default:
 		if seq, more, accepted := g.acceptedUID(it.UID); accepted {
 			// Accept arrived before the data: complete it now.
 			g.processData(g.carve().recs.add(dataMsg{item: *it, Seq: seq, Epoch: g.epoch, More: more}))
 			return
 		}
-		g.pendingBB[it.UID] = it
+		put(&g.pendingBB, it.UID, it)
 	}
 }
 
@@ -187,7 +187,7 @@ func (g *Member) acceptItem(a *acceptMsg, i int) {
 	}
 	// Data frame lost: remember the accept and fetch the payload
 	// from the sequencer's history via the gap machinery.
-	g.acceptedBB[seq] = bbAccept{uid: uid, more: more}
+	put(&g.acceptedBB, seq, bbAccept{uid: uid, more: more})
 	g.maxSeen = max(g.maxSeen, seq)
 	g.armGapTimer()
 }

@@ -144,6 +144,15 @@ func (w *dedupWindow) note(i int64) {
 	w.advanceTo(n)
 }
 
+// put stores v at k in *m, making the map at its first insert: a
+// member that never uses one of its maps costs nothing for it.
+func put[K comparable, V any](m *map[K]V, k K, v V) {
+	if *m == nil {
+		*m = make(map[K]V)
+	}
+	(*m)[k] = v
+}
+
 // chunk carves the records and frame bodies a member creates per
 // operation out of runs it allocates, so that creating one costs no
 // allocation of its own. Nothing carved is ever handed out again: a run

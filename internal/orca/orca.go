@@ -301,10 +301,7 @@ func (rt *Runtime) joinGroups() []rts.GroupDef {
 			// lag stays a small fraction of the sequencer's history.
 			gcfg.StatusEvery *= gcfg.Batch.MaxOps * max(span/32, 1)
 		}
-		members := make([]*group.Member, span)
-		for i, id := range ids {
-			members[i] = group.Join(rt.machines[id], gcfg)
-		}
+		members := group.JoinAll(rt.machines[base:base+span], gcfg)
 		rt.members = append(rt.members, members...)
 		defs[k] = rts.GroupDef{Members: members, Span: ids}
 	}

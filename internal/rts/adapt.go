@@ -264,7 +264,9 @@ func (r *Router) recoverState(meta *p2pMeta) State {
 	// state — the prefix of the total order up to the br->p2p cut —
 	// so the lowest-numbered one is as good as any and the choice
 	// is deterministic.
-	for _, mgr := range r.groups[info.home].mgrs {
+	mgrs := r.groups[info.home].mgrs
+	for i := range mgrs {
+		mgr := &mgrs[i]
 		if mgr.m.Crashed() {
 			continue
 		}
@@ -495,7 +497,7 @@ func (r *Router) handleMigrate(mgr *bcastManager, uid int64, src int, wm wireMig
 		if old := mgr.inst(wm.Obj); old == nil || old.moved {
 			st := info.typ.Clone(wm.State)
 			mgr.charge(mgr.rts.costs.create, func() {
-				mgr.setInst(wm.Obj, newReplica(info.typ, st))
+				mgr.setInst(wm.Obj, newReplica(&r.replicas, info.typ, st))
 				installed()
 			})
 			return

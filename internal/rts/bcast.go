@@ -27,7 +27,7 @@ type BroadcastRTS struct {
 	k      int
 	reg    *Registry
 	costs  Costs
-	mgrs   []*bcastManager
+	mgrs   []bcastManager // carved per group, one per machine of the span
 
 	// span lists the global node ids hosting a manager (ascending), and
 	// mgrAt maps a global node id to its index in mgrs (-1 outside the
@@ -73,9 +73,10 @@ type bcastManager struct {
 	rts      *BroadcastRTS
 	m        *amoeba.Machine
 	g        *group.Member
-	c        *sim.Proc  // the claimant the manager serves as
-	insts    []*replica // by ObjID (see inst); ids are dense and never reused
-	instCond *sim.Cond  // signalled when a replica is instantiated
+	c        *sim.Proc       // the claimant the manager serves as, claim's
+	claim    amoeba.Claimant // c's record
+	insts    []*replica      // by ObjID (see inst); ids are dense and never reused
+	instCond sim.Cond        // signalled when a replica is instantiated
 
 	// The waits for this machine's sequenced records (see sequence), by
 	// uid: waiters, completions that beat their waiter (early), and
@@ -104,12 +105,13 @@ type bcastManager struct {
 	pendCharge sim.Time
 
 	// The delivery in service (see serve): d itself, and the write being
-	// applied, cur on curInst; the continuations are bound once.
-	d                                group.Delivery
-	curInst                          *replica
-	cur                              pendingOp
-	boundaryFn, createdFn, guardedFn func()
-	writtenFn, wakeFn, settledFn     func()
+	// applied, cur on curInst; next is the step resumeFn, resume bound
+	// once, runs (see then).
+	d        group.Delivery
+	curInst  *replica
+	cur      pendingOp
+	next     func(*bcastManager)
+	resumeFn func()
 }
 
 // NewBroadcastRTS builds the runtime over one group member per
@@ -138,20 +140,37 @@ func newBroadcastRTS(router *Router, k int, reg *Registry, costs Costs, machines
 	for i := range r.mgrAt {
 		r.mgrAt[i] = -1
 	}
+	r.mgrs = make([]bcastManager, len(machines))
 	for i, m := range machines {
 		if m.ID() != span[i] {
 			panic(fmt.Sprintf("rts: span machine mismatch (node %d at span slot %d)", m.ID(), span[i]))
 		}
 		r.mgrAt[m.ID()] = i
-		mgr := &bcastManager{rts: r, m: m, g: members[i], instCond: sim.NewCond(m.Env())}
-		r.mgrs = append(r.mgrs, mgr)
-		mgr.boundaryFn, mgr.createdFn, mgr.guardedFn = mgr.boundary, mgr.created, mgr.guarded
-		mgr.writtenFn, mgr.wakeFn, mgr.settledFn = mgr.written, mgr.wake, mgr.retried
-		mgr.c = m.Claimant("objmgr")
+		mgr := &r.mgrs[i]
+		mgr.rts, mgr.m, mgr.g = r, m, members[i]
+		mgr.resumeFn = mgr.resume
+		mgr.c = mgr.claim.Init(m, "objmgr", -1)
 		mgr.pass.init(m, mgr.c, costs.guardCheck, mgr)
 		mgr.g.Deliveries().Serve(mgr.c, mgr.serve)
 	}
 	return r
+}
+
+// then returns the manager's continuation, set to run step k: the one
+// continuation the manager has outstanding. A step is a method
+// expression, which binds nothing, so handing one out allocates
+// nothing.
+func (mgr *bcastManager) then(k func(*bcastManager)) func() {
+	mgr.next = k
+	return mgr.resumeFn
+}
+
+// resume runs the step the continuation was last handed out for.
+func (mgr *bcastManager) resume() { mgr.next(mgr) }
+
+// thenCheck is the retrier's step (see retryHost).
+func (mgr *bcastManager) thenCheck() func() {
+	return mgr.then(func(mgr *bcastManager) { mgr.pass.checked() })
 }
 
 // mgr returns the object manager on a node, nil outside the span.
@@ -163,7 +182,7 @@ func (r *BroadcastRTS) mgr(node int) *bcastManager {
 	if i < 0 {
 		return nil
 	}
-	return r.mgrs[i]
+	return &r.mgrs[i]
 }
 
 // Span reports the global node ids hosting this runtime's replicas.
@@ -176,8 +195,8 @@ func (r *BroadcastRTS) Counters() RTSStats {
 	// runtime: elections and takeovers by max (survivors observe the
 	// same logical recovery), re-proposals by sum, recovery time as
 	// the worst member's outage.
-	for _, mgr := range r.mgrs {
-		gs := mgr.g.Stats()
+	for i := range r.mgrs {
+		gs := r.mgrs[i].g.Stats()
 		if gs.Elections > st.Elections {
 			st.Elections = gs.Elections
 		}
@@ -314,10 +333,7 @@ func (mgr *bcastManager) inst(id ObjID) *replica {
 
 // setInst installs the local replica of id.
 func (mgr *bcastManager) setInst(id ObjID, inst *replica) {
-	for int(id) >= len(mgr.insts) {
-		mgr.insts = append(mgr.insts, nil)
-	}
-	mgr.insts[id] = inst
+	*slot(&mgr.insts, id) = inst
 	mgr.instCond.Broadcast()
 }
 
@@ -501,9 +517,9 @@ func (mgr *bcastManager) serve(d group.Delivery) {
 	case wireCreate:
 		mgr.applyCreate(d.UID, d.Src, body)
 	case wireFence:
-		mgr.rts.router.handleFence(mgr, d, body, mgr.boundaryFn)
+		mgr.rts.router.handleFence(mgr, d, body, mgr.then((*bcastManager).boundary))
 	case wireMigrate:
-		mgr.rts.router.handleMigrate(mgr, d.UID, d.Src, body, mgr.boundaryFn)
+		mgr.rts.router.handleMigrate(mgr, d.UID, d.Src, body, mgr.then((*bcastManager).boundary))
 	default:
 		extra := mgr.rts.router.extra
 		if extra == nil {
@@ -525,7 +541,7 @@ func (mgr *bcastManager) boundary() {
 	}
 	d := mgr.pendCharge
 	mgr.pendCharge = 0
-	mgr.m.ComputeFn(mgr.c, d, mgr.settledFn)
+	mgr.m.ComputeFn(mgr.c, d, mgr.then((*bcastManager).retried))
 }
 
 // charge accounts CPU cost for one delivered op and then runs k:
@@ -551,14 +567,14 @@ func (mgr *bcastManager) applyCreate(uid int64, src int, c wireCreate) {
 		mgr.boundary()
 		return
 	}
-	mgr.charge(r.costs.create, mgr.createdFn)
+	mgr.charge(r.costs.create, mgr.then((*bcastManager).created))
 }
 
 // created continues applyCreate once the creation has been charged.
 func (mgr *bcastManager) created() {
 	c := mgr.d.Body.(wireCreate)
 	t := mgr.rts.reg.Lookup(c.Type)
-	mgr.setInst(c.Obj, newReplica(t, t.New(c.Args)))
+	mgr.setInst(c.Obj, newReplica(&mgr.rts.router.replicas, t, t.New(c.Args)))
 	mgr.complete(mgr.d.UID, mgr.d.Src, Args{})
 	mgr.boundary()
 }
@@ -589,10 +605,10 @@ func (mgr *bcastManager) applyWrite(obj ObjID, opName string, args Args) {
 	op := inst.op(opName)
 	mgr.curInst, mgr.cur = inst, pendingOp{op: op, args: args, uid: d.UID, src: d.Src}
 	if op.Guard != nil {
-		mgr.charge(mgr.rts.costs.guardCheck, mgr.guardedFn)
+		mgr.charge(mgr.rts.costs.guardCheck, mgr.then((*bcastManager).guarded))
 		return
 	}
-	mgr.charge(mgr.rts.costs.writeApply+mgr.rts.costs.defaultOp, mgr.writtenFn)
+	mgr.charge(mgr.rts.costs.writeApply+mgr.rts.costs.defaultOp, mgr.then((*bcastManager).written))
 }
 
 // guarded continues applyWrite once the guard check has been charged.
@@ -603,14 +619,14 @@ func (mgr *bcastManager) guarded() {
 		mgr.boundary()
 		return
 	}
-	mgr.charge(mgr.rts.costs.writeApply+mgr.rts.costs.defaultOp, mgr.writtenFn)
+	mgr.charge(mgr.rts.costs.writeApply+mgr.rts.costs.defaultOp, mgr.then((*bcastManager).written))
 }
 
 // fire applies a parked write whose guard holds now (see retrier); the
 // round goes on after it (see wake).
 func (mgr *bcastManager) fire(inst *replica, po pendingOp) {
 	mgr.curInst, mgr.cur = inst, po
-	mgr.charge(mgr.rts.costs.writeApply+mgr.rts.costs.defaultOp, mgr.writtenFn)
+	mgr.charge(mgr.rts.costs.writeApply+mgr.rts.costs.defaultOp, mgr.then((*bcastManager).written))
 }
 
 // written applies mgr.cur, whose cost has been accounted, and completes
@@ -622,7 +638,7 @@ func (mgr *bcastManager) written() {
 	w := &mgr.cur
 	res := w.op.Apply(mgr.curInst.state, w.args)
 	if b := mgr.complete(w.uid, w.src, res); b != nil {
-		b.flushFn(mgr.c, mgr.wakeFn)
+		b.flushFn(mgr.c, mgr.then((*bcastManager).wake))
 		return
 	}
 	mgr.wake()

@@ -135,7 +135,7 @@ func (f *fwdOp) start() {
 		return
 	}
 	mgr, id := f.mgr, ObjID(f.req.Obj)
-	until(mgr.instCond, f.s.c, func() bool { return mgr.inst(id) != nil }, func() {
+	until(&mgr.instCond, f.s.c, func() bool { return mgr.inst(id) != nil }, func() {
 		r := mgr.rts
 		e := r.router.entry(id)
 		f.inst = mgr.inst(id)

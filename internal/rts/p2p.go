@@ -132,6 +132,12 @@ type p2pMeta struct {
 	// migration retry sentinel.
 	moved bool
 
+	// access holds every machine's statistics for the object, by node
+	// id, made at the first access (see accessFor). It never grows, so
+	// a machine's record stays put while an access that holds it
+	// blocks.
+	access []accessStats
+
 	ops opCache
 }
 
@@ -154,13 +160,15 @@ type p2pTask struct {
 }
 
 // p2pNode is the per-machine runtime state. Its requests come and go
-// through the machine's object service.
+// through the machine's object service. The queues of the objects whose
+// primary it is or has been are a table indexed by object id (nil: none
+// yet), of records carved from the run's slab (see Router), as are its
+// copies.
 type p2pNode struct {
 	*objService
 	rts    *P2PRTS
 	insts  map[ObjID]*replica
-	queues map[ObjID]*objQueue
-	access map[ObjID]*accessStats
+	queues []*objQueue
 	tfree  []*p2pTask // see task
 
 	// The update in service at this secondary (see applyUpdate), and
@@ -228,8 +236,6 @@ func newP2PRTS(router *Router, reg *Registry, costs Costs, cfg P2PConfig) *P2PRT
 			objService: s,
 			rts:        r,
 			insts:      make(map[ObjID]*replica),
-			queues:     make(map[ObjID]*objQueue),
-			access:     make(map[ObjID]*accessStats),
 		}
 		n.servedFn, n.updatedFn = n.srv.Done, n.updated
 		s.m.Bind(p2pCtlPort, n.handleCtl)
@@ -307,7 +313,7 @@ func (r *P2PRTS) CreateWith(w *Worker, typeName string, protocol P2PProtocol, pl
 	w.Flush()
 	w.M.Compute(w.P, r.costs.create)
 	state := t.New(args)
-	inst := newReplica(t, state)
+	inst := newReplica(&r.router.replicas, t, state)
 	inst.primary, inst.copyset = true, make(map[int]bool)
 	node.insts[id] = inst
 	r.router.objs[id].meta = &p2pMeta{id: id, typ: t, primary: w.Node(), protocol: protocol, placement: placement,
@@ -358,7 +364,7 @@ func (r *P2PRTS) Call(w *Worker, id ObjID, opName string, in Args) Args {
 // the read retries.
 func (n *p2pNode) invokeRead(w *Worker, meta *p2pMeta, op *OpDef, in Args) Args {
 	r := n.rts
-	st := n.accessFor(meta.id)
+	st := n.accessFor(meta)
 	st.reads++
 	for {
 		if meta.moved {
@@ -404,7 +410,7 @@ func (n *p2pNode) invokeRead(w *Worker, meta *p2pMeta, op *OpDef, in Args) Args 
 // semantics (see DESIGN.md), exactly once in the common case where the
 // first attempt never reached the dead primary.
 func (n *p2pNode) invokeWrite(w *Worker, meta *p2pMeta, op *OpDef, in Args) Args {
-	st := n.accessFor(meta.id)
+	st := n.accessFor(meta)
 	st.writes++
 	n.rts.stats.P2PWrites++
 	w.Flush()
@@ -478,13 +484,11 @@ func (n *p2pNode) callPrimary(w *Worker, meta *p2pMeta, req amoeba.Packet) (rep 
 }
 
 // accessFor returns this machine's statistics for an object.
-func (n *p2pNode) accessFor(id ObjID) *accessStats {
-	st, ok := n.access[id]
-	if !ok {
-		st = &accessStats{}
-		n.access[id] = st
+func (n *p2pNode) accessFor(meta *p2pMeta) *accessStats {
+	if meta.access == nil {
+		meta.access = make([]accessStats, len(n.rts.nodes))
 	}
-	return st
+	return &meta.access[n.m.ID()]
 }
 
 // shouldFetch applies the fetch threshold.
@@ -520,7 +524,7 @@ func (n *p2pNode) maybeDiscard(w *Worker, meta *p2pMeta, st *accessStats) {
 // object first if the primary died.
 func (n *p2pNode) fetchCopy(w *Worker, meta *p2pMeta) {
 	n.rts.stats.Fetches++
-	st := n.accessFor(meta.id)
+	st := n.accessFor(meta)
 	st.reads, st.writes = 0, 0
 	for {
 		if meta.moved || meta.primary == n.m.ID() {
@@ -536,7 +540,7 @@ func (n *p2pNode) fetchCopy(w *Worker, meta *p2pMeta) {
 
 // installCopy places a (cloned) state as a valid secondary.
 func (n *p2pNode) installCopy(id ObjID, t *ObjectType, state State) {
-	n.insts[id] = newReplica(t, state)
+	n.insts[id] = newReplica(&n.rts.router.replicas, t, state)
 }
 
 // submitMigrate routes a migration task ("moveout" to the broadcast

@@ -126,50 +126,70 @@ func (n *p2pNode) handleCtl(p *sim.Proc, from int, pkt amoeba.Packet) {
 }
 
 // objQueue is an object's task queue on a machine that is, or has been,
-// its primary, and the consumer that serves it (see serve).
+// its primary, and the consumer that serves it (see serve). Its record
+// is carved from the run's (see Router.queueRecs).
 type objQueue struct {
-	n    *p2pNode
-	id   ObjID
-	q    *sim.Queue[*p2pTask]
-	c    *sim.Proc // the claimant the queue is served as
-	pass retrier   // guarded tasks park on the primary copy (see guarded)
+	n     *p2pNode
+	id    ObjID
+	q     sim.Queue[*p2pTask]
+	c     *sim.Proc       // the claimant the queue is served as, claim's
+	claim amoeba.Claimant // c's record
+	pass  retrier         // guarded tasks park on the primary copy (see guarded)
 
 	// The task in service (t), the primary copy it runs on, the result
-	// and secondaries of a write, what follows a read or a write (then),
+	// and secondaries of a write, what follows a read or a write (after),
 	// and the fan-out in progress: its request, the secondaries it has
-	// yet to start (from fi) and to hear from, and what follows it. The
-	// continuations and the unlock packet are bound once.
-	t                                  *p2pTask
-	inst                               *replica
-	res                                Args
-	secs                               []int
-	then, fanned                       func()
-	req, unlockPkt                     amoeba.Packet
-	fi, ui, acks                       int
-	waiting                            bool
-	doneFn, guardedFn, readFn, writeFn func()
-	committedFn, drainFn, nextFn       func()
-	startFn, countedFn, unlockFn       func()
-	ackFn                              func(amoeba.Packet, error)
+	// yet to start (from fi) and to hear from, and what follows it. next
+	// is the step resumeFn, resume bound once, runs (see then); the
+	// fan-out's transactions, which are outstanding together, have
+	// continuations of their own, bound once, and the unlock packet is
+	// made at the first unlock.
+	t              *p2pTask
+	inst           *replica
+	res            Args
+	secs           []int
+	after, fanned  func(*objQueue)
+	req, unlockPkt amoeba.Packet
+	fi, ui, acks   int
+	waiting        bool
+	next           func(*objQueue)
+	resumeFn       func()
+	startFn        func()
+	ackFn          func(amoeba.Packet, error)
 }
 
 // startPrimary gives the object its queue on this machine, unless it
 // has been primary here before and still has it.
 func (n *p2pNode) startPrimary(id ObjID) {
-	if _, ok := n.queues[id]; ok {
+	q := slot(&n.queues, id)
+	if *q != nil {
 		return
 	}
-	o := &objQueue{n: n, id: id, q: sim.NewQueue[*p2pTask](n.m.Env())}
-	o.doneFn, o.guardedFn, o.readFn, o.writeFn = o.q.Done, o.guarded, o.read, o.write
-	o.committedFn, o.drainFn = o.committed, o.drain
-	o.startFn, o.countedFn, o.unlockFn, o.ackFn = o.start, o.counted, o.unlock, o.ack
-	o.unlockPkt = amoeba.Packet{Port: p2pCtlPort, Kind: "rts-unlock", Body: p2pUnlock{Obj: id}, Size: 12}
-	n.queues[id] = o
-	o.c = n.m.Claimant(fmt.Sprintf("obj%d", id))
+	o := n.rts.router.queueRecs.new()
+	o.n, o.id = n, id
+	o.resumeFn, o.startFn, o.ackFn = o.resume, o.start, o.ack
+	*q = o
+	o.c = o.claim.Init(n.m, "obj", int(id))
 	o.pass.init(n.m, o.c, n.rts.costs.guardCheck, o)
-	o.nextFn = o.pass.next
 	o.q.Serve(o.c, o.serve)
 }
+
+// then returns the queue's continuation, set to run step k: the one
+// continuation the queue's service has outstanding (a method
+// expression, as bcastManager's).
+func (o *objQueue) then(k func(*objQueue)) func() {
+	o.next = k
+	return o.resumeFn
+}
+
+// resume runs the step the continuation was last handed out for.
+func (o *objQueue) resume() { o.next(o) }
+
+// thenCheck is the retrier's step (see retryHost).
+func (o *objQueue) thenCheck() func() { return o.then(func(o *objQueue) { o.pass.checked() }) }
+
+// done ends the task in service.
+func (o *objQueue) done() { o.q.Done() }
 
 // serve is the primary's per-object protocol. It serializes all writes,
 // remote reads, and fetches on the object, and holds guarded tasks until
@@ -180,16 +200,16 @@ func (o *objQueue) serve(t *p2pTask) {
 	n, r := o.n, o.n.rts
 	inst := n.insts[o.id]
 	if r.meta(o.id).moved || inst == nil || !inst.primary {
-		n.finishTaskFn(o.c, t, retry, o.doneFn)
+		n.finishTaskFn(o.c, t, retry, o.then((*objQueue).done))
 		return
 	}
 	o.t, o.inst = t, inst
 	if t.op != nil && t.op.Guard != nil {
 		// An operation whose guard is false waits for a write to enable it.
-		n.m.ComputeFn(o.c, r.costs.guardCheck, o.guardedFn)
+		n.m.ComputeFn(o.c, r.costs.guardCheck, o.then((*objQueue).guarded))
 		return
 	}
-	o.run(o.doneFn, o.drainFn)
+	o.run((*objQueue).done, (*objQueue).drain)
 }
 
 // guarded continues serve once the guard check has been charged.
@@ -200,22 +220,22 @@ func (o *objQueue) guarded() {
 		o.q.Done()
 		return
 	}
-	o.run(o.doneFn, o.drainFn)
+	o.run((*objQueue).done, (*objQueue).drain)
 }
 
 // run runs the task in service, whose guard, if any, has held; a read
 // goes on with afterRead, a write with afterWrite.
-func (o *objQueue) run(afterRead, afterWrite func()) {
+func (o *objQueue) run(afterRead, afterWrite func(*objQueue)) {
 	n, t, inst := o.n, o.t, o.inst
 	switch t.kind {
 	case "fetch":
 		state := inst.typ.Clone(inst.state)
 		inst.copyset[t.from] = true
-		n.srv.PutReplyFn(o.c, t.req, state, inst.typ.stateSize(state)+16, o.doneFn)
+		n.srv.PutReplyFn(o.c, t.req, state, inst.typ.stateSize(state)+16, o.then((*objQueue).done))
 		n.recycle(t)
 	case "read":
-		o.then = afterRead
-		n.m.ComputeFn(o.c, n.rts.costs.readLocal+n.rts.costs.defaultOp, o.readFn)
+		o.after = afterRead
+		n.m.ComputeFn(o.c, n.rts.costs.readLocal+n.rts.costs.defaultOp, o.then((*objQueue).read))
 	case "write":
 		o.commit(afterWrite)
 	case "moveout":
@@ -234,7 +254,8 @@ func (o *objQueue) drain() { o.pass.start(o.inst) }
 // round goes on after it.
 func (o *objQueue) fire(inst *replica, po pendingOp) {
 	o.t, o.inst = po.task, inst
-	o.run(o.nextFn, o.nextFn)
+	next := func(o *objQueue) { o.pass.next() }
+	o.run(next, next)
 }
 
 // retried ends the task in service once the retries it enabled are done.
@@ -244,7 +265,7 @@ func (o *objQueue) retried() { o.q.Done() }
 // on with o.then.
 func (o *objQueue) read() {
 	t := o.t
-	o.n.finishTaskFn(o.c, t, t.op.Apply(o.inst.state, t.args), o.then)
+	o.n.finishTaskFn(o.c, t, t.op.Apply(o.inst.state, t.args), o.then(o.after))
 }
 
 // migrateOut hands the object to the broadcast runtime (see adapt.go).
@@ -270,7 +291,7 @@ func (o *objQueue) migrateOut() {
 		}
 		// Sequence the migrate record; its globally-first delivery flips
 		// ownership to the broadcast runtime.
-		r.router.moveout(o.c, n.m.ID(), o.id, clone, func(Args) { n.finishTaskFn(o.c, t, Args{}, o.doneFn) })
+		r.router.moveout(o.c, n.m.ID(), o.id, clone, func(Args) { n.finishTaskFn(o.c, t, Args{}, o.then((*objQueue).done)) })
 	})
 }
 
@@ -284,7 +305,7 @@ func (o *objQueue) migratePrimary() {
 	meta := r.meta(o.id)
 	target := t.to
 	if target == n.m.ID() || r.nodeDown(target) {
-		n.finishTaskFn(o.c, t, Args{}, o.doneFn) // nothing to move, or the target died
+		n.finishTaskFn(o.c, t, Args{}, o.then((*objQueue).done)) // nothing to move, or the target died
 		return
 	}
 	st := meta.typ.Clone(o.inst.state)
@@ -294,7 +315,7 @@ func (o *objQueue) migratePrimary() {
 		// Bounce parked guarded tasks; they re-issue at the new primary.
 		o.bounce(0, func() {
 			n.m.Env().Tracef("rts: object %d primary migrated %d -> %d", o.id, n.m.ID(), target)
-			n.finishTaskFn(o.c, t, Args{}, o.doneFn)
+			n.finishTaskFn(o.c, t, Args{}, o.then((*objQueue).done))
 		})
 	})
 }
@@ -333,14 +354,14 @@ func (n *p2pNode) recycle(t *p2pTask) {
 
 // commit runs the object's write protocol at the primary for the task
 // in service, and then runs k.
-func (o *objQueue) commit(k func()) {
+func (o *objQueue) commit(k func(*objQueue)) {
 	r, inst := o.n.rts, o.inst
 	inst.locked = true
 	// Crashed secondaries leave the copyset: their copies died with
 	// their machines and must not be waited on. The rest are o.secs, in
 	// ascending order, refilled in place: the last commit's fan-out and
 	// unlock walk, which read it, ended before this task was served.
-	o.secs, o.then = o.secs[:0], k
+	o.secs, o.after = o.secs[:0], k
 	for node := range inst.copyset {
 		if r.nodeDown(node) {
 			delete(inst.copyset, node)
@@ -360,21 +381,21 @@ func (o *objQueue) commit(k func()) {
 		// collect acks.
 		clear(inst.copyset)
 		o.req = amoeba.Packet{Op: "inval", Obj: int64(o.id), Body: p2pInvalReq{}, Size: 8}
-		o.fanout(o.writeFn)
+		o.fanout((*objQueue).write)
 	case Update:
 		// Phase one: ship the operation, collect acks; copies stay
 		// locked.
 		r.stats.Updates += int64(len(o.secs))
 		o.req = amoeba.Packet{Op: t.op.Name, Obj: int64(o.id), Args: t.args, Body: p2pUpdateReq{},
 			Size: opSize(t.op.Name, &t.args)}
-		o.fanout(o.writeFn)
+		o.fanout((*objQueue).write)
 	}
 }
 
 // write applies the write at the primary once its secondaries have
 // acknowledged.
 func (o *objQueue) write() {
-	o.n.m.ComputeFn(o.c, o.n.rts.costs.writeApply+o.n.rts.costs.defaultOp, o.committedFn)
+	o.n.m.ComputeFn(o.c, o.n.rts.costs.writeApply+o.n.rts.costs.defaultOp, o.then((*objQueue).committed))
 }
 
 // committed applies the charged write, unlocks every copy (phase two of
@@ -396,14 +417,17 @@ func (o *objQueue) unlock() {
 		o.unlocked()
 		return
 	}
+	if o.unlockPkt.Body == nil {
+		o.unlockPkt = amoeba.Packet{Port: p2pCtlPort, Kind: "rts-unlock", Body: p2pUnlock{Obj: o.id}, Size: 12}
+	}
 	o.ui++
-	o.n.m.SendFn(o.c, o.secs[o.ui-1], o.unlockPkt, o.unlockFn)
+	o.n.m.SendFn(o.c, o.secs[o.ui-1], o.unlockPkt, o.then((*objQueue).unlock))
 }
 
 func (o *objQueue) unlocked() {
 	o.inst.locked = false
 	o.inst.cond.Broadcast()
-	o.n.finishTaskFn(o.c, o.t, o.res, o.then)
+	o.n.finishTaskFn(o.c, o.t, o.res, o.then(o.after))
 }
 
 // fanout issues o.req to the secondaries in parallel, a transaction
@@ -415,7 +439,7 @@ func (o *objQueue) unlocked() {
 // mid-protocol acknowledges vacuously — its copy died with it, so there
 // is nothing left to keep consistent — and the next commit prunes it
 // from the copyset.
-func (o *objQueue) fanout(k func()) {
+func (o *objQueue) fanout(k func(*objQueue)) {
 	env := o.n.m.Env()
 	o.req.Port, o.fanned = svcPort, k
 	o.fi, o.acks, o.waiting = 0, len(o.secs), true
@@ -441,7 +465,7 @@ func (o *objQueue) ack(_ amoeba.Packet, err error) {
 	if o.waiting {
 		o.waiting = false
 		env := o.n.m.Env()
-		env.Schedule(env.Now(), o.countedFn)
+		env.Schedule(env.Now(), o.then((*objQueue).counted))
 	}
 }
 
@@ -453,6 +477,6 @@ func (o *objQueue) counted() {
 	case o.acks > 0:
 		o.waiting = true
 	default:
-		o.fanned()
+		o.then(o.fanned)()
 	}
 }

@@ -2,6 +2,7 @@ package rts
 
 import (
 	"slices"
+	"unsafe"
 
 	"repro/internal/amoeba"
 	"repro/internal/sim"
@@ -30,9 +31,49 @@ type replica struct {
 	copyset                map[int]bool // primary only
 }
 
-// newReplica is a valid copy holding st.
-func newReplica(t *ObjectType, st State) *replica {
-	return &replica{typ: t, state: st, valid: true}
+// newReplica is a valid copy holding st, carved from recs.
+func newReplica(recs *slab[replica], t *ObjectType, st State) *replica {
+	inst := recs.new()
+	inst.typ, inst.state, inst.valid = t, st, true
+	return inst
+}
+
+// slab carves the records a run makes for its objects — replicas,
+// primary copies' queues — out of runs it allocates, so that making one
+// costs no allocation of its own. A record is never handed out again: a
+// run becomes garbage once every record carved from it has. The first
+// run holds four records and each next one twice the last, up to
+// slabBytes.
+type slab[T any] struct {
+	free []T // the uncarved rest of the current run
+	next int // the length of the next run
+}
+
+// slabBytes bounds a run, and so what the rest of a slab's last run
+// can waste: at 4 KB, about as much as a record's rounding up to its
+// size class, which carving saves, comes to over a few hundred records.
+const slabBytes = 4 << 10
+
+// new carves one zero record.
+func (s *slab[T]) new() *T {
+	if len(s.free) == 0 {
+		var zero T
+		s.next = min(max(2*s.next, 4), max(slabBytes/int(unsafe.Sizeof(zero)), 1))
+		s.free = make([]T, s.next)
+	}
+	r := &s.free[0]
+	s.free = s.free[1:]
+	return r
+}
+
+// slot returns the place of id in a table indexed by object id,
+// growing the table to hold it. Ids are dense, counting up from 1.
+func slot[T any](s *[]T, id ObjID) *T {
+	for int(id) >= len(*s) {
+		var zero T
+		*s = append(*s, zero)
+	}
+	return &(*s)[id]
 }
 
 // op resolves an operation name through the replica's MRU cache.
@@ -70,22 +111,23 @@ type retrier struct {
 	i                int      // the scan's place in inst.pending
 	stale, nextStale int      // a round checks the first stale operations; the next round, nextStale
 	fired            bool     // in this round
-	checkedFn        func()
 }
 
 // retryHost is the consumer a retrier runs in: fire runs a parked
 // operation whose guard holds, in continuation form, and then calls the
-// retrier's next; retried goes on once a pass has ended.
+// retrier's next; retried goes on once a pass has ended; thenCheck
+// hands out the consumer's continuation set to run the retrier's
+// checked.
 type retryHost interface {
 	fire(inst *replica, po pendingOp)
 	retried()
+	thenCheck() func()
 }
 
 // init binds the retrier to its consumer, which charges guard checks on
 // m in c's name.
 func (p *retrier) init(m *amoeba.Machine, c *sim.Proc, check sim.Time, host retryHost) {
 	*p = retrier{m: m, c: c, check: check, host: host}
-	p.checkedFn = p.checked
 }
 
 // start begins a pass over inst's parked operations, all of them
@@ -104,7 +146,7 @@ func (p *retrier) next() {
 	}
 	switch {
 	case p.i < len(p.inst.pending):
-		p.m.ComputeFn(p.c, p.check, p.checkedFn)
+		p.m.ComputeFn(p.c, p.check, p.host.thenCheck())
 	case p.nextStale > 0:
 		p.i, p.stale, p.nextStale, p.fired = 0, p.nextStale, 0, false
 		p.next()

@@ -68,6 +68,13 @@ type Router struct {
 
 	// stats counts the Router's own work: fenced ops and migrations.
 	stats RTSStats
+
+	// What the run's records are carved from (see slab): every domain's
+	// replicas, and the point-to-point domain's queues. One slab of each
+	// per run wastes at most the rest of its last run; one per machine
+	// would waste that per machine.
+	replicas  slab[replica]
+	queueRecs slab[objQueue]
 }
 
 // objEntry is one object's entry in the table: the domain hosting it

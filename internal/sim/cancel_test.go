@@ -62,7 +62,7 @@ type engineTimer struct {
 // taking counts where ev is as it is about to leave the queue.
 func (r *engineEnv) taking(ev *Event) {
 	c := &r.cov
-	switch i := ev.index; {
+	switch i := int(ev.index); {
 	case i >= 0:
 		c.fromTheHeap++
 		if i == 0 {
@@ -146,7 +146,7 @@ func checkQueue(t testing.TB, q *eventQueue) {
 	t.Helper()
 	tailSeen := q.tail == nil
 	for i, head := range q.h {
-		if head.index != i || head.prev != nil {
+		if int(head.index) != i || head.prev != nil {
 			t.Fatalf("head (%v,%d) in slot %d believes it is in %d, after %p", head.t, head.seq, i, head.index, head.prev)
 		}
 		if i > 0 && head.before(q.h[(i-1)/2]) {

@@ -21,10 +21,10 @@ import (
 type Event struct {
 	t         Time
 	seq       int64
-	fn        func()
+	on        Firer // what the event runs: a typed callback, or a func's (see callback)
+	index     int32 // heap slot, or behind, onReady or idle
 	cancelled bool
 	pooled    bool   // internal event, recycled after firing
-	index     int    // heap slot, or behind, onReady or idle
 	env       *Env   // the environment a caller's event was scheduled in
 	prev      *Event // the event before this one in its run
 	next      *Event // the event after this one in its run; free-list link while recycled
@@ -62,7 +62,21 @@ func (ev *Event) Cancel() {
 // Init makes ev, embedded in the record that owns it, a timer that is
 // armed again and again — a retransmission timeout — without allocating:
 // it binds the event, once, to its environment and callback.
-func (ev *Event) Init(e *Env, fn func()) { *ev = Event{fn: fn, env: e, index: idle} }
+func (ev *Event) Init(e *Env, fn func()) { ev.InitOn(e, callback(fn)) }
+
+// Firer is a typed callback: what an event runs when it fires.
+type Firer interface{ Fire() }
+
+// callback is a func as a Firer: a func value is one pointer, so it
+// goes into the interface as it is, with no allocation.
+type callback func()
+
+func (fn callback) Fire() { fn() }
+
+// InitOn is Init for a typed callback: each firing calls f.Fire. A
+// record that embeds its event and is itself the Firer (through a
+// pointer) binds no closure to it, so making it allocates nothing.
+func (ev *Event) InitOn(e *Env, f Firer) { *ev = Event{on: f, env: e, index: idle} }
 
 // Arm schedules an event made by Init to fire d from now, in place of
 // any firing still pending. Arm and Cancel take the places in the
@@ -134,7 +148,7 @@ func (q *eventQueue) push(ev *Event) {
 	q.h = append(q.h, ev)
 	i := q.h.up(len(q.h)-1, ev)
 	q.h[i] = ev
-	ev.index = i
+	ev.index = int32(i)
 }
 
 // heap is the slot array of an eventQueue.
@@ -149,7 +163,7 @@ func (h heap) up(i int, ev *Event) int {
 			break
 		}
 		h[i] = h[parent]
-		h[i].index = i
+		h[i].index = int32(i)
 		i = parent
 	}
 	return i
@@ -171,11 +185,11 @@ func (h heap) down(i int, ev *Event) {
 			break
 		}
 		h[i] = h[child]
-		h[i].index = i
+		h[i].index = int32(i)
 		i = child
 	}
 	h[i] = ev
-	ev.index = i
+	ev.index = int32(i)
 }
 
 func (q *eventQueue) pop() *Event {
@@ -189,7 +203,7 @@ func (q *eventQueue) pop() *Event {
 // the heap, the last slot's run moving into its slot and sifting up or,
 // failing that, down.
 func (q *eventQueue) remove(ev *Event) {
-	i, prev, next := ev.index, ev.prev, ev.next
+	i, prev, next := int(ev.index), ev.prev, ev.next
 	ev.index, ev.prev, ev.next = idle, nil, nil
 	if q.tail == ev {
 		q.tail = prev
@@ -201,7 +215,7 @@ func (q *eventQueue) remove(ev *Event) {
 	case prev != nil:
 		prev.next = next
 	case next != nil:
-		q.h[i], next.index = next, i
+		q.h[i], next.index = next, int32(i)
 	default:
 		h := q.h
 		n := len(h) - 1
@@ -295,6 +309,7 @@ func (e *Env) Routes() []Routes {
 	out := make([]Routes, len(e.served))
 	for i, r := range e.served {
 		out[i] = *r
+		out[i].Consumer = r.c.Name()
 	}
 	return out
 }
@@ -323,7 +338,7 @@ func (e *Env) recycle(ev *Event) {
 	if !ev.pooled {
 		return
 	}
-	ev.fn = nil
+	ev.on = nil
 	ev.next = e.free
 	e.free = ev
 }
@@ -347,7 +362,7 @@ func (e *Env) schedule(ev *Event, t Time) {
 // At schedules fn to run at virtual time t. Scheduling in the past
 // panics: it would violate causality.
 func (e *Env) At(t Time, fn func()) *Event {
-	ev := &Event{fn: fn, env: e}
+	ev := &Event{on: callback(fn), env: e}
 	e.schedule(ev, t)
 	return ev
 }
@@ -366,7 +381,7 @@ func (e *Env) After(d Time, fn func()) *Event {
 // deliveries, for instance — where nobody retains the event.
 func (e *Env) Schedule(t Time, fn func()) {
 	ev := e.getEvent()
-	ev.fn = fn
+	ev.on = callback(fn)
 	e.schedule(ev, t)
 }
 
@@ -430,9 +445,13 @@ func (e *Env) advance(self *Proc) *Proc {
 		}
 		e.now = ev.t
 		e.dispatched++
-		fn := ev.fn
+		on := ev.on
 		e.recycle(ev)
-		fn()
+		if fn, ok := on.(callback); ok {
+			fn() // most events: a direct call
+		} else {
+			on.Fire()
+		}
 		p := e.baton
 		if p == nil {
 			continue
@@ -501,7 +520,7 @@ func (e *Env) switchTo(p *Proc) *Proc {
 // own pending.
 func (e *Env) handoff(p *Proc) {
 	if e.baton != nil {
-		panic("sim: two baton handoffs in one event (" + e.baton.name + ", " + p.name + ")")
+		panic("sim: two baton handoffs in one event (" + e.baton.Name() + ", " + p.Name() + ")")
 	}
 	e.baton = p
 }
@@ -558,7 +577,7 @@ func (e *Env) Blocked() []string {
 	var names []string
 	for p := range e.live {
 		if !p.terminated && !p.killed {
-			names = append(names, p.name)
+			names = append(names, p.Name())
 		}
 	}
 	sort.Strings(names)

@@ -17,6 +17,7 @@ import (
 type Proc struct {
 	env        *Env
 	name       string
+	label      fmt.Stringer // renders name when it is first read (see InitClaimant), then nil
 	fn         func(p *Proc)
 	co         *coro  // the coroutine the body runs on, from its start to its end or reaping
 	resumeFn   func() // see Resume; bound once
@@ -33,6 +34,14 @@ type Proc struct {
 // due on its behalf — an offer, a grant, the end of a hold, a wake-up —
 // is discarded, as a killed process's wake-ups are.
 func (e *Env) Claimant(name string) *Proc { return &Proc{env: e, name: name, parked: true} }
+
+// InitClaimant makes p, a record its owner keeps, a claimant of e (see
+// Claimant) whose name label renders the first time something reads it:
+// a consumer built as part of its owner's record costs no allocation,
+// and its name no string until one is printed.
+func (p *Proc) InitClaimant(e *Env, label fmt.Stringer) {
+	*p = Proc{env: e, label: label, parked: true}
+}
 
 // Spawn creates a process named name running fn and schedules it to
 // start at the current virtual time. It may be called before Run (to
@@ -135,15 +144,20 @@ type errReaped struct{}
 func (p *Proc) run() {
 	defer func() {
 		if r := recover(); r != nil && r != any(errReaped{}) {
-			fmt.Fprintf(os.Stderr, "sim: process %s panicked: %v\n%s", p.name, r, debug.Stack())
+			fmt.Fprintf(os.Stderr, "sim: process %s panicked: %v\n%s", p.Name(), r, debug.Stack())
 			panic(r)
 		}
 	}()
 	p.fn(p)
 }
 
-// Name reports the process name given at Spawn.
-func (p *Proc) Name() string { return p.name }
+// Name reports the process name given at Spawn, or the claimant's.
+func (p *Proc) Name() string {
+	if p.label != nil {
+		p.name, p.label = p.label.String(), nil
+	}
+	return p.name
+}
 
 // Env returns the environment the process runs in.
 func (p *Proc) Env() *Env { return p.env }
@@ -163,7 +177,7 @@ func (p *Proc) Now() Time { return p.env.now }
 // primitive with either panics here.
 func (p *Proc) park() {
 	if p.parked {
-		panic("sim: " + p.name + " blocks while already parked (code on the dispatch lane reached a blocking call)")
+		panic("sim: " + p.Name() + " blocks while already parked (code on the dispatch lane reached a blocking call)")
 	}
 	p.parked = true
 	p.wait()

@@ -1,7 +1,5 @@
 package sim
 
-import "slices"
-
 // fifo is a FIFO on one backing array: pop advances a head index rather
 // than re-slicing (which would shed capacity and make every later push
 // reallocate), the array is reused from the start once drained, and a
@@ -261,15 +259,21 @@ type Queue[T any] struct {
 
 	// A served queue's consumer (see Serve): fn, and the claimant c it
 	// serves as. busy holds from the scheduling of an offer (or of the
-	// consumer's start) to the Done of the last item served; in is set
-	// while fn runs, and done records a Done made meanwhile.
+	// consumer's start) to the Done of the last item served, so at most
+	// one offer is ever pending, and it is the queue's own event; in is
+	// set while fn runs, and done records a Done made meanwhile.
 	serve    func(T)
 	c        *Proc
 	busy     bool
 	in, done bool
-	offerFn  func()
+	offerEv  Event // bound to offer (see queueOffer)
 	routes   Routes
 }
+
+// queueOffer is a served queue as the callback of its offer event.
+type queueOffer[T any] Queue[T]
+
+func (o *queueOffer[T]) Fire() { (*Queue[T])(o).offer() }
 
 // Routes counts how a served queue's consumer has served its items:
 // Finished within the call that offered them, or Pending until a later
@@ -277,6 +281,7 @@ type Queue[T any] struct {
 type Routes struct {
 	Consumer          string
 	Finished, Pending int64
+	c                 *Proc // the consumer's claimant, named when the routes are read
 }
 
 type queueWaiter[T any] struct {
@@ -285,12 +290,15 @@ type queueWaiter[T any] struct {
 	ok   bool
 }
 
-// NewQueue creates an empty queue bound to e.
+// NewQueue creates an empty queue bound to e. The zero Queue is ready
+// to use too: it binds to the environment of its consumer (Serve) or of
+// its first receiver (Get), so it can be part of its owner's record.
 func NewQueue[T any](e *Env) *Queue[T] { return &Queue[T]{env: e} }
 
-// Grow makes room for n more items, so that a queue known to hold at
-// most n at a time never grows.
-func (q *Queue[T]) Grow(n int) { q.items.buf = slices.Grow(q.items.buf, n) }
+// Buffer hands the empty queue buf's storage for its items, so that a
+// queue known to hold at most cap(buf) at a time never allocates: the
+// buffers of many queues can be carved from one array.
+func (q *Queue[T]) Buffer(buf []T) { q.items.buf = buf[:0] }
 
 // Serve makes fn the queue's consumer, serving every item to completion
 // on the dispatch lane on behalf of c, a claimant (see Env.Claimant):
@@ -308,11 +316,11 @@ func (q *Queue[T]) Grow(n int) { q.items.buf = slices.Grow(q.items.buf, n) }
 // predecessor, as a thread's next Get would return it. A served queue
 // is never closed and has no Get.
 func (q *Queue[T]) Serve(c *Proc, fn func(item T)) {
-	q.serve, q.c, q.busy = fn, c, true
-	q.offerFn = q.offer
-	q.routes.Consumer = c.name
+	q.env, q.serve, q.c, q.busy = c.env, fn, c, true
+	q.offerEv.InitOn(q.env, (*queueOffer[T])(q))
+	q.routes.c = c
 	q.env.served = append(q.env.served, &q.routes)
-	q.env.Schedule(q.env.now, q.offerFn)
+	q.offerEv.Arm(0)
 }
 
 // Put appends an item, waking the longest-waiting receiver if one
@@ -325,7 +333,7 @@ func (q *Queue[T]) Put(x T) {
 		q.items.push(x)
 		if !q.busy {
 			q.busy = true
-			q.env.Schedule(q.env.now, q.offerFn)
+			q.offerEv.Arm(0)
 		}
 		return
 	}
@@ -347,6 +355,7 @@ func (q *Queue[T]) Get(p *Proc) (item T, ok bool) {
 	if q.closed {
 		return item, false
 	}
+	q.env = p.env
 	w := q.waiter(p)
 	q.waiters.push(w)
 	p.park()

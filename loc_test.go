@@ -63,20 +63,20 @@ var codeCeilings = map[string]int{
 	"examples/mixed":      30,
 	"examples/quickstart": 48,
 	"examples/tsp":        32,
-	"internal/amoeba":     769, // +35: the RPC reply cache is a ring in reply order with an index of chains threaded through its entries (replyCache), in place of a Go map beside a ring of ids; a server makes its in-work set at its first request; a cached reply keeps its wire size (sizeOfBody went)
+	"internal/amoeba":     800, // +31: a claimant is a record of its consumer's (Claimant) whose name renders when first read, and a kernel timer armed again and again (Timer) has a typed round (Round) queued through the frame's payload slot of a task
 	"internal/apps/acp":   637,
 	"internal/apps/atpg":  769,
 	"internal/apps/chess": 986,
 	"internal/apps/kv":    369,  // +9: the key directory, the slot array's write path and the 1<<31 key limit (map shard state and receipt maps went)
 	"internal/apps/tsp":   564,  // +5: the search is a method recursion over a uint64 of free cities, and rejects more than 64
-	"internal/group":      2207, // +14: the packers' Linger rounds, the same-instant flush and the gap timer are bound when first armed, the first outbox is the member's own, and heartbeats are carved from the chunks
+	"internal/group":      2236, // +29: JoinAll builds a group's members as one, their records, delivery queues and per-source state carved from per-group slabs and the member index shared (Join is a JoinAll of one); the three maps are made at their first insert (put); the heartbeat is a typed round (hbRound)
 	"internal/harness":    1622,
 	"internal/netsim":     414,
-	"internal/orca":       729,  // −19: the typed descriptors are the only way to create, invoke and fence an object; Proc.New/NewWith/Invoke*, Object and the untyped FencedOp are gone
+	"internal/orca":       726,  // −3: joinGroups joins each group with one JoinAll
 	"internal/orca/std":   386,  // +3: NewZeroCounter, a counter created with no constructor argument
-	"internal/rts":        2783, // +72: a forwarded operation is a continuation at its holder (fwdOp: the guard wait, the charges and the reply a thread's blocking Call took), behind one object service per machine that routes by body (objService, Router.serve), and the one wait for the total order is a pooled record (seqWait) with its early-completion map; startForwarders, the objfwd<k> ports, Router.fwd, p2pNode.client, await, wfree and opWaiter went, and the per-machine fence maps are one map made at its first insert
+	"internal/rts":        2823, // +40: the run's replicas and primary queues are carved from per-run slabs (slab), object managers from one per group, and tables by object id grow through slot; each consumer's continuations are method expressions one bound method value dispatches (then, resume, thenCheck) in place of seventeen bound method values; access statistics are per object
 	"internal/rts/scheck": 111,
-	"internal/sim":        799, // +2: Queue.Grow, so a group member's delivery queue is sized to one frame
+	"internal/sim":        820, // +21: an event's callback is typed (Firer, InitOn; a func is a callback), a served queue's offer is its own event, a claimant can be its owner's record with a lazily rendered name (InitClaimant), and Queue.Buffer replaces Grow
 	"internal/workload":   231, // +10: one Zipf table per (Keys, Theta), shared by every generator instead of summed per client
 }
 
