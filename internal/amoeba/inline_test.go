@@ -604,7 +604,7 @@ func TestComputeFnSlicesLikeCompute(t *testing.T) {
 		note := func(who string) { trace = append(trace, moment{who, env.Now(), env.Events()}) }
 		work := sim.NewQueue[sim.Time](env)
 		if inline {
-			c := m.Claimant("long")
+			c := new(Claimant).Init(m, "long", -1)
 			done := func() { note("long"); work.Done() }
 			work.Serve(c, func(d sim.Time) { m.ComputeFn(c, d, done) })
 		} else {
@@ -695,7 +695,7 @@ func TestRPCCallFnMatchesCall(t *testing.T) {
 				fig = fmt.Sprintf("at %v: %+v, %v", env.Now(), rep, err)
 			}
 			if fn {
-				caller := ms[0].Claimant("caller")
+				caller := new(Claimant).Init(ms[0], "caller", -1)
 				env.Schedule(0, func() { cl.CallFn(caller, 1, req, heard) })
 			} else {
 				ms[0].SpawnThread("caller", func(p *sim.Proc) { heard(cl.Call(p, 1, req)) })

@@ -358,9 +358,6 @@ func (c *Claimant) String() string {
 	return fmt.Sprintf("node%d/%s%d", c.m.id, c.role, c.n)
 }
 
-// Claimant returns a claimant of m of its own, named "node<id>/<name>".
-func (m *Machine) Claimant(name string) *sim.Proc { return new(Claimant).Init(m, name, -1) }
-
 // Compute charges d of application CPU time to the machine on behalf
 // of thread p, blocking while the CPU is busy. Long computations are
 // sliced into scheduling quanta so other threads and interrupt service

@@ -66,7 +66,11 @@
 // (amoeba.Deadline) on records the machine recycles, and a member binds
 // a timer's round when it first arms it, so that a member binds only the
 // rounds it runs: with no fault, a PB send allocates nothing, batched
-// or not, and a BB or consensus send only its send record.
+// or not, and a BB or consensus send only its send record. A group's
+// members are built as one (JoinAll): their records, delivery queues and
+// per-source state come from per-group slabs, and the heartbeat, which
+// every member runs, is a typed kernel round (amoeba.Timer), so a member
+// costs one allocation of its own, its port binding.
 //
 // Downward: members speak kernel ports and timers from package
 // amoeba. Upward: the broadcast runtime in package rts consumes each

@@ -22,7 +22,7 @@ func stepDelivery(seed int64) error {
 	rng := rand.New(rand.NewSource(seed))
 	h := newHarness(seed, 4, nil, func(c *Config) { c.StatusEvery = 0 })
 	defer h.env.Shutdown()
-	g, p := h.gs[2], h.ms[2].Claimant("feeder")
+	g, p := h.gs[2], new(amoeba.Claimant).Init(h.ms[2], "feeder", -1)
 
 	// The stream: n records from the other members, each numbered densely
 	// per source, and one more that re-sequences record dup under the

@@ -67,11 +67,11 @@ func (s *slab[T]) new() *T {
 }
 
 // slot returns the place of id in a table indexed by object id,
-// growing the table to hold it. Ids are dense, counting up from 1.
+// growing the table to hold it in one step. Ids are dense, counting up
+// from 1.
 func slot[T any](s *[]T, id ObjID) *T {
-	for int(id) >= len(*s) {
-		var zero T
-		*s = append(*s, zero)
+	if n := int(id) + 1 - len(*s); n > 0 {
+		*s = append(*s, make([]T, n)...)
 	}
 	return &(*s)[id]
 }
