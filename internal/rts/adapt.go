@@ -497,7 +497,7 @@ func (r *Router) handleMigrate(mgr *bcastManager, uid int64, src int, wm wireMig
 		if old := mgr.inst(wm.Obj); old == nil || old.moved {
 			st := info.typ.Clone(wm.State)
 			mgr.charge(mgr.rts.costs.create, func() {
-				mgr.setInst(wm.Obj, newReplica(&r.replicas, info.typ, st))
+				mgr.setInst(wm.Obj, newReplica(&mgr.rts.replicas, info.typ, st))
 				installed()
 			})
 			return

@@ -29,6 +29,10 @@ type BroadcastRTS struct {
 	costs  Costs
 	mgrs   []bcastManager // carved per group, one per machine of the span
 
+	// replicas is what the managers' replicas are carved from, a span's
+	// worth of records per run (see slab).
+	replicas slab[replica]
+
 	// span lists the global node ids hosting a manager (ascending), and
 	// mgrAt maps a global node id to its index in mgrs (-1 outside the
 	// span). A group built alone spans every machine and the mapping is
@@ -129,7 +133,7 @@ func NewBroadcastRTS(reg *Registry, costs Costs, machines []*amoeba.Machine, mem
 // (possibly partial) machine span. machines[i] and members[i] must be
 // node span[i]; span must be ascending.
 func newBroadcastRTS(router *Router, k int, reg *Registry, costs Costs, machines []*amoeba.Machine, members []*group.Member, span []int) *BroadcastRTS {
-	r := &BroadcastRTS{router: router, k: k, reg: reg, costs: costs, span: span}
+	r := &BroadcastRTS{router: router, k: k, reg: reg, costs: costs, span: span, replicas: slab[replica]{run: len(span)}}
 	total := 0
 	for _, m := range machines {
 		if n := m.Net().Nodes(); n > total {
@@ -574,7 +578,7 @@ func (mgr *bcastManager) applyCreate(uid int64, src int, c wireCreate) {
 func (mgr *bcastManager) created() {
 	c := mgr.d.Body.(wireCreate)
 	t := mgr.rts.reg.Lookup(c.Type)
-	mgr.setInst(c.Obj, newReplica(&mgr.rts.router.replicas, t, t.New(c.Args)))
+	mgr.setInst(c.Obj, newReplica(&mgr.rts.replicas, t, t.New(c.Args)))
 	mgr.complete(mgr.d.UID, mgr.d.Src, Args{})
 	mgr.boundary()
 }

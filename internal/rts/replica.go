@@ -41,12 +41,15 @@ func newReplica(recs *slab[replica], t *ObjectType, st State) *replica {
 // slab carves the records a run makes for its objects — replicas,
 // primary copies' queues — out of runs it allocates, so that making one
 // costs no allocation of its own. A record is never handed out again: a
-// run becomes garbage once every record carved from it has. The first
-// run holds four records and each next one twice the last, up to
-// slabBytes.
+// run becomes garbage once every record carved from it has. A slab
+// whose run is set allocates runs of that length: a group's replicas
+// come a span's worth per creation, so its runs are used up exactly.
+// Otherwise the first run holds four records and each next one twice
+// the last, up to slabBytes.
 type slab[T any] struct {
 	free []T // the uncarved rest of the current run
 	next int // the length of the next run
+	run  int // the length of every run, if set
 }
 
 // slabBytes bounds a run, and so what the rest of a slab's last run
@@ -57,9 +60,13 @@ const slabBytes = 4 << 10
 // new carves one zero record.
 func (s *slab[T]) new() *T {
 	if len(s.free) == 0 {
-		var zero T
-		s.next = min(max(2*s.next, 4), max(slabBytes/int(unsafe.Sizeof(zero)), 1))
-		s.free = make([]T, s.next)
+		n := s.run
+		if n == 0 {
+			var zero T
+			s.next = min(max(2*s.next, 4), max(slabBytes/int(unsafe.Sizeof(zero)), 1))
+			n = s.next
+		}
+		s.free = make([]T, n)
 	}
 	r := &s.free[0]
 	s.free = s.free[1:]

@@ -69,10 +69,9 @@ type Router struct {
 	// stats counts the Router's own work: fenced ops and migrations.
 	stats RTSStats
 
-	// What the run's records are carved from (see slab): every domain's
-	// replicas, and the point-to-point domain's queues. One slab of each
-	// per run wastes at most the rest of its last run; one per machine
-	// would waste that per machine.
+	// What the point-to-point domain's copies and queues are carved from
+	// (see slab): one slab of each per run wastes at most the rest of its
+	// last run; one per machine would waste that per machine.
 	replicas  slab[replica]
 	queueRecs slab[objQueue]
 }

@@ -22,7 +22,7 @@ type Event struct {
 	t         Time
 	seq       int64
 	on        Firer // what the event runs: a typed callback, or a func's (see callback)
-	index     int32 // heap slot, or behind, onReady or idle
+	index     int32 // heap slot, or behind, onReady or idle; 32 bits keep the event at 64 bytes
 	cancelled bool
 	pooled    bool   // internal event, recycled after firing
 	env       *Env   // the environment a caller's event was scheduled in

@@ -74,7 +74,7 @@ var codeCeilings = map[string]int{
 	"internal/netsim":     414,
 	"internal/orca":       726,  // −3: joinGroups joins each group with one JoinAll
 	"internal/orca/std":   386,  // +3: NewZeroCounter, a counter created with no constructor argument
-	"internal/rts":        2822, // +39: the run's replicas and primary queues are carved from per-run slabs (slab), object managers from one per group, and tables by object id grow in one step (slot); each consumer's continuations are method expressions one bound method value dispatches (then, resume, thenCheck) in place of seventeen bound method values; access statistics are per object
+	"internal/rts":        2828, // +45: the run's primary copies and queues are carved from per-run slabs and a group's replicas from the group's, a span's worth per run (slab), object managers from one slice per group, and tables by object id grow in one step (slot); each consumer's continuations are method expressions one bound method value dispatches (then, resume, thenCheck) in place of seventeen bound method values; access statistics are per object
 	"internal/rts/scheck": 111,
 	"internal/sim":        820, // +21: an event's callback is typed (Firer, InitOn; a func is a callback), a served queue's offer is its own event, a claimant can be its owner's record with a lazily rendered name (InitClaimant), and Queue.Buffer replaces Grow
 	"internal/workload":   231, // +10: one Zipf table per (Keys, Theta), shared by every generator instead of summed per client
