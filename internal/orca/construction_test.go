@@ -36,7 +36,7 @@ func constructionAllocs(units int, budget float64, build func()) float64 {
 // serves it and its access statistics.
 func TestRunConstructionAllocations(t *testing.T) {
 	skipUnderRace(t)
-	// Pinned a little above the figures measured (7.09 and 12.83); the
+	// Pinned a little above the figures measured (7.09 and 12.81); the
 	// runtime before the construction slabs took 33.34 and 29.7.
 	const perPair, perPrimary = 7.5, 13.5
 
