@@ -106,11 +106,11 @@ type Machine struct {
 	costs      Costs
 	cpu        *sim.Resource
 	inq        *sim.Queue[task]
-	isr        *sim.Proc // the interrupt claimant, isrRec's
-	isrRec     Claimant
-	cur        task   // the delivery whose costs are being charged inline
-	pkt        Packet // the packet being served, opened by dispatch
-	dispatchFn func() // m.dispatch, bound once
+	isr        *sim.Proc // the interrupt claimant
+	isrRec     Claimant  // isr's record
+	cur        task      // the delivery whose costs are being charged inline
+	pkt        Packet    // the packet being served, opened by dispatch
+	dispatchFn func()    // m.dispatch, bound once
 	ports      map[string]Handler
 	lastPort   string  // memo of the last resolution (see bound);
 	last       Handler // nil after a Bind or an Unbind
