@@ -230,7 +230,7 @@ func TestRPCLateDuplicateMeetsReusedRecord(t *testing.T) {
 	var replies []string
 	env.At(0, func() {
 		h := ms[0].ports["svc-rep"]
-		ms[0].ports["svc-rep"] = func(p *sim.Proc, from int, pkt Packet) {
+		ms[0].ports["svc-rep"] = HandlerFunc(func(p *sim.Proc, from int, pkt Packet) {
 			w := pkt
 			state := "late"
 			if c.waits[w.TxID] != nil {
@@ -242,8 +242,8 @@ func TestRPCLateDuplicateMeetsReusedRecord(t *testing.T) {
 				}
 			}
 			replies = append(replies, fmt.Sprintf("%v: %s", w.Body, state))
-			h(p, from, pkt)
-		}
+			h.Handle(p, from, pkt)
+		})
 	})
 	env.Run()
 	if got[0] != "one" || got[1] != "two" {
@@ -395,11 +395,11 @@ func TestRPCRetransmissionCarriesItsOwnBytes(t *testing.T) {
 	var at []sim.Time
 	env.At(0, func() {
 		h := ms[1].ports["svc"]
-		ms[1].ports["svc"] = func(p *sim.Proc, from int, pkt Packet) {
+		ms[1].ports["svc"] = HandlerFunc(func(p *sim.Proc, from int, pkt Packet) {
 			seen = append(seen, fmt.Sprintf("%s/%d %v", pkt.Op, pkt.Obj, pkt.Args.Values()))
 			at = append(at, p.Now())
-			h(p, from, pkt)
-		}
+			h.Handle(p, from, pkt)
+		})
 	})
 	c := NewClient(ms[0], RPCDefaults{Timeout: 80 * sim.Millisecond, Retries: 10})
 	var got [2]Packet
@@ -606,7 +606,7 @@ func TestComputeFnSlicesLikeCompute(t *testing.T) {
 		if inline {
 			c := new(Claimant).Init(m, "long", -1)
 			done := func() { note("long"); work.Done() }
-			work.Serve(c, func(d sim.Time) { m.ComputeFn(c, d, done) })
+			work.Serve(c, sim.ConsumerFunc[sim.Time](func(d sim.Time) { m.ComputeFn(c, d, done) }))
 		} else {
 			m.SpawnThread("long", func(p *sim.Proc) {
 				for {
@@ -715,5 +715,38 @@ func TestRPCCallFnMatchesCall(t *testing.T) {
 				t.Errorf("CallFn from a claimant: %s\nCall from a thread: %s", consumer, thread)
 			}
 		})
+	}
+}
+
+// portCounter is a record that serves a port as a typed handler.
+type portCounter struct{ n int }
+
+func (c *portCounter) Handle(*sim.Proc, int, Packet) { c.n++ }
+
+func (c *portCounter) handle(*sim.Proc, int, Packet) { c.n++ }
+
+// TestBindHandlerAllocations: a record that is its own handler binds
+// itself without allocating; the method value a func binding takes
+// allocates, once a binding.
+func TestBindHandlerAllocations(t *testing.T) {
+	skipUnderRace(t)
+	env, _, ms := cluster(t, 2, nil)
+	defer env.Shutdown()
+	c := new(portCounter)
+	rebind := func() { ms[0].Unbind("count"); ms[0].BindHandler("count", c) }
+	ms[0].BindHandler("count", c)
+	if a := testing.AllocsPerRun(100, rebind); a != 0 {
+		t.Errorf("binding a typed handler allocates %v times, want 0", a)
+	}
+	if a := testing.AllocsPerRun(100, func() { ms[0].Unbind("count"); ms[0].Bind("count", c.handle) }); a != 1 {
+		t.Errorf("binding a method value allocates %v times, want 1 (the closure)", a)
+	}
+	rebind()
+	ms[1].SpawnThread("sender", func(p *sim.Proc) {
+		ms[1].Send(p, 0, Packet{Port: "count", Kind: "count", Size: 8})
+	})
+	env.Run()
+	if c.n != 1 {
+		t.Errorf("the typed handler served %d packets, want 1", c.n)
 	}
 }

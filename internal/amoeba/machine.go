@@ -74,7 +74,17 @@ type Packet struct {
 // returned and every continuation it started has run, so interrupt
 // service stalls behind its sends, as on a real kernel. A handler must
 // not wait for another delivery or a timer.
-type Handler func(p *sim.Proc, from int, pkt Packet)
+//
+// A handler is a typed value, as a Round is: a record that serves a port
+// binds itself (BindHandler) and allocates nothing to be bound.
+type Handler interface {
+	Handle(p *sim.Proc, from int, pkt Packet)
+}
+
+// HandlerFunc is a func as a Handler (see Bind).
+type HandlerFunc func(p *sim.Proc, from int, pkt Packet)
+
+func (fn HandlerFunc) Handle(p *sim.Proc, from int, pkt Packet) { fn(p, from, pkt) }
 
 // task is a unit of interrupt service: either a delivered frame of
 // frags fragments, at least one, or, with no fragments, a deferred round
@@ -141,7 +151,7 @@ func NewMachine(env *sim.Env, net *netsim.Network, id int, costs Costs) *Machine
 	m.dispatchFn = m.dispatch
 	net.Handle(id, m.receive)
 	m.isr = m.isrRec.Init(m, "netisr", -1)
-	m.inq.Serve(m.isr, m.interrupt)
+	m.inq.Serve(m.isr, (*interruptService)(m))
 	return m
 }
 
@@ -183,6 +193,11 @@ func (m *Machine) interrupt(t task) {
 	m.cpu.UseFrontFn(m.isr, cost, m.dispatchFn)
 }
 
+// interruptService is a machine as the consumer of its interrupt queue.
+type interruptService Machine
+
+func (s *interruptService) Consume(t task) { (*Machine)(s).interrupt(t) }
+
 // dispatch runs when the current delivery's costs have been charged: it
 // opens the frame into m.pkt, the one packet built for a delivery, which
 // the handler receives by value.
@@ -191,7 +206,7 @@ func (m *Machine) dispatch() {
 	m.open(m.cur.pay)
 	m.cur = task{}
 	if h := m.bound(m.pkt.Port); h != nil {
-		h(m.isr, from, m.pkt)
+		h.Handle(m.isr, from, m.pkt)
 	} else {
 		m.env.Tracef("node%d: drop packet for unbound port %q", m.id, m.pkt.Port)
 	}
@@ -285,9 +300,12 @@ func (m *Machine) open(pay any) {
 	}
 }
 
-// Bind registers the handler for a port. Binding an already-bound port
-// panics: port names are service identities.
-func (m *Machine) Bind(port string, h Handler) {
+// Bind registers a func as the handler for a port (see BindHandler).
+func (m *Machine) Bind(port string, fn HandlerFunc) { m.BindHandler(port, fn) }
+
+// BindHandler registers the handler for a port. Binding an already-bound
+// port panics: port names are service identities.
+func (m *Machine) BindHandler(port string, h Handler) {
 	if _, dup := m.ports[port]; dup {
 		panic(fmt.Sprintf("amoeba: node %d: port %q already bound", m.id, port))
 	}
@@ -372,13 +390,17 @@ func (m *Machine) Compute(p *sim.Proc, d sim.Time) {
 // dispatch lane. A consumer with no process behind it is charged this
 // way, in its claimant's name. A charge of nothing runs fn at once, as
 // Compute returns at once.
-func (m *Machine) ComputeFn(p *sim.Proc, d sim.Time, fn func()) {
+func (m *Machine) ComputeFn(p *sim.Proc, d sim.Time, fn func()) { m.ComputeOn(p, d, sim.Func(fn)) }
+
+// ComputeOn is ComputeFn for a typed continuation: k fires where fn
+// would run (see sim.Resource.UseOn).
+func (m *Machine) ComputeOn(p *sim.Proc, d sim.Time, k sim.Firer) {
 	if d <= 0 {
-		fn()
+		k.Fire()
 		return
 	}
 	m.appBusy += d
-	m.cpu.UseFn(p, d, fn)
+	m.cpu.UseOn(p, d, k)
 }
 
 // AppBusy reports total application CPU time charged via Compute.

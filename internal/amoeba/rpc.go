@@ -169,9 +169,14 @@ func NewServer(m *Machine, port string) *Server {
 		repPort: port + "-rep",
 		reqs:    sim.NewQueue[*Request](m.Env()),
 	}
-	m.Bind(port, s.handle)
+	m.BindHandler(port, (*serverPort)(s))
 	return s
 }
+
+// serverPort is a server as the handler of its port.
+type serverPort Server
+
+func (h *serverPort) Handle(p *sim.Proc, from int, pkt Packet) { (*Server)(h).handle(p, from, pkt) }
 
 // handle runs in interrupt context for every packet on the port.
 func (s *Server) handle(p *sim.Proc, from int, pkt Packet) {
@@ -224,9 +229,14 @@ func (s *Server) GetRequest(p *sim.Proc) (*Request, bool) {
 func (s *Server) Serve(take func(r *Request)) *sim.Proc {
 	s.c, s.take = s.claim.Init(s.m, s.port, -1), take
 	s.askedFn = s.asked
-	s.reqs.Serve(s.c, s.offered)
+	s.reqs.Serve(s.c, (*serverQueue)(s))
 	return s.c
 }
+
+// serverQueue is a server as the consumer of its request queue.
+type serverQueue Server
+
+func (q *serverQueue) Consume(r *Request) { (*Server)(q).offered(r) }
 
 // offered charges the context switch for a request that has reached the
 // head of the queue.

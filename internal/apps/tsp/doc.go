@@ -27,7 +27,10 @@
 // Its visit order, its CPU charges (64 nodes at a time, then the
 // remainder) and its found routes are those of the closure over a
 // visited []bool it replaced, which search_test.go keeps as the
-// reference it checks the kernel against. SolveSeq is a separate
+// reference it checks the kernel against. A run computes the
+// instance's cheapest-edge table once and hands it to every search, and
+// GenerateJobs carves every job's route from one array, so a search
+// allocates nothing and a job nothing of its own. SolveSeq is a separate
 // solver on purpose: the benchmark checks every parallel optimum
 // against it.
 //

@@ -172,6 +172,7 @@ func runOrcaFT(cfg orca.Config, inst *Instance, params Params) Result {
 		workers = cfg.Processors
 	}
 	rt := orca.New(cfg, registerFT)
+	minOut := inst.MinOut()
 	res := Result{}
 	rep := rt.Run(func(p *orca.Proc) {
 		nn := InitialBound(inst)
@@ -192,7 +193,7 @@ func runOrcaFT(cfg orca.Config, inst *Instance, params Params) Result {
 						break
 					}
 					for _, job := range chunk.Jobs {
-						n := SearchJob(inst, job,
+						n := SearchJob(inst, minOut, job,
 							func() int {
 								wp.Work(BoundReadCost)
 								return bound.Value(wp)

@@ -81,6 +81,7 @@ func RunOrca(cfg orca.Config, inst *Instance, params Params) Result {
 		workers = cfg.Processors
 	}
 	rt := orca.New(cfg, std.Register)
+	minOut := inst.MinOut() // every search of the run reads this one table
 	res := Result{}
 	rep := rt.Run(func(p *orca.Proc) {
 		// The manager seeds the bound with a nearest-neighbor tour
@@ -114,7 +115,7 @@ func RunOrca(cfg orca.Config, inst *Instance, params Params) Result {
 						break
 					}
 					for _, job := range chunk.Jobs {
-						n := SearchJob(inst, job,
+						n := SearchJob(inst, minOut, job,
 							func() int {
 								wp.Work(BoundReadCost)
 								return bound.Value(wp)

@@ -9,8 +9,9 @@ import (
 
 // searchJobRef is the search SearchJob replaced, kept as its reference:
 // a closure recursing over a visited []bool, scanning every city at
-// every node.
-func searchJobRef(inst *Instance, job Job, readBound func() int, foundRoute func(total int), charge func(n int64)) int64 {
+// every node. It computes its own cheapest-edge table, as it always
+// did, and ignores the one it is given.
+func searchJobRef(inst *Instance, _ []int, job Job, readBound func() int, foundRoute func(total int), charge func(n int64)) int64 {
 	n := inst.N
 	minOut := inst.MinOut()
 	visited := make([]bool, n)
@@ -66,10 +67,10 @@ type boundScript struct {
 // searchTrace runs one kernel under a script and records what the
 // worker observes, in order: "c<n>@<reads>" for a charge,
 // "f<total>@<reads>" for a found route, and the node count last.
-func searchTrace(kernel func(*Instance, Job, func() int, func(int), func(int64)) int64, inst *Instance, job Job, sc boundScript) []string {
+func searchTrace(kernel func(*Instance, []int, Job, func() int, func(int), func(int64)) int64, inst *Instance, job Job, sc boundScript) []string {
 	var tr []string
 	bound, reads := sc.start, 0
-	nodes := kernel(inst, job,
+	nodes := kernel(inst, inst.MinOut(), job,
 		func() int {
 			reads++
 			if sc.every > 0 && reads >= sc.drop && (reads-sc.drop)%sc.every == 0 {
@@ -156,5 +157,5 @@ func TestSearchJobRejectsBigInstances(t *testing.T) {
 		}
 	}()
 	inst := &Instance{N: 65}
-	SearchJob(inst, Job{Route: []int{0}}, nil, nil, nil)
+	SearchJob(inst, nil, Job{Route: []int{0}}, nil, nil, nil)
 }

@@ -1,11 +1,12 @@
 package tsp
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/bits"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"repro/internal/sim"
 )
@@ -65,14 +66,16 @@ const NodeCost = 12 * sim.Microsecond
 // bound at a node, beyond the runtime's read overhead.
 const BoundReadCost = 2 * sim.Microsecond
 
-// MinOut precomputes each city's cheapest outgoing edge, used in the
-// branch-and-bound lower bound: a partial route can be pruned when its
-// length plus the cheapest possible departure from every remaining
-// city already reaches the global bound. (The paper's program prunes
-// on route length alone; the added admissible bound keeps the search
-// tractable at simulation speed while preserving the object access
-// pattern — the bound object is still read at every node and written
-// only when a better route is found.)
+// MinOut returns a new table of each city's cheapest outgoing edge,
+// used in the branch-and-bound lower bound: a partial route can be
+// pruned when its length plus the cheapest possible departure from
+// every remaining city already reaches the global bound. (The paper's
+// program prunes on route length alone; the added admissible bound
+// keeps the search tractable at simulation speed while preserving the
+// object access pattern — the bound object is still read at every node
+// and written only when a better route is found.) A run computes the
+// table once and hands it to every SearchJob; it is not kept on the
+// instance, which concurrent runs may share.
 func (inst *Instance) MinOut() []int {
 	mo := make([]int, inst.N)
 	for i := 0; i < inst.N; i++ {
@@ -210,11 +213,21 @@ func GenerateJobs(inst *Instance, jobDepth int) []Job {
 	for i := 1; i < inst.N; i++ {
 		restAll += minOut[i]
 	}
-	var jobs []Job
+	// Every job's route has depth cities, and there are count of them:
+	// the routes are carved, as full slices, from one array.
+	depth, count := max(jobDepth, 1), 1
+	for i := 1; i < depth; i++ {
+		count *= max(inst.N-i, 0)
+	}
+	jobs := make([]Job, 0, count)
+	routes := make([]int, count*depth)
 	var expand func(route []int, length, rest int)
 	expand = func(route []int, length, rest int) {
 		if len(route) >= jobDepth {
-			jobs = append(jobs, Job{Route: append([]int(nil), route...), Len: length})
+			r := routes[:depth:depth]
+			routes = routes[depth:]
+			copy(r, route)
+			jobs = append(jobs, Job{Route: r, Len: length})
 			return
 		}
 		last := route[len(route)-1]
@@ -232,7 +245,8 @@ func GenerateJobs(inst *Instance, jobDepth int) []Job {
 			expand(append(route, next), length+inst.Dist[last][next], rest-minOut[next])
 		}
 	}
-	expand([]int{0}, 0, restAll)
+	route := make([]int, 1, depth)
+	expand(route, 0, restAll)
 	lb := func(j Job) int {
 		r := restAll
 		for _, c := range j.Route {
@@ -242,12 +256,14 @@ func GenerateJobs(inst *Instance, jobDepth int) []Job {
 		}
 		return j.Len + r + minOut[j.Route[len(j.Route)-1]]
 	}
-	sort.SliceStable(jobs, func(i, k int) bool { return lb(jobs[i]) < lb(jobs[k]) })
+	slices.SortStableFunc(jobs, func(a, b Job) int { return cmp.Compare(lb(a), lb(b)) })
 	return jobs
 }
 
-// SearchJob runs the branch-and-bound search under one job. The
-// caller supplies the bound interactions, so the same search core
+// SearchJob runs the branch-and-bound search under one job, with
+// minOut the instance's cheapest-edge table (MinOut), which the caller
+// computes once for every job of a run; the search allocates nothing.
+// The caller supplies the bound interactions, so the same search core
 // serves the sequential tests and the Orca workers:
 //
 //   - readBound returns the current global bound (read very often),
@@ -257,12 +273,12 @@ func GenerateJobs(inst *Instance, jobDepth int) []Job {
 //
 // It returns the number of nodes expanded. Instances have at most 64
 // cities: the cities still to visit are one uint64.
-func SearchJob(inst *Instance, job Job, readBound func() int, foundRoute func(total int), charge func(n int64)) int64 {
+func SearchJob(inst *Instance, minOut []int, job Job, readBound func() int, foundRoute func(total int), charge func(n int64)) int64 {
 	n := inst.N
 	if n > 64 {
 		panic(fmt.Sprintf("tsp: %d cities, the search handles at most 64", n))
 	}
-	s := searcher{dist: inst.Dist, minOut: inst.MinOut(), readBound: readBound, foundRoute: foundRoute, charge: charge}
+	s := searcher{dist: inst.Dist, minOut: minOut, readBound: readBound, foundRoute: foundRoute, charge: charge}
 	free := uint64(1)<<n - 2 // every city but the start
 	rest := 0
 	for i := 1; i < n; i++ {

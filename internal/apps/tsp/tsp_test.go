@@ -119,8 +119,9 @@ func TestSearchJobEquivalentToSeq(t *testing.T) {
 	inst := Generate(9, 5)
 	want, _ := SolveSeq(inst)
 	best := math.MaxInt
+	minOut := inst.MinOut()
 	for _, job := range GenerateJobs(inst, 3) {
-		SearchJob(inst, job,
+		SearchJob(inst, minOut, job,
 			func() int { return best },
 			func(total int) {
 				if total < best {

@@ -698,7 +698,7 @@ func JoinAll(ms []*amoeba.Machine, cfg Config) []*Member {
 				g.promised = g.ballot
 			}
 		}
-		m.Bind(port, g.handle)
+		m.BindHandler(port, (*portHandler)(g))
 		g.hbTimer.Init(m, (*hbRound)(g))
 		if cfg.Heartbeat > 0 {
 			g.hbTimer.Arm(cfg.Heartbeat)
@@ -800,6 +800,13 @@ func (g *Member) step(p *sim.Proc, body func()) {
 	o := g.begin(p, nil)
 	body()
 	o.issue()
+}
+
+// portHandler is a member as the handler of its group's port.
+type portHandler Member
+
+func (h *portHandler) Handle(p *sim.Proc, from int, pkt amoeba.Packet) {
+	(*Member)(h).handle(p, from, pkt)
 }
 
 // hbRound is a member as the round of its heartbeat timer.

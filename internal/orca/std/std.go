@@ -126,8 +126,12 @@ func (c Counter) AwaitGE(p *orca.Proc, n int) int { return intAwaitGE.Call(p, c.
 // false) once the queue is closed and drained.
 
 type jobQueueState struct {
-	jobs   []any
-	closed bool
+	// The queued jobs are a ring: n of them from ring[head] on, wrapping
+	// at the end. A full ring doubles, so a replica that takes as many
+	// jobs as it is given reallocates only when its backlog doubles.
+	ring    []any
+	head, n int
+	closed  bool
 	// bytes caches the summed wire size of the queued jobs, updated
 	// incrementally by add/get so sizing a replica is O(1) instead of
 	// a scan of the whole queue on every applied write.
@@ -137,29 +141,61 @@ type jobQueueState struct {
 // WireSize implements rts.Sized.
 func (q *jobQueueState) WireSize() int { return 16 + q.bytes }
 
+// push appends a job, doubling a full ring.
+func (q *jobQueueState) push(job any) {
+	if q.n == len(q.ring) {
+		q.ring = q.copied(max(2*q.n, 4))
+		q.head = 0
+	}
+	i := q.head + q.n
+	if i >= len(q.ring) {
+		i -= len(q.ring)
+	}
+	q.ring[i] = job
+	q.n++
+}
+
+// pop removes the oldest job; the ring holds at least one.
+func (q *jobQueueState) pop() any {
+	j := q.ring[q.head]
+	q.ring[q.head] = nil
+	if q.head++; q.head == len(q.ring) {
+		q.head = 0
+	}
+	q.n--
+	return j
+}
+
+// copied returns the queued jobs in order, at the start of a new ring of
+// size slots.
+func (q *jobQueueState) copied(size int) []any {
+	r := make([]any, size)
+	k := copy(r, q.ring[q.head:min(q.head+q.n, len(q.ring))])
+	copy(r[k:], q.ring[:q.n-k])
+	return r
+}
+
 var (
 	queueB = orca.NewType(JobQueueObj, func([]any) *jobQueueState { return &jobQueueState{} }).
 		CloneWith(func(q *jobQueueState) *jobQueueState {
-			return &jobQueueState{jobs: append([]any(nil), q.jobs...), closed: q.closed, bytes: q.bytes}
+			return &jobQueueState{ring: q.copied(len(q.ring)), n: q.n, closed: q.closed, bytes: q.bytes}
 		}).
 		SizedBy((*jobQueueState).WireSize)
 
 	queueAdd = orca.DefUpdate(queueB, "add", func(q *jobQueueState, job any) {
-		q.jobs = append(q.jobs, job)
+		q.push(job)
 		q.bytes += rts.SizeOfValue(job)
 	})
 	queueGet = orca.DefWrite0x2(queueB, "get", func(q *jobQueueState) (any, bool) {
-		if len(q.jobs) == 0 {
+		if q.n == 0 {
 			return nil, false
 		}
-		j := q.jobs[0]
-		q.jobs[0] = nil
-		q.jobs = q.jobs[1:]
+		j := q.pop()
 		q.bytes -= rts.SizeOfValue(j)
 		return j, true
-	}).Guard(func(q *jobQueueState) bool { return len(q.jobs) > 0 || q.closed })
+	}).Guard(func(q *jobQueueState) bool { return q.n > 0 || q.closed })
 	queueClose = orca.DefUpdate0(queueB, "close", func(q *jobQueueState) { q.closed = true })
-	queueLen   = orca.DefRead0(queueB, "len", func(q *jobQueueState) int { return len(q.jobs) })
+	queueLen   = orca.DefRead0(queueB, "len", func(q *jobQueueState) int { return q.n })
 )
 
 // Queue is a shared FIFO job queue with elements of type T.

@@ -475,7 +475,7 @@ func (r *Router) awaitFlip(w *Worker, id ObjID, info *adaptInfo, from int) {
 // (marking the local replica moved, bouncing its guard waiters,
 // installing a fresh replica) run at every manager, each at its own
 // position in the total order.
-func (r *Router) handleMigrate(mgr *bcastManager, uid int64, src int, wm wireMigrate, k func()) {
+func (r *Router) handleMigrate(mgr *bcastManager, uid int64, src int, wm wireMigrate, k sim.Firer) {
 	info := r.objs[wm.Obj].adapt
 	if info == nil {
 		panic(fmt.Sprintf("rts: migrate record for non-adaptive object %d", wm.Obj))
@@ -492,14 +492,14 @@ func (r *Router) handleMigrate(mgr *bcastManager, uid int64, src int, wm wireMig
 				r.finishMigration(info, wm.Obj, info.home, now)
 			}
 			mgr.complete(uid, src, Args{})
-			k()
+			k.Fire()
 		}
 		if old := mgr.inst(wm.Obj); old == nil || old.moved {
 			st := info.typ.Clone(wm.State)
-			mgr.charge(mgr.rts.costs.create, func() {
+			mgr.charge(mgr.rts.costs.create, sim.Func(func() {
 				mgr.setInst(wm.Obj, newReplica(&mgr.rts.replicas, info.typ, st))
 				installed()
-			})
+			}))
 			return
 		}
 		installed()
@@ -537,7 +537,7 @@ func (r *Router) handleMigrate(mgr *bcastManager, uid int64, src int, wm wireMig
 		inst.cond.Broadcast()
 	}
 	mgr.complete(uid, src, Args{})
-	k()
+	k.Fire()
 }
 
 // installPrimary places a migrated state as a single primary copy on

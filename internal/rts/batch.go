@@ -65,7 +65,7 @@ type writeBuf struct {
 
 	// The flush on its way out (see flushFn), and b.sent bound once.
 	p      *sim.Proc
-	then   func()
+	then   sim.Firer
 	sentFn func()
 }
 
@@ -112,12 +112,12 @@ func (mgr *bcastManager) bufferWrite(w *Worker, id ObjID, opName string, args Ar
 // batch is in flight.
 func (b *writeBuf) linger(p *sim.Proc) {
 	b.timer = nil
-	b.flushFn(p, func() {})
+	b.flushFn(p, sim.Func(func() {}))
 }
 
 // flush sends the buffered ops as one batch, if none is in flight.
 func (b *writeBuf) flush(p *sim.Proc) {
-	b.flushFn(p, p.Resume())
+	b.flushFn(p, sim.Func(p.Resume()))
 	p.Park()
 }
 
@@ -133,9 +133,9 @@ func (b *writeBuf) flush(p *sim.Proc) {
 // keeping a concurrent sync waiting for it), the op buffer is detached
 // before broadcasting, and completions that beat the uid registration
 // are reconciled from the early-completion buffer afterwards (sent).
-func (b *writeBuf) flushFn(p *sim.Proc, then func()) {
+func (b *writeBuf) flushFn(p *sim.Proc, then sim.Firer) {
 	if len(b.ops) == 0 || b.flight != nil {
-		then()
+		then.Fire()
 		return
 	}
 	mgr := b.mgr
@@ -178,7 +178,7 @@ func (b *writeBuf) sent() {
 			return
 		}
 	}
-	then()
+	then.Fire()
 }
 
 // waitFlight blocks until the current in-flight batch (if any) has

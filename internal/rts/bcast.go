@@ -72,7 +72,7 @@ type (
 
 // bcastManager is the per-machine object manager: it owns the local
 // replicas and applies the totally-ordered write stream, as a consumer
-// of the delivery stream with no process behind it (see serve).
+// of the delivery stream with no process behind it (see Consume).
 type bcastManager struct {
 	rts      *BroadcastRTS
 	m        *amoeba.Machine
@@ -94,7 +94,7 @@ type bcastManager struct {
 
 	// touched collects the replicas written since the last frame
 	// boundary, and the boundary runs a guard-retry pass over each (see
-	// serve), which is what batching amortizes: ti is the next to go.
+	// Consume), which is what batching amortizes: ti is the next to go.
 	touched []*replica
 	ti      int
 	pass    retrier
@@ -108,14 +108,13 @@ type bcastManager struct {
 	inFrame    bool
 	pendCharge sim.Time
 
-	// The delivery in service (see serve): d itself, and the write being
-	// applied, cur on curInst; next is the step resumeFn, resume bound
-	// once, runs (see then).
-	d        group.Delivery
-	curInst  *replica
-	cur      pendingOp
-	next     func(*bcastManager)
-	resumeFn func()
+	// The delivery in service (see Consume): d itself, and the write being
+	// applied, cur on curInst; next is the step the manager, as its own
+	// continuation, runs when it fires (see then).
+	d       group.Delivery
+	curInst *replica
+	cur     pendingOp
+	next    func(*bcastManager)
 }
 
 // NewBroadcastRTS builds the runtime over one group member per
@@ -152,28 +151,28 @@ func newBroadcastRTS(router *Router, k int, reg *Registry, costs Costs, machines
 		r.mgrAt[m.ID()] = i
 		mgr := &r.mgrs[i]
 		mgr.rts, mgr.m, mgr.g = r, m, members[i]
-		mgr.resumeFn = mgr.resume
 		mgr.c = mgr.claim.Init(m, "objmgr", -1)
 		mgr.pass.init(m, mgr.c, costs.guardCheck, mgr)
-		mgr.g.Deliveries().Serve(mgr.c, mgr.serve)
+		mgr.g.Deliveries().Serve(mgr.c, mgr)
 	}
 	return r
 }
 
 // then returns the manager's continuation, set to run step k: the one
-// continuation the manager has outstanding. A step is a method
-// expression, which binds nothing, so handing one out allocates
-// nothing.
-func (mgr *bcastManager) then(k func(*bcastManager)) func() {
+// continuation the manager has outstanding. The continuation is the
+// manager itself, a typed value, and a step is a method expression, so
+// neither making a manager nor handing its continuation out binds
+// anything.
+func (mgr *bcastManager) then(k func(*bcastManager)) sim.Firer {
 	mgr.next = k
-	return mgr.resumeFn
+	return mgr
 }
 
-// resume runs the step the continuation was last handed out for.
-func (mgr *bcastManager) resume() { mgr.next(mgr) }
+// Fire runs the step the continuation was last handed out for.
+func (mgr *bcastManager) Fire() { mgr.next(mgr) }
 
 // thenCheck is the retrier's step (see retryHost).
-func (mgr *bcastManager) thenCheck() func() {
+func (mgr *bcastManager) thenCheck() sim.Firer {
 	return mgr.then(func(mgr *bcastManager) { mgr.pass.checked() })
 }
 
@@ -449,9 +448,9 @@ func (mgr *bcastManager) sequenced(p *sim.Proc, m group.Msg) Args {
 //	for !done() {
 //		c.Wait(p)
 //	}
-func until(c *sim.Cond, p *sim.Proc, done func() bool, k func()) {
+func until(c *sim.Cond, p *sim.Proc, done func() bool, k sim.Firer) {
 	if done() {
-		k()
+		k.Fire()
 		return
 	}
 	c.WaitFn(p, func() { until(c, p, done, k) })
@@ -487,7 +486,7 @@ func (mgr *bcastManager) complete(uid int64, src int, res Args) *writeBuf {
 	return nil
 }
 
-// serve is the object manager: the consumer of the totally-ordered
+// Consume is the object manager: the consumer of the totally-ordered
 // delivery stream, with no process behind it (see sim.Queue.Serve). It
 // applies creations and writes on the dispatch lane, in mgr.c's name,
 // taking at every step the steps an object-manager thread took — the
@@ -504,7 +503,7 @@ func (mgr *bcastManager) complete(uid int64, src int, res Args) *writeBuf {
 // what keeps replicated guard queues deterministic. Unbatched messages
 // are single-op frames, reproducing the drain-after-every-write
 // behavior exactly.
-func (mgr *bcastManager) serve(d group.Delivery) {
+func (mgr *bcastManager) Consume(d group.Delivery) {
 	mgr.d, mgr.inFrame = d, d.More
 	if d.Dup {
 		// A re-sequenced duplicate the group layer suppressed: nothing to
@@ -545,21 +544,21 @@ func (mgr *bcastManager) boundary() {
 	}
 	d := mgr.pendCharge
 	mgr.pendCharge = 0
-	mgr.m.ComputeFn(mgr.c, d, mgr.then((*bcastManager).retried))
+	mgr.m.ComputeOn(mgr.c, d, mgr.then((*bcastManager).retried))
 }
 
 // charge accounts CPU cost for one delivered op and then runs k:
 // mid-frame costs accrue, and the frame's last op charges the accrued
 // sum at once.
-func (mgr *bcastManager) charge(d sim.Time, k func()) {
+func (mgr *bcastManager) charge(d sim.Time, k sim.Firer) {
 	if mgr.inFrame {
 		mgr.pendCharge += d
-		k()
+		k.Fire()
 		return
 	}
 	d += mgr.pendCharge
 	mgr.pendCharge = 0
-	mgr.m.ComputeFn(mgr.c, d, k)
+	mgr.m.ComputeOn(mgr.c, d, k)
 }
 
 // applyCreate instantiates the replica (on replica holders only, for
@@ -587,7 +586,7 @@ func (mgr *bcastManager) created() {
 // operation opName with args, from the total order: check the guard
 // (park it if false), apply, complete the local invoker, and wake
 // guard-blocked readers. The guard-retry pass over parked writes runs
-// at the frame boundary (see serve), not here.
+// at the frame boundary (see Consume), not here.
 func (mgr *bcastManager) applyWrite(obj ObjID, opName string, args Args) {
 	inst := mgr.inst(obj)
 	if inst == nil {

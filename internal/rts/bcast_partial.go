@@ -135,7 +135,7 @@ func (f *fwdOp) start() {
 		return
 	}
 	mgr, id := f.mgr, ObjID(f.req.Obj)
-	until(&mgr.instCond, f.s.c, func() bool { return mgr.inst(id) != nil }, func() {
+	until(&mgr.instCond, f.s.c, func() bool { return mgr.inst(id) != nil }, sim.Func(func() {
 		r := mgr.rts
 		e := r.router.entry(id)
 		f.inst = mgr.inst(id)
@@ -154,7 +154,7 @@ func (f *fwdOp) start() {
 		}
 		a := &f.req.Args
 		mgr.sequence(f.s.c, group.Msg{Kind: opKind, Obj: f.req.Obj, Op: f.req.Op, Args: *a, Size: opSize(f.req.Op, a)}, f.answer)
-	})
+	}))
 }
 
 // guard is awaitGuard in continuation form, followed by the operation:

@@ -147,7 +147,7 @@ func (r *Router) fenceRec(node int, f wireFence) *fenceRec {
 // ascending shard order plus ack-before-pause makes concurrent fences
 // acquire their shards in a consistent order, so two fences can never
 // pause each other's completion path (see DESIGN.md).
-func (r *Router) handleFence(mgr *bcastManager, d group.Delivery, f wireFence, k func()) {
+func (r *Router) handleFence(mgr *bcastManager, d group.Delivery, f wireFence, k sim.Firer) {
 	node := mgr.m.ID()
 	if !f.Pause {
 		if node == f.Target {
@@ -160,14 +160,14 @@ func (r *Router) handleFence(mgr *bcastManager, d group.Delivery, f wireFence, k
 				}
 			}
 		}
-		k()
+		k.Fire()
 		return
 	}
 	mgr.complete(d.UID, d.Src, Args{})
 	if r.fenceAborted[f.FID] {
 		// Presumed aborted: a straggling delivery applies nothing and
 		// must not pause the stream again.
-		k()
+		k.Fire()
 		return
 	}
 	rec := r.fenceRec(node, f)
@@ -181,7 +181,7 @@ func (r *Router) handleFence(mgr *bcastManager, d group.Delivery, f wireFence, k
 		rec.done = true
 		rec.cond.Broadcast()
 		delete(r.fences, fenceKey{node, f.FID})
-		k()
+		k.Fire()
 	})
 }
 
@@ -205,12 +205,12 @@ func (r *Router) execFence(mgr *bcastManager, f wireFence, i int, k func()) {
 			panic(fmt.Sprintf("rts: fenced write to unknown object %d on node %d", fo.ID, node))
 		}
 		op := inst.op(fo.Op)
-		mgr.charge(sub.costs.writeApply+sub.costs.defaultOp, func() {
+		mgr.charge(sub.costs.writeApply+sub.costs.defaultOp, sim.Func(func() {
 			op.Apply(inst.state, fo.Args)
 			inst.cond.Broadcast()
 			sm.touch(inst)
 			r.execFence(mgr, f, i+1, k)
-		})
+		}))
 		return
 	}
 	k()

@@ -126,7 +126,7 @@ func (n *p2pNode) handleCtl(p *sim.Proc, from int, pkt amoeba.Packet) {
 }
 
 // objQueue is an object's task queue on a machine that is, or has been,
-// its primary, and the consumer that serves it (see serve). Its record
+// its primary, and the consumer that serves it (see Consume). Its record
 // is carved from the run's (see Router.queueRecs).
 type objQueue struct {
 	n     *p2pNode
@@ -171,7 +171,7 @@ func (n *p2pNode) startPrimary(id ObjID) {
 	*q = o
 	o.c = o.claim.Init(n.m, "obj", int(id))
 	o.pass.init(n.m, o.c, n.rts.costs.guardCheck, o)
-	o.q.Serve(o.c, o.serve)
+	o.q.Serve(o.c, o)
 }
 
 // then returns the queue's continuation, set to run step k: the one
@@ -186,17 +186,19 @@ func (o *objQueue) then(k func(*objQueue)) func() {
 func (o *objQueue) resume() { o.next(o) }
 
 // thenCheck is the retrier's step (see retryHost).
-func (o *objQueue) thenCheck() func() { return o.then(func(o *objQueue) { o.pass.checked() }) }
+func (o *objQueue) thenCheck() sim.Firer {
+	return sim.Func(o.then(func(o *objQueue) { o.pass.checked() }))
+}
 
 // done ends the task in service.
 func (o *objQueue) done() { o.q.Done() }
 
-// serve is the primary's per-object protocol. It serializes all writes,
-// remote reads, and fetches on the object, and holds guarded tasks until
-// a committed write enables them. A task for an object that migrated
-// away or re-homed between enqueue and execution bounces back to its
-// invoker.
-func (o *objQueue) serve(t *p2pTask) {
+// Consume is the primary's per-object protocol, the queue being its own
+// consumer. It serializes all writes, remote reads, and fetches on the
+// object, and holds guarded tasks until a committed write enables them.
+// A task for an object that migrated away or re-homed between enqueue
+// and execution bounces back to its invoker.
+func (o *objQueue) Consume(t *p2pTask) {
 	n, r := o.n, o.n.rts
 	inst := n.insts[o.id]
 	if r.meta(o.id).moved || inst == nil || !inst.primary {
@@ -212,7 +214,7 @@ func (o *objQueue) serve(t *p2pTask) {
 	o.run((*objQueue).done, (*objQueue).drain)
 }
 
-// guarded continues serve once the guard check has been charged.
+// guarded continues Consume once the guard check has been charged.
 func (o *objQueue) guarded() {
 	if t := o.t; !t.op.Guard(o.inst.state, t.args) {
 		o.n.rts.stats.GuardWaits++

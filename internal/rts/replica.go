@@ -23,7 +23,7 @@ type replica struct {
 	pending []pendingOp
 
 	// Sequenced domain (bcast.go).
-	touched bool // written since the last frame boundary (see bcastManager.serve)
+	touched bool // written since the last frame boundary (see bcastManager.Consume)
 	moved   bool // migrated away at its cut point; writes bounce (see adapt.go)
 
 	// Primary-copy domain (p2p.go).
@@ -128,7 +128,7 @@ type retrier struct {
 type retryHost interface {
 	fire(inst *replica, po pendingOp)
 	retried()
-	thenCheck() func()
+	thenCheck() sim.Firer
 }
 
 // init binds the retrier to its consumer, which charges guard checks on
@@ -153,7 +153,7 @@ func (p *retrier) next() {
 	}
 	switch {
 	case p.i < len(p.inst.pending):
-		p.m.ComputeFn(p.c, p.check, p.host.thenCheck())
+		p.m.ComputeOn(p.c, p.check, p.host.thenCheck())
 	case p.nextStale > 0:
 		p.i, p.stale, p.nextStale, p.fired = 0, p.nextStale, 0, false
 		p.next()

@@ -21,7 +21,7 @@ import (
 type Event struct {
 	t         Time
 	seq       int64
-	on        Firer // what the event runs: a typed callback, or a func's (see callback)
+	on        Firer // what the event runs: a typed callback, or a func's (see Func)
 	index     int32 // heap slot, or behind, onReady or idle; 32 bits keep the event at 64 bytes
 	cancelled bool
 	pooled    bool   // internal event, recycled after firing
@@ -62,16 +62,16 @@ func (ev *Event) Cancel() {
 // Init makes ev, embedded in the record that owns it, a timer that is
 // armed again and again — a retransmission timeout — without allocating:
 // it binds the event, once, to its environment and callback.
-func (ev *Event) Init(e *Env, fn func()) { ev.InitOn(e, callback(fn)) }
+func (ev *Event) Init(e *Env, fn func()) { ev.InitOn(e, Func(fn)) }
 
 // Firer is a typed callback: what an event runs when it fires.
 type Firer interface{ Fire() }
 
-// callback is a func as a Firer: a func value is one pointer, so it
-// goes into the interface as it is, with no allocation.
-type callback func()
+// Func is a func as a Firer: a func value is one pointer, so it goes
+// into the interface as it is, with no allocation.
+type Func func()
 
-func (fn callback) Fire() { fn() }
+func (fn Func) Fire() { fn() }
 
 // InitOn is Init for a typed callback: each firing calls f.Fire. A
 // record that embeds its event and is itself the Firer (through a
@@ -362,7 +362,7 @@ func (e *Env) schedule(ev *Event, t Time) {
 // At schedules fn to run at virtual time t. Scheduling in the past
 // panics: it would violate causality.
 func (e *Env) At(t Time, fn func()) *Event {
-	ev := &Event{on: callback(fn), env: e}
+	ev := &Event{on: Func(fn), env: e}
 	e.schedule(ev, t)
 	return ev
 }
@@ -381,7 +381,7 @@ func (e *Env) After(d Time, fn func()) *Event {
 // deliveries, for instance — where nobody retains the event.
 func (e *Env) Schedule(t Time, fn func()) {
 	ev := e.getEvent()
-	ev.on = callback(fn)
+	ev.on = Func(fn)
 	e.schedule(ev, t)
 }
 
@@ -447,7 +447,7 @@ func (e *Env) advance(self *Proc) *Proc {
 		e.dispatched++
 		on := ev.on
 		e.recycle(ev)
-		if fn, ok := on.(callback); ok {
+		if fn, ok := on.(Func); ok {
 			fn() // most events: a direct call
 		} else {
 			on.Fire()

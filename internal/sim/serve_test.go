@@ -85,8 +85,9 @@ func (s *testServer) onThread(p *Proc, it testItem) {
 	s.finish(it)
 }
 
-// inline is the same service in continuation form, as a Serve consumer.
-func (s *testServer) inline(it testItem) {
+// Consume is the same service in continuation form: the server is its
+// queue's consumer.
+func (s *testServer) Consume(it testItem) {
 	s.note("start", it)
 	s.cur = it
 	switch it.kind {
@@ -137,7 +138,7 @@ func servedProgram(seed int64, inline bool) (log []step, events int64, end Time)
 		s.next = srv[(i+1)%len(srv)]
 		if inline {
 			s.c = env.Claimant(fmt.Sprintf("srv%d", i))
-			s.q.Serve(s.c, s.inline)
+			s.q.Serve(s.c, s) // the server is its own consumer
 		} else {
 			env.Spawn(fmt.Sprintf("srv%d", i), s.run)
 		}
@@ -244,10 +245,10 @@ func TestServeKilledConsumer(t *testing.T) {
 			srv = env.Claimant("srv")
 			var cur int
 			after := func() { served += cur; q.Done() }
-			q.Serve(srv, func(x int) {
+			q.Serve(srv, ConsumerFunc[int](func(x int) {
 				cur = x
 				cpu.UseFn(srv, 10*us, after)
-			})
+			}))
 		} else {
 			srv = env.Spawn("srv", func(p *Proc) {
 				for {
@@ -389,7 +390,7 @@ func TestServeBlockingPanics(t *testing.T) {
 	env := New(1)
 	q := NewQueue[int](env)
 	c := env.Claimant("srv")
-	q.Serve(c, func(int) { c.Sleep(Microsecond) })
+	q.Serve(c, ConsumerFunc[int](func(int) { c.Sleep(Microsecond) }))
 	env.At(Microsecond, func() { q.Put(1) })
 	defer env.Shutdown()
 	defer func() {
@@ -424,7 +425,7 @@ func TestQueueAndCondSteadyStateAllocs(t *testing.T) {
 		}
 	})
 	served := NewQueue[int](env)
-	served.Serve(env.Claimant("served"), func(int) { served.Done() })
+	served.Serve(env.Claimant("served"), ConsumerFunc[int](func(int) { served.Done() }))
 	env.Spawn("producer2", func(p *Proc) {
 		for i := 0; ; i++ {
 			served.Put(i)

@@ -116,9 +116,9 @@ func (c *Cond) wake(w condWaiter) {
 // There is one claim: hold for d on behalf of p, then run a
 // continuation on the dispatch lane. A process that claims for itself
 // (Use) passes the continuation that resumes it and parks; a consumer
-// with no process behind it claims in its claimant's name (UseFn, see
-// Queue.Serve) and passes its own. Both are the same events in the same
-// slots, so the schedule cannot tell who claimed.
+// with no process behind it claims in its claimant's name (UseFn or
+// UseOn, see Queue.Serve) and passes its own. Both are the same events
+// in the same slots, so the schedule cannot tell who claimed.
 type Resource struct {
 	// Slice, if positive, is the longest a FIFO-lane claim holds at a
 	// time — a scheduling quantum: a longer claim gives way, a slice at a
@@ -142,11 +142,11 @@ type Resource struct {
 	expiredFn func()
 }
 
-// resWaiter is one claim: hold for d on p's behalf, then run fn.
+// resWaiter is one claim: hold for d on p's behalf, then fire k.
 type resWaiter struct {
 	p     *Proc
 	d     Time
-	fn    func()
+	k     Firer
 	front bool
 }
 
@@ -172,13 +172,18 @@ func (r *Resource) Use(p *Proc, d Time) {
 // of p apart, see Proc.Resume). If p is killed before the hold ends,
 // process or claimant, its events are discarded: fn never runs and the
 // resource stays with the dead holder.
-func (r *Resource) UseFn(p *Proc, d Time, fn func()) { r.claim(resWaiter{p, d, fn, false}) }
+func (r *Resource) UseFn(p *Proc, d Time, fn func()) { r.claim(resWaiter{p, d, Func(fn), false}) }
+
+// UseOn is UseFn for a typed continuation: k fires where fn would run. A
+// consumer that is its own continuation (a Firer, through a pointer)
+// binds nothing to claim.
+func (r *Resource) UseOn(p *Proc, d Time, k Firer) { r.claim(resWaiter{p, d, k, false}) }
 
 // UseFrontFn is UseFn, but the claim jumps the wait queue. Interrupt
 // service uses it so device handling preempts queued user work (though
 // not the current holder: the kernel is not preemptive
 // mid-instruction).
-func (r *Resource) UseFrontFn(p *Proc, d Time, fn func()) { r.claim(resWaiter{p, d, fn, true}) }
+func (r *Resource) UseFrontFn(p *Proc, d Time, fn func()) { r.claim(resWaiter{p, d, Func(fn), true}) }
 
 func (r *Resource) claim(w resWaiter) {
 	if w.d < 0 {
@@ -231,7 +236,7 @@ func (r *Resource) expired() {
 		r.claim(w)
 		return
 	}
-	w.fn()
+	w.k.Fire()
 }
 
 // BusyTime reports the total virtual time the resource has been held.
@@ -257,12 +262,12 @@ type Queue[T any] struct {
 	wfree   []*queueWaiter[T]
 	closed  bool
 
-	// A served queue's consumer (see Serve): fn, and the claimant c it
-	// serves as. busy holds from the scheduling of an offer (or of the
+	// A served queue's consumer (see Serve): serve, and the claimant c
+	// it serves as. busy holds from the scheduling of an offer (or of the
 	// consumer's start) to the Done of the last item served, so at most
 	// one offer is ever pending, and it is the queue's own event; in is
-	// set while fn runs, and done records a Done made meanwhile.
-	serve    func(T)
+	// set while serve runs, and done records a Done made meanwhile.
+	serve    Consumer[T]
 	c        *Proc
 	busy     bool
 	in, done bool
@@ -300,9 +305,19 @@ func NewQueue[T any](e *Env) *Queue[T] { return &Queue[T]{env: e} }
 // buffers of many queues can be carved from one array.
 func (q *Queue[T]) Buffer(buf []T) { q.items.buf = buf[:0] }
 
-// Serve makes fn the queue's consumer, serving every item to completion
+// Consumer serves the items of a served queue (see Queue.Serve). It is a
+// typed value, as a Firer is: a record that consumes a queue is its own
+// consumer and binds nothing.
+type Consumer[T any] interface{ Consume(item T) }
+
+// ConsumerFunc is a func as a Consumer.
+type ConsumerFunc[T any] func(item T)
+
+func (fn ConsumerFunc[T]) Consume(item T) { fn(item) }
+
+// Serve makes k the queue's consumer, serving every item to completion
 // on the dispatch lane on behalf of c, a claimant (see Env.Claimant):
-// fn claims resources and waits on conditions in c's name, through
+// k claims resources and waits on conditions in c's name, through
 // continuations, and calls Done when the item has been served — within
 // the call, or as the last thing a later callback event does. Service
 // order is the queue order: while an item is in service, later items
@@ -315,8 +330,8 @@ func (q *Queue[T]) Buffer(buf []T) { q.items.buf = buf[:0] }
 // an item that finds it busy is offered within the event that ends its
 // predecessor, as a thread's next Get would return it. A served queue
 // is never closed and has no Get.
-func (q *Queue[T]) Serve(c *Proc, fn func(item T)) {
-	q.env, q.serve, q.c, q.busy = c.env, fn, c, true
+func (q *Queue[T]) Serve(c *Proc, k Consumer[T]) {
+	q.env, q.serve, q.c, q.busy = c.env, k, c, true
 	q.offerEv.InitOn(q.env, (*queueOffer[T])(q))
 	q.routes.c = c
 	q.env.served = append(q.env.served, &q.routes)
@@ -391,7 +406,7 @@ func (q *Queue[T]) offer() {
 func (q *Queue[T]) next() {
 	for q.items.len() > 0 {
 		q.in, q.done = true, false
-		q.serve(q.items.pop())
+		q.serve.Consume(q.items.pop())
 		q.in = false
 		if !q.done {
 			q.routes.Pending++

@@ -63,20 +63,20 @@ var codeCeilings = map[string]int{
 	"examples/mixed":      30,
 	"examples/quickstart": 48,
 	"examples/tsp":        32,
-	"internal/amoeba":     799, // +30: a claimant is a record of its consumer's (Claimant) whose name renders when first read (Machine.Claimant, which only tests called, went), and a kernel timer armed again and again (Timer) has a typed round (Round) queued through the frame's payload slot of a task
+	"internal/amoeba":     811, // +12: a port handler is a typed value (Handler, with HandlerFunc for Bind's funcs, and BindHandler), the server is its port's handler and its queue's consumer and the machine its interrupt queue's (serverPort, serverQueue, interruptService), and ComputeOn charges with a typed continuation
 	"internal/apps/acp":   637,
 	"internal/apps/atpg":  769,
 	"internal/apps/chess": 986,
 	"internal/apps/kv":    369,  // +9: the key directory, the slot array's write path and the 1<<31 key limit (map shard state and receipt maps went)
-	"internal/apps/tsp":   564,  // +5: the search is a method recursion over a uint64 of free cities, and rejects more than 64
-	"internal/group":      2236, // +29: JoinAll builds a group's members as one, their records, delivery queues and per-source state carved from per-group slabs and the member index shared (Join is a JoinAll of one); the three maps are made at their first insert (put); the heartbeat is a typed round (hbRound)
+	"internal/apps/tsp":   576,  // +12: a run computes the cheapest-edge table once and hands it to every search, and GenerateJobs counts its jobs to carve their routes from one array
+	"internal/group":      2240, // +4: a member is its port's handler (portHandler), bound with no closure
 	"internal/harness":    1622,
 	"internal/netsim":     414,
 	"internal/orca":       726,  // −3: joinGroups joins each group with one JoinAll
-	"internal/orca/std":   386,  // +3: NewZeroCounter, a counter created with no constructor argument
+	"internal/orca/std":   412,  // +26: the job queue is a ring that doubles when full (push, pop, copied) in place of a slice sliced from the front
 	"internal/rts":        2828, // +45: the run's primary copies and queues are carved from per-run slabs and a group's replicas from the group's, a span's worth per run (slab), object managers from one slice per group, and tables by object id grow in one step (slot); each consumer's continuations are method expressions one bound method value dispatches (then, resume, thenCheck) in place of seventeen bound method values; access statistics are per object
 	"internal/rts/scheck": 111,
-	"internal/sim":        820, // +21: an event's callback is typed (Firer, InitOn; a func is a callback), a served queue's offer is its own event, a claimant can be its owner's record with a lazily rendered name (InitClaimant), and Queue.Buffer replaces Grow
+	"internal/sim":        824, // +4: a served queue's consumer is a typed value (Consumer, ConsumerFunc), and a claim's continuation may be one (UseOn; a func is a Func)
 	"internal/workload":   231, // +10: one Zipf table per (Keys, Theta), shared by every generator instead of summed per client
 }
 
