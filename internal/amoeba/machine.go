@@ -419,7 +419,13 @@ func (m *Machine) Send(p *sim.Proc, dst int, pkt Packet) {
 // the interrupt claimant's name belongs to the task in service, which
 // ends only once then has run (see Handler).
 func (m *Machine) SendFn(p *sim.Proc, dst int, pkt Packet, then func()) {
-	m.sendFn(p, dst, pkt, nil, then)
+	m.sendOn(p, dst, pkt, nil, sim.Func(then))
+}
+
+// SendOn is SendFn for a typed continuation: then fires where SendFn's
+// would run, so a record that is its own continuation binds nothing.
+func (m *Machine) SendOn(p *sim.Proc, dst int, pkt Packet, then sim.Firer) {
+	m.sendOn(p, dst, pkt, nil, then)
 }
 
 // sending is a send on its way out; records are pooled per machine.
@@ -428,15 +434,15 @@ type sending struct {
 	dst     int
 	members []int // a multicast's receivers
 	pkt     Packet
-	then    func()
+	then    sim.Firer
 	kernel  bool   // claimed by the interrupt claimant
 	sentFn  func() // s.sent, bound once
 	next    *sending
 }
 
-func (m *Machine) sendFn(p *sim.Proc, dst int, pkt Packet, members []int, then func()) {
+func (m *Machine) sendOn(p *sim.Proc, dst int, pkt Packet, members []int, then sim.Firer) {
 	if m.crashed {
-		then()
+		then.Fire()
 		return
 	}
 	s := m.sends
@@ -474,7 +480,7 @@ func (s *sending) sent() {
 	then, kernel := s.then, s.kernel
 	*s = sending{m: m, sentFn: s.sentFn, next: m.sends}
 	m.sends = s
-	then()
+	then.Fire()
 	if kernel {
 		if m.joins--; m.joins == 0 {
 			m.inq.Done()
@@ -493,7 +499,12 @@ func (m *Machine) Broadcast(p *sim.Proc, pkt Packet) { m.Send(p, netsim.Broadcas
 // interrupts. members must be sorted ascending for deterministic
 // delivery order.
 func (m *Machine) MulticastFn(p *sim.Proc, pkt Packet, members []int, then func()) {
-	m.sendFn(p, 0, pkt, members, then)
+	m.sendOn(p, 0, pkt, members, sim.Func(then))
+}
+
+// MulticastOn is MulticastFn for a typed continuation (see SendOn).
+func (m *Machine) MulticastOn(p *sim.Proc, pkt Packet, members []int, then sim.Firer) {
+	m.sendOn(p, 0, pkt, members, then)
 }
 
 // Defer enqueues fn to run in interrupt context, as a task of interrupt

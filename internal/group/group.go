@@ -767,14 +767,17 @@ type effect struct {
 // step or call running now inserts its own at at. Outboxes are pooled
 // per member, so a step allocates none.
 type outbox struct {
-	g       *Member
-	p       *sim.Proc
-	fx      []effect
-	i, at   int
-	then    func() // runs after the last effect (nil: interrupt context)
-	issueFn func() // o.issue, bound once
-	free    *outbox
+	g     *Member
+	p     *sim.Proc
+	fx    []effect
+	i, at int
+	then  func() // runs after the last effect (nil: interrupt context)
+	free  *outbox
 }
+
+// Fire issues the rest of the outbox: an outbox is its sends'
+// continuation, so chaining them binds nothing.
+func (o *outbox) Fire() { o.issue() }
 
 // begin opens the outbox of a step on p's behalf; issue then carries it
 // out, and then runs once the last effect has been issued.
@@ -786,7 +789,6 @@ func (g *Member) begin(p *sim.Proc, then func()) *outbox {
 			o = new(outbox)
 		}
 		o.g = g
-		o.issueFn = o.issue
 	} else {
 		g.boxes, o.free = o.free, nil
 	}
@@ -850,9 +852,9 @@ func (o *outbox) issue() {
 			g.run(e)
 			continue
 		case e.dst == netsim.Broadcast && g.castTo != nil:
-			g.m.MulticastFn(o.p, e.pkt, g.castTo, o.issueFn)
+			g.m.MulticastOn(o.p, e.pkt, g.castTo, o)
 		default:
-			g.m.SendFn(o.p, e.dst, e.pkt, o.issueFn)
+			g.m.SendOn(o.p, e.dst, e.pkt, o)
 		}
 		return
 	}

@@ -63,13 +63,13 @@ var codeCeilings = map[string]int{
 	"examples/mixed":      30,
 	"examples/quickstart": 48,
 	"examples/tsp":        32,
-	"internal/amoeba":     811, // +12: a port handler is a typed value (Handler, with HandlerFunc for Bind's funcs, and BindHandler), the server is its port's handler and its queue's consumer and the machine its interrupt queue's (serverPort, serverQueue, interruptService), and ComputeOn charges with a typed continuation
+	"internal/amoeba":     817, // +18: a port handler is a typed value (Handler, with HandlerFunc for Bind's funcs, and BindHandler), the server is its port's handler and its queue's consumer and the machine its interrupt queue's (serverPort, serverQueue, interruptService), and ComputeOn, SendOn and MulticastOn take a typed continuation
 	"internal/apps/acp":   637,
 	"internal/apps/atpg":  769,
 	"internal/apps/chess": 986,
 	"internal/apps/kv":    369,  // +9: the key directory, the slot array's write path and the 1<<31 key limit (map shard state and receipt maps went)
 	"internal/apps/tsp":   576,  // +12: a run computes the cheapest-edge table once and hands it to every search, and GenerateJobs counts its jobs to carve their routes from one array
-	"internal/group":      2240, // +4: a member is its port's handler (portHandler), bound with no closure
+	"internal/group":      2239, // +3: a member is its port's handler (portHandler) and an outbox its sends' continuation (Fire), bound with no closure
 	"internal/harness":    1622,
 	"internal/netsim":     414,
 	"internal/orca":       726,  // −3: joinGroups joins each group with one JoinAll
