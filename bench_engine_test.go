@@ -196,7 +196,7 @@ func BenchmarkEngineFanOut(b *testing.B) {
 	}
 	arrive = func() {
 		for i, r := range cpus {
-			r.UseFrontFn(owners[i], 10*sim.Microsecond, next)
+			r.UseFrontOn(owners[i], 10*sim.Microsecond, sim.Func(next))
 		}
 	}
 	e.Schedule(0, arrive)

@@ -110,25 +110,24 @@ func (fn deferred) Round(p *sim.Proc) { fn(p) }
 // Machine is one kernel instance: a node id, a CPU, bound ports, and
 // bookkeeping for threads.
 type Machine struct {
-	id         int
-	env        *sim.Env
-	net        *netsim.Network
-	costs      Costs
-	cpu        *sim.Resource
-	inq        *sim.Queue[task]
-	isr        *sim.Proc // the interrupt claimant
-	isrRec     Claimant  // isr's record
-	cur        task      // the delivery whose costs are being charged inline
-	pkt        Packet    // the packet being served, opened by dispatch
-	dispatchFn func()    // m.dispatch, bound once
-	ports      map[string]Handler
-	lastPort   string  // memo of the last resolution (see bound);
-	last       Handler // nil after a Bind or an Unbind
-	casts      *cast   // released broadcast payloads, for cast to reuse
-	sends      *sending
-	deadlines  *Deadline // released deadline records, for Deadline to reuse
-	joins      int       // continuations the task in service has outstanding
-	crashed    bool
+	id        int
+	env       *sim.Env
+	net       *netsim.Network
+	costs     Costs
+	cpu       *sim.Resource
+	inq       *sim.Queue[task]
+	isr       *sim.Proc // the interrupt claimant
+	isrRec    Claimant  // isr's record
+	cur       task      // the delivery whose costs are being charged inline
+	pkt       Packet    // the packet being served, opened by dispatch
+	ports     map[string]Handler
+	lastPort  string  // memo of the last resolution (see bound);
+	last      Handler // nil after a Bind or an Unbind
+	casts     *cast   // released broadcast payloads, for cast to reuse
+	sends     *sending
+	deadlines *Deadline // released deadline records, for Deadline to reuse
+	joins     int       // continuations the task in service has outstanding
+	crashed   bool
 
 	threads    []*sim.Proc // live threads and the claimants of this machine (compacted lazily)
 	threadHi   int         // compaction watermark for threads
@@ -148,7 +147,6 @@ func NewMachine(env *sim.Env, net *netsim.Network, id int, costs Costs) *Machine
 		ports: make(map[string]Handler),
 	}
 	m.cpu.Slice = quantum
-	m.dispatchFn = m.dispatch
 	net.Handle(id, m.receive)
 	m.isr = m.isrRec.Init(m, "netisr", -1)
 	m.inq.Serve(m.isr, (*interruptService)(m))
@@ -190,13 +188,17 @@ func (m *Machine) interrupt(t task) {
 	}
 	m.cur = t
 	cost := m.costs.Interrupt*sim.Time(t.frags) + m.costs.Protocol
-	m.cpu.UseFrontFn(m.isr, cost, m.dispatchFn)
+	m.cpu.UseFrontOn(m.isr, cost, (*interruptService)(m))
 }
 
-// interruptService is a machine as the consumer of its interrupt queue.
+// interruptService is a machine as its interrupt service: the consumer
+// of its interrupt queue, and the continuation that dispatches a
+// delivery once its costs have been charged.
 type interruptService Machine
 
 func (s *interruptService) Consume(t task) { (*Machine)(s).interrupt(t) }
+
+func (s *interruptService) Fire() { (*Machine)(s).dispatch() }
 
 // dispatch runs when the current delivery's costs have been charged: it
 // opens the frame into m.pkt, the one packet built for a delivery, which
@@ -435,10 +437,13 @@ type sending struct {
 	members []int // a multicast's receivers
 	pkt     Packet
 	then    sim.Firer
-	kernel  bool   // claimed by the interrupt claimant
-	sentFn  func() // s.sent, bound once
+	kernel  bool // claimed by the interrupt claimant
 	next    *sending
 }
+
+// Fire transmits the packet once its send cost has been charged: a send
+// record is its charge's continuation.
+func (s *sending) Fire() { s.sent() }
 
 func (m *Machine) sendOn(p *sim.Proc, dst int, pkt Packet, members []int, then sim.Firer) {
 	if m.crashed {
@@ -448,7 +453,6 @@ func (m *Machine) sendOn(p *sim.Proc, dst int, pkt Packet, members []int, then s
 	s := m.sends
 	if s == nil {
 		s = &sending{m: m}
-		s.sentFn = s.sent
 	} else {
 		m.sends = s.next
 	}
@@ -456,7 +460,7 @@ func (m *Machine) sendOn(p *sim.Proc, dst int, pkt Packet, members []int, then s
 	if s.kernel {
 		m.joins++
 	}
-	m.cpu.UseFn(p, m.costs.Send, s.sentFn)
+	m.cpu.UseOn(p, m.costs.Send, s)
 }
 
 // sent hands a packet whose send cost has been charged to the driver
@@ -478,7 +482,7 @@ func (s *sending) sent() {
 		m.net.SendFrame(netsim.Frame{Src: m.id, Dst: s.dst, Kind: s.pkt.Kind, Size: s.pkt.Size, Payload: box})
 	}
 	then, kernel := s.then, s.kernel
-	*s = sending{m: m, sentFn: s.sentFn, next: m.sends}
+	*s = sending{m: m, next: m.sends}
 	m.sends = s
 	then.Fire()
 	if kernel {

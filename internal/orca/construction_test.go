@@ -36,7 +36,7 @@ func constructionAllocs(units int, budget float64, build func()) float64 {
 // serves it and its access statistics.
 func TestRunConstructionAllocations(t *testing.T) {
 	skipUnderRace(t)
-	// Pinned a little above the figures measured (3.71 and 11.81); with a
+	// Pinned a little above the figures measured (3.59 and 11.81); with a
 	// closure bound per group member, per object manager (two) and per
 	// primary copy's consumer they were 7.09 and 12.81, and the runtime
 	// before the construction slabs took 33.34 and 29.7.

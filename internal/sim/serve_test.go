@@ -98,15 +98,15 @@ func (s *testServer) Consume(it testItem) {
 		s.cpu.UseFn(s.c, it.cost, s.after)
 	case kBlock:
 		s.cpu.UseFn(s.c, it.cost, func() {
-			s.env.Schedule(s.env.now+it.cost/2, func() { s.cpu.UseFrontFn(s.c, it.cost, s.after) })
+			s.env.Schedule(s.env.now+it.cost/2, func() { s.cpu.UseFrontOn(s.c, it.cost, Func(s.after)) })
 		})
 	case kLate:
-		s.cpu.UseFrontFn(s.c, it.cost, func() {
+		s.cpu.UseFrontOn(s.c, it.cost, Func(func() {
 			s.note("late", it)
 			s.cpu.UseFn(s.c, it.cost/3, s.after)
-		})
+		}))
 	default:
-		s.cpu.UseFrontFn(s.c, it.cost, s.after)
+		s.cpu.UseFrontOn(s.c, it.cost, Func(s.after))
 	}
 }
 

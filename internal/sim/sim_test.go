@@ -171,7 +171,7 @@ func TestResourceSerializes(t *testing.T) {
 // plus a park, as Use is of UseFn. Only tests claim the front lane from
 // a process of their own.
 func useFront(r *Resource, p *Proc, d Time) {
-	r.UseFrontFn(p, d, p.resumeFn)
+	r.UseFrontOn(p, d, Func(p.resumeFn))
 	p.park()
 }
 

@@ -179,11 +179,11 @@ func (r *Resource) UseFn(p *Proc, d Time, fn func()) { r.claim(resWaiter{p, d, F
 // binds nothing to claim.
 func (r *Resource) UseOn(p *Proc, d Time, k Firer) { r.claim(resWaiter{p, d, k, false}) }
 
-// UseFrontFn is UseFn, but the claim jumps the wait queue. Interrupt
+// UseFrontOn is UseOn, but the claim jumps the wait queue. Interrupt
 // service uses it so device handling preempts queued user work (though
 // not the current holder: the kernel is not preemptive
 // mid-instruction).
-func (r *Resource) UseFrontFn(p *Proc, d Time, fn func()) { r.claim(resWaiter{p, d, Func(fn), true}) }
+func (r *Resource) UseFrontOn(p *Proc, d Time, k Firer) { r.claim(resWaiter{p, d, k, true}) }
 
 func (r *Resource) claim(w resWaiter) {
 	if w.d < 0 {
