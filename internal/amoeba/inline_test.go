@@ -606,7 +606,7 @@ func TestComputeFnSlicesLikeCompute(t *testing.T) {
 		if inline {
 			c := new(Claimant).Init(m, "long", -1)
 			done := func() { note("long"); work.Done() }
-			work.Serve(c, sim.ConsumerFunc[sim.Time](func(d sim.Time) { m.ComputeFn(c, d, done) }))
+			work.Serve(c, timeConsumer(func(d sim.Time) { m.ComputeFn(c, d, done) }))
 		} else {
 			m.SpawnThread("long", func(p *sim.Proc) {
 				for {
@@ -750,3 +750,8 @@ func TestBindHandlerAllocations(t *testing.T) {
 		t.Errorf("the typed handler served %d packets, want 1", c.n)
 	}
 }
+
+// timeConsumer is a func as the consumer of a queue of charges.
+type timeConsumer func(d sim.Time)
+
+func (fn timeConsumer) Consume(d sim.Time) { fn(d) }

@@ -85,6 +85,11 @@ func (s *testServer) onThread(p *Proc, it testItem) {
 	s.finish(it)
 }
 
+// consumerFunc is a func as a Consumer.
+type consumerFunc[T any] func(item T)
+
+func (fn consumerFunc[T]) Consume(item T) { fn(item) }
+
 // Consume is the same service in continuation form: the server is its
 // queue's consumer.
 func (s *testServer) Consume(it testItem) {
@@ -245,7 +250,7 @@ func TestServeKilledConsumer(t *testing.T) {
 			srv = env.Claimant("srv")
 			var cur int
 			after := func() { served += cur; q.Done() }
-			q.Serve(srv, ConsumerFunc[int](func(x int) {
+			q.Serve(srv, consumerFunc[int](func(x int) {
 				cur = x
 				cpu.UseFn(srv, 10*us, after)
 			}))
@@ -390,7 +395,7 @@ func TestServeBlockingPanics(t *testing.T) {
 	env := New(1)
 	q := NewQueue[int](env)
 	c := env.Claimant("srv")
-	q.Serve(c, ConsumerFunc[int](func(int) { c.Sleep(Microsecond) }))
+	q.Serve(c, consumerFunc[int](func(int) { c.Sleep(Microsecond) }))
 	env.At(Microsecond, func() { q.Put(1) })
 	defer env.Shutdown()
 	defer func() {
@@ -425,7 +430,7 @@ func TestQueueAndCondSteadyStateAllocs(t *testing.T) {
 		}
 	})
 	served := NewQueue[int](env)
-	served.Serve(env.Claimant("served"), ConsumerFunc[int](func(int) { served.Done() }))
+	served.Serve(env.Claimant("served"), consumerFunc[int](func(int) { served.Done() }))
 	env.Spawn("producer2", func(p *Proc) {
 		for i := 0; ; i++ {
 			served.Put(i)

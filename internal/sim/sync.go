@@ -310,11 +310,6 @@ func (q *Queue[T]) Buffer(buf []T) { q.items.buf = buf[:0] }
 // consumer and binds nothing.
 type Consumer[T any] interface{ Consume(item T) }
 
-// ConsumerFunc is a func as a Consumer.
-type ConsumerFunc[T any] func(item T)
-
-func (fn ConsumerFunc[T]) Consume(item T) { fn(item) }
-
 // Serve makes k the queue's consumer, serving every item to completion
 // on the dispatch lane on behalf of c, a claimant (see Env.Claimant):
 // k claims resources and waits on conditions in c's name, through

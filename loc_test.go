@@ -76,7 +76,7 @@ var codeCeilings = map[string]int{
 	"internal/orca/std":   412,  // +26: the job queue is a ring that doubles when full (push, pop, copied) in place of a slice sliced from the front
 	"internal/rts":        2828, // +45: the run's primary copies and queues are carved from per-run slabs and a group's replicas from the group's, a span's worth per run (slab), object managers from one slice per group, and tables by object id grow in one step (slot); each consumer's continuations are method expressions one bound method value dispatches (then, resume, thenCheck) in place of seventeen bound method values; access statistics are per object
 	"internal/rts/scheck": 111,
-	"internal/sim":        824, // +4: a served queue's consumer is a typed value (Consumer, ConsumerFunc), and a claim's continuation may be one (UseOn, and UseFrontOn in place of UseFrontFn; a func is a Func)
+	"internal/sim":        822, // +2: a served queue's consumer is a typed value (Consumer), and a claim's continuation may be one (UseOn, and UseFrontOn in place of UseFrontFn; a func is a Func)
 	"internal/workload":   231, // +10: one Zipf table per (Keys, Theta), shared by every generator instead of summed per client
 }
 
