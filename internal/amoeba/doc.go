@@ -15,8 +15,8 @@
 // completion on the simulator's dispatch lane in the name of the
 // machine's interrupt claimant (see sim.Env.Claimant): the charge, the
 // handler and deferred functions (kernel timer rounds) alike. A handler
-// never blocks: it sends through the continuation forms (SendFn,
-// MulticastFn), chaining one send from the last one's continuation, and
+// never blocks: it sends through the continuation forms (SendFn, SendOn,
+// MulticastOn), chaining one send from the last one's continuation, and
 // the kernel serves the next packet once the handler and every
 // continuation it started have run, so service stalls behind its sends
 // as it did behind a blocked interrupt thread, in the same virtual

@@ -66,10 +66,10 @@ type Packet struct {
 // is the machine's interrupt claimant (see sim.Env.Claimant), which has
 // no process behind it: p is good for identity, for p.Now() and as the
 // claimant of CPU time, and reaching a blocking call with it panics in
-// sim. A handler never blocks. It sends
-// through the continuation forms (SendFn, MulticastFn) with p, whatever
-// it does after a send going into that send's continuation, and issues
-// a second send from the first one's continuation, never beside it. The
+// sim. A handler never blocks. It sends through the continuation forms
+// (SendFn, SendOn, MulticastOn) with p, whatever it does after a send
+// going into that send's continuation, and issues a second send from
+// the first one's continuation, never beside it. The
 // kernel joins them: the next delivery is served once the handler has
 // returned and every continuation it started has run, so interrupt
 // service stalls behind its sends, as on a real kernel. A handler must
@@ -497,16 +497,11 @@ func (s *sending) sent() {
 // continuation form is SendFn to netsim.Broadcast.
 func (m *Machine) Broadcast(p *sim.Proc, pkt Packet) { m.Send(p, netsim.Broadcast, pkt) }
 
-// MulticastFn transmits a packet to the listed member nodes, charging
-// send-side CPU to p, in continuation form (see SendFn). The wire
-// carries one frame (hardware multicast); only member NICs take receive
-// interrupts. members must be sorted ascending for deterministic
-// delivery order.
-func (m *Machine) MulticastFn(p *sim.Proc, pkt Packet, members []int, then func()) {
-	m.sendOn(p, 0, pkt, members, sim.Func(then))
-}
-
-// MulticastOn is MulticastFn for a typed continuation (see SendOn).
+// MulticastOn transmits a packet to the listed member nodes, charging
+// send-side CPU to p, in continuation form with a typed continuation
+// (see SendOn). The wire carries one frame (hardware multicast); only
+// member NICs take receive interrupts. members must be sorted ascending
+// for deterministic delivery order.
 func (m *Machine) MulticastOn(p *sim.Proc, pkt Packet, members []int, then sim.Firer) {
 	m.sendOn(p, 0, pkt, members, then)
 }

@@ -91,6 +91,17 @@ func (qp *queuePair) check() {
 	}
 }
 
+// clone clones the ring queue, checking that the clone's ring holds its
+// jobs and no more, whatever the original's ring once grew to.
+func (qp *queuePair) clone() rts.State {
+	qp.t.Helper()
+	c := qp.typ.Clone(qp.ring).(*jobQueueState)
+	if len(c.ring) != c.n {
+		qp.t.Fatalf("%s: a clone of %d jobs has a ring of %d slots", qp.at, c.n, len(c.ring))
+	}
+	return c
+}
+
 // drain empties both queues, checking every job and the sizes on the way.
 func (qp *queuePair) drain() {
 	qp.t.Helper()
@@ -120,11 +131,11 @@ func queueMatchesSlice(t *testing.T, ops []byte) {
 			qp.typ.Op("close").Apply(qp.ring, rts.Args{})
 			qp.ref.closed = true
 		case 6:
-			side := &queuePair{t: t, typ: typ, ring: typ.Clone(qp.ring), ref: qp.ref.clone(), at: qp.at + ", clone"}
+			side := &queuePair{t: t, typ: typ, ring: qp.clone(), ref: qp.ref.clone(), at: qp.at + ", clone"}
 			side.check()
 			side.drain()
 		case 7:
-			qp.ring, qp.ref = typ.Clone(qp.ring), qp.ref.clone()
+			qp.ring, qp.ref = qp.clone(), qp.ref.clone()
 		}
 		qp.check()
 	}
@@ -195,6 +206,25 @@ func TestQueueAllocations(t *testing.T) {
 	}
 	if a := testing.AllocsPerRun(1000, func() { add.Apply(s, job); get.Apply(s, rts.Args{}) }); a != 0 {
 		t.Errorf("an add and a get on a ring that holds the backlog allocate %v times, want 0", a)
+	}
+	// A clone copies the backlog the replica has, not the one it had: a
+	// drained ring of 4096 slots clones to an empty one, which allocates
+	// no slots, and three jobs clone to three slots.
+	for s.n > 0 {
+		get.Apply(s, rts.Args{})
+	}
+	for _, want := range []int{0, 3} {
+		for s.n < want {
+			add.Apply(s, job)
+		}
+		var c *jobQueueState
+		a := testing.AllocsPerRun(100, func() { c = typ.Clone(s).(*jobQueueState) })
+		if len(s.ring) != 4096 || len(c.ring) != c.n || c.n != want {
+			t.Errorf("a clone of %d jobs on a ring of %d slots has %d jobs on %d slots, want %d on %d", s.n, len(s.ring), c.n, len(c.ring), want, want)
+		}
+		if want == 0 && a != 1 {
+			t.Errorf("a clone of a drained ring allocates %v times, want 1 (the state, no slots)", a)
+		}
 	}
 }
 

@@ -167,7 +167,9 @@ func (q *jobQueueState) pop() any {
 }
 
 // copied returns the queued jobs in order, at the start of a new ring of
-// size slots.
+// size slots. A clone's ring holds its jobs and no more, so what a clone
+// copies follows the backlog a replica has, not the one it once had; its
+// first add doubles it.
 func (q *jobQueueState) copied(size int) []any {
 	r := make([]any, size)
 	k := copy(r, q.ring[q.head:min(q.head+q.n, len(q.ring))])
@@ -178,7 +180,7 @@ func (q *jobQueueState) copied(size int) []any {
 var (
 	queueB = orca.NewType(JobQueueObj, func([]any) *jobQueueState { return &jobQueueState{} }).
 		CloneWith(func(q *jobQueueState) *jobQueueState {
-			return &jobQueueState{ring: q.copied(len(q.ring)), n: q.n, closed: q.closed, bytes: q.bytes}
+			return &jobQueueState{ring: q.copied(q.n), n: q.n, closed: q.closed, bytes: q.bytes}
 		}).
 		SizedBy((*jobQueueState).WireSize)
 

@@ -63,7 +63,7 @@ var codeCeilings = map[string]int{
 	"examples/mixed":      30,
 	"examples/quickstart": 48,
 	"examples/tsp":        32,
-	"internal/amoeba":     815, // +16: a port handler is a typed value (Handler, with HandlerFunc for Bind's funcs, and BindHandler), the server is its port's handler and its queue's consumer, the machine its interrupt service (interruptService: its queue's consumer and a delivery's continuation) and a send record its charge's continuation, and ComputeOn, SendOn and MulticastOn take a typed continuation
+	"internal/amoeba":     812, // +13: a port handler is a typed value (Handler, with HandlerFunc for Bind's funcs, and BindHandler), the server is its port's handler and its queue's consumer, the machine its interrupt service (interruptService: its queue's consumer and a delivery's continuation) and a send record its charge's continuation, and ComputeOn, SendOn and MulticastOn take a typed continuation; MulticastOn replaces MulticastFn
 	"internal/apps/acp":   637,
 	"internal/apps/atpg":  769,
 	"internal/apps/chess": 986,
