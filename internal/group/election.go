@@ -164,13 +164,10 @@ func (g *Member) becomeSequencer() {
 // holds a contiguous window of the most recently delivered messages,
 // so the ring rebase is exact.
 func (g *Member) rebuildHistory() {
-	clear(g.seenBySrc)
-	for i := range g.statuses {
-		g.statuses[i] = -1
-	}
-	g.trimMin, g.trimOwn = 0, false
-	g.history.reset(min(g.cache.lo, g.nextSeq))
-	for s := g.cache.lo; s < g.nextSeq; s++ {
+	g.resetSeqTables()
+	lo := g.cache.lo()
+	g.history.reset(min(lo, g.nextSeq))
+	for s := lo; s < g.nextSeq; s++ {
 		if d := g.cache.get(s); d != nil {
 			g.recordHistory(d)
 		}

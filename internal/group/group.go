@@ -496,14 +496,16 @@ type Member struct {
 	// per-source delivered windows: dlvBySrc[i] remembers which of a
 	// source's submissions have been delivered, so a re-sequenced
 	// duplicate after an election is recognized in O(1).
-	cache    seqRing[*dataMsg]
+	cache    cacheLog
 	dlvBySrc []dedupWindow
 
 	// Sequencer state. A freshly elected sequencer is not installed
 	// until every live member acknowledged its view; it assigns no
 	// sequence numbers before that. history is a seq-indexed ring:
 	// sequence numbers are dense, so lookup, record, and trim are
-	// array steps and nothing iterates a map on the delivery path.
+	// array steps and nothing iterates a map on the delivery path. The
+	// per-source and per-member tables (and consensus acked) are made
+	// when the member first sequences (see resetSeqTables).
 	isSeq     bool
 	installed bool
 	viewAcks  map[int]bool
@@ -649,17 +651,11 @@ func JoinAll(ms []*amoeba.Machine, cfg Config) []*Member {
 		slices.Sort(castTo)
 	}
 	var (
-		slab     = make([]Member, k)
-		out      = make([]*Member, k)
-		dlv      = make([]dedupWindow, k*n)
-		seen     = make([]*seqRing[int64], k*n)
-		statuses = make([]int64, k*n)
-		frames   = make([]Delivery, k*frame)
-		acked    []int64
+		slab   = make([]Member, k)
+		out    = make([]*Member, k)
+		dlv    = make([]dedupWindow, k*n)
+		frames = make([]Delivery, k*frame)
 	)
-	if cfg.Protocol == Consensus {
-		acked = make([]int64, k*n)
-	}
 	for j, m := range ms {
 		g := &slab[j]
 		*g = Member{
@@ -671,26 +667,20 @@ func JoinAll(ms []*amoeba.Machine, cfg Config) []*Member {
 			nextSeq:   1,
 			acc:       packer{accept: true},
 			memberIdx: idx,
-			cache:     seqRing[*dataMsg]{max: cacheSize},
 			dlvBySrc:  dlv[j*n : (j+1)*n : (j+1)*n],
 			history:   seqRing[*dataMsg]{max: historyMax},
-			seenBySrc: seen[j*n : (j+1)*n : (j+1)*n],
-			statuses:  statuses[j*n : (j+1)*n : (j+1)*n],
-		}
-		for i := range n {
-			g.statuses[i] = -1
-			g.dlvBySrc[i] = newDedupWindow()
 		}
 		g.outQ.Buffer(frames[j*frame : j*frame : (j+1)*frame]) // a frame's deliveries, queued at once
 		g.buffered.reset(1)
 		g.history.reset(1)
-		g.cache.reset(1)
 		g.isSeq = m.ID() == seq
 		g.installed = true // the boot view needs no installation round
+		if g.isSeq {
+			g.resetSeqTables()
+		}
 		if cfg.Protocol == Consensus {
 			g.accepted = seqRing[accSlot]{max: historyMax}
 			g.accepted.reset(1)
-			g.acked = acked[j*n : (j+1)*n : (j+1)*n]
 			if g.isSeq {
 				// The boot leader owns the smallest ballot of its member
 				// index; every member starts at promised 0 and accepts it.
@@ -1248,6 +1238,23 @@ func (st *sendState) resend() {
 	g.later(effect{kind: fxArmSender, on: st})
 }
 
+// resetSeqTables gives a member that starts sequencing empty per-source
+// dedup windows and no member's status, making its sequencer tables the
+// first time: a member that never sequences holds none.
+func (g *Member) resetSeqTables() {
+	if n := len(g.cfg.Members); g.statuses == nil {
+		g.statuses, g.seenBySrc = make([]int64, n), make([]*seqRing[int64], n)
+		if g.cfg.Protocol == Consensus {
+			g.acked = make([]int64, n)
+		}
+	}
+	clear(g.seenBySrc)
+	for i := range g.statuses {
+		g.statuses[i] = -1
+	}
+	g.trimMin, g.trimOwn = 0, false
+}
+
 // recordHistory stores a sequenced message in the sequencer's history
 // ring (which drops its oldest entry beyond historyMax) and the
 // per-source dedup window.
@@ -1284,12 +1291,12 @@ func (g *Member) trimHistory() {
 // about once per reporting round instead of once per report.
 func (g *Member) noteStatus(node int, delivered int64) {
 	idx := g.srcIdx(node)
-	if idx < 0 {
-		return
+	if idx < 0 || !g.isSeq {
+		return // a new sequencer starts from no status (resetSeqTables)
 	}
 	old := g.statuses[idx]
 	g.statuses[idx] = delivered
-	if g.isSeq && (old < 0 || old <= g.trimMin || g.trimOwn) {
+	if old < 0 || old <= g.trimMin || g.trimOwn {
 		g.trimHistory()
 	}
 }

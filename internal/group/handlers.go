@@ -209,17 +209,18 @@ func (g *Member) onRetxReq(r retxReq) {
 	// delivered them can serve them from its cache, and after a leader
 	// death the committed log must not depend on one machine being up and
 	// installed.
-	ring := &g.history
-	if !g.isSeq {
-		if g.cfg.Protocol != Consensus {
-			return
-		}
-		ring = &g.cache
-	} else {
+	cached := !g.isSeq
+	if !cached {
 		to = min(to, g.maxSeen)
+	} else if g.cfg.Protocol != Consensus {
+		return
 	}
 	g.each(int(to-r.From+1), func(i int) {
-		if d := ring.get(r.From + int64(i)); d != nil {
+		d := g.history.get(r.From + int64(i))
+		if cached {
+			d = g.cache.get(r.From + int64(i))
+		}
+		if d != nil {
 			g.send(r.Node, "grp-retx", g.reframe(d, g.epoch), frameSize(1, d.Size))
 		}
 	})

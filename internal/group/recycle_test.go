@@ -95,13 +95,13 @@ func TestRingCapIsExact(t *testing.T) {
 func TestDedupPrefixMatchesWindow(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	for round := 0; round < 40; round++ {
-		w := newDedupWindow()
+		var w dedupWindow
 		ref := seqRing[int64]{max: srcWindow}
 		ref.reset(1)
 		refDup := func(i int64) bool { return i < ref.lo || ref.get(i) != 0 }
 		deliver := func(i int64) {
 			if got, want := w.delivered(i), refDup(i); got != want {
-				t.Fatalf("round %d: submission %d a duplicate: %t, the ring says %t (window lo %d, ring lo %d)", round, i, got, want, w.lo, ref.lo)
+				t.Fatalf("round %d: submission %d a duplicate: %t, the ring says %t (window done %d, ring lo %d)", round, i, got, want, w.done, ref.lo)
 			}
 			if !refDup(i) {
 				w.note(i)
@@ -135,15 +135,15 @@ func TestDedupPrefixMatchesWindow(t *testing.T) {
 			}
 		}
 	}
-	w := newDedupWindow()
+	var w dedupWindow
 	for i := int64(1); i <= 10_000; i++ {
 		if w.delivered(i) {
 			t.Fatalf("submission %d reads as delivered before it was", i)
 		}
 		w.note(i)
 	}
-	if len(w.vals) > 16 || !w.delivered(10_000) || w.delivered(10_001) {
-		t.Errorf("after 10 000 in-order deliveries the window holds %d slots (lo %d)", len(w.vals), w.lo)
+	if w.ex != nil || !w.delivered(10_000) || w.delivered(10_001) {
+		t.Errorf("after 10 000 in-order deliveries the window holds a ring (%v, done %d)", w.ex, w.done)
 	}
 }
 

@@ -113,35 +113,103 @@ func (r *seqRing[T]) grow(need int64) {
 	r.vals = nv
 }
 
-// dedupWindow remembers which of one source's submissions, numbered
-// densely from 1, have been delivered: every one below lo — the
-// contiguous delivered prefix, and whatever is more than srcWindow
-// behind the newest, which counts as delivered — and, above lo, the
-// exceptions delivered out of order. A source whose submissions arrive
-// in order, the only kind without a view change, holds no exception and
-// no array.
-type dedupWindow struct{ seqRing[bool] }
+// cacheLog is a member's delivered-message cache: the last cacheSize
+// records it delivered, by sequence number, for a new sequencer's
+// history and, under consensus, a follower's retransmissions and
+// promises. A member only ever appends to it, at its next sequence
+// number, and never trims it, so each record lives at the fixed
+// position (seq−1) mod cacheSize, in one of the segments logSegs bounds,
+// each made at its first store: a member holds slots for what it has
+// delivered, rounded up to a segment, and nothing is ever copied. It
+// answers what a seqRing capped at cacheSize answered
+// (FuzzCacheLogMatchesRing).
+type cacheLog struct {
+	segs [len(logSegs) - 1][]*dataMsg
+	top  int64 // the highest sequence number stored (0: none)
+}
 
-func newDedupWindow() dedupWindow {
-	return dedupWindow{seqRing[bool]{lo: 1, hi: 1, max: srcWindow}}
+// logSegs bounds the cache's segments: segment k holds positions
+// [logSegs[k], logSegs[k+1]).
+var logSegs = [...]int{0, 16, 128, 1024, 2048, 4096, cacheSize}
+
+// lo is the lowest sequence number the log retains.
+func (c *cacheLog) lo() int64 { return max(1, c.top-cacheSize+1) }
+
+// slot returns where seq's record lives, making its segment if mk is
+// set, or nil if the segment was never made.
+func (c *cacheLog) slot(seq int64, mk bool) **dataMsg {
+	pos, k := int((seq-1)%cacheSize), 0
+	for pos >= logSegs[k+1] {
+		k++
+	}
+	if c.segs[k] == nil {
+		if !mk {
+			return nil
+		}
+		c.segs[k] = make([]*dataMsg, logSegs[k+1]-logSegs[k])
+	}
+	return &c.segs[k][pos-logSegs[k]]
+}
+
+// get returns the record stored under seq, or nil if the window
+// [lo, top] holds none.
+func (c *cacheLog) get(seq int64) *dataMsg {
+	if seq < c.lo() || seq > c.top {
+		return nil
+	}
+	if s := c.slot(seq, false); s != nil {
+		return *s
+	}
+	return nil
+}
+
+// set stores d under seq. A store below the window is ignored; one past
+// the top forgets what the positions of the numbers it skips held.
+func (c *cacheLog) set(seq int64, d *dataMsg) {
+	if seq < c.lo() {
+		return
+	}
+	for i := max(c.top+1, seq-cacheSize+1); i < seq; i++ {
+		if s := c.slot(i, false); s != nil {
+			*s = nil
+		}
+	}
+	*c.slot(seq, true) = d
+	c.top = max(c.top, seq)
+}
+
+// dedupWindow remembers which of one source's submissions, numbered
+// densely from 1, have been delivered: every one up to done — the
+// contiguous delivered prefix, and whatever is more than srcWindow
+// behind the newest, which counts as delivered — and, above done, the
+// exceptions delivered out of order, in a ring made at the first one. A
+// source whose submissions arrive in order, the only kind without a
+// view change, holds no ring. The zero value has delivered nothing.
+type dedupWindow struct {
+	done int64
+	ex   *seqRing[bool]
 }
 
 // delivered reports whether submission i has been noted.
-func (w *dedupWindow) delivered(i int64) bool { return i < w.lo || w.get(i) }
+func (w *dedupWindow) delivered(i int64) bool { return i <= w.done || w.ex != nil && w.ex.get(i) }
 
 // note records the delivery of submission i.
 func (w *dedupWindow) note(i int64) {
-	if i > w.lo {
-		w.set(i, true) // which drags lo along to keep the window at its cap
+	if i > w.done+1 {
+		if w.ex == nil {
+			w.ex = &seqRing[bool]{lo: w.done + 1, hi: w.done + 1, max: srcWindow}
+		}
+		w.ex.set(i, true) // which drags lo along to keep the window at its cap
+		w.done = w.ex.lo - 1
+	} else if i == w.done+1 {
+		w.done++
 	}
-	n := w.lo
-	if i == n {
-		n++
+	if w.ex != nil {
+		for w.ex.get(w.done + 1) {
+			w.done++
+		}
+		w.ex.advanceTo(w.done + 1)
 	}
-	for w.get(n) {
-		n++
-	}
-	w.advanceTo(n)
 }
 
 // put stores v at k in *m, making the map at its first insert: a
