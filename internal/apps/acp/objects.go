@@ -261,14 +261,6 @@ var (
 	// finish aborts the computation (no solution exists).
 	workFinish = orca.DefUpdate0(workB, "finish", func(st *workState) { st.done = true })
 	workIsDone = orca.DefRead0(workB, "isDone", func(st *workState) bool { return st.done })
-	workAny    = orca.DefRead0(workB, "anyWork", func(st *workState) bool {
-		for _, b := range st.bits {
-			if b {
-				return true
-			}
-		}
-		return false
-	})
 )
 
 // Work is the shared recheck-flag and termination object.
@@ -310,6 +302,3 @@ func (w Work) Finish(p *orca.Proc) { workFinish.Call(p, w.h) }
 
 // IsDone reads the termination bit.
 func (w Work) IsDone(p *orca.Proc) bool { return workIsDone.Call(p, w.h) }
-
-// AnyWork reports whether any variable is flagged.
-func (w Work) AnyWork(p *orca.Proc) bool { return workAny.Call(p, w.h) }

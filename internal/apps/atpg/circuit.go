@@ -59,7 +59,6 @@ type Circuit struct {
 	NumInputs int
 	Gates     []Gate
 	Outputs   []int
-	fanout    [][]int
 }
 
 // Lines reports the total line count.
@@ -69,14 +68,12 @@ func (c *Circuit) Lines() int { return len(c.Gates) }
 // simulation on the 68030-class machine.
 const GateEvalCost = 2 * sim.Microsecond
 
-// finish computes fanout lists and designates outputs if none set
-// (every line without fanout becomes an output).
+// finish designates outputs if none set (every line no gate reads
+// becomes an output).
 func (c *Circuit) finish() {
-	c.fanout = make([][]int, len(c.Gates))
 	used := make([]bool, len(c.Gates))
-	for gi, g := range c.Gates {
+	for _, g := range c.Gates {
 		for _, in := range g.Ins {
-			c.fanout[in] = append(c.fanout[in], gi)
 			used[in] = true
 		}
 	}
@@ -88,9 +85,6 @@ func (c *Circuit) finish() {
 		}
 	}
 }
-
-// Fanout returns the gates reading a line.
-func (c *Circuit) Fanout(line int) []int { return c.fanout[line] }
 
 // Validate checks topological ordering and arities; generators and
 // tests call it.

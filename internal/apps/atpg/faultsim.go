@@ -32,9 +32,6 @@ func NewFaultSimulator(c *Circuit, pattern []V3) *FaultSimulator {
 	return fs
 }
 
-// Good returns the fault-free line values for the pattern.
-func (fs *FaultSimulator) Good() []V3 { return fs.good }
-
 // Detects reports whether the pattern detects the fault, evaluating
 // only gates in the changed cone.
 func (fs *FaultSimulator) Detects(fault Fault) bool {

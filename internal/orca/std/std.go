@@ -361,11 +361,6 @@ var (
 	boolArraySet = orca.DefUpdate2(boolArrayB, "set", func(s *boolArrayState, i int, v bool) {
 		s.bits[i] = v
 	})
-	boolArraySetMany = orca.DefUpdate2(boolArrayB, "setMany", func(s *boolArrayState, idxs []int, v bool) {
-		for _, i := range idxs {
-			s.bits[i] = v
-		}
-	})
 	// claim indivisibly tests-and-clears a bit, so exactly one process
 	// wins a work item.
 	boolArrayClaim = orca.DefWrite(boolArrayB, "claim", func(s *boolArrayState, i int) bool {
@@ -375,41 +370,6 @@ var (
 	})
 	boolArrayGet = orca.DefRead(boolArrayB, "get", func(s *boolArrayState, i int) bool {
 		return s.bits[i]
-	})
-	boolArrayAnyTrue = orca.DefRead0(boolArrayB, "anyTrue", func(s *boolArrayState) bool {
-		for _, b := range s.bits {
-			if b {
-				return true
-			}
-		}
-		return false
-	})
-	boolArrayAllTrue = orca.DefRead0(boolArrayB, "allTrue", func(s *boolArrayState) bool {
-		for _, b := range s.bits {
-			if !b {
-				return false
-			}
-		}
-		return true
-	})
-	boolArrayCountTrue = orca.DefRead0(boolArrayB, "countTrue", func(s *boolArrayState) int {
-		n := 0
-		for _, b := range s.bits {
-			if b {
-				n++
-			}
-		}
-		return n
-	})
-	// anyTrueIn reports whether any of the given indices is set;
-	// workers poll their own partition with one read.
-	boolArrayAnyTrueIn = orca.DefRead(boolArrayB, "anyTrueIn", func(s *boolArrayState, idxs []int) bool {
-		for _, i := range idxs {
-			if s.bits[i] {
-				return true
-			}
-		}
-		return false
 	})
 )
 
@@ -427,29 +387,12 @@ func (a BoolArray) Handle() orca.Handle[*boolArrayState] { return a.h }
 // Set writes one element.
 func (a BoolArray) Set(p *orca.Proc, i int, v bool) { boolArraySet.Call(p, a.h, i, v) }
 
-// SetMany writes the given elements to v in one indivisible operation.
-func (a BoolArray) SetMany(p *orca.Proc, idxs []int, v bool) { boolArraySetMany.Call(p, a.h, idxs, v) }
-
 // Claim indivisibly tests-and-clears element i, reporting whether the
 // caller won it.
 func (a BoolArray) Claim(p *orca.Proc, i int) bool { return boolArrayClaim.Call(p, a.h, i) }
 
 // Get reads one element.
 func (a BoolArray) Get(p *orca.Proc, i int) bool { return boolArrayGet.Call(p, a.h, i) }
-
-// AnyTrue reports whether any element is set.
-func (a BoolArray) AnyTrue(p *orca.Proc) bool { return boolArrayAnyTrue.Call(p, a.h) }
-
-// AllTrue reports whether every element is set.
-func (a BoolArray) AllTrue(p *orca.Proc) bool { return boolArrayAllTrue.Call(p, a.h) }
-
-// CountTrue counts the set elements.
-func (a BoolArray) CountTrue(p *orca.Proc) int { return boolArrayCountTrue.Call(p, a.h) }
-
-// AnyTrueIn reports whether any of the given indices is set.
-func (a BoolArray) AnyTrueIn(p *orca.Proc, idxs []int) bool {
-	return boolArrayAnyTrueIn.Call(p, a.h, idxs)
-}
 
 // --- Table ------------------------------------------------------------
 //

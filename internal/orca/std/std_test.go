@@ -160,24 +160,11 @@ func TestBoolArrayOps(t *testing.T) {
 	typ := typeByName(t, BoolArrayObj)
 	s := typ.New([]any{5})
 	apply(t, typ, s, "set", 1, true)
-	apply(t, typ, s, "setMany", []int{2, 4}, true)
-	if !apply(t, typ, s, "get", 2)[0].(bool) {
-		t.Fatal("setMany missed index 2")
-	}
-	if n := apply(t, typ, s, "countTrue")[0].(int); n != 3 {
-		t.Fatalf("countTrue = %d", n)
-	}
-	if apply(t, typ, s, "allTrue")[0].(bool) {
-		t.Fatal("allTrue wrong")
-	}
-	if !apply(t, typ, s, "anyTrue")[0].(bool) {
-		t.Fatal("anyTrue wrong")
-	}
-	if !apply(t, typ, s, "anyTrueIn", []int{0, 4})[0].(bool) {
-		t.Fatal("anyTrueIn([0,4]) wrong")
-	}
-	if apply(t, typ, s, "anyTrueIn", []int{0, 3})[0].(bool) {
-		t.Fatal("anyTrueIn([0,3]) wrong")
+	apply(t, typ, s, "set", 4, true)
+	for i, want := range []bool{false, true, false, false, true} {
+		if got := apply(t, typ, s, "get", i)[0].(bool); got != want {
+			t.Fatalf("get(%d) = %t after set(1), set(4)", i, got)
+		}
 	}
 	if was := apply(t, typ, s, "claim", 1)[0].(bool); !was {
 		t.Fatal("claim(1) should win")
@@ -186,8 +173,10 @@ func TestBoolArrayOps(t *testing.T) {
 		t.Fatal("second claim(1) should lose")
 	}
 	s2 := typ.New([]any{3, true})
-	if n := apply(t, typ, s2, "countTrue")[0].(int); n != 3 {
-		t.Fatalf("initializer true: countTrue = %d", n)
+	for i := range 3 {
+		if !apply(t, typ, s2, "get", i)[0].(bool) {
+			t.Fatalf("initializer true: get(%d) = false", i)
+		}
 	}
 }
 
@@ -296,7 +285,7 @@ func TestClonesAreDeep(t *testing.T) {
 		{JobQueueObj, nil, "add", []any{1}, "len", nil},
 		{BarrierObj, []any{2}, "arrive", nil, "count", nil},
 		{FlagObj, nil, "set", []any{true}, "value", nil},
-		{BoolArrayObj, []any{4}, "set", []any{0, true}, "countTrue", nil},
+		{BoolArrayObj, []any{4}, "set", []any{0, true}, "get", []any{0}},
 		{TableObj, []any{4}, "store", []any{uint64(1), int64(2)}, "lookup", []any{uint64(1)}},
 		{KillerObj, []any{4}, "add", []any{0, 7}, "get", []any{0}},
 		{BitSetObj, []any{64}, "add", []any{3}, "count", nil},

@@ -64,8 +64,8 @@ var codeCeilings = map[string]int{
 	"examples/quickstart": 48,
 	"examples/tsp":        32,
 	"internal/amoeba":     812, // +13: a port handler is a typed value (Handler, with HandlerFunc for Bind's funcs, and BindHandler), the server is its port's handler and its queue's consumer, the machine its interrupt service (interruptService: its queue's consumer and a delivery's continuation) and a send record its charge's continuation, and ComputeOn, SendOn and MulticastOn take a typed continuation; MulticastOn replaces MulticastFn
-	"internal/apps/acp":   637,
-	"internal/apps/atpg":  769,
+	"internal/apps/acp":   628, // −9: Work.AnyWork and its descriptor, which nothing called
+	"internal/apps/atpg":  764, // −5: Circuit.Fanout with the fanout lists only it read, and FaultSimulator.Good, which nothing called
 	"internal/apps/chess": 986,
 	"internal/apps/kv":    369,  // +9: the key directory, the slot array's write path and the 1<<31 key limit (map shard state and receipt maps went)
 	"internal/apps/tsp":   576,  // +12: a run computes the cheapest-edge table once and hands it to every search, and GenerateJobs counts its jobs to carve their routes from one array
@@ -73,7 +73,7 @@ var codeCeilings = map[string]int{
 	"internal/harness":    1622,
 	"internal/netsim":     414,
 	"internal/orca":       726,  // −3: joinGroups joins each group with one JoinAll
-	"internal/orca/std":   412,  // +26: the job queue is a ring that doubles when full (push, pop, copied) in place of a slice sliced from the front
+	"internal/orca/std":   367,  // −45: BoolArray's SetMany, AnyTrue, AllTrue, CountTrue and AnyTrueIn and their descriptors, which nothing called
 	"internal/rts":        2828, // +45: the run's primary copies and queues are carved from per-run slabs and a group's replicas from the group's, a span's worth per run (slab), object managers from one slice per group, and tables by object id grow in one step (slot); each consumer's continuations are method expressions one bound method value dispatches (then, resume, thenCheck) in place of seventeen bound method values; access statistics are per object
 	"internal/rts/scheck": 111,
 	"internal/sim":        822, // +2: a served queue's consumer is a typed value (Consumer), and a claim's continuation may be one (UseOn, and UseFrontOn in place of UseFrontFn; a func is a Func)
