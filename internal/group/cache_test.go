@@ -5,6 +5,7 @@ package group
 // sequencer tables only a member that sequences makes.
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -14,7 +15,7 @@ import (
 // FuzzCacheLogMatchesRing drives the delivered cache and the ring it
 // replaced, a seqRing capped at cacheSize, with one stream of appends
 // and reads, two bytes an operation, and requires the same record for
-// every read. An append run stores up to 16 384 records in sequence, a
+// every read. An append run stores up to 4 096 records in sequence, a
 // skip stores one up to 16 384 numbers past the top, leaving the
 // numbers between unstored, and a read reaches from two past the top
 // to 16 381 below it, so below the window. Records come from a pool
@@ -49,8 +50,8 @@ func FuzzCacheLogMatchesRing(f *testing.F) {
 			a, b := ops[i], ops[i+1]
 			n := int64(a>>2)<<8 | int64(b)
 			switch a & 3 {
-			case 0, 1: // 1 to 16 384 appends
-				for range n + 1 {
+			case 0, 1: // 1 to 4 096 appends
+				for range n/4 + 1 {
 					store(c.top + 1)
 				}
 			case 2: // one store past a run of unstored numbers
@@ -115,7 +116,8 @@ func TestCacheLogAllocations(t *testing.T) {
 // starts to — elected after the sequencer crashed, or taking the
 // consensus log over — makes them then, with every member's status at
 // −1, and trims its history from its members' reports as the boot
-// sequencer does.
+// sequencer does; sequencing again, as after a later election, starts
+// from no status again.
 func TestSequencerTablesAllocatedOnlyBySequencers(t *testing.T) {
 	elected := func(c *Config) {
 		c.SenderTimeout = 50 * sim.Millisecond
@@ -177,8 +179,14 @@ func TestSequencerTablesAllocatedOnlyBySequencers(t *testing.T) {
 				if g.statuses != nil || g.seenBySrc != nil || g.acked != nil {
 					t.Errorf("%s: node %d never sequenced but holds %d statuses, %d dedup rings and %d acks", pv.name, i, len(g.statuses), len(g.seenBySrc), len(g.acked))
 				}
-			} else if g.IsSequencer() && g.history.span() > 64 {
-				t.Errorf("%s: node %d sequences with %d history entries after trimming, want at most 64", pv.name, i, g.history.span())
+			} else if g.IsSequencer() {
+				if g.history.span() > 64 {
+					t.Errorf("%s: node %d sequences with %d history entries after trimming, want at most 64", pv.name, i, g.history.span())
+				}
+				g.rebuildHistory()
+				if slices.ContainsFunc(g.statuses, func(s int64) bool { return s != -1 }) {
+					t.Errorf("%s: node %d rebuilds its history keeping statuses %v", pv.name, i, g.statuses)
+				}
 			}
 		}
 		h.env.Stop()

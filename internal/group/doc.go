@@ -68,9 +68,13 @@
 // rounds it runs: with no fault, a PB send allocates nothing, batched
 // or not, and a BB or consensus send only its send record. A group's
 // members are built as one (JoinAll): their records, delivery queues and
-// per-source state come from per-group slabs, and the heartbeat, which
-// every member runs, is a typed kernel round (amoeba.Timer), so a member
-// costs one allocation of its own, its port binding.
+// per-source delivered windows come from per-group slabs, the tables
+// only a sequencer reads are made when a member first sequences
+// (resetSeqTables), and the heartbeat, which every member runs, is a
+// typed kernel round (amoeba.Timer), so a member costs one allocation of
+// its own, its port binding. A member's delivered cache is a log whose
+// segments are made as its deliveries reach them (cacheLog), so it holds
+// slots for what it has delivered, not for the cap it might reach.
 //
 // Downward: members speak kernel ports and timers from package
 // amoeba. Upward: the broadcast runtime in package rts consumes each

@@ -619,9 +619,11 @@ func Join(m *amoeba.Machine, cfg Config) *Member { return JoinAll([]*amoeba.Mach
 // Every member must join before the simulation starts broadcasting. The
 // members are built as one: what they share (the member index, the
 // multicast list) they share read-only, and their records, delivery
-// queues (each sized to one frame) and per-source state come from slabs
-// of the group's, so building a group costs a handful of allocations
-// whatever its size, and a member one: its port binding.
+// queues (each sized to one frame) and per-source delivered windows come
+// from slabs of the group's, so building a group costs a handful of
+// allocations whatever its size, and a member one: its port binding. A
+// member makes the tables only a sequencer reads when it first sequences
+// (resetSeqTables), the boot sequencer here.
 func JoinAll(ms []*amoeba.Machine, cfg Config) []*Member {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
