@@ -230,7 +230,7 @@ func TestRPCRetransmissionOnLossyNet(t *testing.T) {
 
 // one is the record holding v.
 func one[T any](v T) (a Args) {
-	Put(&a, v)
+	Put(&a, nil, v)
 	return a
 }
 

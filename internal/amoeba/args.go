@@ -2,7 +2,7 @@ package amoeba
 
 import (
 	"fmt"
-	"math"
+	"reflect"
 
 	"repro/internal/sim"
 )
@@ -11,13 +11,17 @@ import (
 // way out, its results on the way back. It plays the part of the small
 // parameters in Amoeba's RPC header (h_offset, h_size, h_extra) with
 // the buffer beside them: of the first ArgSlots values, those put as a
-// bool, int, int64, float64 or sim.Time sit inline as words, and
-// whatever else there is — a value of any other type, a value put as an
-// interface, a third value — shares the one spill slot. The record is
-// copied, never pointed to — through the runtimes, a Packet and a
-// Request — so a copy that is retransmitted, cached or queued cannot
-// be changed by whoever reuses the record it was copied from. A value
-// keeps its type: what was put as an int64 comes back as an int64.
+// bool, int or int64 sit inline as words and those of any other
+// concrete type travel by reference, as a *T carved from the run's
+// tables (sim.Carve) that Get and Value read through; whatever else
+// there is — a value put as an interface, a third value — travels as
+// it was put, boxed. Carved and boxed values share the one spill slot.
+// The record is copied, never pointed to — through the runtimes, a
+// Packet and a Request — and nothing it refers to is ever written
+// again: a carved value is never handed out twice, so a copy that is
+// retransmitted, cached or queued long after its maker moved on reads
+// what was put. A value keeps its type: what was put as an int64 comes
+// back as an int64.
 type Args struct {
 	// Status is the header's h_status: zero for a plain result; the
 	// layers above say what else a reply may report.
@@ -33,21 +37,21 @@ type Args struct {
 // ArgSlots is the number of values a record can hold inline.
 const ArgSlots = 2
 
-// argKind says what an inline slot holds; the zero kind means the value
-// is the next one in the spill slot.
+// argKind says what an inline slot holds; the first two kinds mean the
+// value is the next one in the spill slot: boxed, or carved (a *T).
 type argKind uint8
 
 const (
 	spilled argKind = iota
+	carved
 	kindBool
 	kindInt
 	kindInt64
-	kindFloat64
-	kindTime
 )
 
-// Put appends v to the record.
-func Put[T any](a *Args, v T) {
+// Put appends v to the record; a value that travels by reference is
+// carved from e's tables (a nil e allocates it on its own).
+func Put[T any](a *Args, e *sim.Env, v T) {
 	k, w := spilled, uint64(0)
 	switch p := any(&v).(type) {
 	case *bool:
@@ -58,29 +62,33 @@ func Put[T any](a *Args, v T) {
 		k, w = kindInt, uint64(*p)
 	case *int64:
 		k, w = kindInt64, uint64(*p)
-	case *float64:
-		k, w = kindFloat64, math.Float64bits(*p)
-	case *sim.Time:
-		k, w = kindTime, uint64(*p)
 	}
-	if a.n++; k != spilled && a.n <= ArgSlots {
-		a.kind[a.n-1], a.word[a.n-1] = k, w
+	var x any
+	switch i := a.n; {
+	case i < ArgSlots && k != spilled:
+		a.kind[i], a.word[i], a.n = k, w, i+1
 		return
+	case i < ArgSlots && reflect.TypeFor[T]().Kind() != reflect.Interface:
+		a.kind[i], x = carved, sim.Carve(e, v)
+	default:
+		x = v
 	}
+	a.n++
 	switch a.spills++; a.spills {
 	case 1:
-		a.spill = any(v)
+		a.spill = x
 	case 2:
-		a.spill = []any{a.spill, any(v)}
+		a.spill = []any{a.spill, x}
 	default:
-		a.spill = append(a.spill.([]any), any(v))
+		a.spill = append(a.spill.([]any), x)
 	}
 }
 
 // Get returns value i as a T. An inline value of exactly that type is
-// read in place; anything else goes by way of Value and a type
-// assertion, so a value of the wrong type panics as the assertion does,
-// and nil is the zero value of an interface type only.
+// read in place and a carved one through its pointer; anything else
+// goes by way of Value and a type assertion, so a value of the wrong
+// type panics as the assertion does, and nil is the zero value of an
+// interface type only.
 func Get[T any](a *Args, i int) (v T) {
 	if i < int(a.n) && i < ArgSlots {
 		want, w := spilled, a.word[i]
@@ -91,13 +99,12 @@ func Get[T any](a *Args, i int) (v T) {
 			want, *p = kindInt, int(w)
 		case *int64:
 			want, *p = kindInt64, int64(w)
-		case *float64:
-			want, *p = kindFloat64, math.Float64frombits(w)
-		case *sim.Time:
-			want, *p = kindTime, sim.Time(w)
 		}
 		if want == a.kind[i] && want != spilled {
 			return v
+		}
+		if a.kind[i] == carved {
+			return *a.spilled(i).(*T)
 		}
 	}
 	x := a.Value(i)
@@ -112,25 +119,28 @@ func (a *Args) Value(i int) any {
 	if i < 0 || i >= int(a.n) {
 		panic(fmt.Sprintf("amoeba: value %d of a record of %d", i, a.n))
 	}
-	if i < ArgSlots && a.kind[i] != spilled {
-		switch w := a.word[i]; a.kind[i] {
-		case kindBool:
-			return w != 0
-		case kindInt:
-			return int(w)
-		case kindInt64:
-			return int64(w)
-		case kindFloat64:
-			return math.Float64frombits(w)
-		}
-		return sim.Time(a.word[i])
+	if i >= ArgSlots || a.kind[i] == spilled {
+		return a.spilled(i)
 	}
+	switch w := a.word[i]; a.kind[i] {
+	case carved:
+		return reflect.ValueOf(a.spilled(i)).Elem().Interface()
+	case kindBool:
+		return w != 0
+	case kindInt:
+		return int(w)
+	}
+	return int64(a.word[i])
+}
+
+// spilled returns value i, which is in the spill slot, as it is there.
+func (a *Args) spilled(i int) any {
 	if a.spills == 1 {
 		return a.spill
 	}
 	at := 0 // i's place among the spilled values
 	for s := 0; s < i; s++ {
-		if s >= ArgSlots || a.kind[s] == spilled {
+		if s >= ArgSlots || a.kind[s] <= carved {
 			at++
 		}
 	}
@@ -150,25 +160,18 @@ func (a *Args) Values() []any {
 }
 
 // Size reports the record's wire size: four bytes, one per inline bool,
-// eight per other inline value, and sizeOf of each spilled value.
+// eight per other inline value, and sizeOf of each spilled value — of
+// its pointer, for a carved one.
 func (a *Args) Size(sizeOf func(any) int) int {
 	size := 4
-	for i := 0; i < int(a.n) && i < ArgSlots; i++ {
-		switch a.kind[i] {
-		case spilled:
-		case kindBool:
+	for i := range int(a.n) {
+		switch {
+		case i >= ArgSlots || a.kind[i] <= carved:
+			size += sizeOf(a.spilled(i))
+		case a.kind[i] == kindBool:
 			size++
 		default:
 			size += 8
-		}
-	}
-	switch a.spills {
-	case 0:
-	case 1:
-		size += sizeOf(a.spill)
-	default:
-		for _, v := range a.spill.([]any) {
-			size += sizeOf(v)
 		}
 	}
 	return size

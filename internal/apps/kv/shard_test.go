@@ -160,7 +160,7 @@ func TestShardWriteAllocations(t *testing.T) {
 	walk := func(st rts.State, ops ...*rts.OpDef) {
 		for _, op := range ops {
 			for _, args := range mine {
-				op.Apply(st, args)
+				op.Apply(nil, st, args)
 			}
 		}
 	}

@@ -1,8 +1,11 @@
 package tsp
 
 import (
+	"runtime"
 	"runtime/debug"
 	"testing"
+
+	"repro/internal/orca"
 )
 
 // skipUnderRace skips an allocation budget: the race detector allocates
@@ -60,5 +63,34 @@ func TestGenerateJobsAllocations(t *testing.T) {
 		if a > budget {
 			t.Errorf("depth %d: %d jobs take %v allocations, want at most %d", depth, len(jobs), a, budget)
 		}
+	}
+}
+
+// TestTSPRepetitionAllocations counts the allocations of one run of the
+// benchmark's TSP configuration — P = 64, eight shards, batched — on a
+// 12-city instance: building the runtime, the forks and their fences,
+// the job queue and every operation, to the last worker's exit. The
+// budget is the count measured when jobs, forks and fences stopped
+// being boxed and the job queue stopped regrowing by copying (10 300;
+// 11 620 before), with 3 % slack for what the collector's timing moves
+// (sync.Pool's caches empty at each collection).
+func TestTSPRepetitionAllocations(t *testing.T) {
+	skipUnderRace(t)
+	inst := Generate(12, 5)
+	best, _ := SolveSeq(inst)
+	run := func() Result {
+		return RunOrca(orca.Config{Processors: 64, RTS: orca.Broadcast, Seed: 1, Shards: 8,
+			Batching: orca.DefaultBatching()}, inst, Params{})
+	}
+	run() // the process-wide pools warm up
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	r := run()
+	runtime.ReadMemStats(&m1)
+	if r.Best != best || r.Report.TimedOut {
+		t.Fatalf("best %d (timed out %v), want %d", r.Best, r.Report.TimedOut, best)
+	}
+	if n, budget := m1.Mallocs-m0.Mallocs, uint64(10300*103/100); n > budget {
+		t.Errorf("a run allocates %d times, want at most %d", n, budget)
 	}
 }

@@ -149,11 +149,11 @@ func (g *Member) flush(pk *packer) {
 // one-op frame is one carving.
 func (g *Member) newFrame(n int) *dataFrame {
 	c := g.carve()
-	f := &c.frames.take(1)[0]
+	f := &c.frames.Take(1)[0]
 	if n == 1 {
 		f.Recs = f.one[:]
 	} else {
-		f.Recs = c.recs.take(n)
+		f.Recs = c.recs.Take(n)
 	}
 	return f
 }
@@ -186,7 +186,7 @@ func (g *Member) emit(items []item, accept bool) {
 		// boundaries stable across a re-proposal. A consensus leader's
 		// own slot still needs quorum acceptance before anyone
 		// (including itself) delivers.
-		ds := g.carve().slots.take(len(f.Recs))
+		ds := g.carve().slots.Take(len(f.Recs))
 		for i := range f.Recs {
 			ds[i] = &f.Recs[i]
 		}
@@ -211,7 +211,7 @@ func (g *Member) emit(items []item, accept bool) {
 // newAccept carves an accept of sequence numbers from seq on, with room
 // for n uids, from the member's chunks.
 func (g *Member) newAccept(seq int64, n int) *acceptMsg {
-	a := g.carve().accepts.add(acceptMsg{Seq: seq, Epoch: g.epoch})
+	a := g.carve().accepts.Add(acceptMsg{Seq: seq, Epoch: g.epoch})
 	a.UIDs = a.one[:0]
 	if n > 1 {
 		a.UIDs = make([]int64, 0, n)

@@ -252,7 +252,7 @@ func (g *Member) broadcastProp(ds []*dataMsg) {
 	for _, d := range ds {
 		size += d.Size + hdrItem
 	}
-	g.cast("grp-prop", g.carve().props.add(propMsg{Ballot: g.ballot, Commit: g.committed, Ds: ds}), size+hdrData)
+	g.cast("grp-prop", g.carve().props.Add(propMsg{Ballot: g.ballot, Commit: g.committed, Ds: ds}), size+hdrData)
 }
 
 // armPropTimer re-proposes assigned-but-unchosen slots until a quorum
@@ -361,7 +361,7 @@ func (g *Member) commitRound() {
 
 // announceCommit broadcasts the current commit watermark.
 func (g *Member) announceCommit() {
-	g.cast("grp-pcmt", g.carve().commits.add(pcmtMsg{Ballot: g.ballot, UpTo: g.committed}), hdrSmall)
+	g.cast("grp-pcmt", g.carve().commits.Add(pcmtMsg{Ballot: g.ballot, UpTo: g.committed}), hdrSmall)
 }
 
 // stepDown demotes a deposed leader to a plain member. Its own
@@ -467,7 +467,7 @@ func (g *Member) ackRound() {
 // sendAck reports the cumulative accepted prefix under the currently
 // promised ballot.
 func (g *Member) sendAck() {
-	g.send(g.seqNode, "grp-pacc", g.carve().acks.add(paccMsg{Ballot: g.promised, Node: g.m.ID(), AccUpTo: g.accPrefix}), hdrSmall)
+	g.send(g.seqNode, "grp-pacc", g.carve().acks.Add(paccMsg{Ballot: g.promised, Node: g.m.ID(), AccUpTo: g.accPrefix}), hdrSmall)
 }
 
 // onPAcc records a member's accepted prefix at the leader.
@@ -825,7 +825,7 @@ func (g *Member) finalizeTakeover() {
 		if ps, ok := t.slots[s]; ok {
 			chosen = append(chosen, ps.D)
 		} else {
-			chosen = append(chosen, g.carve().recs.add(dataMsg{Seq: s, item: item{Src: -1, Msg: Msg{Kind: noopKind}}}))
+			chosen = append(chosen, g.carve().recs.Add(dataMsg{Seq: s, item: item{Src: -1, Msg: Msg{Kind: noopKind}}}))
 		}
 	}
 	// A More-flagged slot whose successor was noop-filled (or fell off
@@ -835,7 +835,7 @@ func (g *Member) finalizeTakeover() {
 	// atomically per member — so this can only rewrite unchosen tails.
 	for i, d := range chosen {
 		if d.More && (i == len(chosen)-1 || chosen[i+1].Src < 0) {
-			chosen[i] = g.carve().recs.add(*d)
+			chosen[i] = g.carve().recs.Add(*d)
 			chosen[i].More = false
 		}
 	}

@@ -1027,7 +1027,7 @@ func (g *Member) heartbeat() {
 		high = g.committed
 	}
 	if g.isSeq && g.installed && high > 0 {
-		g.cast("grp-hb", g.carve().hbs.add(hbMsg{Epoch: g.epoch, Node: g.m.ID(), HighSeq: high}), hdrSmall)
+		g.cast("grp-hb", g.carve().hbs.Add(hbMsg{Epoch: g.epoch, Node: g.m.ID(), HighSeq: high}), hdrSmall)
 	}
 	g.later(effect{kind: fxArmHB})
 }

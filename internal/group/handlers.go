@@ -144,7 +144,7 @@ func (g *Member) bbItem(it *item) {
 	default:
 		if seq, more, accepted := g.acceptedUID(it.UID); accepted {
 			// Accept arrived before the data: complete it now.
-			g.processData(g.carve().recs.add(dataMsg{item: *it, Seq: seq, Epoch: g.epoch, More: more}))
+			g.processData(g.carve().recs.Add(dataMsg{item: *it, Seq: seq, Epoch: g.epoch, More: more}))
 			return
 		}
 		put(&g.pendingBB, it.UID, it)
@@ -182,7 +182,7 @@ func (g *Member) acceptItem(a *acceptMsg, i int) {
 	}
 	if bb, ok := g.pendingBB[uid]; ok {
 		delete(g.pendingBB, uid)
-		g.processData(g.carve().recs.add(dataMsg{item: *bb, Seq: seq, Epoch: g.epoch, More: more}))
+		g.processData(g.carve().recs.Add(dataMsg{item: *bb, Seq: seq, Epoch: g.epoch, More: more}))
 		return
 	}
 	// Data frame lost: remember the accept and fetch the payload

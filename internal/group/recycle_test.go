@@ -290,11 +290,11 @@ func chunkTraffic(seed int64) string {
 					for k := 0; k < 12; k++ {
 						if k%3 == 2 {
 							for j := range batch {
-								batch[j] = Msg{Kind: "m", Body: 100*k + j, Size: 100}
+								batch[j] = Msg{Kind: "m", Body: 100*k + j, Args: carvedArgs(h.env, 1000*i+100*k+j), Size: 100}
 							}
 							h.gs[i].BroadcastBatch(p, batch[:], nil)
 						} else {
-							h.gs[i].Broadcast(p, "m", k, 100)
+							h.gs[i].BroadcastMsg(p, Msg{Kind: "m", Body: k, Args: carvedArgs(h.env, 1000*i+100*k), Size: 100})
 						}
 						p.Sleep(sim.Time(5+i) * sim.Millisecond)
 					}
@@ -302,6 +302,11 @@ func chunkTraffic(seed int64) string {
 			}
 			h.env.RunUntil(60 * sim.Second)
 			out += fmt.Sprintf("%s/%s %s\n", pv.name, cv.name, h.fingerprint(nil))
+			for i := range h.logs {
+				for _, d := range h.logs[i] {
+					out += carvedValues(d) + "\n"
+				}
+			}
 			h.env.Stop()
 			h.env.Shutdown()
 		}
@@ -310,11 +315,13 @@ func chunkTraffic(seed int64) string {
 }
 
 // Members of different environments share no chunk, no record and no
-// kernel deadline: four goroutines run watched traffic of every protocol
-// at alternating seeds, and each must come out with the fingerprints a
-// serial run of its seed has. A chunk, record store or deadline pool
-// shared between environments fails it, under the race detector (CI runs
-// go test -race ./...) and without it.
+// kernel deadline, and environments no carve table: four goroutines run
+// watched traffic of every protocol at alternating seeds, every message
+// carrying values carved from its environment's tables (sim.Carve), and
+// each must come out with the fingerprints and the delivered values a
+// serial run of its seed has. A chunk, record store, carve table or
+// deadline pool shared between environments fails it, under the race
+// detector (CI runs go test -race ./...) and without it.
 func TestConcurrentEnvsShareNoChunk(t *testing.T) {
 	WatchDeliveries(t)
 	serial := map[int64]string{1: chunkTraffic(1), 2: chunkTraffic(2)}

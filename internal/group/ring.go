@@ -1,6 +1,6 @@
 package group
 
-import "unsafe"
+import "repro/internal/sim"
 
 // seqRing is a buffer indexed by a dense, monotonically advancing
 // sequence number. It replaces the hot-path maps of the protocol
@@ -221,32 +221,19 @@ func put[K comparable, V any](m *map[K]V, k K, v V) {
 	(*m)[k] = v
 }
 
-// chunk carves the records and frame bodies a member creates per
-// operation out of runs it allocates, so that creating one costs no
-// allocation of its own. Nothing carved is ever handed out again: a run
-// becomes garbage once every record carved from it has, so a record
-// shared by reference (a frame's, the history's, a delivery's) stays
-// what it was when it was written. The first run is small and each next
-// one twice the last, up to chunkBytes. A member that never creates a
-// record of some kind allocates no run of it.
-type chunk[T any] struct {
-	free []T // the uncarved rest of the current run
-	next int // the length of the next run
-}
-
 // chunks are what a member carves the records and bodies it creates per
 // operation from: sequenced records and the frames that carry them, a
 // proposal's slot list, and the bodies of accepts, proposals, acks,
 // commit announcements and heartbeats.
 type chunks struct {
-	recs    chunk[dataMsg]
-	frames  chunk[dataFrame]
-	slots   chunk[*dataMsg]
-	accepts chunk[acceptMsg]
-	props   chunk[propMsg]
-	acks    chunk[paccMsg]
-	commits chunk[pcmtMsg]
-	hbs     chunk[hbMsg]
+	recs    sim.Chunk[dataMsg]
+	frames  sim.Chunk[dataFrame]
+	slots   sim.Chunk[*dataMsg]
+	accepts sim.Chunk[acceptMsg]
+	props   sim.Chunk[propMsg]
+	acks    sim.Chunk[paccMsg]
+	commits sim.Chunk[pcmtMsg]
+	hbs     sim.Chunk[hbMsg]
 }
 
 // carve returns the member's chunks, which it makes when it first
@@ -256,29 +243,4 @@ func (g *Member) carve() *chunks {
 		g.chunks = new(chunks)
 	}
 	return g.chunks
-}
-
-// chunkBytes bounds a run. A run above the largest small-object size
-// class, 32 KB, would be rounded up to whole pages, and the rest of each
-// member's last run is never carved: at 16 KB that rest costs a
-// sequencer crash run half a percent of its bytes, at 32 KB one percent.
-const chunkBytes = 16 << 10
-
-// take carves n consecutive zero values, capped at n.
-func (c *chunk[T]) take(n int) []T {
-	if len(c.free) < n {
-		var zero T
-		c.next = min(max(2*c.next, 4), chunkBytes/int(unsafe.Sizeof(zero)))
-		c.free = make([]T, max(c.next, n))
-	}
-	s := c.free[:n:n]
-	c.free = c.free[n:]
-	return s
-}
-
-// add carves one value, v.
-func (c *chunk[T]) add(v T) *T {
-	p := &c.take(1)[0]
-	*p = v
-	return p
 }

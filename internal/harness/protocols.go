@@ -234,9 +234,9 @@ func counterType() *rts.ObjectType {
 		SizeOf: func(rts.State) int { return 8 },
 		Ops: map[string]*rts.OpDef{
 			"get": {Name: "get", Kind: rts.Read,
-				Apply: func(s rts.State, _ rts.Args) rts.Args { return rts.ArgsOf(s.(*cState).v) }},
+				Apply: func(_ *sim.Env, s rts.State, _ rts.Args) rts.Args { return rts.ArgsOf(s.(*cState).v) }},
 			"inc": {Name: "inc", Kind: rts.Write,
-				Apply: func(s rts.State, _ rts.Args) rts.Args { s.(*cState).v++; return rts.Args{} }},
+				Apply: func(_ *sim.Env, s rts.State, _ rts.Args) rts.Args { s.(*cState).v++; return rts.Args{} }},
 		},
 	}
 }

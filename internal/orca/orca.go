@@ -143,8 +143,9 @@ type Runtime struct {
 	started   sim.Time
 	timedOut  bool
 
-	forkSeq int64
-	forks   map[int64]forkEntry
+	forkSeq  int64
+	forks    map[int64]forkEntry
+	forkMsgs sim.Chunk[forkMsg] // what fork messages are carved from
 
 	hists map[string]*rts.LatencyHist
 
@@ -155,7 +156,9 @@ type Runtime struct {
 // forkMsg travels the wire so process creation is ordered with respect
 // to object operations, as Amoeba's process management messages were.
 // The closure itself stays in host memory (the simulation shares an
-// address space); only the identifier is "transmitted".
+// address space); only the identifier is "transmitted", in a record
+// carved from the runtime's chunk (a *forkMsg), whose first run holds
+// a worker's fork for every other machine.
 type forkMsg struct {
 	FID    int64
 	Target int
@@ -223,6 +226,7 @@ func New(cfg Config, setup func(reg *rts.Registry)) *Runtime {
 	}
 	rt := &Runtime{cfg: cfg, env: env, net: nw, reg: rts.NewRegistry(),
 		forks: make(map[int64]forkEntry), hists: make(map[string]*rts.LatencyHist)}
+	rt.forkMsgs.Plan(cfg.Processors - 1) // a program's workers, one forked to each other machine
 	setup(rt.reg)
 	for i := 0; i < cfg.Processors; i++ {
 		rt.machines = append(rt.machines, amoeba.NewMachine(env, nw, i, kc))
@@ -249,13 +253,13 @@ func New(cfg Config, setup func(reg *rts.Registry)) *Runtime {
 	// extra handler through the sequencer groups (see Fork), or the
 	// kernel port below when no group spans both machines.
 	rt.sys.SetExtraHandler(func(node int, body any) {
-		if fm, ok := body.(forkMsg); ok && node == fm.Target {
+		if fm, ok := body.(*forkMsg); ok && node == fm.Target {
 			rt.startFork(fm.FID)
 		}
 	})
 	for _, m := range rt.machines {
 		m.Bind("orca-fork", func(p *sim.Proc, from int, pkt amoeba.Packet) {
-			rt.startFork(pkt.Body.(forkMsg).FID)
+			rt.startFork(pkt.Body.(*forkMsg).FID)
 		})
 	}
 	// Arm the fault plan last: link faults filter at the wire, and
@@ -550,7 +554,7 @@ func (p *Proc) Fork(cpu int, name string, fn func(p *Proc)) {
 	fid := rt.forkSeq
 	rt.forks[fid] = forkEntry{name: name, cpu: cpu, origin: p.CPU(), fn: fn}
 	rt.liveProcs++
-	msg := forkMsg{FID: fid, Target: cpu}
+	msg := rt.forkMsgs.Add(forkMsg{FID: fid, Target: cpu})
 	if !rt.sys.ForkFence(p.w, cpu, "orca-fork", msg, 32) {
 		rt.machines[p.CPU()].Send(p.w.P, cpu, amoeba.Packet{
 			Port: "orca-fork", Kind: "orca-fork", Body: msg, Size: 32,

@@ -82,7 +82,7 @@ func TestQueueIncrementalSizing(t *testing.T) {
 		n := 16
 		c := typ.Clone(state)
 		for {
-			res := typ.Op("get").Apply(c, rts.Args{})
+			res := typ.Op("get").Apply(nil, c, rts.Args{})
 			if res.Value(1) == false {
 				break
 			}
@@ -94,13 +94,13 @@ func TestQueueIncrementalSizing(t *testing.T) {
 	add, get := typ.Op("add"), typ.Op("get")
 	jobs := []any{"alpha", []int{1, 2, 3}, 42, "a-longer-string-payload"}
 	for i, j := range jobs {
-		add.Apply(state, rts.ArgsOf(j))
+		add.Apply(nil, state, rts.ArgsOf(j))
 		if got, want := typ.SizeOf(state), recount(); got != want {
 			t.Fatalf("after add %d: cached size %d, recount %d", i, got, want)
 		}
 	}
 	for i := range jobs {
-		get.Apply(state, rts.Args{})
+		get.Apply(nil, state, rts.Args{})
 		if got, want := typ.SizeOf(state), recount(); got != want {
 			t.Fatalf("after get %d: cached size %d, recount %d", i, got, want)
 		}

@@ -1,8 +1,11 @@
 package std
 
 import (
+	"slices"
+
 	"repro/internal/orca"
 	"repro/internal/rts"
+	"repro/internal/sim"
 )
 
 // Type names, as registered.
@@ -93,9 +96,6 @@ func NewZeroCounter(p *orca.Proc, opts ...orca.Option) Counter {
 	return Counter{h: intB.NewWith(p, opts)}
 }
 
-// Handle exposes the typed handle (for statistics).
-func (c Counter) Handle() orca.Handle[*intState] { return c.h }
-
 // Value reads the current value (a local replica read).
 func (c Counter) Value(p *orca.Proc) int { return intValue.Call(p, c.h) }
 
@@ -126,75 +126,84 @@ func (c Counter) AwaitGE(p *orca.Proc, n int) int { return intAwaitGE.Call(p, c.
 // false) once the queue is closed and drained.
 
 type jobQueueState struct {
-	// The queued jobs are a ring: n of them from ring[head] on, wrapping
-	// at the end. A full ring doubles, so a replica that takes as many
-	// jobs as it is given reallocates only when its backlog doubles.
-	ring    []any
-	head, n int
-	closed  bool
+	// The queued jobs, oldest first: n of them from segs[0][head] to the
+	// last segment's tail, in segments made as the backlog reaches them
+	// and never copied. A new segment holds as many jobs as are queued,
+	// between segMin and segMax, and one whose jobs have all been taken
+	// is dropped, so a replica holds slots for its backlog and what its
+	// first segment gave out and its last has yet to fill. A queue that
+	// drains starts again at the front of its last segment.
+	segs       [][]any
+	head, tail int
+	n          int
+	closed     bool
 	// bytes caches the summed wire size of the queued jobs, updated
-	// incrementally by add/get so sizing a replica is O(1) instead of
+	// incrementally by push/pop so sizing a replica is O(1) instead of
 	// a scan of the whole queue on every applied write.
 	bytes int
 }
 
+// segMin and segMax bound a new segment's length.
+const segMin, segMax = 64, 1024
+
 // WireSize implements rts.Sized.
 func (q *jobQueueState) WireSize() int { return 16 + q.bytes }
 
-// push appends a job, doubling a full ring.
+// push appends a job, starting a segment when the last one is full.
 func (q *jobQueueState) push(job any) {
-	if q.n == len(q.ring) {
-		q.ring = q.copied(max(2*q.n, 4))
-		q.head = 0
+	if len(q.segs) == 0 || q.tail == len(q.segs[len(q.segs)-1]) {
+		q.segs, q.tail = append(q.segs, make([]any, min(max(q.n, segMin), segMax))), 0
 	}
-	i := q.head + q.n
-	if i >= len(q.ring) {
-		i -= len(q.ring)
-	}
-	q.ring[i] = job
+	q.segs[len(q.segs)-1][q.tail] = job
+	q.tail++
 	q.n++
+	q.bytes += rts.SizeOfValue(job)
 }
 
-// pop removes the oldest job; the ring holds at least one.
+// pop removes the oldest job; the queue holds at least one.
 func (q *jobQueueState) pop() any {
-	j := q.ring[q.head]
-	q.ring[q.head] = nil
-	if q.head++; q.head == len(q.ring) {
-		q.head = 0
+	j := q.segs[0][q.head]
+	q.segs[0][q.head], q.head = nil, q.head+1
+	if q.n--; q.n == 0 {
+		q.head, q.tail = 0, 0 // the job was the last segment's last
+	} else if q.head == len(q.segs[0]) {
+		q.segs, q.head = slices.Delete(q.segs, 0, 1), 0
 	}
-	q.n--
+	q.bytes -= rts.SizeOfValue(j)
 	return j
 }
 
-// copied returns the queued jobs in order, at the start of a new ring of
-// size slots. A clone's ring holds its jobs and no more, so what a clone
-// copies follows the backlog a replica has, not the one it once had; its
-// first add doubles it.
-func (q *jobQueueState) copied(size int) []any {
-	r := make([]any, size)
-	k := copy(r, q.ring[q.head:min(q.head+q.n, len(q.ring))])
-	copy(r[k:], q.ring[:q.n-k])
-	return r
+// clone returns a queue holding the same jobs in one segment of
+// exactly their number, whatever the original's segments once were.
+func (q *jobQueueState) clone() *jobQueueState {
+	c := &jobQueueState{closed: q.closed, bytes: q.bytes}
+	if q.n > 0 {
+		jobs := make([]any, 0, q.n)
+		for k, seg := range q.segs {
+			if k == len(q.segs)-1 {
+				seg = seg[:q.tail]
+			}
+			if k == 0 {
+				seg = seg[q.head:]
+			}
+			jobs = append(jobs, seg...)
+		}
+		c.segs, c.tail, c.n = [][]any{jobs}, q.n, q.n
+	}
+	return c
 }
 
 var (
-	queueB = orca.NewType(JobQueueObj, func([]any) *jobQueueState { return &jobQueueState{} }).
-		CloneWith(func(q *jobQueueState) *jobQueueState {
-			return &jobQueueState{ring: q.copied(q.n), n: q.n, closed: q.closed, bytes: q.bytes}
-		}).
+	queueB = orca.NewType(JobQueueObj, func([]any) *jobQueueState { return &jobQueueState{segs: make([][]any, 0, 4)} }).
+		CloneWith((*jobQueueState).clone).
 		SizedBy((*jobQueueState).WireSize)
 
-	queueAdd = orca.DefUpdate(queueB, "add", func(q *jobQueueState, job any) {
-		q.push(job)
-		q.bytes += rts.SizeOfValue(job)
-	})
+	queueAdd = orca.DefUpdate(queueB, "add", (*jobQueueState).push)
 	queueGet = orca.DefWrite0x2(queueB, "get", func(q *jobQueueState) (any, bool) {
 		if q.n == 0 {
 			return nil, false
 		}
-		j := q.pop()
-		q.bytes -= rts.SizeOfValue(j)
-		return j, true
+		return q.pop(), true
 	}).Guard(func(q *jobQueueState) bool { return q.n > 0 || q.closed })
 	queueClose = orca.DefUpdate0(queueB, "close", func(q *jobQueueState) { q.closed = true })
 	queueLen   = orca.DefRead0(queueB, "len", func(q *jobQueueState) int { return q.n })
@@ -210,23 +219,20 @@ func NewQueue[T any](p *orca.Proc, opts ...orca.Option) Queue[T] {
 	return Queue[T]{h: queueB.NewWith(p, opts)}
 }
 
-// Handle exposes the typed handle (for statistics).
-func (q Queue[T]) Handle() orca.Handle[*jobQueueState] { return q.h }
-
-// Add appends a job.
-func (q Queue[T]) Add(p *orca.Proc, job T) { queueAdd.Call(p, q.h, job) }
+// Add appends a job. The job travels, and waits in every replica, as a
+// *T carved once from the run's tables, so adding it boxes nothing.
+func (q Queue[T]) Add(p *orca.Proc, job T) {
+	queueAdd.Call(p, q.h, sim.Carve(p.Runtime().Env(), job))
+}
 
 // Get blocks until a job is available or the queue is closed; it
 // returns (zero, false) once the queue is closed and drained.
 func (q Queue[T]) Get(p *orca.Proc) (T, bool) {
-	raw, ok := queueGet.Call(p, q.h)
-	if !ok || raw == nil {
-		// raw is nil either because the queue drained (!ok) or because
-		// a nil element was legitimately stored under an interface T.
-		var zero T
-		return zero, ok
+	if raw, ok := queueGet.Call(p, q.h); ok {
+		return *raw.(*T), true
 	}
-	return raw.(T), true
+	var zero T
+	return zero, false
 }
 
 // Close marks the queue closed; blocked Gets drain and return.
@@ -272,9 +278,6 @@ func NewBarrier(p *orca.Proc, n int, opts ...orca.Option) Barrier {
 	return Barrier{h: barrierB.NewWith(p, opts, n)}
 }
 
-// Handle exposes the typed handle (for statistics).
-func (b Barrier) Handle() orca.Handle[*barrierState] { return b.h }
-
 // Arrive counts the caller in and returns the arrival count.
 func (b Barrier) Arrive(p *orca.Proc) int { return barrierArrive.Call(p, b.h) }
 
@@ -318,9 +321,6 @@ type Flag struct{ h orca.Handle[*flagState] }
 func NewFlag(p *orca.Proc, init bool, opts ...orca.Option) Flag {
 	return Flag{h: flagB.NewWith(p, opts, init)}
 }
-
-// Handle exposes the typed handle (for statistics).
-func (f Flag) Handle() orca.Handle[*flagState] { return f.h }
 
 // Set writes the flag.
 func (f Flag) Set(p *orca.Proc, v bool) { flagSet.Call(p, f.h, v) }
@@ -381,9 +381,6 @@ func NewBoolArray(p *orca.Proc, n int, init bool, opts ...orca.Option) BoolArray
 	return BoolArray{h: boolArrayB.NewWith(p, opts, n, init)}
 }
 
-// Handle exposes the typed handle (for statistics).
-func (a BoolArray) Handle() orca.Handle[*boolArrayState] { return a.h }
-
 // Set writes one element.
 func (a BoolArray) Set(p *orca.Proc, i int, v bool) { boolArraySet.Call(p, a.h, i, v) }
 
@@ -442,9 +439,6 @@ func NewTable(p *orca.Proc, buckets int, opts ...orca.Option) Table {
 	return Table{h: tableB.NewWith(p, opts, buckets)}
 }
 
-// Handle exposes the typed handle (for statistics).
-func (t Table) Handle() orca.Handle[*tableState] { return t.h }
-
 // Store writes an entry (always-replace).
 func (t Table) Store(p *orca.Proc, key uint64, val int64) { tableStore.Call(p, t.h, key, val) }
 
@@ -498,9 +492,6 @@ type Killer struct{ h orca.Handle[*killerState] }
 func NewKiller(p *orca.Proc, plies int, opts ...orca.Option) Killer {
 	return Killer{h: killerB.NewWith(p, opts, plies)}
 }
-
-// Handle exposes the typed handle (for statistics).
-func (k Killer) Handle() orca.Handle[*killerState] { return k.h }
 
 // Add records a cutoff move at ply d.
 func (k Killer) Add(p *orca.Proc, ply, move int) { killerAdd.Call(p, k.h, ply, move) }
@@ -564,9 +555,6 @@ func NewBitSet(p *orca.Proc, n int, opts ...orca.Option) BitSet {
 	return BitSet{h: bitSetB.NewWith(p, opts, n)}
 }
 
-// Handle exposes the typed handle (for statistics).
-func (s BitSet) Handle() orca.Handle[*bitSetState] { return s.h }
-
 // Add inserts i, reporting whether it was new.
 func (s BitSet) Add(p *orca.Proc, i int) bool { return bitSetAdd.Call(p, s.h, i) }
 
@@ -606,9 +594,6 @@ type Accum struct{ h orca.Handle[*accumState] }
 func NewAccum(p *orca.Proc, opts ...orca.Option) Accum {
 	return Accum{h: accumB.NewWith(p, opts)}
 }
-
-// Handle exposes the typed handle (for statistics).
-func (a Accum) Handle() orca.Handle[*accumState] { return a.h }
 
 // Add adds n to the total.
 func (a Accum) Add(p *orca.Proc, n int) { accumAdd.Call(p, a.h, n) }

@@ -19,7 +19,7 @@ func typeByName(t *testing.T, name string) *rts.ObjectType {
 
 func apply(t *testing.T, typ *rts.ObjectType, s rts.State, op string, args ...any) []any {
 	t.Helper()
-	out := typ.Op(op).Apply(s, rts.ArgsOf(args...))
+	out := typ.Op(op).Apply(nil, s, rts.ArgsOf(args...))
 	return out.Values()
 }
 

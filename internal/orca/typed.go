@@ -2,7 +2,8 @@
 //
 // What travels between machines (internal/rts) is an operation name and
 // one rts.Args record each way: the arguments out, the results back,
-// scalars inline and anything else in the record's spill slot. Orca
+// scalars inline and any other value by reference, carved once from the
+// run's tables. Orca
 // itself never exposed that to the programmer — the compiler checked
 // every operation against the object's abstract type. This file plays
 // the compiler's role for the embedded API: a TypeBuilder[S] declares
@@ -17,7 +18,8 @@
 // A descriptor fills the record from its typed arguments, hands it by
 // value to the runtime (rts.Router.Call), and reads its typed results
 // out of the record that comes back; the operation it registered reads
-// its arguments out of the same record on whichever machine applies it.
+// its arguments out of the same record on whichever machine applies it,
+// and carves its results from the run's tables it is handed.
 // Descriptors are the only way a program creates (TypeBuilder.New),
 // invokes (Call) and fences (Fenced) a shared object: there is no
 // untyped escape hatch, so a misspelt operation or a wrong argument
@@ -28,6 +30,7 @@ import (
 	"fmt"
 
 	"repro/internal/rts"
+	"repro/internal/sim"
 )
 
 // Handle is a typed handle to a shared data-object whose replicated
@@ -104,7 +107,7 @@ func (b *TypeBuilder[S]) NewWith(p *Proc, opts []Option, args ...any) Handle[S] 
 
 // addOp registers apply under name. All descriptors funnel through
 // here, so an object type's operations are exactly its descriptors.
-func addOp[S rts.State](b *TypeBuilder[S], name string, kind rts.OpKind, apply func(s rts.State, in rts.Args) rts.Args) *rts.OpDef {
+func addOp[S rts.State](b *TypeBuilder[S], name string, kind rts.OpKind, apply func(e *sim.Env, s rts.State, in rts.Args) rts.Args) *rts.OpDef {
 	if _, dup := b.t.Ops[name]; dup {
 		panic(fmt.Sprintf("orca: type %s redefines operation %q", b.t.Name, name))
 	}
@@ -118,16 +121,17 @@ func fenced[S rts.State](h Handle[S], def *rts.OpDef, in rts.Args) FencedOp {
 	return FencedOp{rts.FencedOp{ID: h.id, Op: def.Name, Args: in}}
 }
 
-// rec1 and rec2 are the record of one and of two values: a descriptor's
-// arguments on the way in, an operation's results on the way out.
-func rec1[T any](v T) (a rts.Args) {
-	rts.Put(&a, v)
+// rec1 and rec2 are the record of one and of two values, carved from
+// e's tables where they travel by reference: a descriptor's arguments
+// on the way in, an operation's results on the way out.
+func rec1[T any](e *sim.Env, v T) (a rts.Args) {
+	rts.Put(&a, e, v)
 	return a
 }
 
-func rec2[T1, T2 any](v1 T1, v2 T2) (a rts.Args) {
-	rts.Put(&a, v1)
-	rts.Put(&a, v2)
+func rec2[T1, T2 any](e *sim.Env, v1 T1, v2 T2) (a rts.Args) {
+	rts.Put(&a, e, v1)
+	rts.Put(&a, e, v2)
 	return a
 }
 
@@ -153,8 +157,8 @@ type ReadOp0[S rts.State, R any] struct {
 
 // DefRead0 attaches a no-argument read to a type.
 func DefRead0[S rts.State, R any](b *TypeBuilder[S], name string, apply func(S) R) ReadOp0[S, R] {
-	return ReadOp0[S, R]{def: addOp(b, name, rts.Read, func(s rts.State, _ rts.Args) rts.Args {
-		return rec1(apply(s.(S)))
+	return ReadOp0[S, R]{def: addOp(b, name, rts.Read, func(e *sim.Env, s rts.State, _ rts.Args) rts.Args {
+		return rec1(e, apply(s.(S)))
 	}), apply: apply}
 }
 
@@ -181,8 +185,8 @@ type ReadOp[S rts.State, A, R any] struct {
 
 // DefRead attaches a one-argument read to a type.
 func DefRead[S rts.State, A, R any](b *TypeBuilder[S], name string, apply func(S, A) R) ReadOp[S, A, R] {
-	return ReadOp[S, A, R]{def: addOp(b, name, rts.Read, func(s rts.State, in rts.Args) rts.Args {
-		return rec1(apply(s.(S), get1[A](in)))
+	return ReadOp[S, A, R]{def: addOp(b, name, rts.Read, func(e *sim.Env, s rts.State, in rts.Args) rts.Args {
+		return rec1(e, apply(s.(S), get1[A](in)))
 	}), apply: apply}
 }
 
@@ -197,7 +201,7 @@ func (op ReadOp[S, A, R]) Call(p *Proc, h Handle[S], arg A) R {
 	if s, ok := p.readState(h.id, op.def); ok {
 		return op.apply(s.(S), arg)
 	}
-	return get1[R](p.call(h.id, op.def, rec1(arg)))
+	return get1[R](p.call(h.id, op.def, rec1(p.rt.env, arg)))
 }
 
 // ReadOp1x2 is a read taking one argument and returning two results
@@ -209,8 +213,9 @@ type ReadOp1x2[S rts.State, A, R1, R2 any] struct {
 
 // DefRead1x2 attaches a one-argument, two-result read to a type.
 func DefRead1x2[S rts.State, A, R1, R2 any](b *TypeBuilder[S], name string, apply func(S, A) (R1, R2)) ReadOp1x2[S, A, R1, R2] {
-	return ReadOp1x2[S, A, R1, R2]{def: addOp(b, name, rts.Read, func(s rts.State, in rts.Args) rts.Args {
-		return rec2(apply(s.(S), get1[A](in)))
+	return ReadOp1x2[S, A, R1, R2]{def: addOp(b, name, rts.Read, func(e *sim.Env, s rts.State, in rts.Args) rts.Args {
+		r1, r2 := apply(s.(S), get1[A](in))
+		return rec2(e, r1, r2)
 	}), apply: apply}
 }
 
@@ -219,7 +224,7 @@ func (op ReadOp1x2[S, A, R1, R2]) Call(p *Proc, h Handle[S], arg A) (R1, R2) {
 	if s, ok := p.readState(h.id, op.def); ok {
 		return op.apply(s.(S), arg)
 	}
-	return get2[R1, R2](p.call(h.id, op.def, rec1(arg)))
+	return get2[R1, R2](p.call(h.id, op.def, rec1(p.rt.env, arg)))
 }
 
 // ReadOp2x2 is a read taking two arguments and returning two results.
@@ -230,9 +235,10 @@ type ReadOp2x2[S rts.State, A1, A2, R1, R2 any] struct {
 
 // DefRead2x2 attaches a two-argument, two-result read to a type.
 func DefRead2x2[S rts.State, A1, A2, R1, R2 any](b *TypeBuilder[S], name string, apply func(S, A1, A2) (R1, R2)) ReadOp2x2[S, A1, A2, R1, R2] {
-	return ReadOp2x2[S, A1, A2, R1, R2]{def: addOp(b, name, rts.Read, func(s rts.State, in rts.Args) rts.Args {
+	return ReadOp2x2[S, A1, A2, R1, R2]{def: addOp(b, name, rts.Read, func(e *sim.Env, s rts.State, in rts.Args) rts.Args {
 		a1, a2 := get2[A1, A2](in)
-		return rec2(apply(s.(S), a1, a2))
+		r1, r2 := apply(s.(S), a1, a2)
+		return rec2(e, r1, r2)
 	}), apply: apply}
 }
 
@@ -250,7 +256,7 @@ func (op ReadOp2x2[S, A1, A2, R1, R2]) Call(p *Proc, h Handle[S], a1 A1, a2 A2) 
 	if s, ok := p.readState(h.id, op.def); ok {
 		return op.apply(s.(S), a1, a2)
 	}
-	return get2[R1, R2](p.call(h.id, op.def, rec2(a1, a2)))
+	return get2[R1, R2](p.call(h.id, op.def, rec2(p.rt.env, a1, a2)))
 }
 
 // AwaitOp is a guarded read with no arguments and no results: pure
@@ -261,7 +267,7 @@ type AwaitOp[S rts.State] struct{ def *rts.OpDef }
 // DefAwait attaches a blocking no-op read whose only effect is to
 // suspend the caller until guard holds.
 func DefAwait[S rts.State](b *TypeBuilder[S], name string, guard func(S) bool) AwaitOp[S] {
-	op := AwaitOp[S]{def: addOp(b, name, rts.Read, func(rts.State, rts.Args) rts.Args { return rts.Args{} })}
+	op := AwaitOp[S]{def: addOp(b, name, rts.Read, func(*sim.Env, rts.State, rts.Args) rts.Args { return rts.Args{} })}
 	op.def.Guard = func(s rts.State, _ rts.Args) bool { return guard(s.(S)) }
 	return op
 }
@@ -281,8 +287,8 @@ type WriteOp0[S rts.State, R any] struct{ def *rts.OpDef }
 
 // DefWrite0 attaches a no-argument write to a type.
 func DefWrite0[S rts.State, R any](b *TypeBuilder[S], name string, apply func(S) R) WriteOp0[S, R] {
-	return WriteOp0[S, R]{def: addOp(b, name, rts.Write, func(s rts.State, _ rts.Args) rts.Args {
-		return rec1(apply(s.(S)))
+	return WriteOp0[S, R]{def: addOp(b, name, rts.Write, func(e *sim.Env, s rts.State, _ rts.Args) rts.Args {
+		return rec1(e, apply(s.(S)))
 	})}
 }
 
@@ -307,8 +313,8 @@ type WriteOp[S rts.State, A, R any] struct{ def *rts.OpDef }
 
 // DefWrite attaches a one-argument write to a type.
 func DefWrite[S rts.State, A, R any](b *TypeBuilder[S], name string, apply func(S, A) R) WriteOp[S, A, R] {
-	return WriteOp[S, A, R]{def: addOp(b, name, rts.Write, func(s rts.State, in rts.Args) rts.Args {
-		return rec1(apply(s.(S), get1[A](in)))
+	return WriteOp[S, A, R]{def: addOp(b, name, rts.Write, func(e *sim.Env, s rts.State, in rts.Args) rts.Args {
+		return rec1(e, apply(s.(S), get1[A](in)))
 	})}
 }
 
@@ -320,12 +326,14 @@ func (op WriteOp[S, A, R]) Guard(g func(S, A) bool) WriteOp[S, A, R] {
 
 // Call performs the operation on h.
 func (op WriteOp[S, A, R]) Call(p *Proc, h Handle[S], arg A) R {
-	return get1[R](p.call(h.id, op.def, rec1(arg)))
+	return get1[R](p.call(h.id, op.def, rec1(p.rt.env, arg)))
 }
 
 // Fenced names the operation on h as one write of Proc.InvokeFenced;
 // its result is discarded.
-func (op WriteOp[S, A, R]) Fenced(h Handle[S], arg A) FencedOp { return fenced(h, op.def, rec1(arg)) }
+func (op WriteOp[S, A, R]) Fenced(h Handle[S], arg A) FencedOp {
+	return fenced(h, op.def, rec1(nil, arg))
+}
 
 // WriteOp0x2 is a write taking no arguments and returning two results
 // (the guarded dequeue shape: (item, ok)).
@@ -333,8 +341,9 @@ type WriteOp0x2[S rts.State, R1, R2 any] struct{ def *rts.OpDef }
 
 // DefWrite0x2 attaches a no-argument, two-result write to a type.
 func DefWrite0x2[S rts.State, R1, R2 any](b *TypeBuilder[S], name string, apply func(S) (R1, R2)) WriteOp0x2[S, R1, R2] {
-	return WriteOp0x2[S, R1, R2]{def: addOp(b, name, rts.Write, func(s rts.State, _ rts.Args) rts.Args {
-		return rec2(apply(s.(S)))
+	return WriteOp0x2[S, R1, R2]{def: addOp(b, name, rts.Write, func(e *sim.Env, s rts.State, _ rts.Args) rts.Args {
+		r1, r2 := apply(s.(S))
+		return rec2(e, r1, r2)
 	})}
 }
 
@@ -355,8 +364,9 @@ type WriteOp1x2[S rts.State, A, R1, R2 any] struct{ def *rts.OpDef }
 
 // DefWrite1x2 attaches a one-argument, two-result write to a type.
 func DefWrite1x2[S rts.State, A, R1, R2 any](b *TypeBuilder[S], name string, apply func(S, A) (R1, R2)) WriteOp1x2[S, A, R1, R2] {
-	return WriteOp1x2[S, A, R1, R2]{def: addOp(b, name, rts.Write, func(s rts.State, in rts.Args) rts.Args {
-		return rec2(apply(s.(S), get1[A](in)))
+	return WriteOp1x2[S, A, R1, R2]{def: addOp(b, name, rts.Write, func(e *sim.Env, s rts.State, in rts.Args) rts.Args {
+		r1, r2 := apply(s.(S), get1[A](in))
+		return rec2(e, r1, r2)
 	})}
 }
 
@@ -368,7 +378,7 @@ func (op WriteOp1x2[S, A, R1, R2]) Guard(g func(S, A) bool) WriteOp1x2[S, A, R1,
 
 // Call performs the operation on h.
 func (op WriteOp1x2[S, A, R1, R2]) Call(p *Proc, h Handle[S], arg A) (R1, R2) {
-	return get2[R1, R2](p.call(h.id, op.def, rec1(arg)))
+	return get2[R1, R2](p.call(h.id, op.def, rec1(p.rt.env, arg)))
 }
 
 // WriteOp2x2 is a write taking two arguments and returning two
@@ -377,9 +387,10 @@ type WriteOp2x2[S rts.State, A1, A2, R1, R2 any] struct{ def *rts.OpDef }
 
 // DefWrite2x2 attaches a two-argument, two-result write to a type.
 func DefWrite2x2[S rts.State, A1, A2, R1, R2 any](b *TypeBuilder[S], name string, apply func(S, A1, A2) (R1, R2)) WriteOp2x2[S, A1, A2, R1, R2] {
-	return WriteOp2x2[S, A1, A2, R1, R2]{def: addOp(b, name, rts.Write, func(s rts.State, in rts.Args) rts.Args {
+	return WriteOp2x2[S, A1, A2, R1, R2]{def: addOp(b, name, rts.Write, func(e *sim.Env, s rts.State, in rts.Args) rts.Args {
 		a1, a2 := get2[A1, A2](in)
-		return rec2(apply(s.(S), a1, a2))
+		r1, r2 := apply(s.(S), a1, a2)
+		return rec2(e, r1, r2)
 	})}
 }
 
@@ -394,7 +405,7 @@ func (op WriteOp2x2[S, A1, A2, R1, R2]) Guard(g func(S, A1, A2) bool) WriteOp2x2
 
 // Call performs the operation on h.
 func (op WriteOp2x2[S, A1, A2, R1, R2]) Call(p *Proc, h Handle[S], a1 A1, a2 A2) (R1, R2) {
-	return get2[R1, R2](p.call(h.id, op.def, rec2(a1, a2)))
+	return get2[R1, R2](p.call(h.id, op.def, rec2(p.rt.env, a1, a2)))
 }
 
 // UpdateOp0 is a write with no arguments and no results (close,
@@ -403,7 +414,7 @@ type UpdateOp0[S rts.State] struct{ def *rts.OpDef }
 
 // DefUpdate0 attaches a no-argument, no-result write to a type.
 func DefUpdate0[S rts.State](b *TypeBuilder[S], name string, apply func(S)) UpdateOp0[S] {
-	op := UpdateOp0[S]{def: addOp(b, name, rts.Write, func(s rts.State, _ rts.Args) rts.Args {
+	op := UpdateOp0[S]{def: addOp(b, name, rts.Write, func(e *sim.Env, s rts.State, _ rts.Args) rts.Args {
 		apply(s.(S))
 		return rts.Args{}
 	})}
@@ -421,7 +432,7 @@ type UpdateOp[S rts.State, A any] struct{ def *rts.OpDef }
 
 // DefUpdate attaches a one-argument, no-result write to a type.
 func DefUpdate[S rts.State, A any](b *TypeBuilder[S], name string, apply func(S, A)) UpdateOp[S, A] {
-	op := UpdateOp[S, A]{def: addOp(b, name, rts.Write, func(s rts.State, in rts.Args) rts.Args {
+	op := UpdateOp[S, A]{def: addOp(b, name, rts.Write, func(e *sim.Env, s rts.State, in rts.Args) rts.Args {
 		apply(s.(S), get1[A](in))
 		return rts.Args{}
 	})}
@@ -431,18 +442,20 @@ func DefUpdate[S rts.State, A any](b *TypeBuilder[S], name string, apply func(S,
 
 // Call performs the operation on h.
 func (op UpdateOp[S, A]) Call(p *Proc, h Handle[S], arg A) {
-	p.call(h.id, op.def, rec1(arg))
+	p.call(h.id, op.def, rec1(p.rt.env, arg))
 }
 
 // Fenced names the operation on h as one write of Proc.InvokeFenced.
-func (op UpdateOp[S, A]) Fenced(h Handle[S], arg A) FencedOp { return fenced(h, op.def, rec1(arg)) }
+func (op UpdateOp[S, A]) Fenced(h Handle[S], arg A) FencedOp {
+	return fenced(h, op.def, rec1(nil, arg))
+}
 
 // UpdateOp2 is a write taking two arguments and returning nothing.
 type UpdateOp2[S rts.State, A1, A2 any] struct{ def *rts.OpDef }
 
 // DefUpdate2 attaches a two-argument, no-result write to a type.
 func DefUpdate2[S rts.State, A1, A2 any](b *TypeBuilder[S], name string, apply func(S, A1, A2)) UpdateOp2[S, A1, A2] {
-	op := UpdateOp2[S, A1, A2]{def: addOp(b, name, rts.Write, func(s rts.State, in rts.Args) rts.Args {
+	op := UpdateOp2[S, A1, A2]{def: addOp(b, name, rts.Write, func(e *sim.Env, s rts.State, in rts.Args) rts.Args {
 		a1, a2 := get2[A1, A2](in)
 		apply(s.(S), a1, a2)
 		return rts.Args{}
@@ -453,5 +466,5 @@ func DefUpdate2[S rts.State, A1, A2 any](b *TypeBuilder[S], name string, apply f
 
 // Call performs the operation on h.
 func (op UpdateOp2[S, A1, A2]) Call(p *Proc, h Handle[S], a1 A1, a2 A2) {
-	p.call(h.id, op.def, rec2(a1, a2))
+	p.call(h.id, op.def, rec2(p.rt.env, a1, a2))
 }

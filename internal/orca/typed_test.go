@@ -135,18 +135,18 @@ func TestArgDecodingStrict(t *testing.T) {
 		}()
 		f()
 	}
-	if got := get1[int](rec1(7)); got != 7 {
+	if got := get1[int](rec1(nil, 7)); got != 7 {
 		t.Errorf("get1[int] of 7 = %d", got)
 	}
-	if got := get1[any](rec1[any](nil)); got != nil {
+	if got := get1[any](rec1[any](nil, nil)); got != nil {
 		t.Errorf("get1[any] of nil = %v, want nil", got)
 	}
-	if v, ok := get2[any, bool](rec2[any](nil, false)); v != nil || ok {
+	if v, ok := get2[any, bool](rec2[any](nil, nil, false)); v != nil || ok {
 		t.Errorf("get2 of the not-found pair = (%v, %v)", v, ok)
 	}
-	mustPanic("get1[int] of string", func() { get1[int](rec1("zero")) })
-	mustPanic("get1[int] of nil", func() { get1[int](rec1[any](nil)) })
-	mustPanic("get1[[]int] of nil", func() { get1[[]int](rec1[any](nil)) })
+	mustPanic("get1[int] of string", func() { get1[int](rec1(nil, "zero")) })
+	mustPanic("get1[int] of nil", func() { get1[int](rec1[any](nil, nil)) })
+	mustPanic("get1[[]int] of nil", func() { get1[[]int](rec1[any](nil, nil)) })
 	mustPanic("get1[int] of nothing", func() { get1[int](rts.Args{}) })
 }
 
@@ -249,14 +249,14 @@ func TestScalarResultsAreNotBoxed(t *testing.T) {
 	DefWrite0x2(b, "w0x2", func(s *acc) (int64, int64) { s.n += big; return s.n, -s.n })
 	DefWrite1x2(b, "w1x2", func(s *acc, d int64) (int64, int64) { s.n += d; return s.n, -s.n })
 	DefWrite2x2(b, "w2x2", func(s *acc, d, e int64) (int64, int64) { s.n += d + e; return s.n, -s.n })
-	args := rec2(big, big)
+	args := rec2(nil, big, big)
 	for _, name := range []string{"w0", "w1", "w0x2", "w1x2", "w2x2"} {
 		op := b.Type().Op(name)
 		st := &acc{n: 1}
-		if res := op.Apply(st, args); st.n == 1 || get1[int64](res) != st.n {
+		if res := op.Apply(nil, st, args); st.n == 1 || get1[int64](res) != st.n {
 			t.Errorf("%s: Apply left %d with result %v", name, st.n, res.Values())
 		}
-		if a := testing.AllocsPerRun(100, func() { op.Apply(st, args) }); a != 0 {
+		if a := testing.AllocsPerRun(100, func() { op.Apply(nil, st, args) }); a != 0 {
 			t.Errorf("%s: Apply allocates %v times, want 0", name, a)
 		}
 	}
@@ -349,7 +349,7 @@ func BenchmarkLocalReadPaths(b *testing.B) {
 			return cellsGet.apply(s.(*cellsState), 2)
 		}},
 		{"call", func(p *Proc, h Handle[*cellsState]) int {
-			return get1[int](p.call(h.id, cellsGet.def, rec1(2)))
+			return get1[int](p.call(h.id, cellsGet.def, rec1(nil, 2)))
 		}},
 	}
 	setups := []struct {

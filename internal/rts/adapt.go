@@ -302,14 +302,11 @@ func (r *Router) AdaptivePlacements() map[ObjID]string {
 		if e.adapt == nil {
 			continue
 		}
-		if out == nil {
-			out = make(map[ObjID]string)
+		where := "replicated"
+		if e.dom == domP2P {
+			where = fmt.Sprintf("primary@%d", r.p2p.meta(ObjID(i)).primary)
 		}
-		if id := ObjID(i); e.dom != domP2P {
-			out[id] = "replicated"
-		} else {
-			out[id] = fmt.Sprintf("primary@%d", r.p2p.meta(id).primary)
-		}
+		put(&out, ObjID(i), where)
 	}
 	return out
 }

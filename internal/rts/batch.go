@@ -163,10 +163,7 @@ func (b *writeBuf) sent() {
 			fl.remaining--
 			continue
 		}
-		if mgr.flights == nil {
-			mgr.flights = make(map[int64]*batchFlight)
-		}
-		mgr.flights[uid] = fl
+		put(&mgr.flights, uid, fl)
 	}
 	clear(b.opsSpare)
 	b.opsSpare = b.opsSpare[:0]

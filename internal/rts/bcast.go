@@ -356,7 +356,7 @@ func (mgr *bcastManager) localRead(w *Worker, inst *replica, op *OpDef, in Args)
 		}
 		r.stats.LocalReads++
 		w.Charge(r.costs.readLocal + r.costs.defaultOp)
-		return op.Apply(inst.state, in)
+		return op.Apply(mgr.m.Env(), inst.state, in)
 	}
 	if !awaitGuard(w, inst, op, in, r.costs.guardCheck, &r.stats.GuardWaits) {
 		// The object migrated away while this reader was guard blocked:
@@ -366,7 +366,7 @@ func (mgr *bcastManager) localRead(w *Worker, inst *replica, op *OpDef, in Args)
 	}
 	r.stats.LocalReads++
 	w.Accrue(r.costs.readLocal + r.costs.defaultOp)
-	return op.Apply(inst.state, in)
+	return op.Apply(mgr.m.Env(), inst.state, in)
 }
 
 // seqWait is the wait of one sequenced record for its local
@@ -411,10 +411,7 @@ func (s *seqWait) sent() {
 		s.woke()
 		return
 	}
-	if mgr.waiters == nil {
-		mgr.waiters = make(map[int64]*seqWait)
-	}
-	mgr.waiters[uid] = s
+	put(&mgr.waiters, uid, s)
 }
 
 // woke ends the wait, where a thread parked on it would wake: the
@@ -479,10 +476,7 @@ func (mgr *bcastManager) complete(uid int64, src int, res Args) *writeBuf {
 		env.Schedule(env.Now(), s.wokeFn)
 		return nil
 	}
-	if mgr.early == nil {
-		mgr.early = make(map[int64]Args)
-	}
-	mgr.early[uid] = res
+	put(&mgr.early, uid, res)
 	return nil
 }
 
@@ -519,7 +513,7 @@ func (mgr *bcastManager) Consume(d group.Delivery) {
 	switch body := d.Body.(type) {
 	case wireCreate:
 		mgr.applyCreate(d.UID, d.Src, body)
-	case wireFence:
+	case *wireFence:
 		mgr.rts.router.handleFence(mgr, d, body, mgr.then((*bcastManager).boundary))
 	case wireMigrate:
 		mgr.rts.router.handleMigrate(mgr, d.UID, d.Src, body, mgr.then((*bcastManager).boundary))
@@ -639,7 +633,7 @@ func (mgr *bcastManager) fire(inst *replica, po pendingOp) {
 // guard-blocked readers wake.
 func (mgr *bcastManager) written() {
 	w := &mgr.cur
-	res := w.op.Apply(mgr.curInst.state, w.args)
+	res := w.op.Apply(mgr.m.Env(), mgr.curInst.state, w.args)
 	if b := mgr.complete(w.uid, w.src, res); b != nil {
 		b.flushFn(mgr.c, mgr.then((*bcastManager).wake))
 		return

@@ -178,11 +178,11 @@ func (f *fwdOp) guard() {
 	if op.Kind == Read {
 		r.stats.LocalReads++
 		f.pending += r.costs.readLocal + r.costs.defaultOp
-		f.answer(op.Apply(inst.state, in))
+		f.answer(op.Apply(f.mgr.m.Env(), inst.state, in))
 		return
 	}
 	f.pending += r.costs.writeApply + r.costs.defaultOp
-	res := op.Apply(inst.state, in)
+	res := op.Apply(f.mgr.m.Env(), inst.state, in)
 	inst.cond.Broadcast()
 	f.answer(res)
 }
@@ -211,7 +211,7 @@ func (mgr *bcastManager) directWrite(w *Worker, inst *replica, op *OpDef, in Arg
 	// replica, so the wait ends only with the guard holding.
 	awaitGuard(w, inst, op, in, r.costs.guardCheck, &r.stats.GuardWaits)
 	w.Accrue(r.costs.writeApply + r.costs.defaultOp)
-	res := op.Apply(inst.state, in)
+	res := op.Apply(mgr.m.Env(), inst.state, in)
 	inst.cond.Broadcast()
 	return res
 }

@@ -24,9 +24,11 @@ type FencedOp struct {
 }
 
 // wireFence is the fence message sequenced into every covered shard's
-// stream. A pausing fence (Pause) carries the fenced writes; a barrier
-// fence carries an opaque body handed to the extra handler on the
-// target machine when the last covered shard delivers there.
+// stream: one record per fence, carved from the run's tables and shared
+// by every shard's message, never written once sent. A pausing fence
+// (Pause) carries the fenced writes; a barrier fence carries an opaque
+// body handed to the extra handler on the target machine when the last
+// covered shard delivers there.
 type wireFence struct {
 	FID    int64
 	Shards []int // covered shards, ascending
@@ -85,10 +87,7 @@ func (r *Router) presumeAbort(node int) {
 		}
 		slices.Sort(fids)
 		for _, fid := range fids {
-			if r.fenceAborted == nil {
-				r.fenceAborted = make(map[int64]bool)
-			}
-			r.fenceAborted[fid] = true
+			put(&r.fenceAborted, fid, true)
 			for i := range r.machines {
 				if rec, ok := r.fences[fenceKey{i, fid}]; ok {
 					rec.aborted = true
@@ -109,9 +108,9 @@ type fenceKey struct {
 }
 
 // fenceRec returns (or installs) the machine's record for a fence,
-// expecting one arrival per covered shard whose span contains the
-// machine.
-func (r *Router) fenceRec(node int, f wireFence) *fenceRec {
+// carved from the run's tables, expecting one arrival per covered shard
+// whose span contains the machine.
+func (r *Router) fenceRec(node int, f *wireFence) *fenceRec {
 	if rec, ok := r.fences[fenceKey{node, f.FID}]; ok {
 		return rec
 	}
@@ -121,11 +120,8 @@ func (r *Router) fenceRec(node int, f wireFence) *fenceRec {
 			expect++
 		}
 	}
-	rec := &fenceRec{expect: expect, src: -1}
-	if r.fences == nil {
-		r.fences = make(map[fenceKey]*fenceRec)
-	}
-	r.fences[fenceKey{node, f.FID}] = rec
+	rec := sim.Carve(r.machines[node].Env(), fenceRec{expect: expect, src: -1})
+	put(&r.fences, fenceKey{node, f.FID}, rec)
 	return rec
 }
 
@@ -147,7 +143,7 @@ func (r *Router) fenceRec(node int, f wireFence) *fenceRec {
 // ascending shard order plus ack-before-pause makes concurrent fences
 // acquire their shards in a consistent order, so two fences can never
 // pause each other's completion path (see DESIGN.md).
-func (r *Router) handleFence(mgr *bcastManager, d group.Delivery, f wireFence, k sim.Firer) {
+func (r *Router) handleFence(mgr *bcastManager, d group.Delivery, f *wireFence, k sim.Firer) {
 	node := mgr.m.ID()
 	if !f.Pause {
 		if node == f.Target {
@@ -191,7 +187,7 @@ func (r *Router) handleFence(mgr *bcastManager, d group.Delivery, f wireFence, k
 // touched replicas join their OWNING manager's guard-retry sweep, which
 // runs at that manager's next frame boundary (its own delivery of this
 // fence, at the latest).
-func (r *Router) execFence(mgr *bcastManager, f wireFence, i int, k func()) {
+func (r *Router) execFence(mgr *bcastManager, f *wireFence, i int, k func()) {
 	node := mgr.m.ID()
 	for ; i < len(f.Ops); i++ {
 		fo := &f.Ops[i]
@@ -206,7 +202,7 @@ func (r *Router) execFence(mgr *bcastManager, f wireFence, i int, k func()) {
 		}
 		op := inst.op(fo.Op)
 		mgr.charge(sub.costs.writeApply+sub.costs.defaultOp, sim.Func(func() {
-			op.Apply(inst.state, fo.Args)
+			op.Apply(mgr.m.Env(), inst.state, fo.Args)
 			inst.cond.Broadcast()
 			sm.touch(inst)
 			r.execFence(mgr, f, i+1, k)
@@ -267,7 +263,7 @@ func (r *Router) InvokeFenced(w *Worker, ops []FencedOp) error {
 	w.SyncShared() // program order reaches every group before the fence
 	w.Flush()
 	r.fenceSeq++
-	f := wireFence{FID: r.fenceSeq, Shards: shards, Target: -1, Ops: ops, Pause: true}
+	f := sim.Carve(w.P.Env(), wireFence{FID: r.fenceSeq, Shards: shards, Target: -1, Ops: ops, Pause: true})
 	rec := r.fenceRec(node, f)
 	for _, k := range shards {
 		r.groups[k].mgr(node).sequenced(w.P, group.Msg{Kind: "rts-fence", Body: f, Size: size})
@@ -291,11 +287,10 @@ func (r *Router) InvokeFenced(w *Worker, ops []FencedOp) error {
 // weaker ordering a plain point-to-point fork has.
 func (r *Router) ForkFence(w *Worker, target int, kind string, body any, size int) bool {
 	node := w.Node()
-	var shards []int
-	for k := range r.groups {
-		if r.groups[k].mgr(node) != nil && r.groups[k].mgr(target) != nil {
-			shards = append(shards, k)
-		}
+	gap := func(k int) bool { return r.groups[k].mgr(node) == nil || r.groups[k].mgr(target) == nil }
+	shards := r.every // a full-span fork's shards: every group
+	if slices.ContainsFunc(shards, gap) {
+		shards = slices.DeleteFunc(slices.Clone(shards), gap)
 	}
 	if len(shards) == 0 {
 		return false
@@ -305,7 +300,7 @@ func (r *Router) ForkFence(w *Worker, target int, kind string, body any, size in
 		return true
 	}
 	r.fenceSeq++
-	f := wireFence{FID: r.fenceSeq, Shards: shards, Target: target, Body: body}
+	f := sim.Carve(w.P.Env(), wireFence{FID: r.fenceSeq, Shards: shards, Target: target, Body: body})
 	for _, k := range shards {
 		r.groups[k].mgr(node).g.Broadcast(w.P, "rts-fence", f, size+16)
 	}

@@ -217,7 +217,7 @@ func localReadRun(t *testing.T, c localReadCase, path string) (string, int) {
 		var v any
 		st, ok := via(w, id, op)
 		if ok {
-			res := op.Apply(st, Args{})
+			res := op.Apply(nil, st, Args{})
 			v = res.Value(0)
 		} else {
 			declines++

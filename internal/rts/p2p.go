@@ -376,7 +376,7 @@ func (n *p2pNode) invokeRead(w *Worker, meta *p2pMeta, op *OpDef, in Args) Args 
 			if awaitGuard(w, inst, op, in, r.costs.guardCheck, &r.stats.GuardWaits) {
 				r.stats.LocalReads++
 				w.Accrue(r.costs.readLocal + r.costs.defaultOp)
-				return op.Apply(inst.state, in)
+				return op.Apply(n.m.Env(), inst.state, in)
 			}
 			if inst.valid && inst.locked {
 				if r.nodeDown(meta.primary) {

@@ -101,7 +101,7 @@ func (n *p2pNode) applyUpdate(req *amoeba.Request) {
 func (n *p2pNode) updated() {
 	req, inst := n.upd, n.updInst
 	n.upd, n.updInst = nil, nil
-	inst.op(req.Op).Apply(inst.state, req.Args)
+	inst.op(req.Op).Apply(n.m.Env(), inst.state, req.Args)
 	n.srv.PutResultFn(n.c, req, Args{}, 4, n.servedFn)
 }
 
@@ -267,7 +267,7 @@ func (o *objQueue) retried() { o.q.Done() }
 // on with o.then.
 func (o *objQueue) read() {
 	t := o.t
-	o.n.finishTaskFn(o.c, t, t.op.Apply(o.inst.state, t.args), o.then(o.after))
+	o.n.finishTaskFn(o.c, t, t.op.Apply(o.n.m.Env(), o.inst.state, t.args), o.then(o.after))
 }
 
 // migrateOut hands the object to the broadcast runtime (see adapt.go).
@@ -404,7 +404,7 @@ func (o *objQueue) write() {
 // the update protocol) and answers the invoker.
 func (o *objQueue) committed() {
 	t := o.t
-	o.res = t.op.Apply(o.inst.state, t.args)
+	o.res = t.op.Apply(o.n.m.Env(), o.inst.state, t.args)
 	o.ui = 0
 	if o.n.rts.meta(o.id).protocol == Update {
 		o.unlock()

@@ -83,6 +83,14 @@ func slot[T any](s *[]T, id ObjID) *T {
 	return &(*s)[id]
 }
 
+// put stores v at k in *m, making the map at its first store.
+func put[K comparable, V any](m *map[K]V, k K, v V) {
+	if *m == nil {
+		*m = make(map[K]V)
+	}
+	(*m)[k] = v
+}
+
 // op resolves an operation name through the replica's MRU cache.
 func (inst *replica) op(name string) *OpDef { return inst.ops.lookup(inst.typ, name) }
 

@@ -30,14 +30,14 @@ func gcellType() *ObjectType {
 		SizeOf: func(State) int { return 8 },
 		Ops: map[string]*OpDef{
 			"set": {Name: "set", Kind: Write, NoResult: true,
-				Apply: func(s State, a Args) Args { s.(*gcellState).v = Get[int](&a, 0); return Args{} }},
+				Apply: func(_ *sim.Env, s State, a Args) Args { s.(*gcellState).v = Get[int](&a, 0); return Args{} }},
 			"step": {Name: "step", Kind: Write,
 				Guard: func(s State, a Args) bool {
 					st := s.(*gcellState)
 					st.checks++
 					return st.v >= Get[int](&a, 0)
 				},
-				Apply: func(s State, a Args) Args {
+				Apply: func(_ *sim.Env, s State, a Args) Args {
 					st := s.(*gcellState)
 					st.fired = append(st.fired, Get[int](&a, 2))
 					if next := Get[int](&a, 1); next > 0 {
@@ -80,7 +80,7 @@ func TestRetryKeepsReplicaTouchedMidPass(t *testing.T) {
 		r.Call(w, a, "set", ArgsOf(1))
 		mgr := r.mgr(0)
 		inst := mgr.inst(c)
-		inst.op("set").Apply(inst.state, ArgsOf(1))
+		inst.op("set").Apply(nil, inst.state, ArgsOf(1))
 		inst.cond.Broadcast()
 		mgr.touch(inst)
 	})

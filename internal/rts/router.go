@@ -41,6 +41,7 @@ import (
 type Router struct {
 	machines []*amoeba.Machine
 	groups   []*BroadcastRTS
+	every    []int   // every group's index, ascending: a full-span fence's shards
 	p2p      *P2PRTS // nil when the point-to-point domain is not built
 	defP2P   bool    // Default placements go to the point-to-point domain
 
@@ -192,6 +193,7 @@ func NewRouter(reg *Registry, costs Costs, machines []*amoeba.Machine, groups []
 			covered[id] = true
 		}
 		r.groups = append(r.groups, newBroadcastRTS(r, k, reg, costs, sub, def.Members, def.Span))
+		r.every = append(r.every, k)
 	}
 	for id := range machines {
 		if len(groups) > 0 && !covered[id] {

@@ -28,18 +28,18 @@ func intCellType() *ObjectType {
 		SizeOf: func(State) int { return 8 },
 		Ops: map[string]*OpDef{
 			"get": {Name: "get", Kind: Read,
-				Apply: func(s State, _ Args) Args { return ArgsOf(s.(*intCellState).v) }},
+				Apply: func(_ *sim.Env, s State, _ Args) Args { return ArgsOf(s.(*intCellState).v) }},
 			"set": {Name: "set", Kind: Write, NoResult: true,
-				Apply: func(s State, a Args) Args { s.(*intCellState).v = Get[int](&a, 0); return Args{} }},
+				Apply: func(_ *sim.Env, s State, a Args) Args { s.(*intCellState).v = Get[int](&a, 0); return Args{} }},
 			"inc": {Name: "inc", Kind: Write,
-				Apply: func(s State, _ Args) Args {
+				Apply: func(_ *sim.Env, s State, _ Args) Args {
 					st := s.(*intCellState)
 					old := st.v
 					st.v++
 					return ArgsOf(old)
 				}},
 			"min": {Name: "min", Kind: Write, // conditional lower, like the TSP bound
-				Apply: func(s State, a Args) Args {
+				Apply: func(_ *sim.Env, s State, a Args) Args {
 					st := s.(*intCellState)
 					if v := Get[int](&a, 0); v < st.v {
 						st.v = v
@@ -65,21 +65,21 @@ func queueType() *ObjectType {
 		SizeOf: func(s State) int { return 8 + 16*len(s.(*queueState).items) },
 		Ops: map[string]*OpDef{
 			"put": {Name: "put", Kind: Write, NoResult: true,
-				Apply: func(s State, a Args) Args {
+				Apply: func(_ *sim.Env, s State, a Args) Args {
 					q := s.(*queueState)
 					q.items = append(q.items, a.Value(0))
 					return Args{}
 				}},
 			"get": {Name: "get", Kind: Write,
 				Guard: func(s State, _ Args) bool { return len(s.(*queueState).items) > 0 },
-				Apply: func(s State, _ Args) Args {
+				Apply: func(_ *sim.Env, s State, _ Args) Args {
 					q := s.(*queueState)
 					v := q.items[0]
 					q.items = q.items[1:]
 					return ArgsOf(v)
 				}},
 			"len": {Name: "len", Kind: Read,
-				Apply: func(s State, _ Args) Args { return ArgsOf(len(s.(*queueState).items)) }},
+				Apply: func(_ *sim.Env, s State, _ Args) Args { return ArgsOf(len(s.(*queueState).items)) }},
 		},
 	}
 }
@@ -94,12 +94,12 @@ func flagType() *ObjectType {
 		SizeOf: func(State) int { return 1 },
 		Ops: map[string]*OpDef{
 			"set": {Name: "set", Kind: Write, NoResult: true,
-				Apply: func(s State, a Args) Args { s.(*flagState).b = Get[bool](&a, 0); return Args{} }},
+				Apply: func(_ *sim.Env, s State, a Args) Args { s.(*flagState).b = Get[bool](&a, 0); return Args{} }},
 			"get": {Name: "get", Kind: Read,
-				Apply: func(s State, _ Args) Args { return ArgsOf(s.(*flagState).b) }},
+				Apply: func(_ *sim.Env, s State, _ Args) Args { return ArgsOf(s.(*flagState).b) }},
 			"await": {Name: "await", Kind: Read,
 				Guard: func(s State, _ Args) bool { return s.(*flagState).b },
-				Apply: func(s State, _ Args) Args { return ArgsOf(true) }},
+				Apply: func(_ *sim.Env, s State, _ Args) Args { return ArgsOf(true) }},
 		},
 	}
 }

@@ -2,6 +2,7 @@ package rts
 
 import (
 	"fmt"
+	"reflect"
 
 	"repro/internal/amoeba"
 	"repro/internal/sim"
@@ -35,14 +36,15 @@ func (k OpKind) String() string {
 type State any
 
 // Args is the record an operation's arguments travel in, and its
-// results: a few scalars inline and a spill slot, copied by value from
-// the invoker to Apply and back (see amoeba.Args, which is the record
-// in the kernel's packet header). Status marks a bounced invocation
-// (see adapt.go).
+// results: a few scalars inline and the rest by reference or boxed in
+// a spill slot, copied by value from the invoker to Apply and back (see
+// amoeba.Args, which is the record in the kernel's packet header).
+// Status marks a bounced invocation (see adapt.go).
 type Args = amoeba.Args
 
-// Put appends v to a record.
-func Put[T any](a *Args, v T) { amoeba.Put(a, v) }
+// Put appends v to a record, carving it from e's tables when it travels
+// by reference (see amoeba.Args).
+func Put[T any](a *Args, e *sim.Env, v T) { amoeba.Put(a, e, v) }
 
 // Get returns value i of a record as a T; a value of another type
 // panics, and nil is the zero value of an interface type only.
@@ -52,7 +54,7 @@ func Get[T any](a *Args, i int) T { return amoeba.Get[T](a, i) }
 // interface travel boxed, as they arrived.
 func ArgsOf(vs ...any) (a Args) {
 	for _, v := range vs {
-		Put(&a, v)
+		Put(&a, nil, v)
 	}
 	return a
 }
@@ -68,11 +70,12 @@ type OpDef struct {
 	// execute; otherwise the invocation suspends until a write makes
 	// the guard true. Guards must be side-effect free.
 	Guard func(s State, in Args) bool
-	// Apply executes the operation and returns its results. Write
-	// operations may mutate s; they must be deterministic, because
-	// the broadcast runtime ships the operation (function shipping)
-	// and every replica applies it independently.
-	Apply func(s State, in Args) Args
+	// Apply executes the operation and returns its results, carving
+	// what travels by reference from e's tables. Write operations may
+	// mutate s; they must be deterministic, because the broadcast
+	// runtime ships the operation (function shipping) and every
+	// replica applies it independently.
+	Apply func(e *sim.Env, s State, in Args) Args
 	// NoResult declares that Apply always returns an empty record
 	// (the typed DefUpdate* descriptors set it). Unguarded
 	// no-result writes are the ops a batching runtime may submit
@@ -185,23 +188,31 @@ type Sized interface{ WireSize() int }
 
 // SizeOfValue reports the wire size of v in bytes: known scalar and
 // slice shapes are computed directly and a Sized value is asked. A
-// value that is neither has no wire size, and sizing it panics.
+// pointer weighs what it points to, as a carved value does (see
+// amoeba.Args). A value that is none of these has no wire size, and
+// sizing it panics.
 func SizeOfValue(v any) int {
 	switch x := v.(type) {
 	case nil:
 		return 1
 	case Sized:
 		return x.WireSize()
-	case bool:
+	case bool, *bool:
 		return 1
-	case int, int64, uint64, float64, sim.Time:
+	case int, int64, uint64, float64, sim.Time, *int, *int64, *uint64, *float64, *sim.Time:
 		return 8
 	case int32, uint32, float32:
 		return 4
 	case string:
 		return 4 + len(x)
+	case *string:
+		return 4 + len(*x)
 	case []byte:
 		return 4 + len(x)
+	case *[]byte:
+		return 4 + len(*x)
+	case *[]int:
+		return 4 + 8*len(*x)
 	case []int:
 		return 4 + 8*len(x)
 	case []int64:
@@ -214,6 +225,9 @@ func SizeOfValue(v any) int {
 			n += SizeOfValue(e)
 		}
 		return n
+	}
+	if p := reflect.ValueOf(v); p.Kind() == reflect.Pointer && !p.IsNil() {
+		return SizeOfValue(p.Elem().Interface())
 	}
 	panic(fmt.Sprintf("rts: no wire size for a %T: give it a WireSize method (rts.Sized)", v))
 }

@@ -86,8 +86,8 @@ func TestSizeOfArgsDoesNotAllocate(t *testing.T) {
 	}
 	if a := testing.AllocsPerRun(100, func() {
 		var in Args
-		Put(&in, int64(1)<<40)
-		Put(&in, true)
+		Put(&in, nil, int64(1)<<40)
+		Put(&in, nil, true)
 		n = SizeOfArgs(&in)
 	}); a != 0 || n != 4+8+1 {
 		t.Fatalf("a record of two scalars: size %d with %v allocations, want %d with 0", n, a, 4+8+1)
@@ -132,20 +132,20 @@ func TestArgsRoundTrip(t *testing.T) {
 	}
 	// The typed accessors, shape by shape: 0-2 values of each kind.
 	var a Args
-	Put(&a, int64(5))
-	Put(&a, pair{6, "p"})
+	Put(&a, nil, int64(5))
+	Put(&a, nil, pair{6, "p"})
 	if Get[int64](&a, 0) != 5 || Get[pair](&a, 1) != (pair{6, "p"}) || Get[any](&a, 0) != any(int64(5)) {
 		t.Errorf("typed read of %v", a.Values())
 	}
 	var b Args
-	Put[any](&b, nil)
-	Put(&b, sim.Time(9))
+	Put[any](&b, nil, nil)
+	Put(&b, nil, sim.Time(9))
 	if Get[any](&b, 0) != nil || Get[sim.Time](&b, 1) != 9 {
 		t.Errorf("typed read of %v", b.Values())
 	}
 	var c Args
-	Put(&c, 1.5)
-	Put[any](&c, 12)
+	Put(&c, nil, 1.5)
+	Put[any](&c, nil, 12)
 	if Get[float64](&c, 0) != 1.5 || Get[int](&c, 1) != 12 {
 		t.Errorf("typed read of %v", c.Values())
 	}

@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"sort"
 )
@@ -261,6 +262,7 @@ type Env struct {
 	limit     Time // RunUntil bound
 	reaping   bool // Shutdown in progress
 	served    []*Routes
+	carves    map[reflect.Type]any // each type's *Chunk (see Carve)
 
 	// Trace, when non-nil, receives a line per traced occurrence.
 	// It exists for debugging protocol implementations and is nil in

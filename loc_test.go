@@ -63,20 +63,20 @@ var codeCeilings = map[string]int{
 	"examples/mixed":      30,
 	"examples/quickstart": 48,
 	"examples/tsp":        32,
-	"internal/amoeba":     812, // +13: a port handler is a typed value (Handler, with HandlerFunc for Bind's funcs, and BindHandler), the server is its port's handler and its queue's consumer, the machine its interrupt service (interruptService: its queue's consumer and a delivery's continuation) and a send record its charge's continuation, and ComputeOn, SendOn and MulticastOn take a typed continuation; MulticastOn replaces MulticastFn
+	"internal/amoeba":     806, // −6: a record holds a bool, int or int64 inline and carves any other concrete value (Put takes the run, Get and Value read through the pointer); float64 and sim.Time are carved, no longer inline kinds, and Size walks the values once
 	"internal/apps/acp":   628, // −9: Work.AnyWork and its descriptor, which nothing called
 	"internal/apps/atpg":  764, // −5: Circuit.Fanout with the fanout lists only it read, and FaultSimulator.Good, which nothing called
 	"internal/apps/chess": 986,
 	"internal/apps/kv":    369,  // +9: the key directory, the slot array's write path and the 1<<31 key limit (map shard state and receipt maps went)
 	"internal/apps/tsp":   576,  // +12: a run computes the cheapest-edge table once and hands it to every search, and GenerateJobs counts its jobs to carve their routes from one array
-	"internal/group":      2282, // +43: the delivered cache is an append-only log in segments made at their first store (cacheLog), a member makes its sequencer tables when it first sequences (resetSeqTables), and a dedup window makes its ring of out-of-order exceptions at the first
+	"internal/group":      2262, // −20: the chunk a member carves from is sim.Chunk, shared with the run's carve tables
 	"internal/harness":    1622,
 	"internal/netsim":     414,
-	"internal/orca":       726,  // −3: joinGroups joins each group with one JoinAll
-	"internal/orca/std":   367,  // −45: BoolArray's SetMany, AnyTrue, AllTrue, CountTrue and AnyTrueIn and their descriptors, which nothing called
-	"internal/rts":        2828, // +45: the run's primary copies and queues are carved from per-run slabs and a group's replicas from the group's, a span's worth per run (slab), object managers from one slice per group, and tables by object id grow in one step (slot); each consumer's continuations are method expressions one bound method value dispatches (then, resume, thenCheck) in place of seventeen bound method values; access statistics are per object
+	"internal/orca":       738,  // +12: the descriptors carve their arguments, and their operations their results, from the run's tables (rec1/rec2 take the run; a two-result apply is named before its record), and a fork message is carved from the runtime's chunk, whose first run is planned at one fork per other machine
+	"internal/orca/std":   366,  // −1: the job queue keeps its jobs in segments that are never copied (push/pop keep the size count) and Queue.Add carves the job; the nine Handle accessors, which nothing called, are gone
+	"internal/rts":        2827, // −1: OpDef.Apply takes the run to carve results from, a fence record is carved once and shared by its shards and a full-span fork reuses the list of every group (Router.every), a fence's arrival record is carved, SizeOfValue sizes a pointer as its pointee, and five maps made at their first store go through one put
 	"internal/rts/scheck": 111,
-	"internal/sim":        822, // +2: a served queue's consumer is a typed value (Consumer), and a claim's continuation may be one (UseOn, and UseFrontOn in place of UseFrontFn; a func is a Func)
+	"internal/sim":        870, // +48: Chunk, moved here from group, with Plan for a caller that knows its count, and Carve: an environment's carve tables, one chunk per type, made at its first carve
 	"internal/workload":   231, // +10: one Zipf table per (Keys, Theta), shared by every generator instead of summed per client
 }
 
