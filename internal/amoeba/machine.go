@@ -124,6 +124,7 @@ type Machine struct {
 	lastPort  string  // memo of the last resolution (see bound);
 	last      Handler // nil after a Bind or an Unbind
 	casts     *cast   // released broadcast payloads, for cast to reuse
+	castRecs  sim.Chunk[cast]
 	sends     *sending
 	deadlines *Deadline // released deadline records, for Deadline to reuse
 	joins     int       // continuations the task in service has outstanding
@@ -235,19 +236,29 @@ func (m *Machine) bound(port string) Handler {
 var boxes = sync.Pool{New: func() any { return new(Packet) }}
 
 // cast is the payload of a broadcast or multicast frame: a packet less
-// the transaction header, which only unicast packets use. Every
-// receiver shares the one record and none writes it. It is the sending
-// machine's: refs counts the receivers that have queued the frame and
-// not yet opened it, and the last of them to open it returns it to the
-// sender's free list. All receivers of a frame queue it in events
-// scheduled when it was sent, for one instant, and open it in events
-// scheduled after that, so the count cannot touch zero early; a frame
-// that dies in a crashed machine's queue keeps its record from the
-// list, and the collector has it.
+// the transaction header, which only unicast packets use, but for Obj,
+// which a protocol may use as a word of its own (the group layer's trim
+// point). Every receiver shares the one record and none writes it. It
+// is the sending machine's: refs counts the receivers that have queued
+// the frame and not yet opened it, and the last of them to open it
+// returns it to the sender's free list. All receivers of a frame queue
+// it in events scheduled when it was sent, for one instant, and open it
+// in events scheduled after that, so the count cannot touch zero early;
+// a frame that dies in a crashed machine's queue keeps its record from
+// the list, and the collector has it.
+//
+// A record is in use until the slowest receiver has served its frame, so
+// a sender that outpaces its receivers holds one for each frame in their
+// backlog: a writer on its group's sequencer machine waits only for its
+// own delivery, and an open loop of them grows the other machines'
+// interrupt queues by about a tenth of a frame per write. New records
+// are carved in runs (castRecs), so such a backlog costs an allocation
+// per run, not per frame.
 type cast struct {
 	port, kind string
 	body       any
 	size       int
+	obj        int64
 	refs       int
 	m          *Machine
 	next       *cast
@@ -261,11 +272,12 @@ var poison bool
 func (m *Machine) cast(pkt Packet) netsim.Frame {
 	c := m.casts
 	if c == nil {
-		c = &cast{m: m}
+		c = &m.castRecs.Take(1)[0]
+		c.m = m
 	} else {
 		m.casts = c.next
 	}
-	c.port, c.kind, c.body, c.size, c.refs = pkt.Port, pkt.Kind, pkt.Body, pkt.Size, 0
+	c.port, c.kind, c.body, c.size, c.obj, c.refs = pkt.Port, pkt.Kind, pkt.Body, pkt.Size, pkt.Obj, 0
 	return netsim.Frame{Src: m.id, Kind: pkt.Kind, Size: pkt.Size, Payload: c}
 }
 
@@ -285,7 +297,7 @@ func (m *Machine) receive(d netsim.Delivery) {
 func (m *Machine) open(pay any) {
 	switch b := pay.(type) {
 	case *cast:
-		m.pkt = Packet{Port: b.port, Kind: b.kind, Body: b.body, Size: b.size}
+		m.pkt = Packet{Port: b.port, Kind: b.kind, Body: b.body, Size: b.size, Obj: b.obj}
 		if b.refs--; b.refs == 0 {
 			b.body = nil
 			if poison {

@@ -699,7 +699,8 @@ func (g *Member) abortTakeover() {
 // nothing outranks them) and accepted-but-undelivered entries with
 // their real ballots. A slot older than the cache window cannot be
 // reported — the same bounded-recovery caveat as the election path's
-// history rebuild (see DESIGN.md).
+// history rebuild (see DESIGN.md); one below the trim point need not
+// be, as from is the candidate's next delivery (see dropBelow).
 func (g *Member) promiseSlots(from int64) []promSlot {
 	var out []promSlot
 	for s := from; s < g.nextSeq; s++ {

@@ -73,8 +73,9 @@
 // (resetSeqTables), and the heartbeat, which every member runs, is a
 // typed kernel round (amoeba.Timer), so a member costs one allocation of
 // its own, its port binding. A member's delivered cache is a log whose
-// segments are made as its deliveries reach them (cacheLog), so it holds
-// slots for what it has delivered, not for the cap it might reach.
+// segments are made as its deliveries reach them and reused once the
+// sequencer's trim point has passed them (cacheLog), so it holds slots
+// for what it must keep, not for the cap it might reach.
 //
 // Downward: members speak kernel ports and timers from package
 // amoeba. Upward: the broadcast runtime in package rts consumes each

@@ -162,7 +162,9 @@ func (g *Member) becomeSequencer() {
 // rebuildHistory resets a new sequencer's history ring, per-source
 // dedup windows and trim state from its delivered cache. The cache
 // holds a contiguous window of the most recently delivered messages,
-// so the ring rebase is exact.
+// from the last trim point this member heard on, so the ring rebase is
+// exact, and every member the old sequencer counted has delivered what
+// lies below it (see dropBelow).
 func (g *Member) rebuildHistory() {
 	g.resetSeqTables()
 	lo := g.cache.lo()

@@ -512,8 +512,12 @@ type Member struct {
 	history   seqRing[*dataMsg]
 	seenBySrc []*seqRing[int64] // per-source: submission -> assigned seq
 	statuses  []int64           // per-member delivered progress (-1: none)
-	trimMin   int64             // min status found by the last trim scan
+	trimMin   int64             // min status found by the last trim scan (-1: a member had none)
+	trimAtMin int               // members found at trimMin and not reported past it since
+	trimDown  int               // machines down at the last scan
 	trimOwn   bool              // last scan was limited by own progress
+	trimmed   int64             // the trim point: every member counted has delivered below it
+	trimScans int               // trim scans run
 
 	// Sequencer-side packers (see batch.go): PB ops queued for the next
 	// sequenced data frame, BB ops for the next accept frame.
@@ -952,8 +956,22 @@ func (g *Member) send(dst int, kind string, body any, size int) {
 // cast sends a protocol packet to the group: physical broadcast when the
 // group spans every network node, hardware multicast to the member set
 // otherwise (non-members' NICs filter the frame without taking an
-// interrupt).
-func (g *Member) cast(kind string, body any, size int) { g.send(netsim.Broadcast, kind, body, size) }
+// interrupt). The header's Obj, which a frame with a body does not
+// otherwise use, carries the member's trim point: members read it off a
+// sequencer's data, accepts and heartbeats (see dropBelow).
+func (g *Member) cast(kind string, body any, size int) {
+	g.push(effect{kind: fxSend, dst: netsim.Broadcast, pkt: amoeba.Packet{Port: g.port, Kind: kind, Body: body, Size: size, Obj: g.trimmed}})
+}
+
+// dropBelow drops the delivered cache's records below the trim point t
+// a sequencer announced, and never those this member has yet to
+// deliver. Every member the sequencer counted, which is every member
+// not crashed, has delivered everything below t, so none asks for those
+// records again: not from a new sequencer's history (rebuildHistory),
+// not from a follower's retransmissions (onRetxReq) and not in a
+// takeover's promises (promiseSlots), which all start at the asker's
+// next delivery.
+func (g *Member) dropBelow(t int64) { g.cache.trim(min(t, g.nextSeq)) }
 
 // now is the virtual time.
 func (g *Member) now() sim.Time { return g.m.Env().Now() }
@@ -1254,7 +1272,7 @@ func (g *Member) resetSeqTables() {
 	for i := range g.statuses {
 		g.statuses[i] = -1
 	}
-	g.trimMin, g.trimOwn = 0, false
+	g.trimMin, g.trimOwn, g.trimmed = -1, false, 0
 }
 
 // recordHistory stores a sequenced message in the sequencer's history
@@ -1265,32 +1283,45 @@ func (g *Member) recordHistory(d *dataMsg) {
 	g.noteSeen(d.Src, d.SrcSeq, d.Seq)
 }
 
-// trimHistory drops history entries all members have delivered. It is
-// an O(members) scan, so callers gate it on the possibility that the
-// minimum actually advanced (see noteStatus); the trim itself touches
-// exactly the dropped entries.
+// trimHistory drops history entries all members have delivered, and
+// this member's cached records with them: the trim point is one past the
+// lowest delivered number any live member reported, or past this
+// member's own if that is lower. It is an O(members) scan, so callers
+// gate it on the possibility that the minimum actually advanced (see
+// noteStatus); the trim itself touches exactly the dropped entries.
 func (g *Member) trimHistory() {
-	low := int64(1<<62 - 1)
+	low, at := int64(1<<62-1), 0
+	g.trimScans++
+	g.trimDown = g.m.Net().Downs()
 	for i, id := range g.cfg.Members {
 		if id == g.m.ID() || g.m.Net().Down(id) {
 			continue // crashed members never report; don't stall
 		}
-		if g.statuses[i] < 0 {
+		switch s := g.statuses[i]; {
+		case s < 0:
+			g.trimMin = -1
 			return // no report yet; cannot trim
+		case s < low:
+			low, at = s, 1
+		case s == low:
+			at++
 		}
-		low = min(low, g.statuses[i])
 	}
 	own := g.nextSeq - 1
-	g.trimMin, g.trimOwn = low, own < low
-	g.history.advanceTo(min(low, own) + 1)
+	g.trimMin, g.trimAtMin, g.trimOwn = low, at, own < low
+	g.trimmed = max(g.trimmed, min(low, own)+1)
+	g.history.advanceTo(g.trimmed)
+	g.cache.trim(g.trimmed)
 }
 
 // noteStatus records a member's delivery progress and re-trims when
-// the minimum may have advanced: when the reporter was at (or below)
-// the last scan's minimum, had not reported before, or the last scan
-// was limited by this sequencer's own progress. Reports strictly
-// above the known minimum cannot move it, so the O(members) scan runs
-// about once per reporting round instead of once per report.
+// the minimum may have advanced: when the member had not reported
+// before, the last member the last scan found at its minimum reports
+// past it, a report falls below it, a machine went down since, or the
+// scan was limited by this sequencer's own progress. Members report at
+// the same delivered counts, so the O(members) scan runs about once per
+// reporting round, on the round's last report, and the trim points are
+// those a scan of every report would find.
 func (g *Member) noteStatus(node int, delivered int64) {
 	idx := g.srcIdx(node)
 	if idx < 0 || !g.isSeq {
@@ -1298,7 +1329,10 @@ func (g *Member) noteStatus(node int, delivered int64) {
 	}
 	old := g.statuses[idx]
 	g.statuses[idx] = delivered
-	if old < 0 || old <= g.trimMin || g.trimOwn {
+	if old == g.trimMin && delivered > old {
+		g.trimAtMin--
+	}
+	if old < 0 || g.trimOwn || g.m.Net().Downs() != g.trimDown || g.trimMin >= 0 && (g.trimAtMin == 0 || delivered < g.trimMin) {
 		g.trimHistory()
 	}
 }

@@ -19,10 +19,12 @@ func (g *Member) handle(p *sim.Proc, from int, pkt amoeba.Packet) {
 	case *dataFrame:
 		// Every receiver (and the sequencer's own history) shares the
 		// frame's records, which are never mutated after sequencing.
+		g.dropBelow(pkt.Obj)
 		g.processFrame(b.Recs)
 	case *bbDataMsg:
 		g.onBBData(b)
 	case *acceptMsg:
+		g.dropBelow(pkt.Obj)
 		g.onAccept(b)
 	case retxReq:
 		g.onRetxReq(b)
@@ -35,6 +37,7 @@ func (g *Member) handle(p *sim.Proc, from int, pkt amoeba.Packet) {
 	case coordNack:
 		g.onCoordNack(b)
 	case *hbMsg:
+		g.dropBelow(pkt.Obj)
 		g.onHeartbeat(b)
 	case *propMsg:
 		g.onPropose(from, b)

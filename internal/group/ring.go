@@ -113,43 +113,55 @@ func (r *seqRing[T]) grow(need int64) {
 	r.vals = nv
 }
 
-// cacheLog is a member's delivered-message cache: the last cacheSize
-// records it delivered, by sequence number, for a new sequencer's
-// history and, under consensus, a follower's retransmissions and
-// promises. A member only ever appends to it, at its next sequence
-// number, and never trims it, so each record lives at the fixed
-// position (seq−1) mod cacheSize, in one of the segments logSegs bounds,
-// each made at its first store: a member holds slots for what it has
-// delivered, rounded up to a segment, and nothing is ever copied. It
-// answers what a seqRing capped at cacheSize answered
-// (FuzzCacheLogMatchesRing).
+// cacheLog is a member's delivered-message cache: the records it
+// delivered, by sequence number, for a new sequencer's history and,
+// under consensus, a follower's retransmissions and promises. It holds
+// the last cacheSize of them, less those below the trim point (cut) the
+// sequencer announces, which every member it counts has delivered (see
+// dropBelow). A member only ever appends to it, at its next sequence
+// number. The log is a ring over the segments logSegs bounds, each made
+// at its first store: the k segments made give it logSegs[k] slots, and
+// seq's record lives at position (seq − base) mod slots. At the end of a
+// lap the log goes on at position 0, reusing its segments, if what it
+// must keep fills at most half its slots, and otherwise makes the next
+// segment and goes on there; a log that is never trimmed makes them all
+// and holds the last cacheSize records at (seq − 1) mod cacheSize. Only
+// a trim point that stalls after the log went round early makes it
+// outgrow its slots in mid-lap, and it then moves the newest part of
+// its window into the next segment. So a member holds slots for what
+// the trim window spans, rounded up to a segment, and nothing is
+// reallocated. It answers what a seqRing capped at cacheSize and
+// advanced to the trim point answered (FuzzCacheLogMatchesRing).
 type cacheLog struct {
 	segs [len(logSegs) - 1][]*dataMsg
+	made int   // segments made
+	base int64 // a sequence number at position 0
 	top  int64 // the highest sequence number stored (0: none)
+	cut  int64 // records below it are dropped
 }
 
 // logSegs bounds the cache's segments: segment k holds positions
-// [logSegs[k], logSegs[k+1]).
+// [logSegs[k], logSegs[k+1]). Each is at least as long as the ones
+// before it together, which a move in mid-lap needs.
 var logSegs = [...]int{0, 16, 128, 1024, 2048, 4096, cacheSize}
 
 // lo is the lowest sequence number the log retains.
-func (c *cacheLog) lo() int64 { return max(1, c.top-cacheSize+1) }
+func (c *cacheLog) lo() int64 { return max(1, c.cut, c.top-cacheSize+1) }
 
-// slot returns where seq's record lives, making its segment if mk is
-// set, or nil if the segment was never made.
-func (c *cacheLog) slot(seq int64, mk bool) **dataMsg {
-	pos, k := int((seq-1)%cacheSize), 0
-	for pos >= logSegs[k+1] {
+// slots is how many records the log has room for.
+func (c *cacheLog) slots() int64 { return int64(logSegs[c.made]) }
+
+// at returns the slot at position pos.
+func (c *cacheLog) at(pos int64) **dataMsg {
+	k := 0
+	for pos >= int64(logSegs[k+1]) {
 		k++
 	}
-	if c.segs[k] == nil {
-		if !mk {
-			return nil
-		}
-		c.segs[k] = make([]*dataMsg, logSegs[k+1]-logSegs[k])
-	}
-	return &c.segs[k][pos-logSegs[k]]
+	return &c.segs[k][pos-int64(logSegs[k])]
 }
+
+// slot returns where seq's record lives; seq must be in [lo, top].
+func (c *cacheLog) slot(seq int64) **dataMsg { return c.at((seq - c.base) % c.slots()) }
 
 // get returns the record stored under seq, or nil if the window
 // [lo, top] holds none.
@@ -157,25 +169,62 @@ func (c *cacheLog) get(seq int64) *dataMsg {
 	if seq < c.lo() || seq > c.top {
 		return nil
 	}
-	if s := c.slot(seq, false); s != nil {
-		return *s
-	}
-	return nil
+	return *c.slot(seq)
 }
 
 // set stores d under seq. A store below the window is ignored; one past
-// the top forgets what the positions of the numbers it skips held.
+// the top stores nothing under the numbers it skips.
 func (c *cacheLog) set(seq int64, d *dataMsg) {
 	if seq < c.lo() {
 		return
 	}
-	for i := max(c.top+1, seq-cacheSize+1); i < seq; i++ {
-		if s := c.slot(i, false); s != nil {
-			*s = nil
-		}
+	for c.top < seq {
+		*c.next() = nil
 	}
-	*c.slot(seq, true) = d
-	c.top = max(c.top, seq)
+	*c.slot(seq) = d
+}
+
+// next makes room for the record after the top and returns its slot.
+func (c *cacheLog) next() **dataMsg {
+	s, n := c.top+1, c.slots()
+	p, w := int64(0), s-max(1, c.cut)+1 // its position, and the window it closes
+	if n > 0 {
+		p = (s - c.base) % n
+	}
+	switch {
+	case c.made == len(c.segs) || w <= n && (p > 0 || 2*w <= n):
+		// The position holds a record below the window, or none.
+	case p == 0: // the end of a lap: go on in the next segment
+		c.grow()
+		c.base = s - n
+	default: // [s − n, s) fill the ring, the newest of them at [0, p)
+		c.grow()
+		for i := range p {
+			*c.at(n + i), *c.at(i) = *c.at(i), nil
+		}
+		c.base = s - n - p
+	}
+	c.top = s
+	return c.slot(s)
+}
+
+// grow makes the next segment.
+func (c *cacheLog) grow() {
+	c.segs[c.made] = make([]*dataMsg, logSegs[c.made+1]-logSegs[c.made])
+	c.made++
+}
+
+// trim drops the records below t, or below the top's successor if t is
+// above it.
+func (c *cacheLog) trim(t int64) {
+	t = min(t, c.top+1)
+	if t <= c.cut {
+		return
+	}
+	for s := c.lo(); s < t; s++ {
+		*c.slot(s) = nil
+	}
+	c.cut = t
 }
 
 // dedupWindow remembers which of one source's submissions, numbered

@@ -226,6 +226,9 @@ func (nw *Network) SetDown(node int, down bool) {
 // Down reports whether node is marked crashed.
 func (nw *Network) Down(node int) bool { return nw.down[node] }
 
+// Downs reports how many nodes are marked crashed.
+func (nw *Network) Downs() int { return nw.downCount }
+
 // fragments reports how many wire frames a payload of size bytes needs.
 func (nw *Network) fragments(size int) int {
 	if size <= 0 {

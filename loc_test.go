@@ -63,15 +63,15 @@ var codeCeilings = map[string]int{
 	"examples/mixed":      30,
 	"examples/quickstart": 48,
 	"examples/tsp":        32,
-	"internal/amoeba":     806, // −6: a record holds a bool, int or int64 inline and carves any other concrete value (Put takes the run, Get and Value read through the pointer); float64 and sim.Time are carved, no longer inline kinds, and Size walks the values once
+	"internal/amoeba":     809, // +3: a broadcast payload record carries the header's Obj, and new records are carved in runs from the machine's chunk
 	"internal/apps/acp":   628, // −9: Work.AnyWork and its descriptor, which nothing called
 	"internal/apps/atpg":  764, // −5: Circuit.Fanout with the fanout lists only it read, and FaultSimulator.Good, which nothing called
 	"internal/apps/chess": 986,
 	"internal/apps/kv":    369,  // +9: the key directory, the slot array's write path and the 1<<31 key limit (map shard state and receipt maps went)
 	"internal/apps/tsp":   576,  // +12: a run computes the cheapest-edge table once and hands it to every search, and GenerateJobs counts its jobs to carve their routes from one array
-	"internal/group":      2262, // −20: the chunk a member carves from is sim.Chunk, shared with the run's carve tables
+	"internal/group":      2312, // +50: the delivered cache is a ring over its segments that drops records below the sequencer's trim point, which every cast carries; the trim scan counts the members at its minimum
 	"internal/harness":    1622,
-	"internal/netsim":     414,
+	"internal/netsim":     415,  // +1: Downs, the count of crashed nodes, which the trim scan's gate reads
 	"internal/orca":       738,  // +12: the descriptors carve their arguments, and their operations their results, from the run's tables (rec1/rec2 take the run; a two-result apply is named before its record), and a fork message is carved from the runtime's chunk, whose first run is planned at one fork per other machine
 	"internal/orca/std":   366,  // −1: the job queue keeps its jobs in segments that are never copied (push/pop keep the size count) and Queue.Add carves the job; the nine Handle accessors, which nothing called, are gone
 	"internal/rts":        2827, // −1: OpDef.Apply takes the run to carve results from, a fence record is carved once and shared by its shards and a full-span fork reuses the list of every group (Router.every), a fence's arrival record is carved, SizeOfValue sizes a pointer as its pointee, and five maps made at their first store go through one put
