@@ -30,9 +30,16 @@
 // reference it checks the kernel against. A run computes the
 // instance's cheapest-edge table once and hands it to every search, and
 // GenerateJobs carves every job's route from one array, so a search
-// allocates nothing and a job nothing of its own. SolveSeq is a separate
-// solver on purpose: the benchmark checks every parallel optimum
-// against it.
+// allocates nothing and a job nothing of its own.
+//
+// SolveSeq walks the tree the same way, its free cities one uint64 and
+// its bound a field of a small solver record, but it tests a child
+// against the bound before recursing into it, counting it as a node
+// either way; its optimum and node count are those of the closure over
+// a visited []bool it replaced, which solve_test.go keeps as its
+// reference. It is a separate solver on purpose, not a SearchJob with
+// a local bound: the benchmark and the examples check every parallel
+// optimum against it, so it must not share the code it checks.
 //
 // Downward: built on package orca and the std object types. Upward:
 // internal/harness reproduces Figure 2 and the fault scenarios from

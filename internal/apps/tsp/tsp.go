@@ -159,43 +159,51 @@ func InitialBound(inst *Instance) int {
 // SolveSeq is the sequential branch-and-bound baseline: same pruning
 // rule as the parallel program, single local bound seeded with the
 // nearest-neighbor tour. It returns the optimum length and the number
-// of search nodes expanded.
+// of search nodes expanded. Instances have at most 64 cities.
 func SolveSeq(inst *Instance) (best int, nodes int64) {
 	n := inst.N
-	minOut := inst.MinOut()
-	visited := make([]bool, n)
-	visited[0] = true
-	best = InitialBound(inst) + 1
-	var rest int
+	if n > 64 {
+		panic(fmt.Sprintf("tsp: %d cities, the solver handles at most 64", n))
+	}
+	s := seqSolver{dist: inst.Dist, minOut: inst.MinOut(), best: InitialBound(inst) + 1}
+	rest := 0
 	for i := 1; i < n; i++ {
-		rest += minOut[i]
+		rest += s.minOut[i]
 	}
-	var dfs func(last, length, depth int)
-	dfs = func(last, length, depth int) {
-		nodes++
-		if best < math.MaxInt && length+rest+minOut[last] >= best {
-			return
-		}
-		if depth == n {
-			total := length + inst.Dist[last][0]
-			if total < best {
-				best = total
-			}
-			return
-		}
-		for next := 1; next < n; next++ {
-			if visited[next] {
-				continue
-			}
-			visited[next] = true
-			rest -= minOut[next]
-			dfs(next, length+inst.Dist[last][next], depth+1)
-			rest += minOut[next]
-			visited[next] = false
+	s.nodes = 1
+	if rest+s.minOut[0] < s.best {
+		s.dfs(0, 0, rest, uint64(1)<<n-2)
+	}
+	return s.best, s.nodes
+}
+
+// seqSolver is SolveSeq's search: the bound is a field, the free cities
+// one uint64 walked in ascending order, and a child is counted and
+// tested against the bound before the recursion, which it enters only
+// if it survives. rest sums the cheapest departures of the free cities,
+// so a child's test, length+row[next] + (rest-minOut[next]) +
+// minOut[next], is length+row[next]+rest.
+type seqSolver struct {
+	dist   [][]int
+	minOut []int
+	best   int
+	nodes  int64
+}
+
+// dfs expands a node that passed the bound test.
+func (s *seqSolver) dfs(last, length, rest int, free uint64) {
+	row := s.dist[last]
+	if free == 0 {
+		s.best = min(s.best, length+row[0])
+		return
+	}
+	for m := free; m != 0; m &= m - 1 {
+		next := bits.TrailingZeros64(m)
+		s.nodes++
+		if l := length + row[next]; l+rest < s.best {
+			s.dfs(next, l, rest-s.minOut[next], free&^(1<<next))
 		}
 	}
-	dfs(0, 0, 1)
-	return best, nodes
 }
 
 // GenerateJobs expands the first jobDepth levels of the search tree

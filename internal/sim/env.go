@@ -355,6 +355,14 @@ func (e *Env) schedule(ev *Event, t Time) {
 	ev.t, ev.seq = t, e.seqGen
 	if t == e.now {
 		ev.index = onReady
+		if len(e.ready) == cap(e.ready) && e.readyHead >= len(e.ready)/2 {
+			// Full, and at least half consumed: slide the backlog down
+			// instead of growing, so the list's capacity stays within a
+			// small multiple of the largest same-instant backlog.
+			n := copy(e.ready, e.ready[e.readyHead:])
+			clear(e.ready[n:])
+			e.ready, e.readyHead = e.ready[:n], 0
+		}
 		e.ready = append(e.ready, ev)
 		return
 	}

@@ -493,3 +493,68 @@ func TestResourceBusyTimeWithHolder(t *testing.T) {
 		t.Errorf("busy = %v, want 150", r.BusyTime())
 	}
 }
+
+// TestReadyListReusesConsumedSlots: the same-instant ready list never
+// drains while two processes ping-pong, so it must reuse the slots it
+// has consumed rather than grow with every yield; and bursts of
+// same-instant events, appended while the list is partly consumed,
+// still fire in the order they were scheduled.
+func TestReadyListReusesConsumedSlots(t *testing.T) {
+	e := New(1)
+	const yields = 10_000
+	last, turns, maxCap := -1, 0, 0
+	for i := 0; i < 2; i++ {
+		e.Spawn(fmt.Sprintf("ponger%d", i), func(p *Proc) {
+			for j := 0; j < yields/2; j++ {
+				if last == i {
+					t.Fatalf("ponger%d ran twice in a row at turn %d", i, turns)
+				}
+				last, turns = i, turns+1
+				maxCap = max(maxCap, cap(e.ready))
+				p.Yield()
+			}
+		})
+	}
+	e.Run()
+	if turns != yields || maxCap > 8 {
+		t.Fatalf("%d turns, ready list capacity up to %d; want %d turns within 8 slots", turns, maxCap, yields)
+	}
+
+	// A burster among pongers: the list never drains, so every burst is
+	// appended behind a partly consumed backlog.
+	e = New(1)
+	var fired []int
+	next, biggest := 0, 0
+	for i := 0; i < 2; i++ {
+		e.Spawn(fmt.Sprintf("ponger%d", i), func(p *Proc) {
+			for j := 0; j < 10_000; j++ {
+				p.Yield()
+			}
+		})
+	}
+	e.Spawn("burster", func(p *Proc) {
+		for round := 0; round < 2_000; round++ {
+			burst := (round * 37) % 300
+			biggest = max(biggest, burst)
+			for k := 0; k < burst; k++ {
+				n := next
+				next++
+				e.Schedule(e.Now(), func() { fired = append(fired, n) })
+			}
+			maxCap = max(maxCap, cap(e.ready))
+			for k := round % 7; k >= 0; k-- {
+				p.Yield()
+			}
+		}
+	})
+	maxCap = 0
+	e.Run()
+	for i, n := range fired {
+		if n != i {
+			t.Fatalf("event %d fired in place %d", n, i)
+		}
+	}
+	if len(fired) != next || maxCap > 4*(biggest+3) {
+		t.Fatalf("%d of %d events fired, ready list capacity up to %d for bursts of up to %d", len(fired), next, maxCap, biggest)
+	}
+}

@@ -68,7 +68,7 @@ var codeCeilings = map[string]int{
 	"internal/apps/atpg":  764, // −5: Circuit.Fanout with the fanout lists only it read, and FaultSimulator.Good, which nothing called
 	"internal/apps/chess": 986,
 	"internal/apps/kv":    369,  // +9: the key directory, the slot array's write path and the 1<<31 key limit (map shard state and receipt maps went)
-	"internal/apps/tsp":   576,  // +12: a run computes the cheapest-edge table once and hands it to every search, and GenerateJobs counts its jobs to carve their routes from one array
+	"internal/apps/tsp":   575,  // −1: SolveSeq is a method search over a uint64 of free cities that tests a child before recursing; the closure over a visited []bool it replaced is solve_test.go's reference
 	"internal/group":      2312, // +50: the delivered cache is a ring over its segments that drops records below the sequencer's trim point, which every cast carries; the trim scan counts the members at its minimum
 	"internal/harness":    1622,
 	"internal/netsim":     415,  // +1: Downs, the count of crashed nodes, which the trim scan's gate reads
@@ -76,7 +76,7 @@ var codeCeilings = map[string]int{
 	"internal/orca/std":   366,  // −1: the job queue keeps its jobs in segments that are never copied (push/pop keep the size count) and Queue.Add carves the job; the nine Handle accessors, which nothing called, are gone
 	"internal/rts":        2827, // −1: OpDef.Apply takes the run to carve results from, a fence record is carved once and shared by its shards and a full-span fork reuses the list of every group (Router.every), a fence's arrival record is carved, SizeOfValue sizes a pointer as its pointee, and five maps made at their first store go through one put
 	"internal/rts/scheck": 111,
-	"internal/sim":        870, // +48: Chunk, moved here from group, with Plan for a caller that knows its count, and Carve: an environment's carve tables, one chunk per type, made at its first carve
+	"internal/sim":        875, // +5: the same-instant ready list slides its backlog down when it is full and at least half consumed, instead of growing
 	"internal/workload":   231, // +10: one Zipf table per (Keys, Theta), shared by every generator instead of summed per client
 }
 
