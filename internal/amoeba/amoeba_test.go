@@ -139,7 +139,7 @@ func TestRPCReplyTwicePanics(t *testing.T) {
 		r, _ := srv.GetRequest(p)
 		srv.PutReply(p, r, 1, 8)
 		again(func() { srv.PutReply(p, r, 2, 8) })
-		again(func() { srv.PutResultFn(p, r, Args{}, 8, func() {}) })
+		again(func() { srv.PutReplyOn(p, r, Args{}, nil, 8, sim.Func(func() {})) })
 	})
 	c := NewClient(ms[0], DefaultRPCPolicy())
 	var got any
@@ -248,7 +248,7 @@ func atMostOnceRun(t *testing.T, served bool) string {
 		var c *sim.Proc
 		c = srv.Serve(func(r *Request) {
 			execs++
-			srv.PutResultFn(c, r, one(execs), 8, srv.Done)
+			srv.PutReplyOn(c, r, one(execs), nil, 8, sim.Func(srv.Done))
 		})
 	} else {
 		ms[1].SpawnThread("server", func(p *sim.Proc) {
@@ -368,7 +368,7 @@ func TestDeferRunsOnInterruptThread(t *testing.T) {
 	}
 	ms[0].Deadline(5*sim.Millisecond, func(p *sim.Proc) {
 		note(p, "round")
-		ms[0].SendFn(p, 1, Packet{Port: "sink", Size: 8}, func() { note(p, "sent") })
+		ms[0].SendOn(p, 1, Packet{Port: "sink", Size: 8}, sim.Func(func() { note(p, "sent") }))
 	})
 	ms[0].Deadline(5*sim.Millisecond, func(p *sim.Proc) { note(p, "next round") })
 	env.Run()

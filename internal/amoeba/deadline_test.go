@@ -39,7 +39,7 @@ func deadlineScript(t *testing.T, script string) string {
 	busy := func() {
 		arm(m, sim.Millisecond, func(p *sim.Proc) {
 			round("busy")(p)
-			m.SendFn(p, 1, Packet{Port: "sink", Size: 8}, func() {})
+			m.SendOn(p, 1, Packet{Port: "sink", Size: 8}, sim.Func(func() {}))
 		})
 	}
 	at := func(when sim.Time, fn func()) { env.At(when, fn) }

@@ -14,8 +14,11 @@
 // consumer per machine with no process behind it, which runs to
 // completion on the simulator's dispatch lane in the name of the
 // machine's interrupt claimant (see sim.Env.Claimant): the charge, the
-// handler and deferred functions (kernel timer rounds) alike. A handler
-// never blocks: it sends through the continuation forms (SendFn, SendOn,
+// handler and deferred functions (kernel timer rounds) alike. Every
+// primitive that waits has one continuation form, which takes a
+// sim.Firer (a func through sim.Func), and its blocking form is that
+// form with the calling thread as the continuation, and a park. A
+// handler never blocks: it sends through the continuation forms (SendOn,
 // MulticastOn), chaining one send from the last one's continuation, and
 // the kernel serves the next packet once the handler and every
 // continuation it started have run, so service stalls behind its sends
@@ -31,7 +34,7 @@
 // RPC is Amoeba's: a Client thread blocks in Call (or Trans, its
 // all-body form), which retransmits on timeout, and a consumer makes the
 // same transaction in continuation form, in its claimant's name
-// (CallFn, of which Call is the park); a Server deduplicates by
+// (CallOn, of which Call is the park); a Server deduplicates by
 // transaction id and answers a duplicate of an executed request from
 // its reply cache, so execution is at most once on a lossy net. What
 // travels is a Packet: port, traffic class, size and an opaque body,
@@ -51,7 +54,7 @@
 // context switch is charged in the consumer's claimant's name, and a
 // function of the owner's is handed the request at the instant
 // GetRequest would have returned it, serves it on the dispatch lane
-// through the continuation forms (PutResultFn, PutReplyFn) without
+// through the continuation form PutReplyOn without
 // blocking, and calls Done. Only the wall clock can tell that from one
 // thread serving the port. Request and transaction records are pooled:
 // a Request is the server's again once its reply is on its way, and a

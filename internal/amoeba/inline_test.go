@@ -120,9 +120,9 @@ func chainRun(t *testing.T, thread bool, crashAt sim.Time) (trace, fig string) {
 	} else {
 		ms[1].Bind("relay", func(p *sim.Proc, from int, pkt Packet) {
 			k := pkt.Body.(int)
-			ms[1].SendFn(p, 2, frame("a", k), func() {
-				ms[1].SendFn(p, 2, frame("b", k), func() {})
-			})
+			ms[1].SendOn(p, 2, frame("a", k), sim.Func(func() {
+				ms[1].SendOn(p, 2, frame("b", k), sim.Func(func() {}))
+			}))
 		})
 	}
 	ms[1].SpawnThread("user", func(p *sim.Proc) {
@@ -588,7 +588,7 @@ func TestReleasedRequestIsPoisoned(t *testing.T) {
 
 // A charge of several quanta is the same slices in the same event slots
 // whether a thread makes it (Compute) or a served queue's consumer makes
-// it in its claimant's name (ComputeFn): a second claimant that arrives
+// it in its claimant's name (ComputeOn): a second claimant that arrives
 // mid-way gets the CPU after the slice in progress either way, and every
 // moment an observer can see has the same clock and event count.
 func TestComputeFnSlicesLikeCompute(t *testing.T) {
@@ -605,8 +605,8 @@ func TestComputeFnSlicesLikeCompute(t *testing.T) {
 		work := sim.NewQueue[sim.Time](env)
 		if inline {
 			c := new(Claimant).Init(m, "long", -1)
-			done := func() { note("long"); work.Done() }
-			work.Serve(c, timeConsumer(func(d sim.Time) { m.ComputeFn(c, d, done) }))
+			done := sim.Func(func() { note("long"); work.Done() })
+			work.Serve(c, timeConsumer(func(d sim.Time) { m.ComputeOn(c, d, done) }))
 		} else {
 			m.SpawnThread("long", func(p *sim.Proc) {
 				for {
@@ -634,7 +634,7 @@ func TestComputeFnSlicesLikeCompute(t *testing.T) {
 	}
 	thread, inline := run(false), run(true)
 	if fmt.Sprint(thread) != fmt.Sprint(inline) {
-		t.Errorf("traces differ:\n  Compute:   %v\n  ComputeFn: %v", thread, inline)
+		t.Errorf("traces differ:\n  Compute:   %v\n  ComputeOn: %v", thread, inline)
 	}
 	q := sim.Millisecond
 	// long: [10µs, q+10µs) [q+10µs, 2q+10µs); short's half slice; then they alternate.
@@ -644,8 +644,8 @@ func TestComputeFnSlicesLikeCompute(t *testing.T) {
 }
 
 // A transaction that a consumer makes in its claimant's name with
-// CallFn takes the steps a thread's Call takes, in the same events. Each
-// case runs once with Call from a thread and once with CallFn from a
+// CallOn takes the steps a thread's Call takes, in the same events. Each
+// case runs once with Call from a thread and once with CallOn from a
 // claimant, started from an event in the slot where the thread started,
 // and both must end with the same packet, error and instant, after the
 // same events. A killed caller hears nothing in either form.
@@ -696,7 +696,7 @@ func TestRPCCallFnMatchesCall(t *testing.T) {
 			}
 			if fn {
 				caller := new(Claimant).Init(ms[0], "caller", -1)
-				env.Schedule(0, func() { cl.CallFn(caller, 1, req, heard) })
+				env.Schedule(0, func() { cl.CallOn(caller, 1, req, sim.Func(func() { heard(cl.Result()) })) })
 			} else {
 				ms[0].SpawnThread("caller", func(p *sim.Proc) { heard(cl.Call(p, 1, req)) })
 			}
@@ -712,7 +712,7 @@ func TestRPCCallFnMatchesCall(t *testing.T) {
 				t.Errorf("Call from a thread ended with %q, want %q", outcome, c.want)
 			}
 			if _, consumer := run(true); consumer != thread {
-				t.Errorf("CallFn from a claimant: %s\nCall from a thread: %s", consumer, thread)
+				t.Errorf("CallOn from a claimant: %s\nCall from a thread: %s", consumer, thread)
 			}
 		})
 	}

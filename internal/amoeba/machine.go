@@ -67,7 +67,7 @@ type Packet struct {
 // no process behind it: p is good for identity, for p.Now() and as the
 // claimant of CPU time, and reaching a blocking call with it panics in
 // sim. A handler never blocks. It sends through the continuation forms
-// (SendFn, SendOn, MulticastOn) with p, whatever it does after a send
+// (SendOn, MulticastOn) with p, whatever it does after a send
 // going into that send's continuation, and issues a second send from
 // the first one's continuation, never beside it. The
 // kernel joins them: the next delivery is served once the handler has
@@ -395,19 +395,15 @@ func (c *Claimant) String() string {
 // sliced into scheduling quanta so other threads and interrupt service
 // interleave.
 func (m *Machine) Compute(p *sim.Proc, d sim.Time) {
-	m.ComputeFn(p, d, p.Resume())
+	m.ComputeOn(p, d, p)
 	p.Park()
 }
 
-// ComputeFn is Compute in continuation form: d is charged on p's behalf,
-// a quantum at a time (see sim.Resource.Slice), and fn then runs on the
-// dispatch lane. A consumer with no process behind it is charged this
-// way, in its claimant's name. A charge of nothing runs fn at once, as
-// Compute returns at once.
-func (m *Machine) ComputeFn(p *sim.Proc, d sim.Time, fn func()) { m.ComputeOn(p, d, sim.Func(fn)) }
-
-// ComputeOn is ComputeFn for a typed continuation: k fires where fn
-// would run (see sim.Resource.UseOn).
+// ComputeOn is Compute in continuation form: d is charged on p's behalf,
+// a quantum at a time (see sim.Resource.Slice), and k then fires on the
+// dispatch lane (see sim.Resource.UseOn). A consumer with no process
+// behind it is charged this way, in its claimant's name. A charge of
+// nothing fires k at once, as Compute returns at once.
 func (m *Machine) ComputeOn(p *sim.Proc, d sim.Time, k sim.Firer) {
 	if d <= 0 {
 		k.Fire()
@@ -422,22 +418,17 @@ func (m *Machine) AppBusy() sim.Time { return m.appBusy }
 
 // Send transmits a unicast packet to dst, charging send-side CPU to p.
 func (m *Machine) Send(p *sim.Proc, dst int, pkt Packet) {
-	m.SendFn(p, dst, pkt, p.Resume())
+	m.SendOn(p, dst, pkt, p)
 	p.Park()
 }
 
-// SendFn is Send in continuation form: the send cost is charged on p's
-// behalf, and the packet is then transmitted and then runs, in the
-// event where Send would have returned to p. A crashed machine sends
-// nothing and charges nothing, and then runs at once. A claim made in
-// the interrupt claimant's name belongs to the task in service, which
-// ends only once then has run (see Handler).
-func (m *Machine) SendFn(p *sim.Proc, dst int, pkt Packet, then func()) {
-	m.sendOn(p, dst, pkt, nil, sim.Func(then))
-}
-
-// SendOn is SendFn for a typed continuation: then fires where SendFn's
-// would run, so a record that is its own continuation binds nothing.
+// SendOn is Send in continuation form: the send cost is charged on p's
+// behalf, and the packet is then transmitted and then fires, in the
+// event where Send would have returned to p; a record that is its own
+// continuation binds nothing. A crashed machine sends nothing and
+// charges nothing, and then fires at once. A claim made in the interrupt
+// claimant's name belongs to the task in service, which ends only once
+// then has fired (see Handler).
 func (m *Machine) SendOn(p *sim.Proc, dst int, pkt Packet, then sim.Firer) {
 	m.sendOn(p, dst, pkt, nil, then)
 }
@@ -506,7 +497,7 @@ func (s *sending) sent() {
 
 // Broadcast transmits a packet to all other machines, charging
 // send-side CPU to p. It requires broadcast-capable hardware; its
-// continuation form is SendFn to netsim.Broadcast.
+// continuation form is SendOn to netsim.Broadcast.
 func (m *Machine) Broadcast(p *sim.Proc, pkt Packet) { m.Send(p, netsim.Broadcast, pkt) }
 
 // MulticastOn transmits a packet to the listed member nodes, charging
@@ -552,6 +543,10 @@ func (t *Timer) Init(m *Machine, round Round) {
 // pending (see sim.Event.Arm).
 func (t *Timer) Arm(d sim.Time) { t.ev.Arm(d) }
 
+// Cancel removes the pending firing, if any. A round the timer has
+// already queued for interrupt service still runs.
+func (t *Timer) Cancel() { t.ev.Cancel() }
+
 // timerFire is a timer as the callback of its event.
 type timerFire Timer
 
@@ -570,10 +565,18 @@ type Deadline struct {
 	ev    sim.Event // bound to fire once, when the record is made
 	m     *Machine
 	round func(p *sim.Proc)
-	armed bool              // from the arm to the firing or the cancel
-	runFn func(p *sim.Proc) // dl.run, bound once
+	armed bool // from the arm to the firing or the cancel
 	next  *Deadline
 }
+
+// deadlineTask is a deadline as the callback of its event and as the
+// task of interrupt service that runs its round, so a record binds
+// nothing.
+type deadlineTask Deadline
+
+func (t *deadlineTask) Fire() { (*Deadline)(t).fire() }
+
+func (t *deadlineTask) Round(p *sim.Proc) { (*Deadline)(t).run(p) }
 
 // Deadline arms a kernel deadline: round runs in interrupt context d
 // from now. The arm and a cancel take the places in the (time, seq)
@@ -585,8 +588,7 @@ func (m *Machine) Deadline(d sim.Time, round func(p *sim.Proc)) *Deadline {
 	dl := m.deadlines
 	if dl == nil {
 		dl = &Deadline{m: m}
-		dl.ev.Init(m.env, dl.fire)
-		dl.runFn = dl.run
+		dl.ev.InitOn(m.env, (*deadlineTask)(dl))
 	} else {
 		m.deadlines, dl.next = dl.next, nil
 	}
@@ -610,7 +612,7 @@ func (dl *Deadline) Cancel() {
 // does not do.
 func (dl *Deadline) fire() {
 	dl.armed = false
-	dl.m.Defer(dl.runFn)
+	dl.m.deferRound((*deadlineTask)(dl))
 }
 
 // run is the task of interrupt service that runs the round.

@@ -70,13 +70,12 @@ type Server struct {
 	free    []*Request     // replied-to records, for handle to reuse
 
 	// Service by a consumer (see Serve): its claimant, the function
-	// every request is handed to, the request whose context switch is
-	// being charged, and s.asked bound once.
-	c       *sim.Proc
-	claim   Claimant // c's record
-	take    func(*Request)
-	cur     *Request
-	askedFn func()
+	// every request is handed to, and the request whose context switch
+	// is being charged.
+	c     *sim.Proc
+	claim Claimant // c's record
+	take  func(*Request)
+	cur   *Request
 }
 
 // replyWindow is how many of its last replies a server keeps for
@@ -185,7 +184,7 @@ func (s *Server) handle(p *sim.Proc, from int, pkt Packet) {
 	}
 	if rep := s.seen.get(pkt.TxID); rep != nil {
 		// Duplicate of an executed request: resend the cached reply.
-		s.m.SendFn(p, from, s.repPacket(pkt.Op, *rep), func() {})
+		s.m.SendOn(p, from, s.repPacket(pkt.Op, *rep), sim.Func(func() {}))
 		return
 	}
 	if s.inwrk[pkt.TxID] {
@@ -224,25 +223,27 @@ func (s *Server) GetRequest(p *sim.Proc) (*Request, bool) {
 // thread looping on GetRequest. Each request's context switch is charged
 // in the claimant's name, and take is handed the request where
 // GetRequest would have returned it. take serves it without blocking —
-// replying through PutResultFn or PutReplyFn, say — and calls Done once
-// it is served, within the call or from a later callback event.
+// replying through PutReplyOn, say — and calls Done once it is served,
+// within the call or from a later callback event.
 func (s *Server) Serve(take func(r *Request)) *sim.Proc {
 	s.c, s.take = s.claim.Init(s.m, s.port, -1), take
-	s.askedFn = s.asked
 	s.reqs.Serve(s.c, (*serverQueue)(s))
 	return s.c
 }
 
-// serverQueue is a server as the consumer of its request queue.
+// serverQueue is a server as the consumer of its request queue, and the
+// continuation of a request's context switch.
 type serverQueue Server
 
 func (q *serverQueue) Consume(r *Request) { (*Server)(q).offered(r) }
+
+func (q *serverQueue) Fire() { (*Server)(q).asked() }
 
 // offered charges the context switch for a request that has reached the
 // head of the queue.
 func (s *Server) offered(r *Request) {
 	s.cur = r
-	s.m.cpu.UseFn(s.c, s.m.costs.Switch, s.askedFn)
+	s.m.cpu.UseOn(s.c, s.m.costs.Switch, (*serverQueue)(s))
 }
 
 // asked runs where the thread would resume with the switch charged.
@@ -289,34 +290,25 @@ func (s *Server) release(r *Request) {
 // duplicate suppression. r is the server's again once PutReply is
 // called.
 func (s *Server) PutReply(p *sim.Proc, r *Request, body any, size int) {
-	s.putFn(p, r, Args{}, body, size, p.Resume())
+	s.PutReplyOn(p, r, Args{}, body, size, p)
 	p.Park()
 }
 
 // PutResult is PutReply for a reply that fits the header: res.
 func (s *Server) PutResult(p *sim.Proc, r *Request, res Args, size int) {
-	s.putFn(p, r, res, nil, size, p.Resume())
+	s.PutReplyOn(p, r, res, nil, size, p)
 	p.Park()
 }
 
-// PutResultFn is PutResult in continuation form, for a consumer that
+// PutReplyOn is every reply, in continuation form, for a consumer that
 // serves r on the dispatch lane in the name of its claimant p (see
-// Serve): the reply is recorded now and sent with SendFn, so then runs
-// in the event where PutResult would have returned.
-func (s *Server) PutResultFn(p *sim.Proc, r *Request, res Args, size int, then func()) {
-	s.putFn(p, r, res, nil, size, then)
-}
-
-// PutReplyFn is PutReply in continuation form (see PutResultFn).
-func (s *Server) PutReplyFn(p *sim.Proc, r *Request, body any, size int, then func()) {
-	s.putFn(p, r, Args{}, body, size, then)
-}
-
-// putFn is every reply.
-func (s *Server) putFn(p *sim.Proc, r *Request, res Args, body any, size int, then func()) {
+// Serve): the reply, results res and body, is recorded now and sent
+// with SendOn, so then fires in the event where PutReply would have
+// returned.
+func (s *Server) PutReplyOn(p *sim.Proc, r *Request, res Args, body any, size int, then sim.Firer) {
 	rep, to := s.reply(r, res, body, size), r.From
 	s.release(r)
-	s.m.SendFn(p, to, rep, then)
+	s.m.SendOn(p, to, rep, then)
 }
 
 // Client issues RPCs from a machine to servers elsewhere. A single
@@ -329,27 +321,28 @@ type Client struct {
 	bound  map[string]bool // service ports whose reply port is bound
 	free   []*rpcWait      // records of completed transactions
 
-	// rep and err are what the transaction a thread parked in Call for
-	// ended with: set as it ends and read as the thread resumes, at the
-	// end of the same event, before anything else runs.
+	// rep and err are what the last transaction ended with: set as it
+	// ends and read (see Result) by its continuation as it fires, or by
+	// the thread parked in Call as it resumes, at the end of the same
+	// event, before anything else runs.
 	rep Packet
 	err error
 }
 
 // rpcWait is one transaction in progress, in the name of its caller p:
 // the request, what the reply handler and the retransmission timer
-// leave for it, and what runs when it ends. Records are pooled, and the
-// timer and the continuations are part of the record, so a transaction
-// allocates nothing.
+// leave for it, and what fires when it ends. Records are pooled, and the
+// timer and the continuations are part of the record (a record is its
+// request's send's), so a transaction allocates nothing.
 type rpcWait struct {
 	c                          *Client
 	p                          *sim.Proc
 	dst, attempt               int
 	req, reply                 Packet
-	k                          func(Packet, error) // nil: resume p (see Call)
+	k                          sim.Firer // the caller: p itself, in Call
 	replied, timedOut, waiting bool
 	timer                      sim.Event
-	sentFn, wokeFn             func()
+	wokeFn                     func()
 }
 
 // wake runs the transaction's next step, if it is waiting for one, from
@@ -398,19 +391,19 @@ func (c *Client) Trans(p *sim.Proc, dst int, port, op string, body any, size int
 // simulated wire; the runtime systems avoid them by checking locality
 // first. Every transmission copies req, so a retransmission carries
 // what the first one did whatever has become of the frames before it.
-// Call is CallFn and a park.
+// Call is CallOn and a park.
 func (c *Client) Call(p *sim.Proc, dst int, req Packet) (Packet, error) {
-	c.CallFn(p, dst, req, nil)
+	c.CallOn(p, dst, req, p)
 	p.Park()
-	return c.rep, c.err
+	return c.Result()
 }
 
-// CallFn is Call in continuation form, for a consumer that calls in the
+// CallOn is Call in continuation form, for a consumer that calls in the
 // name of its claimant p: the transaction starts within the calling
-// event and takes Call's steps in the same events, and k runs with the
-// reply or the error in the event where Call would have returned. If p
-// is killed first, k never runs. (A nil k resumes p instead: Call.)
-func (c *Client) CallFn(p *sim.Proc, dst int, req Packet, k func(Packet, error)) {
+// event and takes Call's steps in the same events, and k fires, with
+// the reply or the error in Result, in the event where Call would have
+// returned. If p is killed first, k never fires.
+func (c *Client) CallOn(p *sim.Proc, dst int, req Packet, k sim.Firer) {
 	if !c.bound[req.Port] {
 		// Replies arrive on port+"-rep", so that a machine can be client
 		// and server of one service.
@@ -422,8 +415,8 @@ func (c *Client) CallFn(p *sim.Proc, dst int, req Packet, k func(Packet, error))
 		w, c.free = c.free[n-1], c.free[:n-1]
 	} else {
 		w = &rpcWait{c: c}
-		w.timer.Init(c.m.env, func() { w.timedOut = true; w.wake() })
-		w.sentFn, w.wokeFn = func() { w.timedOut = false; w.timer.Arm(c.policy.Timeout); w.woke() }, w.woke
+		w.timer.InitOn(c.m.env, sim.Func(func() { w.timedOut = true; w.wake() }))
+		w.wokeFn = w.woke
 	}
 	w.p, w.dst, w.k, w.req = p, dst, k, req
 	if c.m.net.Down(dst) {
@@ -432,7 +425,14 @@ func (c *Client) CallFn(p *sim.Proc, dst int, req Packet, k func(Packet, error))
 	}
 	w.req.Kind, w.req.TxID, w.req.Size = "rpc-req", c.m.ServiceID(), req.Size+rpcHeaderBytes
 	c.waits[w.req.TxID] = w
-	c.m.SendFn(p, dst, w.req, w.sentFn)
+	c.m.SendOn(p, dst, w.req, w)
+}
+
+// Fire arms the timeout once the request has been sent, and goes on.
+func (w *rpcWait) Fire() {
+	w.timedOut = false
+	w.timer.Arm(w.c.policy.Timeout)
+	w.woke()
 }
 
 // woke goes on once the request has been sent, or once a reply or a
@@ -453,30 +453,31 @@ func (w *rpcWait) woke() {
 	case w.attempt < w.c.policy.Retries:
 		w.attempt++
 		m.Env().Tracef("node%d: rpc retry %s/%s to %d", m.id, w.req.Port, w.req.Op, w.dst)
-		m.SendFn(w.p, w.dst, w.req, w.sentFn)
+		m.SendOn(w.p, w.dst, w.req, w)
 	default:
 		w.finish(ErrRPCTimeout)
 	}
 }
 
 // finish ends the transaction with err (nil: the reply came), pools its
-// record and hands the outcome on. A caller killed mid-transaction (its
-// machine crashed) never gets here: what a crash abandons stays
-// abandoned, so its record keeps its entry in the shared map and stays
-// out of the pool, and a timer still armed for it fires on a record
-// nobody else has.
+// record and fires its continuation with the outcome in Result. A
+// caller killed mid-transaction (its machine crashed) never gets here:
+// what a crash abandons stays abandoned, so its record keeps its entry
+// in the shared map and stays out of the pool, and a timer still armed
+// for it fires on a record nobody else has.
 func (w *rpcWait) finish(err error) {
-	c, p, rep, k := w.c, w.p, w.reply, w.k
+	c, k := w.c, w.k
 	if err != nil {
 		err = fmt.Errorf("%w: %s/%s to node %d", err, w.req.Port, w.req.Op, w.dst)
 	}
+	c.rep, c.err = w.reply, err
 	delete(c.waits, w.req.TxID)
-	*w = rpcWait{c: c, timer: w.timer, sentFn: w.sentFn, wokeFn: w.wokeFn}
+	*w = rpcWait{c: c, timer: w.timer, wokeFn: w.wokeFn}
 	c.free = append(c.free, w)
-	if k == nil {
-		c.rep, c.err = rep, err
-		p.Resume()()
-		return
-	}
-	k(rep, err)
+	k.Fire()
 }
+
+// Result is the outcome of the transaction that ended last: its reply,
+// or the error it failed with. A continuation of CallOn reads it as it
+// fires.
+func (c *Client) Result() (Packet, error) { return c.rep, c.err }

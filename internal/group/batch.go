@@ -42,15 +42,15 @@ import (
 // as few frames as the frame capacity allows. Op order is preserved
 // within the batch.
 func (g *Member) BroadcastBatch(p *sim.Proc, ops []Msg, dst []int64) []int64 {
-	g.BroadcastBatchFn(p, ops, &dst, p.Resume())
+	g.BroadcastBatchOn(p, ops, &dst, p)
 	p.Park()
 	return dst
 }
 
-// BroadcastBatchFn is BroadcastBatch in continuation form: each op's uid
-// is appended to *dst as the op is submitted, and then runs where
+// BroadcastBatchOn is BroadcastBatch in continuation form: each op's uid
+// is appended to *dst as the op is submitted, and then fires where
 // BroadcastBatch returns.
-func (g *Member) BroadcastBatchFn(p *sim.Proc, ops []Msg, dst *[]int64, then func()) {
+func (g *Member) BroadcastBatchOn(p *sim.Proc, ops []Msg, dst *[]int64, then sim.Firer) {
 	o := g.begin(p, then)
 	for i := range ops {
 		g.later(effect{kind: fxBroadcast, on: &ops[i], uids: dst})
@@ -106,7 +106,7 @@ func (g *Member) enqueue(pk *packer, it item) {
 func (g *Member) armLinger(pk *packer) {
 	if pk.fire == nil {
 		pk.fire = func(p *sim.Proc) {
-			g.step(p, func() {
+			g.step(p, func(g *Member) {
 				pk.timer = nil
 				g.flush(pk)
 			})
@@ -247,7 +247,7 @@ func (g *Member) enqueueSend(it item) {
 	if !g.sendArmed {
 		g.sendArmed = true
 		if g.sendFire == nil {
-			g.sendFire = func(p *sim.Proc) { g.step(p, g.flushArmed) }
+			g.sendFire = func(p *sim.Proc) { g.step(p, (*Member).flushArmed) }
 		}
 		g.m.Deadline(0, g.sendFire)
 	}

@@ -160,7 +160,7 @@ type takeoverState struct {
 	acks    map[int]bool       // members that promised (incl. self)
 	slots   map[int64]promSlot // slot -> highest-ballot reported value
 	tries   int                // re-prepare rounds (exponential backoff)
-	timer   sim.Event          // the re-prepare deadline (see armTakeoverTimer)
+	timer   timer              // the re-prepare deadline (see armTakeoverTimer)
 }
 
 // mix64 is the splitmix64 finalizer: the deterministic jitter source
@@ -624,7 +624,8 @@ func (g *Member) startTakeover() {
 		acks:    map[int]bool{g.m.ID(): true},
 		slots:   make(map[int64]promSlot),
 	}
-	g.timer(&t.timer, func(g *Member) { g.retryTakeover(t) })
+	t.timer.g, t.timer.round = g, func(g *Member) { g.retryTakeover(t) }
+	t.timer.Init(g.m, &t.timer)
 	g.takeover = t
 	g.mergePromise(t, promMsg{Ballot: b, Node: g.m.ID(), Slots: g.promiseSlots(t.from)})
 	g.m.Env().Tracef("node%d: consensus takeover, ballot %d from slot %d", g.m.ID(), b, t.from)
@@ -670,8 +671,7 @@ func (g *Member) broadcastPrep() {
 // members' accepted tails and are the heaviest frames the protocol
 // sends.
 func (g *Member) armTakeoverTimer() {
-	t := g.takeover
-	t.timer.Arm(2 * g.cfg.ProposeTimeout << uint(min(t.tries, 4)))
+	g.takeover.timer.Arm(2 * g.cfg.ProposeTimeout << uint(min(g.takeover.tries, 4)))
 }
 
 // retryTakeover is the round of t's re-prepare deadline.

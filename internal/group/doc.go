@@ -56,23 +56,28 @@
 // continuation forms in the step's name, so a handler's sends are
 // joined as the kernel requires, and makes each waiting call where a
 // thread blocked in Send would have resumed. Broadcast and
-// BroadcastBatch are their steps plus a park, so a thread and interrupt
-// service run one implementation of the protocol (group.go, "Steps and
-// the outbox"; DESIGN.md, "group: the ordering protocol"). What a member
-// creates per operation — sequenced records, the frames that carry them,
-// its per-op wire bodies and heartbeats — is carved from runs the member
-// allocates and never reuses (chunk, in ring.go). The packers' Linger
-// deadlines and the sender's same-instant flush are kernel deadlines
-// (amoeba.Deadline) on records the machine recycles, and a member binds
-// a timer's round when it first arms it, so that a member binds only the
-// rounds it runs: with no fault, a PB send allocates nothing, batched
-// or not, and a BB or consensus send only its send record. A group's
+// BroadcastBatch are their steps, with the thread as the outbox's
+// continuation (a sim.Firer; BroadcastBatchOn takes any), plus a park,
+// so a thread and interrupt service run one implementation of the
+// protocol (group.go, "Steps and the outbox"; DESIGN.md, "group: the
+// ordering protocol"). What a member creates per operation — sequenced
+// records, the frames that carry them, its per-op wire bodies and
+// heartbeats — is carved from runs the member allocates and never
+// reuses (chunk, in ring.go). The packers' Linger deadlines and the
+// sender's same-instant flush are kernel deadlines (amoeba.Deadline) on
+// records the machine recycles, the sender's retransmission timer is an
+// event of its send record, and every other timer is a kernel timer
+// (amoeba.Timer), which the member makes when it first arms it (the
+// heartbeat apart, below), so that a member holds only the timers it
+// runs: with no fault, a PB send
+// allocates nothing, batched or not, and a BB or consensus send only
+// its send record. A group's
 // members are built as one (JoinAll): their records, delivery queues and
 // per-source delivered windows come from per-group slabs, the tables
 // only a sequencer reads are made when a member first sequences
 // (resetSeqTables), and the heartbeat, which every member runs, is a
-// typed kernel round (amoeba.Timer), so a member costs one allocation of
-// its own, its port binding. A member's delivered cache is a log whose
+// kernel timer in the member's record whose round is the member, so a
+// member costs one allocation of its own, its port binding. A member's delivered cache is a log whose
 // segments are made as its deliveries reach them and reused once the
 // sequencer's trim point has passed them (cacheLog), so it holds slots
 // for what it must keep, not for the cap it might reach.

@@ -471,7 +471,7 @@ type Member struct {
 	// The gap timer (see armGapTimer) and what it remembers between
 	// rounds; gapOn from when it is armed until its round starts in
 	// interrupt context, or it is stopped.
-	gapTimer           *sim.Event
+	gapTimer           *timer
 	gapOn              bool
 	gapNext            int64
 	gapEpoch, gapStall int
@@ -539,9 +539,9 @@ type Member struct {
 	// a view not yet installed, for the epoch it was announced in. These
 	// timers and the consensus ones below are made when first armed
 	// (see arm).
-	electTimer  *sim.Event
+	electTimer  *timer
 	electRounds int
-	viewTimer   *sim.Event
+	viewTimer   *timer
 	viewEpoch   int
 	// Claimant convergence (exercised only when elections collide,
 	// which needs a large group with unsynchronized suspicions): the
@@ -560,12 +560,12 @@ type Member struct {
 	accPrefix  int64            // contiguous accepted prefix under `promised`
 	acked      []int64          // leader: per-member cumulative accepted prefixes
 	ackScratch []int64          // quorum-floor scratch
-	propTimer  *sim.Event       // leader: re-propose deadline
+	propTimer  *timer           // leader: re-propose deadline
 	propOn     bool
 	takeover   *takeoverState // in-flight prepare round (nil otherwise)
 	// The takeover backoff of a member that is not the successor, and
 	// the leader and progress it was armed against (see suspectLeader).
-	suspTimer *sim.Event
+	suspTimer *timer
 	suspOn    bool
 	suspNode  int
 	suspNext  int64
@@ -600,13 +600,11 @@ type Member struct {
 	// window): the first event sends immediately, later ones inside
 	// the window coalesce into one trailing send, so the per-op
 	// O(P) message cost collapses under load without adding latency
-	// when the group is idle.
-	ackTimer   *sim.Event
-	ackOn      bool
-	ackPending bool
-	cmtTimer   *sim.Event
-	cmtOn      bool
-	cmtPending bool
+	// when the group is idle. The flags follow both timers, so they
+	// share one word.
+	ackTimer, cmtTimer *timer
+	ackOn, ackPending  bool
+	cmtOn, cmtPending  bool
 
 	// recoveryStart is the instant this member first suspected a
 	// sequencer failure; the next delivery accumulates the gap into
@@ -767,7 +765,7 @@ type outbox struct {
 	p     *sim.Proc
 	fx    []effect
 	i, at int
-	then  func() // runs after the last effect (nil: interrupt context)
+	then  sim.Firer // fires after the last effect (nil: interrupt context)
 	free  *outbox
 }
 
@@ -776,8 +774,8 @@ type outbox struct {
 func (o *outbox) Fire() { o.issue() }
 
 // begin opens the outbox of a step on p's behalf; issue then carries it
-// out, and then runs once the last effect has been issued.
-func (g *Member) begin(p *sim.Proc, then func()) *outbox {
+// out, and then fires once the last effect has been issued.
+func (g *Member) begin(p *sim.Proc, then sim.Firer) *outbox {
 	o := g.boxes
 	if o == nil {
 		o = &g.box0
@@ -792,11 +790,12 @@ func (g *Member) begin(p *sim.Proc, then func()) *outbox {
 	return o
 }
 
-// step runs body as a step in interrupt context on p's behalf: a kernel
-// timer round (see amoeba.Machine.Defer).
-func (g *Member) step(p *sim.Proc, body func()) {
+// step runs body, on g, as a step in interrupt context on p's behalf: a
+// kernel timer round (see amoeba.Machine.Defer). A round that is a
+// method expression binds nothing.
+func (g *Member) step(p *sim.Proc, body func(*Member)) {
 	o := g.begin(p, nil)
-	body()
+	body(g)
 	o.issue()
 }
 
@@ -810,27 +809,28 @@ func (h *portHandler) Handle(p *sim.Proc, from int, pkt amoeba.Packet) {
 // hbRound is a member as the round of its heartbeat timer.
 type hbRound Member
 
-func (r *hbRound) Round(p *sim.Proc) {
-	g := (*Member)(r)
-	g.step(p, g.heartbeat)
+func (r *hbRound) Round(p *sim.Proc) { (*Member)(r).step(p, (*Member).heartbeat) }
+
+// timer is a kernel timer of the member whose round runs as a step in
+// interrupt context. It is its own round, so arming it allocates
+// nothing.
+type timer struct {
+	amoeba.Timer
+	g     *Member
+	round func(*Member)
 }
 
-// timer binds ev, a timer of the member, once: each time it fires, round
-// runs as a step in interrupt context. Arming it allocates nothing.
-func (g *Member) timer(ev *sim.Event, round func(*Member)) {
-	fire := func(p *sim.Proc) { g.step(p, func() { round(g) }) }
-	ev.Init(g.m.Env(), func() { g.m.Defer(fire) }) // which a crashed machine ignores
-}
+func (t *timer) Round(p *sim.Proc) { t.g.step(p, t.round) }
 
-// arm arms the timer *ev to fire d from now. The timer is made and bound
-// (see timer) when it is first armed, so a member whose protocol never
-// arms it pays nothing for it.
-func (g *Member) arm(ev **sim.Event, d sim.Time, round func(*Member)) {
-	if *ev == nil {
-		*ev = new(sim.Event)
-		g.timer(*ev, round)
+// arm arms the timer *t to fire d from now. The timer is made and bound
+// when it is first armed, so a member whose protocol never arms it pays
+// nothing for it.
+func (g *Member) arm(t **timer, d sim.Time, round func(*Member)) {
+	if *t == nil {
+		*t = &timer{g: g, round: round}
+		(*t).Init(g.m, *t)
 	}
-	(*ev).Arm(d)
+	(*t).Arm(d)
 }
 
 // issue carries out the outbox from fx[i] on, and goes on from a send's
@@ -858,7 +858,7 @@ func (o *outbox) issue() {
 	o.fx, o.i, o.at, o.then, o.p = o.fx[:0], 0, 0, nil, nil
 	o.free, g.boxes = g.boxes, o
 	if then != nil {
-		then()
+		then.Fire()
 	}
 }
 
@@ -1095,7 +1095,7 @@ func (g *Member) Broadcast(p *sim.Proc, kind string, body any, size int) int64 {
 // BroadcastMsg is Broadcast of a message record, which may carry an
 // operation inline.
 func (g *Member) BroadcastMsg(p *sim.Proc, m Msg) int64 {
-	o := g.begin(p, p.Resume())
+	o := g.begin(p, p)
 	uid := g.broadcast(&m)
 	o.issue()
 	p.Park()
@@ -1125,11 +1125,11 @@ func (g *Member) newSend(items []item, method Method) *sendState {
 	if st == nil {
 		st = &sendState{g: g}
 		st.items = st.one[:0]
-		resend := func(p *sim.Proc) { g.step(p, st.resend) }
-		st.timer.Init(g.m.Env(), func() {
+		resend := func(p *sim.Proc) { g.step(p, func(*Member) { st.resend() }) }
+		st.timer.InitOn(g.m.Env(), sim.Func(func() {
 			st.fresh = false // the queued round refers to the record
 			g.m.Defer(resend)
-		})
+		}))
 	} else {
 		g.sendFree, st.next = st.next, nil
 	}

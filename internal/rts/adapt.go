@@ -229,14 +229,14 @@ func (r *Router) moveSnap(node int, id ObjID, state State) {
 
 // moveout broadcasts a moveout's sequenced migrate record, carrying the
 // snapshot, through the object's home group from node in p's name, and
-// runs k once the local delivery has applied it.
-func (r *Router) moveout(p *sim.Proc, node int, id ObjID, state State, k func(Args)) {
+// fires k once the local delivery has applied it.
+func (r *Router) moveout(p *sim.Proc, node int, id ObjID, state State, k sim.Firer) {
 	info := r.objs[id].adapt
 	mgr := r.groups[info.home].mgr(node)
 	if mgr == nil {
 		// A crash re-homed the primary outside the home span: the
 		// first in-span waiter sequences the record (see awaitFlip).
-		k(Args{})
+		k.Fire()
 		return
 	}
 	mgr.sequence(p, moveoutMsg(id, info, state), k)

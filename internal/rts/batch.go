@@ -50,7 +50,7 @@ type writeBuf struct {
 	mgr    *bcastManager
 	ops    []group.Msg
 	bytes  int
-	uids   []int64 // the batch's, from BroadcastBatchFn
+	uids   []int64 // the batch's, from BroadcastBatchOn
 	flight *batchFlight
 	fl0    batchFlight // the pooled flight record (one in flight max)
 	timer  *amoeba.Deadline
@@ -63,10 +63,10 @@ type writeBuf struct {
 	// and returns it cleared afterwards.
 	opsSpare []group.Msg
 
-	// The flush on its way out (see flushFn), and b.sent bound once.
-	p      *sim.Proc
-	then   sim.Firer
-	sentFn func()
+	// The flush on its way out (see flushOn), whose broadcast's
+	// continuation is the buffer (see Fire).
+	p    *sim.Proc
+	then sim.Firer
 }
 
 // idle reports whether the buffer holds no write, buffered or in
@@ -80,7 +80,6 @@ func (mgr *bcastManager) bufferWrite(w *Worker, id ObjID, opName string, args Ar
 	b := w.batch
 	if b == nil {
 		b = &writeBuf{mgr: mgr}
-		b.sentFn = b.sent
 		b.lingerFn = b.linger
 		w.batch = b
 	}
@@ -112,18 +111,18 @@ func (mgr *bcastManager) bufferWrite(w *Worker, id ObjID, opName string, args Ar
 // batch is in flight.
 func (b *writeBuf) linger(p *sim.Proc) {
 	b.timer = nil
-	b.flushFn(p, sim.Func(func() {}))
+	b.flushOn(p, sim.Func(func() {}))
 }
 
 // flush sends the buffered ops as one batch, if none is in flight.
 func (b *writeBuf) flush(p *sim.Proc) {
-	b.flushFn(p, sim.Func(p.Resume()))
+	b.flushOn(p, p)
 	p.Park()
 }
 
-// flushFn is flush in continuation form, for the linger timer's round in
+// flushOn is flush in continuation form, for the linger timer's round in
 // interrupt context and the object manager's continuation flush: then
-// runs where flush returns.
+// fires where flush returns.
 //
 // The broadcast waits for the machine's CPU, and arbitrary simulation
 // activity runs meanwhile: the worker may buffer more ops (when the
@@ -132,8 +131,8 @@ func (b *writeBuf) flush(p *sim.Proc) {
 // the flight is installed FIRST (making any concurrent flush a no-op and
 // keeping a concurrent sync waiting for it), the op buffer is detached
 // before broadcasting, and completions that beat the uid registration
-// are reconciled from the early-completion buffer afterwards (sent).
-func (b *writeBuf) flushFn(p *sim.Proc, then sim.Firer) {
+// are reconciled from the early-completion buffer afterwards (Fire).
+func (b *writeBuf) flushOn(p *sim.Proc, then sim.Firer) {
 	if len(b.ops) == 0 || b.flight != nil {
 		then.Fire()
 		return
@@ -151,11 +150,11 @@ func (b *writeBuf) flushFn(p *sim.Proc, then sim.Firer) {
 	b.bytes = 0
 	mgr.rts.stats.Frames++
 	b.p, b.then, b.uids = p, then, b.uids[:0]
-	mgr.g.BroadcastBatchFn(p, b.opsSpare, &b.uids, b.sentFn)
+	mgr.g.BroadcastBatchOn(p, b.opsSpare, &b.uids, b)
 }
 
-// sent continues flushFn once the batch has been submitted.
-func (b *writeBuf) sent() {
+// Fire continues flushOn once the batch has been submitted.
+func (b *writeBuf) Fire() {
 	mgr, fl, p, then := b.mgr, &b.fl0, b.p, b.then
 	for _, uid := range b.uids {
 		if _, done := mgr.early[uid]; done {
@@ -171,7 +170,7 @@ func (b *writeBuf) sent() {
 		b.flight = nil
 		fl.cond.Broadcast()
 		if len(b.ops) > 0 {
-			b.flushFn(p, then) // ops buffered during the broadcast
+			b.flushOn(p, then) // ops buffered during the broadcast
 			return
 		}
 	}

@@ -90,7 +90,7 @@ type bcastManager struct {
 	early   map[int64]Args
 	flights map[int64]*batchFlight
 	sfree   []*seqWait // see sequence
-	res     Args       // a parked sequence's result (see sequenced)
+	res     Args       // the last sequenced record's results (see sequence)
 
 	// touched collects the replicas written since the last frame
 	// boundary, and the boundary runs a guard-retry pass over each (see
@@ -373,37 +373,37 @@ func (mgr *bcastManager) localRead(w *Worker, inst *replica, op *OpDef, in Args)
 // application (see sequence). Records are pooled per manager, and the
 // continuations are part of the record, so a wait allocates nothing.
 type seqWait struct {
-	mgr            *bcastManager
-	p              *sim.Proc
-	msg            [1]group.Msg
-	uids           []int64
-	res            Args
-	k              func(Args) // nil: resume p (see sequenced)
-	sentFn, wokeFn func()
+	mgr    *bcastManager
+	p      *sim.Proc
+	msg    [1]group.Msg
+	uids   []int64
+	res    Args
+	k      sim.Firer // p itself, in sequenced
+	wokeFn func()
 }
 
-// sequence broadcasts m through the group in p's name and runs k with
-// the results once the manager has applied m's local delivery: the
-// one wait for the total order. The apply can race ahead of the
-// broadcast's return (broadcasting blocks on the CPU, and the manager
-// may apply the local delivery meanwhile), so a completion that finds
-// no waiter is kept in mgr.early for it. If p is killed first, k never
-// runs.
-func (mgr *bcastManager) sequence(p *sim.Proc, m group.Msg, k func(Args)) {
+// sequence broadcasts m through the group in p's name and fires k, with
+// the results in mgr.res, once the manager has applied m's local
+// delivery: the one wait for the total order. The apply can race ahead
+// of the broadcast's return (broadcasting blocks on the CPU, and the
+// manager may apply the local delivery meanwhile), so a completion that
+// finds no waiter is kept in mgr.early for it. If p is killed first, k
+// never fires.
+func (mgr *bcastManager) sequence(p *sim.Proc, m group.Msg, k sim.Firer) {
 	var s *seqWait
 	if n := len(mgr.sfree); n > 0 {
 		s, mgr.sfree = mgr.sfree[n-1], mgr.sfree[:n-1]
 	} else {
 		s = &seqWait{mgr: mgr}
-		s.sentFn, s.wokeFn = s.sent, s.woke
+		s.wokeFn = s.woke
 	}
 	s.p, s.k, s.msg[0], s.uids = p, k, m, s.uids[:0]
-	mgr.g.BroadcastBatchFn(p, s.msg[:], &s.uids, s.sentFn)
+	mgr.g.BroadcastBatchOn(p, s.msg[:], &s.uids, s)
 }
 
-// sent registers the wait once the broadcast has returned, or ends it
-// if the completion came first.
-func (s *seqWait) sent() {
+// Fire registers the wait once the broadcast has returned (a wait is its
+// broadcast's continuation), or ends it if the completion came first.
+func (s *seqWait) Fire() {
 	mgr, uid := s.mgr, s.uids[0]
 	if res, done := mgr.early[uid]; done {
 		delete(mgr.early, uid)
@@ -415,7 +415,7 @@ func (s *seqWait) sent() {
 }
 
 // woke ends the wait, where a thread parked on it would wake: the
-// record goes back to the pool and k runs with the results.
+// record goes back to the pool and k fires with the results.
 func (s *seqWait) woke() {
 	mgr, p, k, res := s.mgr, s.p, s.k, s.res
 	if p.Killed() {
@@ -423,18 +423,14 @@ func (s *seqWait) woke() {
 	}
 	s.p, s.k, s.msg[0], s.res = nil, nil, group.Msg{}, Args{}
 	mgr.sfree = append(mgr.sfree, s)
-	if k == nil {
-		mgr.res = res
-		p.Resume()()
-		return
-	}
-	k(res)
+	mgr.res = res
+	k.Fire()
 }
 
 // sequenced is sequence and a park: it returns the results once m's
 // local delivery has been applied.
 func (mgr *bcastManager) sequenced(p *sim.Proc, m group.Msg) Args {
-	mgr.sequence(p, m, nil)
+	mgr.sequence(p, m, p)
 	p.Park()
 	return mgr.res
 }
@@ -450,7 +446,7 @@ func until(c *sim.Cond, p *sim.Proc, done func() bool, k sim.Firer) {
 		k.Fire()
 		return
 	}
-	c.WaitFn(p, func() { until(c, p, done, k) })
+	c.WaitOn(p, sim.Func(func() { until(c, p, done, k) }))
 }
 
 // complete finishes a waiting invocation. src is the originating node,
@@ -635,7 +631,7 @@ func (mgr *bcastManager) written() {
 	w := &mgr.cur
 	res := w.op.Apply(mgr.m.Env(), mgr.curInst.state, w.args)
 	if b := mgr.complete(w.uid, w.src, res); b != nil {
-		b.flushFn(mgr.c, mgr.then((*bcastManager).wake))
+		b.flushOn(mgr.c, mgr.then((*bcastManager).wake))
 		return
 	}
 	mgr.wake()

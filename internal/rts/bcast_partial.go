@@ -153,7 +153,7 @@ func (f *fwdOp) start() {
 			r.stats.BcastWrites++
 		}
 		a := &f.req.Args
-		mgr.sequence(f.s.c, group.Msg{Kind: opKind, Obj: f.req.Obj, Op: f.req.Op, Args: *a, Size: opSize(f.req.Op, a)}, f.answer)
+		mgr.sequence(f.s.c, group.Msg{Kind: opKind, Obj: f.req.Obj, Op: f.req.Op, Args: *a, Size: opSize(f.req.Op, a)}, f)
 	}))
 }
 
@@ -171,7 +171,7 @@ func (f *fwdOp) guard() {
 		f.pending += r.costs.guardCheck
 		if !op.Guard(inst.state, in) {
 			r.stats.GuardWaits++
-			inst.cond.WaitFn(f.s.c, func() { f.charge(f.guard) })
+			inst.cond.WaitOn(f.s.c, sim.Func(func() { f.charge(f.guard) }))
 			return
 		}
 	}
@@ -191,13 +191,17 @@ func (f *fwdOp) guard() {
 func (f *fwdOp) charge(k func()) {
 	d := f.pending
 	f.pending = 0
-	f.mgr.m.ComputeFn(f.s.c, d, k)
+	f.mgr.m.ComputeOn(f.s.c, d, sim.Func(k))
 }
+
+// Fire answers a sequenced write with its results: an operation is its
+// record's continuation (see bcastManager.sequence).
+func (f *fwdOp) Fire() { f.answer(f.mgr.res) }
 
 // answer replies to the forwarder with res once the accrued CPU has
 // been charged.
 func (f *fwdOp) answer(res Args) {
-	f.charge(func() { f.s.srv.PutResultFn(f.s.c, f.req, res, SizeOfArgs(&res), func() {}) })
+	f.charge(func() { f.s.srv.PutReplyOn(f.s.c, f.req, res, nil, SizeOfArgs(&res), sim.Func(func() {})) })
 }
 
 // directWrite applies a write to a single-copy object at its only

@@ -35,12 +35,16 @@
 // behind them (sim.Queue.Serve): they serve on the simulator's dispatch
 // lane, in the name of a claimant of their machine, and take every step
 // a server thread would take, in continuation form, in the same virtual
-// instants and event slots; a primary fans a write out to its
-// secondaries as one RPC in continuation form each, and a forwarded
-// operation waits for its guard or its write's place in the total order
-// in continuation form too. The only threads are an application's
-// workers, and a worker that waits for the total order parks on the
-// same continuation (bcastManager.sequence).
+// instants and event slots. A continuation is a sim.Firer: a server is
+// its own (objQueue.then and bcastManager.then hand out the server with
+// its next step set), a combining buffer and a sequenced record's wait
+// are their broadcasts', and a forwarded write is its wait's. A primary
+// fans a write out to its secondaries as one RPC in continuation form
+// each (amoeba.Client.CallOn), and a forwarded operation waits for its
+// guard or its write's place in the total order in continuation form
+// too. The only threads are an application's workers, and a worker that
+// waits for the total order is that wait's continuation, and parks
+// (bcastManager.sequence).
 //
 // Both domains keep a machine's copy of an object in one record, a
 // replica, and retry the guarded operations parked on it with one

@@ -175,7 +175,7 @@ type p2pNode struct {
 	// srv.Done and updated bound once.
 	upd                 *amoeba.Request
 	updInst             *replica
-	servedFn, updatedFn func()
+	servedFn, updatedFn sim.Func
 }
 
 // accessStats tracks one machine's accesses to one object for the

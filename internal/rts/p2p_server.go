@@ -40,7 +40,7 @@ func (n *p2pNode) route(req *amoeba.Request) {
 		// Invalidate the local copy and acknowledge.
 		n.rts.stats.Invalidations++
 		n.dropLocal(id)
-		n.srv.PutResultFn(n.c, req, Args{}, 4, n.servedFn)
+		n.srv.PutReplyOn(n.c, req, Args{}, nil, 4, n.servedFn)
 		return
 	default:
 		panic(fmt.Sprintf("rts: unexpected RPC body %T", req.Body))
@@ -54,7 +54,7 @@ func (n *p2pNode) route(req *amoeba.Request) {
 		if _, migrate := req.Body.(p2pMigrateReq); migrate && meta.moved {
 			res, size = Args{}, 4
 		}
-		n.srv.PutResultFn(n.c, req, res, size, n.servedFn)
+		n.srv.PutReplyOn(n.c, req, res, nil, size, n.servedFn)
 		return
 	}
 	t := n.task()
@@ -70,7 +70,7 @@ func (n *p2pNode) route(req *amoeba.Request) {
 }
 
 // task returns a blank record for a task: a remote request's, which
-// finishTaskFn takes back once the request is answered, or a local
+// finishTaskOn takes back once the request is answered, or a local
 // invoker's, which runLocal takes back once it has read the result.
 func (n *p2pNode) task() *p2pTask {
 	if k := len(n.tfree); k > 0 {
@@ -89,12 +89,12 @@ func (n *p2pNode) applyUpdate(req *amoeba.Request) {
 	if !ok || !inst.valid {
 		// The copy was discarded while the update was in flight; the
 		// drop notice will reach the primary. Acknowledge vacuously.
-		n.srv.PutResultFn(n.c, req, Args{}, 4, n.servedFn)
+		n.srv.PutReplyOn(n.c, req, Args{}, nil, 4, n.servedFn)
 		return
 	}
 	inst.locked = true
 	n.upd, n.updInst = req, inst
-	n.m.ComputeFn(n.c, n.rts.costs.writeApply+n.rts.costs.defaultOp, n.updatedFn)
+	n.m.ComputeOn(n.c, n.rts.costs.writeApply+n.rts.costs.defaultOp, n.updatedFn)
 }
 
 // updated applies the charged update and acknowledges it.
@@ -102,7 +102,7 @@ func (n *p2pNode) updated() {
 	req, inst := n.upd, n.updInst
 	n.upd, n.updInst = nil, nil
 	inst.op(req.Op).Apply(n.m.Env(), inst.state, req.Args)
-	n.srv.PutResultFn(n.c, req, Args{}, 4, n.servedFn)
+	n.srv.PutReplyOn(n.c, req, Args{}, nil, 4, n.servedFn)
 }
 
 // handleCtl services the one-way control port: unlocks (phase two),
@@ -140,10 +140,10 @@ type objQueue struct {
 	// and secondaries of a write, what follows a read or a write (after),
 	// and the fan-out in progress: its request, the secondaries it has
 	// yet to start (from fi) and to hear from, and what follows it. next
-	// is the step resumeFn, resume bound once, runs (see then); the
-	// fan-out's transactions, which are outstanding together, have
-	// continuations of their own, bound once, and the unlock packet is
-	// made at the first unlock.
+	// is the step the queue runs when it fires (see then); the fan-out's
+	// transactions, which are outstanding together, have continuations
+	// of their own, bound once, and the unlock packet is made at the
+	// first unlock.
 	t              *p2pTask
 	inst           *replica
 	res            Args
@@ -153,9 +153,9 @@ type objQueue struct {
 	fi, ui, acks   int
 	waiting        bool
 	next           func(*objQueue)
-	resumeFn       func()
 	startFn        func()
-	ackFn          func(amoeba.Packet, error)
+	countedFn      func()
+	ackFn          sim.Func
 }
 
 // startPrimary gives the object its queue on this machine, unless it
@@ -167,7 +167,7 @@ func (n *p2pNode) startPrimary(id ObjID) {
 	}
 	o := n.rts.router.queueRecs.new()
 	o.n, o.id = n, id
-	o.resumeFn, o.startFn, o.ackFn = o.resume, o.start, o.ack
+	o.startFn, o.countedFn, o.ackFn = o.start, o.counted, o.ack
 	*q = o
 	o.c = o.claim.Init(n.m, "obj", int(id))
 	o.pass.init(n.m, o.c, n.rts.costs.guardCheck, o)
@@ -175,19 +175,19 @@ func (n *p2pNode) startPrimary(id ObjID) {
 }
 
 // then returns the queue's continuation, set to run step k: the one
-// continuation the queue's service has outstanding (a method
-// expression, as bcastManager's).
-func (o *objQueue) then(k func(*objQueue)) func() {
+// continuation the queue's service has outstanding. It is the queue
+// itself, and a step is a method expression, as bcastManager's are.
+func (o *objQueue) then(k func(*objQueue)) sim.Firer {
 	o.next = k
-	return o.resumeFn
+	return o
 }
 
-// resume runs the step the continuation was last handed out for.
-func (o *objQueue) resume() { o.next(o) }
+// Fire runs the step the continuation was last handed out for.
+func (o *objQueue) Fire() { o.next(o) }
 
 // thenCheck is the retrier's step (see retryHost).
 func (o *objQueue) thenCheck() sim.Firer {
-	return sim.Func(o.then(func(o *objQueue) { o.pass.checked() }))
+	return o.then(func(o *objQueue) { o.pass.checked() })
 }
 
 // done ends the task in service.
@@ -202,13 +202,13 @@ func (o *objQueue) Consume(t *p2pTask) {
 	n, r := o.n, o.n.rts
 	inst := n.insts[o.id]
 	if r.meta(o.id).moved || inst == nil || !inst.primary {
-		n.finishTaskFn(o.c, t, retry, o.then((*objQueue).done))
+		n.finishTaskOn(o.c, t, retry, o.then((*objQueue).done))
 		return
 	}
 	o.t, o.inst = t, inst
 	if t.op != nil && t.op.Guard != nil {
 		// An operation whose guard is false waits for a write to enable it.
-		n.m.ComputeFn(o.c, r.costs.guardCheck, o.then((*objQueue).guarded))
+		n.m.ComputeOn(o.c, r.costs.guardCheck, o.then((*objQueue).guarded))
 		return
 	}
 	o.run((*objQueue).done, (*objQueue).drain)
@@ -233,11 +233,11 @@ func (o *objQueue) run(afterRead, afterWrite func(*objQueue)) {
 	case "fetch":
 		state := inst.typ.Clone(inst.state)
 		inst.copyset[t.from] = true
-		n.srv.PutReplyFn(o.c, t.req, state, inst.typ.stateSize(state)+16, o.then((*objQueue).done))
+		n.srv.PutReplyOn(o.c, t.req, Args{}, state, inst.typ.stateSize(state)+16, o.then((*objQueue).done))
 		n.recycle(t)
 	case "read":
 		o.after = afterRead
-		n.m.ComputeFn(o.c, n.rts.costs.readLocal+n.rts.costs.defaultOp, o.then((*objQueue).read))
+		n.m.ComputeOn(o.c, n.rts.costs.readLocal+n.rts.costs.defaultOp, o.then((*objQueue).read))
 	case "write":
 		o.commit(afterWrite)
 	case "moveout":
@@ -267,7 +267,7 @@ func (o *objQueue) retried() { o.q.Done() }
 // on with o.then.
 func (o *objQueue) read() {
 	t := o.t
-	o.n.finishTaskFn(o.c, t, t.op.Apply(o.n.m.Env(), o.inst.state, t.args), o.then(o.after))
+	o.n.finishTaskOn(o.c, t, t.op.Apply(o.n.m.Env(), o.inst.state, t.args), o.then(o.after))
 }
 
 // migrateOut hands the object to the broadcast runtime (see adapt.go).
@@ -293,7 +293,7 @@ func (o *objQueue) migrateOut() {
 		}
 		// Sequence the migrate record; its globally-first delivery flips
 		// ownership to the broadcast runtime.
-		r.router.moveout(o.c, n.m.ID(), o.id, clone, func(Args) { n.finishTaskFn(o.c, t, Args{}, o.then((*objQueue).done)) })
+		r.router.moveout(o.c, n.m.ID(), o.id, clone, sim.Func(func() { n.finishTaskOn(o.c, t, Args{}, o.then((*objQueue).done)) }))
 	})
 }
 
@@ -307,19 +307,19 @@ func (o *objQueue) migratePrimary() {
 	meta := r.meta(o.id)
 	target := t.to
 	if target == n.m.ID() || r.nodeDown(target) {
-		n.finishTaskFn(o.c, t, Args{}, o.then((*objQueue).done)) // nothing to move, or the target died
+		n.finishTaskOn(o.c, t, Args{}, o.then((*objQueue).done)) // nothing to move, or the target died
 		return
 	}
 	st := meta.typ.Clone(o.inst.state)
-	n.m.ComputeFn(o.c, r.costs.writeApply, func() {
+	n.m.ComputeOn(o.c, r.costs.writeApply, sim.Func(func() {
 		r.promote(meta, target, st)
 		n.dropLocal(o.id)
 		// Bounce parked guarded tasks; they re-issue at the new primary.
 		o.bounce(0, func() {
 			n.m.Env().Tracef("rts: object %d primary migrated %d -> %d", o.id, n.m.ID(), target)
-			n.finishTaskFn(o.c, t, Args{}, o.then((*objQueue).done))
+			n.finishTaskOn(o.c, t, Args{}, o.then((*objQueue).done))
 		})
-	})
+	}))
 }
 
 // bounce finishes the parked guarded tasks from the i-th on with the
@@ -330,22 +330,22 @@ func (o *objQueue) bounce(i int, k func()) {
 		k()
 		return
 	}
-	o.n.finishTaskFn(o.c, o.inst.pending[i].task, retry, func() { o.bounce(i+1, k) })
+	o.n.finishTaskOn(o.c, o.inst.pending[i].task, retry, sim.Func(func() { o.bounce(i+1, k) }))
 }
 
-// finishTaskFn completes a task toward its (local or remote) invoker and
-// runs then: once a remote invoker's reply has been sent, charged to p,
+// finishTaskOn completes a task toward its (local or remote) invoker and
+// fires then: once a remote invoker's reply has been sent, charged to p,
 // or at once when the invoker is a thread of this machine.
-func (n *p2pNode) finishTaskFn(p *sim.Proc, t *p2pTask, res Args, then func()) {
+func (n *p2pNode) finishTaskOn(p *sim.Proc, t *p2pTask, res Args, then sim.Firer) {
 	if t.req != nil {
-		n.srv.PutResultFn(p, t.req, res, SizeOfArgs(&res), then)
+		n.srv.PutReplyOn(p, t.req, res, nil, SizeOfArgs(&res), then)
 		n.recycle(t)
 		return
 	}
 	t.res = res
 	t.done = true
 	t.cond.Broadcast()
-	then()
+	then.Fire()
 }
 
 // recycle takes back a finished task's record (see task).
@@ -397,7 +397,7 @@ func (o *objQueue) commit(k func(*objQueue)) {
 // write applies the write at the primary once its secondaries have
 // acknowledged.
 func (o *objQueue) write() {
-	o.n.m.ComputeFn(o.c, o.n.rts.costs.writeApply+o.n.rts.costs.defaultOp, o.then((*objQueue).committed))
+	o.n.m.ComputeOn(o.c, o.n.rts.costs.writeApply+o.n.rts.costs.defaultOp, o.then((*objQueue).committed))
 }
 
 // committed applies the charged write, unlocks every copy (phase two of
@@ -423,13 +423,13 @@ func (o *objQueue) unlock() {
 		o.unlockPkt = amoeba.Packet{Port: p2pCtlPort, Kind: "rts-unlock", Body: p2pUnlock{Obj: o.id}, Size: 12}
 	}
 	o.ui++
-	o.n.m.SendFn(o.c, o.secs[o.ui-1], o.unlockPkt, o.then((*objQueue).unlock))
+	o.n.m.SendOn(o.c, o.secs[o.ui-1], o.unlockPkt, o.then((*objQueue).unlock))
 }
 
 func (o *objQueue) unlocked() {
 	o.inst.locked = false
 	o.inst.cond.Broadcast()
-	o.n.finishTaskFn(o.c, o.t, o.res, o.then(o.after))
+	o.n.finishTaskOn(o.c, o.t, o.res, o.then(o.after))
 }
 
 // fanout issues o.req to the secondaries in parallel, a transaction
@@ -454,20 +454,20 @@ func (o *objQueue) fanout(k func(*objQueue)) {
 func (o *objQueue) start() {
 	if !o.c.Killed() {
 		o.fi++
-		o.n.cl.CallFn(o.c, o.secs[o.fi-1], o.req, o.ackFn)
+		o.n.cl.CallOn(o.c, o.secs[o.fi-1], o.req, o.ackFn)
 	}
 }
 
 // ack counts one secondary's acknowledgement.
-func (o *objQueue) ack(_ amoeba.Packet, err error) {
-	if err != nil && !errors.Is(err, amoeba.ErrCrashed) {
+func (o *objQueue) ack() {
+	if _, err := o.n.cl.Result(); err != nil && !errors.Is(err, amoeba.ErrCrashed) {
 		panic(fmt.Sprintf("rts: %s failed: %v", o.req.Op, err))
 	}
 	o.acks--
 	if o.waiting {
 		o.waiting = false
 		env := o.n.m.Env()
-		env.Schedule(env.Now(), o.then((*objQueue).counted))
+		env.Schedule(env.Now(), o.countedFn)
 	}
 }
 
@@ -479,6 +479,6 @@ func (o *objQueue) counted() {
 	case o.acks > 0:
 		o.waiting = true
 	default:
-		o.then(o.fanned)()
+		o.then(o.fanned).Fire()
 	}
 }

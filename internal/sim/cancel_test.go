@@ -116,7 +116,7 @@ func (r *engineEnv) After(d Time, fn func()) canceller {
 }
 func (r *engineEnv) Timer(fn func()) rearmer {
 	ev := new(Event)
-	ev.Init(r.e, fn)
+	ev.InitOn(r.e, Func(fn))
 	return engineTimer{r, ev}
 }
 func (r *engineEnv) Schedule(d Time, fn func()) {
@@ -557,7 +557,7 @@ func TestTimerRearmAllocations(t *testing.T) {
 	var timers [2]Event
 	fires := 0
 	for i := range timers {
-		timers[i].Init(e, func() { fires++ })
+		timers[i].InitOn(e, Func(func() { fires++ }))
 	}
 	a, b := &timers[0], &timers[1]
 	e.Spawn("owner", func(p *Proc) {

@@ -220,9 +220,10 @@ func TestShutdownReapsParkedProcesses(t *testing.T) {
 	})
 }
 
-// A warm spawn, run and exit costs the process record and its resume
-// continuation, nothing else: the coroutine comes from the pool. (A
-// goroutine with its resume channel cost 6.)
+// A warm spawn, run and exit costs the process record, nothing else:
+// the process is its own resume continuation, and the coroutine comes
+// from the pool. (A goroutine with its resume channel cost 6, and a
+// resume closure bound at the spawn 1 more.)
 func TestSpawnAllocations(t *testing.T) {
 	skipUnderRace(t)
 	e := New(1)
@@ -232,8 +233,8 @@ func TestSpawnAllocations(t *testing.T) {
 		e.Run()
 	}
 	cycle()
-	if a := testing.AllocsPerRun(200, cycle); a > 2 {
-		t.Errorf("a spawn, run and exit allocates %v times, want at most 2", a)
+	if a := testing.AllocsPerRun(200, cycle); a > 1 {
+		t.Errorf("a spawn, run and exit allocates %v times, want at most 1", a)
 	}
 }
 

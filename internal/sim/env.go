@@ -13,7 +13,7 @@ import (
 // retransmission timers).
 //
 // An event runs a callback; the one that resumes a parked process is
-// the process's own (see Proc.Resume). The scheduler's events — those of
+// the process itself (see Proc.Fire). The scheduler's events — those of
 // Schedule, and every wake-up — are recycled through a free list; those
 // of At and After are handed to callers and never reused, so a retained
 // *Event stays valid to Cancel. A future event either holds a heap slot
@@ -60,11 +60,6 @@ func (ev *Event) Cancel() {
 	}
 }
 
-// Init makes ev, embedded in the record that owns it, a timer that is
-// armed again and again — a retransmission timeout — without allocating:
-// it binds the event, once, to its environment and callback.
-func (ev *Event) Init(e *Env, fn func()) { ev.InitOn(e, Func(fn)) }
-
 // Firer is a typed callback: what an event runs when it fires.
 type Firer interface{ Fire() }
 
@@ -74,12 +69,14 @@ type Func func()
 
 func (fn Func) Fire() { fn() }
 
-// InitOn is Init for a typed callback: each firing calls f.Fire. A
-// record that embeds its event and is itself the Firer (through a
-// pointer) binds no closure to it, so making it allocates nothing.
+// InitOn makes ev, embedded in the record that owns it, a timer that is
+// armed again and again — a retransmission timeout — without allocating:
+// it binds the event, once, to its environment and callback, and each
+// firing calls f.Fire. A record that embeds its event and is itself the
+// Firer (through a pointer) binds no closure to it either.
 func (ev *Event) InitOn(e *Env, f Firer) { *ev = Event{on: f, env: e, index: idle} }
 
-// Arm schedules an event made by Init to fire d from now, in place of
+// Arm schedules an event made by InitOn to fire d from now, in place of
 // any firing still pending. Arm and Cancel take the places in the
 // (time, seq) order that After and Cancel would: Arm consumes one
 // sequence number, Cancel none, and a cancelled firing was never
@@ -323,14 +320,14 @@ func (e *Env) Tracef(format string, args ...any) {
 	}
 }
 
-// getEvent returns a recycled internal event or a fresh one.
-func (e *Env) getEvent() *Event {
+// getEvent returns a recycled internal event or a fresh one, to run f.
+func (e *Env) getEvent(f Firer) *Event {
 	ev := e.free
 	if ev == nil {
-		return &Event{pooled: true, index: idle}
+		return &Event{on: f, pooled: true, index: idle}
 	}
 	e.free = ev.next
-	ev.next = nil
+	ev.next, ev.on = nil, f
 	return ev
 }
 
@@ -389,11 +386,11 @@ func (e *Env) After(d Time, fn func()) *Event {
 // from (and returns to) the scheduler's free list. It is the right
 // call for fire-and-forget occurrences on hot paths — network frame
 // deliveries, for instance — where nobody retains the event.
-func (e *Env) Schedule(t Time, fn func()) {
-	ev := e.getEvent()
-	ev.on = Func(fn)
-	e.schedule(ev, t)
-}
+func (e *Env) Schedule(t Time, fn func()) { e.scheduleOn(t, Func(fn)) }
+
+// scheduleOn is Schedule for a typed callback: a process's start and
+// wake-ups schedule the process itself.
+func (e *Env) scheduleOn(t Time, f Firer) { e.schedule(e.getEvent(f), t) }
 
 // next pops the earliest pending event in (time, seq) order, merging
 // the ready queue and the heap. It returns nil when both are empty.
@@ -523,7 +520,7 @@ func (e *Env) switchTo(p *Proc) *Proc {
 // returns (or, when p itself is the caller, at its next park), without
 // scheduling an event — no sequence number is consumed and Events()
 // does not move. A wake-up is an event that does nothing else; the end
-// of a hold of p's (see Resource.UseFn) does the resource's work first
+// of a hold of p's (see Resource.UseOn) does the resource's work first
 // and gives the rest of its event to p, so the pair occupies the one
 // slot in the (time, seq) order that a wake-up of p would. The caller
 // must do nothing further in this event, and p must have no wake of its
@@ -639,4 +636,4 @@ func (e *Env) Shutdown() {
 }
 
 // wake schedules p to resume at the current virtual time.
-func (e *Env) wake(p *Proc) { e.Schedule(e.now, p.resumeFn) }
+func (e *Env) wake(p *Proc) { e.scheduleOn(e.now, p) }

@@ -19,8 +19,7 @@ type Proc struct {
 	name       string
 	label      fmt.Stringer // renders name when it is first read (see InitClaimant), then nil
 	fn         func(p *Proc)
-	co         *coro  // the coroutine the body runs on, from its start to its end or reaping
-	resumeFn   func() // see Resume; bound once
+	co         *coro // the coroutine the body runs on, from its start to its end or reaping
 	terminated bool
 	killed     bool
 	parked     bool // suspended (or committed to suspending); see park
@@ -53,9 +52,8 @@ func (e *Env) Spawn(name string, fn func(p *Proc)) *Proc {
 // SpawnAt is Spawn with an explicit start time.
 func (e *Env) SpawnAt(t Time, name string, fn func(p *Proc)) *Proc {
 	p := &Proc{env: e, name: name, fn: fn}
-	p.resumeFn = func() { e.handoff(p) }
 	e.live[p] = struct{}{}
-	e.Schedule(t, p.resumeFn)
+	e.scheduleOn(t, p)
 	return p
 }
 
@@ -183,10 +181,10 @@ func (p *Proc) park() {
 	p.wait()
 }
 
-// Park suspends p until the continuation Resume returns has run. A
-// blocking primitive is its continuation form followed by a park:
+// Park suspends p until p fires (see Fire). A blocking primitive is its
+// continuation form, with p as the continuation, followed by a park:
 //
-//	r.UseFn(p, d, p.Resume())
+//	r.UseOn(p, d, p)
 //	p.Park()
 //
 // is Resource.Use, and the layers above build their blocking calls the
@@ -194,11 +192,18 @@ func (p *Proc) park() {
 // (see Queue.Serve) run one implementation.
 func (p *Proc) Park() { p.park() }
 
-// Resume returns the continuation that ends p's Park: it gives p the
-// rest of the event it runs in (see Env.handoff), so p continues in the
-// slot a wake-up of its own would have had. If it runs before p parks,
-// within p's own step, the park returns at once.
-func (p *Proc) Resume() func() { return p.resumeFn }
+// Fire resumes p: a process is the continuation of its own blocking
+// calls. It gives p the rest of the event it runs in (see Env.handoff),
+// so p continues in the slot a wake-up of its own would have had; if it
+// fires before p parks, within p's own step, the park returns at once.
+// A claimant has no body to resume and a terminated process none left,
+// so firing either panics, naming it.
+func (p *Proc) Fire() {
+	if p.fn == nil || p.terminated {
+		panic("sim: " + p.Name() + " fired, but it is a claimant or has terminated: nothing to resume")
+	}
+	p.env.handoff(p)
+}
 
 // wait is the second half of park, for a caller that marked the
 // process parked itself. A process is resumed after its yield by the
@@ -232,7 +237,7 @@ func (p *Proc) Sleep(d Time) {
 	if d < 0 {
 		panic("sim: negative sleep")
 	}
-	p.env.Schedule(p.env.now+d, p.resumeFn)
+	p.env.scheduleOn(p.env.now+d, p)
 	p.park()
 }
 

@@ -8,8 +8,8 @@ import (
 	"testing"
 )
 
-// The tests below hold a served queue (Queue.Serve, Resource.UseFn,
-// Cond.WaitFn) to its one promise: a program's schedule is the same
+// The tests below hold a served queue (Queue.Serve, Resource.UseOn,
+// Cond.WaitOn) to its one promise: a program's schedule is the same
 // whether a queue's items are served by a process looping on Get or by
 // a consumer with no process behind it, on the dispatch lane.
 
@@ -100,15 +100,15 @@ func (s *testServer) Consume(it testItem) {
 		s.finish(it)
 		s.q.Done()
 	case kFIFO:
-		s.cpu.UseFn(s.c, it.cost, s.after)
+		s.cpu.UseOn(s.c, it.cost, Func(s.after))
 	case kBlock:
-		s.cpu.UseFn(s.c, it.cost, func() {
+		s.cpu.UseOn(s.c, it.cost, Func(func() {
 			s.env.Schedule(s.env.now+it.cost/2, func() { s.cpu.UseFrontOn(s.c, it.cost, Func(s.after)) })
-		})
+		}))
 	case kLate:
 		s.cpu.UseFrontOn(s.c, it.cost, Func(func() {
 			s.note("late", it)
-			s.cpu.UseFn(s.c, it.cost/3, s.after)
+			s.cpu.UseOn(s.c, it.cost/3, Func(s.after))
 		}))
 	default:
 		s.cpu.UseFrontOn(s.c, it.cost, Func(s.after))
@@ -252,7 +252,7 @@ func TestServeKilledConsumer(t *testing.T) {
 			after := func() { served += cur; q.Done() }
 			q.Serve(srv, consumerFunc[int](func(x int) {
 				cur = x
-				cpu.UseFn(srv, 10*us, after)
+				cpu.UseOn(srv, 10*us, Func(after))
 			}))
 		} else {
 			srv = env.Spawn("srv", func(p *Proc) {
@@ -320,7 +320,7 @@ func TestCondWaitFnDiesWithClaimant(t *testing.T) {
 		var w *Proc
 		if claimant {
 			w = env.Claimant("w")
-			env.At(0, func() { c.WaitFn(w, func() { order = append(order, "w") }) })
+			env.At(0, func() { c.WaitOn(w, Func(func() { order = append(order, "w") })) })
 		} else {
 			w = env.Spawn("w", func(p *Proc) {
 				c.Wait(p)
@@ -404,6 +404,25 @@ func TestServeBlockingPanics(t *testing.T) {
 		}
 	}()
 	env.Run()
+}
+
+// A process is the continuation of its own blocking calls, but a
+// claimant has no body to resume and a terminated process none left:
+// firing either panics, naming it.
+func TestFireNeedsABody(t *testing.T) {
+	env := New(1)
+	ended := env.Spawn("ended", func(*Proc) {})
+	env.Run()
+	for _, p := range []*Proc{env.Claimant("node3/objmgr"), ended} {
+		func() {
+			defer func() {
+				if s := fmt.Sprint(recover()); !strings.Contains(s, p.Name()+" fired") {
+					t.Errorf("firing %s reported %q", p.Name(), s)
+				}
+			}()
+			p.Fire()
+		}()
+	}
 }
 
 // Steady-state mailbox and condition traffic must not allocate: a

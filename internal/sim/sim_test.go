@@ -168,10 +168,10 @@ func TestResourceSerializes(t *testing.T) {
 }
 
 // useFront is the blocking form of a front-lane claim: its continuation
-// plus a park, as Use is of UseFn. Only tests claim the front lane from
+// plus a park, as Use is of UseOn. Only tests claim the front lane from
 // a process of their own.
 func useFront(r *Resource, p *Proc, d Time) {
-	r.UseFrontOn(p, d, Func(p.resumeFn))
+	r.UseFrontOn(p, d, p)
 	p.park()
 }
 
@@ -212,7 +212,7 @@ func TestNegativeHoldPanicsAtTheClaim(t *testing.T) {
 		panicked := false
 		e.SpawnAt(1, "claimant", func(p *Proc) {
 			defer func() { panicked = recover() != nil }()
-			r.UseFn(p, -1, func() {})
+			r.UseOn(p, -1, Func(func() {}))
 		})
 		e.Run()
 		if !panicked {

@@ -54,14 +54,20 @@ func (f *fifo[T]) pop() T {
 // separate allocation.
 type Cond struct {
 	env     *Env
-	waiters fifo[condWaiter]
+	waiters fifo[Firer] // a parked process itself, or an alive continuation
 }
 
-// condWaiter is a parked process, or a continuation fn waiting on p's
-// behalf (see WaitFn).
-type condWaiter struct {
-	p  *Proc
-	fn func()
+// alive is a continuation k waiting on a condition in p's name: it
+// fires k unless p has been killed by then.
+type alive struct {
+	p *Proc
+	k Firer
+}
+
+func (w *alive) Fire() {
+	if !w.p.killed {
+		w.k.Fire()
+	}
 }
 
 // NewCond creates a condition variable bound to e.
@@ -70,55 +76,46 @@ func NewCond(e *Env) *Cond { return &Cond{env: e} }
 // Wait parks p until Signal or Broadcast wakes it. As with
 // sync.Cond, callers re-check their predicate in a loop.
 func (c *Cond) Wait(p *Proc) {
-	c.env = p.env
-	c.waiters.push(condWaiter{p: p})
+	c.WaitOn(p, p)
 	p.park()
 }
 
-// WaitFn is Wait in continuation form: the wake-up runs fn on p's
+// WaitOn is Wait in continuation form: the wake-up fires k on p's
 // behalf, in the event that would have resumed p, unless p has been
-// killed by then.
-func (c *Cond) WaitFn(p *Proc, fn func()) {
+// killed by then. A process waiting for itself (k is p) costs nothing;
+// the driver discards a killed one's wake-up.
+func (c *Cond) WaitOn(p *Proc, k Firer) {
 	c.env = p.env
-	c.waiters.push(condWaiter{p, fn})
+	if k != Firer(p) {
+		k = &alive{p, k}
+	}
+	c.waiters.push(k)
 }
 
 // Signal wakes the longest waiter, if any.
 func (c *Cond) Signal() {
 	if c.waiters.len() > 0 {
-		c.wake(c.waiters.pop())
+		c.env.scheduleOn(c.env.now, c.waiters.pop())
 	}
 }
 
 // Broadcast wakes all waiters in FIFO order.
 func (c *Cond) Broadcast() {
 	for c.waiters.len() > 0 {
-		c.wake(c.waiters.pop())
+		c.env.scheduleOn(c.env.now, c.waiters.pop())
 	}
-}
-
-func (c *Cond) wake(w condWaiter) {
-	if w.fn == nil {
-		c.env.wake(w.p)
-		return
-	}
-	c.env.Schedule(c.env.now, func() {
-		if !w.p.killed {
-			w.fn()
-		}
-	})
 }
 
 // Resource is an exclusively held resource (a node's CPU, for example)
 // with a FIFO wait queue and an optional high-priority lane used for
 // interrupt handling.
 //
-// There is one claim: hold for d on behalf of p, then run a
+// There is one claim: hold for d on behalf of p, then fire a
 // continuation on the dispatch lane. A process that claims for itself
-// (Use) passes the continuation that resumes it and parks; a consumer
-// with no process behind it claims in its claimant's name (UseFn or
-// UseOn, see Queue.Serve) and passes its own. Both are the same events
-// in the same slots, so the schedule cannot tell who claimed.
+// (Use) passes itself as the continuation and parks; a consumer with no
+// process behind it claims in its claimant's name (UseOn, see
+// Queue.Serve) and passes its own. Both are the same events in the same
+// slots, so the schedule cannot tell who claimed.
 type Resource struct {
 	// Slice, if positive, is the longest a FIFO-lane claim holds at a
 	// time — a scheduling quantum: a longer claim gives way, a slice at a
@@ -133,14 +130,23 @@ type Resource struct {
 	acquiredAt Time
 
 	// The current hold (hold.p is nil while the resource is free), which
-	// lasts span. There is one holder at a time, so one slot and two
-	// method values bound once serve every claim without a per-use
-	// closure.
-	hold      resWaiter
-	span      Time
-	grantedFn func()
-	expiredFn func()
+	// lasts span. There is one holder at a time, so one slot serves every
+	// claim, and the resource is the callback of its grant and of the
+	// hold's end (resGranted, resExpired): a claim binds nothing.
+	hold resWaiter
+	span Time
 }
+
+// resGranted and resExpired are a resource as the callbacks of its
+// grant and of the end of its hold.
+type (
+	resGranted Resource
+	resExpired Resource
+)
+
+func (r *resGranted) Fire() { (*Resource)(r).granted() }
+
+func (r *resExpired) Fire() { (*Resource)(r).expired() }
 
 // resWaiter is one claim: hold for d on p's behalf, then fire k.
 type resWaiter struct {
@@ -151,32 +157,24 @@ type resWaiter struct {
 }
 
 // NewResource creates a free resource bound to e.
-func NewResource(e *Env) *Resource {
-	r := &Resource{env: e}
-	r.grantedFn, r.expiredFn = r.granted, r.expired
-	return r
-}
+func NewResource(e *Env) *Resource { return &Resource{env: e} }
 
 // Use acquires the resource, holds it for d of virtual time, and
 // releases it. It models a burst of exclusive work such as CPU time.
 func (r *Resource) Use(p *Proc, d Time) {
-	r.UseFn(p, d, p.resumeFn)
+	r.UseOn(p, d, p)
 	p.park()
 }
 
-// UseFn holds the resource for d on behalf of p, once it is free, and
-// then runs fn on the dispatch lane right after the release. The grant
+// UseOn holds the resource for d on behalf of p, once it is free, and
+// then fires k on the dispatch lane right after the release. The grant
 // to a claim that had to wait and the end of the hold are callback
 // events; Use is this plus a park, so a program's event sequence does
-// not depend on which form its claims take. fn must not block (a resume
-// of p apart, see Proc.Resume). If p is killed before the hold ends,
-// process or claimant, its events are discarded: fn never runs and the
-// resource stays with the dead holder.
-func (r *Resource) UseFn(p *Proc, d Time, fn func()) { r.claim(resWaiter{p, d, Func(fn), false}) }
-
-// UseOn is UseFn for a typed continuation: k fires where fn would run. A
-// consumer that is its own continuation (a Firer, through a pointer)
-// binds nothing to claim.
+// not depend on which form its claims take. k must not block (p
+// resuming apart, see Proc.Fire); a consumer that is its own
+// continuation (through a pointer) binds nothing to claim. If p is
+// killed before the hold ends, process or claimant, its events are
+// discarded: k never fires and the resource stays with the dead holder.
 func (r *Resource) UseOn(p *Proc, d Time, k Firer) { r.claim(resWaiter{p, d, k, false}) }
 
 // UseFrontOn is UseOn, but the claim jumps the wait queue. Interrupt
@@ -192,7 +190,7 @@ func (r *Resource) claim(w resWaiter) {
 	switch {
 	case r.hold.p == nil:
 		r.grant(w)
-		r.env.Schedule(r.env.now+r.span, r.expiredFn)
+		r.env.scheduleOn(r.env.now+r.span, (*resExpired)(r))
 	case w.front:
 		r.waiters.pushFront(w)
 	default:
@@ -214,7 +212,7 @@ func (r *Resource) granted() {
 	if r.hold.p.killed {
 		return
 	}
-	r.env.Schedule(r.env.now+r.span, r.expiredFn)
+	r.env.scheduleOn(r.env.now+r.span, (*resExpired)(r))
 }
 
 // expired ends the hold: the resource passes to the next waiter, if
@@ -230,7 +228,7 @@ func (r *Resource) expired() {
 	r.hold = resWaiter{}
 	if r.waiters.len() > 0 {
 		r.grant(r.waiters.pop())
-		r.env.Schedule(r.env.now, r.grantedFn)
+		r.env.scheduleOn(r.env.now, (*resGranted)(r))
 	}
 	if w.d > 0 {
 		r.claim(w)

@@ -63,20 +63,20 @@ var codeCeilings = map[string]int{
 	"examples/mixed":      30,
 	"examples/quickstart": 48,
 	"examples/tsp":        32,
-	"internal/amoeba":     809, // +3: a broadcast payload record carries the header's Obj, and new records are carved in runs from the machine's chunk
+	"internal/amoeba":     802, // −7: one continuation form per primitive: ComputeFn, SendFn, PutResultFn, PutReplyFn and CallFn are gone (PutReplyOn, CallOn), and a server, a transaction record and a deadline are their own continuations, binding nothing
 	"internal/apps/acp":   628, // −9: Work.AnyWork and its descriptor, which nothing called
 	"internal/apps/atpg":  764, // −5: Circuit.Fanout with the fanout lists only it read, and FaultSimulator.Good, which nothing called
 	"internal/apps/chess": 986,
 	"internal/apps/kv":    369,  // +9: the key directory, the slot array's write path and the 1<<31 key limit (map shard state and receipt maps went)
 	"internal/apps/tsp":   575,  // −1: SolveSeq is a method search over a uint64 of free cities that tests a child before recursing; the closure over a visited []bool it replaced is solve_test.go's reference
-	"internal/group":      2312, // +50: the delivered cache is a ring over its segments that drops records below the sequencer's trim point, which every cast carries; the trim scan counts the members at its minimum
+	"internal/group":      2308, // −4: the lazily made timers are kernel timers (group.timer, an amoeba.Timer that is its own round), BroadcastBatchFn is BroadcastBatchOn, an outbox fires a sim.Firer, a step runs a function of the member, so a round that is a method expression binds nothing, and the throttles' flags share a word
 	"internal/harness":    1622,
 	"internal/netsim":     415,  // +1: Downs, the count of crashed nodes, which the trim scan's gate reads
 	"internal/orca":       738,  // +12: the descriptors carve their arguments, and their operations their results, from the run's tables (rec1/rec2 take the run; a two-result apply is named before its record), and a fork message is carved from the runtime's chunk, whose first run is planned at one fork per other machine
 	"internal/orca/std":   366,  // −1: the job queue keeps its jobs in segments that are never copied (push/pop keep the size count) and Queue.Add carves the job; the nine Handle accessors, which nothing called, are gone
-	"internal/rts":        2827, // −1: OpDef.Apply takes the run to carve results from, a fence record is carved once and shared by its shards and a full-span fork reuses the list of every group (Router.every), a fence's arrival record is carved, SizeOfValue sizes a pointer as its pointee, and five maps made at their first store go through one put
+	"internal/rts":        2822, // −5: a primary's queue, a combining buffer, a sequenced record's wait and a forwarded operation are their own continuations (sim.Firer), and sequence fires one continuation, the waiting thread or a consumer's, where it took a func or nil for the thread
 	"internal/rts/scheck": 111,
-	"internal/sim":        875, // +5: the same-instant ready list slides its backlog down when it is full and at least half consumed, instead of growing
+	"internal/sim":        869, // −6: a process is its own continuation (Proc.Fire): Proc.Resume and the closure bound for it, Resource.UseFn and Event.Init are gone, a condition's waiters are the continuations their wake-ups fire, and a resource is its own grant and expiry callback
 	"internal/workload":   231, // +10: one Zipf table per (Keys, Theta), shared by every generator instead of summed per client
 }
 
@@ -402,4 +402,136 @@ func (s *source) Import(importPath string) (*types.Package, error) {
 		s.files = append(s.files, &srcFile{ast: f, pkg: pkg, dir: dir})
 	}
 	return pkg, nil
+}
+
+// continuationKept lists the exported functions of the kernel layers
+// that take a func with no results as a parameter, each with why it is
+// not a continuation or stays a func. Every other waiting primitive
+// has one continuation form, which takes a sim.Firer (a func goes in
+// as sim.Func), and its blocking form is that form and a park.
+var continuationKept = map[string]string{
+	"sim.Env.At":                 "schedules a callback and returns its event: the caller's own timer, not a continuation",
+	"sim.Env.After":              "At, d from now",
+	"sim.Env.Schedule":           "At without the handle: a fire-and-forget callback",
+	"sim.Env.Spawn":              "a process body, not a continuation",
+	"sim.Env.SpawnAt":            "Spawn at a given time",
+	"amoeba.Machine.SpawnThread": "a thread body, not a continuation",
+	"amoeba.Machine.Defer":       "a round for interrupt service, run in the interrupt claimant's name",
+	"amoeba.Machine.Deadline":    "a one-shot kernel round on a record the machine pools, which a timer embedded in a packer cannot replace (DESIGN.md, \"Kernel deadlines\"); its callers bind their rounds once",
+	"amoeba.Server.Serve":        "the function every request is handed to, the consumer of the server's queue",
+	"rts.Registry.Each":          "a visitor called once per registered type, within the call",
+	"rts.Router.SetExtraHandler": "the handler of group bodies the runtime does not know, set once by the Orca layer",
+}
+
+// TestContinuationForms holds the kernel layers to one continuation
+// form per primitive: no exported name in them ends in Fn (the func
+// twins of the typed forms), and none takes a func with no results as
+// a parameter unless continuationKept says why. -v prints the kept ones.
+func TestContinuationForms(t *testing.T) {
+	src := loadSource(t)
+	takers := map[string]bool{}
+	check := func(name string, obj types.Object) {
+		if strings.HasSuffix(obj.Name(), "Fn") {
+			t.Errorf("%s: an exported name ends in Fn; its primitive's one continuation form takes a sim.Firer", name)
+		}
+		fn, ok := obj.(*types.Func)
+		if !ok {
+			return
+		}
+		for p := range fn.Signature().Params().Variables() {
+			if sig, ok := p.Type().(*types.Signature); ok && sig.Results().Len() == 0 {
+				takers[name] = true
+			}
+		}
+	}
+	for _, layer := range []string{"sim", "amoeba", "group", "rts"} {
+		scope := src.pkgs["repro/internal/"+layer].Scope()
+		for _, n := range scope.Names() {
+			obj := scope.Lookup(n)
+			if !obj.Exported() {
+				continue
+			}
+			check(layer+"."+n, obj)
+			named, ok := obj.Type().(*types.Named)
+			if _, isType := obj.(*types.TypeName); !isType || !ok {
+				continue
+			}
+			for m := range named.Methods() {
+				if m.Exported() {
+					check(layer+"."+n+"."+m.Name(), m)
+				}
+			}
+			if st, ok := named.Underlying().(*types.Struct); ok {
+				for f := range st.Fields() {
+					if f.Exported() {
+						check(layer+"."+n+"."+f.Name(), f)
+					}
+				}
+			}
+		}
+	}
+	for _, name := range slices.Sorted(maps.Keys(takers)) {
+		if why, ok := continuationKept[name]; ok {
+			t.Logf("%-27s kept: %s", name, why)
+		} else {
+			t.Errorf("%s takes a func continuation; take a sim.Firer instead, or add it to continuationKept with the reason", name)
+		}
+	}
+	for name := range continuationKept {
+		if !takers[name] {
+			t.Errorf("continuationKept names %s, which takes no func continuation", name)
+		}
+	}
+}
+
+// downReads pins every read of netsim.Network.Down and Downs outside
+// netsim, as "file function", once per read: the simulator's perfect
+// failure detector, which a real kernel would not have (DESIGN.md,
+// "The perfect failure detector"). A new read fails TestDownReads until
+// it is listed here and there.
+var downReads = []string{
+	"internal/amoeba/rpc.go CallOn",
+	"internal/amoeba/rpc.go woke",
+	"internal/group/consensus.go successorRank",
+	"internal/group/election.go checkViewInstalled",
+	"internal/group/group.go noteStatus",
+	"internal/group/group.go trimHistory",
+	"internal/group/group.go trimHistory",
+	"internal/rts/bcast_partial.go forward",
+}
+
+func TestDownReads(t *testing.T) {
+	src := loadSource(t)
+	network := src.pkgs["repro/internal/netsim"].Scope().Lookup("Network").Type().(*types.Named)
+	var got []string
+	for _, file := range src.files {
+		if file.dir == "internal/netsim" {
+			continue
+		}
+		for _, d := range file.ast.Decls {
+			fd, ok := d.(*ast.FuncDecl)
+			if !ok || fd.Body == nil {
+				continue
+			}
+			ast.Inspect(fd.Body, func(n ast.Node) bool {
+				sel, ok := n.(*ast.SelectorExpr)
+				if !ok {
+					return true
+				}
+				if m, ok := src.info.Uses[sel.Sel].(*types.Func); ok && (m.Name() == "Down" || m.Name() == "Downs") {
+					if recv := m.Signature().Recv(); recv != nil && types.Identical(recv.Type(), types.NewPointer(network)) {
+						got = append(got, filepath.ToSlash(filepath.Join(file.dir, filepath.Base(src.fset.Position(fd.Pos()).Filename)))+" "+fd.Name.Name)
+					}
+				}
+				return true
+			})
+		}
+	}
+	slices.Sort(got)
+	for _, r := range got {
+		t.Logf("%s", r)
+	}
+	if !slices.Equal(got, downReads) {
+		t.Errorf("reads of Network.Down/Downs outside netsim:\n  got  %q\n  want %q\nname a new read in downReads and in DESIGN.md, \"The perfect failure detector\"", got, downReads)
+	}
 }
