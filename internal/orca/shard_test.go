@@ -318,3 +318,28 @@ func TestShardedCrashOneShardOthersAdvance(t *testing.T) {
 		t.Fatalf("surviving-shard counters = %v, want 40s in shards 2,3", finals)
 	}
 }
+
+// TestInvokeFencedFromOutsideReplicaSet: a machine that holds no replica
+// of an object may still fence a write to it. The fence travels its
+// group's total order and applies at the holder, and the fencer's next
+// read, forwarded to the holder, sees it.
+func TestInvokeFencedFromOutsideReplicaSet(t *testing.T) {
+	rt := orca.New(orca.Config{Processors: 2, RTS: orca.Broadcast, Seed: 3}, withCells)
+	got := -1
+	rep := rt.Run(func(p *orca.Proc) {
+		obj := cellB.NewWith(p, orca.Opts(orca.At(0)))
+		done := std.NewFlag(p, false)
+		p.Fork(1, "fencer", func(fp *orca.Proc) {
+			fp.InvokeFenced(cellAssign.Fenced(obj, 5))
+			got = cellValue.Call(fp, obj)
+			done.Set(fp, true)
+		})
+		done.Await(p)
+	})
+	if rep.TimedOut {
+		t.Fatalf("the run timed out; blocked: %v", rep.Blocked)
+	}
+	if got != 5 || rep.RTS.FencedOps != 1 {
+		t.Fatalf("fencer read %d with %d fenced ops; want 5 and 1", got, rep.RTS.FencedOps)
+	}
+}
