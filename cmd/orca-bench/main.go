@@ -7,9 +7,10 @@
 //
 // Each experiment prints the measured series next to a summary of what
 // the paper reports. Every figure is virtual time or a count, so the
-// output is a pure function of the flags: internal/harness pins the
-// -exp all -quick run byte for byte (testdata/quick.golden), and
-// EXPERIMENTS.md quotes the full-size runs. Wall-clock cost is
+// output is a pure function of the flags: the -exp all -quick run is
+// pinned byte for byte in internal/harness/testdata/quick.golden
+// (TestQuickGolden) and the full-size -exp all run, which EXPERIMENTS.md
+// quotes, in testdata/full.golden (CI diffs it). Wall-clock cost is
 // measured elsewhere, by bash bench/run.sh.
 //
 // Every row runs twice and every experiment checks its own figures; a
