@@ -16,7 +16,11 @@
 // tenths of the pairs (ties count for neither side) and the medians
 // differ by more than the base's interquartile distance, "loss" by the
 // same rule the other way, and otherwise nothing. A change beyond the
-// metric's bound in the worse direction is flagged.
+// metric's bound in the worse direction is flagged. After the table it
+// prints, one line each, every metric of the result line that read one
+// value on every run of each side but a different value on the two
+// sides (a virtual figure the head moved), or one line saying there is
+// none.
 package main
 
 import (
@@ -128,6 +132,13 @@ func run(w io.Writer, repo, base, head string, args []string, pairs int) (err er
 			note = strings.TrimSpace(note + " beyond bound")
 		}
 		fmt.Fprintf(w, "%-20s %-40s %-40s %+8.2f%% %4d %4d  %s\n", m.Name, c.base, c.head, 100*c.change(), c.wins, c.losses, note)
+	}
+	ms := moved(samples[0], samples[1])
+	if len(ms) == 0 {
+		fmt.Fprintln(w, "no metric that reads one value on every run of each side differs between the sides")
+	}
+	for _, m := range ms {
+		fmt.Fprintln(w, "moved:", m)
 	}
 	return nil
 }

@@ -3,6 +3,7 @@ package main
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -93,4 +94,19 @@ func (c comparison) verdict() string {
 		return "loss"
 	}
 	return ""
+}
+
+// moved lists the metrics that read one value on every run of each
+// side and a different value on the two sides, a deterministic figure
+// the head moved, as "name: base -> head", in name order.
+func moved(base, head map[string][]float64) []string {
+	var out []string
+	for name, b := range base {
+		h := head[name]
+		if len(h) > 0 && slices.Min(b) == slices.Max(b) && slices.Min(h) == slices.Max(h) && b[0] != h[0] {
+			out = append(out, fmt.Sprintf("%s: %v -> %v", name, b[0], h[0]))
+		}
+	}
+	sort.Strings(out)
+	return out
 }

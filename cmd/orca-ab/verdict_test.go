@@ -1,6 +1,9 @@
 package main
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
 // The quartiles follow the benchmark's rule (Python's
 // statistics.quantiles, exclusive method).
@@ -61,5 +64,31 @@ func TestVerdict(t *testing.T) {
 	}
 	if c := compare([]float64{100}, []float64{110}, false); c.worseBy() != -0.1 {
 		t.Errorf("100 to 110, higher better: worse by %v, want -0.1", c.worseBy())
+	}
+}
+
+func TestMoved(t *testing.T) {
+	base := map[string][]float64{
+		"events_per_op":  {70.5, 70.5, 70.5},
+		"virtual_s":      {14.2, 14.2, 14.2},
+		"ops_per_wall_s": {100, 110, 105},
+		"only_in_base":   {1, 1, 1},
+		"noisy_in_head":  {3, 3, 3},
+		"allocs_per_op":  {0.1, 0.1, 0.1},
+	}
+	head := map[string][]float64{
+		"events_per_op":  {70.5, 70.5, 70.5},
+		"virtual_s":      {14.3, 14.3, 14.3},
+		"ops_per_wall_s": {120, 120, 120},
+		"noisy_in_head":  {4, 5, 4},
+		"allocs_per_op":  {0.2, 0.2, 0.2},
+	}
+	got := moved(base, head)
+	want := []string{"allocs_per_op: 0.1 -> 0.2", "virtual_s: 14.2 -> 14.3"}
+	if !slices.Equal(got, want) {
+		t.Fatalf("moved = %q, want %q", got, want)
+	}
+	if got := moved(base, base); len(got) != 0 {
+		t.Fatalf("moved(base, base) = %q, want none", got)
 	}
 }
