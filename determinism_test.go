@@ -46,8 +46,9 @@ func fingerprint(rep orca.Report, rt *orca.Runtime) string {
 	// sequencer group alone, a group plus the point-to-point domain, or
 	// neither block (pure point-to-point and sharded runs).
 	sys := rt.System()
-	if sys.Groups() == 1 && sys.P2P() == nil {
-		c := sys.Group(0).Counters()
+	p2p := sys.Hosts(rts.Place{Kind: rts.PlacePrimary, Group: -1}) == nil
+	if sys.Groups() == 1 && !p2p {
+		c := sys.Counters()
 		s += fmt.Sprintf(" reads=%d writes=%d guardwaits=%d", c.LocalReads, c.BcastWrites, c.GuardWaits)
 		if c.BatchedOps > 0 {
 			// Batched runs pin their combining-pipeline counters too;
@@ -55,7 +56,7 @@ func fingerprint(rep orca.Report, rt *orca.Runtime) string {
 			s += fmt.Sprintf(" batched=%d bframes=%d", c.BatchedOps, c.Frames)
 		}
 	}
-	if sys.Groups() > 0 && sys.P2P() != nil {
+	if sys.Groups() > 0 && p2p {
 		c := sys.Counters()
 		s += fmt.Sprintf(" reads=%d bwrites=%d guardwaits=%d rreads=%d pwrites=%d updates=%d",
 			c.LocalReads, c.BcastWrites, c.GuardWaits, c.RemoteReads, c.P2PWrites, c.Updates)

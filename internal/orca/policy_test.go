@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/orca"
 	"repro/internal/orca/std"
+	"repro/internal/rts"
 )
 
 // TestNewWithDefaultMatchesNew runs the same program through New and
@@ -156,8 +157,9 @@ func TestMixedProgramMixesRuntimes(t *testing.T) {
 	if rep.RTS.P2PWrites == 0 {
 		t.Error("no p2p writes: the queue did not use the point-to-point runtime")
 	}
-	if sys := rt.System(); sys.Groups() != 1 || sys.P2P() == nil {
-		t.Errorf("router has %d groups, p2p %v; want one group plus the point-to-point domain", sys.Groups(), sys.P2P() != nil)
+	sys := rt.System()
+	if p2p := sys.Hosts(rts.Place{Kind: rts.PlacePrimary, Group: -1}) == nil; sys.Groups() != 1 || !p2p {
+		t.Errorf("router has %d groups, primary copies %v; want one group plus primary copies", sys.Groups(), p2p)
 	}
 }
 

@@ -171,11 +171,8 @@ func adaptDecide(cfg AdaptConfig, replicated bool, primary int, ewmaWriteFrac fl
 // adaptInfo is the per-object controller state, plus the bookkeeping
 // of an in-flight migration. One migration per object at a time.
 type adaptInfo struct {
-	cfg      AdaptConfig
-	home     int // the sequencer group the object replicates behind
-	typ      *ObjectType
-	ctorArgs []any
-	ops      opCache
+	cfg  AdaptConfig
+	home int // the sequencer group the object replicates behind
 
 	// Statistics window.
 	reads  []int64 // per-machine reads since the last decision
@@ -239,13 +236,13 @@ func (r *Router) moveout(p *sim.Proc, node int, id ObjID, state State, k sim.Fir
 		k.Fire()
 		return
 	}
-	mgr.sequence(p, moveoutMsg(id, info, state), k)
+	mgr.sequence(p, r.moveoutMsg(id, state), k)
 }
 
 // moveoutMsg is the migrate record that moves an object into its home
 // group with the given state.
-func moveoutMsg(id ObjID, info *adaptInfo, state State) group.Msg {
-	return group.Msg{Kind: "rts-migrate", Body: wireMigrate{Obj: id, Target: -1, State: state}, Size: info.typ.stateSize(state) + 24}
+func (r *Router) moveoutMsg(id ObjID, state State) group.Msg {
+	return group.Msg{Kind: "rts-migrate", Body: wireMigrate{Obj: id, Target: -1, State: state}, Size: r.objs[id].typ.stateSize(state) + 24}
 }
 
 // recoverState gives crash recovery a better restart point than the
@@ -255,8 +252,8 @@ func moveoutMsg(id ObjID, info *adaptInfo, state State) group.Msg {
 // loses only the writes acknowledged by the dead primary after the cut.
 // It returns nil when no snapshot exists, always for a non-adaptive
 // object.
-func (r *Router) recoverState(meta *p2pMeta) State {
-	info := r.objs[meta.id].adapt
+func (r *Router) recoverState(id ObjID) State {
+	info := r.objs[id].adapt
 	if info == nil {
 		return nil
 	}
@@ -270,8 +267,8 @@ func (r *Router) recoverState(meta *p2pMeta) State {
 		if mgr.m.Crashed() {
 			continue
 		}
-		if inst := mgr.inst(meta.id); inst != nil && inst.moved {
-			return info.typ.Clone(inst.state)
+		if inst := mgr.mg.seqCopy(id); inst != nil && inst.moved {
+			return r.objs[id].typ.Clone(inst.state)
 		}
 	}
 	return nil
@@ -281,16 +278,16 @@ func (r *Router) recoverState(meta *p2pMeta) State {
 // placement controller: it starts replicated on its home group and
 // re-places itself as the observed access pattern warrants. An adaptive
 // object never joins the write-combining pipeline (see
-// BroadcastRTS.Call).
-func (r *Router) adopt(w *Worker, id ObjID, g *BroadcastRTS, typeName string, cfg AdaptConfig, args []any) {
-	r.objs[id].adapt = &adaptInfo{
-		cfg:      cfg.withDefaults(),
-		home:     r.objs[id].dom,
-		typ:      g.reg.Lookup(typeName),
-		ctorArgs: append([]any(nil), args...),
-		reads:    make([]int64, len(r.machines)),
-		writes:   make([]int64, len(r.machines)),
-		cond:     sim.NewCond(w.M.Env()),
+// seqGroup.call), and keeps its creation arguments to restart from.
+func (r *Router) adopt(w *Worker, id ObjID, cfg AdaptConfig, args []any) {
+	e := &r.objs[id]
+	e.args = append([]any(nil), args...)
+	e.adapt = &adaptInfo{
+		cfg:    cfg.withDefaults(),
+		home:   e.dom,
+		reads:  make([]int64, len(r.machines)),
+		writes: make([]int64, len(r.machines)),
+		cond:   sim.NewCond(w.M.Env()),
 	}
 }
 
@@ -304,7 +301,7 @@ func (r *Router) AdaptivePlacements() map[ObjID]string {
 		}
 		where := "replicated"
 		if e.dom == domP2P {
-			where = fmt.Sprintf("primary@%d", r.p2p.meta(ObjID(i)).primary)
+			where = fmt.Sprintf("primary@%d", e.meta.primary)
 		}
 		put(&out, ObjID(i), where)
 	}
@@ -321,7 +318,7 @@ func (r *Router) AdaptivePlacements() map[ObjID]string {
 // window it fills is decided here too, at the object's next access
 // through Call (DESIGN.md "Adaptive placement").
 func (r *Router) adaptObserve(w *Worker, id ObjID, info *adaptInfo, opName string) {
-	info.count(w.Node(), info.ops.lookup(info.typ, opName).Kind)
+	info.count(w.Node(), r.op(id, opName).Kind)
 	home := r.groups[info.home]
 	if info.seen < info.cfg.SampleEvery || info.migrating || home.mgr(w.Node()) == nil {
 		return
@@ -329,14 +326,14 @@ func (r *Router) adaptObserve(w *Worker, id ObjID, info *adaptInfo, opName strin
 	replicated := r.objs[id].dom != domP2P
 	primary := -1
 	if !replicated {
-		primary = r.p2p.meta(id).primary
+		primary = r.meta(id).primary
 	}
 	act, target := info.step(replicated, primary, w.M.Env().Now())
 	switch act {
 	case adaptStay:
 		return
 	case adaptToPrimary, adaptRehome:
-		if r.p2p.nodeDown(target) || home.mgr(target) == nil {
+		if r.nodeDown(target) || home.mgr(target) == nil {
 			return // never migrate toward a dead or out-of-span machine
 		}
 	}
@@ -406,10 +403,10 @@ func (r *Router) startMigration(w *Worker, id ObjID, info *adaptInfo, act adaptA
 	case adaptToReplicated:
 		// The primary's task queue is the cut: a moveout task drops
 		// every copy and hands the state to the home group.
-		r.p2p.nodes[w.Node()].submitMigrate(w, r.p2p.meta(id), "moveout", -1)
+		r.mgrs[w.Node()].submitMigrate(w, id, "moveout", -1)
 		r.awaitFlip(w, id, info, domP2P)
 	case adaptRehome:
-		r.p2p.nodes[w.Node()].submitMigrate(w, r.p2p.meta(id), "rehome", target)
+		r.mgrs[w.Node()].submitMigrate(w, id, "rehome", target)
 		r.finishMigration(info, id, domP2P, env.Now())
 	}
 }
@@ -440,9 +437,9 @@ func (r *Router) awaitFlip(w *Worker, id ObjID, info *adaptInfo, from int) {
 	mgr := home.mgr(w.Node())
 	for info.migrating && r.objs[id].dom == from {
 		if mgr != nil && info.toBr && !info.decided && info.cloned != nil &&
-			(r.p2p.nodeDown(info.fromNode) || home.mgr(info.fromNode) == nil) {
+			(r.nodeDown(info.fromNode) || home.mgr(info.fromNode) == nil) {
 			w.Flush()
-			mgr.sequenced(w.P, moveoutMsg(id, info, info.cloned))
+			mgr.sequenced(w.P, r.moveoutMsg(id, info.cloned))
 			continue
 		}
 		info.cond.Wait(w.P)
@@ -457,32 +454,35 @@ func (r *Router) awaitFlip(w *Worker, id ObjID, info *adaptInfo, from int) {
 		// span has no replica to wait for: its retry forwards to a
 		// holder and bounces again until the holder caught up.)
 		for {
-			if inst := mgr.inst(id); inst != nil && !inst.moved {
+			if inst := mgr.mg.seqCopy(id); inst != nil && !inst.moved {
 				return
 			}
-			mgr.instCond.Wait(w.P)
+			mgr.mg.cond.Wait(w.P)
 		}
 	}
 }
 
 // handleMigrate applies one delivery of a sequenced migrate record —
-// the cut point of a broadcast<->primary migration — and then runs k.
-// Global decisions (the ownership flip, the target-crashed abort) run
-// exactly once, at the globally-first delivery; per-manager effects
-// (marking the local replica moved, bouncing its guard waiters,
-// installing a fresh replica) run at every manager, each at its own
-// position in the total order.
+// the cut point of a change of the object's orderer — and then runs k.
+// The change itself (the flip of the entry's orderer, or the abort when
+// the target crashed) runs exactly once, at the globally-first delivery,
+// and installs the one copy the new orderer starts from: a primary copy
+// at the target, cloned from the cut, or, into the group, a replica of
+// the carried snapshot at every member. Every manager, each at its own
+// position in the total order, marks its replica moved and bounces its
+// guard waiters (out of the group), or installs its replica (into it).
 func (r *Router) handleMigrate(mgr *bcastManager, uid int64, src int, wm wireMigrate, k sim.Firer) {
 	info := r.objs[wm.Obj].adapt
 	if info == nil {
 		panic(fmt.Sprintf("rts: migrate record for non-adaptive object %d", wm.Obj))
 	}
 	now := mgr.m.Env().Now()
+	typ := r.objs[wm.Obj].typ
 	if wm.State != nil {
-		// p2p -> broadcast: install a replica holding the carried
-		// snapshot. A live (non-moved) replica means this record is a
-		// crash-rescue duplicate: skip, preserving writes applied
-		// since the first record.
+		// Into the group: install a replica holding the carried snapshot.
+		// A live (non-moved) replica means this record is a crash-rescue
+		// duplicate: skip, preserving writes applied since the first
+		// record.
 		installed := func() {
 			if !info.decided {
 				info.decided = true
@@ -491,10 +491,10 @@ func (r *Router) handleMigrate(mgr *bcastManager, uid int64, src int, wm wireMig
 			mgr.complete(uid, src, Args{})
 			k.Fire()
 		}
-		if old := mgr.inst(wm.Obj); old == nil || old.moved {
-			st := info.typ.Clone(wm.State)
-			mgr.charge(mgr.rts.costs.create, sim.Func(func() {
-				mgr.setInst(wm.Obj, newReplica(&mgr.rts.replicas, info.typ, st))
+		if old := mgr.mg.seqCopy(wm.Obj); old == nil || old.moved {
+			st := typ.Clone(wm.State)
+			mgr.charge(r.costs.create, sim.Func(func() {
+				mgr.mg.setSeq(wm.Obj, newReplica(&mgr.sg.replicas, st))
 				installed()
 			}))
 			return
@@ -502,20 +502,26 @@ func (r *Router) handleMigrate(mgr *bcastManager, uid int64, src int, wm wireMig
 		installed()
 		return
 	}
-	// broadcast -> primary copy at wm.Target.
+	// Out of the group, to a primary copy at wm.Target.
+	inst := mgr.mg.seqCopy(wm.Obj)
 	if !info.decided {
 		info.decided = true
-		if r.p2p.nodeDown(wm.Target) {
+		if r.nodeDown(wm.Target) {
 			// The target died before the cut. Decided exactly once, at
 			// the globally-first delivery, so every manager (and the
 			// initiator) observes the same abort.
 			info.aborted = true
 		} else {
 			// Clone this manager's replica: it sits exactly at the cut
-			// position of the total order, as every replica does at
-			// its own delivery of this record.
-			inst := mgr.inst(wm.Obj)
-			r.installPrimary(wm.Obj, info, wm.Target, info.typ.Clone(inst.state))
+			// position of the total order, as every replica does at its
+			// own delivery of this record. The object's primary-copy
+			// record, kept from an earlier stay, is reused.
+			e := &r.objs[wm.Obj]
+			if e.meta == nil {
+				e.meta = &p2pMeta{}
+			}
+			e.meta.protocol, e.meta.placement, e.meta.moved = Update, SingleCopy, false
+			r.promote(wm.Obj, e.meta, wm.Target, typ.Clone(inst.state))
 			r.finishMigration(info, wm.Obj, domP2P, now)
 		}
 	}
@@ -525,7 +531,6 @@ func (r *Router) handleMigrate(mgr *bcastManager, uid int64, src int, wm wireMig
 		// guard-blocked readers wake to bounce (localRead). A guarded
 		// write is never combined, so none of these completions sends a
 		// batch.
-		inst := mgr.inst(wm.Obj)
 		inst.moved = true
 		for _, pw := range inst.pending {
 			mgr.complete(pw.uid, pw.src, retry)
@@ -535,17 +540,4 @@ func (r *Router) handleMigrate(mgr *bcastManager, uid int64, src int, wm wireMig
 	}
 	mgr.complete(uid, src, Args{})
 	k.Fire()
-}
-
-// installPrimary places a migrated state as a single primary copy on
-// the target machine's point-to-point runtime, reusing the object's
-// meta and queue if the object lived there before.
-func (r *Router) installPrimary(id ObjID, info *adaptInfo, target int, st State) {
-	meta := r.objs[id].meta
-	if meta == nil {
-		meta = &p2pMeta{id: id, typ: info.typ, ctorArgs: info.ctorArgs}
-		r.objs[id].meta = meta
-	}
-	meta.protocol, meta.placement, meta.moved = Update, SingleCopy, false
-	r.p2p.promote(meta, target, st)
 }

@@ -56,7 +56,7 @@ func adaptiveSCRun(t *testing.T, seed int64, iters int, typed bool) {
 		ReadHeavyFrac:  0.04,
 		DominantFrac:   0.5,
 	}
-	get := m.Group(0).reg.Lookup("intcell").Op("get")
+	get := m.reg.Lookup("intcell").Op("get")
 	var id ObjID
 	read := func(w *Worker) int {
 		if typed {

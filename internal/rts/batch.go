@@ -83,8 +83,7 @@ func (mgr *bcastManager) bufferWrite(w *Worker, id ObjID, opName string, args Ar
 		b.lingerFn = b.linger
 		w.batch = b
 	}
-	r := mgr.rts
-	bc := r.router.batch
+	bc := mgr.sg.r.batch
 	if b.flight != nil && len(b.ops) >= bc.MaxOps {
 		// Depth-1 pipeline backpressure: the buffer is full and the
 		// previous batch is still in flight — wait for it.
@@ -93,7 +92,7 @@ func (mgr *bcastManager) bufferWrite(w *Worker, id ObjID, opName string, args Ar
 	size := opSize(opName, &args)
 	b.ops = append(b.ops, group.Msg{Kind: opKind, Obj: int64(id), Op: opName, Args: args, Size: size})
 	b.bytes += size
-	r.stats.BatchedOps++
+	mgr.sg.stats.BatchedOps++
 	if len(b.ops) >= bc.MaxOps || (bc.MaxBytes > 0 && b.bytes >= bc.MaxBytes) {
 		if b.flight != nil {
 			b.waitFlight(w.P)
@@ -148,7 +147,7 @@ func (b *writeBuf) flushOn(p *sim.Proc, then sim.Firer) {
 	b.flight = fl
 	b.ops, b.opsSpare = b.opsSpare[:0], b.ops
 	b.bytes = 0
-	mgr.rts.stats.Frames++
+	mgr.sg.stats.Frames++
 	b.p, b.then, b.uids = p, then, b.uids[:0]
 	mgr.g.BroadcastBatchOn(p, b.opsSpare, &b.uids, b)
 }

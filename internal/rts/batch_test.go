@@ -13,7 +13,7 @@ import (
 // newBatchedTB builds a broadcast-RTS cluster with the batching
 // pipeline enabled in both layers (group frame packing + RTS write
 // combining).
-func newBatchedTB(t *testing.T, seed int64, n int, bc group.BatchConfig) (*tb, *BroadcastRTS) {
+func newBatchedTB(t *testing.T, seed int64, n int, bc group.BatchConfig) (*tb, *Router) {
 	t.Helper()
 	env := sim.New(seed)
 	nw := netsim.New(env, n, netsim.DefaultParams())
@@ -30,7 +30,7 @@ func newBatchedTB(t *testing.T, seed int64, n int, bc group.BatchConfig) (*tb, *
 		gs[i] = group.Join(ms[i], gcfg)
 	}
 	r := NewBroadcastRTS(testRegistry(), DefaultCosts(), ms, gs)
-	r.router.EnableBatching(bc)
+	r.EnableBatching(bc)
 	return &tb{env: env, net: nw, ms: ms}, r
 }
 
@@ -53,8 +53,8 @@ func TestReadOwnWriteAfterBufferedWrite(t *testing.T) {
 				t.Errorf("buffered set returned %v, want nil", res)
 			}
 		}
-		if r.stats.BatchedOps < 3 {
-			t.Errorf("batchedOps = %d, want >= 3 (sets should combine)", r.stats.BatchedOps)
+		if r.groups[0].stats.BatchedOps < 3 {
+			t.Errorf("batchedOps = %d, want >= 3 (sets should combine)", r.groups[0].stats.BatchedOps)
 		}
 		// Unrelated read: drains the buffer first.
 		if got := r.Invoke(w, other, "get")[0].(int); got != 7 {
@@ -116,11 +116,11 @@ func TestBatchedPutsDeliverExactlyOnce(t *testing.T) {
 			t.Fatalf("item %d = %d, want %d (order or duplication broke)", i, v, i)
 		}
 	}
-	if r.stats.BatchedOps < int64(n) {
-		t.Errorf("batchedOps = %d, want >= %d", r.stats.BatchedOps, n)
+	if r.groups[0].stats.BatchedOps < int64(n) {
+		t.Errorf("batchedOps = %d, want >= %d", r.groups[0].stats.BatchedOps, n)
 	}
-	if r.stats.Frames == 0 || r.stats.Frames >= r.stats.BatchedOps {
-		t.Errorf("batchFrames = %d for %d ops: no amortization", r.stats.Frames, r.stats.BatchedOps)
+	if r.groups[0].stats.Frames == 0 || r.groups[0].stats.Frames >= r.groups[0].stats.BatchedOps {
+		t.Errorf("batchFrames = %d for %d ops: no amortization", r.groups[0].stats.Frames, r.groups[0].stats.BatchedOps)
 	}
 	b.done()
 }
@@ -206,8 +206,8 @@ func TestBatchedManyWriters(t *testing.T) {
 	if want != n*per {
 		t.Fatalf("replicas hold %d items, want %d", want, n*per)
 	}
-	if r.stats.Frames*2 >= r.stats.BatchedOps {
-		t.Errorf("weak amortization: %d frames for %d ops", r.stats.Frames, r.stats.BatchedOps)
+	if r.groups[0].stats.Frames*2 >= r.groups[0].stats.BatchedOps {
+		t.Errorf("weak amortization: %d frames for %d ops", r.groups[0].stats.Frames, r.groups[0].stats.BatchedOps)
 	}
 	b.done()
 }

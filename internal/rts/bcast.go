@@ -8,42 +8,42 @@ import (
 	"repro/internal/sim"
 )
 
-// BroadcastRTS is the paper's §3.2.1 runtime system, used when the
-// network supports (reliable, totally-ordered) broadcasting. Every
-// object is replicated on all machines. Reads are performed directly
-// on the local replica, bypassing the object manager. Writes ship the
-// operation code and parameters through the group layer; every
-// machine's object manager applies incoming writes in strict sequence
-// order, which enforces sequential consistency.
+// seqGroup is a sequencer group of its Router, the orderer of the
+// paper's §3.2.1 runtime system, used when the network supports
+// (reliable, totally-ordered) broadcasting. Every object of the group
+// is replicated on all machines of its span (or of its replica set).
+// Reads are performed directly on the local replica, bypassing the
+// object manager. Writes ship the operation code and parameters through
+// the group layer; every machine's delivery consumer (bcastManager)
+// applies incoming writes in strict sequence order to the machine's
+// copies, which enforces sequential consistency.
 //
 // Guarded writes whose guard is false at their position in the total
 // order are queued and deterministically retried after each subsequent
 // write — identically on every replica, so replicas never diverge.
 //
-// A BroadcastRTS is sequencer group k of its Router, which holds the
-// object table and the settings every group shares.
-type BroadcastRTS struct {
-	router *Router
-	k      int
-	reg    *Registry
-	costs  Costs
-	mgrs   []bcastManager // carved per group, one per machine of the span
+// A group keeps only its own state; the Router holds the object table
+// and the settings every group shares, and each machine's objMgr holds
+// its copies.
+type seqGroup struct {
+	r    *Router
+	k    int
+	mgrs []bcastManager // one per machine of the span
 
-	// replicas is what the managers' replicas are carved from, a span's
+	// replicas is what the group's replicas are carved from, a span's
 	// worth of records per run (see slab).
 	replicas slab[replica]
 
 	// span lists the global node ids hosting a manager (ascending), and
 	// mgrAt maps a global node id to its index in mgrs (-1 outside the
-	// span). A group built alone spans every machine and the mapping is
-	// the identity; under a Router each sequencer group may span a
-	// subset (its replication domain), and machines outside it forward
-	// their operations to a holder inside it (see Call).
+	// span). Each sequencer group may span a subset of the machines (its
+	// replication domain), and machines outside it forward their
+	// operations to a holder inside it (see call).
 	span  []int
 	mgrAt []int
 
-	// stats counts straight into the broadcast fields of the unified
-	// snapshot; Counters adds the group layer's recovery figures.
+	// stats counts the group's own work, which ShardStats reports;
+	// counters adds the group layer's recovery figures.
 	stats RTSStats
 }
 
@@ -55,14 +55,13 @@ const opKind = "rts-op"
 type (
 	wireCreate struct {
 		Obj  ObjID
-		Type string
 		Args []any
 	}
-	// wireMigrate is a sequenced placement change: the delivery
-	// position is the migration's cut point. Target is the new primary
-	// machine, or -1 when the object migrates into the broadcast
-	// runtime, in which case State carries the snapshot every member
-	// clones into a fresh replica.
+	// wireMigrate is a sequenced change of an object's orderer: the
+	// delivery position is the migration's cut point. Target is the new
+	// primary machine, or -1 when the object migrates into its group, in
+	// which case State carries the snapshot every member clones into a
+	// fresh replica.
 	wireMigrate struct {
 		Obj    ObjID
 		Target int
@@ -70,17 +69,17 @@ type (
 	}
 )
 
-// bcastManager is the per-machine object manager: it owns the local
-// replicas and applies the totally-ordered write stream, as a consumer
-// of the delivery stream with no process behind it (see Consume).
+// bcastManager is a group's consumer of its delivery stream on one
+// machine, with no process behind it (see Consume): it applies the
+// totally-ordered write stream to the machine's copies (objMgr.copies)
+// and keeps only the delivery, sequencing and frame state.
 type bcastManager struct {
-	rts      *BroadcastRTS
-	m        *amoeba.Machine
-	g        *group.Member
-	c        *sim.Proc       // the claimant the manager serves as, claim's
-	claim    amoeba.Claimant // c's record
-	insts    []*replica      // by ObjID (see inst); ids are dense and never reused
-	instCond sim.Cond        // signalled when a replica is instantiated
+	sg    *seqGroup
+	mg    *objMgr // the machine's manager, holding the copies
+	m     *amoeba.Machine
+	g     *group.Member
+	c     *sim.Proc       // the claimant the manager serves as, claim's
+	claim amoeba.Claimant // c's record
 
 	// The waits for this machine's sequenced records (see sequence), by
 	// uid: waiters, completions that beat their waiter (early), and
@@ -117,45 +116,25 @@ type bcastManager struct {
 	next    func(*bcastManager)
 }
 
-// NewBroadcastRTS builds the runtime over one group member per
-// machine: the one group of a Router built for it. machines[i] and
-// members[i] must be node i.
-func NewBroadcastRTS(reg *Registry, costs Costs, machines []*amoeba.Machine, members []*group.Member) *BroadcastRTS {
-	span := make([]int, len(machines))
-	for i, m := range machines {
-		span[i] = m.ID()
+// newSeqGroup builds sequencer group k of the router over a (possibly
+// partial) machine span. members[i] must be joined on node span[i];
+// span must be ascending.
+func newSeqGroup(r *Router, k int, members []*group.Member, span []int) *seqGroup {
+	g := &seqGroup{r: r, k: k, span: span, replicas: slab[replica]{run: len(span)}}
+	g.mgrAt = make([]int, r.machines[0].Net().Nodes())
+	for i := range g.mgrAt {
+		g.mgrAt[i] = -1
 	}
-	return NewRouter(reg, costs, machines, []GroupDef{{Members: members, Span: span}}, nil, false).groups[0]
-}
-
-// newBroadcastRTS builds sequencer group k of the router over a
-// (possibly partial) machine span. machines[i] and members[i] must be
-// node span[i]; span must be ascending.
-func newBroadcastRTS(router *Router, k int, reg *Registry, costs Costs, machines []*amoeba.Machine, members []*group.Member, span []int) *BroadcastRTS {
-	r := &BroadcastRTS{router: router, k: k, reg: reg, costs: costs, span: span, replicas: slab[replica]{run: len(span)}}
-	total := 0
-	for _, m := range machines {
-		if n := m.Net().Nodes(); n > total {
-			total = n
-		}
-	}
-	r.mgrAt = make([]int, total)
-	for i := range r.mgrAt {
-		r.mgrAt[i] = -1
-	}
-	r.mgrs = make([]bcastManager, len(machines))
-	for i, m := range machines {
-		if m.ID() != span[i] {
-			panic(fmt.Sprintf("rts: span machine mismatch (node %d at span slot %d)", m.ID(), span[i]))
-		}
-		r.mgrAt[m.ID()] = i
-		mgr := &r.mgrs[i]
-		mgr.rts, mgr.m, mgr.g = r, m, members[i]
-		mgr.c = mgr.claim.Init(m, "objmgr", -1)
-		mgr.pass.init(m, mgr.c, costs.guardCheck, mgr)
+	g.mgrs = make([]bcastManager, len(span))
+	for i, node := range span {
+		g.mgrAt[node] = i
+		mgr := &g.mgrs[i]
+		mgr.sg, mgr.mg, mgr.m, mgr.g = g, r.mgrs[node], r.machines[node], members[i]
+		mgr.c = mgr.claim.Init(mgr.m, "objmgr", -1)
+		mgr.pass.init(mgr.m, mgr.c, r.costs.guardCheck, mgr)
 		mgr.g.Deliveries().Serve(mgr.c, mgr)
 	}
-	return r
+	return g
 }
 
 // then returns the manager's continuation, set to run step k: the one
@@ -176,86 +155,47 @@ func (mgr *bcastManager) thenCheck() sim.Firer {
 	return mgr.then(func(mgr *bcastManager) { mgr.pass.checked() })
 }
 
-// mgr returns the object manager on a node, nil outside the span.
-func (r *BroadcastRTS) mgr(node int) *bcastManager {
-	if node < 0 || node >= len(r.mgrAt) {
+// mgr returns the group's manager on a node, nil outside the span.
+func (g *seqGroup) mgr(node int) *bcastManager {
+	if node < 0 || node >= len(g.mgrAt) || g.mgrAt[node] < 0 {
 		return nil
 	}
-	i := r.mgrAt[node]
-	if i < 0 {
-		return nil
-	}
-	return &r.mgrs[i]
+	return &g.mgrs[g.mgrAt[node]]
 }
 
-// Span reports the global node ids hosting this runtime's replicas.
-func (r *BroadcastRTS) Span() []int { return r.span }
-
-// Counters returns the unified counter snapshot.
-func (r *BroadcastRTS) Counters() RTSStats {
-	st := r.stats
-	// Sequencer-recovery counters live in the group members below the
-	// runtime: elections and takeovers by max (survivors observe the
-	// same logical recovery), re-proposals by sum, recovery time as
-	// the worst member's outage.
-	for i := range r.mgrs {
-		gs := r.mgrs[i].g.Stats()
-		if gs.Elections > st.Elections {
-			st.Elections = gs.Elections
-		}
-		if gs.Takeovers > st.Takeovers {
-			st.Takeovers = gs.Takeovers
-		}
+// counters returns the group's counter snapshot. Sequencer-recovery
+// counters live in the group members below the runtime: elections and
+// takeovers by max (survivors observe the same logical recovery),
+// re-proposals by sum, recovery time as the worst member's outage.
+func (g *seqGroup) counters() RTSStats {
+	st := g.stats
+	for i := range g.mgrs {
+		gs := g.mgrs[i].g.Stats()
+		st.Elections = max(st.Elections, gs.Elections)
+		st.Takeovers = max(st.Takeovers, gs.Takeovers)
 		st.Reproposals += gs.Reproposals
-		if us := float64(gs.RecoveryTime) / float64(sim.Microsecond); us > st.RecoveryVirtualUS {
-			st.RecoveryVirtualUS = us
-		}
+		st.RecoveryVirtualUS = max(st.RecoveryVirtualUS, float64(gs.RecoveryTime)/float64(sim.Microsecond))
 	}
 	return st
 }
 
-// NodeCrashed tells the domain a machine died. The replicated core
-// needs no repair — the dead machine's replicas, guard waiters, and
-// manager died with it, and the group layer already routes
-// around a dead member (electing a new sequencer if necessary) — and
-// forwarded operations already skip holders the network reports down,
-// so the runtime only counts the crash.
-func (r *BroadcastRTS) NodeCrashed(int) { r.stats.Crashes++ }
-
-// Create broadcasts object creation so every machine of the span
-// instantiates a replica, and waits until the local replica exists. It
-// stays for bench/rungs.go; the Router creates through CreateOn.
-func (r *BroadcastRTS) Create(w *Worker, typeName string, args ...any) ObjID {
-	return r.CreateOn(w, typeName, nil, args...)
-}
-
-// Invoke is Call for a positional argument list, returning the results
-// boxed. It stays for bench/rungs.go, which drives a group built by
-// NewBroadcastRTS directly; programs reach Call through the typed
-// descriptors and the Router.
-func (r *BroadcastRTS) Invoke(w *Worker, id ObjID, op string, args ...any) []any {
-	out := r.Call(w, id, op, ArgsOf(args...))
-	return out.Values()
-}
-
-// Call performs an operation on a shared object with the
-// sequential-consistency and indivisibility guarantees of the shared
-// data-object model: in are its arguments, the record returned its
-// results. It blocks for guards and write completion. It is the one
-// place that decides where the operation runs: a machine holding no
-// replica — outside the group's span or outside the object's replica
-// set — forwards it to a holder.
-func (r *BroadcastRTS) Call(w *Worker, id ObjID, opName string, in Args) Args {
-	e := r.router.entry(id)
+// call performs an operation on an object of the group: it blocks for
+// guards and write completion. It is the one place that decides where
+// the operation runs: a machine holding no replica — outside the
+// group's span or outside the object's replica set — forwards it to a
+// holder.
+func (g *seqGroup) call(w *Worker, id ObjID, opName string, in Args) Args {
+	r := g.r
+	e := r.entry(id)
 	nodes, adapt := e.nodes, e.adapt // copied: the table may grow while this blocks
-	if !r.replicatedOn(w.Node(), id) {
+	if !g.replicatedOn(w.Node(), id) {
 		w.SyncShared()
-		return r.forward(w, id, opName, in)
+		return g.forward(w, id, opName, in)
 	}
-	mgr := r.mgr(w.Node())
-	inst := mgr.instance(w.P, id)
-	op := inst.op(opName)
-	if r.router.batch.Enabled() && op.Kind == Write && op.NoResult && op.Guard == nil && nodes == nil && adapt == nil {
+	mgr := g.mgr(w.Node())
+	inst := mgr.mg.instance(w.P, id)
+	op := r.op(id, opName)
+	if r.batch.Enabled() && op.Kind == Write && op.NoResult && op.Guard == nil && nodes == nil && adapt == nil {
 		// Unguarded no-result write to a fully replicated object under
 		// batching: combine. The invoker continues immediately. An
 		// adaptive object never combines: a combined write parked in a
@@ -268,83 +208,25 @@ func (r *BroadcastRTS) Call(w *Worker, id ObjID, opName string, in Args) Args {
 	// writes are applied locally (the ordering rule in batch.go).
 	w.SyncShared()
 	if op.Kind == Read {
-		return mgr.localRead(w, inst, op, in)
+		return g.localRead(w, inst, op, in)
 	}
 	if len(nodes) == 1 {
 		// Single-copy object at its only holder: apply directly, no
 		// broadcast needed.
-		return mgr.directWrite(w, inst, op, in)
+		return g.directWrite(w, inst, op, in)
 	}
 	// Write: ship the operation through the total order and wait for
 	// it to be applied on this machine.
 	w.Flush()
-	r.stats.BcastWrites++
+	g.stats.BcastWrites++
 	return mgr.sequenced(w.P, group.Msg{Kind: opKind, Obj: int64(id), Op: opName, Args: in, Size: opSize(opName, &in)})
-}
-
-// PeekState returns a machine's current replica state (nil if the
-// machine holds no copy): an inspection hook for tests and experiment
-// harnesses, not part of the programming model.
-func (r *BroadcastRTS) PeekState(node int, id ObjID) (State, bool) {
-	mgr := r.mgr(node)
-	if mgr == nil {
-		return nil, false
-	}
-	inst := mgr.inst(id)
-	if inst == nil {
-		return nil, false
-	}
-	return inst.state, true
-}
-
-// PendingWrites reports how many guarded writes are queued on a
-// machine's replica; exposed for tests.
-func (r *BroadcastRTS) PendingWrites(node int, id ObjID) int {
-	mgr := r.mgr(node)
-	if mgr == nil {
-		return 0
-	}
-	inst := mgr.inst(id)
-	if inst == nil {
-		return 0
-	}
-	return len(inst.pending)
-}
-
-// instance returns the local replica, waiting for the creation
-// broadcast if it has not arrived yet (a freshly forked worker can
-// race the create message).
-func (mgr *bcastManager) instance(p *sim.Proc, id ObjID) *replica {
-	for {
-		if inst := mgr.inst(id); inst != nil {
-			return inst
-		}
-		mgr.instCond.Wait(p)
-	}
-}
-
-// inst returns the local replica of id, nil if there is none (yet). The
-// replicas sit in a table indexed by object id: ids come from one
-// allocator, counting up from 1, and a replica is replaced (see
-// handleMigrate) but never removed.
-func (mgr *bcastManager) inst(id ObjID) *replica {
-	if id < 0 || int(id) >= len(mgr.insts) {
-		return nil
-	}
-	return mgr.insts[id]
-}
-
-// setInst installs the local replica of id.
-func (mgr *bcastManager) setInst(id ObjID, inst *replica) {
-	*slot(&mgr.insts, id) = inst
-	mgr.instCond.Broadcast()
 }
 
 // localRead performs a read on the local replica: no network traffic,
 // just accumulated CPU. Guard-blocked reads wait on the replica's
 // condition and re-check after every applied write.
-func (mgr *bcastManager) localRead(w *Worker, inst *replica, op *OpDef, in Args) Args {
-	r := mgr.rts
+func (g *seqGroup) localRead(w *Worker, inst *replica, op *OpDef, in Args) Args {
+	c := &g.r.costs
 	if op.Guard == nil {
 		if inst.moved {
 			// The object migrated away and this replica is frozen at
@@ -354,19 +236,19 @@ func (mgr *bcastManager) localRead(w *Worker, inst *replica, op *OpDef, in Args)
 			// the mixed router wait for the live placement.
 			return retry
 		}
-		r.stats.LocalReads++
-		w.Charge(r.costs.readLocal + r.costs.defaultOp)
-		return op.Apply(mgr.m.Env(), inst.state, in)
+		g.stats.LocalReads++
+		w.Charge(c.readLocal + c.defaultOp)
+		return op.Apply(w.M.Env(), inst.state, in)
 	}
-	if !awaitGuard(w, inst, op, in, r.costs.guardCheck, &r.stats.GuardWaits) {
+	if !awaitGuard(w, inst, op, in, c.guardCheck, &g.stats.GuardWaits) {
 		// The object migrated away while this reader was guard blocked:
 		// no further writes will ever wake it here, so bounce and
 		// re-register under the new placement.
 		return retry
 	}
-	r.stats.LocalReads++
-	w.Accrue(r.costs.readLocal + r.costs.defaultOp)
-	return op.Apply(mgr.m.Env(), inst.state, in)
+	g.stats.LocalReads++
+	w.Accrue(c.readLocal + c.defaultOp)
+	return op.Apply(w.M.Env(), inst.state, in)
 }
 
 // seqWait is the wait of one sequenced record for its local
@@ -510,11 +392,11 @@ func (mgr *bcastManager) Consume(d group.Delivery) {
 	case wireCreate:
 		mgr.applyCreate(d.UID, d.Src, body)
 	case *wireFence:
-		mgr.rts.router.handleFence(mgr, d, body, mgr.then((*bcastManager).boundary))
+		mgr.sg.r.handleFence(mgr, d, body, mgr.then((*bcastManager).boundary))
 	case wireMigrate:
-		mgr.rts.router.handleMigrate(mgr, d.UID, d.Src, body, mgr.then((*bcastManager).boundary))
+		mgr.sg.r.handleMigrate(mgr, d.UID, d.Src, body, mgr.then((*bcastManager).boundary))
 	default:
-		extra := mgr.rts.router.extra
+		extra := mgr.sg.r.extra
 		if extra == nil {
 			panic(fmt.Sprintf("rts: unexpected group message %T", d.Body))
 		}
@@ -554,20 +436,18 @@ func (mgr *bcastManager) charge(d sim.Time, k sim.Firer) {
 // applyCreate instantiates the replica (on replica holders only, for
 // partially replicated objects).
 func (mgr *bcastManager) applyCreate(uid int64, src int, c wireCreate) {
-	r := mgr.rts
-	if !r.replicatedOn(mgr.m.ID(), c.Obj) {
+	if !mgr.sg.replicatedOn(mgr.m.ID(), c.Obj) {
 		mgr.complete(uid, src, Args{})
 		mgr.boundary()
 		return
 	}
-	mgr.charge(r.costs.create, mgr.then((*bcastManager).created))
+	mgr.charge(mgr.sg.r.costs.create, mgr.then((*bcastManager).created))
 }
 
 // created continues applyCreate once the creation has been charged.
 func (mgr *bcastManager) created() {
 	c := mgr.d.Body.(wireCreate)
-	t := mgr.rts.reg.Lookup(c.Type)
-	mgr.setInst(c.Obj, newReplica(&mgr.rts.replicas, t, t.New(c.Args)))
+	mgr.mg.setSeq(c.Obj, newReplica(&mgr.sg.replicas, mgr.sg.r.objs[c.Obj].typ.New(c.Args)))
 	mgr.complete(mgr.d.UID, mgr.d.Src, Args{})
 	mgr.boundary()
 }
@@ -578,9 +458,9 @@ func (mgr *bcastManager) created() {
 // guard-blocked readers. The guard-retry pass over parked writes runs
 // at the frame boundary (see Consume), not here.
 func (mgr *bcastManager) applyWrite(obj ObjID, opName string, args Args) {
-	inst := mgr.inst(obj)
+	inst := mgr.mg.seqCopy(obj)
 	if inst == nil {
-		if !mgr.rts.replicatedOn(mgr.m.ID(), obj) {
+		if !mgr.sg.replicatedOn(mgr.m.ID(), obj) {
 			mgr.boundary() // not a replica holder: the write does not apply here
 			return
 		}
@@ -595,13 +475,13 @@ func (mgr *bcastManager) applyWrite(obj ObjID, opName string, args Args) {
 		mgr.boundary()
 		return
 	}
-	op := inst.op(opName)
+	op := mgr.sg.r.op(obj, opName)
 	mgr.curInst, mgr.cur = inst, pendingOp{op: op, args: args, uid: d.UID, src: d.Src}
 	if op.Guard != nil {
-		mgr.charge(mgr.rts.costs.guardCheck, mgr.then((*bcastManager).guarded))
+		mgr.charge(mgr.sg.r.costs.guardCheck, mgr.then((*bcastManager).guarded))
 		return
 	}
-	mgr.charge(mgr.rts.costs.writeApply+mgr.rts.costs.defaultOp, mgr.then((*bcastManager).written))
+	mgr.charge(mgr.sg.r.costs.apply(), mgr.then((*bcastManager).written))
 }
 
 // guarded continues applyWrite once the guard check has been charged.
@@ -612,14 +492,14 @@ func (mgr *bcastManager) guarded() {
 		mgr.boundary()
 		return
 	}
-	mgr.charge(mgr.rts.costs.writeApply+mgr.rts.costs.defaultOp, mgr.then((*bcastManager).written))
+	mgr.charge(mgr.sg.r.costs.apply(), mgr.then((*bcastManager).written))
 }
 
 // fire applies a parked write whose guard holds now (see retrier); the
 // round goes on after it (see wake).
 func (mgr *bcastManager) fire(inst *replica, po pendingOp) {
 	mgr.curInst, mgr.cur = inst, po
-	mgr.charge(mgr.rts.costs.writeApply+mgr.rts.costs.defaultOp, mgr.then((*bcastManager).written))
+	mgr.charge(mgr.sg.r.costs.apply(), mgr.then((*bcastManager).written))
 }
 
 // written applies mgr.cur, whose cost has been accounted, and completes

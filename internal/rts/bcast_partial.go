@@ -15,7 +15,7 @@ import (
 // replicated on all machines that need it (an optimizing scheme using
 // partial replication is under development)").
 //
-// CreateOn places an object's replicas on a subset of the machines.
+// createOn places an object's replicas on a subset of the machines.
 // Machines inside the placement behave exactly as with full
 // replication: local reads, broadcast writes. Machines outside the
 // placement forward their operations over RPC to a replica holder,
@@ -27,30 +27,30 @@ import (
 
 // replicatedOn reports whether node holds a replica of id: it lies in
 // the group's span and in the object's replica set, if it has one.
-func (r *BroadcastRTS) replicatedOn(node int, id ObjID) bool {
-	nodes := r.router.objs[id].nodes
-	return r.mgr(node) != nil && (nodes == nil || slices.Contains(nodes, node))
+func (g *seqGroup) replicatedOn(node int, id ObjID) bool {
+	nodes := g.r.objs[id].nodes
+	return g.mgr(node) != nil && (nodes == nil || slices.Contains(nodes, node))
 }
 
-// CreateOn creates a shared object replicated only on the given
-// machines (nil or empty means the whole span, i.e. plain Create):
-// creation is broadcast so every holder instantiates a replica, and
-// the call waits until the local one exists. The creating machine must
-// be in the placement so creation can complete locally.
-func (r *BroadcastRTS) CreateOn(w *Worker, typeName string, nodes []int, args ...any) ObjID {
-	mgr := r.mgr(w.Node())
+// createOn creates a shared object replicated only on the given
+// machines (nil or empty means the whole span): creation is broadcast
+// so every holder instantiates a replica, and the call waits until the
+// local one exists. The creating machine must be in the placement so
+// creation can complete locally.
+func (g *seqGroup) createOn(w *Worker, typeName string, nodes []int, args []any) ObjID {
+	mgr := g.mgr(w.Node())
 	if mgr == nil || len(nodes) > 0 && !slices.Contains(nodes, w.Node()) {
-		panic(fmt.Sprintf("rts: create from node %d outside placement %v of span %v", w.Node(), nodes, r.span))
+		panic(fmt.Sprintf("rts: create from node %d outside placement %v of span %v", w.Node(), nodes, g.span))
 	}
-	t := r.reg.Lookup(typeName) // validate before broadcasting
+	t := g.r.reg.Lookup(typeName) // validate before broadcasting
 	var set []int
 	if len(nodes) > 0 {
 		set = append(set, nodes...)
 	}
-	id := r.router.alloc(r.k, set)
+	id := g.r.alloc(g.k, t, set, nil)
 	w.SyncShared() // creation is ordered after the worker's buffered writes
 	w.Flush()
-	body := wireCreate{Obj: id, Type: t.Name, Args: args}
+	body := wireCreate{Obj: id, Args: args}
 	mgr.sequenced(w.P, group.Msg{Kind: "rts-create", Body: body, Size: SizeOfValue(args) + len(typeName) + 16})
 	return id
 }
@@ -66,21 +66,21 @@ func (r *BroadcastRTS) CreateOn(w *Worker, typeName string, nodes []int, args ..
 // crashing and the write had already been broadcast — the
 // at-least-once caveat every crash-recovery path of the runtime
 // shares (see DESIGN.md).
-func (r *BroadcastRTS) forward(w *Worker, id ObjID, opName string, in Args) Args {
-	holders := r.router.objs[id].nodes
+func (g *seqGroup) forward(w *Worker, id ObjID, opName string, in Args) Args {
+	holders := g.r.objs[id].nodes
 	if holders == nil {
-		holders = r.span
+		holders = g.span
 	}
-	cl := r.router.svc[w.Node()].cl
+	cl := g.r.mgrs[w.Node()].cl
 	w.Flush()
-	r.stats.Forwarded++
+	g.stats.Forwarded++
 	first := true
 	for _, holder := range holders {
 		if w.M.Net().Down(holder) {
 			continue
 		}
 		if !first {
-			r.stats.OpsRetried++
+			g.stats.OpsRetried++
 		}
 		first = false
 		rep, err := cl.Call(w.P, holder, amoeba.Packet{Port: svcPort, Op: opName, Obj: int64(id), Args: in,
@@ -105,7 +105,6 @@ type fwdReq struct{}
 // re-check and before the reply.
 type fwdOp struct {
 	mgr     *bcastManager
-	s       *objService
 	req     *amoeba.Request
 	inst    *replica
 	op      *OpDef
@@ -113,7 +112,7 @@ type fwdOp struct {
 }
 
 // serveForward serves a forwarded operation at this holder, in
-// continuation form, taking the steps a thread running the whole Call
+// continuation form, taking the steps a thread running the whole call
 // took: an unguarded read is charged, applied and answered; a guarded
 // read, or a write to a single-copy object, first waits on the replica's
 // condition (see guard); any other write is sequenced and answered at
@@ -121,39 +120,40 @@ type fwdOp struct {
 // status, and the forwarder's Router.Call waits for the flip. The
 // service goes on to its next request at once: the operation starts
 // from an event of its own, where the thread started.
-func (r *BroadcastRTS) serveForward(s *objService, req *amoeba.Request) {
-	f := &fwdOp{mgr: r.mgr(s.m.ID()), s: s, req: req}
-	env := s.m.Env()
+func (g *seqGroup) serveForward(mg *objMgr, req *amoeba.Request) {
+	f := &fwdOp{mgr: g.mgr(mg.m.ID()), req: req}
+	env := mg.m.Env()
 	env.Schedule(env.Now(), f.start)
-	s.srv.Done()
+	mg.srv.Done()
 }
 
 // start waits for the replica, which a creation still in flight may
 // not have made yet, and runs the operation.
 func (f *fwdOp) start() {
-	if f.s.c.Killed() {
+	mg := f.mgr.mg
+	if mg.c.Killed() {
 		return
 	}
-	mgr, id := f.mgr, ObjID(f.req.Obj)
-	until(&mgr.instCond, f.s.c, func() bool { return mgr.inst(id) != nil }, sim.Func(func() {
-		r := mgr.rts
-		e := r.router.entry(id)
-		f.inst = mgr.inst(id)
-		f.op = f.inst.op(f.req.Op)
+	id := ObjID(f.req.Obj)
+	until(&mg.cond, mg.c, func() bool { return mg.seqCopy(id) != nil }, sim.Func(func() {
+		g := f.mgr.sg
+		e := g.r.entry(id)
+		f.inst = mg.seqCopy(id)
+		f.op = g.r.op(id, f.req.Op)
 		if f.op.Kind == Read || len(e.nodes) == 1 {
 			f.guard()
 			return
 		}
-		if r.router.batch.Enabled() && f.op.NoResult && f.op.Guard == nil && e.nodes == nil && e.adapt == nil {
+		if g.r.batch.Enabled() && f.op.NoResult && f.op.Guard == nil && e.nodes == nil && e.adapt == nil {
 			// A write the forwarder would have combined, had it a replica:
 			// a batch of one.
-			r.stats.BatchedOps++
-			r.stats.Frames++
+			g.stats.BatchedOps++
+			g.stats.Frames++
 		} else {
-			r.stats.BcastWrites++
+			g.stats.BcastWrites++
 		}
 		a := &f.req.Args
-		mgr.sequence(f.s.c, group.Msg{Kind: opKind, Obj: f.req.Obj, Op: f.req.Op, Args: *a, Size: opSize(f.req.Op, a)}, f)
+		f.mgr.sequence(mg.c, group.Msg{Kind: opKind, Obj: f.req.Obj, Op: f.req.Op, Args: *a, Size: opSize(f.req.Op, a)}, f)
 	}))
 }
 
@@ -162,36 +162,35 @@ func (f *fwdOp) start() {
 // and charging it before the next, and then applies a read, or a write
 // to a single-copy object, which nothing else applies.
 func (f *fwdOp) guard() {
-	r, inst, op, in := f.mgr.rts, f.inst, f.op, f.req.Args
+	g, inst, op, in := f.mgr.sg, f.inst, f.op, f.req.Args
+	c := &g.r.costs
 	if inst.moved {
 		f.answer(retry)
 		return
 	}
 	if op.Guard != nil {
-		f.pending += r.costs.guardCheck
+		f.pending += c.guardCheck
 		if !op.Guard(inst.state, in) {
-			r.stats.GuardWaits++
-			inst.cond.WaitOn(f.s.c, sim.Func(func() { f.charge(f.guard) }))
+			g.stats.GuardWaits++
+			inst.cond.WaitOn(f.mgr.mg.c, sim.Func(func() { f.charge(f.guard) }))
 			return
 		}
 	}
 	if op.Kind == Read {
-		r.stats.LocalReads++
-		f.pending += r.costs.readLocal + r.costs.defaultOp
+		g.stats.LocalReads++
+		f.pending += c.readLocal + c.defaultOp
 		f.answer(op.Apply(f.mgr.m.Env(), inst.state, in))
 		return
 	}
-	f.pending += r.costs.writeApply + r.costs.defaultOp
-	res := op.Apply(f.mgr.m.Env(), inst.state, in)
-	inst.cond.Broadcast()
-	f.answer(res)
+	f.pending += c.apply()
+	f.answer(inst.apply(f.mgr.m.Env(), op, in))
 }
 
 // charge charges the accrued CPU and then runs k.
 func (f *fwdOp) charge(k func()) {
 	d := f.pending
 	f.pending = 0
-	f.mgr.m.ComputeOn(f.s.c, d, sim.Func(k))
+	f.mgr.m.ComputeOn(f.mgr.mg.c, d, sim.Func(k))
 }
 
 // Fire answers a sequenced write with its results: an operation is its
@@ -201,7 +200,8 @@ func (f *fwdOp) Fire() { f.answer(f.mgr.res) }
 // answer replies to the forwarder with res once the accrued CPU has
 // been charged.
 func (f *fwdOp) answer(res Args) {
-	f.charge(func() { f.s.srv.PutReplyOn(f.s.c, f.req, res, nil, SizeOfArgs(&res), sim.Func(func() {})) })
+	mg := f.mgr.mg
+	f.charge(func() { mg.srv.PutReplyOn(mg.c, f.req, res, nil, SizeOfArgs(&res), sim.Func(func() {})) })
 }
 
 // directWrite applies a write to a single-copy object at its only
@@ -209,13 +209,10 @@ func (f *fwdOp) answer(res Args) {
 // there is nothing to keep consistent, and the holder's execution
 // order is the object's total order. Guarded writes wait on the
 // replica's condition like guarded reads do.
-func (mgr *bcastManager) directWrite(w *Worker, inst *replica, op *OpDef, in Args) Args {
-	r := mgr.rts
+func (g *seqGroup) directWrite(w *Worker, inst *replica, op *OpDef, in Args) Args {
 	// Nothing moves, locks or invalidates a single-copy object's
 	// replica, so the wait ends only with the guard holding.
-	awaitGuard(w, inst, op, in, r.costs.guardCheck, &r.stats.GuardWaits)
-	w.Accrue(r.costs.writeApply + r.costs.defaultOp)
-	res := op.Apply(mgr.m.Env(), inst.state, in)
-	inst.cond.Broadcast()
-	return res
+	awaitGuard(w, inst, op, in, g.r.costs.guardCheck, &g.stats.GuardWaits)
+	w.Accrue(g.r.costs.apply())
+	return inst.apply(w.M.Env(), op, in)
 }

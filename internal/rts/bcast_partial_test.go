@@ -10,7 +10,7 @@ func TestPartialReplicationPlacement(t *testing.T) {
 	b, r := newBcastTB(t, 21, 4, nil)
 	var id ObjID
 	b.spawn(0, "main", func(w *Worker) {
-		id = r.CreateOn(w, "intcell", []int{0, 1}, 7)
+		id = createOn(r, w, "intcell", []int{0, 1}, 7)
 	})
 	b.run(5 * sim.Second)
 	defer b.done()
@@ -28,7 +28,7 @@ func TestPartialReplicationForwardedOps(t *testing.T) {
 	var got int
 	var id ObjID
 	b.spawn(0, "main", func(w *Worker) {
-		id = r.CreateOn(w, "intcell", []int{0, 1})
+		id = createOn(r, w, "intcell", []int{0, 1})
 		b.spawn(3, "outsider", func(w *Worker) {
 			// Node 3 holds no replica: both operations are forwarded.
 			r.Invoke(w, id, "set", 42)
@@ -55,7 +55,7 @@ func TestPartialReplicationForwardedOps(t *testing.T) {
 func TestPartialReplicationLocalReadsStayLocal(t *testing.T) {
 	b, r := newBcastTB(t, 23, 4, nil)
 	b.spawn(0, "main", func(w *Worker) {
-		id := r.CreateOn(w, "intcell", []int{0, 1}, 5)
+		id := createOn(r, w, "intcell", []int{0, 1}, 5)
 		b.spawn(1, "holder", func(w *Worker) {
 			w.P.Sleep(100 * sim.Millisecond)
 			before := b.net.Stats().Messages
@@ -78,7 +78,7 @@ func TestPartialReplicationGuardedQueue(t *testing.T) {
 	b, r := newBcastTB(t, 25, 3, nil)
 	var got []int
 	b.spawn(0, "main", func(w *Worker) {
-		q := r.CreateOn(w, "queue", []int{0})
+		q := createOn(r, w, "queue", []int{0})
 		b.spawn(1, "consumer", func(w *Worker) {
 			for i := 0; i < 3; i++ {
 				got = append(got, r.Invoke(w, q, "get")[0].(int))
@@ -111,7 +111,7 @@ func TestCreateOnOutsidePlacementPanics(t *testing.T) {
 				t.Error("expected panic creating outside placement")
 			}
 		}()
-		r.CreateOn(w, "intcell", []int{1, 2})
+		createOn(r, w, "intcell", []int{1, 2})
 	})
 	b.run(2 * sim.Second)
 	b.done()
@@ -121,7 +121,7 @@ func TestCreateOnEmptyPlacementIsFullReplication(t *testing.T) {
 	b, r := newBcastTB(t, 27, 3, nil)
 	var id ObjID
 	b.spawn(0, "main", func(w *Worker) {
-		id = r.CreateOn(w, "intcell", nil, 9)
+		id = createOn(r, w, "intcell", nil, 9)
 	})
 	b.run(2 * sim.Second)
 	defer b.done()

@@ -87,7 +87,7 @@ func TestBcastForwardReroutesAroundDeadHolder(t *testing.T) {
 	b, r := newBcastTB(t, 13, 3, nil)
 	var id ObjID
 	b.spawn(1, "creator", func(w *Worker) {
-		id = r.CreateOn(w, "intcell", []int{1, 2}, 7)
+		id = createOn(r, w, "intcell", []int{1, 2}, 7)
 	})
 	var before, after int
 	b.spawn(0, "outsider", func(w *Worker) {
@@ -150,7 +150,7 @@ func TestP2PRehomePreservesSurvivingCopy(t *testing.T) {
 	if st.OpsRetried == 0 {
 		t.Fatalf("OpsRetried = 0, want > 0 (the first post-crash write must have failed over)")
 	}
-	if p := r.Primary(id); p == 0 || r.nodes[p].m.Crashed() {
+	if p := r.Primary(id); p == 0 || r.machines[p].Crashed() {
 		t.Fatalf("primary = %d, want a live survivor", p)
 	}
 	b.done()

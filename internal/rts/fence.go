@@ -195,16 +195,14 @@ func (r *Router) execFence(mgr *bcastManager, f *wireFence, i int, k func()) {
 		if !sub.replicatedOn(node, fo.ID) {
 			continue
 		}
-		sm := sub.mgr(node)
-		inst := sm.inst(fo.ID)
+		inst := mgr.mg.seqCopy(fo.ID)
 		if inst == nil {
 			panic(fmt.Sprintf("rts: fenced write to unknown object %d on node %d", fo.ID, node))
 		}
-		op := inst.op(fo.Op)
-		mgr.charge(sub.costs.writeApply+sub.costs.defaultOp, sim.Func(func() {
-			op.Apply(mgr.m.Env(), inst.state, fo.Args)
-			inst.cond.Broadcast()
-			sm.touch(inst)
+		op := r.op(fo.ID, fo.Op)
+		mgr.charge(r.costs.apply(), sim.Func(func() {
+			inst.apply(mgr.m.Env(), op, fo.Args)
+			sub.mgr(node).touch(inst)
 			r.execFence(mgr, f, i+1, k)
 		}))
 		return
@@ -246,11 +244,10 @@ func (r *Router) InvokeFenced(w *Worker, ops []FencedOp) error {
 			return fmt.Errorf("fenced op on object %d, which is primary-copy or adaptive; fences order replicated objects", fo.ID)
 		}
 		dom := e.dom
-		mg := r.groups[dom].mgr(node)
-		if mg == nil {
+		if r.groups[dom].mgr(node) == nil {
 			return fmt.Errorf("fenced op on object %d from node %d outside sequencer group %d's span", fo.ID, node, dom)
 		}
-		op := mg.instance(w.P, fo.ID).op(fo.Op)
+		op := r.op(fo.ID, fo.Op) // the type's: a machine outside the replica set has no replica to read it from
 		if op.Kind == Read || op.Guard != nil {
 			return fmt.Errorf("fenced operation %s is a read or guarded; fences carry unguarded writes", fo.Op)
 		}

@@ -19,7 +19,7 @@ type localReadCase struct {
 }
 
 // testOp resolves an operation of one of the test types.
-func testOp(m *Router, typ, name string) *OpDef { return m.Group(0).reg.Lookup(typ).Op(name) }
+func testOp(m *Router, typ, name string) *OpDef { return m.reg.Lookup(typ).Op(name) }
 
 // noDecisions is an adaptive placement whose controller never decides
 // within these scenarios, so every read it counts stays in its window.
@@ -87,7 +87,7 @@ var localReadCases = []localReadCase{
 			b.spawn(2, "reader", func(w *Worker) {
 				read(w, id, testOp(m, "intcell", "get"))
 				w.P.Sleep(20 * sim.Millisecond) // past the migration
-				if inst := m.Group(m.objs[id].adapt.home).mgr(2).inst(id); inst != nil && !inst.moved {
+				if inst := m.mgrs[2].seqCopy(id); inst != nil && !inst.moved {
 					t.Error("node 2's replica is live after the migration")
 				}
 				read(w, id, testOp(m, "intcell", "get"))
@@ -120,7 +120,7 @@ var localReadCases = []localReadCase{
 			for m.objs[id].dom == domP2P {
 				w.P.Sleep(10 * sim.Microsecond)
 			}
-			if inst := m.Group(m.objs[id].dom).mgr(3).inst(id); inst == nil || !inst.moved {
+			if inst := m.mgrs[3].seqCopy(id); inst == nil || !inst.moved {
 				t.Error("node 3's replica is live when the object is replicated again: the case does not decline")
 			}
 			read(w, id, testOp(m, "intcell", "get"))
@@ -156,7 +156,7 @@ var localReadCases = []localReadCase{
 			for id == 0 {
 				w.P.Sleep(10 * sim.Microsecond)
 			}
-			if m.Group(0).mgr(3).inst(id) != nil {
+			if m.mgrs[3].seqCopy(id) != nil {
 				t.Error("node 3's replica exists before the read: the case does not wait")
 			}
 			for i := 0; i < 3; i++ {
@@ -228,7 +228,7 @@ func localReadRun(t *testing.T, c localReadCase, path string) (string, int) {
 	}
 	c.run(t, b, m, read)
 	b.run(2 * sim.Second)
-	fp := fmt.Sprintf("reads=%v local=[%d %d]", log, m.Group(0).Counters().LocalReads, m.Group(1).Counters().LocalReads)
+	fp := fmt.Sprintf("reads=%v local=[%d %d]", log, m.groups[0].counters().LocalReads, m.groups[1].counters().LocalReads)
 	for id, e := range m.objs {
 		if e.adapt != nil {
 			fp += fmt.Sprintf(" adapt%d=%v/%d", id, e.adapt.reads, e.adapt.seen)

@@ -8,10 +8,11 @@ import (
 	"repro/internal/sim"
 )
 
-// P2PRTS is the paper's §3.2.2 runtime system, for networks without
-// hardware broadcast. Each object has a primary copy on one machine;
-// other machines may hold secondary copies. Writes go to the primary,
-// which keeps the secondaries consistent with one of two protocols:
+// Primary copies are the orderer of the paper's §3.2.2 runtime system,
+// for networks without hardware broadcast. Each object has a primary
+// copy on one machine; other machines may hold secondary copies. Writes
+// go to the primary, whose queue orders them and keeps the secondaries
+// consistent with one of two protocols:
 //
 //   - Invalidation: the primary locks the object, sends invalidation
 //     messages to all secondaries, collects acknowledgements, applies
@@ -27,17 +28,6 @@ import (
 // statistics: a machine whose read/write ratio for an object exceeds a
 // threshold fetches a copy from the primary; when the ratio falls
 // below another threshold it discards its copy.
-//
-// A P2PRTS is the point-to-point domain of its Router, whose object
-// table holds each object's p2pMeta.
-type P2PRTS struct {
-	router *Router
-	reg    *Registry
-	costs  Costs
-	cfg    P2PConfig
-	nodes  []*p2pNode
-	stats  RTSStats
-}
 
 // P2PProtocol selects how the primary keeps secondaries consistent.
 type P2PProtocol int
@@ -110,26 +100,19 @@ const (
 // high.
 var rpcPolicy = amoeba.RPCDefaults{Timeout: 2 * sim.Second, Retries: 1 << 20}
 
-// p2pMeta is the global registry entry for an object: its type, the
-// (static) primary machine, and the consistency protocol and placement
-// policy governing it. Protocol and placement are per object — plain
-// Create copies them from the runtime's configuration, CreateWith
-// overrides them — so one runtime can host objects under different
-// policies side by side.
+// p2pMeta is an object's primary-copy record: the primary machine, and
+// the consistency protocol and placement policy governing it. Protocol
+// and placement are per object — plain Create copies them from the
+// Router's configuration, CreateWith overrides them — so one runtime can
+// host objects under different policies side by side.
 type p2pMeta struct {
-	id        ObjID
-	typ       *ObjectType
 	primary   int
 	protocol  P2PProtocol
 	placement Placement
-	// ctorArgs are the creation arguments, kept so an object whose
-	// every copy died with its machines can be restarted from its
-	// initial state (see rehome).
-	ctorArgs []any
 
-	// moved marks an object that migrated to the broadcast runtime
-	// (see adapt.go): every point-to-point path bounces it with the
-	// migration retry sentinel.
+	// moved marks an object that migrated into its group (see
+	// adapt.go): every primary-copy path bounces it with the migration
+	// retry status.
 	moved bool
 
 	// access holds every machine's statistics for the object, by node
@@ -137,12 +120,7 @@ type p2pMeta struct {
 	// a machine's record stays put while an access that holds it
 	// blocks.
 	access []accessStats
-
-	ops opCache
 }
-
-// op resolves an operation name through the object's MRU cache.
-func (m *p2pMeta) op(name string) *OpDef { return m.ops.lookup(m.typ, name) }
 
 // p2pTask is a unit of work for an object's primary queue. Tasks
 // from remote machines carry the RPC request to reply to; a local task's
@@ -157,25 +135,6 @@ type p2pTask struct {
 	done bool
 	res  Args
 	cond sim.Cond
-}
-
-// p2pNode is the per-machine runtime state. Its requests come and go
-// through the machine's object service. The queues of the objects whose
-// primary it is or has been are a table indexed by object id (nil: none
-// yet), of records carved from the run's slab (see Router), as are its
-// copies.
-type p2pNode struct {
-	*objService
-	rts    *P2PRTS
-	insts  map[ObjID]*replica
-	queues []*objQueue
-	tfree  []*p2pTask // see task
-
-	// The update in service at this secondary (see applyUpdate), and
-	// srv.Done and updated bound once.
-	upd                 *amoeba.Request
-	updInst             *replica
-	servedFn, updatedFn sim.Func
 }
 
 // accessStats tracks one machine's accesses to one object for the
@@ -221,107 +180,32 @@ type (
 // service (svcPort).
 const p2pCtlPort = "objctl"
 
-// NewP2PRTS builds the point-to-point runtime over the machines (all
-// nodes of the simulation, by node id): the one domain of a Router built
-// for it.
-func NewP2PRTS(reg *Registry, costs Costs, cfg P2PConfig, machines []*amoeba.Machine) *P2PRTS {
-	return NewRouter(reg, costs, machines, nil, &cfg, true).p2p
-}
-
-// newP2PRTS builds the router's point-to-point domain over its machines.
-func newP2PRTS(router *Router, reg *Registry, costs Costs, cfg P2PConfig) *P2PRTS {
-	r := &P2PRTS{router: router, reg: reg, costs: costs, cfg: cfg}
-	for _, s := range router.svc {
-		n := &p2pNode{
-			objService: s,
-			rts:        r,
-			insts:      make(map[ObjID]*replica),
-		}
-		n.servedFn, n.updatedFn = n.srv.Done, n.updated
-		s.m.Bind(p2pCtlPort, n.handleCtl)
-		r.nodes = append(r.nodes, n)
-	}
-	return r
-}
-
-// Counters returns the unified counter snapshot: the runtime counts
-// straight into one.
-func (r *P2PRTS) Counters() RTSStats { return r.stats }
-
-// Primary reports an object's primary machine.
-func (r *P2PRTS) Primary(id ObjID) int { return r.meta(id).primary }
-
-// CopyCount reports how many machines currently hold a copy. Copies
-// that died with a crashed machine do not count.
-func (r *P2PRTS) CopyCount(id ObjID) int {
-	n := 0
-	for _, node := range r.nodes {
-		if node.m.Crashed() {
-			continue
-		}
-		if inst, ok := node.insts[id]; ok && inst.valid {
-			n++
-		}
-	}
-	return n
-}
-
-// HasCopy reports whether a machine holds a valid copy.
-func (r *P2PRTS) HasCopy(node int, id ObjID) bool {
-	if r.nodes[node].m.Crashed() {
-		return false
-	}
-	inst, ok := r.nodes[node].insts[id]
-	return ok && inst.valid
-}
-
-// PeekState returns a machine's valid copy's state (nil if it holds
-// none); an inspection hook, like BroadcastRTS.PeekState.
-func (r *P2PRTS) PeekState(node int, id ObjID) (State, bool) {
-	inst, ok := r.nodes[node].insts[id]
-	if !ok || !inst.valid {
-		return nil, false
-	}
-	return inst.state, true
-}
-
-// meta returns an object's point-to-point record.
-func (r *P2PRTS) meta(id ObjID) *p2pMeta {
-	if m := r.router.entry(id).meta; m != nil {
+// meta returns an object's primary-copy record.
+func (r *Router) meta(id ObjID) *p2pMeta {
+	if m := r.entry(id).meta; m != nil {
 		return m
 	}
-	panic(fmt.Sprintf("rts: object %d has never lived in the point-to-point domain", id))
+	panic(fmt.Sprintf("rts: object %d has never had a primary copy", id))
 }
 
-// Create instantiates the object with its single primary copy on the
-// creating machine (the paper: "Initially, only one copy of each
-// object is maintained"). Under FullReplication, copies are pushed to
-// every machine over the wire. The object is governed by the runtime's
-// configured protocol and placement.
-func (r *P2PRTS) Create(w *Worker, typeName string, args ...any) ObjID {
-	return r.CreateWith(w, typeName, r.cfg.Protocol, r.cfg.Placement, args...)
-}
-
-// CreateWith is Create with a per-object protocol and placement
-// override — the runtime keeps this object's secondaries consistent
-// with the given protocol and applies the given placement policy,
-// independent of what the rest of the objects use.
-func (r *P2PRTS) CreateWith(w *Worker, typeName string, protocol P2PProtocol, placement Placement, args ...any) ObjID {
+// createPrimary instantiates the object with its single primary copy on
+// the creating machine (the paper: "Initially, only one copy of each
+// object is maintained"), under the given protocol and placement. Under
+// FullReplication, copies are pushed to every machine over the wire.
+func (mg *objMgr) createPrimary(w *Worker, typeName string, protocol P2PProtocol, placement Placement, args []any) ObjID {
+	r := mg.r
 	t := r.reg.Lookup(typeName)
-	id := r.router.alloc(domP2P, nil)
-	node := r.nodes[w.Node()]
+	id := r.alloc(domP2P, t, nil, append([]any(nil), args...))
 	w.Flush()
 	w.M.Compute(w.P, r.costs.create)
 	state := t.New(args)
-	inst := newReplica(&r.router.replicas, t, state)
+	inst := mg.installCopy(id, state)
 	inst.primary, inst.copyset = true, make(map[int]bool)
-	node.insts[id] = inst
-	r.router.objs[id].meta = &p2pMeta{id: id, typ: t, primary: w.Node(), protocol: protocol, placement: placement,
-		ctorArgs: append([]any(nil), args...)}
-	node.startPrimary(id)
+	r.objs[id].meta = &p2pMeta{primary: w.Node(), protocol: protocol, placement: placement}
+	mg.startPrimary(id)
 	if placement == FullReplication {
-		for _, other := range r.nodes {
-			if other.m.ID() == w.Node() {
+		for _, other := range r.mgrs {
+			if other == mg {
 				continue
 			}
 			inst.copyset[other.m.ID()] = true
@@ -335,24 +219,14 @@ func (r *P2PRTS) CreateWith(w *Worker, typeName string, protocol P2PProtocol, pl
 	return id
 }
 
-// Invoke is Call for a positional argument list, returning the results
-// boxed. It stays for bench/rungs.go, which drives a domain built by
-// NewP2PRTS directly.
-func (r *P2PRTS) Invoke(w *Worker, id ObjID, op string, args ...any) []any {
-	out := r.Call(w, id, op, ArgsOf(args...))
-	return out.Values()
-}
-
-// Call performs an operation on a primary-copy object: in are its
-// arguments, the record returned its results.
-func (r *P2PRTS) Call(w *Worker, id ObjID, opName string, in Args) Args {
-	meta := r.meta(id)
-	op := meta.op(opName)
-	node := r.nodes[w.Node()]
+// callPrimary performs an operation on a primary-copy object: in are
+// its arguments, the record returned its results.
+func (mg *objMgr) callPrimary(w *Worker, id ObjID, opName string, in Args) Args {
+	meta, op := mg.r.meta(id), mg.r.op(id, opName)
 	if op.Kind == Read {
-		return node.invokeRead(w, meta, op, in)
+		return mg.invokeRead(w, id, meta, op, in)
 	}
-	return node.invokeWrite(w, meta, op, in)
+	return mg.invokeWrite(w, id, meta, op, in)
 }
 
 // --- invocation paths -------------------------------------------------
@@ -362,27 +236,26 @@ func (r *P2PRTS) Call(w *Worker, id ObjID, opName string, in Args) Args {
 // copy. A primary that dies mid-read is detected by the failing RPC
 // (or by a copy left locked forever) and the object is re-homed before
 // the read retries.
-func (n *p2pNode) invokeRead(w *Worker, meta *p2pMeta, op *OpDef, in Args) Args {
-	r := n.rts
-	st := n.accessFor(meta)
+func (mg *objMgr) invokeRead(w *Worker, id ObjID, meta *p2pMeta, op *OpDef, in Args) Args {
+	r := mg.r
+	st := mg.accessFor(meta)
 	st.reads++
 	for {
 		if meta.moved {
-			return retry // migrated to the broadcast runtime
+			return retry // migrated into its group
 		}
-		inst, ok := n.insts[meta.id]
-		if ok && inst.valid {
+		if inst := mg.p2pCopy(id); inst != nil && inst.valid {
 			// Local read, once the copy is unlocked and the guard holds.
 			if awaitGuard(w, inst, op, in, r.costs.guardCheck, &r.stats.GuardWaits) {
 				r.stats.LocalReads++
 				w.Accrue(r.costs.readLocal + r.costs.defaultOp)
-				return op.Apply(n.m.Env(), inst.state, in)
+				return op.Apply(mg.m.Env(), inst.state, in)
 			}
 			if inst.valid && inst.locked {
 				if r.nodeDown(meta.primary) {
 					// The primary died between update phases; re-home
 					// the object, which also unlocks this copy.
-					r.rehome(w, meta)
+					r.rehome(w, id, meta)
 				} else {
 					inst.cond.Wait(w.P)
 				}
@@ -390,13 +263,13 @@ func (n *p2pNode) invokeRead(w *Worker, meta *p2pMeta, op *OpDef, in Args) Args 
 			continue // invalidated, or unlocked: look again
 		}
 		// No local copy: maybe fetch one first, else read remotely.
-		if n.shouldFetch(meta, st) {
-			n.fetchCopy(w, meta)
+		if mg.shouldFetch(meta, st) {
+			mg.fetchCopy(w, id, meta)
 			continue
 		}
 		r.stats.RemoteReads++
 		w.Flush()
-		rep, ok := n.callPrimary(w, meta, opPacket(op, in))
+		rep, ok := mg.toPrimary(w, id, meta, opPacket(op, in))
 		if !ok || isRetry(rep.Args) && !meta.moved {
 			continue // primary crashed, or re-homed while the op was in flight: retry there
 		}
@@ -409,14 +282,14 @@ func (n *p2pNode) invokeRead(w *Worker, meta *p2pMeta, op *OpDef, in Args) Args 
 // and the write re-issued: crash recovery gives writes at-least-once
 // semantics (see DESIGN.md), exactly once in the common case where the
 // first attempt never reached the dead primary.
-func (n *p2pNode) invokeWrite(w *Worker, meta *p2pMeta, op *OpDef, in Args) Args {
-	st := n.accessFor(meta)
+func (mg *objMgr) invokeWrite(w *Worker, id ObjID, meta *p2pMeta, op *OpDef, in Args) Args {
+	st := mg.accessFor(meta)
 	st.writes++
-	n.rts.stats.P2PWrites++
+	mg.r.stats.P2PWrites++
 	w.Flush()
-	res := n.atPrimary(w, meta, p2pTask{kind: "write", op: op, args: in}, opPacket(op, in))
+	res := mg.atPrimary(w, id, meta, p2pTask{kind: "write", op: op, args: in}, opPacket(op, in))
 	if !isRetry(res) {
-		n.maybeDiscard(w, meta, st)
+		mg.maybeDiscard(w, id, meta, st)
 	}
 	return res
 }
@@ -425,16 +298,16 @@ func (n *p2pNode) invokeWrite(w *Worker, meta *p2pMeta, op *OpDef, in Args) Args
 // primary — queued here when this machine is the primary, by RPC
 // otherwise — and returns the result. A primary that crashed or
 // re-homed meanwhile is resolved again and asked again; an object that
-// migrated to the broadcast runtime returns the retry status.
-func (n *p2pNode) atPrimary(w *Worker, meta *p2pMeta, t p2pTask, req amoeba.Packet) Args {
+// migrated into its group returns the retry status.
+func (mg *objMgr) atPrimary(w *Worker, id ObjID, meta *p2pMeta, t p2pTask, req amoeba.Packet) Args {
 	for {
 		if meta.moved {
 			return retry
 		}
 		var res Args
-		if meta.primary == n.m.ID() {
-			res = n.runLocal(w, meta.id, &t)
-		} else if rep, ok := n.callPrimary(w, meta, req); ok {
+		if meta.primary == mg.m.ID() {
+			res = mg.runLocal(w, id, &t)
+		} else if rep, ok := mg.toPrimary(w, id, meta, req); ok {
 			res = rep.Args
 		} else {
 			continue
@@ -447,17 +320,17 @@ func (n *p2pNode) atPrimary(w *Worker, meta *p2pMeta, t p2pTask, req amoeba.Pack
 
 // runLocal queues task t of this machine's for the queue of an object
 // whose primary it is, and waits for its result. The task travels in a
-// record of the node's (see task), which the invoker gives back once it
-// has read the result.
-func (n *p2pNode) runLocal(w *Worker, id ObjID, t *p2pTask) Args {
-	lt := n.task()
-	lt.kind, lt.op, lt.args, lt.to, lt.from = t.kind, t.op, t.args, t.to, n.m.ID()
-	n.queues[id].q.Put(lt)
+// record of the manager's (see task), which the invoker gives back once
+// it has read the result.
+func (mg *objMgr) runLocal(w *Worker, id ObjID, t *p2pTask) Args {
+	lt := mg.task()
+	lt.kind, lt.op, lt.args, lt.to, lt.from = t.kind, t.op, t.args, t.to, mg.m.ID()
+	mg.queues[id].q.Put(lt)
 	for !lt.done {
 		lt.cond.Wait(w.P)
 	}
 	res := lt.res
-	n.recycle(lt)
+	mg.recycle(lt)
 	return res
 }
 
@@ -466,33 +339,33 @@ func opPacket(op *OpDef, in Args) amoeba.Packet {
 	return amoeba.Packet{Op: op.Name, Args: in, Size: opSize(op.Name, &in)}
 }
 
-// callPrimary sends req about the object to its primary. A primary that
+// toPrimary sends req about the object to its primary. A primary that
 // has crashed is re-homed first and ok is false: the caller resolves
 // the object again and retries. Any other failure is a bug and panics.
-func (n *p2pNode) callPrimary(w *Worker, meta *p2pMeta, req amoeba.Packet) (rep amoeba.Packet, ok bool) {
-	req.Port, req.Obj = svcPort, int64(meta.id)
-	rep, err := n.cl.Call(w.P, meta.primary, req)
+func (mg *objMgr) toPrimary(w *Worker, id ObjID, meta *p2pMeta, req amoeba.Packet) (rep amoeba.Packet, ok bool) {
+	req.Port, req.Obj = svcPort, int64(id)
+	rep, err := mg.cl.Call(w.P, meta.primary, req)
 	if err == nil {
 		return rep, true
 	}
 	if !errors.Is(err, amoeba.ErrCrashed) {
-		panic(fmt.Sprintf("rts: %s on object %d failed: %v", req.Op, meta.id, err))
+		panic(fmt.Sprintf("rts: %s on object %d failed: %v", req.Op, id, err))
 	}
-	n.rts.stats.OpsRetried++
-	n.rts.rehome(w, meta)
+	mg.r.stats.OpsRetried++
+	mg.r.rehome(w, id, meta)
 	return rep, false
 }
 
 // accessFor returns this machine's statistics for an object.
-func (n *p2pNode) accessFor(meta *p2pMeta) *accessStats {
+func (mg *objMgr) accessFor(meta *p2pMeta) *accessStats {
 	if meta.access == nil {
-		meta.access = make([]accessStats, len(n.rts.nodes))
+		meta.access = make([]accessStats, len(mg.r.mgrs))
 	}
-	return &meta.access[n.m.ID()]
+	return &meta.access[mg.m.ID()]
 }
 
 // shouldFetch applies the fetch threshold.
-func (n *p2pNode) shouldFetch(meta *p2pMeta, st *accessStats) bool {
+func (mg *objMgr) shouldFetch(meta *p2pMeta, st *accessStats) bool {
 	if meta.placement != DynamicPlacement {
 		return false
 	}
@@ -500,68 +373,50 @@ func (n *p2pNode) shouldFetch(meta *p2pMeta, st *accessStats) bool {
 }
 
 // maybeDiscard applies the discard threshold to a local secondary.
-func (n *p2pNode) maybeDiscard(w *Worker, meta *p2pMeta, st *accessStats) {
+func (mg *objMgr) maybeDiscard(w *Worker, id ObjID, meta *p2pMeta, st *accessStats) {
 	if meta.placement != DynamicPlacement {
 		return
 	}
-	inst, ok := n.insts[meta.id]
-	if !ok || !inst.valid || inst.primary {
+	if inst := mg.p2pCopy(id); inst == nil || !inst.valid || inst.primary {
 		return
 	}
 	if st.reads+st.writes < windowMin || st.ratio() > discardRatio {
 		return
 	}
-	n.rts.stats.Discards++
-	n.dropLocal(meta.id)
-	n.m.Send(w.P, meta.primary, amoeba.Packet{
+	mg.r.stats.Discards++
+	mg.dropLocal(id)
+	mg.m.Send(w.P, meta.primary, amoeba.Packet{
 		Port: p2pCtlPort, Kind: "rts-drop",
-		Body: p2pDrop{Obj: meta.id, Node: n.m.ID()}, Size: 16,
+		Body: p2pDrop{Obj: id, Node: mg.m.ID()}, Size: 16,
 	})
 	st.reads, st.writes = 0, 0
 }
 
 // fetchCopy installs a secondary copy from the primary, re-homing the
 // object first if the primary died.
-func (n *p2pNode) fetchCopy(w *Worker, meta *p2pMeta) {
-	n.rts.stats.Fetches++
-	st := n.accessFor(meta)
+func (mg *objMgr) fetchCopy(w *Worker, id ObjID, meta *p2pMeta) {
+	mg.r.stats.Fetches++
+	st := mg.accessFor(meta)
 	st.reads, st.writes = 0, 0
 	for {
-		if meta.moved || meta.primary == n.m.ID() {
+		if meta.moved || meta.primary == mg.m.ID() {
 			return // migrated away, or re-homed onto this very machine
 		}
-		rep, ok := n.callPrimary(w, meta, amoeba.Packet{Op: "fetch", Body: p2pFetchReq{Node: n.m.ID()}, Size: 16})
+		rep, ok := mg.toPrimary(w, id, meta, amoeba.Packet{Op: "fetch", Body: p2pFetchReq{Node: mg.m.ID()}, Size: 16})
 		if ok && !isRetry(rep.Args) { // else the primary moved mid-fetch: re-resolve
-			n.installCopy(meta.id, meta.typ, rep.Body.(State))
+			mg.installCopy(id, rep.Body.(State))
 			return
 		}
 	}
 }
 
-// installCopy places a (cloned) state as a valid secondary.
-func (n *p2pNode) installCopy(id ObjID, t *ObjectType, state State) {
-	n.insts[id] = newReplica(&n.rts.router.replicas, t, state)
-}
-
-// submitMigrate routes a migration task ("moveout" to the broadcast
-// runtime, or "rehome" onto a new primary) to the object's primary
-// queue and waits for it to run. A primary that dies first is
-// re-homed and the task re-submitted; a moveout that already cut over
-// (meta.moved) is left to the broadcast record to finish.
-func (n *p2pNode) submitMigrate(w *Worker, meta *p2pMeta, kind string, target int) {
+// submitMigrate routes a migration task ("moveout" into the group, or
+// "rehome" onto a new primary) to the object's primary queue and waits
+// for it to run. A primary that dies first is re-homed and the task
+// re-submitted; a moveout that already cut over (meta.moved) is left to
+// the group's record to finish.
+func (mg *objMgr) submitMigrate(w *Worker, id ObjID, kind string, target int) {
 	w.Flush()
-	n.atPrimary(w, meta, p2pTask{kind: kind, to: target},
+	mg.atPrimary(w, id, mg.r.meta(id), p2pTask{kind: kind, to: target},
 		amoeba.Packet{Op: "migrate", Body: p2pMigrateReq{Kind: kind, Target: target}, Size: 24})
-}
-
-// dropLocal removes the local copy and wakes any blocked readers so
-// they re-route to the primary.
-func (n *p2pNode) dropLocal(id ObjID) {
-	inst, ok := n.insts[id]
-	if !ok {
-		return
-	}
-	inst.valid = false
-	inst.cond.Broadcast()
-	delete(n.insts, id)
 }

@@ -26,32 +26,7 @@ import "fmt"
 // does not keep.
 
 // nodeDown reports whether a machine has crashed.
-func (r *P2PRTS) nodeDown(node int) bool { return r.nodes[node].m.Crashed() }
-
-// NodeCrashed counts the crash and releases copies the dead primary
-// left locked mid-update, so local readers suspended on a locked copy
-// re-check instead of sleeping forever.
-// Object re-homing itself happens lazily, when the next operation
-// against a dead primary fails.
-func (r *P2PRTS) NodeCrashed(node int) {
-	r.stats.Crashes++
-	// The table walks in id order, so suspended readers wake in a
-	// deterministic order.
-	for id, e := range r.router.objs {
-		if e.meta == nil || e.meta.primary != node {
-			continue
-		}
-		for _, n := range r.nodes {
-			if n.m.Crashed() {
-				continue
-			}
-			if inst, ok := n.insts[ObjID(id)]; ok && inst.valid && inst.locked {
-				inst.locked = false
-				inst.cond.Broadcast()
-			}
-		}
-	}
-}
+func (r *Router) nodeDown(node int) bool { return r.machines[node].Crashed() }
 
 // rehome moves an object whose primary crashed onto a surviving
 // machine. It runs in the invoking thread's context, on whichever
@@ -60,40 +35,40 @@ func (r *P2PRTS) NodeCrashed(node int) {
 // run without simulating its messages (the cost of the failed attempts
 // and retries is what the fault experiments measure). Idempotent: if
 // another invoker already re-homed the object, this is a no-op.
-func (r *P2PRTS) rehome(w *Worker, meta *p2pMeta) {
+func (r *Router) rehome(w *Worker, id ObjID, meta *p2pMeta) {
 	if !r.nodeDown(meta.primary) {
 		return // already re-homed by an earlier detector
 	}
 	// Prefer the lowest-numbered live machine holding a valid copy; if
 	// every copy died, restart on the lowest-numbered live machine.
 	target, restart := -1, true
-	for _, n := range r.nodes {
-		if n.m.Crashed() {
+	for _, mg := range r.mgrs {
+		if mg.m.Crashed() {
 			continue
 		}
 		if target == -1 {
-			target = n.m.ID()
+			target = mg.m.ID()
 		}
-		if inst, ok := n.insts[meta.id]; ok && inst.valid {
-			target, restart = n.m.ID(), false
+		if inst := mg.p2pCopy(id); inst != nil && inst.valid {
+			target, restart = mg.m.ID(), false
 			break
 		}
 	}
 	if target == -1 {
-		panic(fmt.Sprintf("rts: no live machine to re-home object %d", meta.id))
+		panic(fmt.Sprintf("rts: no live machine to re-home object %d", id))
 	}
 	var st State // nil: the target's copy is promoted as it stands
 	how := "re-homed"
 	if restart {
 		how = "restarted from its creation arguments"
-		if st = r.router.recoverState(meta); st != nil {
+		if st = r.recoverState(id); st != nil {
 			how = "recovered from its migration snapshot"
 		} else {
-			st = meta.typ.New(meta.ctorArgs)
+			st = r.objs[id].typ.New(r.objs[id].args)
 		}
 	}
-	r.nodes[target].m.Env().Tracef("rts: object %d %s on node %d (primary %d died)", meta.id, how, target, meta.primary)
-	r.promote(meta, target, st)
+	r.machines[target].Env().Tracef("rts: object %d %s on node %d (primary %d died)", id, how, target, meta.primary)
+	r.promote(id, meta, target, st)
 	r.stats.Rehomed++
 }
 
@@ -101,29 +76,29 @@ func (r *P2PRTS) rehome(w *Worker, meta *p2pMeta) {
 // nil, installed there as a fresh copy first — adopts every other live
 // valid copy as a secondary, releasing a copy a dead primary left
 // locked between update phases, and gives the object its queue there.
-// Re-homing, primary migration and a migration in from the broadcast
-// runtime all install a primary this way.
-func (r *P2PRTS) promote(meta *p2pMeta, target int, st State) {
-	tn := r.nodes[target]
+// Re-homing, primary migration and a migration out of a group all
+// install a primary this way.
+func (r *Router) promote(id ObjID, meta *p2pMeta, target int, st State) {
+	tn := r.mgrs[target]
 	if st != nil {
-		tn.installCopy(meta.id, meta.typ, st)
+		tn.installCopy(id, st)
 	}
-	inst := tn.insts[meta.id]
+	inst := tn.p2pCopy(id)
 	inst.primary, inst.locked = true, false
 	if inst.copyset == nil {
 		inst.copyset = make(map[int]bool)
 	}
-	for _, n := range r.nodes {
-		if n.m.Crashed() || n == tn || n.m.ID() == meta.primary {
+	for _, mg := range r.mgrs {
+		if mg.m.Crashed() || mg == tn || mg.m.ID() == meta.primary {
 			continue
 		}
-		if sec, ok := n.insts[meta.id]; ok && sec.valid {
-			inst.copyset[n.m.ID()] = true
+		if sec := mg.p2pCopy(id); sec != nil && sec.valid {
+			inst.copyset[mg.m.ID()] = true
 			sec.primary, sec.locked = false, false
 			sec.cond.Broadcast()
 		}
 	}
 	inst.cond.Broadcast()
-	tn.startPrimary(meta.id)
+	tn.startPrimary(id)
 	meta.primary = target
 }

@@ -23,7 +23,7 @@ import (
 // its secondaries cannot stall the machine's service, and answers the
 // rest itself: it bounces a request for an object that has moved or
 // re-homed, and takes the quick secondary-side protocol steps.
-func (n *p2pNode) route(req *amoeba.Request) {
+func (mg *objMgr) route(req *amoeba.Request) {
 	id := ObjID(req.Obj)
 	kind, from, to := "", req.From, 0
 	switch body := req.Body.(type) {
@@ -34,19 +34,19 @@ func (n *p2pNode) route(req *amoeba.Request) {
 		kind, to = body.Kind, body.Target
 	case p2pUpdateReq:
 		// Phase one at a secondary: lock, apply, ack, stay locked.
-		n.applyUpdate(req)
+		mg.applyUpdate(req)
 		return
 	case p2pInvalReq:
 		// Invalidate the local copy and acknowledge.
-		n.rts.stats.Invalidations++
-		n.dropLocal(id)
-		n.srv.PutReplyOn(n.c, req, Args{}, nil, 4, n.servedFn)
+		mg.r.stats.Invalidations++
+		mg.dropLocal(id)
+		mg.srv.PutReplyOn(mg.c, req, Args{}, nil, 4, mg.servedFn)
 		return
 	default:
 		panic(fmt.Sprintf("rts: unexpected RPC body %T", req.Body))
 	}
-	meta := n.rts.meta(id)
-	if meta.moved || meta.primary != n.m.ID() {
+	meta := mg.r.meta(id)
+	if meta.moved || meta.primary != mg.m.ID() {
 		// The object migrated or re-homed while the request was in
 		// flight: bounce so the client re-resolves — unless a migration
 		// finds the cut made already.
@@ -54,28 +54,28 @@ func (n *p2pNode) route(req *amoeba.Request) {
 		if _, migrate := req.Body.(p2pMigrateReq); migrate && meta.moved {
 			res, size = Args{}, 4
 		}
-		n.srv.PutReplyOn(n.c, req, res, nil, size, n.servedFn)
+		mg.srv.PutReplyOn(mg.c, req, res, nil, size, mg.servedFn)
 		return
 	}
-	t := n.task()
+	t := mg.task()
 	t.kind, t.from, t.to, t.req = kind, from, to, req
 	if kind == "" {
-		t.op, t.args, t.kind = meta.op(req.Op), req.Args, "write"
+		t.op, t.args, t.kind = mg.r.op(id, req.Op), req.Args, "write"
 		if t.op.Kind == Read {
 			t.kind = "read"
 		}
 	}
-	n.queues[id].q.Put(t)
-	n.srv.Done()
+	mg.queues[id].q.Put(t)
+	mg.srv.Done()
 }
 
 // task returns a blank record for a task: a remote request's, which
 // finishTaskOn takes back once the request is answered, or a local
 // invoker's, which runLocal takes back once it has read the result.
-func (n *p2pNode) task() *p2pTask {
-	if k := len(n.tfree); k > 0 {
-		t := n.tfree[k-1]
-		n.tfree = n.tfree[:k-1]
+func (mg *objMgr) task() *p2pTask {
+	if k := len(mg.tfree); k > 0 {
+		t := mg.tfree[k-1]
+		mg.tfree = mg.tfree[:k-1]
 		return t
 	}
 	return &p2pTask{}
@@ -83,45 +83,44 @@ func (n *p2pNode) task() *p2pTask {
 
 // applyUpdate performs phase one of the update protocol at a
 // secondary. The dispatcher serves one request at a time, so the one in
-// service waits for its charge in n.upd.
-func (n *p2pNode) applyUpdate(req *amoeba.Request) {
-	inst, ok := n.insts[ObjID(req.Obj)]
-	if !ok || !inst.valid {
+// service waits for its charge in mg.upd.
+func (mg *objMgr) applyUpdate(req *amoeba.Request) {
+	inst := mg.p2pCopy(ObjID(req.Obj))
+	if inst == nil || !inst.valid {
 		// The copy was discarded while the update was in flight; the
 		// drop notice will reach the primary. Acknowledge vacuously.
-		n.srv.PutReplyOn(n.c, req, Args{}, nil, 4, n.servedFn)
+		mg.srv.PutReplyOn(mg.c, req, Args{}, nil, 4, mg.servedFn)
 		return
 	}
 	inst.locked = true
-	n.upd, n.updInst = req, inst
-	n.m.ComputeOn(n.c, n.rts.costs.writeApply+n.rts.costs.defaultOp, n.updatedFn)
+	mg.upd, mg.updInst = req, inst
+	mg.m.ComputeOn(mg.c, mg.r.costs.apply(), mg.updatedFn)
 }
 
 // updated applies the charged update and acknowledges it.
-func (n *p2pNode) updated() {
-	req, inst := n.upd, n.updInst
-	n.upd, n.updInst = nil, nil
-	inst.op(req.Op).Apply(n.m.Env(), inst.state, req.Args)
-	n.srv.PutReplyOn(n.c, req, Args{}, nil, 4, n.servedFn)
+func (mg *objMgr) updated() {
+	req, inst := mg.upd, mg.updInst
+	mg.upd, mg.updInst = nil, nil
+	mg.r.op(ObjID(req.Obj), req.Op).Apply(mg.m.Env(), inst.state, req.Args)
+	mg.srv.PutReplyOn(mg.c, req, Args{}, nil, 4, mg.servedFn)
 }
 
 // handleCtl services the one-way control port: unlocks (phase two),
 // copyset drops, and pushed installs. It runs in interrupt context and
 // never blocks.
-func (n *p2pNode) handleCtl(p *sim.Proc, from int, pkt amoeba.Packet) {
+func (mg *objMgr) handleCtl(p *sim.Proc, from int, pkt amoeba.Packet) {
 	switch body := pkt.Body.(type) {
 	case p2pUnlock:
-		if inst, ok := n.insts[body.Obj]; ok {
+		if inst := mg.p2pCopy(body.Obj); inst != nil {
 			inst.locked = false
 			inst.cond.Broadcast()
 		}
 	case p2pDrop:
-		if inst, ok := n.insts[body.Obj]; ok && inst.primary {
+		if inst := mg.p2pCopy(body.Obj); inst != nil && inst.primary {
 			delete(inst.copyset, body.Node)
 		}
 	case p2pInstall:
-		meta := n.rts.meta(body.Obj)
-		n.installCopy(body.Obj, meta.typ, body.State)
+		mg.installCopy(body.Obj, body.State)
 	}
 }
 
@@ -129,7 +128,7 @@ func (n *p2pNode) handleCtl(p *sim.Proc, from int, pkt amoeba.Packet) {
 // its primary, and the consumer that serves it (see Consume). Its record
 // is carved from the run's (see Router.queueRecs).
 type objQueue struct {
-	n     *p2pNode
+	mg    *objMgr
 	id    ObjID
 	q     sim.Queue[*p2pTask]
 	c     *sim.Proc       // the claimant the queue is served as, claim's
@@ -160,17 +159,17 @@ type objQueue struct {
 
 // startPrimary gives the object its queue on this machine, unless it
 // has been primary here before and still has it.
-func (n *p2pNode) startPrimary(id ObjID) {
-	q := slot(&n.queues, id)
+func (mg *objMgr) startPrimary(id ObjID) {
+	q := slot(&mg.queues, id)
 	if *q != nil {
 		return
 	}
-	o := n.rts.router.queueRecs.new()
-	o.n, o.id = n, id
+	o := mg.r.queueRecs.new()
+	o.mg, o.id = mg, id
 	o.startFn, o.countedFn, o.ackFn = o.start, o.counted, o.ack
 	*q = o
-	o.c = o.claim.Init(n.m, "obj", int(id))
-	o.pass.init(n.m, o.c, n.rts.costs.guardCheck, o)
+	o.c = o.claim.Init(mg.m, "obj", int(id))
+	o.pass.init(mg.m, o.c, mg.r.costs.guardCheck, o)
 	o.q.Serve(o.c, o)
 }
 
@@ -199,16 +198,16 @@ func (o *objQueue) done() { o.q.Done() }
 // A task for an object that migrated away or re-homed between enqueue
 // and execution bounces back to its invoker.
 func (o *objQueue) Consume(t *p2pTask) {
-	n, r := o.n, o.n.rts
-	inst := n.insts[o.id]
+	mg, r := o.mg, o.mg.r
+	inst := mg.p2pCopy(o.id)
 	if r.meta(o.id).moved || inst == nil || !inst.primary {
-		n.finishTaskOn(o.c, t, retry, o.then((*objQueue).done))
+		mg.finishTaskOn(o.c, t, retry, o.then((*objQueue).done))
 		return
 	}
 	o.t, o.inst = t, inst
 	if t.op != nil && t.op.Guard != nil {
 		// An operation whose guard is false waits for a write to enable it.
-		n.m.ComputeOn(o.c, r.costs.guardCheck, o.then((*objQueue).guarded))
+		mg.m.ComputeOn(o.c, r.costs.guardCheck, o.then((*objQueue).guarded))
 		return
 	}
 	o.run((*objQueue).done, (*objQueue).drain)
@@ -217,7 +216,7 @@ func (o *objQueue) Consume(t *p2pTask) {
 // guarded continues Consume once the guard check has been charged.
 func (o *objQueue) guarded() {
 	if t := o.t; !t.op.Guard(o.inst.state, t.args) {
-		o.n.rts.stats.GuardWaits++
+		o.mg.r.stats.GuardWaits++
 		o.inst.pending = append(o.inst.pending, pendingOp{op: t.op, args: t.args, task: t})
 		o.q.Done()
 		return
@@ -228,16 +227,17 @@ func (o *objQueue) guarded() {
 // run runs the task in service, whose guard, if any, has held; a read
 // goes on with afterRead, a write with afterWrite.
 func (o *objQueue) run(afterRead, afterWrite func(*objQueue)) {
-	n, t, inst := o.n, o.t, o.inst
+	mg, t, inst := o.mg, o.t, o.inst
 	switch t.kind {
 	case "fetch":
-		state := inst.typ.Clone(inst.state)
+		typ := mg.r.objs[o.id].typ
+		state := typ.Clone(inst.state)
 		inst.copyset[t.from] = true
-		n.srv.PutReplyOn(o.c, t.req, Args{}, state, inst.typ.stateSize(state)+16, o.then((*objQueue).done))
-		n.recycle(t)
+		mg.srv.PutReplyOn(o.c, t.req, Args{}, state, typ.stateSize(state)+16, o.then((*objQueue).done))
+		mg.recycle(t)
 	case "read":
 		o.after = afterRead
-		n.m.ComputeOn(o.c, n.rts.costs.readLocal+n.rts.costs.defaultOp, o.then((*objQueue).read))
+		mg.m.ComputeOn(o.c, mg.r.costs.readLocal+mg.r.costs.defaultOp, o.then((*objQueue).read))
 	case "write":
 		o.commit(afterWrite)
 	case "moveout":
@@ -267,7 +267,7 @@ func (o *objQueue) retried() { o.q.Done() }
 // on with o.then.
 func (o *objQueue) read() {
 	t := o.t
-	o.n.finishTaskOn(o.c, t, t.op.Apply(o.n.m.Env(), o.inst.state, t.args), o.then(o.after))
+	o.mg.finishTaskOn(o.c, t, t.op.Apply(o.mg.m.Env(), o.inst.state, t.args), o.then(o.after))
 }
 
 // migrateOut hands the object to the broadcast runtime (see adapt.go).
@@ -278,22 +278,22 @@ func (o *objQueue) read() {
 // point in between, so a machine crash can never strand the object
 // without a recoverable snapshot.
 func (o *objQueue) migrateOut() {
-	n, r, t := o.n, o.n.rts, o.t
+	mg, r, t := o.mg, o.mg.r, o.t
 	meta := r.meta(o.id)
-	clone := meta.typ.Clone(o.inst.state)
-	r.router.moveSnap(n.m.ID(), o.id, clone)
+	clone := r.objs[o.id].typ.Clone(o.inst.state)
+	r.moveSnap(mg.m.ID(), o.id, clone)
 	meta.moved = true
 	// Bounce parked guarded tasks; they re-register as broadcast ops.
 	o.bounce(0, func() {
 		// Drop every copy; suspended readers wake and bounce on meta.moved.
-		for _, node := range r.nodes {
-			if !node.m.Crashed() {
-				node.dropLocal(o.id)
+		for _, other := range r.mgrs {
+			if !other.m.Crashed() {
+				other.dropLocal(o.id)
 			}
 		}
 		// Sequence the migrate record; its globally-first delivery flips
 		// ownership to the broadcast runtime.
-		r.router.moveout(o.c, n.m.ID(), o.id, clone, sim.Func(func() { n.finishTaskOn(o.c, t, Args{}, o.then((*objQueue).done)) }))
+		r.moveout(o.c, mg.m.ID(), o.id, clone, sim.Func(func() { mg.finishTaskOn(o.c, t, Args{}, o.then((*objQueue).done)) }))
 	})
 }
 
@@ -303,21 +303,21 @@ func (o *objQueue) migrateOut() {
 // promotion mutates the global object table directly, charging the
 // state-transfer work to this machine's CPU.
 func (o *objQueue) migratePrimary() {
-	n, r, t := o.n, o.n.rts, o.t
+	mg, r, t := o.mg, o.mg.r, o.t
 	meta := r.meta(o.id)
 	target := t.to
-	if target == n.m.ID() || r.nodeDown(target) {
-		n.finishTaskOn(o.c, t, Args{}, o.then((*objQueue).done)) // nothing to move, or the target died
+	if target == mg.m.ID() || r.nodeDown(target) {
+		mg.finishTaskOn(o.c, t, Args{}, o.then((*objQueue).done)) // nothing to move, or the target died
 		return
 	}
-	st := meta.typ.Clone(o.inst.state)
-	n.m.ComputeOn(o.c, r.costs.writeApply, sim.Func(func() {
-		r.promote(meta, target, st)
-		n.dropLocal(o.id)
+	st := r.objs[o.id].typ.Clone(o.inst.state)
+	mg.m.ComputeOn(o.c, r.costs.writeApply, sim.Func(func() {
+		r.promote(o.id, meta, target, st)
+		mg.dropLocal(o.id)
 		// Bounce parked guarded tasks; they re-issue at the new primary.
 		o.bounce(0, func() {
-			n.m.Env().Tracef("rts: object %d primary migrated %d -> %d", o.id, n.m.ID(), target)
-			n.finishTaskOn(o.c, t, Args{}, o.then((*objQueue).done))
+			mg.m.Env().Tracef("rts: object %d primary migrated %d -> %d", o.id, mg.m.ID(), target)
+			mg.finishTaskOn(o.c, t, Args{}, o.then((*objQueue).done))
 		})
 	}))
 }
@@ -330,16 +330,16 @@ func (o *objQueue) bounce(i int, k func()) {
 		k()
 		return
 	}
-	o.n.finishTaskOn(o.c, o.inst.pending[i].task, retry, sim.Func(func() { o.bounce(i+1, k) }))
+	o.mg.finishTaskOn(o.c, o.inst.pending[i].task, retry, sim.Func(func() { o.bounce(i+1, k) }))
 }
 
 // finishTaskOn completes a task toward its (local or remote) invoker and
 // fires then: once a remote invoker's reply has been sent, charged to p,
 // or at once when the invoker is a thread of this machine.
-func (n *p2pNode) finishTaskOn(p *sim.Proc, t *p2pTask, res Args, then sim.Firer) {
+func (mg *objMgr) finishTaskOn(p *sim.Proc, t *p2pTask, res Args, then sim.Firer) {
 	if t.req != nil {
-		n.srv.PutReplyOn(p, t.req, res, nil, SizeOfArgs(&res), then)
-		n.recycle(t)
+		mg.srv.PutReplyOn(p, t.req, res, nil, SizeOfArgs(&res), then)
+		mg.recycle(t)
 		return
 	}
 	t.res = res
@@ -349,15 +349,15 @@ func (n *p2pNode) finishTaskOn(p *sim.Proc, t *p2pTask, res Args, then sim.Firer
 }
 
 // recycle takes back a finished task's record (see task).
-func (n *p2pNode) recycle(t *p2pTask) {
+func (mg *objMgr) recycle(t *p2pTask) {
 	*t = p2pTask{cond: t.cond} // keeps the condition's waiter buffer
-	n.tfree = append(n.tfree, t)
+	mg.tfree = append(mg.tfree, t)
 }
 
 // commit runs the object's write protocol at the primary for the task
 // in service, and then runs k.
 func (o *objQueue) commit(k func(*objQueue)) {
-	r, inst := o.n.rts, o.inst
+	r, inst := o.mg.r, o.inst
 	inst.locked = true
 	// Crashed secondaries leave the copyset: their copies died with
 	// their machines and must not be waited on. The rest are o.secs, in
@@ -397,16 +397,16 @@ func (o *objQueue) commit(k func(*objQueue)) {
 // write applies the write at the primary once its secondaries have
 // acknowledged.
 func (o *objQueue) write() {
-	o.n.m.ComputeOn(o.c, o.n.rts.costs.writeApply+o.n.rts.costs.defaultOp, o.then((*objQueue).committed))
+	o.mg.m.ComputeOn(o.c, o.mg.r.costs.apply(), o.then((*objQueue).committed))
 }
 
 // committed applies the charged write, unlocks every copy (phase two of
 // the update protocol) and answers the invoker.
 func (o *objQueue) committed() {
 	t := o.t
-	o.res = t.op.Apply(o.n.m.Env(), o.inst.state, t.args)
+	o.res = t.op.Apply(o.mg.m.Env(), o.inst.state, t.args)
 	o.ui = 0
-	if o.n.rts.meta(o.id).protocol == Update {
+	if o.mg.r.meta(o.id).protocol == Update {
 		o.unlock()
 		return
 	}
@@ -423,13 +423,13 @@ func (o *objQueue) unlock() {
 		o.unlockPkt = amoeba.Packet{Port: p2pCtlPort, Kind: "rts-unlock", Body: p2pUnlock{Obj: o.id}, Size: 12}
 	}
 	o.ui++
-	o.n.m.SendOn(o.c, o.secs[o.ui-1], o.unlockPkt, o.then((*objQueue).unlock))
+	o.mg.m.SendOn(o.c, o.secs[o.ui-1], o.unlockPkt, o.then((*objQueue).unlock))
 }
 
 func (o *objQueue) unlocked() {
 	o.inst.locked = false
 	o.inst.cond.Broadcast()
-	o.n.finishTaskOn(o.c, o.t, o.res, o.then(o.after))
+	o.mg.finishTaskOn(o.c, o.t, o.res, o.then(o.after))
 }
 
 // fanout issues o.req to the secondaries in parallel, a transaction
@@ -442,7 +442,7 @@ func (o *objQueue) unlocked() {
 // is nothing left to keep consistent — and the next commit prunes it
 // from the copyset.
 func (o *objQueue) fanout(k func(*objQueue)) {
-	env := o.n.m.Env()
+	env := o.mg.m.Env()
 	o.req.Port, o.fanned = svcPort, k
 	o.fi, o.acks, o.waiting = 0, len(o.secs), true
 	for range o.secs {
@@ -454,19 +454,19 @@ func (o *objQueue) fanout(k func(*objQueue)) {
 func (o *objQueue) start() {
 	if !o.c.Killed() {
 		o.fi++
-		o.n.cl.CallOn(o.c, o.secs[o.fi-1], o.req, o.ackFn)
+		o.mg.cl.CallOn(o.c, o.secs[o.fi-1], o.req, o.ackFn)
 	}
 }
 
 // ack counts one secondary's acknowledgement.
 func (o *objQueue) ack() {
-	if _, err := o.n.cl.Result(); err != nil && !errors.Is(err, amoeba.ErrCrashed) {
+	if _, err := o.mg.cl.Result(); err != nil && !errors.Is(err, amoeba.ErrCrashed) {
 		panic(fmt.Sprintf("rts: %s failed: %v", o.req.Op, err))
 	}
 	o.acks--
 	if o.waiting {
 		o.waiting = false
-		env := o.n.m.Env()
+		env := o.mg.m.Env()
 		env.Schedule(env.Now(), o.countedFn)
 	}
 }

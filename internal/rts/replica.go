@@ -8,33 +8,34 @@ import (
 	"repro/internal/sim"
 )
 
-// replica is one machine's copy of an object, in either domain: a
-// sequenced replica that a group's object manager applies the total
-// order to, or a primary or secondary copy of the point-to-point domain.
+// replica is one machine's copy of an object, under either orderer: a
+// group's replica, which the group's delivery consumer applies the total
+// order to, or a primary or secondary copy.
 type replica struct {
-	typ   *ObjectType
 	state State
 	cond  sim.Cond // wakes threads blocked on a guard or a lock after each change
-	ops   opCache
 
 	// pending holds the guarded operations parked because their guard
-	// was false, in arrival order: a sequenced replica's writes, at their
+	// was false, in arrival order: a group replica's writes, at their
 	// positions in the total order, and a primary copy's queued tasks.
 	pending []pendingOp
 
-	// Sequenced domain (bcast.go).
+	// A group's replica (bcast.go): seq marks it one.
+	seq     bool
 	touched bool // written since the last frame boundary (see bcastManager.Consume)
-	moved   bool // migrated away at its cut point; writes bounce (see adapt.go)
+	moved   bool // its object changed orderer at its cut point; writes bounce (see adapt.go)
 
-	// Primary-copy domain (p2p.go).
+	// A primary-copy copy (p2p.go), and the group replica it was
+	// installed over, if any (see objMgr.copies).
+	under                  *replica
 	locked, valid, primary bool
 	copyset                map[int]bool // primary only
 }
 
 // newReplica is a valid copy holding st, carved from recs.
-func newReplica(recs *slab[replica], t *ObjectType, st State) *replica {
+func newReplica(recs *slab[replica], st State) *replica {
 	inst := recs.new()
-	inst.typ, inst.state, inst.valid = t, st, true
+	inst.state, inst.valid = st, true
 	return inst
 }
 
@@ -90,9 +91,6 @@ func put[K comparable, V any](m *map[K]V, k K, v V) {
 	}
 	(*m)[k] = v
 }
-
-// op resolves an operation name through the replica's MRU cache.
-func (inst *replica) op(name string) *OpDef { return inst.ops.lookup(inst.typ, name) }
 
 // pendingOp is a parked guarded operation: a sequenced write with its
 // uid and source machine, or a primary copy's task.
@@ -216,4 +214,12 @@ func awaitGuard(w *Worker, inst *replica, op *OpDef, in Args, check sim.Time, wa
 			return false
 		}
 	}
+}
+
+// apply applies op to the copy and wakes its waiters: the step every
+// write takes that no later step of its orderer separates from the wake.
+func (inst *replica) apply(e *sim.Env, op *OpDef, in Args) Args {
+	res := op.Apply(e, inst.state, in)
+	inst.cond.Broadcast()
+	return res
 }

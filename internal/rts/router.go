@@ -7,43 +7,43 @@ import (
 
 	"repro/internal/amoeba"
 	"repro/internal/group"
-	"repro/internal/sim"
 )
 
-// Router is the one placement layer of the runtime: it decides, per
-// object and invisibly to the program, which domain hosts it, and
-// routes every operation there. A domain is either a sequencer group —
-// a BroadcastRTS over a machine span, replicating its objects behind
-// its own total order — or the point-to-point domain, a P2PRTS keeping
-// one primary copy per object. A Router hosts zero or more groups and
-// at most one point-to-point domain over the same machines, sharing
-// the wire and the CPUs, so every mix of strategies is measured under
-// honest contention:
+// Router is the runtime: one object manager per machine (objMgr) over
+// two kinds of orderer, and the one placement layer that decides, per
+// object and invisibly to the program, which orderer puts the object's
+// writes in order, and routes every operation there. An orderer is
+// either a sequencer group — a machine span whose members apply its
+// delivery stream (seqGroup, bcast.go) — or an object's primary copy,
+// whose queue serializes its writes (objQueue, p2p_server.go). A Router
+// hosts zero or more groups, and primary copies when it is built with a
+// P2PConfig, over the same machines, sharing the wire and the CPUs, so
+// every mix of strategies is measured under honest contention:
 //
 //   - one group is the paper's §3.2.1 runtime;
-//   - the point-to-point domain alone is the §3.2.2 runtime;
-//   - a group plus the point-to-point domain places TSP's write-mostly
-//     job queue as a single copy while the bound stays replicated;
+//   - primary copies alone are the §3.2.2 runtime;
+//   - a group plus primary copies places TSP's write-mostly job queue as
+//     a single copy while the bound stays replicated;
 //   - N groups split the total order so unrelated objects sequence
 //     concurrently, each group optionally spanning only a subset of the
 //     machines (its replication domain), with machines outside a span
 //     forwarding to a holder inside it.
 //
-// A domain is always a part of its Router, even when built alone
-// (NewBroadcastRTS, NewP2PRTS build a one-domain Router): it reads every
-// per-object fact from the Router's object table and every shared
-// setting from the Router. Everything above the domains lives here once:
-// the object table (ids are unique across domains), creation, the Call
-// loop, crash fan-out, counters, cross-group fences (fence.go), the
-// adaptive placement controller (adapt.go), the write-combining
-// configuration, the handler for the Orca layer's bodies and each
-// machine's object service.
+// Everything above the orderers lives here once: the object table (ids
+// are unique across orderers), creation, the Call loop, crash fan-out,
+// counters, cross-group fences (fence.go), the adaptive placement
+// controller (adapt.go), the write-combining configuration, the handler
+// for the Orca layer's bodies and each machine's manager.
 type Router struct {
 	machines []*amoeba.Machine
-	groups   []*BroadcastRTS
-	every    []int   // every group's index, ascending: a full-span fence's shards
-	p2p      *P2PRTS // nil when the point-to-point domain is not built
-	defP2P   bool    // Default placements go to the point-to-point domain
+	reg      *Registry
+	costs    Costs
+	cfg      P2PConfig // the primary copies' default protocol and placement
+	p2p      bool      // primary copies are built
+	defP2P   bool      // Default placements become primary copies
+	groups   []*seqGroup
+	every    []int     // every group's index, ascending: a full-span fence's shards
+	mgrs     []*objMgr // by node id
 
 	// objs is the object table, indexed by the dense ObjID: alloc hands
 	// out the ids, counting up from 1. The simulation is single-threaded,
@@ -53,11 +53,9 @@ type Router struct {
 
 	// batch turns on the groups' write-combining pipeline (see
 	// EnableBatching and batch.go); extra takes the group bodies and
-	// barrier-fence payloads the runtime does not recognize; svc is each
-	// machine's object service, by node id.
+	// barrier-fence payloads the runtime does not recognize.
 	batch group.BatchConfig
 	extra func(node int, body any)
-	svc   []*objService
 
 	// fences holds each machine's in-flight fence records, by machine
 	// and fence id. fenceAborted marks fences presumed aborted after their
@@ -67,62 +65,41 @@ type Router struct {
 	fenceAborted map[int64]bool
 	fenceSeq     int64
 
-	// stats counts the Router's own work: fenced ops and migrations.
+	// stats counts everything but a group's own work (seqGroup.stats):
+	// the primary copies', fenced ops and migrations.
 	stats RTSStats
 
-	// What the point-to-point domain's copies and queues are carved from
-	// (see slab): one slab of each per run wastes at most the rest of its
-	// last run; one per machine would waste that per machine.
+	// What primary copies and their queues are carved from (see slab):
+	// one slab of each per run wastes at most the rest of its last run;
+	// one per machine would waste that per machine.
 	replicas  slab[replica]
 	queueRecs slab[objQueue]
 }
 
-// objEntry is one object's entry in the table: the domain hosting it
-// now, the replica set of a partially replicated object (nil: its
-// group's whole span), its placement controller when it is adaptive, and
-// its point-to-point record once it has lived in that domain.
+// objEntry is one object's entry in the table: the orderer that puts
+// its writes in order now (a group index, or domP2P for its primary
+// copy), its type and an operation cache over it, the replica set of a
+// partially replicated object (nil: its group's whole span), the
+// creation arguments of an object that may restart from them (a primary
+// copy's, an adaptive object's), its placement controller when it is
+// adaptive, and its primary-copy record once it has had one.
 type objEntry struct {
-	dom   int // domNone, domP2P, or a sequencer-group index
+	dom   int
+	typ   *ObjectType
+	ops   opCache
 	nodes []int
+	args  []any
 	adapt *adaptInfo
 	meta  *p2pMeta
 }
 
 const (
 	domNone = -2 // no such object
-	domP2P  = -1 // the point-to-point domain
+	domP2P  = -1 // ordered by its primary copy's queue
 )
 
 // svcPort is the object service's RPC port.
 const svcPort = "objsvc"
-
-// objService is a machine's one remote-request service: an RPC server
-// on svcPort, a consumer with no process behind it (see
-// amoeba.Server.Serve) that serves every domain's requests (see serve),
-// and the client through which the machine's runtime calls the others.
-type objService struct {
-	m   *amoeba.Machine
-	srv *amoeba.Server
-	cl  *amoeba.Client
-	c   *sim.Proc // the claimant the service serves as
-}
-
-// serve routes a request to the machine's object service: a forwarded
-// operation to its object's group, the group that hosts it or, while it
-// lives in the point-to-point domain, its home group; anything else to
-// the point-to-point domain.
-func (r *Router) serve(s *objService, req *amoeba.Request) {
-	if _, fwd := req.Body.(fwdReq); fwd {
-		e := &r.objs[req.Obj]
-		k := e.dom
-		if k == domP2P {
-			k = e.adapt.home
-		}
-		r.groups[k].serveForward(s, req)
-		return
-	}
-	r.p2p.nodes[s.m.ID()].route(req)
-}
 
 // GroupDef describes one sequencer group of a Router: the group
 // endpoints (already joined, on a port distinct per group) and the
@@ -137,17 +114,17 @@ type GroupDef struct {
 type PlaceKind int
 
 const (
-	// PlaceDefault follows the Router's default domain.
+	// PlaceDefault follows the Router's default orderer.
 	PlaceDefault PlaceKind = iota
 	// PlaceReplicated replicates the object behind a sequencer group.
 	PlaceReplicated
-	// PlacePrimary keeps a primary copy in the point-to-point domain.
+	// PlacePrimary keeps a primary copy that orders the writes.
 	PlacePrimary
 	// PlaceAdaptive starts replicated and re-places itself (adapt.go).
 	PlaceAdaptive
 )
 
-// Place is a creation-time placement: which domain hosts the object
+// Place is a creation-time placement: which orderer hosts the object
 // and how. The zero value with Group = -1 is the Router's default.
 type Place struct {
 	Kind PlaceKind
@@ -167,32 +144,31 @@ type Place struct {
 }
 
 // NewRouter builds the runtime over machines (all nodes of the
-// simulation, by node id): one BroadcastRTS per GroupDef, and the
-// point-to-point domain when p2p is non-nil, and every machine's object
-// service. defaultP2P picks where Default placements go. With groups
-// present, every machine must lie in at least one span, so creations
-// and forks always have a local group to travel.
+// simulation, by node id): every machine's object manager, one
+// sequencer group per GroupDef, and primary copies when p2p is non-nil.
+// defaultP2P picks where Default placements go. With groups present,
+// every machine must lie in at least one span, so creations and forks
+// always have a local group to travel.
 func NewRouter(reg *Registry, costs Costs, machines []*amoeba.Machine, groups []GroupDef, p2p *P2PConfig, defaultP2P bool) *Router {
 	if defaultP2P && p2p == nil || !defaultP2P && len(groups) == 0 {
-		panic("rts: the router's default domain is not built")
+		panic("rts: the router's default orderer is not built")
 	}
-	r := &Router{machines: machines, defP2P: defaultP2P, objs: []objEntry{{dom: domNone}}} // ids start at 1
+	r := &Router{machines: machines, reg: reg, costs: costs, p2p: p2p != nil, defP2P: defaultP2P, objs: []objEntry{{dom: domNone}}} // ids start at 1
+	if p2p != nil {
+		r.cfg = *p2p
+	}
 	for _, m := range machines {
-		s := &objService{m: m, srv: amoeba.NewServer(m, svcPort), cl: amoeba.NewClient(m, rpcPolicy)}
-		s.c = s.srv.Serve(func(req *amoeba.Request) { r.serve(s, req) })
-		r.svc = append(r.svc, s)
+		r.mgrs = append(r.mgrs, newObjMgr(r, m))
 	}
 	covered := make([]bool, len(machines))
 	for k, def := range groups {
-		sub := make([]*amoeba.Machine, len(def.Span))
 		for i, id := range def.Span {
 			if i > 0 && def.Span[i-1] >= id {
 				panic(fmt.Sprintf("rts: group %d span %v not ascending", k, def.Span))
 			}
-			sub[i] = machines[id]
 			covered[id] = true
 		}
-		r.groups = append(r.groups, newBroadcastRTS(r, k, reg, costs, sub, def.Members, def.Span))
+		r.groups = append(r.groups, newSeqGroup(r, k, def.Members, def.Span))
 		r.every = append(r.every, k)
 	}
 	for id := range machines {
@@ -201,20 +177,62 @@ func NewRouter(reg *Registry, costs Costs, machines []*amoeba.Machine, groups []
 		}
 	}
 	if p2p != nil {
-		r.p2p = newP2PRTS(r, reg, costs, *p2p)
+		for _, mg := range r.mgrs {
+			mg.m.Bind(p2pCtlPort, mg.handleCtl)
+		}
 	}
 	return r
 }
 
+// NewBroadcastRTS builds the paper's §3.2.1 runtime: a Router with one
+// sequencer group over one member per machine. machines[i] and
+// members[i] must be node i.
+func NewBroadcastRTS(reg *Registry, costs Costs, machines []*amoeba.Machine, members []*group.Member) *Router {
+	span := make([]int, len(machines))
+	for i, m := range machines {
+		span[i] = m.ID()
+	}
+	return NewRouter(reg, costs, machines, []GroupDef{{Members: members, Span: span}}, nil, false)
+}
+
+// NewP2PRTS builds the paper's §3.2.2 runtime: a Router whose objects
+// are primary copies, over the machines (all nodes of the simulation,
+// by node id).
+func NewP2PRTS(reg *Registry, costs Costs, cfg P2PConfig, machines []*amoeba.Machine) *Router {
+	return NewRouter(reg, costs, machines, nil, &cfg, true)
+}
+
+// Create creates an object under the default placement, and CreateWith
+// a primary copy under the given protocol and placement; Invoke is Call
+// for a positional argument list, returning the results boxed. They
+// stay for the benchmark, which drives the runtimes NewBroadcastRTS and
+// NewP2PRTS build directly; programs create through CreateAt and reach
+// Call through the typed descriptors.
+func (r *Router) Create(w *Worker, typeName string, args ...any) ObjID {
+	return must(r.CreateAt(w, typeName, Place{Group: -1}, args...))
+}
+
+// CreateWith: see Create.
+func (r *Router) CreateWith(w *Worker, typeName string, protocol P2PProtocol, placement Placement, args ...any) ObjID {
+	return must(r.CreateAt(w, typeName, Place{Kind: PlacePrimary, Group: -1, Protocol: protocol, Copies: placement}, args...))
+}
+
+// Invoke: see Create.
+func (r *Router) Invoke(w *Worker, id ObjID, op string, args ...any) []any {
+	out := r.Call(w, id, op, ArgsOf(args...))
+	return out.Values()
+}
+
+// must panics on a placement no orderer can honour.
+func must(id ObjID, err error) ObjID {
+	if err != nil {
+		panic("rts: " + err.Error())
+	}
+	return id
+}
+
 // Groups reports the sequencer-group count.
 func (r *Router) Groups() int { return len(r.groups) }
-
-// Group exposes one sequencer group's runtime (statistics, tests).
-func (r *Router) Group(k int) *BroadcastRTS { return r.groups[k] }
-
-// P2P exposes the point-to-point domain (statistics, tests); nil when
-// not built.
-func (r *Router) P2P() *P2PRTS { return r.p2p }
 
 // EnableBatching turns on the write-combining pipeline in every group:
 // unguarded no-result writes to fully replicated, non-adaptive objects
@@ -231,19 +249,37 @@ func (r *Router) EnableBatching(bc group.BatchConfig) { r.batch = bc }
 // writes its parent issued before the fork.
 func (r *Router) SetExtraHandler(h func(node int, body any)) { r.extra = h }
 
-// NodeCrashed tells every domain that a machine died; the orca runtime
-// calls it while executing a fault plan. A crash of one group's
-// sequencer is that group's problem alone: the other groups' streams
-// keep delivering while it recovers. It also wakes waiters of any
-// moveout whose driving machine just died, so one of them can rescue
-// the migration by re-broadcasting the snapshot (see awaitFlip), and
-// starts the presumed-abort watch for the machine's fences.
+// NodeCrashed tells the runtime that a machine died; the orca runtime
+// calls it while executing a fault plan. A group needs no repair: the
+// dead machine's replicas, guard waiters and manager died with it, the
+// group layer routes around a dead member (a crash of one group's
+// sequencer is that group's problem alone), and forwarded operations
+// skip holders the network reports down. Copies a dead primary left
+// locked mid-update are released, so readers suspended on them re-check
+// (re-homing itself happens lazily, when the next operation against
+// the dead primary fails; see p2p_recover.go). It also wakes waiters of
+// any moveout whose driving machine just died, so one of them can
+// rescue the migration by re-broadcasting the snapshot (see awaitFlip),
+// and starts the presumed-abort watch for the machine's fences.
 func (r *Router) NodeCrashed(node int) {
 	for _, g := range r.groups {
-		g.NodeCrashed(node)
+		g.stats.Crashes++
 	}
-	if r.p2p != nil {
-		r.p2p.NodeCrashed(node)
+	r.stats.Crashes++
+	if r.p2p {
+		// The table walks in id order, so suspended readers wake in a
+		// deterministic order.
+		for id, e := range r.objs {
+			if e.meta == nil || e.meta.primary != node {
+				continue
+			}
+			for _, mg := range r.mgrs {
+				if inst := mg.p2pCopy(ObjID(id)); inst != nil && !mg.m.Crashed() && inst.valid && inst.locked {
+					inst.locked = false
+					inst.cond.Broadcast()
+				}
+			}
+		}
 	}
 	for _, e := range r.objs {
 		if info := e.adapt; info != nil && info.migrating && info.toBr && !info.decided && info.fromNode == node {
@@ -263,32 +299,38 @@ func (r *Router) entry(id ObjID) *objEntry {
 	return &r.objs[id]
 }
 
-// alloc hands out the next object id and enters it in the table, in
-// domain dom with replica set nodes. A domain allocates before it
-// announces the creation, so every machine that applies it finds the
-// entry.
-func (r *Router) alloc(dom int, nodes []int) ObjID {
-	r.objs = append(r.objs, objEntry{dom: dom, nodes: nodes})
+// op resolves an operation of an object through its entry's cache.
+func (r *Router) op(id ObjID, name string) *OpDef {
+	e := &r.objs[id]
+	return e.ops.lookup(e.typ, name)
+}
+
+// alloc hands out the next object id and enters it in the table, under
+// orderer dom, of type t, with replica set nodes and creation arguments
+// args. A creation allocates before it is announced, so every machine
+// that applies it finds the entry.
+func (r *Router) alloc(dom int, t *ObjectType, nodes []int, args []any) ObjID {
+	r.objs = append(r.objs, objEntry{dom: dom, typ: t, nodes: nodes, args: args})
 	return ObjID(len(r.objs) - 1)
 }
 
 // enter drains the worker's write-combining buffer when an operation
-// targets a different domain than the buffered writes: program order
+// targets a different orderer than the buffered writes: program order
 // must reach the buffer's total order before the operation leaves for
-// another group or for the point-to-point domain (g == nil). The buffer
-// then follows the worker to the new group's manager. A worker
-// streaming into one group never pays this; ping-ponging across
-// domains degrades to one frame per switch — placement, not the
-// runtime, is the lever there.
-func (r *Router) enter(w *Worker, g *BroadcastRTS) {
+// another group or for a primary copy (dom is domP2P). The buffer then
+// follows the worker to the new group's manager. A worker streaming
+// into one group never pays this; ping-ponging across orderers degrades
+// to one frame per switch — placement, not the runtime, is the lever
+// there.
+func (r *Router) enter(w *Worker, dom int) {
 	b := w.batch
-	if b == nil || b.mgr.rts == g {
+	if b == nil || b.mgr.sg.k == dom {
 		return
 	}
 	b.sync(w)
-	if g != nil {
-		if mg := g.mgr(w.Node()); mg != nil {
-			b.mgr = mg
+	if dom >= 0 {
+		if bm := r.groups[dom].mgr(w.Node()); bm != nil {
+			b.mgr = bm
 		}
 	}
 }
@@ -300,10 +342,10 @@ func hashGroup(id ObjID, n int) int {
 	return int((h >> 33) % uint64(n))
 }
 
-// resolve matches a placement against the domains that were built —
+// resolve matches a placement against the orderers that were built —
 // the one place that happens. It returns the placement with Default
-// resolved to a concrete kind, or an error naming the missing domain
-// (or the argument no domain can honour).
+// resolved to a concrete kind, or an error naming the missing orderer
+// (or the argument no orderer can honour).
 func (r *Router) resolve(pl Place) (Place, error) {
 	if pl.Kind == PlaceDefault {
 		switch {
@@ -312,12 +354,12 @@ func (r *Router) resolve(pl Place) (Place, error) {
 		case pl.Nodes != nil:
 			return pl, errors.New("a replica set without a policy needs a broadcast default; name a replicated or primary-copy policy")
 		default:
-			pl.Kind, pl.Protocol, pl.Copies = PlacePrimary, r.p2p.cfg.Protocol, r.p2p.cfg.Placement
+			pl.Kind, pl.Protocol, pl.Copies = PlacePrimary, r.cfg.Protocol, r.cfg.Placement
 		}
 	}
 	adaptive := pl.Kind == PlaceAdaptive
 	switch {
-	case pl.Kind == PlacePrimary && r.p2p == nil:
+	case pl.Kind == PlacePrimary && !r.p2p:
 		return pl, errors.New("primary-copy placement needs the point-to-point domain, which this configuration does not build")
 	case pl.Kind == PlacePrimary && pl.Group >= 0:
 		return pl, errors.New("a primary copy has no sequencer group")
@@ -325,7 +367,7 @@ func (r *Router) resolve(pl Place) (Place, error) {
 		return pl, nil
 	case len(r.groups) == 0:
 		return pl, errors.New("replicated placement needs a sequencer group, which this configuration (no broadcast hardware) does not build")
-	case adaptive && r.p2p == nil:
+	case adaptive && !r.p2p:
 		return pl, errors.New("adaptive placement migrates between a sequencer group and the point-to-point domain, which this configuration does not build")
 	case adaptive && pl.Nodes != nil:
 		return pl, errors.New("an adaptive object replicates on its whole home group; it takes no replica set")
@@ -335,7 +377,7 @@ func (r *Router) resolve(pl Place) (Place, error) {
 	return pl, nil
 }
 
-// Hosts reports whether the domains that were built can host the
+// Hosts reports whether the orderers that were built can host the
 // placement, with the error CreateAt would return from any machine.
 func (r *Router) Hosts(pl Place) error {
 	_, err := r.resolve(pl)
@@ -343,7 +385,7 @@ func (r *Router) Hosts(pl Place) error {
 }
 
 // CreateAt creates an object under the given placement. When the
-// placement cannot be honoured — its domain was not built (see
+// placement cannot be honoured — its orderer was not built (see
 // resolve), or the creating machine or the replica set lies outside the
 // sequencer group's span — it returns the error and has created
 // nothing.
@@ -357,8 +399,8 @@ func (r *Router) CreateAt(w *Worker, typeName string, pl Place, args ...any) (Ob
 		if pl.Nodes != nil && (len(pl.Nodes) != 1 || pl.Nodes[0] != node) {
 			return 0, fmt.Errorf("a primary copy lives on its creating machine %d; replica set %v cannot move it", node, pl.Nodes)
 		}
-		r.enter(w, nil)
-		return r.p2p.CreateWith(w, typeName, pl.Protocol, pl.Copies, args...), nil
+		r.enter(w, domP2P)
+		return r.mgrs[node].createPrimary(w, typeName, pl.Protocol, pl.Copies, args), nil
 	}
 	k := pl.Group
 	if k < 0 {
@@ -381,10 +423,10 @@ func (r *Router) CreateAt(w *Worker, typeName string, pl Place, args ...any) (Ob
 			return 0, fmt.Errorf("replica set %v leaves sequencer group %d's span %v", pl.Nodes, k, g.span)
 		}
 	}
-	r.enter(w, g)
-	id := g.CreateOn(w, typeName, pl.Nodes, args...)
+	r.enter(w, k)
+	id := g.createOn(w, typeName, pl.Nodes, args)
 	if pl.Kind == PlaceAdaptive {
-		r.adopt(w, id, g, typeName, pl.Adapt, args)
+		r.adopt(w, id, pl.Adapt, args)
 	}
 	return id, nil
 }
@@ -395,10 +437,10 @@ func (r *Router) CreateAt(w *Worker, typeName string, pl Place, args ...any) (Ob
 // results. It blocks for guards, locks and write completion. It is the
 // one routing loop, and the runtime's one entry for an operation by
 // name (the typed descriptors of package orca call it). The worker's
-// combining buffer drains when the target domain changes; the owning
-// domain decides where the operation runs (a machine holding no replica
-// forwards it, see BroadcastRTS.Call); and an invocation that bounces
-// off an object's old placement mid-migration (the retry status, see
+// combining buffer drains when the target orderer changes; the orderer
+// decides where the operation runs (a machine holding no replica
+// forwards it, see seqGroup.call); and an invocation that bounces off
+// an object's old placement mid-migration (the retry status, see
 // adapt.go) waits for the ownership flip and re-issues under the new
 // placement — at most once per migration, and the re-issued operation
 // executes exactly once, after the cut.
@@ -406,14 +448,12 @@ func (r *Router) Call(w *Worker, id ObjID, op string, in Args) Args {
 	for {
 		e := r.entry(id)
 		dom, info := e.dom, e.adapt
+		r.enter(w, dom)
 		var res Args
 		if dom == domP2P {
-			r.enter(w, nil)
-			res = r.p2p.Call(w, id, op, in)
+			res = r.mgrs[w.Node()].callPrimary(w, id, op, in)
 		} else {
-			g := r.groups[dom]
-			r.enter(w, g)
-			res = g.Call(w, id, op, in)
+			res = r.groups[dom].call(w, id, op, in)
 		}
 		if !isRetry(res) {
 			if info != nil {
@@ -428,23 +468,6 @@ func (r *Router) Call(w *Worker, id ObjID, op string, in Args) Args {
 	}
 }
 
-// PeekState returns a machine's current copy of an object (nil if it
-// holds none), routing by object: an inspection hook for tests and
-// experiment harnesses, not part of the programming model.
-func (r *Router) PeekState(node int, id ObjID) (State, bool) {
-	if id <= 0 || int(id) >= len(r.objs) {
-		return nil, false
-	}
-	switch dom := r.objs[id].dom; dom {
-	case domNone:
-		return nil, false
-	case domP2P:
-		return r.p2p.PeekState(node, id)
-	default:
-		return r.groups[dom].PeekState(node, id)
-	}
-}
-
 // LocalReadState is the typed local-read fast path: an unguarded read
 // of a replicated object is applied by the caller to the state it
 // returns, counted and charged exactly as Call's read path would.
@@ -454,23 +477,20 @@ func (r *Router) PeekState(node int, id ObjID) (State, bool) {
 // to the live placement). A replica not created yet is waited for, and
 // the worker's buffered writes, to any object, are synced first.
 //
-// The hit path reads the replica straight out of the machine's replica
-// table (bcastManager.insts, by object id) when the object is
-// non-adaptive and the worker's combining buffer is idle: such an
-// object never changes domain and its replica is never replaced or
-// frozen, because only a migration does that (adapt.go). Anything else
-// — an adaptive object, a replica not there (yet), a write of the
-// worker's still buffered or in flight — takes resolveRead.
+// The hit path reads the entry, this machine's copy (objMgr.copies, by
+// object id) and the batch-idle check, when the object is non-adaptive
+// and the worker's combining buffer is idle: such an object never
+// changes orderer and its replica is never replaced or frozen, because
+// only a migration does that (adapt.go). Anything else — an adaptive
+// object, a replica not there (yet), a write of the worker's still
+// buffered or in flight — takes resolveRead.
 func (r *Router) LocalReadState(w *Worker, id ObjID, op *OpDef) (State, bool) {
 	if op.Guard == nil && uint(id) < uint(len(r.objs)) {
 		if e := &r.objs[id]; e.dom >= 0 && e.adapt == nil {
-			g := r.groups[e.dom]
-			if mgr := g.mgr(w.M.ID()); mgr != nil {
-				if inst := mgr.inst(id); inst != nil && w.batch.idle() {
-					g.stats.LocalReads++
-					w.Charge(g.costs.readLocal + g.costs.defaultOp)
-					return inst.state, true
-				}
+			if inst := r.mgrs[w.M.ID()].copy(id); inst != nil && w.batch.idle() {
+				r.groups[e.dom].stats.LocalReads++
+				w.Charge(r.costs.readLocal + r.costs.defaultOp)
+				return inst.state, true
 			}
 		}
 	}
@@ -487,13 +507,13 @@ func (r *Router) resolveRead(w *Worker, id ObjID, op *OpDef) (State, bool) {
 	if !g.replicatedOn(w.Node(), id) {
 		return nil, false
 	}
-	inst := g.mgr(w.Node()).instance(w.P, id)
+	inst := r.mgrs[w.Node()].instance(w.P, id)
 	w.SyncShared()
 	if inst.moved {
 		return nil, false
 	}
 	g.stats.LocalReads++
-	w.Charge(g.costs.readLocal + g.costs.defaultOp)
+	w.Charge(r.costs.readLocal + r.costs.defaultOp)
 	if info != nil {
 		// Counted, not decided: a full window waits for the object's
 		// next access through Call (see adaptObserve).
@@ -502,15 +522,69 @@ func (r *Router) resolveRead(w *Worker, id ObjID, op *OpDef) (State, bool) {
 	return inst.state, true
 }
 
-// Counters merges every domain's counters into one snapshot, plus the
-// Router's own fence and migration counters.
-func (r *Router) Counters() RTSStats {
-	snaps := make([]RTSStats, 0, len(r.groups)+2)
-	for _, g := range r.groups {
-		snaps = append(snaps, g.Counters())
+// held returns a machine's current copy of an object under its present
+// orderer: a group's replica, or a valid primary or secondary copy; nil
+// if it holds none.
+func (r *Router) held(node int, id ObjID) *replica {
+	if id <= 0 || int(id) >= len(r.objs) || r.objs[id].dom == domNone {
+		return nil
 	}
-	if r.p2p != nil {
-		snaps = append(snaps, r.p2p.Counters())
+	mg := r.mgrs[node]
+	if r.objs[id].dom >= 0 {
+		return mg.seqCopy(id)
+	}
+	if inst := mg.p2pCopy(id); inst != nil && inst.valid {
+		return inst
+	}
+	return nil
+}
+
+// PeekState returns a machine's current copy of an object (nil if it
+// holds none): an inspection hook for tests and experiment harnesses,
+// not part of the programming model.
+func (r *Router) PeekState(node int, id ObjID) (State, bool) {
+	if inst := r.held(node, id); inst != nil {
+		return inst.state, true
+	}
+	return nil, false
+}
+
+// PendingWrites reports how many guarded operations are parked on a
+// machine's copy of an object; exposed for tests.
+func (r *Router) PendingWrites(node int, id ObjID) int {
+	if inst := r.held(node, id); inst != nil {
+		return len(inst.pending)
+	}
+	return 0
+}
+
+// HasCopy reports whether a live machine holds a valid copy of an
+// object.
+func (r *Router) HasCopy(node int, id ObjID) bool {
+	return !r.machines[node].Crashed() && r.held(node, id) != nil
+}
+
+// CopyCount reports how many machines hold a copy of an object. Copies
+// that died with a crashed machine do not count.
+func (r *Router) CopyCount(id ObjID) int {
+	n := 0
+	for node := range r.mgrs {
+		if r.HasCopy(node, id) {
+			n++
+		}
+	}
+	return n
+}
+
+// Primary reports a primary-copy object's primary machine.
+func (r *Router) Primary(id ObjID) int { return r.meta(id).primary }
+
+// Counters merges every group's counters and the Router's own into one
+// snapshot.
+func (r *Router) Counters() RTSStats {
+	snaps := make([]RTSStats, 0, len(r.groups)+1)
+	for _, g := range r.groups {
+		snaps = append(snaps, g.counters())
 	}
 	return Merge(append(snaps, r.stats)...)
 }
@@ -524,7 +598,7 @@ func (r *Router) ShardStats() []RTSStats {
 	}
 	out := make([]RTSStats, len(r.groups))
 	for k, g := range r.groups {
-		out[k] = g.Counters()
+		out[k] = g.counters()
 	}
 	return out
 }

@@ -126,6 +126,12 @@ func invoke(r *Router, w *Worker, id ObjID, op string, args ...any) []any {
 	return out.Values()
 }
 
+// createOn creates an object of the group's whole span under a replica
+// set (nil: the whole span), panicking where CreateAt would fail.
+func createOn(r *Router, w *Worker, typeName string, nodes []int, args ...any) ObjID {
+	return must(r.CreateAt(w, typeName, Place{Kind: PlaceReplicated, Nodes: nodes, Group: -1}, args...))
+}
+
 // spawn runs fn as an application thread on the given node.
 func (b *tb) spawn(node int, name string, fn func(w *Worker)) {
 	b.ms[node].SpawnThread(name, func(p *sim.Proc) {
@@ -143,7 +149,7 @@ func (b *tb) run(horizon sim.Time) {
 func (b *tb) done() { b.env.Shutdown() }
 
 // newBcastTB builds a broadcast-RTS cluster.
-func newBcastTB(t *testing.T, seed int64, n int, netMut func(*netsim.Params)) (*tb, *BroadcastRTS) {
+func newBcastTB(t *testing.T, seed int64, n int, netMut func(*netsim.Params)) (*tb, *Router) {
 	t.Helper()
 	env := sim.New(seed)
 	np := netsim.DefaultParams()
@@ -167,7 +173,7 @@ func newBcastTB(t *testing.T, seed int64, n int, netMut func(*netsim.Params)) (*
 }
 
 // newP2PTB builds a point-to-point-RTS cluster.
-func newP2PTB(t *testing.T, seed int64, n int, cfg P2PConfig) (*tb, *P2PRTS) {
+func newP2PTB(t *testing.T, seed int64, n int, cfg P2PConfig) (*tb, *Router) {
 	t.Helper()
 	env := sim.New(seed)
 	np := netsim.DefaultParams()

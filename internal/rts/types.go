@@ -266,6 +266,9 @@ type Costs struct {
 	defaultOp  sim.Time // the execution of an operation
 }
 
+// apply is what applying a write costs every machine that applies it.
+func (c *Costs) apply() sim.Time { return c.writeApply + c.defaultOp }
+
 // DefaultCosts returns RTS overheads for the 68030-class testbed.
 func DefaultCosts() Costs {
 	return Costs{
