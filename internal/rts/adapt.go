@@ -85,22 +85,19 @@ func DefaultAdaptConfig() AdaptConfig {
 // withDefaults fills zero fields with the default parameters.
 func (c AdaptConfig) withDefaults() AdaptConfig {
 	d := DefaultAdaptConfig()
-	if c.SampleEvery <= 0 {
-		c.SampleEvery = d.SampleEvery
-	}
-	if c.MinDwell <= 0 {
-		c.MinDwell = d.MinDwell
-	}
-	if c.WriteHeavyFrac <= 0 {
-		c.WriteHeavyFrac = d.WriteHeavyFrac
-	}
-	if c.ReadHeavyFrac <= 0 {
-		c.ReadHeavyFrac = d.ReadHeavyFrac
-	}
-	if c.DominantFrac <= 0 {
-		c.DominantFrac = d.DominantFrac
-	}
+	orDefault(&c.SampleEvery, d.SampleEvery)
+	orDefault(&c.MinDwell, d.MinDwell)
+	orDefault(&c.WriteHeavyFrac, d.WriteHeavyFrac)
+	orDefault(&c.ReadHeavyFrac, d.ReadHeavyFrac)
+	orDefault(&c.DominantFrac, d.DominantFrac)
 	return c
+}
+
+// orDefault sets a parameter that is not positive to its default.
+func orDefault[T int | sim.Time | float64](v *T, d T) {
+	if *v <= 0 {
+		*v = d
+	}
 }
 
 // adaptAction is a placement decision.
@@ -115,16 +112,7 @@ const (
 
 // String names the action for traces and tests.
 func (a adaptAction) String() string {
-	switch a {
-	case adaptToPrimary:
-		return "to-primary"
-	case adaptToReplicated:
-		return "to-replicated"
-	case adaptRehome:
-		return "rehome"
-	default:
-		return "stay"
-	}
+	return [...]string{"stay", "to-primary", "to-replicated", "rehome"}[a]
 }
 
 // adaptDecide is the pure placement decision over one statistics
@@ -195,12 +183,8 @@ type adaptInfo struct {
 
 // resetWindow clears the statistics window after a decision.
 func (info *adaptInfo) resetWindow() {
-	for i := range info.reads {
-		info.reads[i] = 0
-	}
-	for i := range info.writes {
-		info.writes[i] = 0
-	}
+	clear(info.reads)
+	clear(info.writes)
 	info.seen = 0
 }
 

@@ -150,11 +150,6 @@ func (mgr *bcastManager) then(k func(*bcastManager)) sim.Firer {
 // Fire runs the step the continuation was last handed out for.
 func (mgr *bcastManager) Fire() { mgr.next(mgr) }
 
-// thenCheck is the retrier's step (see retryHost).
-func (mgr *bcastManager) thenCheck() sim.Firer {
-	return mgr.then(func(mgr *bcastManager) { mgr.pass.checked() })
-}
-
 // mgr returns the group's manager on a node, nil outside the span.
 func (g *seqGroup) mgr(node int) *bcastManager {
 	if node < 0 || node >= len(g.mgrAt) || g.mgrAt[node] < 0 {

@@ -67,15 +67,11 @@ func latUpper(i int) sim.Time {
 // Record adds one duration. Negative durations clamp to zero (a
 // request cannot complete before it arrived).
 func (h *LatencyHist) Record(d sim.Time) {
-	if d < 0 {
-		d = 0
-	}
+	d = max(d, 0)
 	h.counts[latIndex(d)]++
 	h.n++
 	h.sum += d
-	if d > h.max {
-		h.max = d
-	}
+	h.max = max(h.max, d)
 }
 
 // Merge adds o's recordings into h.
@@ -85,9 +81,7 @@ func (h *LatencyHist) Merge(o *LatencyHist) {
 	}
 	h.n += o.n
 	h.sum += o.sum
-	if o.max > h.max {
-		h.max = o.max
-	}
+	h.max = max(h.max, o.max)
 }
 
 // Count reports the number of recorded durations.
@@ -118,21 +112,12 @@ func (h *LatencyHist) Percentile(q float64) sim.Time {
 	if float64(rank) < q*float64(h.n) {
 		rank++
 	}
-	if rank < 1 {
-		rank = 1
-	}
-	if rank > h.n {
-		rank = h.n
-	}
+	rank = min(max(rank, 1), h.n)
 	var cum int64
 	for i, c := range h.counts {
 		cum += c
 		if cum >= rank {
-			u := latUpper(i)
-			if u > h.max {
-				u = h.max // never report beyond the observed maximum
-			}
-			return u
+			return min(latUpper(i), h.max) // never beyond the observed maximum
 		}
 	}
 	return h.max

@@ -41,12 +41,7 @@ const (
 )
 
 // String names the protocol for tables and traces.
-func (p P2PProtocol) String() string {
-	if p == Invalidation {
-		return "invalidate"
-	}
-	return "update"
-}
+func (p P2PProtocol) String() string { return [...]string{"invalidate", "update"}[p] }
 
 // Placement controls the replication policy.
 type Placement int
@@ -63,16 +58,7 @@ const (
 )
 
 // String names the placement policy for tables and traces.
-func (pl Placement) String() string {
-	switch pl {
-	case DynamicPlacement:
-		return "dynamic"
-	case SingleCopy:
-		return "single"
-	default:
-		return "full"
-	}
-}
+func (pl Placement) String() string { return [...]string{"dynamic", "single", "full"}[pl] }
 
 // P2PConfig is the protocol and placement plain Create gives an object.
 type P2PConfig struct {

@@ -184,11 +184,6 @@ func (o *objQueue) then(k func(*objQueue)) sim.Firer {
 // Fire runs the step the continuation was last handed out for.
 func (o *objQueue) Fire() { o.next(o) }
 
-// thenCheck is the retrier's step (see retryHost).
-func (o *objQueue) thenCheck() sim.Firer {
-	return o.then(func(o *objQueue) { o.pass.checked() })
-}
-
 // done ends the task in service.
 func (o *objQueue) done() { o.q.Done() }
 

@@ -128,13 +128,10 @@ type retrier struct {
 
 // retryHost is the consumer a retrier runs in: fire runs a parked
 // operation whose guard holds, in continuation form, and then calls the
-// retrier's next; retried goes on once a pass has ended; thenCheck
-// hands out the consumer's continuation set to run the retrier's
-// checked.
+// retrier's next; retried goes on once a pass has ended.
 type retryHost interface {
 	fire(inst *replica, po pendingOp)
 	retried()
-	thenCheck() sim.Firer
 }
 
 // init binds the retrier to its consumer, which charges guard checks on
@@ -159,7 +156,7 @@ func (p *retrier) next() {
 	}
 	switch {
 	case p.i < len(p.inst.pending):
-		p.m.ComputeOn(p.c, p.check, p.host.thenCheck())
+		p.m.ComputeOn(p.c, p.check, p)
 	case p.nextStale > 0:
 		p.i, p.stale, p.nextStale, p.fired = 0, p.nextStale, 0, false
 		p.next()
@@ -169,9 +166,10 @@ func (p *retrier) next() {
 	}
 }
 
-// checked evaluates the guard whose check has been charged: the
-// operation fires, or the scan goes on past it.
-func (p *retrier) checked() {
+// Fire evaluates the guard whose check has been charged, the retrier
+// being the check's continuation: the operation fires, or the scan goes
+// on past it.
+func (p *retrier) Fire() {
 	inst := p.inst
 	po := inst.pending[p.i]
 	if !po.op.Guard(inst.state, po.args) {

@@ -160,19 +160,17 @@ func NewRouter(reg *Registry, costs Costs, machines []*amoeba.Machine, groups []
 	for _, m := range machines {
 		r.mgrs = append(r.mgrs, newObjMgr(r, m))
 	}
-	covered := make([]bool, len(machines))
 	for k, def := range groups {
-		for i, id := range def.Span {
-			if i > 0 && def.Span[i-1] >= id {
+		for i := 1; i < len(def.Span); i++ {
+			if def.Span[i-1] >= def.Span[i] {
 				panic(fmt.Sprintf("rts: group %d span %v not ascending", k, def.Span))
 			}
-			covered[id] = true
 		}
 		r.groups = append(r.groups, newSeqGroup(r, k, def.Members, def.Span))
 		r.every = append(r.every, k)
 	}
 	for id := range machines {
-		if len(groups) > 0 && !covered[id] {
+		if len(groups) > 0 && !slices.ContainsFunc(r.groups, func(g *seqGroup) bool { return g.mgr(id) != nil }) {
 			panic(fmt.Sprintf("rts: node %d lies in no group span", id))
 		}
 	}
@@ -582,11 +580,11 @@ func (r *Router) Primary(id ObjID) int { return r.meta(id).primary }
 // Counters merges every group's counters and the Router's own into one
 // snapshot.
 func (r *Router) Counters() RTSStats {
-	snaps := make([]RTSStats, 0, len(r.groups)+1)
+	snaps := []RTSStats{r.stats}
 	for _, g := range r.groups {
 		snaps = append(snaps, g.counters())
 	}
-	return Merge(append(snaps, r.stats)...)
+	return Merge(snaps...)
 }
 
 // ShardStats reports each sequencer group's own counter snapshot, in
