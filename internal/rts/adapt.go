@@ -198,31 +198,6 @@ func (info *adaptInfo) count(node int, kind OpKind) {
 	info.seen++
 }
 
-// moveSnap publishes an adaptive object's state snapshot, taken by a
-// moveout at its primary on node before the cut, so a crash mid-moveout
-// can be rescued (see awaitFlip).
-func (r *Router) moveSnap(node int, id ObjID, state State) {
-	info := r.objs[id].adapt
-	info.toBr = true
-	info.fromNode = node
-	info.cloned = state
-}
-
-// moveout broadcasts a moveout's sequenced migrate record, carrying the
-// snapshot, through the object's home group from node in p's name, and
-// fires k once the local delivery has applied it.
-func (r *Router) moveout(p *sim.Proc, node int, id ObjID, state State, k sim.Firer) {
-	info := r.objs[id].adapt
-	mgr := r.groups[info.home].mgr(node)
-	if mgr == nil {
-		// A crash re-homed the primary outside the home span: the
-		// first in-span waiter sequences the record (see awaitFlip).
-		k.Fire()
-		return
-	}
-	mgr.sequence(p, r.moveoutMsg(id, state), k)
-}
-
 // moveoutMsg is the migrate record that moves an object into its home
 // group with the given state.
 func (r *Router) moveoutMsg(id ObjID, state State) group.Msg {

@@ -37,23 +37,20 @@ import (
 	"repro/internal/sim"
 )
 
-// batchFlight tracks one in-flight batch: how many of its ops have
-// not yet been applied on the submitting machine.
-type batchFlight struct {
-	remaining int
-	buf       *writeBuf
-	cond      sim.Cond
-}
-
 // writeBuf is a worker's combining buffer.
 type writeBuf struct {
-	mgr    *bcastManager
-	ops    []group.Msg
-	bytes  int
-	uids   []int64 // the batch's, from BroadcastBatchOn
-	flight *batchFlight
-	fl0    batchFlight // the pooled flight record (one in flight max)
-	timer  *amoeba.Deadline
+	mgr   *bcastManager
+	ops   []group.Msg
+	bytes int
+	uids  []int64 // the batch's, from BroadcastBatchOn
+	timer *amoeba.Deadline
+
+	// The batch in flight, if any (one at most): how many of its ops
+	// have not yet been applied on the submitting machine, and the
+	// condition a worker waiting for them waits on.
+	inFlight  bool
+	remaining int
+	cond      sim.Cond
 	// lingerFn is b.linger, bound once.
 	lingerFn func(p *sim.Proc)
 
@@ -71,7 +68,7 @@ type writeBuf struct {
 
 // idle reports whether the buffer holds no write, buffered or in
 // flight: a sync would return at once. A nil buffer is idle.
-func (b *writeBuf) idle() bool { return b == nil || len(b.ops) == 0 && b.flight == nil }
+func (b *writeBuf) idle() bool { return b == nil || len(b.ops) == 0 && !b.inFlight }
 
 // bufferWrite appends one unguarded no-result write to w's combining
 // buffer, flushing or arming the linger deadline per the batch
@@ -84,7 +81,7 @@ func (mgr *bcastManager) bufferWrite(w *Worker, id ObjID, opName string, args Ar
 		w.batch = b
 	}
 	bc := mgr.sg.r.batch
-	if b.flight != nil && len(b.ops) >= bc.MaxOps {
+	if b.inFlight && len(b.ops) >= bc.MaxOps {
 		// Depth-1 pipeline backpressure: the buffer is full and the
 		// previous batch is still in flight — wait for it.
 		b.waitFlight(w.P)
@@ -94,9 +91,7 @@ func (mgr *bcastManager) bufferWrite(w *Worker, id ObjID, opName string, args Ar
 	b.bytes += size
 	mgr.sg.stats.BatchedOps++
 	if len(b.ops) >= bc.MaxOps || (bc.MaxBytes > 0 && b.bytes >= bc.MaxBytes) {
-		if b.flight != nil {
-			b.waitFlight(w.P)
-		}
+		b.waitFlight(w.P)
 		b.flush(w.P)
 		return
 	}
@@ -132,7 +127,7 @@ func (b *writeBuf) flush(p *sim.Proc) {
 // before broadcasting, and completions that beat the uid registration
 // are reconciled from the early-completion buffer afterwards (Fire).
 func (b *writeBuf) flushOn(p *sim.Proc, then sim.Firer) {
-	if len(b.ops) == 0 || b.flight != nil {
+	if len(b.ops) == 0 || b.inFlight {
 		then.Fire()
 		return
 	}
@@ -141,10 +136,7 @@ func (b *writeBuf) flushOn(p *sim.Proc, then sim.Firer) {
 		b.timer.Cancel()
 		b.timer = nil
 	}
-	fl := &b.fl0 // at most one flight exists; the record is pooled
-	fl.buf = b
-	fl.remaining = len(b.ops) // provisional until the uids register
-	b.flight = fl
+	b.inFlight, b.remaining = true, len(b.ops) // provisional until the uids register
 	b.ops, b.opsSpare = b.opsSpare[:0], b.ops
 	b.bytes = 0
 	mgr.sg.stats.Frames++
@@ -154,20 +146,20 @@ func (b *writeBuf) flushOn(p *sim.Proc, then sim.Firer) {
 
 // Fire continues flushOn once the batch has been submitted.
 func (b *writeBuf) Fire() {
-	mgr, fl, p, then := b.mgr, &b.fl0, b.p, b.then
+	mgr, p, then := b.mgr, b.p, b.then
 	for _, uid := range b.uids {
 		if _, done := mgr.early[uid]; done {
 			delete(mgr.early, uid)
-			fl.remaining--
+			b.remaining--
 			continue
 		}
-		put(&mgr.flights, uid, fl)
+		put(&mgr.flights, uid, b)
 	}
 	clear(b.opsSpare)
 	b.opsSpare = b.opsSpare[:0]
-	if fl.remaining == 0 {
-		b.flight = nil
-		fl.cond.Broadcast()
+	if b.remaining == 0 {
+		b.inFlight = false
+		b.cond.Broadcast()
 		if len(b.ops) > 0 {
 			b.flushOn(p, then) // ops buffered during the broadcast
 			return
@@ -179,8 +171,8 @@ func (b *writeBuf) Fire() {
 // waitFlight blocks until the current in-flight batch (if any) has
 // been applied locally.
 func (b *writeBuf) waitFlight(p *sim.Proc) {
-	for b.flight != nil && b.flight.remaining > 0 {
-		b.flight.cond.Wait(p)
+	for b.inFlight && b.remaining > 0 {
+		b.cond.Wait(p)
 	}
 }
 
@@ -190,7 +182,7 @@ func (b *writeBuf) waitFlight(p *sim.Proc) {
 // worker does next.
 func (b *writeBuf) sync(w *Worker) {
 	for !b.idle() {
-		if b.flight != nil {
+		if b.inFlight {
 			b.waitFlight(w.P)
 		} else {
 			b.flush(w.P)
@@ -198,21 +190,19 @@ func (b *writeBuf) sync(w *Worker) {
 	}
 }
 
-// completeFlight finishes one async op of flight fl. When that was the
-// flight's last op, and the worker has buffered more meanwhile, it
-// returns the buffer: its next batch leaves at once, the pipeline's
-// steady state (the continuation flush; see bcastManager.written).
-func (mgr *bcastManager) completeFlight(uid int64, fl *batchFlight) *writeBuf {
+// completeFlight finishes one async op of b's batch in flight. When
+// that was the batch's last op, and the worker has buffered more
+// meanwhile, it returns the buffer: its next batch leaves at once, the
+// pipeline's steady state (the continuation flush; see
+// bcastManager.written).
+func (mgr *bcastManager) completeFlight(uid int64, b *writeBuf) *writeBuf {
 	delete(mgr.flights, uid)
-	fl.remaining--
-	if fl.remaining > 0 {
+	b.remaining--
+	if b.remaining > 0 {
 		return nil
 	}
-	b := fl.buf
-	if b.flight == fl {
-		b.flight = nil
-	}
-	fl.cond.Broadcast()
+	b.inFlight = false
+	b.cond.Broadcast()
 	if len(b.ops) > 0 {
 		return b
 	}

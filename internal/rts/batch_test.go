@@ -60,7 +60,7 @@ func TestReadOwnWriteAfterBufferedWrite(t *testing.T) {
 		if got := r.Invoke(w, other, "get")[0].(int); got != 7 {
 			t.Errorf("other get = %d, want 7", got)
 		}
-		if w.batch == nil || len(w.batch.ops) != 0 || w.batch.flight != nil {
+		if w.batch == nil || len(w.batch.ops) != 0 || w.batch.inFlight {
 			t.Error("unrelated read was served with the writes still buffered")
 		}
 		if s, _ := r.PeekState(1, cell); s.(*intCellState).v != 30 {
@@ -72,7 +72,7 @@ func TestReadOwnWriteAfterBufferedWrite(t *testing.T) {
 		if got := r.Invoke(w, cell, "get")[0].(int); got != 40 {
 			t.Errorf("read-own-write get = %d, want 40", got)
 		}
-		if len(w.batch.ops) != 0 || w.batch.flight != nil {
+		if len(w.batch.ops) != 0 || w.batch.inFlight {
 			t.Error("read of a written object left the buffer unsynced")
 		}
 	})

@@ -87,7 +87,7 @@ type bcastManager struct {
 	// first insert; most managers never forward or combine.
 	waiters map[int64]*seqWait
 	early   map[int64]Args
-	flights map[int64]*batchFlight
+	flights map[int64]*writeBuf
 	sfree   []*seqWait // see sequence
 	res     Args       // the last sequenced record's results (see sequence)
 
@@ -339,8 +339,8 @@ func (mgr *bcastManager) complete(uid int64, src int, res Args) *writeBuf {
 	if src != mgr.m.ID() {
 		return nil
 	}
-	if fl, ok := mgr.flights[uid]; ok {
-		return mgr.completeFlight(uid, fl)
+	if b, ok := mgr.flights[uid]; ok {
+		return mgr.completeFlight(uid, b)
 	}
 	if s, ok := mgr.waiters[uid]; ok {
 		delete(mgr.waiters, uid)

@@ -35,13 +35,9 @@ func (g *seqGroup) replicatedOn(node int, id ObjID) bool {
 // createOn creates a shared object replicated only on the given
 // machines (nil or empty means the whole span): creation is broadcast
 // so every holder instantiates a replica, and the call waits until the
-// local one exists. The creating machine must be in the placement so
-// creation can complete locally.
+// local one exists. The creating machine is in the span and in the
+// placement (CreateAt checks), so creation completes locally.
 func (g *seqGroup) createOn(w *Worker, typeName string, nodes []int, args []any) ObjID {
-	mgr := g.mgr(w.Node())
-	if mgr == nil || len(nodes) > 0 && !slices.Contains(nodes, w.Node()) {
-		panic(fmt.Sprintf("rts: create from node %d outside placement %v of span %v", w.Node(), nodes, g.span))
-	}
 	t := g.r.reg.Lookup(typeName) // validate before broadcasting
 	var set []int
 	if len(nodes) > 0 {
@@ -51,7 +47,7 @@ func (g *seqGroup) createOn(w *Worker, typeName string, nodes []int, args []any)
 	w.SyncShared() // creation is ordered after the worker's buffered writes
 	w.Flush()
 	body := wireCreate{Obj: id, Args: args}
-	mgr.sequenced(w.P, group.Msg{Kind: "rts-create", Body: body, Size: SizeOfValue(args) + len(typeName) + 16})
+	g.mgr(w.Node()).sequenced(w.P, group.Msg{Kind: "rts-create", Body: body, Size: SizeOfValue(args) + len(typeName) + 16})
 	return id
 }
 

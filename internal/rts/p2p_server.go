@@ -265,20 +265,20 @@ func (o *objQueue) read() {
 	o.mg.finishTaskOn(o.c, t, t.op.Apply(o.mg.m.Env(), o.inst.state, t.args), o.then(o.after))
 }
 
-// migrateOut hands the object to the broadcast runtime (see adapt.go).
-// The primary's queue serializes it behind every task enqueued before
-// it — the queue position is the point-to-point side of the cut; the
-// sequenced migrate record it emits is the broadcast side. The snapshot
-// is published through Router.moveSnap before the cut, with no blocking
-// point in between, so a machine crash can never strand the object
-// without a recoverable snapshot.
+// migrateOut hands the object to its home group (see adapt.go). The
+// primary's queue serializes it behind every task enqueued before it —
+// the queue position is the primary-copy side of the cut; the sequenced
+// migrate record it emits is the group side. The snapshot is published
+// in the object's controller before the cut, with no blocking point in
+// between, so a machine crash can never strand the object without a
+// recoverable snapshot (see awaitFlip).
 func (o *objQueue) migrateOut() {
 	mg, r, t := o.mg, o.mg.r, o.t
-	meta := r.meta(o.id)
+	info := r.objs[o.id].adapt
 	clone := r.objs[o.id].typ.Clone(o.inst.state)
-	r.moveSnap(mg.m.ID(), o.id, clone)
-	meta.moved = true
-	// Bounce parked guarded tasks; they re-register as broadcast ops.
+	info.toBr, info.fromNode, info.cloned = true, mg.m.ID(), clone
+	r.meta(o.id).moved = true
+	// Bounce parked guarded tasks; they re-register as group operations.
 	o.bounce(0, func() {
 		// Drop every copy; suspended readers wake and bounce on meta.moved.
 		for _, other := range r.mgrs {
@@ -287,8 +287,15 @@ func (o *objQueue) migrateOut() {
 			}
 		}
 		// Sequence the migrate record; its globally-first delivery flips
-		// ownership to the broadcast runtime.
-		r.moveout(o.c, mg.m.ID(), o.id, clone, sim.Func(func() { mg.finishTaskOn(o.c, t, Args{}, o.then((*objQueue).done)) }))
+		// the object's orderer to the group. When a crash re-homed the
+		// primary outside the home span, the first in-span waiter
+		// sequences it instead (see awaitFlip).
+		done := sim.Func(func() { mg.finishTaskOn(o.c, t, Args{}, o.then((*objQueue).done)) })
+		if bm := r.groups[info.home].mgr(mg.m.ID()); bm != nil {
+			bm.sequence(o.c, r.moveoutMsg(o.id, clone), done)
+		} else {
+			done.Fire()
+		}
 	})
 }
 
