@@ -13,8 +13,8 @@ import (
 // patterns; PR 3 made that choice per object but froze it at creation.
 // This file adds the per-object placement controller and the
 // deterministic migration protocol that moves an object between its
-// home sequencer group (replicated on the group's span) and the
-// point-to-point domain (primary copy) of a Router mid-run. Only
+// home sequencer group (replicated on the group's span) and a primary
+// copy mid-run: a change of the object's orderer. Only
 // machines in the home group's span drive a migration or become the
 // object's primary; an object never changes its home group.
 //
@@ -372,7 +372,7 @@ func (r *Router) startMigration(w *Worker, id ObjID, info *adaptInfo, act adaptA
 
 // finishMigration completes one migration — at the globally-first
 // delivery of its migrate record for a broadcast-sequenced one, at the
-// return of the rehome task otherwise: it sets the owning domain,
+// return of the rehome task otherwise: it sets the object's orderer,
 // stamps the counters, and releases every bounced waiter.
 func (r *Router) finishMigration(info *adaptInfo, id ObjID, to int, now sim.Time) {
 	r.objs[id].dom = to
@@ -385,7 +385,7 @@ func (r *Router) finishMigration(info *adaptInfo, id ObjID, to int, now sim.Time
 }
 
 // awaitFlip blocks until an in-flight migration moves the object away
-// from the given domain (or aborts). If the machine driving a moveout
+// from the given orderer (or aborts). If the machine driving a moveout
 // cannot sequence its migrate record — it died after the cut, or a
 // crash re-homed the primary outside the home span — the first waiter
 // inside the span broadcasts the record from its own machine using the

@@ -15,7 +15,7 @@ package rts
 // write to a fully replicated object joins the buffer, and every other
 // operation — any read, of any object, a guarded or result-bearing
 // write, a create, a forward, a direct write, a fork, a fence, an op
-// routed to another domain, process exit — first syncs: it flushes the
+// routed to another orderer, process exit — first syncs: it flushes the
 // buffer and waits until the buffered writes have been applied locally.
 // A process's operations therefore take effect in program order, and a
 // read never overtakes a write of its own. Sleep flushes without

@@ -186,7 +186,7 @@ func (p *retrier) Fire() {
 // accrued as a guard check and each false one counted in waits, and
 // reports whether it does: false if inst is locked, invalidated or
 // moved away, and the caller must look again. It is the one wait a
-// worker makes on a local copy in either domain; with no guard it only
+// worker makes on a local copy under either orderer; with no guard it only
 // checks that the copy is usable. Flush comes first: flushing blocks on
 // the CPU, and a wake-up that fires while the thread is neither
 // checking nor on the wait queue would be lost. Between the check and

@@ -22,9 +22,9 @@ type Worker struct {
 
 	pending sim.Time
 
-	// batch is the write-combining buffer a batching BroadcastRTS
-	// attaches lazily on the worker's first combinable write; nil
-	// otherwise (including always under the point-to-point runtime).
+	// batch is the write-combining buffer a batching group attaches
+	// lazily on the worker's first combinable write; nil otherwise
+	// (including always when every object is a primary copy).
 	batch *writeBuf
 }
 
