@@ -39,19 +39,32 @@ type objMgr struct {
 	tfree  []*p2pTask
 
 	// The update in service at this secondary (see applyUpdate), and
-	// srv.Done and updated bound once.
-	upd                 *amoeba.Request
-	updInst             *replica
-	servedFn, updatedFn sim.Func
+	// the step the service, as its own continuation, runs when it fires
+	// (see then).
+	upd     *amoeba.Request
+	updInst *replica
+	next    func(*objMgr)
 }
 
 // newObjMgr builds a machine's manager and starts its object service.
 func newObjMgr(r *Router, m *amoeba.Machine) *objMgr {
 	mg := &objMgr{r: r, m: m, srv: amoeba.NewServer(m, svcPort), cl: amoeba.NewClient(m, rpcPolicy)}
 	mg.c = mg.srv.Serve(mg.serve)
-	mg.servedFn, mg.updatedFn = mg.srv.Done, mg.updated
 	return mg
 }
+
+// then returns the service's continuation, set to run step k: the one
+// continuation the service has outstanding, as bcastManager's is.
+func (mg *objMgr) then(k func(*objMgr)) sim.Firer {
+	mg.next = k
+	return mg
+}
+
+// Fire runs the step the continuation was last handed out for.
+func (mg *objMgr) Fire() { mg.next(mg) }
+
+// served ends the request in service.
+func (mg *objMgr) served() { mg.srv.Done() }
 
 // serve routes a request to the machine's object service: a forwarded
 // operation to its object's group, the group that hosts it or, while it

@@ -40,7 +40,7 @@ func (mg *objMgr) route(req *amoeba.Request) {
 		// Invalidate the local copy and acknowledge.
 		mg.r.stats.Invalidations++
 		mg.dropLocal(id)
-		mg.srv.PutReplyOn(mg.c, req, Args{}, nil, 4, mg.servedFn)
+		mg.srv.PutReplyOn(mg.c, req, Args{}, nil, 4, mg.then((*objMgr).served))
 		return
 	default:
 		panic(fmt.Sprintf("rts: unexpected RPC body %T", req.Body))
@@ -54,7 +54,7 @@ func (mg *objMgr) route(req *amoeba.Request) {
 		if _, migrate := req.Body.(p2pMigrateReq); migrate && meta.moved {
 			res, size = Args{}, 4
 		}
-		mg.srv.PutReplyOn(mg.c, req, res, nil, size, mg.servedFn)
+		mg.srv.PutReplyOn(mg.c, req, res, nil, size, mg.then((*objMgr).served))
 		return
 	}
 	t := mg.task()
@@ -89,12 +89,12 @@ func (mg *objMgr) applyUpdate(req *amoeba.Request) {
 	if inst == nil || !inst.valid {
 		// The copy was discarded while the update was in flight; the
 		// drop notice will reach the primary. Acknowledge vacuously.
-		mg.srv.PutReplyOn(mg.c, req, Args{}, nil, 4, mg.servedFn)
+		mg.srv.PutReplyOn(mg.c, req, Args{}, nil, 4, mg.then((*objMgr).served))
 		return
 	}
 	inst.locked = true
 	mg.upd, mg.updInst = req, inst
-	mg.m.ComputeOn(mg.c, mg.r.costs.apply(), mg.updatedFn)
+	mg.m.ComputeOn(mg.c, mg.r.costs.apply(), mg.then((*objMgr).updated))
 }
 
 // updated applies the charged update and acknowledges it.
@@ -102,7 +102,7 @@ func (mg *objMgr) updated() {
 	req, inst := mg.upd, mg.updInst
 	mg.upd, mg.updInst = nil, nil
 	mg.r.op(ObjID(req.Obj), req.Op).Apply(mg.m.Env(), inst.state, req.Args)
-	mg.srv.PutReplyOn(mg.c, req, Args{}, nil, 4, mg.servedFn)
+	mg.srv.PutReplyOn(mg.c, req, Args{}, nil, 4, mg.then((*objMgr).served))
 }
 
 // handleCtl services the one-way control port: unlocks (phase two),

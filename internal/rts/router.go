@@ -157,8 +157,9 @@ func NewRouter(reg *Registry, costs Costs, machines []*amoeba.Machine, groups []
 	if p2p != nil {
 		r.cfg = *p2p
 	}
-	for _, m := range machines {
-		r.mgrs = append(r.mgrs, newObjMgr(r, m))
+	r.mgrs = make([]*objMgr, len(machines))
+	for i, m := range machines {
+		r.mgrs[i] = newObjMgr(r, m)
 	}
 	for k, def := range groups {
 		for i := 1; i < len(def.Span); i++ {
