@@ -470,28 +470,27 @@ func (mgr *bcastManager) applyWrite(obj ObjID, opName string, args Args) {
 		mgr.boundary()
 		return
 	}
-	op := mgr.sg.r.op(obj, opName)
-	mgr.curInst, mgr.cur = inst, pendingOp{op: op, args: args, uid: d.UID, src: d.Src}
-	if op.Guard != nil {
-		mgr.charge(mgr.sg.r.costs.guardCheck, mgr.then((*bcastManager).guarded))
+	po := pendingOp{op: mgr.sg.r.op(obj, opName), args: args, uid: d.UID, src: d.Src}
+	if po.op.Guard == nil {
+		mgr.fire(inst, po)
 		return
 	}
-	mgr.charge(mgr.sg.r.costs.apply(), mgr.then((*bcastManager).written))
+	mgr.curInst, mgr.cur = inst, po
+	mgr.charge(mgr.sg.r.costs.guardCheck, mgr.then((*bcastManager).guarded))
 }
 
 // guarded continues applyWrite once the guard check has been charged.
 func (mgr *bcastManager) guarded() {
-	inst, w := mgr.curInst, &mgr.cur
-	if !w.op.Guard(inst.state, w.args) {
-		inst.pending = append(inst.pending, *w)
+	if mgr.curInst.parked(mgr.cur) {
 		mgr.boundary()
 		return
 	}
-	mgr.charge(mgr.sg.r.costs.apply(), mgr.then((*bcastManager).written))
+	mgr.fire(mgr.curInst, mgr.cur)
 }
 
-// fire applies a parked write whose guard holds now (see retrier); the
-// round goes on after it (see wake).
+// fire applies a write whose guard, if any, holds: one from the total
+// order, or a parked one a retry pass fires (see retrier), whose round
+// goes on after it (see wake).
 func (mgr *bcastManager) fire(inst *replica, po pendingOp) {
 	mgr.curInst, mgr.cur = inst, po
 	mgr.charge(mgr.sg.r.costs.apply(), mgr.then((*bcastManager).written))

@@ -210,9 +210,8 @@ func (o *objQueue) Consume(t *p2pTask) {
 
 // guarded continues Consume once the guard check has been charged.
 func (o *objQueue) guarded() {
-	if t := o.t; !t.op.Guard(o.inst.state, t.args) {
+	if t := o.t; o.inst.parked(pendingOp{op: t.op, args: t.args, task: t}) {
 		o.mg.r.stats.GuardWaits++
-		o.inst.pending = append(o.inst.pending, pendingOp{op: t.op, args: t.args, task: t})
 		o.q.Done()
 		return
 	}

@@ -214,6 +214,18 @@ func awaitGuard(w *Worker, inst *replica, op *OpDef, in Args, check sim.Time, wa
 	}
 }
 
+// parked parks po on the copy, behind the operations parked before it,
+// if its guard, whose check has been charged, is false, and reports
+// whether it did: the one guard check of an operation arriving at a
+// group replica or a primary copy.
+func (inst *replica) parked(po pendingOp) bool {
+	if po.op.Guard(inst.state, po.args) {
+		return false
+	}
+	inst.pending = append(inst.pending, po)
+	return true
+}
+
 // apply applies op to the copy and wakes its waiters: the step every
 // write takes that no later step of its orderer separates from the wake.
 func (inst *replica) apply(e *sim.Env, op *OpDef, in Args) Args {
