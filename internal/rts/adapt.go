@@ -44,8 +44,8 @@ var retry = Args{Status: statusRetry}
 // isRetry reports whether an invocation bounced.
 func isRetry(res Args) bool { return res.Status == statusRetry }
 
-// AdaptConfig parameterizes the placement controller. The zero value
-// selects the defaults below.
+// AdaptConfig parameterizes the placement controller. A field left zero
+// takes the default its comment names.
 type AdaptConfig struct {
 	// SampleEvery is how many accesses accumulate between placement
 	// decisions (the statistics window). Default 64.
@@ -71,25 +71,13 @@ type AdaptConfig struct {
 // alpha is the EWMA smoothing factor applied per window.
 const alpha = 0.5
 
-// DefaultAdaptConfig returns the default controller parameters.
-func DefaultAdaptConfig() AdaptConfig {
-	return AdaptConfig{
-		SampleEvery:    64,
-		MinDwell:       20 * sim.Millisecond,
-		WriteHeavyFrac: 0.35,
-		ReadHeavyFrac:  0.15,
-		DominantFrac:   0.55,
-	}
-}
-
 // withDefaults fills zero fields with the default parameters.
 func (c AdaptConfig) withDefaults() AdaptConfig {
-	d := DefaultAdaptConfig()
-	orDefault(&c.SampleEvery, d.SampleEvery)
-	orDefault(&c.MinDwell, d.MinDwell)
-	orDefault(&c.WriteHeavyFrac, d.WriteHeavyFrac)
-	orDefault(&c.ReadHeavyFrac, d.ReadHeavyFrac)
-	orDefault(&c.DominantFrac, d.DominantFrac)
+	orDefault(&c.SampleEvery, 64)
+	orDefault(&c.MinDwell, 20*sim.Millisecond)
+	orDefault(&c.WriteHeavyFrac, 0.35)
+	orDefault(&c.ReadHeavyFrac, 0.15)
+	orDefault(&c.DominantFrac, 0.55)
 	return c
 }
 
@@ -131,10 +119,7 @@ func adaptDecide(cfg AdaptConfig, replicated bool, primary int, ewmaWriteFrac fl
 			dom, domW = n, wn
 		}
 	}
-	domShare := 0.0
-	if totalW > 0 {
-		domShare = float64(domW) / float64(totalW)
-	}
+	domShare := float64(domW) / float64(max(totalW, 1)) // read only when dom >= 0, so totalW > 0
 	if replicated {
 		// Replicated is only wrong when writes are frequent AND
 		// concentrated: then every write pays a broadcast that one
@@ -205,28 +190,18 @@ func (r *Router) moveoutMsg(id ObjID, state State) group.Msg {
 }
 
 // recoverState gives crash recovery a better restart point than the
-// creation arguments: an adaptive object that migrated in from the
-// broadcast runtime left a frozen replica of its cut-point state on
-// every machine of its home span, and restarting from that snapshot
-// loses only the writes acknowledged by the dead primary after the cut.
-// It returns nil when no snapshot exists, always for a non-adaptive
-// object.
+// creation arguments: an adaptive object that migrated in from its
+// group left a frozen replica of its cut-point state on every machine
+// of its home span, and restarting from that snapshot loses only the
+// writes acknowledged by the dead primary after the cut. It returns nil
+// when no snapshot exists, always for an object that never had a group.
 func (r *Router) recoverState(id ObjID) State {
-	info := r.objs[id].adapt
-	if info == nil {
-		return nil
-	}
 	// Every live home-span machine's frozen replica holds the same
-	// state — the prefix of the total order up to the br->p2p cut —
-	// so the lowest-numbered one is as good as any and the choice
-	// is deterministic.
-	mgrs := r.groups[info.home].mgrs
-	for i := range mgrs {
-		mgr := &mgrs[i]
-		if mgr.m.Crashed() {
-			continue
-		}
-		if inst := mgr.mg.seqCopy(id); inst != nil && inst.moved {
+	// state — the prefix of the total order up to the cut — so the
+	// lowest-numbered one is as good as any and the choice is
+	// deterministic.
+	for _, mg := range r.mgrs {
+		if inst := mg.seqCopy(id); inst != nil && inst.moved && !mg.m.Crashed() {
 			return r.objs[id].typ.Clone(inst.state)
 		}
 	}
@@ -288,15 +263,11 @@ func (r *Router) adaptObserve(w *Worker, id ObjID, info *adaptInfo, opName strin
 		primary = r.meta(id).primary
 	}
 	act, target := info.step(replicated, primary, w.M.Env().Now())
-	switch act {
-	case adaptStay:
-		return
-	case adaptToPrimary, adaptRehome:
-		if r.nodeDown(target) || home.mgr(target) == nil {
-			return // never migrate toward a dead or out-of-span machine
-		}
+	// A migration to a primary (target >= 0) never goes toward a dead or
+	// out-of-span machine.
+	if act != adaptStay && (target < 0 || !r.nodeDown(target) && home.mgr(target) != nil) {
+		r.startMigration(w, id, info, act, target)
 	}
-	r.startMigration(w, id, info, act, target)
 }
 
 // step folds the completed statistics window into the EWMA and returns
@@ -309,10 +280,7 @@ func (info *adaptInfo) step(replicated bool, primary int, now sim.Time) (adaptAc
 		r += info.reads[i]
 		wr += info.writes[i]
 	}
-	frac := 0.0
-	if r+wr > 0 {
-		frac = float64(wr) / float64(r+wr)
-	}
+	frac := float64(wr) / float64(max(r+wr, 1))
 	if !info.primed {
 		info.ewma, info.primed = frac, true
 	} else {
@@ -320,9 +288,6 @@ func (info *adaptInfo) step(replicated bool, primary int, now sim.Time) (adaptAc
 	}
 	act, target := adaptDecide(info.cfg, replicated, primary, info.ewma, info.reads, info.writes)
 	info.resetWindow()
-	if act == adaptStay {
-		return adaptStay, -1
-	}
 	if now-info.last < info.cfg.MinDwell {
 		return adaptStay, -1 // hysteresis: too soon after the last migration
 	}
@@ -335,13 +300,8 @@ func (info *adaptInfo) step(replicated bool, primary int, now sim.Time) (adaptAc
 // flag are consistent when the worker continues.
 func (r *Router) startMigration(w *Worker, id ObjID, info *adaptInfo, act adaptAction, target int) {
 	env := w.M.Env()
-	info.migrating = true
-	info.toBr = false
-	info.decided = false
-	info.aborted = false
-	info.cloned = nil
-	info.fromNode = w.Node()
-	info.start = env.Now()
+	info.migrating, info.toBr, info.decided, info.aborted, info.cloned = true, false, false, false, nil
+	info.fromNode, info.start = w.Node(), env.Now()
 	env.Tracef("rts: object %d migration %s (target %d) from node %d", id, act, target, w.Node())
 	switch act {
 	case adaptToPrimary:
@@ -355,17 +315,16 @@ func (r *Router) startMigration(w *Worker, id ObjID, info *adaptInfo, act adaptA
 			// Target crashed before the cut: the object stays
 			// replicated and the dwell clock still advances, so the
 			// controller re-evaluates against live statistics later.
-			info.migrating = false
-			info.last = env.Now()
+			info.migrating, info.last = false, env.Now()
 			info.cond.Broadcast()
 		}
 	case adaptToReplicated:
 		// The primary's task queue is the cut: a moveout task drops
 		// every copy and hands the state to the home group.
-		r.mgrs[w.Node()].submitMigrate(w, id, "moveout", -1)
+		r.mgrs[w.Node()].submitMigrate(w, id, -1)
 		r.awaitFlip(w, id, info, domP2P)
 	case adaptRehome:
-		r.mgrs[w.Node()].submitMigrate(w, id, "rehome", target)
+		r.mgrs[w.Node()].submitMigrate(w, id, target)
 		r.finishMigration(info, id, domP2P, env.Now())
 	}
 }
@@ -376,9 +335,7 @@ func (r *Router) startMigration(w *Worker, id ObjID, info *adaptInfo, act adaptA
 // stamps the counters, and releases every bounced waiter.
 func (r *Router) finishMigration(info *adaptInfo, id ObjID, to int, now sim.Time) {
 	r.objs[id].dom = to
-	info.migrating = false
-	info.cloned = nil
-	info.last = now
+	info.migrating, info.cloned, info.last = false, nil, now
 	r.stats.Migrations++
 	r.stats.MigrationVirtualUS += float64(now-info.start) / float64(sim.Microsecond)
 	info.cond.Broadcast()
@@ -412,12 +369,7 @@ func (r *Router) awaitFlip(w *Worker, id ObjID, info *adaptInfo, from int) {
 		// state instead of bouncing forever. (A machine outside the
 		// span has no replica to wait for: its retry forwards to a
 		// holder and bounces again until the holder caught up.)
-		for {
-			if inst := mgr.mg.seqCopy(id); inst != nil && !inst.moved {
-				return
-			}
-			mgr.mg.cond.Wait(w.P)
-		}
+		mgr.mg.instance(w.P, id, true)
 	}
 }
 
@@ -431,12 +383,12 @@ func (r *Router) awaitFlip(w *Worker, id ObjID, info *adaptInfo, from int) {
 // position in the total order, marks its replica moved and bounces its
 // guard waiters (out of the group), or installs its replica (into it).
 func (r *Router) handleMigrate(mgr *bcastManager, uid int64, src int, wm wireMigrate, k sim.Firer) {
-	info := r.objs[wm.Obj].adapt
+	e := &r.objs[wm.Obj]
+	info, typ := e.adapt, e.typ
 	if info == nil {
 		panic(fmt.Sprintf("rts: migrate record for non-adaptive object %d", wm.Obj))
 	}
-	now := mgr.m.Env().Now()
-	typ := r.objs[wm.Obj].typ
+	now, inst := mgr.m.Env().Now(), mgr.mg.seqCopy(wm.Obj)
 	if wm.State != nil {
 		// Into the group: install a replica holding the carried snapshot.
 		// A live (non-moved) replica means this record is a crash-rescue
@@ -450,7 +402,7 @@ func (r *Router) handleMigrate(mgr *bcastManager, uid int64, src int, wm wireMig
 			mgr.complete(uid, src, Args{})
 			k.Fire()
 		}
-		if old := mgr.mg.seqCopy(wm.Obj); old == nil || old.moved {
+		if inst == nil || inst.moved {
 			st := typ.Clone(wm.State)
 			mgr.charge(r.costs.create, sim.Func(func() {
 				mgr.mg.setSeq(wm.Obj, newReplica(&mgr.sg.replicas, st))
@@ -462,7 +414,6 @@ func (r *Router) handleMigrate(mgr *bcastManager, uid int64, src int, wm wireMig
 		return
 	}
 	// Out of the group, to a primary copy at wm.Target.
-	inst := mgr.mg.seqCopy(wm.Obj)
 	if !info.decided {
 		info.decided = true
 		if r.nodeDown(wm.Target) {
@@ -475,7 +426,6 @@ func (r *Router) handleMigrate(mgr *bcastManager, uid int64, src int, wm wireMig
 			// position of the total order, as every replica does at its
 			// own delivery of this record. The object's primary-copy
 			// record, kept from an earlier stay, is reused.
-			e := &r.objs[wm.Obj]
 			if e.meta == nil {
 				e.meta = &p2pMeta{}
 			}
@@ -487,7 +437,7 @@ func (r *Router) handleMigrate(mgr *bcastManager, uid int64, src int, wm wireMig
 	if !info.aborted {
 		// Freeze the local replica: writes sequenced after the cut
 		// bounce (applyWrite), parked guard writes bounce here, and
-		// guard-blocked readers wake to bounce (localRead). A guarded
+		// guard-blocked readers wake to bounce (atReplica). A guarded
 		// write is never combined, so none of these completions sends a
 		// batch.
 		inst.moved = true

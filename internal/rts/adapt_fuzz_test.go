@@ -37,9 +37,9 @@ func FuzzAdaptController(f *testing.F) {
 		domShare := float64(dsB) / 255
 		rng := rand.New(rand.NewSource(seed))
 		dom := rng.Intn(nodes)
-		cfg := DefaultAdaptConfig()
+		cfg := AdaptConfig{}.withDefaults()
 		info := &adaptInfo{
-			cfg:    cfg.withDefaults(),
+			cfg:    cfg,
 			reads:  make([]int64, nodes),
 			writes: make([]int64, nodes),
 		}

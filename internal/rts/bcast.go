@@ -108,12 +108,11 @@ type bcastManager struct {
 	pendCharge sim.Time
 
 	// The delivery in service (see Consume): d itself, and the write being
-	// applied, cur on curInst; next is the step the manager, as its own
-	// continuation, runs when it fires (see then).
+	// applied, cur on curInst; and the manager's continuation (see steps).
 	d       group.Delivery
 	curInst *replica
 	cur     pendingOp
-	next    func(*bcastManager)
+	steps[bcastManager]
 }
 
 // newSeqGroup builds sequencer group k of the router over a (possibly
@@ -129,7 +128,7 @@ func newSeqGroup(r *Router, k int, members []*group.Member, span []int) *seqGrou
 	for i, node := range span {
 		g.mgrAt[node] = i
 		mgr := &g.mgrs[i]
-		mgr.sg, mgr.mg, mgr.m, mgr.g = g, r.mgrs[node], r.machines[node], members[i]
+		mgr.sg, mgr.mg, mgr.m, mgr.g, mgr.self = g, r.mgrs[node], r.machines[node], members[i], mgr
 		mgr.c = mgr.claim.Init(mgr.m, "objmgr", -1)
 		mgr.pass.init(mgr.m, mgr.c, r.costs.guardCheck, mgr)
 		mgr.g.Deliveries().Serve(mgr.c, mgr)
@@ -137,18 +136,24 @@ func newSeqGroup(r *Router, k int, members []*group.Member, span []int) *seqGrou
 	return g
 }
 
-// then returns the manager's continuation, set to run step k: the one
-// continuation the manager has outstanding. The continuation is the
-// manager itself, a typed value, and a step is a method expression, so
-// neither making a manager nor handing its continuation out binds
-// anything.
-func (mgr *bcastManager) then(k func(*bcastManager)) sim.Firer {
-	mgr.next = k
-	return mgr
+// steps is a consumer's one outstanding continuation, part of the
+// consumer's record (self), and a step is a method expression of it, so
+// neither making a consumer nor handing its continuation out binds
+// anything. The group's delivery consumers, the object service and a
+// primary copy's queue each have one.
+type steps[T any] struct {
+	self *T
+	next func(*T)
+}
+
+// then returns the continuation, set to run step k.
+func (s *steps[T]) then(k func(*T)) sim.Firer {
+	s.next = k
+	return s
 }
 
 // Fire runs the step the continuation was last handed out for.
-func (mgr *bcastManager) Fire() { mgr.next(mgr) }
+func (s *steps[T]) Fire() { s.next(s.self) }
 
 // mgr returns the group's manager on a node, nil outside the span.
 func (g *seqGroup) mgr(node int) *bcastManager {
@@ -188,7 +193,7 @@ func (g *seqGroup) call(w *Worker, id ObjID, opName string, in Args) Args {
 		return g.forward(w, id, opName, in)
 	}
 	mgr := g.mgr(w.Node())
-	inst := mgr.mg.instance(w.P, id)
+	inst := mgr.mg.instance(w.P, id, false)
 	op := r.op(id, opName)
 	if r.batch.Enabled() && op.Kind == Write && op.NoResult && op.Guard == nil && nodes == nil && adapt == nil {
 		// Unguarded no-result write to a fully replicated object under
@@ -202,13 +207,22 @@ func (g *seqGroup) call(w *Worker, id ObjID, opName string, in Args) Args {
 	// Every other operation first waits until the worker's buffered
 	// writes are applied locally (the ordering rule in batch.go).
 	w.SyncShared()
-	if op.Kind == Read {
-		return g.localRead(w, inst, op, in)
+	if op.Kind == Read && op.Guard == nil {
+		// A local read: no network traffic, just accumulated CPU.
+		if inst.moved {
+			// The object migrated away and this replica is frozen at
+			// the cut. A first-migration read here would still be a
+			// consistent prefix, but after the object has round-tripped
+			// the frozen state is arbitrarily stale — bounce, and let
+			// the Router wait for the live placement.
+			return retry
+		}
+		g.stats.LocalReads++
+		w.Charge(r.costs.readLocal + r.costs.defaultOp)
+		return op.Apply(w.M.Env(), inst.state, in)
 	}
-	if len(nodes) == 1 {
-		// Single-copy object at its only holder: apply directly, no
-		// broadcast needed.
-		return g.directWrite(w, inst, op, in)
+	if op.Kind == Read || len(nodes) == 1 {
+		return g.atReplica(w, inst, op, in)
 	}
 	// Write: ship the operation through the total order and wait for
 	// it to be applied on this machine.
@@ -217,33 +231,26 @@ func (g *seqGroup) call(w *Worker, id ObjID, opName string, in Args) Args {
 	return mgr.sequenced(w.P, group.Msg{Kind: opKind, Obj: int64(id), Op: opName, Args: in, Size: opSize(opName, &in)})
 }
 
-// localRead performs a read on the local replica: no network traffic,
-// just accumulated CPU. Guard-blocked reads wait on the replica's
-// condition and re-check after every applied write.
-func (g *seqGroup) localRead(w *Worker, inst *replica, op *OpDef, in Args) Args {
+// atReplica runs a guarded read, or a write to a single-copy object at
+// its only holder, on the machine's replica: it waits on the replica's
+// condition until the guard holds, re-checking after every applied
+// write, and applies the operation, its cost accrued. Such a write
+// bypasses the broadcast: with one replica there is nothing to keep
+// consistent, and the holder's execution order is the object's total
+// order. An object that migrated away while a reader waited bounces it:
+// no further writes will ever wake it here.
+func (g *seqGroup) atReplica(w *Worker, inst *replica, op *OpDef, in Args) Args {
 	c := &g.r.costs
-	if op.Guard == nil {
-		if inst.moved {
-			// The object migrated away and this replica is frozen at
-			// the cut. A first-migration read here would still be a
-			// consistent prefix, but after the object has round-tripped
-			// the frozen state is arbitrarily stale — bounce, and let
-			// the mixed router wait for the live placement.
-			return retry
-		}
-		g.stats.LocalReads++
-		w.Charge(c.readLocal + c.defaultOp)
-		return op.Apply(w.M.Env(), inst.state, in)
-	}
 	if !awaitGuard(w, inst, op, in, c.guardCheck, &g.stats.GuardWaits) {
-		// The object migrated away while this reader was guard blocked:
-		// no further writes will ever wake it here, so bounce and
-		// re-register under the new placement.
 		return retry
 	}
-	g.stats.LocalReads++
-	w.Accrue(c.readLocal + c.defaultOp)
-	return op.Apply(w.M.Env(), inst.state, in)
+	if op.Kind == Read {
+		g.stats.LocalReads++
+		w.Accrue(c.readLocal + c.defaultOp)
+		return op.Apply(w.M.Env(), inst.state, in)
+	}
+	w.Accrue(c.apply())
+	return inst.apply(w.M.Env(), op, in)
 }
 
 // seqWait is the wait of one sequenced record for its local
@@ -409,9 +416,7 @@ func (mgr *bcastManager) boundary() {
 		mgr.g.Deliveries().Done()
 		return
 	}
-	d := mgr.pendCharge
-	mgr.pendCharge = 0
-	mgr.m.ComputeOn(mgr.c, d, mgr.then((*bcastManager).retried))
+	mgr.charge(0, mgr.then((*bcastManager).retried))
 }
 
 // charge accounts CPU cost for one delivered op and then runs k:

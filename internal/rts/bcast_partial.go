@@ -1,7 +1,6 @@
 package rts
 
 import (
-	"errors"
 	"fmt"
 	"slices"
 
@@ -39,11 +38,7 @@ func (g *seqGroup) replicatedOn(node int, id ObjID) bool {
 // placement (CreateAt checks), so creation completes locally.
 func (g *seqGroup) createOn(w *Worker, typeName string, nodes []int, args []any) ObjID {
 	t := g.r.reg.Lookup(typeName) // validate before broadcasting
-	var set []int
-	if len(nodes) > 0 {
-		set = append(set, nodes...)
-	}
-	id := g.r.alloc(g.k, t, set, nil)
+	id := g.r.alloc(g.k, t, slices.Clone(nodes), nil)
 	w.SyncShared() // creation is ordered after the worker's buffered writes
 	w.Flush()
 	body := wireCreate{Obj: id, Args: args}
@@ -70,6 +65,7 @@ func (g *seqGroup) forward(w *Worker, id ObjID, opName string, in Args) Args {
 	cl := g.r.mgrs[w.Node()].cl
 	w.Flush()
 	g.stats.Forwarded++
+	req := amoeba.Packet{Port: svcPort, Op: opName, Obj: int64(id), Args: in, Body: fwdReq{}, Size: opSize(opName, &in)}
 	first := true
 	for _, holder := range holders {
 		if w.M.Net().Down(holder) {
@@ -79,13 +75,8 @@ func (g *seqGroup) forward(w *Worker, id ObjID, opName string, in Args) Args {
 			g.stats.OpsRetried++
 		}
 		first = false
-		rep, err := cl.Call(w.P, holder, amoeba.Packet{Port: svcPort, Op: opName, Obj: int64(id), Args: in,
-			Body: fwdReq{}, Size: opSize(opName, &in)})
-		if err == nil {
+		if rep, err := cl.Call(w.P, holder, req); !failed(err, &req) {
 			return rep.Args
-		}
-		if !errors.Is(err, amoeba.ErrCrashed) {
-			panic(fmt.Sprintf("rts: forwarded op %s on object %d failed: %v", opName, id, err))
 		}
 	}
 	panic(fmt.Sprintf("rts: no live replica holder for object %d (holders %v)", id, holders))
@@ -198,17 +189,4 @@ func (f *fwdOp) Fire() { f.answer(f.mgr.res) }
 func (f *fwdOp) answer(res Args) {
 	mg := f.mgr.mg
 	f.charge(func() { mg.srv.PutReplyOn(mg.c, f.req, res, nil, SizeOfArgs(&res), sim.Func(func() {})) })
-}
-
-// directWrite applies a write to a single-copy object at its only
-// holder, bypassing the broadcast entirely: with exactly one replica
-// there is nothing to keep consistent, and the holder's execution
-// order is the object's total order. Guarded writes wait on the
-// replica's condition like guarded reads do.
-func (g *seqGroup) directWrite(w *Worker, inst *replica, op *OpDef, in Args) Args {
-	// Nothing moves, locks or invalidates a single-copy object's
-	// replica, so the wait ends only with the guard holding.
-	awaitGuard(w, inst, op, in, g.r.costs.guardCheck, &g.stats.GuardWaits)
-	w.Accrue(g.r.costs.apply())
-	return inst.apply(w.M.Env(), op, in)
 }

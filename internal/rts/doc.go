@@ -45,8 +45,8 @@
 // on the simulator's dispatch lane, in the name of a claimant of their
 // machine, and take every step a server thread would take, in
 // continuation form, in the same virtual instants and event slots. A
-// continuation is a sim.Firer: a server is its own (objQueue.then and
-// bcastManager.then hand out the server with its next step set), a
+// continuation is a sim.Firer: a server's is part of its record
+// (steps.then hands it out with the server's next step set), a
 // guard-retry pass is its guard check's, a combining buffer and a
 // sequenced record's wait are their broadcasts', and a forwarded write
 // is its wait's. A primary fans a write out to its secondaries as one

@@ -44,7 +44,6 @@ type fenceRec struct {
 	arrived int
 	src     int // initiating machine (pausing fences; -1 until known)
 	done    bool
-	aborted bool
 	cond    sim.Cond
 }
 
@@ -80,20 +79,21 @@ func (r *Router) presumeAbort(node int) {
 	env := r.machines[0].Env()
 	env.After(fenceAbortGrace, func() {
 		var fids []int64
-		for key, rec := range r.fences {
-			if rec.src == node && !rec.done && !slices.Contains(fids, key.fid) {
-				fids = append(fids, key.fid)
+		for _, mg := range r.mgrs {
+			for fid, rec := range mg.fences {
+				if rec.src == node && !rec.done && !slices.Contains(fids, fid) {
+					fids = append(fids, fid)
+				}
 			}
 		}
 		slices.Sort(fids)
 		for _, fid := range fids {
 			put(&r.fenceAborted, fid, true)
-			for i := range r.machines {
-				if rec, ok := r.fences[fenceKey{i, fid}]; ok {
-					rec.aborted = true
+			for _, mg := range r.mgrs {
+				if rec, ok := mg.fences[fid]; ok {
 					rec.done = true
 					rec.cond.Broadcast()
-					delete(r.fences, fenceKey{i, fid})
+					delete(mg.fences, fid)
 				}
 			}
 			env.Tracef("rts: fence %d presumed aborted (initiator %d crashed mid-reservation)", fid, node)
@@ -101,17 +101,12 @@ func (r *Router) presumeAbort(node int) {
 	})
 }
 
-// fenceKey names one machine's record of a fence.
-type fenceKey struct {
-	node int
-	fid  int64
-}
-
 // fenceRec returns (or installs) the machine's record for a fence,
 // carved from the run's tables, expecting one arrival per covered shard
 // whose span contains the machine.
 func (r *Router) fenceRec(node int, f *wireFence) *fenceRec {
-	if rec, ok := r.fences[fenceKey{node, f.FID}]; ok {
+	mg := r.mgrs[node]
+	if rec, ok := mg.fences[f.FID]; ok {
 		return rec
 	}
 	expect := 0
@@ -121,7 +116,7 @@ func (r *Router) fenceRec(node int, f *wireFence) *fenceRec {
 		}
 	}
 	rec := sim.Carve(r.machines[node].Env(), fenceRec{expect: expect, src: -1})
-	put(&r.fences, fenceKey{node, f.FID}, rec)
+	put(&mg.fences, f.FID, rec)
 	return rec
 }
 
@@ -150,7 +145,7 @@ func (r *Router) handleFence(mgr *bcastManager, d group.Delivery, f *wireFence, 
 			rec := r.fenceRec(node, f)
 			rec.arrived++
 			if rec.arrived == rec.expect {
-				delete(r.fences, fenceKey{node, f.FID})
+				delete(mgr.mg.fences, f.FID)
 				if r.extra != nil {
 					r.extra(node, f.Body)
 				}
@@ -176,7 +171,7 @@ func (r *Router) handleFence(mgr *bcastManager, d group.Delivery, f *wireFence, 
 	r.execFence(mgr, f, 0, func() {
 		rec.done = true
 		rec.cond.Broadcast()
-		delete(r.fences, fenceKey{node, f.FID})
+		delete(mgr.mg.fences, f.FID)
 		k.Fire()
 	})
 }
@@ -243,17 +238,16 @@ func (r *Router) InvokeFenced(w *Worker, ops []FencedOp) error {
 		if e.dom == domP2P || e.adapt != nil {
 			return fmt.Errorf("fenced op on object %d, which is primary-copy or adaptive; fences order replicated objects", fo.ID)
 		}
-		dom := e.dom
-		if r.groups[dom].mgr(node) == nil {
-			return fmt.Errorf("fenced op on object %d from node %d outside sequencer group %d's span", fo.ID, node, dom)
+		if r.groups[e.dom].mgr(node) == nil {
+			return fmt.Errorf("fenced op on object %d from node %d outside sequencer group %d's span", fo.ID, node, e.dom)
 		}
 		op := r.op(fo.ID, fo.Op) // the type's: a machine outside the replica set has no replica to read it from
 		if op.Kind == Read || op.Guard != nil {
 			return fmt.Errorf("fenced operation %s is a read or guarded; fences carry unguarded writes", fo.Op)
 		}
 		size += opSize(fo.Op, &fo.Args)
-		if !slices.Contains(shards, dom) {
-			shards = append(shards, dom)
+		if !slices.Contains(shards, e.dom) {
+			shards = append(shards, e.dom)
 		}
 	}
 	slices.Sort(shards)

@@ -1,6 +1,7 @@
 package rts
 
 import (
+	"math"
 	"math/bits"
 
 	"repro/internal/sim"
@@ -90,14 +91,6 @@ func (h *LatencyHist) Count() int64 { return h.n }
 // Sum reports the total of the recorded durations.
 func (h *LatencyHist) Sum() sim.Time { return h.sum }
 
-// Mean reports the average recorded duration (zero when empty).
-func (h *LatencyHist) Mean() sim.Time {
-	if h.n == 0 {
-		return 0
-	}
-	return h.sum / sim.Time(h.n)
-}
-
 // Max reports the largest recorded duration exactly (not bucketed).
 func (h *LatencyHist) Max() sim.Time { return h.max }
 
@@ -105,14 +98,7 @@ func (h *LatencyHist) Max() sim.Time { return h.max }
 // of the bucket holding the ceil(q*n)-th smallest recording — a
 // deterministic, conservative figure within ~6% of the true value.
 func (h *LatencyHist) Percentile(q float64) sim.Time {
-	if h.n == 0 {
-		return 0
-	}
-	rank := int64(q * float64(h.n))
-	if float64(rank) < q*float64(h.n) {
-		rank++
-	}
-	rank = min(max(rank, 1), h.n)
+	rank := min(max(int64(math.Ceil(q*float64(h.n))), 1), h.n) // an empty histogram reads 0 at bucket 0
 	var cum int64
 	for i, c := range h.counts {
 		cum += c

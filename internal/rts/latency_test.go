@@ -98,8 +98,8 @@ func TestLatencyHistMerge(t *testing.T) {
 
 func TestLatencyHistEmptyAndNegative(t *testing.T) {
 	var h LatencyHist
-	if h.Percentile(0.5) != 0 || h.Mean() != 0 || h.Max() != 0 {
-		t.Errorf("empty histogram percentile/mean/max not zero")
+	if h.Percentile(0.5) != 0 || h.Sum() != 0 || h.Max() != 0 {
+		t.Errorf("empty histogram percentile/sum/max not zero")
 	}
 	h.Record(-5) // clamped to 0
 	if h.Count() != 1 || h.Percentile(1.0) != 0 {

@@ -16,7 +16,7 @@ type objMgr struct {
 
 	// The object service: an RPC server on svcPort, a consumer with no
 	// process behind it (see amoeba.Server.Serve) that serves every
-	// request for the machine's copies (see serve), c the claimant it
+	// request for the machine's copies (see route), c the claimant it
 	// serves as; and the client through which the machine calls the
 	// others.
 	srv *amoeba.Server
@@ -38,50 +38,29 @@ type objMgr struct {
 	queues []*objQueue
 	tfree  []*p2pTask
 
+	// fences holds the machine's in-flight fence records, by fence id.
+	fences map[int64]*fenceRec
+
 	// The update in service at this secondary (see applyUpdate), and
-	// the step the service, as its own continuation, runs when it fires
-	// (see then).
+	// the service's continuation (see steps).
 	upd     *amoeba.Request
 	updInst *replica
-	next    func(*objMgr)
+	steps[objMgr]
 }
 
 // newObjMgr builds a machine's manager and starts its object service.
 func newObjMgr(r *Router, m *amoeba.Machine) *objMgr {
 	mg := &objMgr{r: r, m: m, srv: amoeba.NewServer(m, svcPort), cl: amoeba.NewClient(m, rpcPolicy)}
-	mg.c = mg.srv.Serve(mg.serve)
+	mg.self = mg
+	mg.c = mg.srv.Serve(mg.route)
+	if r.p2p {
+		m.Bind(p2pCtlPort, mg.handleCtl)
+	}
 	return mg
 }
-
-// then returns the service's continuation, set to run step k: the one
-// continuation the service has outstanding, as bcastManager's is.
-func (mg *objMgr) then(k func(*objMgr)) sim.Firer {
-	mg.next = k
-	return mg
-}
-
-// Fire runs the step the continuation was last handed out for.
-func (mg *objMgr) Fire() { mg.next(mg) }
 
 // served ends the request in service.
 func (mg *objMgr) served() { mg.srv.Done() }
-
-// serve routes a request to the machine's object service: a forwarded
-// operation to its object's group, the group that hosts it or, while it
-// has a primary copy, its home group; anything else to the primary-copy
-// protocol (see route).
-func (mg *objMgr) serve(req *amoeba.Request) {
-	if _, fwd := req.Body.(fwdReq); fwd {
-		e := &mg.r.objs[req.Obj]
-		k := e.dom
-		if k == domP2P {
-			k = e.adapt.home
-		}
-		mg.r.groups[k].serveForward(mg, req)
-		return
-	}
-	mg.route(req)
-}
 
 // copy returns the machine's copy of id, nil if there is none (yet).
 // Ids come from one allocator, counting up from 1, and a copy is
@@ -114,10 +93,11 @@ func (mg *objMgr) p2pCopy(id ObjID) *replica {
 
 // instance returns the machine's group replica of id, waiting for the
 // creation broadcast if it has not arrived yet (a freshly forked worker
-// can race the create message).
-func (mg *objMgr) instance(p *sim.Proc, id ObjID) *replica {
+// can race the create message) and, if live, for a replica that is not
+// frozen at a migration cut.
+func (mg *objMgr) instance(p *sim.Proc, id ObjID, live bool) *replica {
 	for {
-		if inst := mg.seqCopy(id); inst != nil {
+		if inst := mg.seqCopy(id); inst != nil && !(live && inst.moved) {
 			return inst
 		}
 		mg.cond.Wait(p)
@@ -132,7 +112,7 @@ func (mg *objMgr) setSeq(id ObjID, inst *replica) {
 	mg.cond.Broadcast()
 }
 
-// installCopy places a (cloned) state as a valid primary-copy copy,
+// installCopy places a (cloned) state as a primary-copy copy,
 // over the group's replica if the machine holds one.
 func (mg *objMgr) installCopy(id ObjID, state State) *replica {
 	inst := newReplica(&mg.r.replicas, state)
@@ -149,7 +129,7 @@ func (mg *objMgr) dropLocal(id ObjID) {
 	if inst == nil {
 		return
 	}
-	inst.valid = false
+	inst.dropped = true
 	inst.cond.Broadcast()
 	mg.copies[id] = inst.under
 }

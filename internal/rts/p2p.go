@@ -112,11 +112,11 @@ type p2pMeta struct {
 // from remote machines carry the RPC request to reply to; a local task's
 // invoking thread waits on cond until the task is done with res.
 type p2pTask struct {
-	kind string // "write", "read", "fetch", "moveout", "rehome"
+	kind string // "write", "read", "fetch", "migrate"
 	op   *OpDef
 	args Args
 	from int
-	to   int // rehome target
+	to   int // a migration's new primary, -1 for the home group
 	req  *amoeba.Request
 	done bool
 	res  Args
@@ -129,13 +129,7 @@ type accessStats struct {
 	reads, writes int64
 }
 
-func (a *accessStats) ratio() float64 {
-	w := a.writes
-	if w == 0 {
-		w = 1
-	}
-	return float64(a.reads) / float64(w)
-}
+func (a *accessStats) ratio() float64 { return float64(a.reads) / float64(max(a.writes, 1)) }
 
 // Wire bodies for the point-to-point protocols. A request on the RPC
 // port names its object, operation and arguments in the packet header
@@ -155,10 +149,7 @@ type (
 		Obj   ObjID
 		State State
 	}
-	p2pMigrateReq struct { // initiator -> primary: enqueue a migration task
-		Kind   string // "moveout" or "rehome"
-		Target int
-	}
+	p2pMigrateReq struct{ Target int } // initiator -> primary: enqueue a migration task
 )
 
 // p2pCtlPort is the one-way port: unlock, drop, install. Requests (an
@@ -230,18 +221,18 @@ func (mg *objMgr) invokeRead(w *Worker, id ObjID, meta *p2pMeta, op *OpDef, in A
 		if meta.moved {
 			return retry // migrated into its group
 		}
-		if inst := mg.p2pCopy(id); inst != nil && inst.valid {
+		if inst := mg.p2pCopy(id); inst != nil {
 			// Local read, once the copy is unlocked and the guard holds.
 			if awaitGuard(w, inst, op, in, r.costs.guardCheck, &r.stats.GuardWaits) {
 				r.stats.LocalReads++
 				w.Accrue(r.costs.readLocal + r.costs.defaultOp)
 				return op.Apply(mg.m.Env(), inst.state, in)
 			}
-			if inst.valid && inst.locked {
+			if !inst.dropped && inst.locked {
 				if r.nodeDown(meta.primary) {
 					// The primary died between update phases; re-home
 					// the object, which also unlocks this copy.
-					r.rehome(w, id, meta)
+					r.rehome(id, meta)
 				} else {
 					inst.cond.Wait(w.P)
 				}
@@ -331,15 +322,21 @@ func opPacket(op *OpDef, in Args) amoeba.Packet {
 func (mg *objMgr) toPrimary(w *Worker, id ObjID, meta *p2pMeta, req amoeba.Packet) (rep amoeba.Packet, ok bool) {
 	req.Port, req.Obj = svcPort, int64(id)
 	rep, err := mg.cl.Call(w.P, meta.primary, req)
-	if err == nil {
+	if !failed(err, &req) {
 		return rep, true
 	}
-	if !errors.Is(err, amoeba.ErrCrashed) {
-		panic(fmt.Sprintf("rts: %s on object %d failed: %v", req.Op, id, err))
-	}
 	mg.r.stats.OpsRetried++
-	mg.r.rehome(w, id, meta)
+	mg.r.rehome(id, meta)
 	return rep, false
+}
+
+// failed reports whether an RPC about req failed, which it may only do
+// because its target crashed: any other failure is a bug and panics.
+func failed(err error, req *amoeba.Packet) bool {
+	if err != nil && !errors.Is(err, amoeba.ErrCrashed) {
+		panic(fmt.Sprintf("rts: %s on object %d failed: %v", req.Op, req.Obj, err))
+	}
+	return err != nil
 }
 
 // accessFor returns this machine's statistics for an object.
@@ -352,21 +349,15 @@ func (mg *objMgr) accessFor(meta *p2pMeta) *accessStats {
 
 // shouldFetch applies the fetch threshold.
 func (mg *objMgr) shouldFetch(meta *p2pMeta, st *accessStats) bool {
-	if meta.placement != DynamicPlacement {
-		return false
-	}
-	return st.reads+st.writes >= windowMin && st.ratio() >= fetchRatio
+	return meta.placement == DynamicPlacement && st.reads+st.writes >= windowMin && st.ratio() >= fetchRatio
 }
 
 // maybeDiscard applies the discard threshold to a local secondary.
 func (mg *objMgr) maybeDiscard(w *Worker, id ObjID, meta *p2pMeta, st *accessStats) {
-	if meta.placement != DynamicPlacement {
+	if meta.placement != DynamicPlacement || st.reads+st.writes < windowMin || st.ratio() > discardRatio {
 		return
 	}
-	if inst := mg.p2pCopy(id); inst == nil || !inst.valid || inst.primary {
-		return
-	}
-	if st.reads+st.writes < windowMin || st.ratio() > discardRatio {
+	if inst := mg.p2pCopy(id); inst == nil || inst.primary {
 		return
 	}
 	mg.r.stats.Discards++
@@ -396,13 +387,13 @@ func (mg *objMgr) fetchCopy(w *Worker, id ObjID, meta *p2pMeta) {
 	}
 }
 
-// submitMigrate routes a migration task ("moveout" into the group, or
-// "rehome" onto a new primary) to the object's primary queue and waits
+// submitMigrate routes a migration task (into the home group, target
+// -1, or onto a new primary, target) to the object's primary queue and waits
 // for it to run. A primary that dies first is re-homed and the task
 // re-submitted; a moveout that already cut over (meta.moved) is left to
 // the group's record to finish.
-func (mg *objMgr) submitMigrate(w *Worker, id ObjID, kind string, target int) {
+func (mg *objMgr) submitMigrate(w *Worker, id ObjID, target int) {
 	w.Flush()
-	mg.atPrimary(w, id, mg.r.meta(id), p2pTask{kind: kind, to: target},
-		amoeba.Packet{Op: "migrate", Body: p2pMigrateReq{Kind: kind, Target: target}, Size: 24})
+	mg.atPrimary(w, id, mg.r.meta(id), p2pTask{kind: "migrate", to: target},
+		amoeba.Packet{Op: "migrate", Body: p2pMigrateReq{Target: target}, Size: 24})
 }

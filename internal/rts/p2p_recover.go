@@ -1,6 +1,9 @@
 package rts
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Crash recovery for the point-to-point runtime. The paper's §3.2.2
 // RTS keeps one primary copy per object; a machine crash therefore
@@ -35,26 +38,18 @@ func (r *Router) nodeDown(node int) bool { return r.machines[node].Crashed() }
 // run without simulating its messages (the cost of the failed attempts
 // and retries is what the fault experiments measure). Idempotent: if
 // another invoker already re-homed the object, this is a no-op.
-func (r *Router) rehome(w *Worker, id ObjID, meta *p2pMeta) {
+func (r *Router) rehome(id ObjID, meta *p2pMeta) {
 	if !r.nodeDown(meta.primary) {
 		return // already re-homed by an earlier detector
 	}
-	// Prefer the lowest-numbered live machine holding a valid copy; if
-	// every copy died, restart on the lowest-numbered live machine.
-	target, restart := -1, true
-	for _, mg := range r.mgrs {
-		if mg.m.Crashed() {
-			continue
-		}
-		if target == -1 {
-			target = mg.m.ID()
-		}
-		if inst := mg.p2pCopy(id); inst != nil && inst.valid {
-			target, restart = mg.m.ID(), false
-			break
-		}
+	// Prefer the lowest-numbered live machine holding a copy; if every
+	// copy died, restart on the lowest-numbered live machine.
+	target := slices.IndexFunc(r.mgrs, func(mg *objMgr) bool { return !mg.m.Crashed() && mg.p2pCopy(id) != nil })
+	restart := target < 0
+	if restart {
+		target = slices.IndexFunc(r.mgrs, func(mg *objMgr) bool { return !mg.m.Crashed() })
 	}
-	if target == -1 {
+	if target < 0 {
 		panic(fmt.Sprintf("rts: no live machine to re-home object %d", id))
 	}
 	var st State // nil: the target's copy is promoted as it stands
@@ -92,7 +87,7 @@ func (r *Router) promote(id ObjID, meta *p2pMeta, target int, st State) {
 		if mg.m.Crashed() || mg == tn || mg.m.ID() == meta.primary {
 			continue
 		}
-		if sec := mg.p2pCopy(id); sec != nil && sec.valid {
+		if sec := mg.p2pCopy(id); sec != nil {
 			inst.copyset[mg.m.ID()] = true
 			sec.primary, sec.locked = false, false
 			sec.cond.Broadcast()

@@ -1,7 +1,6 @@
 package rts
 
 import (
-	"errors"
 	"fmt"
 	"slices"
 
@@ -17,21 +16,32 @@ import (
 // dispatch lane, in the name of its claimant, taking the steps a thread
 // looping on its queue would take, in continuation form.
 
-// route is the machine's RPC dispatcher (see amoeba.Server.Serve). It
-// hands an operation, fetch or migration request to the queue of the
-// object whose primary this machine is, so that one object waiting on
-// its secondaries cannot stall the machine's service, and answers the
-// rest itself: it bounces a request for an object that has moved or
-// re-homed, and takes the quick secondary-side protocol steps.
+// route is the machine's object service, its RPC dispatcher (see
+// amoeba.Server.Serve). It hands a forwarded operation to its object's
+// group (see serveForward), the group that hosts it or, while it has a
+// primary copy, its home group. It hands an operation, fetch or
+// migration request to the queue of the object whose primary this
+// machine is, so that one object waiting on its secondaries cannot
+// stall the machine's service, and answers the rest itself: it bounces
+// a request for an object that has moved or re-homed, and takes the
+// quick secondary-side protocol steps.
 func (mg *objMgr) route(req *amoeba.Request) {
 	id := ObjID(req.Obj)
 	kind, from, to := "", req.From, 0
 	switch body := req.Body.(type) {
+	case fwdReq:
+		e := &mg.r.objs[id]
+		k := e.dom
+		if k == domP2P {
+			k = e.adapt.home
+		}
+		mg.r.groups[k].serveForward(mg, req)
+		return
 	case nil:
 	case p2pFetchReq:
 		kind, from = "fetch", body.Node
 	case p2pMigrateReq:
-		kind, to = body.Kind, body.Target
+		kind, to = "migrate", body.Target
 	case p2pUpdateReq:
 		// Phase one at a secondary: lock, apply, ack, stay locked.
 		mg.applyUpdate(req)
@@ -86,7 +96,7 @@ func (mg *objMgr) task() *p2pTask {
 // service waits for its charge in mg.upd.
 func (mg *objMgr) applyUpdate(req *amoeba.Request) {
 	inst := mg.p2pCopy(ObjID(req.Obj))
-	if inst == nil || !inst.valid {
+	if inst == nil {
 		// The copy was discarded while the update was in flight; the
 		// drop notice will reach the primary. Acknowledge vacuously.
 		mg.srv.PutReplyOn(mg.c, req, Args{}, nil, 4, mg.then((*objMgr).served))
@@ -151,10 +161,10 @@ type objQueue struct {
 	req, unlockPkt amoeba.Packet
 	fi, ui, acks   int
 	waiting        bool
-	next           func(*objQueue)
-	startFn        func()
-	countedFn      func()
-	ackFn          sim.Func
+	steps[objQueue]
+	startFn   func()
+	countedFn func()
+	ackFn     sim.Func
 }
 
 // startPrimary gives the object its queue on this machine, unless it
@@ -165,24 +175,13 @@ func (mg *objMgr) startPrimary(id ObjID) {
 		return
 	}
 	o := mg.r.queueRecs.new()
-	o.mg, o.id = mg, id
+	o.mg, o.id, o.self = mg, id, o
 	o.startFn, o.countedFn, o.ackFn = o.start, o.counted, o.ack
 	*q = o
 	o.c = o.claim.Init(mg.m, "obj", int(id))
 	o.pass.init(mg.m, o.c, mg.r.costs.guardCheck, o)
 	o.q.Serve(o.c, o)
 }
-
-// then returns the queue's continuation, set to run step k: the one
-// continuation the queue's service has outstanding. It is the queue
-// itself, and a step is a method expression, as bcastManager's are.
-func (o *objQueue) then(k func(*objQueue)) sim.Firer {
-	o.next = k
-	return o
-}
-
-// Fire runs the step the continuation was last handed out for.
-func (o *objQueue) Fire() { o.next(o) }
 
 // done ends the task in service.
 func (o *objQueue) done() { o.q.Done() }
@@ -234,12 +233,12 @@ func (o *objQueue) run(afterRead, afterWrite func(*objQueue)) {
 		mg.m.ComputeOn(o.c, mg.r.costs.readLocal+mg.r.costs.defaultOp, o.then((*objQueue).read))
 	case "write":
 		o.commit(afterWrite)
-	case "moveout":
-		o.migrateOut()
-	case "rehome":
-		o.migratePrimary()
-	default:
-		panic("rts: unknown task kind " + t.kind)
+	case "migrate":
+		if t.to < 0 {
+			o.migrateOut()
+		} else {
+			o.migratePrimary()
+		}
 	}
 }
 
@@ -305,8 +304,7 @@ func (o *objQueue) migrateOut() {
 // state-transfer work to this machine's CPU.
 func (o *objQueue) migratePrimary() {
 	mg, r, t := o.mg, o.mg.r, o.t
-	meta := r.meta(o.id)
-	target := t.to
+	meta, target := r.meta(o.id), t.to
 	if target == mg.m.ID() || r.nodeDown(target) {
 		mg.finishTaskOn(o.c, t, Args{}, o.then((*objQueue).done)) // nothing to move, or the target died
 		return
@@ -384,15 +382,14 @@ func (o *objQueue) commit(k func(*objQueue)) {
 		// collect acks.
 		clear(inst.copyset)
 		o.req = amoeba.Packet{Op: "inval", Obj: int64(o.id), Body: p2pInvalReq{}, Size: 8}
-		o.fanout((*objQueue).write)
 	case Update:
 		// Phase one: ship the operation, collect acks; copies stay
 		// locked.
 		r.stats.Updates += int64(len(o.secs))
 		o.req = amoeba.Packet{Op: t.op.Name, Obj: int64(o.id), Args: t.args, Body: p2pUpdateReq{},
 			Size: opSize(t.op.Name, &t.args)}
-		o.fanout((*objQueue).write)
 	}
+	o.fanout((*objQueue).write)
 }
 
 // write applies the write at the primary once its secondaries have
@@ -461,9 +458,8 @@ func (o *objQueue) start() {
 
 // ack counts one secondary's acknowledgement.
 func (o *objQueue) ack() {
-	if _, err := o.mg.cl.Result(); err != nil && !errors.Is(err, amoeba.ErrCrashed) {
-		panic(fmt.Sprintf("rts: %s failed: %v", o.req.Op, err))
-	}
+	_, err := o.mg.cl.Result()
+	failed(err, &o.req)
 	o.acks--
 	if o.waiting {
 		o.waiting = false

@@ -26,16 +26,17 @@ type replica struct {
 	moved   bool // its object changed orderer at its cut point; writes bounce (see adapt.go)
 
 	// A primary-copy copy (p2p.go), and the group replica it was
-	// installed over, if any (see objMgr.copies).
-	under                  *replica
-	locked, valid, primary bool
-	copyset                map[int]bool // primary only
+	// installed over, if any (see objMgr.copies); dropped marks one
+	// invalidated or discarded, which a thread waiting on it finds.
+	under                    *replica
+	locked, dropped, primary bool
+	copyset                  map[int]bool // primary only
 }
 
-// newReplica is a valid copy holding st, carved from recs.
+// newReplica is a copy holding st, carved from recs.
 func newReplica(recs *slab[replica], st State) *replica {
 	inst := recs.new()
-	inst.state, inst.valid = st, true
+	inst.state = st
 	return inst
 }
 
@@ -196,7 +197,7 @@ func (p *retrier) Fire() {
 func awaitGuard(w *Worker, inst *replica, op *OpDef, in Args, check sim.Time, waits *int64) bool {
 	for {
 		w.Flush()
-		if inst.moved || !inst.valid || inst.locked {
+		if inst.moved || inst.dropped || inst.locked {
 			return false
 		}
 		if op.Guard == nil {
@@ -208,7 +209,7 @@ func awaitGuard(w *Worker, inst *replica, op *OpDef, in Args, check sim.Time, wa
 		}
 		*waits++
 		inst.cond.Wait(w.P)
-		if !inst.valid {
+		if inst.dropped {
 			return false
 		}
 	}

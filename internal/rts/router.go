@@ -57,11 +57,9 @@ type Router struct {
 	batch group.BatchConfig
 	extra func(node int, body any)
 
-	// fences holds each machine's in-flight fence records, by machine
-	// and fence id. fenceAborted marks fences presumed aborted after their
-	// initiator crashed mid-reservation: late deliveries of an aborted
-	// fence complete without pausing or applying (see presumeAbort).
-	fences       map[fenceKey]*fenceRec
+	// fenceAborted marks fences presumed aborted after their initiator
+	// crashed mid-reservation: late deliveries of an aborted fence
+	// complete without pausing or applying (see presumeAbort).
 	fenceAborted map[int64]bool
 	fenceSeq     int64
 
@@ -175,11 +173,6 @@ func NewRouter(reg *Registry, costs Costs, machines []*amoeba.Machine, groups []
 			panic(fmt.Sprintf("rts: node %d lies in no group span", id))
 		}
 	}
-	if p2p != nil {
-		for _, mg := range r.mgrs {
-			mg.m.Bind(p2pCtlPort, mg.handleCtl)
-		}
-	}
 	return r
 }
 
@@ -265,18 +258,16 @@ func (r *Router) NodeCrashed(node int) {
 		g.stats.Crashes++
 	}
 	r.stats.Crashes++
-	if r.p2p {
-		// The table walks in id order, so suspended readers wake in a
-		// deterministic order.
-		for id, e := range r.objs {
-			if e.meta == nil || e.meta.primary != node {
-				continue
-			}
-			for _, mg := range r.mgrs {
-				if inst := mg.p2pCopy(ObjID(id)); inst != nil && !mg.m.Crashed() && inst.valid && inst.locked {
-					inst.locked = false
-					inst.cond.Broadcast()
-				}
+	// The table walks in id order, so suspended readers wake in a
+	// deterministic order.
+	for id, e := range r.objs {
+		if e.meta == nil || e.meta.primary != node {
+			continue
+		}
+		for _, mg := range r.mgrs {
+			if inst := mg.p2pCopy(ObjID(id)); inst != nil && !mg.m.Crashed() && inst.locked {
+				inst.locked = false
+				inst.cond.Broadcast()
 			}
 		}
 	}
@@ -499,14 +490,11 @@ func (r *Router) LocalReadState(w *Worker, id ObjID, op *OpDef) (State, bool) {
 // resolveRead is LocalReadState's general path.
 func (r *Router) resolveRead(w *Worker, id ObjID, op *OpDef) (State, bool) {
 	e := r.entry(id)
-	if e.dom == domP2P || op.Guard != nil {
+	if e.dom == domP2P || op.Guard != nil || !r.groups[e.dom].replicatedOn(w.Node(), id) {
 		return nil, false
 	}
 	g, info := r.groups[e.dom], e.adapt
-	if !g.replicatedOn(w.Node(), id) {
-		return nil, false
-	}
-	inst := r.mgrs[w.Node()].instance(w.P, id)
+	inst := r.mgrs[w.Node()].instance(w.P, id, false)
 	w.SyncShared()
 	if inst.moved {
 		return nil, false
@@ -522,20 +510,16 @@ func (r *Router) resolveRead(w *Worker, id ObjID, op *OpDef) (State, bool) {
 }
 
 // held returns a machine's current copy of an object under its present
-// orderer: a group's replica, or a valid primary or secondary copy; nil
+// orderer: a group's replica, or a primary or secondary copy; nil
 // if it holds none.
 func (r *Router) held(node int, id ObjID) *replica {
 	if id <= 0 || int(id) >= len(r.objs) || r.objs[id].dom == domNone {
 		return nil
 	}
-	mg := r.mgrs[node]
 	if r.objs[id].dom >= 0 {
-		return mg.seqCopy(id)
+		return r.mgrs[node].seqCopy(id)
 	}
-	if inst := mg.p2pCopy(id); inst != nil && inst.valid {
-		return inst
-	}
-	return nil
+	return r.mgrs[node].p2pCopy(id)
 }
 
 // PeekState returns a machine's current copy of an object (nil if it

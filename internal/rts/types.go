@@ -23,12 +23,7 @@ const (
 )
 
 // String names the operation kind.
-func (k OpKind) String() string {
-	if k == Read {
-		return "read"
-	}
-	return "write"
-}
+func (k OpKind) String() string { return [...]string{"read", "write"}[k] }
 
 // State is an object's encapsulated data. Replicas never share State
 // values: each machine holds its own copy, kept consistent by applying
