@@ -17,10 +17,11 @@
 // differ by more than the base's interquartile distance, "loss" by the
 // same rule the other way, and otherwise nothing. A change beyond the
 // metric's bound in the worse direction is flagged. After the table it
-// prints, one line each, every metric of the result line that read one
-// value on every run of each side but a different value on the two
-// sides (a virtual figure the head moved), or one line saying there is
-// none.
+// prints, one "moved:" line each, every metric of the result line that
+// read one value on every run of the base but not that value on every
+// run of the head (a deterministic figure the head moved, made vary or
+// dropped) and every metric only the head reports, or one line saying
+// there is none.
 package main
 
 import (
@@ -133,9 +134,9 @@ func run(w io.Writer, repo, base, head string, args []string, pairs int) (err er
 		}
 		fmt.Fprintf(w, "%-20s %-40s %-40s %+8.2f%% %4d %4d  %s\n", m.Name, c.base, c.head, 100*c.change(), c.wins, c.losses, note)
 	}
-	ms := moved(samples[0], samples[1])
+	ms := moved(samples[0], samples[1], pairs)
 	if len(ms) == 0 {
-		fmt.Fprintln(w, "no metric that reads one value on every run of each side differs between the sides")
+		fmt.Fprintln(w, "no metric that reads one value on every run of the base reads otherwise at the head")
 	}
 	for _, m := range ms {
 		fmt.Fprintln(w, "moved:", m)

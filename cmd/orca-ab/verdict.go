@@ -96,17 +96,38 @@ func (c comparison) verdict() string {
 	return ""
 }
 
-// moved lists the metrics that read one value on every run of each
-// side and a different value on the two sides, a deterministic figure
-// the head moved, as "name: base -> head", in name order.
-func moved(base, head map[string][]float64) []string {
+// moved lists the metrics that read one value on every one of the n
+// runs of the base and otherwise at the head — another value on every
+// run, values that differ between runs, or no value on some runs or on
+// all — and the metrics only the head reports, as "name: base -> head",
+// in name order. A metric whose base runs differ (a wall-clock figure)
+// is not listed: it is not deterministic.
+func moved(base, head map[string][]float64, n int) []string {
 	var out []string
-	for name, b := range base {
-		h := head[name]
-		if len(h) > 0 && slices.Min(b) == slices.Max(b) && slices.Min(h) == slices.Max(h) && b[0] != h[0] {
-			out = append(out, fmt.Sprintf("%s: %v -> %v", name, b[0], h[0]))
+	for name := range base {
+		if b, h := reading(base[name], n), reading(head[name], n); b == fmt.Sprint(base[name][0]) && b != h {
+			out = append(out, fmt.Sprintf("%s: %s -> %s", name, b, h))
+		}
+	}
+	for name, h := range head {
+		if _, ok := base[name]; !ok {
+			out = append(out, fmt.Sprintf("%s: missing -> %s", name, reading(h, n)))
 		}
 	}
 	sort.Strings(out)
 	return out
+}
+
+// reading names what a metric read over n runs: its value if one on
+// every run.
+func reading(xs []float64, n int) string {
+	switch {
+	case len(xs) == 0:
+		return "missing"
+	case len(xs) < n:
+		return fmt.Sprintf("on %d of %d runs", len(xs), n)
+	case slices.Min(xs) != slices.Max(xs):
+		return fmt.Sprintf("varies %v..%v", slices.Min(xs), slices.Max(xs))
+	}
+	return fmt.Sprint(xs[0])
 }

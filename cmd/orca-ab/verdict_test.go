@@ -82,13 +82,23 @@ func TestMoved(t *testing.T) {
 		"ops_per_wall_s": {120, 120, 120},
 		"noisy_in_head":  {4, 5, 4},
 		"allocs_per_op":  {0.2, 0.2, 0.2},
+		"partial":        {7, 7},
+		"only_in_head":   {2, 2, 2},
 	}
-	got := moved(base, head)
-	want := []string{"allocs_per_op: 0.1 -> 0.2", "virtual_s: 14.2 -> 14.3"}
+	base["partial"] = []float64{7, 7, 7}
+	got := moved(base, head, 3)
+	want := []string{
+		"allocs_per_op: 0.1 -> 0.2",
+		"noisy_in_head: 3 -> varies 4..5",
+		"only_in_base: 1 -> missing",
+		"only_in_head: missing -> 2",
+		"partial: 7 -> on 2 of 3 runs",
+		"virtual_s: 14.2 -> 14.3",
+	}
 	if !slices.Equal(got, want) {
 		t.Fatalf("moved = %q, want %q", got, want)
 	}
-	if got := moved(base, base); len(got) != 0 {
+	if got := moved(base, base, 3); len(got) != 0 {
 		t.Fatalf("moved(base, base) = %q, want none", got)
 	}
 }
