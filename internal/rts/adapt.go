@@ -73,19 +73,22 @@ const alpha = 0.5
 
 // withDefaults fills zero fields with the default parameters.
 func (c AdaptConfig) withDefaults() AdaptConfig {
-	orDefault(&c.SampleEvery, 64)
-	orDefault(&c.MinDwell, 20*sim.Millisecond)
-	orDefault(&c.WriteHeavyFrac, 0.35)
-	orDefault(&c.ReadHeavyFrac, 0.15)
-	orDefault(&c.DominantFrac, 0.55)
-	return c
-}
-
-// orDefault sets a parameter that is not positive to its default.
-func orDefault[T int | sim.Time | float64](v *T, d T) {
-	if *v <= 0 {
-		*v = d
+	if c.SampleEvery <= 0 {
+		c.SampleEvery = 64
 	}
+	if c.MinDwell <= 0 {
+		c.MinDwell = 20 * sim.Millisecond
+	}
+	if c.WriteHeavyFrac <= 0 {
+		c.WriteHeavyFrac = 0.35
+	}
+	if c.ReadHeavyFrac <= 0 {
+		c.ReadHeavyFrac = 0.15
+	}
+	if c.DominantFrac <= 0 {
+		c.DominantFrac = 0.55
+	}
+	return c
 }
 
 // adaptAction is a placement decision.
@@ -100,7 +103,16 @@ const (
 
 // String names the action for traces and tests.
 func (a adaptAction) String() string {
-	return [...]string{"stay", "to-primary", "to-replicated", "rehome"}[a]
+	switch a {
+	case adaptToPrimary:
+		return "to-primary"
+	case adaptToReplicated:
+		return "to-replicated"
+	case adaptRehome:
+		return "rehome"
+	default:
+		return "stay"
+	}
 }
 
 // adaptDecide is the pure placement decision over one statistics
@@ -119,7 +131,10 @@ func adaptDecide(cfg AdaptConfig, replicated bool, primary int, ewmaWriteFrac fl
 			dom, domW = n, wn
 		}
 	}
-	domShare := float64(domW) / float64(max(totalW, 1)) // read only when dom >= 0, so totalW > 0
+	domShare := 0.0
+	if totalW > 0 {
+		domShare = float64(domW) / float64(totalW)
+	}
 	if replicated {
 		// Replicated is only wrong when writes are frequent AND
 		// concentrated: then every write pays a broadcast that one
@@ -168,8 +183,12 @@ type adaptInfo struct {
 
 // resetWindow clears the statistics window after a decision.
 func (info *adaptInfo) resetWindow() {
-	clear(info.reads)
-	clear(info.writes)
+	for i := range info.reads {
+		info.reads[i] = 0
+	}
+	for i := range info.writes {
+		info.writes[i] = 0
+	}
 	info.seen = 0
 }
 
@@ -200,7 +219,7 @@ func (r *Router) recoverState(id ObjID) State {
 	// state — the prefix of the total order up to the cut — so the
 	// lowest-numbered one is as good as any and the choice is
 	// deterministic.
-	for _, mg := range r.mgrs {
+	for _, mg := range r.nodes {
 		if inst := mg.seqCopy(id); inst != nil && inst.moved && !mg.m.Crashed() {
 			return r.objs[id].typ.Clone(inst.state)
 		}
@@ -263,11 +282,15 @@ func (r *Router) adaptObserve(w *Worker, id ObjID, info *adaptInfo, opName strin
 		primary = r.meta(id).primary
 	}
 	act, target := info.step(replicated, primary, w.M.Env().Now())
-	// A migration to a primary (target >= 0) never goes toward a dead or
-	// out-of-span machine.
-	if act != adaptStay && (target < 0 || !r.nodeDown(target) && home.mgr(target) != nil) {
-		r.startMigration(w, id, info, act, target)
+	switch act {
+	case adaptStay:
+		return
+	case adaptToPrimary, adaptRehome:
+		if r.nodeDown(target) || home.mgr(target) == nil {
+			return // never migrate toward a dead or out-of-span machine
+		}
 	}
+	r.startMigration(w, id, info, act, target)
 }
 
 // step folds the completed statistics window into the EWMA and returns
@@ -280,7 +303,10 @@ func (info *adaptInfo) step(replicated bool, primary int, now sim.Time) (adaptAc
 		r += info.reads[i]
 		wr += info.writes[i]
 	}
-	frac := float64(wr) / float64(max(r+wr, 1))
+	frac := 0.0
+	if r+wr > 0 {
+		frac = float64(wr) / float64(r+wr)
+	}
 	if !info.primed {
 		info.ewma, info.primed = frac, true
 	} else {
@@ -288,6 +314,9 @@ func (info *adaptInfo) step(replicated bool, primary int, now sim.Time) (adaptAc
 	}
 	act, target := adaptDecide(info.cfg, replicated, primary, info.ewma, info.reads, info.writes)
 	info.resetWindow()
+	if act == adaptStay {
+		return adaptStay, -1
+	}
 	if now-info.last < info.cfg.MinDwell {
 		return adaptStay, -1 // hysteresis: too soon after the last migration
 	}
@@ -300,8 +329,13 @@ func (info *adaptInfo) step(replicated bool, primary int, now sim.Time) (adaptAc
 // flag are consistent when the worker continues.
 func (r *Router) startMigration(w *Worker, id ObjID, info *adaptInfo, act adaptAction, target int) {
 	env := w.M.Env()
-	info.migrating, info.toBr, info.decided, info.aborted, info.cloned = true, false, false, false, nil
-	info.fromNode, info.start = w.Node(), env.Now()
+	info.migrating = true
+	info.toBr = false
+	info.decided = false
+	info.aborted = false
+	info.cloned = nil
+	info.fromNode = w.Node()
+	info.start = env.Now()
 	env.Tracef("rts: object %d migration %s (target %d) from node %d", id, act, target, w.Node())
 	switch act {
 	case adaptToPrimary:
@@ -315,16 +349,17 @@ func (r *Router) startMigration(w *Worker, id ObjID, info *adaptInfo, act adaptA
 			// Target crashed before the cut: the object stays
 			// replicated and the dwell clock still advances, so the
 			// controller re-evaluates against live statistics later.
-			info.migrating, info.last = false, env.Now()
+			info.migrating = false
+			info.last = env.Now()
 			info.cond.Broadcast()
 		}
 	case adaptToReplicated:
 		// The primary's task queue is the cut: a moveout task drops
 		// every copy and hands the state to the home group.
-		r.mgrs[w.Node()].submitMigrate(w, id, -1)
+		r.nodes[w.Node()].submitMigrate(w, id, -1)
 		r.awaitFlip(w, id, info, domP2P)
 	case adaptRehome:
-		r.mgrs[w.Node()].submitMigrate(w, id, target)
+		r.nodes[w.Node()].submitMigrate(w, id, target)
 		r.finishMigration(info, id, domP2P, env.Now())
 	}
 }
@@ -335,7 +370,9 @@ func (r *Router) startMigration(w *Worker, id ObjID, info *adaptInfo, act adaptA
 // stamps the counters, and releases every bounced waiter.
 func (r *Router) finishMigration(info *adaptInfo, id ObjID, to int, now sim.Time) {
 	r.objs[id].dom = to
-	info.migrating, info.cloned, info.last = false, nil, now
+	info.migrating = false
+	info.cloned = nil
+	info.last = now
 	r.stats.Migrations++
 	r.stats.MigrationVirtualUS += float64(now-info.start) / float64(sim.Microsecond)
 	info.cond.Broadcast()

@@ -128,7 +128,7 @@ func newSeqGroup(r *Router, k int, members []*group.Member, span []int) *seqGrou
 	for i, node := range span {
 		g.mgrAt[node] = i
 		mgr := &g.mgrs[i]
-		mgr.sg, mgr.mg, mgr.m, mgr.g, mgr.self = g, r.mgrs[node], r.machines[node], members[i], mgr
+		mgr.sg, mgr.mg, mgr.m, mgr.g, mgr.self = g, r.nodes[node], r.machines[node], members[i], mgr
 		mgr.c = mgr.claim.Init(mgr.m, "objmgr", -1)
 		mgr.pass.init(mgr.m, mgr.c, r.costs.guardCheck, mgr)
 		mgr.g.Deliveries().Serve(mgr.c, mgr)
@@ -171,10 +171,16 @@ func (g *seqGroup) counters() RTSStats {
 	st := g.stats
 	for i := range g.mgrs {
 		gs := g.mgrs[i].g.Stats()
-		st.Elections = max(st.Elections, gs.Elections)
-		st.Takeovers = max(st.Takeovers, gs.Takeovers)
+		if gs.Elections > st.Elections {
+			st.Elections = gs.Elections
+		}
+		if gs.Takeovers > st.Takeovers {
+			st.Takeovers = gs.Takeovers
+		}
 		st.Reproposals += gs.Reproposals
-		st.RecoveryVirtualUS = max(st.RecoveryVirtualUS, float64(gs.RecoveryTime)/float64(sim.Microsecond))
+		if us := float64(gs.RecoveryTime) / float64(sim.Microsecond); us > st.RecoveryVirtualUS {
+			st.RecoveryVirtualUS = us
+		}
 	}
 	return st
 }

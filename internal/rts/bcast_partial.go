@@ -62,7 +62,7 @@ func (g *seqGroup) forward(w *Worker, id ObjID, opName string, in Args) Args {
 	if holders == nil {
 		holders = g.span
 	}
-	cl := g.r.mgrs[w.Node()].cl
+	cl := g.r.nodes[w.Node()].cl
 	w.Flush()
 	g.stats.Forwarded++
 	req := amoeba.Packet{Port: svcPort, Op: opName, Obj: int64(id), Args: in, Body: fwdReq{}, Size: opSize(opName, &in)}

@@ -150,7 +150,7 @@ func TestP2PRehomePreservesSurvivingCopy(t *testing.T) {
 	if st.OpsRetried == 0 {
 		t.Fatalf("OpsRetried = 0, want > 0 (the first post-crash write must have failed over)")
 	}
-	if p := r.Primary(id); p == 0 || r.machines[p].Crashed() {
+	if p := r.Primary(id); p == 0 || r.nodes[p].m.Crashed() {
 		t.Fatalf("primary = %d, want a live survivor", p)
 	}
 	b.done()

@@ -79,7 +79,7 @@ func (r *Router) presumeAbort(node int) {
 	env := r.machines[0].Env()
 	env.After(fenceAbortGrace, func() {
 		var fids []int64
-		for _, mg := range r.mgrs {
+		for _, mg := range r.nodes {
 			for fid, rec := range mg.fences {
 				if rec.src == node && !rec.done && !slices.Contains(fids, fid) {
 					fids = append(fids, fid)
@@ -89,7 +89,7 @@ func (r *Router) presumeAbort(node int) {
 		slices.Sort(fids)
 		for _, fid := range fids {
 			put(&r.fenceAborted, fid, true)
-			for _, mg := range r.mgrs {
+			for _, mg := range r.nodes {
 				if rec, ok := mg.fences[fid]; ok {
 					rec.done = true
 					rec.cond.Broadcast()
@@ -105,7 +105,7 @@ func (r *Router) presumeAbort(node int) {
 // carved from the run's tables, expecting one arrival per covered shard
 // whose span contains the machine.
 func (r *Router) fenceRec(node int, f *wireFence) *fenceRec {
-	mg := r.mgrs[node]
+	mg := r.nodes[node]
 	if rec, ok := mg.fences[f.FID]; ok {
 		return rec
 	}

@@ -86,7 +86,7 @@ func TestP2PInlineReadsAmongThreadPaths(t *testing.T) {
 		ready.Broadcast()
 		w.P.Sleep(30 * sim.Millisecond)
 		// Move the cell's primary to machine 2 under the readers' feet.
-		r.mgrs[0].submitMigrate(w, cell, 2)
+		r.nodes[0].submitMigrate(w, cell, 2)
 		got[0] = fmt.Sprintf("moved@%v", w.P.Now())
 	})
 	reader := func(node, rounds int) {

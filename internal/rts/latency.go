@@ -1,7 +1,6 @@
 package rts
 
 import (
-	"math"
 	"math/bits"
 
 	"repro/internal/sim"
@@ -68,11 +67,15 @@ func latUpper(i int) sim.Time {
 // Record adds one duration. Negative durations clamp to zero (a
 // request cannot complete before it arrived).
 func (h *LatencyHist) Record(d sim.Time) {
-	d = max(d, 0)
+	if d < 0 {
+		d = 0
+	}
 	h.counts[latIndex(d)]++
 	h.n++
 	h.sum += d
-	h.max = max(h.max, d)
+	if d > h.max {
+		h.max = d
+	}
 }
 
 // Merge adds o's recordings into h.
@@ -82,7 +85,9 @@ func (h *LatencyHist) Merge(o *LatencyHist) {
 	}
 	h.n += o.n
 	h.sum += o.sum
-	h.max = max(h.max, o.max)
+	if o.max > h.max {
+		h.max = o.max
+	}
 }
 
 // Count reports the number of recorded durations.
@@ -98,12 +103,28 @@ func (h *LatencyHist) Max() sim.Time { return h.max }
 // of the bucket holding the ceil(q*n)-th smallest recording — a
 // deterministic, conservative figure within ~6% of the true value.
 func (h *LatencyHist) Percentile(q float64) sim.Time {
-	rank := min(max(int64(math.Ceil(q*float64(h.n))), 1), h.n) // an empty histogram reads 0 at bucket 0
+	if h.n == 0 {
+		return 0
+	}
+	rank := int64(q * float64(h.n))
+	if float64(rank) < q*float64(h.n) {
+		rank++
+	}
+	if rank < 1 {
+		rank = 1
+	}
+	if rank > h.n {
+		rank = h.n
+	}
 	var cum int64
 	for i, c := range h.counts {
 		cum += c
 		if cum >= rank {
-			return min(latUpper(i), h.max) // never beyond the observed maximum
+			u := latUpper(i)
+			if u > h.max {
+				u = h.max // never report beyond the observed maximum
+			}
+			return u
 		}
 	}
 	return h.max

@@ -87,7 +87,7 @@ var localReadCases = []localReadCase{
 			b.spawn(2, "reader", func(w *Worker) {
 				read(w, id, testOp(m, "intcell", "get"))
 				w.P.Sleep(20 * sim.Millisecond) // past the migration
-				if inst := m.mgrs[2].seqCopy(id); inst != nil && !inst.moved {
+				if inst := m.nodes[2].seqCopy(id); inst != nil && !inst.moved {
 					t.Error("node 2's replica is live after the migration")
 				}
 				read(w, id, testOp(m, "intcell", "get"))
@@ -120,7 +120,7 @@ var localReadCases = []localReadCase{
 			for m.objs[id].dom == domP2P {
 				w.P.Sleep(10 * sim.Microsecond)
 			}
-			if inst := m.mgrs[3].seqCopy(id); inst == nil || !inst.moved {
+			if inst := m.nodes[3].seqCopy(id); inst == nil || !inst.moved {
 				t.Error("node 3's replica is live when the object is replicated again: the case does not decline")
 			}
 			read(w, id, testOp(m, "intcell", "get"))
@@ -156,7 +156,7 @@ var localReadCases = []localReadCase{
 			for id == 0 {
 				w.P.Sleep(10 * sim.Microsecond)
 			}
-			if m.mgrs[3].seqCopy(id) != nil {
+			if m.nodes[3].seqCopy(id) != nil {
 				t.Error("node 3's replica exists before the read: the case does not wait")
 			}
 			for i := 0; i < 3; i++ {

@@ -41,7 +41,12 @@ const (
 )
 
 // String names the protocol for tables and traces.
-func (p P2PProtocol) String() string { return [...]string{"invalidate", "update"}[p] }
+func (p P2PProtocol) String() string {
+	if p == Invalidation {
+		return "invalidate"
+	}
+	return "update"
+}
 
 // Placement controls the replication policy.
 type Placement int
@@ -58,7 +63,16 @@ const (
 )
 
 // String names the placement policy for tables and traces.
-func (pl Placement) String() string { return [...]string{"dynamic", "single", "full"}[pl] }
+func (pl Placement) String() string {
+	switch pl {
+	case DynamicPlacement:
+		return "dynamic"
+	case SingleCopy:
+		return "single"
+	default:
+		return "full"
+	}
+}
 
 // P2PConfig is the protocol and placement plain Create gives an object.
 type P2PConfig struct {
@@ -129,7 +143,13 @@ type accessStats struct {
 	reads, writes int64
 }
 
-func (a *accessStats) ratio() float64 { return float64(a.reads) / float64(max(a.writes, 1)) }
+func (a *accessStats) ratio() float64 {
+	w := a.writes
+	if w == 0 {
+		w = 1
+	}
+	return float64(a.reads) / float64(w)
+}
 
 // Wire bodies for the point-to-point protocols. A request on the RPC
 // port names its object, operation and arguments in the packet header
@@ -149,7 +169,9 @@ type (
 		Obj   ObjID
 		State State
 	}
-	p2pMigrateReq struct{ Target int } // initiator -> primary: enqueue a migration task
+	p2pMigrateReq struct { // initiator -> primary: enqueue a migration task
+		Target int // the new primary, or -1: out into the object's group
+	}
 )
 
 // p2pCtlPort is the one-way port: unlock, drop, install. Requests (an
@@ -181,7 +203,7 @@ func (mg *objMgr) createPrimary(w *Worker, typeName string, protocol P2PProtocol
 	r.objs[id].meta = &p2pMeta{primary: w.Node(), protocol: protocol, placement: placement}
 	mg.startPrimary(id)
 	if placement == FullReplication {
-		for _, other := range r.mgrs {
+		for _, other := range r.nodes {
 			if other == mg {
 				continue
 			}
@@ -342,7 +364,7 @@ func failed(err error, req *amoeba.Packet) bool {
 // accessFor returns this machine's statistics for an object.
 func (mg *objMgr) accessFor(meta *p2pMeta) *accessStats {
 	if meta.access == nil {
-		meta.access = make([]accessStats, len(mg.r.mgrs))
+		meta.access = make([]accessStats, len(mg.r.nodes))
 	}
 	return &meta.access[mg.m.ID()]
 }

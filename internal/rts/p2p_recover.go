@@ -44,10 +44,10 @@ func (r *Router) rehome(id ObjID, meta *p2pMeta) {
 	}
 	// Prefer the lowest-numbered live machine holding a copy; if every
 	// copy died, restart on the lowest-numbered live machine.
-	target := slices.IndexFunc(r.mgrs, func(mg *objMgr) bool { return !mg.m.Crashed() && mg.p2pCopy(id) != nil })
+	target := slices.IndexFunc(r.nodes, func(mg *objMgr) bool { return !mg.m.Crashed() && mg.p2pCopy(id) != nil })
 	restart := target < 0
 	if restart {
-		target = slices.IndexFunc(r.mgrs, func(mg *objMgr) bool { return !mg.m.Crashed() })
+		target = slices.IndexFunc(r.nodes, func(mg *objMgr) bool { return !mg.m.Crashed() })
 	}
 	if target < 0 {
 		panic(fmt.Sprintf("rts: no live machine to re-home object %d", id))
@@ -74,7 +74,7 @@ func (r *Router) rehome(id ObjID, meta *p2pMeta) {
 // Re-homing, primary migration and a migration out of a group all
 // install a primary this way.
 func (r *Router) promote(id ObjID, meta *p2pMeta, target int, st State) {
-	tn := r.mgrs[target]
+	tn := r.nodes[target]
 	if st != nil {
 		tn.installCopy(id, st)
 	}
@@ -83,7 +83,7 @@ func (r *Router) promote(id ObjID, meta *p2pMeta, target int, st State) {
 	if inst.copyset == nil {
 		inst.copyset = make(map[int]bool)
 	}
-	for _, mg := range r.mgrs {
+	for _, mg := range r.nodes {
 		if mg.m.Crashed() || mg == tn || mg.m.ID() == meta.primary {
 			continue
 		}

@@ -274,12 +274,14 @@ func (o *objQueue) migrateOut() {
 	mg, r, t := o.mg, o.mg.r, o.t
 	info := r.objs[o.id].adapt
 	clone := r.objs[o.id].typ.Clone(o.inst.state)
-	info.toBr, info.fromNode, info.cloned = true, mg.m.ID(), clone
+	info.toBr = true
+	info.fromNode = mg.m.ID()
+	info.cloned = clone
 	r.meta(o.id).moved = true
 	// Bounce parked guarded tasks; they re-register as group operations.
 	o.bounce(0, func() {
 		// Drop every copy; suspended readers wake and bounce on meta.moved.
-		for _, other := range r.mgrs {
+		for _, other := range r.nodes {
 			if !other.m.Crashed() {
 				other.dropLocal(o.id)
 			}

@@ -78,9 +78,9 @@ func TestRetryKeepsReplicaTouchedMidPass(t *testing.T) {
 		// Applied at node 0, then the pass over A starts and charges the
 		// guard check of A's parked write: this thread resumes meanwhile.
 		r.Call(w, a, "set", ArgsOf(1))
-		mgr := r.groups[0].mgr(0)
-		inst := r.mgrs[0].seqCopy(c)
-		r.op(c, "set").Apply(nil, inst.state, ArgsOf(1))
+		mgr := r.mgr(0)
+		inst := mgr.inst(c)
+		inst.op("set").Apply(nil, inst.state, ArgsOf(1))
 		inst.cond.Broadcast()
 		mgr.touch(inst)
 	})

@@ -43,7 +43,7 @@ type Router struct {
 	defP2P   bool      // Default placements become primary copies
 	groups   []*seqGroup
 	every    []int     // every group's index, ascending: a full-span fence's shards
-	mgrs     []*objMgr // by node id
+	nodes    []*objMgr // by node id
 
 	// objs is the object table, indexed by the dense ObjID: alloc hands
 	// out the ids, counting up from 1. The simulation is single-threaded,
@@ -155,9 +155,9 @@ func NewRouter(reg *Registry, costs Costs, machines []*amoeba.Machine, groups []
 	if p2p != nil {
 		r.cfg = *p2p
 	}
-	r.mgrs = make([]*objMgr, len(machines))
+	r.nodes = make([]*objMgr, len(machines))
 	for i, m := range machines {
-		r.mgrs[i] = newObjMgr(r, m)
+		r.nodes[i] = newObjMgr(r, m)
 	}
 	for k, def := range groups {
 		for i := 1; i < len(def.Span); i++ {
@@ -264,7 +264,7 @@ func (r *Router) NodeCrashed(node int) {
 		if e.meta == nil || e.meta.primary != node {
 			continue
 		}
-		for _, mg := range r.mgrs {
+		for _, mg := range r.nodes {
 			if inst := mg.p2pCopy(ObjID(id)); inst != nil && !mg.m.Crashed() && inst.locked {
 				inst.locked = false
 				inst.cond.Broadcast()
@@ -390,7 +390,7 @@ func (r *Router) CreateAt(w *Worker, typeName string, pl Place, args ...any) (Ob
 			return 0, fmt.Errorf("a primary copy lives on its creating machine %d; replica set %v cannot move it", node, pl.Nodes)
 		}
 		r.enter(w, domP2P)
-		return r.mgrs[node].createPrimary(w, typeName, pl.Protocol, pl.Copies, args), nil
+		return r.nodes[node].createPrimary(w, typeName, pl.Protocol, pl.Copies, args), nil
 	}
 	k := pl.Group
 	if k < 0 {
@@ -441,7 +441,7 @@ func (r *Router) Call(w *Worker, id ObjID, op string, in Args) Args {
 		r.enter(w, dom)
 		var res Args
 		if dom == domP2P {
-			res = r.mgrs[w.Node()].callPrimary(w, id, op, in)
+			res = r.nodes[w.Node()].callPrimary(w, id, op, in)
 		} else {
 			res = r.groups[dom].call(w, id, op, in)
 		}
@@ -477,7 +477,7 @@ func (r *Router) Call(w *Worker, id ObjID, op string, in Args) Args {
 func (r *Router) LocalReadState(w *Worker, id ObjID, op *OpDef) (State, bool) {
 	if op.Guard == nil && uint(id) < uint(len(r.objs)) {
 		if e := &r.objs[id]; e.dom >= 0 && e.adapt == nil {
-			if inst := r.mgrs[w.M.ID()].copy(id); inst != nil && w.batch.idle() {
+			if inst := r.nodes[w.M.ID()].copy(id); inst != nil && w.batch.idle() {
 				r.groups[e.dom].stats.LocalReads++
 				w.Charge(r.costs.readLocal + r.costs.defaultOp)
 				return inst.state, true
@@ -494,7 +494,7 @@ func (r *Router) resolveRead(w *Worker, id ObjID, op *OpDef) (State, bool) {
 		return nil, false
 	}
 	g, info := r.groups[e.dom], e.adapt
-	inst := r.mgrs[w.Node()].instance(w.P, id, false)
+	inst := r.nodes[w.Node()].instance(w.P, id, false)
 	w.SyncShared()
 	if inst.moved {
 		return nil, false
@@ -517,9 +517,9 @@ func (r *Router) held(node int, id ObjID) *replica {
 		return nil
 	}
 	if r.objs[id].dom >= 0 {
-		return r.mgrs[node].seqCopy(id)
+		return r.nodes[node].seqCopy(id)
 	}
-	return r.mgrs[node].p2pCopy(id)
+	return r.nodes[node].p2pCopy(id)
 }
 
 // PeekState returns a machine's current copy of an object (nil if it
@@ -551,7 +551,7 @@ func (r *Router) HasCopy(node int, id ObjID) bool {
 // that died with a crashed machine do not count.
 func (r *Router) CopyCount(id ObjID) int {
 	n := 0
-	for node := range r.mgrs {
+	for node := range r.nodes {
 		if r.HasCopy(node, id) {
 			n++
 		}

@@ -1,7 +1,5 @@
 package rts
 
-import "reflect"
-
 // RTSStats is the unified runtime-counter snapshot. A sequencer group
 // fills the broadcast fields, the Router the primary-copy, fence and
 // migration fields, and Router.Counters merges them — one schema for
@@ -40,9 +38,9 @@ type RTSStats struct {
 	MigrationVirtualUS float64 `json:"migration_virtual_us,omitempty"`
 
 	// Fault-tolerance counters (see Router.NodeCrashed).
-	Crashes    int64 `json:"crashes,omitempty" merge:"max"` // machine crashes observed by the runtime
-	OpsRetried int64 `json:"ops_retried,omitempty"`         // operations retried after a crash broke their first attempt
-	Rehomed    int64 `json:"rehomed,omitempty"`             // objects re-homed or restarted on a new primary
+	Crashes    int64 `json:"crashes,omitempty"`     // machine crashes observed by the runtime
+	OpsRetried int64 `json:"ops_retried,omitempty"` // operations retried after a crash broke their first attempt
+	Rehomed    int64 `json:"rehomed,omitempty"`     // objects re-homed or restarted on a new primary
 
 	// Sequencer-recovery counters from the group layer: election
 	// rounds (elected-sequencer protocol), consensus takeovers, slots
@@ -51,41 +49,53 @@ type RTSStats struct {
 	// post-recovery delivery). Elections, Takeovers, and the recovery
 	// time merge by max — concurrent members observe the same logical
 	// recovery — while Reproposals sums.
-	Elections         int64   `json:"elections,omitempty" merge:"max"`
-	Takeovers         int64   `json:"takeovers,omitempty" merge:"max"`
+	Elections         int64   `json:"elections,omitempty"`
+	Takeovers         int64   `json:"takeovers,omitempty"`
 	Reproposals       int64   `json:"reproposals,omitempty"`
-	RecoveryVirtualUS float64 `json:"recovery_virtual_us,omitempty" merge:"max"`
+	RecoveryVirtualUS float64 `json:"recovery_virtual_us,omitempty"`
 }
 
 // Merge combines counter snapshots of independent parts of one
 // runtime on the same machines (a Router's sequencer groups and its own
 // counters) into one. Work counters sum — each part performed its share
-// of the reads, writes, frames, and retries. Whole-machine observations,
-// the fields tagged merge:"max", merge by max: every part observes the
-// same crash, and concurrent groups on the same machines observe the
-// same logical sequencer recovery, so Crashes, Elections, Takeovers, and
-// the recovery outage would double-count under a sum.
+// of the reads, writes, frames, and retries. Whole-machine observations
+// merge by max: every part observes the same crash, and concurrent
+// groups on the same machines observe the same logical sequencer
+// recovery, so Crashes, Elections, Takeovers, and the recovery outage
+// would double-count under a sum.
 func Merge(snaps ...RTSStats) RTSStats {
 	var s RTSStats
-	sv := reflect.ValueOf(&s).Elem()
 	for _, o := range snaps {
-		ov := reflect.ValueOf(o)
-		for i := range sv.NumField() {
-			f, v, byMax := sv.Field(i), ov.Field(i), sv.Type().Field(i).Tag.Get("merge") == "max"
-			if f.Kind() == reflect.Float64 {
-				f.SetFloat(combine(f.Float(), v.Float(), byMax))
-			} else {
-				f.SetInt(combine(f.Int(), v.Int(), byMax))
-			}
+		s.LocalReads += o.LocalReads
+		s.BcastWrites += o.BcastWrites
+		s.GuardWaits += o.GuardWaits
+		s.Forwarded += o.Forwarded
+		s.BatchedOps += o.BatchedOps
+		s.Frames += o.Frames
+		s.RemoteReads += o.RemoteReads
+		s.P2PWrites += o.P2PWrites
+		s.Fetches += o.Fetches
+		s.Discards += o.Discards
+		s.Invalidations += o.Invalidations
+		s.Updates += o.Updates
+		s.FencedOps += o.FencedOps
+		s.Migrations += o.Migrations
+		s.MigrationVirtualUS += o.MigrationVirtualUS
+		if o.Crashes > s.Crashes {
+			s.Crashes = o.Crashes
+		}
+		s.OpsRetried += o.OpsRetried
+		s.Rehomed += o.Rehomed
+		if o.Elections > s.Elections {
+			s.Elections = o.Elections
+		}
+		if o.Takeovers > s.Takeovers {
+			s.Takeovers = o.Takeovers
+		}
+		s.Reproposals += o.Reproposals
+		if o.RecoveryVirtualUS > s.RecoveryVirtualUS {
+			s.RecoveryVirtualUS = o.RecoveryVirtualUS
 		}
 	}
 	return s
-}
-
-// combine merges one counter: by max or by sum.
-func combine[T int64 | float64](a, b T, byMax bool) T {
-	if byMax {
-		return max(a, b)
-	}
-	return a + b
 }

@@ -132,6 +132,19 @@ func createOn(r *Router, w *Worker, typeName string, nodes []int, args ...any) O
 	return must(r.CreateAt(w, typeName, Place{Kind: PlaceReplicated, Nodes: nodes, Group: -1}, args...))
 }
 
+// mgr returns the first group's delivery consumer on node.
+func (r *Router) mgr(node int) *bcastManager { return r.groups[0].mgr(node) }
+
+// inst returns the machine's group replica of id, nil if there is none.
+func (mgr *bcastManager) inst(id ObjID) *replica { return mgr.mg.seqCopy(id) }
+
+// op resolves an operation of a gcell replica: a copy does not carry
+// its object's type, the object's entry does.
+func (inst *replica) op(name string) *OpDef {
+	_ = inst.state.(*gcellState)
+	return gcellType().Op(name)
+}
+
 // spawn runs fn as an application thread on the given node.
 func (b *tb) spawn(node int, name string, fn func(w *Worker)) {
 	b.ms[node].SpawnThread(name, func(p *sim.Proc) {

@@ -23,7 +23,12 @@ const (
 )
 
 // String names the operation kind.
-func (k OpKind) String() string { return [...]string{"read", "write"}[k] }
+func (k OpKind) String() string {
+	if k == Read {
+		return "read"
+	}
+	return "write"
+}
 
 // State is an object's encapsulated data. Replicas never share State
 // values: each machine holds its own copy, kept consistent by applying
@@ -149,28 +154,32 @@ func (r *Registry) Lookup(name string) *ObjectType {
 	return t
 }
 
-// opCache is a two-entry MRU cache over an ObjectType's Ops map, keyed
-// by the cached operations' own names (an operation is registered under
-// its Name). Operation names at call sites are string constants, so a
-// hit is a pointer-equality compare; two entries keep the classic
+// opCache is a two-entry MRU cache over an ObjectType's Ops map.
+// Operation names at call sites are string constants, so a hit is a
+// pointer-equality compare; two entries keep the classic
 // read-then-write alternation (value/min, get/add) from thrashing.
 // Purely a dispatch cache: the map stays the source of truth and the
 // (deterministic) results are identical. The simulation is
 // single-threaded, so no locking is needed even on shared records.
-type opCache struct{ op0, op1 *OpDef }
+type opCache struct {
+	name0, name1 string
+	op0, op1     *OpDef
+}
 
 // lookup resolves an operation name through the cache, consulting t on
 // a miss.
 func (c *opCache) lookup(t *ObjectType, name string) *OpDef {
-	if c.op0 != nil && c.op0.Name == name {
+	if c.name0 == name {
 		return c.op0
 	}
-	if c.op1 != nil && c.op1.Name == name {
+	if c.name1 == name {
+		c.name0, c.name1 = c.name1, c.name0
 		c.op0, c.op1 = c.op1, c.op0
 		return c.op0
 	}
 	op := t.Op(name)
-	c.op0, c.op1 = op, c.op0
+	c.name1, c.op1 = c.name0, c.op0
+	c.name0, c.op0 = name, op
 	return op
 }
 
