@@ -79,21 +79,19 @@ func (r *Router) presumeAbort(node int) {
 	env := r.machines[0].Env()
 	env.After(fenceAbortGrace, func() {
 		var fids []int64
-		for _, mg := range r.nodes {
-			for fid, rec := range mg.fences {
-				if rec.src == node && !rec.done && !slices.Contains(fids, fid) {
-					fids = append(fids, fid)
-				}
+		for key, rec := range r.fences {
+			if rec.src == node && !rec.done && !slices.Contains(fids, key.fid) {
+				fids = append(fids, key.fid)
 			}
 		}
 		slices.Sort(fids)
 		for _, fid := range fids {
 			put(&r.fenceAborted, fid, true)
-			for _, mg := range r.nodes {
-				if rec, ok := mg.fences[fid]; ok {
+			for i := range r.machines {
+				if rec, ok := r.fences[fenceKey{i, fid}]; ok {
 					rec.done = true
 					rec.cond.Broadcast()
-					delete(mg.fences, fid)
+					delete(r.fences, fenceKey{i, fid})
 				}
 			}
 			env.Tracef("rts: fence %d presumed aborted (initiator %d crashed mid-reservation)", fid, node)
@@ -101,12 +99,17 @@ func (r *Router) presumeAbort(node int) {
 	})
 }
 
+// fenceKey names one machine's record of a fence.
+type fenceKey struct {
+	node int
+	fid  int64
+}
+
 // fenceRec returns (or installs) the machine's record for a fence,
 // carved from the run's tables, expecting one arrival per covered shard
 // whose span contains the machine.
 func (r *Router) fenceRec(node int, f *wireFence) *fenceRec {
-	mg := r.nodes[node]
-	if rec, ok := mg.fences[f.FID]; ok {
+	if rec, ok := r.fences[fenceKey{node, f.FID}]; ok {
 		return rec
 	}
 	expect := 0
@@ -116,7 +119,7 @@ func (r *Router) fenceRec(node int, f *wireFence) *fenceRec {
 		}
 	}
 	rec := sim.Carve(r.machines[node].Env(), fenceRec{expect: expect, src: -1})
-	put(&mg.fences, f.FID, rec)
+	put(&r.fences, fenceKey{node, f.FID}, rec)
 	return rec
 }
 
@@ -145,7 +148,7 @@ func (r *Router) handleFence(mgr *bcastManager, d group.Delivery, f *wireFence, 
 			rec := r.fenceRec(node, f)
 			rec.arrived++
 			if rec.arrived == rec.expect {
-				delete(mgr.mg.fences, f.FID)
+				delete(r.fences, fenceKey{node, f.FID})
 				if r.extra != nil {
 					r.extra(node, f.Body)
 				}
@@ -171,7 +174,7 @@ func (r *Router) handleFence(mgr *bcastManager, d group.Delivery, f *wireFence, 
 	r.execFence(mgr, f, 0, func() {
 		rec.done = true
 		rec.cond.Broadcast()
-		delete(mgr.mg.fences, f.FID)
+		delete(r.fences, fenceKey{node, f.FID})
 		k.Fire()
 	})
 }

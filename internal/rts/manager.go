@@ -38,9 +38,6 @@ type objMgr struct {
 	queues []*objQueue
 	tfree  []*p2pTask
 
-	// fences holds the machine's in-flight fence records, by fence id.
-	fences map[int64]*fenceRec
-
 	// The update in service at this secondary (see applyUpdate), and
 	// the service's continuation (see steps).
 	upd     *amoeba.Request

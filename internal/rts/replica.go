@@ -20,17 +20,18 @@ type replica struct {
 	// positions in the total order, and a primary copy's queued tasks.
 	pending []pendingOp
 
-	// A group's replica (bcast.go): seq marks it one.
-	seq     bool
-	touched bool // written since the last frame boundary (see bcastManager.Consume)
-	moved   bool // its object changed orderer at its cut point; writes bounce (see adapt.go)
-
 	// A primary-copy copy (p2p.go), and the group replica it was
 	// installed over, if any (see objMgr.copies); dropped marks one
 	// invalidated or discarded, which a thread waiting on it finds.
 	under                    *replica
-	locked, dropped, primary bool
 	copyset                  map[int]bool // primary only
+	locked, dropped, primary bool
+
+	// A group's replica (bcast.go): seq marks it one. The flags sit
+	// together, where they pack into one word.
+	seq     bool
+	touched bool // written since the last frame boundary (see bcastManager.Consume)
+	moved   bool // its object changed orderer at its cut point; writes bounce (see adapt.go)
 }
 
 // newReplica is a copy holding st, carved from recs.

@@ -57,9 +57,13 @@ type Router struct {
 	batch group.BatchConfig
 	extra func(node int, body any)
 
-	// fenceAborted marks fences presumed aborted after their initiator
-	// crashed mid-reservation: late deliveries of an aborted fence
-	// complete without pausing or applying (see presumeAbort).
+	// fences holds each machine's in-flight fence records, by machine
+	// and fence id: one table for the run, which makes one map where
+	// one per machine would make one each. fenceAborted marks fences
+	// presumed aborted after their initiator crashed mid-reservation:
+	// late deliveries of an aborted fence complete without pausing or
+	// applying (see presumeAbort).
+	fences       map[fenceKey]*fenceRec
 	fenceAborted map[int64]bool
 	fenceSeq     int64
 
@@ -151,7 +155,9 @@ func NewRouter(reg *Registry, costs Costs, machines []*amoeba.Machine, groups []
 	if defaultP2P && p2p == nil || !defaultP2P && len(groups) == 0 {
 		panic("rts: the router's default orderer is not built")
 	}
-	r := &Router{machines: machines, reg: reg, costs: costs, p2p: p2p != nil, defP2P: defaultP2P, objs: []objEntry{{dom: domNone}}} // ids start at 1
+	// Ids start at 1. A run creates tens of objects: the table starts
+	// with room for 16 and skips its first four regrowths.
+	r := &Router{machines: machines, reg: reg, costs: costs, p2p: p2p != nil, defP2P: defaultP2P, objs: append(make([]objEntry, 0, 16), objEntry{dom: domNone})}
 	if p2p != nil {
 		r.cfg = *p2p
 	}
@@ -565,7 +571,7 @@ func (r *Router) Primary(id ObjID) int { return r.meta(id).primary }
 // Counters merges every group's counters and the Router's own into one
 // snapshot.
 func (r *Router) Counters() RTSStats {
-	snaps := []RTSStats{r.stats}
+	snaps := append(make([]RTSStats, 0, len(r.groups)+1), r.stats)
 	for _, g := range r.groups {
 		snaps = append(snaps, g.counters())
 	}

@@ -74,7 +74,7 @@ var codeCeilings = map[string]int{
 	"internal/netsim":     415,  // +1: Downs, the count of crashed nodes, which the trim scan's gate reads
 	"internal/orca":       738,  // +12: the descriptors carve their arguments, and their operations their results, from the run's tables (rec1/rec2 take the run; a two-result apply is named before its record), and a fork message is carved from the runtime's chunk, whose first run is planned at one fork per other machine
 	"internal/orca/std":   366,  // −1: the job queue keeps its jobs in segments that are never copied (push/pop keep the size count) and Queue.Add carves the job; the nine Handle accessors, which nothing called, are gone
-	"internal/rts":        2650, // −172: one object manager per machine over two orderers (sequencer groups and primary copies): BroadcastRTS, P2PRTS, p2pNode and objService are gone, the Router holds the registry, costs and counters once, and an object's type, creation arguments and op cache live once in its entry; the retrier is its own guard-check continuation, the combining buffer is its own batch in flight, and both consumers park a guarded operation through one step (replica.parked); the three consumers share one step continuation (steps), the object service has one dispatcher (objMgr.route), a guarded local read and a single-copy write are one wait-and-apply (atReplica), a dropped copy leaves the table, fence records live in each machine's manager, a migration task names its new orderer, and DefaultAdaptConfig and LatencyHist.Mean, which nothing outside the package called, are gone
+	"internal/rts":        2651, // −171: one object manager per machine over two orderers (sequencer groups and primary copies): BroadcastRTS, P2PRTS, p2pNode and objService are gone, the Router holds the registry, costs and counters once, and an object's type, creation arguments and op cache live once in its entry; the retrier is its own guard-check continuation, the combining buffer is its own batch in flight, and both consumers park a guarded operation through one step (replica.parked); the three consumers share one step continuation (steps), the object service has one dispatcher (objMgr.route), a guarded local read and a single-copy write are one wait-and-apply (atReplica), a dropped copy leaves the table, a migration task names its new orderer, and DefaultAdaptConfig and LatencyHist.Mean, which nothing outside the package called, are gone
 	"internal/rts/scheck": 111,
 	"internal/sim":        869, // −6: a process is its own continuation (Proc.Fire): Proc.Resume and the closure bound for it, Resource.UseFn and Event.Init are gone, a condition's waiters are the continuations their wake-ups fire, and a resource is its own grant and expiry callback
 	"internal/workload":   231, // +10: one Zipf table per (Keys, Theta), shared by every generator instead of summed per client
