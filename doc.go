@@ -9,6 +9,8 @@
 //
 // See README.md for the layout, DESIGN.md for the system inventory and
 // substitutions, and EXPERIMENTS.md for paper-vs-measured results.
-// The root bench_test.go holds one benchmark per reproduced table or
-// figure; cmd/orca-bench regenerates them all from the command line.
+// The root determinism_test.go runs every pinned configuration of
+// harness.Catalogue twice against its pinned fingerprint, and
+// bench_test.go times each as a sub-benchmark; cmd/orca-bench
+// regenerates every table and figure from the command line.
 package repro

@@ -245,3 +245,25 @@ func TestOracolDeterministic(t *testing.T) {
 		t.Fatalf("non-deterministic: (%d,%d) vs (%d,%d)", n1, s1, n2, s2)
 	}
 }
+
+// TestOracolLeavesBoardAlone runs two searches over one board at once,
+// as a harness row and its determinism twin do: both must agree, and
+// the caller's board must come back as it went in.
+func TestOracolLeavesBoardAlone(t *testing.T) {
+	b := mustBoard(t, fenMidgame)
+	before := *b
+	run := func() Result {
+		return RunOrca(orca.Config{Processors: 4, RTS: orca.Broadcast, Seed: 1}, b,
+			Params{MaxDepth: 3, SharedTT: true, SharedKiller: true})
+	}
+	twin := make(chan Result)
+	go func() { twin <- run() }()
+	r1, r2 := run(), <-twin
+	if r1.BestMove != r2.BestMove || r1.Score != r2.Score || r1.Nodes != r2.Nodes || r1.Report.Elapsed != r2.Report.Elapsed {
+		t.Fatalf("concurrent runs differ: (%v %d %d %v) vs (%v %d %d %v)",
+			r1.BestMove, r1.Score, r1.Nodes, r1.Report.Elapsed, r2.BestMove, r2.Score, r2.Nodes, r2.Report.Elapsed)
+	}
+	if *b != before {
+		t.Fatalf("board changed by the search:\n%v\nwant\n%v", b, &before)
+	}
+}

@@ -148,8 +148,10 @@ func applyPath(b *Board, path []int) *Board {
 }
 
 // RunOrca executes the parallel Oracol search on the simulated
-// machine and returns the chosen move.
+// machine and returns the chosen move. It searches a copy of b, so
+// runs over one board may proceed at once.
 func RunOrca(cfg orca.Config, b *Board, params Params) Result {
+	b = b.Clone()
 	params.fill()
 	workers := params.Workers
 	if workers == 0 {

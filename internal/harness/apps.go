@@ -139,11 +139,40 @@ func fig3(s Scale) Spec {
 	}.spec()
 }
 
+// midgame is the quiet middlegame position every chess run searches.
+const midgame = "r1bq1rk1/pp1n1ppp/2pbpn2/3p4/2PP4/2NBPN2/PP3PPP/R1BQ1RK1 w - - 0 1"
+
+// acpRow runs the arc-consistency program on the row's configuration.
+func acpRow(inst *acp.Instance, params acp.Params, cfg orca.Config, key ...any) Row[acp.Result] {
+	return Row[acp.Result]{Key: keys(key...), Cfg: cfg, Run: func(cfg orca.Config, _ []Ran[acp.Result]) (acp.Result, orca.Report) {
+		r := acp.RunOrca(cfg, inst, params)
+		return r, r.Report
+	}}
+}
+
+// chessRow runs Oracol on the middlegame position.
+func chessRow(params chess.Params, cfg orca.Config, key ...any) Row[chess.Result] {
+	b := must(chess.FromFEN(midgame))
+	return Row[chess.Result]{Key: keys(key...), Cfg: cfg, Run: func(cfg orca.Config, _ []Ran[chess.Result]) (chess.Result, orca.Report) {
+		r := chess.RunOrca(cfg, b, params)
+		return r, r.Report
+	}}
+}
+
+// atpgRow runs test generation for every fault of circuit c.
+func atpgRow(c *atpg.Circuit, params atpg.Params, cfg orca.Config, key ...any) Row[atpg.Result] {
+	faults := atpg.AllFaults(c)
+	return Row[atpg.Result]{Key: keys(key...), Cfg: cfg, Run: func(cfg orca.Config, _ []Ran[atpg.Result]) (atpg.Result, orca.Report) {
+		r := atpg.RunOrca(cfg, c, faults, params)
+		return r, r.Report
+	}}
+}
+
 // chessSweep reproduces §4.3: Oracol speedups (the paper reports
 // 4.5-5.5 on 10 CPUs) and the shared-vs-local table comparison.
 func chessSweep(s Scale) Spec {
 	depth := at(s, 6, 4)
-	b := must(chess.FromFEN("r1bq1rk1/pp1n1ppp/2pbpn2/3p4/2PP4/2NBPN2/PP3PPP/R1BQ1RK1 w - - 0 1"))
+	b := must(chess.FromFEN(midgame))
 	tables := func(name string, shared bool) series {
 		return series{name, func(cfg orca.Config) ([]any, orca.Report) {
 			r := chess.RunOrca(cfg, b, chess.Params{MaxDepth: depth, SharedTT: shared, SharedKiller: shared, SplitMinDepth: 1})

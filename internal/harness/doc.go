@@ -20,8 +20,9 @@
 //   - optionally a Heading above, a speedup Curve and a computed
 //     Summary line below, and the closing Prose.
 //
-// The driver runs every row twice and compares fingerprints (the
-// rendered cells plus the report's elapsed time, wire and runtime
+// The driver runs every row twice, the twin on its own goroutine (a
+// second core where GOMAXPROCS gives one), and compares fingerprints
+// (the rendered cells plus the report's elapsed time, wire and runtime
 // counters): a run is a pure function of its configuration, faults
 // included. A run that differs from its twin or hits the deadlock
 // timeout stops the experiment with an error naming experiment, table
@@ -38,6 +39,11 @@
 // count — the harness never reads the host clock — so
 // testdata/quick.golden pins the output of all experiments at Quick
 // scale byte for byte.
+//
+// Catalogue (catalogue.go) is the list of pinned configurations, rows
+// built from the same pieces: the root determinism test runs each
+// twice (Pin.Twice) against its pinned fingerprint, and the root
+// benchmark times each.
 //
 // Downward: experiments run the applications in internal/apps on
 // orca runtimes. Upward: cmd/orca-bench is the command-line driver,

@@ -164,14 +164,19 @@ func (t Tab[R]) run(w io.Writer) ([]verdict, error) {
 	return verdicts, nil
 }
 
-// twice runs a scenario two times and fails unless both runs return
-// the same fingerprint.
+// twice runs a scenario two times, the second on its own goroutine so
+// that the twin takes a second core where GOMAXPROCS gives one, and
+// fails unless both runs return the same fingerprint.
 func twice[T any](run func() (T, string, error)) (T, error) {
+	var fb string
+	var errb error
+	done := make(chan struct{})
+	go func() { _, fb, errb = run(); close(done) }()
 	a, fa, err := run()
-	if err != nil {
-		return a, err
+	<-done
+	if err == nil {
+		err = errb
 	}
-	_, fb, err := run()
 	if err == nil && fa != fb {
 		err = fmt.Errorf("not deterministic:\n  %s\n  %s", fa, fb)
 	}

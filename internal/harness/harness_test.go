@@ -7,6 +7,7 @@ import (
 	"io"
 	"os"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/orca"
@@ -57,8 +58,10 @@ func TestQuickGolden(t *testing.T) {
 }
 
 // failing is an experiment that fails a check at Full and has a row
-// that is not a function of its configuration at Quick.
-func failing(calls *int) Experiment {
+// that is not a function of its configuration at Quick. The drifting
+// row counts its calls; a row and its twin run at once, so the count is
+// atomic.
+func failing(calls *atomic.Int64) Experiment {
 	row := func(name string, run func() (int, orca.Report)) Row[int] {
 		return Row[int]{Key: keys(name), Run: func(orca.Config, []Ran[int]) (int, orca.Report) { return run() }}
 	}
@@ -83,13 +86,13 @@ func failing(calls *int) Experiment {
 		default:
 			return spec(
 				row("steady", func() (int, orca.Report) { return 1, orca.Report{} }),
-				row("drifting", func() (int, orca.Report) { *calls++; return *calls, orca.Report{} }))
+				row("drifting", func() (int, orca.Report) { return int(calls.Add(1)), orca.Report{} }))
 		}
 	}}
 }
 
 func TestDriverReportsFailuresAsErrors(t *testing.T) {
-	var calls int
+	var calls atomic.Int64
 	e := failing(&calls)
 
 	// A failed check: the table still prints in full, and the error
@@ -109,8 +112,8 @@ func TestDriverReportsFailuresAsErrors(t *testing.T) {
 	if err == nil || !strings.HasPrefix(err.Error(), "failing: t: row \"drifting\": not deterministic:") {
 		t.Fatalf("err = %v", err)
 	}
-	if calls != 2 {
-		t.Fatalf("drifting row ran %d times, want 2", calls)
+	if n := calls.Load(); n != 2 {
+		t.Fatalf("drifting row ran %d times, want 2", n)
 	}
 }
 
@@ -128,7 +131,7 @@ func TestDriverReportsTimeout(t *testing.T) {
 func TestRunAllJoinsErrors(t *testing.T) {
 	saved := Experiments
 	defer func() { Experiments = saved }()
-	var calls int
+	var calls atomic.Int64
 	Experiments = []Experiment{failing(&calls), failing(&calls)}
 	err := RunAll(io.Discard, Full)
 	var joined interface{ Unwrap() []error }
@@ -139,7 +142,7 @@ func TestRunAllJoinsErrors(t *testing.T) {
 
 func TestP2PWorkloadBothProtocols(t *testing.T) {
 	for _, proto := range []rts.P2PProtocol{rts.Update, rts.Invalidation} {
-		r := P2PWorkload(proto, rts.DynamicPlacement, 3, 4, 1, 2)
+		r := p2pWorkload(proto, rts.DynamicPlacement, 3, 4, 1, 2)
 		if r.Elapsed <= 0 {
 			t.Fatalf("%v: no elapsed time", proto)
 		}

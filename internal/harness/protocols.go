@@ -10,19 +10,36 @@ import (
 	"repro/internal/sim"
 )
 
-// protoCluster builds machines and group members for the wire-level
-// experiments.
-type protoCluster struct {
+// cluster is the simulated stack below the runtimes, for the
+// experiments that drive the kernel, group or point-to-point layer
+// directly: an environment, one network, a machine on every node and,
+// for the wire-level experiments, a group member on each.
+type cluster struct {
 	env *sim.Env
 	net *netsim.Network
 	ms  []*amoeba.Machine
 	gs  []*group.Member
 }
 
-func newProtoCluster(seed int64, n int, cfgMut func(*group.Config)) *protoCluster {
+// newCluster builds an environment on seed, an n-node network on np
+// and a machine with the default costs on each node, in that order;
+// each, if not nil, is called on every machine as soon as it is built.
+func newCluster(seed int64, n int, np netsim.Params, each func(c *cluster, m *amoeba.Machine)) *cluster {
 	env := sim.New(seed)
-	nw := netsim.New(env, n, netsim.DefaultParams())
-	c := &protoCluster{env: env, net: nw}
+	c := &cluster{env: env, net: netsim.New(env, n, np)}
+	for i := 0; i < n; i++ {
+		m := amoeba.NewMachine(env, c.net, i, amoeba.DefaultCosts())
+		c.ms = append(c.ms, m)
+		if each != nil {
+			each(c, m)
+		}
+	}
+	return c
+}
+
+// newProtoCluster is an n-member group, one member per machine, joined
+// as each machine is built.
+func newProtoCluster(seed int64, n int, cfgMut func(*group.Config)) *cluster {
 	ids := make([]int, n)
 	for i := range ids {
 		ids[i] = i
@@ -33,17 +50,12 @@ func newProtoCluster(seed int64, n int, cfgMut func(*group.Config)) *protoCluste
 	if cfgMut != nil {
 		cfgMut(&cfg)
 	}
-	for i := 0; i < n; i++ {
-		m := amoeba.NewMachine(env, nw, i, amoeba.DefaultCosts())
-		c.ms = append(c.ms, m)
-		c.gs = append(c.gs, group.Join(m, cfg))
-	}
-	return c
+	return newCluster(seed, n, netsim.DefaultParams(), func(c *cluster, m *amoeba.Machine) { c.gs = append(c.gs, group.Join(m, cfg)) })
 }
 
 // consume spawns the delivery loop of every member from first on;
 // each delivery is reported with its member and instant.
-func (c *protoCluster) consume(first int, got func(node int, d group.Delivery, now sim.Time)) {
+func (c *cluster) consume(first int, got func(node int, d group.Delivery, now sim.Time)) {
 	for i := first; i < len(c.gs); i++ {
 		c.ms[i].SpawnThread("consume", func(p *sim.Proc) {
 			for {
@@ -58,7 +70,7 @@ func (c *protoCluster) consume(first int, got func(node int, d group.Delivery, n
 }
 
 // finish runs the cluster until the given instant and tears it down.
-func (c *protoCluster) finish(until sim.Time) netsim.Stats {
+func (c *cluster) finish(until sim.Time) netsim.Stats {
 	c.env.RunUntil(until)
 	c.env.Stop()
 	s := c.net.Stats()
@@ -154,43 +166,37 @@ PB for short messages and BB for long ones (over 1 packet).`,
 at a machine that is neither sender nor sequencer.`, Tables: []Block{t}}
 }
 
-// P2PRun is what one P2PWorkload execution measured.
-type P2PRun struct {
+// p2pRun is what one p2pWorkload execution measured.
+type p2pRun struct {
 	Elapsed sim.Time
 	Msgs    int64
 	Stats   rts.RTSStats
 }
 
-// P2PWorkload drives a read/write mix over one object on a
+// p2pWorkload drives a read/write mix over one object on a
 // point-to-point cluster. It is the workload generator behind the
-// RTSCMP and DYNREPL experiments and their benchmarks.
-func P2PWorkload(proto rts.P2PProtocol, placement rts.Placement, nodes, readsPerWrite, writeRun, rounds int) P2PRun {
-	env := sim.New(11)
+// RTSCMP and DYNREPL experiments.
+func p2pWorkload(proto rts.P2PProtocol, placement rts.Placement, nodes, readsPerWrite, writeRun, rounds int) p2pRun {
 	np := netsim.DefaultParams()
 	np.BroadcastCapable = false
-	nw := netsim.New(env, nodes, np)
-	var ms []*amoeba.Machine
-	for i := 0; i < nodes; i++ {
-		ms = append(ms, amoeba.NewMachine(env, nw, i, amoeba.DefaultCosts()))
-	}
+	c := newCluster(11, nodes, np, nil)
 	reg := rts.NewRegistry()
 	reg.Register(counterType())
 	cfg := rts.DefaultP2PConfig()
 	cfg.Protocol = proto
 	cfg.Placement = placement
-	r := rts.NewP2PRTS(reg, rts.DefaultCosts(), cfg, ms)
+	r := rts.NewP2PRTS(reg, rts.DefaultCosts(), cfg, c.ms)
 
 	var id rts.ObjID
 	var start, end sim.Time
 	doneCount := 0
-	ms[0].SpawnThread("driver", func(p *sim.Proc) {
-		w := rts.NewWorker(p, ms[0])
+	c.ms[0].SpawnThread("driver", func(p *sim.Proc) {
+		w := rts.NewWorker(p, c.ms[0])
 		id = r.Create(w, "counter")
 		start = p.Now()
 		for n := 1; n < nodes; n++ {
-			n := n
-			ms[n].SpawnThread(fmt.Sprintf("w%d", n), func(p *sim.Proc) {
-				w := rts.NewWorker(p, ms[n])
+			c.ms[n].SpawnThread(fmt.Sprintf("w%d", n), func(p *sim.Proc) {
+				w := rts.NewWorker(p, c.ms[n])
 				// Reads and writes interleave continuously: every
 				// node cycles through readsPerWrite reads; the
 				// round's designated writer inserts a run of
@@ -217,11 +223,8 @@ func P2PWorkload(proto rts.P2PProtocol, placement rts.Placement, nodes, readsPer
 			})
 		}
 	})
-	env.RunUntil(600 * sim.Second)
-	env.Stop()
-	stats := nw.Stats()
-	env.Shutdown()
-	return P2PRun{end - start, stats.Messages, r.Counters()}
+	stats := c.finish(600 * sim.Second)
+	return p2pRun{end - start, stats.Messages, r.Counters()}
 }
 
 // counterType is a small int object for the protocol workloads.
@@ -246,7 +249,7 @@ func counterType() *rts.ObjectType {
 // clear winner. Which one is better depends on the problem being
 // solved."
 func rtscmp(s Scale) Spec {
-	type both struct{ update, inval P2PRun }
+	type both struct{ update, inval p2pRun }
 	nodes, rounds := at(s, 6, 3), at(s, 12, 4)
 	t := Tab[both]{
 		Name: "protocols",
@@ -273,8 +276,8 @@ invalidation, but which is better depends on the problem.`,
 	for _, m := range mixes[:at(s, 4, 2)] {
 		t.Rows = append(t.Rows, bare(func() both {
 			return both{
-				P2PWorkload(rts.Update, rts.DynamicPlacement, nodes, m.readsPerWrite, m.writeRun, rounds),
-				P2PWorkload(rts.Invalidation, rts.DynamicPlacement, nodes, m.readsPerWrite, m.writeRun, rounds),
+				p2pWorkload(rts.Update, rts.DynamicPlacement, nodes, m.readsPerWrite, m.writeRun, rounds),
+				p2pWorkload(rts.Invalidation, rts.DynamicPlacement, nodes, m.readsPerWrite, m.writeRun, rounds),
 			}
 		}, m.name))
 	}
@@ -286,10 +289,10 @@ invalidation, but which is better depends on the problem.`,
 // static single-copy and full-replication baselines.
 func dynrepl(s Scale) Spec {
 	nodes, rounds := at(s, 6, 3), at(s, 12, 4)
-	t := Tab[P2PRun]{
+	t := Tab[p2pRun]{
 		Name: "placements",
 		Cols: []string{"placement", "time", "msgs", "local reads", "remote reads", "fetches", "discards"},
-		Cells: func(r Ran[P2PRun]) []any {
+		Cells: func(r Ran[p2pRun]) []any {
 			st := r.Res.Stats
 			return []any{r.Res.Elapsed, r.Res.Msgs, st.LocalReads, st.RemoteReads, st.Fetches, st.Discards}
 		},
@@ -298,7 +301,7 @@ read/write ratio exceeds a threshold and discards it when the ratio
 falls below another threshold.`,
 	}
 	for _, pl := range []rts.Placement{rts.SingleCopy, rts.FullReplication, rts.DynamicPlacement} {
-		t.Rows = append(t.Rows, bare(func() P2PRun { return P2PWorkload(rts.Update, pl, nodes, 24, 1, rounds) }, pl))
+		t.Rows = append(t.Rows, bare(func() p2pRun { return p2pWorkload(rts.Update, pl, nodes, 24, 1, rounds) }, pl))
 	}
 	return Spec{Title: "== DYNREPL: dynamic replication from read/write statistics (§3.2.2) ==", Tables: []Block{t}}
 }
@@ -313,10 +316,8 @@ func micro(s Scale) Spec {
 	null := Tab[rpc]{
 		Name: "rpc",
 		Rows: []Row[rpc]{bare(func() rpc {
-			env := sim.New(3)
-			nw := netsim.New(env, 2, netsim.DefaultParams())
-			m0 := amoeba.NewMachine(env, nw, 0, amoeba.DefaultCosts())
-			m1 := amoeba.NewMachine(env, nw, 1, amoeba.DefaultCosts())
+			c := newCluster(3, 2, netsim.DefaultParams(), nil)
+			m0, m1 := c.ms[0], c.ms[1]
 			srv := amoeba.NewServer(m1, "null")
 			m1.SpawnThread("server", func(p *sim.Proc) {
 				for {
@@ -337,9 +338,7 @@ func micro(s Scale) Spec {
 				}
 				out.rtt = (p.Now() - start) / n
 			})
-			env.RunUntil(60 * sim.Second)
-			env.Stop()
-			env.Shutdown()
+			c.finish(60 * sim.Second)
 			return out
 		}, "null RPC")},
 		Summary: func(rows []Ran[rpc]) string {

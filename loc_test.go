@@ -63,14 +63,14 @@ var codeCeilings = map[string]int{
 	"examples/mixed":      30,
 	"examples/quickstart": 48,
 	"examples/tsp":        32,
-	"internal/amoeba":     802, // −7: one continuation form per primitive: ComputeFn, SendFn, PutResultFn, PutReplyFn and CallFn are gone (PutReplyOn, CallOn), and a server, a transaction record and a deadline are their own continuations, binding nothing
-	"internal/apps/acp":   628, // −9: Work.AnyWork and its descriptor, which nothing called
-	"internal/apps/atpg":  764, // −5: Circuit.Fanout with the fanout lists only it read, and FaultSimulator.Good, which nothing called
-	"internal/apps/chess": 986,
+	"internal/amoeba":     802,  // −7: one continuation form per primitive: ComputeFn, SendFn, PutResultFn, PutReplyFn and CallFn are gone (PutReplyOn, CallOn), and a server, a transaction record and a deadline are their own continuations, binding nothing
+	"internal/apps/acp":   628,  // −9: Work.AnyWork and its descriptor, which nothing called
+	"internal/apps/atpg":  764,  // −5: Circuit.Fanout with the fanout lists only it read, and FaultSimulator.Good, which nothing called
+	"internal/apps/chess": 987,  // +1: RunOrca searches a clone of its caller's board, so two runs over one board (a row and its concurrent twin) share nothing
 	"internal/apps/kv":    369,  // +9: the key directory, the slot array's write path and the 1<<31 key limit (map shard state and receipt maps went)
 	"internal/apps/tsp":   575,  // −1: SolveSeq is a method search over a uint64 of free cities that tests a child before recursing; the closure over a visited []bool it replaced is solve_test.go's reference
 	"internal/group":      2308, // −4: the lazily made timers are kernel timers (group.timer, an amoeba.Timer that is its own round), BroadcastBatchFn is BroadcastBatchOn, an outbox fires a sim.Firer, a step runs a function of the member, so a round that is a method expression binds nothing, and the throttles' flags share a word
-	"internal/harness":    1622,
+	"internal/harness":    1739, // +117: the catalogue of pinned configurations (catalogue.go: the 26 entries the root determinism test and benchmark read, the op-stream row, Pin.Run and Pin.Twice) and the acp, chess and atpg row builders, which replace determinism_test.go's own programs and bench_test.go's eleven benchmarks; the twin of every row runs on its own goroutine; one stack builder (newCluster) for the kernel-level experiments
 	"internal/netsim":     415,  // +1: Downs, the count of crashed nodes, which the trim scan's gate reads
 	"internal/orca":       738,  // +12: the descriptors carve their arguments, and their operations their results, from the run's tables (rec1/rec2 take the run; a two-result apply is named before its record), and a fork message is carved from the runtime's chunk, whose first run is planned at one fork per other machine
 	"internal/orca/std":   366,  // −1: the job queue keeps its jobs in segments that are never copied (push/pop keep the size count) and Queue.Add carves the job; the nine Handle accessors, which nothing called, are gone
